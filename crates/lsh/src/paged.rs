@@ -23,8 +23,18 @@
 //! below the current threshold — every skipped row provably scores below
 //! the final k-th result, so paged rankings are bit-identical to the
 //! all-in-RAM path.
+//!
+//! Cold-read path: [`VectorSegment::block`] → [`BlockCache::get_or_load`]
+//! probes the cache under its lock, **releases it**, reads the block with
+//! one positioned read into a per-thread byte buffer, verifies it
+//! ([`Segment::read_block_into`]: stored CRC word and recomputed CRC both
+//! against the directory), decodes it to `f32`s in one pass, and only then
+//! re-locks to admit it. Disk, CRC and decode therefore never serialize
+//! readers; a block that fails verification is returned as
+//! [`SegmentError::Corrupt`] and never enters the cache.
 
 use parking_lot::Mutex;
+use std::cell::RefCell;
 use std::path::Path;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
@@ -175,20 +185,76 @@ pub struct CacheStats {
     pub peak_resident_bytes: usize,
 }
 
+type BlockKey = (u32, u32);
+
 struct CacheEntry {
     data: Arc<Vec<f32>>,
     bytes: usize,
-    stamp: u64,
+    /// Neighbours in the recency list, linked by key.
+    newer: Option<BlockKey>,
+    older: Option<BlockKey>,
 }
 
 struct CacheInner {
-    map: FxHashMap<(u32, u32), CacheEntry>,
-    tick: u64,
+    /// The resident blocks, threaded into one doubly linked recency list
+    /// from `newest` to `oldest`: a hit relinks in O(1) and the eviction
+    /// victim is always `oldest`, with no scan over the resident set.
+    map: FxHashMap<BlockKey, CacheEntry>,
+    newest: Option<BlockKey>,
+    oldest: Option<BlockKey>,
     bytes: usize,
     hits: u64,
     misses: u64,
     evictions: u64,
     peak_bytes: usize,
+}
+
+impl CacheInner {
+    fn entry(&mut self, key: BlockKey) -> &mut CacheEntry {
+        self.map.get_mut(&key).expect("recency list links resident blocks")
+    }
+
+    /// Close the list over the gap an entry with these neighbours leaves.
+    fn unlink(&mut self, newer: Option<BlockKey>, older: Option<BlockKey>) {
+        match newer {
+            Some(n) => self.entry(n).older = older,
+            None => self.newest = older,
+        }
+        match older {
+            Some(o) => self.entry(o).newer = newer,
+            None => self.oldest = newer,
+        }
+    }
+
+    /// Link a resident, currently unlinked entry in as most recently used.
+    fn link_newest(&mut self, key: BlockKey) {
+        let prev = self.newest.replace(key);
+        match prev {
+            Some(p) => self.entry(p).newer = Some(key),
+            None => self.oldest = Some(key),
+        }
+        let entry = self.entry(key);
+        entry.newer = None;
+        entry.older = prev;
+    }
+
+    /// The resident block for `key`, marked most recently used.
+    fn touch(&mut self, key: BlockKey) -> Option<Arc<Vec<f32>>> {
+        let entry = self.map.get(&key)?;
+        let (data, newer, older) = (entry.data.clone(), entry.newer, entry.older);
+        if newer.is_some() {
+            self.unlink(newer, older);
+            self.link_newest(key);
+        }
+        Some(data)
+    }
+
+    fn evict(&mut self, key: BlockKey) {
+        let entry = self.map.remove(&key).expect("evicted key is resident");
+        self.unlink(entry.newer, entry.older);
+        self.bytes -= entry.bytes;
+        self.evictions += 1;
+    }
 }
 
 /// A byte-budgeted LRU over `(segment, block)` payloads, shared by every
@@ -199,6 +265,13 @@ struct CacheInner {
 /// again. One block larger than the whole budget therefore stays resident
 /// until the next admission — the alternative (refusing to cache it) would
 /// re-read it on every query.
+///
+/// The lock covers bookkeeping only. A miss is *probe → unlock → load →
+/// lock → insert-if-absent*: two threads missing the same block may both
+/// load it, and the second to finish keeps the resident copy and drops its
+/// own. That is benign — both copies passed the same CRC against the same
+/// directory entry, so they are equal — and it is what lets concurrent
+/// readers overlap their disk reads, checksums and decodes.
 pub struct BlockCache {
     budget_bytes: usize,
     next_segment: AtomicU32,
@@ -213,7 +286,8 @@ impl BlockCache {
             next_segment: AtomicU32::new(0),
             inner: Mutex::new(CacheInner {
                 map: FxHashMap::default(),
-                tick: 0,
+                newest: None,
+                oldest: None,
                 bytes: 0,
                 hits: 0,
                 misses: 0,
@@ -247,38 +321,39 @@ impl BlockCache {
         }
     }
 
-    /// Fetch a block, loading and admitting it on miss.
+    /// Fetch a block, loading and admitting it on miss. `load` runs with
+    /// the cache unlocked; an `Err` from it admits nothing.
     pub fn get_or_load(
         &self,
         key: (u32, u32),
         load: impl FnOnce() -> Result<Vec<f32>, SegmentError>,
     ) -> Result<Arc<Vec<f32>>, SegmentError> {
-        let mut guard = self.inner.lock();
-        let inner = &mut *guard;
-        inner.tick += 1;
-        let tick = inner.tick;
-        if let Some(entry) = inner.map.get_mut(&key) {
-            entry.stamp = tick;
-            inner.hits += 1;
-            return Ok(entry.data.clone());
+        {
+            let mut inner = self.inner.lock();
+            if let Some(data) = inner.touch(key) {
+                inner.hits += 1;
+                return Ok(data);
+            }
         }
-        // Load under the lock: correctness first (no double-load races),
-        // and the search path is read-dominated once warm.
         let data = Arc::new(load()?);
         let bytes = data.len() * std::mem::size_of::<f32>();
+
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
         inner.misses += 1;
+        if let Some(resident) = inner.touch(key) {
+            // Another thread admitted this block while we were loading it.
+            return Ok(resident);
+        }
+        inner.map.insert(key, CacheEntry { data: data.clone(), bytes, newer: None, older: None });
+        inner.link_newest(key);
         inner.bytes += bytes;
-        inner.map.insert(key, CacheEntry { data: data.clone(), bytes, stamp: tick });
         if self.budget_bytes > 0 {
+            // The block just admitted is `newest`, so with two or more
+            // resident it is never the victim.
             while inner.bytes > self.budget_bytes && inner.map.len() > 1 {
-                let (&victim, _) = inner
-                    .map
-                    .iter()
-                    .min_by_key(|(_, e)| e.stamp)
-                    .expect("non-empty cache has an LRU entry");
-                let evicted = inner.map.remove(&victim).expect("victim present");
-                inner.bytes -= evicted.bytes;
-                inner.evictions += 1;
+                let victim = inner.oldest.expect("a non-empty cache has an oldest block");
+                inner.evict(victim);
             }
         }
         inner.peak_bytes = inner.peak_bytes.max(inner.bytes);
@@ -289,12 +364,10 @@ impl BlockCache {
     /// Returns how many blocks were dropped.
     pub fn evict_segment(&self, segment: u32) -> usize {
         let mut inner = self.inner.lock();
-        let doomed: Vec<(u32, u32)> =
+        let doomed: Vec<BlockKey> =
             inner.map.keys().copied().filter(|&(s, _)| s == segment).collect();
-        for key in &doomed {
-            let entry = inner.map.remove(key).expect("key just listed");
-            inner.bytes -= entry.bytes;
-            inner.evictions += 1;
+        for &key in &doomed {
+            inner.evict(key);
         }
         doomed.len()
     }
@@ -368,13 +441,12 @@ pub fn write_vector_segment(
         codec::put_f32_slice(&mut meta, &norms);
         codec::put_u64_slice(&mut meta, &sig_words);
         zone.encode(&mut meta);
-        let mut payload = Vec::with_capacity(chunk.len() * dim * 4);
-        for v in &views {
-            for &x in *v {
-                payload.extend_from_slice(&x.to_le_bytes());
+        builder.push_block_with(chunk.len() * dim * 4, &meta, |payload| {
+            let values = views.iter().flat_map(|v| v.iter());
+            for (dst, x) in payload.chunks_exact_mut(4).zip(values) {
+                dst.copy_from_slice(&x.to_le_bytes());
             }
-        }
-        builder.push_block(&payload, &meta);
+        });
         n_blocks += 1;
     }
     atomic_write_bytes(path, &builder.finish())?;
@@ -477,22 +549,26 @@ impl VectorSegment {
     /// Fetch one block's vectors through the cache (row-major,
     /// `rows × dim`), verifying the payload checksum on a cold read.
     pub fn block(&self, block: usize) -> Result<Arc<Vec<f32>>, SegmentError> {
-        let rows = self.blocks[block].ids.len();
-        let dim = self.dim;
+        thread_local! {
+            /// Raw payload of the block being decoded; one per reading
+            /// thread, sized by the largest block it has read.
+            static BLOCK_BYTES: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+        }
+        let expected = self.blocks[block].ids.len() * self.dim * 4;
         self.cache.get_or_load((self.cache_id, block as u32), || {
-            let bytes = self.segment.read_block(block)?;
-            if bytes.len() != rows * dim * 4 {
-                return Err(SegmentError::Corrupt(format!(
-                    "block {block} payload is {} bytes, expected {}",
-                    bytes.len(),
-                    rows * dim * 4
-                )));
-            }
-            let mut out = Vec::with_capacity(rows * dim);
-            for chunk in bytes.chunks_exact(4) {
-                out.push(f32::from_le_bytes(chunk.try_into().expect("4 bytes")));
-            }
-            Ok(out)
+            BLOCK_BYTES.with_borrow_mut(|bytes| {
+                self.segment.read_block_into(block, bytes)?;
+                if bytes.len() != expected {
+                    return Err(SegmentError::Corrupt(format!(
+                        "block {block} payload is {} bytes, expected {expected}",
+                        bytes.len(),
+                    )));
+                }
+                Ok(bytes
+                    .chunks_exact(4)
+                    .map(|c| f32::from_le_bytes(c.try_into().expect("4 bytes")))
+                    .collect())
+            })
         })
     }
 
@@ -676,6 +752,120 @@ mod tests {
         let stats = cache.stats();
         assert_eq!(stats.resident_blocks, 1, "admission displaced the previous block");
         assert_eq!(stats.evictions, 1);
+        std::fs::remove_dir_all(path.parent().unwrap()).ok();
+    }
+
+    #[test]
+    fn sealed_bytes_match_the_golden_segment() {
+        // Hand-built rows, so the image depends on the writer alone; the
+        // length and digest are those of the PR 9 writer's image. A change
+        // here is an on-disk format change.
+        let dim = 6;
+        let rows: Vec<SegmentRow> = (0..10usize)
+            .map(|i| SegmentRow {
+                id: (10 - i) as ItemId,
+                signature: Signature {
+                    words: vec![(i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)],
+                    bits: 64,
+                },
+                norm: i as f32 + 0.5,
+                vector: (0..dim).map(|d| (i * dim + d) as f32 * 0.25 - 3.0).collect(),
+            })
+            .collect();
+        let path = temp_path("golden");
+        assert_eq!(write_vector_segment(&path, dim, 64, 4, rows).expect("seal"), 3);
+        let image = std::fs::read(&path).expect("read image");
+        assert_eq!(image.len(), 736);
+        assert_eq!(wg_util::checksum::crc32(&image), 0x90A9_8D02);
+        std::fs::remove_dir_all(path.parent().unwrap()).ok();
+    }
+
+    #[test]
+    fn concurrent_readers_agree_with_a_single_threaded_read() {
+        const THREADS: u64 = 4;
+        const CALLS: usize = 2_000;
+        let dim = 16;
+        let path = temp_path("concurrent");
+        write_vector_segment(&path, dim, 64, 8, rows_for(dim, 64, 9)).expect("seal");
+        let oracle = VectorSegment::open(&path, BlockCache::new(0)).expect("open oracle");
+        let want: Vec<Arc<Vec<f32>>> =
+            (0..oracle.block_count()).map(|b| oracle.block(b).expect("oracle read")).collect();
+
+        let budget = 2 * 8 * dim * 4;
+        let cache = BlockCache::new(budget);
+        let seg = VectorSegment::open(&path, cache.clone()).expect("open");
+        let start = std::sync::Barrier::new(THREADS as usize);
+        std::thread::scope(|scope| {
+            for t in 0..THREADS {
+                let (seg, cache, want, start) = (&seg, &cache, &want, &start);
+                scope.spawn(move || {
+                    let mut rng = Xoshiro256pp::new(0xB10C + t);
+                    start.wait();
+                    for call in 0..CALLS {
+                        let b = (rng.gen_u64() % want.len() as u64) as usize;
+                        assert_eq!(*seg.block(b).expect("read"), *want[b], "block {b}");
+                        if call % 16 == 0 {
+                            let stats = cache.stats();
+                            assert!(stats.resident_bytes <= budget, "resident over budget");
+                            assert!(stats.resident_blocks <= 2);
+                        }
+                    }
+                });
+            }
+        });
+        let stats = cache.stats();
+        assert_eq!(stats.hits + stats.misses, THREADS * CALLS as u64);
+        assert!(stats.resident_bytes <= budget && stats.peak_resident_bytes <= budget);
+        // Every admission beyond the budget's two blocks displaced exactly
+        // one block; a racing duplicate load admits (and evicts) nothing.
+        assert!(stats.evictions + 2 <= stats.misses);
+        std::fs::remove_dir_all(path.parent().unwrap()).ok();
+    }
+
+    #[test]
+    fn racing_loads_of_one_block_keep_a_single_resident_copy() {
+        let cache = BlockCache::new(0);
+        // Neither load can finish until both have started: that only
+        // happens if the cache is unlocked while a load runs.
+        let both_loading = std::sync::Barrier::new(2);
+        let load = || {
+            both_loading.wait();
+            Ok(vec![1.0f32; 8])
+        };
+        let (a, b) = std::thread::scope(|scope| {
+            let a = scope.spawn(|| cache.get_or_load((0, 0), load));
+            let b = scope.spawn(|| cache.get_or_load((0, 0), load));
+            (a.join().expect("reader a"), b.join().expect("reader b"))
+        });
+        let (a, b) = (a.expect("load a"), b.expect("load b"));
+        assert!(Arc::ptr_eq(&a, &b), "the later finisher must adopt the resident copy");
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.evictions), (0, 2, 0));
+        assert_eq!((stats.resident_blocks, stats.resident_bytes), (1, 32));
+    }
+
+    #[test]
+    fn block_damaged_after_open_is_refused_and_never_cached() {
+        let dim = 16;
+        let path = temp_path("flip-after-open");
+        write_vector_segment(&path, dim, 64, 8, rows_for(dim, 16, 10)).expect("seal");
+        let cache = BlockCache::new(0);
+        let seg = VectorSegment::open(&path, cache.clone()).expect("open");
+        // Damage block 0's payload in place (same inode the segment holds
+        // open); the directory, validated at open, still says otherwise.
+        let mut image = std::fs::read(&path).expect("read image");
+        image[wg_util::segment::PREAMBLE_LEN + 5] ^= 0x10;
+        std::fs::write(&path, &image).expect("rewrite in place");
+
+        for _ in 0..2 {
+            assert!(matches!(seg.block(0), Err(SegmentError::Corrupt(_))));
+            assert_eq!(cache.stats().resident_blocks, 0, "a damaged block must not be cached");
+        }
+        let intact = seg.block(1).expect("intact block still reads");
+        assert_eq!(intact.len(), 8 * dim);
+        assert_eq!(cache.stats().resident_blocks, 1);
+        // The scratch buffer the failed read used carries nothing over.
+        assert_eq!(*seg.block(1).expect("hit"), *intact);
         std::fs::remove_dir_all(path.parent().unwrap()).ok();
     }
 

@@ -15,11 +15,25 @@
 //! ```
 //!
 //! The checksum is CRC-32 (IEEE 802.3, reflected, the `cksum`/zlib
-//! polynomial) implemented here table-driven and dependency-free — the
-//! whole workspace is offline, and CRC32's burst-error detection is
-//! exactly what torn writes and single-bit flips look like. It is **not**
-//! cryptographic and does not pretend to be: the threat model is storage
-//! corruption, not adversaries.
+//! polynomial), dependency-free — the whole workspace is offline, and
+//! CRC32's burst-error detection is exactly what torn writes and single-bit
+//! flips look like. It is **not** cryptographic and does not pretend to be:
+//! the threat model is storage corruption, not adversaries.
+//!
+//! The kernel is portable **slice-by-16**: sixteen 256-entry tables built at
+//! compile time, sixteen input bytes folded per step with sixteen
+//! independent lookups (a bytewise loop is one dependent lookup per byte,
+//! ~0.3 GB/s here against ~1.7 GB/s), and a bytewise tail for the last
+//! `len % 16` bytes. Safe code only, no CPU-feature dispatch: every host
+//! runs the same instructions. This CRC sits under every cold block read
+//! of the paged tier, every checkpoint and every recover, so its speed is
+//! query latency, not housekeeping.
+//!
+//! **Digest stability.** The digest is part of the on-disk format of every
+//! `WGSG` segment, `WGFT` footer and `WGPM` manifest. Any replacement
+//! kernel must be bit-identical for every input and every
+//! [`Crc32::update`] split; the tests pin that against the bytewise
+//! reference loop and against digests written down as literals.
 //!
 //! Back-compat is structural: pre-footer files simply do not end with the
 //! magic/length pattern, so [`split_footer`] classifies them as
@@ -32,9 +46,15 @@ use crate::codec::CodecError;
 /// Reflected IEEE CRC-32 polynomial (zlib, PNG, `cksum -o 3`).
 const CRC32_POLY: u32 = 0xEDB8_8320;
 
-/// 256-entry lookup table, generated at compile time.
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// Input bytes folded per kernel step, and the number of lookup tables.
+const SLICES: usize = 16;
+
+/// `CRC32_TABLES[0]` is the classic bytewise table; `CRC32_TABLES[k][b]` is
+/// the CRC state after byte `b` followed by `k` zero bytes, which is what
+/// lets one step fold `SLICES` bytes with independent lookups. Generated at
+/// compile time (16 KiB of read-only data).
+static CRC32_TABLES: [[u32; 256]; SLICES] = {
+    let mut tables = [[0u32; 256]; SLICES];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -43,10 +63,20 @@ const CRC32_TABLE: [u32; 256] = {
             crc = if crc & 1 != 0 { (crc >> 1) ^ CRC32_POLY } else { crc >> 1 };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < SLICES {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
 /// Streaming CRC-32 state: feed bytes with [`Crc32::update`], read the
@@ -72,9 +102,35 @@ impl Crc32 {
     /// Absorb a chunk. Chunking never changes the digest:
     /// `update(a); update(b)` equals `update(ab)`.
     pub fn update(&mut self, bytes: &[u8]) {
+        let t = &CRC32_TABLES;
         let mut crc = self.state;
-        for &b in bytes {
-            crc = (crc >> 8) ^ CRC32_TABLE[((crc ^ u32::from(b)) & 0xFF) as usize];
+        let mut steps = bytes.chunks_exact(SLICES);
+        for c in &mut steps {
+            // The running state only enters the first word; the other
+            // twelve bytes index their tables directly.
+            let w0 = u32::from_le_bytes([c[0], c[1], c[2], c[3]]) ^ crc;
+            let w1 = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+            let w2 = u32::from_le_bytes([c[8], c[9], c[10], c[11]]);
+            let w3 = u32::from_le_bytes([c[12], c[13], c[14], c[15]]);
+            crc = t[15][(w0 & 0xFF) as usize]
+                ^ t[14][((w0 >> 8) & 0xFF) as usize]
+                ^ t[13][((w0 >> 16) & 0xFF) as usize]
+                ^ t[12][(w0 >> 24) as usize]
+                ^ t[11][(w1 & 0xFF) as usize]
+                ^ t[10][((w1 >> 8) & 0xFF) as usize]
+                ^ t[9][((w1 >> 16) & 0xFF) as usize]
+                ^ t[8][(w1 >> 24) as usize]
+                ^ t[7][(w2 & 0xFF) as usize]
+                ^ t[6][((w2 >> 8) & 0xFF) as usize]
+                ^ t[5][((w2 >> 16) & 0xFF) as usize]
+                ^ t[4][(w2 >> 24) as usize]
+                ^ t[3][(w3 & 0xFF) as usize]
+                ^ t[2][((w3 >> 8) & 0xFF) as usize]
+                ^ t[1][((w3 >> 16) & 0xFF) as usize]
+                ^ t[0][(w3 >> 24) as usize];
+        }
+        for &b in steps.remainder() {
+            crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xFF) as usize];
         }
         self.state = crc;
     }
@@ -91,6 +147,17 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     let mut c = Crc32::new();
     c.update(bytes);
     c.finalize()
+}
+
+/// The textbook one-table, one-byte-per-step loop: the oracle the
+/// differential tests hold [`Crc32::update`] to.
+#[cfg(test)]
+fn reference(bytes: &[u8]) -> u32 {
+    let mut crc = !0u32;
+    for &b in bytes {
+        crc = (crc >> 8) ^ CRC32_TABLES[0][((crc ^ u32::from(b)) & 0xFF) as usize];
+    }
+    !crc
 }
 
 /// Magic opening the integrity footer frame.
@@ -170,12 +237,58 @@ pub fn split_footer(bytes: &[u8]) -> Result<(&[u8], FooterCheck), CodecError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::Xoshiro256pp;
 
     #[test]
     fn crc32_matches_the_standard_check_value() {
         // The canonical CRC-32/ISO-HDLC check vector.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(reference(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn kernel_equals_reference_at_every_length_and_alignment() {
+        let mut rng = Xoshiro256pp::new(0xC12C);
+        let data: Vec<u8> = (0..16 + 257).map(|_| rng.next_u64() as u8).collect();
+        // Every tail length (0..16) around zero, one, and sixteen full
+        // steps, starting at every offset within a step.
+        for start in 0..16 {
+            for len in 0..=257 {
+                let slice = &data[start..start + len];
+                assert_eq!(crc32(slice), reference(slice), "start {start}, len {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn kernel_equals_reference_under_random_update_splits() {
+        let mut rng = Xoshiro256pp::new(0x5EED);
+        let data: Vec<u8> = (0..1 << 20).map(|_| rng.next_u64() as u8).collect();
+        let want = reference(&data);
+        assert_eq!(crc32(&data), want);
+        for _ in 0..8 {
+            let mut c = Crc32::new();
+            let mut rest = &data[..];
+            while !rest.is_empty() {
+                // Mostly short chunks, so step boundaries land everywhere.
+                let take = (rng.next_u64() as usize % 4099).min(rest.len());
+                c.update(&rest[..take]);
+                rest = &rest[take..];
+            }
+            assert_eq!(c.finalize(), want);
+        }
+    }
+
+    #[test]
+    fn golden_digests_pin_the_on_disk_format() {
+        // Literals computed with zlib's crc32: a kernel swap that changes
+        // any of them would orphan every segment and snapshot on disk.
+        assert_eq!(crc32(b"WarpGate semantic join discovery"), 0x13EE_4C7D);
+        let ramp: Vec<u8> = (0..1000u32).map(|i| (i * 7 + 3) as u8).collect();
+        assert_eq!(crc32(&ramp), 0x17BC_2A46);
+        let block: Vec<u8> = (0..32_768u32).map(|i| (i ^ (i >> 8)) as u8).collect();
+        assert_eq!(crc32(&block), 0x9297_FE7F);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! * [`names`] — the process-wide backend-name interner behind federated
 //!   namespaces (`"default"` pinned to id 0, 256-name cap matching the
 //!   LSH item-id bit budget).
-//! * [`checksum`] — table-driven CRC-32 and the fixed-size snapshot
+//! * [`checksum`] — slice-by-16 CRC-32 and the fixed-size snapshot
 //!   integrity footer (magic + body length + checksum) that lets loaders
 //!   reject torn or bit-rotted files before interpreting a single body
 //!   byte.

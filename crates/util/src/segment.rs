@@ -5,7 +5,9 @@
 //! CRC-32-checked, plus a directory that carries per-block metadata
 //! (offsets, lengths, checksums, and an opaque caller-defined meta blob
 //! such as a zone map). Readers open the directory once and then fetch
-//! individual blocks with positioned reads — no mmap, no full-file
+//! individual blocks with positioned reads (`pread`: one syscall per block,
+//! no seek, no shared file cursor and therefore no lock — any number of
+//! threads read one [`Segment`] concurrently) — no mmap, no full-file
 //! residency:
 //!
 //! ```text
@@ -31,13 +33,18 @@
 //! directory), and a bit flip fails either at `open` or at the first read
 //! of the damaged block — a partially-visible block set is impossible
 //! because the directory is written last and validated first.
+//!
+//! Per-read contract ([`Segment::read_block_into`]): every read checks the
+//! CRC word stored after the payload *and* the CRC recomputed over the
+//! payload against the directory's value. On any mismatch the caller gets
+//! [`SegmentError::Corrupt`] and an empty buffer, never the damaged bytes.
 
 use crate::checksum::{crc32, Crc32};
 use crate::codec::{self, CodecError};
 use std::fs::File;
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Read, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
 
 /// Magic opening a segment file.
 pub const SEGMENT_MAGIC: [u8; 4] = *b"WGSG";
@@ -120,12 +127,25 @@ impl SegmentBuilder {
 
     /// Append one block with its payload and opaque per-block metadata.
     pub fn push_block(&mut self, payload: &[u8], meta: &[u8]) {
-        let offset = self.bytes.len() as u64;
-        let crc = crc32(payload);
-        self.bytes.extend_from_slice(payload);
+        self.push_block_with(payload.len(), meta, |out| out.copy_from_slice(payload));
+    }
+
+    /// Append one block of `payload_len` bytes that `fill` writes straight
+    /// into the segment image (it receives exactly that block's zeroed
+    /// bytes), so a caller encoding its payload needs no staging copy.
+    pub fn push_block_with(
+        &mut self,
+        payload_len: usize,
+        meta: &[u8],
+        fill: impl FnOnce(&mut [u8]),
+    ) {
+        let offset = self.bytes.len();
+        self.bytes.resize(offset + payload_len, 0);
+        fill(&mut self.bytes[offset..]);
+        let crc = crc32(&self.bytes[offset..]);
         self.bytes.extend_from_slice(&crc.to_le_bytes());
-        codec::put_u64(&mut self.directory, offset);
-        codec::put_len(&mut self.directory, payload.len());
+        codec::put_u64(&mut self.directory, offset as u64);
+        codec::put_len(&mut self.directory, payload_len);
         codec::put_u32(&mut self.directory, crc);
         codec::put_bytes(&mut self.directory, meta);
         self.n_blocks += 1;
@@ -164,7 +184,7 @@ impl SegmentBuilder {
 /// positioned reads and re-verified per block.
 pub struct Segment {
     path: PathBuf,
-    file: Mutex<File>,
+    file: File,
     header_meta: Vec<u8>,
     blocks: Vec<BlockInfo>,
 }
@@ -182,7 +202,7 @@ impl Segment {
     /// Open a segment file, validating preamble, trailer, and directory.
     /// Block payloads are *not* read here.
     pub fn open(path: &Path) -> Result<Segment, SegmentError> {
-        let mut file = File::open(path)?;
+        let file = File::open(path)?;
         let file_len = file.metadata()?.len();
         if file_len < (PREAMBLE_LEN + TRAILER_LEN) as u64 {
             return Err(SegmentError::Corrupt(format!(
@@ -192,7 +212,7 @@ impl Segment {
         }
 
         let mut preamble = [0u8; PREAMBLE_LEN];
-        file.read_exact(&mut preamble)?;
+        file.read_exact_at(&mut preamble, 0)?;
         if preamble[..4] != SEGMENT_MAGIC {
             return Err(SegmentError::Corrupt("bad segment magic".into()));
         }
@@ -202,8 +222,7 @@ impl Segment {
         }
 
         let mut trailer = [0u8; TRAILER_LEN];
-        file.seek(SeekFrom::End(-(TRAILER_LEN as i64)))?;
-        file.read_exact(&mut trailer)?;
+        file.read_exact_at(&mut trailer, file_len - TRAILER_LEN as u64)?;
         if trailer[..4] != TRAILER_MAGIC {
             return Err(SegmentError::Corrupt("bad trailer magic (torn write?)".into()));
         }
@@ -224,8 +243,7 @@ impl Segment {
         }
 
         let mut directory = vec![0u8; dir_len as usize];
-        file.seek(SeekFrom::Start(dir_offset))?;
-        file.read_exact(&mut directory)?;
+        file.read_exact_at(&mut directory, dir_offset)?;
         if crc32(&directory) != dir_crc {
             return Err(SegmentError::Corrupt("directory checksum mismatch".into()));
         }
@@ -258,7 +276,7 @@ impl Segment {
             return Err(SegmentError::Corrupt(format!("{} trailing directory bytes", r.len())));
         }
 
-        Ok(Segment { path: path.to_path_buf(), file: Mutex::new(file), header_meta, blocks })
+        Ok(Segment { path: path.to_path_buf(), file, header_meta, blocks })
     }
 
     /// The segment-wide metadata blob the writer stored.
@@ -289,26 +307,41 @@ impl Segment {
     /// Read one block's payload with a positioned read, verifying its
     /// CRC-32 before returning.
     pub fn read_block(&self, block: usize) -> Result<Vec<u8>, SegmentError> {
+        let mut payload = Vec::new();
+        self.read_block_into(block, &mut payload)?;
+        Ok(payload)
+    }
+
+    /// [`Segment::read_block`] into a caller-owned buffer, so a reader that
+    /// decodes block after block pays for one allocation, not one per read
+    /// (whatever `payload` held is overwritten, not zeroed first). On
+    /// success it holds exactly the verified payload; on any error it is
+    /// left empty — damaged bytes are never handed out.
+    pub fn read_block_into(&self, block: usize, payload: &mut Vec<u8>) -> Result<(), SegmentError> {
+        let result = self.read_verified(block, payload);
+        if result.is_err() {
+            payload.clear();
+        }
+        result
+    }
+
+    fn read_verified(&self, block: usize, payload: &mut Vec<u8>) -> Result<(), SegmentError> {
         let info = self
             .blocks
             .get(block)
             .ok_or_else(|| SegmentError::Corrupt(format!("block {block} out of range")))?;
-        let mut payload = vec![0u8; info.payload_len as usize + 4];
-        {
-            let mut file = self.file.lock().expect("segment file lock");
-            file.seek(SeekFrom::Start(info.offset))?;
-            file.read_exact(&mut payload)?;
-        }
-        let stored =
-            u32::from_le_bytes(payload[info.payload_len as usize..].try_into().expect("4 bytes"));
-        payload.truncate(info.payload_len as usize);
-        if stored != info.crc || crc32(&payload) != info.crc {
+        let payload_len = info.payload_len as usize;
+        payload.resize(payload_len + 4, 0);
+        self.file.read_exact_at(payload, info.offset)?;
+        let stored = u32::from_le_bytes(payload[payload_len..].try_into().expect("4 bytes"));
+        payload.truncate(payload_len);
+        if stored != info.crc || crc32(payload) != info.crc {
             return Err(SegmentError::Corrupt(format!(
                 "block {block} checksum mismatch at offset {}",
                 info.offset
             )));
         }
-        Ok(payload)
+        Ok(())
     }
 }
 
@@ -386,6 +419,49 @@ mod tests {
         assert_eq!(seg.read_block(2).expect("block 2"), vec![0xAB; 1000]);
         assert!(seg.read_block(3).is_err());
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn read_block_into_reuses_the_buffer_and_empties_it_on_error() {
+        let dir = temp_dir("into");
+        let path = dir.join("seg.wgs");
+        let bytes = build_sample();
+        atomic_write_bytes(&path, &bytes).expect("write");
+        let seg = Segment::open(&path).expect("open");
+        let mut buf = Vec::new();
+        // Large, then small, then empty: stale bytes never leak through.
+        seg.read_block_into(2, &mut buf).expect("block 2");
+        assert_eq!(buf, vec![0xAB; 1000]);
+        seg.read_block_into(0, &mut buf).expect("block 0");
+        assert_eq!(buf, b"first block payload");
+        seg.read_block_into(1, &mut buf).expect("block 1");
+        assert!(buf.is_empty());
+
+        seg.read_block_into(0, &mut buf).expect("block 0");
+        assert!(matches!(seg.read_block_into(3, &mut buf), Err(SegmentError::Corrupt(_))));
+        assert!(buf.is_empty(), "an out-of-range read must not leave the previous payload");
+
+        // Damage block 0 in place, after open: refused, nothing handed out.
+        let mut broken = bytes.clone();
+        broken[PREAMBLE_LEN] ^= 0x01;
+        std::fs::write(&path, &broken).expect("rewrite in place");
+        assert!(matches!(seg.read_block_into(0, &mut buf), Err(SegmentError::Corrupt(_))));
+        assert!(buf.is_empty(), "damaged bytes must not be handed out");
+        seg.read_block_into(2, &mut buf).expect("intact block still reads");
+        assert_eq!(buf, vec![0xAB; 1000]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn push_block_with_writes_the_same_image_as_push_block() {
+        let mut filled = SegmentBuilder::new(b"header-meta");
+        filled.push_block_with(19, b"meta-0", |out| out.copy_from_slice(b"first block payload"));
+        filled.push_block_with(0, b"meta-empty", |out| assert!(out.is_empty()));
+        filled.push_block_with(1000, b"", |out| {
+            assert!(out.iter().all(|&b| b == 0), "fill sees only its own zeroed block");
+            out.fill(0xAB);
+        });
+        assert_eq!(filled.finish(), build_sample());
     }
 
     #[test]
