@@ -61,12 +61,15 @@
 //! checkpoint crashing at every byte offset so the recovery guarantees are
 //! machine-checked rather than asserted.
 
+#![forbid(unsafe_code)]
+
 pub mod admission;
 pub mod cache;
 pub mod config;
 pub mod daemon;
 pub mod durability;
 pub mod persist;
+mod registry;
 pub mod system;
 pub mod timing;
 

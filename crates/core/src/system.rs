@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 use wg_embed::{ColumnEmbedder, EmbeddingModel, WebTableConfig, WebTableModel};
-use wg_lsh::{compose_item_id, DiscoverScope, LshParams, SearchOutcome, ShardedLshIndex};
+use wg_lsh::{DiscoverScope, LshParams, SearchOutcome, ShardedLshIndex};
 use wg_store::{
     BackendHandle, BackendId, BackendRegistry, ColumnRef, CostSnapshot, KeyNorm, StoreError,
     StoreResult, Table, TableMeta, TableRef, WarehouseBackend,
@@ -27,6 +27,7 @@ use crate::admission::{
 };
 use crate::cache::{CacheStats, EmbeddingCache, EmbeddingKey};
 use crate::config::WarpGateConfig;
+use crate::registry::Registry;
 use crate::timing::QueryTiming;
 
 /// How many scanned+embedded columns the indexing collector accumulates
@@ -145,57 +146,6 @@ impl SyncReport {
         self.columns_removed += one.columns_removed;
         self.cost = self.cost.plus(&one.cost);
         self.per_backend.push((id, one));
-    }
-}
-
-/// Maps index item ids to column references. Ids are namespaced: the high
-/// bits are the ref's backend, the low bits a per-backend counter that is
-/// never reused (removal tombstones the id, matching the old dense-vec
-/// registry's semantics while keeping each namespace's range compact).
-#[derive(Default)]
-struct Registry {
-    ref_of: FxHashMap<u32, ColumnRef>,
-    id_of: FxHashMap<ColumnRef, u32>,
-    next_local: FxHashMap<u16, u32>,
-}
-
-impl Registry {
-    fn insert(&mut self, r: ColumnRef) -> u32 {
-        if let Some(&id) = self.id_of.get(&r) {
-            return id;
-        }
-        let bits = r.backend.bits();
-        let local = self.next_local.entry(bits).or_insert(0);
-        let id = compose_item_id(bits, *local);
-        *local += 1;
-        self.id_of.insert(r.clone(), id);
-        self.ref_of.insert(id, r);
-        id
-    }
-
-    /// Re-install a persisted `(id, ref)` pair, advancing the namespace's
-    /// counter past it so later inserts never collide.
-    fn insert_at(&mut self, id: u32, r: ColumnRef) {
-        let next = self.next_local.entry(wg_lsh::item_backend(id)).or_insert(0);
-        *next = (*next).max(wg_lsh::item_local(id) + 1);
-        self.id_of.insert(r.clone(), id);
-        self.ref_of.insert(id, r);
-    }
-
-    fn remove(&mut self, r: &ColumnRef) -> Option<u32> {
-        let id = self.id_of.remove(r)?;
-        self.ref_of.remove(&id);
-        Some(id)
-    }
-
-    fn reference(&self, id: u32) -> Option<&ColumnRef> {
-        self.ref_of.get(&id)
-    }
-
-    /// Live refs of one (namespaced) table — read-path helper for removal
-    /// and sync.
-    fn table_refs(&self, table: &TableRef) -> Vec<ColumnRef> {
-        self.ref_of.values().filter(|r| table.contains(r)).cloned().collect()
     }
 }
 
@@ -956,11 +906,13 @@ impl WarpGate {
                 return Err(shed);
             }
         };
-        let cost_before = backend.costs();
+        // The meter is read only for a request that bills someone: over
+        // WGRP each reading is a round trip.
+        let billing = opts.tenant.map(|tenant| (tenant, backend.costs()));
         let result =
             self.discover_validated_deadline(&backend, epoch, query, k, &opts.scope, opts.deadline);
         drop(permit);
-        if let Some(tenant) = opts.tenant {
+        if let Some((tenant, cost_before)) = billing {
             // Billed even when the call failed mid-flight: scans the
             // backend metered happened regardless of the outcome.
             let delta = backend.costs().since(&cost_before);
@@ -1153,10 +1105,13 @@ impl WarpGate {
             resolved[&q.backend].1.validate_column(q)?;
         }
         let _permit = self.acquire_admission()?;
-        let cost_before: Vec<(BackendId, CostSnapshot)> =
-            resolved.iter().map(|(id, (_, b))| (*id, b.costs())).collect();
+        let billing = opts.tenant.map(|tenant| {
+            let cost_before: Vec<(BackendId, CostSnapshot)> =
+                resolved.iter().map(|(id, (_, b))| (*id, b.costs())).collect();
+            (tenant, cost_before)
+        });
         let result = self.discover_batch_resolved(queries, k, opts, &resolved);
-        if let Some(tenant) = opts.tenant {
+        if let Some((tenant, cost_before)) = billing {
             // Post-paid like `discover_opts`, summed over every backend
             // the batch scanned — failures included, for the same reason.
             for (id, before) in &cost_before {
@@ -1297,18 +1252,11 @@ impl WarpGate {
         deadline: Deadline,
     ) -> StoreResult<(Vec<JoinCandidate>, SearchOutcome, f64)> {
         let registry = self.registry.read();
-        let exclude_same_table = self.config.exclude_same_table;
+        let exclude = registry.excluder(query, self.config.exclude_same_table);
         let sw = Stopwatch::start();
         let (hits, outcome) = self
             .index
-            .search_scoped_deadline_with_outcome(vector.as_slice(), k, scope, deadline, |id| {
-                match registry.reference(id) {
-                    // Tombstoned ids never match; the query column itself and
-                    // (optionally) its table-mates are filtered out.
-                    None => true,
-                    Some(r) => r == query || (exclude_same_table && r.same_table(query)),
-                }
-            })
+            .search_scoped_deadline_with_outcome(vector.as_slice(), k, scope, deadline, exclude)
             .map_err(deadline_err)?;
         let lookup_secs = sw.elapsed_secs();
         let candidates = hits
@@ -1441,7 +1389,7 @@ impl WarpGate {
     pub(crate) fn registry_entries_for_persist(&self) -> Vec<(u32, ColumnRef)> {
         let registry = self.registry.read();
         let mut entries: Vec<(u32, ColumnRef)> =
-            registry.ref_of.iter().map(|(id, r)| (*id, r.clone())).collect();
+            registry.entries().map(|(id, r)| (id, r.clone())).collect();
         entries.sort_by_key(|(id, _)| *id);
         entries
     }

@@ -25,6 +25,8 @@
 //! [`ColumnEmbedder`] turns a column into one vector by aggregating the
 //! embeddings of its distinct values (uniform, frequency- or SIF-weighted).
 
+#![forbid(unsafe_code)]
+
 pub mod column_embed;
 pub mod context;
 pub mod minibert;

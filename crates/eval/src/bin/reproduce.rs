@@ -13,13 +13,22 @@ use wg_eval::experiments::{bert, figure4, samples, scale, sigma_adhoc, table1, t
 use wg_eval::experiments::{connect, connect_free};
 use wg_eval::{report, scale_for};
 
+const EXPERIMENTS: [&str; 9] =
+    ["table1", "fig4a", "fig4b", "fig4c", "table2", "samples", "bert", "sigma", "scale"];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let what: Vec<&str> = if args.is_empty() || args.iter().any(|a| a == "all") {
-        vec!["table1", "fig4a", "fig4b", "fig4c", "table2", "samples", "bert", "sigma", "scale"]
+        EXPERIMENTS.to_vec()
     } else {
         args.iter().map(|s| s.as_str()).collect()
     };
+    // Refuse a misspelt name before running anything: a typo must fail the
+    // calling script, not print a line and report success.
+    if let Some(other) = what.iter().find(|exp| !EXPERIMENTS.contains(exp)) {
+        eprintln!("unknown experiment '{other}' (expected one of: all {})", EXPERIMENTS.join(" "));
+        std::process::exit(2);
+    }
 
     for exp in what {
         match exp {
@@ -32,7 +41,7 @@ fn main() {
             "bert" => run_bert(),
             "sigma" => run_sigma(),
             "scale" => run_scale(),
-            other => eprintln!("unknown experiment '{other}' (see README)"),
+            other => unreachable!("'{other}' passed the name check"),
         }
     }
 }

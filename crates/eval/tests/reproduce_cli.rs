@@ -1,0 +1,17 @@
+//! The `reproduce` binary's command line.
+
+use std::process::Command;
+
+#[test]
+fn an_unknown_experiment_fails_before_anything_runs() {
+    // `sigma` is valid and comes first: the run must still be refused
+    // whole, with nothing printed on stdout.
+    let out = Command::new(env!("CARGO_BIN_EXE_reproduce"))
+        .args(["sigma", "tabel1"])
+        .output()
+        .expect("run reproduce");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty(), "no experiment may run");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown experiment 'tabel1'"), "{stderr}");
+}

@@ -6,6 +6,7 @@
 //! top-k. Insertion and removal are incremental, which is what lets
 //! WarpGate track CDWs with high update rates without rebuild storms.
 
+use std::cell::RefCell;
 use std::sync::Arc;
 use wg_util::codec::{self, CodecError, CodecResult};
 use wg_util::deadline::{Deadline, Phase};
@@ -46,12 +47,55 @@ pub struct SearchOutcome {
     pub blocks_pruned: usize,
 }
 
-/// Where a cold row lives: segment slot, block, row-in-block.
-#[derive(Debug, Clone, Copy)]
-struct ColdLoc {
-    seg: u32,
-    block: u32,
-    row: u32,
+/// Where a cold row lives — segment slot, block, row-in-block — packed
+/// into one `u64` (`seg | block | row`, most significant first), so rows
+/// order by location with a single integer compare.
+/// [`SimHashLshIndex::attach_segment_mapped`] refuses a segment that does
+/// not fit the field widths.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct ColdLoc(u64);
+
+impl ColdLoc {
+    const ROW_BITS: u32 = 16;
+    const BLOCK_BITS: u32 = 28;
+    const SEG_BITS: u32 = 64 - Self::BLOCK_BITS - Self::ROW_BITS;
+
+    fn new(seg: usize, block: usize, row: usize) -> ColdLoc {
+        debug_assert!(seg >> Self::SEG_BITS == 0 && block >> Self::BLOCK_BITS == 0);
+        debug_assert!(row >> Self::ROW_BITS == 0);
+        let (seg, block, row) = (seg as u64, block as u64, row as u64);
+        ColdLoc(seg << (Self::BLOCK_BITS + Self::ROW_BITS) | block << Self::ROW_BITS | row)
+    }
+
+    fn seg(self) -> usize {
+        (self.0 >> (Self::BLOCK_BITS + Self::ROW_BITS)) as usize
+    }
+
+    fn block(self) -> usize {
+        (self.0 >> Self::ROW_BITS) as usize & ((1 << Self::BLOCK_BITS) - 1)
+    }
+
+    fn row(self) -> usize {
+        self.0 as usize & ((1 << Self::ROW_BITS) - 1)
+    }
+
+    /// True when both rows sit in the same block of the same segment.
+    fn same_block(self, other: ColdLoc) -> bool {
+        self.0 >> Self::ROW_BITS == other.0 >> Self::ROW_BITS
+    }
+}
+
+/// Per-thread buffers of the cold re-rank pass, so a steady-state query
+/// allocates nothing for it: the candidate rows, and the `(bound, start,
+/// end)` block groups over them.
+#[derive(Default)]
+struct ColdScratch {
+    rows: Vec<(ColdLoc, ItemId)>,
+    groups: Vec<(f64, usize, usize)>,
+}
+
+thread_local! {
+    static COLD_SCRATCH: RefCell<ColdScratch> = RefCell::default();
 }
 
 /// The paged tier of one index: attached segments plus an id locator.
@@ -80,6 +124,18 @@ pub struct SimHashLshIndex {
     bands: Vec<FxHashMap<u64, Vec<ItemId>>>,
     /// Paged tier, present once a segment has been attached.
     cold: Option<ColdStore>,
+}
+
+/// Exact cosine of the query against row `row` of a paged block — the
+/// replica of [`SimHashLshIndex::score_slot`] over cold data: same kernel
+/// dot, same stored norm, same clamp, so bit-identical to the hot path.
+#[inline]
+fn score_row(query: &[f32], qnorm: f32, norm: f32, data: &[f32], row: usize, dim: usize) -> f64 {
+    let denom = qnorm * norm;
+    if denom <= f32::MIN_POSITIVE {
+        return 0.0;
+    }
+    (kernel::dot(query, &data[row * dim..(row + 1) * dim]) / denom).clamp(-1.0, 1.0) as f64
 }
 
 impl SimHashLshIndex {
@@ -262,7 +318,7 @@ impl SimHashLshIndex {
         };
         let mut live = vec![false; cold.segments.len()];
         for loc in cold.locator.values() {
-            live[loc.seg as usize] = true;
+            live[loc.seg()] = true;
         }
         for (slot, seg) in cold.segments.iter_mut().enumerate() {
             if !live[slot] {
@@ -314,11 +370,26 @@ impl SimHashLshIndex {
                 self.params.bits()
             )));
         }
+        let seg_slot = self.cold.as_ref().map_or(0, |c| c.segments.len());
+        let widest = (0..segment.block_count()).map(|b| segment.block_meta(b).ids.len()).max();
+        if seg_slot >> ColdLoc::SEG_BITS != 0
+            || segment.block_count() > 1 << ColdLoc::BLOCK_BITS
+            || widest.is_some_and(|rows| rows > 1 << ColdLoc::ROW_BITS)
+        {
+            return Err(CodecError::Invalid(format!(
+                "segment does not fit the cold locator: slot {seg_slot}, {} blocks, widest block \
+                 {} rows (limits 2^{}, 2^{}, 2^{})",
+                segment.block_count(),
+                widest.unwrap_or(0),
+                ColdLoc::SEG_BITS,
+                ColdLoc::BLOCK_BITS,
+                ColdLoc::ROW_BITS
+            )));
+        }
         let cold = self.cold.get_or_insert_with(|| ColdStore {
             segments: Vec::new(),
             locator: FxHashMap::default(),
         });
-        let seg_slot = cold.segments.len() as u32;
         cold.segments.push(Some(segment.clone()));
         let mut attached = 0usize;
         for block in 0..segment.block_count() {
@@ -335,7 +406,7 @@ impl SimHashLshIndex {
                     .as_mut()
                     .expect("cold store just created")
                     .locator
-                    .insert(id, ColdLoc { seg: seg_slot, block: block as u32, row: row as u32 });
+                    .insert(id, ColdLoc::new(seg_slot, block, row));
                 attached += 1;
             }
         }
@@ -363,12 +434,12 @@ impl SimHashLshIndex {
         }
         let cold = self.cold.as_ref()?;
         let loc = cold.locator.get(&id)?;
-        let seg = cold.segments[loc.seg as usize].as_ref().expect("locator points at live segment");
+        let seg = cold.segments[loc.seg()].as_ref().expect("locator points at live segment");
         let data = seg
-            .block(loc.block as usize)
+            .block(loc.block())
             .unwrap_or_else(|e| panic!("paged tier lost a sealed block: {e}"));
         let dim = self.dim();
-        let start = loc.row as usize * dim;
+        let start = loc.row() * dim;
         Some(data[start..start + dim].to_vec())
     }
 
@@ -380,19 +451,17 @@ impl SimHashLshIndex {
             return Vec::new();
         };
         let dim = self.dim();
-        let mut by_block: FxHashMap<(u32, u32), Vec<(u32, ItemId)>> = FxHashMap::default();
+        let mut by_block: FxHashMap<(usize, usize), Vec<(usize, ItemId)>> = FxHashMap::default();
         for (&id, loc) in &cold.locator {
-            by_block.entry((loc.seg, loc.block)).or_default().push((loc.row, id));
+            by_block.entry((loc.seg(), loc.block())).or_default().push((loc.row(), id));
         }
         let mut out = Vec::with_capacity(cold.locator.len());
         for ((seg_slot, block), rows) in by_block {
-            let seg =
-                cold.segments[seg_slot as usize].as_ref().expect("locator points at live segment");
-            let data = seg
-                .block(block as usize)
-                .unwrap_or_else(|e| panic!("paged tier lost a sealed block: {e}"));
+            let seg = cold.segments[seg_slot].as_ref().expect("locator points at live segment");
+            let data =
+                seg.block(block).unwrap_or_else(|e| panic!("paged tier lost a sealed block: {e}"));
             for (row, id) in rows {
-                let start = row as usize * dim;
+                let start = row * dim;
                 out.push((id, data[start..start + dim].to_vec()));
             }
         }
@@ -416,10 +485,9 @@ impl SimHashLshIndex {
         if let Some(cold) = &self.cold {
             for (id, vector) in self.cold_items() {
                 let loc = cold.locator[&id];
-                let seg = cold.segments[loc.seg as usize]
-                    .as_ref()
-                    .expect("locator points at live segment");
-                let norm = seg.block_meta(loc.block as usize).norms[loc.row as usize];
+                let seg =
+                    cold.segments[loc.seg()].as_ref().expect("locator points at live segment");
+                let norm = seg.block_meta(loc.block()).norms[loc.row()];
                 out.push(SegmentRow { id, signature: self.signatures[&id].clone(), norm, vector });
             }
         }
@@ -571,7 +639,8 @@ impl SimHashLshIndex {
         }
         let qnorm = kernel::norm_sq(query).sqrt();
         let mut slots = scratch::take_ids();
-        let mut cold_rows: Vec<(u32, u32, u32, ItemId)> = Vec::new();
+        let mut cold = COLD_SCRATCH.take();
+        cold.rows.clear();
         for &id in &candidates {
             if exclude(id) {
                 continue;
@@ -585,7 +654,7 @@ impl SimHashLshIndex {
                         .and_then(|c| c.locator.get(&id))
                         .copied()
                         .expect("bucketed id must be stored");
-                    cold_rows.push((loc.seg, loc.block, loc.row, id));
+                    cold.rows.push((loc, id));
                 }
             }
         }
@@ -600,8 +669,10 @@ impl SimHashLshIndex {
         }
         scratch::put_ids(slots);
         scratch::put_ids(candidates);
-        let (blocks_read, blocks_pruned) =
-            self.score_cold_rows(query, qnorm, cold_rows, deadline, &mut topk, &mut scored)?;
+        let cold_pass = self.score_cold_rows(query, qnorm, &mut cold, deadline, &mut topk);
+        COLD_SCRATCH.set(cold);
+        let (blocks_read, blocks_pruned, cold_scored) = cold_pass?;
+        scored += cold_scored;
         let results = topk.into_sorted().into_iter().map(|(s, id)| (id, s as f32)).collect();
         Ok((results, SearchOutcome { candidates: total, scored, blocks_read, blocks_pruned }))
     }
@@ -610,6 +681,7 @@ impl SimHashLshIndex {
     /// visit blocks in descending zone-map upper bound (tight blocks fill
     /// the heap early, raising the threshold for the rest), and skip any
     /// block whose bound falls strictly below a *full* heap's threshold.
+    /// Returns `(blocks read, blocks pruned, rows scored)`.
     ///
     /// Correctness of the skip: the bound dominates every exact f32 score
     /// in the block (see [`crate::paged::ZoneMap::cosine_upper_bound`]) and
@@ -620,39 +692,43 @@ impl SimHashLshIndex {
         &self,
         query: &[f32],
         qnorm: f32,
-        mut cold_rows: Vec<(u32, u32, u32, ItemId)>,
+        scratch: &mut ColdScratch,
         deadline: Deadline,
         topk: &mut TopK<ItemId>,
-        scored: &mut usize,
-    ) -> Result<(usize, usize), Phase> {
-        if cold_rows.is_empty() {
-            return Ok((0, 0));
+    ) -> Result<(usize, usize, usize), Phase> {
+        let ColdScratch { rows, groups } = scratch;
+        if rows.is_empty() {
+            return Ok((0, 0, 0));
         }
         let cold = self.cold.as_ref().expect("cold candidates imply a cold store");
+        let segment = |loc: ColdLoc| {
+            cold.segments[loc.seg()].as_ref().expect("locator points at live segment")
+        };
         let dim = self.dim();
-        cold_rows.sort_unstable();
+        // A row's location is unique, so the key alone orders the rows.
+        rows.sort_unstable_by_key(|&(loc, _)| loc);
         // Group boundaries over the (seg, block)-sorted rows, with the
         // zone-map bound for each group.
-        let mut groups: Vec<(f64, usize, usize)> = Vec::new();
+        groups.clear();
         let mut start = 0usize;
-        while start < cold_rows.len() {
-            let (seg_slot, block, ..) = cold_rows[start];
+        while start < rows.len() {
+            let first = rows[start].0;
             let mut end = start + 1;
-            while end < cold_rows.len() && cold_rows[end].0 == seg_slot && cold_rows[end].1 == block
-            {
+            while end < rows.len() && rows[end].0.same_block(first) {
                 end += 1;
             }
-            let seg =
-                cold.segments[seg_slot as usize].as_ref().expect("locator points at live segment");
-            let ub = seg.block_meta(block as usize).zone.cosine_upper_bound(query, qnorm);
-            groups.push((ub, start, end));
+            let zone = &segment(first).block_meta(first.block()).zone;
+            groups.push((zone.cosine_upper_bound(query, qnorm), start, end));
             start = end;
         }
-        groups.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
+        // Descending bound; equal bounds keep (seg, block) order, which is
+        // ascending `start`.
+        groups.sort_unstable_by(|a, b| {
+            b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal).then(a.1.cmp(&b.1))
+        });
 
-        let mut blocks_read = 0usize;
-        let mut blocks_pruned = 0usize;
-        for (ub, start, end) in groups {
+        let (mut blocks_read, mut blocks_pruned, mut scored) = (0usize, 0usize, 0usize);
+        for &(ub, start, end) in groups.iter() {
             if let Some(threshold) = topk.threshold() {
                 if ub < threshold {
                     blocks_pruned += 1;
@@ -663,30 +739,22 @@ impl SimHashLshIndex {
             // a cold read is the most expensive step a query can take, so
             // an expired request never starts another one.
             deadline.check(Phase::BlockRead)?;
-            let (seg_slot, block, ..) = cold_rows[start];
-            let seg =
-                cold.segments[seg_slot as usize].as_ref().expect("locator points at live segment");
-            let meta = seg.block_meta(block as usize);
+            let first = rows[start].0;
+            let seg = segment(first);
+            let meta = seg.block_meta(first.block());
             let data = seg
-                .block(block as usize)
+                .block(first.block())
                 .unwrap_or_else(|e| panic!("paged tier lost a sealed block: {e}"));
             blocks_read += 1;
-            for &(_, _, row, id) in &cold_rows[start..end] {
-                let row = row as usize;
-                // Exact replica of `score_slot` over the paged row: same
-                // kernel dot, same stored norm, same clamp — bit-identical
-                // to the hot path.
-                let denom = qnorm * meta.norms[row];
-                let score = if denom <= f32::MIN_POSITIVE {
-                    0.0
-                } else {
-                    (kernel::dot(query, &data[row * dim..(row + 1) * dim]) / denom).clamp(-1.0, 1.0)
-                };
-                topk.push(score as f64, id);
-                *scored += 1;
+            for &(loc, id) in &rows[start..end] {
+                topk.push(
+                    score_row(query, qnorm, meta.norms[loc.row()], &data, loc.row(), dim),
+                    id,
+                );
             }
+            scored += end - start;
         }
-        Ok((blocks_read, blocks_pruned))
+        Ok((blocks_read, blocks_pruned, scored))
     }
 
     /// Exact search over *all* stored vectors (ignores the LSH buckets) —
@@ -712,35 +780,29 @@ impl SimHashLshIndex {
         if let Some(cold) = &self.cold {
             // The reference baseline must not prune: score every live cold
             // row through the cache.
-            let mut rows: Vec<(u32, u32, u32, ItemId)> = cold
+            let mut rows: Vec<(ColdLoc, ItemId)> = cold
                 .locator
                 .iter()
                 .filter(|(&id, _)| !exclude(id))
-                .map(|(&id, loc)| (loc.seg, loc.block, loc.row, id))
+                .map(|(&id, &loc)| (loc, id))
                 .collect();
             rows.sort_unstable();
             let dim = self.dim();
             let mut i = 0usize;
             while i < rows.len() {
-                let (seg_slot, block, ..) = rows[i];
-                let seg = cold.segments[seg_slot as usize]
-                    .as_ref()
-                    .expect("locator points at live segment");
-                let meta = seg.block_meta(block as usize);
+                let first = rows[i].0;
+                let seg =
+                    cold.segments[first.seg()].as_ref().expect("locator points at live segment");
+                let meta = seg.block_meta(first.block());
                 let data = seg
-                    .block(block as usize)
+                    .block(first.block())
                     .unwrap_or_else(|e| panic!("paged tier lost a sealed block: {e}"));
-                while i < rows.len() && rows[i].0 == seg_slot && rows[i].1 == block {
-                    let (_, _, row, id) = rows[i];
-                    let row = row as usize;
-                    let denom = qnorm * meta.norms[row];
-                    let score = if denom <= f32::MIN_POSITIVE {
-                        0.0
-                    } else {
-                        (kernel::dot(query, &data[row * dim..(row + 1) * dim]) / denom)
-                            .clamp(-1.0, 1.0)
-                    };
-                    topk.push(score as f64, id);
+                while i < rows.len() && rows[i].0.same_block(first) {
+                    let (loc, id) = rows[i];
+                    topk.push(
+                        score_row(query, qnorm, meta.norms[loc.row()], &data, loc.row(), dim),
+                        id,
+                    );
                     i += 1;
                 }
             }
@@ -1127,6 +1189,61 @@ mod tests {
         assert_eq!(paged.cold_len(), 0);
         assert_eq!(paged.cold_segment_count(), 0, "dead segment must retire");
         assert_eq!(cache.stats().resident_blocks, 0, "retirement drops cached blocks");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn packed_locations_order_like_the_field_tuple() {
+        let max = |bits: u32| (1usize << bits) - 1;
+        let (segs, blocks, rows) = (
+            [0, 1, max(ColdLoc::SEG_BITS)],
+            [0, 1, max(ColdLoc::BLOCK_BITS)],
+            [0, 1, max(ColdLoc::ROW_BITS)],
+        );
+        let mut tuples = Vec::new();
+        for seg in segs {
+            for block in blocks {
+                for row in rows {
+                    let loc = ColdLoc::new(seg, block, row);
+                    assert_eq!((loc.seg(), loc.block(), loc.row()), (seg, block, row));
+                    tuples.push(((seg, block, row), loc));
+                }
+            }
+        }
+        for (ta, a) in &tuples {
+            for (tb, b) in &tuples {
+                assert_eq!(a.cmp(b), ta.cmp(tb), "{ta:?} vs {tb:?}");
+                assert_eq!(a.same_block(*b), (ta.0, ta.1) == (tb.0, tb.1));
+            }
+        }
+    }
+
+    #[test]
+    fn attach_rejects_a_block_too_wide_for_the_locator() {
+        let dim = 2;
+        let rows_per_block = (1usize << ColdLoc::ROW_BITS) + 1;
+        let mut source = SimHashLshIndex::new(dim, LshParams { bands: 2, rows: 4 }, 5);
+        for id in 0..rows_per_block as ItemId {
+            let angle = id as f32 * 1e-4;
+            source.insert(id, &[angle.cos(), angle.sin()]);
+        }
+        let dir = std::env::temp_dir().join(format!("wg-index-wide-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("create temp dir");
+        let seal = |block_rows: usize| {
+            let path = dir.join(format!("seg-{block_rows}.wgs"));
+            crate::paged::write_vector_segment(&path, dim, 8, block_rows, source.export_rows())
+                .expect("seal");
+            let cache = crate::paged::BlockCache::new(0);
+            Arc::new(crate::paged::VectorSegment::open(&path, cache).expect("open"))
+        };
+        let mut paged = SimHashLshIndex::new(dim, source.params(), source.seed());
+        let err = paged.attach_segment(seal(rows_per_block), |_| true).expect_err("too wide");
+        assert!(err.to_string().contains("does not fit the cold locator"), "{err}");
+        assert!(paged.is_empty() && paged.cold_segment_count() == 0);
+        // One row fewer per block is the widest block the locator holds.
+        assert_eq!(paged.attach_segment(seal(rows_per_block - 1), |_| true), Ok(rows_per_block));
+        let hits = paged.search(&[1.0, 0.0], 3, |_| false);
+        assert_eq!(hits, source.search(&[1.0, 0.0], 3, |_| false));
         std::fs::remove_dir_all(&dir).ok();
     }
 

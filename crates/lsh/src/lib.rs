@@ -31,6 +31,8 @@
 //! * [`pivot`] — the §5.2.3 "block-and-verify" alternative: exact top-k
 //!   with triangle-inequality pruning against pivot vectors.
 
+#![forbid(unsafe_code)]
+
 pub mod arena;
 pub mod exact;
 pub mod index;

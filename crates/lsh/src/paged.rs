@@ -118,24 +118,64 @@ impl ZoneMap {
     /// exact cosine any row of this block can score against `query`. Sound
     /// for the re-ranker's f32 arithmetic; degenerate norms fall back to
     /// the trivial bound 1.0 (never prune what we cannot bound).
+    ///
+    /// Written like [`wg_util::kernel::dot`]: each sum runs over the query
+    /// in [`STRIPE_WIDTH`]-lane chunks with one accumulator per lane, and
+    /// the box bound loads one `(lo, hi)` pair per chunk. The sums are the
+    /// strict loop's sums reassociated, which moves an f64 result by
+    /// ~1e-14 — ten orders under [`UB_SLACK`]. The two sums are two loops
+    /// on purpose: fused, their sixteen f64 accumulators spill.
     pub fn cosine_upper_bound(&self, query: &[f32], qnorm: f32) -> f64 {
         let qn = qnorm as f64;
         if qn <= f32::MIN_POSITIVE as f64 {
             return 1.0;
         }
         // Ball bound: dot(q, v) = dot(q, c) + dot(q, v − c) ≤ dot(q, c) + ‖q‖·r.
-        let mut dot_c = 0.0f64;
-        for (&q, &c) in query.iter().zip(&self.centroid) {
+        let mut lanes = [0.0f64; STRIPE_WIDTH];
+        let mut q_chunks = query.chunks_exact(STRIPE_WIDTH);
+        let mut c_chunks = self.centroid.chunks_exact(STRIPE_WIDTH);
+        for (qc, cc) in (&mut q_chunks).zip(&mut c_chunks) {
+            for i in 0..STRIPE_WIDTH {
+                lanes[i] += qc[i] as f64 * cc[i] as f64;
+            }
+        }
+        let mut dot_c: f64 = lanes.iter().sum();
+        for (&q, &c) in q_chunks.remainder().iter().zip(c_chunks.remainder()) {
             dot_c += q as f64 * c as f64;
         }
-        let ball = dot_c + qn * self.radius as f64;
         // Box bound: per-dim max of q_d·lo and q_d·hi with stripe extrema.
-        let mut boxed = 0.0f64;
-        for (d, &q) in query.iter().enumerate() {
-            let s = d / STRIPE_WIDTH;
-            let q = q as f64;
-            boxed += (q * self.stripe_lo[s] as f64).max(q * self.stripe_hi[s] as f64);
+        // The compare-and-pick equals `f64::max` on every non-NaN pair and
+        // compiles to the bare vector max.
+        let pick = |q: f32, lo: f64, hi: f64| {
+            let (a, b) = (q as f64 * lo, q as f64 * hi);
+            if a > b {
+                a
+            } else {
+                b
+            }
+        };
+        let mut lanes = [0.0f64; STRIPE_WIDTH];
+        let mut stripes = self.stripe_lo.iter().zip(&self.stripe_hi);
+        for (qc, (&lo, &hi)) in query.chunks_exact(STRIPE_WIDTH).zip(&mut stripes) {
+            let (lo, hi) = (lo as f64, hi as f64);
+            for i in 0..STRIPE_WIDTH {
+                lanes[i] += pick(qc[i], lo, hi);
+            }
         }
+        let mut boxed: f64 = lanes.iter().sum();
+        if let Some((&lo, &hi)) = stripes.next() {
+            // The `dim % STRIPE_WIDTH` trailing dims share the last stripe.
+            for &q in q_chunks.remainder() {
+                boxed += pick(q, lo as f64, hi as f64);
+            }
+        }
+        self.bound_from_sums(dot_c, boxed, qn)
+    }
+
+    /// The cosine bound from the two dot-product bounds: the tighter of
+    /// ball and box, over the norm that makes the quotient largest.
+    fn bound_from_sums(&self, dot_c: f64, boxed: f64, qn: f64) -> f64 {
+        let ball = dot_c + qn * self.radius as f64;
         let dot_ub = ball.min(boxed);
         // Dividing an upper bound needs the norm that *maximizes* the
         // quotient: the smallest norm when the bound is ≥ 0, the largest
@@ -145,6 +185,27 @@ impl ZoneMap {
             return 1.0;
         }
         (dot_ub / (qn * denom_norm as f64) + UB_SLACK).min(1.0)
+    }
+
+    /// The bound as one strict left-to-right loop per sum — the oracle the
+    /// laned [`Self::cosine_upper_bound`] is tested against.
+    #[cfg(test)]
+    fn cosine_upper_bound_reference(&self, query: &[f32], qnorm: f32) -> f64 {
+        let qn = qnorm as f64;
+        if qn <= f32::MIN_POSITIVE as f64 {
+            return 1.0;
+        }
+        let mut dot_c = 0.0f64;
+        for (&q, &c) in query.iter().zip(&self.centroid) {
+            dot_c += q as f64 * c as f64;
+        }
+        let mut boxed = 0.0f64;
+        for (d, &q) in query.iter().enumerate() {
+            let s = d / STRIPE_WIDTH;
+            let q = q as f64;
+            boxed += (q * self.stripe_lo[s] as f64).max(q * self.stripe_hi[s] as f64);
+        }
+        self.bound_from_sums(dot_c, boxed, qn)
     }
 
     fn encode(&self, buf: &mut Vec<u8>) {
@@ -187,21 +248,33 @@ pub struct CacheStats {
 
 type BlockKey = (u32, u32);
 
+/// "No slot": the end of the recency list or of the free list.
+const NIL: u32 = u32::MAX;
+
+/// One slot of the cache's slab: a resident block, or a free slot.
 struct CacheEntry {
-    data: Arc<Vec<f32>>,
+    key: BlockKey,
+    /// `None` while the slot is free.
+    data: Option<Arc<Vec<f32>>>,
     bytes: usize,
-    /// Neighbours in the recency list, linked by key.
-    newer: Option<BlockKey>,
-    older: Option<BlockKey>,
+    /// Slot of the next more recently used block.
+    newer: u32,
+    /// Slot of the next less recently used block; for a free slot, the
+    /// next free slot.
+    older: u32,
 }
 
 struct CacheInner {
-    /// The resident blocks, threaded into one doubly linked recency list
-    /// from `newest` to `oldest`: a hit relinks in O(1) and the eviction
-    /// victim is always `oldest`, with no scan over the resident set.
-    map: FxHashMap<BlockKey, CacheEntry>,
-    newest: Option<BlockKey>,
-    oldest: Option<BlockKey>,
+    /// Slot of each resident block. The slots are threaded into one doubly
+    /// linked recency list from `newest` to `oldest` by slab index, so a
+    /// hit is this one probe plus indexed writes, and the eviction victim
+    /// is always `oldest`, with no scan over the resident set.
+    map: FxHashMap<BlockKey, u32>,
+    slab: Vec<CacheEntry>,
+    /// Head of the free-slot list, threaded through `older`.
+    free: u32,
+    newest: u32,
+    oldest: u32,
     bytes: usize,
     hits: u64,
     misses: u64,
@@ -210,49 +283,72 @@ struct CacheInner {
 }
 
 impl CacheInner {
-    fn entry(&mut self, key: BlockKey) -> &mut CacheEntry {
-        self.map.get_mut(&key).expect("recency list links resident blocks")
-    }
-
-    /// Close the list over the gap an entry with these neighbours leaves.
-    fn unlink(&mut self, newer: Option<BlockKey>, older: Option<BlockKey>) {
+    /// Close the list over the gap a slot with these neighbours leaves.
+    fn unlink(&mut self, newer: u32, older: u32) {
         match newer {
-            Some(n) => self.entry(n).older = older,
-            None => self.newest = older,
+            NIL => self.newest = older,
+            n => self.slab[n as usize].older = older,
         }
         match older {
-            Some(o) => self.entry(o).newer = newer,
-            None => self.oldest = newer,
+            NIL => self.oldest = newer,
+            o => self.slab[o as usize].newer = newer,
         }
     }
 
-    /// Link a resident, currently unlinked entry in as most recently used.
-    fn link_newest(&mut self, key: BlockKey) {
-        let prev = self.newest.replace(key);
+    /// Link a resident, currently unlinked slot in as most recently used.
+    fn link_newest(&mut self, slot: u32) {
+        let prev = std::mem::replace(&mut self.newest, slot);
         match prev {
-            Some(p) => self.entry(p).newer = Some(key),
-            None => self.oldest = Some(key),
+            NIL => self.oldest = slot,
+            p => self.slab[p as usize].newer = slot,
         }
-        let entry = self.entry(key);
-        entry.newer = None;
+        let entry = &mut self.slab[slot as usize];
+        entry.newer = NIL;
         entry.older = prev;
     }
 
     /// The resident block for `key`, marked most recently used.
     fn touch(&mut self, key: BlockKey) -> Option<Arc<Vec<f32>>> {
-        let entry = self.map.get(&key)?;
-        let (data, newer, older) = (entry.data.clone(), entry.newer, entry.older);
-        if newer.is_some() {
+        let slot = *self.map.get(&key)?;
+        let entry = &self.slab[slot as usize];
+        let data = entry.data.clone().expect("a mapped slot holds a block");
+        let (newer, older) = (entry.newer, entry.older);
+        if newer != NIL {
             self.unlink(newer, older);
-            self.link_newest(key);
+            self.link_newest(slot);
         }
         Some(data)
     }
 
-    fn evict(&mut self, key: BlockKey) {
-        let entry = self.map.remove(&key).expect("evicted key is resident");
-        self.unlink(entry.newer, entry.older);
-        self.bytes -= entry.bytes;
+    /// Admit a block (not resident) as most recently used.
+    fn admit(&mut self, key: BlockKey, data: Arc<Vec<f32>>, bytes: usize) {
+        let entry = CacheEntry { key, data: Some(data), bytes, newer: NIL, older: NIL };
+        let slot = match self.free {
+            NIL => {
+                assert!(self.slab.len() < NIL as usize, "block cache slab is full");
+                self.slab.push(entry);
+                (self.slab.len() - 1) as u32
+            }
+            slot => {
+                self.free = self.slab[slot as usize].older;
+                self.slab[slot as usize] = entry;
+                slot
+            }
+        };
+        self.map.insert(key, slot);
+        self.link_newest(slot);
+        self.bytes += bytes;
+    }
+
+    /// Drop the block in `slot` and put the slot on the free list.
+    fn evict(&mut self, slot: u32) {
+        let entry = &mut self.slab[slot as usize];
+        entry.data = None;
+        let (key, bytes, newer, older) = (entry.key, entry.bytes, entry.newer, entry.older);
+        entry.older = std::mem::replace(&mut self.free, slot);
+        self.map.remove(&key).expect("evicted slot is mapped");
+        self.unlink(newer, older);
+        self.bytes -= bytes;
         self.evictions += 1;
     }
 }
@@ -286,8 +382,10 @@ impl BlockCache {
             next_segment: AtomicU32::new(0),
             inner: Mutex::new(CacheInner {
                 map: FxHashMap::default(),
-                newest: None,
-                oldest: None,
+                slab: Vec::new(),
+                free: NIL,
+                newest: NIL,
+                oldest: NIL,
                 bytes: 0,
                 hits: 0,
                 misses: 0,
@@ -345,15 +443,12 @@ impl BlockCache {
             // Another thread admitted this block while we were loading it.
             return Ok(resident);
         }
-        inner.map.insert(key, CacheEntry { data: data.clone(), bytes, newer: None, older: None });
-        inner.link_newest(key);
-        inner.bytes += bytes;
+        inner.admit(key, data.clone(), bytes);
         if self.budget_bytes > 0 {
             // The block just admitted is `newest`, so with two or more
             // resident it is never the victim.
             while inner.bytes > self.budget_bytes && inner.map.len() > 1 {
-                let victim = inner.oldest.expect("a non-empty cache has an oldest block");
-                inner.evict(victim);
+                inner.evict(inner.oldest);
             }
         }
         inner.peak_bytes = inner.peak_bytes.max(inner.bytes);
@@ -364,10 +459,10 @@ impl BlockCache {
     /// Returns how many blocks were dropped.
     pub fn evict_segment(&self, segment: u32) -> usize {
         let mut inner = self.inner.lock();
-        let doomed: Vec<BlockKey> =
-            inner.map.keys().copied().filter(|&(s, _)| s == segment).collect();
-        for &key in &doomed {
-            inner.evict(key);
+        let doomed: Vec<u32> =
+            inner.map.iter().filter(|((s, _), _)| *s == segment).map(|(_, &slot)| slot).collect();
+        for &slot in &doomed {
+            inner.evict(slot);
         }
         doomed.len()
     }
@@ -501,6 +596,8 @@ impl VectorSegment {
             if norms.len() != rows
                 || sig_words.len() != rows * words_per_sig
                 || zone.centroid.len() != dim
+                || zone.stripe_lo.len() != dim.div_ceil(STRIPE_WIDTH)
+                || zone.stripe_hi.len() != dim.div_ceil(STRIPE_WIDTH)
                 || segment.block_payload_len(b) != rows * dim * 4
             {
                 return Err(SegmentError::Corrupt(format!("block {b} metadata is inconsistent")));
@@ -646,6 +743,156 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn laned_bound_matches_the_strict_loop_and_stays_sound() {
+        let mut rng = Xoshiro256pp::new(12);
+        for dim in [8usize, 32, 100, 128, 130] {
+            for scale in [1e-3f32, 1.0, 1e3] {
+                for near_duplicates in [false, true] {
+                    let base = unit(dim, &mut rng);
+                    let rows: Vec<Vec<f32>> = (0..16)
+                        .map(|_| {
+                            let v = unit(dim, &mut rng);
+                            let mix = if near_duplicates { 1e-3 } else { 1.0 };
+                            base.iter().zip(&v).map(|(b, x)| scale * (b + mix * (x - b))).collect()
+                        })
+                        .collect();
+                    let views: Vec<&[f32]> = rows.iter().map(|v| v.as_slice()).collect();
+                    let norms: Vec<f32> = views.iter().map(|v| kernel::norm_sq(v).sqrt()).collect();
+                    let zone = ZoneMap::build(dim, &views, &norms);
+                    for qscale in [1e-3f32, 1.0, 1e3] {
+                        // Half the queries sit next to the block, where the
+                        // bound is tight; half are unrelated.
+                        for near in [false, true] {
+                            let mut q = unit(dim, &mut rng);
+                            for (x, b) in q.iter_mut().zip(&base) {
+                                *x = qscale * if near { b + 0.05 * *x } else { *x };
+                            }
+                            let qnorm = kernel::norm_sq(&q).sqrt();
+                            let ub = zone.cosine_upper_bound(&q, qnorm);
+                            let strict = zone.cosine_upper_bound_reference(&q, qnorm);
+                            assert!(
+                                (ub - strict).abs() <= 1e-9,
+                                "dim {dim} scale {scale} q {qscale}: {ub} vs strict {strict}"
+                            );
+                            for (v, &n) in views.iter().zip(&norms) {
+                                let score = (kernel::dot(&q, v) / (qnorm * n)).clamp(-1.0, 1.0);
+                                assert!(
+                                    score as f64 <= ub,
+                                    "dim {dim}: score {score} > bound {ub}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The recency order, oldest first, read off the slab's links.
+    fn recency(cache: &BlockCache) -> Vec<BlockKey> {
+        let inner = cache.inner.lock();
+        let mut order = Vec::new();
+        let mut slot = inner.oldest;
+        while slot != NIL {
+            let entry = &inner.slab[slot as usize];
+            assert_eq!(inner.map[&entry.key], slot);
+            order.push(entry.key);
+            slot = entry.newer;
+        }
+        assert_eq!(order.len(), inner.map.len());
+        order
+    }
+
+    #[test]
+    fn eviction_order_replays_a_strict_lru_model() {
+        // Blocks of 1..=4 floats over a 40-byte budget, accessed in a
+        // seeded script that mixes hits, misses and re-admissions.
+        let budget = 40usize;
+        let cache = BlockCache::new(budget);
+        let floats = |key: BlockKey| 1 + (key.1 as usize % 4);
+        let mut model: std::collections::VecDeque<BlockKey> = Default::default();
+        let (mut hits, mut misses, mut evictions) = (0u64, 0u64, 0u64);
+        let mut rng = Xoshiro256pp::new(13);
+        for _ in 0..4_000 {
+            let key = ((rng.gen_u64() % 2) as u32, (rng.gen_u64() % 9) as u32);
+            let data =
+                cache.get_or_load(key, || Ok(vec![key.1 as f32; floats(key)])).expect("load");
+            assert_eq!(*data, vec![key.1 as f32; floats(key)]);
+            if let Some(at) = model.iter().position(|&k| k == key) {
+                model.remove(at);
+                hits += 1;
+            } else {
+                misses += 1;
+            }
+            model.push_back(key);
+            let resident = |m: &std::collections::VecDeque<BlockKey>| -> usize {
+                m.iter().map(|&k| 4 * floats(k)).sum()
+            };
+            while resident(&model) > budget && model.len() > 1 {
+                model.pop_front();
+                evictions += 1;
+            }
+            assert_eq!(recency(&cache), Vec::from(model.clone()));
+            let stats = cache.stats();
+            assert_eq!((stats.hits, stats.misses, stats.evictions), (hits, misses, evictions));
+            assert_eq!(stats.resident_bytes, resident(&model));
+        }
+        assert!(evictions > 100 && hits > 100, "the script must exercise both paths");
+        // Slots are reused: the slab never outgrew the most blocks the
+        // budget ever held at once (ten 4-byte blocks) plus the one being
+        // admitted.
+        assert!(cache.inner.lock().slab.len() <= 11);
+    }
+
+    #[test]
+    fn evict_segment_returns_its_slots_to_the_free_list() {
+        let cache = BlockCache::new(0);
+        for key in [(0, 0), (1, 0), (0, 1), (1, 1), (0, 2)] {
+            cache.get_or_load(key, || Ok(vec![0.0; 4])).expect("load");
+        }
+        assert_eq!(cache.evict_segment(0), 3);
+        assert_eq!(recency(&cache), vec![(1, 0), (1, 1)]);
+        assert_eq!(cache.stats().evictions, 3);
+        // Three new blocks fit in the three freed slots.
+        for key in [(2, 0), (2, 1), (2, 2)] {
+            cache.get_or_load(key, || Ok(vec![0.0; 4])).expect("load");
+        }
+        assert_eq!(cache.inner.lock().slab.len(), 5);
+        assert_eq!(recency(&cache), vec![(1, 0), (1, 1), (2, 0), (2, 1), (2, 2)]);
+        cache.get_or_load((2, 3), || Ok(vec![0.0; 4])).expect("load");
+        assert_eq!(cache.inner.lock().slab.len(), 6);
+    }
+
+    #[test]
+    fn open_rejects_a_zone_map_with_missing_stripes() {
+        // The laned bound zips the stripes with the query, so a short
+        // stripe array would silently loosen to an unsound bound.
+        let dim = 16;
+        let rows = rows_for(dim, 4, 14);
+        let views: Vec<&[f32]> = rows.iter().map(|r| r.vector.as_slice()).collect();
+        let norms: Vec<f32> = rows.iter().map(|r| r.norm).collect();
+        let mut zone = ZoneMap::build(dim, &views, &norms);
+        zone.stripe_hi.pop();
+        let mut header = Vec::new();
+        codec::put_u32(&mut header, dim as u32);
+        codec::put_u32(&mut header, 64);
+        codec::put_u32(&mut header, 4);
+        let mut builder = SegmentBuilder::new(&header);
+        let mut meta = Vec::new();
+        codec::put_u32_slice(&mut meta, &rows.iter().map(|r| r.id).collect::<Vec<_>>());
+        codec::put_f32_slice(&mut meta, &norms);
+        let words: Vec<u64> = rows.iter().flat_map(|r| r.signature.words.clone()).collect();
+        codec::put_u64_slice(&mut meta, &words);
+        zone.encode(&mut meta);
+        builder.push_block(&vec![0u8; 4 * dim * 4], &meta);
+        let path = temp_path("short-stripes");
+        atomic_write_bytes(&path, &builder.finish()).expect("write");
+        let err = VectorSegment::open(&path, BlockCache::new(0)).expect_err("must be refused");
+        assert!(matches!(err, SegmentError::Corrupt(_)), "{err}");
+        std::fs::remove_dir_all(path.parent().unwrap()).ok();
     }
 
     #[test]

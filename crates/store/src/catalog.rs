@@ -21,6 +21,7 @@ use crate::column::Column;
 use crate::error::{StoreError, StoreResult};
 use crate::table::Table;
 use wg_util::codec::{self, CodecResult};
+use wg_util::FxHashMap;
 
 /// Content fingerprint of a table: changes whenever the table's name,
 /// schema, or data changes; identical content hashes identically. This is
@@ -258,12 +259,20 @@ pub struct Database {
     /// Content fingerprint per table, parallel to `tables`. Maintained by
     /// `add_table`/`remove_table` so backends can report what changed.
     versions: Vec<u64>,
+    /// Table name → position in `tables`, so lookups by name do not scan
+    /// the catalog.
+    position: FxHashMap<String, usize>,
 }
 
 impl Database {
     /// Create an empty database.
     pub fn new(name: impl Into<String>) -> Self {
-        Self { name: name.into(), tables: Vec::new(), versions: Vec::new() }
+        Self {
+            name: name.into(),
+            tables: Vec::new(),
+            versions: Vec::new(),
+            position: FxHashMap::default(),
+        }
     }
 
     /// Database name.
@@ -276,10 +285,11 @@ impl Database {
     /// The table's content version is (re)computed here.
     pub fn add_table(&mut self, table: Table) {
         let version = table_fingerprint(&table);
-        if let Some(pos) = self.tables.iter().position(|t| t.name() == table.name()) {
+        if let Some(&pos) = self.position.get(table.name()) {
             self.tables[pos] = table;
             self.versions[pos] = version;
         } else {
+            self.position.insert(table.name().to_string(), self.tables.len());
             self.tables.push(table);
             self.versions.push(version);
         }
@@ -287,16 +297,24 @@ impl Database {
 
     /// Remove a table by name, returning it if present.
     pub fn remove_table(&mut self, name: &str) -> Option<Table> {
-        self.tables.iter().position(|t| t.name() == name).map(|pos| {
-            self.versions.remove(pos);
-            self.tables.remove(pos)
-        })
+        let pos = self.position.remove(name)?;
+        // Later tables move up one place, keeping catalog order.
+        for p in self.position.values_mut().filter(|p| **p > pos) {
+            *p -= 1;
+        }
+        self.versions.remove(pos);
+        Some(self.tables.remove(pos))
     }
 
     /// Content-version token for a table, if present. Identical content
     /// yields identical tokens; any data or schema change yields a new one.
     pub fn table_version(&self, name: &str) -> Option<u64> {
-        self.tables.iter().position(|t| t.name() == name).map(|pos| self.versions[pos])
+        self.find(name).map(|(_, version)| version)
+    }
+
+    /// A table and its version token, by name.
+    fn find(&self, name: &str) -> Option<(&Table, u64)> {
+        self.position.get(name).map(|&pos| (&self.tables[pos], self.versions[pos]))
     }
 
     /// Tables zipped with their version tokens, in catalog order.
@@ -311,9 +329,8 @@ impl Database {
 
     /// Table by name.
     pub fn table(&self, name: &str) -> StoreResult<&Table> {
-        self.tables
-            .iter()
-            .find(|t| t.name() == name)
+        self.find(name)
+            .map(|(t, _)| t)
             .ok_or_else(|| StoreError::NotFound(format!("table '{}.{}'", self.name, name)))
     }
 }
@@ -399,8 +416,7 @@ impl Warehouse {
     pub fn table_meta(&self, database: &str, table: &str) -> StoreResult<TableMeta> {
         let db = self.database(database)?;
         let (t, version) = db
-            .tables_with_versions()
-            .find(|(t, _)| t.name() == table)
+            .find(table)
             .ok_or_else(|| StoreError::NotFound(format!("table '{database}.{table}'")))?;
         Ok(TableMeta {
             database: database.to_string(),
@@ -616,6 +632,53 @@ mod tests {
         let one = w.table_meta("sales", "accounts").unwrap();
         assert_eq!(one, metas[0]);
         assert!(w.table_meta("sales", "nope").is_err());
+    }
+
+    #[test]
+    fn lookups_by_name_follow_replace_remove_and_re_add() {
+        let table =
+            |name: &str, v: i64| Table::new(name, vec![Column::ints("c", vec![v])]).unwrap();
+        let mut db = Database::new("d");
+        for name in ["a", "b", "c", "d"] {
+            db.add_table(table(name, 0));
+        }
+        let names = |db: &Database| -> Vec<String> {
+            db.tables().iter().map(|t| t.name().to_string()).collect()
+        };
+        // Every lookup agrees with a scan of the catalog.
+        let assert_consistent = |db: &Database| {
+            for (pos, t) in db.tables().iter().enumerate() {
+                assert!(std::ptr::eq(db.table(t.name()).unwrap(), t));
+                assert_eq!(db.table_version(t.name()), Some(db.versions[pos]));
+            }
+            assert_eq!(db.position.len(), db.tables().len());
+        };
+        assert_consistent(&db);
+
+        // Replace in place: same slot, new version.
+        let before = db.table_version("b").unwrap();
+        db.add_table(table("b", 1));
+        assert_eq!(names(&db), ["a", "b", "c", "d"]);
+        assert_ne!(db.table_version("b").unwrap(), before);
+        assert_consistent(&db);
+
+        // Remove from the middle: later tables keep their order.
+        assert_eq!(db.remove_table("b").unwrap().name(), "b");
+        assert!(db.remove_table("b").is_none());
+        assert!(db.table("b").is_err() && db.table_version("b").is_none());
+        assert_eq!(names(&db), ["a", "c", "d"]);
+        assert_consistent(&db);
+
+        // Re-add: a new table goes to the end of the catalog.
+        db.add_table(table("b", 1));
+        assert_eq!(names(&db), ["a", "c", "d", "b"]);
+        assert_consistent(&db);
+
+        let mut w = Warehouse::new("w");
+        w.add_database(db.clone());
+        let metas: Vec<String> = w.table_metas().into_iter().map(|m| m.table).collect();
+        assert_eq!(metas, ["a", "c", "d", "b"], "table_metas keeps catalog order");
+        assert_eq!(w.table_meta("d", "c").unwrap().version, db.table_version("c").unwrap());
     }
 
     #[test]

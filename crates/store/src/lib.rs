@@ -29,6 +29,8 @@
 //!   ([`error::StoreError::is_retryable`]), which is the contract the
 //!   middleware composes on.
 
+#![forbid(unsafe_code)]
+
 pub mod backend;
 pub mod catalog;
 pub mod cdw;

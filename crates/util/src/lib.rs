@@ -29,6 +29,8 @@
 //!   container behind the paged storage tier, read with positioned I/O so
 //!   cold blocks never need to be resident.
 
+#![forbid(unsafe_code)]
+
 pub mod checksum;
 pub mod codec;
 pub mod deadline;
