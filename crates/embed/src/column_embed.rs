@@ -6,14 +6,16 @@
 //! scheme is an explicit design knob because the paper leaves aggregation
 //! unspecified; `bench ablation_aggregation` compares them.
 
+use std::collections::hash_map::Entry;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use wg_store::Column;
+use wg_store::{Column, ColumnData};
+use wg_util::kernel::{self, scratch};
 
 use crate::model::EmbeddingModel;
-use crate::tokenizer::tokenize;
-use crate::vector::Vector;
+use crate::tokenizer::{tokenize_into, TokenBuf};
+use crate::vector::{is_zero, Vector};
 
 /// How distinct-value embeddings combine into a column embedding.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -104,25 +106,109 @@ impl ColumnEmbedder {
     /// connector). Returns a unit vector, or the zero vector when the
     /// column has no embeddable content (all NULL / all symbols).
     pub fn embed_column(&self, column: &Column) -> Vector {
-        self.embed_value_counts(&column.value_counts(), column.len() as u64)
+        let total_rows = column.len() as u64;
+        match column.data() {
+            // A text column's dictionary *is* its distinct values with
+            // multiplicities: read it in place.
+            ColumnData::Text(t) => self.embed_distinct(
+                t.dict().iter().map(String::as_str).zip(t.dict_counts().iter().copied()),
+                total_rows,
+            ),
+            _ => self.embed_value_counts(&column.value_counts(), total_rows),
+        }
     }
 
     /// Embed from pre-computed `(value, count)` pairs.
     pub fn embed_value_counts(&self, values: &[(String, u32)], total_rows: u64) -> Vector {
+        self.embed_distinct(values.iter().map(|(v, c)| (v.as_str(), *c)), total_rows)
+    }
+
+    /// Embed a free-standing list of values (used for ad-hoc queries where
+    /// the user pastes values rather than naming a warehouse column).
+    pub fn embed_values<S: AsRef<str>>(&self, values: &[S]) -> Vector {
+        let mut counts: Vec<(&str, u32)> = Vec::new();
+        let mut index = wg_util::fx_hash_map::<&str, usize>();
+        for v in values {
+            match index.entry(v.as_ref()) {
+                Entry::Occupied(e) => counts[*e.get()].1 += 1,
+                Entry::Vacant(e) => {
+                    e.insert(counts.len());
+                    counts.push((v.as_ref(), 1));
+                }
+            }
+        }
+        self.embed_distinct(counts.into_iter(), values.len() as u64)
+    }
+
+    /// The one aggregation loop: distinct values with multiplicities, in
+    /// order, to a column vector. One token buffer and one value vector are
+    /// reused across values, so a pass over warm tokens allocates only the
+    /// result.
+    fn embed_distinct<'a>(
+        &self,
+        values: impl Iterator<Item = (&'a str, u32)>,
+        total_rows: u64,
+    ) -> Vector {
         self.embeds.fetch_add(1, Ordering::Relaxed);
-        let mut acc = Vector::zeros(self.model.dim());
+        let dim = self.model.dim();
+        let mut acc = Vector::zeros(dim);
         let mut any = false;
+        let mut tokens = TokenBuf::new();
+        let mut v = scratch::take_f32(dim);
         for (value, count) in values {
-            let tokens = tokenize(value);
+            tokenize_into(value, &mut tokens);
             if tokens.is_empty() {
                 continue;
             }
-            let v = self.model.embed_tokens(&tokens);
+            self.model.embed_tokens_into(&tokens, &mut v);
+            if is_zero(&v) {
+                continue;
+            }
+            let w = self.aggregation.weight(count, total_rows);
+            kernel::axpy(&mut acc.0, w, &v);
+            any = true;
+        }
+        scratch::put_f32(v);
+        if any {
+            acc.normalize();
+        }
+        acc
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::minibert::MiniBertModel;
+    use crate::tokenizer::{reference, Token};
+    use crate::webtable::WebTableModel;
+    use wg_store::{Column, Value};
+
+    fn embedder(agg: Aggregation) -> ColumnEmbedder {
+        ColumnEmbedder::new(Arc::new(WebTableModel::default_model()), agg)
+    }
+
+    /// The loop `embed_column` used to be: every distinct value rendered to
+    /// a `String`, tokenized into owned tokens, embedded into a fresh
+    /// `Vector` by `embed_tokens`, and added with `Vector` operations.
+    fn embed_column_reference(
+        aggregation: Aggregation,
+        embed_tokens: &dyn Fn(&[Token]) -> Vector,
+        dim: usize,
+        column: &Column,
+    ) -> Vector {
+        let mut acc = Vector::zeros(dim);
+        let mut any = false;
+        for (value, count) in column.value_counts() {
+            let tokens = reference::tokenize(&value);
+            if tokens.is_empty() {
+                continue;
+            }
+            let v = embed_tokens(&tokens);
             if v.is_zero() {
                 continue;
             }
-            let w = self.aggregation.weight(*count, total_rows);
-            acc.add_scaled(&v, w);
+            acc.add_scaled(&v, aggregation.weight(count, column.len() as u64));
             any = true;
         }
         if any {
@@ -131,33 +217,73 @@ impl ColumnEmbedder {
         acc
     }
 
-    /// Embed a free-standing list of values (used for ad-hoc queries where
-    /// the user pastes values rather than naming a warehouse column).
-    pub fn embed_values<S: AsRef<str>>(&self, values: &[S]) -> Vector {
-        let mut counts: Vec<(String, u32)> = Vec::new();
-        let mut index = wg_util::fx_hash_map::<String, usize>();
-        for v in values {
-            let s = v.as_ref().to_string();
-            match index.get(&s) {
-                Some(&i) => counts[i].1 += 1,
-                None => {
-                    index.insert(s.clone(), counts.len());
-                    counts.push((s, 1));
-                }
+    /// Text columns over the tokenizer's differential-test cells (with
+    /// repeats and NULLs) and one column of each other type.
+    fn parity_columns() -> Vec<Column> {
+        let cells = reference::cells(31, 160);
+        let repeated = cells.iter().chain(cells.iter().step_by(3)).chain(cells.iter().step_by(7));
+        vec![
+            Column::text("distinct", &cells[..60]),
+            Column::text_opt(
+                "repeats",
+                repeated.enumerate().map(|(i, c)| (i % 11 != 0).then_some(c.as_str())),
+            ),
+            Column::text("symbols", ["---", "", " / "]),
+            Column::ints("ints", (0..90).map(|i| (i % 17) * 1000 - 3).collect()),
+            Column::from_values(
+                "floats",
+                &[0.0, -0.0, 2.5, f64::NAN, 1e15, 2.5, -7.0]
+                    .iter()
+                    .map(|&x| Value::Float(x))
+                    .chain([Value::Null])
+                    .collect::<Vec<_>>(),
+            ),
+            Column::bools("bools", vec![true, false, true]),
+        ]
+    }
+
+    fn bits(v: &Vector) -> Vec<u32> {
+        v.0.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn fused_embedding_is_bit_equal_to_the_reference_loop() {
+        let web = Arc::new(WebTableModel::default_model());
+        // The old per-value entry point: each token vector copied out of
+        // the model, summed and normalized.
+        let web_tokens = |tokens: &[Token]| {
+            let mut acc = Vector::zeros(web.dim());
+            for t in tokens {
+                acc.add_scaled(&web.compute_token_reference(t), 1.0);
+            }
+            acc.normalize();
+            acc
+        };
+        for aggregation in [
+            Aggregation::MeanDistinct,
+            Aggregation::FrequencyWeighted,
+            Aggregation::Sif { a: 0.05 },
+        ] {
+            let e = ColumnEmbedder::new(web.clone(), aggregation);
+            for c in parity_columns() {
+                let want = embed_column_reference(aggregation, &web_tokens, web.dim(), &c);
+                assert_eq!(bits(&e.embed_column(&c)), bits(&want), "{} {aggregation:?}", c.name());
+                let counted = e.embed_value_counts(&c.value_counts(), c.len() as u64);
+                assert_eq!(bits(&counted), bits(&want), "{} {aggregation:?}", c.name());
             }
         }
-        self.embed_value_counts(&counts, values.len() as u64)
-    }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::webtable::WebTableModel;
-    use wg_store::Column;
-
-    fn embedder(agg: Aggregation) -> ColumnEmbedder {
-        ColumnEmbedder::new(Arc::new(WebTableModel::default_model()), agg)
+        let bert = Arc::new(MiniBertModel::default_model());
+        let e = ColumnEmbedder::new(bert.clone(), Aggregation::default());
+        for c in parity_columns().iter().skip(1) {
+            let want = embed_column_reference(
+                Aggregation::default(),
+                &|tokens| bert.embed_tokens_reference(tokens),
+                bert.dim(),
+                c,
+            );
+            assert_eq!(bits(&e.embed_column(c)), bits(&want), "{}", c.name());
+        }
     }
 
     #[test]
@@ -244,9 +370,11 @@ mod tests {
         let e = embedder(Aggregation::default());
         let vals = ["x", "y", "x"];
         let col = Column::text("c", vals);
-        let a = e.embed_values(&vals);
-        let b = e.embed_column(&col);
-        assert!(a.cosine(&b) > 0.999);
+        assert_eq!(bits(&e.embed_values(&vals)), bits(&e.embed_column(&col)));
+        let cells = reference::cells(32, 200);
+        let pasted: Vec<&String> = cells.iter().chain(cells.iter().step_by(2)).collect();
+        let col = Column::text("c", &pasted);
+        assert_eq!(bits(&e.embed_values(&pasted)), bits(&e.embed_column(&col)));
     }
 
     #[test]

@@ -19,7 +19,6 @@
 //! `context_weight` expose this knob.
 
 use crate::model::EmbeddingModel;
-use crate::tokenizer::tokenize;
 use crate::vector::Vector;
 
 /// Schema context of one column: everything embeddable without scanning.
@@ -48,11 +47,8 @@ pub fn context_vector(model: &dyn EmbeddingModel, context: &ColumnContext) -> Ve
     let mut acc = Vector::zeros(model.dim());
     let mut any = false;
     let add = |text: &str, weight: f32, acc: &mut Vector, any: &mut bool| {
-        let tokens = tokenize(text);
-        if tokens.is_empty() {
-            return;
-        }
-        let v = model.embed_tokens(&tokens);
+        // Zero when the name has no token.
+        let v = model.embed_text(text);
         if !v.is_zero() {
             acc.add_scaled(&v, weight);
             *any = true;

@@ -39,6 +39,6 @@ pub use column_embed::{Aggregation, ColumnEmbedder};
 pub use context::{blend_context, context_vector, ColumnContext};
 pub use minibert::{MiniBertConfig, MiniBertModel};
 pub use model::EmbeddingModel;
-pub use tokenizer::{char_ngrams, tokenize};
+pub use tokenizer::{char_ngrams, tokenize, tokenize_into, TokenBuf};
 pub use vector::Vector;
 pub use webtable::{WebTableConfig, WebTableModel};

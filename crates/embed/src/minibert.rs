@@ -20,7 +20,9 @@ use wg_util::rng::Rng64;
 use wg_util::SplitMix64;
 
 use crate::model::EmbeddingModel;
-use crate::tokenizer::Token;
+use crate::tokenizer::TokenBuf;
+use crate::vector::normalize;
+#[cfg(test)]
 use crate::vector::Vector;
 use crate::webtable::{WebTableConfig, WebTableModel};
 
@@ -272,24 +274,47 @@ impl EmbeddingModel for MiniBertModel {
         "mini-bert"
     }
 
-    fn embed_tokens(&self, tokens: &[Token]) -> Vector {
+    fn embed_tokens_into(&self, tokens: &TokenBuf, out: &mut [f32]) {
+        let d = self.config.dim;
+        debug_assert_eq!(out.len(), d);
+        out.fill(0.0);
+        if tokens.is_empty() {
+            return;
+        }
+        let n = tokens.len().min(self.config.max_seq);
+        let mut seq = scratch::take_f32(n * d);
+        for (t, row) in tokens.iter().zip(seq.chunks_exact_mut(d)) {
+            self.token_embedder.token_vector_into(t, row);
+        }
+        self.forward_flat(&mut seq, n);
+        // Mean pool + normalize, into the caller's buffer.
+        for row in seq.chunks_exact(d) {
+            kernel::axpy(out, 1.0, row);
+        }
+        scratch::put_f32(seq);
+        kernel::scale(out, 1.0 / n as f32);
+        normalize(out);
+    }
+}
+
+#[cfg(test)]
+impl MiniBertModel {
+    /// Test oracle: the owned-token entry point this model used to have.
+    pub(crate) fn embed_tokens_reference(&self, tokens: &[String]) -> Vector {
         if tokens.is_empty() {
             return Vector::zeros(self.config.dim);
         }
         let d = self.config.dim;
         let n = tokens.len().min(self.config.max_seq);
-        let mut seq = scratch::take_f32(n * d);
+        let mut seq = vec![0.0; n * d];
         for (i, t) in tokens.iter().take(n).enumerate() {
-            self.token_embedder.token_vector_into(t, &mut seq[i * d..(i + 1) * d]);
+            seq[i * d..(i + 1) * d].copy_from_slice(&self.token_embedder.token_vector(t).0);
         }
         self.forward_flat(&mut seq, n);
-        // Mean pool + normalize. The pooled output is the only per-embed
-        // allocation; everything upstream ran on scratch buffers.
         let mut pooled = Vector::zeros(d);
         for i in 0..n {
-            kernel::axpy(&mut pooled.0, 1.0, &seq[i * d..(i + 1) * d]);
+            pooled.add_scaled(&Vector(seq[i * d..(i + 1) * d].to_vec()), 1.0);
         }
-        scratch::put_f32(seq);
         pooled.scale(1.0 / n as f32);
         pooled.normalize();
         pooled
@@ -319,7 +344,7 @@ mod tests {
 
     #[test]
     fn empty_is_zero() {
-        assert!(model().embed_tokens(&[]).is_zero());
+        assert!(model().embed_text("").is_zero());
     }
 
     #[test]
@@ -389,9 +414,12 @@ mod tests {
     #[test]
     fn truncates_long_sequences() {
         let m = MiniBertModel::new(MiniBertConfig { max_seq: 4, ..Default::default() });
-        let tokens: Vec<String> = (0..100).map(|i| format!("t{i}")).collect();
-        let v = m.embed_tokens(&tokens);
+        let cell = (0..100).map(|i| format!("t{i}")).collect::<Vec<_>>().join(" ");
+        let tokens = crate::tokenizer::tokenize(&cell);
+        assert_eq!(tokens.len(), 200);
+        let v = m.embed_text(&cell);
         assert!(v.is_normalized());
+        assert_eq!(v, m.embed_tokens_reference(&tokens));
     }
 
     #[test]

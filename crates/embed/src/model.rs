@@ -1,6 +1,6 @@
 //! The embedding model abstraction.
 
-use crate::tokenizer::Token;
+use crate::tokenizer::{tokenize_into, TokenBuf};
 use crate::vector::Vector;
 
 /// An embedding model maps a token sequence (one cell value, typically) to
@@ -17,13 +17,20 @@ pub trait EmbeddingModel: Send + Sync {
     /// Human-readable model name (reported in experiment tables).
     fn name(&self) -> &str;
 
-    /// Embed one token sequence. Empty input returns the zero vector (the
-    /// column aggregator skips zero value-vectors).
-    fn embed_tokens(&self, tokens: &[Token]) -> Vector;
+    /// Embed one token sequence into `out` (length [`Self::dim`]; whatever
+    /// it held is overwritten). Empty input writes the zero vector (the
+    /// column aggregator skips zero value-vectors). Tokens are borrowed and
+    /// the result lands in the caller's buffer, so a column's values embed
+    /// one after another without allocating.
+    fn embed_tokens_into(&self, tokens: &TokenBuf, out: &mut [f32]);
 
     /// Embed one raw cell (tokenize + embed). Provided for convenience.
     fn embed_text(&self, text: &str) -> Vector {
-        self.embed_tokens(&crate::tokenizer::tokenize(text))
+        let mut tokens = TokenBuf::new();
+        tokenize_into(text, &mut tokens);
+        let mut out = Vector::zeros(self.dim());
+        self.embed_tokens_into(&tokens, &mut out.0);
+        out
     }
 }
 
@@ -39,8 +46,8 @@ mod tests {
         fn name(&self) -> &str {
             "stub"
         }
-        fn embed_tokens(&self, tokens: &[Token]) -> Vector {
-            Vector(vec![tokens.len() as f32, 1.0])
+        fn embed_tokens_into(&self, tokens: &TokenBuf, out: &mut [f32]) {
+            out.copy_from_slice(&[tokens.len() as f32, 1.0]);
         }
     }
 

@@ -62,12 +62,7 @@ impl Vector {
     /// Normalize to unit length in place; zero vectors are left unchanged.
     /// Returns whether normalization happened.
     pub fn normalize(&mut self) -> bool {
-        let n = self.norm();
-        if n <= f32::MIN_POSITIVE {
-            return false;
-        }
-        self.scale(1.0 / n);
-        true
+        normalize(&mut self.0)
     }
 
     /// Whether the vector is (approximately) unit length.
@@ -77,8 +72,24 @@ impl Vector {
 
     /// True if every component is zero.
     pub fn is_zero(&self) -> bool {
-        self.0.iter().all(|&x| x == 0.0)
+        is_zero(&self.0)
     }
+}
+
+/// [`Vector::normalize`] on a bare slice, for callers that accumulate into
+/// a reused buffer.
+pub(crate) fn normalize(v: &mut [f32]) -> bool {
+    let n = kernel::norm_sq(v).sqrt();
+    if n <= f32::MIN_POSITIVE {
+        return false;
+    }
+    kernel::scale(v, 1.0 / n);
+    true
+}
+
+/// [`Vector::is_zero`] on a bare slice.
+pub(crate) fn is_zero(v: &[f32]) -> bool {
+    v.iter().all(|&x| x == 0.0)
 }
 
 #[cfg(test)]

@@ -17,17 +17,23 @@
 //!
 //! Everything is deterministic: no training, no files, identical vectors in
 //! every process. A bounded token→vector cache makes repeated tokens (the
-//! common case in categorical columns) nearly free.
+//! common case in categorical columns) nearly free, and a second, smaller
+//! cache of n-gram basis vectors makes *new* tokens cheap: a corpus has far
+//! fewer distinct n-grams than n-gram occurrences, and drawing a basis
+//! vector (`dim` Box–Muller Gaussians) is what computing a token costs.
 
-use parking_lot::RwLock;
+use std::borrow::Borrow;
+use std::hash::Hash;
+
+use parking_lot::{RwLock, RwLockReadGuard};
 use wg_util::hash::combine64;
 use wg_util::kernel;
 use wg_util::rng::Rng64;
 use wg_util::{FxHashMap, SplitMix64};
 
 use crate::model::EmbeddingModel;
-use crate::tokenizer::{char_ngrams, Token};
-use crate::vector::Vector;
+use crate::tokenizer::{char_ngram_count, for_each_char_ngram, Token, TokenBuf};
+use crate::vector::{normalize, Vector};
 
 /// Configuration for [`WebTableModel`].
 #[derive(Debug, Clone, Copy)]
@@ -62,18 +68,93 @@ impl Default for WebTableConfig {
     }
 }
 
+/// N-gram basis vectors kept per model: 2¹⁴ × `dim` floats (8 MiB at the
+/// default dimension). On the testbed-S and fleet token streams this serves
+/// 0.84 / 0.80 of n-gram lookups; four times the entries serve 0.96 / 0.82
+/// (DESIGN.md §8 has the sizing table).
+const NGRAM_BASIS_CAPACITY: usize = 1 << 14;
+
+/// A map from key to vector that fills until it holds `capacity` entries
+/// and then stays as it is: no eviction, so a hit never writes.
+struct VectorCache<K> {
+    map: RwLock<FxHashMap<K, Vector>>,
+    capacity: usize,
+}
+
+impl<K: Hash + Eq> VectorCache<K> {
+    fn new(capacity: usize) -> Self {
+        Self { map: RwLock::new(FxHashMap::default()), capacity }
+    }
+
+    fn len(&self) -> usize {
+        self.map.read().len()
+    }
+
+    fn reader(&self) -> CacheReader<'_, K> {
+        CacheReader { cache: self, guard: None }
+    }
+}
+
+/// A run of lookups in one [`VectorCache`] that share a read guard for as
+/// long as they hit.
+struct CacheReader<'a, K> {
+    cache: &'a VectorCache<K>,
+    guard: Option<RwLockReadGuard<'a, FxHashMap<K, Vector>>>,
+}
+
+impl<K: Hash + Eq> CacheReader<'_, K> {
+    /// Hand `consume` the vector for `key`: the cached one, read in place,
+    /// or else `compute()`'s, which is then cached if there is room.
+    ///
+    /// The read guard is dropped before `compute` runs and before the write
+    /// guard is taken (the next lookup takes a new one): `std`'s lock,
+    /// which the `parking_lot` shim wraps, may deadlock a thread that asks
+    /// for a second guard while it holds a read guard, and `compute` reads
+    /// caches itself.
+    fn with<Q>(&mut self, key: &Q, compute: impl FnOnce() -> Vector, consume: impl FnOnce(&[f32]))
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ToOwned<Owned = K> + ?Sized,
+    {
+        let map = self.guard.get_or_insert_with(|| self.cache.map.read());
+        if let Some(v) = map.get(key) {
+            return consume(&v.0);
+        }
+        let full = map.len() >= self.cache.capacity;
+        self.guard = None;
+        let v = compute();
+        consume(&v.0);
+        if !full {
+            let mut map = self.cache.map.write();
+            if map.len() < self.cache.capacity {
+                map.insert(key.to_owned(), v);
+            }
+        }
+    }
+}
+
 /// The deterministic hashed-subword embedding model.
 pub struct WebTableModel {
     config: WebTableConfig,
-    cache: RwLock<FxHashMap<Token, Vector>>,
+    tokens: VectorCache<Token>,
+    /// Basis vectors of n-grams, keyed by the tagged n-gram hash.
+    ngram_bases: VectorCache<u64>,
 }
 
 impl WebTableModel {
     /// Build a model with the given configuration.
     pub fn new(config: WebTableConfig) -> Self {
+        Self::with_ngram_capacity(config, NGRAM_BASIS_CAPACITY)
+    }
+
+    fn with_ngram_capacity(config: WebTableConfig, ngram_capacity: usize) -> Self {
         assert!(config.dim > 0, "dimension must be positive");
         assert!(config.min_ngram >= 2 && config.max_ngram >= config.min_ngram);
-        Self { config, cache: RwLock::new(FxHashMap::default()) }
+        Self {
+            config,
+            tokens: VectorCache::new(config.cache_capacity),
+            ngram_bases: VectorCache::new(ngram_capacity),
+        }
     }
 
     /// Model with default configuration.
@@ -88,7 +169,7 @@ impl WebTableModel {
 
     /// Number of cached token vectors.
     pub fn cache_len(&self) -> usize {
-        self.cache.read().len()
+        self.tokens.len()
     }
 
     /// Gaussian basis vector for a hash, seeded with the model seed.
@@ -97,20 +178,22 @@ impl WebTableModel {
         Vector((0..self.config.dim).map(|_| rng.gen_gaussian() as f32).collect())
     }
 
-    /// Compute (uncached) the vector for one token.
+    /// Compute (uncached) the vector for one token. An n-gram's basis
+    /// vector is a pure function of `(seed, hash)`, so taking it from the
+    /// cache or drawing it afresh adds the same floats in the same order.
     fn compute_token(&self, token: &str) -> Vector {
         let mut v = self.basis(wg_util::stable_hash_str(token));
-        if self.config.subword_weight > 0.0 {
-            let grams = char_ngrams(token, self.config.min_ngram, self.config.max_ngram);
-            if !grams.is_empty() {
-                let w = self.config.subword_weight / grams.len() as f32;
-                for g in &grams {
-                    // Tag n-gram hashes so a 3-gram never collides with a
-                    // whole token of the same spelling.
-                    let h = combine64(0x6772_616d, wg_util::stable_hash_str(g));
-                    v.add_scaled(&self.basis(h), w);
-                }
-            }
+        let (min_n, max_n) = (self.config.min_ngram, self.config.max_ngram);
+        let grams = char_ngram_count(token, min_n, max_n);
+        if self.config.subword_weight > 0.0 && grams > 0 {
+            let w = self.config.subword_weight / grams as f32;
+            let mut bases = self.ngram_bases.reader();
+            for_each_char_ngram(token, min_n, max_n, |g| {
+                // Tag n-gram hashes so a 3-gram never collides with a
+                // whole token of the same spelling.
+                let h = combine64(0x6772_616d, wg_util::stable_hash_str(g));
+                bases.with(&h, || self.basis(h), |basis| kernel::axpy(&mut v.0, w, basis));
+            });
         }
         v.normalize();
         v
@@ -125,20 +208,10 @@ impl WebTableModel {
 
     /// [`Self::token_vector`] written into a caller-provided slice (length
     /// `dim`). On a cache hit this is a map read plus one `memcpy` — no
-    /// heap allocation — which is what makes warm embedding passes
-    /// allocation-free.
+    /// heap allocation.
     pub fn token_vector_into(&self, token: &str, out: &mut [f32]) {
         debug_assert_eq!(out.len(), self.config.dim);
-        if let Some(v) = self.cache.read().get(token) {
-            out.copy_from_slice(&v.0);
-            return;
-        }
-        let v = self.compute_token(token);
-        out.copy_from_slice(&v.0);
-        let mut cache = self.cache.write();
-        if cache.len() < self.config.cache_capacity {
-            cache.insert(token.to_string(), v);
-        }
+        self.tokens.reader().with(token, || self.compute_token(token), |v| out.copy_from_slice(v));
     }
 }
 
@@ -151,32 +224,129 @@ impl EmbeddingModel for WebTableModel {
         "web-table-hashed"
     }
 
-    fn embed_tokens(&self, tokens: &[Token]) -> Vector {
-        let mut acc = Vector::zeros(self.config.dim);
-        if tokens.is_empty() {
-            return acc;
+    fn embed_tokens_into(&self, tokens: &TokenBuf, out: &mut [f32]) {
+        debug_assert_eq!(out.len(), self.config.dim);
+        out.fill(0.0);
+        // Warm token vectors are added straight from their cache entries,
+        // all under one read guard.
+        let mut cache = self.tokens.reader();
+        for t in tokens.iter() {
+            cache.with(t, || self.compute_token(t), |v| kernel::axpy(out, 1.0, v));
         }
-        // One reusable scratch slot per thread: warm token vectors copy
-        // into it and accumulate via the axpy kernel instead of cloning a
-        // fresh Vec per token.
-        let mut tmp = kernel::scratch::take_f32(self.config.dim);
-        for t in tokens {
-            self.token_vector_into(t, &mut tmp);
-            kernel::axpy(&mut acc.0, 1.0, &tmp);
+        drop(cache);
+        normalize(out);
+    }
+}
+
+#[cfg(test)]
+impl WebTableModel {
+    /// Test oracle: a token's vector the way it was computed before the
+    /// n-gram cache — every gram materialised, every basis drawn afresh.
+    pub(crate) fn compute_token_reference(&self, token: &str) -> Vector {
+        let mut v = self.basis(wg_util::stable_hash_str(token));
+        if self.config.subword_weight > 0.0 {
+            let grams = crate::tokenizer::reference::char_ngrams(
+                token,
+                self.config.min_ngram,
+                self.config.max_ngram,
+            );
+            if !grams.is_empty() {
+                let w = self.config.subword_weight / grams.len() as f32;
+                for g in &grams {
+                    let h = combine64(0x6772_616d, wg_util::stable_hash_str(g));
+                    v.add_scaled(&self.basis(h), w);
+                }
+            }
         }
-        kernel::scratch::put_f32(tmp);
-        acc.normalize();
-        acc
+        v.normalize();
+        v
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tokenizer::tokenize;
+    use crate::tokenizer::{reference, tokenize_into};
 
     fn model() -> WebTableModel {
         WebTableModel::default_model()
+    }
+
+    fn tokens_of(cell: &str) -> TokenBuf {
+        let mut buf = TokenBuf::new();
+        tokenize_into(cell, &mut buf);
+        buf
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Distinct tokens of the seeded differential-test cells.
+    fn seeded_tokens(seed: u64, cells: usize) -> Vec<Token> {
+        let mut tokens: Vec<Token> =
+            reference::cells(seed, cells).iter().flat_map(|c| reference::tokenize(c)).collect();
+        tokens.sort();
+        tokens.dedup();
+        tokens
+    }
+
+    #[test]
+    fn token_vectors_do_not_depend_on_the_ngram_cache() {
+        let tokens = seeded_tokens(21, 400);
+        let oracle = model();
+        let want: Vec<Vec<u32>> =
+            tokens.iter().map(|t| bits(&oracle.compute_token_reference(t).0)).collect();
+        // Token cache off, so every pass recomputes: n-gram cache empty,
+        // then warm, then (capacity 2) full almost from the start.
+        let uncached = WebTableConfig { cache_capacity: 0, ..Default::default() };
+        let roomy = WebTableModel::new(uncached);
+        let cramped = WebTableModel::with_ngram_capacity(uncached, 2);
+        for pass in 0..2 {
+            for (t, want) in tokens.iter().zip(&want) {
+                assert_eq!(&bits(&roomy.token_vector(t).0), want, "{t:?} pass {pass}");
+                assert_eq!(&bits(&cramped.token_vector(t).0), want, "{t:?} pass {pass}");
+            }
+        }
+        assert!(roomy.ngram_bases.len() > 2);
+        assert_eq!(cramped.ngram_bases.len(), 2);
+        assert_eq!(roomy.cache_len(), 0);
+    }
+
+    #[test]
+    fn threads_filling_the_caches_together_agree_with_the_oracle() {
+        let tokens = seeded_tokens(22, 300);
+        let oracle = model();
+        let want: Vec<Vec<u32>> =
+            tokens.iter().map(|t| bits(&oracle.compute_token_reference(t).0)).collect();
+        for ngram_capacity in [NGRAM_BASIS_CAPACITY, 64] {
+            let m = WebTableModel::with_ngram_capacity(WebTableConfig::default(), ngram_capacity);
+            let start = std::sync::Barrier::new(4);
+            std::thread::scope(|s| {
+                for worker in 0..4 {
+                    let (m, tokens, want, start) = (&m, &tokens, &want, &start);
+                    s.spawn(move || {
+                        start.wait();
+                        // Overlapping halves, walked in opposite directions.
+                        let n = tokens.len();
+                        let mut order: Vec<usize> =
+                            (worker * n / 8..n / 2 + worker * n / 8).collect();
+                        if worker % 2 == 1 {
+                            order.reverse();
+                        }
+                        for i in order {
+                            assert_eq!(
+                                bits(&m.token_vector(&tokens[i]).0),
+                                want[i],
+                                "{}",
+                                tokens[i]
+                            );
+                        }
+                    });
+                }
+            });
+            assert!(m.ngram_bases.len() <= ngram_capacity);
+        }
     }
 
     #[test]
@@ -231,7 +401,9 @@ mod tests {
     #[test]
     fn empty_input_is_zero() {
         let m = model();
-        assert!(m.embed_tokens(&[]).is_zero());
+        let mut out = vec![1.0; m.dim()];
+        m.embed_tokens_into(&TokenBuf::new(), &mut out);
+        assert!(out.iter().all(|&x| x == 0.0), "stale buffer contents must be overwritten");
         assert!(m.embed_text("///").is_zero());
     }
 
@@ -265,8 +437,9 @@ mod tests {
     #[test]
     fn date_format_variants_match() {
         let m = model();
-        let a = m.embed_tokens(&tokenize("2020-01-15"));
-        let b = m.embed_tokens(&tokenize("01/15/2020"));
+        let (mut a, mut b) = (Vector::zeros(m.dim()), Vector::zeros(m.dim()));
+        m.embed_tokens_into(&tokens_of("2020-01-15"), &mut a.0);
+        m.embed_tokens_into(&tokens_of("01/15/2020"), &mut b.0);
         assert!(a.cosine(&b) > 0.999);
     }
 }

@@ -6,12 +6,13 @@
 //! ```
 //!
 //! Row scales default to the values in `wg_eval::scale_for`; set
-//! `WG_ROW_SCALE_MULT` to scale all corpora up or down.
+//! `WG_ROW_SCALE_MULT` to scale all corpora up or down (a positive number;
+//! anything else is refused).
 
 use wg_corpora::{build_sigma, build_spider, build_testbed, Corpus, TestbedSpec};
 use wg_eval::experiments::{bert, figure4, samples, scale, sigma_adhoc, table1, table2};
 use wg_eval::experiments::{connect, connect_free};
-use wg_eval::{report, scale_for};
+use wg_eval::{report, row_scale_mult, scale_for};
 
 const EXPERIMENTS: [&str; 9] =
     ["table1", "fig4a", "fig4b", "fig4c", "table2", "samples", "bert", "sigma", "scale"];
@@ -23,10 +24,15 @@ fn main() {
     } else {
         args.iter().map(|s| s.as_str()).collect()
     };
-    // Refuse a misspelt name before running anything: a typo must fail the
-    // calling script, not print a line and report success.
+    // Refuse a misspelt name or a malformed scale before running anything:
+    // a typo must fail the calling script, not print a line and report
+    // success, or run every corpus at a scale nobody asked for.
     if let Some(other) = what.iter().find(|exp| !EXPERIMENTS.contains(exp)) {
         eprintln!("unknown experiment '{other}' (expected one of: all {})", EXPERIMENTS.join(" "));
+        std::process::exit(2);
+    }
+    if let Err(message) = row_scale_mult() {
+        eprintln!("{message}");
         std::process::exit(2);
     }
 

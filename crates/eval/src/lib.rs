@@ -34,13 +34,41 @@ pub fn scale_for(corpus: &str) -> f64 {
         "sigma" => 0.02,
         _ => 0.01,
     };
-    let mult =
-        std::env::var("WG_ROW_SCALE_MULT").ok().and_then(|s| s.parse::<f64>().ok()).unwrap_or(1.0);
-    base * mult
+    // `reproduce` checks the variable before it runs anything; any other
+    // caller learns of a bad value here rather than running at a scale it
+    // did not ask for.
+    base * row_scale_mult().unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// The `WG_ROW_SCALE_MULT` multiplier: 1.0 when unset, and an error (the
+/// message to show the user) when set to anything but a finite positive
+/// number.
+pub fn row_scale_mult() -> Result<f64, String> {
+    match std::env::var_os("WG_ROW_SCALE_MULT") {
+        None => Ok(1.0),
+        Some(raw) => parse_row_scale_mult(&raw.to_string_lossy()),
+    }
+}
+
+fn parse_row_scale_mult(s: &str) -> Result<f64, String> {
+    match s.trim().parse::<f64>() {
+        Ok(mult) if mult.is_finite() && mult > 0.0 => Ok(mult),
+        _ => Err(format!("WG_ROW_SCALE_MULT must be a positive number, got '{s}'")),
+    }
 }
 
 #[cfg(test)]
 mod tests {
+    #[test]
+    fn row_scale_mult_accepts_only_positive_numbers() {
+        assert_eq!(super::parse_row_scale_mult("2"), Ok(2.0));
+        assert_eq!(super::parse_row_scale_mult(" 0.25 "), Ok(0.25));
+        for bad in ["", "abc", "0", "-1", "nan", "inf", "1x"] {
+            let err = super::parse_row_scale_mult(bad).unwrap_err();
+            assert!(err.contains(&format!("'{bad}'")), "{err}");
+        }
+    }
+
     #[test]
     fn scales_are_positive() {
         for c in ["testbedXS", "testbedS", "testbedM", "testbedL", "spider", "sigma", "?"] {

@@ -3,19 +3,31 @@
 //! Text columns are dictionary-encoded: the distinct strings live once in a
 //! `dict` and rows are `u32` codes. This matters for this workload twice
 //! over — (1) discovery corpora are dominated by low-cardinality string
-//! columns, so memory drops sharply, and (2) profiling and embedding both
-//! operate on *distinct values with multiplicities*, which the dictionary
-//! provides for free instead of requiring a hash pass over millions of rows.
+//! columns, so memory drops sharply, and (2) sampling, profiling and
+//! embedding all operate on *distinct values with multiplicities*, and a
+//! duplicate-free dictionary makes the code a value's identity: the
+//! distinct sampler marks codes in a bitmap, `take` re-interns through an
+//! old-code → new-code table, and the embedder reads `dict`/`counts` in
+//! place — no string is hashed on any of those paths. Numeric columns have
+//! no dictionary; they pay one hash pass over typed keys (`i64`, float
+//! bits, `bool`), never over rendered strings.
+//!
+//! The invariant all of that rests on — no string occurs twice in `dict`,
+//! every code is in range — holds by construction for columns built here
+//! and is checked by [`Column::check`] on columns decoded off the wire.
+
+use std::collections::hash_map::Entry;
+use std::hash::Hash;
 
 use wg_util::codec::{self, CodecError, CodecResult};
-use wg_util::FxHashMap;
+use wg_util::{FxHashMap, FxHashSet};
 
 use crate::dtype::{self, DataType};
 use crate::error::{StoreError, StoreResult};
 use crate::value::{Value, ValueRef};
 
 /// Sentinel code for NULL in dictionary-encoded text columns.
-const NULL_CODE: u32 = u32::MAX;
+pub(crate) const NULL_CODE: u32 = u32::MAX;
 
 /// A dictionary-encoded string column.
 #[derive(Debug, Clone, PartialEq)]
@@ -109,9 +121,33 @@ impl TextColumn {
     }
 
     /// Re-intern after row selection so the dictionary only holds values
-    /// that still occur (keeps sampled columns small).
+    /// that still occur (keeps sampled columns small). Codes are remapped
+    /// through a table, so each kept string is cloned once and none is
+    /// hashed; the result equals `from_rows` over the selected rows.
     fn take(&self, idx: &[usize]) -> Self {
-        Self::from_rows(idx.iter().map(|&i| self.get(i)))
+        // `new code + 1` per old code, 0 = not kept yet: an all-zero table
+        // comes from the allocator without being written.
+        let mut remap = vec![0u32; self.dict.len()];
+        let mut dict: Vec<String> = Vec::new();
+        let mut counts: Vec<u32> = Vec::new();
+        let mut codes: Vec<u32> = Vec::with_capacity(idx.len());
+        for &i in idx {
+            let old = self.codes[i];
+            if old == NULL_CODE {
+                codes.push(NULL_CODE);
+                continue;
+            }
+            let slot = &mut remap[old as usize];
+            if *slot == 0 {
+                dict.push(self.dict[old as usize].clone());
+                counts.push(0);
+                *slot = dict.len() as u32;
+            }
+            let code = *slot - 1;
+            counts[code as usize] += 1;
+            codes.push(code);
+        }
+        Self { dict, counts, codes }
     }
 }
 
@@ -360,40 +396,33 @@ impl Column {
         (0..self.len()).map(move |i| self.get(i))
     }
 
-    /// Distinct non-null values rendered to strings, with multiplicities.
+    /// Distinct non-null values rendered to strings, with multiplicities,
+    /// in first-seen order.
     ///
-    /// For text columns this is a cheap view of the dictionary; for other
-    /// types it is computed with one hashing pass. This is the input the
-    /// embedding and profiling layers consume.
+    /// For text columns this is a copy of the dictionary; for other types
+    /// it is one hashing pass over typed keys, rendering each distinct
+    /// value once. This is the input the embedding and profiling layers
+    /// consume.
     pub fn value_counts(&self) -> Vec<(String, u32)> {
         match &self.data {
             ColumnData::Text(t) => {
                 t.dict.iter().zip(t.counts.iter()).map(|(s, &c)| (s.clone(), c)).collect()
             }
-            _ => {
-                let mut map: FxHashMap<String, u32> = FxHashMap::default();
-                let mut order: Vec<String> = Vec::new();
-                for v in self.iter() {
-                    if v.is_null() {
-                        continue;
-                    }
-                    let s = v.to_string();
-                    match map.get_mut(&s) {
-                        Some(c) => *c += 1,
-                        None => {
-                            map.insert(s.clone(), 1);
-                            order.push(s);
-                        }
-                    }
-                }
-                order
-                    .into_iter()
-                    .map(|s| {
-                        let c = map[&s];
-                        (s, c)
-                    })
-                    .collect()
+            ColumnData::Bool { values, validity } => {
+                count_rendered(values, validity, |b| b, ValueRef::Bool)
             }
+            ColumnData::Int { values, validity } => {
+                count_rendered(values, validity, |i| i, ValueRef::Int)
+            }
+            // Keyed the way floats render: every NaN payload prints "NaN",
+            // and any two other bit patterns (`-0.0` and `0.0` included)
+            // print differently.
+            ColumnData::Float { values, validity } => count_rendered(
+                values,
+                validity,
+                |x: f64| if x.is_nan() { f64::NAN.to_bits() } else { x.to_bits() },
+                ValueRef::Float,
+            ),
         }
     }
 
@@ -536,30 +565,77 @@ impl Column {
         Ok(Column { name, data })
     }
 
-    /// Validate internal consistency; used by tests and after decoding
-    /// untrusted bytes.
+    /// Validate internal consistency: what [`Column::decode`] cannot know
+    /// from the bytes alone. Columns built in this process hold these by
+    /// construction; [`crate::RemoteBackend`] calls this on every column it
+    /// decodes off the wire, because sampling, `take` and embedding treat a
+    /// text column's code as the value's identity.
     pub fn check(&self) -> StoreResult<()> {
-        if let ColumnData::Text(t) = &self.data {
-            if t.counts.len() != t.dict.len() {
-                return Err(StoreError::Schema("dict/counts length mismatch".into()));
+        let schema =
+            |msg: String| Err(StoreError::Schema(format!("column {:?}: {msg}", self.name)));
+        match &self.data {
+            ColumnData::Text(t) => {
+                if t.counts.len() != t.dict.len() {
+                    return schema("dict/counts length mismatch".into());
+                }
+                let mut recount = vec![0u32; t.dict.len()];
+                for &c in &t.codes {
+                    if c == NULL_CODE {
+                        continue;
+                    }
+                    match recount.get_mut(c as usize) {
+                        Some(n) => *n += 1,
+                        None => return schema(format!("code {c} out of range")),
+                    }
+                }
+                if recount != t.counts {
+                    return schema("dict counts disagree with codes".into());
+                }
+                let mut seen: FxHashSet<&str> = FxHashSet::default();
+                seen.reserve(t.dict.len());
+                if let Some(dup) = t.dict.iter().find(|s| !seen.insert(s.as_str())) {
+                    return schema(format!("dictionary entry {dup:?} occurs twice"));
+                }
             }
-            let recount: u32 = t.counts.iter().sum();
-            let nonnull = t.codes.iter().filter(|&&c| c != NULL_CODE).count() as u32;
-            if recount != nonnull {
-                return Err(StoreError::Schema("dict counts disagree with codes".into()));
-            }
-        }
-        if let ColumnData::Int { values, validity: Some(v) } = &self.data {
-            if values.len() != v.len() {
-                return Err(StoreError::Schema("validity length mismatch".into()));
+            ColumnData::Bool { validity, .. }
+            | ColumnData::Int { validity, .. }
+            | ColumnData::Float { validity, .. } => {
+                if validity.as_ref().is_some_and(|v| v.len() != self.len()) {
+                    return schema("validity length mismatch".into());
+                }
             }
         }
         Ok(())
     }
 }
 
+/// [`Column::value_counts`] for a non-text column: count by `key`, render a
+/// value the first time its key is seen.
+fn count_rendered<T: Copy, K: Hash + Eq>(
+    values: &[T],
+    validity: &Option<Vec<bool>>,
+    key: impl Fn(T) -> K,
+    render: impl Fn(T) -> ValueRef<'static>,
+) -> Vec<(String, u32)> {
+    let mut slot_of: FxHashMap<K, usize> = FxHashMap::default();
+    let mut out: Vec<(String, u32)> = Vec::new();
+    for (row, &v) in values.iter().enumerate() {
+        if !valid(validity, row) {
+            continue;
+        }
+        match slot_of.entry(key(v)) {
+            Entry::Occupied(e) => out[*e.get()].1 += 1,
+            Entry::Vacant(e) => {
+                e.insert(out.len());
+                out.push((render(v).to_string(), 1));
+            }
+        }
+    }
+    out
+}
+
 #[inline]
-fn valid(validity: &Option<Vec<bool>>, row: usize) -> bool {
+pub(crate) fn valid(validity: &Option<Vec<bool>>, row: usize) -> bool {
     validity.as_ref().map(|v| v[row]).unwrap_or(true)
 }
 
@@ -592,6 +668,136 @@ fn decode_validity(buf: &mut &[u8]) -> CodecResult<Option<Vec<bool>>> {
             Ok(Some(v))
         }
         other => Err(CodecError::Invalid(format!("bad validity tag {other}"))),
+    }
+}
+
+/// The code the identity-based paths replaced, kept as test oracles, and the
+/// seeded columns the differential tests here and in `sample.rs` run over.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::*;
+    use wg_util::rng::{Rng64, Xoshiro256pp};
+
+    /// `Column::take` with text re-interned by hashing every kept string.
+    pub(crate) fn take(column: &Column, idx: &[usize]) -> Column {
+        match column.data() {
+            ColumnData::Text(t) => Column::new(
+                column.name(),
+                ColumnData::Text(TextColumn::from_rows(idx.iter().map(|&i| t.get(i)))),
+            ),
+            _ => column.take(idx),
+        }
+    }
+
+    /// Wire bytes: equal exactly when two columns agree in name, type,
+    /// dictionary order, counts, codes, validity and every value bit for
+    /// bit — `==` on columns, except that it lets a NaN equal itself.
+    pub(crate) fn wire(column: &Column) -> Vec<u8> {
+        let mut buf = Vec::new();
+        column.encode(&mut buf);
+        buf
+    }
+
+    /// A text column frame written field by field, so it can carry what
+    /// `from_rows` never produces.
+    pub(crate) fn text_frame(name: &str, dict: &[&str], counts: &[u32], codes: &[u32]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        codec::put_str(&mut buf, name);
+        codec::put_u8(&mut buf, DataType::Text.tag());
+        codec::put_len(&mut buf, dict.len());
+        for s in dict {
+            codec::put_str(&mut buf, s);
+        }
+        codec::put_u32_slice(&mut buf, counts);
+        codec::put_u32_slice(&mut buf, codes);
+        buf
+    }
+
+    /// `Column::value_counts` by rendering every row.
+    pub(crate) fn value_counts(column: &Column) -> Vec<(String, u32)> {
+        let mut map: FxHashMap<String, u32> = FxHashMap::default();
+        let mut order: Vec<String> = Vec::new();
+        for v in column.iter() {
+            if v.is_null() {
+                continue;
+            }
+            let s = v.to_string();
+            match map.get_mut(&s) {
+                Some(c) => *c += 1,
+                None => {
+                    map.insert(s.clone(), 1);
+                    order.push(s);
+                }
+            }
+        }
+        order
+            .into_iter()
+            .map(|s| {
+                let c = map[&s];
+                (s, c)
+            })
+            .collect()
+    }
+
+    /// Seeded columns of all four dtypes × {all distinct, heavy
+    /// duplication, two values} × {no NULLs, ~1 in 5 NULL}, floats drawn
+    /// from a pool holding `0.0`, `-0.0`, three NaN payloads and ±∞.
+    pub(crate) fn columns(seed: u64) -> Vec<Column> {
+        let mut rng = Xoshiro256pp::new(seed);
+        let float_pool = [
+            0.0,
+            -0.0,
+            f64::NAN,
+            -f64::NAN,
+            f64::from_bits(0x7ff8_0000_0000_beef),
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            1e15,
+            -2.5,
+            1e-7,
+        ];
+        let mut out = Vec::new();
+        for (rows, distinct) in [(0, 1), (1, 1), (300, 300), (2000, 2000), (2000, 37), (500, 2)] {
+            for nulls in [false, true] {
+                let mut draws = Vec::with_capacity(rows);
+                for row in 0..rows {
+                    let null = nulls && rng.gen_index(5) == 0;
+                    let v = if distinct >= rows { row } else { rng.gen_index(distinct) };
+                    draws.push((!null).then_some(v));
+                }
+                let tag = format!("{rows}_{distinct}_{nulls}");
+                let value = |d: &Option<usize>, f: &dyn Fn(usize) -> Value| match d {
+                    Some(v) => f(*v),
+                    None => Value::Null,
+                };
+                let typed = |f: &dyn Fn(usize) -> Value| -> Vec<Value> {
+                    draws.iter().map(|d| value(d, f)).collect()
+                };
+                out.push(Column::text_opt(
+                    format!("t_{tag}"),
+                    draws.iter().map(|d| d.map(|v| format!("value {v}"))),
+                ));
+                out.push(Column::from_values(
+                    format!("i_{tag}"),
+                    &typed(&|v| Value::Int(v as i64 - 7)),
+                ));
+                out.push(Column::from_values(
+                    format!("f_{tag}"),
+                    &typed(&|v| {
+                        Value::Float(if v < float_pool.len() {
+                            float_pool[v]
+                        } else {
+                            v as f64 / 4.0
+                        })
+                    }),
+                ));
+                out.push(Column::from_values(
+                    format!("b_{tag}"),
+                    &typed(&|v| Value::Bool(v % 2 == 0)),
+                ));
+            }
+        }
+        out
     }
 }
 
@@ -700,6 +906,59 @@ mod tests {
         buf[n - 4..].copy_from_slice(&7u32.to_le_bytes());
         let mut r = &buf[..];
         assert!(Column::decode(&mut r).is_err());
+    }
+
+    #[test]
+    fn typed_value_counts_match_rendering_every_row() {
+        for seed in [1, 2, 3] {
+            for c in reference::columns(seed) {
+                assert_eq!(c.value_counts(), reference::value_counts(&c), "{}", c.name());
+            }
+        }
+        let nans = Column::floats("f", vec![f64::NAN, -0.0, -f64::NAN, 0.0, -0.0]);
+        let want = vec![("NaN".to_string(), 2), ("-0.0".to_string(), 2), ("0.0".to_string(), 1)];
+        assert_eq!(nans.value_counts(), want);
+    }
+
+    #[test]
+    fn take_by_code_table_equals_reinterning() {
+        for c in reference::columns(4) {
+            let n = c.len();
+            let picks: [Vec<usize>; 4] = [
+                Vec::new(),
+                (0..n).collect(),
+                (0..n).rev().step_by(3).collect(),
+                (0..n).flat_map(|i| [i, i / 2]).collect(),
+            ];
+            for idx in &picks {
+                let got = c.take(idx);
+                let want = reference::take(&c, idx);
+                assert_eq!(reference::wire(&got), reference::wire(&want), "{}", c.name());
+                got.check().unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn check_rejects_what_decode_lets_through() {
+        let decode = |frame: Vec<u8>| Column::decode(&mut &frame[..]).unwrap();
+        let text_frame = |dict: &[&str], counts: &[u32], codes: &[u32]| {
+            reference::text_frame("t", dict, counts, codes)
+        };
+        decode(text_frame(&["a", "b"], &[2, 1], &[0, 1, 0, NULL_CODE])).check().unwrap();
+        for (what, frame) in [
+            ("duplicate entry", text_frame(&["a", "b", "a"], &[1, 1, 1], &[0, 1, 2])),
+            ("counts off by one", text_frame(&["a", "b"], &[1, 2], &[0, 0, 1])),
+            ("counts sum too low", text_frame(&["a"], &[1], &[0, 0])),
+        ] {
+            let err = decode(frame).check().unwrap_err();
+            assert!(matches!(err, StoreError::Schema(_)), "{what}: {err}");
+        }
+        let short_validity = Column::new(
+            "f",
+            ColumnData::Float { values: vec![1.0, 2.0], validity: Some(vec![true]) },
+        );
+        assert!(matches!(short_validity.check(), Err(StoreError::Schema(_))));
     }
 
     #[test]

@@ -271,12 +271,21 @@ fn put_table(buf: &mut Vec<u8>, t: &Table) {
     }
 }
 
+/// Decode one column off the wire and hold it to the invariants local
+/// columns have by construction (see [`Column::check`]): downstream code
+/// treats a text column's code as the value's identity.
+fn get_column(buf: &mut &[u8]) -> StoreResult<Column> {
+    let column = Column::decode(buf)?;
+    column.check()?;
+    Ok(column)
+}
+
 fn get_table(buf: &mut &[u8]) -> StoreResult<Table> {
     let name = get_str(buf)?;
     let n = get_len(buf)?;
     let mut cols = Vec::with_capacity(n.min(4096));
     for _ in 0..n {
-        cols.push(Column::decode(buf)?);
+        cols.push(get_column(buf)?);
     }
     Table::new(name, cols)
 }
@@ -926,7 +935,7 @@ impl WarehouseBackend for RemoteBackend {
             put_column_ref(buf, r);
             sample.encode(buf);
         })?;
-        Ok(Column::decode(&mut &body[..])?)
+        get_column(&mut &body[..])
     }
 
     fn scan_table(&self, database: &str, table: &str, sample: SampleSpec) -> StoreResult<Table> {
@@ -1046,6 +1055,64 @@ mod tests {
         remote.reset_costs();
         assert_eq!(remote.costs().requests, 0);
         server.shutdown();
+    }
+
+    /// A backend that answers every scan with columns decoded from
+    /// hand-built frames: what a buggy or hostile server could send.
+    struct Forged {
+        inner: BackendHandle,
+        frame: Vec<u8>,
+    }
+
+    impl WarehouseBackend for Forged {
+        fn name(&self) -> String {
+            "forged".into()
+        }
+        fn list_tables(&self) -> StoreResult<Vec<TableMeta>> {
+            self.inner.list_tables()
+        }
+        fn table_meta(&self, database: &str, table: &str) -> StoreResult<TableMeta> {
+            self.inner.table_meta(database, table)
+        }
+        fn scan_column(&self, _: &ColumnRef, _: SampleSpec) -> StoreResult<Column> {
+            Ok(Column::decode(&mut &self.frame[..])?)
+        }
+        fn scan_table(&self, _: &str, table: &str, _: SampleSpec) -> StoreResult<Table> {
+            Table::new(table, vec![Column::decode(&mut &self.frame[..])?])
+        }
+        fn costs(&self) -> CostSnapshot {
+            self.inner.costs()
+        }
+        fn reset_costs(&self) {
+            self.inner.reset_costs()
+        }
+    }
+
+    #[test]
+    fn columns_breaking_the_dictionary_invariant_are_refused_typed() {
+        let text_frame = |dict: &[&str], counts: &[u32], codes: &[u32]| {
+            crate::column::reference::text_frame("a", dict, counts, codes)
+        };
+        let r = ColumnRef::new("db", "t", "a");
+        for (frame, ok) in [
+            (text_frame(&["x", "y"], &[2, 1], &[0, 1, 0]), true),
+            (text_frame(&["x", "y", "x"], &[1, 1, 1], &[0, 1, 2]), false),
+            (text_frame(&["x", "y"], &[1, 2], &[0, 1, 0]), false),
+        ] {
+            let forged = Arc::new(Forged { inner: local_backend(), frame });
+            let server = RemoteBackendServer::serve(forged, "127.0.0.1:0").unwrap();
+            let remote = RemoteBackend::connect(server.local_addr().to_string()).unwrap();
+            let column = remote.scan_column(&r, SampleSpec::Full);
+            let table = remote.scan_table("db", "t", SampleSpec::Full);
+            if ok {
+                assert_eq!(column.unwrap().len(), 3);
+                assert_eq!(table.unwrap().num_rows(), 3);
+            } else {
+                assert!(matches!(column, Err(StoreError::Schema(_))), "got {column:?}");
+                assert!(matches!(table, Err(StoreError::Schema(_))), "got {table:?}");
+            }
+            server.shutdown();
+        }
     }
 
     #[test]

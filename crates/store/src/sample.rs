@@ -7,10 +7,14 @@
 //! response time to interactive speed — the specs here are what that
 //! experiment sweeps.
 
-use wg_util::rng::{Rng64, Xoshiro256pp};
+use std::hash::Hash;
 
-use crate::column::Column;
+use wg_util::rng::{Rng64, Xoshiro256pp};
+use wg_util::FxHashSet;
+
+use crate::column::{valid, Column, ColumnData, NULL_CODE};
 use crate::table::Table;
+use crate::value::float_key_bits;
 
 /// How a scan should reduce the rows it returns.
 ///
@@ -146,43 +150,156 @@ fn reservoir_indices(len: usize, n: usize, seed: u64) -> Vec<usize> {
 
 /// Reservoir over the *distinct values* of a column; returns first-occurrence
 /// row indices of the sampled values, sorted ascending.
+///
+/// Rows are walked once and each value's first occurrence is offered to the
+/// reservoir. A value's identity is its dictionary code for text (marked in
+/// a bitmap; the walk stops once every code has been seen) and its typed
+/// key for the other types — nothing is rendered or byte-hashed.
 fn distinct_reservoir_indices(column: &Column, n: usize, seed: u64) -> Vec<usize> {
-    // Walk rows, tracking the first occurrence index of each distinct value,
-    // and run a reservoir over that stream of first occurrences.
-    use wg_util::FxHashSet;
-    let mut seen: FxHashSet<u64> = FxHashSet::default();
-    let mut rng = Xoshiro256pp::new(seed);
-    let mut reservoir: Vec<usize> = Vec::with_capacity(n);
-    let mut distinct_rank = 0usize;
-    let mut key = Vec::new();
-    for row in 0..column.len() {
-        let v = column.get(row);
-        if v.is_null() {
-            continue;
-        }
-        v.key_bytes(&mut key);
-        let h = wg_util::stable_hash64(&key);
-        if !seen.insert(h) {
-            continue;
-        }
-        if reservoir.len() < n {
-            reservoir.push(row);
-        } else {
-            let j = rng.gen_index(distinct_rank + 1);
-            if j < n {
-                reservoir[j] = row;
+    let mut firsts = FirstOccurrences::new(n, column.len(), seed);
+    match column.data() {
+        ColumnData::Text(t) => {
+            let mut seen = vec![false; t.dict().len()];
+            let mut unseen = seen.len();
+            for (row, &code) in t.codes().iter().enumerate() {
+                if unseen == 0 {
+                    break;
+                }
+                if code != NULL_CODE && !std::mem::replace(&mut seen[code as usize], true) {
+                    unseen -= 1;
+                    firsts.offer(row);
+                }
             }
         }
-        distinct_rank += 1;
+        ColumnData::Bool { values, validity } => {
+            firsts.offer_new_keys(values, validity, |b| b);
+        }
+        ColumnData::Int { values, validity } => {
+            firsts.offer_new_keys(values, validity, |i| i);
+        }
+        ColumnData::Float { values, validity } => {
+            firsts.offer_new_keys(values, validity, float_key_bits);
+        }
     }
-    reservoir.sort_unstable();
-    reservoir
+    firsts.into_sorted_rows()
 }
+
+/// Algorithm R over a stream of first-occurrence rows.
+struct FirstOccurrences {
+    n: usize,
+    rng: Xoshiro256pp,
+    rows: Vec<usize>,
+    offered: usize,
+}
+
+impl FirstOccurrences {
+    /// A reservoir of `n` over a column of `len` rows.
+    fn new(n: usize, len: usize, seed: u64) -> Self {
+        Self { n, rng: Xoshiro256pp::new(seed), rows: Vec::with_capacity(n.min(len)), offered: 0 }
+    }
+
+    fn offer(&mut self, row: usize) {
+        if self.rows.len() < self.n {
+            self.rows.push(row);
+        } else {
+            let j = self.rng.gen_index(self.offered + 1);
+            if j < self.n {
+                self.rows[j] = row;
+            }
+        }
+        self.offered += 1;
+    }
+
+    /// Offer each valid row whose `key` has not occurred before.
+    fn offer_new_keys<T: Copy, K: Hash + Eq>(
+        &mut self,
+        values: &[T],
+        validity: &Option<Vec<bool>>,
+        key: impl Fn(T) -> K,
+    ) {
+        let mut seen: FxHashSet<K> = FxHashSet::default();
+        seen.reserve(values.len().min(SEEN_PRESIZE));
+        for (row, &v) in values.iter().enumerate() {
+            if valid(validity, row) && seen.insert(key(v)) {
+                self.offer(row);
+            }
+        }
+    }
+
+    fn into_sorted_rows(mut self) -> Vec<usize> {
+        self.rows.sort_unstable();
+        self.rows
+    }
+}
+
+/// Keys a numeric column's `seen` set has room for up front. Growing the
+/// set from empty costs the sampler about a third more on testbed-S (46 →
+/// 65 ms over the corpus); reserving a whole column's length would have a
+/// ten-million-row column of five values ask for ~90 MB.
+const SEEN_PRESIZE: usize = 4096;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::column::reference;
     use crate::value::ValueRef;
+
+    /// The sampler this module used to have: every row rendered to key
+    /// bytes, FNV-hashed, and looked up in a set of hashes.
+    fn distinct_reservoir_indices_reference(column: &Column, n: usize, seed: u64) -> Vec<usize> {
+        let mut seen: FxHashSet<u64> = FxHashSet::default();
+        let mut rng = Xoshiro256pp::new(seed);
+        let mut reservoir: Vec<usize> = Vec::with_capacity(n);
+        let mut distinct_rank = 0usize;
+        let mut key = Vec::new();
+        for row in 0..column.len() {
+            let v = column.get(row);
+            if v.is_null() {
+                continue;
+            }
+            v.key_bytes(&mut key);
+            let h = wg_util::stable_hash64(&key);
+            if !seen.insert(h) {
+                continue;
+            }
+            if reservoir.len() < n {
+                reservoir.push(row);
+            } else {
+                let j = rng.gen_index(distinct_rank + 1);
+                if j < n {
+                    reservoir[j] = row;
+                }
+            }
+            distinct_rank += 1;
+        }
+        reservoir.sort_unstable();
+        reservoir
+    }
+
+    #[test]
+    fn identity_sampler_picks_the_rows_the_hashing_sampler_picked() {
+        for corpus_seed in [5, 6] {
+            for c in reference::columns(corpus_seed) {
+                for n in [1, 10, 1000, 5000] {
+                    for seed in [0x5A17, 9] {
+                        let spec = SampleSpec::DistinctReservoir { n, seed };
+                        let rows = spec.select_rows(&c, c.len());
+                        let want = distinct_reservoir_indices_reference(&c, n, seed);
+                        assert_eq!(rows, want, "{} n={n} seed={seed}", c.name());
+                        let (got, want) = (spec.apply(&c), reference::take(&c, &want));
+                        assert_eq!(reference::wire(&got), reference::wire(&want), "{}", c.name());
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn distinct_floats_are_keyed_like_key_bytes() {
+        let c = Column::floats("f", vec![0.0, -0.0, f64::NAN, -f64::NAN, 1.5, 0.0, 1.5]);
+        let rows = SampleSpec::DistinctReservoir { n: 10, seed: 1 }.select_rows(&c, c.len());
+        assert_eq!(rows, vec![0, 2, 4], "one zero, one NaN, one 1.5");
+    }
 
     #[test]
     fn full_is_identity() {

@@ -130,18 +130,27 @@ impl<'a> ValueRef<'a> {
                 out.extend_from_slice(&i.to_le_bytes());
             }
             ValueRef::Float(x) => {
-                // Normalize -0.0 to 0.0 and NaN to a single bit pattern so
-                // equal-looking floats hash identically.
-                let x = if *x == 0.0 { 0.0 } else { *x };
-                let bits = if x.is_nan() { f64::NAN.to_bits() } else { x.to_bits() };
                 out.push(b'F');
-                out.extend_from_slice(&bits.to_le_bytes());
+                out.extend_from_slice(&float_key_bits(*x).to_le_bytes());
             }
             ValueRef::Text(s) => {
                 out.push(b'T');
                 out.extend_from_slice(s.as_bytes());
             }
         }
+    }
+}
+
+/// The bits a float is keyed by: `-0.0` normalized to `0.0` and every NaN
+/// to one bit pattern, so equal-looking floats have one identity. Shared by
+/// [`ValueRef::key_bytes`] and the distinct sampler.
+pub(crate) fn float_key_bits(x: f64) -> u64 {
+    if x == 0.0 {
+        0.0f64.to_bits()
+    } else if x.is_nan() {
+        f64::NAN.to_bits()
+    } else {
+        x.to_bits()
     }
 }
 
