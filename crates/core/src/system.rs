@@ -872,12 +872,16 @@ impl WarpGate {
     /// degraded serving under admission pressure. With default options
     /// this is exactly [`Self::discover`].
     ///
-    /// Request flow: deadline gate → tenant quota gate → validate →
-    /// admission (shed ⇒ `Overloaded`, or the degraded path when opted
-    /// in) → scan → embed → lookup, with the deadline re-checked at every
-    /// phase boundary. Quota debits are **post-paid**: the tenant is
-    /// billed the scans/bytes the backend actually metered for this call,
-    /// which may push its bucket negative (recovered by refill).
+    /// Request flow: deadline gate → tenant quota gate → admission (shed
+    /// ⇒ `Overloaded`, or the degraded path when opted in — either way the
+    /// backend is not touched) → cache probe → hit: validate → lookup /
+    /// miss: metered scan → embed → lookup, with the deadline re-checked
+    /// at every phase boundary. The scan is its own existence check (an
+    /// unknown column fails `NotFound` before anything is billed), so a
+    /// cold query costs the backend one call. Quota debits are
+    /// **post-paid**: the tenant is billed the scans/bytes the backend
+    /// actually metered for this call, which may push its bucket negative
+    /// (recovered by refill).
     pub fn discover_opts(
         &self,
         query: &ColumnRef,
@@ -893,8 +897,9 @@ impl WarpGate {
         // cache key, unreachable by post-attach lookups.
         let epoch = self.run_epoch(query.backend);
         let backend = self.backend_for(query.backend)?;
-        // Validate the target exists before paying for a scan.
-        backend.validate_column(query)?;
+        // Admission comes before the first backend call: shedding exists
+        // to protect a saturated warehouse, and over WGRP even a free
+        // existence check is a round trip.
         let permit = match self.acquire_admission() {
             Ok(p) => p,
             Err(shed) => {
@@ -909,8 +914,7 @@ impl WarpGate {
         // The meter is read only for a request that bills someone: over
         // WGRP each reading is a round trip.
         let billing = opts.tenant.map(|tenant| (tenant, backend.costs()));
-        let result =
-            self.discover_validated_deadline(&backend, epoch, query, k, &opts.scope, opts.deadline);
+        let result = self.discover_admitted(&backend, epoch, query, k, opts, false);
         drop(permit);
         if let Some((tenant, cost_before)) = billing {
             // Billed even when the call failed mid-flight: scans the
@@ -965,23 +969,27 @@ impl WarpGate {
         Ok(Some(Discovery { query: query.clone(), candidates, timing, outcome }))
     }
 
-    /// [`Self::discover_opts`] after validation and admission — the shared
-    /// body for single queries and batch workers (which validate the whole
-    /// batch up front and must not re-pay a catalog lookup per query). The
+    /// [`Self::discover_opts`] after admission — the shared body for
+    /// single queries and batch workers. `validated` says the caller
+    /// already checked that the column exists (batches validate everything
+    /// up front and must not re-pay a catalog lookup per query); otherwise
+    /// a cache hit checks existence itself, and a miss leaves it to the
+    /// scan, which refuses an unknown column before billing anything. The
     /// cooperative deadline is checked at each phase boundary: before the
     /// billed scan, before embedding, and inside the lookup
     /// (candidate-gen / re-rank / each cold block read). Expiry fails
     /// with [`StoreError::DeadlineExceeded`] naming the phase that would
     /// have run next.
-    fn discover_validated_deadline(
+    fn discover_admitted(
         &self,
         backend: &BackendHandle,
         epoch: u64,
         query: &ColumnRef,
         k: usize,
-        scope: &DiscoverScope,
-        deadline: Deadline,
+        opts: &QueryOptions,
+        validated: bool,
     ) -> StoreResult<Discovery> {
+        let deadline = opts.deadline;
         let mut timing = QueryTiming { backend: Some(query.backend), ..QueryTiming::default() };
         let key = EmbeddingKey::new(
             query,
@@ -992,18 +1000,19 @@ impl WarpGate {
         );
         let vector = match self.cache.get(&key) {
             Some(v) => {
+                if !validated {
+                    backend.validate_column(query)?;
+                }
                 timing.cache_hit = true;
                 v
             }
             None => {
                 deadline.check(Phase::Scan).map_err(deadline_err)?;
-                let cost_before = backend.costs();
                 let sw = Stopwatch::start();
-                let column = backend.scan_column(query, self.config.sample)?;
+                let (column, metered) = backend.scan_column_metered(query, self.config.sample)?;
                 timing.load_secs = sw.elapsed_secs();
-                let cost_delta = backend.costs().since(&cost_before);
-                timing.virtual_load_secs = cost_delta.virtual_secs;
-                timing.retries = cost_delta.retries;
+                timing.virtual_load_secs = metered.virtual_secs;
+                timing.retries = metered.retries;
 
                 deadline.check(Phase::Embed).map_err(deadline_err)?;
                 let sw = Stopwatch::start();
@@ -1025,7 +1034,7 @@ impl WarpGate {
             });
         }
         let (candidates, outcome, lookup_secs) =
-            self.search_vector_deadline(&vector, query, k, scope, deadline)?;
+            self.search_vector_deadline(&vector, query, k, &opts.scope, deadline)?;
         timing.lookup_secs = lookup_secs;
         timing.blocks_read = outcome.blocks_read as u64;
         timing.blocks_pruned = outcome.blocks_pruned as u64;
@@ -1130,14 +1139,13 @@ impl WarpGate {
         opts: &QueryOptions,
         resolved: &FxHashMap<BackendId, (u64, BackendHandle)>,
     ) -> StoreResult<Vec<Discovery>> {
-        let (scope, deadline) = (&opts.scope, opts.deadline);
         let threads = self.config.effective_threads().min(queries.len().max(1));
         if threads <= 1 || queries.len() <= 1 {
             return queries
                 .iter()
                 .map(|q| {
                     let (epoch, backend) = &resolved[&q.backend];
-                    self.discover_validated_deadline(backend, *epoch, q, k, scope, deadline)
+                    self.discover_admitted(backend, *epoch, q, k, opts, true)
                 })
                 .collect();
         }
@@ -1165,7 +1173,7 @@ impl WarpGate {
                         return Ok(produced);
                     }
                     let (epoch, backend) = &resolved[&q.backend];
-                    match self.discover_validated_deadline(backend, *epoch, q, k, scope, deadline) {
+                    match self.discover_admitted(backend, *epoch, q, k, opts, true) {
                         Ok(d) => out.push(d),
                         Err(e) => {
                             abort.store(true, std::sync::atomic::Ordering::Relaxed);
@@ -1342,9 +1350,11 @@ impl WarpGate {
     ) -> StoreResult<wg_embed::Vector> {
         let epoch = self.run_epoch(r.backend);
         let backend = self.backend_for(r.backend)?;
-        let cost_before = backend.costs();
+        // As in `discover_opts`: the meter is read only for a request that
+        // bills someone.
+        let billing = opts.tenant.map(|tenant| (tenant, backend.costs()));
         let result = self.value_embedding(backend.as_ref(), r, epoch, opts.deadline);
-        if let Some(tenant) = opts.tenant {
+        if let Some((tenant, cost_before)) = billing {
             let delta = backend.costs().since(&cost_before);
             self.quotas.debit(tenant, delta.requests, delta.bytes_scanned);
         }
@@ -1368,7 +1378,9 @@ impl WarpGate {
             return Ok(v);
         }
         deadline.check(Phase::Scan).map_err(deadline_err)?;
-        let column = backend.scan_column(r, self.config.sample)?;
+        // The query path's one scan opcode; `joinability` reports no
+        // timing, so the bill that rides along has no reader here.
+        let (column, _metered) = backend.scan_column_metered(r, self.config.sample)?;
         deadline.check(Phase::Embed).map_err(deadline_err)?;
         let vector = self.embedder.embed_column(&column);
         self.cache.put(key, vector.clone());

@@ -25,7 +25,10 @@
 //!   meter.
 //! * **Scans are billed.** `scan_column`/`scan_table` move data and must
 //!   charge the meter proportionally to bytes actually serialized (after
-//!   sampling push-down).
+//!   sampling push-down). A scan of an unknown column fails `NotFound`
+//!   *before* charging — callers rely on the scan being its own existence
+//!   check. `scan_column_metered` is the same scan, also reporting what
+//!   that one call was charged.
 //! * **Version tokens are opaque.** A table's `version` must change
 //!   whenever its content changes, and should not change otherwise.
 //!   Tokens are comparable only against tokens from the *same* backend
@@ -113,6 +116,28 @@ pub trait WarehouseBackend: Send + Sync {
     /// Scan a whole table (one request; all columns share the row
     /// sample). Billed.
     fn scan_table(&self, database: &str, table: &str, sample: SampleSpec) -> StoreResult<Table>;
+
+    /// [`Self::scan_column`] plus what *this call* metered: the column and
+    /// the cost it added (requests, bytes, virtual latency, dollars, and
+    /// any retries middleware spent on it). An unknown column fails
+    /// `NotFound` with nothing billed, like `scan_column`.
+    ///
+    /// The default brackets the scan with two [`Self::costs`] readings, so
+    /// it absorbs whatever concurrent scans moved the shared meter in
+    /// between, and over a network each reading is a round trip. Backends
+    /// that know the exact charge return it instead: the in-process
+    /// connectors hand back what they added to their meter,
+    /// [`crate::RemoteBackend`] carries it in the scan's own response
+    /// frame, and the decorators delegate and add only their own share.
+    fn scan_column_metered(
+        &self,
+        r: &ColumnRef,
+        sample: SampleSpec,
+    ) -> StoreResult<(Column, CostSnapshot)> {
+        let before = self.costs();
+        let column = self.scan_column(r, sample)?;
+        Ok((column, self.costs().since(&before)))
+    }
 
     /// Accumulated scan costs since construction or the last reset.
     fn costs(&self) -> CostSnapshot;

@@ -74,13 +74,22 @@ pub struct CostMeter {
 
 impl CostMeter {
     /// Record one scan request of `bytes` serialized bytes under the given
-    /// pricing model.
-    pub fn charge(&self, config: &CdwConfig, bytes: usize) {
+    /// pricing model. Returns exactly what this request added, in the
+    /// units [`Self::snapshot`] reports.
+    pub fn charge(&self, config: &CdwConfig, bytes: usize) -> CostSnapshot {
         self.requests.fetch_add(1, Ordering::Relaxed);
         self.bytes.fetch_add(bytes as u64, Ordering::Relaxed);
         let secs =
             config.per_request_secs + config.per_mb_secs * (bytes as f64 / (1u64 << 20) as f64);
-        self.virtual_nanos.fetch_add((secs * 1e9) as u64, Ordering::Relaxed);
+        let nanos = (secs * 1e9) as u64;
+        self.virtual_nanos.fetch_add(nanos, Ordering::Relaxed);
+        CostSnapshot {
+            requests: 1,
+            bytes_scanned: bytes as u64,
+            virtual_secs: nanos as f64 / 1e9,
+            usd: bytes as f64 / 1e12 * config.usd_per_tb,
+            retries: 0,
+        }
     }
 
     /// Snapshot the counters.
@@ -150,19 +159,20 @@ impl CostSnapshot {
 /// Serialize a sampled column through the wire codec, charge the meter for
 /// the bytes moved, and parse it back — the round trip every scan of a
 /// remote warehouse pays. Shared by [`CdwConnector`] and
-/// [`crate::CsvBackend`] so both bill identically.
+/// [`crate::CsvBackend`] so both bill identically. Returns the column with
+/// the charge this scan added to `meter`.
 pub(crate) fn wire_scan_column(
     column: &Column,
     sample: SampleSpec,
     config: &CdwConfig,
     meter: &CostMeter,
-) -> StoreResult<Column> {
+) -> StoreResult<(Column, CostSnapshot)> {
     let sampled = sample.apply(column);
     let mut wire = Vec::with_capacity(sampled.approx_bytes() + 64);
     sampled.encode(&mut wire);
-    meter.charge(config, wire.len());
+    let charge = meter.charge(config, wire.len());
     let mut cursor = &wire[..];
-    Ok(Column::decode(&mut cursor)?)
+    Ok((Column::decode(&mut cursor)?, charge))
 }
 
 /// Table-granularity variant of [`wire_scan_column`]: one request, all
@@ -244,9 +254,7 @@ impl CdwConnector {
     /// through a serialize/deserialize round trip, exactly like data pulled
     /// from a real warehouse.
     pub fn scan_column(&self, r: &ColumnRef, sample: SampleSpec) -> StoreResult<Column> {
-        let warehouse = self.warehouse.read();
-        let col = warehouse.column(r)?;
-        wire_scan_column(col, sample, &self.config, &self.meter)
+        self.scan_column_metered(r, sample).map(|(column, _)| column)
     }
 
     /// Scan a whole table (one request; all columns share the row sample).
@@ -288,6 +296,16 @@ impl WarehouseBackend for CdwConnector {
 
     fn scan_column(&self, r: &ColumnRef, sample: SampleSpec) -> StoreResult<Column> {
         CdwConnector::scan_column(self, r, sample)
+    }
+
+    fn scan_column_metered(
+        &self,
+        r: &ColumnRef,
+        sample: SampleSpec,
+    ) -> StoreResult<(Column, CostSnapshot)> {
+        let warehouse = self.warehouse.read();
+        let col = warehouse.column(r)?;
+        wire_scan_column(col, sample, &self.config, &self.meter)
     }
 
     fn scan_table(&self, database: &str, table: &str, sample: SampleSpec) -> StoreResult<Table> {

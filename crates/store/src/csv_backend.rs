@@ -159,6 +159,14 @@ impl WarehouseBackend for CsvBackend {
     }
 
     fn scan_column(&self, r: &ColumnRef, sample: SampleSpec) -> StoreResult<Column> {
+        self.scan_column_metered(r, sample).map(|(column, _)| column)
+    }
+
+    fn scan_column_metered(
+        &self,
+        r: &ColumnRef,
+        sample: SampleSpec,
+    ) -> StoreResult<(Column, CostSnapshot)> {
         let table = self.load_table(&r.database, &r.table)?;
         let col = table.column(&r.column)?;
         wire_scan_column(col, sample, &self.config, &self.meter)

@@ -145,10 +145,11 @@ impl FaultInjector {
     }
 
     /// Decide the fate of one matching scan: count it, then either inject
-    /// a fault or charge the extra latency.
-    fn gate(&self, database: &str, table: &str, what: &str) -> StoreResult<()> {
+    /// a fault or charge the extra latency. Returns the virtual latency
+    /// this scan was charged, nanoseconds.
+    fn gate(&self, database: &str, table: &str, what: &str) -> StoreResult<u64> {
         if !self.plan.matches(database, table) {
-            return Ok(());
+            return Ok(0);
         }
         let n = self.scans.fetch_add(1, Ordering::Relaxed) + 1;
         if self.plan.hang_every > 0 && self.plan.hang_secs > 0.0 && n % self.plan.hang_every == 0 {
@@ -169,11 +170,12 @@ impl FaultInjector {
                 "injected fault on scan #{n} ({what} of {database}.{table})"
             )));
         }
-        if self.plan.extra_latency_secs > 0.0 {
-            self.injected_nanos
-                .fetch_add((self.plan.extra_latency_secs * 1e9) as u64, Ordering::Relaxed);
+        if self.plan.extra_latency_secs <= 0.0 {
+            return Ok(0);
         }
-        Ok(())
+        let nanos = (self.plan.extra_latency_secs * 1e9) as u64;
+        self.injected_nanos.fetch_add(nanos, Ordering::Relaxed);
+        Ok(nanos)
     }
 
     /// Decide the fate of one metadata call (the catalog tier).
@@ -190,6 +192,11 @@ impl FaultInjector {
         }
         Ok(())
     }
+}
+
+/// Injected virtual latency as a cost: nothing but `virtual_secs`.
+fn latency(nanos: u64) -> CostSnapshot {
+    CostSnapshot { virtual_secs: nanos as f64 / 1e9, ..CostSnapshot::default() }
 }
 
 impl WarehouseBackend for FaultInjector {
@@ -212,17 +219,23 @@ impl WarehouseBackend for FaultInjector {
         self.inner.scan_column(r, sample)
     }
 
+    fn scan_column_metered(
+        &self,
+        r: &ColumnRef,
+        sample: SampleSpec,
+    ) -> StoreResult<(Column, CostSnapshot)> {
+        let injected = self.gate(&r.database, &r.table, "scan_column")?;
+        let (column, inner) = self.inner.scan_column_metered(r, sample)?;
+        Ok((column, inner.plus(&latency(injected))))
+    }
+
     fn scan_table(&self, database: &str, table: &str, sample: SampleSpec) -> StoreResult<Table> {
         self.gate(database, table, "scan_table")?;
         self.inner.scan_table(database, table, sample)
     }
 
     fn costs(&self) -> CostSnapshot {
-        let injected = CostSnapshot {
-            virtual_secs: self.injected_nanos.load(Ordering::Relaxed) as f64 / 1e9,
-            ..CostSnapshot::default()
-        };
-        self.inner.costs().plus(&injected)
+        self.inner.costs().plus(&latency(self.injected_nanos.load(Ordering::Relaxed)))
     }
 
     fn reset_costs(&self) {

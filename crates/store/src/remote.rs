@@ -41,6 +41,13 @@
 //! frames, so old clients and new servers (and vice versa, as long as the
 //! context is unused) interoperate unchanged.
 //!
+//! ### Metered scan (still v1)
+//!
+//! [`op::SCAN_COLUMN_METERED`] is additive: opcodes 1–10 keep their frames
+//! byte for byte, so an older client works against this server. A client
+//! that sends it needs a server that knows it (an older one answers
+//! "unknown opcode" as a typed `Codec` error).
+//!
 //! ## Overload protection
 //!
 //! The server bounds its own resources instead of trusting clients: a
@@ -115,6 +122,11 @@ mod op {
     /// and tenant token. See "Request context extension" in the module
     /// docs.
     pub const WITH_CONTEXT: u8 = 10;
+    /// [`SCAN_COLUMN`]'s operands; the ok-body is the cost snapshot the
+    /// server's backend metered for this scan, then the column — a cold
+    /// query's scan and its bill in one round trip
+    /// (`WarehouseBackend::scan_column_metered`).
+    pub const SCAN_COLUMN_METERED: u8 = 11;
 }
 
 // ---------------------------------------------------------------------------
@@ -132,6 +144,16 @@ fn get_column_ref(buf: &mut &[u8]) -> CodecResult<ColumnRef> {
     // under, so the wire carries no backend name and refs land in the
     // default namespace on both sides.
     Ok(ColumnRef::new(get_str(buf)?, get_str(buf)?, get_str(buf)?))
+}
+
+/// Operands shared by [`op::SCAN_COLUMN`] and [`op::SCAN_COLUMN_METERED`].
+fn put_scan_column_operands(buf: &mut Vec<u8>, r: &ColumnRef, sample: SampleSpec) {
+    put_column_ref(buf, r);
+    sample.encode(buf);
+}
+
+fn get_scan_column_operands(buf: &mut &[u8]) -> CodecResult<(ColumnRef, SampleSpec)> {
+    Ok((get_column_ref(buf)?, SampleSpec::decode(buf)?))
 }
 
 fn put_table_meta(buf: &mut Vec<u8>, m: &TableMeta) {
@@ -278,6 +300,13 @@ fn get_column(buf: &mut &[u8]) -> StoreResult<Column> {
     let column = Column::decode(buf)?;
     column.check()?;
     Ok(column)
+}
+
+/// The ok-body of [`op::SCAN_COLUMN_METERED`]: what the scan metered, then
+/// the column, held to the same invariants as a plain scan's.
+fn get_metered_column(buf: &mut &[u8]) -> StoreResult<(Column, CostSnapshot)> {
+    let metered = get_cost_snapshot(buf)?;
+    Ok((get_column(buf)?, metered))
 }
 
 fn get_table(buf: &mut &[u8]) -> StoreResult<Table> {
@@ -628,11 +657,33 @@ fn refuse_connection(stream: &mut TcpStream, config: &RemoteServerConfig) {
     if !config.write_timeout.is_zero() {
         let _ = stream.set_write_timeout(Some(config.write_timeout));
     }
-    let mut buf = Vec::with_capacity(32);
+    let refusal = error_response(&StoreError::Overloaded { retry_after_ms: config.retry_after_ms });
+    let _ = write_frame(stream, &refusal);
+}
+
+/// The response payload for a failed request.
+fn error_response(e: &StoreError) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(64);
     payload_header(&mut buf);
     put_u8(&mut buf, 1);
-    put_store_error(&mut buf, &StoreError::Overloaded { retry_after_ms: config.retry_after_ms });
-    let _ = write_frame(stream, &buf);
+    put_store_error(&mut buf, e);
+    buf
+}
+
+/// Hold a response payload to the frame limit the peer enforces. An
+/// over-limit frame would be rejected by the client's length check as an
+/// I/O error — *retryable*, so `RetryBackend` would re-issue (and the
+/// backend re-bill) the same oversize scan until its attempts ran out.
+/// The typed `Backend` error is fatal: one bill, one clear answer.
+fn bound_response(response: Vec<u8>, limit: usize) -> Vec<u8> {
+    if response.len() <= limit {
+        return response;
+    }
+    error_response(&StoreError::Backend(format!(
+        "response of {} bytes exceeds the WGRP frame limit of {limit} bytes; \
+         sample the scan or narrow it",
+        response.len()
+    )))
 }
 
 /// One connection's request loop.
@@ -656,7 +707,8 @@ fn serve_connection(
             // connection is done.
             Ok(None) | Err(_) => return,
         };
-        let response = handle_request(&payload, backend.as_ref(), shared);
+        let response =
+            bound_response(handle_request(&payload, backend.as_ref(), shared), MAX_FRAME);
         if write_frame(&mut stream, &response).is_err() {
             return;
         }
@@ -670,16 +722,7 @@ fn handle_request(
     backend: &dyn WarehouseBackend,
     shared: &ServerShared,
 ) -> Vec<u8> {
-    match try_handle_request(payload, backend, shared) {
-        Ok(ok_body) => ok_body,
-        Err(e) => {
-            let mut buf = Vec::with_capacity(64);
-            payload_header(&mut buf);
-            put_u8(&mut buf, 1);
-            put_store_error(&mut buf, &e);
-            buf
-        }
-    }
+    try_handle_request(payload, backend, shared).unwrap_or_else(|e| error_response(&e))
 }
 
 fn try_handle_request(
@@ -724,9 +767,14 @@ fn try_handle_request(
             put_table_meta(&mut buf, &backend.table_meta(&database, &table)?);
         }
         op::SCAN_COLUMN => {
-            let r = get_column_ref(&mut cursor)?;
-            let sample = SampleSpec::decode(&mut cursor)?;
+            let (r, sample) = get_scan_column_operands(&mut cursor)?;
             backend.scan_column(&r, sample)?.encode(&mut buf);
+        }
+        op::SCAN_COLUMN_METERED => {
+            let (r, sample) = get_scan_column_operands(&mut cursor)?;
+            let (column, metered) = backend.scan_column_metered(&r, sample)?;
+            put_cost_snapshot(&mut buf, &metered);
+            column.encode(&mut buf);
         }
         op::SCAN_TABLE => {
             let database = get_str(&mut cursor)?;
@@ -892,17 +940,24 @@ impl RemoteBackend {
             let ctx = self.context.lock();
             if ctx.tenant.is_some() || ctx.deadline.is_some() {
                 put_u8(&mut buf, op::WITH_CONTEXT);
-                let remaining_ms = match ctx.deadline.remaining() {
-                    None => u64::MAX,
-                    Some(left) => u64::try_from(left.as_millis()).unwrap_or(u64::MAX),
-                };
-                put_u64(&mut buf, remaining_ms);
+                put_u64(&mut buf, wire_remaining_ms(ctx.deadline.remaining()));
                 put_str(&mut buf, ctx.tenant.as_deref().unwrap_or(""));
             }
         }
         put_u8(&mut buf, opcode);
         operands(&mut buf);
         self.roundtrip(&buf)
+    }
+}
+
+/// A deadline's remaining budget as the context frame carries it: whole
+/// milliseconds **rounded up**, so `0` — which the server sheds as already
+/// expired — goes on the wire only when nothing is left
+/// ([`Deadline::expired`]); `u64::MAX` = no deadline.
+fn wire_remaining_ms(remaining: Option<Duration>) -> u64 {
+    match remaining {
+        None => u64::MAX,
+        Some(left) => u64::try_from(left.as_nanos().div_ceil(1_000_000)).unwrap_or(u64::MAX),
     }
 }
 
@@ -931,11 +986,18 @@ impl WarehouseBackend for RemoteBackend {
     }
 
     fn scan_column(&self, r: &ColumnRef, sample: SampleSpec) -> StoreResult<Column> {
-        let body = self.request(op::SCAN_COLUMN, |buf| {
-            put_column_ref(buf, r);
-            sample.encode(buf);
-        })?;
+        let body = self.request(op::SCAN_COLUMN, |buf| put_scan_column_operands(buf, r, sample))?;
         get_column(&mut &body[..])
+    }
+
+    fn scan_column_metered(
+        &self,
+        r: &ColumnRef,
+        sample: SampleSpec,
+    ) -> StoreResult<(Column, CostSnapshot)> {
+        let body =
+            self.request(op::SCAN_COLUMN_METERED, |buf| put_scan_column_operands(buf, r, sample))?;
+        get_metered_column(&mut &body[..])
     }
 
     fn scan_table(&self, database: &str, table: &str, sample: SampleSpec) -> StoreResult<Table> {
@@ -1103,16 +1165,80 @@ mod tests {
             let server = RemoteBackendServer::serve(forged, "127.0.0.1:0").unwrap();
             let remote = RemoteBackend::connect(server.local_addr().to_string()).unwrap();
             let column = remote.scan_column(&r, SampleSpec::Full);
+            let metered = remote.scan_column_metered(&r, SampleSpec::Full);
             let table = remote.scan_table("db", "t", SampleSpec::Full);
             if ok {
                 assert_eq!(column.unwrap().len(), 3);
+                assert_eq!(metered.unwrap().0.len(), 3);
                 assert_eq!(table.unwrap().num_rows(), 3);
             } else {
                 assert!(matches!(column, Err(StoreError::Schema(_))), "got {column:?}");
+                assert!(matches!(metered, Err(StoreError::Schema(_))), "got {metered:?}");
                 assert!(matches!(table, Err(StoreError::Schema(_))), "got {table:?}");
             }
             server.shutdown();
         }
+    }
+
+    #[test]
+    fn truncated_metered_scan_bodies_are_codec_errors() {
+        let mut body = Vec::new();
+        let metered = CostSnapshot {
+            requests: 1,
+            bytes_scanned: 77,
+            virtual_secs: 0.25,
+            usd: 1e-9,
+            retries: 2,
+        };
+        put_cost_snapshot(&mut body, &metered);
+        Column::text("a", ["x", "y", "x"]).encode(&mut body);
+        let (column, got) = get_metered_column(&mut &body[..]).unwrap();
+        assert_eq!((column.len(), got), (3, metered));
+        for cut in 0..body.len() {
+            let r = get_metered_column(&mut &body[..cut]);
+            assert!(matches!(r, Err(StoreError::Codec(_))), "cut at {cut}: {r:?}");
+        }
+    }
+
+    #[test]
+    fn wire_deadline_rounds_up_to_whole_milliseconds() {
+        // `0` means "already expired" to the server, so only an empty
+        // budget may be sent as 0.
+        for (left, on_wire) in [
+            (Some(Duration::ZERO), 0),
+            (Some(Duration::from_nanos(1)), 1),
+            (Some(Duration::from_millis(1)), 1),
+            (Some(Duration::from_millis(1) + Duration::from_nanos(1)), 2),
+            (None, u64::MAX),
+        ] {
+            assert_eq!(wire_remaining_ms(left), on_wire, "{left:?}");
+        }
+    }
+
+    #[test]
+    fn over_limit_response_becomes_a_typed_fatal_error_frame() {
+        let backend = local_backend();
+        let shared = ServerShared::new(RemoteServerConfig::default());
+        let mut payload = Vec::new();
+        payload_header(&mut payload);
+        put_u8(&mut payload, op::SCAN_COLUMN);
+        put_scan_column_operands(&mut payload, &ColumnRef::new("db", "t", "a"), SampleSpec::Full);
+        let response = handle_request(&payload, backend.as_ref(), &shared);
+
+        // At or under the limit the response goes out untouched.
+        assert_eq!(bound_response(response.clone(), response.len()), response);
+
+        // One byte over: the client must see a failure it will not retry
+        // (a retry would re-bill the same oversize scan).
+        let bounded = bound_response(response.clone(), response.len() - 1);
+        assert!(bounded.len() < response.len());
+        let mut cursor = &bounded[..];
+        check_payload_header(&mut cursor).unwrap();
+        assert_eq!(get_u8(&mut cursor).unwrap(), 1, "must be an error response");
+        let err = get_store_error(&mut cursor).unwrap();
+        assert!(matches!(err, StoreError::Backend(_)), "{err:?}");
+        assert!(!err.is_retryable());
+        assert!(err.to_string().contains("exceeds the WGRP frame limit"), "{err}");
     }
 
     #[test]

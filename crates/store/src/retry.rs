@@ -227,11 +227,26 @@ impl RetryBackend {
 
     /// Run `op`, retrying transient failures under the policy.
     fn call<T>(&self, op: impl Fn() -> StoreResult<T>) -> StoreResult<T> {
+        self.call_metered(op).map(|(v, _)| v)
+    }
+
+    /// [`Self::call`], also returning what this call added to the
+    /// middleware's own meter: its retries and the backoff charged for
+    /// them.
+    fn call_metered<T>(&self, op: impl Fn() -> StoreResult<T>) -> StoreResult<(T, CostSnapshot)> {
         let mut attempts: u32 = 1;
         let mut spent_secs = 0.0_f64;
+        let mut spent_nanos = 0u64;
         loop {
             let err = match op() {
-                Ok(v) => return Ok(v),
+                Ok(v) => {
+                    let own = CostSnapshot {
+                        virtual_secs: spent_nanos as f64 / 1e9,
+                        retries: u64::from(attempts - 1),
+                        ..CostSnapshot::default()
+                    };
+                    return Ok((v, own));
+                }
                 Err(e) => e,
             };
             if !err.is_retryable() {
@@ -254,7 +269,9 @@ impl RetryBackend {
                 return Err(give_up(err));
             }
             spent_secs += delay;
-            self.backoff_nanos.fetch_add((delay * 1e9) as u64, Ordering::Relaxed);
+            let nanos = (delay * 1e9) as u64;
+            spent_nanos += nanos;
+            self.backoff_nanos.fetch_add(nanos, Ordering::Relaxed);
             self.retries.fetch_add(1, Ordering::Relaxed);
             self.clock.sleep(delay);
             attempts += 1;
@@ -277,6 +294,18 @@ impl WarehouseBackend for RetryBackend {
 
     fn scan_column(&self, r: &ColumnRef, sample: SampleSpec) -> StoreResult<Column> {
         self.call(|| self.inner.scan_column(r, sample))
+    }
+
+    fn scan_column_metered(
+        &self,
+        r: &ColumnRef,
+        sample: SampleSpec,
+    ) -> StoreResult<(Column, CostSnapshot)> {
+        // Only the attempt that succeeded reports a charge; the failed
+        // ones are the retries counted here.
+        let ((column, inner), own) =
+            self.call_metered(|| self.inner.scan_column_metered(r, sample))?;
+        Ok((column, inner.plus(&own)))
     }
 
     fn scan_table(&self, database: &str, table: &str, sample: SampleSpec) -> StoreResult<Table> {

@@ -328,3 +328,87 @@ fn degraded_link_latency_shows_up_in_query_timing() {
         d.timing
     );
 }
+
+/// `scan_column_metered` on every backend: the column is `scan_column`'s,
+/// the reported cost is exactly what the call moved the backend's own
+/// meter by — middleware shares included — and an unknown column is
+/// `NotFound` with the meter where it was.
+#[test]
+fn metered_scan_matches_the_plain_scan_and_the_meter_on_every_backend() {
+    let w = parity_warehouse();
+    let priced = |w: &Warehouse| -> BackendHandle {
+        Arc::new(CdwConnector::new(w.clone(), CdwConfig::default()))
+    };
+    // Faults and latency only on the scanned table, so the unknown ref
+    // below (another table) meets the backend itself, not the injector.
+    let on_accounts = |plan: FaultPlan| FaultPlan {
+        only_table: Some(("crm".to_string(), "accounts".to_string())),
+        ..plan
+    };
+
+    let root = csv_root("metered");
+    CsvBackend::export_warehouse(&w, &root).unwrap();
+    let server = RemoteBackendServer::serve(priced(&w), "127.0.0.1:0").expect("loopback server");
+    let no_jitter = RetryPolicy { jitter: 0.0, ..RetryPolicy::default() };
+
+    // (name, backend, retries and middleware latency the metered call —
+    // the backend's second scan — must carry).
+    let cases: Vec<(&str, BackendHandle, u64, f64)> = vec![
+        ("cdw", priced(&w), 0, 0.0),
+        ("csv", Arc::new(CsvBackend::open(&root, CdwConfig::default()).unwrap()), 0, 0.0),
+        (
+            "fault",
+            Arc::new(FaultInjector::new(priced(&w), on_accounts(FaultPlan::slow(0.25)))),
+            0,
+            0.25,
+        ),
+        (
+            "retry",
+            Arc::new(RetryBackend::new(
+                Arc::new(FaultInjector::new(priced(&w), on_accounts(FaultPlan::fail_every(2)))),
+                no_jitter,
+            )),
+            1,
+            no_jitter.nominal_delay_secs(1),
+        ),
+        (
+            "remote",
+            Arc::new(RemoteBackend::connect(server.local_addr().to_string()).expect("connect")),
+            0,
+            0.0,
+        ),
+    ];
+
+    let r = ColumnRef::new("crm", "accounts", "name");
+    let spec = SampleSpec::DistinctReservoir { n: 10, seed: 7 };
+    let expected = priced(&w).scan_column_metered(&r, spec).unwrap();
+    for (name, backend, retries, extra_secs) in cases {
+        let plain = backend.scan_column(&r, spec).unwrap();
+        let before = backend.costs();
+        let (column, metered) = backend.scan_column_metered(&r, spec).unwrap();
+        let moved = backend.costs().since(&before);
+
+        assert_eq!(column, plain, "{name}: metered column differs from scan_column's");
+        assert_eq!(column, expected.0, "{name}: column differs from the bare connector's");
+        assert_eq!(
+            (metered.requests, metered.bytes_scanned, metered.retries),
+            (moved.requests, moved.bytes_scanned, moved.retries),
+            "{name}: {metered:?} vs meter movement {moved:?}"
+        );
+        assert!((metered.virtual_secs - moved.virtual_secs).abs() < 1e-9, "{name}: {metered:?}");
+        assert!((metered.usd - moved.usd).abs() < 1e-15, "{name}: {metered:?}");
+        // One billed scan of the same bytes everywhere; the decorators add
+        // only their own share on top.
+        assert_eq!((metered.requests, metered.bytes_scanned), (1, expected.1.bytes_scanned));
+        assert_eq!(metered.retries, retries, "{name}");
+        let own = metered.virtual_secs - expected.1.virtual_secs;
+        assert!((own - extra_secs).abs() < 1e-9, "{name}: middleware share {own}");
+
+        let before = backend.costs();
+        let err = backend.scan_column_metered(&ColumnRef::new("crm", "nope", "c"), spec);
+        assert!(matches!(err, Err(StoreError::NotFound(_))), "{name}: {err:?}");
+        assert_eq!(backend.costs(), before, "{name}: an unknown column must bill nothing");
+    }
+    server.shutdown();
+    std::fs::remove_dir_all(&root).ok();
+}

@@ -193,3 +193,55 @@ fn concurrent_batch_indexing_loses_nothing() {
     });
     assert_eq!(wg.len(), 24, "12 tables × 2 columns must all be indexed exactly once");
 }
+
+/// Per-query timing reports what *that query's* scan was charged, not a
+/// window of the shared meter: with cold discovers racing on one
+/// connector, the per-query virtual load sums to exactly the connector's
+/// total, and nobody inherits a neighbour's charges.
+#[test]
+fn concurrent_cold_discovers_each_report_only_their_own_scan() {
+    const THREADS: usize = 4;
+    const PER_THREAD: usize = 50;
+
+    let connector =
+        std::sync::Arc::new(CdwConnector::new(churn_warehouse(0), CdwConfig::default()));
+    let wg =
+        WarpGate::with_backend(WarpGateConfig::default().with_cache_capacity(0), connector.clone());
+    wg.index_warehouse().expect("index");
+    connector.reset_costs();
+
+    let queries = [
+        ColumnRef::new("core", "accounts", "name"),
+        ColumnRef::new("core", "accounts", "employees"),
+        ColumnRef::new("core", "industries", "company_name"),
+    ];
+    let start = std::sync::Barrier::new(THREADS);
+    let timings: Vec<QueryTiming> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let (wg, queries, start) = (&wg, &queries, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    (0..PER_THREAD)
+                        .map(|i| {
+                            let q = &queries[(t + i) % queries.len()];
+                            wg.discover(q, 3).expect("cold discover").timing
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        handles.into_iter().flat_map(|h| h.join().expect("no panics")).collect()
+    });
+
+    assert_eq!(timings.len(), THREADS * PER_THREAD);
+    assert!(timings.iter().all(|t| !t.cache_hit && t.retries == 0));
+    let total = connector.costs();
+    assert_eq!(total.requests as usize, THREADS * PER_THREAD, "one billed scan per cold discover");
+    let summed: f64 = timings.iter().map(|t| t.virtual_load_secs).sum();
+    assert!(
+        (summed - total.virtual_secs).abs() < 1e-9,
+        "per-query virtual load {summed} must add up to the meter's {}",
+        total.virtual_secs
+    );
+}

@@ -4,6 +4,7 @@
 //! billing at the phase boundary; an over-quota tenant is rejected while
 //! every other tenant's results stay bit-identical to an unloaded run.
 
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 
 use warpgate::prelude::*;
@@ -222,4 +223,118 @@ fn quota_exhausted_tenant_is_isolated_and_others_stay_bit_identical() {
         .discover_opts(&ColumnRef::new("finance", "industries", "company_name"), 5, &noisy_opts)
         .unwrap_err();
     assert!(matches!(err, StoreError::QuotaExceeded { .. }), "{err:?}");
+}
+
+/// Counts every call that reaches the backend; once armed, a column scan
+/// parks between two barriers so a test can hold an admission slot inside
+/// the backend for as long as it needs.
+struct GatedBackend {
+    inner: Arc<CdwConnector>,
+    calls: AtomicU64,
+    armed: AtomicBool,
+    entered: Barrier,
+    release: Barrier,
+}
+
+impl GatedBackend {
+    fn count(&self) {
+        self.calls.fetch_add(1, Ordering::SeqCst);
+    }
+}
+
+impl WarehouseBackend for GatedBackend {
+    fn name(&self) -> String {
+        self.count();
+        WarehouseBackend::name(self.inner.as_ref())
+    }
+    fn list_tables(&self) -> Result<Vec<TableMeta>, StoreError> {
+        self.count();
+        self.inner.list_tables()
+    }
+    fn table_meta(&self, database: &str, table: &str) -> Result<TableMeta, StoreError> {
+        self.count();
+        WarehouseBackend::table_meta(self.inner.as_ref(), database, table)
+    }
+    fn scan_column(&self, r: &ColumnRef, sample: SampleSpec) -> Result<Column, StoreError> {
+        self.count();
+        if self.armed.load(Ordering::SeqCst) {
+            self.entered.wait();
+            self.release.wait();
+        }
+        self.inner.scan_column(r, sample)
+    }
+    fn scan_table(&self, db: &str, table: &str, sample: SampleSpec) -> Result<Table, StoreError> {
+        self.count();
+        self.inner.scan_table(db, table, sample)
+    }
+    fn costs(&self) -> wg_store::CostSnapshot {
+        self.count();
+        self.inner.costs()
+    }
+    fn reset_costs(&self) {
+        self.count();
+        self.inner.reset_costs()
+    }
+    fn validate_column(&self, r: &ColumnRef) -> Result<(), StoreError> {
+        self.count();
+        self.inner.validate_column(r)
+    }
+}
+
+/// Shedding protects the warehouse: with the only admission slot held
+/// inside a scan, a shed `discover` — refused outright, served degraded
+/// from cache, or asking for a column that does not exist — makes zero
+/// backend calls.
+#[test]
+fn shed_requests_never_touch_the_backend() {
+    let gated = Arc::new(GatedBackend {
+        inner: Arc::new(CdwConnector::new(warehouse(), CdwConfig::free())),
+        calls: Default::default(),
+        armed: Default::default(),
+        entered: Barrier::new(2),
+        release: Barrier::new(2),
+    });
+    let wg = WarpGate::with_backend(
+        WarpGateConfig { threads: 1, ..Default::default() }.with_admission(1, 0, 0),
+        gated.clone(),
+    );
+    wg.index_warehouse().expect("index");
+    let warm_q = ColumnRef::new("crm", "accounts", "name");
+    let warm = wg.discover(&warm_q, 3).expect("warm the cache");
+    gated.armed.store(true, Ordering::SeqCst);
+
+    let cold_q = ColumnRef::new("finance", "industries", "company_name");
+    let unknown = ColumnRef::new("crm", "accounts", "nope");
+    let shed = |q: &ColumnRef, allow_degraded: bool| {
+        wg.discover_opts(q, 3, &QueryOptions { allow_degraded, ..Default::default() })
+    };
+    // Everything is gathered while the slot is held and judged only after
+    // the holder is released, so a failed expectation cannot strand it.
+    let (refused, degraded, calls_during_shedding) = std::thread::scope(|scope| {
+        let holder = scope.spawn(|| wg.discover(&ColumnRef::new("crm", "leads", "company"), 3));
+        // The holder now sits inside its scan, admission slot in hand.
+        gated.entered.wait();
+        let calls = gated.calls.load(Ordering::SeqCst);
+        let refused: Vec<_> =
+            [(&warm_q, false), (&cold_q, false), (&cold_q, true), (&unknown, false)]
+                .map(|(q, allow_degraded)| (q, shed(q, allow_degraded)))
+                .into_iter()
+                .collect();
+        let degraded = shed(&warm_q, true);
+        let calls_during_shedding = gated.calls.load(Ordering::SeqCst) - calls;
+
+        gated.armed.store(false, Ordering::SeqCst);
+        gated.release.wait();
+        holder.join().expect("holder must not panic").expect("the admitted query completes");
+        (refused, degraded, calls_during_shedding)
+    });
+
+    for (q, outcome) in refused {
+        assert!(matches!(outcome, Err(StoreError::Overloaded { .. })), "{q}: {outcome:?}");
+    }
+    let degraded = degraded.expect("warm cache answers a shed request");
+    assert!(degraded.timing.degraded && degraded.timing.cache_hit);
+    assert_eq!(degraded.candidates, warm.candidates);
+    assert_eq!(calls_during_shedding, 0, "a shed request must not reach the backend");
+    assert!(wg.admission_stats().expect("admission is on").shed_queue_full >= 5);
 }

@@ -5,7 +5,8 @@
 //!
 //! Ranking parity with in-process backends is pinned in
 //! `backend_parity.rs`; this suite covers the service behaviors the
-//! protocol adds.
+//! protocol adds, and the **round-trip budget**: how many WGRP frames each
+//! facade call may cost.
 
 use std::sync::Arc;
 
@@ -160,5 +161,73 @@ fn degraded_remote_link_latency_reaches_query_timing() {
         "server-side latency missing from timing: {:?}",
         d.timing
     );
+    server.shutdown();
+}
+
+/// Request frames the server has seen from `tenant` (each gets exactly one
+/// response frame): the server's own ledger, so nothing is inferred from
+/// the client side.
+fn frames(server: &RemoteBackendServer, tenant: &str) -> u64 {
+    server.tenant_requests().into_iter().find(|(t, _)| t == tenant).map_or(0, |(_, n)| n)
+}
+
+/// A client whose frames the server accounts under `tenant`.
+fn tagged_client(server: &RemoteBackendServer, tenant: &str) -> BackendHandle {
+    let client = RemoteBackend::connect(server.local_addr().to_string()).expect("connect");
+    client.set_tenant(Some(tenant.to_string()));
+    Arc::new(client)
+}
+
+/// The round-trip budget (DESIGN.md §7): what each facade call costs on
+/// the wire. A cold query is one frame each way — the scan carries its own
+/// bill and is its own existence check.
+#[test]
+fn round_trip_budget_per_facade_call() {
+    let connector = Arc::new(CdwConnector::new(warehouse(), CdwConfig::free()));
+    let served: BackendHandle = connector.clone();
+    let server = RemoteBackendServer::serve(served, "127.0.0.1:0").expect("loopback server");
+
+    let wg = WarpGate::with_backend(WarpGateConfig::default(), tagged_client(&server, "bare"));
+    wg.index_warehouse().expect("index over TCP");
+    let spent = |f: &dyn Fn()| {
+        let before = frames(&server, "bare");
+        f();
+        frames(&server, "bare") - before
+    };
+
+    let q = ColumnRef::new("crm", "accounts", "name");
+    let cold = spent(&|| assert!(!wg.discover(&q, 3).expect("cold").timing.cache_hit));
+    assert_eq!(cold, 1, "cold discover: the metered scan and nothing else");
+    let warm = spent(&|| assert!(wg.discover(&q, 3).expect("warm").timing.cache_hit));
+    assert_eq!(warm, 1, "warm discover: the existence check and nothing else");
+
+    let billed = connector.costs();
+    let unknown = spent(&|| {
+        let err = wg.discover(&ColumnRef::new("crm", "accounts", "nope"), 3).unwrap_err();
+        assert!(matches!(err, StoreError::NotFound(_)), "got {err:?}");
+    });
+    assert_eq!(unknown, 1, "an unknown uncached column is refused by the scan itself");
+    assert_eq!(connector.costs(), billed, "and bills nothing");
+
+    let pair = spent(&|| {
+        let a = ColumnRef::new("crm", "accounts", "employees");
+        let b = ColumnRef::new("finance", "industries", "company_name");
+        wg.joinability(&a, &b).expect("cold joinability");
+    });
+    assert_eq!(pair, 2, "cold joinability: two scans");
+
+    // Nothing changed behind the server: version tokens, plus the meter
+    // readings that bracket the (empty) run for `SyncReport::cost`.
+    let noop = spent(&|| assert!(wg.sync().expect("no-op sync").is_noop()));
+    assert_eq!(noop, 5, "no-op sync: snapshot_versions + 4 costs");
+
+    // The documented resilient stack gets the same single frame.
+    let stack: BackendHandle =
+        Arc::new(RetryBackend::with_defaults(tagged_client(&server, "retry")));
+    let resilient = WarpGate::with_backend(WarpGateConfig::default(), stack);
+    resilient.index_warehouse().expect("index through the retry stack");
+    let before = frames(&server, "retry");
+    assert!(!resilient.discover(&q, 3).expect("cold through retry").timing.cache_hit);
+    assert_eq!(frames(&server, "retry") - before, 1, "RetryBackend(RemoteBackend) cold discover");
     server.shutdown();
 }
