@@ -46,7 +46,7 @@ pub struct WarpGateConfig {
     pub cache_capacity: usize,
     /// Rows per block when sealing the index into paged segment files
     /// ([`crate::WarpGate::save_paged`]): the unit of disk I/O, cache
-    /// residency, and zone-map pruning in the beyond-RAM tier.
+    /// residency, and pruning in the beyond-RAM tier.
     pub block_rows: usize,
     /// Byte budget of the block cache serving paged segments. Blocks past
     /// the budget evict LRU; 0 means unbounded (everything read stays

@@ -50,11 +50,11 @@
 //!
 //! **Paged snapshots** (DESIGN.md §11) are the beyond-RAM alternative:
 //! [`WarpGate::save_paged`] seals every shard's rows into a checksummed
-//! `seg-N.seg` segment file (vectors in fixed-size blocks with zone maps,
+//! `seg-N.seg` segment file (vectors in fixed-size blocks with row sketches,
 //! see `wg_lsh::paged`) next to a small [`PAGED_MANIFEST`] holding the
 //! geometry, registry, sync tokens, and segment list.
 //! [`WarpGate::load_paged`] restores by attaching those segments
-//! **lazily**: block metadata (ids, signatures, norms, zone maps) loads at
+//! **lazily**: block metadata (ids, signatures, norms, row sketches) loads at
 //! open, but vector payloads stay on disk until a query's exact re-rank
 //! actually needs them, served through the system's byte-budgeted block
 //! cache.
@@ -309,7 +309,7 @@ impl WarpGate {
     /// Seal the system's state into a **paged snapshot directory**: one
     /// checksummed `seg-N.seg` segment file per non-empty index shard
     /// (fixed `block_rows`-row blocks of vectors, each block carrying
-    /// resident ids, signatures, norms, and zone maps — see
+    /// resident ids, signatures, norms, and row sketches — see
     /// `wg_lsh::paged`), plus a small [`PAGED_MANIFEST`] with the
     /// geometry, the id → column registry, the durable sync tokens, and
     /// the segment list, all under a WGFT integrity footer. Every file is
@@ -364,7 +364,7 @@ impl WarpGate {
 
     /// Restore from a paged snapshot directory written by
     /// [`Self::save_paged`] — **lazily**: segment directories and block
-    /// metadata (ids, signatures, norms, zone maps) load now, so every
+    /// metadata (ids, signatures, norms, row sketches) load now, so every
     /// sealed row becomes searchable, but vector payloads stay on disk
     /// until a query's exact re-rank reads their block through the
     /// system's byte-budgeted cache. Item ids recompose through backend
@@ -956,8 +956,11 @@ mod tests {
 
     #[test]
     fn paged_load_rejects_corrupt_manifest_and_segments() {
+        // One shard, so the one segment holds both columns and a query for
+        // either reads its only block.
+        let config = WarpGateConfig::default().with_shards(1);
         let c = connector();
-        let wg = WarpGate::with_backend(WarpGateConfig::default(), c.clone());
+        let wg = WarpGate::with_backend(config, c.clone());
         wg.index_warehouse().unwrap();
         let dir = temp_path("paged_bad");
         wg.save_paged(&dir).unwrap();
@@ -968,36 +971,36 @@ mod tests {
         let mut bad = good.clone();
         bad[12] ^= 0x08;
         std::fs::write(&manifest, &bad).unwrap();
-        let mut fresh = WarpGate::with_backend(WarpGateConfig::default(), c.clone());
+        let mut fresh = WarpGate::with_backend(config, c.clone());
         let err = fresh.load_paged(&dir).unwrap_err();
         assert!(matches!(err, StoreError::SnapshotCorrupt(_)), "{err}");
         assert_eq!(fresh.len(), 0, "failed paged load must not partially mutate");
         std::fs::write(&manifest, &good).unwrap();
 
-        // Flip one segment byte. Either the flip sits in metadata and the
-        // segment's directory/meta checksums reject it at open — before
-        // any state installs — or it sits in a payload block, where the
-        // block CRC refuses to serve it on first read.
+        // Flip one byte of the segment's directory: its checksum rejects
+        // the segment at open, before any state installs.
         let seg = dir.join("seg-0.seg");
         let seg_good = std::fs::read(&seg).unwrap();
         let mut seg_bad = seg_good.clone();
-        let mid = seg_bad.len() / 2;
-        seg_bad[mid] ^= 0x20;
+        let in_directory = seg_bad.len() - segment::TRAILER_LEN - 8;
+        seg_bad[in_directory] ^= 0x20;
         std::fs::write(&seg, &seg_bad).unwrap();
-        let mut fresh = WarpGate::with_backend(WarpGateConfig::default(), c);
-        match fresh.load_paged(&dir) {
-            Err(e) => {
-                assert!(matches!(e, StoreError::SnapshotCorrupt(_)), "{e}");
-                assert_eq!(fresh.len(), 0);
-            }
-            Ok(()) => {
-                let q = ColumnRef::new("db", "a", "x");
-                let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    fresh.discover(&q, 3).map(|d| d.candidates.len())
-                }));
-                assert!(res.is_err(), "a payload flip must never serve silently");
-            }
-        }
+        let mut fresh = WarpGate::with_backend(config, c.clone());
+        let err = fresh.load_paged(&dir).unwrap_err();
+        assert!(matches!(err, StoreError::SnapshotCorrupt(_)), "{err}");
+        assert_eq!(fresh.len(), 0);
+
+        // Flip one payload byte: the restore is lazy and succeeds, and the
+        // block CRC refuses to serve the block on first read — as a typed
+        // error.
+        let mut seg_bad = seg_good.clone();
+        seg_bad[segment::PREAMBLE_LEN + 5] ^= 0x20;
+        std::fs::write(&seg, &seg_bad).unwrap();
+        let mut fresh = WarpGate::with_backend(config, c);
+        fresh.load_paged(&dir).unwrap();
+        let q = ColumnRef::new("db", "a", "x");
+        let err = fresh.discover(&q, 3).expect_err("a payload flip must never serve");
+        assert!(matches!(err, StoreError::Backend(_)), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

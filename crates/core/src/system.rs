@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 use wg_embed::{ColumnEmbedder, EmbeddingModel, WebTableConfig, WebTableModel};
-use wg_lsh::{DiscoverScope, LshParams, SearchOutcome, ShardedLshIndex};
+use wg_lsh::{DiscoverScope, LshParams, SearchError, SearchOutcome, ShardedLshIndex};
 use wg_store::{
     BackendHandle, BackendId, BackendRegistry, ColumnRef, CostSnapshot, KeyNorm, StoreError,
     StoreResult, Table, TableMeta, TableRef, WarehouseBackend,
@@ -1244,7 +1244,7 @@ impl WarpGate {
         scope: &DiscoverScope,
     ) -> (Vec<JoinCandidate>, SearchOutcome, f64) {
         self.search_vector_deadline(vector, query, k, scope, Deadline::none())
-            .expect("an unlimited deadline never expires")
+            .unwrap_or_else(|e| panic!("lookup without a deadline failed: {e}"))
     }
 
     /// [`Self::search_vector`] under a cooperative deadline, threaded into
@@ -1265,7 +1265,12 @@ impl WarpGate {
         let (hits, outcome) = self
             .index
             .search_scoped_deadline_with_outcome(vector.as_slice(), k, scope, deadline, exclude)
-            .map_err(deadline_err)?;
+            .map_err(|e| match e {
+                SearchError::Expired(phase) => deadline_err(phase),
+                // A cold block that no longer reads back intact: the paged
+                // tier is this system's own storage backend.
+                storage @ SearchError::Storage(_) => StoreError::Backend(storage.to_string()),
+            })?;
         let lookup_secs = sw.elapsed_secs();
         let candidates = hits
             .into_iter()

@@ -27,8 +27,9 @@ pub struct QueryTiming {
     /// Segment blocks the lookup read from the paged tier (0 when every
     /// candidate was RAM-resident). Sums through [`Self::add`].
     pub blocks_read: u64,
-    /// Segment blocks the lookup skipped because their zone map proved
-    /// they could not reach the running top-k. Sums through [`Self::add`].
+    /// Segment blocks the lookup skipped because the resident row bounds
+    /// proved none of their candidate rows could reach the running top-k.
+    /// Sums through [`Self::add`].
     pub blocks_pruned: u64,
     /// True when the query embedding came out of the system's embedding
     /// cache: the scan and embed phases were skipped entirely, so

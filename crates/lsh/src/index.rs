@@ -11,6 +11,7 @@ use std::sync::Arc;
 use wg_util::codec::{self, CodecError, CodecResult};
 use wg_util::deadline::{Deadline, Phase};
 use wg_util::kernel::{self, scratch};
+use wg_util::segment::SegmentError;
 use wg_util::{FxHashMap, TopK};
 
 use crate::arena::VectorArena;
@@ -38,13 +39,46 @@ pub struct SearchOutcome {
     /// Distinct candidates that came out of the band buckets.
     pub candidates: usize,
     /// How many survived the exclusion filter and were scored exactly
-    /// (zone-map-pruned cold rows are never scored and do not count).
+    /// (cold rows their bound pruned are never scored and do not count).
     pub scored: usize,
     /// Cold blocks whose payload was fetched for exact scoring.
     pub blocks_read: usize,
-    /// Cold blocks skipped because their zone map proved no row could
-    /// reach the current top-k.
+    /// Cold blocks skipped because the row bounds proved none of their
+    /// candidate rows could reach the current top-k.
     pub blocks_pruned: usize,
+}
+
+/// Why a search under a [`Deadline`] returned no ranking.
+#[derive(Debug)]
+pub enum SearchError {
+    /// The budget ran out at this phase boundary.
+    Expired(Phase),
+    /// A cold block could not be read back intact (I/O failure, or a
+    /// payload that no longer matches its checksum).
+    Storage(SegmentError),
+}
+
+impl std::fmt::Display for SearchError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SearchError::Expired(phase) => write!(f, "deadline expired at {phase}"),
+            SearchError::Storage(e) => write!(f, "paged tier: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for SearchError {}
+
+impl From<Phase> for SearchError {
+    fn from(phase: Phase) -> Self {
+        SearchError::Expired(phase)
+    }
+}
+
+impl From<SegmentError> for SearchError {
+    fn from(e: SegmentError) -> Self {
+        SearchError::Storage(e)
+    }
 }
 
 /// Where a cold row lives — segment slot, block, row-in-block — packed
@@ -86,11 +120,13 @@ impl ColdLoc {
 }
 
 /// Per-thread buffers of the cold re-rank pass, so a steady-state query
-/// allocates nothing for it: the candidate rows, and the `(bound, start,
+/// allocates nothing for it: the candidate rows, each row's upper bound
+/// (aligned with the sorted rows), and the `(largest row bound, start,
 /// end)` block groups over them.
 #[derive(Default)]
 struct ColdScratch {
     rows: Vec<(ColdLoc, ItemId)>,
+    bounds: Vec<f64>,
     groups: Vec<(f64, usize, usize)>,
 }
 
@@ -130,7 +166,14 @@ pub struct SimHashLshIndex {
 /// replica of [`SimHashLshIndex::score_slot`] over cold data: same kernel
 /// dot, same stored norm, same clamp, so bit-identical to the hot path.
 #[inline]
-fn score_row(query: &[f32], qnorm: f32, norm: f32, data: &[f32], row: usize, dim: usize) -> f64 {
+pub(crate) fn score_row(
+    query: &[f32],
+    qnorm: f32,
+    norm: f32,
+    data: &[f32],
+    row: usize,
+    dim: usize,
+) -> f64 {
     let denom = qnorm * norm;
     if denom <= f32::MIN_POSITIVE {
         return 0.0;
@@ -612,14 +655,17 @@ impl SimHashLshIndex {
             Deadline::none(),
             exclude,
         )
-        .expect("an unlimited deadline never expires")
+        .unwrap_or_else(|e| panic!("search without a deadline failed: {e}"))
     }
 
     /// [`Self::search_signed_scoped_with_outcome`] under a cooperative
     /// [`Deadline`]: the budget is checked before candidate generation,
     /// before the exact re-rank, and before *every cold block read* — an
     /// expired request stops without fetching another block from the
-    /// paged tier. `Err(phase)` names the boundary the budget died at.
+    /// paged tier. [`SearchError::Expired`] names the boundary the budget
+    /// died at; [`SearchError::Storage`] carries a cold block that could
+    /// not be read back intact (it was not cached, and nothing else was
+    /// disturbed: the next search reads what it needs afresh).
     pub fn search_signed_scoped_deadline_with_outcome(
         &self,
         query: &[f32],
@@ -628,14 +674,14 @@ impl SimHashLshIndex {
         scope: &DiscoverScope,
         deadline: Deadline,
         exclude: impl Fn(ItemId) -> bool,
-    ) -> Result<(Vec<(ItemId, f32)>, SearchOutcome), Phase> {
+    ) -> Result<(Vec<(ItemId, f32)>, SearchOutcome), SearchError> {
         deadline.check(Phase::CandidateGen)?;
         let mut candidates = scratch::take_ids();
         self.candidates_signed_scoped_into(sig, scope, &mut candidates);
         let total = candidates.len();
         if let Err(phase) = deadline.check(Phase::Rerank) {
             scratch::put_ids(candidates);
-            return Err(phase);
+            return Err(phase.into());
         }
         let qnorm = kernel::norm_sq(query).sqrt();
         let mut slots = scratch::take_ids();
@@ -677,17 +723,19 @@ impl SimHashLshIndex {
         Ok((results, SearchOutcome { candidates: total, scored, blocks_read, blocks_pruned }))
     }
 
-    /// Cold pass of the exact re-rank: group candidate rows by block,
-    /// visit blocks in descending zone-map upper bound (tight blocks fill
-    /// the heap early, raising the threshold for the rest), and skip any
-    /// block whose bound falls strictly below a *full* heap's threshold.
-    /// Returns `(blocks read, blocks pruned, rows scored)`.
+    /// Cold pass of the exact re-rank: bound every candidate row from its
+    /// resident sketch, group the rows by block, visit blocks in descending
+    /// largest-row-bound (the rows most likely to score high fill the heap
+    /// first, raising the threshold for the rest), stop at the first block
+    /// whose bound falls strictly below a *full* heap's threshold, and
+    /// inside a fetched block score only the rows whose own bound still
+    /// reaches it. Returns `(blocks read, blocks pruned, rows scored)`.
     ///
-    /// Correctness of the skip: the bound dominates every exact f32 score
-    /// in the block (see [`crate::paged::ZoneMap::cosine_upper_bound`]) and
-    /// the heap threshold only rises, so every skipped row scores strictly
-    /// below the final k-th result — the returned top-k is bit-identical
-    /// to scoring everything, by [`TopK`]'s push-order independence.
+    /// Correctness of the skip: a row's bound dominates its exact f32 score
+    /// (see [`crate::paged::BlockMeta::cosine_upper_bound`]) and the heap
+    /// threshold only rises, so every skipped row scores strictly below
+    /// the final k-th result — the returned top-k is bit-identical to
+    /// scoring everything, by [`TopK`]'s push-order independence.
     fn score_cold_rows(
         &self,
         query: &[f32],
@@ -695,8 +743,8 @@ impl SimHashLshIndex {
         scratch: &mut ColdScratch,
         deadline: Deadline,
         topk: &mut TopK<ItemId>,
-    ) -> Result<(usize, usize, usize), Phase> {
-        let ColdScratch { rows, groups } = scratch;
+    ) -> Result<(usize, usize, usize), SearchError> {
+        let ColdScratch { rows, bounds, groups } = scratch;
         if rows.is_empty() {
             return Ok((0, 0, 0));
         }
@@ -707,33 +755,35 @@ impl SimHashLshIndex {
         let dim = self.dim();
         // A row's location is unique, so the key alone orders the rows.
         rows.sort_unstable_by_key(|&(loc, _)| loc);
-        // Group boundaries over the (seg, block)-sorted rows, with the
-        // zone-map bound for each group.
+        // Group boundaries over the (seg, block)-sorted rows, with every
+        // row's bound and the largest of each group.
+        bounds.clear();
         groups.clear();
         let mut start = 0usize;
         while start < rows.len() {
             let first = rows[start].0;
-            let mut end = start + 1;
+            let meta = segment(first).block_meta(first.block());
+            let mut end = start;
+            let mut largest = f64::NEG_INFINITY;
             while end < rows.len() && rows[end].0.same_block(first) {
+                let ub = meta.cosine_upper_bound(rows[end].0.row(), query, qnorm);
+                bounds.push(ub);
+                largest = largest.max(ub);
                 end += 1;
             }
-            let zone = &segment(first).block_meta(first.block()).zone;
-            groups.push((zone.cosine_upper_bound(query, qnorm), start, end));
+            groups.push((largest, start, end));
             start = end;
         }
-        // Descending bound; equal bounds keep (seg, block) order, which is
-        // ascending `start`.
-        groups.sort_unstable_by(|a, b| {
-            b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal).then(a.1.cmp(&b.1))
-        });
+        // Descending bound (never NaN); equal bounds keep (seg, block)
+        // order, which is ascending `start`.
+        groups.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
 
-        let (mut blocks_read, mut blocks_pruned, mut scored) = (0usize, 0usize, 0usize);
-        for &(ub, start, end) in groups.iter() {
-            if let Some(threshold) = topk.threshold() {
-                if ub < threshold {
-                    blocks_pruned += 1;
-                    continue;
-                }
+        let (mut blocks_read, mut scored) = (0usize, 0usize);
+        for &(largest, start, end) in groups.iter() {
+            // Bounds descend and the threshold only rises: once one block
+            // is out, so is every block after it.
+            if topk.threshold().is_some_and(|threshold| largest < threshold) {
+                break;
             }
             // The budget check sits directly in front of the block fetch:
             // a cold read is the most expensive step a query can take, so
@@ -742,19 +792,20 @@ impl SimHashLshIndex {
             let first = rows[start].0;
             let seg = segment(first);
             let meta = seg.block_meta(first.block());
-            let data = seg
-                .block(first.block())
-                .unwrap_or_else(|e| panic!("paged tier lost a sealed block: {e}"));
+            let data = seg.block(first.block())?;
             blocks_read += 1;
-            for &(loc, id) in &rows[start..end] {
+            for (&(loc, id), &ub) in rows[start..end].iter().zip(&bounds[start..end]) {
+                if topk.threshold().is_some_and(|threshold| ub < threshold) {
+                    continue;
+                }
                 topk.push(
                     score_row(query, qnorm, meta.norms[loc.row()], &data, loc.row(), dim),
                     id,
                 );
+                scored += 1;
             }
-            scored += end - start;
         }
-        Ok((blocks_read, blocks_pruned, scored))
+        Ok((blocks_read, groups.len() - blocks_read, scored))
     }
 
     /// Exact search over *all* stored vectors (ignores the LSH buckets) —
@@ -1131,6 +1182,92 @@ mod tests {
         assert!(read > 0, "cold blocks never hydrated");
         let _ = pruned;
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Top-2 of a query built to sit exactly where an understated residual
+    /// prunes wrongly, from an index whose rows went through `seal`; the
+    /// second value is the same search over the rows held hot.
+    ///
+    /// Every row is a spike on dim 0 plus components too small for the
+    /// int8 grid (under half a step), so its sketch is `[127, 0, 0, …]`
+    /// and everything else is residual. The query runs along `u`, the
+    /// shared residual direction of the target and the near rows —
+    /// Cauchy–Schwarz at equality, where the bound has only `UB_SLACK`
+    /// to spare. Block 0 holds a decoy with the largest residual (off `u`,
+    /// true score 0) next to three near rows scoring 96–97% of the target:
+    /// it is visited first and fills the heap with those; the target sits
+    /// alone in block 1 with its true score above that threshold, its
+    /// honest bound above its true score, and 90% of that bound below the
+    /// threshold.
+    #[allow(clippy::type_complexity)]
+    fn search_the_residual_trap(
+        tag: &str,
+        seal: fn(&std::path::Path, usize, usize, usize, Vec<SegmentRow>) -> std::io::Result<usize>,
+    ) -> (Vec<(ItemId, f32)>, Vec<(ItemId, f32)>) {
+        const DIM: usize = 128;
+        let params = LshParams { bands: 4, rows: 16 };
+        let row = |along_u: f32, off_u: f32| {
+            let mut v = vec![0.0f32; DIM];
+            v[0] = 1.0;
+            v[1..64].fill(along_u);
+            v[64..].fill(off_u);
+            v
+        };
+        let vectors = [
+            row(0.0, 0.0035), // the decoy: residual 0.028, nothing along u
+            row(0.97 * 0.003, 0.0),
+            row(0.965 * 0.003, 0.0),
+            row(0.96 * 0.003, 0.0),
+            row(0.003, 0.0), // the target: residual 0.0238, all of it along u
+        ];
+        // One signature for every row and the query: one bucket, and a
+        // block layout decided by id alone.
+        let sig = Signature { words: vec![0], bits: params.bits() };
+        let mut hot = SimHashLshIndex::new(DIM, params, 1);
+        let mut rows = Vec::new();
+        for (id, v) in vectors.iter().enumerate() {
+            hot.insert_signed(id as ItemId, v, sig.clone());
+            rows.push(SegmentRow {
+                id: id as ItemId,
+                signature: sig.clone(),
+                norm: kernel::norm_sq(v).sqrt(),
+                vector: v.clone(),
+            });
+        }
+        let dir = std::env::temp_dir().join(format!("wg-index-{tag}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("create temp dir");
+        let path = dir.join("seg.wgs");
+        assert_eq!(seal(&path, DIM, params.bits(), 4, rows).expect("seal"), 2);
+        let cache = crate::paged::BlockCache::new(0);
+        let seg = Arc::new(VectorSegment::open(&path, cache).expect("open"));
+        let mut paged = SimHashLshIndex::new(DIM, params, 1);
+        paged.attach_segment(seg, |_| true).expect("attach");
+
+        let mut query = vec![0.0f32; DIM];
+        query[1..64].fill(1.0);
+        let from_disk = paged.search_signed_with_outcome(&query, &sig, 2, |_| false).0;
+        let from_ram = hot.search_signed_with_outcome(&query, &sig, 2, |_| false).0;
+        std::fs::remove_dir_all(&dir).ok();
+        (from_disk, from_ram)
+    }
+
+    /// Mutation check of the parity suite: the same assertion that holds
+    /// for the real writer must fail for one whose residuals are 10% short.
+    /// If this test fails on its second half, the suite has stopped being
+    /// able to see an unsound bound.
+    #[test]
+    fn an_understated_residual_breaks_parity_and_the_suite_sees_it() {
+        let (paged, hot) =
+            search_the_residual_trap("trap-honest", crate::paged::write_vector_segment);
+        assert_eq!(hot.iter().map(|h| h.0).collect::<Vec<_>>(), [4, 1], "the trap is mis-built");
+        assert_eq!(paged, hot, "the real writer's bound must keep the target");
+
+        let (paged, hot) = search_the_residual_trap(
+            "trap-mutant",
+            crate::paged::write_vector_segment_understating,
+        );
+        assert_eq!(hot.iter().map(|h| h.0).collect::<Vec<_>>(), [4, 1]);
+        assert_ne!(paged, hot, "a bound 10% short of the residual must lose the target");
     }
 
     #[test]

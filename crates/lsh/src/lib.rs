@@ -21,15 +21,18 @@
 //! * [`shard`] — the concurrent [`ShardedLshIndex`]: items partitioned by
 //!   id across independently locked [`SimHashLshIndex`] shards, fan-out
 //!   search with single-signing and top-k merge;
-//! * [`paged`] — the beyond-RAM tier: sealed segment files with per-block
-//!   zone maps, a shared byte-budgeted [`BlockCache`], and lazy block
-//!   hydration feeding the exact re-ranker without full residency;
+//! * [`paged`] — the beyond-RAM tier: sealed segment files whose directory
+//!   keeps an int8 sketch of every row resident (the bound that decides
+//!   which blocks a query reads at all), a shared byte-budgeted
+//!   [`BlockCache`], and lazy block hydration feeding the exact re-ranker
+//!   without full residency;
 //! * [`exact`] — a brute-force index with the same search interface (the
 //!   ANN-quality baseline for ablations);
 //! * [`minhash`] — MinHash signatures and a banded MinHash LSH for *sets*,
-//!   used by the Aurum and D3L baselines;
-//! * [`pivot`] — the §5.2.3 "block-and-verify" alternative: exact top-k
-//!   with triangle-inequality pruning against pivot vectors.
+//!   used by the Aurum and D3L baselines.
+//!
+//! The paper's §5.2.3 "block-and-verify" idea — bound cheaply, verify
+//! exactly — lives in the paged tier's row bound, not in a separate index.
 
 #![forbid(unsafe_code)]
 
@@ -39,18 +42,16 @@ pub mod index;
 pub mod minhash;
 pub mod paged;
 pub mod params;
-pub mod pivot;
 pub mod scope;
 pub mod shard;
 pub mod simhash;
 
 pub use arena::VectorArena;
 pub use exact::ExactIndex;
-pub use index::{SearchOutcome, SimHashLshIndex};
+pub use index::{SearchError, SearchOutcome, SimHashLshIndex};
 pub use minhash::{MinHashLshIndex, MinHashSignature, MinHasher};
-pub use paged::{BlockCache, CacheStats, SegmentRow, VectorSegment, ZoneMap};
+pub use paged::{BlockCache, CacheStats, SegmentRow, VectorSegment};
 pub use params::LshParams;
-pub use pivot::PivotIndex;
 pub use scope::DiscoverScope;
 pub use shard::ShardedLshIndex;
 pub use simhash::{Signature, SimHasher};

@@ -1,28 +1,35 @@
-//! The paged (beyond-RAM) vector tier: segment files, zone maps, and the
-//! bounded block cache.
+//! The paged (beyond-RAM) vector tier: segment files, resident row
+//! sketches, and the bounded block cache.
 //!
 //! A sealed **vector segment** holds `block_rows × dim` f32 blocks inside a
 //! checksummed [`wg_util::segment::Segment`] container. Everything a search
 //! needs *before* exact scoring — ids, signatures, per-row norms, and a
-//! per-block [`ZoneMap`] — lives in the segment directory and stays
-//! resident from `open`; the vector payloads themselves page in on demand
-//! through a shared byte-budgeted LRU [`BlockCache`].
+//! per-row int8 **sketch** — lives in the segment directory
+//! ([`BlockMeta`]) and stays resident from `open`; the vector payloads
+//! themselves page in on demand through a shared byte-budgeted LRU
+//! [`BlockCache`].
+//!
+//! The sketch of a row `x` is `dim` int8 codes `c`, an f32 scale `s` and
+//! an f32 residual norm `e ≥ ‖x − s·c‖` (`dim + 8` bytes against the
+//! row's `4·dim`). It is the tier's one pruning mechanism: by
+//! Cauchy–Schwarz `dot(q, x) ≤ s·dot(q, c) + ‖q‖·e`, which at int8
+//! resolution lands within ~0.007 of the exact cosine, so a query reads
+//! only the few blocks whose rows can still reach its top-k.
 //!
 //! Rows are sealed in **signature order** (lexicographic over the packed
 //! SimHash words, ties by id), so rows that collide in the LSH buckets —
-//! i.e. rows that are *similar* — land in the same blocks. That coherence
-//! is what makes the zone maps sharp: each block's centroid/radius bound
-//! (`dot(q,v) ≤ dot(q,c) + ‖q‖·r`) is tight when the block's rows hug
-//! their centroid, and a block of near-duplicates has a tiny radius.
+//! i.e. rows that are *similar* — land in the same blocks, and the rows a
+//! query must verify exactly share blocks.
 //!
-//! Pruning contract: [`ZoneMap::cosine_upper_bound`] returns a value `≥`
-//! the exact f32 cosine the re-ranker would compute for *any* row in the
-//! block (the bound is evaluated in f64 and padded with [`UB_SLACK`] to
-//! absorb the f32 kernel-dot rounding). The search path may therefore skip
-//! a block only when the top-k heap is full **and** the bound is strictly
-//! below the current threshold — every skipped row provably scores below
-//! the final k-th result, so paged rankings are bit-identical to the
-//! all-in-RAM path.
+//! Pruning contract: [`BlockMeta::cosine_upper_bound`] returns a value `≥`
+//! the exact f32 cosine the re-ranker would compute for that row (the
+//! residual is measured in f64 against the stored sketch and rounded up at
+//! seal time; the query-time sum is padded with [`UB_SLACK`] to absorb the
+//! two f32 kernel dots' rounding). The search path may therefore skip a
+//! row — and a block none of whose candidate rows survive — only when the
+//! top-k heap is full **and** the bound is strictly below the current
+//! threshold: every skipped row provably scores below the final k-th
+//! result, so paged rankings are bit-identical to the all-in-RAM path.
 //!
 //! Cold-read path: [`VectorSegment::block`] → [`BlockCache::get_or_load`]
 //! probes the cache under its lock, **releases it**, reads the block with
@@ -45,188 +52,63 @@ use wg_util::FxHashMap;
 use crate::simhash::Signature;
 use crate::ItemId;
 
-/// Dimensions per zone-map stripe: the directory stores component min/max
-/// per 8-dim stripe instead of per dim, an 8× smaller footprint for a
-/// slightly looser (still sound) bound.
-pub const STRIPE_WIDTH: usize = 8;
-
-/// Absolute slack added to every zone-map upper bound. The bound itself is
-/// computed in f64 from exact f32 block statistics; the slack covers the
-/// rounding of the f32 kernel dot it must dominate (≈ dim · ε ≈ 1.5e-5 at
-/// dim 128 for unit vectors — 1e-3 dominates it by ~60×).
+/// Absolute slack added to every row bound. The bound's own arithmetic is
+/// f64 over an f32 sketch dot; the slack covers the rounding of the two f32
+/// kernel dots involved — the sketch's and the exact score's it must
+/// dominate (each ≈ dim · ε ≈ 1.5e-5 at dim 128 for unit vectors, so 1e-3
+/// dominates their sum by ~30×).
 pub const UB_SLACK: f64 = 1e-3;
 
-/// Per-block statistics proving what scores the block *cannot* reach.
-#[derive(Debug, Clone)]
-pub struct ZoneMap {
-    /// Smallest stored row norm in the block.
-    pub norm_min: f32,
-    /// Largest stored row norm in the block.
-    pub norm_max: f32,
-    /// Mean of the block's rows (rounded to f32; the radius is measured
-    /// against this stored value, so its rounding is already covered).
-    pub centroid: Vec<f32>,
-    /// Upper bound on `‖v − centroid‖` over the block's rows.
-    pub radius: f32,
-    /// Per-stripe component minimum over the block's rows.
-    pub stripe_lo: Vec<f32>,
-    /// Per-stripe component maximum over the block's rows.
-    pub stripe_hi: Vec<f32>,
+/// Accumulator lanes of [`dot_codes`]: sixteen, because the `i8 → f32`
+/// widening works on sixteen codes per 128-bit load.
+const CODE_LANES: usize = 16;
+
+/// `Σ query[d] · codes[d]`, the codes widened to `f32` on the fly. Written
+/// like [`wg_util::kernel::dot`]: one accumulator per lane over
+/// [`CODE_LANES`]-wide chunks, a strict loop over the remainder.
+#[inline]
+fn dot_codes(query: &[f32], codes: &[i8]) -> f32 {
+    debug_assert_eq!(query.len(), codes.len());
+    let mut q_chunks = query.chunks_exact(CODE_LANES);
+    let mut c_chunks = codes.chunks_exact(CODE_LANES);
+    let mut acc = [0.0f32; CODE_LANES];
+    for (qc, cc) in (&mut q_chunks).zip(&mut c_chunks) {
+        for i in 0..CODE_LANES {
+            acc[i] += qc[i] * cc[i] as f32;
+        }
+    }
+    let mut sum: f32 = acc.iter().sum();
+    for (&q, &c) in q_chunks.remainder().iter().zip(c_chunks.remainder()) {
+        sum += q * c as f32;
+    }
+    sum
 }
 
-impl ZoneMap {
-    /// Compute the zone map for a set of rows (each `dim` long) with their
-    /// precomputed norms.
-    pub fn build(dim: usize, rows: &[&[f32]], norms: &[f32]) -> ZoneMap {
-        assert!(!rows.is_empty(), "zone map over an empty block");
-        let stripes = dim.div_ceil(STRIPE_WIDTH);
-        let mut norm_min = f32::INFINITY;
-        let mut norm_max = f32::NEG_INFINITY;
-        for &n in norms {
-            norm_min = norm_min.min(n);
-            norm_max = norm_max.max(n);
-        }
-        let mut mean = vec![0.0f64; dim];
-        let mut stripe_lo = vec![f32::INFINITY; stripes];
-        let mut stripe_hi = vec![f32::NEG_INFINITY; stripes];
-        for row in rows {
-            for (d, &x) in row.iter().enumerate() {
-                mean[d] += x as f64;
-                let s = d / STRIPE_WIDTH;
-                stripe_lo[s] = stripe_lo[s].min(x);
-                stripe_hi[s] = stripe_hi[s].max(x);
-            }
-        }
-        let inv = 1.0 / rows.len() as f64;
-        let centroid: Vec<f32> = mean.iter().map(|&m| (m * inv) as f32).collect();
-        // Radius against the *stored* (f32-rounded) centroid, in f64, then
-        // bumped before the f32 round so the stored value never undershoots.
-        let mut r_sq = 0.0f64;
-        for row in rows {
-            let mut d_sq = 0.0f64;
-            for (&x, &c) in row.iter().zip(&centroid) {
-                let d = x as f64 - c as f64;
-                d_sq += d * d;
-            }
-            r_sq = r_sq.max(d_sq);
-        }
-        let radius = (r_sq.sqrt() * (1.0 + 1e-6) + 1e-9) as f32;
-        ZoneMap { norm_min, norm_max, centroid, radius, stripe_lo, stripe_hi }
+/// Quantize one row into its sketch: `dim` int8 codes appended to `codes`,
+/// and the returned `(scale, residual)` with `residual ≥ ‖x − scale·codes‖`.
+///
+/// The residual is measured in f64 against the codes and the f32 scale
+/// *as stored*, then rounded up, so it covers whatever the quantization
+/// did — a denormal scale or a non-finite component only loosens the
+/// bound (up to `f32::MAX`: never pruned), it cannot make it unsound.
+fn sketch_row(x: &[f32], codes: &mut Vec<i8>) -> (f32, f32) {
+    let max = x.iter().fold(0.0f32, |m, v| m.max(v.abs()));
+    let scale = if max.is_finite() { max / 127.0 } else { 0.0 };
+    let inv = if scale > 0.0 { 1.0 / scale } else { 0.0 };
+    let mut r_sq = 0.0f64;
+    for &v in x {
+        // `as i8` saturates and sends NaN (0 · ∞ under a denormal scale)
+        // to 0.
+        let code = (v * inv).round().clamp(-127.0, 127.0) as i8;
+        codes.push(code);
+        let d = v as f64 - scale as f64 * code as f64;
+        r_sq += d * d;
     }
-
-    /// An upper bound (in f64, [`UB_SLACK`]-padded, capped at 1.0) on the
-    /// exact cosine any row of this block can score against `query`. Sound
-    /// for the re-ranker's f32 arithmetic; degenerate norms fall back to
-    /// the trivial bound 1.0 (never prune what we cannot bound).
-    ///
-    /// Written like [`wg_util::kernel::dot`]: each sum runs over the query
-    /// in [`STRIPE_WIDTH`]-lane chunks with one accumulator per lane, and
-    /// the box bound loads one `(lo, hi)` pair per chunk. The sums are the
-    /// strict loop's sums reassociated, which moves an f64 result by
-    /// ~1e-14 — ten orders under [`UB_SLACK`]. The two sums are two loops
-    /// on purpose: fused, their sixteen f64 accumulators spill.
-    pub fn cosine_upper_bound(&self, query: &[f32], qnorm: f32) -> f64 {
-        let qn = qnorm as f64;
-        if qn <= f32::MIN_POSITIVE as f64 {
-            return 1.0;
-        }
-        // Ball bound: dot(q, v) = dot(q, c) + dot(q, v − c) ≤ dot(q, c) + ‖q‖·r.
-        let mut lanes = [0.0f64; STRIPE_WIDTH];
-        let mut q_chunks = query.chunks_exact(STRIPE_WIDTH);
-        let mut c_chunks = self.centroid.chunks_exact(STRIPE_WIDTH);
-        for (qc, cc) in (&mut q_chunks).zip(&mut c_chunks) {
-            for i in 0..STRIPE_WIDTH {
-                lanes[i] += qc[i] as f64 * cc[i] as f64;
-            }
-        }
-        let mut dot_c: f64 = lanes.iter().sum();
-        for (&q, &c) in q_chunks.remainder().iter().zip(c_chunks.remainder()) {
-            dot_c += q as f64 * c as f64;
-        }
-        // Box bound: per-dim max of q_d·lo and q_d·hi with stripe extrema.
-        // The compare-and-pick equals `f64::max` on every non-NaN pair and
-        // compiles to the bare vector max.
-        let pick = |q: f32, lo: f64, hi: f64| {
-            let (a, b) = (q as f64 * lo, q as f64 * hi);
-            if a > b {
-                a
-            } else {
-                b
-            }
-        };
-        let mut lanes = [0.0f64; STRIPE_WIDTH];
-        let mut stripes = self.stripe_lo.iter().zip(&self.stripe_hi);
-        for (qc, (&lo, &hi)) in query.chunks_exact(STRIPE_WIDTH).zip(&mut stripes) {
-            let (lo, hi) = (lo as f64, hi as f64);
-            for i in 0..STRIPE_WIDTH {
-                lanes[i] += pick(qc[i], lo, hi);
-            }
-        }
-        let mut boxed: f64 = lanes.iter().sum();
-        if let Some((&lo, &hi)) = stripes.next() {
-            // The `dim % STRIPE_WIDTH` trailing dims share the last stripe.
-            for &q in q_chunks.remainder() {
-                boxed += pick(q, lo as f64, hi as f64);
-            }
-        }
-        self.bound_from_sums(dot_c, boxed, qn)
-    }
-
-    /// The cosine bound from the two dot-product bounds: the tighter of
-    /// ball and box, over the norm that makes the quotient largest.
-    fn bound_from_sums(&self, dot_c: f64, boxed: f64, qn: f64) -> f64 {
-        let ball = dot_c + qn * self.radius as f64;
-        let dot_ub = ball.min(boxed);
-        // Dividing an upper bound needs the norm that *maximizes* the
-        // quotient: the smallest norm when the bound is ≥ 0, the largest
-        // when it is negative.
-        let denom_norm = if dot_ub >= 0.0 { self.norm_min } else { self.norm_max };
-        if denom_norm as f64 <= f32::MIN_POSITIVE as f64 {
-            return 1.0;
-        }
-        (dot_ub / (qn * denom_norm as f64) + UB_SLACK).min(1.0)
-    }
-
-    /// The bound as one strict left-to-right loop per sum — the oracle the
-    /// laned [`Self::cosine_upper_bound`] is tested against.
-    #[cfg(test)]
-    fn cosine_upper_bound_reference(&self, query: &[f32], qnorm: f32) -> f64 {
-        let qn = qnorm as f64;
-        if qn <= f32::MIN_POSITIVE as f64 {
-            return 1.0;
-        }
-        let mut dot_c = 0.0f64;
-        for (&q, &c) in query.iter().zip(&self.centroid) {
-            dot_c += q as f64 * c as f64;
-        }
-        let mut boxed = 0.0f64;
-        for (d, &q) in query.iter().enumerate() {
-            let s = d / STRIPE_WIDTH;
-            let q = q as f64;
-            boxed += (q * self.stripe_lo[s] as f64).max(q * self.stripe_hi[s] as f64);
-        }
-        self.bound_from_sums(dot_c, boxed, qn)
-    }
-
-    fn encode(&self, buf: &mut Vec<u8>) {
-        codec::put_f32(buf, self.norm_min);
-        codec::put_f32(buf, self.norm_max);
-        codec::put_f32_slice(buf, &self.centroid);
-        codec::put_f32(buf, self.radius);
-        codec::put_f32_slice(buf, &self.stripe_lo);
-        codec::put_f32_slice(buf, &self.stripe_hi);
-    }
-
-    fn decode(buf: &mut &[u8]) -> CodecResult<ZoneMap> {
-        Ok(ZoneMap {
-            norm_min: codec::get_f32(buf)?,
-            norm_max: codec::get_f32(buf)?,
-            centroid: codec::get_f32_vec(buf)?,
-            radius: codec::get_f32(buf)?,
-            stripe_lo: codec::get_f32_vec(buf)?,
-            stripe_hi: codec::get_f32_vec(buf)?,
-        })
-    }
+    // Up before the f32 round: the relative bump covers the cast of a
+    // normal value, the absolute one the cast of a denormal. `min` also
+    // turns a NaN sum into the never-prune value.
+    let residual = r_sq.sqrt() * (1.0 + 1e-6) + f32::MIN_POSITIVE as f64;
+    (scale, residual.min(f32::MAX as f64) as f32)
 }
 
 /// Point-in-time counters from a [`BlockCache`].
@@ -483,7 +365,8 @@ pub struct SegmentRow {
     pub vector: Vec<f32>,
 }
 
-/// Directory-resident metadata for one block of a [`VectorSegment`].
+/// Directory-resident metadata for one block of a [`VectorSegment`]: what
+/// a search needs of each row before — and mostly instead of — reading it.
 #[derive(Debug, Clone)]
 pub struct BlockMeta {
     /// Row ids, in row order.
@@ -492,21 +375,114 @@ pub struct BlockMeta {
     pub norms: Vec<f32>,
     /// Packed signature words, `words_per_sig` per row.
     pub sig_words: Vec<u64>,
-    /// The block's pruning statistics.
-    pub zone: ZoneMap,
+    /// Int8 sketch codes, `dim` per row: row `r` is approximated by
+    /// `scales[r] · codes[r·dim..(r+1)·dim]`.
+    pub codes: Vec<i8>,
+    /// Per-row sketch scale (finite, `≥ 0`).
+    pub scales: Vec<f32>,
+    /// Per-row upper bound on `‖row − scale·codes‖` (finite, `≥ 0`).
+    pub residuals: Vec<f32>,
+}
+
+impl BlockMeta {
+    /// The metadata of a block holding `rows`, in that order.
+    fn of_rows(rows: &[SegmentRow], dim: usize) -> BlockMeta {
+        let mut meta = BlockMeta {
+            ids: rows.iter().map(|r| r.id).collect(),
+            norms: rows.iter().map(|r| r.norm).collect(),
+            sig_words: Vec::with_capacity(rows.len() * rows[0].signature.words.len()),
+            codes: Vec::with_capacity(rows.len() * dim),
+            scales: Vec::with_capacity(rows.len()),
+            residuals: Vec::with_capacity(rows.len()),
+        };
+        for r in rows {
+            meta.sig_words.extend_from_slice(&r.signature.words);
+            let (scale, residual) = sketch_row(&r.vector, &mut meta.codes);
+            meta.scales.push(scale);
+            meta.residuals.push(residual);
+        }
+        meta
+    }
+
+    fn encode(&self, buf: &mut Vec<u8>) {
+        codec::put_u32_slice(buf, &self.ids);
+        codec::put_f32_slice(buf, &self.norms);
+        codec::put_u64_slice(buf, &self.sig_words);
+        codec::put_bytes(buf, &self.codes.iter().map(|&c| c as u8).collect::<Vec<u8>>());
+        codec::put_f32_slice(buf, &self.scales);
+        codec::put_f32_slice(buf, &self.residuals);
+    }
+
+    fn decode(buf: &mut &[u8]) -> CodecResult<BlockMeta> {
+        Ok(BlockMeta {
+            ids: codec::get_u32_vec(buf)?,
+            norms: codec::get_f32_vec(buf)?,
+            sig_words: codec::get_u64_vec(buf)?,
+            codes: codec::get_bytes(buf)?.into_iter().map(|b| b as i8).collect(),
+            scales: codec::get_f32_vec(buf)?,
+            residuals: codec::get_f32_vec(buf)?,
+        })
+    }
+
+    /// An upper bound (in f64, [`UB_SLACK`]-padded) on the exact f32 cosine
+    /// the re-ranker would compute for row `row` against `query`:
+    ///
+    /// ```text
+    /// dot(q, x) = s·dot(q, c) + dot(q, x − s·c) ≤ s·dot(q, c) + ‖q‖·e
+    /// ```
+    ///
+    /// divided by the same f32 `‖q‖·norm` the exact score divides by, and
+    /// capped at the trivial bound 1.0. A degenerate denominator scores 0.0
+    /// exactly and a non-finite query makes the sum NaN: both get 1.0 —
+    /// never prune what cannot be bounded.
+    pub fn cosine_upper_bound(&self, row: usize, query: &[f32], qnorm: f32) -> f64 {
+        let denom = qnorm * self.norms[row];
+        if denom <= f32::MIN_POSITIVE {
+            return 1.0;
+        }
+        let dim = query.len();
+        let dot = dot_codes(query, &self.codes[row * dim..(row + 1) * dim]) as f64;
+        let dot_ub = self.scales[row] as f64 * dot + qnorm as f64 * self.residuals[row] as f64;
+        // `min` returns its other operand for a NaN.
+        (dot_ub / denom as f64 + UB_SLACK).min(1.0)
+    }
 }
 
 /// Seal rows into a segment file at `path` (written atomically).
 ///
 /// Rows are sorted by (signature words, id) before blocking so LSH-similar
-/// rows share blocks — see the module docs for why that makes the zone
-/// maps effective. Returns the number of blocks written.
+/// rows share blocks — a query's surviving candidates then sit in few
+/// blocks. Returns the number of blocks written.
 pub fn write_vector_segment(
     path: &Path,
     dim: usize,
     sig_bits: usize,
     block_rows: usize,
+    rows: Vec<SegmentRow>,
+) -> std::io::Result<usize> {
+    seal_rows(path, dim, sig_bits, block_rows, rows, 1.0)
+}
+
+/// The mutant of [`write_vector_segment`] for the mutation check: every
+/// stored residual is 10% short, i.e. the row bound is unsound.
+#[cfg(test)]
+pub(crate) fn write_vector_segment_understating(
+    path: &Path,
+    dim: usize,
+    sig_bits: usize,
+    block_rows: usize,
+    rows: Vec<SegmentRow>,
+) -> std::io::Result<usize> {
+    seal_rows(path, dim, sig_bits, block_rows, rows, 0.9)
+}
+
+fn seal_rows(
+    path: &Path,
+    dim: usize,
+    sig_bits: usize,
+    block_rows: usize,
     mut rows: Vec<SegmentRow>,
+    residual_factor: f32,
 ) -> std::io::Result<usize> {
     assert!(dim > 0 && block_rows > 0, "segment geometry must be positive");
     for row in &rows {
@@ -523,21 +499,14 @@ pub fn write_vector_segment(
 
     let mut n_blocks = 0usize;
     for chunk in rows.chunks(block_rows) {
-        let views: Vec<&[f32]> = chunk.iter().map(|r| r.vector.as_slice()).collect();
-        let norms: Vec<f32> = chunk.iter().map(|r| r.norm).collect();
-        let zone = ZoneMap::build(dim, &views, &norms);
-        let ids: Vec<ItemId> = chunk.iter().map(|r| r.id).collect();
-        let mut sig_words = Vec::with_capacity(chunk.len() * chunk[0].signature.words.len());
-        for r in chunk {
-            sig_words.extend_from_slice(&r.signature.words);
+        let mut block = BlockMeta::of_rows(chunk, dim);
+        for e in &mut block.residuals {
+            *e *= residual_factor;
         }
         let mut meta = Vec::new();
-        codec::put_u32_slice(&mut meta, &ids);
-        codec::put_f32_slice(&mut meta, &norms);
-        codec::put_u64_slice(&mut meta, &sig_words);
-        zone.encode(&mut meta);
+        block.encode(&mut meta);
         builder.push_block_with(chunk.len() * dim * 4, &meta, |payload| {
-            let values = views.iter().flat_map(|v| v.iter());
+            let values = chunk.iter().flat_map(|r| r.vector.iter());
             for (dst, x) in payload.chunks_exact_mut(4).zip(values) {
                 dst.copy_from_slice(&x.to_le_bytes());
             }
@@ -573,7 +542,7 @@ impl VectorSegment {
     /// Open a sealed segment, validating geometry and directory metadata.
     /// No payload block is read here — hydration is lazy.
     pub fn open(path: &Path, cache: Arc<BlockCache>) -> Result<VectorSegment, SegmentError> {
-        let segment = Segment::open(path)?;
+        let mut segment = Segment::open(path)?;
         let mut h = segment.header_meta();
         let dim = codec::get_u32(&mut h)? as usize;
         let sig_bits = codec::get_u32(&mut h)? as usize;
@@ -584,25 +553,32 @@ impl VectorSegment {
         let words_per_sig = sig_bits.div_ceil(64);
         let mut blocks = Vec::with_capacity(segment.block_count());
         for b in 0..segment.block_count() {
-            let mut m = segment.block_meta(b);
-            let ids = codec::get_u32_vec(&mut m)?;
-            let norms = codec::get_f32_vec(&mut m)?;
-            let sig_words = codec::get_u64_vec(&mut m)?;
-            let zone = ZoneMap::decode(&mut m)?;
-            let rows = ids.len();
+            // Taken, not borrowed: the decoded form below is the resident
+            // copy, and the sketches are too big to keep twice.
+            let meta = BlockMeta::decode(&mut &segment.take_block_meta(b)[..])?;
+            let rows = meta.ids.len();
             if rows == 0 || rows > block_rows {
                 return Err(SegmentError::Corrupt(format!("block {b} has {rows} rows")));
             }
-            if norms.len() != rows
-                || sig_words.len() != rows * words_per_sig
-                || zone.centroid.len() != dim
-                || zone.stripe_lo.len() != dim.div_ceil(STRIPE_WIDTH)
-                || zone.stripe_hi.len() != dim.div_ceil(STRIPE_WIDTH)
+            if meta.norms.len() != rows
+                || meta.sig_words.len() != rows * words_per_sig
+                || meta.codes.len() != rows * dim
+                || meta.scales.len() != rows
+                || meta.residuals.len() != rows
                 || segment.block_payload_len(b) != rows * dim * 4
             {
                 return Err(SegmentError::Corrupt(format!("block {b} metadata is inconsistent")));
             }
-            blocks.push(BlockMeta { ids, norms, sig_words, zone });
+            // A NaN or a negative value here would turn "never prune what
+            // cannot be bounded" into "prune wrongly".
+            let usable = |xs: &[f32]| xs.iter().all(|x| x.is_finite() && *x >= 0.0);
+            if !(usable(&meta.norms) && usable(&meta.scales) && usable(&meta.residuals)) {
+                return Err(SegmentError::Corrupt(format!(
+                    "block {b} has a norm, scale or residual that is not a finite non-negative \
+                     number"
+                )));
+            }
+            blocks.push(meta);
         }
         let cache_id = cache.register_segment();
         Ok(VectorSegment { cache_id, segment, dim, sig_bits, blocks, cache })
@@ -684,6 +660,7 @@ impl VectorSegment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index::score_row;
     use crate::simhash::SimHasher;
     use wg_util::kernel;
     use wg_util::rng::{Rng64, Xoshiro256pp};
@@ -719,30 +696,53 @@ mod tests {
         dir.join("vectors.seg")
     }
 
+    /// `rows` as directory metadata, without going through a file.
+    fn block_of(vectors: &[Vec<f32>]) -> BlockMeta {
+        let rows: Vec<SegmentRow> = vectors
+            .iter()
+            .enumerate()
+            .map(|(i, v)| SegmentRow {
+                id: i as ItemId,
+                signature: Signature { words: vec![0], bits: 64 },
+                norm: kernel::norm_sq(v).sqrt(),
+                vector: v.clone(),
+            })
+            .collect();
+        BlockMeta::of_rows(&rows, vectors[0].len())
+    }
+
     #[test]
-    fn zone_map_bound_dominates_every_exact_score() {
+    fn row_bound_dominates_every_exact_score() {
+        // Through the file: the bound from the directory a reader opens,
+        // the score from the payload it reads.
         let dim = 32;
+        let path = temp_path("bound");
+        write_vector_segment(&path, dim, 64, 16, rows_for(dim, 64, 11)).expect("seal");
+        let seg = VectorSegment::open(&path, BlockCache::new(0)).expect("open");
         let mut rng = Xoshiro256pp::new(11);
-        for trial in 0..20 {
-            let rows: Vec<Vec<f32>> = (0..16).map(|_| unit(dim, &mut rng)).collect();
-            let views: Vec<&[f32]> = rows.iter().map(|v| v.as_slice()).collect();
-            let norms: Vec<f32> = views.iter().map(|v| kernel::norm_sq(v).sqrt()).collect();
-            let zone = ZoneMap::build(dim, &views, &norms);
-            for _ in 0..50 {
-                let q = unit(dim, &mut rng);
-                let qnorm = kernel::norm_sq(&q).sqrt();
-                let ub = zone.cosine_upper_bound(&q, qnorm);
-                for (v, &n) in views.iter().zip(&norms) {
-                    let denom = qnorm * n;
-                    let score = if denom <= f32::MIN_POSITIVE {
-                        0.0
-                    } else {
-                        (kernel::dot(&q, v) / denom).clamp(-1.0, 1.0)
-                    };
-                    assert!(score as f64 <= ub, "trial {trial}: score {score} exceeds bound {ub}");
+        let mut queries: Vec<Vec<f32>> = (0..50).map(|_| unit(dim, &mut rng)).collect();
+        // Cauchy–Schwarz at equality: a query along a row's own residual
+        // `x − s·c` leaves the bound nothing but its slack.
+        for b in 0..seg.block_count() {
+            let (meta, data) = (seg.block_meta(b), seg.block(b).expect("read"));
+            let residual = data[..dim].iter().zip(&meta.codes[..dim]);
+            queries.push(residual.map(|(x, &c)| x - meta.scales[0] * c as f32).collect());
+        }
+        let mut tightest = f64::INFINITY;
+        for q in &queries {
+            let qnorm = kernel::norm_sq(q).sqrt();
+            for b in 0..seg.block_count() {
+                let (meta, data) = (seg.block_meta(b), seg.block(b).expect("read"));
+                for r in 0..meta.ids.len() {
+                    let ub = meta.cosine_upper_bound(r, q, qnorm);
+                    let score = score_row(q, qnorm, meta.norms[r], &data, r, dim);
+                    assert!(score <= ub, "block {b} row {r}: score {score} exceeds bound {ub}");
+                    tightest = tightest.min(ub - score);
                 }
             }
         }
+        assert!(tightest < UB_SLACK + 1e-5, "a residual-aligned query must meet its bound");
+        std::fs::remove_dir_all(path.parent().unwrap()).ok();
     }
 
     #[test]
@@ -752,18 +752,20 @@ mod tests {
             for scale in [1e-3f32, 1.0, 1e3] {
                 for near_duplicates in [false, true] {
                     let base = unit(dim, &mut rng);
-                    let rows: Vec<Vec<f32>> = (0..16)
+                    let mut rows: Vec<Vec<f32>> = (0..16)
                         .map(|_| {
                             let v = unit(dim, &mut rng);
                             let mix = if near_duplicates { 1e-3 } else { 1.0 };
                             base.iter().zip(&v).map(|(b, x)| scale * (b + mix * (x - b))).collect()
                         })
                         .collect();
-                    let views: Vec<&[f32]> = rows.iter().map(|v| v.as_slice()).collect();
-                    let norms: Vec<f32> = views.iter().map(|v| kernel::norm_sq(v).sqrt()).collect();
-                    let zone = ZoneMap::build(dim, &views, &norms);
+                    // Rows the sketch cannot resolve: all zero, and a norm
+                    // (and so a scale) far below `f32::MIN_POSITIVE`.
+                    rows.push(vec![0.0; dim]);
+                    rows.push(base.iter().map(|b| b * 1e-20 * 1e-20).collect());
+                    let meta = block_of(&rows);
                     for qscale in [1e-3f32, 1.0, 1e3] {
-                        // Half the queries sit next to the block, where the
+                        // Half the queries sit next to the rows, where the
                         // bound is tight; half are unrelated.
                         for near in [false, true] {
                             let mut q = unit(dim, &mut rng);
@@ -771,17 +773,21 @@ mod tests {
                                 *x = qscale * if near { b + 0.05 * *x } else { *x };
                             }
                             let qnorm = kernel::norm_sq(&q).sqrt();
-                            let ub = zone.cosine_upper_bound(&q, qnorm);
-                            let strict = zone.cosine_upper_bound_reference(&q, qnorm);
-                            assert!(
-                                (ub - strict).abs() <= 1e-9,
-                                "dim {dim} scale {scale} q {qscale}: {ub} vs strict {strict}"
-                            );
-                            for (v, &n) in views.iter().zip(&norms) {
-                                let score = (kernel::dot(&q, v) / (qnorm * n)).clamp(-1.0, 1.0);
+                            for (r, v) in rows.iter().enumerate() {
+                                let codes = &meta.codes[r * dim..(r + 1) * dim];
+                                let terms = q.iter().zip(codes).map(|(q, &c)| q * c as f32);
+                                let (strict, mass): (f32, f32) =
+                                    (terms.clone().sum(), terms.map(f32::abs).sum());
+                                let laned = dot_codes(&q, codes);
                                 assert!(
-                                    score as f64 <= ub,
-                                    "dim {dim}: score {score} > bound {ub}"
+                                    (laned - strict).abs() <= 1e-5 * mass,
+                                    "dim {dim} scale {scale} q {qscale}: {laned} vs strict {strict}"
+                                );
+                                let ub = meta.cosine_upper_bound(r, &q, qnorm);
+                                let score = score_row(&q, qnorm, meta.norms[r], v, 0, dim);
+                                assert!(
+                                    score <= ub,
+                                    "dim {dim} row {r}: score {score} > bound {ub}"
                                 );
                             }
                         }
@@ -867,31 +873,40 @@ mod tests {
     }
 
     #[test]
-    fn open_rejects_a_zone_map_with_missing_stripes() {
-        // The laned bound zips the stripes with the query, so a short
-        // stripe array would silently loosen to an unsound bound.
+    fn open_rejects_a_sketch_that_cannot_bound() {
+        // The bound reads the sketch unchecked, so a short code array, or a
+        // NaN or negative scale, residual or norm, must not get past `open`.
         let dim = 16;
-        let rows = rows_for(dim, 4, 14);
-        let views: Vec<&[f32]> = rows.iter().map(|r| r.vector.as_slice()).collect();
-        let norms: Vec<f32> = rows.iter().map(|r| r.norm).collect();
-        let mut zone = ZoneMap::build(dim, &views, &norms);
-        zone.stripe_hi.pop();
-        let mut header = Vec::new();
-        codec::put_u32(&mut header, dim as u32);
-        codec::put_u32(&mut header, 64);
-        codec::put_u32(&mut header, 4);
-        let mut builder = SegmentBuilder::new(&header);
-        let mut meta = Vec::new();
-        codec::put_u32_slice(&mut meta, &rows.iter().map(|r| r.id).collect::<Vec<_>>());
-        codec::put_f32_slice(&mut meta, &norms);
-        let words: Vec<u64> = rows.iter().flat_map(|r| r.signature.words.clone()).collect();
-        codec::put_u64_slice(&mut meta, &words);
-        zone.encode(&mut meta);
-        builder.push_block(&vec![0u8; 4 * dim * 4], &meta);
-        let path = temp_path("short-stripes");
-        atomic_write_bytes(&path, &builder.finish()).expect("write");
-        let err = VectorSegment::open(&path, BlockCache::new(0)).expect_err("must be refused");
-        assert!(matches!(err, SegmentError::Corrupt(_)), "{err}");
+        let honest = BlockMeta::of_rows(&rows_for(dim, 4, 14), dim);
+        let path = temp_path("bad-sketch");
+        let open = |block: &BlockMeta| {
+            let mut header = Vec::new();
+            codec::put_u32(&mut header, dim as u32);
+            codec::put_u32(&mut header, 64);
+            codec::put_u32(&mut header, 4);
+            let mut builder = SegmentBuilder::new(&header);
+            let mut meta = Vec::new();
+            block.encode(&mut meta);
+            builder.push_block(&vec![0u8; 4 * dim * 4], &meta);
+            atomic_write_bytes(&path, &builder.finish()).expect("write");
+            VectorSegment::open(&path, BlockCache::new(0))
+        };
+        open(&honest).expect("the hand-built directory is well-formed");
+        let damage: [fn(&mut BlockMeta); 7] = [
+            |m| m.codes.truncate(1),
+            |m| m.residuals.truncate(1),
+            |m| m.scales[1] = f32::NAN,
+            |m| m.scales[1] = -1.0,
+            |m| m.residuals[2] = f32::INFINITY,
+            |m| m.residuals[2] = -1e-3,
+            |m| m.norms[0] = f32::NAN,
+        ];
+        for (case, damage) in damage.iter().enumerate() {
+            let mut block = honest.clone();
+            damage(&mut block);
+            let err = open(&block).expect_err("must be refused");
+            assert!(matches!(err, SegmentError::Corrupt(_)), "case {case}: {err}");
+        }
         std::fs::remove_dir_all(path.parent().unwrap()).ok();
     }
 
@@ -1004,9 +1019,11 @@ mod tests {
 
     #[test]
     fn sealed_bytes_match_the_golden_segment() {
-        // Hand-built rows, so the image depends on the writer alone; the
-        // length and digest are those of the PR 9 writer's image. A change
-        // here is an on-disk format change.
+        // Hand-built rows, so the image depends on the writer alone. A
+        // change here is an on-disk format change — the last one was PR 16
+        // (segment format v2: the directory carries a per-row int8 sketch
+        // where v1 carried a per-block zone map), which re-pinned the
+        // length and digest from the PR 9 writer's 736 / 0x90A98D02.
         let dim = 6;
         let rows: Vec<SegmentRow> = (0..10usize)
             .map(|i| SegmentRow {
@@ -1022,8 +1039,8 @@ mod tests {
         let path = temp_path("golden");
         assert_eq!(write_vector_segment(&path, dim, 64, 4, rows).expect("seal"), 3);
         let image = std::fs::read(&path).expect("read image");
-        assert_eq!(image.len(), 736);
-        assert_eq!(wg_util::checksum::crc32(&image), 0x90A9_8D02);
+        assert_eq!(image.len(), 744);
+        assert_eq!(wg_util::checksum::crc32(&image), 0xC520_1B27);
         std::fs::remove_dir_all(path.parent().unwrap()).ok();
     }
 

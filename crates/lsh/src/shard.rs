@@ -22,11 +22,12 @@
 use parking_lot::{RwLock, RwLockReadGuard};
 use std::sync::Arc;
 use wg_util::codec::{self, CodecError, CodecResult};
-use wg_util::deadline::{Deadline, Phase};
+use wg_util::deadline::Deadline;
 use wg_util::TopK;
 
 use crate::index::{
-    SearchOutcome, SimHashLshIndex, FRAME_MAGIC, FRAME_VERSION, FRAME_VERSION_FEDERATED,
+    SearchError, SearchOutcome, SimHashLshIndex, FRAME_MAGIC, FRAME_VERSION,
+    FRAME_VERSION_FEDERATED,
 };
 use crate::paged::{SegmentRow, VectorSegment};
 use crate::params::LshParams;
@@ -283,14 +284,15 @@ impl ShardedLshIndex {
         exclude: impl Fn(ItemId) -> bool,
     ) -> (Vec<(ItemId, f32)>, SearchOutcome) {
         self.search_scoped_deadline_with_outcome(query, k, scope, Deadline::none(), exclude)
-            .expect("an unlimited deadline never expires")
+            .unwrap_or_else(|e| panic!("search without a deadline failed: {e}"))
     }
 
     /// [`Self::search_scoped_with_outcome`] under a cooperative
     /// [`Deadline`], checked per shard before candidate generation, the
     /// exact re-rank, and each cold block read (see
     /// [`SimHashLshIndex::search_signed_scoped_deadline_with_outcome`]).
-    /// `Err(phase)` names the boundary the budget died at.
+    /// The error is the first shard's that failed: an expired budget, or a
+    /// cold block that could not be read back intact.
     pub fn search_scoped_deadline_with_outcome(
         &self,
         query: &[f32],
@@ -298,7 +300,7 @@ impl ShardedLshIndex {
         scope: &DiscoverScope,
         deadline: Deadline,
         exclude: impl Fn(ItemId) -> bool,
-    ) -> Result<(Vec<(ItemId, f32)>, SearchOutcome), Phase> {
+    ) -> Result<(Vec<(ItemId, f32)>, SearchOutcome), SearchError> {
         let sig = self.hasher.sign(query);
         let mut merged = TopK::new(k);
         let mut outcome = SearchOutcome::default();

@@ -8,7 +8,8 @@
 //! * [`stats`] — row/null/distinct counts, numeric moments and quantiles;
 //! * [`bloom`] — blocked profile storage with per-block q-gram bloom
 //!   unions, so name-similarity scans skip blocks with provably zero
-//!   overlap (mirrors the paged vector tier's zone maps);
+//!   overlap (bound from resident metadata, read only what survives —
+//!   the same move as the paged vector tier's row sketches);
 //! * [`format`] — format-pattern histograms (D3L evidence iv);
 //! * [`qgram`] — name q-gram sets (D3L evidence i, Aurum schema edges);
 //! * [`numeric_dist`] — numeric domain-distribution similarity (D3L

@@ -4,7 +4,7 @@
 //! append-once container of opaque byte blocks, each independently
 //! CRC-32-checked, plus a directory that carries per-block metadata
 //! (offsets, lengths, checksums, and an opaque caller-defined meta blob
-//! such as a zone map). Readers open the directory once and then fetch
+//! such as a per-row sketch). Readers open the directory once and then fetch
 //! individual blocks with positioned reads (`pread`: one syscall per block,
 //! no seek, no shared file cursor and therefore no lock — any number of
 //! threads read one [`Segment`] concurrently) — no mmap, no full-file
@@ -52,8 +52,12 @@ pub const SEGMENT_MAGIC: [u8; 4] = *b"WGSG";
 pub const DIRECTORY_MAGIC: [u8; 4] = *b"WGSD";
 /// Magic opening the fixed-size trailer.
 pub const TRAILER_MAGIC: [u8; 4] = *b"WGSE";
-/// Segment format version.
-pub const SEGMENT_VERSION: u32 = 1;
+/// Segment format version. The container's framing has not changed since
+/// version 1; the number moves when what callers keep in the blocks'
+/// metadata does, because a reader cannot tell the layouts apart. Version
+/// 2: the vector tier's per-row sketches replaced its per-block zone maps.
+/// Any other version is refused — there is one decode path.
+pub const SEGMENT_VERSION: u32 = 2;
 /// Preamble size: magic (4) + version (4).
 pub const PREAMBLE_LEN: usize = 8;
 /// Trailer size: magic (4) + version (4) + dir_offset (8) + dir_len (4) +
@@ -101,7 +105,7 @@ struct BlockInfo {
     payload_len: u32,
     /// Expected CRC-32 of the payload.
     crc: u32,
-    /// Opaque caller metadata (zone maps, id lists, …).
+    /// Opaque caller metadata (id lists, row sketches, …).
     meta: Vec<u8>,
 }
 
@@ -109,7 +113,11 @@ struct BlockInfo {
 /// the complete byte image (written atomically by the caller).
 pub struct SegmentBuilder {
     bytes: Vec<u8>,
-    directory: Vec<u8>,
+    /// The directory frame up to and including the header meta; the block
+    /// count goes between this and `entries`.
+    dir_head: Vec<u8>,
+    /// The per-block directory entries pushed so far.
+    entries: Vec<u8>,
     n_blocks: u32,
 }
 
@@ -119,10 +127,10 @@ impl SegmentBuilder {
     pub fn new(header_meta: &[u8]) -> Self {
         let mut bytes = Vec::new();
         codec::put_header(&mut bytes, SEGMENT_MAGIC, SEGMENT_VERSION);
-        let mut directory = Vec::new();
-        codec::put_header(&mut directory, DIRECTORY_MAGIC, SEGMENT_VERSION);
-        codec::put_bytes(&mut directory, header_meta);
-        SegmentBuilder { bytes, directory, n_blocks: 0 }
+        let mut dir_head = Vec::new();
+        codec::put_header(&mut dir_head, DIRECTORY_MAGIC, SEGMENT_VERSION);
+        codec::put_bytes(&mut dir_head, header_meta);
+        SegmentBuilder { bytes, dir_head, entries: Vec::new(), n_blocks: 0 }
     }
 
     /// Append one block with its payload and opaque per-block metadata.
@@ -144,33 +152,25 @@ impl SegmentBuilder {
         fill(&mut self.bytes[offset..]);
         let crc = crc32(&self.bytes[offset..]);
         self.bytes.extend_from_slice(&crc.to_le_bytes());
-        codec::put_u64(&mut self.directory, offset as u64);
-        codec::put_len(&mut self.directory, payload_len);
-        codec::put_u32(&mut self.directory, crc);
-        codec::put_bytes(&mut self.directory, meta);
+        codec::put_u64(&mut self.entries, offset as u64);
+        codec::put_len(&mut self.entries, payload_len);
+        codec::put_u32(&mut self.entries, crc);
+        codec::put_bytes(&mut self.entries, meta);
         self.n_blocks += 1;
     }
 
     /// Seal the segment: directory + trailer appended, full image returned.
     pub fn finish(mut self) -> Vec<u8> {
-        // Block count goes right after the header meta; the directory was
-        // built block-by-block, so splice the count in before the entries.
-        let mut directory = Vec::with_capacity(self.directory.len() + 4);
-        let entries_at = {
-            // header (8) + length-prefixed header_meta
-            let mut r = &self.directory[PREAMBLE_LEN..];
-            let before = r.len();
-            let _ = codec::get_bytes(&mut r).expect("builder wrote header meta");
-            PREAMBLE_LEN + (before - r.len())
-        };
-        directory.extend_from_slice(&self.directory[..entries_at]);
-        codec::put_u32(&mut directory, self.n_blocks);
-        directory.extend_from_slice(&self.directory[entries_at..]);
-
-        let dir_offset = self.bytes.len() as u64;
-        let dir_crc = crc32(&directory);
-        let dir_len = directory.len() as u32;
-        self.bytes.extend_from_slice(&directory);
+        // The directory goes straight into the image (head, block count,
+        // entries) and is checksummed there: with per-row metadata it is a
+        // quarter of the file, too big to assemble in a buffer of its own.
+        let dir_offset = self.bytes.len();
+        self.bytes.extend_from_slice(&self.dir_head);
+        codec::put_u32(&mut self.bytes, self.n_blocks);
+        self.bytes.extend_from_slice(&self.entries);
+        let dir_crc = crc32(&self.bytes[dir_offset..]);
+        let dir_len = (self.bytes.len() - dir_offset) as u32;
+        let dir_offset = dir_offset as u64;
         self.bytes.extend_from_slice(&TRAILER_MAGIC);
         self.bytes.extend_from_slice(&SEGMENT_VERSION.to_le_bytes());
         self.bytes.extend_from_slice(&dir_offset.to_le_bytes());
@@ -294,6 +294,13 @@ impl Segment {
         &self.blocks[block].meta
     }
 
+    /// Move one block's metadata blob out of the segment, leaving it
+    /// empty: a reader that decodes the blob into a form of its own takes
+    /// it, so the directory is not resident twice.
+    pub fn take_block_meta(&mut self, block: usize) -> Vec<u8> {
+        std::mem::take(&mut self.blocks[block].meta)
+    }
+
     /// Payload length of one block in bytes.
     pub fn block_payload_len(&self, block: usize) -> usize {
         self.blocks[block].payload_len as usize
@@ -409,7 +416,7 @@ mod tests {
         let dir = temp_dir("roundtrip");
         let path = dir.join("seg.wgs");
         atomic_write_bytes(&path, &build_sample()).expect("write");
-        let seg = Segment::open(&path).expect("open");
+        let mut seg = Segment::open(&path).expect("open");
         assert_eq!(seg.header_meta(), b"header-meta");
         assert_eq!(seg.block_count(), 3);
         assert_eq!(seg.block_meta(0), b"meta-0");
@@ -418,6 +425,8 @@ mod tests {
         assert_eq!(seg.read_block(1).expect("block 1"), b"");
         assert_eq!(seg.read_block(2).expect("block 2"), vec![0xAB; 1000]);
         assert!(seg.read_block(3).is_err());
+        assert_eq!(seg.take_block_meta(1), b"meta-empty");
+        assert_eq!((seg.block_meta(0), seg.block_meta(1)), (&b"meta-0"[..], &b""[..]));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -462,6 +471,20 @@ mod tests {
             out.fill(0xAB);
         });
         assert_eq!(filled.finish(), build_sample());
+    }
+
+    #[test]
+    fn another_format_version_is_refused() {
+        let dir = temp_dir("version");
+        let path = dir.join("seg.wgs");
+        let mut v1 = build_sample();
+        v1[4..8].copy_from_slice(&1u32.to_le_bytes());
+        atomic_write_bytes(&path, &v1).expect("write");
+        match Segment::open(&path) {
+            Err(SegmentError::Corrupt(msg)) => assert_eq!(msg, "unsupported segment version 1"),
+            other => panic!("a v1 image must be refused, got {other:?}"),
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -615,16 +615,18 @@ fn bit_flipped_segments_fail_at_open_or_first_read_never_silently() {
             }
             Ok(()) => {
                 // Payload rot: lazy loading means open can't see it, so
-                // the block CRC must refuse the read — or the flipped
-                // block is provably never consulted and the ranking is
-                // exactly the sealed generation's. Silently serving an
-                // altered vector is the one forbidden outcome.
-                let label = state.label.clone();
-                let got = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    node.discover(&fx.query, 3).unwrap().candidates
-                }));
-                if let Ok(candidates) = got {
-                    assert_eq!(candidates, fx.new_rank, "{label}: flipped payload served");
+                // the block CRC must refuse the read with a typed error
+                // (never a panic) — or the flipped block is provably never
+                // consulted and the ranking is exactly the sealed
+                // generation's. Silently serving an altered vector is the
+                // one forbidden outcome.
+                match node.discover(&fx.query, 3) {
+                    Ok(d) => assert_eq!(
+                        d.candidates, fx.new_rank,
+                        "{}: flipped payload served",
+                        state.label
+                    ),
+                    Err(e) => assert!(matches!(e, StoreError::Backend(_)), "{}: {e}", state.label),
                 }
             }
         }
