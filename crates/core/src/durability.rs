@@ -7,7 +7,8 @@
 //! interrupt the very write that was saving the state. The guarantees
 //! this module layers over [`crate::WarpGate::save_to_file`]:
 //!
-//! 1. **Atomicity** ([`atomic_write`]): bytes stream into a sibling
+//! 1. **Atomicity** ([`atomic_write`], which is [`wg_util::atomic_file`] —
+//!    the one such write in the workspace): bytes stream into a sibling
 //!    `*.tmp` file, are fsynced, and the temp is renamed over the
 //!    destination. POSIX `rename(2)` is atomic within a filesystem, so at
 //!    every instant the destination holds either the complete old bytes
@@ -28,71 +29,18 @@
 //!    assert that recovery always lands on a complete old or new state.
 
 use std::fs;
-use std::io::{self, Write};
+use std::io;
 use std::path::{Path, PathBuf};
 
 use wg_store::{StoreError, StoreResult};
+use wg_util::atomic_file::{self, sibling, temp_sibling};
+
+pub use wg_util::atomic_file::{stream as stream_snapshot, write as atomic_write};
 
 use crate::system::WarpGate;
 
-/// Suffix of the in-flight temp file next to a snapshot path.
-const TMP_SUFFIX: &str = ".tmp";
 /// Suffix of the previous checkpoint generation next to a snapshot path.
 const PREV_SUFFIX: &str = ".prev";
-
-fn sibling(path: &Path, suffix: &str) -> PathBuf {
-    let mut name = path.file_name().map(|n| n.to_os_string()).unwrap_or_default();
-    name.push(suffix);
-    path.with_file_name(name)
-}
-
-/// Stream snapshot bytes into a writer in bounded chunks.
-///
-/// This is the seam the mid-write failure tests inject into: a writer
-/// that errors after N bytes exercises exactly the partial-write path a
-/// full disk produces, and the error must propagate (no swallowed
-/// short writes).
-pub fn stream_snapshot(bytes: &[u8], w: &mut dyn Write) -> io::Result<()> {
-    for chunk in bytes.chunks(64 * 1024) {
-        w.write_all(chunk)?;
-    }
-    w.flush()
-}
-
-/// Write `bytes` to `path` atomically: temp sibling → fsync → rename.
-///
-/// On any failure the destination is untouched (the historical
-/// `File::create(path)` truncated the old snapshot before the first byte
-/// of the new one landed — the bug this replaces) and the temp file is
-/// cleaned up on a best-effort basis.
-pub fn atomic_write(path: impl AsRef<Path>, bytes: &[u8]) -> io::Result<()> {
-    let path = path.as_ref();
-    let tmp = sibling(path, TMP_SUFFIX);
-    let write = (|| {
-        let file = fs::File::create(&tmp)?;
-        let mut w = io::BufWriter::new(file);
-        stream_snapshot(bytes, &mut w)?;
-        // Data must be on disk before the rename publishes it; a rename
-        // that survives a crash while the data didn't would install a
-        // torn file under the *final* name — the one state the scheme
-        // exists to prevent.
-        w.into_inner().map_err(|e| e.into_error())?.sync_all()?;
-        fs::rename(&tmp, path)
-    })();
-    if write.is_err() {
-        fs::remove_file(&tmp).ok();
-    }
-    write?;
-    // Persist the rename itself (the directory entry). Failure here is
-    // not fatal to this process — the data is safe under one name or the
-    // other — so a filesystem that refuses directory fsync is tolerated.
-    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-        if let Ok(d) = fs::File::open(dir) {
-            d.sync_all().ok();
-        }
-    }
-    Ok(())
-}
 
 /// Where a recovery found its state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -153,34 +101,18 @@ impl Checkpointer {
         sibling(&self.path, PREV_SUFFIX)
     }
 
-    /// Snapshot `wg` into the newest generation, rotating the current
-    /// newest (if any) to `.prev` first.
+    /// Snapshot `wg` into the newest generation, demoting the current
+    /// newest (if any) to `.prev` on the way.
     pub fn checkpoint(&self, wg: &WarpGate) -> io::Result<()> {
-        let bytes = wg.to_bytes();
-        let tmp = sibling(&self.path, TMP_SUFFIX);
-        let write = (|| {
-            let file = fs::File::create(&tmp)?;
-            let mut w = io::BufWriter::new(file);
-            stream_snapshot(&bytes, &mut w)?;
-            w.into_inner().map_err(|e| e.into_error())?.sync_all()
-        })();
-        if let Err(e) = write {
-            fs::remove_file(&tmp).ok();
-            return Err(e);
-        }
         // Rotate only once the new generation is safely on disk: demoting
         // the old snapshot before that could leave zero loadable
         // generations after a crash.
-        if self.path.exists() {
-            fs::rename(&self.path, self.previous_path())?;
-        }
-        fs::rename(&tmp, &self.path)?;
-        if let Some(dir) = self.path.parent().filter(|d| !d.as_os_str().is_empty()) {
-            if let Ok(d) = fs::File::open(dir) {
-                d.sync_all().ok();
+        atomic_file::write_with(&self.path, &wg.to_bytes(), || {
+            if self.path.exists() {
+                fs::rename(&self.path, self.previous_path())?;
             }
-        }
-        Ok(())
+            Ok(())
+        })
     }
 
     /// Restore `wg` from the newest loadable generation.
@@ -248,7 +180,7 @@ impl CrashState {
         let files = [
             (checkpoint_path.to_path_buf(), &self.primary),
             (sibling(checkpoint_path, PREV_SUFFIX), &self.previous),
-            (sibling(checkpoint_path, TMP_SUFFIX), &self.temp),
+            (temp_sibling(checkpoint_path), &self.temp),
         ];
         for (path, contents) in files {
             match contents {
@@ -344,6 +276,7 @@ impl TornWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::Write;
 
     /// Errors after `limit` bytes, like a disk running full mid-write.
     struct FailingWriter {
@@ -393,8 +326,7 @@ mod tests {
         // Block the temp path with a directory: the write fails before a
         // single destination byte moves, and the old snapshot survives —
         // the regression the bare `File::create(path)` writer had.
-        let tmp = sibling(&path, TMP_SUFFIX);
-        fs::create_dir_all(&tmp).unwrap();
+        fs::create_dir_all(temp_sibling(&path)).unwrap();
         assert!(atomic_write(&path, b"generation three").is_err());
         assert_eq!(fs::read(&path).unwrap(), b"generation two", "failed write must not truncate");
         fs::remove_dir_all(&dir).ok();
@@ -403,7 +335,7 @@ mod tests {
     #[test]
     fn siblings_attach_suffixes_to_the_file_name() {
         let p = Path::new("/var/lib/wg/snapshot.bin");
-        assert_eq!(sibling(p, TMP_SUFFIX), Path::new("/var/lib/wg/snapshot.bin.tmp"));
+        assert_eq!(temp_sibling(p), Path::new("/var/lib/wg/snapshot.bin.tmp"));
         assert_eq!(sibling(p, PREV_SUFFIX), Path::new("/var/lib/wg/snapshot.bin.prev"));
     }
 
@@ -453,12 +385,98 @@ mod tests {
         state.materialize(&path).unwrap();
         assert_eq!(fs::read(&path).unwrap(), b"p");
         assert!(!sibling(&path, PREV_SUFFIX).exists());
-        assert_eq!(fs::read(sibling(&path, TMP_SUFFIX)).unwrap(), b"t");
+        assert_eq!(fs::read(temp_sibling(&path)).unwrap(), b"t");
 
         // Re-materializing a different state removes what it declares absent.
         let gone = CrashState { label: "gone".into(), primary: None, previous: None, temp: None };
         gone.materialize(&path).unwrap();
-        assert!(!path.exists() && !sibling(&path, TMP_SUFFIX).exists());
+        assert!(!path.exists() && !temp_sibling(&path).exists());
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn checkpoint_under_racing_discover_and_sync_recovers_a_state_the_system_was_in() {
+        use crate::config::WarpGateConfig;
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use wg_store::{CdwConfig, CdwConnector, Column, ColumnRef, Table, Warehouse};
+
+        // One thread flips table `b` between two contents and syncs; one
+        // keeps discovering; this one checkpoints as fast as it can. The
+        // encoder reads each shard's arena in place, so it must hold the
+        // shards' read guards from the row count to the last row: every
+        // checkpoint has to recover (a count that disagrees with the rows
+        // written would be a corrupt frame), to one of the two generations
+        // (`b` has one column, so a sync replaces exactly one row), with
+        // every signature the one its vector signs to — never one
+        // generation's next to the other's.
+        let table = |name: &str, from: usize| {
+            let values: Vec<String> = (from..from + 24).map(|i| format!("val {i}")).collect();
+            Table::new(name, vec![Column::text("x", values)]).unwrap()
+        };
+        let mut w = Warehouse::new("race");
+        w.database_mut("db").add_table(table("a", 0));
+        w.database_mut("db").add_table(table("b", 0));
+        let c = std::sync::Arc::new(CdwConnector::new(w, CdwConfig::free()));
+        let flip_b = |from: usize| c.warehouse_mut().database_mut("db").add_table(table("b", from));
+        let config = WarpGateConfig { dim: 64, threads: 1, ..Default::default() };
+        let wg = WarpGate::with_backend(config, c.clone());
+        wg.index_warehouse().unwrap();
+        let query = ColumnRef::new("db", "a", "x");
+        let rank_of = |node: &WarpGate| node.discover(&query, 3).unwrap().candidates;
+        let first = rank_of(&wg);
+        flip_b(6);
+        wg.sync().unwrap();
+        let second = rank_of(&wg);
+        assert_ne!(first, second, "generations must be distinguishable by ranking");
+
+        let dir = tmp_dir("race");
+        let ckpt = Checkpointer::new(dir.join("snapshot.bin"));
+        /// Ends the helper threads however the checkpointing loop ends.
+        struct StopOnDrop<'a>(&'a AtomicBool);
+        impl Drop for StopOnDrop<'_> {
+            fn drop(&mut self) {
+                self.0.store(true, Ordering::SeqCst);
+            }
+        }
+        let stop = AtomicBool::new(false);
+        let started = std::sync::Barrier::new(3);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                started.wait();
+                for round in 0.. {
+                    if stop.load(Ordering::SeqCst) {
+                        break;
+                    }
+                    flip_b(if round % 2 == 0 { 0 } else { 6 });
+                    wg.sync().unwrap();
+                }
+            });
+            scope.spawn(|| {
+                started.wait();
+                while !stop.load(Ordering::SeqCst) {
+                    let got = rank_of(&wg);
+                    assert!(got == first || got == second, "a reader saw a third state");
+                }
+            });
+            started.wait();
+            let _stop = StopOnDrop(&stop);
+            let mut recovered = WarpGate::with_backend(config, c.clone());
+            for round in 0..40 {
+                ckpt.checkpoint(&wg).unwrap();
+                let report = ckpt
+                    .recover(&mut recovered)
+                    .unwrap_or_else(|e| panic!("checkpoint {round} did not recover: {e}"));
+                assert_eq!((report.source, report.columns), (RecoverySource::Primary, 2));
+                let got = rank_of(&recovered);
+                assert!(got == first || got == second, "checkpoint {round} holds a third state");
+                let index = recovered.lsh_index();
+                let hasher =
+                    wg_lsh::SimHasher::new(index.dim(), index.params().bits(), index.seed());
+                for row in index.export_segment_rows().into_iter().flatten() {
+                    assert_eq!(row.signature, hasher.sign(&row.vector), "checkpoint {round}");
+                }
+            }
+        });
         fs::remove_dir_all(&dir).ok();
     }
 }

@@ -1,52 +1,50 @@
 //! Index persistence.
 //!
 //! A deployed discovery service must survive restarts without re-scanning
-//! (and re-paying for) the warehouse. The persisted artifact is the LSH
-//! index (vectors + geometry + seed) plus the id → column-reference
-//! registry; because the embedding model itself is deterministic and
-//! derived from the config seed, nothing model-side needs to be stored.
+//! (and re-paying for) the warehouse, and without redoing the build either:
+//! the persisted artifact is the LSH index **as built** — geometry, seed,
+//! and every row's vector *and signature* — plus the id → column-reference
+//! registry and the sync tokens. Because the embedding model itself is
+//! deterministic and derived from the config seed, nothing model-side needs
+//! to be stored.
 //!
-//! Two frame versions exist (see DESIGN.md §9):
+//! There is **one** flat snapshot layout (DESIGN.md §9), written and read
+//! by one code path each:
 //!
-//! * **v1** — the pre-federation format: entries are bare
-//!   `(id, database, table, column)` tuples. Still written whenever every
-//!   indexed column lives in the `"default"` namespace (byte-identical to
-//!   what the pre-federation writer produced), and still read — old
-//!   snapshots load with every ref in the default namespace.
-//! * **v2** — federated: entries carry their backend *name* (via
-//!   [`ColumnRef::encode`]), and the index payload is the WGLX v2 frame
-//!   with its backend-name table. Names are the authoritative identity
-//!   across processes; the loader re-interns each name and **recomposes
-//!   every item id** from the local interner's bits plus the saved
-//!   per-backend local part, because the saving process's bit assignment
-//!   need not match this one's.
+//! ```text
+//! "WGSY" │ version u32
+//! entries u32 │ per entry: id u32 │ backend name │ database │ table │ column
+//! index frame: length u32 │ WGLX frame (geometry, backend-name table,
+//!                                      id-sorted fixed-width rows)
+//! "WGST" sync-state frame: per backend name, table → version tokens
+//! "WGFT" integrity footer: body length + CRC-32 of everything above
+//! ```
 //!
-//! Since the durability work (DESIGN.md §10) every written snapshot also
-//! carries, *after* the index payload:
+//! * Backend *names* are the identity that travels; the loader resolves
+//!   each to its own interner bits and **recomposes every item id** from
+//!   those bits plus the saved per-backend local part, because the saving
+//!   process's bit assignment need not match this one's.
+//! * Rows carry the signature the build derived for them, so a restore
+//!   buckets them as they are — no projection is recomputed. The snapshot
+//!   is shard-count independent and byte-identical for identical states.
+//! * The WGST frame lets a restarted node's first `sync()` re-scan only
+//!   tables that actually changed instead of re-billing the warehouse.
+//! * Nothing installs unless the WGFT footer verifies. A file of another
+//!   version, or one that does not end in a footer matching its body, is
+//!   refused with [`StoreError::SnapshotCorrupt`] — there is no unchecked
+//!   parse to fall back to. The loader parses into locals and installs
+//!   state only on full success, which is what lets recovery fall back to
+//!   the previous checkpoint generation (see [`crate::durability`]).
 //!
-//! * a **WGST sync-state frame** — per backend name, the table → version
-//!   tokens the index currently reflects, so a restarted node's first
-//!   `sync()` re-scans only tables that actually changed instead of
-//!   re-billing the whole warehouse; and
-//! * a trailing **WGFT integrity footer** (see [`wg_util::checksum`]) —
-//!   magic, body length and CRC-32 over everything before it, so torn or
-//!   bit-rotted files are rejected before a single body byte is trusted.
-//!
-//! Both are strictly additive: the v1/v2 header version is unchanged, and
-//! footerless pre-durability files (which also lack WGST) still load —
-//! with the historical behavior of invalidating all sync state. Every
-//! integrity failure surfaces as [`StoreError::SnapshotCorrupt`] with the
-//! byte offset where parsing went wrong; the loader parses into locals and
-//! installs state only on full success, so a corrupt file never leaves the
-//! system half-mutated (which is what lets recovery fall back to the
-//! previous checkpoint generation, see [`crate::durability`]).
-//!
-//! The body parse is generic over [`codec::Buf`], so the same code path
-//! serves in-memory bytes ([`WarpGate::load_bytes`]) and a **streaming**
-//! file restore ([`WarpGate::load_from_file`]): the footer check reads the
-//! trailing [`checksum::FOOTER_LEN`] bytes plus one chunked CRC pass, and
-//! the frames parse through a bounded [`ReaderBuf`] window — a restore
-//! never materializes the whole snapshot file in memory.
+//! The body parse is generic over [`codec::Buf`], so the same code serves
+//! in-memory bytes ([`WarpGate::load_bytes`], checksum first) and a
+//! **streaming** file restore ([`WarpGate::load_from_file`]): the file is
+//! read **once**, through a bounded [`ReaderBuf`] window that folds every
+//! byte into the CRC as the frames parse, and the digest is compared with
+//! the footer before anything installs. That parse therefore runs on bytes
+//! nothing has vouched for yet: every count is checked against the bytes
+//! that remain before anything is reserved for it, and backend names are
+//! only *looked up*, never interned, until the checksum has been compared.
 //!
 //! **Paged snapshots** (DESIGN.md §11) are the beyond-RAM alternative:
 //! [`WarpGate::save_paged`] seals every shard's rows into a checksummed
@@ -59,22 +57,26 @@
 //! actually needs them, served through the system's byte-budgeted block
 //! cache.
 
-use std::io::{Read, Seek, SeekFrom};
+use std::fmt::Display;
+use std::io::Read;
 use std::path::Path;
 use std::sync::Arc;
 
 use wg_lsh::{compose_item_id, item_backend, item_local, ShardedLshIndex, VectorSegment};
 use wg_store::{BackendId, ColumnRef, StoreError, StoreResult};
-use wg_util::codec::{self, Buf, ReaderBuf};
-use wg_util::{checksum, segment, FxHashMap};
+use wg_util::checksum::{self, FooterCheck};
+use wg_util::codec::{self, Buf, CodecError, CodecResult, ReaderBuf};
+use wg_util::{atomic_file, names, FxHashMap};
 
 use crate::system::{PersistedBackendSync, WarpGate};
 
 const MAGIC: [u8; 4] = *b"WGSY";
-const VERSION: u32 = 1;
-const VERSION_FEDERATED: u32 = 2;
+/// The one snapshot version. 1 and 2 (pre-federation / federated, rows
+/// without signatures, footer optional) were never deployed; files of any
+/// other version are refused, not converted.
+const VERSION: u32 = 3;
 
-/// Magic of the appended sync-state frame.
+/// Magic of the sync-state frame.
 const SYNC_MAGIC: [u8; 4] = *b"WGST";
 const SYNC_VERSION: u32 = 1;
 
@@ -85,81 +87,146 @@ const PAGED_VERSION: u32 = 1;
 /// File name of the paged-snapshot manifest inside its directory.
 pub const PAGED_MANIFEST: &str = "manifest.wgm";
 
+/// The fewest bytes one registry entry encodes to: its id and four empty
+/// length-prefixed strings.
+const MIN_ENTRY_BYTES: usize = 4 + 4 * 4;
+
 /// A parse failure at a known position in the snapshot body: the offset
-/// pins *where* the bytes stopped making sense, which with a verified
-/// checksum should never happen (and without one is the whole diagnosis).
-fn corrupt_at(
-    what: impl std::fmt::Display,
-    offset: usize,
-    e: impl std::fmt::Display,
-) -> StoreError {
+/// pins *where* the bytes stopped making sense.
+fn corrupt_at(what: impl Display, offset: usize, e: impl Display) -> StoreError {
     StoreError::SnapshotCorrupt(format!("{what} at byte offset {offset}: {e}"))
+}
+
+/// Unwrap one decode step of a snapshot body of `total` bytes read through
+/// `buf`, or return where it failed as [`corrupt_at`].
+macro_rules! step {
+    ($total:expr, $buf:expr, $what:expr, $r:expr) => {
+        match $r {
+            Ok(v) => v,
+            Err(e) => return Err(corrupt_at($what, $total - $buf.remaining(), e)),
+        }
+    };
+}
+
+/// A footer check as a load's verdict on `what` (`len` bytes, footer
+/// included): anything but `Verified` is corruption.
+fn require_verified(
+    check: Result<FooterCheck, CodecError>,
+    what: &str,
+    len: u64,
+) -> StoreResult<()> {
+    match check {
+        Ok(FooterCheck::Verified) => Ok(()),
+        Ok(FooterCheck::Absent) => Err(StoreError::SnapshotCorrupt(format!(
+            "{what} does not end in an integrity footer for its {len} bytes"
+        ))),
+        Err(e) => Err(StoreError::SnapshotCorrupt(format!("{what} integrity footer: {e}"))),
+    }
+}
+
+/// The body of in-memory `what` bytes once their WGFT footer has verified.
+fn verified_body<'a>(bytes: &'a [u8], what: &str) -> StoreResult<&'a [u8]> {
+    let mut body = bytes;
+    let check = checksum::split_footer(bytes).map(|(stripped, check)| {
+        body = stripped;
+        check
+    });
+    require_verified(check, what, bytes.len() as u64)?;
+    Ok(body)
+}
+
+/// Backend name → this process's interner bits, for the length of one
+/// load. `resolve` decides whether an unseen name may be interned (bytes
+/// already verified) or only looked up (not yet); the last answer is kept
+/// because entries arrive grouped by backend.
+struct Names<'a> {
+    resolve: &'a mut dyn FnMut(&str) -> Option<u16>,
+    last: Option<(String, u16)>,
+}
+
+impl Names<'_> {
+    fn bits(&mut self, name: String) -> CodecResult<u16> {
+        match &self.last {
+            Some((known, bits)) if *known == name => Ok(*bits),
+            _ => {
+                let bits = (self.resolve)(&name).ok_or_else(|| {
+                    CodecError::Invalid(format!("backend '{name}' is not known to this process"))
+                })?;
+                self.last = Some((name, bits));
+                Ok(bits)
+            }
+        }
+    }
+}
+
+/// Append the registry: a count, then `(id, ref)` per entry, refs by
+/// backend *name*.
+fn put_entries(buf: &mut Vec<u8>, entries: &[(u32, &ColumnRef)]) {
+    codec::put_len(buf, entries.len());
+    for (id, r) in entries {
+        codec::put_u32(buf, *id);
+        r.encode(buf);
+    }
+}
+
+/// Read what [`put_entries`] wrote: each ref in this process's namespace
+/// for its backend name, each id still as the *saving* process composed
+/// it (its high bits are that process's interner assignment).
+fn get_entries(
+    total: usize,
+    buf: &mut impl Buf,
+    names: &mut Names<'_>,
+) -> StoreResult<Vec<(u32, ColumnRef)>> {
+    let n = step!(total, buf, "registry entry count", codec::get_count(buf, MIN_ENTRY_BYTES));
+    let mut entries = Vec::with_capacity(n);
+    for i in 0..n {
+        let saved_id = step!(total, buf, format!("entry #{i} id"), codec::get_u32(buf));
+        let backend = step!(total, buf, format!("entry #{i} backend"), codec::get_str(buf));
+        let backend = step!(total, buf, format!("entry #{i} backend"), names.bits(backend));
+        let database = step!(total, buf, format!("entry #{i} database"), codec::get_str(buf));
+        let table = step!(total, buf, format!("entry #{i} table"), codec::get_str(buf));
+        let column = step!(total, buf, format!("entry #{i} column"), codec::get_str(buf));
+        let r = ColumnRef::scoped(BackendId::from_bits(backend), database, table, column);
+        entries.push((saved_id, r));
+    }
+    Ok(entries)
 }
 
 /// Everything a snapshot body parses into, before any system state is
 /// touched.
-type ParsedSnapshot = (ShardedLshIndex, Vec<(u32, ColumnRef)>, Option<Vec<PersistedBackendSync>>);
+type ParsedSnapshot = (ShardedLshIndex, Vec<(u32, ColumnRef)>, Vec<PersistedBackendSync>);
 
 /// Parse a full snapshot body (header → registry entries → index frame →
-/// optional sync frame) from any [`Buf`] — a byte slice or a bounded file
-/// reader. `total` is the body length, for offset reporting only.
-fn parse_snapshot(total: usize, buf: &mut impl Buf, shards: usize) -> StoreResult<ParsedSnapshot> {
-    macro_rules! step {
-        ($what:expr, $r:expr) => {
-            match $r {
-                Ok(v) => v,
-                Err(e) => return Err(corrupt_at($what, total - buf.remaining(), e)),
-            }
-        };
+/// sync frame) from any [`Buf`] — a byte slice or a bounded file reader.
+/// `total` is the body length, for offset reporting only; `resolve` maps a
+/// backend name to this process's bits, or refuses to.
+fn parse_snapshot(
+    total: usize,
+    buf: &mut impl Buf,
+    shards: usize,
+    resolve: &mut dyn FnMut(&str) -> Option<u16>,
+) -> StoreResult<ParsedSnapshot> {
+    let version = step!(total, buf, "snapshot header", codec::get_header(buf, MAGIC));
+    if version != VERSION {
+        return Err(StoreError::SnapshotCorrupt(format!(
+            "unsupported snapshot version {version} (this build reads and writes {VERSION})"
+        )));
     }
-    let version = step!("snapshot header", codec::get_header(buf, MAGIC));
-    let n = step!("registry entry count", codec::get_len(buf));
-    let mut entries = Vec::with_capacity(n.min(1 << 20));
-    match version {
-        VERSION => {
-            for i in 0..n {
-                let id = step!(format!("entry #{i} id"), codec::get_u32(buf));
-                let database = step!(format!("entry #{i} database"), codec::get_str(buf));
-                let table = step!(format!("entry #{i} table"), codec::get_str(buf));
-                let column = step!(format!("entry #{i} column"), codec::get_str(buf));
-                entries.push((id, ColumnRef::new(database, table, column)));
-            }
-        }
-        VERSION_FEDERATED => {
-            for i in 0..n {
-                let saved_id = step!(format!("entry #{i} id"), codec::get_u32(buf));
-                let r = step!(format!("entry #{i} ref"), ColumnRef::decode(buf));
-                // The saved id's high bits are the *saving* process's
-                // interner assignment; only the name travels. Recompose
-                // against this process's bits for the (re-interned)
-                // backend, keeping the saved per-backend local part.
-                let id = compose_item_id(r.backend.bits(), item_local(saved_id));
-                entries.push((id, r));
-            }
-        }
-        v => return Err(StoreError::SnapshotCorrupt(format!("unsupported snapshot version {v}"))),
+    let mut names = Names { resolve, last: None };
+    let mut entries = get_entries(total, buf, &mut names)?;
+    for (id, r) in &mut entries {
+        // Only the name travelled: recompose against this process's bits
+        // for the backend, keeping the saved per-backend local part.
+        *id = compose_item_id(r.backend.bits(), item_local(*id));
     }
-    // The index payload is length-prefixed; decode it in place and hold
-    // the decoder to exactly the promised frame, so the streaming path
-    // never buffers it whole.
-    let frame_len = step!("index payload", codec::get_len(buf));
-    if frame_len > buf.remaining() {
-        return Err(corrupt_at(
-            "index payload",
-            total - buf.remaining(),
-            format!("frame length {frame_len} exceeds the {} bytes left", buf.remaining()),
-        ));
-    }
+    // The index payload is length-prefixed; decode it in place — the
+    // streaming path never buffers it whole — and hold the decoder to
+    // exactly the promised frame. The same name-authoritative remap
+    // applies inside it.
+    let frame_len = step!(total, buf, "index payload", codec::get_len(buf));
     let before = buf.remaining();
-    // The same name-authoritative remap applies inside the index frame
-    // (v1 index payloads have no name table and resolve nothing).
-    let index =
-        step!(
-            "index frame",
-            ShardedLshIndex::decode_with_backends(buf, shards, |name| Ok(
-                BackendId::named(name).bits()
-            ))
-        );
+    let decoded = ShardedLshIndex::decode(buf, shards, |name| names.bits(name.to_string()));
+    let index = step!(total, buf, "index frame", decoded);
     let consumed = before - buf.remaining();
     if consumed != frame_len {
         return Err(corrupt_at(
@@ -168,8 +235,7 @@ fn parse_snapshot(total: usize, buf: &mut impl Buf, shards: usize) -> StoreResul
             format!("decoded {consumed} bytes of a {frame_len}-byte frame"),
         ));
     }
-    // Optional durable sync tokens; pre-durability files end here.
-    let sync = if buf.remaining() == 0 { None } else { Some(parse_sync_frame(total, buf)?) };
+    let sync = parse_sync_frame(total, buf)?;
     if buf.remaining() != 0 {
         return Err(corrupt_at(
             "snapshot end",
@@ -181,55 +247,49 @@ fn parse_snapshot(total: usize, buf: &mut impl Buf, shards: usize) -> StoreResul
 }
 
 impl WarpGate {
-    /// Serialize the index + registry to a byte buffer. All-default
-    /// contents produce the pre-federation v1 frame, byte for byte; any
-    /// other namespace upgrades the frame to v2.
+    /// Serialize the index + registry + sync tokens into one buffer, in
+    /// place: registry refs are borrowed under the registry's read lock,
+    /// hot rows are read straight out of each shard's arena under the
+    /// shards' read guards (all held together, so the snapshot is the
+    /// system as it stood at one instant), and the one CRC pass is the
+    /// footer's.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let (index_bytes, entries) = self.snapshot_for_persist();
-        let federated = entries.iter().any(|(_, r)| !r.backend.is_default());
-        let mut buf = Vec::with_capacity(index_bytes.len() + 64 * entries.len() + 64);
-        if federated {
-            codec::put_header(&mut buf, MAGIC, VERSION_FEDERATED);
-            codec::put_len(&mut buf, entries.len());
-            for (id, r) in &entries {
-                codec::put_u32(&mut buf, *id);
-                r.encode(&mut buf);
-            }
-        } else {
+        // Tokens first: a sync that commits while the rows are encoded
+        // leaves tokens *older* than the rows (one redundant re-scan after
+        // a restore), never newer (a change the restored node would never
+        // see).
+        let sync = self.sync_state_for_persist();
+        let index = self.lsh_index();
+        self.with_registry_entries(|entries| {
+            let row_bytes = 4 + index.params().bits().div_ceil(64) * 8 + index.dim() * 4;
+            let mut buf = Vec::with_capacity(index.len() * row_bytes + entries.len() * 96 + 1024);
             codec::put_header(&mut buf, MAGIC, VERSION);
-            codec::put_len(&mut buf, entries.len());
-            for (id, r) in &entries {
-                codec::put_u32(&mut buf, *id);
-                codec::put_str(&mut buf, &r.database);
-                codec::put_str(&mut buf, &r.table);
-                codec::put_str(&mut buf, &r.column);
-            }
-        }
-        codec::put_bytes(&mut buf, &index_bytes);
-        // Durable sync tokens: written even when empty so the frame layout
-        // is uniform; only pre-durability files lack it.
-        put_sync_frame(&mut buf, &self.sync_state_for_persist());
-        checksum::append_footer(&mut buf);
-        buf
+            put_entries(&mut buf, entries);
+            codec::put_bytes_with(&mut buf, |buf| {
+                index.encode(buf, |bits| BackendId::from_bits(bits).name())
+            });
+            put_sync_frame(&mut buf, &sync);
+            checksum::append_footer(&mut buf);
+            buf
+        })
     }
 
-    /// Restore index + registry from bytes produced by [`Self::to_bytes`]
-    /// (either frame version). The receiving system must be configured
-    /// with the same dimension (and should use the same seed, or query
-    /// embeddings will not live in the persisted index's space). The
-    /// snapshot is shard-count independent: items redistribute into this
-    /// system's configured shard layout on load, so a snapshot saved with
-    /// 8 shards restores fine into 1 (or vice versa).
+    /// Restore index + registry from bytes produced by [`Self::to_bytes`].
+    /// The checksum is verified before a byte of the body is parsed. The
+    /// receiving system must be configured with the same dimension (and
+    /// should use the same seed, or query embeddings will not live in the
+    /// persisted index's space). The snapshot is shard-count independent:
+    /// items redistribute into this system's configured shard layout on
+    /// load, so a snapshot saved with 8 shards restores fine into 1 (or
+    /// vice versa).
     pub fn load_bytes(&mut self, bytes: &[u8]) -> StoreResult<()> {
-        // A checksum mismatch or torn footer is fatal for these bytes —
-        // it is never downgraded to a legacy (footerless) parse. Files
-        // that simply have no footer fall through to the body parse,
-        // whose own bounds checks reject truncations.
-        let (body, _integrity) = checksum::split_footer(bytes)
-            .map_err(|e| StoreError::SnapshotCorrupt(format!("integrity footer: {e}")))?;
-        let mut cursor = body;
-        let (index, entries, sync) =
-            parse_snapshot(body.len(), &mut cursor, self.config().effective_shards())?;
+        let body = verified_body(bytes, "snapshot")?;
+        let (index, entries, sync) = parse_snapshot(
+            body.len(),
+            &mut &body[..],
+            self.config().effective_shards(),
+            &mut |name| Some(BackendId::named(name).bits()),
+        )?;
         // Everything parsed into locals; only now touch system state.
         self.restore_from_persist(index, entries, sync)
     }
@@ -237,15 +297,16 @@ impl WarpGate {
     /// Write the snapshot to a file, atomically: the bytes stream into a
     /// sibling temp file which is fsynced and renamed over `path`, so a
     /// crash — or a full disk — mid-write can never destroy a snapshot
-    /// that was already there (see [`crate::durability::atomic_write`]).
+    /// that was already there (see [`wg_util::atomic_file`]).
     pub fn save_to_file(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
-        crate::durability::atomic_write(path, &self.to_bytes())
+        atomic_file::write(path.as_ref(), &self.to_bytes())
     }
 
     /// Load a snapshot from a file into this (already configured) system,
-    /// **streaming**: the integrity footer is verified with one chunked
-    /// CRC pass and the frames then parse through a bounded read window,
-    /// so restoring never requires the whole file resident in memory.
+    /// **streaming, in one pass**: the frames parse through a bounded read
+    /// window that folds the CRC in as they go by, and the digest is
+    /// compared with the footer before anything installs — restoring never
+    /// requires the whole file resident, nor reading it twice.
     ///
     /// A missing/unreadable file is [`StoreError::NotFound`]; a present
     /// file that fails its checksum or parse is
@@ -255,54 +316,47 @@ impl WarpGate {
     pub fn load_from_file(&mut self, path: impl AsRef<Path>) -> StoreResult<()> {
         let path = path.as_ref();
         let not_found = |e: std::io::Error| StoreError::NotFound(format!("snapshot file: {e}"));
-        let file_len = std::fs::metadata(path).map_err(not_found)?.len();
-        // Classify the trailing footer exactly as `checksum::split_footer`
-        // does: structurally absent footers (short file, wrong magic,
-        // wrong length field) downgrade to the legacy bounds-checked
-        // parse, but a present footer that fails its version or checksum
-        // is corruption — never "legacy".
-        let mut body_len = file_len;
-        if file_len >= checksum::FOOTER_LEN as u64 {
-            let mut f = std::fs::File::open(path).map_err(not_found)?;
-            f.seek(SeekFrom::End(-(checksum::FOOTER_LEN as i64))).map_err(not_found)?;
-            let mut foot = [0u8; checksum::FOOTER_LEN];
-            f.read_exact(&mut foot).map_err(not_found)?;
-            let claimed_len = u64::from_le_bytes(foot[8..16].try_into().expect("8 bytes"));
-            if foot[..4] == checksum::FOOTER_MAGIC
-                && claimed_len == file_len - checksum::FOOTER_LEN as u64
-            {
-                let version = u32::from_le_bytes(foot[4..8].try_into().expect("4 bytes"));
-                if version != checksum::FOOTER_VERSION {
-                    return Err(StoreError::SnapshotCorrupt(format!(
-                        "integrity footer: snapshot footer version {version} is not supported \
-                         (expected {})",
-                        checksum::FOOTER_VERSION
-                    )));
-                }
-                let stored_crc = u32::from_le_bytes(foot[16..20].try_into().expect("4 bytes"));
-                f.seek(SeekFrom::Start(0)).map_err(not_found)?;
-                let mut body = std::io::BufReader::new(&mut f);
-                let actual = segment::crc32_reader(&mut body, claimed_len).map_err(not_found)?;
-                if actual != stored_crc {
-                    return Err(StoreError::SnapshotCorrupt(format!(
-                        "integrity footer: snapshot checksum mismatch over {claimed_len} body \
-                         bytes: stored {stored_crc:#010x}, computed {actual:#010x}"
-                    )));
-                }
-                body_len = claimed_len;
-            }
-        }
-        let f = std::fs::File::open(path).map_err(not_found)?;
-        let mut reader = ReaderBuf::new(std::io::BufReader::new(f), body_len as usize);
-        let parsed =
-            parse_snapshot(body_len as usize, &mut reader, self.config().effective_shards());
+        let file = std::fs::File::open(path).map_err(not_found)?;
+        let file_len = file.metadata().map_err(not_found)?.len();
+        let Some(body_len) = file_len.checked_sub(checksum::FOOTER_LEN as u64) else {
+            return Err(StoreError::SnapshotCorrupt(format!(
+                "snapshot of {file_len} bytes is too short to end in an integrity footer"
+            )));
+        };
+        let mut reader = ReaderBuf::new(file, body_len as usize);
+        // These bytes are unverified until the footer is compared below,
+        // and interning is process-global and permanent: names are only
+        // looked up here.
+        let mut unknown_name = false;
+        let parsed = parse_snapshot(
+            body_len as usize,
+            &mut reader,
+            self.config().effective_shards(),
+            &mut |name| {
+                let bits = names::lookup(name);
+                unknown_name |= bits.is_none();
+                bits
+            },
+        );
         // An I/O fault mid-parse latches in the reader and zero-fills the
         // window; whatever "parsed" out of that is untrustworthy even if
         // it happened to look well-formed.
         if let Some(e) = reader.io_error() {
             return Err(StoreError::NotFound(format!("snapshot file: {e}")));
         }
+        if unknown_name {
+            // A backend name this process has never seen (a node restored
+            // before it attached anything), or a damaged one. Take the
+            // path that verifies the checksum first and may then intern.
+            return self.load_bytes(&std::fs::read(path).map_err(not_found)?);
+        }
         let (index, entries, sync) = parsed?;
+        // A parse that succeeded consumed the body to its last byte, so
+        // the reader's running digest is the body's.
+        let body_crc = reader.crc32();
+        let mut foot = [0u8; checksum::FOOTER_LEN];
+        reader.into_inner().read_exact(&mut foot).map_err(not_found)?;
+        require_verified(checksum::check_footer(&foot, body_len, body_crc), "snapshot", file_len)?;
         self.restore_from_persist(index, entries, sync)
     }
 
@@ -340,25 +394,20 @@ impl WarpGate {
             )?;
             segments.push(name);
         }
-        let entries = self.registry_entries_for_persist();
         let mut buf = Vec::new();
         codec::put_header(&mut buf, PAGED_MAGIC, PAGED_VERSION);
         codec::put_u32(&mut buf, self.config().dim as u32);
         codec::put_u32(&mut buf, sig_bits as u32);
         codec::put_u64(&mut buf, index.seed());
         codec::put_u32(&mut buf, block_rows as u32);
-        codec::put_len(&mut buf, entries.len());
-        for (id, r) in &entries {
-            codec::put_u32(&mut buf, *id);
-            r.encode(&mut buf);
-        }
+        self.with_registry_entries(|entries| put_entries(&mut buf, entries));
         put_sync_frame(&mut buf, &self.sync_state_for_persist());
         codec::put_len(&mut buf, segments.len());
         for name in &segments {
             codec::put_str(&mut buf, name);
         }
         checksum::append_footer(&mut buf);
-        segment::atomic_write_bytes(&dir.join(PAGED_MANIFEST), &buf)?;
+        atomic_file::write(&dir.join(PAGED_MANIFEST), &buf)?;
         Ok(segments.len())
     }
 
@@ -368,43 +417,27 @@ impl WarpGate {
     /// sealed row becomes searchable, but vector payloads stay on disk
     /// until a query's exact re-rank reads their block through the
     /// system's byte-budgeted cache. Item ids recompose through backend
-    /// names exactly like the v2 flat snapshot; geometry (dimension,
+    /// names exactly like the flat snapshot's; geometry (dimension,
     /// signature width, hyperplane seed) must match this system's config
     /// or the restore fails — before touching any state, as always.
     pub fn load_paged(&mut self, dir: impl AsRef<Path>) -> StoreResult<()> {
         let dir = dir.as_ref();
         let bytes = std::fs::read(dir.join(PAGED_MANIFEST))
             .map_err(|e| StoreError::NotFound(format!("paged manifest: {e}")))?;
-        let (body, integrity) = checksum::split_footer(&bytes)
-            .map_err(|e| StoreError::SnapshotCorrupt(format!("paged manifest footer: {e}")))?;
-        // Unlike flat snapshots there is no pre-footer legacy to honor:
-        // the manifest was born checksummed, so a missing footer is
-        // corruption.
-        if integrity != checksum::FooterCheck::Verified {
-            return Err(StoreError::SnapshotCorrupt(
-                "paged manifest is missing its integrity footer".into(),
-            ));
-        }
+        let body = verified_body(&bytes, "paged manifest")?;
         let total = body.len();
         let buf = &mut &body[..];
-        macro_rules! step {
-            ($what:expr, $r:expr) => {
-                match $r {
-                    Ok(v) => v,
-                    Err(e) => return Err(corrupt_at($what, total - buf.remaining(), e)),
-                }
-            };
-        }
-        let version = step!("paged manifest header", codec::get_header(buf, PAGED_MAGIC));
+        let version =
+            step!(total, buf, "paged manifest header", codec::get_header(buf, PAGED_MAGIC));
         if version != PAGED_VERSION {
             return Err(StoreError::SnapshotCorrupt(format!(
                 "unsupported paged manifest version {version}"
             )));
         }
-        let dim = step!("manifest dim", codec::get_u32(buf)) as usize;
-        let sig_bits = step!("manifest signature width", codec::get_u32(buf)) as usize;
-        let seed = step!("manifest seed", codec::get_u64(buf));
-        let _block_rows = step!("manifest block rows", codec::get_u32(buf));
+        let dim = step!(total, buf, "manifest dim", codec::get_u32(buf)) as usize;
+        let sig_bits = step!(total, buf, "manifest signature width", codec::get_u32(buf)) as usize;
+        let seed = step!(total, buf, "manifest seed", codec::get_u64(buf));
+        let _block_rows = step!(total, buf, "manifest block rows", codec::get_u32(buf));
         let index = self.fresh_index();
         if dim != index.dim() {
             return Err(StoreError::Schema(format!(
@@ -423,18 +456,16 @@ impl WarpGate {
                 "paged snapshot was sealed under a different hyperplane seed".into(),
             ));
         }
-        let n = step!("registry entry count", codec::get_len(buf));
-        let mut entries = Vec::with_capacity(n.min(1 << 20));
+        // The manifest is verified, so its names may be interned.
+        let mut intern = |name: &str| Some(BackendId::named(name).bits());
+        let mut entries = get_entries(total, buf, &mut Names { resolve: &mut intern, last: None })?;
         // Saved backend bits → this process's interned bits, recovered
         // from the registry entries (every sealed row has one). Sealed
         // segments store the composed ids of the *saving* process, so the
         // attach below remaps each row through this table.
         let mut rebits: FxHashMap<u16, u16> = FxHashMap::default();
-        for i in 0..n {
-            let saved_id = step!(format!("entry #{i} id"), codec::get_u32(buf));
-            let r = step!(format!("entry #{i} ref"), ColumnRef::decode(buf));
-            let old = item_backend(saved_id);
-            let new = r.backend.bits();
+        for (i, (id, r)) in entries.iter_mut().enumerate() {
+            let (old, new) = (item_backend(*id), r.backend.bits());
             if *rebits.entry(old).or_insert(new) != new {
                 return Err(corrupt_at(
                     format!("entry #{i} ref"),
@@ -442,13 +473,13 @@ impl WarpGate {
                     "saved backend bits map to two different names",
                 ));
             }
-            entries.push((compose_item_id(new, item_local(saved_id)), r));
+            *id = compose_item_id(new, item_local(*id));
         }
         let sync = parse_sync_frame(total, buf)?;
-        let n_segs = step!("segment list", codec::get_len(buf));
-        let mut names = Vec::with_capacity(n_segs.min(1 << 10));
+        let n_segs = step!(total, buf, "segment list", codec::get_count(buf, 4));
+        let mut names = Vec::with_capacity(n_segs);
         for i in 0..n_segs {
-            let name = step!(format!("segment #{i} name"), codec::get_str(buf));
+            let name = step!(total, buf, format!("segment #{i} name"), codec::get_str(buf));
             if name.contains('/') || name.contains('\\') || name.contains("..") {
                 return Err(corrupt_at(
                     format!("segment #{i} name"),
@@ -485,11 +516,12 @@ impl WarpGate {
         }
         // Everything parsed and attached into locals; only now touch
         // system state.
-        self.restore_from_persist(index, entries, Some(sync))
+        self.restore_from_persist(index, entries, sync)
     }
 }
 
-/// Append the WGST sync-state frame for these backends.
+/// Append the WGST sync-state frame for these backends (written even when
+/// empty: the frame set is always the same).
 fn put_sync_frame(buf: &mut Vec<u8>, sync: &[PersistedBackendSync]) {
     codec::put_header(buf, SYNC_MAGIC, SYNC_VERSION);
     codec::put_len(buf, sync.len());
@@ -508,31 +540,28 @@ fn put_sync_frame(buf: &mut Vec<u8>, sync: &[PersistedBackendSync]) {
 /// Parse the WGST frame the cursor is sitting on. `total` is the full
 /// body length, for offset reporting only.
 fn parse_sync_frame(total: usize, buf: &mut impl Buf) -> StoreResult<Vec<PersistedBackendSync>> {
-    macro_rules! step {
-        ($what:expr, $r:expr) => {
-            match $r {
-                Ok(v) => v,
-                Err(e) => return Err(corrupt_at($what, total - buf.remaining(), e)),
-            }
-        };
-    }
-    let version = step!("sync-state header", codec::get_header(buf, SYNC_MAGIC));
+    let version = step!(total, buf, "sync-state header", codec::get_header(buf, SYNC_MAGIC));
     if version != SYNC_VERSION {
         return Err(StoreError::SnapshotCorrupt(format!(
             "unsupported sync-state frame version {version}"
         )));
     }
-    let n = step!("sync-state backends", codec::get_len(buf));
-    let mut backends = Vec::with_capacity(n.min(1 << 10));
+    // A backend is at least a name prefix, an epoch and a table count; a
+    // token at least two name prefixes and a version.
+    let n = step!(total, buf, "sync-state backends", codec::get_count(buf, 16));
+    let mut backends = Vec::with_capacity(n);
     for i in 0..n {
-        let name = step!(format!("sync backend #{i} name"), codec::get_str(buf));
-        let epoch = step!(format!("sync backend #{i} epoch"), codec::get_u64(buf));
-        let t = step!(format!("sync backend #{i} tables"), codec::get_len(buf));
-        let mut tables = Vec::with_capacity(t.min(1 << 16));
+        let name = step!(total, buf, format!("sync backend #{i} name"), codec::get_str(buf));
+        let epoch = step!(total, buf, format!("sync backend #{i} epoch"), codec::get_u64(buf));
+        let t = step!(total, buf, format!("sync backend #{i} tables"), codec::get_count(buf, 16));
+        let mut tables = Vec::with_capacity(t);
         for j in 0..t {
-            let database = step!(format!("sync token #{i}.{j} database"), codec::get_str(buf));
-            let table = step!(format!("sync token #{i}.{j} table"), codec::get_str(buf));
-            let ver = step!(format!("sync token #{i}.{j} version"), codec::get_u64(buf));
+            let database =
+                step!(total, buf, format!("sync token #{i}.{j} database"), codec::get_str(buf));
+            let table =
+                step!(total, buf, format!("sync token #{i}.{j} table"), codec::get_str(buf));
+            let ver =
+                step!(total, buf, format!("sync token #{i}.{j} version"), codec::get_u64(buf));
             tables.push((database, table, ver));
         }
         backends.push(PersistedBackendSync { name, epoch, tables });
@@ -568,24 +597,17 @@ mod tests {
         Arc::new(CdwConnector::new(w, CdwConfig::free()))
     }
 
-    fn temp_path(tag: &str) -> std::path::PathBuf {
-        std::env::temp_dir().join(format!("wg_persist_{tag}_{}", std::process::id()))
+    /// A second warehouse whose one column joins `connector()`'s.
+    fn lake_connector() -> Arc<CdwConnector> {
+        let values: Vec<String> = (0..50).map(|i| format!("Val {i}")).collect();
+        let mut w = Warehouse::new("lake");
+        w.database_mut("raw")
+            .add_table(Table::new("dump", vec![Column::text("x_variant", values)]).unwrap());
+        Arc::new(CdwConnector::new(w, CdwConfig::free()))
     }
 
-    /// The byte length of the pre-durability on-disk shape: header +
-    /// entries + index payload, no WGST frame, no footer.
-    fn legacy_prefix_len(bytes: &[u8]) -> usize {
-        let mut cursor = bytes;
-        codec::get_header(&mut cursor, MAGIC).unwrap();
-        let n = codec::get_len(&mut cursor).unwrap();
-        for _ in 0..n {
-            codec::get_u32(&mut cursor).unwrap();
-            codec::get_str(&mut cursor).unwrap();
-            codec::get_str(&mut cursor).unwrap();
-            codec::get_str(&mut cursor).unwrap();
-        }
-        codec::get_bytes(&mut cursor).unwrap();
-        bytes.len() - cursor.len()
+    fn temp_path(tag: &str) -> std::path::PathBuf {
+        std::env::temp_dir().join(format!("wg_persist_{tag}_{}", std::process::id()))
     }
 
     #[test]
@@ -680,24 +702,19 @@ mod tests {
         wg.index_warehouse().unwrap();
         let bytes = wg.to_bytes();
         let path = temp_path("chaos");
-        // Truncation sweep (coarse — every single offset would be minutes
-        // of index decodes): each cut must be rejected without installing
-        // partial state. The one cut that lands exactly on the legacy
-        // (pre-durability) file boundary is a *valid* file by design and
-        // is skipped here — `…accepts_legacy_footerless_files` covers it.
-        let legacy_len = legacy_prefix_len(&bytes);
+        // Truncation sweep (coarse — `tests/crash_recovery.rs` does every
+        // length): each cut must be refused as corrupt without installing
+        // partial state. No cut is a valid file: a body without its footer
+        // is never parsed into state.
         for cut in (0..bytes.len()).step_by(97).chain([bytes.len() - 1]) {
-            if cut == legacy_len {
-                continue;
-            }
             std::fs::write(&path, &bytes[..cut]).unwrap();
             let mut fresh = WarpGate::new(WarpGateConfig::default());
-            assert!(fresh.load_from_file(&path).is_err(), "truncation to {cut} loaded");
+            let err = fresh.load_from_file(&path).unwrap_err();
+            assert!(matches!(err, StoreError::SnapshotCorrupt(_)), "truncation to {cut}: {err}");
             assert_eq!(fresh.len(), 0, "truncation to {cut} left partial state");
         }
-        // Bit-flip sweep: body flips fail the CRC; footer flips fail the
-        // footer's own checks or re-classify as legacy, where the trailing
-        // footer bytes then fail the body parse.
+        // Bit-flip sweep: body flips fail the parse or the CRC; footer
+        // flips fail the footer's own checks.
         for i in (0..bytes.len()).step_by(131) {
             let mut broken = bytes.clone();
             broken[i] ^= 0x10;
@@ -711,21 +728,6 @@ mod tests {
             assert_eq!(fresh.len(), 0, "flip at {i} left partial state");
         }
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn streaming_file_load_accepts_legacy_footerless_files() {
-        let c = connector();
-        let wg = WarpGate::with_backend(WarpGateConfig::default(), c.clone());
-        wg.index_warehouse().unwrap();
-        let bytes = wg.to_bytes();
-        let legacy = bytes[..legacy_prefix_len(&bytes)].to_vec();
-        let path = temp_path("legacy");
-        std::fs::write(&path, &legacy).unwrap();
-        let mut fresh = WarpGate::with_backend(WarpGateConfig::default(), c);
-        fresh.load_from_file(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        assert_eq!(fresh.len(), 2);
     }
 
     #[test]
@@ -744,28 +746,6 @@ mod tests {
         assert!(
             report.is_noop(),
             "restored tokens must make an unchanged-content sync a no-op: {report:?}"
-        );
-    }
-
-    #[test]
-    fn legacy_snapshots_without_sync_frame_invalidate_sync_state() {
-        // Pre-durability files carry no WGST frame (and no footer); they
-        // must keep their historical behavior — the first sync after the
-        // restore conservatively re-scans every backend table.
-        let c = connector();
-        let wg = WarpGate::with_backend(WarpGateConfig::default(), c.clone());
-        wg.index_warehouse().unwrap();
-        wg.sync().unwrap();
-        let bytes = wg.to_bytes();
-        let legacy = bytes[..legacy_prefix_len(&bytes)].to_vec();
-
-        let mut fresh = WarpGate::with_backend(WarpGateConfig::default(), c);
-        fresh.load_bytes(&legacy).unwrap();
-        let report = fresh.sync().unwrap();
-        assert_eq!(
-            report.tables_added + report.tables_updated,
-            2,
-            "legacy restore must reconcile every backend table: {report:?}"
         );
     }
 
@@ -809,9 +789,9 @@ mod tests {
         let wg = WarpGate::with_backend(WarpGateConfig::default(), c);
         wg.index_warehouse().unwrap();
         let bytes = wg.to_bytes();
-        let (body, check) = wg_util::checksum::split_footer(&bytes).unwrap();
-        assert_eq!(check, wg_util::checksum::FooterCheck::Verified);
-        assert_eq!(body.len() + wg_util::checksum::FOOTER_LEN, bytes.len());
+        let (body, check) = checksum::split_footer(&bytes).unwrap();
+        assert_eq!(check, FooterCheck::Verified);
+        assert_eq!(body.len() + checksum::FOOTER_LEN, bytes.len());
 
         // Corrupt one body byte: the checksum catches it, the error is
         // typed, and the target system stays untouched.
@@ -843,48 +823,43 @@ mod tests {
     }
 
     #[test]
-    fn all_default_snapshots_stay_version_1() {
-        // Back-compat pin: a system whose every column lives in the
-        // default namespace writes the pre-federation frame — old readers
-        // keep working, and old snapshots keep loading (into the default
-        // namespace), indefinitely.
-        let c = connector();
-        let wg = WarpGate::with_backend(WarpGateConfig::default(), c.clone());
-        wg.index_warehouse().unwrap();
-        let bytes = wg.to_bytes();
-        let mut cursor = &bytes[..];
-        assert_eq!(codec::get_header(&mut cursor, MAGIC).unwrap(), VERSION);
-
-        // Old bytes → default namespace, and a re-encode does not upgrade
-        // the frame.
-        let mut fresh = WarpGate::with_backend(WarpGateConfig::default(), c);
-        fresh.load_bytes(&bytes).unwrap();
-        let q = ColumnRef::new("db", "a", "x");
-        let d = fresh.discover(&q, 3).unwrap();
-        assert!(d.candidates.iter().all(|j| j.reference.backend.is_default()));
-        let reencoded = fresh.to_bytes();
-        let mut cursor = &reencoded[..];
-        assert_eq!(codec::get_header(&mut cursor, MAGIC).unwrap(), VERSION);
-        let mut again = WarpGate::with_backend(WarpGateConfig::default(), connector());
-        again.load_bytes(&reencoded).unwrap();
-        assert_eq!(again.discover(&q, 3).unwrap().candidates, d.candidates);
+    fn snapshot_bytes_match_the_golden_snapshot() {
+        // A hand-built index and registry, so the image depends on the
+        // writer (and on the seed → hyperplanes → signature mapping, which
+        // the stored signatures make part of the format) alone. A change
+        // here is an on-disk format change: bump VERSION with it. Pinned
+        // first by PR 17 (WGSY/WGLX v3: rows carry their signatures).
+        let config = WarpGateConfig { dim: 8, ..Default::default() };
+        let index = ShardedLshIndex::new(8, wg_lsh::LshParams { bands: 3, rows: 7 }, 42, 2);
+        index.set_probes(1);
+        let mut entries = Vec::new();
+        for i in 0..5u32 {
+            let v: Vec<f32> = (0..8).map(|d| ((i * 8 + d) as f32 * 0.37).sin()).collect();
+            // Ids with a gap, inserted out of order.
+            let id = [9, 2, 4, 0, 3][i as usize];
+            assert!(index.insert(id, &v));
+            entries.push((id, ColumnRef::new("db", format!("t{}", i / 2), format!("c{i}"))));
+        }
+        let sync = vec![PersistedBackendSync {
+            name: "default".into(),
+            epoch: 0,
+            tables: vec![("db".into(), "t0".into(), 0xFEED), ("db".into(), "t1".into(), 7)],
+        }];
+        let mut wg = WarpGate::new(config);
+        wg.restore_from_persist(index, entries, sync).unwrap();
+        let image = wg.to_bytes();
+        assert_eq!(image.len(), 551);
+        assert_eq!(checksum::crc32(&image), 0xFAAB_EDBD);
+        // And the image is a fixed point of load → save.
+        let mut again = WarpGate::new(config);
+        again.load_bytes(&image).unwrap();
+        assert_eq!(again.to_bytes(), image);
     }
 
     #[test]
     fn federated_snapshot_roundtrip_preserves_namespaces() {
         let cdw = connector();
-        let mut lake_w = Warehouse::new("lake");
-        lake_w.database_mut("raw").add_table(
-            Table::new(
-                "dump",
-                vec![Column::text(
-                    "x_variant",
-                    (0..50).map(|i| format!("Val {i}")).collect::<Vec<_>>(),
-                )],
-            )
-            .unwrap(),
-        );
-        let lake_c = Arc::new(CdwConnector::new(lake_w, CdwConfig::free()));
+        let lake_c = lake_connector();
 
         let wg = WarpGate::with_backend(WarpGateConfig::default(), cdw.clone());
         let lake = wg.attach_named("persist-test-lake", lake_c.clone());
@@ -897,9 +872,9 @@ mod tests {
             "fixture must produce a cross-namespace hit: {before:?}"
         );
 
+        // One frame version, whatever the namespaces.
         let bytes = wg.to_bytes();
-        let mut cursor = &bytes[..];
-        assert_eq!(codec::get_header(&mut cursor, MAGIC).unwrap(), VERSION_FEDERATED);
+        assert_eq!(codec::get_header(&mut &bytes[..], MAGIC).unwrap(), VERSION);
 
         let mut fresh = WarpGate::with_backend(WarpGateConfig::default(), cdw);
         fresh.attach_named("persist-test-lake", lake_c);
@@ -982,7 +957,7 @@ mod tests {
         let seg = dir.join("seg-0.seg");
         let seg_good = std::fs::read(&seg).unwrap();
         let mut seg_bad = seg_good.clone();
-        let in_directory = seg_bad.len() - segment::TRAILER_LEN - 8;
+        let in_directory = seg_bad.len() - wg_util::segment::TRAILER_LEN - 8;
         seg_bad[in_directory] ^= 0x20;
         std::fs::write(&seg, &seg_bad).unwrap();
         let mut fresh = WarpGate::with_backend(config, c.clone());
@@ -994,7 +969,7 @@ mod tests {
         // block CRC refuses to serve the block on first read — as a typed
         // error.
         let mut seg_bad = seg_good.clone();
-        seg_bad[segment::PREAMBLE_LEN + 5] ^= 0x20;
+        seg_bad[wg_util::segment::PREAMBLE_LEN + 5] ^= 0x20;
         std::fs::write(&seg, &seg_bad).unwrap();
         let mut fresh = WarpGate::with_backend(config, c);
         fresh.load_paged(&dir).unwrap();
@@ -1023,18 +998,7 @@ mod tests {
     #[test]
     fn paged_federated_roundtrip_recomposes_namespaces() {
         let cdw = connector();
-        let mut lake_w = Warehouse::new("lake");
-        lake_w.database_mut("raw").add_table(
-            Table::new(
-                "dump",
-                vec![Column::text(
-                    "x_variant",
-                    (0..50).map(|i| format!("Val {i}")).collect::<Vec<_>>(),
-                )],
-            )
-            .unwrap(),
-        );
-        let lake_c = Arc::new(CdwConnector::new(lake_w, CdwConfig::free()));
+        let lake_c = lake_connector();
         let wg = WarpGate::with_backend(WarpGateConfig::default(), cdw.clone());
         let lake = wg.attach_named("paged-test-lake", lake_c.clone());
         wg.index_warehouse().unwrap();

@@ -51,15 +51,26 @@ impl Registry {
         id
     }
 
-    /// Re-install a persisted `(id, ref)` pair; the namespace's counter
-    /// moves past it so later inserts never collide. A repeated id or ref
-    /// replaces the earlier pair.
-    pub(crate) fn insert_at(&mut self, id: u32, r: ColumnRef) {
-        if let Some(previous) = self.ref_of.get(&id).cloned() {
-            self.remove(&previous);
+    /// Build a registry from persisted `(id, ref)` pairs, in any order.
+    /// Each namespace's counter ends past its highest id, so later inserts
+    /// never collide. A snapshot never repeats an id or a ref (its writer
+    /// walks a registry); input that does is refused, not half-installed.
+    pub(crate) fn from_entries(entries: Vec<(u32, ColumnRef)>) -> Result<Registry, String> {
+        let n = entries.len();
+        let mut registry = Registry::default();
+        registry.ref_of.reserve(n);
+        registry.id_of.reserve(n);
+        for (id, r) in entries {
+            registry.link(id, r);
         }
-        self.remove(&r);
-        self.link(id, r);
+        if registry.ref_of.len() != n || registry.id_of.len() != n {
+            return Err(format!(
+                "{n} registry entries name {} distinct ids and {} distinct columns",
+                registry.ref_of.len(),
+                registry.id_of.len()
+            ));
+        }
+        Ok(registry)
     }
 
     pub(crate) fn remove(&mut self, r: &ColumnRef) -> Option<u32> {
@@ -252,14 +263,11 @@ mod tests {
                 queries.push(ColumnRef::new("", "", ""));
                 assert_predicates_agree(&reg, &queries, "live registry");
 
-                // Restore: the same pairs through `insert_at`, any order.
+                // Restore: the same pairs through `from_entries`, any order.
                 let mut pairs: Vec<(u32, ColumnRef)> =
                     reg.entries().map(|(id, r)| (id, r.clone())).collect();
                 pairs.sort_by_key(|(id, _)| id.wrapping_mul(0x9E37_79B9));
-                let mut restored = Registry::default();
-                for (id, r) in pairs {
-                    restored.insert_at(id, r);
-                }
+                let mut restored = Registry::from_entries(pairs).expect("a live registry's pairs");
                 assert_predicates_agree(&restored, &queries, "restored registry");
                 for (id, r) in reg.entries() {
                     assert_eq!(restored.reference(id), Some(r));
@@ -318,17 +326,16 @@ mod tests {
     }
 
     #[test]
-    fn insert_at_replaces_a_repeated_id_or_ref() {
-        let mut reg = Registry::default();
+    fn from_entries_refuses_a_repeated_id_or_ref() {
         let (a, b) = (ColumnRef::new("db", "t", "a"), ColumnRef::new("db", "u", "b"));
-        reg.insert_at(3, a.clone());
-        reg.insert_at(3, b.clone());
-        assert_eq!(reg.reference(3), Some(&b));
-        assert!(reg.table_refs(&a.table_ref()).is_empty());
-        reg.insert_at(5, b.clone());
-        assert_eq!(reg.reference(3), None);
-        assert_eq!(reg.table_refs(&b.table_ref()), vec![b.clone()]);
-        assert!(reg.excluder(&a, true)(3), "the replaced id is a tombstone");
-        assert_eq!(reg.insert(a), 6);
+        let same_id = Registry::from_entries(vec![(3, a.clone()), (3, b.clone())]);
+        assert!(same_id.is_err_and(|e| e.contains("1 distinct ids")));
+        let same_ref = Registry::from_entries(vec![(3, b.clone()), (5, b.clone())]);
+        assert!(same_ref.is_err_and(|e| e.contains("1 distinct columns")));
+        // Gaps are fine, and the namespace numbers on past the highest id.
+        let mut reg = Registry::from_entries(vec![(5, b.clone()), (3, a.clone())]).unwrap();
+        assert_eq!((reg.reference(3), reg.reference(5)), (Some(&a), Some(&b)));
+        assert!(reg.excluder(&a, true)(4), "an id the snapshot skipped is a tombstone");
+        assert_eq!(reg.insert(ColumnRef::new("db", "t", "c")), 6);
     }
 }

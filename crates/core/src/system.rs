@@ -1392,23 +1392,18 @@ impl WarpGate {
         Ok(vector)
     }
 
-    pub(crate) fn snapshot_for_persist(&self) -> (Vec<u8>, Vec<(u32, ColumnRef)>) {
-        let mut index_bytes = Vec::new();
-        // All-default contents serialize to the same merged v1 frame as
-        // before federation (byte-identical snapshots); any other
-        // namespace upgrades the frame to v2 with a backend-name table.
-        self.index.encode_with_backends(&mut index_bytes, |bits| BackendId::from_bits(bits).name());
-        (index_bytes, self.registry_entries_for_persist())
-    }
-
-    /// The registry as sorted `(id, ref)` pairs — the durable mapping both
-    /// snapshot formats carry.
-    pub(crate) fn registry_entries_for_persist(&self) -> Vec<(u32, ColumnRef)> {
+    /// Run `f` over the registry as id-sorted `(id, ref)` pairs — the
+    /// durable mapping both snapshot formats carry — borrowed in place
+    /// under the registry's read lock, which is held until `f` returns: an
+    /// index encoded inside `f` is the one these entries described.
+    /// (Writers take the registry lock, release it, then a shard lock, so
+    /// holding this one while the encoder takes shard guards cannot
+    /// deadlock; queries take the two in the same order.)
+    pub(crate) fn with_registry_entries<R>(&self, f: impl FnOnce(&[(u32, &ColumnRef)]) -> R) -> R {
         let registry = self.registry.read();
-        let mut entries: Vec<(u32, ColumnRef)> =
-            registry.entries().map(|(id, r)| (id, r.clone())).collect();
-        entries.sort_by_key(|(id, _)| *id);
-        entries
+        let mut entries: Vec<(u32, &ColumnRef)> = registry.entries().collect();
+        entries.sort_unstable_by_key(|(id, _)| *id);
+        f(&entries)
     }
 
     /// The live LSH index (persistence plumbing: sealing segments, reading
@@ -1454,7 +1449,7 @@ impl WarpGate {
         &mut self,
         index: ShardedLshIndex,
         entries: Vec<(u32, ColumnRef)>,
-        sync: Option<Vec<PersistedBackendSync>>,
+        sync: Vec<PersistedBackendSync>,
     ) -> StoreResult<()> {
         if index.dim() != self.config.dim {
             return Err(StoreError::Schema(format!(
@@ -1463,10 +1458,7 @@ impl WarpGate {
                 self.config.dim
             )));
         }
-        let mut registry = Registry::default();
-        for (id, r) in entries {
-            registry.insert_at(id, r);
-        }
+        let registry = Registry::from_entries(entries).map_err(StoreError::SnapshotCorrupt)?;
         *self.registry.write() = registry;
         self.index = index;
         // The snapshot may come from a system over different warehouse
@@ -1480,15 +1472,15 @@ impl WarpGate {
             state.epoch += 1;
             state.tables.clear();
         }
-        // Then adopt the snapshot's durable tokens (if the frame was
-        // present) under each namespace's *live* epoch: the tokens assert
+        // Then adopt the snapshot's durable tokens under each namespace's
+        // *live* epoch: the tokens assert
         // "the index now installed reflects these table versions", which
         // holds for whatever backend is currently attached under the name
         // — version tokens are content fingerprints, and a mismatching
         // backend simply fails the token diff and re-scans. A backend
         // attached *after* this restore bumps its epoch again and
         // invalidates its adopted tokens (the conservative direction).
-        for persisted in sync.into_iter().flatten() {
+        for persisted in sync {
             let id = BackendId::named(&persisted.name);
             let be = synced.backends.entry(id).or_default();
             let epoch = be.epoch;

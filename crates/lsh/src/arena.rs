@@ -71,6 +71,22 @@ impl VectorArena {
     /// slot. Panics on dimension mismatch — validation happens above.
     pub fn insert(&mut self, id: ItemId, vector: &[f32]) -> u32 {
         assert_eq!(vector.len(), self.dim, "vector dimension mismatch");
+        let filled = self.insert_with(id, |slot| {
+            slot.copy_from_slice(vector);
+            Ok(())
+        });
+        filled.unwrap_or_else(|never: std::convert::Infallible| match never {})
+    }
+
+    /// [`Self::insert`] for a vector that does not exist in memory yet:
+    /// `fill` writes it straight into the slot's `dim` floats (a decoder
+    /// reading a row needs no staging `Vec`). If `fill` fails, `id` is not
+    /// stored — not even a vector it had before the call.
+    pub fn insert_with<E>(
+        &mut self,
+        id: ItemId,
+        fill: impl FnOnce(&mut [f32]) -> Result<(), E>,
+    ) -> Result<u32, E> {
         let slot = match self.slot_of.get(&id) {
             Some(&s) => s,
             None => {
@@ -90,9 +106,13 @@ impl VectorArena {
             }
         };
         let start = slot as usize * self.dim;
-        self.data[start..start + self.dim].copy_from_slice(vector);
+        let vector = &mut self.data[start..start + self.dim];
+        if let Err(e) = fill(vector) {
+            self.remove(id);
+            return Err(e);
+        }
         self.norms[slot as usize] = kernel::norm_sq(vector).sqrt();
-        slot
+        Ok(slot)
     }
 
     /// Remove `id`, recycling its slot; true if it was present.
@@ -170,6 +190,29 @@ mod tests {
         assert_eq!(a.len(), 1);
         assert_eq!(a.get(1), Some(&[0.0, 2.0][..]));
         assert_eq!(a.norm_at(s2), 2.0);
+    }
+
+    #[test]
+    fn insert_with_fills_the_slot_in_place_and_forgets_the_id_on_failure() {
+        let mut a = VectorArena::new(2);
+        let s = a.insert_with(4, |v| {
+            v.copy_from_slice(&[3.0, 4.0]);
+            Ok::<(), ()>(())
+        });
+        assert_eq!(s, Ok(0));
+        assert_eq!((a.get(4), a.norm_at(0)), (Some(&[3.0, 4.0][..]), 5.0));
+        // A failed fill — of a new id or of one already stored — leaves
+        // the id absent and its slot reusable.
+        assert_eq!(a.insert_with(5, |_| Err("short read")), Err("short read"));
+        assert_eq!(
+            a.insert_with(4, |v| {
+                v[0] = 9.0;
+                Err("short read")
+            }),
+            Err("short read")
+        );
+        assert_eq!((a.len(), a.get(4), a.get(5)), (0, None, None));
+        assert_eq!(a.insert(6, &[1.0, 0.0]), 0, "the freed slot is reused");
     }
 
     #[test]

@@ -18,20 +18,20 @@ use crate::arena::VectorArena;
 use crate::paged::{SegmentRow, VectorSegment};
 use crate::params::LshParams;
 use crate::scope::DiscoverScope;
-use crate::simhash::{Signature, SimHasher};
-use crate::{item_backend, ItemId};
+use crate::simhash::{band_key_of, Signature, SimHasher};
+use crate::{compose_item_id, item_backend, item_local, ItemId, BACKEND_BITS};
 
-/// Magic and version of the serialized index frame (shared with
-/// [`crate::ShardedLshIndex`], whose snapshot is the same frame).
-pub(crate) const FRAME_MAGIC: [u8; 4] = *b"WGLX";
-pub(crate) const FRAME_VERSION: u32 = 1;
+/// Magic and version of the serialized index frame (see [`encode_frame`]).
+/// There is one version; any other is refused, never parsed.
+const FRAME_MAGIC: [u8; 4] = *b"WGLX";
+const FRAME_VERSION: u32 = 3;
 
-/// Version of the federated frame: v1 plus a backend table mapping the
-/// high bits of stored ids to backend names, written by
-/// [`crate::ShardedLshIndex::encode_with_backends`] only when some item
-/// lives outside the default namespace (all-default snapshots stay v1,
-/// byte-identical to the legacy layout).
-pub(crate) const FRAME_VERSION_FEDERATED: u32 = 2;
+/// The widest signature and the largest hyperplane matrix (`dim × bits`
+/// floats) a frame may declare: [`decode_frame`] sizes the band tables and
+/// the hasher from the header, possibly before the snapshot's checksum has
+/// been compared. Real configurations stay far inside (default 128 × 128).
+const MAX_FRAME_SIG_BITS: usize = 1 << 16;
+const MAX_FRAME_PLANE_FLOATS: usize = 1 << 24;
 
 /// Diagnostics from one search.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -146,20 +146,36 @@ struct ColdStore {
 
 /// An LSH index over unit vectors keyed by [`ItemId`].
 pub struct SimHashLshIndex {
-    hasher: SimHasher,
+    /// Shared by every shard of a [`crate::ShardedLshIndex`]: the planes
+    /// are a function of `(dim, bits, seed)` alone.
+    hasher: Arc<SimHasher>,
     params: LshParams,
     /// Extra single-bit-flip probes per band (0 = plain LSH).
     probes: usize,
     /// Stored vectors in one contiguous slab; exact re-ranking streams
     /// this in slot order.
     vectors: VectorArena,
-    /// Stored signatures (needed for removal and persistence). Covers hot
-    /// *and* cold items — removal works uniformly across tiers.
-    signatures: FxHashMap<ItemId, Signature>,
+    /// Packed signature words of the hot rows, `words_per_sig` per arena
+    /// slot (stale for free slots) — needed for removal and persistence.
+    /// A cold row's words are resident in its segment's directory.
+    hot_sigs: Vec<u64>,
     /// One bucket map per band: band key -> ids.
     bands: Vec<FxHashMap<u64, Vec<ItemId>>>,
     /// Paged tier, present once a segment has been attached.
     cold: Option<ColdStore>,
+}
+
+/// Drop `id` from the band buckets its signature `words` put it in.
+fn unbucket(bands: &mut [FxHashMap<u64, Vec<ItemId>>], rows: usize, id: ItemId, words: &[u64]) {
+    for (band, buckets) in bands.iter_mut().enumerate() {
+        let key = band_key_of(words, band, rows);
+        if let Some(ids) = buckets.get_mut(&key) {
+            ids.retain(|&x| x != id);
+            if ids.is_empty() {
+                buckets.remove(&key);
+            }
+        }
+    }
 }
 
 /// Exact cosine of the query against row `row` of a paged block — the
@@ -184,16 +200,23 @@ pub(crate) fn score_row(
 impl SimHashLshIndex {
     /// Create an index for `dim`-dimensional vectors.
     pub fn new(dim: usize, params: LshParams, seed: u64) -> Self {
+        Self::with_hasher(Arc::new(SimHasher::new(dim, params.bits(), seed)), params)
+    }
+
+    /// An index signing with `hasher` — one set of hyperplanes can serve
+    /// any number of indexes of the same geometry. The hasher's width must
+    /// be `params.bits()`.
+    pub fn with_hasher(hasher: Arc<SimHasher>, params: LshParams) -> Self {
         assert!(params.rows <= 64, "rows per band must fit a u64");
-        let hasher = SimHasher::new(dim, params.bits(), seed);
+        assert_eq!(hasher.bits(), params.bits(), "hasher width must match the banding");
         Self {
-            hasher,
             params,
             probes: 0,
-            vectors: VectorArena::new(dim),
-            signatures: FxHashMap::default(),
+            vectors: VectorArena::new(hasher.dim()),
+            hot_sigs: Vec::new(),
             bands: (0..params.bands).map(|_| FxHashMap::default()).collect(),
             cold: None,
+            hasher,
         }
     }
 
@@ -237,20 +260,14 @@ impl SimHashLshIndex {
         &self.hasher
     }
 
-    /// Iterate over the **hot** (arena-resident) `(id, vector)` pairs in
-    /// arbitrary order. Cold items are listed by [`Self::cold_items`].
-    pub fn items(&self) -> impl Iterator<Item = (ItemId, &[f32])> {
-        self.vectors.iter()
-    }
-
-    /// Number of stored items, hot and cold.
+    /// Number of stored items, hot and cold (an id lives in one tier).
     pub fn len(&self) -> usize {
-        self.signatures.len()
+        self.vectors.len() + self.cold_len()
     }
 
     /// True when no items are stored in either tier.
     pub fn is_empty(&self) -> bool {
-        self.signatures.is_empty()
+        self.len() == 0
     }
 
     /// Number of items served from the paged tier.
@@ -283,40 +300,77 @@ impl SimHashLshIndex {
     pub fn insert_signed(&mut self, id: ItemId, vector: &[f32], sig: Signature) {
         debug_assert_eq!(vector.len(), self.dim());
         debug_assert_eq!(sig.bits, self.params.bits());
-        self.remove(id);
-        self.index_into_bands(id, &sig);
-        self.vectors.insert(id, vector);
-        self.signatures.insert(id, sig);
+        let filled = self.insert_row(id, &sig.words, |slot| {
+            slot.copy_from_slice(vector);
+            Ok(())
+        });
+        filled.unwrap_or_else(|never: std::convert::Infallible| match never {});
     }
 
-    /// Push `id` into its band buckets.
-    fn index_into_bands(&mut self, id: ItemId, sig: &Signature) {
+    /// Insert (or replace) a hot row from its packed signature `words` and
+    /// a `fill` that writes the vector straight into its arena slot. If
+    /// `fill` fails the id is stored in neither tier.
+    fn insert_row<E>(
+        &mut self,
+        id: ItemId,
+        words: &[u64],
+        fill: impl FnOnce(&mut [f32]) -> Result<(), E>,
+    ) -> Result<(), E> {
+        debug_assert_eq!(words.len(), self.words_per_sig());
+        self.remove(id);
+        let slot = self.vectors.insert_with(id, fill)?;
+        let range = self.sig_range(slot);
+        if self.hot_sigs.len() < range.end {
+            self.hot_sigs.resize(range.end, 0);
+        }
+        self.hot_sigs[range].copy_from_slice(words);
+        self.index_into_bands(id, words);
+        Ok(())
+    }
+
+    /// `u64` words per packed signature.
+    fn words_per_sig(&self) -> usize {
+        self.params.bits().div_ceil(64)
+    }
+
+    /// Where arena slot `slot`'s signature sits in the slab.
+    fn sig_range(&self, slot: u32) -> std::ops::Range<usize> {
+        let words = self.words_per_sig();
+        slot as usize * words..(slot as usize + 1) * words
+    }
+
+    /// The packed signature of the hot row in arena slot `slot`.
+    fn hot_sig(&self, slot: u32) -> &[u64] {
+        &self.hot_sigs[self.sig_range(slot)]
+    }
+
+    /// Push `id` into the band buckets of its signature `words`.
+    fn index_into_bands(&mut self, id: ItemId, words: &[u64]) {
         for (band, buckets) in self.bands.iter_mut().enumerate() {
-            let key = sig.band_key(band, self.params.rows);
+            let key = band_key_of(words, band, self.params.rows);
             buckets.entry(key).or_default().push(id);
         }
     }
 
     /// Remove an item (from either tier); true if it was present. Removing
-    /// a cold item drops its resident metadata and locator entry — the
-    /// on-disk row becomes unreachable dead weight until the next seal.
+    /// a cold item drops its band entries and locator row — the on-disk
+    /// row becomes unreachable dead weight until the next seal.
     pub fn remove(&mut self, id: ItemId) -> bool {
-        let Some(sig) = self.signatures.remove(&id) else {
+        let rows = self.params.rows;
+        if let Some(slot) = self.vectors.slot(id) {
+            let range = self.sig_range(slot);
+            unbucket(&mut self.bands, rows, id, &self.hot_sigs[range]);
+            self.vectors.remove(id);
+            return true;
+        }
+        let Some(cold) = &mut self.cold else {
             return false;
         };
-        self.vectors.remove(id);
-        if let Some(cold) = &mut self.cold {
-            cold.locator.remove(&id);
-        }
-        for (band, buckets) in self.bands.iter_mut().enumerate() {
-            let key = sig.band_key(band, self.params.rows);
-            if let Some(ids) = buckets.get_mut(&key) {
-                ids.retain(|&x| x != id);
-                if ids.is_empty() {
-                    buckets.remove(&key);
-                }
-            }
-        }
+        let Some(loc) = cold.locator.remove(&id) else {
+            return false;
+        };
+        let seg = cold.segments[loc.seg()].as_ref().expect("locator points at live segment");
+        unbucket(&mut self.bands, rows, id, seg.sig_words_of(loc.block(), loc.row()));
         true
     }
 
@@ -325,10 +379,9 @@ impl SimHashLshIndex {
     /// (their cache-resident blocks are dropped with them). Returns how
     /// many items were removed.
     pub fn remove_backend(&mut self, backend_bits: u16) -> usize {
-        let doomed: Vec<ItemId> = self
-            .signatures
-            .keys()
-            .copied()
+        let cold_ids = self.cold.iter().flat_map(|c| c.locator.keys().copied());
+        let doomed: Vec<ItemId> = (self.vectors.iter().map(|(id, _)| id))
+            .chain(cold_ids)
             .filter(|&id| item_backend(id) == backend_bits)
             .collect();
         let removed = doomed.into_iter().filter(|&id| self.remove(id)).count();
@@ -441,10 +494,8 @@ impl SimHashLshIndex {
                 let Some(id) = map(segment.block_meta(block).ids[row]) else {
                     continue;
                 };
-                let sig = segment.signature_of(block, row);
                 self.remove(id);
-                self.index_into_bands(id, &sig);
-                self.signatures.insert(id, sig);
+                self.index_into_bands(id, segment.sig_words_of(block, row));
                 self.cold
                     .as_mut()
                     .expect("cold store just created")
@@ -486,53 +537,63 @@ impl SimHashLshIndex {
         Some(data[start..start + dim].to_vec())
     }
 
-    /// All cold `(id, vector)` pairs, reading each involved block once.
-    /// Used by the persistence paths, which must include cold rows in
-    /// snapshots; panics on segment I/O failure like [`Self::vector_owned`].
-    pub fn cold_items(&self) -> Vec<(ItemId, Vec<f32>)> {
+    /// Every cold row as `(id, location, vector)`, reading each involved
+    /// block once. Used by the persistence paths, which must include cold
+    /// rows in snapshots; panics on segment I/O failure like
+    /// [`Self::vector_owned`].
+    fn cold_rows(&self) -> Vec<(ItemId, ColdLoc, Vec<f32>)> {
         let Some(cold) = &self.cold else {
             return Vec::new();
         };
         let dim = self.dim();
-        let mut by_block: FxHashMap<(usize, usize), Vec<(usize, ItemId)>> = FxHashMap::default();
-        for (&id, loc) in &cold.locator {
-            by_block.entry((loc.seg(), loc.block())).or_default().push((loc.row(), id));
-        }
-        let mut out = Vec::with_capacity(cold.locator.len());
-        for ((seg_slot, block), rows) in by_block {
-            let seg = cold.segments[seg_slot].as_ref().expect("locator points at live segment");
-            let data =
-                seg.block(block).unwrap_or_else(|e| panic!("paged tier lost a sealed block: {e}"));
-            for (row, id) in rows {
-                let start = row * dim;
-                out.push((id, data[start..start + dim].to_vec()));
+        let mut rows: Vec<(ColdLoc, ItemId)> =
+            cold.locator.iter().map(|(&id, &loc)| (loc, id)).collect();
+        rows.sort_unstable();
+        let mut out = Vec::with_capacity(rows.len());
+        for group in rows.chunk_by(|a, b| a.0.same_block(b.0)) {
+            let data = self
+                .cold_segment(group[0].0)
+                .block(group[0].0.block())
+                .unwrap_or_else(|e| panic!("paged tier lost a sealed block: {e}"));
+            for &(loc, id) in group {
+                let start = loc.row() * dim;
+                out.push((id, loc, data[start..start + dim].to_vec()));
             }
         }
         out
+    }
+
+    /// The attached segment a cold location points into.
+    fn cold_segment(&self, loc: ColdLoc) -> &VectorSegment {
+        let cold = self.cold.as_ref().expect("a cold location implies a cold store");
+        cold.segments[loc.seg()].as_ref().expect("locator points at live segment")
     }
 
     /// Export every stored row (hot and cold) with its signature and norm,
     /// ready for [`crate::paged::write_vector_segment`]. Cold rows read
     /// through the cache.
     pub fn export_rows(&self) -> Vec<SegmentRow> {
+        let bits = self.params.bits();
         let mut out = Vec::with_capacity(self.len());
-        for (id, v) in self.vectors.iter() {
-            let slot = self.vectors.slot(id).expect("iterated id is stored");
+        for slot in 0..self.vectors.slot_count() as u32 {
+            let Some(id) = self.vectors.id_at(slot) else {
+                continue;
+            };
             out.push(SegmentRow {
                 id,
-                signature: self.signatures[&id].clone(),
+                signature: Signature { words: self.hot_sig(slot).to_vec(), bits },
                 norm: self.vectors.norm_at(slot),
-                vector: v.to_vec(),
+                vector: self.vectors.vector_at(slot).to_vec(),
             });
         }
-        if let Some(cold) = &self.cold {
-            for (id, vector) in self.cold_items() {
-                let loc = cold.locator[&id];
-                let seg =
-                    cold.segments[loc.seg()].as_ref().expect("locator points at live segment");
-                let norm = seg.block_meta(loc.block()).norms[loc.row()];
-                out.push(SegmentRow { id, signature: self.signatures[&id].clone(), norm, vector });
-            }
+        for (id, loc, vector) in self.cold_rows() {
+            let seg = self.cold_segment(loc);
+            out.push(SegmentRow {
+                id,
+                signature: seg.signature_of(loc.block(), loc.row()),
+                norm: seg.block_meta(loc.block()).norms[loc.row()],
+                vector,
+            });
         }
         out
     }
@@ -888,62 +949,142 @@ impl SimHashLshIndex {
         let mean = if buckets == 0 { 0.0 } else { total as f64 / buckets as f64 };
         (buckets, max, mean)
     }
+}
 
-    /// Serialize the index (geometry, seed, vectors; signatures and buckets
-    /// are rebuilt on load — they are derived data).
-    pub fn encode(&self, buf: &mut Vec<u8>) {
-        codec::put_header(buf, FRAME_MAGIC, FRAME_VERSION);
-        codec::put_u32(buf, self.dim() as u32);
-        codec::put_u32(buf, self.params.bands as u32);
-        codec::put_u32(buf, self.params.rows as u32);
-        codec::put_u64(buf, self.hasher.seed());
-        codec::put_u32(buf, self.probes as u32);
-        codec::put_len(buf, self.len());
-        // Deterministic output: sort by id. The byte layout is unchanged
-        // across the HashMap → arena migration, so old snapshots load and
-        // new snapshots load into old readers. Cold rows are hydrated
-        // through the cache so the frame is complete regardless of tier.
-        let mut ids: Vec<ItemId> = self.signatures.keys().copied().collect();
-        ids.sort_unstable();
-        for id in ids {
-            codec::put_u32(buf, id);
-            match self.vectors.get(id) {
-                Some(v) => codec::put_f32_slice(buf, v),
-                None => {
-                    let v = self.vector_owned(id).expect("stored id has a vector in some tier");
-                    codec::put_f32_slice(buf, &v);
-                }
-            }
+/// Serialize `shards` — indexes of one geometry that partition an id space,
+/// the caller holding whatever guards keep them still — as **one** WGLX
+/// frame (DESIGN.md §9):
+///
+/// ```text
+/// "WGLX" │ version u32 │ dim u32 │ bands u32 │ rows u32 │ seed u64 │ probes u32
+/// backends u32 │ per backend: stored bits u32 │ name (len-prefixed UTF-8)
+/// rows u32 │ per row: id u32 │ signature words [u64; ⌈bits/64⌉] │ vector [f32; dim]
+/// ```
+///
+/// Rows are fixed-width and id-sorted, so identical states serialize to
+/// identical bytes whatever the shard count or insertion history. Each row
+/// carries the signature the build derived for it, so a restore buckets it
+/// without re-projecting the vector — trusted exactly as
+/// [`SimHashLshIndex::attach_segment_mapped`] trusts a segment directory's.
+/// The table names every namespace the ids use (`name_of`: bits → attach
+/// name): names, not bits, are authoritative across processes. Hot rows
+/// are read in place from each shard's arena and signature slab; cold rows
+/// hydrate through the block cache.
+pub(crate) fn encode_frame(
+    shards: &[&SimHashLshIndex],
+    buf: &mut Vec<u8>,
+    name_of: impl Fn(u16) -> String,
+) {
+    let first = shards[0];
+    codec::put_header(buf, FRAME_MAGIC, FRAME_VERSION);
+    codec::put_u32(buf, first.dim() as u32);
+    codec::put_u32(buf, first.params.bands as u32);
+    codec::put_u32(buf, first.params.rows as u32);
+    codec::put_u64(buf, first.hasher.seed());
+    codec::put_u32(buf, first.probes as u32);
+
+    let cold: Vec<_> = shards.iter().map(|s| s.cold_rows()).collect();
+    let mut rows: Vec<(ItemId, &[u64], &[f32])> =
+        Vec::with_capacity(shards.iter().map(|s| s.len()).sum());
+    for (shard, cold) in shards.iter().zip(&cold) {
+        rows.extend((0..shard.vectors.slot_count() as u32).filter_map(|slot| {
+            let id = shard.vectors.id_at(slot)?;
+            Some((id, shard.hot_sig(slot), shard.vectors.vector_at(slot)))
+        }));
+        rows.extend(cold.iter().map(|(id, loc, vector)| {
+            (*id, shard.cold_segment(*loc).sig_words_of(loc.block(), loc.row()), &vector[..])
+        }));
+    }
+    rows.sort_unstable_by_key(|&(id, _, _)| id);
+
+    // Sorted ids group by namespace (the high bits).
+    let mut backends: Vec<u16> = rows.iter().map(|&(id, _, _)| item_backend(id)).collect();
+    backends.dedup();
+    codec::put_len(buf, backends.len());
+    for &bits in &backends {
+        codec::put_u32(buf, bits as u32);
+        codec::put_str(buf, &name_of(bits));
+    }
+    codec::put_len(buf, rows.len());
+    buf.reserve(rows.len() * (4 + 8 * first.words_per_sig() + 4 * first.dim()));
+    for (id, words, vector) in rows {
+        codec::put_u32(buf, id);
+        codec::put_u64s(buf, words);
+        codec::put_f32s(buf, vector);
+    }
+}
+
+/// Deserialize a frame written by [`encode_frame`] into `shards`
+/// partitions (`id % shards`) sharing the returned hasher. The stored
+/// geometry, seed and probes win over any caller default; `resolve` gives
+/// the loading process's bits for each backend *name* of the table, and
+/// every row's high bits are remapped to them.
+///
+/// The bytes may be unverified (a streaming restore compares the checksum
+/// only after the last frame): every count is checked against the bytes
+/// that remain before anything is reserved for it, and the geometry is
+/// held to [`MAX_FRAME_SIG_BITS`] / [`MAX_FRAME_PLANE_FLOATS`] before the
+/// hasher is built from it.
+pub(crate) fn decode_frame(
+    buf: &mut impl codec::Buf,
+    shards: usize,
+    mut resolve: impl FnMut(&str) -> CodecResult<u16>,
+) -> CodecResult<(Arc<SimHasher>, Vec<SimHashLshIndex>)> {
+    let version = codec::get_header(buf, FRAME_MAGIC)?;
+    if version != FRAME_VERSION {
+        return Err(CodecError::Invalid(format!(
+            "unsupported index frame version {version} (this build reads {FRAME_VERSION})"
+        )));
+    }
+    let dim = codec::get_u32(buf)? as usize;
+    let bands = codec::get_u32(buf)? as usize;
+    let rows = codec::get_u32(buf)? as usize;
+    let seed = codec::get_u64(buf)?;
+    let probes = codec::get_u32(buf)? as usize;
+    let bits = bands.saturating_mul(rows);
+    if dim == 0 || bands == 0 || rows == 0 || rows > 64 {
+        return Err(CodecError::Invalid("bad index geometry".into()));
+    }
+    if bits > MAX_FRAME_SIG_BITS || dim.saturating_mul(bits) > MAX_FRAME_PLANE_FLOATS {
+        return Err(CodecError::Invalid(format!(
+            "index geometry {dim} × {bands}·{rows} bits is beyond what a frame may declare"
+        )));
+    }
+    // Stored backend bits -> this process's bits, by name.
+    let mut remap = [None::<u16>; 1 << BACKEND_BITS];
+    for _ in 0..codec::get_count(buf, 8)? {
+        let stored_bits = codec::get_u32(buf)? as usize;
+        let name = codec::get_str(buf)?;
+        let local_bits = resolve(&name)?;
+        match remap.get_mut(stored_bits) {
+            Some(slot) if local_bits < 1 << BACKEND_BITS => *slot = Some(local_bits),
+            _ => return Err(CodecError::Invalid("backend bits out of range".into())),
         }
     }
 
-    /// Deserialize; inverse of [`Self::encode`].
-    pub fn decode(buf: &mut &[u8]) -> CodecResult<Self> {
-        let version = codec::get_header(buf, FRAME_MAGIC)?;
-        if version != FRAME_VERSION {
-            return Err(CodecError::Invalid(format!("unsupported index version {version}")));
-        }
-        let dim = codec::get_u32(buf)? as usize;
-        let bands = codec::get_u32(buf)? as usize;
-        let rows = codec::get_u32(buf)? as usize;
-        let seed = codec::get_u64(buf)?;
-        let probes = codec::get_u32(buf)? as usize;
-        if dim == 0 || bands == 0 || rows == 0 || rows > 64 {
-            return Err(CodecError::Invalid("bad index geometry".into()));
-        }
-        let mut index = Self::new(dim, LshParams { bands, rows }, seed);
-        index.probes = probes;
-        let n = codec::get_len(buf)?;
-        for _ in 0..n {
-            let id = codec::get_u32(buf)?;
-            let v = codec::get_f32_vec(buf)?;
-            if v.len() != dim {
-                return Err(CodecError::Invalid("vector length mismatch".into()));
-            }
-            index.insert(id, &v);
-        }
-        Ok(index)
+    let hasher = Arc::new(SimHasher::new(dim, bits, seed));
+    let mut out: Vec<SimHashLshIndex> = (0..shards.max(1))
+        .map(|_| {
+            let mut shard = SimHashLshIndex::with_hasher(hasher.clone(), LshParams { bands, rows });
+            shard.set_probes(probes);
+            shard
+        })
+        .collect();
+    let mut words = vec![0u64; bits.div_ceil(64)];
+    for _ in 0..codec::get_count(buf, 4 + 8 * words.len() + 4 * dim)? {
+        let stored = codec::get_u32(buf)?;
+        let Some(local_bits) = remap[item_backend(stored) as usize] else {
+            return Err(CodecError::Invalid(format!(
+                "item id {stored} references backend bits {} missing from the table",
+                item_backend(stored)
+            )));
+        };
+        let id = compose_item_id(local_bits, item_local(stored));
+        codec::get_u64s(buf, &mut words)?;
+        let shard = id as usize % out.len();
+        out[shard].insert_row(id, &words, |slot| codec::get_f32s(buf, slot))?;
     }
+    Ok((hasher, out))
 }
 
 #[cfg(test)]
@@ -1090,24 +1231,41 @@ mod tests {
     fn encode_decode_roundtrip_preserves_search() {
         let mut rng = Xoshiro256pp::new(8);
         let mut index = SimHashLshIndex::for_threshold(32, 0.7, 21);
+        index.set_probes(1);
         for id in 0..100 {
             index.insert(id, &random_unit(32, &mut rng));
         }
         let query = random_unit(32, &mut rng);
         let before = index.search(&query, 5, |_| false);
         let mut buf = Vec::new();
-        index.encode(&mut buf);
+        encode_frame(&[&index], &mut buf, |_| "default".into());
         let mut r = &buf[..];
-        let loaded = SimHashLshIndex::decode(&mut r).unwrap();
+        let (hasher, mut shards) = decode_frame(&mut r, 1, |_| Ok(0)).unwrap();
         assert!(r.is_empty());
-        assert_eq!(loaded.len(), 100);
+        let loaded = shards.pop().expect("one shard asked for");
+        assert_eq!((loaded.len(), loaded.probes(), loaded.params()), (100, 1, index.params()));
+        assert_eq!((hasher.dim(), hasher.bits(), hasher.seed()), (32, index.params().bits(), 21));
         assert_eq!(loaded.search(&query, 5, |_| false), before);
+        // The signature slab came from the frame, slot for slot what a
+        // fresh signing of the stored vector gives.
+        for slot in 0..loaded.vectors.slot_count() as u32 {
+            let sig = hasher.sign(loaded.vectors.vector_at(slot));
+            assert_eq!(loaded.hot_sig(slot), &sig.words[..]);
+        }
     }
 
     #[test]
     fn decode_rejects_garbage() {
         let mut r: &[u8] = b"not an index";
-        assert!(SimHashLshIndex::decode(&mut r).is_err());
+        assert!(decode_frame(&mut r, 1, |_| Ok(0)).is_err());
+        // A row cut short: typed, and the row count check sees it first.
+        let mut index = SimHashLshIndex::for_threshold(8, 0.5, 1);
+        index.insert(0, &[1.0; 8]);
+        let mut buf = Vec::new();
+        encode_frame(&[&index], &mut buf, |_| "default".into());
+        for cut in 0..buf.len() {
+            assert!(decode_frame(&mut &buf[..cut], 1, |_| Ok(0)).is_err(), "cut at {cut} decoded");
+        }
     }
 
     fn clustered(

@@ -45,8 +45,9 @@ use std::cell::RefCell;
 use std::path::Path;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
+use wg_util::atomic_file;
 use wg_util::codec::{self, CodecResult};
-use wg_util::segment::{atomic_write_bytes, Segment, SegmentBuilder, SegmentError};
+use wg_util::segment::{Segment, SegmentBuilder, SegmentError};
 use wg_util::FxHashMap;
 
 use crate::simhash::Signature;
@@ -513,7 +514,7 @@ fn seal_rows(
         });
         n_blocks += 1;
     }
-    atomic_write_bytes(path, &builder.finish())?;
+    atomic_file::write(path, &builder.finish())?;
     Ok(n_blocks)
 }
 
@@ -609,14 +610,15 @@ impl VectorSegment {
         &self.blocks[block]
     }
 
+    /// The resident packed signature words of one row.
+    pub fn sig_words_of(&self, block: usize, row: usize) -> &[u64] {
+        let words_per_sig = self.sig_bits.div_ceil(64);
+        &self.blocks[block].sig_words[row * words_per_sig..(row + 1) * words_per_sig]
+    }
+
     /// Reconstruct the signature of one row from the resident words.
     pub fn signature_of(&self, block: usize, row: usize) -> Signature {
-        let words_per_sig = self.sig_bits.div_ceil(64);
-        let start = row * words_per_sig;
-        Signature {
-            words: self.blocks[block].sig_words[start..start + words_per_sig].to_vec(),
-            bits: self.sig_bits,
-        }
+        Signature { words: self.sig_words_of(block, row).to_vec(), bits: self.sig_bits }
     }
 
     /// Fetch one block's vectors through the cache (row-major,
@@ -888,7 +890,7 @@ mod tests {
             let mut meta = Vec::new();
             block.encode(&mut meta);
             builder.push_block(&vec![0u8; 4 * dim * 4], &meta);
-            atomic_write_bytes(&path, &builder.finish()).expect("write");
+            atomic_file::write(&path, &builder.finish()).expect("write");
             VectorSegment::open(&path, BlockCache::new(0))
         };
         open(&honest).expect("the hand-built directory is well-formed");
@@ -1141,7 +1143,7 @@ mod tests {
         codec::put_u32(&mut header, 64);
         codec::put_u32(&mut header, 8);
         let builder = SegmentBuilder::new(&header);
-        atomic_write_bytes(&path, &builder.finish()).expect("write");
+        atomic_file::write(&path, &builder.finish()).expect("write");
         assert!(VectorSegment::open(&path, BlockCache::new(0)).is_err());
         std::fs::remove_dir_all(path.parent().unwrap()).ok();
     }

@@ -9,67 +9,36 @@
 //! * **inserts** route to exactly one shard, so concurrent indexing workers
 //!   write to disjoint shards instead of funneling through one writer;
 //! * **searches** fan out over the shards, signing the query **once**
-//!   (every shard shares the same hyperplane geometry and seed) and merging
+//!   (every shard shares one [`SimHasher`], built once per index) and merging
 //!   the per-shard top-k with a bounded heap, so a writer only ever blocks
 //!   the `1/N` of a query's probes that touch its shard;
 //! * **batched mutation** ([`Self::insert_batch`], [`Self::remove_batch`])
 //!   groups items by shard and takes each shard's lock once per batch.
 //!
 //! Results are bit-identical to a single [`SimHashLshIndex`] with the same
-//! seed: the shards partition the id space, every shard uses identical
+//! seed: the shards partition the id space, every shard uses the same
 //! hyperplanes, and the merged top-k applies the same (score, id) ordering.
 
-use parking_lot::{RwLock, RwLockReadGuard};
+use parking_lot::RwLock;
 use std::sync::Arc;
-use wg_util::codec::{self, CodecError, CodecResult};
+use wg_util::codec::{self, CodecResult};
 use wg_util::deadline::Deadline;
 use wg_util::TopK;
 
-use crate::index::{
-    SearchError, SearchOutcome, SimHashLshIndex, FRAME_MAGIC, FRAME_VERSION,
-    FRAME_VERSION_FEDERATED,
-};
+use crate::index::{self, SearchError, SearchOutcome, SimHashLshIndex};
 use crate::paged::{SegmentRow, VectorSegment};
 use crate::params::LshParams;
 use crate::scope::DiscoverScope;
 use crate::simhash::SimHasher;
-use crate::{compose_item_id, item_backend, item_local, ItemId};
-
-/// A row gathered for encoding: hot rows borrow the shard's arena, cold
-/// rows are hydrated into owned buffers.
-enum EncodedRow<'a> {
-    Hot(&'a [f32]),
-    Cold(Vec<f32>),
-}
-
-impl EncodedRow<'_> {
-    fn as_slice(&self) -> &[f32] {
-        match self {
-            EncodedRow::Hot(v) => v,
-            EncodedRow::Cold(v) => v,
-        }
-    }
-}
-
-/// Every stored row across the locked shards, both tiers.
-fn gather_rows<'a>(
-    guards: &'a [RwLockReadGuard<'a, SimHashLshIndex>],
-) -> Vec<(ItemId, EncodedRow<'a>)> {
-    let mut items: Vec<(ItemId, EncodedRow<'a>)> = Vec::new();
-    for g in guards {
-        items.extend(g.items().map(|(id, v)| (id, EncodedRow::Hot(v))));
-        items.extend(g.cold_items().into_iter().map(|(id, v)| (id, EncodedRow::Cold(v))));
-    }
-    items.sort_unstable_by_key(|(id, _)| *id);
-    items
-}
+use crate::ItemId;
 
 /// A set of [`SimHashLshIndex`] shards with identical geometry, each behind
 /// its own reader–writer lock. All methods take `&self`; interior locking
 /// makes the index shareable across threads.
 pub struct ShardedLshIndex {
-    /// Query-side signer; identical to every shard's internal hasher.
-    hasher: SimHasher,
+    /// The one set of hyperplanes: the query-side signer here and every
+    /// shard's insert-side signer are the same allocation.
+    hasher: Arc<SimHasher>,
     params: LshParams,
     shards: Vec<RwLock<SimHashLshIndex>>,
 }
@@ -79,13 +48,13 @@ impl ShardedLshIndex {
     /// vectors. `shards` is clamped to at least 1; one shard reproduces the
     /// single-lock layout exactly.
     pub fn new(dim: usize, params: LshParams, seed: u64, shards: usize) -> Self {
-        let shards = shards.max(1);
+        let hasher = Arc::new(SimHasher::new(dim, params.bits(), seed));
         Self {
-            hasher: SimHasher::new(dim, params.bits(), seed),
-            params,
-            shards: (0..shards)
-                .map(|_| RwLock::new(SimHashLshIndex::new(dim, params, seed)))
+            shards: (0..shards.max(1))
+                .map(|_| RwLock::new(SimHashLshIndex::with_hasher(hasher.clone(), params)))
                 .collect(),
+            hasher,
+            params,
         }
     }
 
@@ -344,145 +313,40 @@ impl ShardedLshIndex {
         self.shards.iter().map(|s| s.write().drop_cold_backend(backend_bits)).sum()
     }
 
-    /// Serialize to the same single-index frame [`SimHashLshIndex::encode`]
-    /// writes (ids merged and sorted), so snapshots are interchangeable
-    /// between sharded and unsharded deployments and independent of the
-    /// shard count at save time.
-    pub fn encode(&self, buf: &mut Vec<u8>) {
+    /// Serialize every shard into **one** WGLX frame (layout and rationale
+    /// at `index::encode_frame`, DESIGN.md §9): id-sorted fixed-width rows,
+    /// each with its signature, under a table naming every backend
+    /// namespace the ids use (`name_of`: bits → attach name). The bytes do
+    /// not depend on the shard count. Every shard's read guard is held for
+    /// the whole encode — rows are read in place, never copied out first —
+    /// so the frame is the index as it stood at one instant.
+    pub fn encode(&self, buf: &mut Vec<u8>, name_of: impl Fn(u16) -> String) {
         let guards: Vec<_> = self.shards.iter().map(|s| s.read()).collect();
-        codec::put_header(buf, FRAME_MAGIC, FRAME_VERSION);
-        codec::put_u32(buf, self.dim() as u32);
-        codec::put_u32(buf, self.params.bands as u32);
-        codec::put_u32(buf, self.params.rows as u32);
-        codec::put_u64(buf, self.hasher.seed());
-        codec::put_u32(buf, guards[0].probes() as u32);
-        let items = gather_rows(&guards);
-        codec::put_len(buf, items.len());
-        for (id, v) in items {
-            codec::put_u32(buf, id);
-            codec::put_f32_slice(buf, v.as_slice());
-        }
+        let shards: Vec<&SimHashLshIndex> = guards.iter().map(|g| &**g).collect();
+        index::encode_frame(&shards, buf, name_of);
     }
 
-    /// Deserialize a frame written by [`Self::encode`] (or by
-    /// [`SimHashLshIndex::encode`]) into `shards` partitions. The stored
-    /// geometry and seed win over the caller's defaults, exactly as in
-    /// [`SimHashLshIndex::decode`]. Rejects federated (v2) frames — use
-    /// [`Self::decode_with_backends`] for those.
-    pub fn decode(buf: &mut impl codec::Buf, shards: usize) -> CodecResult<Self> {
-        Self::decode_with_backends(buf, shards, |name| {
-            if name == "default" {
-                Ok(0)
-            } else {
-                Err(CodecError::Invalid(format!(
-                    "federated snapshot names backend '{name}' — decode_with_backends required"
-                )))
-            }
-        })
-    }
-
-    /// Serialize with a backend table. When every stored id lives in the
-    /// default namespace (backend bits 0) this writes the **byte-identical
-    /// v1 frame** of [`Self::encode`] — pre-federation readers keep
-    /// working and the legacy-snapshot pins stay exact. Otherwise it
-    /// writes a v2 frame: v1's geometry header, then a table mapping each
-    /// distinct backend-bit value to its attach name (via `name_of`), then
-    /// the items. Names, not bits, are authoritative across processes —
-    /// the interner assigns bits in attach order, which the loading
-    /// process need not share.
-    pub fn encode_with_backends(&self, buf: &mut Vec<u8>, name_of: impl Fn(u16) -> String) {
-        let guards: Vec<_> = self.shards.iter().map(|s| s.read()).collect();
-        let items = gather_rows(&guards);
-        let mut backends: Vec<u16> = items.iter().map(|(id, _)| item_backend(*id)).collect();
-        backends.sort_unstable();
-        backends.dedup();
-        if backends.is_empty() || backends == [0] {
-            drop(guards);
-            return self.encode(buf);
-        }
-        codec::put_header(buf, FRAME_MAGIC, FRAME_VERSION_FEDERATED);
-        codec::put_u32(buf, self.dim() as u32);
-        codec::put_u32(buf, self.params.bands as u32);
-        codec::put_u32(buf, self.params.rows as u32);
-        codec::put_u64(buf, self.hasher.seed());
-        codec::put_u32(buf, guards[0].probes() as u32);
-        codec::put_len(buf, backends.len());
-        for &bits in &backends {
-            codec::put_u32(buf, bits as u32);
-            codec::put_str(buf, &name_of(bits));
-        }
-        codec::put_len(buf, items.len());
-        for (id, v) in items {
-            codec::put_u32(buf, id);
-            codec::put_f32_slice(buf, v.as_slice());
-        }
-    }
-
-    /// Deserialize either frame version. v1 loads as-is (every id already
-    /// lives in the default namespace). v2 reads the backend table, asks
-    /// `resolve` for the loading process's bits for each *name*, and
-    /// remaps each item's high bits accordingly — so a snapshot taken in a
-    /// process that attached `lake` second loads correctly into one that
-    /// attached it fifth.
-    pub fn decode_with_backends(
+    /// Deserialize a frame written by [`Self::encode`] into `shards`
+    /// partitions — any count, whatever the saver ran with. The stored
+    /// geometry, seed and probes win over the caller's defaults; `resolve`
+    /// gives this process's bits for each backend *name* the frame lists,
+    /// and every id's high bits are remapped to them. Rows install from
+    /// their stored signatures: nothing is re-signed.
+    pub fn decode(
         buf: &mut impl codec::Buf,
         shards: usize,
-        mut resolve: impl FnMut(&str) -> CodecResult<u16>,
+        resolve: impl FnMut(&str) -> CodecResult<u16>,
     ) -> CodecResult<Self> {
-        let version = codec::get_header(buf, FRAME_MAGIC)?;
-        if version != FRAME_VERSION && version != FRAME_VERSION_FEDERATED {
-            return Err(CodecError::Invalid(format!("unsupported index version {version}")));
-        }
-        let dim = codec::get_u32(buf)? as usize;
-        let bands = codec::get_u32(buf)? as usize;
-        let rows = codec::get_u32(buf)? as usize;
-        let seed = codec::get_u64(buf)?;
-        let probes = codec::get_u32(buf)? as usize;
-        if dim == 0 || bands == 0 || rows == 0 || rows > 64 {
-            return Err(CodecError::Invalid("bad index geometry".into()));
-        }
-        // v2: stored backend bits -> this process's bits, by name.
-        let mut remap: Vec<(u16, u16)> = Vec::new();
-        if version == FRAME_VERSION_FEDERATED {
-            let k = codec::get_len(buf)?;
-            for _ in 0..k {
-                let stored_bits = codec::get_u32(buf)?;
-                if stored_bits > u16::MAX as u32 {
-                    return Err(CodecError::Invalid("backend bits out of range".into()));
-                }
-                let name = codec::get_str(buf)?;
-                remap.push((stored_bits as u16, resolve(&name)?));
-            }
-        }
-        let index = Self::new(dim, LshParams { bands, rows }, seed, shards);
-        index.set_probes(probes);
-        let n = codec::get_len(buf)?;
-        let mut items = Vec::with_capacity(n);
-        for _ in 0..n {
-            let mut id = codec::get_u32(buf)?;
-            if version == FRAME_VERSION_FEDERATED {
-                let stored = item_backend(id);
-                let Some(&(_, local_bits)) = remap.iter().find(|(from, _)| *from == stored) else {
-                    return Err(CodecError::Invalid(format!(
-                        "item id {id} references backend bits {stored} missing from the table"
-                    )));
-                };
-                id = compose_item_id(local_bits, item_local(id));
-            }
-            let v = codec::get_f32_vec(buf)?;
-            if v.len() != dim {
-                return Err(CodecError::Invalid("vector length mismatch".into()));
-            }
-            items.push((id, v));
-        }
-        index.insert_batch(items);
-        Ok(index)
+        let (hasher, shards) = index::decode_frame(buf, shards, resolve)?;
+        let params = shards[0].params();
+        Ok(Self { hasher, params, shards: shards.into_iter().map(RwLock::new).collect() })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{compose_item_id, item_backend, item_local};
     use wg_util::rng::{Rng64, Xoshiro256pp};
 
     fn random_unit(dim: usize, rng: &mut Xoshiro256pp) -> Vec<f32> {
@@ -556,34 +420,210 @@ mod tests {
         assert_eq!(index.vector(5), Some(vectors[4].clone()));
     }
 
+    /// Encode an index whose ids all live in the default namespace.
+    fn encode_default(index: &ShardedLshIndex) -> Vec<u8> {
+        let mut buf = Vec::new();
+        index.encode(&mut buf, |bits| {
+            assert_eq!(bits, 0, "fixture ids live in the default namespace");
+            "default".into()
+        });
+        buf
+    }
+
+    fn decode_default(bytes: &[u8], shards: usize) -> CodecResult<ShardedLshIndex> {
+        let mut r = bytes;
+        let index = ShardedLshIndex::decode(&mut r, shards, |_| Ok(0))?;
+        assert!(r.is_empty(), "decode must consume exactly the frame");
+        Ok(index)
+    }
+
     #[test]
     fn encode_decode_roundtrip_any_shard_count() {
-        let (index, _) = populated(4, 120, 7);
-        let mut buf = Vec::new();
-        index.encode(&mut buf);
-
-        // Reload into a different shard count and into a plain index.
-        let mut r = &buf[..];
-        let reloaded = ShardedLshIndex::decode(&mut r, 9).unwrap();
-        assert!(r.is_empty());
-        assert_eq!(reloaded.len(), 120);
-        let mut r = &buf[..];
-        let single = SimHashLshIndex::decode(&mut r).unwrap();
-        assert_eq!(single.len(), 120);
-
+        // Near-duplicates: many exact-score ties would be luck, but the
+        // candidate sets are large, so tie *order* is exercised by the
+        // (score, id) merge on every query.
+        let (_, vectors) = federated(7);
+        let build = |shards: usize| {
+            let index = ShardedLshIndex::new(64, LshParams::for_threshold(0.7, 128), 17, shards);
+            index.set_probes(1);
+            for (id, v) in vectors.iter().enumerate() {
+                // Ids 3 apart, so every shard count sees gaps.
+                assert!(index.insert(id as ItemId * 3, v));
+            }
+            index
+        };
+        let reference = build(1);
+        let want_bytes = encode_default(&reference);
         let mut rng = Xoshiro256pp::new(8);
-        for _ in 0..10 {
-            let q = random_unit(64, &mut rng);
-            let want = index.search(&q, 5, |_| false);
-            assert_eq!(reloaded.search(&q, 5, |_| false), want);
-            assert_eq!(single.search(&q, 5, |_| false), want);
+        let queries: Vec<Vec<f32>> = vectors
+            .iter()
+            .take(10)
+            .cloned()
+            .chain((0..10).map(|_| random_unit(64, &mut rng)))
+            .collect();
+        for save_shards in [1usize, 2, 8] {
+            let bytes = encode_default(&build(save_shards));
+            assert_eq!(bytes, want_bytes, "the frame depends on the saver's {save_shards} shards");
+            for load_shards in [1usize, 2, 8, 9] {
+                let loaded = decode_default(&bytes, load_shards).unwrap();
+                assert_eq!(loaded.shard_count(), load_shards);
+                assert_eq!((loaded.len(), loaded.probes()), (reference.len(), 1));
+                // One set of hyperplanes serves the query side and every shard.
+                assert!(loaded
+                    .shards
+                    .iter()
+                    .all(|s| std::ptr::eq(s.read().hasher(), &*loaded.hasher)));
+                for q in &queries {
+                    assert_eq!(
+                        loaded.search_with_outcome(q, 25, |id| id % 5 == 0),
+                        reference.search_with_outcome(q, 25, |id| id % 5 == 0),
+                        "save@{save_shards} → load@{load_shards} changed a ranking"
+                    );
+                }
+                // Re-encoding what was loaded reproduces the bytes.
+                assert_eq!(encode_default(&loaded), want_bytes);
+            }
         }
     }
 
     #[test]
+    fn roundtrip_survives_slot_churn_and_removal() {
+        // Removal frees arena slots, reinsertion reuses them out of id
+        // order: the frame is still id-sorted and complete.
+        let (index, vectors) = populated(2, 60, 13);
+        assert_eq!(index.remove_batch(&[7, 40, 41]), 3);
+        assert!(index.insert(7, &vectors[59]));
+        assert!(index.insert(90, &vectors[40]));
+        let bytes = encode_default(&index);
+        let loaded = decode_default(&bytes, 2).unwrap();
+        assert_eq!(loaded.len(), 59);
+        assert_eq!(loaded.vector(7), Some(vectors[59].clone()));
+        assert_eq!(loaded.vector(40), None);
+        // A fresh index holding the same rows writes the same bytes.
+        let fresh = ShardedLshIndex::new(64, LshParams::for_threshold(0.7, 128), 17, 5);
+        for id in (0..60).chain([90]) {
+            if let Some(v) = index.vector(id) {
+                fresh.insert(id, &v);
+            }
+        }
+        assert_eq!(encode_default(&fresh), bytes);
+        let mut rng = Xoshiro256pp::new(14);
+        for _ in 0..10 {
+            let q = random_unit(64, &mut rng);
+            assert_eq!(loaded.search(&q, 5, |_| false), index.search(&q, 5, |_| false));
+        }
+    }
+
+    #[test]
+    fn hot_and_cold_rows_share_one_frame() {
+        let (all_hot, vectors) = populated(2, 80, 15);
+        // Even ids sealed into a segment and attached cold; odd ids hot.
+        let cold_source = ShardedLshIndex::new(64, LshParams::for_threshold(0.7, 128), 17, 1);
+        for (id, v) in vectors.iter().enumerate().filter(|(id, _)| id % 2 == 0) {
+            cold_source.insert(id as ItemId, v);
+        }
+        let dir = std::env::temp_dir().join(format!("wg-shard-mixed-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("seg.wgs");
+        let rows = cold_source.export_segment_rows().into_iter().flatten().collect();
+        let mixed_bits = cold_source.params().bits();
+        crate::paged::write_vector_segment(&path, 64, mixed_bits, 8, rows).unwrap();
+        let cache = crate::paged::BlockCache::new(0);
+        let segment = Arc::new(VectorSegment::open(&path, cache).unwrap());
+        let mixed = ShardedLshIndex::new(64, LshParams::for_threshold(0.7, 128), 17, 3);
+        assert_eq!(mixed.attach_segments(&[segment]).unwrap(), 40);
+        for (id, v) in vectors.iter().enumerate().filter(|(id, _)| id % 2 == 1) {
+            mixed.insert(id as ItemId, v);
+        }
+        assert_eq!((mixed.len(), mixed.cold_len()), (80, 40));
+
+        let bytes = encode_default(&mixed);
+        assert_eq!(bytes, encode_default(&all_hot), "a row's tier must not show in the frame");
+        let loaded = decode_default(&bytes, 2).unwrap();
+        assert_eq!((loaded.len(), loaded.cold_len()), (80, 0), "a flat restore is all hot");
+        let mut rng = Xoshiro256pp::new(16);
+        for _ in 0..10 {
+            let q = random_unit(64, &mut rng);
+            assert_eq!(loaded.search(&q, 7, |_| false), mixed.search(&q, 7, |_| false));
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn decode_rejects_garbage() {
-        let mut r: &[u8] = b"not an index";
-        assert!(ShardedLshIndex::decode(&mut r, 4).is_err());
+        assert!(decode_default(b"not an index", 4).is_err());
+    }
+
+    /// The frame header [`ShardedLshIndex::encode`] writes, with the given
+    /// version and geometry, up to (not including) the backend table.
+    fn frame_header(version: u32, dim: u32, bands: u32, rows: u32) -> Vec<u8> {
+        let mut buf = Vec::new();
+        codec::put_header(&mut buf, *b"WGLX", version);
+        for x in [dim, bands, rows] {
+            codec::put_u32(&mut buf, x);
+        }
+        codec::put_u64(&mut buf, 17);
+        codec::put_u32(&mut buf, 0);
+        buf
+    }
+
+    #[test]
+    fn another_frame_version_is_refused() {
+        // v1 as the parent wrote it: geometry, then (id, len-prefixed
+        // vector) pairs; v2 had a backend table in between.
+        let mut v1 = frame_header(1, 4, 2, 4);
+        codec::put_len(&mut v1, 1);
+        codec::put_u32(&mut v1, 0);
+        codec::put_f32_slice(&mut v1, &[1.0, 0.0, 0.0, 0.0]);
+        for (version, bytes) in
+            [(1, v1), (2, frame_header(2, 4, 2, 4)), (4, frame_header(4, 4, 2, 4))]
+        {
+            let err = decode_default(&bytes, 2).err().expect("only this build's version decodes");
+            assert!(
+                err.to_string().contains(&format!("unsupported index frame version {version}")),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn counts_and_geometry_that_lie_are_refused_before_anything_is_reserved() {
+        let good = encode_default(&populated(2, 3, 18).0);
+        assert!(decode_default(&good, 2).is_ok());
+        let header_len = frame_header(3, 64, 1, 1).len();
+        let invalid = |bytes: &[u8], what: &str| match decode_default(bytes, 2) {
+            Err(codec::CodecError::Invalid(msg)) => assert!(msg.contains(what), "{msg}"),
+            other => panic!("expected a typed refusal ({what}), got {:?}", other.map(|i| i.len())),
+        };
+
+        // The largest counts the codec's length prefix admits (2^30): the
+        // backend table's, then the row count's.
+        let mut lying = good.clone();
+        lying[header_len..header_len + 4].copy_from_slice(&(1u32 << 30).to_le_bytes());
+        invalid(&lying, "count 1073741824 needs at least 8 bytes each");
+        let rows_at = header_len + 4 + 4 + 4 + "default".len();
+        assert_eq!(good[rows_at..rows_at + 4], 3u32.to_le_bytes(), "fixture layout drifted");
+        let mut lying = good.clone();
+        lying[rows_at..rows_at + 4].copy_from_slice(&(1u32 << 30).to_le_bytes());
+        invalid(&lying, "count 1073741824 needs at least 276 bytes each");
+        // One row more than the bytes hold.
+        let mut lying = good.clone();
+        lying[rows_at..rows_at + 4].copy_from_slice(&4u32.to_le_bytes());
+        invalid(&lying, "count 4 needs at least 276 bytes each");
+
+        // Geometry no configuration uses: refused before the hasher (a
+        // dim × bits float matrix) or the band tables are built from it.
+        for (dim, bands, rows) in [(1u32 << 30, 12, 10), (128, 1 << 20, 10), (1 << 12, 1 << 10, 64)]
+        {
+            let mut huge = frame_header(3, dim, bands, rows);
+            codec::put_len(&mut huge, 0);
+            codec::put_len(&mut huge, 0);
+            invalid(&huge, "beyond what a frame may declare");
+        }
+        let mut zero = frame_header(3, 0, 12, 10);
+        codec::put_len(&mut zero, 0);
+        codec::put_len(&mut zero, 0);
+        invalid(&zero, "bad index geometry");
     }
 
     #[test]
@@ -668,23 +708,16 @@ mod tests {
     }
 
     #[test]
-    fn all_default_encode_with_backends_is_byte_identical_v1() {
-        let (index, _) = populated(3, 80, 22);
-        let mut v1 = Vec::new();
-        index.encode(&mut v1);
-        let mut via_backends = Vec::new();
-        index.encode_with_backends(&mut via_backends, |_| unreachable!("no non-default ids"));
-        assert_eq!(via_backends, v1, "all-default snapshots must stay v1 byte-identical");
-    }
-
-    #[test]
     fn federated_encode_round_trips_with_remap() {
         let (index, vectors) = federated(23);
         let mut buf = Vec::new();
-        index.encode_with_backends(&mut buf, |bits| format!("wh{bits}"));
+        index.encode(&mut buf, |bits| format!("wh{bits}"));
 
-        // Plain decode must refuse: the frame names non-default backends.
-        assert!(ShardedLshIndex::decode(&mut &buf[..], 4).is_err());
+        // A loader that does not know one of the names refuses the frame.
+        let only_default = |name: &str| -> CodecResult<u16> {
+            Err(codec::CodecError::Invalid(format!("unknown backend '{name}'")))
+        };
+        assert!(ShardedLshIndex::decode(&mut &buf[..], 4, only_default).is_err());
 
         // The loading process assigns different bits to the same names.
         let reassign = |name: &str| -> CodecResult<u16> {
@@ -692,11 +725,11 @@ mod tests {
                 "wh1" => Ok(9),
                 "wh2" => Ok(4),
                 "wh3" => Ok(7),
-                other => Err(CodecError::Invalid(format!("unknown backend '{other}'"))),
+                other => Err(codec::CodecError::Invalid(format!("unknown backend '{other}'"))),
             }
         };
         let mut r = &buf[..];
-        let loaded = ShardedLshIndex::decode_with_backends(&mut r, 2, reassign).unwrap();
+        let loaded = ShardedLshIndex::decode(&mut r, 2, reassign).unwrap();
         assert!(r.is_empty());
         assert_eq!(loaded.len(), 60);
         // Old namespace 1 is now 9, with locals preserved.
@@ -709,6 +742,9 @@ mod tests {
             assert_eq!(item_backend(*b), 9);
             assert_eq!(sa, sb);
         }
+        // Bits the interner could never have assigned are refused.
+        let too_wide = |_: &str| -> CodecResult<u16> { Ok(256) };
+        assert!(ShardedLshIndex::decode(&mut &buf[..], 2, too_wide).is_err());
     }
 
     #[test]

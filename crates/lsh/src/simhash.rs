@@ -44,15 +44,27 @@ impl Signature {
     /// The `rows` bits of band `band` packed into a `u64` key (rows ≤ 64).
     /// Used by the banded index to key buckets.
     pub fn band_key(&self, band: usize, rows: usize) -> u64 {
-        let start = band * rows;
-        let mut key = 0u64;
-        for (j, i) in (start..start + rows).enumerate() {
-            if self.bit(i) {
-                key |= 1 << j;
-            }
-        }
-        key
+        band_key_of(&self.words, band, rows)
     }
+}
+
+/// [`Signature::band_key`] over bare packed words — what the index stores
+/// per row and what a snapshot carries, so neither has to build a
+/// [`Signature`] to bucket a row. Bit `j` of the key is signature bit
+/// `band * rows + j`.
+#[inline]
+pub fn band_key_of(words: &[u64], band: usize, rows: usize) -> u64 {
+    debug_assert!((1..=64).contains(&rows));
+    let start = band * rows;
+    let (word, offset) = (start / 64, start % 64);
+    let mut key = words[word] >> offset;
+    if offset + rows > 64 {
+        key |= words[word + 1] << (64 - offset);
+    }
+    if rows < 64 {
+        key &= (1 << rows) - 1;
+    }
+    key
 }
 
 /// Generates signatures with a fixed set of seeded hyperplanes.
@@ -218,6 +230,24 @@ mod tests {
             let truth = cosine(&a, &b);
             let est = h.sign(&a).cosine_estimate(&h.sign(&b));
             assert!((truth - est).abs() < 0.15, "estimate {est:.3} too far from truth {truth:.3}");
+        }
+    }
+
+    #[test]
+    fn band_keys_equal_the_bit_by_bit_definition() {
+        let mut rng = Xoshiro256pp::new(6);
+        let words: Vec<u64> = (0..4).map(|_| rng.next_u64()).collect();
+        let sig = Signature { words, bits: 256 };
+        for rows in [1usize, 7, 10, 13, 32, 63, 64] {
+            for band in 0..256 / rows {
+                let mut want = 0u64;
+                for j in 0..rows {
+                    if sig.bit(band * rows + j) {
+                        want |= 1 << j;
+                    }
+                }
+                assert_eq!(sig.band_key(band, rows), want, "band {band} of {rows} rows");
+            }
         }
     }
 

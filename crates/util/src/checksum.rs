@@ -7,7 +7,7 @@
 //!
 //! ```text
 //! ┌────────────────────────────── body ─────────────────────────────┐
-//! │ WGSY header │ entries │ index frame │ optional sync-state frame │
+//! │ WGSY header │ entries │ index frame │ sync-state frame          │
 //! └─────────────────────────────────────────────────────────────────┘
 //! ┌──────────────────────── footer (20 bytes) ──────────────────────┐
 //! │ magic "WGFT" │ version u32 │ body_len u64 │ crc32(body) u32     │
@@ -35,11 +35,12 @@
 //! [`Crc32::update`] split; the tests pin that against the bytewise
 //! reference loop and against digests written down as literals.
 //!
-//! Back-compat is structural: pre-footer files simply do not end with the
-//! magic/length pattern, so [`split_footer`] classifies them as
-//! [`FooterCheck::Absent`] and loaders fall back to the legacy
-//! (unchecked) parse. A footer whose magic and length match but whose
-//! checksum does not is *corruption*, never "legacy".
+//! Bytes that do not end with the magic/length pattern — a torn tail, a
+//! file from before the footer existed — classify as
+//! [`FooterCheck::Absent`]; a footer whose magic and length match but whose
+//! version or checksum does not is an error. The classification only
+//! decides the message: every loader refuses both, because bytes without a
+//! verified footer are never parsed into state.
 
 use crate::codec::CodecError;
 
@@ -168,13 +169,14 @@ pub const FOOTER_VERSION: u32 = 1;
 /// crc32 (4).
 pub const FOOTER_LEN: usize = 20;
 
-/// Outcome of [`split_footer`] when the bytes are *not* corrupt.
+/// Outcome of a footer check when the bytes are *not* provably altered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FooterCheck {
     /// A footer was present and the body checksum verified.
     Verified,
-    /// No footer: a pre-footer (legacy) artifact. The caller gets the
-    /// whole input back as the body and must parse it unchecked.
+    /// No footer: the bytes do not end in the magic/length pattern (cut
+    /// short, or written before the footer existed). Nothing vouches for
+    /// the body; loaders refuse it.
     Absent,
 }
 
@@ -188,50 +190,54 @@ pub fn append_footer(buf: &mut Vec<u8>) {
     buf.extend_from_slice(&crc.to_le_bytes());
 }
 
-/// Classify and strip the integrity footer.
+/// Check the [`FOOTER_LEN`] trailing bytes `foot` against the body they
+/// claim to close: `body_len` bytes whose CRC-32 is `body_crc` (computed by
+/// the caller — over a slice, or folded in while the body streamed by).
 ///
-/// * Footer present and checksum verifies → `Ok((body, Verified))`.
-/// * No plausible footer (too short, wrong magic, or a length field that
-///   does not match the file — e.g. a legacy artifact, or a footer'd file
-///   truncated mid-body) → `Ok((input, Absent))`: the caller parses the
-///   whole input with legacy (bounds-checked but unchecksummed) rules,
-///   which rejects truncations on its own.
-/// * Footer structurally present (magic *and* matching length) but the
-///   checksum or version disagrees → `Err`: the body was altered after it
-///   was written. This is never reinterpreted as legacy — downgrading a
-///   checksum failure to an unchecked parse would defeat the footer.
-pub fn split_footer(bytes: &[u8]) -> Result<(&[u8], FooterCheck), CodecError> {
-    if bytes.len() < FOOTER_LEN {
-        return Ok((bytes, FooterCheck::Absent));
-    }
-    let foot = &bytes[bytes.len() - FOOTER_LEN..];
-    if foot[..4] != FOOTER_MAGIC {
-        return Ok((bytes, FooterCheck::Absent));
-    }
+/// * Magic and length match, version and checksum too → `Ok(Verified)`.
+/// * Wrong magic, or a length field that is not `body_len` → `Ok(Absent)`:
+///   these bytes are not the footer of this body.
+/// * Magic *and* length match but the version or the checksum disagrees →
+///   `Err`: the body was altered after it was written.
+pub fn check_footer(
+    foot: &[u8; FOOTER_LEN],
+    body_len: u64,
+    body_crc: u32,
+) -> Result<FooterCheck, CodecError> {
     let version = u32::from_le_bytes(foot[4..8].try_into().expect("4 bytes"));
-    let body_len = u64::from_le_bytes(foot[8..16].try_into().expect("8 bytes"));
+    let claimed_len = u64::from_le_bytes(foot[8..16].try_into().expect("8 bytes"));
     let stored_crc = u32::from_le_bytes(foot[16..20].try_into().expect("4 bytes"));
-    if body_len != (bytes.len() - FOOTER_LEN) as u64 {
-        // Magic collided but the length disagrees: either a legacy body
-        // that happens to end in "WGFT" or a truncated footer'd file. The
-        // legacy parse handles both (truncations fail its bounds checks).
-        return Ok((bytes, FooterCheck::Absent));
+    if foot[..4] != FOOTER_MAGIC || claimed_len != body_len {
+        return Ok(FooterCheck::Absent);
     }
     if version != FOOTER_VERSION {
         return Err(CodecError::Invalid(format!(
             "snapshot footer version {version} is not supported (expected {FOOTER_VERSION})"
         )));
     }
-    let body = &bytes[..bytes.len() - FOOTER_LEN];
-    let actual = crc32(body);
-    if actual != stored_crc {
+    if body_crc != stored_crc {
         return Err(CodecError::Invalid(format!(
-            "snapshot checksum mismatch over {} body bytes: stored {stored_crc:#010x}, \
-             computed {actual:#010x}",
-            body.len()
+            "snapshot checksum mismatch over {body_len} body bytes: stored {stored_crc:#010x}, \
+             computed {body_crc:#010x}"
         )));
     }
-    Ok((body, FooterCheck::Verified))
+    Ok(FooterCheck::Verified)
+}
+
+/// Classify and strip the integrity footer of in-memory bytes (see
+/// [`check_footer`]): `Ok((body, Verified))`, `Ok((input, Absent))` when
+/// the input is too short for a footer or does not end in one, `Err` when
+/// the footer is there and the body no longer matches it.
+pub fn split_footer(bytes: &[u8]) -> Result<(&[u8], FooterCheck), CodecError> {
+    let Some((body, foot)) = bytes.split_last_chunk::<FOOTER_LEN>() else {
+        return Ok((bytes, FooterCheck::Absent));
+    };
+    // The checksum is only worth computing for a footer that is one.
+    if foot[..4] != FOOTER_MAGIC {
+        return Ok((bytes, FooterCheck::Absent));
+    }
+    let check = check_footer(foot, body.len() as u64, crc32(body))?;
+    Ok((if check == FooterCheck::Verified { body } else { bytes }, check))
 }
 
 #[cfg(test)]
@@ -336,8 +342,8 @@ mod tests {
                     // Body or checksum-field damage must be detected.
                     Err(_) => {}
                     // Magic/length damage makes the footer unrecognizable;
-                    // that downgrades to Absent (the legacy parser then
-                    // rejects the stray tail bytes) but may never verify.
+                    // that classifies as Absent (which loaders refuse) but
+                    // may never verify.
                     Ok((_, FooterCheck::Absent)) => {
                         assert!(i >= body_end, "flip inside the body at {i} slipped through");
                     }

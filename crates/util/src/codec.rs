@@ -9,6 +9,8 @@
 
 pub use bytes::{Buf, BufMut};
 
+use crate::checksum::Crc32;
+
 /// Decoding failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CodecError {
@@ -142,10 +144,38 @@ pub fn get_len(buf: &mut impl Buf) -> CodecResult<usize> {
     Ok(len as usize)
 }
 
+/// Read an item count whose items each encode to at least `min_item_bytes`
+/// (> 0), rejecting a count the bytes that remain cannot hold. Decoders
+/// reserve for a count only after this: the reservation is then bounded by
+/// the input's own size, whatever the prefix claims.
+#[inline]
+pub fn get_count(buf: &mut impl Buf, min_item_bytes: usize) -> CodecResult<usize> {
+    let count = get_len(buf)?;
+    if count > buf.remaining() / min_item_bytes {
+        return Err(CodecError::Invalid(format!(
+            "count {count} needs at least {min_item_bytes} bytes each, {} remain",
+            buf.remaining()
+        )));
+    }
+    Ok(count)
+}
+
 /// Write a byte string with a length prefix.
 pub fn put_bytes(buf: &mut impl BufMut, bytes: &[u8]) {
     put_len(buf, bytes.len());
     buf.put_slice(bytes);
+}
+
+/// Append whatever `body` writes as one length-prefixed byte string —
+/// [`put_bytes`] for a frame that is encoded straight into `buf` instead
+/// of into a buffer of its own first.
+pub fn put_bytes_with(buf: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) {
+    let at = buf.len();
+    put_len(buf, 0);
+    body(buf);
+    let len = buf.len() - at - 4;
+    assert!(len as u64 <= MAX_LEN as u64, "encoded length {len} exceeds limit");
+    buf[at..at + 4].copy_from_slice(&(len as u32).to_le_bytes());
 }
 
 /// Read a length-prefixed byte string.
@@ -168,61 +198,106 @@ pub fn get_str(buf: &mut impl Buf) -> CodecResult<String> {
     String::from_utf8(bytes).map_err(|_| CodecError::Invalid("non-UTF-8 string".into()))
 }
 
+/// Elements moved per [`put_le`] / [`get_le`] step: one `put_slice` or
+/// `copy_to_slice` per chunk instead of one per element, through a stack
+/// buffer (512 bytes at the widest element).
+const CHUNK: usize = 64;
+
+/// Append `xs` as little-endian `W`-byte values, no length prefix.
+fn put_le<T: Copy, const W: usize>(buf: &mut impl BufMut, xs: &[T], to_le: fn(T) -> [u8; W]) {
+    let mut bytes = [0u8; CHUNK * 8];
+    for chunk in xs.chunks(CHUNK) {
+        for (dst, &x) in bytes.chunks_exact_mut(W).zip(chunk) {
+            dst.copy_from_slice(&to_le(x));
+        }
+        buf.put_slice(&bytes[..chunk.len() * W]);
+    }
+}
+
+/// Fill `out` from little-endian `W`-byte values, no length prefix.
+fn get_le<T, const W: usize>(
+    buf: &mut impl Buf,
+    out: &mut [T],
+    from_le: fn([u8; W]) -> T,
+) -> CodecResult<()> {
+    need(buf, out.len().checked_mul(W).ok_or(CodecError::UnexpectedEof)?)?;
+    let mut bytes = [0u8; CHUNK * 8];
+    for chunk in out.chunks_mut(CHUNK) {
+        let raw = &mut bytes[..chunk.len() * W];
+        buf.copy_to_slice(raw);
+        for (dst, src) in chunk.iter_mut().zip(raw.chunks_exact(W)) {
+            *dst = from_le(src.try_into().expect("W bytes"));
+        }
+    }
+    Ok(())
+}
+
+/// Read a length prefix, then that many `W`-byte values.
+fn get_le_vec<T: Clone + Default, const W: usize>(
+    buf: &mut impl Buf,
+    from_le: fn([u8; W]) -> T,
+) -> CodecResult<Vec<T>> {
+    let len = get_len(buf)?;
+    // Checked before the allocation: a lying prefix costs nothing.
+    need(buf, len.checked_mul(W).ok_or(CodecError::UnexpectedEof)?)?;
+    let mut out = vec![T::default(); len];
+    get_le(buf, &mut out, from_le)?;
+    Ok(out)
+}
+
+/// Write `f32`s back to back, no length prefix (fixed-width rows whose
+/// length the frame header already states).
+pub fn put_f32s(buf: &mut impl BufMut, xs: &[f32]) {
+    put_le(buf, xs, f32::to_le_bytes);
+}
+
+/// Fill `out` with `out.len()` unprefixed `f32`s — straight into the
+/// caller's storage, no intermediate `Vec`.
+pub fn get_f32s(buf: &mut impl Buf, out: &mut [f32]) -> CodecResult<()> {
+    get_le(buf, out, f32::from_le_bytes)
+}
+
+/// Write `u64`s back to back, no length prefix.
+pub fn put_u64s(buf: &mut impl BufMut, xs: &[u64]) {
+    put_le(buf, xs, u64::to_le_bytes);
+}
+
+/// Fill `out` with `out.len()` unprefixed `u64`s.
+pub fn get_u64s(buf: &mut impl Buf, out: &mut [u64]) -> CodecResult<()> {
+    get_le(buf, out, u64::from_le_bytes)
+}
+
 /// Write a `Vec<f32>` with a length prefix.
 pub fn put_f32_slice(buf: &mut impl BufMut, xs: &[f32]) {
     put_len(buf, xs.len());
-    for &x in xs {
-        buf.put_f32_le(x);
-    }
+    put_f32s(buf, xs);
 }
 
 /// Read a length-prefixed `Vec<f32>`.
 pub fn get_f32_vec(buf: &mut impl Buf) -> CodecResult<Vec<f32>> {
-    let len = get_len(buf)?;
-    need(buf, len.checked_mul(4).ok_or(CodecError::UnexpectedEof)?)?;
-    let mut out = Vec::with_capacity(len);
-    for _ in 0..len {
-        out.push(buf.get_f32_le());
-    }
-    Ok(out)
+    get_le_vec(buf, f32::from_le_bytes)
 }
 
 /// Write a `&[u64]` with a length prefix.
 pub fn put_u64_slice(buf: &mut impl BufMut, xs: &[u64]) {
     put_len(buf, xs.len());
-    for &x in xs {
-        buf.put_u64_le(x);
-    }
+    put_u64s(buf, xs);
 }
 
 /// Read a length-prefixed `Vec<u64>`.
 pub fn get_u64_vec(buf: &mut impl Buf) -> CodecResult<Vec<u64>> {
-    let len = get_len(buf)?;
-    need(buf, len.checked_mul(8).ok_or(CodecError::UnexpectedEof)?)?;
-    let mut out = Vec::with_capacity(len);
-    for _ in 0..len {
-        out.push(buf.get_u64_le());
-    }
-    Ok(out)
+    get_le_vec(buf, u64::from_le_bytes)
 }
 
 /// Write a `&[u32]` with a length prefix.
 pub fn put_u32_slice(buf: &mut impl BufMut, xs: &[u32]) {
     put_len(buf, xs.len());
-    for &x in xs {
-        buf.put_u32_le(x);
-    }
+    put_le(buf, xs, u32::to_le_bytes);
 }
 
 /// Read a length-prefixed `Vec<u32>`.
 pub fn get_u32_vec(buf: &mut impl Buf) -> CodecResult<Vec<u32>> {
-    let len = get_len(buf)?;
-    need(buf, len.checked_mul(4).ok_or(CodecError::UnexpectedEof)?)?;
-    let mut out = Vec::with_capacity(len);
-    for _ in 0..len {
-        out.push(buf.get_u32_le());
-    }
-    Ok(out)
+    get_le_vec(buf, u32::from_le_bytes)
 }
 
 /// Write a 4-byte magic plus a format version.
@@ -254,6 +329,10 @@ pub fn get_header(buf: &mut impl Buf, magic: [u8; 4]) -> CodecResult<u32> {
 /// zeros make the structured parse fail fast, and the caller checks
 /// [`ReaderBuf::io_error`] afterwards to report the real cause instead of
 /// a misleading decode error.
+///
+/// Every window is folded into a running CRC-32 as it is read, so a parser
+/// that consumes the whole range has also checksummed it — the file is
+/// read once, not once to verify and once to parse.
 pub struct ReaderBuf<R: std::io::Read> {
     reader: R,
     /// Unconsumed bytes: window remainder plus unread reader bytes.
@@ -261,6 +340,7 @@ pub struct ReaderBuf<R: std::io::Read> {
     window: Vec<u8>,
     pos: usize,
     io_error: Option<std::io::Error>,
+    crc: Crc32,
 }
 
 /// Window size for [`ReaderBuf`] refills.
@@ -270,7 +350,27 @@ impl<R: std::io::Read> ReaderBuf<R> {
     /// Wrap `reader`, exposing exactly `len` bytes through the [`Buf`]
     /// interface.
     pub fn new(reader: R, len: usize) -> Self {
-        ReaderBuf { reader, remaining: len, window: Vec::new(), pos: 0, io_error: None }
+        ReaderBuf {
+            reader,
+            remaining: len,
+            window: Vec::new(),
+            pos: 0,
+            io_error: None,
+            crc: Crc32::new(),
+        }
+    }
+
+    /// CRC-32 of every byte read from the underlying reader so far. Once
+    /// [`Buf::remaining`] is 0 (and no I/O error latched) that is the
+    /// digest of exactly the `len` bytes this buffer exposed.
+    pub fn crc32(&self) -> u32 {
+        self.crc.finalize()
+    }
+
+    /// Hand the reader back, positioned just past the last window read —
+    /// past the exposed range once it is fully consumed.
+    pub fn into_inner(self) -> R {
+        self.reader
     }
 
     /// The first I/O error hit while refilling, if any. A successful-looking
@@ -290,6 +390,7 @@ impl<R: std::io::Read> ReaderBuf<R> {
             }
             self.window.clear();
         }
+        self.crc.update(&self.window);
     }
 }
 
@@ -414,6 +515,15 @@ mod tests {
     }
 
     #[test]
+    fn put_bytes_with_writes_what_put_bytes_writes() {
+        let mut direct = b"before".to_vec();
+        put_bytes(&mut direct, b"the frame");
+        let mut in_place = b"before".to_vec();
+        put_bytes_with(&mut in_place, |buf| buf.extend_from_slice(b"the frame"));
+        assert_eq!(in_place, direct);
+    }
+
+    #[test]
     fn non_utf8_string_rejected() {
         let mut buf = Vec::new();
         put_bytes(&mut buf, &[0xff, 0xfe]);
@@ -452,6 +562,130 @@ mod tests {
         assert_eq!(get_bytes(&mut r).unwrap(), big);
         assert_eq!(get_u32(&mut r).unwrap(), 7);
         assert_eq!(r.remaining(), 0);
+    }
+
+    /// Values of one element type at the lengths around the chunk size,
+    /// encoded by the chunked path and by one `put_*_le` per element;
+    /// decoded from a slice, one `get_*_le` at a time, and through a
+    /// [`ReaderBuf`] whose first refill ends two bytes into the first value.
+    macro_rules! chunked_path_equals_per_element_loop {
+        ($make:expr, $put_one:ident, $get_one:ident, $put_slice:ident, $get_vec:ident) => {
+            for len in [0usize, 1, 63, 64, 65, 4097] {
+                let values: Vec<_> = (0..len as u64)
+                    .map(|i| $make(i.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ i))
+                    .collect();
+                let mut chunked = Vec::new();
+                $put_slice(&mut chunked, &values);
+                let mut by_element = Vec::new();
+                put_len(&mut by_element, len);
+                values.iter().for_each(|&x| by_element.$put_one(x));
+                assert_eq!(chunked, by_element, "encoded bytes differ at length {len}");
+
+                let mut r = &chunked[..];
+                assert_eq!($get_vec(&mut r).unwrap(), values, "slice decode, length {len}");
+                assert!(r.is_empty());
+                let mut r = &chunked[4..];
+                let one_by_one: Vec<_> = (0..len).map(|_| r.$get_one()).collect();
+                assert_eq!(one_by_one, values, "per-element decode, length {len}");
+
+                // Padding puts the length prefix at READER_WINDOW - 6, so
+                // the first value starts two bytes before the boundary.
+                let mut padded = vec![0xEEu8; READER_WINDOW - 6];
+                padded.extend_from_slice(&chunked);
+                let total = padded.len();
+                let mut reader = ReaderBuf::new(std::io::Cursor::new(padded), total);
+                reader.advance(READER_WINDOW - 6);
+                assert_eq!($get_vec(&mut reader).unwrap(), values, "reader decode, length {len}");
+                assert_eq!(reader.remaining(), 0);
+                assert!(reader.io_error().is_none());
+
+                // A prefix that promises one value more than the bytes hold.
+                let mut short = chunked.clone();
+                short[..4].copy_from_slice(&(len as u32 + 1).to_le_bytes());
+                assert_eq!($get_vec(&mut &short[..]), Err(CodecError::UnexpectedEof));
+            }
+        };
+    }
+
+    #[test]
+    fn chunked_slices_equal_the_per_element_loop() {
+        // One exponent bit cleared: every bit pattern but NaN/inf, which
+        // would not compare equal to themselves.
+        let finite = |x: u64| f32::from_bits(x as u32 & 0x7F7F_FFFF);
+        chunked_path_equals_per_element_loop!(
+            finite,
+            put_f32_le,
+            get_f32_le,
+            put_f32_slice,
+            get_f32_vec
+        );
+        chunked_path_equals_per_element_loop!(
+            |x| x as u32,
+            put_u32_le,
+            get_u32_le,
+            put_u32_slice,
+            get_u32_vec
+        );
+        chunked_path_equals_per_element_loop!(
+            |x: u64| x,
+            put_u64_le,
+            get_u64_le,
+            put_u64_slice,
+            get_u64_vec
+        );
+    }
+
+    #[test]
+    fn unprefixed_slices_fill_the_callers_storage() {
+        let floats: Vec<f32> = (0..130).map(|i| i as f32 * 0.5 - 7.0).collect();
+        let words: Vec<u64> = (0..67).map(|i| u64::MAX / (i + 1)).collect();
+        let mut buf = Vec::new();
+        put_f32s(&mut buf, &floats);
+        put_u64s(&mut buf, &words);
+        assert_eq!(buf.len(), floats.len() * 4 + words.len() * 8, "no length prefix");
+        let mut r = &buf[..];
+        let (mut f, mut w) = (vec![0.0f32; floats.len()], vec![0u64; words.len()]);
+        get_f32s(&mut r, &mut f).unwrap();
+        get_u64s(&mut r, &mut w).unwrap();
+        assert_eq!((f, w), (floats, words));
+        assert!(r.is_empty());
+        // One byte short: refused before anything is consumed.
+        let mut r = &buf[..7];
+        assert_eq!(get_f32s(&mut r, &mut [0.0; 2]), Err(CodecError::UnexpectedEof));
+        assert_eq!(r.len(), 7);
+    }
+
+    #[test]
+    fn counts_the_remaining_bytes_cannot_hold_are_refused() {
+        let mut buf = Vec::new();
+        put_len(&mut buf, 3);
+        buf.extend_from_slice(&[0u8; 24]);
+        assert_eq!(get_count(&mut &buf[..], 8).unwrap(), 3);
+        assert!(matches!(get_count(&mut &buf[..], 9), Err(CodecError::Invalid(_))));
+        // The largest prefix the codec accepts, over a few bytes.
+        let mut lying = Vec::new();
+        put_u32(&mut lying, MAX_LEN);
+        lying.extend_from_slice(&[0u8; 16]);
+        assert!(matches!(get_count(&mut &lying[..], 1), Err(CodecError::Invalid(_))));
+    }
+
+    #[test]
+    fn reader_buf_checksums_what_it_reads() {
+        let data: Vec<u8> = (0..READER_WINDOW * 2 + 4321).map(|i| (i % 251) as u8).collect();
+        let mut file = data.clone();
+        file.extend_from_slice(b"tail");
+        let mut r = ReaderBuf::new(std::io::Cursor::new(file), data.len());
+        // Consumed in uneven steps, across both window boundaries.
+        let mut sink = vec![0u8; 1000];
+        while r.remaining() > 0 {
+            let take = sink.len().min(r.remaining());
+            r.copy_to_slice(&mut sink[..take]);
+        }
+        assert_eq!(r.crc32(), crate::checksum::crc32(&data));
+        // The reader comes back positioned just past the exposed range.
+        let mut rest = Vec::new();
+        std::io::Read::read_to_end(&mut r.into_inner(), &mut rest).unwrap();
+        assert_eq!(rest, b"tail");
     }
 
     #[test]

@@ -18,10 +18,11 @@
 //! * [`names`] — the process-wide backend-name interner behind federated
 //!   namespaces (`"default"` pinned to id 0, 256-name cap matching the
 //!   LSH item-id bit budget).
+//! * [`atomic_file`] — the one temp → fsync → rename → directory-fsync
+//!   write every published file goes through.
 //! * [`checksum`] — slice-by-16 CRC-32 and the fixed-size snapshot
 //!   integrity footer (magic + body length + checksum) that lets loaders
-//!   reject torn or bit-rotted files before interpreting a single body
-//!   byte.
+//!   reject torn or bit-rotted files before any of their state installs.
 //! * [`deadline`] — cooperative request deadlines ([`Deadline`]) and the
 //!   pipeline [`Phase`] vocabulary that overload control reports expiry
 //!   against.
@@ -31,6 +32,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod atomic_file;
 pub mod checksum;
 pub mod codec;
 pub mod deadline;

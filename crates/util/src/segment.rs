@@ -39,10 +39,9 @@
 //! payload against the directory's value. On any mismatch the caller gets
 //! [`SegmentError::Corrupt`] and an empty buffer, never the damaged bytes.
 
-use crate::checksum::{crc32, Crc32};
+use crate::checksum::crc32;
 use crate::codec::{self, CodecError};
 use std::fs::File;
-use std::io::{Read, Write};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
@@ -110,7 +109,8 @@ struct BlockInfo {
 }
 
 /// Incremental writer: push blocks, then [`SegmentBuilder::finish`] into
-/// the complete byte image (written atomically by the caller).
+/// the complete byte image (written atomically by the caller, see
+/// [`crate::atomic_file`]).
 pub struct SegmentBuilder {
     bytes: Vec<u8>,
     /// The directory frame up to and including the header meta; the block
@@ -352,50 +352,10 @@ impl Segment {
     }
 }
 
-/// Write `bytes` to `path` atomically: temp sibling, fsync, rename, then a
-/// best-effort fsync of the parent directory so the rename itself is
-/// durable. Readers either see the old file or the complete new one.
-pub fn atomic_write_bytes(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    let file_name = path
-        .file_name()
-        .ok_or_else(|| {
-            std::io::Error::new(std::io::ErrorKind::InvalidInput, "path has no file name")
-        })?
-        .to_string_lossy()
-        .into_owned();
-    let tmp = path.with_file_name(format!("{file_name}.tmp"));
-    {
-        let mut f = File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)?;
-    if let Some(dir) = path.parent() {
-        if let Ok(d) = File::open(dir) {
-            let _ = d.sync_all();
-        }
-    }
-    Ok(())
-}
-
-/// Streaming CRC-32 over an already-open reader, in bounded chunks.
-/// Returns the digest of exactly `len` bytes.
-pub fn crc32_reader(reader: &mut impl Read, len: u64) -> std::io::Result<u32> {
-    let mut crc = Crc32::new();
-    let mut buf = vec![0u8; 64 * 1024];
-    let mut left = len;
-    while left > 0 {
-        let take = buf.len().min(left as usize);
-        reader.read_exact(&mut buf[..take])?;
-        crc.update(&buf[..take]);
-        left -= take as u64;
-    }
-    Ok(crc.finalize())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::atomic_file::write as atomic_write_bytes;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("wg-segment-{tag}-{}", std::process::id()));
@@ -526,17 +486,6 @@ mod tests {
         atomic_write_bytes(&path, &SegmentBuilder::new(b"").finish()).expect("write");
         let seg = Segment::open(&path).expect("open");
         assert_eq!(seg.block_count(), 0);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn streaming_crc_matches_one_shot() {
-        let dir = temp_dir("crc");
-        let path = dir.join("blob");
-        let data: Vec<u8> = (0..200_000u32).map(|i| (i % 251) as u8).collect();
-        atomic_write_bytes(&path, &data).expect("write");
-        let mut f = File::open(&path).expect("open");
-        assert_eq!(crc32_reader(&mut f, data.len() as u64).expect("crc"), crc32(&data));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -290,40 +290,62 @@ fn bit_flipped_newest_generation_falls_back_to_previous() {
 #[test]
 fn loader_rejects_every_bit_flip_without_partial_mutation() {
     let fx = two_generations("fuzz-flip");
+    let dir = tmp_dir("fuzz-flip");
+    let path = dir.join("snapshot.bin");
     let config = WarpGateConfig { dim: 64, threads: 1, ..Default::default() };
     let mut probe = WarpGate::new(config);
     for offset in 0..fx.new.len() {
         let mut broken = fx.new.clone();
         broken[offset] ^= 1 << (offset % 8);
-        let err = probe.load_bytes(&broken).unwrap_err();
-        assert!(
-            matches!(err, StoreError::SnapshotCorrupt(_)),
-            "flip at byte {offset} produced the wrong error class: {err}"
-        );
-        assert_eq!(probe.len(), 0, "flip at byte {offset} partially mutated the system");
+        // In memory the checksum is compared before the parse; streamed,
+        // the parse runs first, over bytes nothing has vouched for — it
+        // must fail typed there too, whatever the flip hit.
+        std::fs::write(&path, &broken).unwrap();
+        for (how, result) in [
+            ("load_bytes", probe.load_bytes(&broken)),
+            ("load_from_file", probe.load_from_file(&path)),
+        ] {
+            let err = result.expect_err("a flipped snapshot may never load");
+            assert!(
+                matches!(err, StoreError::SnapshotCorrupt(_)),
+                "flip at byte {offset}, {how}: wrong error class: {err}"
+            );
+            assert_eq!(probe.len(), 0, "flip at byte {offset} partially mutated the system");
+        }
     }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn loader_survives_truncation_at_every_length() {
     let mut fx = two_generations("fuzz-trunc");
+    let dir = tmp_dir("fuzz-trunc");
+    let path = dir.join("snapshot.bin");
+    let config = WarpGateConfig { dim: 64, threads: 1, ..Default::default() };
+    let mut probe = WarpGate::new(config);
+    // No length short of the whole file is a loadable file: a body whose
+    // footer was cut off — exactly at the end of the frame set, or before
+    // the sync frame — is a torn write like any other, and loading it
+    // would install a tail nothing verified. In memory and streamed alike.
     for len in 0..fx.new.len() {
-        match fx.node.load_bytes(&fx.new[..len]) {
-            // Two benign boundaries exist: truncating exactly at the end
-            // of a complete frame set (dropping only the footer, or the
-            // footer plus the optional sync frame) yields a complete
-            // state — old readers see exactly these layouts. Anything
-            // else must be a typed error.
-            Ok(()) => {
-                let got = fx.node.discover(&fx.query, 3).unwrap().candidates;
-                assert_eq!(got, fx.new_rank, "truncation to {len} loaded a non-complete state");
+        let cut = &fx.new[..len];
+        std::fs::write(&path, cut).unwrap();
+        for (how, result) in
+            [("load_bytes", probe.load_bytes(cut)), ("load_from_file", probe.load_from_file(&path))]
+        {
+            match result {
+                Err(StoreError::SnapshotCorrupt(msg)) => assert!(!msg.is_empty()),
+                Ok(()) => panic!("truncation to {len} loaded through {how}"),
+                Err(e) => panic!("truncation to {len}, {how}: unexpected error class {e}"),
             }
-            Err(StoreError::SnapshotCorrupt(msg)) => {
-                assert!(!msg.is_empty());
-            }
-            Err(e) => panic!("truncation to {len}: unexpected error class {e}"),
+            assert_eq!(probe.len(), 0, "truncation to {len} partially mutated the system");
         }
     }
+    // The whole file is the one length that loads.
+    std::fs::write(&path, &fx.new).unwrap();
+    fx.node.load_from_file(&path).unwrap();
+    assert_eq!(fx.node.discover(&fx.query, 3).unwrap().candidates, fx.new_rank);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 // ---------------------------------------------------------------------

@@ -326,43 +326,6 @@ fn reattaching_a_different_warehouse_serves_nothing_stale() {
 }
 
 #[test]
-fn legacy_snapshot_loads_into_the_default_namespace() {
-    // A pre-federation (single-backend) system writes the v1 WGSY frame;
-    // a federated deployment must load it with every ref in the default
-    // namespace and not upgrade the frame on re-encode.
-    let merged: BackendHandle = Arc::new(CdwConnector::new(merged_warehouse(), CdwConfig::free()));
-    let legacy = WarpGate::with_backend(WarpGateConfig::default(), merged.clone());
-    legacy.index_warehouse().unwrap();
-    let bytes = legacy.to_bytes();
-    let mut cursor = &bytes[..];
-    assert_eq!(warpgate::util::codec::get_header(&mut cursor, *b"WGSY").unwrap(), 1);
-
-    let mut restored = WarpGate::with_backend(WarpGateConfig::default(), merged);
-    restored.load_bytes(&bytes).unwrap();
-    assert_eq!(restored.len(), legacy.len());
-    let q = ColumnRef::new("crm", "accounts", "name");
-    let d = restored.discover(&q, 5).unwrap();
-    assert!(!d.candidates.is_empty());
-    assert!(
-        d.candidates.iter().all(|c| c.reference.backend.is_default()),
-        "legacy entries must land in the default namespace"
-    );
-    assert_eq!(
-        flat(&d.candidates),
-        flat(&legacy.discover(&q, 5).unwrap().candidates),
-        "legacy snapshot must restore the exact ranking"
-    );
-
-    let reencoded = restored.to_bytes();
-    let mut cursor = &reencoded[..];
-    assert_eq!(
-        warpgate::util::codec::get_header(&mut cursor, *b"WGSY").unwrap(),
-        1,
-        "all-default contents must keep writing the v1 frame"
-    );
-}
-
-#[test]
 fn detaching_a_namespace_drops_its_paged_tier() {
     // ISSUE 9 extension of the stale-reattach guarantee: when the index
     // serves from sealed segments, `detach_named` must drop the departing
