@@ -10,9 +10,6 @@ use std::sync::Arc;
 use wg_corpora::{build_testbed, Corpus, TestbedSpec};
 use wg_store::{BackendHandle, CdwConfig, CdwConnector};
 
-#[cfg(feature = "alloc-count")]
-pub mod alloc;
-
 /// The XS testbed served through a free simulated-CDW backend — the
 /// standard bench fixture (fast to build, representative structure).
 pub fn xs_fixture() -> (Corpus, BackendHandle) {

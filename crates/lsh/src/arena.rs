@@ -1,14 +1,16 @@
 //! A contiguous slab of same-dimension vectors keyed by [`ItemId`].
 //!
-//! The LSH index used to keep its stored vectors in a
-//! `FxHashMap<ItemId, Vec<f32>>` — every exact-cosine re-rank chased a
-//! pointer per candidate into a heap allocation placed wherever the
-//! allocator felt like it. [`VectorArena`] stores all vectors back-to-back
-//! in one `Vec<f32>` (`slot × dim` addressing) with an id → slot map and a
-//! free-list: re-ranking a sorted slot list streams cache-line-sequential
-//! memory, removals recycle slots without shifting anything, and per-slot
-//! L2 norms are maintained on insert so cosine scoring is one dot product
-//! per candidate instead of a dot plus two norm passes.
+//! [`VectorArena`] stores all vectors back-to-back in one `Vec<f32>`
+//! (`slot × dim` addressing) with an id → slot map and a free-list. The
+//! **slot** is a row's number everywhere below the public API: the index's
+//! band buckets hold slots, a query's candidate set is a bitset over slots,
+//! and the exact re-rank walks that bitset in ascending order — so it
+//! streams the slab in address order, four rows per kernel pass, without
+//! ever probing the id → slot map (that map serves insert, remove and
+//! lookups by id only). Removals recycle slots without shifting anything —
+//! which is why the index unbuckets a slot *before* it returns here to be
+//! freed — and per-slot L2 norms are maintained on insert, so cosine scoring
+//! is one dot product per candidate instead of a dot plus two norm passes.
 
 use wg_util::kernel;
 use wg_util::FxHashMap;

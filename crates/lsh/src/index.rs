@@ -5,17 +5,29 @@
 //! candidates by **exact cosine** against the stored vectors and keep the
 //! top-k. Insertion and removal are incremental, which is what lets
 //! WarpGate track CDWs with high update rates without rebuild storms.
+//!
+//! A bucket entry is a **row number**, not an id: the arena slot of a hot
+//! row, or `COLD | n` for the `n`-th row of the paged tier, numbered in
+//! `(segment, block, row)` order. The candidate set of a query is therefore
+//! a bitset over row numbers in a per-thread scratch: marking an entry
+//! dedups it, and one ascending scan hands out the hot rows in slab order
+//! and the cold rows in block order — no sort, and no id → row hash probe,
+//! anywhere between the buckets and the scores. Both tiers go through the
+//! same gather, the same scan and the same heap; what differs is only how a
+//! row's score is obtained (four slab rows per kernel pass; a cold row
+//! bounded from its resident sketch first, and read only if it can still
+//! reach the top-k).
 
 use std::cell::RefCell;
 use std::sync::Arc;
 use wg_util::codec::{self, CodecError, CodecResult};
 use wg_util::deadline::{Deadline, Phase};
-use wg_util::kernel::{self, scratch};
+use wg_util::kernel;
 use wg_util::segment::SegmentError;
 use wg_util::{FxHashMap, TopK};
 
 use crate::arena::VectorArena;
-use crate::paged::{SegmentRow, VectorSegment};
+use crate::paged::{QueryCodes, SegmentRow, VectorSegment};
 use crate::params::LshParams;
 use crate::scope::DiscoverScope;
 use crate::simhash::{band_key_of, Signature, SimHasher};
@@ -36,7 +48,7 @@ const MAX_FRAME_PLANE_FLOATS: usize = 1 << 24;
 /// Diagnostics from one search.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct SearchOutcome {
-    /// Distinct candidates that came out of the band buckets.
+    /// Distinct in-scope candidates that came out of the band buckets.
     pub candidates: usize,
     /// How many survived the exclusion filter and were scored exactly
     /// (cold rows their bound pruned are never scored and do not count).
@@ -119,29 +131,87 @@ impl ColdLoc {
     }
 }
 
-/// Per-thread buffers of the cold re-rank pass, so a steady-state query
-/// allocates nothing for it: the candidate rows, each row's upper bound
-/// (aligned with the sorted rows), and the `(largest row bound, start,
-/// end)` block groups over them.
+/// Tag bit of a band-bucket entry that names a cold row: the entry is
+/// `COLD | n` with `n` an index into [`ColdStore::rows`]. Without it the
+/// entry is an arena slot.
+const COLD: u32 = 1 << 31;
+
+/// Per-thread buffers of one search, so a steady-state query allocates
+/// nothing: the candidate bitset — one bit per arena slot, then one per
+/// cold row; **all-zero between searches** — and the cold pass's candidate
+/// rows, quantized query, row bounds (aligned with the rows) and
+/// `(largest row bound, start, end)` block groups.
 #[derive(Default)]
-struct ColdScratch {
+struct SearchScratch {
+    bits: Vec<u64>,
     rows: Vec<(ColdLoc, ItemId)>,
+    query: QueryCodes,
     bounds: Vec<f64>,
     groups: Vec<(f64, usize, usize)>,
 }
 
 thread_local! {
-    static COLD_SCRATCH: RefCell<ColdScratch> = RefCell::default();
+    static SEARCH_SCRATCH: RefCell<SearchScratch> = RefCell::default();
 }
 
-/// The paged tier of one index: attached segments plus an id locator.
-/// Signatures and band entries for cold rows live in the index's normal
-/// maps (they are resident metadata); only vector payloads stay on disk.
+/// Hand `visit` the index of every set bit of `words`, ascending, zeroing
+/// each word as it is read.
+#[inline]
+fn drain_bits(words: &mut [u64], mut visit: impl FnMut(usize)) {
+    for (w, word) in words.iter_mut().enumerate() {
+        let mut bits = std::mem::take(word);
+        while bits != 0 {
+            visit(w * 64 + bits.trailing_zeros() as usize);
+            bits &= bits - 1;
+        }
+    }
+}
+
+/// The paged tier of one index: attached segments plus the cold row table.
+/// Signatures and band entries for cold rows are resident metadata; only
+/// vector payloads stay on disk.
+#[derive(Default)]
 struct ColdStore {
-    /// Attached segments; detaching a backend can retire a slot to `None`
+    /// Attached segments; a slot whose last live row died retires to `None`
     /// without renumbering the `ColdLoc.seg` indexes of the survivors.
     segments: Vec<Option<Arc<VectorSegment>>>,
-    locator: FxHashMap<ItemId, ColdLoc>,
+    /// Live rows per segment slot (plus one while the slot is attaching).
+    live: Vec<usize>,
+    /// Every row ever attached, appended in `(seg, block, row)` order, so
+    /// ascending row number *is* ascending location. A row that was removed
+    /// or replaced stays as a dead entry no bucket and no locator row names.
+    rows: Vec<(ColdLoc, ItemId)>,
+    /// Id → row number of the live rows.
+    locator: FxHashMap<ItemId, u32>,
+}
+
+impl ColdStore {
+    /// The segment a location points into.
+    fn segment(&self, loc: ColdLoc) -> &VectorSegment {
+        self.segments[loc.seg()].as_ref().expect("a live row points at a live segment")
+    }
+
+    /// The live rows, in location order.
+    fn live_rows(&self) -> impl Iterator<Item = (ColdLoc, ItemId)> + '_ {
+        let live = |&(n, &(_, id)): &(usize, &(ColdLoc, ItemId))| {
+            self.locator.get(&id).is_some_and(|&at| at as usize == n)
+        };
+        self.rows.iter().enumerate().filter(live).map(|(_, &row)| row)
+    }
+
+    /// Count one live row of segment slot `seg` out. The row that takes the
+    /// count to zero retires the slot — cached blocks evicted, file closed
+    /// with the last `Arc`. True when that left the tier without a segment.
+    fn release(&mut self, seg: usize) -> bool {
+        self.live[seg] -= 1;
+        if self.live[seg] > 0 {
+            return false;
+        }
+        if let Some(segment) = self.segments[seg].take() {
+            segment.evict_from_cache();
+        }
+        self.segments.iter().all(Option::is_none)
+    }
 }
 
 /// An LSH index over unit vectors keyed by [`ItemId`].
@@ -159,28 +229,48 @@ pub struct SimHashLshIndex {
     /// slot (stale for free slots) — needed for removal and persistence.
     /// A cold row's words are resident in its segment's directory.
     hot_sigs: Vec<u64>,
-    /// One bucket map per band: band key -> ids.
-    bands: Vec<FxHashMap<u64, Vec<ItemId>>>,
-    /// Paged tier, present once a segment has been attached.
+    /// One bucket map per band: band key -> row numbers (an arena slot, or
+    /// `COLD | n`). Every entry names a live row.
+    bands: Vec<FxHashMap<u64, Vec<u32>>>,
+    /// Paged tier, present while a segment with live rows is attached.
     cold: Option<ColdStore>,
 }
 
-/// Drop `id` from the band buckets its signature `words` put it in.
-fn unbucket(bands: &mut [FxHashMap<u64, Vec<ItemId>>], rows: usize, id: ItemId, words: &[u64]) {
+/// Push row number `entry` into the band buckets of its signature `words`.
+fn bucket(bands: &mut [FxHashMap<u64, Vec<u32>>], rows: usize, entry: u32, words: &[u64]) {
+    for (band, buckets) in bands.iter_mut().enumerate() {
+        buckets.entry(band_key_of(words, band, rows)).or_default().push(entry);
+    }
+}
+
+/// Drop row number `entry` from the band buckets its signature `words` put
+/// it in.
+fn unbucket(bands: &mut [FxHashMap<u64, Vec<u32>>], rows: usize, entry: u32, words: &[u64]) {
     for (band, buckets) in bands.iter_mut().enumerate() {
         let key = band_key_of(words, band, rows);
-        if let Some(ids) = buckets.get_mut(&key) {
-            ids.retain(|&x| x != id);
-            if ids.is_empty() {
+        if let Some(entries) = buckets.get_mut(&key) {
+            entries.retain(|&x| x != entry);
+            if entries.is_empty() {
                 buckets.remove(&key);
             }
         }
     }
 }
 
-/// Exact cosine of the query against row `row` of a paged block — the
-/// replica of [`SimHashLshIndex::score_slot`] over cold data: same kernel
-/// dot, same stored norm, same clamp, so bit-identical to the hot path.
+/// The exact cosine from a kernel dot and the two stored norms — the one
+/// place a score is finished, so hot and cold rows agree bit for bit.
+#[inline]
+fn cosine_of(dot: f32, qnorm: f32, norm: f32) -> f32 {
+    let denom = qnorm * norm;
+    if denom <= f32::MIN_POSITIVE {
+        return 0.0;
+    }
+    (dot / denom).clamp(-1.0, 1.0)
+}
+
+/// Exact cosine of the query against row `row` of a paged block: the same
+/// kernel dot (to which the hot pass's `dot4` is bit-equal), the same
+/// stored norm and the same [`cosine_of`] as a hot row.
 #[inline]
 pub(crate) fn score_row(
     query: &[f32],
@@ -190,11 +280,12 @@ pub(crate) fn score_row(
     row: usize,
     dim: usize,
 ) -> f64 {
-    let denom = qnorm * norm;
-    if denom <= f32::MIN_POSITIVE {
-        return 0.0;
-    }
-    (kernel::dot(query, &data[row * dim..(row + 1) * dim]) / denom).clamp(-1.0, 1.0) as f64
+    cosine_of(kernel::dot(query, &data[row * dim..(row + 1) * dim]), qnorm, norm) as f64
+}
+
+/// A finished heap as the public `(id, cosine)` ranking, best first.
+pub(crate) fn ranking(topk: TopK<ItemId>) -> Vec<(ItemId, f32)> {
+    topk.into_sorted().into_iter().map(|(s, id)| (id, s as f32)).collect()
 }
 
 impl SimHashLshIndex {
@@ -319,12 +410,13 @@ impl SimHashLshIndex {
         debug_assert_eq!(words.len(), self.words_per_sig());
         self.remove(id);
         let slot = self.vectors.insert_with(id, fill)?;
+        assert!(slot < COLD, "arena slot {slot} collides with the cold tag bit");
         let range = self.sig_range(slot);
         if self.hot_sigs.len() < range.end {
             self.hot_sigs.resize(range.end, 0);
         }
         self.hot_sigs[range].copy_from_slice(words);
-        self.index_into_bands(id, words);
+        bucket(&mut self.bands, self.params.rows, slot, words);
         Ok(())
     }
 
@@ -344,88 +436,58 @@ impl SimHashLshIndex {
         &self.hot_sigs[self.sig_range(slot)]
     }
 
-    /// Push `id` into the band buckets of its signature `words`.
-    fn index_into_bands(&mut self, id: ItemId, words: &[u64]) {
-        for (band, buckets) in self.bands.iter_mut().enumerate() {
-            let key = band_key_of(words, band, self.params.rows);
-            buckets.entry(key).or_default().push(id);
-        }
-    }
-
-    /// Remove an item (from either tier); true if it was present. Removing
-    /// a cold item drops its band entries and locator row — the on-disk
-    /// row becomes unreachable dead weight until the next seal.
+    /// Remove an item (from either tier); true if it was present. A row
+    /// leaves its buckets **before** its row number can be reused: no
+    /// entry ever outlives the row it names. Removing a cold item leaves
+    /// its on-disk row as unreachable dead weight until the next seal; the
+    /// removal that empties a segment retires it (its cached blocks are
+    /// evicted with it), and the one that empties the tier drops the tier.
     pub fn remove(&mut self, id: ItemId) -> bool {
         let rows = self.params.rows;
         if let Some(slot) = self.vectors.slot(id) {
             let range = self.sig_range(slot);
-            unbucket(&mut self.bands, rows, id, &self.hot_sigs[range]);
+            unbucket(&mut self.bands, rows, slot, &self.hot_sigs[range]);
             self.vectors.remove(id);
             return true;
         }
         let Some(cold) = &mut self.cold else {
             return false;
         };
-        let Some(loc) = cold.locator.remove(&id) else {
+        let Some(n) = cold.locator.remove(&id) else {
             return false;
         };
-        let seg = cold.segments[loc.seg()].as_ref().expect("locator points at live segment");
-        unbucket(&mut self.bands, rows, id, seg.sig_words_of(loc.block(), loc.row()));
+        let loc = cold.rows[n as usize].0;
+        let words = cold.segment(loc).sig_words_of(loc.block(), loc.row());
+        unbucket(&mut self.bands, rows, COLD | n, words);
+        if cold.release(loc.seg()) {
+            self.cold = None;
+        }
         true
     }
 
     /// Remove every item whose id lives in one backend namespace, across
-    /// both tiers, then retire attached segments left with zero live rows
-    /// (their cache-resident blocks are dropped with them). Returns how
-    /// many items were removed.
+    /// both tiers (segments left with zero live rows retire as their last
+    /// row goes). Returns how many items were removed.
     pub fn remove_backend(&mut self, backend_bits: u16) -> usize {
         let cold_ids = self.cold.iter().flat_map(|c| c.locator.keys().copied());
         let doomed: Vec<ItemId> = (self.vectors.iter().map(|(id, _)| id))
             .chain(cold_ids)
             .filter(|&id| item_backend(id) == backend_bits)
             .collect();
-        let removed = doomed.into_iter().filter(|&id| self.remove(id)).count();
-        self.retire_dead_segments();
-        removed
+        doomed.into_iter().filter(|&id| self.remove(id)).count()
     }
 
-    /// Drop one backend's **cold** items only: their band entries,
-    /// signatures, and locator rows go, emptied segments retire, and the
-    /// retired segments' cache-resident blocks are evicted. Hot
-    /// (arena-resident) items of the backend are untouched. Returns how
-    /// many cold items were dropped.
+    /// Drop one backend's **cold** items only: their band entries and
+    /// locator rows go, and emptied segments retire with their
+    /// cache-resident blocks. Hot (arena-resident) items of the backend are
+    /// untouched. Returns how many cold items were dropped.
     pub fn drop_cold_backend(&mut self, backend_bits: u16) -> usize {
         let Some(cold) = &self.cold else {
             return 0;
         };
         let doomed: Vec<ItemId> =
             cold.locator.keys().copied().filter(|&id| item_backend(id) == backend_bits).collect();
-        let removed = doomed.into_iter().filter(|&id| self.remove(id)).count();
-        self.retire_dead_segments();
-        removed
-    }
-
-    /// Retire segments no live cold row points into, evicting their
-    /// cached blocks. Locator indexes of surviving segments are untouched
-    /// (retirement leaves a `None` slot instead of renumbering).
-    fn retire_dead_segments(&mut self) {
-        let Some(cold) = &mut self.cold else {
-            return;
-        };
-        let mut live = vec![false; cold.segments.len()];
-        for loc in cold.locator.values() {
-            live[loc.seg()] = true;
-        }
-        for (slot, seg) in cold.segments.iter_mut().enumerate() {
-            if !live[slot] {
-                if let Some(seg) = seg.take() {
-                    seg.evict_from_cache();
-                }
-            }
-        }
-        if cold.locator.is_empty() {
-            self.cold = None;
-        }
+        doomed.into_iter().filter(|&id| self.remove(id)).count()
     }
 
     /// Attach a sealed segment to the paged tier: every row `admit`
@@ -466,7 +528,8 @@ impl SimHashLshIndex {
                 self.params.bits()
             )));
         }
-        let seg_slot = self.cold.as_ref().map_or(0, |c| c.segments.len());
+        let (seg_slot, cold_rows) =
+            self.cold.as_ref().map_or((0, 0), |c| (c.segments.len(), c.rows.len()));
         let widest = (0..segment.block_count()).map(|b| segment.block_meta(b).ids.len()).max();
         if seg_slot >> ColdLoc::SEG_BITS != 0
             || segment.block_count() > 1 << ColdLoc::BLOCK_BITS
@@ -482,31 +545,42 @@ impl SimHashLshIndex {
                 ColdLoc::ROW_BITS
             )));
         }
-        let cold = self.cold.get_or_insert_with(|| ColdStore {
-            segments: Vec::new(),
-            locator: FxHashMap::default(),
-        });
+        if cold_rows + segment.row_count() > COLD as usize {
+            return Err(CodecError::Invalid(format!(
+                "segment of {} rows would number the cold tier past 2^31 rows ({cold_rows} \
+                 already attached)",
+                segment.row_count()
+            )));
+        }
+        let cold = self.cold.get_or_insert_with(ColdStore::default);
         cold.segments.push(Some(segment.clone()));
+        // Counted once for the attach itself: replacing older rows below
+        // may retire their segments, never this one or the tier.
+        cold.live.push(1);
         let mut attached = 0usize;
         for block in 0..segment.block_count() {
-            let rows = segment.block_meta(block).ids.len();
-            for row in 0..rows {
-                let Some(id) = map(segment.block_meta(block).ids[row]) else {
+            for (row, &stored) in segment.block_meta(block).ids.iter().enumerate() {
+                let Some(id) = map(stored) else {
                     continue;
                 };
                 self.remove(id);
-                self.index_into_bands(id, segment.sig_words_of(block, row));
-                self.cold
-                    .as_mut()
-                    .expect("cold store just created")
-                    .locator
-                    .insert(id, ColdLoc::new(seg_slot, block, row));
+                let cold = self.cold.as_mut().expect("the attaching segment holds the tier");
+                let n = cold.rows.len() as u32;
+                cold.rows.push((ColdLoc::new(seg_slot, block, row), id));
+                cold.locator.insert(id, n);
+                cold.live[seg_slot] += 1;
+                bucket(
+                    &mut self.bands,
+                    self.params.rows,
+                    COLD | n,
+                    segment.sig_words_of(block, row),
+                );
                 attached += 1;
             }
         }
-        if attached == 0 {
-            // Nothing admitted: retire the slot immediately.
-            self.retire_dead_segments();
+        // Nothing admitted retires the slot on the spot.
+        if self.cold.as_mut().expect("the attaching segment holds the tier").release(seg_slot) {
+            self.cold = None;
         }
         Ok(attached)
     }
@@ -527,9 +601,9 @@ impl SimHashLshIndex {
             return Some(v.to_vec());
         }
         let cold = self.cold.as_ref()?;
-        let loc = cold.locator.get(&id)?;
-        let seg = cold.segments[loc.seg()].as_ref().expect("locator points at live segment");
-        let data = seg
+        let loc = cold.rows[*cold.locator.get(&id)? as usize].0;
+        let data = cold
+            .segment(loc)
             .block(loc.block())
             .unwrap_or_else(|e| panic!("paged tier lost a sealed block: {e}"));
         let dim = self.dim();
@@ -537,22 +611,20 @@ impl SimHashLshIndex {
         Some(data[start..start + dim].to_vec())
     }
 
-    /// Every cold row as `(id, location, vector)`, reading each involved
-    /// block once. Used by the persistence paths, which must include cold
-    /// rows in snapshots; panics on segment I/O failure like
-    /// [`Self::vector_owned`].
+    /// Every cold row as `(id, location, vector)` in location order,
+    /// reading each involved block once. Used by the persistence paths,
+    /// which must include cold rows in snapshots; panics on segment I/O
+    /// failure like [`Self::vector_owned`].
     fn cold_rows(&self) -> Vec<(ItemId, ColdLoc, Vec<f32>)> {
         let Some(cold) = &self.cold else {
             return Vec::new();
         };
         let dim = self.dim();
-        let mut rows: Vec<(ColdLoc, ItemId)> =
-            cold.locator.iter().map(|(&id, &loc)| (loc, id)).collect();
-        rows.sort_unstable();
+        let rows: Vec<(ColdLoc, ItemId)> = cold.live_rows().collect();
         let mut out = Vec::with_capacity(rows.len());
         for group in rows.chunk_by(|a, b| a.0.same_block(b.0)) {
-            let data = self
-                .cold_segment(group[0].0)
+            let data = cold
+                .segment(group[0].0)
                 .block(group[0].0.block())
                 .unwrap_or_else(|e| panic!("paged tier lost a sealed block: {e}"));
             for &(loc, id) in group {
@@ -565,8 +637,7 @@ impl SimHashLshIndex {
 
     /// The attached segment a cold location points into.
     fn cold_segment(&self, loc: ColdLoc) -> &VectorSegment {
-        let cold = self.cold.as_ref().expect("a cold location implies a cold store");
-        cold.segments[loc.seg()].as_ref().expect("locator points at live segment")
+        self.cold.as_ref().expect("a cold location implies a cold store").segment(loc)
     }
 
     /// Export every stored row (hot and cold) with its signature and norm,
@@ -613,19 +684,15 @@ impl SimHashLshIndex {
     }
 
     /// [`Self::candidates_signed`] into a caller-provided buffer (cleared
-    /// first): band-bucket hits are appended raw, then sorted and deduped
-    /// in place — no per-query hash-set allocation. The search path feeds
-    /// this a thread-local scratch buffer.
+    /// first). A diagnostic: the search path never materializes ids — it
+    /// marks the same bucket entries in a bitset — so this maps every raw
+    /// entry to its id, then sorts and dedups in place.
     pub fn candidates_signed_into(&self, sig: &Signature, out: &mut Vec<ItemId>) {
         self.candidates_signed_scoped_into(sig, &DiscoverScope::All, out);
     }
 
-    /// [`Self::candidates_signed_into`] with a backend scope pushed into
-    /// candidate generation: out-of-scope ids are dropped as the buckets
-    /// are read, before the sort/dedup and before any exact scoring — an
-    /// excluded backend contributes zero work past the bucket probe. The
-    /// `All` scope takes the filter-free `extend_from_slice` path, so
-    /// unscoped searches pay nothing for this seam.
+    /// [`Self::candidates_signed_into`] restricted to a backend scope:
+    /// exactly the ids a search under `scope` counts as its candidates.
     pub fn candidates_signed_scoped_into(
         &self,
         sig: &Signature,
@@ -633,28 +700,37 @@ impl SimHashLshIndex {
         out: &mut Vec<ItemId>,
     ) {
         out.clear();
-        let unscoped = scope.is_all();
-        let gather = |ids: &[ItemId], out: &mut Vec<ItemId>| {
-            if unscoped {
-                out.extend_from_slice(ids);
-            } else {
-                out.extend(ids.iter().copied().filter(|&id| scope.admits(id)));
-            }
-        };
+        self.for_each_bucket(sig, |entries| {
+            let ids = entries.iter().map(|&entry| match entry & COLD {
+                0 => self.vectors.id_at(entry).expect("a bucketed slot is live"),
+                _ => {
+                    self.cold.as_ref().expect("a cold entry implies a cold store").rows
+                        [(entry & !COLD) as usize]
+                        .1
+                }
+            });
+            out.extend(ids.filter(|&id| scope.admits(id)));
+        });
+        out.sort_unstable();
+        out.dedup();
+    }
+
+    /// Hand `visit` every bucket the signature selects: one per band, plus
+    /// the single-bit flips of its key when multi-probe is on. A row sits
+    /// in several of them; the visitor dedups.
+    #[inline]
+    fn for_each_bucket(&self, sig: &Signature, mut visit: impl FnMut(&[u32])) {
         for (band, buckets) in self.bands.iter().enumerate() {
             let key = sig.band_key(band, self.params.rows);
-            if let Some(ids) = buckets.get(&key) {
-                gather(ids, out);
+            if let Some(entries) = buckets.get(&key) {
+                visit(entries);
             }
             for flip in 0..self.probes {
-                let probe_key = key ^ (1u64 << flip);
-                if let Some(ids) = buckets.get(&probe_key) {
-                    gather(ids, out);
+                if let Some(entries) = buckets.get(&(key ^ (1u64 << flip))) {
+                    visit(entries);
                 }
             }
         }
-        out.sort_unstable();
-        out.dedup();
     }
 
     /// Top-k search: LSH candidate generation then exact cosine re-rank.
@@ -681,11 +757,6 @@ impl SimHashLshIndex {
 
     /// [`Self::search_with_outcome`] from a precomputed signature, so a
     /// sharded fan-out pays the signing cost once instead of per shard.
-    ///
-    /// Candidates collect into a reusable sorted-dedup scratch buffer,
-    /// map to arena slots, and are scored in ascending-slot order so the
-    /// exact re-rank streams the vector slab sequentially. The query norm
-    /// is computed once; stored norms come precomputed from the arena.
     pub fn search_signed_with_outcome(
         &self,
         query: &[f32],
@@ -697,9 +768,10 @@ impl SimHashLshIndex {
     }
 
     /// [`Self::search_signed_with_outcome`] restricted to a backend scope.
-    /// The scope filters during candidate generation (cheap, per-bucket);
-    /// `exclude` filters the survivors (arbitrary caller predicate, e.g.
-    /// same-table suppression).
+    /// Both filters run once per distinct candidate row, before any
+    /// scoring: the scope first (out-of-scope rows are not candidates),
+    /// then `exclude` (arbitrary caller predicate, e.g. same-table
+    /// suppression).
     pub fn search_signed_scoped_with_outcome(
         &self,
         query: &[f32],
@@ -736,52 +808,124 @@ impl SimHashLshIndex {
         deadline: Deadline,
         exclude: impl Fn(ItemId) -> bool,
     ) -> Result<(Vec<(ItemId, f32)>, SearchOutcome), SearchError> {
+        let mut topk = TopK::new(k);
+        let outcome = self.search_into(query, sig, scope, deadline, exclude, &mut topk)?;
+        Ok((ranking(topk), outcome))
+    }
+
+    /// The search itself, into a heap the caller owns — a fresh one above,
+    /// one shared by every shard in [`crate::ShardedLshIndex`]. [`TopK`]
+    /// keeps the same set whatever the push order and a full heap's
+    /// threshold only rises, so a heap that arrives holding other shards'
+    /// rows changes no ranking; it only lets the cold pass prune sooner.
+    ///
+    /// Gather: every entry of the signature's buckets sets one bit of the
+    /// per-thread bitset (hot slots first, cold row numbers after them).
+    /// Scan: ascending over the words, clearing each as it is read, so the
+    /// scratch is all-zero again on every way out. A set bit is a distinct
+    /// candidate row; `scope` and `exclude` see it once. Hot rows come out
+    /// in slab order and are scored four per kernel pass; cold rows come
+    /// out in `(segment, block, row)` order, ready to group by block.
+    pub(crate) fn search_into(
+        &self,
+        query: &[f32],
+        sig: &Signature,
+        scope: &DiscoverScope,
+        deadline: Deadline,
+        exclude: impl Fn(ItemId) -> bool,
+        topk: &mut TopK<ItemId>,
+    ) -> Result<SearchOutcome, SearchError> {
         deadline.check(Phase::CandidateGen)?;
-        let mut candidates = scratch::take_ids();
-        self.candidates_signed_scoped_into(sig, scope, &mut candidates);
-        let total = candidates.len();
+        // Taken, not borrowed: if `exclude` unwinds mid-scan the marked
+        // bitset is dropped with the stack, never seen by the next search.
+        let mut scratch = SEARCH_SCRATCH.take();
+        let outcome = self.search_with(&mut scratch, query, sig, scope, deadline, exclude, topk);
+        SEARCH_SCRATCH.set(scratch);
+        outcome
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn search_with(
+        &self,
+        scratch: &mut SearchScratch,
+        query: &[f32],
+        sig: &Signature,
+        scope: &DiscoverScope,
+        deadline: Deadline,
+        exclude: impl Fn(ItemId) -> bool,
+        topk: &mut TopK<ItemId>,
+    ) -> Result<SearchOutcome, SearchError> {
+        let hot_words = self.vectors.slot_count().div_ceil(64);
+        let words = hot_words + self.cold.as_ref().map_or(0, |c| c.rows.len().div_ceil(64));
+        if scratch.bits.len() < words {
+            scratch.bits.resize(words, 0);
+        }
+        let bits = &mut scratch.bits[..words];
+        let cold_base = hot_words * 64;
+        self.for_each_bucket(sig, |entries| {
+            for &entry in entries {
+                let bit = match entry & COLD {
+                    0 => entry as usize,
+                    _ => cold_base + (entry & !COLD) as usize,
+                };
+                bits[bit >> 6] |= 1 << (bit & 63);
+            }
+        });
         if let Err(phase) = deadline.check(Phase::Rerank) {
-            scratch::put_ids(candidates);
+            bits.fill(0);
             return Err(phase.into());
         }
+
         let qnorm = kernel::norm_sq(query).sqrt();
-        let mut slots = scratch::take_ids();
-        let mut cold = COLD_SCRATCH.take();
-        cold.rows.clear();
-        for &id in &candidates {
-            if exclude(id) {
-                continue;
+        let (hot_bits, cold_bits) = bits.split_at_mut(hot_words);
+        // One verdict per distinct candidate row: out of scope it is not a
+        // candidate at all; excluded, it is counted and never scored.
+        let mut candidates = 0usize;
+        let mut scorable = |id: ItemId| {
+            if !scope.admits(id) {
+                return false;
             }
-            match self.vectors.slot(id) {
-                Some(slot) => slots.push(slot),
-                None => {
-                    let loc = self
-                        .cold
-                        .as_ref()
-                        .and_then(|c| c.locator.get(&id))
-                        .copied()
-                        .expect("bucketed id must be stored");
-                    cold.rows.push((loc, id));
-                }
-            }
-        }
-        let mut scored = slots.len();
-        slots.sort_unstable();
-        // Hot pass first: the arena streams sequentially, and a full heap
+            candidates += 1;
+            !exclude(id)
+        };
+        // Hot pass first: the arena streams in slot order, and a full heap
         // raises the threshold before any cold block is considered.
-        let mut topk = TopK::new(k);
-        for &slot in &slots {
-            let id = self.vectors.id_at(slot).expect("live slot");
+        let mut batch = [(0u32, 0 as ItemId); 4];
+        let (mut filled, mut scored) = (0usize, 0usize);
+        drain_bits(hot_bits, |slot| {
+            let slot = slot as u32;
+            let id = self.vectors.id_at(slot).expect("a bucketed slot is live");
+            if !scorable(id) {
+                return;
+            }
+            batch[filled] = (slot, id);
+            filled += 1;
+            if filled == batch.len() {
+                let dots = kernel::dot4(query, batch.map(|(slot, _)| self.vectors.vector_at(slot)));
+                for (&(slot, id), dot) in batch.iter().zip(dots) {
+                    topk.push(cosine_of(dot, qnorm, self.vectors.norm_at(slot)) as f64, id);
+                }
+                scored += filled;
+                filled = 0;
+            }
+        });
+        for &(slot, id) in &batch[..filled] {
             topk.push(self.score_slot(query, qnorm, slot) as f64, id);
         }
-        scratch::put_ids(slots);
-        scratch::put_ids(candidates);
-        let cold_pass = self.score_cold_rows(query, qnorm, &mut cold, deadline, &mut topk);
-        COLD_SCRATCH.set(cold);
-        let (blocks_read, blocks_pruned, cold_scored) = cold_pass?;
-        scored += cold_scored;
-        let results = topk.into_sorted().into_iter().map(|(s, id)| (id, s as f32)).collect();
-        Ok((results, SearchOutcome { candidates: total, scored, blocks_read, blocks_pruned }))
+        scored += filled;
+
+        scratch.rows.clear();
+        if let Some(cold) = &self.cold {
+            drain_bits(cold_bits, |n| {
+                let (loc, id) = cold.rows[n];
+                if scorable(id) {
+                    scratch.rows.push((loc, id));
+                }
+            });
+        }
+        let (blocks_read, blocks_pruned, cold_scored) =
+            self.score_cold_rows(query, qnorm, scratch, deadline, topk)?;
+        Ok(SearchOutcome { candidates, scored: scored + cold_scored, blocks_read, blocks_pruned })
     }
 
     /// Cold pass of the exact re-rank: bound every candidate row from its
@@ -801,33 +945,30 @@ impl SimHashLshIndex {
         &self,
         query: &[f32],
         qnorm: f32,
-        scratch: &mut ColdScratch,
+        scratch: &mut SearchScratch,
         deadline: Deadline,
         topk: &mut TopK<ItemId>,
     ) -> Result<(usize, usize, usize), SearchError> {
-        let ColdScratch { rows, bounds, groups } = scratch;
+        let SearchScratch { rows, query: codes, bounds, groups, .. } = scratch;
         if rows.is_empty() {
             return Ok((0, 0, 0));
         }
         let cold = self.cold.as_ref().expect("cold candidates imply a cold store");
-        let segment = |loc: ColdLoc| {
-            cold.segments[loc.seg()].as_ref().expect("locator points at live segment")
-        };
         let dim = self.dim();
-        // A row's location is unique, so the key alone orders the rows.
-        rows.sort_unstable_by_key(|&(loc, _)| loc);
-        // Group boundaries over the (seg, block)-sorted rows, with every
-        // row's bound and the largest of each group.
+        codes.set(query, qnorm);
+        // Group boundaries over the rows — the scan handed them out in
+        // (seg, block, row) order — with every row's bound and the largest
+        // of each group.
         bounds.clear();
         groups.clear();
         let mut start = 0usize;
         while start < rows.len() {
             let first = rows[start].0;
-            let meta = segment(first).block_meta(first.block());
+            let meta = cold.segment(first).block_meta(first.block());
             let mut end = start;
             let mut largest = f64::NEG_INFINITY;
             while end < rows.len() && rows[end].0.same_block(first) {
-                let ub = meta.cosine_upper_bound(rows[end].0.row(), query, qnorm);
+                let ub = meta.cosine_upper_bound(rows[end].0.row(), codes);
                 bounds.push(ub);
                 largest = largest.max(ub);
                 end += 1;
@@ -851,7 +992,7 @@ impl SimHashLshIndex {
             // an expired request never starts another one.
             deadline.check(Phase::BlockRead)?;
             let first = rows[start].0;
-            let seg = segment(first);
+            let seg = cold.segment(first);
             let meta = seg.block_meta(first.block());
             let data = seg.block(first.block())?;
             blocks_read += 1;
@@ -891,46 +1032,37 @@ impl SimHashLshIndex {
         }
         if let Some(cold) = &self.cold {
             // The reference baseline must not prune: score every live cold
-            // row through the cache.
-            let mut rows: Vec<(ColdLoc, ItemId)> = cold
-                .locator
-                .iter()
-                .filter(|(&id, _)| !exclude(id))
-                .map(|(&id, &loc)| (loc, id))
-                .collect();
-            rows.sort_unstable();
+            // row through the cache, block by block.
+            let rows: Vec<(ColdLoc, ItemId)> =
+                cold.live_rows().filter(|&(_, id)| !exclude(id)).collect();
             let dim = self.dim();
-            let mut i = 0usize;
-            while i < rows.len() {
-                let first = rows[i].0;
-                let seg =
-                    cold.segments[first.seg()].as_ref().expect("locator points at live segment");
+            for group in rows.chunk_by(|a, b| a.0.same_block(b.0)) {
+                let first = group[0].0;
+                let seg = cold.segment(first);
                 let meta = seg.block_meta(first.block());
                 let data = seg
                     .block(first.block())
                     .unwrap_or_else(|e| panic!("paged tier lost a sealed block: {e}"));
-                while i < rows.len() && rows[i].0.same_block(first) {
-                    let (loc, id) = rows[i];
+                for &(loc, id) in group {
                     topk.push(
                         score_row(query, qnorm, meta.norms[loc.row()], &data, loc.row(), dim),
                         id,
                     );
-                    i += 1;
                 }
             }
         }
-        topk.into_sorted().into_iter().map(|(s, id)| (id, s as f32)).collect()
+        ranking(topk)
     }
 
     /// Exact cosine of the query against one arena slot: a single kernel
     /// dot over contiguous memory, divided by the precomputed norms.
     #[inline]
     fn score_slot(&self, query: &[f32], qnorm: f32, slot: u32) -> f32 {
-        let denom = qnorm * self.vectors.norm_at(slot);
-        if denom <= f32::MIN_POSITIVE {
-            return 0.0;
-        }
-        (kernel::dot(query, self.vectors.vector_at(slot)) / denom).clamp(-1.0, 1.0)
+        cosine_of(
+            kernel::dot(query, self.vectors.vector_at(slot)),
+            qnorm,
+            self.vectors.norm_at(slot),
+        )
     }
 
     /// Bucket-occupancy statistics: `(num_buckets, max_bucket, mean_bucket)`
@@ -1484,6 +1616,255 @@ mod tests {
         assert_eq!(paged.cold_len(), 0);
         assert_eq!(paged.cold_segment_count(), 0, "dead segment must retire");
         assert_eq!(cache.stats().resident_blocks, 0, "retirement drops cached blocks");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_segment_retires_when_its_rows_die_one_at_a_time() {
+        // The way a `sync` empties a segment: no backend-wide call, just
+        // one row after another replaced hot, or removed.
+        let mut rng = Xoshiro256pp::new(36);
+        let mut source = SimHashLshIndex::for_threshold(32, 0.7, 45);
+        let vectors: Vec<Vec<f32>> = (0..40).map(|_| random_unit(32, &mut rng)).collect();
+        for (id, v) in vectors.iter().enumerate() {
+            source.insert(id as ItemId, v);
+        }
+        type Kill = fn(&mut SimHashLshIndex, ItemId, &[f32]);
+        let kills: [(&str, Kill, usize); 2] = [
+            ("remove", |index, id, _| assert!(index.remove(id)), 0),
+            ("insert", |index, id, v| assert!(index.insert(id, v)), 40),
+        ];
+        for (tag, kill, left) in kills {
+            let (mut paged, cache, dir) =
+                seal_and_attach(&source, &format!("one-by-one-{tag}"), 8, 0);
+            assert_eq!(paged.export_rows().len(), 40);
+            assert_eq!(cache.stats().resident_blocks, 5, "every block is cached");
+            let segment =
+                Arc::downgrade(paged.cold.as_ref().unwrap().segments[0].as_ref().unwrap());
+            for (id, v) in vectors.iter().enumerate() {
+                assert_eq!(paged.cold_segment_count(), 1, "{tag}: {} rows still live", 40 - id);
+                kill(&mut paged, id as ItemId, v);
+            }
+            assert_eq!((paged.len(), paged.cold_len(), paged.cold_segment_count()), (left, 0, 0));
+            assert_eq!(cache.stats().resident_blocks, 0, "{tag}: retirement drops cached blocks");
+            assert!(segment.upgrade().is_none(), "{tag}: the file must be closed");
+            assert!(paged.cold.is_none(), "{tag}: an emptied tier is dropped");
+            assert_buckets_name_live_rows(&paged);
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    /// The bucket invariant: every entry names a live row whose signature
+    /// lands in that bucket, no bucket is empty or names a row twice, and —
+    /// the entry count being `bands` per stored item — every live row sits
+    /// in exactly `bands` buckets.
+    fn assert_buckets_name_live_rows(index: &SimHashLshIndex) {
+        let mut entries_seen = 0usize;
+        for (band, buckets) in index.bands.iter().enumerate() {
+            for (&key, entries) in buckets {
+                assert!(!entries.is_empty(), "band {band}: an empty bucket was kept");
+                let mut distinct = entries.clone();
+                distinct.sort_unstable();
+                distinct.dedup();
+                assert_eq!(distinct.len(), entries.len(), "band {band}: a row is bucketed twice");
+                for &entry in entries {
+                    let words = match entry & COLD {
+                        0 => {
+                            assert!(index.vectors.id_at(entry).is_some(), "slot {entry} is free");
+                            index.hot_sig(entry)
+                        }
+                        _ => {
+                            let cold = index.cold.as_ref().expect("a cold entry without a tier");
+                            let n = entry & !COLD;
+                            let (loc, id) = cold.rows[n as usize];
+                            assert_eq!(cold.locator.get(&id), Some(&n), "cold row {n} is dead");
+                            cold.segment(loc).sig_words_of(loc.block(), loc.row())
+                        }
+                    };
+                    assert_eq!(band_key_of(words, band, index.params.rows), key);
+                }
+                entries_seen += entries.len();
+            }
+        }
+        assert_eq!(entries_seen, index.len() * index.params.bands);
+        if let Some(cold) = &index.cold {
+            let live: usize = cold.live.iter().sum();
+            assert_eq!((live, cold.live_rows().count()), (cold.locator.len(), cold.locator.len()));
+            assert!(cold.segments.iter().zip(&cold.live).all(|(s, &n)| s.is_some() == (n > 0)));
+        }
+    }
+
+    #[test]
+    fn buckets_name_live_rows_through_any_operation_sequence() {
+        const DIM: usize = 16;
+        const STEPS: usize = 2_400;
+        let params = LshParams { bands: 4, rows: 4 };
+        let mut rng = Xoshiro256pp::new(0xB0C4E7);
+        let mut index = SimHashLshIndex::new(DIM, params, 7);
+        index.set_probes(1);
+        // Few distinct vectors under many ids: full buckets, and exact
+        // score ties on every query.
+        let pool: Vec<Vec<f32>> = (0..10).map(|_| random_unit(DIM, &mut rng)).collect();
+        let mut model = std::collections::BTreeMap::<ItemId, usize>::new();
+        let dir = std::env::temp_dir().join(format!("wg-index-ops-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("create temp dir");
+        let cache = crate::paged::BlockCache::new(4 * 4 * DIM * 4);
+        let (mut attaches, mut slots_reused, mut retired) = (0usize, 0usize, 0usize);
+        let mut pick = |n: usize| (rng.gen_u64() % n as u64) as usize;
+        for step in 0..STEPS {
+            let id = crate::compose_item_id(pick(3) as u16, pick(48) as u32);
+            let segments_before = index.cold_segment_count();
+            match pick(100) {
+                // Insert or replace, hot. A freed slot is reused LIFO.
+                0..=44 => {
+                    let v = pick(pool.len());
+                    let slots = index.vectors.slot_count();
+                    let had_free = index.vectors.len() < slots;
+                    assert!(index.insert(id, &pool[v]));
+                    slots_reused += (had_free && index.vectors.slot_count() == slots) as usize;
+                    model.insert(id, v);
+                }
+                45..=79 => assert_eq!(index.remove(id), model.remove(&id).is_some()),
+                // Seal a handful of rows — some of them ids already stored
+                // in either tier — and attach them cold.
+                80..=93 => {
+                    let rows: std::collections::BTreeMap<ItemId, usize> = (0..1 + pick(12))
+                        .map(|_| {
+                            let id = crate::compose_item_id(pick(3) as u16, pick(48) as u32);
+                            (id, pick(pool.len()))
+                        })
+                        .collect();
+                    let sealed = rows.iter().map(|(&id, &v)| SegmentRow {
+                        id,
+                        signature: index.hasher().sign(&pool[v]),
+                        norm: kernel::norm_sq(&pool[v]).sqrt(),
+                        vector: pool[v].clone(),
+                    });
+                    let path = dir.join(format!("seg-{step}.wgs"));
+                    crate::paged::write_vector_segment(&path, DIM, 16, 4, sealed.collect())
+                        .expect("seal");
+                    let seg = VectorSegment::open(&path, cache.clone()).expect("open");
+                    assert_eq!(index.attach_segment(Arc::new(seg), |_| true), Ok(rows.len()));
+                    model.extend(rows);
+                    attaches += 1;
+                }
+                94..=96 => {
+                    let bits = crate::item_backend(id);
+                    let cold: Vec<ItemId> = (model.keys().copied())
+                        .filter(|&x| crate::item_backend(x) == bits && index.vector(x).is_none())
+                        .collect();
+                    assert_eq!(index.drop_cold_backend(bits), cold.len());
+                    model.retain(|x, _| !cold.contains(x));
+                }
+                _ => {
+                    let bits = crate::item_backend(id);
+                    let before = model.len();
+                    model.retain(|&x, _| crate::item_backend(x) != bits);
+                    assert_eq!(index.remove_backend(bits), before - model.len());
+                }
+            }
+            retired += segments_before.saturating_sub(index.cold_segment_count());
+            assert_eq!(index.len(), model.len(), "step {step}");
+            assert_buckets_name_live_rows(&index);
+
+            // The search is the top-k of exact scores over the candidate
+            // ids, tie order included.
+            let mut query = pool[pick(pool.len())].clone();
+            query[pick(DIM)] += 0.25;
+            let sig = index.hasher().sign(&query);
+            let qnorm = kernel::norm_sq(&query).sqrt();
+            let ids = index.candidates_signed(&sig);
+            let mut want = TopK::new(7);
+            for &id in &ids {
+                let v = &pool[model[&id]];
+                let score = cosine_of(kernel::dot(&query, v), qnorm, kernel::norm_sq(v).sqrt());
+                want.push(score as f64, id);
+            }
+            let (got, outcome) = index.search_signed_with_outcome(&query, &sig, 7, |_| false);
+            assert_eq!(got, ranking(want), "step {step}");
+            assert_eq!(outcome.candidates, ids.len(), "step {step}");
+        }
+        assert!(attaches > 100 && slots_reused > 100 && retired > 20, "the script must mix tiers");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn an_aborted_search_leaves_the_scratch_clean_and_a_steady_one_does_not_grow_it() {
+        let mut rng = Xoshiro256pp::new(37);
+        let vectors = clustered(32, 12, 10, &mut rng);
+        let mut hot = SimHashLshIndex::for_threshold(32, 0.7, 43);
+        let mut cold_source = SimHashLshIndex::for_threshold(32, 0.7, 43);
+        for (id, v) in vectors.iter().enumerate() {
+            hot.insert(id as ItemId, v);
+            if id % 2 == 0 {
+                cold_source.insert(id as ItemId, v);
+            }
+        }
+        let (mut mixed, _cache, dir) = seal_and_attach(&cold_source, "aborted", 8, 0);
+        for (id, v) in vectors.iter().enumerate().filter(|(id, _)| id % 2 == 1) {
+            mixed.insert(id as ItemId, v);
+        }
+        let queries: Vec<&Vec<f32>> = vectors.iter().step_by(7).collect();
+        // Rankings and candidate counts: what both tiers must agree on.
+        let search_all = |index: &SimHashLshIndex| -> Vec<_> {
+            let search = |q| index.search_with_outcome(q, 7, |_| false);
+            queries.iter().map(|q| search(q)).map(|(hits, o)| (hits, o.candidates)).collect()
+        };
+        let want = std::thread::scope(|s| s.spawn(|| search_all(&hot)).join().expect("fresh"));
+        assert!(want.iter().all(|(hits, candidates)| hits.len() == 7 && *candidates >= 7));
+
+        // Steady state: a second pass over the same queries finds every
+        // buffer already large enough.
+        let capacities = || {
+            SEARCH_SCRATCH.with_borrow(|s| {
+                let SearchScratch { bits, rows, query, bounds, groups } = s;
+                let caps = [bits.capacity(), rows.capacity(), bounds.capacity(), groups.capacity()];
+                (caps, query.codes.capacity())
+            })
+        };
+        assert_eq!(search_all(&mixed), want);
+        let warmed = capacities();
+        assert!(warmed.0.iter().all(|&c| c > 0) && warmed.1 > 0, "{warmed:?}");
+        for _ in 0..3 {
+            assert_eq!(search_all(&mixed), want);
+        }
+        assert_eq!(capacities(), warmed);
+
+        // A budget that dies between the gather and the re-rank: the bits
+        // are marked, nothing has scanned them yet.
+        let sig = mixed.hasher().sign(queries[0]);
+        let mut scratch = SEARCH_SCRATCH.take();
+        let expired = Deadline::at(std::time::Instant::now());
+        let died = mixed.search_with(
+            &mut scratch,
+            queries[0],
+            &sig,
+            &DiscoverScope::All,
+            expired,
+            |_| false,
+            &mut TopK::new(7),
+        );
+        assert!(matches!(died, Err(SearchError::Expired(Phase::Rerank))), "{died:?}");
+        assert!(!scratch.bits.is_empty() && scratch.bits.iter().all(|&w| w == 0));
+        SEARCH_SCRATCH.set(scratch);
+        assert_eq!(search_all(&hot), want, "after an expired re-rank, same thread");
+
+        // A cold block that no longer reads back (flipped in place, and the
+        // copy the passes above cached dropped): the scan is over by then.
+        let mut image = std::fs::read(dir.join("seg.wgs")).expect("read image");
+        image[wg_util::segment::PREAMBLE_LEN + 5] ^= 0x10;
+        std::fs::write(dir.join("seg.wgs"), &image).expect("rewrite in place");
+        mixed.cold.as_ref().unwrap().segments[0].as_ref().unwrap().evict_from_cache();
+        let damaged = queries.iter().filter(|q| {
+            let sig = mixed.hasher().sign(q);
+            let all = DiscoverScope::All;
+            let none = Deadline::none();
+            let got =
+                mixed.search_signed_scoped_deadline_with_outcome(q, &sig, 7, &all, none, |_| false);
+            matches!(got, Err(SearchError::Storage(_)))
+        });
+        assert!(damaged.count() > 0, "some query must need the damaged block");
+        assert_eq!(search_all(&hot), want, "after a storage error, same thread");
         std::fs::remove_dir_all(&dir).ok();
     }
 

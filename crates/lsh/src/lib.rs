@@ -13,19 +13,23 @@
 //!   hyperplanes live in one contiguous transposed matrix signed in a
 //!   single blocked GEMV pass (`wg_util::kernel`);
 //! * [`arena`] — the contiguous [`VectorArena`] slab backing exact
-//!   re-ranking (id → slot map, free-list slot reuse, precomputed norms);
+//!   re-ranking (slots as row numbers, free-list slot reuse, precomputed
+//!   norms);
 //! * [`params`] — derivation of `(bands, rows)` from a target threshold;
-//! * [`index`] — the banded [`SimHashLshIndex`] with exact cosine
-//!   re-ranking, optional multi-probe, incremental insert/remove, and
-//!   binary persistence;
+//! * [`index`] — the banded [`SimHashLshIndex`]: buckets of row numbers
+//!   (arena slots and paged-tier rows alike), a per-thread bitset as the
+//!   candidate set — no sort and no id lookup between the buckets and the
+//!   scores — exact cosine re-ranking, optional multi-probe, incremental
+//!   insert/remove, and binary persistence;
 //! * [`shard`] — the concurrent [`ShardedLshIndex`]: items partitioned by
-//!   id across independently locked [`SimHashLshIndex`] shards, fan-out
-//!   search with single-signing and top-k merge;
+//!   id across independently locked [`SimHashLshIndex`] shards, searched
+//!   with one signing and one top-k heap that travels through the shards;
 //! * [`paged`] — the beyond-RAM tier: sealed segment files whose directory
-//!   keeps an int8 sketch of every row resident (the bound that decides
-//!   which blocks a query reads at all), a shared byte-budgeted
-//!   [`BlockCache`], and lazy block hydration feeding the exact re-ranker
-//!   without full residency;
+//!   keeps an int8 sketch of every row resident (bounded against the
+//!   query's own i16 quantization with one exact integer dot — the bound
+//!   that decides which blocks a query reads at all), a shared
+//!   byte-budgeted [`BlockCache`], and lazy block hydration feeding the
+//!   exact re-ranker without full residency;
 //! * [`exact`] — a brute-force index with the same search interface (the
 //!   ANN-quality baseline for ablations);
 //! * [`minhash`] — MinHash signatures and a banded MinHash LSH for *sets*,

@@ -9,12 +9,19 @@
 //! themselves page in on demand through a shared byte-budgeted LRU
 //! [`BlockCache`].
 //!
-//! The sketch of a row `x` is `dim` int8 codes `c`, an f32 scale `s` and
-//! an f32 residual norm `e ≥ ‖x − s·c‖` (`dim + 8` bytes against the
-//! row's `4·dim`). It is the tier's one pruning mechanism: by
-//! Cauchy–Schwarz `dot(q, x) ≤ s·dot(q, c) + ‖q‖·e`, which at int8
-//! resolution lands within ~0.007 of the exact cosine, so a query reads
-//! only the few blocks whose rows can still reach its top-k.
+//! The sketch of a row `x` is `dim` int8 codes `c_x`, an f32 scale `s_x`
+//! and an f32 residual norm `e_x ≥ ‖x − s_x·c_x‖` (`dim + 8` bytes against
+//! the row's `4·dim`). It is the tier's one pruning mechanism. A search
+//! quantizes its query the same way, once ([`QueryCodes`]: i16 codes `c_q`,
+//! scale `s_q`, residual `e_q`), and bounds every candidate row with one
+//! exact integer dot:
+//!
+//! ```text
+//! dot(q, x) ≤ s_q·s_x·Σ c_q·c_x + ‖s_q·c_q‖·e_x + e_q·‖x‖
+//! ```
+//!
+//! which at int8 resolution lands within ~0.007 of the exact cosine, so a
+//! query reads only the few blocks whose rows can still reach its top-k.
 //!
 //! Rows are sealed in **signature order** (lexicographic over the packed
 //! SimHash words, ties by id), so rows that collide in the LSH buckets —
@@ -22,14 +29,15 @@
 //! query must verify exactly share blocks.
 //!
 //! Pruning contract: [`BlockMeta::cosine_upper_bound`] returns a value `≥`
-//! the exact f32 cosine the re-ranker would compute for that row (the
-//! residual is measured in f64 against the stored sketch and rounded up at
-//! seal time; the query-time sum is padded with [`UB_SLACK`] to absorb the
-//! two f32 kernel dots' rounding). The search path may therefore skip a
-//! row — and a block none of whose candidate rows survive — only when the
-//! top-k heap is full **and** the bound is strictly below the current
-//! threshold: every skipped row provably scores below the final k-th
-//! result, so paged rankings are bit-identical to the all-in-RAM path.
+//! the exact f32 cosine the re-ranker would compute for that row (both
+//! residuals are measured in f64 against the codes as stored and rounded
+//! up; the integer dot is exact; the sum is padded with [`UB_SLACK`] to
+//! absorb the rounding of the exact score's own f32 kernel dot). The search
+//! path may therefore skip a row — and a block none of whose candidate rows
+//! survive — only when the top-k heap is full **and** the bound is strictly
+//! below the current threshold: every skipped row provably scores below the
+//! final k-th result, so paged rankings are bit-identical to the all-in-RAM
+//! path.
 //!
 //! Cold-read path: [`VectorSegment::block`] → [`BlockCache::get_or_load`]
 //! probes the cache under its lock, **releases it**, reads the block with
@@ -46,70 +54,135 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use wg_util::atomic_file;
-use wg_util::codec::{self, CodecResult};
+use wg_util::codec::{self, CodecError, CodecResult};
 use wg_util::segment::{Segment, SegmentBuilder, SegmentError};
 use wg_util::FxHashMap;
 
 use crate::simhash::Signature;
 use crate::ItemId;
 
-/// Absolute slack added to every row bound. The bound's own arithmetic is
-/// f64 over an f32 sketch dot; the slack covers the rounding of the two f32
-/// kernel dots involved — the sketch's and the exact score's it must
-/// dominate (each ≈ dim · ε ≈ 1.5e-5 at dim 128 for unit vectors, so 1e-3
-/// dominates their sum by ~30×).
+/// Absolute slack added to every row bound, in cosine units. The bound's
+/// own arithmetic is an exact integer dot combined in f64; the slack covers
+/// what is not: the rounding of the exact score's f32 kernel dot it must
+/// dominate (≈ dim · ε ≈ 1.5e-5 at dim 128 for unit vectors) and of the f32
+/// norm that scales the query's residual term — 1e-3 dominates their sum
+/// by ~60×.
 pub const UB_SLACK: f64 = 1e-3;
 
-/// Accumulator lanes of [`dot_codes`]: sixteen, because the `i8 → f32`
-/// widening works on sixteen codes per 128-bit load.
+/// Accumulator lanes of [`code_dot`]: sixteen, one 128-bit load of row
+/// codes per step.
 const CODE_LANES: usize = 16;
 
-/// `Σ query[d] · codes[d]`, the codes widened to `f32` on the fly. Written
-/// like [`wg_util::kernel::dot`]: one accumulator per lane over
+/// `Σ query[d] · codes[d]`, exactly. [`QueryCodes::set`] keeps the query's
+/// codes small enough that no partial sum can leave an `i32`. Written like
+/// [`wg_util::kernel::dot`]: one accumulator per lane over
 /// [`CODE_LANES`]-wide chunks, a strict loop over the remainder.
 #[inline]
-fn dot_codes(query: &[f32], codes: &[i8]) -> f32 {
+fn code_dot(query: &[i16], codes: &[i8]) -> i32 {
     debug_assert_eq!(query.len(), codes.len());
     let mut q_chunks = query.chunks_exact(CODE_LANES);
     let mut c_chunks = codes.chunks_exact(CODE_LANES);
-    let mut acc = [0.0f32; CODE_LANES];
+    let mut acc = [0i32; CODE_LANES];
     for (qc, cc) in (&mut q_chunks).zip(&mut c_chunks) {
         for i in 0..CODE_LANES {
-            acc[i] += qc[i] * cc[i] as f32;
+            acc[i] += qc[i] as i32 * cc[i] as i32;
         }
     }
-    let mut sum: f32 = acc.iter().sum();
+    let mut sum: i32 = acc.iter().sum();
     for (&q, &c) in q_chunks.remainder().iter().zip(c_chunks.remainder()) {
-        sum += q * c as f32;
+        sum += q as i32 * c as i32;
     }
     sum
 }
 
-/// Quantize one row into its sketch: `dim` int8 codes appended to `codes`,
-/// and the returned `(scale, residual)` with `residual ≥ ‖x − scale·codes‖`.
+/// Quantize `x` onto the grid `scale · {−limit, …, limit}` with
+/// `scale = max|x| / limit`: the codes are appended to `codes`, and the
+/// returned `(scale, r_sq)` has `r_sq = ‖x − scale·codes‖²`.
 ///
-/// The residual is measured in f64 against the codes and the f32 scale
-/// *as stored*, then rounded up, so it covers whatever the quantization
-/// did — a denormal scale or a non-finite component only loosens the
-/// bound (up to `f32::MAX`: never pruned), it cannot make it unsound.
-fn sketch_row(x: &[f32], codes: &mut Vec<i8>) -> (f32, f32) {
+/// `r_sq` is measured in f64 against the codes and the f32 scale *as
+/// stored*, so it covers whatever the quantization did — a denormal scale
+/// or a non-finite component only loosens the bound built on it (up to
+/// NaN or infinity: never pruned), it cannot make it unsound.
+fn quantize<C: Copy + Into<f64>>(
+    x: &[f32],
+    limit: f32,
+    cast: fn(f32) -> C,
+    codes: &mut Vec<C>,
+) -> (f32, f64) {
     let max = x.iter().fold(0.0f32, |m, v| m.max(v.abs()));
-    let scale = if max.is_finite() { max / 127.0 } else { 0.0 };
+    let scale = max / limit;
+    // An infinite component (or a `limit` of zero): all-zero codes,
+    // everything in the residual.
+    let scale = if scale.is_finite() { scale } else { 0.0 };
     let inv = if scale > 0.0 { 1.0 / scale } else { 0.0 };
     let mut r_sq = 0.0f64;
     for &v in x {
-        // `as i8` saturates and sends NaN (0 · ∞ under a denormal scale)
-        // to 0.
-        let code = (v * inv).round().clamp(-127.0, 127.0) as i8;
+        // An `as` cast to an integer saturates and sends NaN (0 · ∞ under a
+        // denormal scale) to 0.
+        let code = cast((v * inv).round().clamp(-limit, limit));
         codes.push(code);
-        let d = v as f64 - scale as f64 * code as f64;
+        let d = v as f64 - scale as f64 * code.into();
         r_sq += d * d;
     }
-    // Up before the f32 round: the relative bump covers the cast of a
-    // normal value, the absolute one the cast of a denormal. `min` also
-    // turns a NaN sum into the never-prune value.
-    let residual = r_sq.sqrt() * (1.0 + 1e-6) + f32::MIN_POSITIVE as f64;
-    (scale, residual.min(f32::MAX as f64) as f32)
+    (scale, r_sq)
+}
+
+/// The measured residual `√r_sq` of a quantization, rounded up: the
+/// relative bump covers the rounding of the f64 sum (and an f32 cast of a
+/// normal value), the absolute one the cast of a denormal.
+fn residual_bound(r_sq: f64) -> f64 {
+    r_sq.sqrt() * (1.0 + 1e-6) + f32::MIN_POSITIVE as f64
+}
+
+/// A query quantized for [`BlockMeta::cosine_upper_bound`], once per
+/// search: i16 codes `c_q`, a scale `s_q`, and what the codes leave out,
+/// `e_q ≥ ‖q − s_q·c_q‖`. At i16 the query's own residual is ~5e-5 of its
+/// norm — far inside [`UB_SLACK`], so quantizing the query costs the bound
+/// nothing a block read could notice.
+///
+/// The code range is `min(32767, (2³¹−1) / (127·dim))`: a rule derived from
+/// `dim`, not a setting, so the `i32` sum of `dim` products of a query code
+/// and an int8 row code cannot overflow.
+#[derive(Debug, Default)]
+pub struct QueryCodes {
+    pub(crate) codes: Vec<i16>,
+    /// `s_q` (an f32 value, so `s_q · code` is exact in f64).
+    scale: f64,
+    /// `≥ ‖s_q·c_q‖`.
+    norm: f64,
+    /// `e_q`; infinite or NaN for a query with a non-finite component,
+    /// which makes every bound the trivial 1.0.
+    residual: f64,
+    /// The f32 `‖q‖` the exact score divides by.
+    qnorm: f32,
+}
+
+impl QueryCodes {
+    /// The largest code magnitude a `dim`-dimensional query may use.
+    fn code_limit(dim: usize) -> i32 {
+        (i32::MAX as usize / (127 * dim.max(1))).min(i16::MAX as usize) as i32
+    }
+
+    /// Quantize `query` (whose f32 norm is `qnorm`), reusing the buffer.
+    pub fn set(&mut self, query: &[f32], qnorm: f32) {
+        let limit = Self::code_limit(query.len()) as f32;
+        self.codes.clear();
+        let (scale, r_sq) = quantize(query, limit, |v| v as i16, &mut self.codes);
+        let c_sq: i64 = self.codes.iter().map(|&c| c as i64 * c as i64).sum();
+        self.scale = scale as f64;
+        self.norm = scale as f64 * (c_sq as f64).sqrt() * (1.0 + 1e-6);
+        self.residual = residual_bound(r_sq);
+        self.qnorm = qnorm;
+    }
+}
+
+/// Quantize one row into its sketch: `dim` int8 codes appended to `codes`,
+/// and the returned `(scale, residual)` with `residual ≥ ‖x − scale·codes‖`.
+fn sketch_row(x: &[f32], codes: &mut Vec<i8>) -> (f32, f32) {
+    let (scale, r_sq) = quantize(x, 127.0, |v| v as i8, codes);
+    // Up before the f32 round; `min` also turns a NaN sum into the
+    // never-prune value.
+    (scale, residual_bound(r_sq).min(f32::MAX as f64) as f32)
 }
 
 /// Point-in-time counters from a [`BlockCache`].
@@ -409,7 +482,7 @@ impl BlockMeta {
         codec::put_u32_slice(buf, &self.ids);
         codec::put_f32_slice(buf, &self.norms);
         codec::put_u64_slice(buf, &self.sig_words);
-        codec::put_bytes(buf, &self.codes.iter().map(|&c| c as u8).collect::<Vec<u8>>());
+        codec::put_bytes_with(buf, |buf| buf.extend(self.codes.iter().map(|&c| c as u8)));
         codec::put_f32_slice(buf, &self.scales);
         codec::put_f32_slice(buf, &self.residuals);
     }
@@ -419,31 +492,42 @@ impl BlockMeta {
             ids: codec::get_u32_vec(buf)?,
             norms: codec::get_f32_vec(buf)?,
             sig_words: codec::get_u64_vec(buf)?,
-            codes: codec::get_bytes(buf)?.into_iter().map(|b| b as i8).collect(),
+            codes: {
+                // One pass from the directory bytes to the resident codes.
+                let len = codec::get_len(buf)?;
+                let (bytes, rest) = buf.split_at_checked(len).ok_or(CodecError::UnexpectedEof)?;
+                *buf = rest;
+                bytes.iter().map(|&b| b as i8).collect()
+            },
             scales: codec::get_f32_vec(buf)?,
             residuals: codec::get_f32_vec(buf)?,
         })
     }
 
     /// An upper bound (in f64, [`UB_SLACK`]-padded) on the exact f32 cosine
-    /// the re-ranker would compute for row `row` against `query`:
+    /// the re-ranker would compute for row `row` against the query `q` that
+    /// `query` quantizes. With `q̂ = s_q·c_q` and `x̂ = s_x·c_x`:
     ///
     /// ```text
-    /// dot(q, x) = s·dot(q, c) + dot(q, x − s·c) ≤ s·dot(q, c) + ‖q‖·e
+    /// dot(q, x) = dot(q̂, x̂) + dot(q̂, x − x̂) + dot(q − q̂, x)
+    ///           ≤ s_q·s_x·Σ c_q·c_x + ‖q̂‖·e_x + e_q·‖x‖
     /// ```
     ///
     /// divided by the same f32 `‖q‖·norm` the exact score divides by, and
     /// capped at the trivial bound 1.0. A degenerate denominator scores 0.0
-    /// exactly and a non-finite query makes the sum NaN: both get 1.0 —
-    /// never prune what cannot be bounded.
-    pub fn cosine_upper_bound(&self, row: usize, query: &[f32], qnorm: f32) -> f64 {
-        let denom = qnorm * self.norms[row];
+    /// exactly and a non-finite query makes the sum NaN or infinite: both
+    /// get 1.0 — never prune what cannot be bounded.
+    pub fn cosine_upper_bound(&self, row: usize, query: &QueryCodes) -> f64 {
+        let norm = self.norms[row];
+        let denom = query.qnorm * norm;
         if denom <= f32::MIN_POSITIVE {
             return 1.0;
         }
-        let dim = query.len();
-        let dot = dot_codes(query, &self.codes[row * dim..(row + 1) * dim]) as f64;
-        let dot_ub = self.scales[row] as f64 * dot + qnorm as f64 * self.residuals[row] as f64;
+        let dim = query.codes.len();
+        let dot = code_dot(&query.codes, &self.codes[row * dim..(row + 1) * dim]) as f64;
+        let dot_ub = query.scale * self.scales[row] as f64 * dot
+            + query.norm * self.residuals[row] as f64
+            + query.residual * norm as f64;
         // `min` returns its other operand for a NaN.
         (dot_ub / denom as f64 + UB_SLACK).min(1.0)
     }
@@ -713,6 +797,14 @@ mod tests {
         BlockMeta::of_rows(&rows, vectors[0].len())
     }
 
+    /// `query` quantized for the bound, with the f32 norm the search uses.
+    fn codes_of(query: &[f32]) -> (QueryCodes, f32) {
+        let qnorm = kernel::norm_sq(query).sqrt();
+        let mut codes = QueryCodes::default();
+        codes.set(query, qnorm);
+        (codes, qnorm)
+    }
+
     #[test]
     fn row_bound_dominates_every_exact_score() {
         // Through the file: the bound from the directory a reader opens,
@@ -724,37 +816,58 @@ mod tests {
         let mut rng = Xoshiro256pp::new(11);
         let mut queries: Vec<Vec<f32>> = (0..50).map(|_| unit(dim, &mut rng)).collect();
         // Cauchy–Schwarz at equality: a query along a row's own residual
-        // `x − s·c` leaves the bound nothing but its slack.
+        // `x − s·c` leaves the bound nothing but its slack (and the query's
+        // own, far smaller, residual).
         for b in 0..seg.block_count() {
             let (meta, data) = (seg.block_meta(b), seg.block(b).expect("read"));
             let residual = data[..dim].iter().zip(&meta.codes[..dim]);
             queries.push(residual.map(|(x, &c)| x - meta.scales[0] * c as f32).collect());
         }
+        let aligned = queries.len();
+        // Every component at ±max: every query code saturated.
+        queries.push((0..dim).map(|d| if d % 3 == 0 { -0.25 } else { 0.25 }).collect());
+        // Magnitudes at both ends of what an f32 norm can hold, and past it.
+        for magnitude in [1e-30f32, 1e-18, 1e18, 1e30] {
+            let q = unit(dim, &mut rng);
+            queries.push(q.iter().map(|x| x * magnitude).collect());
+        }
         let mut tightest = f64::INFINITY;
-        for q in &queries {
-            let qnorm = kernel::norm_sq(q).sqrt();
+        for (i, q) in queries.iter().enumerate() {
+            let (codes, qnorm) = codes_of(q);
             for b in 0..seg.block_count() {
                 let (meta, data) = (seg.block_meta(b), seg.block(b).expect("read"));
                 for r in 0..meta.ids.len() {
-                    let ub = meta.cosine_upper_bound(r, q, qnorm);
+                    let ub = meta.cosine_upper_bound(r, &codes);
                     let score = score_row(q, qnorm, meta.norms[r], &data, r, dim);
-                    assert!(score <= ub, "block {b} row {r}: score {score} exceeds bound {ub}");
-                    tightest = tightest.min(ub - score);
+                    assert!(score <= ub, "query {i} block {b} row {r}: {score} exceeds {ub}");
+                    if i < aligned {
+                        tightest = tightest.min(ub - score);
+                    }
                 }
             }
         }
-        assert!(tightest < UB_SLACK + 1e-5, "a residual-aligned query must meet its bound");
+        assert!(tightest < UB_SLACK + 1e-4, "a residual-aligned query must meet its bound");
+        // What cannot be quantized cannot be bounded: never pruned.
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let mut q = unit(dim, &mut rng);
+            q[7] = bad;
+            let (codes, _) = codes_of(&q);
+            let meta = seg.block_meta(0);
+            assert!((0..meta.ids.len()).all(|r| meta.cosine_upper_bound(r, &codes) == 1.0));
+        }
         std::fs::remove_dir_all(path.parent().unwrap()).ok();
     }
 
     #[test]
     fn laned_bound_matches_the_strict_loop_and_stays_sound() {
         let mut rng = Xoshiro256pp::new(12);
-        for dim in [8usize, 32, 100, 128, 130] {
+        for dim in [1usize, 8, 32, 100, 128, 130, 517, 4096] {
+            let limit = QueryCodes::code_limit(dim) as i64;
+            assert!(limit * 127 * dim as i64 <= i32::MAX as i64, "dim {dim}: the overflow rule");
             for scale in [1e-3f32, 1.0, 1e3] {
                 for near_duplicates in [false, true] {
                     let base = unit(dim, &mut rng);
-                    let mut rows: Vec<Vec<f32>> = (0..16)
+                    let mut rows: Vec<Vec<f32>> = (0..8)
                         .map(|_| {
                             let v = unit(dim, &mut rng);
                             let mix = if near_duplicates { 1e-3 } else { 1.0 };
@@ -765,8 +878,14 @@ mod tests {
                     // (and so a scale) far below `f32::MIN_POSITIVE`.
                     rows.push(vec![0.0; dim]);
                     rows.push(base.iter().map(|b| b * 1e-20 * 1e-20).collect());
+                    // Every code at its extreme, against a query whose
+                    // codes are too: the largest sum the rule admits.
+                    rows.push(vec![scale; dim]);
                     let meta = block_of(&rows);
-                    for qscale in [1e-3f32, 1.0, 1e3] {
+                    let extreme = &meta.codes[(rows.len() - 1) * dim..];
+                    assert!(extreme.iter().all(|&c| c == 127));
+                    let mut queries = vec![vec![1.0f32; dim], vec![-1.0; dim]];
+                    for qscale in [1e-30f32, 1e-3, 1.0, 1e3, 1e30] {
                         // Half the queries sit next to the rows, where the
                         // bound is tight; half are unrelated.
                         for near in [false, true] {
@@ -774,24 +893,29 @@ mod tests {
                             for (x, b) in q.iter_mut().zip(&base) {
                                 *x = qscale * if near { b + 0.05 * *x } else { *x };
                             }
-                            let qnorm = kernel::norm_sq(&q).sqrt();
-                            for (r, v) in rows.iter().enumerate() {
-                                let codes = &meta.codes[r * dim..(r + 1) * dim];
-                                let terms = q.iter().zip(codes).map(|(q, &c)| q * c as f32);
-                                let (strict, mass): (f32, f32) =
-                                    (terms.clone().sum(), terms.map(f32::abs).sum());
-                                let laned = dot_codes(&q, codes);
-                                assert!(
-                                    (laned - strict).abs() <= 1e-5 * mass,
-                                    "dim {dim} scale {scale} q {qscale}: {laned} vs strict {strict}"
-                                );
-                                let ub = meta.cosine_upper_bound(r, &q, qnorm);
-                                let score = score_row(&q, qnorm, meta.norms[r], v, 0, dim);
-                                assert!(
-                                    score <= ub,
-                                    "dim {dim} row {r}: score {score} > bound {ub}"
-                                );
-                            }
+                            queries.push(q);
+                        }
+                    }
+                    for (i, q) in queries.iter().enumerate() {
+                        let (codes, qnorm) = codes_of(q);
+                        if i < 2 {
+                            let sum = code_dot(&codes.codes, extreme) as i64;
+                            assert_eq!(sum.abs(), limit * 127 * dim as i64, "dim {dim}");
+                        }
+                        for (r, v) in rows.iter().enumerate() {
+                            let row_codes = &meta.codes[r * dim..(r + 1) * dim];
+                            let strict: i64 = (codes.codes.iter().zip(row_codes))
+                                .map(|(&q, &c)| q as i64 * c as i64)
+                                .sum();
+                            assert_eq!(code_dot(&codes.codes, row_codes) as i64, strict);
+                            let ub = meta.cosine_upper_bound(r, &codes);
+                            let score = score_row(q, qnorm, meta.norms[r], v, 0, dim);
+                            // An f32 dot that overflowed scores NaN, which
+                            // no heap accepts: nothing to dominate.
+                            assert!(
+                                score.is_nan() || score <= ub,
+                                "dim {dim} scale {scale} query {i} row {r}: {score} > {ub}"
+                            );
                         }
                     }
                 }

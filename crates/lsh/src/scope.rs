@@ -7,11 +7,11 @@
 //! the backend bits packed into every [`ItemId`] (see
 //! [`crate::compose_item_id`]).
 //!
-//! The filter is pushed into **candidate generation**: ids from the band
-//! buckets are dropped before the sort/dedup and before any exact cosine
-//! is computed, so an excluded backend costs nothing past the bucket
-//! probe — no scoring, and (because the federation layer also checks the
-//! scope before touching a backend) no billed scans.
+//! The filter is pushed into **candidate generation**: a row from the band
+//! buckets is judged once, as the candidate scan reaches it and before any
+//! exact cosine is computed, so an excluded backend costs nothing past the
+//! bucket probe — no scoring, and (because the federation layer also checks
+//! the scope before touching a backend) no billed scans.
 
 use crate::{item_backend, ItemId};
 

@@ -8,16 +8,20 @@
 //!
 //! * **inserts** route to exactly one shard, so concurrent indexing workers
 //!   write to disjoint shards instead of funneling through one writer;
-//! * **searches** fan out over the shards, signing the query **once**
-//!   (every shard shares one [`SimHasher`], built once per index) and merging
-//!   the per-shard top-k with a bounded heap, so a writer only ever blocks
-//!   the `1/N` of a query's probes that touch its shard;
+//! * **searches** visit the shards in turn, signing the query **once**
+//!   (every shard shares one [`SimHasher`], built once per index) and
+//!   collecting into **one** bounded heap that travels from shard to shard,
+//!   so a writer only ever blocks the `1/N` of a query's probes that touch
+//!   its shard;
 //! * **batched mutation** ([`Self::insert_batch`], [`Self::remove_batch`])
 //!   groups items by shard and takes each shard's lock once per batch.
 //!
 //! Results are bit-identical to a single [`SimHashLshIndex`] with the same
 //! seed: the shards partition the id space, every shard uses the same
-//! hyperplanes, and the merged top-k applies the same (score, id) ordering.
+//! hyperplanes, and [`TopK`] retains the same set under the same
+//! (score, id) ordering whatever order the rows are pushed in — so one heap
+//! fed by every shard holds exactly what a merge of per-shard heaps would,
+//! while a later shard's cold pass prunes against what earlier shards found.
 
 use parking_lot::RwLock;
 use std::sync::Arc;
@@ -218,10 +222,10 @@ impl ShardedLshIndex {
         self.shards.iter().map(|s| s.read().cold_segment_count()).sum()
     }
 
-    /// Top-k search across all shards: the query is signed once, each shard
-    /// contributes its local top-k under a read lock, and the partial
-    /// results merge through one more bounded heap. Equivalent to
-    /// [`SimHashLshIndex::search`] over the union of the shards.
+    /// Top-k search across all shards: the query is signed once and each
+    /// shard, under its read lock, pushes its candidates' scores into the
+    /// one heap. Equivalent to [`SimHashLshIndex::search`] over the union
+    /// of the shards.
     pub fn search(
         &self,
         query: &[f32],
@@ -271,39 +275,27 @@ impl ShardedLshIndex {
         exclude: impl Fn(ItemId) -> bool,
     ) -> Result<(Vec<(ItemId, f32)>, SearchOutcome), SearchError> {
         let sig = self.hasher.sign(query);
-        let mut merged = TopK::new(k);
+        let mut topk = TopK::new(k);
         let mut outcome = SearchOutcome::default();
         for shard in &self.shards {
-            let guard = shard.read();
-            let (hits, o) = guard.search_signed_scoped_deadline_with_outcome(
-                query, &sig, k, scope, deadline, &exclude,
-            )?;
+            let o = shard.read().search_into(query, &sig, scope, deadline, &exclude, &mut topk)?;
             // Shards partition the id space, so the sums are exact counts.
             outcome.candidates += o.candidates;
             outcome.scored += o.scored;
             outcome.blocks_read += o.blocks_read;
             outcome.blocks_pruned += o.blocks_pruned;
-            for (id, score) in hits {
-                merged.push(score as f64, id);
-            }
         }
-        let results = merged.into_sorted().into_iter().map(|(s, id)| (id, s as f32)).collect();
-        Ok((results, outcome))
+        Ok((index::ranking(topk), outcome))
     }
 
     /// Remove every item whose id lives in one backend namespace (high
     /// bits = `backend_bits`), returning how many were removed. This is
     /// the per-backend invalidation the federated id layout buys: no
-    /// caller-side id bookkeeping, one write-lock pass per shard.
+    /// caller-side id bookkeeping, one write-lock pass per shard. Cold
+    /// items drop too, and attached segments left without live rows retire
+    /// along with their cache-resident blocks.
     pub fn remove_backend(&self, backend_bits: u16) -> usize {
-        let mut removed = 0usize;
-        for shard in &self.shards {
-            // Delegates to the tier-aware removal: cold items drop too,
-            // and attached segments left without live rows are retired
-            // along with their cache-resident blocks.
-            removed += shard.write().remove_backend(backend_bits);
-        }
-        removed
+        self.shards.iter().map(|s| s.write().remove_backend(backend_bits)).sum()
     }
 
     /// Drop one backend's **cold** items across shards, retiring emptied
@@ -547,6 +539,125 @@ mod tests {
             assert_eq!(loaded.search(&q, 7, |_| false), mixed.search(&q, 7, |_| false));
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// `vectors[i]` under id `3·i`: `cold` of them sealed into one segment
+    /// and attached to every shard, the rest inserted hot.
+    fn tiered(
+        vectors: &[Vec<f32>],
+        shards: usize,
+        cold: impl Fn(usize) -> bool,
+        tag: &str,
+    ) -> (ShardedLshIndex, Arc<crate::paged::BlockCache>, std::path::PathBuf) {
+        let params = LshParams::for_threshold(0.7, 128);
+        let index = ShardedLshIndex::new(64, params, 17, shards);
+        index.set_probes(1);
+        let dir = std::env::temp_dir().join(format!("wg-shard-{tag}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let cache = crate::paged::BlockCache::new(0);
+        let sealed: Vec<SegmentRow> = (vectors.iter().enumerate())
+            .filter(|(i, _)| cold(*i))
+            .map(|(i, v)| SegmentRow {
+                id: i as ItemId * 3,
+                signature: index.hasher.sign(v),
+                norm: wg_util::kernel::norm_sq(v).sqrt(),
+                vector: v.clone(),
+            })
+            .collect();
+        if !sealed.is_empty() {
+            let (path, rows) = (dir.join("seg.wgs"), sealed.len());
+            crate::paged::write_vector_segment(&path, 64, params.bits(), 4, sealed).unwrap();
+            let segment = Arc::new(VectorSegment::open(&path, cache.clone()).unwrap());
+            assert_eq!(index.attach_segments(&[segment]).unwrap(), rows);
+        }
+        for (i, v) in vectors.iter().enumerate().filter(|(i, _)| !cold(*i)) {
+            assert!(index.insert(i as ItemId * 3, v));
+        }
+        (index, cache, dir)
+    }
+
+    #[test]
+    fn one_heap_ranks_alike_at_any_shard_count_and_reads_no_more_blocks() {
+        let (_, vectors) = federated(24);
+        let mut rng = Xoshiro256pp::new(25);
+        let queries: Vec<Vec<f32>> = vectors
+            .iter()
+            .step_by(6)
+            .cloned()
+            .chain((0..5).map(|_| random_unit(64, &mut rng)))
+            .collect();
+        let exclude = |id: ItemId| id % 5 == 0;
+        let (reference, _, dir) = tiered(&vectors, 1, |_| false, "heap-ref");
+        let want: Vec<_> =
+            queries.iter().map(|q| reference.search_with_outcome(q, 8, exclude)).collect();
+        assert!(want.iter().any(|(hits, _)| hits.len() == 8), "fixture must fill the heap");
+        std::fs::remove_dir_all(&dir).ok();
+
+        type Tier = fn(usize) -> bool;
+        let layouts: [(&str, Tier); 3] =
+            [("hot", |_| false), ("cold", |_| true), ("mixed", |i| i % 2 == 0)];
+        let (mut shared, mut separate) = (0usize, 0usize);
+        for (layout, cold) in layouts {
+            for shards in [1usize, 2, 8] {
+                let tag = format!("heap-{layout}-{shards}");
+                let (index, _cache, dir) = tiered(&vectors, shards, cold, &tag);
+                let sig_of = |q: &[f32]| index.hasher.sign(q);
+                for (q, (hits, outcome)) in queries.iter().zip(&want) {
+                    let (got, o) = index.search_with_outcome(q, 8, exclude);
+                    assert_eq!(&got, hits, "{layout} × {shards} shards");
+                    assert_eq!(o.candidates, outcome.candidates, "{layout} × {shards} shards");
+                    // Each shard alone, with a heap of its own: what the
+                    // merge of per-shard heaps used to read.
+                    let alone: usize = (index.shards.iter())
+                        .map(|s| {
+                            let s = s.read();
+                            s.search_signed_with_outcome(q, &sig_of(q), 8, exclude).1.blocks_read
+                        })
+                        .sum();
+                    assert!(o.blocks_read <= alone, "{layout} × {shards}: {o:?} vs {alone}");
+                    if (layout, shards) == ("cold", 2) {
+                        shared += o.blocks_read;
+                        separate += alone;
+                    }
+                }
+                std::fs::remove_dir_all(&dir).ok();
+            }
+        }
+        assert!(
+            0 < shared && shared < separate,
+            "the second shard must prune: {shared} / {separate}"
+        );
+    }
+
+    #[test]
+    fn batches_that_empty_a_segment_row_by_row_retire_it() {
+        let (_, vectors) = federated(26);
+        let ids: Vec<ItemId> = (0..vectors.len()).map(|i| i as ItemId * 3).collect();
+        type Kill = fn(&ShardedLshIndex, &[ItemId], &[Vec<f32>]);
+        let kills: [(&str, Kill, usize); 2] = [
+            ("remove_batch", |index, ids, _| assert_eq!(index.remove_batch(ids), ids.len()), 0),
+            (
+                "insert_batch",
+                |index, ids, vectors| {
+                    let items = ids.iter().copied().zip(vectors.iter().cloned()).collect();
+                    assert_eq!(index.insert_batch(items), ids.len());
+                },
+                60,
+            ),
+        ];
+        for (tag, kill, left) in kills {
+            let (index, cache, dir) = tiered(&vectors, 4, |_| true, tag);
+            assert_eq!(index.export_segment_rows().iter().map(Vec::len).sum::<usize>(), 60);
+            assert_eq!((index.cold_segment_count(), cache.stats().resident_blocks), (4, 15));
+            // All but ids 0, 3, 6, 9 — one row a shard: each still needs
+            // the segment.
+            kill(&index, &ids[4..], &vectors[4..]);
+            assert_eq!((index.cold_len(), index.cold_segment_count()), (4, 4), "{tag}");
+            kill(&index, &ids[..4], &vectors[..4]);
+            assert_eq!((index.len(), index.cold_len(), index.cold_segment_count()), (left, 0, 0));
+            assert_eq!(cache.stats().resident_blocks, 0, "{tag}: retirement drops cached blocks");
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]

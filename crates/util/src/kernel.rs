@@ -1,12 +1,13 @@
 //! Vectorized numeric kernels for the embed → sign → re-rank hot path.
 //!
-//! Every dense `f32` loop in WarpGate funnels through these four kernels:
-//! [`dot`], [`norm_sq`], [`axpy`] and [`gemv`]. They operate on contiguous
-//! row-major slices and are written so LLVM's auto-vectorizer turns them
-//! into packed SIMD: reductions expose eight independent accumulators
-//! (breaking the serial float-add dependency chain the naive loop has),
-//! and [`gemv`] blocks four rows of the matrix per pass over the output so
-//! each output element is loaded once per four multiply-adds.
+//! Every dense `f32` loop in WarpGate funnels through these kernels:
+//! [`dot`] (and its four-row form [`dot4`]), [`norm_sq`], [`axpy`] and
+//! [`gemv`]. They operate on contiguous row-major slices and are written so
+//! LLVM's auto-vectorizer turns them into packed SIMD: reductions expose
+//! eight independent accumulators (breaking the serial float-add dependency
+//! chain the naive loop has), and [`gemv`] blocks four rows of the matrix
+//! per pass over the output so each output element is loaded once per four
+//! multiply-adds.
 //!
 //! **Parity contract.** Reassociating float additions changes low-order
 //! bits, so the kernels do *not* promise bit-equality with the strict
@@ -16,11 +17,12 @@
 //! inputs produce the same outputs on every call, so SimHash signatures
 //! computed at insert and at query time are self-consistent, and (c)
 //! exactness for element-wise kernels ([`axpy`], [`scale`]), which have no
-//! reassociation at all.
+//! reassociation at all. [`dot4`] promises more: each of its four results
+//! is **bit-equal** to [`dot`] over that row, because the exact re-rank
+//! scores a row through whichever of the two its batch position picks.
 //!
-//! [`scratch`] provides thread-local buffer pools so steady-state callers
-//! (signing, the MiniBert forward pass, candidate collection) allocate
-//! nothing after warmup.
+//! [`scratch`] provides a thread-local buffer pool so steady-state callers
+//! (signing, the MiniBert forward pass) allocate nothing after warmup.
 
 /// Dot product over equal-length slices, eight accumulator lanes.
 ///
@@ -42,6 +44,43 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
         sum += x * y;
     }
     sum
+}
+
+/// [`dot`] of `a` against four rows in one pass: `[dot(a, r0), …, dot(a, r3)]`,
+/// bit for bit. Every row keeps its own eight accumulators, fed and reduced
+/// in exactly [`dot`]'s order, so batching changes no result. What it
+/// changes: the four rows' cache misses are in flight together instead of
+/// one after another, and the eight add chains (two SIMD registers a row)
+/// hide the add latency that bounds a lone [`dot`].
+#[inline]
+pub fn dot4(a: &[f32], rows: [&[f32]; 4]) -> [f32; 4] {
+    debug_assert!(rows.iter().all(|r| r.len() == a.len()));
+    let mut chunks_a = a.chunks_exact(8);
+    let [mut c0, mut c1, mut c2, mut c3] = rows.map(|r| r.chunks_exact(8));
+    let mut acc = [[0.0f32; 8]; 4];
+    for ((((ca, b0), b1), b2), b3) in
+        (&mut chunks_a).zip(&mut c0).zip(&mut c1).zip(&mut c2).zip(&mut c3)
+    {
+        for i in 0..8 {
+            acc[0][i] += ca[i] * b0[i];
+            acc[1][i] += ca[i] * b1[i];
+            acc[2][i] += ca[i] * b2[i];
+            acc[3][i] += ca[i] * b3[i];
+        }
+    }
+    // The identity, as far as results go. It makes the accumulators leave
+    // the loop as four 8-float arrays, which is what keeps each row's lanes
+    // side by side in two registers; without it LLVM vectorizes *across*
+    // the four reductions below and pays ~24 shuffles per step to transpose
+    // the rows into that shape (38 ns a row in cache against 19).
+    let acc = std::hint::black_box(acc);
+    let mut sums = acc.map(|lanes| lanes.iter().sum::<f32>());
+    for (sum, tail) in sums.iter_mut().zip([c0, c1, c2, c3]) {
+        for (x, y) in chunks_a.remainder().iter().zip(tail.remainder()) {
+            *sum += x * y;
+        }
+    }
+    sums
 }
 
 /// Sum of squares (`dot(a, a)`), eight accumulator lanes.
@@ -102,8 +141,7 @@ pub fn gemv(x: &[f32], m: &[f32], cols: usize, out: &mut [f32]) {
 }
 
 /// Strict scalar reference implementations: the exact summation orders the
-/// pre-kernel code used. Property tests compare the kernels against these;
-/// the `kernel_hot_path` bench uses them as the honest "before" baseline.
+/// pre-kernel code used. Property tests compare the kernels against these.
 pub mod reference {
     /// Left-to-right scalar dot product.
     pub fn dot(a: &[f32], b: &[f32]) -> f32 {
@@ -156,21 +194,19 @@ pub mod reference {
     }
 }
 
-/// Thread-local buffer pools for the hot paths.
+/// Thread-local buffer pool for the hot paths.
 ///
-/// `take_*` hands out a buffer of the requested length (zero-filled for
-/// `f32`, cleared for ids); `put_*` returns it for reuse. Buffers keep
-/// their capacity across the pool, so a steady-state caller that takes and
-/// puts the same shapes performs no heap allocation after its first call
-/// on each thread. Forgetting to `put_*` (or unwinding past it) merely
-/// leaks the buffer back to the allocator — correctness never depends on
-/// the pool.
+/// `take_f32` hands out a zero-filled buffer of the requested length;
+/// `put_f32` returns it for reuse. Buffers keep their capacity across the
+/// pool, so a steady-state caller that takes and puts the same shapes
+/// performs no heap allocation after its first call on each thread.
+/// Forgetting to `put_f32` (or unwinding past it) merely leaks the buffer
+/// back to the allocator — correctness never depends on the pool.
 pub mod scratch {
     use std::cell::RefCell;
 
     thread_local! {
         static F32_POOL: RefCell<Vec<Vec<f32>>> = const { RefCell::new(Vec::new()) };
-        static ID_POOL: RefCell<Vec<Vec<u32>>> = const { RefCell::new(Vec::new()) };
     }
 
     /// A zero-filled `f32` buffer of length `len` from this thread's pool.
@@ -184,18 +220,6 @@ pub mod scratch {
     /// Return an `f32` buffer to this thread's pool.
     pub fn put_f32(buf: Vec<f32>) {
         F32_POOL.with(|p| p.borrow_mut().push(buf));
-    }
-
-    /// An empty `u32` buffer (id scratch) from this thread's pool.
-    pub fn take_ids() -> Vec<u32> {
-        let mut buf = ID_POOL.with(|p| p.borrow_mut().pop()).unwrap_or_default();
-        buf.clear();
-        buf
-    }
-
-    /// Return an id buffer to this thread's pool.
-    pub fn put_ids(buf: Vec<u32>) {
-        ID_POOL.with(|p| p.borrow_mut().push(buf));
     }
 }
 
@@ -292,13 +316,6 @@ mod tests {
         assert_eq!(b.as_ptr(), ptr, "pool must hand the same buffer back");
         assert_eq!(b.len(), 32);
         scratch::put_f32(b);
-
-        let mut ids = scratch::take_ids();
-        ids.extend([3u32, 1, 2]);
-        scratch::put_ids(ids);
-        let ids = scratch::take_ids();
-        assert!(ids.is_empty(), "id scratch must come back cleared");
-        scratch::put_ids(ids);
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! * kernel `dot`/`gemv` agree with the strict scalar references within a
 //!   small relative tolerance, for arbitrary (odd) lengths including the
 //!   remainder lanes;
-//! * element-wise kernels (`axpy`) are bit-exact;
+//! * element-wise kernels (`axpy`) are bit-exact, and `dot4` is bit-equal
+//!   to four `dot`s — the re-rank scores a row through either;
 //! * SimHash signing is self-consistent (insert-side and query-side use
 //!   the same kernel) and agrees with the scalar reference away from the
 //!   sign boundary;
@@ -95,6 +96,24 @@ proptest! {
             prop_assert!((f - s).abs() <= tol, "bit {b}: {f} vs {s}");
             if s.abs() > tol {
                 prop_assert!(sig.bit(b) == sig_ref.bit(b), "stable bit {b} flipped");
+            }
+        }
+    }
+}
+
+/// The exact re-rank scores hot rows four per `dot4` pass, the remainder
+/// and every cold row through `dot`: a row's score must not depend on which.
+#[test]
+fn dot4_is_bit_equal_to_four_dots() {
+    let mut rng = Xoshiro256pp::new(17);
+    for len in [0usize, 1, 7, 8, 9, 127, 128, 129] {
+        for _ in 0..20 {
+            let mut vector = || (0..len).map(|_| rng.gen_gaussian() as f32).collect::<Vec<f32>>();
+            let (a, rows) = (vector(), [vector(), vector(), vector(), vector()]);
+            let got = kernel::dot4(&a, [&rows[0], &rows[1], &rows[2], &rows[3]]);
+            for (lane, row) in rows.iter().enumerate() {
+                let want = kernel::dot(&a, row);
+                assert_eq!(got[lane].to_bits(), want.to_bits(), "len {len} lane {lane}");
             }
         }
     }
