@@ -103,7 +103,7 @@ fn ablation_dim(c: &mut Criterion) {
             WarpGateConfig { dim, cache_capacity: 0, ..WarpGateConfig::default() },
             Arc::new(model),
         );
-        wg.attach(connector.clone());
+        wg.attach_named(wg_util::names::DEFAULT_NAME, connector.clone());
         wg.index_warehouse().unwrap();
         let (p, r) = pr_at_5(&corpus, &wg);
         println!("  dim {dim}: P {p:.3} R {r:.3}");

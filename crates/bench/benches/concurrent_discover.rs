@@ -23,9 +23,9 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use warpgate_core::{WarpGate, WarpGateConfig};
+use warpgate_core::{QueryOptions, WarpGate, WarpGateConfig};
 use wg_bench::{median, xs_fixture};
-use wg_store::{BackendHandle, ColumnRef};
+use wg_store::{BackendHandle, ColumnRef, TableRef};
 
 const READER_THREADS: usize = 8;
 
@@ -73,8 +73,8 @@ fn reader_throughput(
                 let mut i = 0usize;
                 while !stop.load(Ordering::Relaxed) {
                     let (db, table) = &churn_tables[i % churn_tables.len()];
-                    wg.remove_table(db, table);
-                    wg.index_table(db, table).expect("churn re-index");
+                    wg.remove_table(&TableRef::new(db, table));
+                    wg.index_table(&TableRef::new(db, table)).expect("churn re-index");
                     i += 1;
                 }
             });
@@ -209,7 +209,7 @@ fn main() {
             sequential_samples.push(sw.elapsed().as_secs_f64());
         } else {
             let sw = Instant::now();
-            let out = wg.discover_batch(&queries, 10).expect("batched");
+            let out = wg.discover_batch(&queries, 10, &QueryOptions::default()).expect("batched");
             batch_samples.push(sw.elapsed().as_secs_f64());
             assert_eq!(out.len(), queries.len());
         }

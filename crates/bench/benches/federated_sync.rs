@@ -5,7 +5,7 @@
 //! Custom harness (like `incremental_sync`): attaches three simulated-CDW
 //! warehouses as named backends, then compares a federated `sync()`
 //! (diffs all three, re-scans only the change set) against a targeted
-//! `sync_backend()` on the mutated warehouse alone, asserting via each
+//! `sync_with(Some(id), ..)` on the mutated warehouse alone, asserting via each
 //! backend's CostMeter that the untouched warehouses are never scanned.
 //! Records medians and the per-backend scan attribution into the
 //! repo-root `BENCH_core.json` as a `"federated_sync"` section.
@@ -70,6 +70,7 @@ fn main() {
         let backend: BackendHandle = c.clone();
         wg.attach_named(name, backend);
     }
+    let mutated = BackendId::named(&names[0]);
     wg.index_warehouse().expect("initial federated indexing");
     let columns_total = wg.len();
 
@@ -102,14 +103,14 @@ fn main() {
         assert_eq!(mutated_slice.cost.requests as usize, COLUMNS_PER_TABLE);
         scan_requests = report.cost.requests;
 
-        // Targeted sync_backend(): skips even the other warehouses'
+        // Targeted sync_with(Some(id), ..): skips even the other warehouses'
         // version-token fetches.
         mutate_one_table(&connectors[0], 2 * generation + 1);
         for c in &connectors {
             c.reset_costs();
         }
         let sw = Instant::now();
-        let report = wg.sync_backend(&names[0]).expect("targeted sync");
+        let report = wg.sync_with(Some(mutated), wg_util::Deadline::none()).expect("targeted sync");
         targeted_secs.push(sw.elapsed().as_secs_f64());
         assert_eq!(report.tables_updated, 1);
         for c in &connectors[1..] {
@@ -132,7 +133,7 @@ fn main() {
     let federated_median = median(&mut federated_secs);
     let targeted_median = median(&mut targeted_secs);
     println!(
-        "bench: federated_sync/1_table_of_{WAREHOUSES}_warehouses ... sync() {:.1}ms, sync_backend() {:.1}ms, {scan_requests} cols scanned ({columns_total} cols indexed)",
+        "bench: federated_sync/1_table_of_{WAREHOUSES}_warehouses ... sync() {:.1}ms, sync_with(Some(id)) {:.1}ms, {scan_requests} cols scanned ({columns_total} cols indexed)",
         federated_median * 1e3,
         targeted_median * 1e3,
     );

@@ -94,7 +94,7 @@ fn run_load(
                     let qi = i % queries.len();
                     i += 1;
                     let sw = Instant::now();
-                    match wg.discover_opts(&queries[qi], 10, &QueryOptions::default()) {
+                    match wg.discover_with(&queries[qi], 10, &QueryOptions::default()) {
                         Ok(d) => {
                             mine_ok.push(sw.elapsed().as_secs_f64());
                             witness.lock().unwrap().entry(qi).or_insert(d.candidates);
@@ -156,7 +156,7 @@ fn main() {
     wg.index_warehouse().expect("indexing");
     let slow: BackendHandle =
         Arc::new(FaultInjector::new(connector.clone(), FaultPlan::hang(STALL_MS as f64 / 1e3)));
-    wg.attach(slow);
+    wg.attach_named(wg_util::names::DEFAULT_NAME, slow);
 
     // The unloaded reference answers, computed sequentially (no
     // contention, every request admitted).

@@ -59,7 +59,8 @@ use wg_store::{BackendId, CostSnapshot};
 use wg_util::FxHashMap;
 
 use crate::durability::Checkpointer;
-use crate::system::{SyncReport, WarpGate};
+use crate::ingest::SyncReport;
+use crate::system::WarpGate;
 
 /// Which attached backends a daemon tick reconciles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -513,12 +514,11 @@ fn tick(shared: &Shared) {
             continue;
         }
 
-        let outcome = match shared.config.tick_deadline {
-            Some(budget) => {
-                shared.wg.sync_backend_id_deadline(id, wg_util::Deadline::within(budget))
-            }
-            None => shared.wg.sync_backend_id(id),
-        };
+        let deadline = shared
+            .config
+            .tick_deadline
+            .map_or(wg_util::Deadline::none(), wg_util::Deadline::within);
+        let outcome = shared.wg.sync_with(Some(id), deadline);
 
         let mut guard = shared.inner.lock().expect("daemon state lock");
         let inner = &mut *guard;
@@ -684,7 +684,7 @@ mod tests {
         // Heal the backend: attach the raw connector. The next half-open
         // probe succeeds and closes the circuit; the index converges. (The
         // default name keeps its breaker across the re-attach.)
-        wg.attach(healthy);
+        wg.attach_named(wg_util::names::DEFAULT_NAME, healthy);
         let r = wait_for(&daemon, |r| r.circuit == CircuitState::Closed && r.syncs_ok >= 1);
         assert_eq!(r.circuit_closed, 1, "recovery must come through a half-open probe");
         assert_eq!(wg.len(), 1, "index converged after recovery");

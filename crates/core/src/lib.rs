@@ -13,20 +13,33 @@
 //!   [`wg_store::WarehouseBackend`] (with sampling pushed down, §3.1.3),
 //!   embed it ([`wg_embed`]), and insert the embedding into a SimHash LSH
 //!   index ([`wg_lsh`]) tuned to the paper's 0.7 cosine threshold.
-//!   Indexing is parallel and incremental: [`WarpGate::sync`] diffs the
-//!   backend's per-table version tokens and re-scans only what changed.
+//!   Indexing is parallel, incremental and deterministic:
+//!   [`WarpGate::sync`] diffs the backend's per-table version tokens and
+//!   re-scans only what changed, and columns register in catalog order,
+//!   so item ids — and every persisted byte — are a function of the
+//!   warehouse, not of thread timing.
 //! * **Search** — embed the query column the same way, look up the LSH
 //!   bucket sub-universe, re-rank by exact cosine, return scored
 //!   [`JoinCandidate`]s with a [`QueryTiming`] decomposition
 //!   (load / embed / lookup — the decomposition behind the paper's
 //!   Table 2 analysis). Repeated queries hit a keyed embedding cache
 //!   ([`cache`]) and skip the scan+embed phases entirely;
-//!   [`WarpGate::discover_batch`] pipelines many queries over the worker
-//!   pool for join-graph construction.
+//!   [`WarpGate::discover_batch`] spreads many queries over worker
+//!   threads for join-graph construction.
+//!
+//! One way in per verb: a serving verb takes its options as an argument
+//! ([`QueryOptions`] for `discover_with` / `discover_batch` /
+//! `joinability`, a backend and a deadline for `sync_with`), and
+//! `&QueryOptions::default()` is the plain call; only `discover`, `sync`
+//! and `index_warehouse` keep a plain spelling beside it. The code is laid
+//! out the same way: `system.rs` holds the state and the attach-epoch
+//! discipline, `ingest.rs` the indexing pipeline and the one ordered
+//! fan-out both pipelines use, `query.rs` the search pipeline behind one
+//! request preamble.
 //!
 //! Concurrency: embeddings live in a sharded LSH index
-//! ([`wg_lsh::ShardedLshIndex`]) so inserts from parallel indexing workers
-//! land on disjoint shards and queries only contend with writers on `1/N`
+//! ([`wg_lsh::ShardedLshIndex`]) so a build's batched inserts take each
+//! shard's lock briefly and queries only contend with writers on `1/N`
 //! of their probes.
 //!
 //! The crate also implements the product interaction the paper builds
@@ -50,9 +63,10 @@
 //! ([`AdmissionController`]), per-tenant token-bucket quotas over billed
 //! scans/bytes ([`QuotaPolicy`]), and cooperative request deadlines
 //! (`wg_util::Deadline`) checked at every pipeline phase boundary — all
-//! wired through [`QueryOptions`] into `discover`/`discover_batch`/
-//! `joinability`/`sync`, with opt-in degraded (warm-cache-only) serving
-//! under admission pressure, always flagged in [`QueryTiming::degraded`].
+//! wired through [`QueryOptions`] into `discover_with`/`discover_batch`/
+//! `joinability` (and a deadline into `sync_with`), with opt-in degraded
+//! (warm-cache-only) serving under admission pressure, always flagged in
+//! [`QueryTiming::degraded`].
 //!
 //! Durability (§10 of DESIGN.md): snapshots are checksummed and written
 //! atomically, persisted sync tokens let a restarted node's first `sync()`
@@ -68,7 +82,9 @@ pub mod cache;
 pub mod config;
 pub mod daemon;
 pub mod durability;
+mod ingest;
 pub mod persist;
+mod query;
 mod registry;
 pub mod system;
 pub mod timing;
@@ -87,5 +103,7 @@ pub use durability::{
     atomic_write, stream_snapshot, Checkpointer, CrashState, RecoveryReport, RecoverySource,
     TornWriter,
 };
-pub use system::{Discovery, IndexReport, JoinCandidate, QueryOptions, SyncReport, WarpGate};
+pub use ingest::{IndexReport, SyncReport};
+pub use query::{Discovery, JoinCandidate, QueryOptions};
+pub use system::WarpGate;
 pub use timing::QueryTiming;

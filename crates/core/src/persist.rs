@@ -573,8 +573,10 @@ fn parse_sync_frame(total: usize, buf: &mut impl Buf) -> StoreResult<Vec<Persist
 mod tests {
     use super::*;
     use crate::config::WarpGateConfig;
+    use crate::QueryOptions;
     use std::sync::Arc;
-    use wg_store::{CdwConfig, CdwConnector, Column, Database, Table, Warehouse};
+    use wg_lsh::DiscoverScope;
+    use wg_store::{CdwConfig, CdwConnector, Column, Database, Table, TableRef, Warehouse};
 
     fn connector() -> Arc<CdwConnector> {
         let mut w = Warehouse::new("w");
@@ -649,13 +651,13 @@ mod tests {
         let c = connector();
         let wg = WarpGate::with_backend(WarpGateConfig::default(), c);
         wg.index_warehouse().unwrap();
-        wg.remove_table("db", "b");
+        wg.remove_table(&TableRef::new("db", "b"));
         let bytes = wg.to_bytes();
         let mut fresh = WarpGate::new(WarpGateConfig::default());
         fresh.load_bytes(&bytes).unwrap();
         assert_eq!(fresh.len(), 1);
         // The removed table must not reappear.
-        let hits = fresh.discover_values(&["VAL 1"], 5);
+        let hits = fresh.discover_values(&["VAL 1"], 5, &DiscoverScope::All);
         assert!(hits.iter().all(|h| h.reference.table != "b"));
     }
 
@@ -882,8 +884,9 @@ mod tests {
         assert_eq!(fresh.len(), 3);
         assert_eq!(fresh.discover(&q, 5).unwrap().candidates, before);
         // Scoped discovery still addresses the restored namespace.
-        let scoped =
-            fresh.discover_scoped(&q, 5, &wg_lsh::DiscoverScope::include([lake.bits()])).unwrap();
+        let scoped = fresh
+            .discover_with(&q, 5, &QueryOptions::scoped(DiscoverScope::include([lake.bits()])))
+            .unwrap();
         assert!(!scoped.candidates.is_empty());
         assert!(scoped.candidates.iter().all(|j| j.reference.backend == lake));
     }
@@ -1013,8 +1016,9 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
         assert_eq!(fresh.len(), 3);
         assert_eq!(fresh.discover(&q, 5).unwrap().candidates, before);
-        let scoped =
-            fresh.discover_scoped(&q, 5, &wg_lsh::DiscoverScope::include([lake.bits()])).unwrap();
+        let scoped = fresh
+            .discover_with(&q, 5, &QueryOptions::scoped(DiscoverScope::include([lake.bits()])))
+            .unwrap();
         assert!(!scoped.candidates.is_empty());
         assert!(scoped.candidates.iter().all(|j| j.reference.backend == lake));
     }

@@ -162,7 +162,7 @@ pub fn build_warpgate(
         Some(m) => WarpGate::with_model(config, m),
         None => WarpGate::new(config),
     };
-    wg.attach(backend.clone());
+    wg.attach_named(wg_util::names::DEFAULT_NAME, backend.clone());
     wg.index_warehouse()?;
     Ok(WarpGateSystem(wg))
 }

@@ -6,10 +6,6 @@
 //! vocabulary those baselines need:
 //!
 //! * [`stats`] — row/null/distinct counts, numeric moments and quantiles;
-//! * [`bloom`] — blocked profile storage with per-block q-gram bloom
-//!   unions, so name-similarity scans skip blocks with provably zero
-//!   overlap (bound from resident metadata, read only what survives —
-//!   the same move as the paged vector tier's row sketches);
 //! * [`format`] — format-pattern histograms (D3L evidence iv);
 //! * [`qgram`] — name q-gram sets (D3L evidence i, Aurum schema edges);
 //! * [`numeric_dist`] — numeric domain-distribution similarity (D3L
@@ -18,14 +14,12 @@
 //!   signature of the distinct values (D3L evidence ii, Aurum content
 //!   edges).
 
-pub mod bloom;
 pub mod format;
 pub mod numeric_dist;
 pub mod profile;
 pub mod qgram;
 pub mod stats;
 
-pub use bloom::{ProfileStore, QGramBloom, ScanStats};
 pub use format::FormatProfile;
 pub use numeric_dist::NumericSketch;
 pub use profile::ColumnProfile;

@@ -13,10 +13,12 @@
 //! ```
 //!
 //! The demo indexes all three namespaces into one LSH index, runs
-//! cross-warehouse discovery (all-scope, include-scope, exclude-scope),
-//! shows per-backend cost attribution from a federated `sync()`, mutates
-//! one warehouse and reconciles it alone with `sync_backend()`, and
-//! finishes with a cross-warehouse lookup-join augmentation.
+//! cross-warehouse discovery (`discover` for all-scope; `discover_with` and
+//! `QueryOptions::scoped(..)` for include- and exclude-scope), shows
+//! per-backend cost attribution from a federated `sync()`, mutates one
+//! warehouse and reconciles it alone with `sync_with(Some(id), ..)`, and
+//! finishes with a cross-warehouse `joinability` and lookup-join
+//! augmentation.
 //!
 //! ```text
 //! cargo run --release --example federated_discovery
@@ -109,7 +111,7 @@ fn main() {
     }
 
     let only_lake = wg
-        .discover_scoped(&query, 5, &DiscoverScope::include([lake.bits()]))
+        .discover_with(&query, 5, &QueryOptions::scoped(DiscoverScope::include([lake.bits()])))
         .expect("lake-scoped discover");
     println!("\nscoped to the lake only:");
     for c in &only_lake.candidates {
@@ -117,7 +119,7 @@ fn main() {
     }
 
     let not_partners = wg
-        .discover_scoped(&query, 5, &DiscoverScope::exclude([partners.bits()]))
+        .discover_with(&query, 5, &QueryOptions::scoped(DiscoverScope::exclude([partners.bits()])))
         .expect("exclude-scoped discover");
     println!("\neverywhere but the partner warehouse:");
     for c in &not_partners.candidates {
@@ -139,9 +141,9 @@ fn main() {
         .unwrap(),
     );
     println!("\nmutated crm.accounts in the CDW; reconciling ONLY that backend:");
-    let sync = wg.sync_backend("cdw").expect("targeted sync");
+    let sync = wg.sync_with(Some(cdw), Deadline::none()).expect("targeted sync");
     println!(
-        "  sync_backend(\"cdw\"): {} updated, {} columns re-embedded, {} requests billed",
+        "  sync_with(Some(cdw), ..): {} updated, {} columns re-embedded, {} requests billed",
         sync.tables_updated, sync.columns_indexed, sync.cost.requests
     );
 
@@ -154,7 +156,9 @@ fn main() {
     // --- Cross-warehouse augmentation (Fig. 3 step 3). ------------------
     let base = cdw_conn.warehouse().table("crm", "accounts").expect("base table").clone();
     let candidate = ColumnRef::scoped(partners, "ops", "vendors", "vendor");
-    let j = wg.joinability(&query, &candidate).expect("cross-warehouse joinability");
+    let j = wg
+        .joinability(&query, &candidate, &QueryOptions::default())
+        .expect("cross-warehouse joinability");
     println!("\njoinability({query}, {candidate}) = {j:.3}");
 
     server.shutdown();

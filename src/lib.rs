@@ -51,9 +51,13 @@
 //! backoff-with-jitter resilience, or a `RemoteBackend` reaching a
 //! warehouse served over TCP by a `RemoteBackendServer`.
 //! `WarpGate::sync()` keeps the index incremental as the attached
-//! warehouse changes, and `SyncDaemon` runs that reconciliation on a
-//! schedule with circuit breaking (see the `resilient_service` example
-//! for the full stack).
+//! warehouses change (`attach_named` adds more, each under its own
+//! namespace; `sync_with` reconciles one, or runs under a deadline), and
+//! `SyncDaemon` runs that reconciliation on a schedule with circuit
+//! breaking (see the `resilient_service` example for the full stack).
+//! Serving verbs take their options as an argument — `discover_with(q, k,
+//! &QueryOptions)`, `discover_batch`, `joinability` — and `discover(q, k)`
+//! is the default-options call.
 //!
 //! Under load the system degrades gracefully rather than hanging:
 //! admission control (`WarpGateConfig::with_admission`) sheds excess

@@ -178,7 +178,7 @@ fn joinability_agrees_across_backends() {
     for backend in backends {
         let wg = WarpGate::with_backend(WarpGateConfig::default(), backend);
         wg.index_warehouse().unwrap();
-        scores.push(wg.joinability(&a, &b).unwrap());
+        scores.push(wg.joinability(&a, &b, &QueryOptions::default()).unwrap());
     }
     assert_eq!(scores[0], scores[1], "joinability must not depend on the backend");
     assert!(scores[0] > 0.8);
@@ -214,7 +214,7 @@ fn recovery_after_faults_via_sync() {
     let wg = WarpGate::with_backend(WarpGateConfig { threads: 1, ..Default::default() }, flaky);
     wg.index_warehouse().expect_err("flaky link fails the bulk load");
 
-    wg.attach(inner);
+    wg.attach_named(warpgate::util::names::DEFAULT_NAME, inner);
     let report = wg.sync().unwrap();
     assert_eq!(report.columns_indexed, 7, "sync over the healthy link completes the index");
     let d = wg.discover(&ColumnRef::new("crm", "accounts", "name"), 3).unwrap();
@@ -301,12 +301,14 @@ fn scope_filters_rankings_without_billing_excluded_backends() {
 
     let q = ColumnRef::scoped(crm, "crm", "accounts", "name");
     finance_conn.reset_costs();
-    let included =
-        federated.discover_scoped(&q, 10, &DiscoverScope::include([finance.bits()])).unwrap();
+    let included = federated
+        .discover_with(&q, 10, &QueryOptions::scoped(DiscoverScope::include([finance.bits()])))
+        .unwrap();
     assert!(!included.candidates.is_empty(), "finance holds a joinable variant");
     assert!(included.candidates.iter().all(|c| c.reference.backend == finance));
-    let excluded =
-        federated.discover_scoped(&q, 10, &DiscoverScope::exclude([finance.bits()])).unwrap();
+    let excluded = federated
+        .discover_with(&q, 10, &QueryOptions::scoped(DiscoverScope::exclude([finance.bits()])))
+        .unwrap();
     assert!(excluded.candidates.iter().all(|c| c.reference.backend != finance));
     assert_eq!(
         finance_conn.costs().requests,

@@ -84,11 +84,17 @@ fn mixed_discover_index_remove_stress() {
                         d.candidates
                     );
                     if i % 3 == 0 {
-                        let j = wg.joinability(query, &other).unwrap();
+                        let j = wg.joinability(query, &other, &QueryOptions::default()).unwrap();
                         assert!(j > 0.8, "joinability collapsed to {j}");
                     }
                     if i % 5 == 0 {
-                        let batch = wg.discover_batch(&[query.clone(), other.clone()], 3).unwrap();
+                        let batch = wg
+                            .discover_batch(
+                                &[query.clone(), other.clone()],
+                                3,
+                                &QueryOptions::default(),
+                            )
+                            .unwrap();
                         assert_eq!(batch.len(), 2);
                     }
                 }
@@ -101,8 +107,8 @@ fn mixed_discover_index_remove_stress() {
             scope.spawn(move || {
                 let table = format!("t{t}");
                 for _ in 0..ROUNDS {
-                    assert_eq!(wg.remove_table("churn", &table), 1);
-                    let report = wg.index_table("churn", &table).unwrap();
+                    assert_eq!(wg.remove_table(&TableRef::new("churn", &table)), 1);
+                    let report = wg.index_table(&TableRef::new("churn", &table)).unwrap();
                     assert_eq!(report.columns_indexed, 1);
                 }
             });
@@ -133,7 +139,7 @@ fn removed_tables_never_resurface() {
         for t in 0..4 {
             let wg = &wg;
             scope.spawn(move || {
-                assert_eq!(wg.remove_table("churn", &format!("t{t}")), 1);
+                assert_eq!(wg.remove_table(&TableRef::new("churn", format!("t{t}"))), 1);
             });
         }
         for _ in 0..2 {
@@ -187,7 +193,7 @@ fn concurrent_batch_indexing_loses_nothing() {
         for t in 0..12 {
             let wg = &wg;
             scope.spawn(move || {
-                wg.index_table("db", &format!("t{t}")).unwrap();
+                wg.index_table(&TableRef::new("db", format!("t{t}"))).unwrap();
             });
         }
     });

@@ -487,14 +487,14 @@ fn metadata_faults_fail_sync_cleanly_and_tokens_survive() {
     // recorded tokens) untouched.
     let flaky: BackendHandle =
         Arc::new(FaultInjector::new(healthy.clone(), FaultPlan::fail_metadata_every(1)));
-    wg.attach(flaky);
+    wg.attach_named(warpgate::util::names::DEFAULT_NAME, flaky);
     let err = wg.sync().unwrap_err();
     assert!(err.is_retryable(), "metadata faults are transient: {err}");
     assert_eq!(wg.len(), 2, "failed sync must not disturb the index");
 
     // Heal: re-attach bumps the epoch, so one full re-scan reconciles and
     // the steady state goes back to no-op syncs.
-    wg.attach(healthy);
+    wg.attach_named(warpgate::util::names::DEFAULT_NAME, healthy);
     assert!(!wg.sync().unwrap().is_noop());
     assert!(wg.sync().unwrap().is_noop());
 }

@@ -129,7 +129,7 @@ fn incremental_updates_are_visible_to_discovery() {
         .warehouse_mut()
         .database_mut("nextiajd")
         .add_table(Table::new("fresh_table", vec![answer_col.renamed("fresh_copy")]).unwrap());
-    wg.index_table("nextiajd", "fresh_table").unwrap();
+    wg.index_table(&TableRef::new("nextiajd", "fresh_table")).unwrap();
 
     let hits = wg.discover(&q, 10).unwrap();
     assert!(
@@ -141,7 +141,7 @@ fn incremental_updates_are_visible_to_discovery() {
     );
 
     // Remove it again; it must disappear from results.
-    assert_eq!(wg.remove_table("nextiajd", "fresh_table"), 1);
+    assert_eq!(wg.remove_table(&TableRef::new("nextiajd", "fresh_table")), 1);
     let hits = wg.discover(&q, 10).unwrap();
     assert!(hits.candidates.iter().all(|c| c.reference.table != "fresh_table"));
 }

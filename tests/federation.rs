@@ -10,7 +10,7 @@
 //! * scoped discovery restricts results per namespace and never scans
 //!   (or bills) excluded backends;
 //! * `sync()` attributes per-backend cost slices separately, and
-//!   `sync_backend` on a mutated warehouse re-scans only that backend's
+//!   `sync_with(Some(id), ..)` on a mutated warehouse re-scans only that backend's
 //!   changed table — CostMeter-verified on every other backend;
 //! * re-attaching a different warehouse under an existing name serves
 //!   nothing stale (epoch guard);
@@ -210,14 +210,18 @@ fn scoped_discovery_restricts_results_and_bills_no_excluded_backend() {
     // Include: only the lake's namespace may answer.
     fed.lake_backend.reset_costs();
     fed.served_conn.reset_costs();
-    let only_lake =
-        fed.wg.discover_scoped(&q, 10, &DiscoverScope::include([fed.lake.bits()])).unwrap();
+    let only_lake = fed
+        .wg
+        .discover_with(&q, 10, &QueryOptions::scoped(DiscoverScope::include([fed.lake.bits()])))
+        .unwrap();
     assert!(!only_lake.candidates.is_empty(), "the lake holds a joinable variant");
     assert!(only_lake.candidates.iter().all(|c| c.reference.backend == fed.lake));
 
     // Exclude: everything but the lake.
-    let not_lake =
-        fed.wg.discover_scoped(&q, 10, &DiscoverScope::exclude([fed.lake.bits()])).unwrap();
+    let not_lake = fed
+        .wg
+        .discover_with(&q, 10, &QueryOptions::scoped(DiscoverScope::exclude([fed.lake.bits()])))
+        .unwrap();
     assert!(!not_lake.candidates.is_empty());
     assert!(not_lake.candidates.iter().all(|c| c.reference.backend != fed.lake));
 
@@ -270,8 +274,7 @@ fn sync_attributes_costs_per_backend_and_sync_backend_stays_scoped() {
     fed.cdw_conn.reset_costs();
     fed.lake_backend.reset_costs();
     fed.served_conn.reset_costs();
-    let cdw_name = fed.cdw.name();
-    let incremental = fed.wg.sync_backend(&cdw_name).unwrap();
+    let incremental = fed.wg.sync_with(Some(fed.cdw), Deadline::none()).unwrap();
     assert_eq!(incremental.tables_updated, 1);
     assert_eq!(incremental.columns_indexed, 1, "only the mutated table's column re-embeds");
     assert_eq!(fed.cdw_conn.costs().requests, 1, "one column scan on the mutated CDW");
@@ -310,7 +313,7 @@ fn reattaching_a_different_warehouse_serves_nothing_stale() {
         fed.wg.attach_named(&name, Arc::new(CdwConnector::new(replacement, CdwConfig::free())));
     assert_eq!(id, fed.cdw, "a name keeps its namespace across re-attach");
 
-    let report = fed.wg.sync_backend(&name).unwrap();
+    let report = fed.wg.sync_with(Some(id), Deadline::none()).unwrap();
     assert_eq!(
         report.tables_added + report.tables_updated,
         2,
@@ -321,8 +324,8 @@ fn reattaching_a_different_warehouse_serves_nothing_stale() {
     assert_ne!(flat(&before.candidates), flat(&after.candidates), "new content, new ranking");
 
     // The other namespaces were never disturbed: their sync is a no-op.
-    assert!(fed.wg.sync_backend(&fed.lake.name()).unwrap().is_noop());
-    assert!(fed.wg.sync_backend(&fed.remote.name()).unwrap().is_noop());
+    assert!(fed.wg.sync_with(Some(fed.lake), Deadline::none()).unwrap().is_noop());
+    assert!(fed.wg.sync_with(Some(fed.remote), Deadline::none()).unwrap().is_noop());
 }
 
 #[test]
@@ -345,8 +348,8 @@ fn detaching_a_namespace_drops_its_paged_tier() {
 
     // Warm the block cache and pin that the lake namespace serves.
     let q = ColumnRef::scoped(fed.cdw, "crm", "accounts", "name");
-    let lake_scope = DiscoverScope::include([fed.lake.bits()]);
-    let before = fed.wg.discover_scoped(&q, 5, &lake_scope).unwrap();
+    let lake_scope = QueryOptions::scoped(DiscoverScope::include([fed.lake.bits()]));
+    let before = fed.wg.discover_with(&q, 5, &lake_scope).unwrap();
     assert!(!before.candidates.is_empty(), "lake must serve before the detach");
     assert!(fed.wg.block_cache_stats().resident_blocks > 0, "re-rank hydrated blocks");
 
@@ -355,7 +358,7 @@ fn detaching_a_namespace_drops_its_paged_tier() {
     assert!(fed.wg.detach_named(&lake_name).is_some());
     assert_eq!(fed.wg.cold_len(), total - 1, "the lake's cold row must drop");
     assert_eq!(fed.wg.len(), total - 1);
-    let after = fed.wg.discover_scoped(&q, 5, &lake_scope).unwrap();
+    let after = fed.wg.discover_with(&q, 5, &lake_scope).unwrap();
     assert!(after.candidates.is_empty(), "a detached namespace's paged rows must not serve");
 
     // A different warehouse under the same name: sync serves only the new
@@ -375,9 +378,9 @@ fn detaching_a_namespace_drops_its_paged_tier() {
         .wg
         .attach_named(&lake_name, Arc::new(CdwConnector::new(replacement, CdwConfig::free())));
     assert_eq!(id, fed.lake, "a name keeps its namespace across re-attach");
-    fed.wg.sync_backend(&lake_name).unwrap();
+    fed.wg.sync_with(Some(id), Deadline::none()).unwrap();
     assert_eq!(fed.wg.cold_len(), total - 1, "re-synced content is hot, not paged");
-    let swapped = fed.wg.discover_scoped(&q, 5, &lake_scope).unwrap();
+    let swapped = fed.wg.discover_with(&q, 5, &lake_scope).unwrap();
     assert!(
         swapped.candidates.iter().all(|c| c.reference.column == "company_name"),
         "only the replacement's rows may serve: {swapped:?}"

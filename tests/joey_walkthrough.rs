@@ -94,7 +94,7 @@ fn discover_values_matches_column_backed_query() {
 
     let pasted: Vec<String> =
         (0..40u64).map(|i| warpgate::corpora::Domain::Company.value(i)).collect();
-    let hits = wg.discover_values(&pasted, 5);
+    let hits = wg.discover_values(&pasted, 5, &DiscoverScope::All);
     assert!(!hits.is_empty());
     let company_ish = hits.iter().any(|h| {
         h.reference.column.to_lowercase().contains("name")

@@ -122,14 +122,14 @@ fn expired_deadline_discover_bills_zero_further_scans() {
     let q = ColumnRef::new("crm", "accounts", "name");
     let before = connector.costs();
     let expired = QueryOptions { deadline: Deadline::within_ms(0), ..Default::default() };
-    let err = wg.discover_opts(&q, 5, &expired).unwrap_err();
+    let err = wg.discover_with(&q, 5, &expired).unwrap_err();
     assert!(matches!(err, StoreError::DeadlineExceeded { phase: Phase::Validate }), "{err:?}");
     assert!(!err.is_retryable(), "the clock is dead either way");
     assert_eq!(connector.costs().since(&before).requests, 0, "expiry must stop billing");
 
     // A live budget serves normally through the same path.
     let live = QueryOptions { deadline: Deadline::within_ms(30_000), ..Default::default() };
-    let d = wg.discover_opts(&q, 5, &live).expect("live budget serves");
+    let d = wg.discover_with(&q, 5, &live).expect("live budget serves");
     assert!(!d.candidates.is_empty());
     assert!(!d.timing.degraded);
 }
@@ -195,10 +195,10 @@ fn quota_exhausted_tenant_is_isolated_and_others_stay_bit_identical() {
 
     let noisy_opts = QueryOptions { tenant: Some(noisy), ..Default::default() };
     loaded
-        .discover_opts(&ColumnRef::new("crm", "accounts", "name"), 5, &noisy_opts)
+        .discover_with(&ColumnRef::new("crm", "accounts", "name"), 5, &noisy_opts)
         .expect("first call fits the bucket");
     let err = loaded
-        .discover_opts(&ColumnRef::new("crm", "accounts", "employees"), 5, &noisy_opts)
+        .discover_with(&ColumnRef::new("crm", "accounts", "employees"), 5, &noisy_opts)
         .unwrap_err();
     assert!(matches!(err, StoreError::QuotaExceeded { .. }), "{err:?}");
     assert!(err.is_retryable(), "quota rejections invite a backoff-retry");
@@ -210,7 +210,7 @@ fn quota_exhausted_tenant_is_isolated_and_others_stay_bit_identical() {
         ColumnRef::new("crm", "leads", "company"),
         ColumnRef::new("finance", "industries", "company_name"),
     ] {
-        let under_load = loaded.discover_opts(&q, 5, &polite_opts).expect("polite tenant serves");
+        let under_load = loaded.discover_with(&q, 5, &polite_opts).expect("polite tenant serves");
         let unloaded = control.discover(&q, 5).expect("control serves");
         assert_eq!(
             under_load.candidates, unloaded.candidates,
@@ -220,7 +220,7 @@ fn quota_exhausted_tenant_is_isolated_and_others_stay_bit_identical() {
     }
     // And the noisy tenant stays rejected until its bucket refills.
     let err = loaded
-        .discover_opts(&ColumnRef::new("finance", "industries", "company_name"), 5, &noisy_opts)
+        .discover_with(&ColumnRef::new("finance", "industries", "company_name"), 5, &noisy_opts)
         .unwrap_err();
     assert!(matches!(err, StoreError::QuotaExceeded { .. }), "{err:?}");
 }
@@ -282,9 +282,9 @@ impl WarehouseBackend for GatedBackend {
 }
 
 /// Shedding protects the warehouse: with the only admission slot held
-/// inside a scan, a shed `discover` — refused outright, served degraded
-/// from cache, or asking for a column that does not exist — makes zero
-/// backend calls.
+/// inside a scan, a shed request — a `discover` refused outright, served
+/// degraded from cache, or asking for a column that does not exist; a
+/// batch; a `joinability` — makes zero backend calls.
 #[test]
 fn shed_requests_never_touch_the_backend() {
     let gated = Arc::new(GatedBackend {
@@ -306,7 +306,7 @@ fn shed_requests_never_touch_the_backend() {
     let cold_q = ColumnRef::new("finance", "industries", "company_name");
     let unknown = ColumnRef::new("crm", "accounts", "nope");
     let shed = |q: &ColumnRef, allow_degraded: bool| {
-        wg.discover_opts(q, 3, &QueryOptions { allow_degraded, ..Default::default() })
+        wg.discover_with(q, 3, &QueryOptions { allow_degraded, ..Default::default() })
     };
     // Everything is gathered while the slot is held and judged only after
     // the holder is released, so a failed expectation cannot strand it.
@@ -315,10 +315,18 @@ fn shed_requests_never_touch_the_backend() {
         // The holder now sits inside its scan, admission slot in hand.
         gated.entered.wait();
         let calls = gated.calls.load(Ordering::SeqCst);
-        let refused: Vec<_> =
+        let plain = QueryOptions::default();
+        let refused: Vec<(String, Result<(), StoreError>)> =
             [(&warm_q, false), (&cold_q, false), (&cold_q, true), (&unknown, false)]
-                .map(|(q, allow_degraded)| (q, shed(q, allow_degraded)))
+                .map(|(q, allow_degraded)| (q.to_string(), shed(q, allow_degraded).map(drop)))
                 .into_iter()
+                .chain([
+                    (
+                        "batch".to_string(),
+                        wg.discover_batch(&[warm_q.clone(), cold_q.clone()], 3, &plain).map(drop),
+                    ),
+                    ("joinability".to_string(), wg.joinability(&warm_q, &cold_q, &plain).map(drop)),
+                ])
                 .collect();
         let degraded = shed(&warm_q, true);
         let calls_during_shedding = gated.calls.load(Ordering::SeqCst) - calls;
@@ -329,12 +337,12 @@ fn shed_requests_never_touch_the_backend() {
         (refused, degraded, calls_during_shedding)
     });
 
-    for (q, outcome) in refused {
-        assert!(matches!(outcome, Err(StoreError::Overloaded { .. })), "{q}: {outcome:?}");
+    for (what, outcome) in refused {
+        assert!(matches!(outcome, Err(StoreError::Overloaded { .. })), "{what}: {outcome:?}");
     }
     let degraded = degraded.expect("warm cache answers a shed request");
     assert!(degraded.timing.degraded && degraded.timing.cache_hit);
     assert_eq!(degraded.candidates, warm.candidates);
     assert_eq!(calls_during_shedding, 0, "a shed request must not reach the backend");
-    assert!(wg.admission_stats().expect("admission is on").shed_queue_full >= 5);
+    assert!(wg.admission_stats().expect("admission is on").shed_queue_full >= 7);
 }

@@ -213,8 +213,8 @@ fn a_heap_the_hot_pass_filled_lets_the_cold_pass_read_nothing() {
     for t in 0..=K {
         let table = Table::new(format!("hot{t}"), vec![Column::text("dup", duplicate.clone())]);
         connector.warehouse_mut().database_mut("db").add_table(table.unwrap());
-        ram.index_table("db", &format!("hot{t}")).unwrap();
-        mixed.index_table("db", &format!("hot{t}")).unwrap();
+        ram.index_table(&TableRef::new("db", format!("hot{t}"))).unwrap();
+        mixed.index_table(&TableRef::new("db", format!("hot{t}"))).unwrap();
     }
     assert_eq!(mixed.len(), ram.len());
     assert_eq!(mixed.cold_len(), sealed_len, "the sealed rows still serve from disk");

@@ -212,7 +212,7 @@ fn round_trip_budget_per_facade_call() {
     let pair = spent(&|| {
         let a = ColumnRef::new("crm", "accounts", "employees");
         let b = ColumnRef::new("finance", "industries", "company_name");
-        wg.joinability(&a, &b).expect("cold joinability");
+        wg.joinability(&a, &b, &QueryOptions::default()).expect("cold joinability");
     });
     assert_eq!(pair, 2, "cold joinability: two scans");
 

@@ -253,8 +253,6 @@ fn rankings_and_bytes_survive_every_shard_count_pairing() {
     for save_shards in [1usize, 2, 8] {
         let saver = WarpGate::with_backend(config(save_shards), c.clone());
         saver.index_warehouse().unwrap();
-        // One indexing thread: ids, and so bytes, are a function of the
-        // warehouse alone.
         let bytes = saver.to_bytes();
         assert_eq!(bytes, want_bytes, "bytes depend on the saver's {save_shards} shards");
         for load_shards in [1usize, 2, 8] {
@@ -268,6 +266,79 @@ fn rankings_and_bytes_survive_every_shard_count_pairing() {
             assert!(loader.sync().unwrap().is_noop(), "sync tokens carry over");
         }
     }
+}
+
+/// Every file of a `save_paged` directory, by name.
+fn dir_files(dir: &std::path::Path) -> std::collections::BTreeMap<String, Vec<u8>> {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap())
+        .map(|e| (e.file_name().into_string().unwrap(), std::fs::read(e.path()).unwrap()))
+        .collect()
+}
+
+/// Ids — and so shard placement, row order, tie order and every persisted
+/// byte — are a function of the warehouse, not of how many threads built
+/// the index or in what order they finished (ISSUE 21).
+#[test]
+fn builds_are_identical_at_every_thread_and_shard_count() {
+    let corpus = warpgate::corpora::build_testbed(&warpgate::corpora::TestbedSpec::xs(0.1));
+    let c = Arc::new(CdwConnector::new(corpus.warehouse.clone(), CdwConfig::free()));
+    let systems: Vec<(usize, usize, WarpGate)> = [1usize, 2, 8]
+        .into_iter()
+        .flat_map(|threads| [1usize, 2, 8].map(|shards| (threads, shards)))
+        .map(|(threads, shards)| {
+            let config = WarpGateConfig { threads, ..Default::default() }.with_shards(shards);
+            (threads, shards, WarpGate::with_backend(config, c.clone()))
+        })
+        .collect();
+    let dir = tmp_dir("determinism");
+    let check = |pass: &str| {
+        let (_, _, reference) = &systems[0];
+        let want_bytes = reference.to_bytes();
+        let want: Vec<_> =
+            corpus.queries.iter().map(|q| reference.discover(q, 10).unwrap().candidates).collect();
+        for (threads, shards, wg) in &systems {
+            let at = format!("{pass}, {threads} threads, {shards} shards");
+            assert_eq!(wg.len(), reference.len(), "{at}");
+            assert!(wg.to_bytes() == want_bytes, "{at}: to_bytes() differs");
+            for (q, want) in corpus.queries.iter().zip(&want) {
+                assert_eq!(&wg.discover(q, 10).unwrap().candidates, want, "{at}: {q}");
+            }
+            let paged = dir.join(format!("{pass}-{threads}-{shards}"));
+            wg.save_paged(&paged).unwrap();
+            assert!(
+                dir_files(&paged) == dir_files(&dir.join(format!("{pass}-1-{shards}"))),
+                "{at}: save_paged directory differs from the one-thread build's"
+            );
+        }
+    };
+    for (_, _, wg) in &systems {
+        wg.index_warehouse().unwrap();
+    }
+    assert_eq!(corpus.queries.len(), 35);
+    check("built");
+
+    // One table no query reads changes shape: its first column stays, the
+    // others go, one is new.
+    let (database, table) = {
+        let w = c.warehouse();
+        let database = &w.databases()[0];
+        let unqueried = |t: &&Table| !corpus.queries.iter().any(|q| q.table == t.name());
+        let table = database.tables().iter().find(unqueried).expect("a table no query reads");
+        (database.name().to_string(), table.clone())
+    };
+    let kept = table.columns()[0].clone();
+    let fresh =
+        Column::text("fresh", (0..kept.len()).map(|i| format!("fresh {i}")).collect::<Vec<_>>());
+    c.warehouse_mut()
+        .database_mut(&database)
+        .add_table(Table::new(table.name(), vec![kept, fresh]).unwrap());
+    for (_, _, wg) in &systems {
+        assert_eq!(wg.sync().unwrap().tables_updated, 1);
+    }
+    check("synced");
+    let _ = std::fs::remove_dir_all(dir);
 }
 
 #[test]
@@ -313,7 +384,7 @@ fn a_loader_whose_interner_orders_the_names_differently_recomposes_ids() {
 
     let scoped = |node: &WarpGate, id: BackendId| {
         let hits = node
-            .discover_scoped(&query(), 5, &DiscoverScope::include([id.bits()]))
+            .discover_with(&query(), 5, &QueryOptions::scoped(DiscoverScope::include([id.bits()])))
             .unwrap()
             .candidates;
         assert!(!hits.is_empty() && hits.iter().all(|j| j.reference.backend == id));
@@ -330,10 +401,11 @@ fn a_loader_whose_interner_orders_the_names_differently_recomposes_ids() {
         assert_eq!(fresh.len(), wg.len());
         assert_eq!(scoped(&fresh, a), scoped(&wg, b));
         assert_eq!(scoped(&fresh, b), scoped(&wg, a));
-        let default_only = DiscoverScope::include([BackendId::DEFAULT.bits()]);
+        let default_only =
+            QueryOptions::scoped(DiscoverScope::include([BackendId::DEFAULT.bits()]));
         assert_eq!(
-            fresh.discover_scoped(&query(), 5, &default_only).unwrap().candidates,
-            wg.discover_scoped(&query(), 5, &default_only).unwrap().candidates
+            fresh.discover_with(&query(), 5, &default_only).unwrap().candidates,
+            wg.discover_with(&query(), 5, &default_only).unwrap().candidates
         );
     }
     std::fs::remove_dir_all(&dir).ok();

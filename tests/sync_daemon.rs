@@ -187,7 +187,7 @@ fn circuit_breaker_transitions_are_visible_and_recoverable() {
 
     // Heal: swap in the healthy backend. The next probe closes the
     // circuit and the index converges.
-    wg.attach(healthy);
+    wg.attach_named(warpgate::util::names::DEFAULT_NAME, healthy);
     let r = wait_for(&daemon, |r| r.circuit == CircuitState::Closed && r.syncs_ok >= 1);
     assert!(r.circuit_closed >= 1, "recovery must pass through half-open: {r:?}");
     assert_eq!(wg.len(), 4, "index converged after recovery");
