@@ -1,9 +1,9 @@
 //! Shared fixtures for the Criterion benches.
 //!
-//! Benches regenerate the paper's tables/figures (the series are printed
-//! once per run; Criterion then times the operation the artifact measures).
-//! All corpora here use small row scales so `cargo bench` completes in
-//! minutes; set `WG_ROW_SCALE_MULT` to push them up.
+//! The paper's tables and figures are regenerated by `wg_eval`'s
+//! `reproduce` binary; what is left here times the system's own behaviour
+//! (concurrency, sync, retry, shedding) and the parameter ablations. All
+//! corpora use small row scales so `cargo bench` completes in minutes.
 
 use std::sync::Arc;
 
@@ -16,14 +16,6 @@ pub fn xs_fixture() -> (Corpus, BackendHandle) {
     let corpus = build_testbed(&TestbedSpec::xs(0.1));
     let backend: BackendHandle =
         Arc::new(CdwConnector::new(corpus.warehouse.clone(), CdwConfig::free()));
-    (corpus, backend)
-}
-
-/// The XS testbed with the priced/latent CDW model (timing benches).
-pub fn xs_fixture_priced() -> (Corpus, BackendHandle) {
-    let corpus = build_testbed(&TestbedSpec::xs(0.1));
-    let backend: BackendHandle =
-        Arc::new(CdwConnector::new(corpus.warehouse.clone(), CdwConfig::default()));
     (corpus, backend)
 }
 

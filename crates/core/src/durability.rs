@@ -14,9 +14,9 @@
 //!    every instant the destination holds either the complete old bytes
 //!    or the complete new bytes — never a prefix of either. A mid-write
 //!    crash (or a full disk) strands at most a temp file.
-//! 2. **Detection** (the WGFT footer, see [`wg_util::checksum`]): if
-//!    bytes *do* rot — a torn sector, a bit flip — the loader rejects the
-//!    file with [`StoreError::SnapshotCorrupt`] instead of installing
+//! 2. **Detection** (the segment's checksums, see [`wg_util::segment`]):
+//!    if bytes *do* rot — a torn sector, a bit flip — the loader rejects
+//!    the file with [`StoreError::SnapshotCorrupt`] instead of installing
 //!    garbage.
 //! 3. **Recovery** ([`Checkpointer`]): each checkpoint rotates the
 //!    previous snapshot to `<path>.prev` before installing the new one,
@@ -102,12 +102,13 @@ impl Checkpointer {
     }
 
     /// Snapshot `wg` into the newest generation, demoting the current
-    /// newest (if any) to `.prev` on the way.
+    /// newest (if any) to `.prev` on the way. A row of the paged tier that
+    /// cannot be read back fails the checkpoint before anything is written.
     pub fn checkpoint(&self, wg: &WarpGate) -> io::Result<()> {
         // Rotate only once the new generation is safely on disk: demoting
         // the old snapshot before that could leave zero loadable
         // generations after a crash.
-        atomic_file::write_with(&self.path, &wg.to_bytes(), || {
+        atomic_file::write_with(&self.path, &wg.seal(false)?.0, || {
             if self.path.exists() {
                 fs::rename(&self.path, self.previous_path())?;
             }
@@ -211,7 +212,7 @@ impl CrashState {
 ///
 /// [`TornWriter::bit_flip_states`] separately yields the completed state
 /// with every single bit of the newest generation flipped — the media-rot
-/// cases where the footer checksum, not write atomicity, is the defense.
+/// cases where the checksums, not write atomicity, are the defense.
 #[derive(Debug, Clone)]
 pub struct TornWriter {
     old: Option<Vec<u8>>,
@@ -256,7 +257,7 @@ impl TornWriter {
     /// The completed rotation with bit `bit` of byte `offset` of the
     /// newest generation flipped, for every byte offset — one flipped bit
     /// per byte keeps the sweep linear while still touching every byte of
-    /// every frame (header, entries, index, sync state, footer).
+    /// the image (preamble, blocks, directory, trailer).
     pub fn bit_flip_states(&self) -> Vec<CrashState> {
         (0..self.new.len())
             .map(|offset| {
@@ -277,6 +278,7 @@ impl TornWriter {
 mod tests {
     use super::*;
     use std::io::Write;
+    use std::sync::Arc;
 
     /// Errors after `limit` bytes, like a disk running full mid-write.
     struct FailingWriter {
@@ -394,89 +396,177 @@ mod tests {
         fs::remove_dir_all(&dir).ok();
     }
 
-    #[test]
-    fn checkpoint_under_racing_discover_and_sync_recovers_a_state_the_system_was_in() {
-        use crate::config::WarpGateConfig;
-        use std::sync::atomic::{AtomicBool, Ordering};
-        use wg_store::{CdwConfig, CdwConnector, Column, ColumnRef, Table, Warehouse};
+    use crate::config::WarpGateConfig;
+    use wg_store::{CdwConfig, CdwConnector, Column, ColumnRef, Table, Warehouse};
 
-        // One thread flips table `b` between two contents and syncs; one
-        // keeps discovering; this one checkpoints as fast as it can. The
-        // encoder reads each shard's arena in place, so it must hold the
-        // shards' read guards from the row count to the last row: every
-        // checkpoint has to recover (a count that disagrees with the rows
-        // written would be a corrupt frame), to one of the two generations
-        // (`b` has one column, so a sync replaces exactly one row), with
-        // every signature the one its vector signs to — never one
-        // generation's next to the other's.
-        let table = |name: &str, from: usize| {
-            let values: Vec<String> = (from..from + 24).map(|i| format!("val {i}")).collect();
-            Table::new(name, vec![Column::text("x", values)]).unwrap()
-        };
+    /// A way to persist a node under a scratch path and restart one from
+    /// it: the checkpoint pair and the paged pair. Everything below holds
+    /// for both.
+    type SaveLoad = (
+        &'static str,
+        fn(&WarpGate, &Path) -> io::Result<()>,
+        fn(&mut WarpGate, &Path) -> StoreResult<()>,
+    );
+    const PAIRS: [SaveLoad; 2] = [
+        (
+            "checkpoint / recover",
+            |wg, path| Checkpointer::new(path).checkpoint(wg),
+            |wg, path| {
+                let report = Checkpointer::new(path).recover(wg)?;
+                assert_eq!(report.source, RecoverySource::Primary);
+                Ok(())
+            },
+        ),
+        (
+            "save_paged / load_paged",
+            |wg, path| wg.save_paged(path).map(drop),
+            |wg, path| wg.load_paged(path),
+        ),
+    ];
+
+    /// Table `name` with one text column of 24 values from `from` on, plus
+    /// `extra` ones.
+    fn table(name: &str, from: usize, extra: &[String]) -> Table {
+        let values = (from..from + 24).map(|i| format!("val {i}")).chain(extra.iter().cloned());
+        Table::new(name, vec![Column::text("x", values.collect::<Vec<_>>())]).unwrap()
+    }
+
+    /// A node over tables `a` and `b`, its connector, and the ranking of
+    /// `a.x`'s neighbours — which moves whenever `b` does.
+    fn two_tables() -> (WarpGateConfig, Arc<CdwConnector>, WarpGate) {
         let mut w = Warehouse::new("race");
-        w.database_mut("db").add_table(table("a", 0));
-        w.database_mut("db").add_table(table("b", 0));
-        let c = std::sync::Arc::new(CdwConnector::new(w, CdwConfig::free()));
-        let flip_b = |from: usize| c.warehouse_mut().database_mut("db").add_table(table("b", from));
+        w.database_mut("db").add_table(table("a", 0, &[]));
+        w.database_mut("db").add_table(table("b", 0, &[]));
+        let c = Arc::new(CdwConnector::new(w, CdwConfig::free()));
         let config = WarpGateConfig { dim: 64, threads: 1, ..Default::default() };
         let wg = WarpGate::with_backend(config, c.clone());
         wg.index_warehouse().unwrap();
-        let query = ColumnRef::new("db", "a", "x");
-        let rank_of = |node: &WarpGate| node.discover(&query, 3).unwrap().candidates;
+        (config, c, wg)
+    }
+
+    fn rank_of(node: &WarpGate) -> Vec<crate::JoinCandidate> {
+        node.discover(&ColumnRef::new("db", "a", "x"), 3).unwrap().candidates
+    }
+
+    #[test]
+    fn checkpoint_under_racing_discover_and_sync_recovers_a_state_the_system_was_in() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+
+        // One thread flips table `b` between two contents and syncs; one
+        // keeps discovering; this one saves as fast as it can. The seal
+        // reads each shard's arena in place, so it must hold the shards'
+        // read guards from the first row to the last: every save has to
+        // load (a directory that disagrees with the rows written would be a
+        // corrupt file), to one of the two generations (`b` has one column,
+        // so a sync replaces exactly one row), with every signature the one
+        // its vector signs to — never one generation's next to the other's.
+        let (config, c, wg) = two_tables();
+        let flip_b =
+            |from: usize| c.warehouse_mut().database_mut("db").add_table(table("b", from, &[]));
         let first = rank_of(&wg);
         flip_b(6);
         wg.sync().unwrap();
         let second = rank_of(&wg);
         assert_ne!(first, second, "generations must be distinguishable by ranking");
 
-        let dir = tmp_dir("race");
-        let ckpt = Checkpointer::new(dir.join("snapshot.bin"));
-        /// Ends the helper threads however the checkpointing loop ends.
+        /// Ends the helper threads however the saving loop ends.
         struct StopOnDrop<'a>(&'a AtomicBool);
         impl Drop for StopOnDrop<'_> {
             fn drop(&mut self) {
                 self.0.store(true, Ordering::SeqCst);
             }
         }
-        let stop = AtomicBool::new(false);
-        let started = std::sync::Barrier::new(3);
-        std::thread::scope(|scope| {
-            scope.spawn(|| {
-                started.wait();
-                for round in 0.. {
-                    if stop.load(Ordering::SeqCst) {
-                        break;
+        for (pair, save, load) in PAIRS {
+            let dir = tmp_dir("race");
+            let path = dir.join("snapshot");
+            let stop = AtomicBool::new(false);
+            let started = std::sync::Barrier::new(3);
+            std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    started.wait();
+                    for round in 0.. {
+                        if stop.load(Ordering::SeqCst) {
+                            break;
+                        }
+                        flip_b(if round % 2 == 0 { 0 } else { 6 });
+                        wg.sync().unwrap();
                     }
-                    flip_b(if round % 2 == 0 { 0 } else { 6 });
-                    wg.sync().unwrap();
-                }
-            });
-            scope.spawn(|| {
+                });
+                scope.spawn(|| {
+                    started.wait();
+                    while !stop.load(Ordering::SeqCst) {
+                        let got = rank_of(&wg);
+                        assert!(got == first || got == second, "a reader saw a third state");
+                    }
+                });
                 started.wait();
-                while !stop.load(Ordering::SeqCst) {
-                    let got = rank_of(&wg);
-                    assert!(got == first || got == second, "a reader saw a third state");
+                let _stop = StopOnDrop(&stop);
+                let mut recovered = WarpGate::with_backend(config, c.clone());
+                for round in 0..40 {
+                    save(&wg, &path).unwrap();
+                    load(&mut recovered, &path)
+                        .unwrap_or_else(|e| panic!("{pair} {round} did not load: {e}"));
+                    assert_eq!(recovered.len(), 2);
+                    let got = rank_of(&recovered);
+                    assert!(got == first || got == second, "{pair} {round} holds a third state");
+                    let index = &recovered.index;
+                    let hasher =
+                        wg_lsh::SimHasher::new(index.dim(), index.params().bits(), index.seed());
+                    let cache = wg_lsh::BlockCache::new(0);
+                    let image = wg_lsh::VectorSegment::from_bytes(recovered.to_bytes(), cache);
+                    let image = image.expect("a sealed image opens");
+                    for b in 0..image.block_count() {
+                        let data = image.block(b).unwrap();
+                        for (r, vector) in data.chunks_exact(index.dim()).enumerate() {
+                            assert_eq!(
+                                image.signature_of(b, r),
+                                hasher.sign(vector),
+                                "{pair} {round}"
+                            );
+                        }
+                    }
                 }
             });
-            started.wait();
-            let _stop = StopOnDrop(&stop);
-            let mut recovered = WarpGate::with_backend(config, c.clone());
-            for round in 0..40 {
-                ckpt.checkpoint(&wg).unwrap();
-                let report = ckpt
-                    .recover(&mut recovered)
-                    .unwrap_or_else(|e| panic!("checkpoint {round} did not recover: {e}"));
-                assert_eq!((report.source, report.columns), (RecoverySource::Primary, 2));
-                let got = rank_of(&recovered);
-                assert!(got == first || got == second, "checkpoint {round} holds a third state");
-                let index = recovered.lsh_index();
-                let hasher =
-                    wg_lsh::SimHasher::new(index.dim(), index.params().bits(), index.seed());
-                for row in index.export_segment_rows().into_iter().flatten() {
-                    assert_eq!(row.signature, hasher.sign(&row.vector), "checkpoint {round}");
-                }
+            fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    #[test]
+    fn a_change_committed_while_a_save_is_in_flight_is_not_lost_to_the_restored_node() {
+        // Each round, one never-repeating change to `b` and the sync that
+        // commits it race one save. Whichever way they interleave, the file
+        // may say "`b` is at the new version" only over the new row: a node
+        // restored from it and synced once must rank like the live one. (A
+        // writer that reads the tokens after the rows fails this in most
+        // rounds: its file carries the new token over the old row, and the
+        // restored node's sync is a no-op that never re-scans.)
+        let (config, c, wg) = two_tables();
+        for (pair, save, load) in PAIRS {
+            let dir = tmp_dir("in-flight");
+            let path = dir.join("snapshot");
+            for round in 0..200 {
+                let go = std::sync::Barrier::new(2);
+                std::thread::scope(|scope| {
+                    scope.spawn(|| {
+                        go.wait();
+                        save(&wg, &path).unwrap();
+                    });
+                    let once = [format!("round {pair} {round}")];
+                    let changed = table("b", 1 + round % 12, &once);
+                    go.wait();
+                    c.warehouse_mut().database_mut("db").add_table(changed);
+                    assert_eq!(wg.sync().unwrap().tables_updated, 1);
+                });
+                let mut restored = WarpGate::with_backend(config, c.clone());
+                load(&mut restored, &path).unwrap_or_else(|e| panic!("{pair} {round}: {e}"));
+                restored.sync().unwrap();
+                assert_eq!(
+                    rank_of(&restored),
+                    rank_of(&wg),
+                    "{pair} {round}: restored node is stale"
+                );
             }
-        });
-        fs::remove_dir_all(&dir).ok();
+            fs::remove_dir_all(&dir).ok();
+        }
     }
 }

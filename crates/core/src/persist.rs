@@ -4,294 +4,280 @@
 //! (and re-paying for) the warehouse, and without redoing the build either:
 //! the persisted artifact is the LSH index **as built** — geometry, seed,
 //! and every row's vector *and signature* — plus the id → column-reference
-//! registry and the sync tokens. Because the embedding model itself is
-//! deterministic and derived from the config seed, nothing model-side needs
-//! to be stored.
+//! registry and the sync tokens. The embedding model is deterministic and
+//! derived from the config seed, so nothing model-side is stored.
 //!
-//! There is **one** flat snapshot layout (DESIGN.md §9), written and read
-//! by one code path each:
+//! A snapshot — checkpoint, [`WarpGate::to_bytes`] image, paged directory —
+//! is **one sealed segment** (DESIGN.md §9; container in
+//! [`wg_util::segment`], row layout in `wg_lsh::paged`). The blocks hold the
+//! rows in (signature, id) order; the header carries this module's
+//! **manifest**:
 //!
 //! ```text
-//! "WGSY" │ version u32
-//! entries u32 │ per entry: id u32 │ backend name │ database │ table │ column
-//! index frame: length u32 │ WGLX frame (geometry, backend-name table,
-//!                                      id-sorted fixed-width rows)
-//! "WGST" sync-state frame: per backend name, table → version tokens
-//! "WGFT" integrity footer: body length + CRC-32 of everything above
+//! bands u32 │ rows u32 │ hyperplane seed u64
+//! names u32 │ per backend the ids use: saved bits u32 │ attach name
+//! entries u32 │ per entry: id u32 │ database │ table │ column
+//! backends u32 │ per backend: name │ tables u32 │ database │ table │ token u64
 //! ```
 //!
-//! * Backend *names* are the identity that travels; the loader resolves
-//!   each to its own interner bits and **recomposes every item id** from
-//!   those bits plus the saved per-backend local part, because the saving
-//!   process's bit assignment need not match this one's.
-//! * Rows carry the signature the build derived for them, so a restore
-//!   buckets them as they are — no projection is recomputed. The snapshot
-//!   is shard-count independent and byte-identical for identical states.
-//! * The WGST frame lets a restarted node's first `sync()` re-scan only
-//!   tables that actually changed instead of re-billing the warehouse.
-//! * Nothing installs unless the WGFT footer verifies. A file of another
-//!   version, or one that does not end in a footer matching its body, is
-//!   refused with [`StoreError::SnapshotCorrupt`] — there is no unchecked
-//!   parse to fall back to. The loader parses into locals and installs
-//!   state only on full success, which is what lets recovery fall back to
-//!   the previous checkpoint generation (see [`crate::durability`]).
-//!
-//! The body parse is generic over [`codec::Buf`], so the same code serves
-//! in-memory bytes ([`WarpGate::load_bytes`], checksum first) and a
-//! **streaming** file restore ([`WarpGate::load_from_file`]): the file is
-//! read **once**, through a bounded [`ReaderBuf`] window that folds every
-//! byte into the CRC as the frames parse, and the digest is compared with
-//! the footer before anything installs. That parse therefore runs on bytes
-//! nothing has vouched for yet: every count is checked against the bytes
-//! that remain before anything is reserved for it, and backend names are
-//! only *looked up*, never interned, until the checksum has been compared.
-//!
-//! **Paged snapshots** (DESIGN.md §11) are the beyond-RAM alternative:
-//! [`WarpGate::save_paged`] seals every shard's rows into a checksummed
-//! `seg-N.seg` segment file (vectors in fixed-size blocks with row sketches,
-//! see `wg_lsh::paged`) next to a small [`PAGED_MANIFEST`] holding the
-//! geometry, registry, sync tokens, and segment list.
-//! [`WarpGate::load_paged`] restores by attaching those segments
-//! **lazily**: block metadata (ids, signatures, norms, row sketches) loads at
-//! open, but vector payloads stay on disk until a query's exact re-rank
-//! actually needs them, served through the system's byte-budgeted block
-//! cache.
+//! * One writer (`WarpGate::seal`) builds every image, at one instant.
+//!   [`WarpGate::save_paged`] alone seals the int8 row sketches a lazily
+//!   attached file prunes with into the directory; a hydrating load never
+//!   reads them, so the other writers leave them out.
+//! * One reader validates trailer → directory CRC → directory → manifest,
+//!   then **hydrates** ([`WarpGate::load_bytes`], [`WarpGate::load_from_file`])
+//!   or **attaches lazily** ([`WarpGate::load_paged`]). A paged snapshot is
+//!   therefore also a valid checkpoint.
+//! * Backend *names* are the identity that travels: the loader resolves the
+//!   name table to its own interner bits and **recomposes every item id**,
+//!   rows and registry alike. A name this process has never seen enters its
+//!   (global, permanent) interner only once every byte the load is about to
+//!   trust has been compared with its checksum.
+//! * The sealed `dim`, banding and hyperplane seed must be the receiving
+//!   config's ([`StoreError::Schema`] otherwise); `probes` is a query-time
+//!   setting and comes from the config.
+//! * Nothing installs unless everything parsed, verified and — hydrating —
+//!   every block was read. A damaged file or one of another version is
+//!   [`StoreError::SnapshotCorrupt`], a missing one [`StoreError::NotFound`]:
+//!   the distinction recovery falls back to the previous checkpoint
+//!   generation by (see [`crate::durability`]).
 
-use std::fmt::Display;
-use std::io::Read;
 use std::path::Path;
 use std::sync::Arc;
 
-use wg_lsh::{compose_item_id, item_backend, item_local, ShardedLshIndex, VectorSegment};
+use wg_lsh::{compose_item_id, item_backend, item_local, VectorSegment};
 use wg_store::{BackendId, ColumnRef, StoreError, StoreResult};
-use wg_util::checksum::{self, FooterCheck};
-use wg_util::codec::{self, Buf, CodecError, CodecResult, ReaderBuf};
-use wg_util::{atomic_file, names, FxHashMap};
+use wg_util::codec::{self, CodecError, CodecResult};
+use wg_util::segment::SegmentError;
+use wg_util::{atomic_file, names};
 
 use crate::system::{PersistedBackendSync, WarpGate};
 
-const MAGIC: [u8; 4] = *b"WGSY";
-/// The one snapshot version. 1 and 2 (pre-federation / federated, rows
-/// without signatures, footer optional) were never deployed; files of any
-/// other version are refused, not converted.
-const VERSION: u32 = 3;
+/// File name of the one segment inside a paged-snapshot directory.
+pub const PAGED_FILE: &str = "snapshot.seg";
 
-/// Magic of the sync-state frame.
-const SYNC_MAGIC: [u8; 4] = *b"WGST";
-const SYNC_VERSION: u32 = 1;
-
-/// Magic/version of the paged-snapshot manifest file.
-const PAGED_MAGIC: [u8; 4] = *b"WGPM";
-const PAGED_VERSION: u32 = 1;
-
-/// File name of the paged-snapshot manifest inside its directory.
-pub const PAGED_MANIFEST: &str = "manifest.wgm";
-
-/// The fewest bytes one registry entry encodes to: its id and four empty
-/// length-prefixed strings.
-const MIN_ENTRY_BYTES: usize = 4 + 4 * 4;
-
-/// A parse failure at a known position in the snapshot body: the offset
-/// pins *where* the bytes stopped making sense.
-fn corrupt_at(what: impl Display, offset: usize, e: impl Display) -> StoreError {
-    StoreError::SnapshotCorrupt(format!("{what} at byte offset {offset}: {e}"))
+/// Everything a snapshot's manifest says (layout in the module doc), before
+/// any system state — or the name interner — is touched: names not
+/// interned, ids as the *saving* process composed them, refs in no
+/// namespace yet ([`Manifest::adopt`] moves all three into this process's).
+struct Manifest {
+    /// `(bands, rows, hyperplane seed)` the rows were signed under.
+    geometry: (usize, usize, u64),
+    names: Vec<(u16, String)>,
+    entries: Vec<(u32, ColumnRef)>,
+    sync: Vec<PersistedBackendSync>,
 }
 
-/// Unwrap one decode step of a snapshot body of `total` bytes read through
-/// `buf`, or return where it failed as [`corrupt_at`].
-macro_rules! step {
-    ($total:expr, $buf:expr, $what:expr, $r:expr) => {
-        match $r {
-            Ok(v) => v,
-            Err(e) => return Err(corrupt_at($what, $total - $buf.remaining(), e)),
+impl Manifest {
+    /// The manifest of id-sorted `entries` and `sync` under `geometry`. The
+    /// name table lists every namespace the entries' ids use.
+    fn encode(
+        geometry: (usize, usize, u64),
+        entries: &[(u32, &ColumnRef)],
+        sync: &[PersistedBackendSync],
+    ) -> Vec<u8> {
+        let buf = &mut Vec::with_capacity(entries.len() * 64 + 256);
+        codec::put_u32(buf, geometry.0 as u32);
+        codec::put_u32(buf, geometry.1 as u32);
+        codec::put_u64(buf, geometry.2);
+        let mut backends: Vec<u16> = entries.iter().map(|(id, _)| item_backend(*id)).collect();
+        backends.dedup();
+        codec::put_len(buf, backends.len());
+        for bits in backends {
+            codec::put_u32(buf, bits as u32);
+            codec::put_str(buf, &BackendId::from_bits(bits).name());
         }
-    };
-}
-
-/// A footer check as a load's verdict on `what` (`len` bytes, footer
-/// included): anything but `Verified` is corruption.
-fn require_verified(
-    check: Result<FooterCheck, CodecError>,
-    what: &str,
-    len: u64,
-) -> StoreResult<()> {
-    match check {
-        Ok(FooterCheck::Verified) => Ok(()),
-        Ok(FooterCheck::Absent) => Err(StoreError::SnapshotCorrupt(format!(
-            "{what} does not end in an integrity footer for its {len} bytes"
-        ))),
-        Err(e) => Err(StoreError::SnapshotCorrupt(format!("{what} integrity footer: {e}"))),
-    }
-}
-
-/// The body of in-memory `what` bytes once their WGFT footer has verified.
-fn verified_body<'a>(bytes: &'a [u8], what: &str) -> StoreResult<&'a [u8]> {
-    let mut body = bytes;
-    let check = checksum::split_footer(bytes).map(|(stripped, check)| {
-        body = stripped;
-        check
-    });
-    require_verified(check, what, bytes.len() as u64)?;
-    Ok(body)
-}
-
-/// Backend name → this process's interner bits, for the length of one
-/// load. `resolve` decides whether an unseen name may be interned (bytes
-/// already verified) or only looked up (not yet); the last answer is kept
-/// because entries arrive grouped by backend.
-struct Names<'a> {
-    resolve: &'a mut dyn FnMut(&str) -> Option<u16>,
-    last: Option<(String, u16)>,
-}
-
-impl Names<'_> {
-    fn bits(&mut self, name: String) -> CodecResult<u16> {
-        match &self.last {
-            Some((known, bits)) if *known == name => Ok(*bits),
-            _ => {
-                let bits = (self.resolve)(&name).ok_or_else(|| {
-                    CodecError::Invalid(format!("backend '{name}' is not known to this process"))
-                })?;
-                self.last = Some((name, bits));
-                Ok(bits)
+        codec::put_len(buf, entries.len());
+        for (id, r) in entries {
+            codec::put_u32(buf, *id);
+            for part in [&r.database, &r.table, &r.column] {
+                codec::put_str(buf, part);
             }
         }
+        codec::put_len(buf, sync.len());
+        for backend in sync {
+            codec::put_str(buf, &backend.name);
+            codec::put_len(buf, backend.tables.len());
+            for (database, table, version) in &backend.tables {
+                codec::put_str(buf, database);
+                codec::put_str(buf, table);
+                codec::put_u64(buf, *version);
+            }
+        }
+        std::mem::take(buf)
+    }
+
+    /// Every count is checked against the bytes that remain (by the fewest
+    /// an item can take) before anything is reserved for it.
+    fn parse(bytes: &[u8]) -> CodecResult<Manifest> {
+        let buf = &mut &bytes[..];
+        let (bands, rows) = (codec::get_u32(buf)? as usize, codec::get_u32(buf)? as usize);
+        let geometry = (bands, rows, codec::get_u64(buf)?);
+        let mut names = Vec::with_capacity(codec::get_count(buf, 8)?);
+        for _ in 0..names.capacity() {
+            let bits = codec::get_u32(buf)?;
+            if bits as usize >= names::MAX_NAMES {
+                return Err(CodecError::Invalid(format!("backend bits {bits} out of range")));
+            }
+            names.push((bits as u16, codec::get_str(buf)?));
+        }
+        let mut entries = Vec::with_capacity(codec::get_count(buf, 4 + 3 * 4)?);
+        for _ in 0..entries.capacity() {
+            let id = codec::get_u32(buf)?;
+            let (database, table) = (codec::get_str(buf)?, codec::get_str(buf)?);
+            entries.push((id, ColumnRef::new(database, table, codec::get_str(buf)?)));
+        }
+        let mut sync = Vec::with_capacity(codec::get_count(buf, 8)?);
+        for _ in 0..sync.capacity() {
+            let name = codec::get_str(buf)?;
+            let mut tables = Vec::with_capacity(codec::get_count(buf, 16)?);
+            for _ in 0..tables.capacity() {
+                let (database, table) = (codec::get_str(buf)?, codec::get_str(buf)?);
+                tables.push((database, table, codec::get_u64(buf)?));
+            }
+            sync.push(PersistedBackendSync { name, tables });
+        }
+        if !buf.is_empty() {
+            return Err(CodecError::Invalid(format!("{} trailing bytes", buf.len())));
+        }
+        Ok(Manifest { geometry, names, entries, sync })
+    }
+
+    /// Resolve the name table to this process's interner bits — interning
+    /// what it has not seen — and move every registry entry into them.
+    /// Returns saved bits → local bits, for the rows.
+    fn adopt(&mut self) -> CodecResult<[Option<u16>; names::MAX_NAMES]> {
+        let mut remap = [None; names::MAX_NAMES];
+        for (saved, name) in &self.names {
+            remap[*saved as usize] = Some(BackendId::named(name).bits());
+        }
+        for (id, r) in &mut self.entries {
+            let bits = remap[item_backend(*id) as usize].ok_or_else(|| {
+                CodecError::Invalid(format!("entry {id} is in a namespace the table does not name"))
+            })?;
+            r.backend = BackendId::from_bits(bits);
+            *id = compose_item_id(bits, item_local(*id));
+        }
+        Ok(remap)
     }
 }
 
-/// Append the registry: a count, then `(id, ref)` per entry, refs by
-/// backend *name*.
-fn put_entries(buf: &mut Vec<u8>, entries: &[(u32, &ColumnRef)]) {
-    codec::put_len(buf, entries.len());
-    for (id, r) in entries {
-        codec::put_u32(buf, *id);
-        r.encode(buf);
+/// A segment-level failure as a load's verdict: damage is corruption, a
+/// file that cannot be read is a file that is not there.
+fn load_err(e: SegmentError) -> StoreError {
+    match e {
+        SegmentError::Io(e) => StoreError::NotFound(format!("snapshot file: {e}")),
+        SegmentError::Corrupt(msg) => StoreError::SnapshotCorrupt(msg),
     }
 }
 
-/// Read what [`put_entries`] wrote: each ref in this process's namespace
-/// for its backend name, each id still as the *saving* process composed
-/// it (its high bits are that process's interner assignment).
-fn get_entries(
-    total: usize,
-    buf: &mut impl Buf,
-    names: &mut Names<'_>,
-) -> StoreResult<Vec<(u32, ColumnRef)>> {
-    let n = step!(total, buf, "registry entry count", codec::get_count(buf, MIN_ENTRY_BYTES));
-    let mut entries = Vec::with_capacity(n);
-    for i in 0..n {
-        let saved_id = step!(total, buf, format!("entry #{i} id"), codec::get_u32(buf));
-        let backend = step!(total, buf, format!("entry #{i} backend"), codec::get_str(buf));
-        let backend = step!(total, buf, format!("entry #{i} backend"), names.bits(backend));
-        let database = step!(total, buf, format!("entry #{i} database"), codec::get_str(buf));
-        let table = step!(total, buf, format!("entry #{i} table"), codec::get_str(buf));
-        let column = step!(total, buf, format!("entry #{i} column"), codec::get_str(buf));
-        let r = ColumnRef::scoped(BackendId::from_bits(backend), database, table, column);
-        entries.push((saved_id, r));
-    }
-    Ok(entries)
-}
-
-/// Everything a snapshot body parses into, before any system state is
-/// touched.
-type ParsedSnapshot = (ShardedLshIndex, Vec<(u32, ColumnRef)>, Vec<PersistedBackendSync>);
-
-/// Parse a full snapshot body (header → registry entries → index frame →
-/// sync frame) from any [`Buf`] — a byte slice or a bounded file reader.
-/// `total` is the body length, for offset reporting only; `resolve` maps a
-/// backend name to this process's bits, or refuses to.
-fn parse_snapshot(
-    total: usize,
-    buf: &mut impl Buf,
-    shards: usize,
-    resolve: &mut dyn FnMut(&str) -> Option<u16>,
-) -> StoreResult<ParsedSnapshot> {
-    let version = step!(total, buf, "snapshot header", codec::get_header(buf, MAGIC));
-    if version != VERSION {
-        return Err(StoreError::SnapshotCorrupt(format!(
-            "unsupported snapshot version {version} (this build reads and writes {VERSION})"
-        )));
-    }
-    let mut names = Names { resolve, last: None };
-    let mut entries = get_entries(total, buf, &mut names)?;
-    for (id, r) in &mut entries {
-        // Only the name travelled: recompose against this process's bits
-        // for the backend, keeping the saved per-backend local part.
-        *id = compose_item_id(r.backend.bits(), item_local(*id));
-    }
-    // The index payload is length-prefixed; decode it in place — the
-    // streaming path never buffers it whole — and hold the decoder to
-    // exactly the promised frame. The same name-authoritative remap
-    // applies inside it.
-    let frame_len = step!(total, buf, "index payload", codec::get_len(buf));
-    let before = buf.remaining();
-    let decoded = ShardedLshIndex::decode(buf, shards, |name| names.bits(name.to_string()));
-    let index = step!(total, buf, "index frame", decoded);
-    let consumed = before - buf.remaining();
-    if consumed != frame_len {
-        return Err(corrupt_at(
-            "index frame",
-            total - buf.remaining(),
-            format!("decoded {consumed} bytes of a {frame_len}-byte frame"),
-        ));
-    }
-    let sync = parse_sync_frame(total, buf)?;
-    if buf.remaining() != 0 {
-        return Err(corrupt_at(
-            "snapshot end",
-            total - buf.remaining(),
-            "trailing bytes after last frame",
-        ));
-    }
-    Ok((index, entries, sync))
+fn corrupt(what: &str, e: impl std::fmt::Display) -> StoreError {
+    StoreError::SnapshotCorrupt(format!("{what}: {e}"))
 }
 
 impl WarpGate {
-    /// Serialize the index + registry + sync tokens into one buffer, in
-    /// place: registry refs are borrowed under the registry's read lock,
-    /// hot rows are read straight out of each shard's arena under the
-    /// shards' read guards (all held together, so the snapshot is the
-    /// system as it stood at one instant), and the one CRC pass is the
-    /// footer's.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        // Tokens first: a sync that commits while the rows are encoded
-        // leaves tokens *older* than the rows (one redundant re-scan after
-        // a restore), never newer (a change the restored node would never
+    /// The one writer: the system as it stands at one instant, as one
+    /// segment image, and the number of rows in it. `sketches` is not
+    /// settable from outside. The error is a row of the paged tier that
+    /// could not be read back.
+    pub(crate) fn seal(&self, sketches: bool) -> std::io::Result<(Vec<u8>, usize)> {
+        // Tokens first: a sync that commits while the rows are read leaves
+        // tokens *older* than the rows (one redundant re-scan after a
+        // restore), never newer (a change the restored node would never
         // see).
         let sync = self.sync_state_for_persist();
-        let index = self.lsh_index();
-        self.with_registry_entries(|entries| {
-            let row_bytes = 4 + index.params().bits().div_ceil(64) * 8 + index.dim() * 4;
-            let mut buf = Vec::with_capacity(index.len() * row_bytes + entries.len() * 96 + 1024);
-            codec::put_header(&mut buf, MAGIC, VERSION);
-            put_entries(&mut buf, entries);
-            codec::put_bytes_with(&mut buf, |buf| {
-                index.encode(buf, |bits| BackendId::from_bits(bits).name())
-            });
-            put_sync_frame(&mut buf, &sync);
-            checksum::append_footer(&mut buf);
-            buf
-        })
+        // Then the registry's read lock and every shard's read guard, held
+        // together until the last row is read. Writers take the registry
+        // lock, release it, then a shard lock, so this order cannot
+        // deadlock (queries take the two the same way) — and a writer
+        // parked between its two locks shows as an entry without a row or
+        // a row without an entry: neither is sealed.
+        let registry = self.registry.read();
+        let index = self.index.freeze();
+        let mut entries: Vec<(u32, &ColumnRef)> =
+            registry.entries().filter(|(id, _)| index.contains(*id)).collect();
+        entries.sort_unstable_by_key(|(id, _)| *id);
+
+        let params = self.index.params();
+        let geometry = (params.bands, params.rows, self.index.seed());
+        let manifest = Manifest::encode(geometry, &entries, &sync);
+        let registered = |id| registry.reference(id).is_some();
+        let image = index.seal(self.config.block_rows, sketches, &manifest, registered)?;
+        Ok((image, entries.len()))
     }
 
-    /// Restore index + registry from bytes produced by [`Self::to_bytes`].
-    /// The checksum is verified before a byte of the body is parsed. The
-    /// receiving system must be configured with the same dimension (and
-    /// should use the same seed, or query embeddings will not live in the
-    /// persisted index's space). The snapshot is shard-count independent:
-    /// items redistribute into this system's configured shard layout on
-    /// load, so a snapshot saved with 8 shards restores fine into 1 (or
-    /// vice versa).
+    /// The one reader, from an opened segment (trailer, directory and block
+    /// metadata already validated): hydrate from it, or — `lazy` — attach
+    /// it. Installs only on full success.
+    fn load_segment(&mut self, mut segment: VectorSegment, lazy: bool) -> StoreResult<()> {
+        let mut manifest =
+            Manifest::parse(&segment.take_manifest()).map_err(|e| corrupt("manifest", e))?;
+        let index = self.fresh_index();
+        let params = index.params();
+        let (bands, rows, seed) = manifest.geometry;
+        let sealed = (segment.dim(), segment.sig_bits(), bands, rows, seed);
+        let ours = (index.dim(), params.bits(), params.bands, params.rows, index.seed());
+        if sealed != ours {
+            return Err(StoreError::Schema(format!(
+                "snapshot geometry (dim, signature bits, bands, rows, hyperplane seed) {sealed:?} \
+                 does not match the config's {ours:?}"
+            )));
+        }
+        if lazy && !segment.has_sketches() {
+            return Err(StoreError::Schema(
+                "snapshot carries no row sketches: load it with load_from_file".into(),
+            ));
+        }
+        if segment.row_count() != manifest.entries.len() {
+            return Err(StoreError::SnapshotCorrupt(format!(
+                "segment holds {} rows but the manifest registry has {} entries",
+                segment.row_count(),
+                manifest.entries.len()
+            )));
+        }
+        // Interning is process-global and permanent. The directory has
+        // verified; a hydrating load is about to trust the payloads too, so
+        // before a name it has never seen goes in, they verify as well.
+        if !lazy && manifest.names.iter().any(|(_, name)| names::lookup(name).is_none()) {
+            segment.verify_payloads().map_err(load_err)?;
+        }
+        let remap = manifest.adopt().map_err(|e| corrupt("manifest", e))?;
+        let map = |id| Some(compose_item_id(remap[item_backend(id) as usize]?, item_local(id)));
+        let installed = if lazy {
+            index
+                .attach_segments_mapped(&[Arc::new(segment)], map)
+                .map_err(|e| corrupt("attach", e))
+        } else {
+            index.hydrate(&segment, map).map_err(load_err)
+        }?;
+        if installed != manifest.entries.len() {
+            return Err(StoreError::SnapshotCorrupt(format!(
+                "{installed} of {} rows are in a namespace the manifest names",
+                manifest.entries.len()
+            )));
+        }
+        self.restore_from_persist(index, manifest.entries, manifest.sync)
+    }
+
+    /// Serialize the index + registry + sync tokens into one buffer: a
+    /// segment image without row sketches.
+    ///
+    /// # Panics
+    ///
+    /// When a row of the paged tier cannot be read back from its segment;
+    /// [`Self::save_to_file`] and [`crate::Checkpointer::checkpoint`]
+    /// return that as an error instead.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        self.seal(false).expect("a paged block could not be read back for the snapshot").0
+    }
+
+    /// Restore index + registry from bytes produced by [`Self::to_bytes`]
+    /// (or read from any snapshot file), hydrating every row. Items
+    /// redistribute into this system's shard layout on load: a snapshot
+    /// saved with 8 shards restores fine into 1 (or vice versa).
     pub fn load_bytes(&mut self, bytes: &[u8]) -> StoreResult<()> {
-        let body = verified_body(bytes, "snapshot")?;
-        let (index, entries, sync) = parse_snapshot(
-            body.len(),
-            &mut &body[..],
-            self.config().effective_shards(),
-            &mut |name| Some(BackendId::named(name).bits()),
-        )?;
-        // Everything parsed into locals; only now touch system state.
-        self.restore_from_persist(index, entries, sync)
+        let segment = VectorSegment::from_bytes(bytes.to_vec(), self.block_cache().clone());
+        self.load_segment(segment.map_err(load_err)?, false)
     }
 
     /// Write the snapshot to a file, atomically: the bytes stream into a
@@ -299,274 +285,44 @@ impl WarpGate {
     /// crash — or a full disk — mid-write can never destroy a snapshot
     /// that was already there (see [`wg_util::atomic_file`]).
     pub fn save_to_file(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
-        atomic_file::write(path.as_ref(), &self.to_bytes())
+        atomic_file::write(path.as_ref(), &self.seal(false)?.0)
     }
 
-    /// Load a snapshot from a file into this (already configured) system,
-    /// **streaming, in one pass**: the frames parse through a bounded read
-    /// window that folds the CRC in as they go by, and the digest is
-    /// compared with the footer before anything installs — restoring never
-    /// requires the whole file resident, nor reading it twice.
-    ///
-    /// A missing/unreadable file is [`StoreError::NotFound`]; a present
-    /// file that fails its checksum or parse is
-    /// [`StoreError::SnapshotCorrupt`] — callers that checkpoint (see
-    /// [`crate::durability::Checkpointer`]) use the distinction to fall
-    /// back to the previous generation.
+    /// Load a snapshot file — a checkpoint or a paged snapshot — into this
+    /// (already configured) system, hydrating every row: the directory is
+    /// read and verified, then every block is read once with a positioned
+    /// read, checked and decoded into the arena — never the whole file
+    /// resident, nor read twice. A missing/unreadable file is
+    /// [`StoreError::NotFound`]; one that fails a checksum or a parse is
+    /// [`StoreError::SnapshotCorrupt`].
     pub fn load_from_file(&mut self, path: impl AsRef<Path>) -> StoreResult<()> {
-        let path = path.as_ref();
-        let not_found = |e: std::io::Error| StoreError::NotFound(format!("snapshot file: {e}"));
-        let file = std::fs::File::open(path).map_err(not_found)?;
-        let file_len = file.metadata().map_err(not_found)?.len();
-        let Some(body_len) = file_len.checked_sub(checksum::FOOTER_LEN as u64) else {
-            return Err(StoreError::SnapshotCorrupt(format!(
-                "snapshot of {file_len} bytes is too short to end in an integrity footer"
-            )));
-        };
-        let mut reader = ReaderBuf::new(file, body_len as usize);
-        // These bytes are unverified until the footer is compared below,
-        // and interning is process-global and permanent: names are only
-        // looked up here.
-        let mut unknown_name = false;
-        let parsed = parse_snapshot(
-            body_len as usize,
-            &mut reader,
-            self.config().effective_shards(),
-            &mut |name| {
-                let bits = names::lookup(name);
-                unknown_name |= bits.is_none();
-                bits
-            },
-        );
-        // An I/O fault mid-parse latches in the reader and zero-fills the
-        // window; whatever "parsed" out of that is untrustworthy even if
-        // it happened to look well-formed.
-        if let Some(e) = reader.io_error() {
-            return Err(StoreError::NotFound(format!("snapshot file: {e}")));
-        }
-        if unknown_name {
-            // A backend name this process has never seen (a node restored
-            // before it attached anything), or a damaged one. Take the
-            // path that verifies the checksum first and may then intern.
-            return self.load_bytes(&std::fs::read(path).map_err(not_found)?);
-        }
-        let (index, entries, sync) = parsed?;
-        // A parse that succeeded consumed the body to its last byte, so
-        // the reader's running digest is the body's.
-        let body_crc = reader.crc32();
-        let mut foot = [0u8; checksum::FOOTER_LEN];
-        reader.into_inner().read_exact(&mut foot).map_err(not_found)?;
-        require_verified(checksum::check_footer(&foot, body_len, body_crc), "snapshot", file_len)?;
-        self.restore_from_persist(index, entries, sync)
+        let segment = VectorSegment::open(path.as_ref(), self.block_cache().clone());
+        self.load_segment(segment.map_err(load_err)?, false)
     }
 
-    /// Seal the system's state into a **paged snapshot directory**: one
-    /// checksummed `seg-N.seg` segment file per non-empty index shard
-    /// (fixed `block_rows`-row blocks of vectors, each block carrying
-    /// resident ids, signatures, norms, and row sketches — see
-    /// `wg_lsh::paged`), plus a small [`PAGED_MANIFEST`] with the
-    /// geometry, the id → column registry, the durable sync tokens, and
-    /// the segment list, all under a WGFT integrity footer. Every file is
-    /// written atomically (temp + fsync + rename). Returns how many
-    /// segment files were written.
-    ///
-    /// A system restored with [`Self::load_paged`] serves the sealed rows
-    /// from disk through its block cache instead of holding them in RAM —
-    /// the beyond-RAM deployment mode (DESIGN.md §11).
+    /// Seal the system's state into a **paged snapshot directory**: the
+    /// one segment file [`PAGED_FILE`], written atomically, whose directory
+    /// also carries every row's int8 sketch (see `wg_lsh::paged`). Returns
+    /// how many segment files hold rows: 1, or 0 for an empty index.
     pub fn save_paged(&self, dir: impl AsRef<Path>) -> std::io::Result<usize> {
-        let dir = dir.as_ref();
-        std::fs::create_dir_all(dir)?;
-        let index = self.lsh_index();
-        let sig_bits = index.params().bits();
-        let block_rows = self.config().block_rows;
-        let mut segments: Vec<String> = Vec::new();
-        for (i, rows) in index.export_segment_rows().into_iter().enumerate() {
-            if rows.is_empty() {
-                continue;
-            }
-            let name = format!("seg-{i}.seg");
-            wg_lsh::paged::write_vector_segment(
-                &dir.join(&name),
-                self.config().dim,
-                sig_bits,
-                block_rows,
-                rows,
-            )?;
-            segments.push(name);
-        }
-        let mut buf = Vec::new();
-        codec::put_header(&mut buf, PAGED_MAGIC, PAGED_VERSION);
-        codec::put_u32(&mut buf, self.config().dim as u32);
-        codec::put_u32(&mut buf, sig_bits as u32);
-        codec::put_u64(&mut buf, index.seed());
-        codec::put_u32(&mut buf, block_rows as u32);
-        self.with_registry_entries(|entries| put_entries(&mut buf, entries));
-        put_sync_frame(&mut buf, &self.sync_state_for_persist());
-        codec::put_len(&mut buf, segments.len());
-        for name in &segments {
-            codec::put_str(&mut buf, name);
-        }
-        checksum::append_footer(&mut buf);
-        atomic_file::write(&dir.join(PAGED_MANIFEST), &buf)?;
-        Ok(segments.len())
+        std::fs::create_dir_all(dir.as_ref())?;
+        let (image, rows) = self.seal(true)?;
+        atomic_file::write(&dir.as_ref().join(PAGED_FILE), &image)?;
+        Ok(usize::from(rows > 0))
     }
 
     /// Restore from a paged snapshot directory written by
-    /// [`Self::save_paged`] — **lazily**: segment directories and block
-    /// metadata (ids, signatures, norms, row sketches) load now, so every
-    /// sealed row becomes searchable, but vector payloads stay on disk
-    /// until a query's exact re-rank reads their block through the
-    /// system's byte-budgeted cache. Item ids recompose through backend
-    /// names exactly like the flat snapshot's; geometry (dimension,
-    /// signature width, hyperplane seed) must match this system's config
-    /// or the restore fails — before touching any state, as always.
+    /// [`Self::save_paged`] — **lazily**: the directory and block metadata
+    /// (ids, signatures, norms, row sketches) load now, so every sealed row
+    /// becomes searchable, but vector payloads stay on disk until a query's
+    /// exact re-rank reads their block through the system's byte-budgeted
+    /// cache (the beyond-RAM deployment mode). A payload that rotted is
+    /// refused — typed, never cached — at the first read of its block.
     pub fn load_paged(&mut self, dir: impl AsRef<Path>) -> StoreResult<()> {
-        let dir = dir.as_ref();
-        let bytes = std::fs::read(dir.join(PAGED_MANIFEST))
-            .map_err(|e| StoreError::NotFound(format!("paged manifest: {e}")))?;
-        let body = verified_body(&bytes, "paged manifest")?;
-        let total = body.len();
-        let buf = &mut &body[..];
-        let version =
-            step!(total, buf, "paged manifest header", codec::get_header(buf, PAGED_MAGIC));
-        if version != PAGED_VERSION {
-            return Err(StoreError::SnapshotCorrupt(format!(
-                "unsupported paged manifest version {version}"
-            )));
-        }
-        let dim = step!(total, buf, "manifest dim", codec::get_u32(buf)) as usize;
-        let sig_bits = step!(total, buf, "manifest signature width", codec::get_u32(buf)) as usize;
-        let seed = step!(total, buf, "manifest seed", codec::get_u64(buf));
-        let _block_rows = step!(total, buf, "manifest block rows", codec::get_u32(buf));
-        let index = self.fresh_index();
-        if dim != index.dim() {
-            return Err(StoreError::Schema(format!(
-                "paged snapshot dimension {dim} does not match config {}",
-                index.dim()
-            )));
-        }
-        if sig_bits != index.params().bits() {
-            return Err(StoreError::Schema(format!(
-                "paged snapshot signature width {sig_bits} does not match config {}",
-                index.params().bits()
-            )));
-        }
-        if seed != index.seed() {
-            return Err(StoreError::Schema(
-                "paged snapshot was sealed under a different hyperplane seed".into(),
-            ));
-        }
-        // The manifest is verified, so its names may be interned.
-        let mut intern = |name: &str| Some(BackendId::named(name).bits());
-        let mut entries = get_entries(total, buf, &mut Names { resolve: &mut intern, last: None })?;
-        // Saved backend bits → this process's interned bits, recovered
-        // from the registry entries (every sealed row has one). Sealed
-        // segments store the composed ids of the *saving* process, so the
-        // attach below remaps each row through this table.
-        let mut rebits: FxHashMap<u16, u16> = FxHashMap::default();
-        for (i, (id, r)) in entries.iter_mut().enumerate() {
-            let (old, new) = (item_backend(*id), r.backend.bits());
-            if *rebits.entry(old).or_insert(new) != new {
-                return Err(corrupt_at(
-                    format!("entry #{i} ref"),
-                    total - buf.remaining(),
-                    "saved backend bits map to two different names",
-                ));
-            }
-            *id = compose_item_id(new, item_local(*id));
-        }
-        let sync = parse_sync_frame(total, buf)?;
-        let n_segs = step!(total, buf, "segment list", codec::get_count(buf, 4));
-        let mut names = Vec::with_capacity(n_segs);
-        for i in 0..n_segs {
-            let name = step!(total, buf, format!("segment #{i} name"), codec::get_str(buf));
-            if name.contains('/') || name.contains('\\') || name.contains("..") {
-                return Err(corrupt_at(
-                    format!("segment #{i} name"),
-                    total - buf.remaining(),
-                    format!("'{name}' is not a plain file name"),
-                ));
-            }
-            names.push(name);
-        }
-        if buf.remaining() != 0 {
-            return Err(corrupt_at(
-                "paged manifest end",
-                total - buf.remaining(),
-                "trailing bytes after last frame",
-            ));
-        }
-        let mut segments = Vec::with_capacity(names.len());
-        for name in &names {
-            let seg = VectorSegment::open(&dir.join(name), self.block_cache().clone())
-                .map_err(|e| StoreError::SnapshotCorrupt(format!("segment {name}: {e}")))?;
-            segments.push(Arc::new(seg));
-        }
-        let attached = index
-            .attach_segments_mapped(&segments, |id| {
-                rebits.get(&item_backend(id)).map(|&nb| compose_item_id(nb, item_local(id)))
-            })
-            .map_err(|e| StoreError::SnapshotCorrupt(format!("attaching paged segments: {e}")))?;
-        if attached != entries.len() {
-            return Err(StoreError::SnapshotCorrupt(format!(
-                "paged segments hold {attached} registered rows but the manifest registry has \
-                 {} entries",
-                entries.len()
-            )));
-        }
-        // Everything parsed and attached into locals; only now touch
-        // system state.
-        self.restore_from_persist(index, entries, sync)
+        let path = dir.as_ref().join(PAGED_FILE);
+        let segment = VectorSegment::open(&path, self.block_cache().clone());
+        self.load_segment(segment.map_err(load_err)?, true)
     }
-}
-
-/// Append the WGST sync-state frame for these backends (written even when
-/// empty: the frame set is always the same).
-fn put_sync_frame(buf: &mut Vec<u8>, sync: &[PersistedBackendSync]) {
-    codec::put_header(buf, SYNC_MAGIC, SYNC_VERSION);
-    codec::put_len(buf, sync.len());
-    for backend in sync {
-        codec::put_str(buf, &backend.name);
-        codec::put_u64(buf, backend.epoch);
-        codec::put_len(buf, backend.tables.len());
-        for (database, table, version) in &backend.tables {
-            codec::put_str(buf, database);
-            codec::put_str(buf, table);
-            codec::put_u64(buf, *version);
-        }
-    }
-}
-
-/// Parse the WGST frame the cursor is sitting on. `total` is the full
-/// body length, for offset reporting only.
-fn parse_sync_frame(total: usize, buf: &mut impl Buf) -> StoreResult<Vec<PersistedBackendSync>> {
-    let version = step!(total, buf, "sync-state header", codec::get_header(buf, SYNC_MAGIC));
-    if version != SYNC_VERSION {
-        return Err(StoreError::SnapshotCorrupt(format!(
-            "unsupported sync-state frame version {version}"
-        )));
-    }
-    // A backend is at least a name prefix, an epoch and a table count; a
-    // token at least two name prefixes and a version.
-    let n = step!(total, buf, "sync-state backends", codec::get_count(buf, 16));
-    let mut backends = Vec::with_capacity(n);
-    for i in 0..n {
-        let name = step!(total, buf, format!("sync backend #{i} name"), codec::get_str(buf));
-        let epoch = step!(total, buf, format!("sync backend #{i} epoch"), codec::get_u64(buf));
-        let t = step!(total, buf, format!("sync backend #{i} tables"), codec::get_count(buf, 16));
-        let mut tables = Vec::with_capacity(t);
-        for j in 0..t {
-            let database =
-                step!(total, buf, format!("sync token #{i}.{j} database"), codec::get_str(buf));
-            let table =
-                step!(total, buf, format!("sync token #{i}.{j} table"), codec::get_str(buf));
-            let ver =
-                step!(total, buf, format!("sync token #{i}.{j} version"), codec::get_u64(buf));
-            tables.push((database, table, ver));
-        }
-        backends.push(PersistedBackendSync { name, epoch, tables });
-    }
-    Ok(backends)
 }
 
 #[cfg(test)]
@@ -706,8 +462,8 @@ mod tests {
         let path = temp_path("chaos");
         // Truncation sweep (coarse — `tests/crash_recovery.rs` does every
         // length): each cut must be refused as corrupt without installing
-        // partial state. No cut is a valid file: a body without its footer
-        // is never parsed into state.
+        // partial state. No cut is a valid file: the trailer is written
+        // last and validated first.
         for cut in (0..bytes.len()).step_by(97).chain([bytes.len() - 1]) {
             std::fs::write(&path, &bytes[..cut]).unwrap();
             let mut fresh = WarpGate::new(WarpGateConfig::default());
@@ -715,8 +471,8 @@ mod tests {
             assert!(matches!(err, StoreError::SnapshotCorrupt(_)), "truncation to {cut}: {err}");
             assert_eq!(fresh.len(), 0, "truncation to {cut} left partial state");
         }
-        // Bit-flip sweep: body flips fail the parse or the CRC; footer
-        // flips fail the footer's own checks.
+        // Bit-flip sweep: payload flips fail their block's CRC, directory
+        // flips the directory's, trailer flips the trailer's own checks.
         for i in (0..bytes.len()).step_by(131) {
             let mut broken = bytes.clone();
             broken[i] ^= 0x10;
@@ -791,18 +547,25 @@ mod tests {
         let wg = WarpGate::with_backend(WarpGateConfig::default(), c);
         wg.index_warehouse().unwrap();
         let bytes = wg.to_bytes();
-        let (body, check) = checksum::split_footer(&bytes).unwrap();
-        assert_eq!(check, FooterCheck::Verified);
-        assert_eq!(body.len() + checksum::FOOTER_LEN, bytes.len());
+        // The image closes with the segment trailer, and that is all of it:
+        // the directory it points at ends where the trailer begins.
+        let trailer = &bytes[bytes.len() - wg_util::segment::TRAILER_LEN..];
+        assert_eq!(trailer[..4], wg_util::segment::TRAILER_MAGIC);
+        let dir_at = u64::from_le_bytes(trailer[8..16].try_into().unwrap()) as usize;
+        let dir_len = u32::from_le_bytes(trailer[16..20].try_into().unwrap()) as usize;
+        assert_eq!(dir_at + dir_len + trailer.len(), bytes.len());
 
-        // Corrupt one body byte: the checksum catches it, the error is
-        // typed, and the target system stays untouched.
-        let mut corrupted = bytes.clone();
-        corrupted[10] ^= 0x40;
-        let mut fresh = WarpGate::with_backend(WarpGateConfig::default(), connector());
-        let err = fresh.load_bytes(&corrupted).unwrap_err();
-        assert!(matches!(err, StoreError::SnapshotCorrupt(_)), "{err}");
-        assert_eq!(fresh.len(), 0, "failed load must not partially mutate");
+        // Corrupt one payload byte, or one directory byte: the block's or
+        // the directory's checksum catches it, the error is typed, and the
+        // target system stays untouched.
+        for at in [10, dir_at + 10] {
+            let mut corrupted = bytes.clone();
+            corrupted[at] ^= 0x40;
+            let mut fresh = WarpGate::with_backend(WarpGateConfig::default(), connector());
+            let err = fresh.load_bytes(&corrupted).unwrap_err();
+            assert!(matches!(err, StoreError::SnapshotCorrupt(_)), "{err}");
+            assert_eq!(fresh.len(), 0, "failed load must not partially mutate");
+        }
     }
 
     #[test]
@@ -815,7 +578,8 @@ mod tests {
         wg64.index_warehouse().unwrap();
         let bytes = wg64.to_bytes();
         let mut wg128 = WarpGate::new(WarpGateConfig::default());
-        assert!(wg128.load_bytes(&bytes).is_err(), "dimension mismatch must fail");
+        let err = wg128.load_bytes(&bytes).expect_err("dimension mismatch must fail");
+        assert!(matches!(err, StoreError::Schema(_)), "{err}");
     }
 
     #[test]
@@ -829,11 +593,12 @@ mod tests {
         // A hand-built index and registry, so the image depends on the
         // writer (and on the seed → hyperplanes → signature mapping, which
         // the stored signatures make part of the format) alone. A change
-        // here is an on-disk format change: bump VERSION with it. Pinned
-        // first by PR 17 (WGSY/WGLX v3: rows carry their signatures).
-        let config = WarpGateConfig { dim: 8, ..Default::default() };
-        let index = ShardedLshIndex::new(8, wg_lsh::LshParams { bands: 3, rows: 7 }, 42, 2);
-        index.set_probes(1);
+        // here is an on-disk format change: bump SEGMENT_VERSION with it.
+        // Pinned by PR 22 (segment v3: a snapshot is one segment; this one
+        // is sealed without sketches, two rows to a block).
+        let config = WarpGateConfig { dim: 8, ..Default::default() }.with_block_rows(2);
+        let mut wg = WarpGate::new(config);
+        let index = wg.fresh_index();
         let mut entries = Vec::new();
         for i in 0..5u32 {
             let v: Vec<f32> = (0..8).map(|d| ((i * 8 + d) as f32 * 0.37).sin()).collect();
@@ -844,18 +609,23 @@ mod tests {
         }
         let sync = vec![PersistedBackendSync {
             name: "default".into(),
-            epoch: 0,
             tables: vec![("db".into(), "t0".into(), 0xFEED), ("db".into(), "t1".into(), 7)],
         }];
-        let mut wg = WarpGate::new(config);
         wg.restore_from_persist(index, entries, sync).unwrap();
         let image = wg.to_bytes();
-        assert_eq!(image.len(), 551);
-        assert_eq!(checksum::crc32(&image), 0xFAAB_EDBD);
-        // And the image is a fixed point of load → save.
-        let mut again = WarpGate::new(config);
-        again.load_bytes(&image).unwrap();
-        assert_eq!(again.to_bytes(), image);
+        assert_eq!(image.len(), 660);
+        assert_eq!(wg_util::checksum::crc32(&image), 0x36B4_1BA4);
+        // And the image is a fixed point of load → save, through either
+        // hydrating loader.
+        let mut from_bytes = WarpGate::new(config);
+        from_bytes.load_bytes(&image).unwrap();
+        assert_eq!(from_bytes.to_bytes(), image);
+        let path = temp_path("golden");
+        std::fs::write(&path, &image).unwrap();
+        let mut from_file = WarpGate::new(config);
+        from_file.load_from_file(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert_eq!(from_file.to_bytes(), image);
     }
 
     #[test]
@@ -874,9 +644,10 @@ mod tests {
             "fixture must produce a cross-namespace hit: {before:?}"
         );
 
-        // One frame version, whatever the namespaces.
+        // One container version, whatever the namespaces.
         let bytes = wg.to_bytes();
-        assert_eq!(codec::get_header(&mut &bytes[..], MAGIC).unwrap(), VERSION);
+        let (magic, version) = (wg_util::segment::SEGMENT_MAGIC, wg_util::segment::SEGMENT_VERSION);
+        assert_eq!(codec::get_header(&mut &bytes[..], magic).unwrap(), version);
 
         let mut fresh = WarpGate::with_backend(WarpGateConfig::default(), cdw);
         fresh.attach_named("persist-test-lake", lake_c);
@@ -934,51 +705,49 @@ mod tests {
 
     #[test]
     fn paged_load_rejects_corrupt_manifest_and_segments() {
-        // One shard, so the one segment holds both columns and a query for
-        // either reads its only block.
+        // Both columns sit in the file's one block, so a query for either
+        // reads it.
         let config = WarpGateConfig::default().with_shards(1);
         let c = connector();
         let wg = WarpGate::with_backend(config, c.clone());
         wg.index_warehouse().unwrap();
         let dir = temp_path("paged_bad");
-        wg.save_paged(&dir).unwrap();
+        assert_eq!(wg.save_paged(&dir).unwrap(), 1);
+        let seg = dir.join(PAGED_FILE);
+        let good = std::fs::read(&seg).unwrap();
 
-        // Flip one manifest byte: the footer catches it, nothing installs.
-        let manifest = dir.join(PAGED_MANIFEST);
-        let good = std::fs::read(&manifest).unwrap();
-        let mut bad = good.clone();
-        bad[12] ^= 0x08;
-        std::fs::write(&manifest, &bad).unwrap();
-        let mut fresh = WarpGate::with_backend(config, c.clone());
-        let err = fresh.load_paged(&dir).unwrap_err();
-        assert!(matches!(err, StoreError::SnapshotCorrupt(_)), "{err}");
-        assert_eq!(fresh.len(), 0, "failed paged load must not partially mutate");
-        std::fs::write(&manifest, &good).unwrap();
-
-        // Flip one byte of the segment's directory: its checksum rejects
-        // the segment at open, before any state installs.
-        let seg = dir.join("seg-0.seg");
-        let seg_good = std::fs::read(&seg).unwrap();
-        let mut seg_bad = seg_good.clone();
-        let in_directory = seg_bad.len() - wg_util::segment::TRAILER_LEN - 8;
-        seg_bad[in_directory] ^= 0x20;
-        std::fs::write(&seg, &seg_bad).unwrap();
-        let mut fresh = WarpGate::with_backend(config, c.clone());
-        let err = fresh.load_paged(&dir).unwrap_err();
-        assert!(matches!(err, StoreError::SnapshotCorrupt(_)), "{err}");
-        assert_eq!(fresh.len(), 0);
+        // Flip one byte of the directory — in the manifest, then in a
+        // block's metadata at its far end: the directory's checksum rejects
+        // the file at open, before any state installs.
+        let trailer_at = good.len() - wg_util::segment::TRAILER_LEN;
+        let dir_at = u64::from_le_bytes(good[trailer_at + 8..trailer_at + 16].try_into().unwrap());
+        for at in [dir_at as usize + 40, trailer_at - 8] {
+            let mut bad = good.clone();
+            bad[at] ^= 0x08;
+            std::fs::write(&seg, &bad).unwrap();
+            let mut fresh = WarpGate::with_backend(config, c.clone());
+            let err = fresh.load_paged(&dir).unwrap_err();
+            assert!(matches!(err, StoreError::SnapshotCorrupt(_)), "{err}");
+            assert_eq!(fresh.len(), 0, "failed paged load must not partially mutate");
+        }
 
         // Flip one payload byte: the restore is lazy and succeeds, and the
         // block CRC refuses to serve the block on first read — as a typed
-        // error.
-        let mut seg_bad = seg_good.clone();
-        seg_bad[wg_util::segment::PREAMBLE_LEN + 5] ^= 0x20;
-        std::fs::write(&seg, &seg_bad).unwrap();
-        let mut fresh = WarpGate::with_backend(config, c);
+        // error. The same file handed to the hydrating loader, which reads
+        // every block, is refused up front.
+        let mut bad = good.clone();
+        bad[wg_util::segment::PREAMBLE_LEN + 5] ^= 0x20;
+        std::fs::write(&seg, &bad).unwrap();
+        let mut fresh = WarpGate::with_backend(config, c.clone());
         fresh.load_paged(&dir).unwrap();
         let q = ColumnRef::new("db", "a", "x");
         let err = fresh.discover(&q, 3).expect_err("a payload flip must never serve");
         assert!(matches!(err, StoreError::Backend(_)), "{err}");
+        assert_eq!(fresh.block_cache_stats().resident_blocks, 0, "nor is it ever cached");
+        let mut hydrating = WarpGate::with_backend(config, c);
+        let err = hydrating.load_from_file(&seg).unwrap_err();
+        assert!(matches!(err, StoreError::SnapshotCorrupt(_)), "{err}");
+        assert_eq!(hydrating.len(), 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 

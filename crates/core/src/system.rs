@@ -332,29 +332,9 @@ impl WarpGate {
         }
     }
 
-    /// Run `f` over the registry as id-sorted `(id, ref)` pairs — the
-    /// durable mapping both snapshot formats carry — borrowed in place
-    /// under the registry's read lock, which is held until `f` returns: an
-    /// index encoded inside `f` is the one these entries described.
-    /// (Writers take the registry lock, release it, then a shard lock, so
-    /// holding this one while the encoder takes shard guards cannot
-    /// deadlock; queries take the two in the same order.)
-    pub(crate) fn with_registry_entries<R>(&self, f: impl FnOnce(&[(u32, &ColumnRef)]) -> R) -> R {
-        let registry = self.registry.read();
-        let mut entries: Vec<(u32, &ColumnRef)> = registry.entries().collect();
-        entries.sort_unstable_by_key(|(id, _)| *id);
-        f(&entries)
-    }
-
-    /// The live LSH index (persistence plumbing: sealing segments, reading
-    /// geometry).
-    pub(crate) fn lsh_index(&self) -> &ShardedLshIndex {
-        &self.index
-    }
-
     /// An empty index with this system's exact geometry (dim, banding,
-    /// seed, probes, shard count) — what a paged restore attaches
-    /// segments into.
+    /// seed, probes, shard count) — what a restore hydrates, or attaches
+    /// segments, into.
     pub(crate) fn fresh_index(&self) -> ShardedLshIndex {
         build_index(&self.config)
     }
@@ -379,7 +359,7 @@ impl WarpGate {
                 continue;
             }
             tables.sort();
-            out.push(PersistedBackendSync { name: id.name(), epoch: be.epoch, tables });
+            out.push(PersistedBackendSync { name: id.name(), tables });
         }
         out.sort_by(|a, b| a.name.cmp(&b.name));
         out
@@ -391,13 +371,6 @@ impl WarpGate {
         entries: Vec<(u32, ColumnRef)>,
         sync: Vec<PersistedBackendSync>,
     ) -> StoreResult<()> {
-        if index.dim() != self.config.dim {
-            return Err(StoreError::Schema(format!(
-                "persisted index dimension {} does not match config {}",
-                index.dim(),
-                self.config.dim
-            )));
-        }
         let registry = Registry::from_entries(entries).map_err(StoreError::SnapshotCorrupt)?;
         *self.registry.write() = registry;
         self.index = index;
@@ -444,8 +417,8 @@ pub(crate) fn deadline_err(phase: Phase) -> StoreError {
 }
 
 /// Construct the sharded LSH index a config describes (used at system
-/// construction and by paged restores, which must reproduce the exact
-/// geometry the sealed signatures were generated under).
+/// construction and by restores, which must reproduce the exact geometry
+/// the sealed signatures were generated under).
 fn build_index(config: &WarpGateConfig) -> ShardedLshIndex {
     let index = ShardedLshIndex::new(
         config.dim,
@@ -457,15 +430,13 @@ fn build_index(config: &WarpGateConfig) -> ShardedLshIndex {
     index
 }
 
-/// One backend's durable sync slice as it travels through the WGST
-/// snapshot frame (see `persist.rs`): the backend *name* (ids are
-/// process-local), the attach epoch it was saved under (diagnostic — the
-/// loader adopts its own live epoch), and the table → version tokens that
-/// were current at save time.
+/// One backend's durable sync slice as it travels through a snapshot's
+/// manifest (see `persist.rs`): the backend *name* (ids and attach epochs
+/// are process-local — the loader adopts its own live epoch) and the table
+/// → version tokens that were current at save time.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct PersistedBackendSync {
     pub(crate) name: String,
-    pub(crate) epoch: u64,
     pub(crate) tables: Vec<(String, String, u64)>,
 }
 

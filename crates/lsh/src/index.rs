@@ -20,30 +20,18 @@
 
 use std::cell::RefCell;
 use std::sync::Arc;
-use wg_util::codec::{self, CodecError, CodecResult};
+use wg_util::codec::{CodecError, CodecResult};
 use wg_util::deadline::{Deadline, Phase};
 use wg_util::kernel;
 use wg_util::segment::SegmentError;
 use wg_util::{FxHashMap, TopK};
 
 use crate::arena::VectorArena;
-use crate::paged::{QueryCodes, SegmentRow, VectorSegment};
+use crate::paged::{QueryCodes, SealRow, SegmentRow, VectorSegment};
 use crate::params::LshParams;
 use crate::scope::DiscoverScope;
 use crate::simhash::{band_key_of, Signature, SimHasher};
-use crate::{compose_item_id, item_backend, item_local, ItemId, BACKEND_BITS};
-
-/// Magic and version of the serialized index frame (see [`encode_frame`]).
-/// There is one version; any other is refused, never parsed.
-const FRAME_MAGIC: [u8; 4] = *b"WGLX";
-const FRAME_VERSION: u32 = 3;
-
-/// The widest signature and the largest hyperplane matrix (`dim × bits`
-/// floats) a frame may declare: [`decode_frame`] sizes the band tables and
-/// the hasher from the header, possibly before the snapshot's checksum has
-/// been compared. Real configurations stay far inside (default 128 × 128).
-const MAX_FRAME_SIG_BITS: usize = 1 << 16;
-const MAX_FRAME_PLANE_FLOATS: usize = 1 << 24;
+use crate::{item_backend, ItemId};
 
 /// Diagnostics from one search.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -366,6 +354,12 @@ impl SimHashLshIndex {
         self.cold.as_ref().map_or(0, |c| c.locator.len())
     }
 
+    /// True when `id` is stored, in either tier.
+    pub fn contains(&self, id: ItemId) -> bool {
+        self.vectors.slot(id).is_some()
+            || self.cold.as_ref().is_some_and(|c| c.locator.contains_key(&id))
+    }
+
     /// Number of live (non-retired) attached segments.
     pub fn cold_segment_count(&self) -> usize {
         self.cold.as_ref().map_or(0, |c| c.segments.iter().flatten().count())
@@ -391,25 +385,21 @@ impl SimHashLshIndex {
     pub fn insert_signed(&mut self, id: ItemId, vector: &[f32], sig: Signature) {
         debug_assert_eq!(vector.len(), self.dim());
         debug_assert_eq!(sig.bits, self.params.bits());
-        let filled = self.insert_row(id, &sig.words, |slot| {
-            slot.copy_from_slice(vector);
-            Ok(())
-        });
-        filled.unwrap_or_else(|never: std::convert::Infallible| match never {});
+        self.insert_row(id, &sig.words, |slot| slot.copy_from_slice(vector));
     }
 
     /// Insert (or replace) a hot row from its packed signature `words` and
-    /// a `fill` that writes the vector straight into its arena slot. If
-    /// `fill` fails the id is stored in neither tier.
-    fn insert_row<E>(
-        &mut self,
-        id: ItemId,
-        words: &[u64],
-        fill: impl FnOnce(&mut [f32]) -> Result<(), E>,
-    ) -> Result<(), E> {
+    /// a `fill` that writes the vector straight into its arena slot — how a
+    /// hydrating load installs a row it decodes from a block: bucketed from
+    /// the signature the build derived, nothing re-projected.
+    pub(crate) fn insert_row(&mut self, id: ItemId, words: &[u64], fill: impl FnOnce(&mut [f32])) {
         debug_assert_eq!(words.len(), self.words_per_sig());
         self.remove(id);
-        let slot = self.vectors.insert_with(id, fill)?;
+        let filled = self.vectors.insert_with(id, |slot| {
+            fill(slot);
+            Ok(())
+        });
+        let slot = filled.unwrap_or_else(|never: std::convert::Infallible| match never {});
         assert!(slot < COLD, "arena slot {slot} collides with the cold tag bit");
         let range = self.sig_range(slot);
         if self.hot_sigs.len() < range.end {
@@ -417,7 +407,6 @@ impl SimHashLshIndex {
         }
         self.hot_sigs[range].copy_from_slice(words);
         bucket(&mut self.bands, self.params.rows, slot, words);
-        Ok(())
     }
 
     /// `u64` words per packed signature.
@@ -490,30 +479,9 @@ impl SimHashLshIndex {
         doomed.into_iter().filter(|&id| self.remove(id)).count()
     }
 
-    /// Attach a sealed segment to the paged tier: every row `admit`
-    /// accepts is indexed into the band buckets from its **resident**
-    /// signature (no payload read — hydration stays lazy) and becomes
-    /// searchable, served from disk through the block cache. Rows replace
-    /// any same-id item already stored (newest attach wins). Returns how
-    /// many rows were attached.
-    pub fn attach_segment(
-        &mut self,
-        segment: Arc<VectorSegment>,
-        admit: impl Fn(ItemId) -> bool,
-    ) -> CodecResult<usize> {
-        self.attach_segment_mapped(segment, |id| admit(id).then_some(id))
-    }
-
-    /// [`Self::attach_segment`] with id remapping: `map` returns the id a
-    /// row is installed under (or `None` to skip it). Rows are located by
-    /// position, never by stored id, so a loader whose backend-name
-    /// interner assigned different bits than the sealing process can
-    /// recompose ids without rewriting the segment file.
-    pub fn attach_segment_mapped(
-        &mut self,
-        segment: Arc<VectorSegment>,
-        map: impl Fn(ItemId) -> Option<ItemId>,
-    ) -> CodecResult<usize> {
+    /// That `segment` was sealed under this index's dimension and
+    /// signature width — what attaching it and hydrating from it both need.
+    pub(crate) fn fits(&self, segment: &VectorSegment) -> CodecResult<()> {
         if segment.dim() != self.dim() {
             return Err(CodecError::Invalid(format!(
                 "segment dim {} does not match index dim {}",
@@ -527,6 +495,31 @@ impl SimHashLshIndex {
                 segment.sig_bits(),
                 self.params.bits()
             )));
+        }
+        Ok(())
+    }
+
+    /// Attach a sealed segment to the paged tier: every row `map` keeps is
+    /// indexed into the band buckets from its **resident** signature (no
+    /// payload read — hydration stays lazy) and becomes searchable, served
+    /// from disk through the block cache. Rows replace any same-id item
+    /// already stored (newest attach wins). Returns how many rows were
+    /// attached.
+    ///
+    /// `map` returns the id a row is installed under (or `None` to skip
+    /// it). Rows are located by position, never by stored id, so a loader
+    /// whose backend-name interner assigned different bits than the sealing
+    /// process can recompose ids without rewriting the segment file.
+    pub fn attach_segment_mapped(
+        &mut self,
+        segment: Arc<VectorSegment>,
+        map: impl Fn(ItemId) -> Option<ItemId>,
+    ) -> CodecResult<usize> {
+        self.fits(&segment)?;
+        if !segment.has_sketches() {
+            return Err(CodecError::Invalid(
+                "segment carries no row sketches: it can be hydrated from, not attached".into(),
+            ));
         }
         let (seg_slot, cold_rows) =
             self.cold.as_ref().map_or((0, 0), |c| (c.segments.len(), c.rows.len()));
@@ -611,28 +604,23 @@ impl SimHashLshIndex {
         Some(data[start..start + dim].to_vec())
     }
 
-    /// Every cold row as `(id, location, vector)` in location order,
-    /// reading each involved block once. Used by the persistence paths,
-    /// which must include cold rows in snapshots; panics on segment I/O
-    /// failure like [`Self::vector_owned`].
-    fn cold_rows(&self) -> Vec<(ItemId, ColdLoc, Vec<f32>)> {
-        let Some(cold) = &self.cold else {
-            return Vec::new();
+    /// The live cold rows grouped by block, in location order.
+    fn cold_groups(&self) -> Vec<Vec<(ColdLoc, ItemId)>> {
+        let rows: Vec<(ColdLoc, ItemId)> =
+            self.cold.iter().flat_map(|cold| cold.live_rows()).collect();
+        rows.chunk_by(|a, b| a.0.same_block(b.0)).map(<[_]>::to_vec).collect()
+    }
+
+    /// The blocks holding this index's live cold rows, in location order,
+    /// each fetched once through the cache — the first half of reading the
+    /// rows in place: [`Self::rows_in_place`] borrows the vectors out of
+    /// what this returns.
+    pub(crate) fn cold_blocks(&self) -> Result<Vec<Arc<Vec<f32>>>, SegmentError> {
+        let fetch = |group: Vec<(ColdLoc, ItemId)>| {
+            let first = group[0].0;
+            self.cold_segment(first).block(first.block())
         };
-        let dim = self.dim();
-        let rows: Vec<(ColdLoc, ItemId)> = cold.live_rows().collect();
-        let mut out = Vec::with_capacity(rows.len());
-        for group in rows.chunk_by(|a, b| a.0.same_block(b.0)) {
-            let data = cold
-                .segment(group[0].0)
-                .block(group[0].0.block())
-                .unwrap_or_else(|e| panic!("paged tier lost a sealed block: {e}"));
-            for &(loc, id) in group {
-                let start = loc.row() * dim;
-                out.push((id, loc, data[start..start + dim].to_vec()));
-            }
-        }
-        out
+        self.cold_groups().into_iter().map(fetch).collect()
     }
 
     /// The attached segment a cold location points into.
@@ -640,33 +628,61 @@ impl SimHashLshIndex {
         self.cold.as_ref().expect("a cold location implies a cold store").segment(loc)
     }
 
+    /// Append every stored row `admit` keeps to `out`, borrowed where it
+    /// lives: hot rows from the arena and the signature slab in slot order,
+    /// then cold rows from `cold_blocks` (what [`Self::cold_blocks`]
+    /// returned under the same borrow of `self`) and their segments'
+    /// directories.
+    pub(crate) fn rows_in_place<'a>(
+        &'a self,
+        cold_blocks: &'a [Arc<Vec<f32>>],
+        admit: impl Fn(ItemId) -> bool,
+        out: &mut Vec<SealRow<'a>>,
+    ) {
+        let dim = self.dim();
+        for slot in 0..self.vectors.slot_count() as u32 {
+            if let Some(id) = self.vectors.id_at(slot).filter(|&id| admit(id)) {
+                out.push(SealRow {
+                    id,
+                    words: self.hot_sig(slot),
+                    norm: self.vectors.norm_at(slot),
+                    vector: self.vectors.vector_at(slot),
+                });
+            }
+        }
+        let groups = self.cold_groups();
+        assert_eq!(groups.len(), cold_blocks.len(), "one fetched block per block of live rows");
+        for (group, data) in groups.iter().zip(cold_blocks) {
+            for &(loc, id) in group.iter().filter(|&&(_, id)| admit(id)) {
+                let seg = self.cold_segment(loc);
+                out.push(SealRow {
+                    id,
+                    words: seg.sig_words_of(loc.block(), loc.row()),
+                    norm: seg.block_meta(loc.block()).norms[loc.row()],
+                    vector: &data[loc.row() * dim..(loc.row() + 1) * dim],
+                });
+            }
+        }
+    }
+
     /// Export every stored row (hot and cold) with its signature and norm,
     /// ready for [`crate::paged::write_vector_segment`]. Cold rows read
-    /// through the cache.
+    /// through the cache; panics on segment I/O failure like
+    /// [`Self::vector_owned`].
     pub fn export_rows(&self) -> Vec<SegmentRow> {
         let bits = self.params.bits();
-        let mut out = Vec::with_capacity(self.len());
-        for slot in 0..self.vectors.slot_count() as u32 {
-            let Some(id) = self.vectors.id_at(slot) else {
-                continue;
-            };
-            out.push(SegmentRow {
-                id,
-                signature: Signature { words: self.hot_sig(slot).to_vec(), bits },
-                norm: self.vectors.norm_at(slot),
-                vector: self.vectors.vector_at(slot).to_vec(),
-            });
-        }
-        for (id, loc, vector) in self.cold_rows() {
-            let seg = self.cold_segment(loc);
-            out.push(SegmentRow {
-                id,
-                signature: seg.signature_of(loc.block(), loc.row()),
-                norm: seg.block_meta(loc.block()).norms[loc.row()],
-                vector,
-            });
-        }
-        out
+        let blocks =
+            self.cold_blocks().unwrap_or_else(|e| panic!("paged tier lost a sealed block: {e}"));
+        let mut rows = Vec::with_capacity(self.len());
+        self.rows_in_place(&blocks, |_| true, &mut rows);
+        rows.into_iter()
+            .map(|r| SegmentRow {
+                id: r.id,
+                signature: Signature { words: r.words.to_vec(), bits },
+                norm: r.norm,
+                vector: r.vector.to_vec(),
+            })
+            .collect()
     }
 
     /// Collect the candidate set for a query vector (union of band buckets,
@@ -1083,142 +1099,6 @@ impl SimHashLshIndex {
     }
 }
 
-/// Serialize `shards` — indexes of one geometry that partition an id space,
-/// the caller holding whatever guards keep them still — as **one** WGLX
-/// frame (DESIGN.md §9):
-///
-/// ```text
-/// "WGLX" │ version u32 │ dim u32 │ bands u32 │ rows u32 │ seed u64 │ probes u32
-/// backends u32 │ per backend: stored bits u32 │ name (len-prefixed UTF-8)
-/// rows u32 │ per row: id u32 │ signature words [u64; ⌈bits/64⌉] │ vector [f32; dim]
-/// ```
-///
-/// Rows are fixed-width and id-sorted, so identical states serialize to
-/// identical bytes whatever the shard count or insertion history. Each row
-/// carries the signature the build derived for it, so a restore buckets it
-/// without re-projecting the vector — trusted exactly as
-/// [`SimHashLshIndex::attach_segment_mapped`] trusts a segment directory's.
-/// The table names every namespace the ids use (`name_of`: bits → attach
-/// name): names, not bits, are authoritative across processes. Hot rows
-/// are read in place from each shard's arena and signature slab; cold rows
-/// hydrate through the block cache.
-pub(crate) fn encode_frame(
-    shards: &[&SimHashLshIndex],
-    buf: &mut Vec<u8>,
-    name_of: impl Fn(u16) -> String,
-) {
-    let first = shards[0];
-    codec::put_header(buf, FRAME_MAGIC, FRAME_VERSION);
-    codec::put_u32(buf, first.dim() as u32);
-    codec::put_u32(buf, first.params.bands as u32);
-    codec::put_u32(buf, first.params.rows as u32);
-    codec::put_u64(buf, first.hasher.seed());
-    codec::put_u32(buf, first.probes as u32);
-
-    let cold: Vec<_> = shards.iter().map(|s| s.cold_rows()).collect();
-    let mut rows: Vec<(ItemId, &[u64], &[f32])> =
-        Vec::with_capacity(shards.iter().map(|s| s.len()).sum());
-    for (shard, cold) in shards.iter().zip(&cold) {
-        rows.extend((0..shard.vectors.slot_count() as u32).filter_map(|slot| {
-            let id = shard.vectors.id_at(slot)?;
-            Some((id, shard.hot_sig(slot), shard.vectors.vector_at(slot)))
-        }));
-        rows.extend(cold.iter().map(|(id, loc, vector)| {
-            (*id, shard.cold_segment(*loc).sig_words_of(loc.block(), loc.row()), &vector[..])
-        }));
-    }
-    rows.sort_unstable_by_key(|&(id, _, _)| id);
-
-    // Sorted ids group by namespace (the high bits).
-    let mut backends: Vec<u16> = rows.iter().map(|&(id, _, _)| item_backend(id)).collect();
-    backends.dedup();
-    codec::put_len(buf, backends.len());
-    for &bits in &backends {
-        codec::put_u32(buf, bits as u32);
-        codec::put_str(buf, &name_of(bits));
-    }
-    codec::put_len(buf, rows.len());
-    buf.reserve(rows.len() * (4 + 8 * first.words_per_sig() + 4 * first.dim()));
-    for (id, words, vector) in rows {
-        codec::put_u32(buf, id);
-        codec::put_u64s(buf, words);
-        codec::put_f32s(buf, vector);
-    }
-}
-
-/// Deserialize a frame written by [`encode_frame`] into `shards`
-/// partitions (`id % shards`) sharing the returned hasher. The stored
-/// geometry, seed and probes win over any caller default; `resolve` gives
-/// the loading process's bits for each backend *name* of the table, and
-/// every row's high bits are remapped to them.
-///
-/// The bytes may be unverified (a streaming restore compares the checksum
-/// only after the last frame): every count is checked against the bytes
-/// that remain before anything is reserved for it, and the geometry is
-/// held to [`MAX_FRAME_SIG_BITS`] / [`MAX_FRAME_PLANE_FLOATS`] before the
-/// hasher is built from it.
-pub(crate) fn decode_frame(
-    buf: &mut impl codec::Buf,
-    shards: usize,
-    mut resolve: impl FnMut(&str) -> CodecResult<u16>,
-) -> CodecResult<(Arc<SimHasher>, Vec<SimHashLshIndex>)> {
-    let version = codec::get_header(buf, FRAME_MAGIC)?;
-    if version != FRAME_VERSION {
-        return Err(CodecError::Invalid(format!(
-            "unsupported index frame version {version} (this build reads {FRAME_VERSION})"
-        )));
-    }
-    let dim = codec::get_u32(buf)? as usize;
-    let bands = codec::get_u32(buf)? as usize;
-    let rows = codec::get_u32(buf)? as usize;
-    let seed = codec::get_u64(buf)?;
-    let probes = codec::get_u32(buf)? as usize;
-    let bits = bands.saturating_mul(rows);
-    if dim == 0 || bands == 0 || rows == 0 || rows > 64 {
-        return Err(CodecError::Invalid("bad index geometry".into()));
-    }
-    if bits > MAX_FRAME_SIG_BITS || dim.saturating_mul(bits) > MAX_FRAME_PLANE_FLOATS {
-        return Err(CodecError::Invalid(format!(
-            "index geometry {dim} × {bands}·{rows} bits is beyond what a frame may declare"
-        )));
-    }
-    // Stored backend bits -> this process's bits, by name.
-    let mut remap = [None::<u16>; 1 << BACKEND_BITS];
-    for _ in 0..codec::get_count(buf, 8)? {
-        let stored_bits = codec::get_u32(buf)? as usize;
-        let name = codec::get_str(buf)?;
-        let local_bits = resolve(&name)?;
-        match remap.get_mut(stored_bits) {
-            Some(slot) if local_bits < 1 << BACKEND_BITS => *slot = Some(local_bits),
-            _ => return Err(CodecError::Invalid("backend bits out of range".into())),
-        }
-    }
-
-    let hasher = Arc::new(SimHasher::new(dim, bits, seed));
-    let mut out: Vec<SimHashLshIndex> = (0..shards.max(1))
-        .map(|_| {
-            let mut shard = SimHashLshIndex::with_hasher(hasher.clone(), LshParams { bands, rows });
-            shard.set_probes(probes);
-            shard
-        })
-        .collect();
-    let mut words = vec![0u64; bits.div_ceil(64)];
-    for _ in 0..codec::get_count(buf, 4 + 8 * words.len() + 4 * dim)? {
-        let stored = codec::get_u32(buf)?;
-        let Some(local_bits) = remap[item_backend(stored) as usize] else {
-            return Err(CodecError::Invalid(format!(
-                "item id {stored} references backend bits {} missing from the table",
-                item_backend(stored)
-            )));
-        };
-        let id = compose_item_id(local_bits, item_local(stored));
-        codec::get_u64s(buf, &mut words)?;
-        let shard = id as usize % out.len();
-        out[shard].insert_row(id, &words, |slot| codec::get_f32s(buf, slot))?;
-    }
-    Ok((hasher, out))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1359,6 +1239,17 @@ mod tests {
         assert!(after >= before);
     }
 
+    /// `index`'s rows sealed without sketches by a one-shard
+    /// [`crate::ShardedLshIndex`] holding the same rows.
+    fn sealed(index: &SimHashLshIndex, block_rows: usize) -> Vec<u8> {
+        let sharded = crate::ShardedLshIndex::new(index.dim(), index.params(), index.seed(), 1);
+        for row in index.export_rows() {
+            assert!(sharded.insert(row.id, &row.vector));
+        }
+        let image = sharded.freeze().seal(block_rows, false, &[], |_| true);
+        image.expect("no cold rows to lose")
+    }
+
     #[test]
     fn encode_decode_roundtrip_preserves_search() {
         let mut rng = Xoshiro256pp::new(8);
@@ -1369,34 +1260,38 @@ mod tests {
         }
         let query = random_unit(32, &mut rng);
         let before = index.search(&query, 5, |_| false);
-        let mut buf = Vec::new();
-        encode_frame(&[&index], &mut buf, |_| "default".into());
-        let mut r = &buf[..];
-        let (hasher, mut shards) = decode_frame(&mut r, 1, |_| Ok(0)).unwrap();
-        assert!(r.is_empty());
-        let loaded = shards.pop().expect("one shard asked for");
-        assert_eq!((loaded.len(), loaded.probes(), loaded.params()), (100, 1, index.params()));
-        assert_eq!((hasher.dim(), hasher.bits(), hasher.seed()), (32, index.params().bits(), 21));
+        let image = sealed(&index, 16);
+        let cache = crate::paged::BlockCache::new(0);
+        let segment = VectorSegment::from_bytes(image.clone(), cache).expect("open");
+        let loaded = crate::ShardedLshIndex::new(32, index.params(), 21, 1);
+        loaded.set_probes(1);
+        assert_eq!(loaded.hydrate(&segment, Some).expect("hydrate"), 100);
         assert_eq!(loaded.search(&query, 5, |_| false), before);
-        // The signature slab came from the frame, slot for slot what a
-        // fresh signing of the stored vector gives.
-        for slot in 0..loaded.vectors.slot_count() as u32 {
-            let sig = hasher.sign(loaded.vectors.vector_at(slot));
-            assert_eq!(loaded.hot_sig(slot), &sig.words[..]);
+        // The signatures a hydrate buckets from are the image's: row for
+        // row what a fresh signing of the stored vector gives, and what the
+        // hydrated index seals again.
+        for b in 0..segment.block_count() {
+            let data = segment.block(b).expect("read");
+            for (r, vector) in data.chunks_exact(32).enumerate() {
+                assert_eq!(segment.sig_words_of(b, r), &index.hasher().sign(vector).words[..]);
+            }
         }
+        assert_eq!(loaded.freeze().seal(16, false, &[], |_| true).expect("seal"), image);
     }
 
     #[test]
     fn decode_rejects_garbage() {
-        let mut r: &[u8] = b"not an index";
-        assert!(decode_frame(&mut r, 1, |_| Ok(0)).is_err());
-        // A row cut short: typed, and the row count check sees it first.
+        let open = |bytes: &[u8]| {
+            VectorSegment::from_bytes(bytes.to_vec(), crate::paged::BlockCache::new(0))
+        };
+        assert!(open(b"not an index").is_err());
+        // An image cut short anywhere: typed, at open.
         let mut index = SimHashLshIndex::for_threshold(8, 0.5, 1);
         index.insert(0, &[1.0; 8]);
-        let mut buf = Vec::new();
-        encode_frame(&[&index], &mut buf, |_| "default".into());
-        for cut in 0..buf.len() {
-            assert!(decode_frame(&mut &buf[..cut], 1, |_| Ok(0)).is_err(), "cut at {cut} decoded");
+        let image = sealed(&index, 4);
+        open(&image).expect("the whole image opens");
+        for cut in 0..image.len() {
+            assert!(open(&image[..cut]).is_err(), "cut at {cut} opened");
         }
     }
 
@@ -1439,7 +1334,7 @@ mod tests {
         );
         let mut paged = SimHashLshIndex::new(source.dim(), source.params(), source.seed());
         paged.set_probes(source.probes());
-        paged.attach_segment(seg, |_| true).expect("attach");
+        paged.attach_segment_mapped(seg, Some).expect("attach");
         (paged, cache, dir)
     }
 
@@ -1531,7 +1426,7 @@ mod tests {
         let cache = crate::paged::BlockCache::new(0);
         let seg = Arc::new(VectorSegment::open(&path, cache).expect("open"));
         let mut paged = SimHashLshIndex::new(DIM, params, 1);
-        paged.attach_segment(seg, |_| true).expect("attach");
+        paged.attach_segment_mapped(seg, Some).expect("attach");
 
         let mut query = vec![0.0f32; DIM];
         query[1..64].fill(1.0);
@@ -1744,7 +1639,7 @@ mod tests {
                     crate::paged::write_vector_segment(&path, DIM, 16, 4, sealed.collect())
                         .expect("seal");
                     let seg = VectorSegment::open(&path, cache.clone()).expect("open");
-                    assert_eq!(index.attach_segment(Arc::new(seg), |_| true), Ok(rows.len()));
+                    assert_eq!(index.attach_segment_mapped(Arc::new(seg), Some), Ok(rows.len()));
                     model.extend(rows);
                     attaches += 1;
                 }
@@ -1913,11 +1808,11 @@ mod tests {
             Arc::new(crate::paged::VectorSegment::open(&path, cache).expect("open"))
         };
         let mut paged = SimHashLshIndex::new(dim, source.params(), source.seed());
-        let err = paged.attach_segment(seal(rows_per_block), |_| true).expect_err("too wide");
+        let err = paged.attach_segment_mapped(seal(rows_per_block), Some).expect_err("too wide");
         assert!(err.to_string().contains("does not fit the cold locator"), "{err}");
         assert!(paged.is_empty() && paged.cold_segment_count() == 0);
         // One row fewer per block is the widest block the locator holds.
-        assert_eq!(paged.attach_segment(seal(rows_per_block - 1), |_| true), Ok(rows_per_block));
+        assert_eq!(paged.attach_segment_mapped(seal(rows_per_block - 1), Some), Ok(rows_per_block));
         let hits = paged.search(&[1.0, 0.0], 3, |_| false);
         assert_eq!(hits, source.search(&[1.0, 0.0], 3, |_| false));
         std::fs::remove_dir_all(&dir).ok();

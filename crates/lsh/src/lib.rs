@@ -19,12 +19,15 @@
 //! * [`index`] — the banded [`SimHashLshIndex`]: buckets of row numbers
 //!   (arena slots and paged-tier rows alike), a per-thread bitset as the
 //!   candidate set — no sort and no id lookup between the buckets and the
-//!   scores — exact cosine re-ranking, optional multi-probe, incremental
-//!   insert/remove, and binary persistence;
+//!   scores — exact cosine re-ranking, optional multi-probe, and
+//!   incremental insert/remove;
 //! * [`shard`] — the concurrent [`ShardedLshIndex`]: items partitioned by
 //!   id across independently locked [`SimHashLshIndex`] shards, searched
-//!   with one signing and one top-k heap that travels through the shards;
-//! * [`paged`] — the beyond-RAM tier: sealed segment files whose directory
+//!   with one signing and one top-k heap that travels through the shards,
+//!   sealed into one segment image under every shard's read guard
+//!   ([`ShardedLshIndex::freeze`]) and hydrated back from one;
+//! * [`paged`] — the one writer and the one reader of a sealed segment,
+//!   and the beyond-RAM tier built on it: a directory that
 //!   keeps an int8 sketch of every row resident (bounded against the
 //!   query's own i16 quantization with one exact integer dot — the bound
 //!   that decides which blocks a query reads at all), a shared
@@ -57,7 +60,7 @@ pub use minhash::{MinHashLshIndex, MinHashSignature, MinHasher};
 pub use paged::{BlockCache, CacheStats, SegmentRow, VectorSegment};
 pub use params::LshParams;
 pub use scope::DiscoverScope;
-pub use shard::ShardedLshIndex;
+pub use shard::{FrozenIndex, ShardedLshIndex};
 pub use simhash::{Signature, SimHasher};
 
 /// Item identifiers stored in the indexes. Callers keep the mapping from

@@ -9,6 +9,15 @@
 //! themselves page in on demand through a shared byte-budgeted LRU
 //! [`BlockCache`].
 //!
+//! The segment is also the one thing the system persists (DESIGN.md §9).
+//! Its header is the geometry, a flag saying whether the directory carries
+//! sketches — an option of the file: a paged snapshot prunes with them, a
+//! checkpoint never reads them and leaves them out — and an opaque
+//! **manifest** the sealing caller owns. One writer (`seal_image`) lays
+//! out every file; one reader ([`VectorSegment::open`] /
+//! [`VectorSegment::from_bytes`]) validates it, after which an index either
+//! attaches it lazily or hydrates from it block by block.
+//!
 //! The sketch of a row `x` is `dim` int8 codes `c_x`, an f32 scale `s_x`
 //! and an f32 residual norm `e_x ≥ ‖x − s_x·c_x‖` (`dim + 8` bytes against
 //! the row's `4·dim`). It is the tier's one pruning mechanism. A search
@@ -439,6 +448,23 @@ pub struct SegmentRow {
     pub vector: Vec<f32>,
 }
 
+impl SegmentRow {
+    fn borrowed(&self) -> SealRow<'_> {
+        SealRow { id: self.id, words: &self.signature.words, norm: self.norm, vector: &self.vector }
+    }
+}
+
+/// One row headed into [`seal_image`], borrowed from wherever it lives — an
+/// arena slot and its signature slab, or a cached cold block and its
+/// directory.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SealRow<'a> {
+    pub(crate) id: ItemId,
+    pub(crate) words: &'a [u64],
+    pub(crate) norm: f32,
+    pub(crate) vector: &'a [f32],
+}
+
 /// Directory-resident metadata for one block of a [`VectorSegment`]: what
 /// a search needs of each row before — and mostly instead of — reading it.
 #[derive(Debug, Clone)]
@@ -450,7 +476,8 @@ pub struct BlockMeta {
     /// Packed signature words, `words_per_sig` per row.
     pub sig_words: Vec<u64>,
     /// Int8 sketch codes, `dim` per row: row `r` is approximated by
-    /// `scales[r] · codes[r·dim..(r+1)·dim]`.
+    /// `scales[r] · codes[r·dim..(r+1)·dim]`. This and the two fields below
+    /// are empty in a segment sealed without sketches.
     pub codes: Vec<i8>,
     /// Per-row sketch scale (finite, `≥ 0`).
     pub scales: Vec<f32>,
@@ -460,48 +487,59 @@ pub struct BlockMeta {
 
 impl BlockMeta {
     /// The metadata of a block holding `rows`, in that order.
-    fn of_rows(rows: &[SegmentRow], dim: usize) -> BlockMeta {
+    fn of_rows(rows: &[SealRow<'_>], dim: usize, sketches: bool) -> BlockMeta {
+        let sketched = if sketches { rows.len() } else { 0 };
         let mut meta = BlockMeta {
             ids: rows.iter().map(|r| r.id).collect(),
             norms: rows.iter().map(|r| r.norm).collect(),
-            sig_words: Vec::with_capacity(rows.len() * rows[0].signature.words.len()),
-            codes: Vec::with_capacity(rows.len() * dim),
-            scales: Vec::with_capacity(rows.len()),
-            residuals: Vec::with_capacity(rows.len()),
+            sig_words: Vec::with_capacity(rows.len() * rows[0].words.len()),
+            codes: Vec::with_capacity(sketched * dim),
+            scales: Vec::with_capacity(sketched),
+            residuals: Vec::with_capacity(sketched),
         };
         for r in rows {
-            meta.sig_words.extend_from_slice(&r.signature.words);
-            let (scale, residual) = sketch_row(&r.vector, &mut meta.codes);
-            meta.scales.push(scale);
-            meta.residuals.push(residual);
+            meta.sig_words.extend_from_slice(r.words);
+            if sketches {
+                let (scale, residual) = sketch_row(r.vector, &mut meta.codes);
+                meta.scales.push(scale);
+                meta.residuals.push(residual);
+            }
         }
         meta
     }
 
-    fn encode(&self, buf: &mut Vec<u8>) {
+    /// `sketches` is the segment header's flag: the sketch arrays are part
+    /// of the encoding exactly when it is set.
+    fn encode(&self, buf: &mut Vec<u8>, sketches: bool) {
         codec::put_u32_slice(buf, &self.ids);
         codec::put_f32_slice(buf, &self.norms);
         codec::put_u64_slice(buf, &self.sig_words);
-        codec::put_bytes_with(buf, |buf| buf.extend(self.codes.iter().map(|&c| c as u8)));
-        codec::put_f32_slice(buf, &self.scales);
-        codec::put_f32_slice(buf, &self.residuals);
+        if sketches {
+            codec::put_bytes_with(buf, |buf| buf.extend(self.codes.iter().map(|&c| c as u8)));
+            codec::put_f32_slice(buf, &self.scales);
+            codec::put_f32_slice(buf, &self.residuals);
+        }
     }
 
-    fn decode(buf: &mut &[u8]) -> CodecResult<BlockMeta> {
-        Ok(BlockMeta {
+    fn decode(buf: &mut &[u8], sketches: bool) -> CodecResult<BlockMeta> {
+        let mut meta = BlockMeta {
             ids: codec::get_u32_vec(buf)?,
             norms: codec::get_f32_vec(buf)?,
             sig_words: codec::get_u64_vec(buf)?,
-            codes: {
-                // One pass from the directory bytes to the resident codes.
-                let len = codec::get_len(buf)?;
-                let (bytes, rest) = buf.split_at_checked(len).ok_or(CodecError::UnexpectedEof)?;
-                *buf = rest;
-                bytes.iter().map(|&b| b as i8).collect()
-            },
-            scales: codec::get_f32_vec(buf)?,
-            residuals: codec::get_f32_vec(buf)?,
-        })
+            codes: Vec::new(),
+            scales: Vec::new(),
+            residuals: Vec::new(),
+        };
+        if sketches {
+            // One pass from the directory bytes to the resident codes.
+            let len = codec::get_len(buf)?;
+            let (bytes, rest) = buf.split_at_checked(len).ok_or(CodecError::UnexpectedEof)?;
+            *buf = rest;
+            meta.codes = bytes.iter().map(|&b| b as i8).collect();
+            meta.scales = codec::get_f32_vec(buf)?;
+            meta.residuals = codec::get_f32_vec(buf)?;
+        }
+        Ok(meta)
     }
 
     /// An upper bound (in f64, [`UB_SLACK`]-padded) on the exact f32 cosine
@@ -533,11 +571,9 @@ impl BlockMeta {
     }
 }
 
-/// Seal rows into a segment file at `path` (written atomically).
-///
-/// Rows are sorted by (signature words, id) before blocking so LSH-similar
-/// rows share blocks — a query's surviving candidates then sit in few
-/// blocks. Returns the number of blocks written.
+/// Seal rows into a segment file at `path` (written atomically), with row
+/// sketches and an empty manifest — a bare paged tier, no snapshot around
+/// it. Returns the number of blocks written.
 pub fn write_vector_segment(
     path: &Path,
     dim: usize,
@@ -545,7 +581,7 @@ pub fn write_vector_segment(
     block_rows: usize,
     rows: Vec<SegmentRow>,
 ) -> std::io::Result<usize> {
-    seal_rows(path, dim, sig_bits, block_rows, rows, 1.0)
+    write_rows(path, dim, sig_bits, block_rows, rows, 1.0)
 }
 
 /// The mutant of [`write_vector_segment`] for the mutation check: every
@@ -558,48 +594,99 @@ pub(crate) fn write_vector_segment_understating(
     block_rows: usize,
     rows: Vec<SegmentRow>,
 ) -> std::io::Result<usize> {
-    seal_rows(path, dim, sig_bits, block_rows, rows, 0.9)
+    write_rows(path, dim, sig_bits, block_rows, rows, 0.9)
 }
 
-fn seal_rows(
+fn write_rows(
     path: &Path,
     dim: usize,
     sig_bits: usize,
     block_rows: usize,
-    mut rows: Vec<SegmentRow>,
+    rows: Vec<SegmentRow>,
     residual_factor: f32,
 ) -> std::io::Result<usize> {
-    assert!(dim > 0 && block_rows > 0, "segment geometry must be positive");
     for row in &rows {
         assert_eq!(row.vector.len(), dim, "row dimension mismatch");
         assert_eq!(row.signature.bits, sig_bits, "row signature width mismatch");
     }
-    rows.sort_unstable_by(|a, b| a.signature.words.cmp(&b.signature.words).then(a.id.cmp(&b.id)));
+    let mut borrowed: Vec<SealRow<'_>> = rows.iter().map(SegmentRow::borrowed).collect();
+    let image = seal(dim, sig_bits, block_rows, true, &[], &mut borrowed, residual_factor);
+    atomic_file::write(path, &image)?;
+    Ok(rows.len().div_ceil(block_rows))
+}
 
-    let mut header_meta = Vec::new();
-    codec::put_u32(&mut header_meta, dim as u32);
-    codec::put_u32(&mut header_meta, sig_bits as u32);
-    codec::put_u32(&mut header_meta, block_rows as u32);
-    let mut builder = SegmentBuilder::new(&header_meta);
+/// Header flag: every block's directory entry carries its rows' sketches.
+const FLAG_SKETCHES: u32 = 1;
+/// Bytes of the header in front of the manifest: dim, signature width,
+/// block rows, flags.
+const HEADER_LEN: usize = 16;
 
-    let mut n_blocks = 0usize;
+/// Lay `rows` out as one complete segment image — the only writer of the
+/// format:
+///
+/// ```text
+/// header   dim u32 │ sig_bits u32 │ block_rows u32 │ flags u32 │ manifest …
+/// block b  rows [b·block_rows, (b+1)·block_rows) as little-endian f32s
+/// meta b   ids │ norms │ signature words │ iff sketches: codes │ scales │ residuals
+/// ```
+///
+/// Rows are sorted by (signature words, id) before blocking, so LSH-similar
+/// rows share blocks — a query's surviving candidates then sit in few
+/// blocks — and identical row sets seal to identical bytes wherever the
+/// rows came from. `manifest` is the caller's: this layer stores it and
+/// hands it back.
+pub(crate) fn seal_image(
+    dim: usize,
+    sig_bits: usize,
+    block_rows: usize,
+    sketches: bool,
+    manifest: &[u8],
+    rows: &mut [SealRow<'_>],
+) -> Vec<u8> {
+    seal(dim, sig_bits, block_rows, sketches, manifest, rows, 1.0)
+}
+
+fn seal(
+    dim: usize,
+    sig_bits: usize,
+    block_rows: usize,
+    sketches: bool,
+    manifest: &[u8],
+    rows: &mut [SealRow<'_>],
+    residual_factor: f32,
+) -> Vec<u8> {
+    assert!(dim > 0 && sig_bits > 0 && block_rows > 0, "segment geometry must be positive");
+    rows.sort_unstable_by(|a, b| a.words.cmp(b.words).then(a.id.cmp(&b.id)));
+
+    let mut header = Vec::with_capacity(HEADER_LEN);
+    codec::put_u32(&mut header, dim as u32);
+    codec::put_u32(&mut header, sig_bits as u32);
+    codec::put_u32(&mut header, block_rows as u32);
+    codec::put_u32(&mut header, if sketches { FLAG_SKETCHES } else { 0 });
+    // What the image will weigh: a row's payload and metadata, a block's
+    // checksum, directory entry and length prefixes, the header, and the
+    // container's own framing.
+    let row_bytes = dim * 4 + 8 + sig_bits.div_ceil(64) * 8 + if sketches { dim + 8 } else { 0 };
+    let size = rows.len() * row_bytes + rows.len().div_ceil(block_rows) * 64 + manifest.len() + 128;
+    let mut builder = SegmentBuilder::new(size);
+
+    let mut meta = Vec::new();
     for chunk in rows.chunks(block_rows) {
-        let mut block = BlockMeta::of_rows(chunk, dim);
+        let mut block = BlockMeta::of_rows(chunk, dim, sketches);
         for e in &mut block.residuals {
             *e *= residual_factor;
         }
-        let mut meta = Vec::new();
-        block.encode(&mut meta);
+        meta.clear();
+        block.encode(&mut meta, sketches);
         builder.push_block_with(chunk.len() * dim * 4, &meta, |payload| {
-            let values = chunk.iter().flat_map(|r| r.vector.iter());
-            for (dst, x) in payload.chunks_exact_mut(4).zip(values) {
-                dst.copy_from_slice(&x.to_le_bytes());
+            for (dst, row) in payload.chunks_exact_mut(dim * 4).zip(chunk) {
+                for (le, x) in dst.chunks_exact_mut(4).zip(row.vector) {
+                    le.copy_from_slice(&x.to_le_bytes());
+                }
             }
         });
-        n_blocks += 1;
     }
-    atomic_file::write(path, &builder.finish())?;
-    Ok(n_blocks)
+    builder.finish(&[&header, manifest])
 }
 
 /// An opened vector segment: directory metadata resident, payload blocks
@@ -609,6 +696,8 @@ pub struct VectorSegment {
     segment: Segment,
     dim: usize,
     sig_bits: usize,
+    sketches: bool,
+    manifest: Vec<u8>,
     blocks: Vec<BlockMeta>,
     cache: Arc<BlockCache>,
 }
@@ -624,33 +713,55 @@ impl std::fmt::Debug for VectorSegment {
 }
 
 impl VectorSegment {
-    /// Open a sealed segment, validating geometry and directory metadata.
-    /// No payload block is read here — hydration is lazy.
+    /// Open a sealed segment file, validating geometry and directory
+    /// metadata. No payload block is read here — hydration is lazy.
     pub fn open(path: &Path, cache: Arc<BlockCache>) -> Result<VectorSegment, SegmentError> {
-        let mut segment = Segment::open(path)?;
-        let mut h = segment.header_meta();
+        Self::validate(Segment::open(path)?, cache)
+    }
+
+    /// [`Self::open`] over a complete image held in memory.
+    pub fn from_bytes(bytes: Vec<u8>, cache: Arc<BlockCache>) -> Result<Self, SegmentError> {
+        Self::validate(Segment::from_bytes(bytes)?, cache)
+    }
+
+    /// The container has vouched for the directory's bytes (its CRC was
+    /// compared before it was parsed); this holds what they say to the
+    /// vector tier's own rules.
+    fn validate(mut segment: Segment, cache: Arc<BlockCache>) -> Result<Self, SegmentError> {
+        let mut manifest = segment.take_header_meta();
+        let mut h = &manifest[..];
         let dim = codec::get_u32(&mut h)? as usize;
         let sig_bits = codec::get_u32(&mut h)? as usize;
         let block_rows = codec::get_u32(&mut h)? as usize;
-        if dim == 0 || sig_bits == 0 || block_rows == 0 {
+        let flags = codec::get_u32(&mut h)?;
+        if dim == 0 || sig_bits == 0 || block_rows == 0 || flags & !FLAG_SKETCHES != 0 {
             return Err(SegmentError::Corrupt("bad vector-segment geometry".into()));
         }
+        manifest.drain(..HEADER_LEN);
+        let sketches = flags & FLAG_SKETCHES != 0;
+        let sketched = |rows: usize| if sketches { rows } else { 0 };
         let words_per_sig = sig_bits.div_ceil(64);
         let mut blocks = Vec::with_capacity(segment.block_count());
         for b in 0..segment.block_count() {
             // Taken, not borrowed: the decoded form below is the resident
             // copy, and the sketches are too big to keep twice.
-            let meta = BlockMeta::decode(&mut &segment.take_block_meta(b)[..])?;
+            let raw = segment.take_block_meta(b);
+            let mut r = &raw[..];
+            let meta = BlockMeta::decode(&mut r, sketches)?;
             let rows = meta.ids.len();
             if rows == 0 || rows > block_rows {
                 return Err(SegmentError::Corrupt(format!("block {b} has {rows} rows")));
             }
-            if meta.norms.len() != rows
+            // `dim` is whatever the header says: products that do not fit
+            // are as wrong as ones that do not match.
+            let payload_len = rows.checked_mul(dim).and_then(|floats| floats.checked_mul(4));
+            if !r.is_empty()
+                || meta.norms.len() != rows
                 || meta.sig_words.len() != rows * words_per_sig
-                || meta.codes.len() != rows * dim
-                || meta.scales.len() != rows
-                || meta.residuals.len() != rows
-                || segment.block_payload_len(b) != rows * dim * 4
+                || Some(meta.codes.len()) != sketched(rows).checked_mul(dim)
+                || meta.scales.len() != sketched(rows)
+                || meta.residuals.len() != sketched(rows)
+                || Some(segment.block_payload_len(b)) != payload_len
             {
                 return Err(SegmentError::Corrupt(format!("block {b} metadata is inconsistent")));
             }
@@ -666,7 +777,20 @@ impl VectorSegment {
             blocks.push(meta);
         }
         let cache_id = cache.register_segment();
-        Ok(VectorSegment { cache_id, segment, dim, sig_bits, blocks, cache })
+        Ok(VectorSegment { cache_id, segment, dim, sig_bits, sketches, manifest, blocks, cache })
+    }
+
+    /// True when the directory carries row sketches — what a search over
+    /// an attached segment prunes with. A segment without them can only be
+    /// hydrated from.
+    pub fn has_sketches(&self) -> bool {
+        self.sketches
+    }
+
+    /// Move the sealing caller's manifest out (empty afterwards): a loader
+    /// parses it once and has no reason to keep it resident.
+    pub fn take_manifest(&mut self) -> Vec<u8> {
+        std::mem::take(&mut self.manifest)
     }
 
     /// Vector dimension.
@@ -705,6 +829,31 @@ impl VectorSegment {
         Signature { words: self.sig_words_of(block, row).to_vec(), bits: self.sig_bits }
     }
 
+    /// Read one block's payload bytes with a positioned read, verified
+    /// against the directory (CRC and expected length), past the cache.
+    pub(crate) fn read_payload(
+        &self,
+        block: usize,
+        bytes: &mut Vec<u8>,
+    ) -> Result<(), SegmentError> {
+        self.segment.read_block_into(block, bytes)?;
+        let expected = self.blocks[block].ids.len() * self.dim * 4;
+        if bytes.len() != expected {
+            return Err(SegmentError::Corrupt(format!(
+                "block {block} payload is {} bytes, expected {expected}",
+                bytes.len(),
+            )));
+        }
+        Ok(())
+    }
+
+    /// Read and verify every block's payload once, keeping nothing: after
+    /// this, every byte of the file has been compared with its checksum.
+    pub fn verify_payloads(&self) -> Result<(), SegmentError> {
+        let mut bytes = Vec::new();
+        (0..self.blocks.len()).try_for_each(|block| self.read_payload(block, &mut bytes))
+    }
+
     /// Fetch one block's vectors through the cache (row-major,
     /// `rows × dim`), verifying the payload checksum on a cold read.
     pub fn block(&self, block: usize) -> Result<Arc<Vec<f32>>, SegmentError> {
@@ -713,16 +862,9 @@ impl VectorSegment {
             /// thread, sized by the largest block it has read.
             static BLOCK_BYTES: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
         }
-        let expected = self.blocks[block].ids.len() * self.dim * 4;
         self.cache.get_or_load((self.cache_id, block as u32), || {
             BLOCK_BYTES.with_borrow_mut(|bytes| {
-                self.segment.read_block_into(block, bytes)?;
-                if bytes.len() != expected {
-                    return Err(SegmentError::Corrupt(format!(
-                        "block {block} payload is {} bytes, expected {expected}",
-                        bytes.len(),
-                    )));
-                }
+                self.read_payload(block, bytes)?;
                 Ok(bytes
                     .chunks_exact(4)
                     .map(|c| f32::from_le_bytes(c.try_into().expect("4 bytes")))
@@ -782,7 +924,13 @@ mod tests {
         dir.join("vectors.seg")
     }
 
-    /// `rows` as directory metadata, without going through a file.
+    /// `rows` borrowed the way a seal reads them.
+    fn borrowed(rows: &[SegmentRow]) -> Vec<SealRow<'_>> {
+        rows.iter().map(SegmentRow::borrowed).collect()
+    }
+
+    /// `vectors` as sketched directory metadata, without going through a
+    /// file.
     fn block_of(vectors: &[Vec<f32>]) -> BlockMeta {
         let rows: Vec<SegmentRow> = vectors
             .iter()
@@ -794,7 +942,16 @@ mod tests {
                 vector: v.clone(),
             })
             .collect();
-        BlockMeta::of_rows(&rows, vectors[0].len())
+        BlockMeta::of_rows(&borrowed(&rows), vectors[0].len(), true)
+    }
+
+    /// A vector-segment header: geometry, flags, no manifest.
+    fn header(dim: u32, sig_bits: u32, block_rows: u32, flags: u32) -> Vec<u8> {
+        let mut header = Vec::new();
+        for x in [dim, sig_bits, block_rows, flags] {
+            codec::put_u32(&mut header, x);
+        }
+        header
     }
 
     /// `query` quantized for the bound, with the f32 norm the search uses.
@@ -1003,18 +1160,15 @@ mod tests {
         // The bound reads the sketch unchecked, so a short code array, or a
         // NaN or negative scale, residual or norm, must not get past `open`.
         let dim = 16;
-        let honest = BlockMeta::of_rows(&rows_for(dim, 4, 14), dim);
+        let honest = BlockMeta::of_rows(&borrowed(&rows_for(dim, 4, 14)), dim, true);
         let path = temp_path("bad-sketch");
         let open = |block: &BlockMeta| {
-            let mut header = Vec::new();
-            codec::put_u32(&mut header, dim as u32);
-            codec::put_u32(&mut header, 64);
-            codec::put_u32(&mut header, 4);
-            let mut builder = SegmentBuilder::new(&header);
+            let mut builder = SegmentBuilder::new(0);
             let mut meta = Vec::new();
-            block.encode(&mut meta);
+            block.encode(&mut meta, true);
             builder.push_block(&vec![0u8; 4 * dim * 4], &meta);
-            atomic_file::write(&path, &builder.finish()).expect("write");
+            let image = builder.finish(&[&header(dim as u32, 64, 4, FLAG_SKETCHES)]);
+            atomic_file::write(&path, &image).expect("write");
             VectorSegment::open(&path, BlockCache::new(0))
         };
         open(&honest).expect("the hand-built directory is well-formed");
@@ -1146,27 +1300,40 @@ mod tests {
     #[test]
     fn sealed_bytes_match_the_golden_segment() {
         // Hand-built rows, so the image depends on the writer alone. A
-        // change here is an on-disk format change — the last one was PR 16
-        // (segment format v2: the directory carries a per-row int8 sketch
-        // where v1 carried a per-block zone map), which re-pinned the
-        // length and digest from the PR 9 writer's 736 / 0x90A98D02.
+        // change here is an on-disk format change — the last one was PR 22
+        // (segment format v3: the header carries a flags word and a
+        // manifest, the sketches are an option of the file; this image has
+        // them), which re-pinned the length and digest from the PR 16
+        // writer's 744 / 0xC5201B27.
         let dim = 6;
         let rows: Vec<SegmentRow> = (0..10usize)
-            .map(|i| SegmentRow {
-                id: (10 - i) as ItemId,
-                signature: Signature {
-                    words: vec![(i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)],
-                    bits: 64,
-                },
-                norm: i as f32 + 0.5,
-                vector: (0..dim).map(|d| (i * dim + d) as f32 * 0.25 - 3.0).collect(),
+            .map(|i| {
+                let vector: Vec<f32> =
+                    (0..dim).map(|d| (i * dim + d) as f32 * 0.25 - 3.0).collect();
+                SegmentRow {
+                    id: (10 - i) as ItemId,
+                    signature: Signature {
+                        words: vec![(i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)],
+                        bits: 64,
+                    },
+                    norm: kernel::norm_sq(&vector).sqrt(),
+                    vector,
+                }
             })
             .collect();
         let path = temp_path("golden");
         assert_eq!(write_vector_segment(&path, dim, 64, 4, rows).expect("seal"), 3);
         let image = std::fs::read(&path).expect("read image");
-        assert_eq!(image.len(), 744);
-        assert_eq!(wg_util::checksum::crc32(&image), 0xC520_1B27);
+        assert_eq!(image.len(), 748);
+        assert_eq!(wg_util::checksum::crc32(&image), 0xAA87_18E2);
+        // And the image is a fixed point of load → save: hydrated into an
+        // index of its geometry and sealed again with sketches.
+        let segment = VectorSegment::open(&path, BlockCache::new(0)).expect("open");
+        assert!(segment.has_sketches());
+        let params = crate::LshParams { bands: 4, rows: 16 };
+        let index = crate::ShardedLshIndex::new(dim, params, 1, 2);
+        assert_eq!(index.hydrate(&segment, Some).expect("hydrate"), 10);
+        assert_eq!(index.freeze().seal(4, true, &[], |_| true).expect("seal"), image);
         std::fs::remove_dir_all(path.parent().unwrap()).ok();
     }
 
@@ -1261,14 +1428,17 @@ mod tests {
 
     #[test]
     fn open_rejects_mismatched_geometry_blobs() {
-        let path = temp_path("badgeom");
-        let mut header = Vec::new();
-        codec::put_u32(&mut header, 0); // dim 0
-        codec::put_u32(&mut header, 64);
-        codec::put_u32(&mut header, 8);
-        let builder = SegmentBuilder::new(&header);
-        atomic_file::write(&path, &builder.finish()).expect("write");
-        assert!(VectorSegment::open(&path, BlockCache::new(0)).is_err());
-        std::fs::remove_dir_all(path.parent().unwrap()).ok();
+        let open = |header: &[u8]| {
+            let image = SegmentBuilder::new(0).finish(&[header]);
+            VectorSegment::from_bytes(image, BlockCache::new(0))
+        };
+        open(&header(8, 64, 8, 0)).expect("an empty segment of sound geometry opens");
+        // A zero dimension, width or block size; a flag this build does not
+        // know; a header cut short.
+        for bad in [header(0, 64, 8, 0), header(8, 0, 8, 0), header(8, 64, 0, 0)] {
+            assert!(matches!(open(&bad), Err(SegmentError::Corrupt(_))));
+        }
+        assert!(matches!(open(&header(8, 64, 8, 2)), Err(SegmentError::Corrupt(_))));
+        assert!(matches!(open(&header(8, 64, 8, 0)[..15]), Err(SegmentError::Corrupt(_))));
     }
 }

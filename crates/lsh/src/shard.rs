@@ -23,14 +23,15 @@
 //! fed by every shard holds exactly what a merge of per-shard heaps would,
 //! while a later shard's cold pass prunes against what earlier shards found.
 
-use parking_lot::RwLock;
+use parking_lot::{RwLock, RwLockReadGuard};
 use std::sync::Arc;
 use wg_util::codec::{self, CodecResult};
 use wg_util::deadline::Deadline;
+use wg_util::segment::SegmentError;
 use wg_util::TopK;
 
 use crate::index::{self, SearchError, SearchOutcome, SimHashLshIndex};
-use crate::paged::{SegmentRow, VectorSegment};
+use crate::paged::{self, VectorSegment};
 use crate::params::LshParams;
 use crate::scope::DiscoverScope;
 use crate::simhash::SimHasher;
@@ -174,19 +175,14 @@ impl ShardedLshIndex {
         self.shards[self.shard_of(id)].read().vector_owned(id)
     }
 
-    /// Attach sealed segments to every shard's paged tier. Each shard
-    /// admits only the ids it owns (`id % shards`), so one segment file
-    /// can serve any shard count; the segments share one block cache.
+    /// Attach sealed segments to every shard's paged tier. `map` returns
+    /// the id a row installs under (or `None` to skip it) — a loader
+    /// recomposing backend bits assigned by a different process's name
+    /// interner, or `Some` for the ids as sealed (see
+    /// [`SimHashLshIndex::attach_segment_mapped`]). Each shard keeps only
+    /// the rows whose **mapped** id it owns (`id % shards`), so one segment
+    /// file serves any shard count; the segments share one block cache.
     /// Returns the total rows attached.
-    pub fn attach_segments(&self, segments: &[Arc<VectorSegment>]) -> CodecResult<usize> {
-        self.attach_segments_mapped(segments, Some)
-    }
-
-    /// [`Self::attach_segments`] with id remapping: `map` returns the id a
-    /// row installs under (or `None` to skip it); rows route to the shard
-    /// owning the **mapped** id. Lets a loader recompose backend bits
-    /// assigned by a different process's name interner (see
-    /// [`SimHashLshIndex::attach_segment_mapped`]).
     pub fn attach_segments_mapped(
         &self,
         segments: &[Arc<VectorSegment>],
@@ -205,10 +201,45 @@ impl ShardedLshIndex {
         Ok(attached)
     }
 
-    /// Export every stored row grouped by shard, ready for sealing into
-    /// per-shard segment files.
-    pub fn export_segment_rows(&self) -> Vec<Vec<SegmentRow>> {
-        self.shards.iter().map(|s| s.read().export_rows()).collect()
+    /// Hydrate from a sealed segment: every block is read once with a
+    /// positioned read, CRC-checked, and each row `map` keeps is decoded
+    /// straight into the arena slot of the shard owning its mapped id and
+    /// bucketed from its stored signature words. Nothing pages afterwards:
+    /// the rows are hot, and the segment can be dropped. Returns how many
+    /// rows were installed; on an error the index holds the blocks read so
+    /// far, so hydrate an index nothing else sees yet.
+    pub fn hydrate(
+        &self,
+        segment: &VectorSegment,
+        map: impl Fn(ItemId) -> Option<ItemId>,
+    ) -> Result<usize, SegmentError> {
+        let mut shards: Vec<_> = self.shards.iter().map(|s| s.write()).collect();
+        shards[0].fits(segment)?;
+        let row_bytes = self.dim() * 4;
+        let mut payload = Vec::new();
+        let mut installed = 0usize;
+        for block in 0..segment.block_count() {
+            segment.read_payload(block, &mut payload)?;
+            let ids = &segment.block_meta(block).ids;
+            for (row, (&stored, raw)) in ids.iter().zip(payload.chunks_exact(row_bytes)).enumerate()
+            {
+                let Some(id) = map(stored) else {
+                    continue;
+                };
+                let words = segment.sig_words_of(block, row);
+                shards[self.shard_of(id)].insert_row(id, words, |slot| {
+                    codec::get_f32s(&mut &raw[..], slot).expect("a row's bytes fill its slot");
+                });
+                installed += 1;
+            }
+        }
+        Ok(installed)
+    }
+
+    /// Take every shard's read guard, and hold them together: the index as
+    /// it stands at one instant, for as long as the returned view lives.
+    pub fn freeze(&self) -> FrozenIndex<'_> {
+        FrozenIndex { index: self, shards: self.shards.iter().map(|s| s.read()).collect() }
     }
 
     /// Items currently served from the paged tier, across shards.
@@ -304,41 +335,50 @@ impl ShardedLshIndex {
     pub fn drop_cold_backend(&self, backend_bits: u16) -> usize {
         self.shards.iter().map(|s| s.write().drop_cold_backend(backend_bits)).sum()
     }
+}
 
-    /// Serialize every shard into **one** WGLX frame (layout and rationale
-    /// at `index::encode_frame`, DESIGN.md §9): id-sorted fixed-width rows,
-    /// each with its signature, under a table naming every backend
-    /// namespace the ids use (`name_of`: bits → attach name). The bytes do
-    /// not depend on the shard count. Every shard's read guard is held for
-    /// the whole encode — rows are read in place, never copied out first —
-    /// so the frame is the index as it stood at one instant.
-    pub fn encode(&self, buf: &mut Vec<u8>, name_of: impl Fn(u16) -> String) {
-        let guards: Vec<_> = self.shards.iter().map(|s| s.read()).collect();
-        let shards: Vec<&SimHashLshIndex> = guards.iter().map(|g| &**g).collect();
-        index::encode_frame(&shards, buf, name_of);
+/// A [`ShardedLshIndex`] with every shard read-locked (see
+/// [`ShardedLshIndex::freeze`]): writers wait, searches proceed.
+pub struct FrozenIndex<'a> {
+    index: &'a ShardedLshIndex,
+    shards: Vec<RwLockReadGuard<'a, SimHashLshIndex>>,
+}
+
+impl FrozenIndex<'_> {
+    /// True when `id` is stored, in either tier.
+    pub fn contains(&self, id: ItemId) -> bool {
+        self.shards[self.index.shard_of(id)].contains(id)
     }
 
-    /// Deserialize a frame written by [`Self::encode`] into `shards`
-    /// partitions — any count, whatever the saver ran with. The stored
-    /// geometry, seed and probes win over the caller's defaults; `resolve`
-    /// gives this process's bits for each backend *name* the frame lists,
-    /// and every id's high bits are remapped to them. Rows install from
-    /// their stored signatures: nothing is re-signed.
-    pub fn decode(
-        buf: &mut impl codec::Buf,
-        shards: usize,
-        resolve: impl FnMut(&str) -> CodecResult<u16>,
-    ) -> CodecResult<Self> {
-        let (hasher, shards) = index::decode_frame(buf, shards, resolve)?;
-        let params = shards[0].params();
-        Ok(Self { hasher, params, shards: shards.into_iter().map(RwLock::new).collect() })
+    /// Seal every row `admit` keeps into one segment image (layout at
+    /// `paged::seal_image`) whose header carries `manifest`. Rows are read
+    /// **in place** — hot ones from each shard's arena and signature slab,
+    /// cold ones from their blocks, fetched through the cache — and laid
+    /// out in (signature, id) order, so the bytes do not depend on the
+    /// shard count, on which tier a row sits in, or on insertion history.
+    /// A cold block that does not read back intact is the error: nothing
+    /// is sealed around a hole.
+    pub fn seal(
+        &self,
+        block_rows: usize,
+        sketches: bool,
+        manifest: &[u8],
+        admit: impl Fn(ItemId) -> bool,
+    ) -> Result<Vec<u8>, SegmentError> {
+        let cold: Vec<_> = self.shards.iter().map(|s| s.cold_blocks()).collect::<Result<_, _>>()?;
+        let mut rows = Vec::with_capacity(self.shards.iter().map(|s| s.len()).sum());
+        for (shard, blocks) in self.shards.iter().zip(&cold) {
+            shard.rows_in_place(blocks, &admit, &mut rows);
+        }
+        let (dim, bits) = (self.index.dim(), self.index.params.bits());
+        Ok(paged::seal_image(dim, bits, block_rows, sketches, manifest, &mut rows))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{compose_item_id, item_backend, item_local};
+    use crate::{compose_item_id, item_backend, item_local, SegmentRow};
     use wg_util::rng::{Rng64, Xoshiro256pp};
 
     fn random_unit(dim: usize, rng: &mut Xoshiro256pp) -> Vec<f32> {
@@ -412,21 +452,29 @@ mod tests {
         assert_eq!(index.vector(5), Some(vectors[4].clone()));
     }
 
-    /// Encode an index whose ids all live in the default namespace.
-    fn encode_default(index: &ShardedLshIndex) -> Vec<u8> {
-        let mut buf = Vec::new();
-        index.encode(&mut buf, |bits| {
-            assert_eq!(bits, 0, "fixture ids live in the default namespace");
-            "default".into()
-        });
-        buf
+    /// `index` sealed the way a checkpoint seals it: no sketches, no
+    /// manifest, 8-row blocks.
+    fn seal_plain(index: &ShardedLshIndex) -> Vec<u8> {
+        index.freeze().seal(8, false, &[], |_| true).expect("every cold block reads back")
     }
 
-    fn decode_default(bytes: &[u8], shards: usize) -> CodecResult<ShardedLshIndex> {
-        let mut r = bytes;
-        let index = ShardedLshIndex::decode(&mut r, shards, |_| Ok(0))?;
-        assert!(r.is_empty(), "decode must consume exactly the frame");
-        Ok(index)
+    fn open(bytes: &[u8]) -> Result<VectorSegment, SegmentError> {
+        VectorSegment::from_bytes(bytes.to_vec(), crate::paged::BlockCache::new(0))
+    }
+
+    /// An empty index of `like`'s geometry and probes at `shards` shards,
+    /// hydrated from the image `bytes`.
+    fn hydrated(bytes: &[u8], shards: usize, like: &ShardedLshIndex) -> ShardedLshIndex {
+        let index = ShardedLshIndex::new(like.dim(), like.params(), like.seed(), shards);
+        index.set_probes(like.probes());
+        let segment = open(bytes).expect("a sealed image opens");
+        assert_eq!(index.hydrate(&segment, Some).expect("hydrate"), segment.row_count());
+        index
+    }
+
+    /// Every stored row of every shard.
+    fn exported(index: &ShardedLshIndex) -> Vec<SegmentRow> {
+        index.shards.iter().flat_map(|s| s.read().export_rows()).collect()
     }
 
     #[test]
@@ -445,7 +493,7 @@ mod tests {
             index
         };
         let reference = build(1);
-        let want_bytes = encode_default(&reference);
+        let want_bytes = seal_plain(&reference);
         let mut rng = Xoshiro256pp::new(8);
         let queries: Vec<Vec<f32>> = vectors
             .iter()
@@ -454,12 +502,12 @@ mod tests {
             .chain((0..10).map(|_| random_unit(64, &mut rng)))
             .collect();
         for save_shards in [1usize, 2, 8] {
-            let bytes = encode_default(&build(save_shards));
-            assert_eq!(bytes, want_bytes, "the frame depends on the saver's {save_shards} shards");
+            let bytes = seal_plain(&build(save_shards));
+            assert_eq!(bytes, want_bytes, "the image depends on the saver's {save_shards} shards");
             for load_shards in [1usize, 2, 8, 9] {
-                let loaded = decode_default(&bytes, load_shards).unwrap();
+                let loaded = hydrated(&bytes, load_shards, &reference);
                 assert_eq!(loaded.shard_count(), load_shards);
-                assert_eq!((loaded.len(), loaded.probes()), (reference.len(), 1));
+                assert_eq!((loaded.len(), loaded.cold_len()), (reference.len(), 0));
                 // One set of hyperplanes serves the query side and every shard.
                 assert!(loaded
                     .shards
@@ -472,8 +520,8 @@ mod tests {
                         "save@{save_shards} → load@{load_shards} changed a ranking"
                     );
                 }
-                // Re-encoding what was loaded reproduces the bytes.
-                assert_eq!(encode_default(&loaded), want_bytes);
+                // Re-sealing what was loaded reproduces the bytes.
+                assert_eq!(seal_plain(&loaded), want_bytes);
             }
         }
     }
@@ -481,13 +529,13 @@ mod tests {
     #[test]
     fn roundtrip_survives_slot_churn_and_removal() {
         // Removal frees arena slots, reinsertion reuses them out of id
-        // order: the frame is still id-sorted and complete.
+        // order: the image is still (signature, id)-sorted and complete.
         let (index, vectors) = populated(2, 60, 13);
         assert_eq!(index.remove_batch(&[7, 40, 41]), 3);
         assert!(index.insert(7, &vectors[59]));
         assert!(index.insert(90, &vectors[40]));
-        let bytes = encode_default(&index);
-        let loaded = decode_default(&bytes, 2).unwrap();
+        let bytes = seal_plain(&index);
+        let loaded = hydrated(&bytes, 2, &index);
         assert_eq!(loaded.len(), 59);
         assert_eq!(loaded.vector(7), Some(vectors[59].clone()));
         assert_eq!(loaded.vector(40), None);
@@ -498,7 +546,7 @@ mod tests {
                 fresh.insert(id, &v);
             }
         }
-        assert_eq!(encode_default(&fresh), bytes);
+        assert_eq!(seal_plain(&fresh), bytes);
         let mut rng = Xoshiro256pp::new(14);
         for _ in 0..10 {
             let q = random_unit(64, &mut rng);
@@ -517,27 +565,57 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("wg-shard-mixed-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("seg.wgs");
-        let rows = cold_source.export_segment_rows().into_iter().flatten().collect();
         let mixed_bits = cold_source.params().bits();
-        crate::paged::write_vector_segment(&path, 64, mixed_bits, 8, rows).unwrap();
+        crate::paged::write_vector_segment(&path, 64, mixed_bits, 8, exported(&cold_source))
+            .unwrap();
         let cache = crate::paged::BlockCache::new(0);
         let segment = Arc::new(VectorSegment::open(&path, cache).unwrap());
         let mixed = ShardedLshIndex::new(64, LshParams::for_threshold(0.7, 128), 17, 3);
-        assert_eq!(mixed.attach_segments(&[segment]).unwrap(), 40);
+        assert_eq!(mixed.attach_segments_mapped(&[segment], Some).unwrap(), 40);
         for (id, v) in vectors.iter().enumerate().filter(|(id, _)| id % 2 == 1) {
             mixed.insert(id as ItemId, v);
         }
         assert_eq!((mixed.len(), mixed.cold_len()), (80, 40));
 
-        let bytes = encode_default(&mixed);
-        assert_eq!(bytes, encode_default(&all_hot), "a row's tier must not show in the frame");
-        let loaded = decode_default(&bytes, 2).unwrap();
-        assert_eq!((loaded.len(), loaded.cold_len()), (80, 0), "a flat restore is all hot");
+        let bytes = seal_plain(&mixed);
+        assert_eq!(bytes, seal_plain(&all_hot), "a row's tier must not show in the image");
+        let loaded = hydrated(&bytes, 2, &mixed);
+        assert_eq!((loaded.len(), loaded.cold_len()), (80, 0), "a hydrated restore is all hot");
         let mut rng = Xoshiro256pp::new(16);
         for _ in 0..10 {
             let q = random_unit(64, &mut rng);
             assert_eq!(loaded.search(&q, 7, |_| false), mixed.search(&q, 7, |_| false));
         }
+
+        // The same rows sealed *with* sketches: a file that attaches lazily
+        // and hydrates alike, where the plain one refuses to attach.
+        let sketched = mixed.freeze().seal(8, true, &[], |_| true).unwrap();
+        assert!(sketched.len() > bytes.len());
+        let from_sketched = hydrated(&sketched, 2, &mixed);
+        assert_eq!(seal_plain(&from_sketched), bytes);
+        let lazy = ShardedLshIndex::new(64, mixed.params(), 17, 2);
+        let plain = Arc::new(open(&bytes).unwrap());
+        let err = lazy.attach_segments_mapped(&[plain], Some).expect_err("nothing to prune with");
+        assert!(err.to_string().contains("no row sketches"), "{err}");
+        assert!(lazy.is_empty() && lazy.cold_segment_count() == 0);
+        let sketched = Arc::new(open(&sketched).unwrap());
+        assert_eq!(lazy.attach_segments_mapped(&[sketched], Some).unwrap(), 80);
+        assert_eq!((lazy.len(), lazy.cold_len()), (80, 80));
+        let q = &vectors[3];
+        assert_eq!(lazy.search(q, 7, |_| false), mixed.search(q, 7, |_| false));
+
+        // A cold block that no longer reads back fails the seal, typed.
+        let mut image = std::fs::read(&path).unwrap();
+        image[wg_util::segment::PREAMBLE_LEN + 3] ^= 0x40;
+        std::fs::write(&path, &image).unwrap();
+        mixed.shards.iter().for_each(|s| {
+            s.read().cold_blocks().expect("cached").iter().for_each(drop);
+        });
+        let fresh = Arc::new(VectorSegment::open(&path, crate::paged::BlockCache::new(0)).unwrap());
+        let damaged = ShardedLshIndex::new(64, mixed.params(), 17, 3);
+        damaged.attach_segments_mapped(&[fresh], Some).unwrap();
+        let err = damaged.freeze().seal(8, false, &[], |_| true).expect_err("a lost block");
+        assert!(matches!(&err, SegmentError::Corrupt(m) if m.contains("block 0")), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -568,7 +646,7 @@ mod tests {
             let (path, rows) = (dir.join("seg.wgs"), sealed.len());
             crate::paged::write_vector_segment(&path, 64, params.bits(), 4, sealed).unwrap();
             let segment = Arc::new(VectorSegment::open(&path, cache.clone()).unwrap());
-            assert_eq!(index.attach_segments(&[segment]).unwrap(), rows);
+            assert_eq!(index.attach_segments_mapped(&[segment], Some).unwrap(), rows);
         }
         for (i, v) in vectors.iter().enumerate().filter(|(i, _)| !cold(*i)) {
             assert!(index.insert(i as ItemId * 3, v));
@@ -647,7 +725,7 @@ mod tests {
         ];
         for (tag, kill, left) in kills {
             let (index, cache, dir) = tiered(&vectors, 4, |_| true, tag);
-            assert_eq!(index.export_segment_rows().iter().map(Vec::len).sum::<usize>(), 60);
+            assert_eq!(exported(&index).len(), 60);
             assert_eq!((index.cold_segment_count(), cache.stats().resident_blocks), (4, 15));
             // All but ids 0, 3, 6, 9 — one row a shard: each still needs
             // the segment.
@@ -662,79 +740,89 @@ mod tests {
 
     #[test]
     fn decode_rejects_garbage() {
-        assert!(decode_default(b"not an index", 4).is_err());
+        assert!(open(b"not an index").is_err());
     }
 
-    /// The frame header [`ShardedLshIndex::encode`] writes, with the given
-    /// version and geometry, up to (not including) the backend table.
-    fn frame_header(version: u32, dim: u32, bands: u32, rows: u32) -> Vec<u8> {
-        let mut buf = Vec::new();
-        codec::put_header(&mut buf, *b"WGLX", version);
-        for x in [dim, bands, rows] {
-            codec::put_u32(&mut buf, x);
-        }
-        codec::put_u64(&mut buf, 17);
-        codec::put_u32(&mut buf, 0);
-        buf
+    /// `image` with its directory edited by `edit` and the trailer's length
+    /// and CRC recomputed: a file whose checksums vouch for whatever the
+    /// edit left behind. `edit` sees the directory from its magic on.
+    fn with_directory(image: &[u8], edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+        let trailer_at = image.len() - wg_util::segment::TRAILER_LEN;
+        let dir_at = u64::from_le_bytes(image[trailer_at + 8..trailer_at + 16].try_into().unwrap());
+        let mut directory = image[dir_at as usize..trailer_at].to_vec();
+        edit(&mut directory);
+        let mut out = image[..dir_at as usize].to_vec();
+        out.extend_from_slice(&directory);
+        out.extend_from_slice(&image[trailer_at..trailer_at + 16]);
+        out.extend_from_slice(&(directory.len() as u32).to_le_bytes());
+        out.extend_from_slice(&wg_util::checksum::crc32(&directory).to_le_bytes());
+        out
     }
 
     #[test]
     fn another_frame_version_is_refused() {
-        // v1 as the parent wrote it: geometry, then (id, len-prefixed
-        // vector) pairs; v2 had a backend table in between.
-        let mut v1 = frame_header(1, 4, 2, 4);
-        codec::put_len(&mut v1, 1);
-        codec::put_u32(&mut v1, 0);
-        codec::put_f32_slice(&mut v1, &[1.0, 0.0, 0.0, 0.0]);
-        for (version, bytes) in
-            [(1, v1), (2, frame_header(2, 4, 2, 4)), (4, frame_header(4, 4, 2, 4))]
-        {
-            let err = decode_default(&bytes, 2).err().expect("only this build's version decodes");
-            assert!(
-                err.to_string().contains(&format!("unsupported index frame version {version}")),
-                "{err}"
+        let good = seal_plain(&populated(2, 3, 18).0);
+        open(&good).expect("this build's version opens");
+        // The version sits in the preamble, the directory and the trailer;
+        // a file of another version carries it in all three.
+        for version in [1u32, 2, 4] {
+            let le = version.to_le_bytes();
+            let mut other = with_directory(&good, |dir| dir[4..8].copy_from_slice(&le));
+            other[4..8].copy_from_slice(&le);
+            let trailer_at = other.len() - wg_util::segment::TRAILER_LEN;
+            other[trailer_at + 4..trailer_at + 8].copy_from_slice(&le);
+            let err = open(&other).expect_err("only this build's version opens");
+            assert_eq!(
+                err.to_string(),
+                format!("corrupt segment: unsupported segment version {version}")
             );
         }
     }
 
     #[test]
     fn counts_and_geometry_that_lie_are_refused_before_anything_is_reserved() {
-        let good = encode_default(&populated(2, 3, 18).0);
-        assert!(decode_default(&good, 2).is_ok());
-        let header_len = frame_header(3, 64, 1, 1).len();
-        let invalid = |bytes: &[u8], what: &str| match decode_default(bytes, 2) {
-            Err(codec::CodecError::Invalid(msg)) => assert!(msg.contains(what), "{msg}"),
-            other => panic!("expected a typed refusal ({what}), got {:?}", other.map(|i| i.len())),
+        let good = seal_plain(&populated(2, 3, 18).0);
+        assert_eq!(open(&good).expect("opens").row_count(), 3);
+        let corrupt = |bytes: &[u8], what: &str| match open(bytes) {
+            Err(SegmentError::Corrupt(msg)) => assert!(msg.contains(what), "{msg}"),
+            other => {
+                panic!("expected a typed refusal ({what}), got {:?}", other.map(|s| s.row_count()))
+            }
         };
-
-        // The largest counts the codec's length prefix admits (2^30): the
-        // backend table's, then the row count's.
-        let mut lying = good.clone();
-        lying[header_len..header_len + 4].copy_from_slice(&(1u32 << 30).to_le_bytes());
-        invalid(&lying, "count 1073741824 needs at least 8 bytes each");
-        let rows_at = header_len + 4 + 4 + 4 + "default".len();
-        assert_eq!(good[rows_at..rows_at + 4], 3u32.to_le_bytes(), "fixture layout drifted");
-        let mut lying = good.clone();
-        lying[rows_at..rows_at + 4].copy_from_slice(&(1u32 << 30).to_le_bytes());
-        invalid(&lying, "count 1073741824 needs at least 276 bytes each");
-        // One row more than the bytes hold.
-        let mut lying = good.clone();
-        lying[rows_at..rows_at + 4].copy_from_slice(&4u32.to_le_bytes());
-        invalid(&lying, "count 4 needs at least 276 bytes each");
-
-        // Geometry no configuration uses: refused before the hasher (a
-        // dim × bits float matrix) or the band tables are built from it.
-        for (dim, bands, rows) in [(1u32 << 30, 12, 10), (128, 1 << 20, 10), (1 << 12, 1 << 10, 64)]
-        {
-            let mut huge = frame_header(3, dim, bands, rows);
-            codec::put_len(&mut huge, 0);
-            codec::put_len(&mut huge, 0);
-            invalid(&huge, "beyond what a frame may declare");
-        }
-        let mut zero = frame_header(3, 0, 12, 10);
-        codec::put_len(&mut zero, 0);
-        codec::put_len(&mut zero, 0);
-        invalid(&zero, "bad index geometry");
+        // The directory: magic + version, the length-prefixed header (16
+        // bytes: no manifest), the block count, then block 0's offset,
+        // payload length, CRC and length-prefixed metadata, which opens
+        // with the id count.
+        let (header_at, count_at) = (8 + 4, 8 + 4 + 16);
+        let (payload_len_at, ids_at) = (count_at + 4 + 8, count_at + 4 + 8 + 4 + 4 + 4);
+        let huge = (1u32 << 30).to_le_bytes();
+        let patch = |at: usize, le: [u8; 4]| {
+            let directory = with_directory(&good, |dir| {
+                assert_eq!(dir[count_at..count_at + 4], 1u32.to_le_bytes(), "layout drifted");
+                dir[at..at + 4].copy_from_slice(&le);
+            });
+            directory
+        };
+        // The largest counts a length prefix admits: blocks, then ids.
+        corrupt(&patch(count_at, huge), "count 1073741824 needs at least 20 bytes each");
+        corrupt(&patch(ids_at, huge), "unexpected end of input");
+        // One block more than the directory holds; one row more than the
+        // metadata holds.
+        corrupt(&patch(count_at, 2u32.to_le_bytes()), "unexpected end of input");
+        corrupt(&patch(ids_at, 4u32.to_le_bytes()), "unexpected end of input");
+        // A payload length that is not the rows' (and would run into the
+        // directory), refused without a read.
+        corrupt(&patch(payload_len_at, huge), "escapes the data region");
+        corrupt(&patch(payload_len_at, (3 * 64 * 4 - 4u32).to_le_bytes()), "is inconsistent");
+        // Geometry no block of the file matches, however large.
+        corrupt(&patch(header_at, (1u32 << 31).to_le_bytes()), "is inconsistent");
+        corrupt(&patch(header_at + 4, u32::MAX.to_le_bytes()), "is inconsistent");
+        corrupt(&patch(header_at, 0u32.to_le_bytes()), "bad vector-segment geometry");
+        // Bytes after the trailer, or between the directory and it.
+        let mut trailing = good.clone();
+        trailing.push(0);
+        corrupt(&trailing, "bad trailer magic");
+        corrupt(&with_directory(&good, |dir| dir.push(0)), "trailing directory bytes");
     }
 
     #[test]
@@ -821,27 +909,21 @@ mod tests {
     #[test]
     fn federated_encode_round_trips_with_remap() {
         let (index, vectors) = federated(23);
-        let mut buf = Vec::new();
-        index.encode(&mut buf, |bits| format!("wh{bits}"));
+        let segment = open(&seal_plain(&index)).unwrap();
 
-        // A loader that does not know one of the names refuses the frame.
-        let only_default = |name: &str| -> CodecResult<u16> {
-            Err(codec::CodecError::Invalid(format!("unknown backend '{name}'")))
-        };
-        assert!(ShardedLshIndex::decode(&mut &buf[..], 4, only_default).is_err());
+        // A loader that maps none of the namespaces installs nothing; the
+        // caller sees that in the count.
+        let empty = ShardedLshIndex::new(64, index.params(), 17, 4);
+        assert_eq!(empty.hydrate(&segment, |_| None).unwrap(), 0);
+        assert!(empty.is_empty());
 
-        // The loading process assigns different bits to the same names.
-        let reassign = |name: &str| -> CodecResult<u16> {
-            match name {
-                "wh1" => Ok(9),
-                "wh2" => Ok(4),
-                "wh3" => Ok(7),
-                other => Err(codec::CodecError::Invalid(format!("unknown backend '{other}'"))),
-            }
+        // The loading process assigned different bits to the same names.
+        let reassign = |id: ItemId| {
+            let bits = [None, Some(9), Some(4), Some(7)][item_backend(id) as usize]?;
+            Some(compose_item_id(bits, item_local(id)))
         };
-        let mut r = &buf[..];
-        let loaded = ShardedLshIndex::decode(&mut r, 2, reassign).unwrap();
-        assert!(r.is_empty());
+        let loaded = ShardedLshIndex::new(64, index.params(), 17, 2);
+        assert_eq!(loaded.hydrate(&segment, reassign).unwrap(), 60);
         assert_eq!(loaded.len(), 60);
         // Old namespace 1 is now 9, with locals preserved.
         let q = &vectors[0];
@@ -853,9 +935,6 @@ mod tests {
             assert_eq!(item_backend(*b), 9);
             assert_eq!(sa, sb);
         }
-        // Bits the interner could never have assigned are refused.
-        let too_wide = |_: &str| -> CodecResult<u16> { Ok(256) };
-        assert!(ShardedLshIndex::decode(&mut &buf[..], 2, too_wide).is_err());
     }
 
     #[test]

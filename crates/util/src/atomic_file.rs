@@ -5,8 +5,8 @@
 //! destination holds either the complete old bytes or the complete new
 //! bytes — never a prefix of either. A crash (or a full disk) mid-write
 //! strands at most the `<path>.tmp` sibling, which no reader consults.
-//! Snapshots, checkpoint generations, paged manifests and segment files all
-//! go through [`write_with`].
+//! Snapshots, checkpoint generations and segment files all go through
+//! [`write_with`].
 
 use std::fs::{self, File};
 use std::io::{self, Write};

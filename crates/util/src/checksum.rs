@@ -1,18 +1,9 @@
-//! Content checksums and the snapshot integrity footer.
+//! Content checksums.
 //!
-//! Persisted artifacts (WGSY snapshots) end with a fixed-size **footer
-//! frame** that lets a loader distinguish "this is the complete file the
-//! writer produced" from "this is a torn or bit-rotted impostor" before a
-//! single body byte is interpreted:
-//!
-//! ```text
-//! ┌────────────────────────────── body ─────────────────────────────┐
-//! │ WGSY header │ entries │ index frame │ sync-state frame          │
-//! └─────────────────────────────────────────────────────────────────┘
-//! ┌──────────────────────── footer (20 bytes) ──────────────────────┐
-//! │ magic "WGFT" │ version u32 │ body_len u64 │ crc32(body) u32     │
-//! └─────────────────────────────────────────────────────────────────┘
-//! ```
+//! Every persisted artifact is a segment (see [`crate::segment`]), and every
+//! byte of a segment is vouched for by a CRC-32: each block's payload and the
+//! directory carry one, and a reader compares it before interpreting what it
+//! covers.
 //!
 //! The checksum is CRC-32 (IEEE 802.3, reflected, the `cksum`/zlib
 //! polynomial), dependency-free — the whole workspace is offline, and
@@ -30,19 +21,9 @@
 //! query latency, not housekeeping.
 //!
 //! **Digest stability.** The digest is part of the on-disk format of every
-//! `WGSG` segment, `WGFT` footer and `WGPM` manifest. Any replacement
-//! kernel must be bit-identical for every input and every
-//! [`Crc32::update`] split; the tests pin that against the bytewise
-//! reference loop and against digests written down as literals.
-//!
-//! Bytes that do not end with the magic/length pattern — a torn tail, a
-//! file from before the footer existed — classify as
-//! [`FooterCheck::Absent`]; a footer whose magic and length match but whose
-//! version or checksum does not is an error. The classification only
-//! decides the message: every loader refuses both, because bytes without a
-//! verified footer are never parsed into state.
-
-use crate::codec::CodecError;
+//! `WGSG` segment. Any replacement kernel must be bit-identical for every
+//! input and every [`Crc32::update`] split; the tests pin that against the
+//! bytewise reference loop and against digests written down as literals.
 
 /// Reflected IEEE CRC-32 polynomial (zlib, PNG, `cksum -o 3`).
 const CRC32_POLY: u32 = 0xEDB8_8320;
@@ -161,85 +142,6 @@ fn reference(bytes: &[u8]) -> u32 {
     !crc
 }
 
-/// Magic opening the integrity footer frame.
-pub const FOOTER_MAGIC: [u8; 4] = *b"WGFT";
-/// Footer frame version.
-pub const FOOTER_VERSION: u32 = 1;
-/// Exact encoded footer size: magic (4) + version (4) + body_len (8) +
-/// crc32 (4).
-pub const FOOTER_LEN: usize = 20;
-
-/// Outcome of a footer check when the bytes are *not* provably altered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FooterCheck {
-    /// A footer was present and the body checksum verified.
-    Verified,
-    /// No footer: the bytes do not end in the magic/length pattern (cut
-    /// short, or written before the footer existed). Nothing vouches for
-    /// the body; loaders refuse it.
-    Absent,
-}
-
-/// Append the integrity footer over everything currently in `buf`.
-pub fn append_footer(buf: &mut Vec<u8>) {
-    let crc = crc32(buf);
-    let body_len = buf.len() as u64;
-    buf.extend_from_slice(&FOOTER_MAGIC);
-    buf.extend_from_slice(&FOOTER_VERSION.to_le_bytes());
-    buf.extend_from_slice(&body_len.to_le_bytes());
-    buf.extend_from_slice(&crc.to_le_bytes());
-}
-
-/// Check the [`FOOTER_LEN`] trailing bytes `foot` against the body they
-/// claim to close: `body_len` bytes whose CRC-32 is `body_crc` (computed by
-/// the caller — over a slice, or folded in while the body streamed by).
-///
-/// * Magic and length match, version and checksum too → `Ok(Verified)`.
-/// * Wrong magic, or a length field that is not `body_len` → `Ok(Absent)`:
-///   these bytes are not the footer of this body.
-/// * Magic *and* length match but the version or the checksum disagrees →
-///   `Err`: the body was altered after it was written.
-pub fn check_footer(
-    foot: &[u8; FOOTER_LEN],
-    body_len: u64,
-    body_crc: u32,
-) -> Result<FooterCheck, CodecError> {
-    let version = u32::from_le_bytes(foot[4..8].try_into().expect("4 bytes"));
-    let claimed_len = u64::from_le_bytes(foot[8..16].try_into().expect("8 bytes"));
-    let stored_crc = u32::from_le_bytes(foot[16..20].try_into().expect("4 bytes"));
-    if foot[..4] != FOOTER_MAGIC || claimed_len != body_len {
-        return Ok(FooterCheck::Absent);
-    }
-    if version != FOOTER_VERSION {
-        return Err(CodecError::Invalid(format!(
-            "snapshot footer version {version} is not supported (expected {FOOTER_VERSION})"
-        )));
-    }
-    if body_crc != stored_crc {
-        return Err(CodecError::Invalid(format!(
-            "snapshot checksum mismatch over {body_len} body bytes: stored {stored_crc:#010x}, \
-             computed {body_crc:#010x}"
-        )));
-    }
-    Ok(FooterCheck::Verified)
-}
-
-/// Classify and strip the integrity footer of in-memory bytes (see
-/// [`check_footer`]): `Ok((body, Verified))`, `Ok((input, Absent))` when
-/// the input is too short for a footer or does not end in one, `Err` when
-/// the footer is there and the body no longer matches it.
-pub fn split_footer(bytes: &[u8]) -> Result<(&[u8], FooterCheck), CodecError> {
-    let Some((body, foot)) = bytes.split_last_chunk::<FOOTER_LEN>() else {
-        return Ok((bytes, FooterCheck::Absent));
-    };
-    // The checksum is only worth computing for a footer that is one.
-    if foot[..4] != FOOTER_MAGIC {
-        return Ok((bytes, FooterCheck::Absent));
-    }
-    let check = check_footer(foot, body.len() as u64, crc32(body))?;
-    Ok((if check == FooterCheck::Verified { body } else { bytes }, check))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -310,69 +212,21 @@ mod tests {
     }
 
     #[test]
-    fn footer_roundtrip() {
-        let mut buf = b"hello snapshot body".to_vec();
-        let body_len = buf.len();
-        append_footer(&mut buf);
-        assert_eq!(buf.len(), body_len + FOOTER_LEN);
-        let (body, check) = split_footer(&buf).unwrap();
-        assert_eq!(check, FooterCheck::Verified);
-        assert_eq!(body, b"hello snapshot body");
-    }
-
-    #[test]
-    fn footerless_bytes_classify_as_absent() {
-        for bytes in [&b""[..], b"short", b"a body long enough to hold a footer but without one"] {
-            let (body, check) = split_footer(bytes).unwrap();
-            assert_eq!(check, FooterCheck::Absent);
-            assert_eq!(body, bytes);
-        }
-    }
-
-    #[test]
     fn every_single_bit_flip_is_caught() {
-        let mut buf = b"the quick brown fox jumps over the lazy dog".to_vec();
-        append_footer(&mut buf);
-        let body_end = buf.len() - FOOTER_LEN;
-        for i in 0..buf.len() {
-            for bit in 0..8 {
-                let mut broken = buf.clone();
-                broken[i] ^= 1 << bit;
-                match split_footer(&broken) {
-                    // Body or checksum-field damage must be detected.
-                    Err(_) => {}
-                    // Magic/length damage makes the footer unrecognizable;
-                    // that classifies as Absent (which loaders refuse) but
-                    // may never verify.
-                    Ok((_, FooterCheck::Absent)) => {
-                        assert!(i >= body_end, "flip inside the body at {i} slipped through");
-                    }
-                    Ok((_, FooterCheck::Verified)) => {
-                        panic!("bit {bit} of byte {i} flipped yet the checksum verified")
-                    }
+        // What every block, directory and trailer check of a segment rests
+        // on: one flipped bit, anywhere in a message, moves the digest —
+        // at the lengths around a kernel step and well past one.
+        let mut rng = Xoshiro256pp::new(0xF11B);
+        for len in [1usize, 15, 16, 17, 43, 300] {
+            let message: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+            let digest = crc32(&message);
+            for i in 0..len {
+                for bit in 0..8 {
+                    let mut broken = message.clone();
+                    broken[i] ^= 1 << bit;
+                    assert_ne!(crc32(&broken), digest, "bit {bit} of byte {i} of {len}");
                 }
             }
         }
-    }
-
-    #[test]
-    fn truncations_never_verify() {
-        let mut buf = vec![7u8; 64];
-        append_footer(&mut buf);
-        for len in 0..buf.len() {
-            match split_footer(&buf[..len]) {
-                Ok((_, FooterCheck::Verified)) => panic!("truncation to {len} verified"),
-                Ok((_, FooterCheck::Absent)) | Err(_) => {}
-            }
-        }
-    }
-
-    #[test]
-    fn unsupported_footer_version_is_an_error_not_legacy() {
-        let mut buf = b"body".to_vec();
-        append_footer(&mut buf);
-        let version_at = buf.len() - FOOTER_LEN + 4;
-        buf[version_at] = 9;
-        assert!(split_footer(&buf).is_err());
     }
 }

@@ -9,8 +9,6 @@
 
 pub use bytes::{Buf, BufMut};
 
-use crate::checksum::Crc32;
-
 /// Decoding failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CodecError {
@@ -257,16 +255,6 @@ pub fn get_f32s(buf: &mut impl Buf, out: &mut [f32]) -> CodecResult<()> {
     get_le(buf, out, f32::from_le_bytes)
 }
 
-/// Write `u64`s back to back, no length prefix.
-pub fn put_u64s(buf: &mut impl BufMut, xs: &[u64]) {
-    put_le(buf, xs, u64::to_le_bytes);
-}
-
-/// Fill `out` with `out.len()` unprefixed `u64`s.
-pub fn get_u64s(buf: &mut impl Buf, out: &mut [u64]) -> CodecResult<()> {
-    get_le(buf, out, u64::from_le_bytes)
-}
-
 /// Write a `Vec<f32>` with a length prefix.
 pub fn put_f32_slice(buf: &mut impl BufMut, xs: &[f32]) {
     put_len(buf, xs.len());
@@ -281,7 +269,7 @@ pub fn get_f32_vec(buf: &mut impl Buf) -> CodecResult<Vec<f32>> {
 /// Write a `&[u64]` with a length prefix.
 pub fn put_u64_slice(buf: &mut impl BufMut, xs: &[u64]) {
     put_len(buf, xs.len());
-    put_u64s(buf, xs);
+    put_le(buf, xs, u64::to_le_bytes);
 }
 
 /// Read a length-prefixed `Vec<u64>`.
@@ -315,130 +303,6 @@ pub fn get_header(buf: &mut impl Buf, magic: [u8; 4]) -> CodecResult<u32> {
         return Err(CodecError::Invalid(format!("bad magic {:?}, expected {:?}", got, magic)));
     }
     Ok(buf.get_u32_le())
-}
-
-/// A bounded, streaming [`Buf`] over any [`std::io::Read`].
-///
-/// Lets the snapshot loaders run the exact same frame-parsing code over a
-/// file handle that they run over an in-memory slice, without ever holding
-/// the whole body resident: bytes are pulled through a fixed 64 KiB window
-/// as the parser consumes them.
-///
-/// [`Buf`] methods cannot return errors, so a mid-parse I/O failure is
-/// handled by zero-filling the remaining bytes and latching a flag; the
-/// zeros make the structured parse fail fast, and the caller checks
-/// [`ReaderBuf::io_error`] afterwards to report the real cause instead of
-/// a misleading decode error.
-///
-/// Every window is folded into a running CRC-32 as it is read, so a parser
-/// that consumes the whole range has also checksummed it — the file is
-/// read once, not once to verify and once to parse.
-pub struct ReaderBuf<R: std::io::Read> {
-    reader: R,
-    /// Unconsumed bytes: window remainder plus unread reader bytes.
-    remaining: usize,
-    window: Vec<u8>,
-    pos: usize,
-    io_error: Option<std::io::Error>,
-    crc: Crc32,
-}
-
-/// Window size for [`ReaderBuf`] refills.
-const READER_WINDOW: usize = 64 * 1024;
-
-impl<R: std::io::Read> ReaderBuf<R> {
-    /// Wrap `reader`, exposing exactly `len` bytes through the [`Buf`]
-    /// interface.
-    pub fn new(reader: R, len: usize) -> Self {
-        ReaderBuf {
-            reader,
-            remaining: len,
-            window: Vec::new(),
-            pos: 0,
-            io_error: None,
-            crc: Crc32::new(),
-        }
-    }
-
-    /// CRC-32 of every byte read from the underlying reader so far. Once
-    /// [`Buf::remaining`] is 0 (and no I/O error latched) that is the
-    /// digest of exactly the `len` bytes this buffer exposed.
-    pub fn crc32(&self) -> u32 {
-        self.crc.finalize()
-    }
-
-    /// Hand the reader back, positioned just past the last window read —
-    /// past the exposed range once it is fully consumed.
-    pub fn into_inner(self) -> R {
-        self.reader
-    }
-
-    /// The first I/O error hit while refilling, if any. A successful-looking
-    /// parse is only trustworthy when this is `None`.
-    pub fn io_error(&self) -> Option<&std::io::Error> {
-        self.io_error.as_ref()
-    }
-
-    fn refill(&mut self) {
-        debug_assert_eq!(self.pos, self.window.len());
-        let want = READER_WINDOW.min(self.remaining);
-        self.window.resize(want, 0);
-        self.pos = 0;
-        if let Err(e) = self.reader.read_exact(&mut self.window) {
-            if self.io_error.is_none() {
-                self.io_error = Some(e);
-            }
-            self.window.clear();
-        }
-        self.crc.update(&self.window);
-    }
-}
-
-impl<R: std::io::Read> Buf for ReaderBuf<R> {
-    fn remaining(&self) -> usize {
-        self.remaining
-    }
-
-    fn chunk(&self) -> &[u8] {
-        &self.window[self.pos..]
-    }
-
-    fn advance(&mut self, mut cnt: usize) {
-        assert!(cnt <= self.remaining, "advance past end of ReaderBuf");
-        while cnt > 0 {
-            if self.pos == self.window.len() {
-                self.refill();
-                if self.io_error.is_some() {
-                    self.remaining -= cnt;
-                    return;
-                }
-            }
-            let take = cnt.min(self.window.len() - self.pos);
-            self.pos += take;
-            self.remaining -= take;
-            cnt -= take;
-        }
-    }
-
-    fn copy_to_slice(&mut self, dst: &mut [u8]) {
-        assert!(dst.len() <= self.remaining, "read past end of ReaderBuf");
-        let mut filled = 0;
-        while filled < dst.len() {
-            if self.pos == self.window.len() {
-                self.refill();
-                if self.io_error.is_some() {
-                    dst[filled..].fill(0);
-                    self.remaining -= dst.len() - filled;
-                    return;
-                }
-            }
-            let take = (dst.len() - filled).min(self.window.len() - self.pos);
-            dst[filled..filled + take].copy_from_slice(&self.window[self.pos..self.pos + take]);
-            self.pos += take;
-            self.remaining -= take;
-            filled += take;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -531,43 +395,9 @@ mod tests {
         assert!(matches!(get_str(&mut r), Err(CodecError::Invalid(_))));
     }
 
-    #[test]
-    fn reader_buf_parses_identically_to_slice() {
-        let mut buf = Vec::new();
-        put_header(&mut buf, *b"WGIX", 2);
-        put_str(&mut buf, "streaming");
-        put_u64(&mut buf, 0xfeed_face_cafe_f00d);
-        put_f32_slice(&mut buf, &[1.0, -2.5, 3.25]);
-        // A payload long enough to straddle refills when the window is
-        // artificially small is covered by the chunked-reader test below;
-        // here the window (64 KiB) swallows everything in one refill.
-        let mut r = ReaderBuf::new(std::io::Cursor::new(buf.clone()), buf.len());
-        assert_eq!(get_header(&mut r, *b"WGIX").unwrap(), 2);
-        assert_eq!(get_str(&mut r).unwrap(), "streaming");
-        assert_eq!(get_u64(&mut r).unwrap(), 0xfeed_face_cafe_f00d);
-        assert_eq!(get_f32_vec(&mut r).unwrap(), vec![1.0, -2.5, 3.25]);
-        assert_eq!(r.remaining(), 0);
-        assert!(r.io_error().is_none());
-    }
-
-    #[test]
-    fn reader_buf_survives_window_straddling_reads() {
-        // A byte string bigger than one refill window forces copy_to_slice
-        // to loop across refills.
-        let big = vec![0x5Au8; READER_WINDOW * 2 + 17];
-        let mut buf = Vec::new();
-        put_bytes(&mut buf, &big);
-        put_u32(&mut buf, 7);
-        let mut r = ReaderBuf::new(std::io::Cursor::new(buf.clone()), buf.len());
-        assert_eq!(get_bytes(&mut r).unwrap(), big);
-        assert_eq!(get_u32(&mut r).unwrap(), 7);
-        assert_eq!(r.remaining(), 0);
-    }
-
     /// Values of one element type at the lengths around the chunk size,
     /// encoded by the chunked path and by one `put_*_le` per element;
-    /// decoded from a slice, one `get_*_le` at a time, and through a
-    /// [`ReaderBuf`] whose first refill ends two bytes into the first value.
+    /// decoded from a slice and one `get_*_le` at a time.
     macro_rules! chunked_path_equals_per_element_loop {
         ($make:expr, $put_one:ident, $get_one:ident, $put_slice:ident, $get_vec:ident) => {
             for len in [0usize, 1, 63, 64, 65, 4097] {
@@ -587,17 +417,6 @@ mod tests {
                 let mut r = &chunked[4..];
                 let one_by_one: Vec<_> = (0..len).map(|_| r.$get_one()).collect();
                 assert_eq!(one_by_one, values, "per-element decode, length {len}");
-
-                // Padding puts the length prefix at READER_WINDOW - 6, so
-                // the first value starts two bytes before the boundary.
-                let mut padded = vec![0xEEu8; READER_WINDOW - 6];
-                padded.extend_from_slice(&chunked);
-                let total = padded.len();
-                let mut reader = ReaderBuf::new(std::io::Cursor::new(padded), total);
-                reader.advance(READER_WINDOW - 6);
-                assert_eq!($get_vec(&mut reader).unwrap(), values, "reader decode, length {len}");
-                assert_eq!(reader.remaining(), 0);
-                assert!(reader.io_error().is_none());
 
                 // A prefix that promises one value more than the bytes hold.
                 let mut short = chunked.clone();
@@ -638,16 +457,13 @@ mod tests {
     #[test]
     fn unprefixed_slices_fill_the_callers_storage() {
         let floats: Vec<f32> = (0..130).map(|i| i as f32 * 0.5 - 7.0).collect();
-        let words: Vec<u64> = (0..67).map(|i| u64::MAX / (i + 1)).collect();
         let mut buf = Vec::new();
         put_f32s(&mut buf, &floats);
-        put_u64s(&mut buf, &words);
-        assert_eq!(buf.len(), floats.len() * 4 + words.len() * 8, "no length prefix");
+        assert_eq!(buf.len(), floats.len() * 4, "no length prefix");
         let mut r = &buf[..];
-        let (mut f, mut w) = (vec![0.0f32; floats.len()], vec![0u64; words.len()]);
+        let mut f = vec![0.0f32; floats.len()];
         get_f32s(&mut r, &mut f).unwrap();
-        get_u64s(&mut r, &mut w).unwrap();
-        assert_eq!((f, w), (floats, words));
+        assert_eq!(f, floats);
         assert!(r.is_empty());
         // One byte short: refused before anything is consumed.
         let mut r = &buf[..7];
@@ -667,39 +483,5 @@ mod tests {
         put_u32(&mut lying, MAX_LEN);
         lying.extend_from_slice(&[0u8; 16]);
         assert!(matches!(get_count(&mut &lying[..], 1), Err(CodecError::Invalid(_))));
-    }
-
-    #[test]
-    fn reader_buf_checksums_what_it_reads() {
-        let data: Vec<u8> = (0..READER_WINDOW * 2 + 4321).map(|i| (i % 251) as u8).collect();
-        let mut file = data.clone();
-        file.extend_from_slice(b"tail");
-        let mut r = ReaderBuf::new(std::io::Cursor::new(file), data.len());
-        // Consumed in uneven steps, across both window boundaries.
-        let mut sink = vec![0u8; 1000];
-        while r.remaining() > 0 {
-            let take = sink.len().min(r.remaining());
-            r.copy_to_slice(&mut sink[..take]);
-        }
-        assert_eq!(r.crc32(), crate::checksum::crc32(&data));
-        // The reader comes back positioned just past the exposed range.
-        let mut rest = Vec::new();
-        std::io::Read::read_to_end(&mut r.into_inner(), &mut rest).unwrap();
-        assert_eq!(rest, b"tail");
-    }
-
-    #[test]
-    fn reader_buf_truncated_source_latches_io_error() {
-        let mut buf = Vec::new();
-        put_str(&mut buf, "short body");
-        // Claim more bytes than the reader holds: the refill hits EOF,
-        // the error latches, and remaining still drains to zero.
-        let claimed = buf.len() + 100;
-        let mut r = ReaderBuf::new(std::io::Cursor::new(buf), claimed);
-        let _ = get_str(&mut r);
-        let mut sink = vec![0u8; r.remaining()];
-        r.copy_to_slice(&mut sink);
-        assert_eq!(r.remaining(), 0);
-        assert!(r.io_error().is_some());
     }
 }

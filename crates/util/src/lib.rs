@@ -20,14 +20,15 @@
 //!   LSH item-id bit budget).
 //! * [`atomic_file`] — the one temp → fsync → rename → directory-fsync
 //!   write every published file goes through.
-//! * [`checksum`] — slice-by-16 CRC-32 and the fixed-size snapshot
-//!   integrity footer (magic + body length + checksum) that lets loaders
-//!   reject torn or bit-rotted files before any of their state installs.
+//! * [`checksum`] — the slice-by-16 CRC-32 behind every checksum of a
+//!   segment.
 //! * [`deadline`] — cooperative request deadlines ([`Deadline`]) and the
 //!   pipeline [`Phase`] vocabulary that overload control reports expiry
 //!   against.
-//! * [`segment`] — checksummed block-addressed segment files: the on-disk
-//!   container behind the paged storage tier, read with positioned I/O so
+//! * [`segment`] — checksummed block-addressed segment files: the one
+//!   on-disk container (a snapshot is a segment), validated trailer →
+//!   directory CRC → directory so loaders reject torn or bit-rotted files
+//!   before any of their state installs, and read with positioned I/O so
 //!   cold blocks never need to be resident.
 
 #![forbid(unsafe_code)]

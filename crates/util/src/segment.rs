@@ -8,7 +8,9 @@
 //! individual blocks with positioned reads (`pread`: one syscall per block,
 //! no seek, no shared file cursor and therefore no lock — any number of
 //! threads read one [`Segment`] concurrently) — no mmap, no full-file
-//! residency:
+//! residency. The same reader serves an image already in memory
+//! ([`Segment::from_bytes`]); only where a positioned read gets its bytes
+//! from differs:
 //!
 //! ```text
 //! ┌ preamble (8 bytes) ──────────────────────────────────────────────┐
@@ -52,11 +54,15 @@ pub const DIRECTORY_MAGIC: [u8; 4] = *b"WGSD";
 /// Magic opening the fixed-size trailer.
 pub const TRAILER_MAGIC: [u8; 4] = *b"WGSE";
 /// Segment format version. The container's framing has not changed since
-/// version 1; the number moves when what callers keep in the blocks'
-/// metadata does, because a reader cannot tell the layouts apart. Version
-/// 2: the vector tier's per-row sketches replaced its per-block zone maps.
-/// Any other version is refused — there is one decode path.
-pub const SEGMENT_VERSION: u32 = 2;
+/// version 1; the number moves when what callers keep in the header and
+/// block metadata does, because a reader cannot tell the layouts apart.
+/// Version 3: the vector tier's header carries a snapshot manifest and a
+/// flag saying whether the blocks' metadata includes row sketches. Any
+/// other version is refused — there is one decode path.
+pub const SEGMENT_VERSION: u32 = 3;
+/// The fewest bytes one directory entry encodes to: offset, payload length,
+/// CRC and an empty meta blob's length prefix.
+const MIN_ENTRY_BYTES: usize = 8 + 4 + 4 + 4;
 /// Preamble size: magic (4) + version (4).
 pub const PREAMBLE_LEN: usize = 8;
 /// Trailer size: magic (4) + version (4) + dir_offset (8) + dir_len (4) +
@@ -89,6 +95,17 @@ impl From<std::io::Error> for SegmentError {
     }
 }
 
+/// For writers whose result is an `io::Result`: an I/O failure as itself,
+/// damage as [`std::io::ErrorKind::InvalidData`] with the message kept.
+impl From<SegmentError> for std::io::Error {
+    fn from(e: SegmentError) -> Self {
+        match e {
+            SegmentError::Io(e) => e,
+            SegmentError::Corrupt(_) => std::io::Error::new(std::io::ErrorKind::InvalidData, e),
+        }
+    }
+}
+
 impl From<CodecError> for SegmentError {
     fn from(e: CodecError) -> Self {
         SegmentError::Corrupt(e.to_string())
@@ -113,24 +130,19 @@ struct BlockInfo {
 /// [`crate::atomic_file`]).
 pub struct SegmentBuilder {
     bytes: Vec<u8>,
-    /// The directory frame up to and including the header meta; the block
-    /// count goes between this and `entries`.
-    dir_head: Vec<u8>,
     /// The per-block directory entries pushed so far.
     entries: Vec<u8>,
     n_blocks: u32,
 }
 
 impl SegmentBuilder {
-    /// Start a segment whose directory carries `header_meta` (an opaque
-    /// caller blob describing the whole segment, e.g. geometry).
-    pub fn new(header_meta: &[u8]) -> Self {
-        let mut bytes = Vec::new();
+    /// Start a segment with room for an image of about `size_hint` bytes
+    /// (a sealed image is large, and growing it by doubling would hold it
+    /// in memory twice).
+    pub fn new(size_hint: usize) -> Self {
+        let mut bytes = Vec::with_capacity(size_hint);
         codec::put_header(&mut bytes, SEGMENT_MAGIC, SEGMENT_VERSION);
-        let mut dir_head = Vec::new();
-        codec::put_header(&mut dir_head, DIRECTORY_MAGIC, SEGMENT_VERSION);
-        codec::put_bytes(&mut dir_head, header_meta);
-        SegmentBuilder { bytes, dir_head, entries: Vec::new(), n_blocks: 0 }
+        SegmentBuilder { bytes, entries: Vec::new(), n_blocks: 0 }
     }
 
     /// Append one block with its payload and opaque per-block metadata.
@@ -160,12 +172,19 @@ impl SegmentBuilder {
     }
 
     /// Seal the segment: directory + trailer appended, full image returned.
-    pub fn finish(mut self) -> Vec<u8> {
-        // The directory goes straight into the image (head, block count,
+    /// The directory carries `header_meta` — an opaque caller blob
+    /// describing the whole segment (geometry, a manifest), given as parts
+    /// that are stored back to back.
+    pub fn finish(mut self, header_meta: &[&[u8]]) -> Vec<u8> {
+        // The directory goes straight into the image (header, block count,
         // entries) and is checksummed there: with per-row metadata it is a
         // quarter of the file, too big to assemble in a buffer of its own.
         let dir_offset = self.bytes.len();
-        self.bytes.extend_from_slice(&self.dir_head);
+        codec::put_header(&mut self.bytes, DIRECTORY_MAGIC, SEGMENT_VERSION);
+        codec::put_len(&mut self.bytes, header_meta.iter().map(|part| part.len()).sum());
+        for part in header_meta {
+            self.bytes.extend_from_slice(part);
+        }
         codec::put_u32(&mut self.bytes, self.n_blocks);
         self.bytes.extend_from_slice(&self.entries);
         let dir_crc = crc32(&self.bytes[dir_offset..]);
@@ -180,11 +199,43 @@ impl SegmentBuilder {
     }
 }
 
+/// Where a segment's bytes are: a file read with `pread`, or an image the
+/// caller already holds in memory.
+enum Source {
+    File(File),
+    Bytes(Vec<u8>),
+}
+
+impl Source {
+    fn len(&self) -> std::io::Result<u64> {
+        match self {
+            Source::File(file) => Ok(file.metadata()?.len()),
+            Source::Bytes(bytes) => Ok(bytes.len() as u64),
+        }
+    }
+
+    fn read_exact_at(&self, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
+        match self {
+            Source::File(file) => file.read_exact_at(buf, offset),
+            Source::Bytes(bytes) => {
+                let range = usize::try_from(offset)
+                    .ok()
+                    .and_then(|start| Some(start..start.checked_add(buf.len())?))
+                    .and_then(|range| bytes.get(range))
+                    .ok_or(std::io::ErrorKind::UnexpectedEof)?;
+                buf.copy_from_slice(range);
+                Ok(())
+            }
+        }
+    }
+}
+
 /// An open segment: directory resident, payloads fetched on demand with
 /// positioned reads and re-verified per block.
 pub struct Segment {
+    /// Empty for an in-memory image.
     path: PathBuf,
-    file: File,
+    source: Source,
     header_meta: Vec<u8>,
     blocks: Vec<BlockInfo>,
 }
@@ -202,8 +253,21 @@ impl Segment {
     /// Open a segment file, validating preamble, trailer, and directory.
     /// Block payloads are *not* read here.
     pub fn open(path: &Path) -> Result<Segment, SegmentError> {
-        let file = File::open(path)?;
-        let file_len = file.metadata()?.len();
+        Self::open_source(Source::File(File::open(path)?), path.to_path_buf())
+    }
+
+    /// [`Self::open`] over a complete image held in memory: the same
+    /// validation, and block reads that copy out of `bytes`.
+    pub fn from_bytes(bytes: Vec<u8>) -> Result<Segment, SegmentError> {
+        Self::open_source(Source::Bytes(bytes), PathBuf::new())
+    }
+
+    /// Nothing below is interpreted before it has been compared with
+    /// something fixed: the preamble and trailer against their magics, the
+    /// version and the file's own length, the directory against the
+    /// trailer's CRC — and only then parsed.
+    fn open_source(source: Source, path: PathBuf) -> Result<Segment, SegmentError> {
+        let file_len = source.len()?;
         if file_len < (PREAMBLE_LEN + TRAILER_LEN) as u64 {
             return Err(SegmentError::Corrupt(format!(
                 "{} bytes is too short to be a segment",
@@ -212,7 +276,7 @@ impl Segment {
         }
 
         let mut preamble = [0u8; PREAMBLE_LEN];
-        file.read_exact_at(&mut preamble, 0)?;
+        source.read_exact_at(&mut preamble, 0)?;
         if preamble[..4] != SEGMENT_MAGIC {
             return Err(SegmentError::Corrupt("bad segment magic".into()));
         }
@@ -222,7 +286,7 @@ impl Segment {
         }
 
         let mut trailer = [0u8; TRAILER_LEN];
-        file.read_exact_at(&mut trailer, file_len - TRAILER_LEN as u64)?;
+        source.read_exact_at(&mut trailer, file_len - TRAILER_LEN as u64)?;
         if trailer[..4] != TRAILER_MAGIC {
             return Err(SegmentError::Corrupt("bad trailer magic (torn write?)".into()));
         }
@@ -243,7 +307,7 @@ impl Segment {
         }
 
         let mut directory = vec![0u8; dir_len as usize];
-        file.read_exact_at(&mut directory, dir_offset)?;
+        source.read_exact_at(&mut directory, dir_offset)?;
         if crc32(&directory) != dir_crc {
             return Err(SegmentError::Corrupt("directory checksum mismatch".into()));
         }
@@ -254,8 +318,8 @@ impl Segment {
             return Err(SegmentError::Corrupt(format!("unsupported directory version {dver}")));
         }
         let header_meta = codec::get_bytes(&mut r)?;
-        let n_blocks = codec::get_u32(&mut r)?;
-        let mut blocks = Vec::with_capacity(n_blocks as usize);
+        let n_blocks = codec::get_count(&mut r, MIN_ENTRY_BYTES)?;
+        let mut blocks = Vec::with_capacity(n_blocks);
         for i in 0..n_blocks {
             let offset = codec::get_u64(&mut r)?;
             let payload_len = codec::get_len(&mut r)? as u32;
@@ -276,12 +340,18 @@ impl Segment {
             return Err(SegmentError::Corrupt(format!("{} trailing directory bytes", r.len())));
         }
 
-        Ok(Segment { path: path.to_path_buf(), file, header_meta, blocks })
+        Ok(Segment { path, source, header_meta, blocks })
     }
 
     /// The segment-wide metadata blob the writer stored.
     pub fn header_meta(&self) -> &[u8] {
         &self.header_meta
+    }
+
+    /// Move the header blob out of the segment, leaving it empty (see
+    /// [`Self::take_block_meta`]).
+    pub fn take_header_meta(&mut self) -> Vec<u8> {
+        std::mem::take(&mut self.header_meta)
     }
 
     /// Number of blocks.
@@ -306,7 +376,8 @@ impl Segment {
         self.blocks[block].payload_len as usize
     }
 
-    /// The file this segment was opened from.
+    /// The file this segment was opened from (empty for an in-memory
+    /// image).
     pub fn path(&self) -> &Path {
         &self.path
     }
@@ -339,7 +410,7 @@ impl Segment {
             .ok_or_else(|| SegmentError::Corrupt(format!("block {block} out of range")))?;
         let payload_len = info.payload_len as usize;
         payload.resize(payload_len + 4, 0);
-        self.file.read_exact_at(payload, info.offset)?;
+        self.source.read_exact_at(payload, info.offset)?;
         let stored = u32::from_le_bytes(payload[payload_len..].try_into().expect("4 bytes"));
         payload.truncate(payload_len);
         if stored != info.crc || crc32(payload) != info.crc {
@@ -364,19 +435,31 @@ mod tests {
     }
 
     fn build_sample() -> Vec<u8> {
-        let mut b = SegmentBuilder::new(b"header-meta");
+        let mut b = SegmentBuilder::new(0);
         b.push_block(b"first block payload", b"meta-0");
         b.push_block(b"", b"meta-empty");
         b.push_block(&[0xAB; 1000], b"");
-        b.finish()
+        b.finish(&[b"header", b"-meta"])
+    }
+
+    /// `bytes` opened both ways: written to `path` and opened as a file,
+    /// and as an in-memory image.
+    fn open_both(path: &Path, bytes: &[u8]) -> [Result<Segment, SegmentError>; 2] {
+        atomic_write_bytes(path, bytes).expect("write");
+        [Segment::open(path), Segment::from_bytes(bytes.to_vec())]
     }
 
     #[test]
     fn roundtrip_blocks_and_meta() {
         let dir = temp_dir("roundtrip");
         let path = dir.join("seg.wgs");
-        atomic_write_bytes(&path, &build_sample()).expect("write");
-        let mut seg = Segment::open(&path).expect("open");
+        for seg in open_both(&path, &build_sample()) {
+            roundtrip(seg.expect("open"));
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    fn roundtrip(mut seg: Segment) {
         assert_eq!(seg.header_meta(), b"header-meta");
         assert_eq!(seg.block_count(), 3);
         assert_eq!(seg.block_meta(0), b"meta-0");
@@ -387,7 +470,8 @@ mod tests {
         assert!(seg.read_block(3).is_err());
         assert_eq!(seg.take_block_meta(1), b"meta-empty");
         assert_eq!((seg.block_meta(0), seg.block_meta(1)), (&b"meta-0"[..], &b""[..]));
-        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(seg.take_header_meta(), b"header-meta");
+        assert!(seg.header_meta().is_empty());
     }
 
     #[test]
@@ -423,26 +507,32 @@ mod tests {
 
     #[test]
     fn push_block_with_writes_the_same_image_as_push_block() {
-        let mut filled = SegmentBuilder::new(b"header-meta");
+        let mut filled = SegmentBuilder::new(0);
         filled.push_block_with(19, b"meta-0", |out| out.copy_from_slice(b"first block payload"));
         filled.push_block_with(0, b"meta-empty", |out| assert!(out.is_empty()));
         filled.push_block_with(1000, b"", |out| {
             assert!(out.iter().all(|&b| b == 0), "fill sees only its own zeroed block");
             out.fill(0xAB);
         });
-        assert_eq!(filled.finish(), build_sample());
+        assert_eq!(filled.finish(&[b"header-meta"]), build_sample());
     }
 
     #[test]
     fn another_format_version_is_refused() {
         let dir = temp_dir("version");
         let path = dir.join("seg.wgs");
-        let mut v1 = build_sample();
-        v1[4..8].copy_from_slice(&1u32.to_le_bytes());
-        atomic_write_bytes(&path, &v1).expect("write");
-        match Segment::open(&path) {
-            Err(SegmentError::Corrupt(msg)) => assert_eq!(msg, "unsupported segment version 1"),
-            other => panic!("a v1 image must be refused, got {other:?}"),
+        // The version before, and the one after.
+        for version in [SEGMENT_VERSION - 1, SEGMENT_VERSION + 1] {
+            let mut other = build_sample();
+            other[4..8].copy_from_slice(&version.to_le_bytes());
+            for seg in open_both(&path, &other) {
+                match seg {
+                    Err(SegmentError::Corrupt(msg)) => {
+                        assert_eq!(msg, format!("unsupported segment version {version}"))
+                    }
+                    other => panic!("a v{version} image must be refused, got {other:?}"),
+                }
+            }
         }
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -453,8 +543,9 @@ mod tests {
         let bytes = build_sample();
         let path = dir.join("seg.wgs");
         for len in 0..bytes.len() {
-            atomic_write_bytes(&path, &bytes[..len]).expect("write");
-            assert!(Segment::open(&path).is_err(), "truncation to {len} bytes opened");
+            for seg in open_both(&path, &bytes[..len]) {
+                assert!(seg.is_err(), "truncation to {len} bytes opened");
+            }
         }
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -467,23 +558,38 @@ mod tests {
         for i in 0..bytes.len() {
             let mut broken = bytes.clone();
             broken[i] ^= 1 << (i % 8);
-            atomic_write_bytes(&path, &broken).expect("write");
-            match Segment::open(&path) {
-                Err(_) => {}
-                Ok(seg) => {
-                    let damaged = (0..seg.block_count()).any(|b| seg.read_block(b).is_err());
-                    assert!(damaged, "flip at byte {i} went undetected");
-                }
+            for seg in open_both(&path, &broken) {
+                let Ok(seg) = seg else { continue };
+                let damaged = (0..seg.block_count()).any(|b| seg.read_block(b).is_err());
+                assert!(damaged, "flip at byte {i} went undetected");
             }
         }
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
+    fn a_count_the_directory_cannot_hold_is_refused_before_anything_is_reserved() {
+        // A directory whose CRC vouches for a block count of 2^30: refused
+        // by the count check, not by an allocation of that many entries.
+        let mut image = build_sample();
+        let trailer_at = image.len() - TRAILER_LEN;
+        let dir_at = u64::from_le_bytes(image[trailer_at + 8..trailer_at + 16].try_into().unwrap());
+        let count_at = dir_at as usize + 8 + 4 + b"header-meta".len();
+        assert_eq!(image[count_at..count_at + 4], 3u32.to_le_bytes());
+        image[count_at..count_at + 4].copy_from_slice(&(1u32 << 30).to_le_bytes());
+        let crc = crc32(&image[dir_at as usize..trailer_at]);
+        image[trailer_at + 20..].copy_from_slice(&crc.to_le_bytes());
+        match Segment::from_bytes(image) {
+            Err(SegmentError::Corrupt(msg)) => assert!(msg.contains("count 1073741824"), "{msg}"),
+            other => panic!("a lying block count must be refused, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn empty_segment_roundtrips() {
         let dir = temp_dir("empty");
         let path = dir.join("seg.wgs");
-        atomic_write_bytes(&path, &SegmentBuilder::new(b"").finish()).expect("write");
+        atomic_write_bytes(&path, &SegmentBuilder::new(0).finish(&[])).expect("write");
         let seg = Segment::open(&path).expect("open");
         assert_eq!(seg.block_count(), 0);
         std::fs::remove_dir_all(&dir).ok();

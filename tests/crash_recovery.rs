@@ -297,9 +297,9 @@ fn loader_rejects_every_bit_flip_without_partial_mutation() {
     for offset in 0..fx.new.len() {
         let mut broken = fx.new.clone();
         broken[offset] ^= 1 << (offset % 8);
-        // In memory the checksum is compared before the parse; streamed,
-        // the parse runs first, over bytes nothing has vouched for — it
-        // must fail typed there too, whatever the flip hit.
+        // From memory or from the file, the same reader: trailer, then the
+        // directory's checksum, then every block's — typed, whatever the
+        // flip hit.
         std::fs::write(&path, &broken).unwrap();
         for (how, result) in [
             ("load_bytes", probe.load_bytes(&broken)),
@@ -323,10 +323,10 @@ fn loader_survives_truncation_at_every_length() {
     let path = dir.join("snapshot.bin");
     let config = WarpGateConfig { dim: 64, threads: 1, ..Default::default() };
     let mut probe = WarpGate::new(config);
-    // No length short of the whole file is a loadable file: a body whose
-    // footer was cut off — exactly at the end of the frame set, or before
-    // the sync frame — is a torn write like any other, and loading it
-    // would install a tail nothing verified. In memory and streamed alike.
+    // No length short of the whole file is a loadable file: the trailer is
+    // written last and validated first, so a prefix — cut inside a block,
+    // at a block boundary, inside the directory — is a torn write like any
+    // other. From memory and from the file alike.
     for len in 0..fx.new.len() {
         let cut = &fx.new[..len];
         std::fs::write(&path, cut).unwrap();
@@ -504,8 +504,8 @@ fn metadata_faults_fail_sync_cleanly_and_tokens_survive() {
 // ---------------------------------------------------------------------
 
 /// Two paged generations of the same corpus shape: directories `old_dir`
-/// and `new_dir` each hold a matching (manifest, segment) pair, plus the
-/// rankings each generation serves.
+/// and `new_dir` each hold one sealed snapshot file, plus the rankings each
+/// generation serves.
 struct PagedGenerations {
     config: WarpGateConfig,
     connector: Arc<CdwConnector>,
@@ -517,8 +517,8 @@ struct PagedGenerations {
 }
 
 fn paged_generations(tag: &str) -> PagedGenerations {
-    // One shard and one-row blocks: a single segment file whose every row
-    // is its own block, so torn writes can tear *between* blocks.
+    // One-row blocks: every row is its own block, so torn writes can tear
+    // *between* blocks.
     let config = WarpGateConfig { dim: 64, threads: 1, ..Default::default() }
         .with_shards(1)
         .with_block_rows(1);
@@ -542,19 +542,17 @@ fn paged_generations(tag: &str) -> PagedGenerations {
     PagedGenerations { config, connector: c, old_dir, new_dir, old_rank, new_rank, query }
 }
 
-/// A scratch paged directory holding `manifest_from`'s manifest with the
-/// given segment bytes (or no segment file at all).
-fn stage_paged(dir: &Path, manifest_from: &Path, seg: Option<&[u8]>) {
-    std::fs::copy(
-        manifest_from.join(warpgate_core::persist::PAGED_MANIFEST),
-        dir.join(warpgate_core::persist::PAGED_MANIFEST),
-    )
-    .unwrap();
-    let seg_path = dir.join("seg-0.seg");
+/// The snapshot file of a paged directory.
+fn paged_file(dir: &Path) -> PathBuf {
+    dir.join(warpgate_core::persist::PAGED_FILE)
+}
+
+/// Make `dir`'s snapshot file hold `seg` (or not exist).
+fn stage_paged(dir: &Path, seg: Option<&[u8]>) {
     match seg {
-        Some(bytes) => std::fs::write(&seg_path, bytes).unwrap(),
+        Some(bytes) => std::fs::write(paged_file(dir), bytes).unwrap(),
         None => {
-            let _ = std::fs::remove_file(&seg_path);
+            let _ = std::fs::remove_file(paged_file(dir));
         }
     }
 }
@@ -562,23 +560,20 @@ fn stage_paged(dir: &Path, manifest_from: &Path, seg: Option<&[u8]>) {
 #[test]
 fn torn_segment_writes_never_expose_a_partial_block_set() {
     let fx = paged_generations("seg-torn");
-    let old_seg = std::fs::read(fx.old_dir.join("seg-0.seg")).unwrap();
-    let new_seg = std::fs::read(fx.new_dir.join("seg-0.seg")).unwrap();
+    let old_seg = std::fs::read(paged_file(&fx.old_dir)).unwrap();
+    let new_seg = std::fs::read(paged_file(&fx.new_dir)).unwrap();
     let dir = tmp_dir("seg-torn-live");
     let torn = TornWriter::new(Some(old_seg.clone()), new_seg.clone());
 
     for state in torn.crash_states() {
-        // Map the checkpoint-rotation state onto the segment file: what
-        // the publish path (`<dir>/seg-0.seg`) holds in that state, with
-        // the manifest generation it was sealed against.
-        let (seg, manifest_dir, want) = match &state.primary {
-            Some(bytes) if bytes == &new_seg => {
-                (Some(&new_seg[..]), &fx.new_dir, Some(&fx.new_rank))
-            }
-            Some(bytes) => (Some(&bytes[..]), &fx.old_dir, Some(&fx.old_rank)),
-            None => (None, &fx.old_dir, None),
+        // Map the checkpoint-rotation state onto the snapshot file: what
+        // the publish path holds in that state.
+        let (seg, want) = match &state.primary {
+            Some(bytes) if bytes == &new_seg => (Some(&new_seg[..]), Some(&fx.new_rank)),
+            Some(bytes) => (Some(&bytes[..]), Some(&fx.old_rank)),
+            None => (None, None),
         };
-        stage_paged(&dir, manifest_dir, seg);
+        stage_paged(&dir, seg);
         let mut node = WarpGate::with_backend(fx.config, fx.connector.clone());
         match (node.load_paged(&dir), want) {
             (Ok(()), Some(rank)) => {
@@ -588,7 +583,7 @@ fn torn_segment_writes_never_expose_a_partial_block_set() {
             (Err(e), None) => {
                 // The mid-rotation window (publish path momentarily
                 // absent): a typed error, never a guess.
-                assert!(matches!(e, StoreError::SnapshotCorrupt(_)), "{}: {e}", state.label);
+                assert!(matches!(e, StoreError::NotFound(_)), "{}: {e}", state.label);
                 assert_eq!(node.len(), 0, "{}: no partial state", state.label);
             }
             (Ok(()), None) => panic!("{}: loaded with no published segment", state.label),
@@ -602,7 +597,7 @@ fn torn_segment_writes_never_expose_a_partial_block_set() {
     // validated first, so every prefix must fail at open — a subset of the
     // new blocks may never masquerade as a complete set.
     for cut in (0..new_seg.len()).step_by(41).chain([new_seg.len() - 1]) {
-        stage_paged(&dir, &fx.new_dir, Some(&new_seg[..cut]));
+        stage_paged(&dir, Some(&new_seg[..cut]));
         let mut node = WarpGate::with_backend(fx.config, fx.connector.clone());
         let err = node.load_paged(&dir).unwrap_err();
         assert!(
@@ -620,18 +615,19 @@ fn torn_segment_writes_never_expose_a_partial_block_set() {
 #[test]
 fn bit_flipped_segments_fail_at_open_or_first_read_never_silently() {
     let fx = paged_generations("seg-flip");
-    let new_seg = std::fs::read(fx.new_dir.join("seg-0.seg")).unwrap();
+    let new_seg = std::fs::read(paged_file(&fx.new_dir)).unwrap();
     let dir = tmp_dir("seg-flip-live");
     let torn = TornWriter::new(None, new_seg.clone());
 
     for state in torn.bit_flip_states() {
         let flipped = state.primary.as_ref().expect("flip states publish a primary");
-        stage_paged(&dir, &fx.new_dir, Some(flipped));
+        stage_paged(&dir, Some(flipped));
         let mut node = WarpGate::with_backend(fx.config, fx.connector.clone());
         match node.load_paged(&dir) {
             Err(e) => {
-                // Metadata rot: the segment's own checksums reject it at
-                // open, before any state installs.
+                // Rot in the preamble, the directory (block metadata and
+                // manifest alike) or the trailer: rejected at open, before
+                // any state installs.
                 assert!(matches!(e, StoreError::SnapshotCorrupt(_)), "{}: {e}", state.label);
                 assert_eq!(node.len(), 0, "{}: no partial state", state.label);
             }
@@ -648,12 +644,70 @@ fn bit_flipped_segments_fail_at_open_or_first_read_never_silently() {
                         "{}: flipped payload served",
                         state.label
                     ),
-                    Err(e) => assert!(matches!(e, StoreError::Backend(_)), "{}: {e}", state.label),
+                    Err(e) => {
+                        assert!(matches!(e, StoreError::Backend(_)), "{}: {e}", state.label);
+                        let resident = node.block_cache_stats().resident_blocks;
+                        assert!(resident < 2, "{}: the damaged block was cached", state.label);
+                    }
                 }
             }
         }
     }
 
+    for d in [&fx.old_dir, &fx.new_dir, &dir] {
+        std::fs::remove_dir_all(d).ok();
+    }
+}
+
+// ---------------------------------------------------------------------
+// A checkpoint over a cold block that no longer reads back (ISSUE 22).
+// ---------------------------------------------------------------------
+
+#[test]
+fn a_checkpoint_over_an_unreadable_cold_block_fails_typed_and_the_daemon_keeps_ticking() {
+    let fx = paged_generations("cold-ckpt");
+    let dir = tmp_dir("cold-ckpt-live");
+    let ckpt = Checkpointer::new(dir.join("snapshot.bin"));
+    // A generation is already published (by a node that hydrated the same
+    // snapshot, so the paged node's cache stays cold).
+    let mut node = WarpGate::with_backend(fx.config, fx.connector.clone());
+    node.load_from_file(paged_file(&fx.new_dir)).unwrap();
+    ckpt.checkpoint(&node).unwrap();
+    let published = std::fs::read(ckpt.path()).unwrap();
+    node.load_paged(&fx.new_dir).unwrap();
+
+    // One payload byte of the second block rots under the running node
+    // (same inode it holds open); nothing has read the block yet.
+    let file = paged_file(&fx.new_dir);
+    let mut image = std::fs::read(&file).unwrap();
+    image[warpgate::util::segment::PREAMBLE_LEN + 64 * 4 + 4 + 9] ^= 0x01;
+    std::fs::write(&file, &image).unwrap();
+
+    // The checkpoint must read every row: it fails, naming the block, and
+    // the generation already on disk is untouched.
+    let err = ckpt.checkpoint(&node).expect_err("a row that cannot be read cannot be saved");
+    assert!(err.to_string().contains("block 1 checksum mismatch"), "{err}");
+    assert_eq!(std::fs::read(ckpt.path()).unwrap(), published);
+    assert!(!ckpt.previous_path().exists(), "nothing was rotated either");
+    let err = node.save_to_file(dir.join("other.bin")).unwrap_err();
+    assert!(err.to_string().contains("block 1"), "{err}");
+    assert!(node.save_paged(dir.join("other-paged")).is_err());
+
+    // Under a daemon the failure is a count, not the end of the loop.
+    let daemon = SyncDaemon::spawn(
+        Arc::new(node),
+        SyncDaemonConfig::default()
+            .with_interval(Duration::from_millis(2))
+            .with_checkpoint(ckpt.path(), 1),
+    );
+    let r = wait_for(&daemon, |r| r.checkpoint_failures >= 1);
+    assert_eq!(r.checkpoints_written, 0);
+    assert!(r.last_error.as_deref().unwrap_or("").contains("block 1"), "{:?}", r.last_error);
+    let syncs = r.syncs_ok;
+    let r = wait_for(&daemon, |r| r.syncs_ok > syncs + 2);
+    assert!(r.checkpoint_failures >= 2, "every tick tries again: {r:?}");
+    drop(daemon);
+    assert_eq!(std::fs::read(ckpt.path()).unwrap(), published);
     for d in [&fx.old_dir, &fx.new_dir, &dir] {
         std::fs::remove_dir_all(d).ok();
     }

@@ -13,9 +13,7 @@
 //!   `sync_with(Some(id), ..)` on a mutated warehouse re-scans only that backend's
 //!   changed table — CostMeter-verified on every other backend;
 //! * re-attaching a different warehouse under an existing name serves
-//!   nothing stale (epoch guard);
-//! * pre-federation WGSY snapshots still load, into the default
-//!   namespace, and re-encode without a frame upgrade.
+//!   nothing stale (epoch guard).
 
 use std::sync::Arc;
 
