@@ -44,9 +44,14 @@ pub struct WarpGateConfig {
     /// seed × context weight). 0 disables the cache; repeated `discover` /
     /// `joinability` calls then re-scan and re-embed every time.
     pub cache_capacity: usize,
-    /// Rows per block when sealing the index into paged segment files
-    /// ([`crate::WarpGate::save_paged`]): the unit of disk I/O, cache
-    /// residency, and pruning in the beyond-RAM tier.
+    /// Rows per block of every snapshot this system seals —
+    /// [`crate::WarpGate::save_paged`], `checkpoint`, `to_bytes` and
+    /// `save_to_file` all write the one segment format with it. A block is
+    /// the **page** of the beyond-RAM tier: the unit of disk read, CRC
+    /// check, decode and cache residency, and nothing else (row metadata
+    /// and pruning are per row, whatever the page size). The default, 16
+    /// rows, is an 8 KB page at `dim` 128; a reader takes the value from
+    /// the file it opens, never from here.
     pub block_rows: usize,
     /// Byte budget of the block cache serving paged segments. Blocks past
     /// the budget evict LRU; 0 means unbounded (everything read stays
@@ -83,7 +88,7 @@ impl Default for WarpGateConfig {
             threads: 0,
             shards: 0,
             cache_capacity: 4096,
-            block_rows: 64,
+            block_rows: 16,
             block_cache_bytes: 4 << 20,
             admission_cap: 0,
             admission_queue: 8,

@@ -19,6 +19,7 @@
 //! reach the top-k).
 
 use std::cell::RefCell;
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 use wg_util::codec::{CodecError, CodecResult};
 use wg_util::deadline::{Deadline, Phase};
@@ -124,18 +125,45 @@ impl ColdLoc {
 /// entry is an arena slot.
 const COLD: u32 = 1 << 31;
 
+/// One block's candidate rows in a cold pass — `rows[start..end]` of the
+/// scratch — under the largest of their bounds. Ordered so that the greatest
+/// group is the block to visit next: the largest bound (never NaN), and
+/// among equal bounds the first in `(segment, block)` order, which is the
+/// smallest `start`. Starts are distinct, so the order is total and a heap
+/// pops the groups exactly as a descending sort would list them.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct BlockGroup {
+    bound: f64,
+    start: u32,
+    end: u32,
+}
+
+impl Eq for BlockGroup {}
+
+impl Ord for BlockGroup {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.bound.total_cmp(&other.bound).then(other.start.cmp(&self.start))
+    }
+}
+
+impl PartialOrd for BlockGroup {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
 /// Per-thread buffers of one search, so a steady-state query allocates
 /// nothing: the candidate bitset — one bit per arena slot, then one per
 /// cold row; **all-zero between searches** — and the cold pass's candidate
-/// rows, quantized query, row bounds (aligned with the rows) and
-/// `(largest row bound, start, end)` block groups.
+/// rows, quantized query, row bounds (aligned with the rows) and block
+/// groups.
 #[derive(Default)]
 struct SearchScratch {
     bits: Vec<u64>,
     rows: Vec<(ColdLoc, ItemId)>,
     query: QueryCodes,
     bounds: Vec<f64>,
-    groups: Vec<(f64, usize, usize)>,
+    groups: Vec<BlockGroup>,
 }
 
 thread_local! {
@@ -523,7 +551,7 @@ impl SimHashLshIndex {
         }
         let (seg_slot, cold_rows) =
             self.cold.as_ref().map_or((0, 0), |c| (c.segments.len(), c.rows.len()));
-        let widest = (0..segment.block_count()).map(|b| segment.block_meta(b).ids.len()).max();
+        let widest = (0..segment.block_count()).map(|b| segment.rows(b).ids.len()).max();
         if seg_slot >> ColdLoc::SEG_BITS != 0
             || segment.block_count() > 1 << ColdLoc::BLOCK_BITS
             || widest.is_some_and(|rows| rows > 1 << ColdLoc::ROW_BITS)
@@ -552,7 +580,8 @@ impl SimHashLshIndex {
         cold.live.push(1);
         let mut attached = 0usize;
         for block in 0..segment.block_count() {
-            for (row, &stored) in segment.block_meta(block).ids.iter().enumerate() {
+            let rows = segment.rows(block);
+            for (row, &stored) in rows.ids.iter().enumerate() {
                 let Some(id) = map(stored) else {
                     continue;
                 };
@@ -562,12 +591,7 @@ impl SimHashLshIndex {
                 cold.rows.push((ColdLoc::new(seg_slot, block, row), id));
                 cold.locator.insert(id, n);
                 cold.live[seg_slot] += 1;
-                bucket(
-                    &mut self.bands,
-                    self.params.rows,
-                    COLD | n,
-                    segment.sig_words_of(block, row),
-                );
+                bucket(&mut self.bands, self.params.rows, COLD | n, rows.sig_words(row));
                 attached += 1;
             }
         }
@@ -654,11 +678,11 @@ impl SimHashLshIndex {
         assert_eq!(groups.len(), cold_blocks.len(), "one fetched block per block of live rows");
         for (group, data) in groups.iter().zip(cold_blocks) {
             for &(loc, id) in group.iter().filter(|&&(_, id)| admit(id)) {
-                let seg = self.cold_segment(loc);
+                let rows = self.cold_segment(loc).rows(loc.block());
                 out.push(SealRow {
                     id,
-                    words: seg.sig_words_of(loc.block(), loc.row()),
-                    norm: seg.block_meta(loc.block()).norms[loc.row()],
+                    words: rows.sig_words(loc.row()),
+                    norm: rows.norm(loc.row()),
                     vector: &data[loc.row() * dim..(loc.row() + 1) * dim],
                 });
             }
@@ -945,15 +969,21 @@ impl SimHashLshIndex {
     }
 
     /// Cold pass of the exact re-rank: bound every candidate row from its
-    /// resident sketch, group the rows by block, visit blocks in descending
+    /// resident record, group the rows by block, visit blocks in descending
     /// largest-row-bound (the rows most likely to score high fill the heap
     /// first, raising the threshold for the rest), stop at the first block
     /// whose bound falls strictly below a *full* heap's threshold, and
     /// inside a fetched block score only the rows whose own bound still
     /// reaches it. Returns `(blocks read, blocks pruned, rows scored)`.
     ///
+    /// A pass visits a handful of its hundreds of groups, so the order is
+    /// not computed: the groups a heap arriving full does not already rule
+    /// out are heapified (linear) and the next-best block is popped while
+    /// the threshold admits it — the visits a full descending sort would
+    /// make, in the same order (see [`BlockGroup`]).
+    ///
     /// Correctness of the skip: a row's bound dominates its exact f32 score
-    /// (see [`crate::paged::BlockMeta::cosine_upper_bound`]) and the heap
+    /// (see [`crate::paged::BlockRows::cosine_upper_bound`]) and the heap
     /// threshold only rises, so every skipped row scores strictly below
     /// the final k-th result — the returned top-k is bit-identical to
     /// scoring everything, by [`TopK`]'s push-order independence.
@@ -977,53 +1007,61 @@ impl SimHashLshIndex {
         // of each group.
         bounds.clear();
         groups.clear();
+        // A heap that arrives full (the hot pass, or an earlier shard)
+        // already rules out every group under its threshold: those are
+        // counted and never enter the heap — the threshold only rises, so
+        // no visit could have reached them.
+        let entering = topk.threshold();
+        let mut total = 0usize;
         let mut start = 0usize;
         while start < rows.len() {
             let first = rows[start].0;
-            let meta = cold.segment(first).block_meta(first.block());
+            let meta = cold.segment(first).rows(first.block());
             let mut end = start;
-            let mut largest = f64::NEG_INFINITY;
+            let mut bound = f64::NEG_INFINITY;
             while end < rows.len() && rows[end].0.same_block(first) {
                 let ub = meta.cosine_upper_bound(rows[end].0.row(), codes);
                 bounds.push(ub);
-                largest = largest.max(ub);
+                bound = bound.max(ub);
                 end += 1;
             }
-            groups.push((largest, start, end));
+            total += 1;
+            if !entering.is_some_and(|threshold| bound < threshold) {
+                groups.push(BlockGroup { bound, start: start as u32, end: end as u32 });
+            }
             start = end;
         }
-        // Descending bound (never NaN); equal bounds keep (seg, block)
-        // order, which is ascending `start`.
-        groups.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+        // The buffer goes back to the scratch below; a pass that dies on its
+        // way there (deadline, storage) leaves it to the next to regrow.
+        let mut heap = BinaryHeap::from(std::mem::take(groups));
 
         let (mut blocks_read, mut scored) = (0usize, 0usize);
-        for &(largest, start, end) in groups.iter() {
-            // Bounds descend and the threshold only rises: once one block
-            // is out, so is every block after it.
-            if topk.threshold().is_some_and(|threshold| largest < threshold) {
+        while let Some(group) = heap.pop() {
+            // Bounds come out descending and the threshold only rises: once
+            // one block is out, so is every block still in the heap.
+            if topk.threshold().is_some_and(|threshold| group.bound < threshold) {
                 break;
             }
             // The budget check sits directly in front of the block fetch:
             // a cold read is the most expensive step a query can take, so
             // an expired request never starts another one.
             deadline.check(Phase::BlockRead)?;
+            let (start, end) = (group.start as usize, group.end as usize);
             let first = rows[start].0;
             let seg = cold.segment(first);
-            let meta = seg.block_meta(first.block());
+            let meta = seg.rows(first.block());
             let data = seg.block(first.block())?;
             blocks_read += 1;
             for (&(loc, id), &ub) in rows[start..end].iter().zip(&bounds[start..end]) {
                 if topk.threshold().is_some_and(|threshold| ub < threshold) {
                     continue;
                 }
-                topk.push(
-                    score_row(query, qnorm, meta.norms[loc.row()], &data, loc.row(), dim),
-                    id,
-                );
+                topk.push(score_row(query, qnorm, meta.norm(loc.row()), &data, loc.row(), dim), id);
                 scored += 1;
             }
         }
-        Ok((blocks_read, groups.len() - blocks_read, scored))
+        *groups = heap.into_vec();
+        Ok((blocks_read, total - blocks_read, scored))
     }
 
     /// Exact search over *all* stored vectors (ignores the LSH buckets) —
@@ -1055,13 +1093,13 @@ impl SimHashLshIndex {
             for group in rows.chunk_by(|a, b| a.0.same_block(b.0)) {
                 let first = group[0].0;
                 let seg = cold.segment(first);
-                let meta = seg.block_meta(first.block());
+                let meta = seg.rows(first.block());
                 let data = seg
                     .block(first.block())
                     .unwrap_or_else(|e| panic!("paged tier lost a sealed block: {e}"));
                 for &(loc, id) in group {
                     topk.push(
-                        score_row(query, qnorm, meta.norms[loc.row()], &data, loc.row(), dim),
+                        score_row(query, qnorm, meta.norm(loc.row()), &data, loc.row(), dim),
                         id,
                     );
                 }
@@ -1453,6 +1491,106 @@ mod tests {
         );
         assert_eq!(hot.iter().map(|h| h.0).collect::<Vec<_>>(), [4, 1]);
         assert_ne!(paged, hot, "a bound 10% short of the residual must lose the target");
+    }
+
+    #[test]
+    fn the_lazy_block_selection_visits_what_a_full_sort_would() {
+        // Twenty-four distinct vectors in six families, each under ten ids:
+        // the copies of a vector share a signature, so they seal next to one
+        // another, straddle blocks, and bound — and score — exactly alike.
+        let mut rng = Xoshiro256pp::new(51);
+        let pool = clustered(32, 6, 4, &mut rng);
+        let mut hot = SimHashLshIndex::for_threshold(32, 0.7, 47);
+        for id in 0..240 {
+            hot.insert(id as ItemId, &pool[id % pool.len()]);
+        }
+        let exclude = |id: ItemId| id % 7 == 0;
+        let (mut tied_passes, mut stopped_early, mut ruled_out_on_entry) = (0usize, 0usize, 0usize);
+        for block_rows in [1usize, 3, 16] {
+            let (paged, _cache, dir) =
+                seal_and_attach(&hot, &format!("lazy-{block_rows}"), block_rows, 0);
+            let cold = paged.cold.as_ref().expect("attached");
+            let seg = cold.segments[0].as_ref().expect("live");
+            for q in 0..60 {
+                let query = match q % 3 {
+                    0 => pool[q % pool.len()].clone(),
+                    1 => perturb(&pool[q % pool.len()], 0.1, &mut rng),
+                    _ => random_unit(32, &mut rng),
+                };
+                let sig = paged.hasher().sign(&query);
+                let qnorm = kernel::norm_sq(&query).sqrt();
+                // Every other pass enters with the heap an earlier shard
+                // would have left: full, under ids of its own.
+                let entering = |topk: &mut TopK<ItemId>| {
+                    for other in 0..5 * (q % 2) as ItemId {
+                        topk.push(0.9 - other as f64 * 1e-3, 1_000 + other);
+                    }
+                };
+                let mut got = TopK::new(5);
+                entering(&mut got);
+                let (all, none) = (DiscoverScope::All, Deadline::none());
+                let outcome =
+                    paged.search_into(&query, &sig, &all, none, exclude, &mut got).expect("search");
+
+                // The same pass with every group sorted before the first
+                // visit: rows in location order, one bound each, groups in
+                // descending largest bound, equal bounds by position.
+                let mut rows: Vec<(ColdLoc, ItemId)> = (paged.candidates_signed(&sig).into_iter())
+                    .filter(|&id| !exclude(id))
+                    .map(|id| cold.rows[cold.locator[&id] as usize])
+                    .collect();
+                rows.sort_unstable();
+                let mut codes = QueryCodes::default();
+                codes.set(&query, qnorm);
+                let bound =
+                    |loc: ColdLoc| seg.rows(loc.block()).cosine_upper_bound(loc.row(), &codes);
+                let mut groups = Vec::new();
+                for group in rows.chunk_by(|a, b| a.0.same_block(b.0)) {
+                    let largest =
+                        group.iter().map(|r| bound(r.0)).fold(f64::NEG_INFINITY, f64::max);
+                    groups.push((largest, groups.len(), group));
+                }
+                groups.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+                tied_passes += groups.windows(2).any(|w| w[0].0 == w[1].0) as usize;
+
+                let mut want = TopK::new(5);
+                entering(&mut want);
+                let (mut read, mut scored) = (0usize, 0usize);
+                for &(largest, _, group) in &groups {
+                    if want.threshold().is_some_and(|threshold| largest < threshold) {
+                        break;
+                    }
+                    let block = group[0].0.block();
+                    let (meta, data) = (seg.rows(block), seg.block(block).expect("read"));
+                    read += 1;
+                    for &(loc, id) in group {
+                        if want.threshold().is_some_and(|threshold| bound(loc) < threshold) {
+                            continue;
+                        }
+                        want.push(
+                            score_row(&query, qnorm, meta.norm(loc.row()), &data, loc.row(), 32),
+                            id,
+                        );
+                        scored += 1;
+                    }
+                }
+                assert_eq!(
+                    (outcome.blocks_read, outcome.blocks_pruned, outcome.scored),
+                    (read, groups.len() - read, scored),
+                    "{block_rows}-row blocks, query {q}"
+                );
+                assert_eq!(ranking(got), ranking(want), "{block_rows}-row blocks, query {q}");
+                stopped_early += (read < groups.len()) as usize;
+                ruled_out_on_entry += (q % 2 == 1 && read == 0 && !groups.is_empty()) as usize;
+            }
+            std::fs::remove_dir_all(&dir).ok();
+        }
+        assert!(tied_passes > 60, "equal bounds must be common: {tied_passes} of 180 passes");
+        assert!(stopped_early > 60, "most passes must stop before the last group: {stopped_early}");
+        assert!(
+            ruled_out_on_entry > 10,
+            "a full heap must rule some passes out: {ruled_out_on_entry}"
+        );
     }
 
     #[test]

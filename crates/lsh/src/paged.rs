@@ -4,10 +4,11 @@
 //! A sealed **vector segment** holds `block_rows × dim` f32 blocks inside a
 //! checksummed [`wg_util::segment::Segment`] container. Everything a search
 //! needs *before* exact scoring — ids, signatures, per-row norms, and a
-//! per-row int8 **sketch** — lives in the segment directory
-//! ([`BlockMeta`]) and stays resident from `open`; the vector payloads
-//! themselves page in on demand through a shared byte-budgeted LRU
-//! [`BlockCache`].
+//! per-row int8 **sketch** — lives in the segment directory and stays
+//! resident from `open`, as one row-major slab per segment
+//! ([`VectorSegment`], read through [`BlockRows`]); the vector payloads
+//! themselves page in on demand, a block at a time, through a shared
+//! byte-budgeted LRU [`BlockCache`].
 //!
 //! The segment is also the one thing the system persists (DESIGN.md §9).
 //! Its header is the geometry, a flag saying whether the directory carries
@@ -37,7 +38,7 @@
 //! i.e. rows that are *similar* — land in the same blocks, and the rows a
 //! query must verify exactly share blocks.
 //!
-//! Pruning contract: [`BlockMeta::cosine_upper_bound`] returns a value `≥`
+//! Pruning contract: [`BlockRows::cosine_upper_bound`] returns a value `≥`
 //! the exact f32 cosine the re-ranker would compute for that row (both
 //! residuals are measured in f64 against the codes as stored and rounded
 //! up; the integer dot is exact; the sum is padded with [`UB_SLACK`] to
@@ -82,24 +83,25 @@ pub const UB_SLACK: f64 = 1e-3;
 /// codes per step.
 const CODE_LANES: usize = 16;
 
-/// `Σ query[d] · codes[d]`, exactly. [`QueryCodes::set`] keeps the query's
+/// `Σ query[d] · codes[d]`, exactly, over row codes as a slab record holds
+/// them: one byte each, read as `i8`. [`QueryCodes::set`] keeps the query's
 /// codes small enough that no partial sum can leave an `i32`. Written like
 /// [`wg_util::kernel::dot`]: one accumulator per lane over
 /// [`CODE_LANES`]-wide chunks, a strict loop over the remainder.
 #[inline]
-fn code_dot(query: &[i16], codes: &[i8]) -> i32 {
+fn code_dot(query: &[i16], codes: &[u8]) -> i32 {
     debug_assert_eq!(query.len(), codes.len());
     let mut q_chunks = query.chunks_exact(CODE_LANES);
     let mut c_chunks = codes.chunks_exact(CODE_LANES);
     let mut acc = [0i32; CODE_LANES];
     for (qc, cc) in (&mut q_chunks).zip(&mut c_chunks) {
         for i in 0..CODE_LANES {
-            acc[i] += qc[i] as i32 * cc[i] as i32;
+            acc[i] += qc[i] as i32 * cc[i] as i8 as i32;
         }
     }
     let mut sum: i32 = acc.iter().sum();
     for (&q, &c) in q_chunks.remainder().iter().zip(c_chunks.remainder()) {
-        sum += q as i32 * c as i32;
+        sum += q as i32 * c as i8 as i32;
     }
     sum
 }
@@ -143,7 +145,7 @@ fn residual_bound(r_sq: f64) -> f64 {
     r_sq.sqrt() * (1.0 + 1e-6) + f32::MIN_POSITIVE as f64
 }
 
-/// A query quantized for [`BlockMeta::cosine_upper_bound`], once per
+/// A query quantized for [`BlockRows::cosine_upper_bound`], once per
 /// search: i16 codes `c_q`, a scale `s_q`, and what the codes leave out,
 /// `e_q ≥ ‖q − s_q·c_q‖`. At i16 the query's own residual is ~5e-5 of its
 /// norm — far inside [`UB_SLACK`], so quantizing the query costs the bound
@@ -421,7 +423,10 @@ impl BlockCache {
     }
 
     /// Drop every resident block of one segment (detach, re-seal).
-    /// Returns how many blocks were dropped.
+    /// Returns how many blocks were dropped. Walks the whole map — every
+    /// resident block of every segment, ~1,900 at a 30,000-row corpus in
+    /// 8 KB pages — which is right for something that happens once per
+    /// retired segment, and would not be for anything per query.
     pub fn evict_segment(&self, segment: u32) -> usize {
         let mut inner = self.inner.lock();
         let doomed: Vec<u32> =
@@ -465,81 +470,57 @@ pub(crate) struct SealRow<'a> {
     pub(crate) vector: &'a [f32],
 }
 
-/// Directory-resident metadata for one block of a [`VectorSegment`]: what
-/// a search needs of each row before — and mostly instead of — reading it.
-#[derive(Debug, Clone)]
-pub struct BlockMeta {
-    /// Row ids, in row order.
-    pub ids: Vec<ItemId>,
-    /// Per-row norms, aligned with `ids`.
-    pub norms: Vec<f32>,
-    /// Packed signature words, `words_per_sig` per row.
-    pub sig_words: Vec<u64>,
-    /// Int8 sketch codes, `dim` per row: row `r` is approximated by
-    /// `scales[r] · codes[r·dim..(r+1)·dim]`. This and the two fields below
-    /// are empty in a segment sealed without sketches.
-    pub codes: Vec<i8>,
-    /// Per-row sketch scale (finite, `≥ 0`).
-    pub scales: Vec<f32>,
-    /// Per-row upper bound on `‖row − scale·codes‖` (finite, `≥ 0`).
-    pub residuals: Vec<f32>,
+/// Bytes of a slab record behind its codes, and of a record without
+/// sketches: `scale │ residual │ norm` as little-endian f32s, or the norm
+/// alone.
+const SKETCH_TAIL: usize = 12;
+const NORM_TAIL: usize = 4;
+
+/// Bytes of one slab record of a `dim`-dimensional segment.
+fn record_len(dim: usize, sketches: bool) -> usize {
+    if sketches {
+        dim + SKETCH_TAIL
+    } else {
+        NORM_TAIL
+    }
 }
 
-impl BlockMeta {
-    /// The metadata of a block holding `rows`, in that order.
-    fn of_rows(rows: &[SealRow<'_>], dim: usize, sketches: bool) -> BlockMeta {
-        let sketched = if sketches { rows.len() } else { 0 };
-        let mut meta = BlockMeta {
-            ids: rows.iter().map(|r| r.id).collect(),
-            norms: rows.iter().map(|r| r.norm).collect(),
-            sig_words: Vec::with_capacity(rows.len() * rows[0].words.len()),
-            codes: Vec::with_capacity(sketched * dim),
-            scales: Vec::with_capacity(sketched),
-            residuals: Vec::with_capacity(sketched),
-        };
-        for r in rows {
-            meta.sig_words.extend_from_slice(r.words);
-            if sketches {
-                let (scale, residual) = sketch_row(r.vector, &mut meta.codes);
-                meta.scales.push(scale);
-                meta.residuals.push(residual);
-            }
-        }
-        meta
+/// The resident metadata of one block's rows — what a search needs of each
+/// row before, and mostly instead of, reading it — borrowed from the
+/// segment's row slab ([`VectorSegment::rows`]).
+#[derive(Debug, Clone, Copy)]
+pub struct BlockRows<'a> {
+    /// Row ids, in row order.
+    pub ids: &'a [ItemId],
+    /// Packed signature words, `words_per_sig` per row.
+    sig_words: &'a [u64],
+    words_per_sig: usize,
+    /// One record per row (see [`VectorSegment`]).
+    records: &'a [u8],
+    record_len: usize,
+}
+
+impl<'a> BlockRows<'a> {
+    /// The packed signature words of one row.
+    pub fn sig_words(&self, row: usize) -> &'a [u64] {
+        &self.sig_words[row * self.words_per_sig..(row + 1) * self.words_per_sig]
     }
 
-    /// `sketches` is the segment header's flag: the sketch arrays are part
-    /// of the encoding exactly when it is set.
-    fn encode(&self, buf: &mut Vec<u8>, sketches: bool) {
-        codec::put_u32_slice(buf, &self.ids);
-        codec::put_f32_slice(buf, &self.norms);
-        codec::put_u64_slice(buf, &self.sig_words);
-        if sketches {
-            codec::put_bytes_with(buf, |buf| buf.extend(self.codes.iter().map(|&c| c as u8)));
-            codec::put_f32_slice(buf, &self.scales);
-            codec::put_f32_slice(buf, &self.residuals);
-        }
+    fn record(&self, row: usize) -> &'a [u8] {
+        &self.records[row * self.record_len..(row + 1) * self.record_len]
     }
 
-    fn decode(buf: &mut &[u8], sketches: bool) -> CodecResult<BlockMeta> {
-        let mut meta = BlockMeta {
-            ids: codec::get_u32_vec(buf)?,
-            norms: codec::get_f32_vec(buf)?,
-            sig_words: codec::get_u64_vec(buf)?,
-            codes: Vec::new(),
-            scales: Vec::new(),
-            residuals: Vec::new(),
-        };
-        if sketches {
-            // One pass from the directory bytes to the resident codes.
-            let len = codec::get_len(buf)?;
-            let (bytes, rest) = buf.split_at_checked(len).ok_or(CodecError::UnexpectedEof)?;
-            *buf = rest;
-            meta.codes = bytes.iter().map(|&b| b as i8).collect();
-            meta.scales = codec::get_f32_vec(buf)?;
-            meta.residuals = codec::get_f32_vec(buf)?;
-        }
-        Ok(meta)
+    /// The stored L2 norm of one row: the last field of its record.
+    pub fn norm(&self, row: usize) -> f32 {
+        let record = self.record(row);
+        le_f32(&record[record.len() - NORM_TAIL..])
+    }
+
+    /// One row's record, taken apart: `(codes, scale, residual, norm)`.
+    fn sketch(&self, row: usize) -> (&'a [u8], f32, f32, f32) {
+        let codes = self.record_len.checked_sub(SKETCH_TAIL);
+        let (codes, tail) = self.record(row).split_at(codes.expect("a record with a sketch"));
+        (codes, le_f32(&tail[..4]), le_f32(&tail[4..8]), le_f32(&tail[8..]))
     }
 
     /// An upper bound (in f64, [`UB_SLACK`]-padded) on the exact f32 cosine
@@ -555,16 +536,24 @@ impl BlockMeta {
     /// capped at the trivial bound 1.0. A degenerate denominator scores 0.0
     /// exactly and a non-finite query makes the sum NaN or infinite: both
     /// get 1.0 — never prune what cannot be bounded.
+    ///
+    /// Everything it reads of the row is the row's one record. Panics on a
+    /// segment sealed without sketches (there is nothing to bound with;
+    /// such a segment cannot be attached).
     pub fn cosine_upper_bound(&self, row: usize, query: &QueryCodes) -> f64 {
-        let norm = self.norms[row];
+        let (codes, scale, residual, norm) = self.sketch(row);
+        assert_eq!(
+            codes.len(),
+            query.codes.len(),
+            "a sketched record holds one code per dimension"
+        );
         let denom = query.qnorm * norm;
         if denom <= f32::MIN_POSITIVE {
             return 1.0;
         }
-        let dim = query.codes.len();
-        let dot = code_dot(&query.codes, &self.codes[row * dim..(row + 1) * dim]) as f64;
-        let dot_ub = query.scale * self.scales[row] as f64 * dot
-            + query.norm * self.residuals[row] as f64
+        let dot = code_dot(&query.codes, codes) as f64;
+        let dot_ub = query.scale * scale as f64 * dot
+            + query.norm * residual as f64
             + query.residual * norm as f64;
         // `min` returns its other operand for a NaN.
         (dot_ub / denom as f64 + UB_SLACK).min(1.0)
@@ -621,6 +610,31 @@ const FLAG_SKETCHES: u32 = 1;
 /// block rows, flags.
 const HEADER_LEN: usize = 16;
 
+/// Exactly what [`seal`] writes for `rows` rows, so the image is reserved
+/// once (a sealed image is large: growing it by doubling would hold it in
+/// memory twice). A row weighs its payload, id, norm, signature words and,
+/// sketched, `dim` codes, a scale and a residual. A block adds its payload's
+/// CRC word, a directory entry (offset u64, payload length, CRC, metadata
+/// length) and one length prefix per metadata array — three, or six with
+/// sketches: 36 or 48 bytes whatever `block_rows` is, so small pages cost
+/// `rows / block_rows` of those and nothing else. The rest is the
+/// container's fixed framing (preamble, directory magic + version, header
+/// length, block count, trailer), this header and the manifest.
+fn image_len(
+    dim: usize,
+    sig_bits: usize,
+    block_rows: usize,
+    sketches: bool,
+    manifest_len: usize,
+    rows: usize,
+) -> usize {
+    let (row_sketch, block_sketch) = if sketches { (dim + 8, 3 * 4) } else { (0, 0) };
+    let row = dim * 4 + 4 + 4 + sig_bits.div_ceil(64) * 8 + row_sketch;
+    let block = 4 + (8 + 4 + 4 + 4) + 3 * 4 + block_sketch;
+    let framing = wg_util::segment::PREAMBLE_LEN + 8 + 4 + 4 + wg_util::segment::TRAILER_LEN;
+    rows * row + rows.div_ceil(block_rows) * block + framing + HEADER_LEN + manifest_len
+}
+
 /// Lay `rows` out as one complete segment image — the only writer of the
 /// format:
 ///
@@ -663,21 +677,35 @@ fn seal(
     codec::put_u32(&mut header, sig_bits as u32);
     codec::put_u32(&mut header, block_rows as u32);
     codec::put_u32(&mut header, if sketches { FLAG_SKETCHES } else { 0 });
-    // What the image will weigh: a row's payload and metadata, a block's
-    // checksum, directory entry and length prefixes, the header, and the
-    // container's own framing.
-    let row_bytes = dim * 4 + 8 + sig_bits.div_ceil(64) * 8 + if sketches { dim + 8 } else { 0 };
-    let size = rows.len() * row_bytes + rows.len().div_ceil(block_rows) * 64 + manifest.len() + 128;
+    let size = image_len(dim, sig_bits, block_rows, sketches, manifest.len(), rows.len());
     let mut builder = SegmentBuilder::new(size);
 
+    // One block's directory entry and its rows' sketches, reused block
+    // after block: sealing allocates per image, not per block.
     let mut meta = Vec::new();
+    let (mut codes, mut scales, mut residuals) = (Vec::new(), Vec::new(), Vec::new());
     for chunk in rows.chunks(block_rows) {
-        let mut block = BlockMeta::of_rows(chunk, dim, sketches);
-        for e in &mut block.residuals {
-            *e *= residual_factor;
-        }
         meta.clear();
-        block.encode(&mut meta, sketches);
+        codec::put_len(&mut meta, chunk.len());
+        chunk.iter().for_each(|r| codec::put_u32(&mut meta, r.id));
+        codec::put_len(&mut meta, chunk.len());
+        chunk.iter().for_each(|r| codec::put_f32(&mut meta, r.norm));
+        codec::put_len(&mut meta, chunk.len() * sig_bits.div_ceil(64));
+        chunk.iter().flat_map(|r| r.words).for_each(|&w| codec::put_u64(&mut meta, w));
+        if sketches {
+            codes.clear();
+            scales.clear();
+            residuals.clear();
+            for r in chunk {
+                let (scale, residual) = sketch_row(r.vector, &mut codes);
+                scales.push(scale);
+                residuals.push(residual * residual_factor);
+            }
+            codec::put_len(&mut meta, codes.len());
+            meta.extend(codes.iter().map(|&c| c as u8));
+            codec::put_f32_slice(&mut meta, &scales);
+            codec::put_f32_slice(&mut meta, &residuals);
+        }
         builder.push_block_with(chunk.len() * dim * 4, &meta, |payload| {
             for (dst, row) in payload.chunks_exact_mut(dim * 4).zip(chunk) {
                 for (le, x) in dst.chunks_exact_mut(4).zip(row.vector) {
@@ -689,8 +717,37 @@ fn seal(
     builder.finish(&[&header, manifest])
 }
 
-/// An opened vector segment: directory metadata resident, payload blocks
-/// fetched lazily through the shared [`BlockCache`].
+/// Borrow one length-prefixed array of `width`-byte items out of a
+/// directory blob: the item count and the items' bytes.
+fn take_array<'a>(buf: &mut &'a [u8], width: usize) -> CodecResult<(usize, &'a [u8])> {
+    let count = codec::get_len(buf)?;
+    let len = count.checked_mul(width).ok_or(CodecError::UnexpectedEof)?;
+    let (bytes, rest) = buf.split_at_checked(len).ok_or(CodecError::UnexpectedEof)?;
+    *buf = rest;
+    Ok((count, bytes))
+}
+
+/// One little-endian `f32` of a record or a directory array.
+fn le_f32(bytes: &[u8]) -> f32 {
+    f32::from_le_bytes(bytes.try_into().expect("4 bytes"))
+}
+
+/// An opened vector segment: row metadata resident, payload blocks fetched
+/// lazily through the shared [`BlockCache`].
+///
+/// The block is the **page** — the unit of `pread`, CRC, decode and cache
+/// residency — and nothing else. What is resident of the rows does not know
+/// about blocks: one row-major **slab** for the whole segment, built at
+/// open from the directory's per-block arrays, one record per row
+///
+/// ```text
+/// codes i8 × dim │ scale f32 │ residual f32 │ norm f32
+/// ```
+///
+/// (the norm alone in a segment sealed without sketches), with the ids and the signature words in flat arrays beside it and a
+/// block → first-row prefix array. A row bound reads one record; opening a
+/// segment allocates per segment, not per block; and what a cold pass costs
+/// does not depend on how many blocks its candidates span.
 pub struct VectorSegment {
     cache_id: u32,
     segment: Segment,
@@ -698,7 +755,12 @@ pub struct VectorSegment {
     sig_bits: usize,
     sketches: bool,
     manifest: Vec<u8>,
-    blocks: Vec<BlockMeta>,
+    /// Segment-wide number of each block's first row, and after the last
+    /// block the row count: block `b` holds rows `first_row[b]..first_row[b + 1]`.
+    first_row: Vec<u32>,
+    ids: Vec<ItemId>,
+    sig_words: Vec<u64>,
+    records: Vec<u8>,
     cache: Arc<BlockCache>,
 }
 
@@ -706,7 +768,7 @@ impl std::fmt::Debug for VectorSegment {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("VectorSegment")
             .field("path", &self.segment.path())
-            .field("blocks", &self.blocks.len())
+            .field("blocks", &self.block_count())
             .field("dim", &self.dim)
             .finish()
     }
@@ -726,7 +788,7 @@ impl VectorSegment {
 
     /// The container has vouched for the directory's bytes (its CRC was
     /// compared before it was parsed); this holds what they say to the
-    /// vector tier's own rules.
+    /// vector tier's own rules while it moves them into the row slab.
     fn validate(mut segment: Segment, cache: Arc<BlockCache>) -> Result<Self, SegmentError> {
         let mut manifest = segment.take_header_meta();
         let mut h = &manifest[..];
@@ -739,45 +801,101 @@ impl VectorSegment {
         }
         manifest.drain(..HEADER_LEN);
         let sketches = flags & FLAG_SKETCHES != 0;
-        let sketched = |rows: usize| if sketches { rows } else { 0 };
         let words_per_sig = sig_bits.div_ceil(64);
-        let mut blocks = Vec::with_capacity(segment.block_count());
-        for b in 0..segment.block_count() {
-            // Taken, not borrowed: the decoded form below is the resident
-            // copy, and the sketches are too big to keep twice.
-            let raw = segment.take_block_meta(b);
-            let mut r = &raw[..];
-            let meta = BlockMeta::decode(&mut r, sketches)?;
-            let rows = meta.ids.len();
+        let record_len = record_len(dim, sketches);
+
+        // The prefix array first: it sizes the slab, which is then
+        // allocated once. A row count is bounded by the bytes of the blob
+        // that states it, and every record byte comes out of a blob.
+        let blocks = segment.block_count();
+        let mut first_row = Vec::with_capacity(blocks + 1);
+        let (mut total, mut blob_bytes) = (0usize, 0usize);
+        for b in 0..blocks {
+            first_row.push(total as u32);
+            let blob = segment.block_meta(b);
+            let (rows, _) = take_array(&mut &blob[..], 4)?;
             if rows == 0 || rows > block_rows {
                 return Err(SegmentError::Corrupt(format!("block {b} has {rows} rows")));
             }
+            total += rows;
+            blob_bytes += blob.len();
+        }
+        if total > u32::MAX as usize || total.checked_mul(record_len).is_none_or(|n| n > blob_bytes)
+        {
+            return Err(SegmentError::Corrupt(format!(
+                "{total} rows of {record_len} metadata bytes do not fit the directory"
+            )));
+        }
+        first_row.push(total as u32);
+        let mut ids = Vec::with_capacity(total);
+        let mut sig_words = Vec::with_capacity(total * words_per_sig);
+        let mut records = vec![0u8; total * record_len];
+
+        let le_u32 = |x: &[u8]| u32::from_le_bytes(x.try_into().expect("4 bytes"));
+        let le_u64 = |x: &[u8]| u64::from_le_bytes(x.try_into().expect("8 bytes"));
+        // A NaN or a negative value in the slab would turn "never prune
+        // what cannot be bounded" into "prune wrongly".
+        let usable = |xs: &[u8]| xs.chunks_exact(4).map(le_f32).all(|x| x.is_finite() && x >= 0.0);
+        let mut slab = records.chunks_exact_mut(record_len);
+        for b in 0..blocks {
+            let mut r = segment.block_meta(b);
+            let (rows, id_bytes) = take_array(&mut r, 4)?;
+            let (n_norms, norms) = take_array(&mut r, 4)?;
+            let (n_words, words) = take_array(&mut r, 8)?;
+            let sketch = match sketches {
+                true => {
+                    Some([take_array(&mut r, 1)?, take_array(&mut r, 4)?, take_array(&mut r, 4)?])
+                }
+                false => None,
+            };
             // `dim` is whatever the header says: products that do not fit
             // are as wrong as ones that do not match.
             let payload_len = rows.checked_mul(dim).and_then(|floats| floats.checked_mul(4));
+            let sketch_fits = sketch.is_none_or(|[codes, scales, residuals]| {
+                Some(codes.0) == rows.checked_mul(dim) && scales.0 == rows && residuals.0 == rows
+            });
             if !r.is_empty()
-                || meta.norms.len() != rows
-                || meta.sig_words.len() != rows * words_per_sig
-                || Some(meta.codes.len()) != sketched(rows).checked_mul(dim)
-                || meta.scales.len() != sketched(rows)
-                || meta.residuals.len() != sketched(rows)
+                || n_norms != rows
+                || n_words != rows * words_per_sig
+                || !sketch_fits
                 || Some(segment.block_payload_len(b)) != payload_len
             {
                 return Err(SegmentError::Corrupt(format!("block {b} metadata is inconsistent")));
             }
-            // A NaN or a negative value here would turn "never prune what
-            // cannot be bounded" into "prune wrongly".
-            let usable = |xs: &[f32]| xs.iter().all(|x| x.is_finite() && *x >= 0.0);
-            if !(usable(&meta.norms) && usable(&meta.scales) && usable(&meta.residuals)) {
+            if !(usable(norms) && sketch.is_none_or(|[_, s, e]| usable(s.1) && usable(e.1))) {
                 return Err(SegmentError::Corrupt(format!(
                     "block {b} has a norm, scale or residual that is not a finite non-negative \
                      number"
                 )));
             }
-            blocks.push(meta);
+            ids.extend(id_bytes.chunks_exact(4).map(le_u32));
+            sig_words.extend(words.chunks_exact(8).map(le_u64));
+            for (row, record) in slab.by_ref().take(rows).enumerate() {
+                if let Some([codes, scales, residuals]) = sketch {
+                    record[..dim].copy_from_slice(&codes.1[row * dim..(row + 1) * dim]);
+                    record[dim..dim + 4].copy_from_slice(&scales.1[row * 4..(row + 1) * 4]);
+                    record[dim + 4..dim + 8].copy_from_slice(&residuals.1[row * 4..(row + 1) * 4]);
+                }
+                record[record_len - NORM_TAIL..].copy_from_slice(&norms[row * 4..(row + 1) * 4]);
+            }
         }
+        // Decoded above into the resident form: the sketches are too big
+        // to keep twice.
+        segment.release_block_meta();
         let cache_id = cache.register_segment();
-        Ok(VectorSegment { cache_id, segment, dim, sig_bits, sketches, manifest, blocks, cache })
+        Ok(VectorSegment {
+            cache_id,
+            segment,
+            dim,
+            sig_bits,
+            sketches,
+            manifest,
+            first_row,
+            ids,
+            sig_words,
+            records,
+            cache,
+        })
     }
 
     /// True when the directory carries row sketches — what a search over
@@ -805,23 +923,31 @@ impl VectorSegment {
 
     /// Number of blocks.
     pub fn block_count(&self) -> usize {
-        self.blocks.len()
+        self.first_row.len() - 1
     }
 
-    /// Total rows across blocks.
+    /// Total rows across blocks: the last entry of the prefix array.
     pub fn row_count(&self) -> usize {
-        self.blocks.iter().map(|b| b.ids.len()).sum()
+        self.ids.len()
     }
 
-    /// Directory metadata for one block.
-    pub fn block_meta(&self, block: usize) -> &BlockMeta {
-        &self.blocks[block]
+    /// The resident metadata of one block's rows.
+    pub fn rows(&self, block: usize) -> BlockRows<'_> {
+        let (start, end) = (self.first_row[block] as usize, self.first_row[block + 1] as usize);
+        let words_per_sig = self.sig_bits.div_ceil(64);
+        let record_len = record_len(self.dim, self.sketches);
+        BlockRows {
+            ids: &self.ids[start..end],
+            sig_words: &self.sig_words[start * words_per_sig..end * words_per_sig],
+            words_per_sig,
+            records: &self.records[start * record_len..end * record_len],
+            record_len,
+        }
     }
 
     /// The resident packed signature words of one row.
     pub fn sig_words_of(&self, block: usize, row: usize) -> &[u64] {
-        let words_per_sig = self.sig_bits.div_ceil(64);
-        &self.blocks[block].sig_words[row * words_per_sig..(row + 1) * words_per_sig]
+        self.rows(block).sig_words(row)
     }
 
     /// Reconstruct the signature of one row from the resident words.
@@ -837,7 +963,7 @@ impl VectorSegment {
         bytes: &mut Vec<u8>,
     ) -> Result<(), SegmentError> {
         self.segment.read_block_into(block, bytes)?;
-        let expected = self.blocks[block].ids.len() * self.dim * 4;
+        let expected = self.rows(block).ids.len() * self.dim * 4;
         if bytes.len() != expected {
             return Err(SegmentError::Corrupt(format!(
                 "block {block} payload is {} bytes, expected {expected}",
@@ -851,7 +977,7 @@ impl VectorSegment {
     /// this, every byte of the file has been compared with its checksum.
     pub fn verify_payloads(&self) -> Result<(), SegmentError> {
         let mut bytes = Vec::new();
-        (0..self.blocks.len()).try_for_each(|block| self.read_payload(block, &mut bytes))
+        (0..self.block_count()).try_for_each(|block| self.read_payload(block, &mut bytes))
     }
 
     /// Fetch one block's vectors through the cache (row-major,
@@ -929,9 +1055,10 @@ mod tests {
         rows.iter().map(SegmentRow::borrowed).collect()
     }
 
-    /// `vectors` as sketched directory metadata, without going through a
-    /// file.
-    fn block_of(vectors: &[Vec<f32>]) -> BlockMeta {
+    /// `vectors` sealed with sketches under one signature — so row `i` of
+    /// the slab is `vectors[i]`, id `i` — in `block_rows`-row blocks, and
+    /// opened from memory.
+    fn segment_of(vectors: &[Vec<f32>], block_rows: usize) -> VectorSegment {
         let rows: Vec<SegmentRow> = vectors
             .iter()
             .enumerate()
@@ -942,7 +1069,50 @@ mod tests {
                 vector: v.clone(),
             })
             .collect();
-        BlockMeta::of_rows(&borrowed(&rows), vectors[0].len(), true)
+        let image = seal_image(vectors[0].len(), 64, block_rows, true, &[], &mut borrowed(&rows));
+        VectorSegment::from_bytes(image, BlockCache::new(0)).expect("open")
+    }
+
+    /// One block's directory entry as the arrays it is on disk, for tests
+    /// that build (or damage) a directory by hand.
+    #[derive(Clone)]
+    struct RawMeta {
+        ids: Vec<ItemId>,
+        norms: Vec<f32>,
+        sig_words: Vec<u64>,
+        codes: Vec<i8>,
+        scales: Vec<f32>,
+        residuals: Vec<f32>,
+    }
+
+    impl RawMeta {
+        fn of_rows(rows: &[SegmentRow]) -> RawMeta {
+            let mut meta = RawMeta {
+                ids: rows.iter().map(|r| r.id).collect(),
+                norms: rows.iter().map(|r| r.norm).collect(),
+                sig_words: rows.iter().flat_map(|r| r.signature.words.clone()).collect(),
+                codes: Vec::new(),
+                scales: Vec::new(),
+                residuals: Vec::new(),
+            };
+            for r in rows {
+                let (scale, residual) = sketch_row(&r.vector, &mut meta.codes);
+                meta.scales.push(scale);
+                meta.residuals.push(residual);
+            }
+            meta
+        }
+
+        fn encode(&self) -> Vec<u8> {
+            let mut buf = Vec::new();
+            codec::put_u32_slice(&mut buf, &self.ids);
+            codec::put_f32_slice(&mut buf, &self.norms);
+            codec::put_u64_slice(&mut buf, &self.sig_words);
+            codec::put_bytes_with(&mut buf, |buf| buf.extend(self.codes.iter().map(|&c| c as u8)));
+            codec::put_f32_slice(&mut buf, &self.scales);
+            codec::put_f32_slice(&mut buf, &self.residuals);
+            buf
+        }
     }
 
     /// A vector-segment header: geometry, flags, no manifest.
@@ -976,9 +1146,10 @@ mod tests {
         // `x − s·c` leaves the bound nothing but its slack (and the query's
         // own, far smaller, residual).
         for b in 0..seg.block_count() {
-            let (meta, data) = (seg.block_meta(b), seg.block(b).expect("read"));
-            let residual = data[..dim].iter().zip(&meta.codes[..dim]);
-            queries.push(residual.map(|(x, &c)| x - meta.scales[0] * c as f32).collect());
+            let (codes, scale, ..) = seg.rows(b).sketch(0);
+            let data = seg.block(b).expect("read");
+            let residual = data[..dim].iter().zip(codes);
+            queries.push(residual.map(|(x, &c)| x - scale * c as i8 as f32).collect());
         }
         let aligned = queries.len();
         // Every component at ±max: every query code saturated.
@@ -992,10 +1163,10 @@ mod tests {
         for (i, q) in queries.iter().enumerate() {
             let (codes, qnorm) = codes_of(q);
             for b in 0..seg.block_count() {
-                let (meta, data) = (seg.block_meta(b), seg.block(b).expect("read"));
+                let (meta, data) = (seg.rows(b), seg.block(b).expect("read"));
                 for r in 0..meta.ids.len() {
                     let ub = meta.cosine_upper_bound(r, &codes);
-                    let score = score_row(q, qnorm, meta.norms[r], &data, r, dim);
+                    let score = score_row(q, qnorm, meta.norm(r), &data, r, dim);
                     assert!(score <= ub, "query {i} block {b} row {r}: {score} exceeds {ub}");
                     if i < aligned {
                         tightest = tightest.min(ub - score);
@@ -1009,7 +1180,7 @@ mod tests {
             let mut q = unit(dim, &mut rng);
             q[7] = bad;
             let (codes, _) = codes_of(&q);
-            let meta = seg.block_meta(0);
+            let meta = seg.rows(0);
             assert!((0..meta.ids.len()).all(|r| meta.cosine_upper_bound(r, &codes) == 1.0));
         }
         std::fs::remove_dir_all(path.parent().unwrap()).ok();
@@ -1038,8 +1209,11 @@ mod tests {
                     // Every code at its extreme, against a query whose
                     // codes are too: the largest sum the rule admits.
                     rows.push(vec![scale; dim]);
-                    let meta = block_of(&rows);
-                    let extreme = &meta.codes[(rows.len() - 1) * dim..];
+                    // Blocks of three: the slab, not the block, is what a
+                    // row number indexes.
+                    let seg = segment_of(&rows, 3);
+                    let sketch_of = |r: usize| seg.rows(r / 3).sketch(r % 3);
+                    let extreme = sketch_of(rows.len() - 1).0;
                     assert!(extreme.iter().all(|&c| c == 127));
                     let mut queries = vec![vec![1.0f32; dim], vec![-1.0; dim]];
                     for qscale in [1e-30f32, 1e-3, 1.0, 1e3, 1e30] {
@@ -1060,13 +1234,13 @@ mod tests {
                             assert_eq!(sum.abs(), limit * 127 * dim as i64, "dim {dim}");
                         }
                         for (r, v) in rows.iter().enumerate() {
-                            let row_codes = &meta.codes[r * dim..(r + 1) * dim];
+                            let (row_codes, .., norm) = sketch_of(r);
                             let strict: i64 = (codes.codes.iter().zip(row_codes))
-                                .map(|(&q, &c)| q as i64 * c as i64)
+                                .map(|(&q, &c)| q as i64 * c as i8 as i64)
                                 .sum();
                             assert_eq!(code_dot(&codes.codes, row_codes) as i64, strict);
-                            let ub = meta.cosine_upper_bound(r, &codes);
-                            let score = score_row(q, qnorm, meta.norms[r], v, 0, dim);
+                            let ub = seg.rows(r / 3).cosine_upper_bound(r % 3, &codes);
+                            let score = score_row(q, qnorm, norm, v, 0, dim);
                             // An f32 dot that overflowed scores NaN, which
                             // no heap accepts: nothing to dominate.
                             assert!(
@@ -1074,6 +1248,104 @@ mod tests {
                                 "dim {dim} scale {scale} query {i} row {r}: {score} > {ub}"
                             );
                         }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_slab_bound_is_the_formula_over_the_sealed_arrays_bit_for_bit() {
+        // The bound as it reads on paper, from a row's sketch as the sealer
+        // derives it — codes, scale and residual each in an array of its
+        // own — against the one the search computes from the row's record.
+        let formula = |q: &QueryCodes, v: &[f32], norm: f32| -> f64 {
+            let mut codes = Vec::new();
+            let (scale, residual) = sketch_row(v, &mut codes);
+            let denom = q.qnorm * norm;
+            if denom <= f32::MIN_POSITIVE {
+                return 1.0;
+            }
+            let dot: i64 = q.codes.iter().zip(&codes).map(|(&a, &b)| a as i64 * b as i64).sum();
+            let dot_ub = q.scale * scale as f64 * dot as f64
+                + q.norm * residual as f64
+                + q.residual * norm as f64;
+            (dot_ub / denom as f64 + UB_SLACK).min(1.0)
+        };
+        let mut rng = Xoshiro256pp::new(15);
+        let (mut trivial, mut proper) = (0usize, 0usize);
+        for dim in [5usize, 32, 128] {
+            let scaled = |v: Vec<f32>, by: f32| -> Vec<f32> { v.iter().map(|x| x * by).collect() };
+            let mut rows: Vec<Vec<f32>> = (0..40)
+                .map(|i| scaled(unit(dim, &mut rng), [1e-3, 1.0, 1.0, 1e3][i % 4]))
+                .collect();
+            // A zero norm, a denormal scale, every code saturated.
+            rows.push(vec![0.0; dim]);
+            rows.push(scaled(scaled(unit(dim, &mut rng), 1e-20), 1e-20));
+            rows.push(vec![-0.5; dim]);
+            let mut queries: Vec<Vec<f32>> = (0..24)
+                .map(|i| scaled(unit(dim, &mut rng), [1e-30, 1e-3, 1.0, 1e3, 1e18, 1e30][i % 6]))
+                .collect();
+            queries.extend(rows.iter().step_by(5).cloned());
+            for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+                let mut q = unit(dim, &mut rng);
+                q[dim / 2] = bad;
+                queries.push(q);
+            }
+            for block_rows in [1usize, 3, 16, 64] {
+                let seg = segment_of(&rows, block_rows);
+                assert_eq!(seg.row_count(), rows.len());
+                assert_eq!(seg.block_count(), rows.len().div_ceil(block_rows));
+                for q in &queries {
+                    let (codes, _) = codes_of(q);
+                    for (n, v) in rows.iter().enumerate() {
+                        let meta = seg.rows(n / block_rows);
+                        let got = meta.cosine_upper_bound(n % block_rows, &codes);
+                        let want = formula(&codes, v, meta.norm(n % block_rows));
+                        assert_eq!(
+                            got.to_bits(),
+                            want.to_bits(),
+                            "dim {dim} row {n}: {got} {want}"
+                        );
+                        if got == 1.0 {
+                            trivial += 1;
+                        } else {
+                            proper += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(trivial > 1_000 && proper > 10_000, "both kinds of row: {trivial} / {proper}");
+    }
+
+    #[test]
+    fn a_sealed_image_is_exactly_the_size_reserved_for_it() {
+        // One reservation per image: `seal` asks for `image_len` bytes up
+        // front, and a `Vec` that had to grow would hold more than it uses.
+        let dim = 24;
+        for sig_bits in [64usize, 130] {
+            let hasher = SimHasher::new(dim, sig_bits, 7);
+            let mut rows = rows_for(dim, 150, 16);
+            for row in &mut rows {
+                row.signature = hasher.sign(&row.vector);
+            }
+            for block_rows in [1usize, 16, 64] {
+                for sketches in [false, true] {
+                    for (n, manifest) in [(0usize, &b""[..]), (1, b"abc"), (150, &[7u8; 1000])] {
+                        let mut rows = borrowed(&rows[..n]);
+                        let image =
+                            seal_image(dim, sig_bits, block_rows, sketches, manifest, &mut rows);
+                        let reserved =
+                            image_len(dim, sig_bits, block_rows, sketches, manifest.len(), n);
+                        assert_eq!(
+                            (image.len(), image.capacity()),
+                            (reserved, reserved),
+                            "{n} rows in {block_rows}-row blocks, sketches {sketches}"
+                        );
+                        let seg =
+                            VectorSegment::from_bytes(image, BlockCache::new(0)).expect("open");
+                        assert_eq!((seg.row_count(), seg.has_sketches()), (n, sketches));
                     }
                 }
             }
@@ -1160,19 +1432,17 @@ mod tests {
         // The bound reads the sketch unchecked, so a short code array, or a
         // NaN or negative scale, residual or norm, must not get past `open`.
         let dim = 16;
-        let honest = BlockMeta::of_rows(&borrowed(&rows_for(dim, 4, 14)), dim, true);
+        let honest = RawMeta::of_rows(&rows_for(dim, 4, 14));
         let path = temp_path("bad-sketch");
-        let open = |block: &BlockMeta| {
+        let open = |block: &RawMeta| {
             let mut builder = SegmentBuilder::new(0);
-            let mut meta = Vec::new();
-            block.encode(&mut meta, true);
-            builder.push_block(&vec![0u8; 4 * dim * 4], &meta);
+            builder.push_block(&vec![0u8; 4 * dim * 4], &block.encode());
             let image = builder.finish(&[&header(dim as u32, 64, 4, FLAG_SKETCHES)]);
             atomic_file::write(&path, &image).expect("write");
             VectorSegment::open(&path, BlockCache::new(0))
         };
         open(&honest).expect("the hand-built directory is well-formed");
-        let damage: [fn(&mut BlockMeta); 7] = [
+        let damage: [fn(&mut RawMeta); 7] = [
             |m| m.codes.truncate(1),
             |m| m.residuals.truncate(1),
             |m| m.scales[1] = f32::NAN,
@@ -1207,12 +1477,12 @@ mod tests {
 
         let by_id: FxHashMap<ItemId, &SegmentRow> = rows.iter().map(|r| (r.id, r)).collect();
         for b in 0..seg.block_count() {
-            let meta = seg.block_meta(b).clone();
+            let meta = seg.rows(b);
             let data = seg.block(b).expect("read block");
             for (r, &id) in meta.ids.iter().enumerate() {
                 let want = by_id[&id];
                 assert_eq!(&data[r * dim..(r + 1) * dim], want.vector.as_slice());
-                assert_eq!(meta.norms[r], want.norm);
+                assert_eq!(meta.norm(r), want.norm);
                 assert_eq!(seg.signature_of(b, r), want.signature);
             }
         }

@@ -220,13 +220,14 @@ impl ShardedLshIndex {
         let mut installed = 0usize;
         for block in 0..segment.block_count() {
             segment.read_payload(block, &mut payload)?;
-            let ids = &segment.block_meta(block).ids;
-            for (row, (&stored, raw)) in ids.iter().zip(payload.chunks_exact(row_bytes)).enumerate()
+            let rows = segment.rows(block);
+            for (row, (&stored, raw)) in
+                rows.ids.iter().zip(payload.chunks_exact(row_bytes)).enumerate()
             {
                 let Some(id) = map(stored) else {
                     continue;
                 };
-                let words = segment.sig_words_of(block, row);
+                let words = rows.sig_words(row);
                 shards[self.shard_of(id)].insert_row(id, words, |slot| {
                     codec::get_f32s(&mut &raw[..], slot).expect("a row's bytes fill its slot");
                 });

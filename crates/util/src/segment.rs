@@ -121,8 +121,9 @@ struct BlockInfo {
     payload_len: u32,
     /// Expected CRC-32 of the payload.
     crc: u32,
-    /// Opaque caller metadata (id lists, row sketches, …).
-    meta: Vec<u8>,
+    /// Where the opaque caller metadata (id lists, row sketches, …) sits in
+    /// [`Segment::directory`].
+    meta: std::ops::Range<usize>,
 }
 
 /// Incremental writer: push blocks, then [`SegmentBuilder::finish`] into
@@ -237,6 +238,9 @@ pub struct Segment {
     path: PathBuf,
     source: Source,
     header_meta: Vec<u8>,
+    /// The directory frame as read and checksummed: the blocks' metadata
+    /// blobs are ranges of it, not copies. Empty once released.
+    directory: Vec<u8>,
     blocks: Vec<BlockInfo>,
 }
 
@@ -324,7 +328,10 @@ impl Segment {
             let offset = codec::get_u64(&mut r)?;
             let payload_len = codec::get_len(&mut r)? as u32;
             let crc = codec::get_u32(&mut r)?;
-            let meta = codec::get_bytes(&mut r)?;
+            let meta_len = codec::get_len(&mut r)?;
+            let meta_at = directory.len() - r.len();
+            r = r.get(meta_len..).ok_or(CodecError::UnexpectedEof)?;
+            let meta = meta_at..meta_at + meta_len;
             let end = offset
                 .checked_add(payload_len as u64)
                 .and_then(|e| e.checked_add(4))
@@ -340,7 +347,7 @@ impl Segment {
             return Err(SegmentError::Corrupt(format!("{} trailing directory bytes", r.len())));
         }
 
-        Ok(Segment { path, source, header_meta, blocks })
+        Ok(Segment { path, source, header_meta, directory, blocks })
     }
 
     /// The segment-wide metadata blob the writer stored.
@@ -348,8 +355,8 @@ impl Segment {
         &self.header_meta
     }
 
-    /// Move the header blob out of the segment, leaving it empty (see
-    /// [`Self::take_block_meta`]).
+    /// Move the header blob out of the segment, leaving it empty: a reader
+    /// that parses it once has no reason to keep it resident.
     pub fn take_header_meta(&mut self) -> Vec<u8> {
         std::mem::take(&mut self.header_meta)
     }
@@ -359,16 +366,17 @@ impl Segment {
         self.blocks.len()
     }
 
-    /// Per-block metadata blob (resident since `open`).
+    /// Per-block metadata blob (resident since `open`; empty after
+    /// [`Self::release_block_meta`]).
     pub fn block_meta(&self, block: usize) -> &[u8] {
-        &self.blocks[block].meta
+        self.directory.get(self.blocks[block].meta.clone()).unwrap_or(&[])
     }
 
-    /// Move one block's metadata blob out of the segment, leaving it
-    /// empty: a reader that decodes the blob into a form of its own takes
-    /// it, so the directory is not resident twice.
-    pub fn take_block_meta(&mut self, block: usize) -> Vec<u8> {
-        std::mem::take(&mut self.blocks[block].meta)
+    /// Drop every block's metadata blob — one buffer, the directory as it
+    /// was read: a reader that has decoded the blobs into a form of its own
+    /// releases them, so the directory is not resident twice.
+    pub fn release_block_meta(&mut self) {
+        self.directory = Vec::new();
     }
 
     /// Payload length of one block in bytes.
@@ -468,8 +476,9 @@ mod tests {
         assert_eq!(seg.read_block(1).expect("block 1"), b"");
         assert_eq!(seg.read_block(2).expect("block 2"), vec![0xAB; 1000]);
         assert!(seg.read_block(3).is_err());
-        assert_eq!(seg.take_block_meta(1), b"meta-empty");
-        assert_eq!((seg.block_meta(0), seg.block_meta(1)), (&b"meta-0"[..], &b""[..]));
+        seg.release_block_meta();
+        assert_eq!((seg.block_meta(0), seg.block_meta(1)), (&b""[..], &b""[..]));
+        assert_eq!(seg.read_block(0).expect("block 0"), b"first block payload");
         assert_eq!(seg.take_header_meta(), b"header-meta");
         assert!(seg.header_meta().is_empty());
     }
