@@ -6,14 +6,12 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
-use wg_store::{
-    BackendId, ColumnRef, CostSnapshot, StoreResult, TableMeta, TableRef, WarehouseBackend,
-};
+use wg_store::{BackendId, ColumnRef, CostSnapshot, StoreResult, TableMeta, TableRef};
 use wg_util::deadline::{Deadline, Phase};
 use wg_util::timing::Stopwatch;
 use wg_util::FxHashMap;
 
-use crate::system::{deadline_err, TableState, WarpGate};
+use crate::system::{deadline_err, Attached, TableState, WarpGate};
 
 /// The most items one claim of [`in_order`] takes, and therefore the most
 /// one `commit` receives: indexing's commit holds the registry write lock
@@ -104,9 +102,7 @@ impl WarpGate {
             // token is the older one and the next sync re-scans
             // (conservative), and a failed run records nothing at all.
             let metas = run.backend.list_tables()?;
-            let refs: Vec<ColumnRef> =
-                metas.iter().flat_map(|m| m.scoped_column_refs(id)).collect();
-            let (one, _) = self.index_refs(run.backend.as_ref(), &refs, Deadline::none())?;
+            let (one, _) = self.index_tables(&run, &metas, Deadline::none())?;
             self.record_synced(&run, &metas);
             report.columns_indexed += one.columns_indexed;
             report.columns_skipped += one.columns_skipped;
@@ -121,8 +117,7 @@ impl WarpGate {
     pub fn index_table(&self, table: &TableRef) -> StoreResult<IndexReport> {
         let run = self.resolve(table.backend)?;
         let meta = run.backend.table_meta(&table.database, &table.table)?;
-        let refs = meta.scoped_column_refs(run.id);
-        let (report, _) = self.index_refs(run.backend.as_ref(), &refs, Deadline::none())?;
+        let (report, _) = self.index_tables(&run, std::slice::from_ref(&meta), Deadline::none())?;
         self.record_synced(&run, std::slice::from_ref(&meta));
         Ok(report)
     }
@@ -205,8 +200,7 @@ impl WarpGate {
         }
 
         // Added and changed tables re-index; unchanged tables are skipped.
-        let mut to_index: Vec<ColumnRef> = Vec::new();
-        let mut to_record: Vec<TableMeta> = Vec::new();
+        let mut changed: Vec<TableMeta> = Vec::new();
         for v in &versions {
             let key = (v.database.clone(), v.table.clone());
             let known = match recorded.get(&key) {
@@ -231,15 +225,14 @@ impl WarpGate {
             } else {
                 report.tables_added += 1;
             }
-            to_index.extend(meta.scoped_column_refs(id));
-            to_record.push(meta);
+            changed.push(meta);
         }
 
-        let (indexed, unembeddable) = self.index_refs(backend, &to_index, deadline)?;
+        let (indexed, unembeddable) = self.index_tables(&run, &changed, deadline)?;
         // Tokens (fetched before the scans) are committed only now that
         // the scans succeeded — a failed sync records nothing, so the next
         // one retries the same change set.
-        self.record_synced(&run, &to_record);
+        self.record_synced(&run, &changed);
         report.columns_indexed = indexed.columns_indexed;
         report.columns_skipped = indexed.columns_skipped;
         report.columns_removed += unembeddable;
@@ -250,63 +243,63 @@ impl WarpGate {
 
     /// Embed a scanned column, blending in §5.2.1 schema context with
     /// weight `beta` when it is positive. Context comes from free catalog
-    /// metadata.
+    /// metadata: `table_columns` is the column list of `r`'s table (the
+    /// siblings are the others on it).
     pub(crate) fn embed_with_context(
         &self,
-        backend: &dyn WarehouseBackend,
         r: &ColumnRef,
         column: &wg_store::Column,
+        table_columns: &[String],
         beta: f32,
     ) -> wg_embed::Vector {
         let values = self.embedder.embed_column(column);
         if beta <= 0.0 {
             return values;
         }
-        let siblings = backend
-            .table_meta(&r.database, &r.table)
-            .map(|m| m.columns.into_iter().filter(|n| n != &r.column).collect())
-            .unwrap_or_default();
         let context = wg_embed::ColumnContext {
             column_name: r.column.clone(),
             table_name: r.table.clone(),
-            siblings,
+            siblings: table_columns.iter().filter(|n| *n != &r.column).cloned().collect(),
         };
         let ctx = wg_embed::context_vector(self.embedder.model().as_ref(), &context);
         wg_embed::blend_context(&values, &ctx, beta)
     }
 
-    /// Scan → embed → insert `refs`, in that order: the report, and how
-    /// many previously indexed columns dropped out because their content
-    /// no longer embeds. Every worker checks the deadline before each
-    /// scan, so expiry — like any scan error — stops the run between scans
-    /// with no further column billed.
-    fn index_refs(
+    /// Scan → embed → insert every column of `tables`, in that order: the
+    /// report, and how many previously indexed columns dropped out because
+    /// their content no longer embeds. Every worker checks the deadline
+    /// before each scan, so expiry — like any scan error — stops the run
+    /// between scans with no further column billed. Schema context reads
+    /// the column lists the caller already holds: no metadata call is made
+    /// here.
+    fn index_tables(
         &self,
-        backend: &dyn WarehouseBackend,
-        refs: &[ColumnRef],
+        run: &Attached,
+        tables: &[TableMeta],
         deadline: Deadline,
     ) -> StoreResult<(IndexReport, usize)> {
         let sw = Stopwatch::start();
+        let backend = run.backend.as_ref();
         let cost_before = backend.costs();
 
-        // (Re-)indexing means these columns' warehouse data may have
+        // (Re-)indexing means these tables' warehouse data may have
         // changed; cached query embeddings for them are stale.
-        let mut touched: wg_util::FxHashSet<(BackendId, &str, &str)> = wg_util::fx_hash_set();
-        for r in refs {
-            touched.insert((r.backend, &r.database, &r.table));
+        for meta in tables {
+            self.cache.invalidate_table(&TableRef::scoped(run.id, &meta.database, &meta.table));
         }
-        for (backend_id, database, table) in touched {
-            self.cache.invalidate_table(&TableRef::scoped(backend_id, database, table));
-        }
+        let refs: Vec<(ColumnRef, &TableMeta)> = tables
+            .iter()
+            .flat_map(|meta| meta.scoped_column_refs(run.id).into_iter().map(move |r| (r, meta)))
+            .collect();
 
         let (mut indexed, mut skipped, mut unembeddable) = (0usize, 0usize, 0usize);
         in_order(
-            refs,
+            &refs,
             self.config.effective_threads(),
-            |r| -> StoreResult<wg_embed::Vector> {
+            |(r, meta)| -> StoreResult<wg_embed::Vector> {
                 deadline.check(Phase::Scan).map_err(deadline_err)?;
                 let column = backend.scan_column(r, self.config.sample)?;
-                Ok(self.embed_with_context(backend, r, &column, self.config.context_weight))
+                Ok(self.embed_with_context(r, &column, &meta.columns, self.config.context_weight))
             },
             |refs, vectors| {
                 // One registry write lock maps the chunk's refs to ids, in
@@ -317,7 +310,7 @@ impl WarpGate {
                 let mut stale = Vec::new();
                 {
                     let mut registry = self.registry.write();
-                    for (r, vector) in refs.iter().zip(vectors) {
+                    for ((r, _), vector) in refs.iter().zip(vectors) {
                         if vector.is_zero() {
                             stale.extend(registry.remove(r));
                         } else {

@@ -250,7 +250,13 @@ impl WarpGate {
 
         deadline.check(Phase::Embed).map_err(deadline_err)?;
         let sw = Stopwatch::start();
-        let vector = self.embed_with_context(run.backend.as_ref(), r, &column, context_weight);
+        // Schema context costs the query one (free) metadata call.
+        let table_columns = if context_weight > 0.0 {
+            run.backend.table_meta(&r.database, &r.table).map(|m| m.columns).unwrap_or_default()
+        } else {
+            Vec::new()
+        };
+        let vector = self.embed_with_context(r, &column, &table_columns, context_weight);
         timing.embed_secs = sw.elapsed_secs();
         // Zero vectors are cached too: the (empty) answer is just as
         // repeatable, and skipping the re-scan is the whole point.

@@ -631,6 +631,80 @@ impl WarehouseBackend for TogglableBackend {
     }
 }
 
+/// Counts `table_meta` calls, by table, on their way to a connector.
+struct MetaCountingBackend {
+    inner: Arc<CdwConnector>,
+    table_meta_calls: parking_lot::Mutex<Vec<(String, String)>>,
+}
+
+impl WarehouseBackend for MetaCountingBackend {
+    fn name(&self) -> String {
+        WarehouseBackend::name(self.inner.as_ref())
+    }
+    fn list_tables(&self) -> StoreResult<Vec<TableMeta>> {
+        self.inner.list_tables()
+    }
+    fn table_meta(&self, database: &str, table: &str) -> StoreResult<TableMeta> {
+        self.table_meta_calls.lock().push((database.to_string(), table.to_string()));
+        WarehouseBackend::table_meta(self.inner.as_ref(), database, table)
+    }
+    fn scan_column(&self, r: &ColumnRef, sample: SampleSpec) -> StoreResult<wg_store::Column> {
+        self.inner.scan_column(r, sample)
+    }
+    fn scan_table(&self, database: &str, table: &str, sample: SampleSpec) -> StoreResult<Table> {
+        self.inner.scan_table(database, table, sample)
+    }
+    fn costs(&self) -> CostSnapshot {
+        self.inner.costs()
+    }
+    fn reset_costs(&self) {
+        self.inner.reset_costs()
+    }
+}
+
+#[test]
+fn indexing_with_schema_context_asks_for_metadata_once_per_table() {
+    let config = WarpGateConfig { threads: 2, ..Default::default() }.with_context(0.2);
+    let build = |run: &dyn Fn(&WarpGate)| {
+        let backend = Arc::new(MetaCountingBackend {
+            inner: connector(),
+            table_meta_calls: Default::default(),
+        });
+        let wg = WarpGate::with_backend(config, backend.clone());
+        run(&wg);
+        let mut calls = std::mem::take(&mut *backend.table_meta_calls.lock());
+        let asked = calls.len();
+        calls.sort();
+        calls.dedup();
+        assert_eq!(asked, calls.len(), "a table was asked for twice: {calls:?}");
+        (wg, backend)
+    };
+    // `sync` fetches each new table's metadata itself; a full build has
+    // it from the listing and asks for none.
+    let (wg, backend) = build(&|wg| assert_eq!(wg.index_warehouse().unwrap().columns_indexed, 6));
+    build(&|wg| assert_eq!(wg.sync().unwrap().columns_indexed, 6));
+
+    // Every row is what embedding that column on its own gives: its
+    // values blended with a context read from its own metadata call.
+    let model = wg.embedder().model().as_ref();
+    for (id, r) in wg.registry.read().entries() {
+        let column = backend.inner.scan_column(r, config.sample).unwrap();
+        let meta = WarehouseBackend::table_meta(backend.inner.as_ref(), &r.database, &r.table);
+        let context = wg_embed::ColumnContext {
+            column_name: r.column.clone(),
+            table_name: r.table.clone(),
+            siblings: meta.unwrap().columns.into_iter().filter(|n| n != &r.column).collect(),
+        };
+        let want = wg_embed::blend_context(
+            &wg.embedder().embed_column(&column),
+            &wg_embed::context_vector(model, &context),
+            0.2,
+        );
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&wg.index.vector(id).unwrap()), bits(&want.0), "{r}");
+    }
+}
+
 #[test]
 fn failed_index_run_records_nothing_so_sync_retries() {
     let inner = connector();

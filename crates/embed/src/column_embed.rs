@@ -10,12 +10,10 @@ use std::collections::hash_map::Entry;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use wg_store::{Column, ColumnData};
-use wg_util::kernel::{self, scratch};
+use wg_store::Column;
 
 use crate::model::EmbeddingModel;
-use crate::tokenizer::{tokenize_into, TokenBuf};
-use crate::vector::{is_zero, Vector};
+use crate::vector::Vector;
 
 /// How distinct-value embeddings combine into a column embedding.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -105,22 +103,12 @@ impl ColumnEmbedder {
     /// Embed a column (typically one that was already sampled by the CDW
     /// connector). Returns a unit vector, or the zero vector when the
     /// column has no embeddable content (all NULL / all symbols).
+    ///
+    /// A text column's dictionary *is* its distinct values with
+    /// multiplicities and is read in place; any other type is counted by
+    /// typed key and rendered into one reused buffer.
     pub fn embed_column(&self, column: &Column) -> Vector {
-        let total_rows = column.len() as u64;
-        match column.data() {
-            // A text column's dictionary *is* its distinct values with
-            // multiplicities: read it in place.
-            ColumnData::Text(t) => self.embed_distinct(
-                t.dict().iter().map(String::as_str).zip(t.dict_counts().iter().copied()),
-                total_rows,
-            ),
-            _ => self.embed_value_counts(&column.value_counts(), total_rows),
-        }
-    }
-
-    /// Embed from pre-computed `(value, count)` pairs.
-    pub fn embed_value_counts(&self, values: &[(String, u32)], total_rows: u64) -> Vector {
-        self.embed_distinct(values.iter().map(|(v, c)| (v.as_str(), *c)), total_rows)
+        self.embed_distinct(|sink| column.for_each_value_count(sink), column.len() as u64)
     }
 
     /// Embed a free-standing list of values (used for ad-hoc queries where
@@ -137,38 +125,29 @@ impl ColumnEmbedder {
                 }
             }
         }
-        self.embed_distinct(counts.into_iter(), values.len() as u64)
+        self.embed_distinct(
+            |sink| counts.iter().for_each(|&(value, count)| sink(value, count)),
+            values.len() as u64,
+        )
     }
 
-    /// The one aggregation loop: distinct values with multiplicities, in
-    /// order, to a column vector. One token buffer and one value vector are
-    /// reused across values, so a pass over warm tokens allocates only the
-    /// result.
-    fn embed_distinct<'a>(
+    /// Distinct values with multiplicities, in the order `values` emits
+    /// them, to a column vector: the model runs the aggregation loop
+    /// ([`EmbeddingModel::embed_values_into`]) over them, weighted by this
+    /// embedder's scheme, and the sum is normalized.
+    fn embed_distinct(
         &self,
-        values: impl Iterator<Item = (&'a str, u32)>,
+        mut values: impl FnMut(&mut dyn FnMut(&str, u32)),
         total_rows: u64,
     ) -> Vector {
         self.embeds.fetch_add(1, Ordering::Relaxed);
-        let dim = self.model.dim();
-        let mut acc = Vector::zeros(dim);
-        let mut any = false;
-        let mut tokens = TokenBuf::new();
-        let mut v = scratch::take_f32(dim);
-        for (value, count) in values {
-            tokenize_into(value, &mut tokens);
-            if tokens.is_empty() {
-                continue;
-            }
-            self.model.embed_tokens_into(&tokens, &mut v);
-            if is_zero(&v) {
-                continue;
-            }
-            let w = self.aggregation.weight(count, total_rows);
-            kernel::axpy(&mut acc.0, w, &v);
-            any = true;
-        }
-        scratch::put_f32(v);
+        let mut acc = Vector::zeros(self.model.dim());
+        let any = self.model.embed_values_into(
+            &mut |sink| {
+                values(&mut |value, count| sink(value, self.aggregation.weight(count, total_rows)))
+            },
+            &mut acc.0,
+        );
         if any {
             acc.normalize();
         }
@@ -180,8 +159,9 @@ impl ColumnEmbedder {
 mod tests {
     use super::*;
     use crate::minibert::MiniBertModel;
+    use crate::store::{Key, CHUNK_ROWS};
     use crate::tokenizer::{reference, Token};
-    use crate::webtable::WebTableModel;
+    use crate::webtable::{WebTableConfig, WebTableModel};
     use wg_store::{Column, Value};
 
     fn embedder(agg: Aggregation) -> ColumnEmbedder {
@@ -218,10 +198,18 @@ mod tests {
     }
 
     /// Text columns over the tokenizer's differential-test cells (with
-    /// repeats and NULLs) and one column of each other type.
+    /// repeats and NULLs), columns aimed at the token store's edges, and
+    /// one column of each other type.
     fn parity_columns() -> Vec<Column> {
         let cells = reference::cells(31, 160);
         let repeated = cells.iter().chain(cells.iter().step_by(3)).chain(cells.iter().step_by(7));
+        // Two tokens whose probes start at one slot of a new store's table,
+        // and enough others beside them that their chunk is published.
+        // (Digit runs, so each cell is one token.)
+        let home = |t: &str| Key::token(t).home(2 * CHUNK_ROWS);
+        let pair = (8..).map(|i| i.to_string()).find(|t| home(t) == home("7")).unwrap();
+        let chained =
+            ["7".to_string(), pair].into_iter().chain((0..CHUNK_ROWS).map(|i| format!("9{i:05}")));
         vec![
             Column::text("distinct", &cells[..60]),
             Column::text_opt(
@@ -229,13 +217,21 @@ mod tests {
                 repeated.enumerate().map(|(i, c)| (i % 11 != 0).then_some(c.as_str())),
             ),
             Column::text("symbols", ["---", "", " / "]),
+            // Seven bytes sit in a slot, eight do not; multi-byte characters
+            // count by bytes, and a long token may differ in its last byte.
+            Column::text(
+                "token lengths",
+                ["abcdefg abcdefgh", "abcdefgi ééé éééé", "日本語 日本語日本語", "abcdefg"],
+            ),
+            Column::text("chained", chained.collect::<Vec<_>>()),
             Column::ints("ints", (0..90).map(|i| (i % 17) * 1000 - 3).collect()),
+            Column::ints("int extremes", vec![i64::MIN, i64::MAX, 0, -1, i64::MIN]),
             Column::from_values(
                 "floats",
-                &[0.0, -0.0, 2.5, f64::NAN, 1e15, 2.5, -7.0]
+                &[0.0, -0.0, 2.5, f64::NAN, 1e15, 2.5, -7.0, -f64::NAN, 0.0]
                     .iter()
                     .map(|&x| Value::Float(x))
-                    .chain([Value::Null])
+                    .chain([Value::Float(f64::from_bits(0x7ff8_0000_0000_beef)), Value::Null])
                     .collect::<Vec<_>>(),
             ),
             Column::bools("bools", vec![true, false, true]),
@@ -248,28 +244,40 @@ mod tests {
 
     #[test]
     fn fused_embedding_is_bit_equal_to_the_reference_loop() {
-        let web = Arc::new(WebTableModel::default_model());
+        let oracle = WebTableModel::default_model();
         // The old per-value entry point: each token vector copied out of
         // the model, summed and normalized.
         let web_tokens = |tokens: &[Token]| {
-            let mut acc = Vector::zeros(web.dim());
+            let mut acc = Vector::zeros(oracle.dim());
             for t in tokens {
-                acc.add_scaled(&web.compute_token_reference(t), 1.0);
+                acc.add_scaled(&oracle.compute_token_reference(t), 1.0);
             }
             acc.normalize();
             acc
         };
-        for aggregation in [
-            Aggregation::MeanDistinct,
-            Aggregation::FrequencyWeighted,
-            Aggregation::Sif { a: 0.05 },
-        ] {
-            let e = ColumnEmbedder::new(web.clone(), aggregation);
-            for c in parity_columns() {
-                let want = embed_column_reference(aggregation, &web_tokens, web.dim(), &c);
-                assert_eq!(bits(&e.embed_column(&c)), bits(&want), "{} {aggregation:?}", c.name());
-                let counted = e.embed_value_counts(&c.value_counts(), c.len() as u64);
-                assert_eq!(bits(&counted), bits(&want), "{} {aggregation:?}", c.name());
+        // A store that keeps nothing, almost nothing, exactly one chunk,
+        // and everything.
+        for cache_capacity in [0, 2, CHUNK_ROWS, WebTableConfig::default().cache_capacity] {
+            for aggregation in [
+                Aggregation::MeanDistinct,
+                Aggregation::FrequencyWeighted,
+                Aggregation::Sif { a: 0.05 },
+            ] {
+                for c in parity_columns() {
+                    let want = embed_column_reference(aggregation, &web_tokens, oracle.dim(), &c);
+                    // A model of its own, so "chained" meets an empty table;
+                    // twice, so the second pass reads what the first stored.
+                    let config = WebTableConfig { cache_capacity, ..Default::default() };
+                    let e = ColumnEmbedder::new(Arc::new(WebTableModel::new(config)), aggregation);
+                    for pass in ["cold", "warm"] {
+                        assert_eq!(
+                            bits(&e.embed_column(&c)),
+                            bits(&want),
+                            "{} {aggregation:?} capacity {cache_capacity} {pass}",
+                            c.name()
+                        );
+                    }
+                }
             }
         }
 
@@ -284,6 +292,41 @@ mod tests {
             );
             assert_eq!(bits(&e.embed_column(c)), bits(&want), "{}", c.name());
         }
+    }
+
+    #[test]
+    fn borrowed_value_counts_are_the_owned_ones() {
+        // What `embed_column` reads against what the reference loop reads.
+        for c in parity_columns() {
+            let mut borrowed = Vec::new();
+            c.for_each_value_count(|value, count| borrowed.push((value.to_string(), count)));
+            assert_eq!(borrowed, c.value_counts(), "{}", c.name());
+        }
+    }
+
+    #[test]
+    fn nothing_is_held_while_values_are_produced() {
+        // A producer that goes back into the model between two values: a
+        // miss ("new" is stored by the call) and a hit. With a guard held
+        // across the column, the miss would wait for it forever.
+        let model = WebTableModel::default_model();
+        let mut acc = vec![0.0; model.dim()];
+        let any = model.embed_values_into(
+            &mut |sink| {
+                sink("old new", 1.0);
+                for token in ["new", "old"] {
+                    let inside = model.token_vector(token);
+                    assert_eq!(bits(&inside), bits(&model.compute_token_reference(token)));
+                }
+                sink("newer", 2.0);
+            },
+            &mut acc,
+        );
+        assert!(any);
+        let mut want = Vector::zeros(model.dim());
+        want.add_scaled(&model.embed_text("old new"), 1.0);
+        want.add_scaled(&model.embed_text("newer"), 2.0);
+        assert_eq!(bits(&Vector(acc)), bits(&want));
     }
 
     #[test]

@@ -31,6 +31,7 @@ pub mod column_embed;
 pub mod context;
 pub mod minibert;
 pub mod model;
+mod store;
 pub mod tokenizer;
 pub mod vector;
 pub mod webtable;
@@ -38,7 +39,7 @@ pub mod webtable;
 pub use column_embed::{Aggregation, ColumnEmbedder};
 pub use context::{blend_context, context_vector, ColumnContext};
 pub use minibert::{MiniBertConfig, MiniBertModel};
-pub use model::EmbeddingModel;
+pub use model::{EmbeddingModel, ValueSink};
 pub use tokenizer::{char_ngrams, tokenize, tokenize_into, TokenBuf};
 pub use vector::Vector;
 pub use webtable::{WebTableConfig, WebTableModel};

@@ -1,7 +1,14 @@
 //! The embedding model abstraction.
 
+use wg_util::kernel::{self, scratch};
+
 use crate::tokenizer::{tokenize_into, TokenBuf};
-use crate::vector::Vector;
+use crate::vector::{is_zero, Vector};
+
+/// Where a column's distinct values go, one `(value, weight)` at a time.
+/// The value is borrowed for the call only, so a producer may render every
+/// value into one reused buffer.
+pub type ValueSink<'a> = dyn FnMut(&str, f32) + 'a;
 
 /// An embedding model maps a token sequence (one cell value, typically) to
 /// a fixed-dimension vector.
@@ -23,6 +30,39 @@ pub trait EmbeddingModel: Send + Sync {
     /// the result lands in the caller's buffer, so a column's values embed
     /// one after another without allocating.
     fn embed_tokens_into(&self, tokens: &TokenBuf, out: &mut [f32]);
+
+    /// One column's aggregation loop: add `weight · embed(value)` to `acc`
+    /// (length [`Self::dim`]) for every pair `values` emits into the sink
+    /// it is handed, in order, skipping values that have no token or embed
+    /// to zero. Returns whether any value was added. `values` is called
+    /// once, with nothing of the model held, so it may call the model.
+    ///
+    /// Provided as the per-value loop over [`Self::embed_tokens_into`] with
+    /// one token buffer and one value vector reused across values. A model
+    /// that can fuse a value's passes overrides it and must leave the same
+    /// bits in `acc`.
+    fn embed_values_into(
+        &self,
+        values: &mut dyn FnMut(&mut ValueSink<'_>),
+        acc: &mut [f32],
+    ) -> bool {
+        let mut tokens = TokenBuf::new();
+        let mut v = scratch::take_f32(self.dim());
+        let mut any = false;
+        values(&mut |value, weight| {
+            tokenize_into(value, &mut tokens);
+            if tokens.is_empty() {
+                return;
+            }
+            self.embed_tokens_into(&tokens, &mut v);
+            if !is_zero(&v) {
+                kernel::axpy(acc, weight, &v);
+                any = true;
+            }
+        });
+        scratch::put_f32(v);
+        any
+    }
 
     /// Embed one raw cell (tokenize + embed). Provided for convenience.
     fn embed_text(&self, text: &str) -> Vector {

@@ -107,11 +107,18 @@ pub fn tokenize(cell: &str) -> Vec<Token> {
     buf.iter().map(str::to_owned).collect()
 }
 
+thread_local! {
+    /// The `<token>` buffer [`for_each_char_ngram`] last used on this
+    /// thread, kept for its capacity.
+    static BOUNDED: std::cell::Cell<String> = const { std::cell::Cell::new(String::new()) };
+}
+
 /// Call `f` on each character n-gram of a token with boundary markers,
 /// fastText style: `"cat"` with n=3 yields `<ca`, `cat`, `at>`; all grams
 /// of one size before the next size, each size left to right. Tokens
-/// shorter than `n-2` yield nothing for that n. One buffer holds the marked
-/// token; grams are slices of it.
+/// shorter than `n-2` yield nothing for that n. One buffer per thread holds
+/// the marked token (it is taken for the call, so an `f` that comes back
+/// here starts a fresh one); grams are slices of it.
 pub(crate) fn for_each_char_ngram(
     token: &str,
     min_n: usize,
@@ -119,7 +126,8 @@ pub(crate) fn for_each_char_ngram(
     mut f: impl FnMut(&str),
 ) {
     debug_assert!(min_n >= 2 && max_n >= min_n);
-    let mut bounded = String::with_capacity(token.len() + 2);
+    let mut bounded = BOUNDED.take();
+    bounded.clear();
     bounded.push('<');
     bounded.push_str(token);
     bounded.push('>');
@@ -132,6 +140,7 @@ pub(crate) fn for_each_char_ngram(
             f(&bounded[start..end]);
         }
     }
+    BOUNDED.set(bounded);
 }
 
 /// How many grams [`for_each_char_ngram`] yields for a token.

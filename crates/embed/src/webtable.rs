@@ -16,24 +16,22 @@
 //! paper's "semantic" join-ability relies on across formatting variants.
 //!
 //! Everything is deterministic: no training, no files, identical vectors in
-//! every process. A bounded token→vector cache makes repeated tokens (the
-//! common case in categorical columns) nearly free, and a second, smaller
-//! cache of n-gram basis vectors makes *new* tokens cheap: a corpus has far
-//! fewer distinct n-grams than n-gram occurrences, and drawing a basis
-//! vector (`dim` Box–Muller Gaussians) is what computing a token costs.
+//! every process. A bounded store of token vectors makes repeated tokens
+//! (the common case in categorical columns) nearly free — a hit takes no
+//! lock ([`crate::store`]) — and a second, smaller store of n-gram basis
+//! vectors makes *new* tokens cheap: a corpus has far fewer distinct
+//! n-grams than n-gram occurrences, and drawing a basis vector (`dim`
+//! Box–Muller Gaussians) is what computing a token costs.
 
-use std::borrow::Borrow;
-use std::hash::Hash;
-
-use parking_lot::{RwLock, RwLockReadGuard};
 use wg_util::hash::combine64;
-use wg_util::kernel;
+use wg_util::kernel::{self, scratch};
 use wg_util::rng::Rng64;
-use wg_util::{FxHashMap, SplitMix64};
+use wg_util::SplitMix64;
 
-use crate::model::EmbeddingModel;
-use crate::tokenizer::{char_ngram_count, for_each_char_ngram, Token, TokenBuf};
-use crate::vector::{normalize, Vector};
+use crate::model::{EmbeddingModel, ValueSink};
+use crate::store::{Key, VectorStore};
+use crate::tokenizer::{char_ngram_count, for_each_char_ngram, tokenize_into, TokenBuf};
+use crate::vector::{is_zero, normalize, Vector};
 
 /// Configuration for [`WebTableModel`].
 #[derive(Debug, Clone, Copy)]
@@ -74,71 +72,12 @@ impl Default for WebTableConfig {
 /// (DESIGN.md §8 has the sizing table).
 const NGRAM_BASIS_CAPACITY: usize = 1 << 14;
 
-/// A map from key to vector that fills until it holds `capacity` entries
-/// and then stays as it is: no eviction, so a hit never writes.
-struct VectorCache<K> {
-    map: RwLock<FxHashMap<K, Vector>>,
-    capacity: usize,
-}
-
-impl<K: Hash + Eq> VectorCache<K> {
-    fn new(capacity: usize) -> Self {
-        Self { map: RwLock::new(FxHashMap::default()), capacity }
-    }
-
-    fn len(&self) -> usize {
-        self.map.read().len()
-    }
-
-    fn reader(&self) -> CacheReader<'_, K> {
-        CacheReader { cache: self, guard: None }
-    }
-}
-
-/// A run of lookups in one [`VectorCache`] that share a read guard for as
-/// long as they hit.
-struct CacheReader<'a, K> {
-    cache: &'a VectorCache<K>,
-    guard: Option<RwLockReadGuard<'a, FxHashMap<K, Vector>>>,
-}
-
-impl<K: Hash + Eq> CacheReader<'_, K> {
-    /// Hand `consume` the vector for `key`: the cached one, read in place,
-    /// or else `compute()`'s, which is then cached if there is room.
-    ///
-    /// The read guard is dropped before `compute` runs and before the write
-    /// guard is taken (the next lookup takes a new one): `std`'s lock,
-    /// which the `parking_lot` shim wraps, may deadlock a thread that asks
-    /// for a second guard while it holds a read guard, and `compute` reads
-    /// caches itself.
-    fn with<Q>(&mut self, key: &Q, compute: impl FnOnce() -> Vector, consume: impl FnOnce(&[f32]))
-    where
-        K: Borrow<Q>,
-        Q: Hash + Eq + ToOwned<Owned = K> + ?Sized,
-    {
-        let map = self.guard.get_or_insert_with(|| self.cache.map.read());
-        if let Some(v) = map.get(key) {
-            return consume(&v.0);
-        }
-        let full = map.len() >= self.cache.capacity;
-        self.guard = None;
-        let v = compute();
-        consume(&v.0);
-        if !full {
-            let mut map = self.cache.map.write();
-            if map.len() < self.cache.capacity {
-                map.insert(key.to_owned(), v);
-            }
-        }
-    }
-}
-
 /// The deterministic hashed-subword embedding model.
 pub struct WebTableModel {
     config: WebTableConfig,
-    tokens: VectorCache<Token>,
+    tokens: VectorStore,
     /// Basis vectors of n-grams, keyed by the tagged n-gram hash.
-    ngram_bases: VectorCache<u64>,
+    ngram_bases: VectorStore,
 }
 
 impl WebTableModel {
@@ -152,8 +91,8 @@ impl WebTableModel {
         assert!(config.min_ngram >= 2 && config.max_ngram >= config.min_ngram);
         Self {
             config,
-            tokens: VectorCache::new(config.cache_capacity),
-            ngram_bases: VectorCache::new(ngram_capacity),
+            tokens: VectorStore::new(config.dim, config.cache_capacity),
+            ngram_bases: VectorStore::new(config.dim, ngram_capacity),
         }
     }
 
@@ -173,33 +112,43 @@ impl WebTableModel {
     }
 
     /// Gaussian basis vector for a hash, seeded with the model seed.
-    fn basis(&self, hash: u64) -> Vector {
+    fn basis_into(&self, hash: u64, out: &mut [f32]) {
         let mut rng = SplitMix64::new(combine64(self.config.seed, hash));
-        Vector((0..self.config.dim).map(|_| rng.gen_gaussian() as f32).collect())
+        out.fill_with(|| rng.gen_gaussian() as f32);
     }
 
-    /// Compute (uncached) the vector for one token. An n-gram's basis
-    /// vector is a pure function of `(seed, hash)`, so taking it from the
-    /// cache or drawing it afresh adds the same floats in the same order.
-    fn compute_token(&self, token: &str) -> Vector {
-        let mut v = self.basis(wg_util::stable_hash_str(token));
+    /// Compute (uncached) the vector for one token into `out`. An n-gram's
+    /// basis vector is a pure function of `(seed, hash)`, so taking it from
+    /// the store or drawing it afresh adds the same floats in the same
+    /// order.
+    fn compute_token(&self, token: &str, out: &mut [f32]) {
+        self.basis_into(wg_util::stable_hash_str(token), out);
         let (min_n, max_n) = (self.config.min_ngram, self.config.max_ngram);
         let grams = char_ngram_count(token, min_n, max_n);
         if self.config.subword_weight > 0.0 && grams > 0 {
             let w = self.config.subword_weight / grams as f32;
-            let mut bases = self.ngram_bases.reader();
             for_each_char_ngram(token, min_n, max_n, |g| {
                 // Tag n-gram hashes so a 3-gram never collides with a
                 // whole token of the same spelling.
                 let h = combine64(0x6772_616d, wg_util::stable_hash_str(g));
-                bases.with(&h, || self.basis(h), |basis| kernel::axpy(&mut v.0, w, basis));
+                self.ngram_bases.with(
+                    Key::hash(h),
+                    |basis| self.basis_into(h, basis),
+                    |basis| kernel::axpy(out, w, basis),
+                );
             });
         }
-        v.normalize();
-        v
+        normalize(out);
     }
 
-    /// Vector for one token, via the cache.
+    /// Hand `consume` the vector of one token: the stored one, read in
+    /// place without a lock, or the one computed (and stored) now.
+    #[inline]
+    fn with_token(&self, token: &str, consume: impl FnOnce(&[f32])) {
+        self.tokens.with(Key::token(token), |v| self.compute_token(token, v), consume);
+    }
+
+    /// Vector for one token, via the store.
     pub fn token_vector(&self, token: &str) -> Vector {
         let mut v = Vector::zeros(self.config.dim);
         self.token_vector_into(token, &mut v.0);
@@ -207,11 +156,28 @@ impl WebTableModel {
     }
 
     /// [`Self::token_vector`] written into a caller-provided slice (length
-    /// `dim`). On a cache hit this is a map read plus one `memcpy` — no
-    /// heap allocation.
+    /// `dim`). On a hit this is a table probe plus one `memcpy` — no lock,
+    /// no heap allocation.
     pub fn token_vector_into(&self, token: &str, out: &mut [f32]) {
         debug_assert_eq!(out.len(), self.config.dim);
-        self.tokens.reader().with(token, || self.compute_token(token), |v| out.copy_from_slice(v));
+        self.with_token(token, |v| out.copy_from_slice(v));
+    }
+
+    /// `out` = the sum of the tokens' vectors in token order, each added
+    /// straight from the store; `false`, and `out` as it was, when there is
+    /// no token. The first vector is written as `0.0 + x` — what adding it
+    /// to a zeroed `out` would leave, `-0.0` included — so no pass zeroes.
+    #[inline]
+    fn sum_tokens(&self, tokens: &TokenBuf, out: &mut [f32]) -> bool {
+        let mut tokens = tokens.iter();
+        let Some(first) = tokens.next() else {
+            return false;
+        };
+        self.with_token(first, |v| out.iter_mut().zip(v).for_each(|(o, &x)| *o = 0.0 + x));
+        for t in tokens {
+            self.with_token(t, |v| kernel::axpy(out, 1.0, v));
+        }
+        true
     }
 }
 
@@ -226,15 +192,45 @@ impl EmbeddingModel for WebTableModel {
 
     fn embed_tokens_into(&self, tokens: &TokenBuf, out: &mut [f32]) {
         debug_assert_eq!(out.len(), self.config.dim);
-        out.fill(0.0);
-        // Warm token vectors are added straight from their cache entries,
-        // all under one read guard.
-        let mut cache = self.tokens.reader();
-        for t in tokens.iter() {
-            cache.with(t, || self.compute_token(t), |v| kernel::axpy(out, 1.0, v));
+        if !self.sum_tokens(tokens, out) {
+            out.fill(0.0);
         }
-        drop(cache);
         normalize(out);
+    }
+
+    /// The provided loop with a value's passes fused: the sum of its token
+    /// vectors, one `norm_sq`, then `acc += w · (sum · 1/‖sum‖)` in one
+    /// pass where the provided loop scales, tests for zero and adds in
+    /// three. Every element sees the same operations on the same operands
+    /// in the same order, so the bits are the same.
+    fn embed_values_into(
+        &self,
+        values: &mut dyn FnMut(&mut ValueSink<'_>),
+        acc: &mut [f32],
+    ) -> bool {
+        debug_assert_eq!(acc.len(), self.config.dim);
+        let mut tokens = TokenBuf::new();
+        let mut sum = scratch::take_f32(self.config.dim);
+        let mut any = false;
+        values(&mut |value, weight| {
+            tokenize_into(value, &mut tokens);
+            if !self.sum_tokens(&tokens, &mut sum) {
+                return;
+            }
+            let norm = kernel::norm_sq(&sum).sqrt();
+            if norm > f32::MIN_POSITIVE {
+                let inv = 1.0 / norm;
+                acc.iter_mut().zip(&sum).for_each(|(a, &x)| *a += weight * (x * inv));
+            } else if is_zero(&sum) {
+                return;
+            } else {
+                // Too short to normalize: added as it is.
+                kernel::axpy(acc, weight, &sum);
+            }
+            any = true;
+        });
+        scratch::put_f32(sum);
+        any
     }
 }
 
@@ -243,7 +239,12 @@ impl WebTableModel {
     /// Test oracle: a token's vector the way it was computed before the
     /// n-gram cache — every gram materialised, every basis drawn afresh.
     pub(crate) fn compute_token_reference(&self, token: &str) -> Vector {
-        let mut v = self.basis(wg_util::stable_hash_str(token));
+        let basis = |hash: u64| {
+            let mut v = Vector::zeros(self.config.dim);
+            self.basis_into(hash, &mut v.0);
+            v
+        };
+        let mut v = basis(wg_util::stable_hash_str(token));
         if self.config.subword_weight > 0.0 {
             let grams = crate::tokenizer::reference::char_ngrams(
                 token,
@@ -254,7 +255,7 @@ impl WebTableModel {
                 let w = self.config.subword_weight / grams.len() as f32;
                 for g in &grams {
                     let h = combine64(0x6772_616d, wg_util::stable_hash_str(g));
-                    v.add_scaled(&self.basis(h), w);
+                    v.add_scaled(&basis(h), w);
                 }
             }
         }
@@ -266,7 +267,7 @@ impl WebTableModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tokenizer::{reference, tokenize_into};
+    use crate::tokenizer::{reference, Token};
 
     fn model() -> WebTableModel {
         WebTableModel::default_model()
@@ -346,6 +347,9 @@ mod tests {
                 }
             });
             assert!(m.ngram_bases.len() <= ngram_capacity);
+            // One row a token, whoever got there first (the four walks
+            // cover the first seven eighths of the list between them).
+            assert_eq!(m.cache_len(), tokens.len() / 2 + 3 * tokens.len() / 8);
         }
     }
 

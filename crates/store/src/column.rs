@@ -397,40 +397,54 @@ impl Column {
     }
 
     /// Distinct non-null values rendered to strings, with multiplicities,
-    /// in first-seen order.
-    ///
-    /// For text columns this is a copy of the dictionary; for other types
-    /// it is one hashing pass over typed keys, rendering each distinct
-    /// value once. This is the input the embedding and profiling layers
-    /// consume.
+    /// in first-seen order: [`Column::for_each_value_count`], collected.
+    /// This is the input the profiling layer consumes.
     pub fn value_counts(&self) -> Vec<(String, u32)> {
+        let distinct = self.distinct();
+        let mut out = Vec::with_capacity(distinct.len());
+        distinct.for_each_rendered(|value, count| out.push((value.to_owned(), count)));
+        out
+    }
+
+    /// Call `f` with each distinct non-null value, rendered, and its
+    /// multiplicity, in first-seen order. The rendering is borrowed: a text
+    /// column hands out its dictionary entries in place, any other type
+    /// counts typed keys in one hashing pass and renders each distinct
+    /// value into one reused buffer — no `String` per value. This is the
+    /// input the embedding layer consumes.
+    pub fn for_each_value_count(&self, f: impl FnMut(&str, u32)) {
+        self.distinct().for_each_rendered(f);
+    }
+
+    /// Number of distinct non-null values (typed keys are counted, nothing
+    /// is rendered).
+    pub fn distinct_count(&self) -> usize {
+        self.distinct().len()
+    }
+
+    fn distinct(&self) -> Distinct<'_> {
         match &self.data {
-            ColumnData::Text(t) => {
-                t.dict.iter().zip(t.counts.iter()).map(|(s, &c)| (s.clone(), c)).collect()
-            }
+            ColumnData::Text(t) => Distinct::Dictionary(t),
             ColumnData::Bool { values, validity } => {
-                count_rendered(values, validity, |b| b, ValueRef::Bool)
+                Distinct::Counted(count_keys(values, validity, 2, |b| b, ValueRef::Bool))
             }
-            ColumnData::Int { values, validity } => {
-                count_rendered(values, validity, |i| i, ValueRef::Int)
-            }
+            ColumnData::Int { values, validity } => Distinct::Counted(count_keys(
+                values,
+                validity,
+                DISTINCT_PRESIZE,
+                |i| i,
+                ValueRef::Int,
+            )),
             // Keyed the way floats render: every NaN payload prints "NaN",
             // and any two other bit patterns (`-0.0` and `0.0` included)
             // print differently.
-            ColumnData::Float { values, validity } => count_rendered(
+            ColumnData::Float { values, validity } => Distinct::Counted(count_keys(
                 values,
                 validity,
+                DISTINCT_PRESIZE,
                 |x: f64| if x.is_nan() { f64::NAN.to_bits() } else { x.to_bits() },
                 ValueRef::Float,
-            ),
-        }
-    }
-
-    /// Number of distinct non-null values.
-    pub fn distinct_count(&self) -> usize {
-        match &self.data {
-            ColumnData::Text(t) => t.distinct_count(),
-            _ => self.value_counts().len(),
+            )),
         }
     }
 
@@ -609,16 +623,63 @@ impl Column {
     }
 }
 
-/// [`Column::value_counts`] for a non-text column: count by `key`, render a
-/// value the first time its key is seen.
-fn count_rendered<T: Copy, K: Hash + Eq>(
+/// A column's distinct non-null values with multiplicities, in first-seen
+/// order: a text column's dictionary, read in place, or the typed values
+/// of any other column, counted in one hashing pass.
+enum Distinct<'a> {
+    Dictionary(&'a TextColumn),
+    Counted(Vec<(ValueRef<'static>, u32)>),
+}
+
+impl Distinct<'_> {
+    fn len(&self) -> usize {
+        match self {
+            Distinct::Dictionary(t) => t.dict.len(),
+            Distinct::Counted(counts) => counts.len(),
+        }
+    }
+
+    /// Call `f` with each value as it renders, and its count. Counted
+    /// values render one after another into one buffer.
+    fn for_each_rendered(&self, mut f: impl FnMut(&str, u32)) {
+        match self {
+            Distinct::Dictionary(t) => {
+                t.dict.iter().zip(&t.counts).for_each(|(value, &count)| f(value, count));
+            }
+            Distinct::Counted(counts) => {
+                let mut rendered = String::new();
+                for (value, count) in counts {
+                    rendered.clear();
+                    value.render_into(&mut rendered);
+                    f(&rendered, *count);
+                }
+            }
+        }
+    }
+}
+
+/// Distinct values a numeric column's map and list have room for up front,
+/// at most (and never more than it has rows). Growing both from empty is
+/// what the sampler measured at a third of its pass (`SEEN_PRESIZE`);
+/// reserving by row count would size them for rows where only distinct
+/// values land.
+const DISTINCT_PRESIZE: usize = 4096;
+
+/// The distinct valid values of a non-text column, each wrapped by `wrap`,
+/// with multiplicities, in first-seen order. Two values are one when `key`
+/// says so (the first seen stands for them); `presize` bounds what is
+/// reserved up front.
+fn count_keys<T: Copy, K: Hash + Eq>(
     values: &[T],
     validity: &Option<Vec<bool>>,
+    presize: usize,
     key: impl Fn(T) -> K,
-    render: impl Fn(T) -> ValueRef<'static>,
-) -> Vec<(String, u32)> {
+    wrap: impl Fn(T) -> ValueRef<'static>,
+) -> Vec<(ValueRef<'static>, u32)> {
+    let presize = values.len().min(presize);
     let mut slot_of: FxHashMap<K, usize> = FxHashMap::default();
-    let mut out: Vec<(String, u32)> = Vec::new();
+    slot_of.reserve(presize);
+    let mut out: Vec<(ValueRef<'static>, u32)> = Vec::with_capacity(presize);
     for (row, &v) in values.iter().enumerate() {
         if !valid(validity, row) {
             continue;
@@ -627,7 +688,7 @@ fn count_rendered<T: Copy, K: Hash + Eq>(
             Entry::Occupied(e) => out[*e.get()].1 += 1,
             Entry::Vacant(e) => {
                 e.insert(out.len());
-                out.push((render(v).to_string(), 1));
+                out.push((wrap(v), 1));
             }
         }
     }
@@ -910,9 +971,16 @@ mod tests {
 
     #[test]
     fn typed_value_counts_match_rendering_every_row() {
+        let extremes = Column::ints("i", vec![i64::MIN, 0, i64::MAX, -1, i64::MIN]);
         for seed in [1, 2, 3] {
-            for c in reference::columns(seed) {
-                assert_eq!(c.value_counts(), reference::value_counts(&c), "{}", c.name());
+            for c in reference::columns(seed).iter().chain([&extremes]) {
+                let want = reference::value_counts(c);
+                assert_eq!(c.value_counts(), want, "{}", c.name());
+                assert_eq!(c.distinct_count(), want.len(), "{}", c.name());
+                // The borrowed rendering is only good for the call.
+                let mut borrowed = Vec::new();
+                c.for_each_value_count(|value, count| borrowed.push((value.to_string(), count)));
+                assert_eq!(borrowed, want, "{}", c.name());
             }
         }
         let nans = Column::floats("f", vec![f64::NAN, -0.0, -f64::NAN, 0.0, -0.0]);

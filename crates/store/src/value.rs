@@ -4,7 +4,7 @@
 //! keys, test fixtures); [`ValueRef`] is the borrowed view handed out by
 //! columns so that iterating a table never clones cell contents.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 use crate::dtype::DataType;
 
@@ -114,6 +114,36 @@ impl<'a> ValueRef<'a> {
         self.to_string()
     }
 
+    /// Append exactly what `Display` prints, without the formatter where a
+    /// number's digits can be written directly: integers, and floats that
+    /// hold one (the `{:.1}` arm of `Display`). Callers that render many
+    /// values into one buffer — a column's distinct values on their way to
+    /// the tokenizer — pay no allocation and no `fmt` dispatch per value.
+    pub fn render_into(&self, buf: &mut String) {
+        match *self {
+            ValueRef::Null => {}
+            ValueRef::Bool(b) => buf.push_str(if b { "true" } else { "false" }),
+            ValueRef::Int(i) => {
+                if i < 0 {
+                    buf.push('-');
+                }
+                push_digits(buf, i.unsigned_abs());
+            }
+            ValueRef::Float(x) if x.fract() == 0.0 && x.abs() < 1e15 => {
+                if x.is_sign_negative() {
+                    buf.push('-');
+                }
+                // Integral and below 2⁵³: the cast is exact.
+                push_digits(buf, x.abs() as u64);
+                buf.push_str(".0");
+            }
+            ValueRef::Float(x) => {
+                write!(buf, "{x}").expect("writing to a String cannot fail");
+            }
+            ValueRef::Text(s) => buf.push_str(s),
+        }
+    }
+
     /// A canonical, hashable key encoding: used by join/overlap operators so
     /// that `Int(3)` from two tables compare equal while `Text("3")` stays
     /// distinct from `Int(3)` unless normalization says otherwise.
@@ -154,6 +184,21 @@ pub(crate) fn float_key_bits(x: f64) -> u64 {
     }
 }
 
+/// Append `n` in decimal.
+fn push_digits(buf: &mut String, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    buf.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+}
+
 impl fmt::Display for ValueRef<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -184,6 +229,53 @@ mod tests {
         assert_eq!(Value::Float(2.5).to_string(), "2.5");
         assert_eq!(Value::Float(3.0).to_string(), "3.0");
         assert_eq!(Value::Text("hi".into()).to_string(), "hi");
+    }
+
+    #[test]
+    fn render_into_appends_what_display_prints() {
+        use wg_util::rng::{Rng64, Xoshiro256pp};
+        let mut rng = Xoshiro256pp::new(41);
+        let mut values = vec![
+            ValueRef::Null,
+            ValueRef::Bool(true),
+            ValueRef::Bool(false),
+            ValueRef::Text("a b"),
+            ValueRef::Int(0),
+            ValueRef::Int(i64::MIN),
+            ValueRef::Int(i64::MAX),
+        ];
+        let floats = [
+            0.0,
+            -0.0,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            1e15,
+            -1e15,
+            999_999_999_999_999.0,
+            -999_999_999_999_999.0,
+            1e300,
+            5e-324,
+            0.1 + 0.2,
+            -2.5,
+        ];
+        values.extend(floats.map(ValueRef::Float));
+        for _ in 0..2000 {
+            let bits = rng.next_u64();
+            // Every magnitude of integer, integral float and fraction.
+            let shifted = (bits as i64) >> rng.gen_index(64);
+            values.push(ValueRef::Int(shifted));
+            values.push(ValueRef::Float(shifted as f64));
+            values.push(ValueRef::Float(shifted as f64 / 8.0));
+            values.push(ValueRef::Float(f64::from_bits(bits)));
+        }
+        let mut buf = String::from("kept:");
+        for v in values {
+            buf.truncate(5);
+            v.render_into(&mut buf);
+            assert_eq!(buf, format!("kept:{v}"), "{v:?}");
+        }
     }
 
     #[test]
