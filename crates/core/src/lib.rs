@@ -93,7 +93,7 @@ pub use admission::{
     AdmissionConfig, AdmissionController, AdmissionPermit, AdmissionStats, QuotaPolicy, TenantId,
     TenantQuota,
 };
-pub use cache::{CacheStats, EmbeddingCache, EmbeddingKey};
+pub use cache::{EmbeddingCache, EmbeddingKey};
 pub use config::WarpGateConfig;
 pub use daemon::{
     BackendCircuit, CheckpointPolicy, CircuitState, DaemonReport, SyncDaemon, SyncDaemonConfig,
@@ -107,3 +107,4 @@ pub use ingest::{IndexReport, SyncReport};
 pub use query::{Discovery, JoinCandidate, QueryOptions};
 pub use system::WarpGate;
 pub use timing::QueryTiming;
+pub use wg_util::lru::CacheStats;

@@ -679,7 +679,7 @@ mod tests {
         assert_eq!(fresh.len(), wg.len());
         assert_eq!(fresh.cold_len(), wg.len(), "every restored row serves from disk");
         let at_load = fresh.block_cache_stats();
-        assert_eq!(at_load.resident_blocks, 0, "restore must not hydrate payloads");
+        assert_eq!(at_load.len, 0, "restore must not hydrate payloads");
         assert_eq!(at_load.misses, 0, "restore must not read payload blocks at all");
 
         let d = fresh.discover(&q, 3).unwrap();
@@ -743,7 +743,7 @@ mod tests {
         let q = ColumnRef::new("db", "a", "x");
         let err = fresh.discover(&q, 3).expect_err("a payload flip must never serve");
         assert!(matches!(err, StoreError::Backend(_)), "{err}");
-        assert_eq!(fresh.block_cache_stats().resident_blocks, 0, "nor is it ever cached");
+        assert_eq!(fresh.block_cache_stats().len, 0, "nor is it ever cached");
         let mut hydrating = WarpGate::with_backend(config, c);
         let err = hydrating.load_from_file(&seg).unwrap_err();
         assert!(matches!(err, StoreError::SnapshotCorrupt(_)), "{err}");

@@ -4,6 +4,8 @@
 //! ([`WarpGate::admitted`]) and fetches embeddings through one function
 //! ([`WarpGate::embedding`]).
 
+use std::sync::Arc;
+
 use wg_lsh::{DiscoverScope, SearchError, SearchOutcome};
 use wg_store::{BackendId, ColumnRef, KeyNorm, StoreError, StoreResult, Table};
 use wg_util::deadline::{Deadline, Phase};
@@ -220,7 +222,9 @@ impl WarpGate {
     /// configuration). Expiry fails with [`StoreError::DeadlineExceeded`]
     /// naming the phase that would have run next; a cache hit costs nothing
     /// and always succeeds. `shed` (see [`Self::discover_one`]) forbids the
-    /// backend: a miss returns that error instead of scanning.
+    /// backend: a miss returns that error instead of scanning. The put is
+    /// dropped if a sync or removal invalidated the cache meanwhile: the
+    /// scan may have read the content that invalidation was for.
     fn embedding(
         &self,
         run: &Attached,
@@ -229,15 +233,18 @@ impl WarpGate {
         deadline: Deadline,
         timing: Option<&mut QueryTiming>,
         shed: Option<StoreError>,
-    ) -> StoreResult<wg_embed::Vector> {
+    ) -> StoreResult<Arc<wg_embed::Vector>> {
         let mut unreported = QueryTiming::default();
         let timing = timing.unwrap_or(&mut unreported);
         let key =
             EmbeddingKey::new(r, self.config.sample, self.config.seed, context_weight, run.epoch);
-        if let Some(vector) = self.cache.get(&key) {
-            timing.cache_hit = true;
-            return Ok(vector);
-        }
+        let miss = match self.cache.get(&key) {
+            Ok(vector) => {
+                timing.cache_hit = true;
+                return Ok(vector);
+            }
+            Err(miss) => miss,
+        };
         if let Some(overloaded) = shed {
             return Err(overloaded);
         }
@@ -256,11 +263,11 @@ impl WarpGate {
         } else {
             Vec::new()
         };
-        let vector = self.embed_with_context(r, &column, &table_columns, context_weight);
+        let vector = Arc::new(self.embed_with_context(r, &column, &table_columns, context_weight));
         timing.embed_secs = sw.elapsed_secs();
         // Zero vectors are cached too: the (empty) answer is just as
         // repeatable, and skipping the re-scan is the whole point.
-        self.cache.put(key, vector.clone());
+        self.cache.put(miss, key, vector.clone());
         Ok(vector)
     }
 
@@ -348,7 +355,7 @@ impl WarpGate {
         let sw = Stopwatch::start();
         let (hits, outcome) = self
             .index
-            .search_scoped_deadline_with_outcome(vector.as_slice(), k, scope, deadline, exclude)
+            .search(vector.as_slice(), k, scope, deadline, exclude)
             .map_err(|e| match e {
                 SearchError::Expired(phase) => deadline_err(phase),
                 // A cold block that no longer reads back intact: the paged
@@ -424,7 +431,7 @@ impl WarpGate {
                     let run = namespace(resolved, r.backend);
                     self.embedding(run, r, 0.0, opts.deadline, None, None)
                 };
-                Ok(values(a)?.cosine(&values(b)?))
+                Ok(values(a)?.cosine(&*values(b)?))
             },
         )
     }

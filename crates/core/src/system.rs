@@ -23,12 +23,13 @@ use wg_store::{
     BackendHandle, BackendId, BackendRegistry, ColumnRef, StoreError, StoreResult, TableMeta,
 };
 use wg_util::deadline::Phase;
+use wg_util::lru::CacheStats;
 use wg_util::FxHashMap;
 
 use crate::admission::{
     AdmissionConfig, AdmissionController, AdmissionPermit, AdmissionStats, QuotaPolicy,
 };
-use crate::cache::{CacheStats, EmbeddingCache};
+use crate::cache::EmbeddingCache;
 use crate::config::WarpGateConfig;
 use crate::registry::Registry;
 
@@ -80,8 +81,8 @@ pub(crate) struct Attached {
 ///
 /// Internally the hot path is built for concurrency: embeddings live in a
 /// [`ShardedLshIndex`] (items partitioned by id across independently locked
-/// shards), query embeddings are memoized in a sharded LRU
-/// [`EmbeddingCache`], and the id → column-reference registry is the only
+/// shards), query embeddings are memoized in an LRU [`EmbeddingCache`],
+/// and the id → column-reference registry is the only
 /// globally locked structure (reads are shared; writes are batched).
 pub struct WarpGate {
     pub(crate) config: WarpGateConfig,
@@ -136,7 +137,7 @@ impl WarpGate {
             embedder: ColumnEmbedder::new(model, config.aggregation),
             index,
             registry: RwLock::new(Registry::default()),
-            cache: EmbeddingCache::new(config.cache_capacity),
+            cache: EmbeddingCache::new(config.cache_capacity, config.dim),
             backends: BackendRegistry::new(),
             synced: RwLock::new(SyncState::default()),
             block_cache: wg_lsh::BlockCache::new(config.block_cache_bytes),
@@ -283,7 +284,7 @@ impl WarpGate {
 
     /// Block-cache counters of the paged tier (all zero until
     /// [`Self::load_paged`] attaches segments and queries read blocks).
-    pub fn block_cache_stats(&self) -> wg_lsh::CacheStats {
+    pub fn block_cache_stats(&self) -> CacheStats {
         self.block_cache.stats()
     }
 

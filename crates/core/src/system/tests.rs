@@ -1,6 +1,8 @@
 //! Unit tests of the `WarpGate` facade: `system.rs`, `ingest.rs` and
 //! `query.rs` over one small two-database warehouse.
 
+use std::sync::mpsc;
+
 use super::*;
 use crate::admission::TenantId;
 use crate::QueryOptions;
@@ -931,6 +933,91 @@ fn racing_attach_discards_in_flight_sync_tokens() {
     // And the very next sync re-scans everything the new backend serves.
     let report = wg.sync_with(Some(id), Deadline::none()).unwrap();
     assert_eq!(report.tables_added + report.tables_updated, 1, "{report:?}");
+}
+
+/// Parks the first metered scan — a query's scan; indexing uses plain
+/// ones — after it has read its rows, until the test releases it.
+struct ParkingBackend {
+    inner: Arc<CdwConnector>,
+    /// `(scanned, release)`, taken by the scan that parks.
+    park: parking_lot::Mutex<Option<(mpsc::Sender<()>, mpsc::Receiver<()>)>>,
+}
+
+impl WarehouseBackend for ParkingBackend {
+    fn name(&self) -> String {
+        WarehouseBackend::name(self.inner.as_ref())
+    }
+    fn list_tables(&self) -> StoreResult<Vec<TableMeta>> {
+        self.inner.list_tables()
+    }
+    fn table_meta(&self, database: &str, table: &str) -> StoreResult<TableMeta> {
+        WarehouseBackend::table_meta(self.inner.as_ref(), database, table)
+    }
+    fn scan_column(&self, r: &ColumnRef, sample: SampleSpec) -> StoreResult<wg_store::Column> {
+        self.inner.scan_column(r, sample)
+    }
+    fn scan_column_metered(
+        &self,
+        r: &ColumnRef,
+        sample: SampleSpec,
+    ) -> StoreResult<(wg_store::Column, CostSnapshot)> {
+        let scanned = self.inner.scan_column_metered(r, sample);
+        let park = self.park.lock().take();
+        if let Some((done, release)) = park {
+            done.send(()).unwrap();
+            release.recv().unwrap();
+        }
+        scanned
+    }
+    fn scan_table(&self, database: &str, table: &str, sample: SampleSpec) -> StoreResult<Table> {
+        self.inner.scan_table(database, table, sample)
+    }
+    fn costs(&self) -> CostSnapshot {
+        self.inner.costs()
+    }
+    fn reset_costs(&self) {
+        self.inner.reset_costs()
+    }
+}
+
+#[test]
+fn a_query_racing_a_sync_does_not_cache_the_content_the_sync_replaced() {
+    // A discover scans the old rows; the table changes and a sync
+    // invalidates it; only then does the discover put its embedding. Had
+    // the put landed, every later warm discover would rank the old vector
+    // against the new rows until the table changed again.
+    let c = connector();
+    let backend = Arc::new(ParkingBackend { inner: c.clone(), park: Default::default() });
+    let config = WarpGateConfig { threads: 2, ..Default::default() };
+    let wg = WarpGate::with_backend(config, backend.clone());
+    wg.index_warehouse().unwrap();
+    let (done, scanned) = mpsc::channel();
+    let (release, parked) = mpsc::channel();
+    *backend.park.lock() = Some((done, parked));
+    let q = ColumnRef::new("salesforce", "lead", "company");
+    std::thread::scope(|s| {
+        let query = s.spawn(|| wg.discover(&q, 10).unwrap());
+        scanned.recv().unwrap();
+        c.warehouse_mut().database_mut("salesforce").add_table(
+            Table::new(
+                "lead",
+                vec![Column::text("company", (0..30).map(|i| format!("Sector {}", i % 7)))],
+            )
+            .unwrap(),
+        );
+        assert_eq!(wg.sync().unwrap().tables_updated, 1);
+        release.send(()).unwrap();
+        assert!(!query.join().unwrap().timing.cache_hit);
+    });
+
+    let fresh = WarpGate::with_backend(config, c.clone());
+    fresh.index_warehouse().unwrap();
+    let bits = |d: crate::Discovery| -> Vec<(ColumnRef, u32)> {
+        d.candidates.into_iter().map(|j| (j.reference, j.score.to_bits())).collect()
+    };
+    let want = bits(fresh.discover(&q, 10).unwrap());
+    assert!(want.iter().any(|(r, _)| r.column == "sector"), "the new rows join: {want:?}");
+    assert_eq!(bits(wg.discover(&q, 10).unwrap()), want);
 }
 
 #[test]

@@ -1304,7 +1304,9 @@ mod tests {
         let loaded = crate::ShardedLshIndex::new(32, index.params(), 21, 1);
         loaded.set_probes(1);
         assert_eq!(loaded.hydrate(&segment, Some).expect("hydrate"), 100);
-        assert_eq!(loaded.search(&query, 5, |_| false), before);
+        let all = DiscoverScope::All;
+        let (after, _) = loaded.search(&query, 5, &all, Deadline::none(), |_| false).unwrap();
+        assert_eq!(after, before);
         // The signatures a hydrate buckets from are the image's: row for
         // row what a fresh signing of the stored vector gives, and what the
         // hydrated index seals again.
@@ -1387,7 +1389,7 @@ mod tests {
         assert_eq!(paged.len(), hot.len());
         assert_eq!(paged.cold_len(), hot.len());
         // Lazy hydration: attaching reads directory metadata only.
-        assert_eq!(cache.stats().resident_blocks, 0);
+        assert_eq!(cache.stats().len, 0);
 
         let mut read = 0usize;
         let mut pruned = 0usize;
@@ -1648,7 +1650,7 @@ mod tests {
         assert_eq!(paged.remove_backend(2), 20);
         assert_eq!(paged.cold_len(), 0);
         assert_eq!(paged.cold_segment_count(), 0, "dead segment must retire");
-        assert_eq!(cache.stats().resident_blocks, 0, "retirement drops cached blocks");
+        assert_eq!(cache.stats().len, 0, "retirement drops cached blocks");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1671,7 +1673,7 @@ mod tests {
             let (mut paged, cache, dir) =
                 seal_and_attach(&source, &format!("one-by-one-{tag}"), 8, 0);
             assert_eq!(paged.export_rows().len(), 40);
-            assert_eq!(cache.stats().resident_blocks, 5, "every block is cached");
+            assert_eq!(cache.stats().len, 5, "every block is cached");
             let segment =
                 Arc::downgrade(paged.cold.as_ref().unwrap().segments[0].as_ref().unwrap());
             for (id, v) in vectors.iter().enumerate() {
@@ -1679,7 +1681,7 @@ mod tests {
                 kill(&mut paged, id as ItemId, v);
             }
             assert_eq!((paged.len(), paged.cold_len(), paged.cold_segment_count()), (left, 0, 0));
-            assert_eq!(cache.stats().resident_blocks, 0, "{tag}: retirement drops cached blocks");
+            assert_eq!(cache.stats().len, 0, "{tag}: retirement drops cached blocks");
             assert!(segment.upgrade().is_none(), "{tag}: the file must be closed");
             assert!(paged.cold.is_none(), "{tag}: an emptied tier is dropped");
             assert_buckets_name_live_rows(&paged);

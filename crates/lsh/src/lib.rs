@@ -31,7 +31,8 @@
 //!   keeps an int8 sketch of every row resident (bounded against the
 //!   query's own i16 quantization with one exact integer dot — the bound
 //!   that decides which blocks a query reads at all), a shared
-//!   byte-budgeted [`BlockCache`], and lazy block hydration feeding the
+//!   byte-budgeted [`BlockCache`] (a [`wg_util::lru::Lru`] behind a
+//!   mutex), and lazy block hydration feeding the
 //!   exact re-ranker without full residency;
 //! * [`exact`] — a brute-force index with the same search interface (the
 //!   ANN-quality baseline for ablations);
@@ -57,11 +58,12 @@ pub use arena::VectorArena;
 pub use exact::ExactIndex;
 pub use index::{SearchError, SearchOutcome, SimHashLshIndex};
 pub use minhash::{MinHashLshIndex, MinHashSignature, MinHasher};
-pub use paged::{BlockCache, CacheStats, SegmentRow, VectorSegment};
+pub use paged::{BlockCache, SegmentRow, VectorSegment};
 pub use params::LshParams;
 pub use scope::DiscoverScope;
 pub use shard::{FrozenIndex, ShardedLshIndex};
 pub use simhash::{Signature, SimHasher};
+pub use wg_util::lru::CacheStats;
 
 /// Item identifiers stored in the indexes. Callers keep the mapping from
 /// these to their own addressing (e.g. fully-qualified column refs).

@@ -65,8 +65,8 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use wg_util::atomic_file;
 use wg_util::codec::{self, CodecError, CodecResult};
+use wg_util::lru::{CacheStats, Lru};
 use wg_util::segment::{Segment, SegmentBuilder, SegmentError};
-use wg_util::FxHashMap;
 
 use crate::simhash::Signature;
 use crate::ItemId;
@@ -196,138 +196,11 @@ fn sketch_row(x: &[f32], codes: &mut Vec<i8>) -> (f32, f32) {
     (scale, residual_bound(r_sq).min(f32::MAX as f64) as f32)
 }
 
-/// Point-in-time counters from a [`BlockCache`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Block fetches served from memory.
-    pub hits: u64,
-    /// Block fetches that went to disk.
-    pub misses: u64,
-    /// Blocks evicted to stay under budget (or dropped with a segment).
-    pub evictions: u64,
-    /// Blocks currently resident.
-    pub resident_blocks: usize,
-    /// Bytes currently resident.
-    pub resident_bytes: usize,
-    /// High-water mark of resident bytes.
-    pub peak_resident_bytes: usize,
-}
-
-type BlockKey = (u32, u32);
-
-/// "No slot": the end of the recency list or of the free list.
-const NIL: u32 = u32::MAX;
-
-/// One slot of the cache's slab: a resident block, or a free slot.
-struct CacheEntry {
-    key: BlockKey,
-    /// `None` while the slot is free.
-    data: Option<Arc<Vec<f32>>>,
-    bytes: usize,
-    /// Slot of the next more recently used block.
-    newer: u32,
-    /// Slot of the next less recently used block; for a free slot, the
-    /// next free slot.
-    older: u32,
-}
-
-struct CacheInner {
-    /// Slot of each resident block. The slots are threaded into one doubly
-    /// linked recency list from `newest` to `oldest` by slab index, so a
-    /// hit is this one probe plus indexed writes, and the eviction victim
-    /// is always `oldest`, with no scan over the resident set.
-    map: FxHashMap<BlockKey, u32>,
-    slab: Vec<CacheEntry>,
-    /// Head of the free-slot list, threaded through `older`.
-    free: u32,
-    newest: u32,
-    oldest: u32,
-    bytes: usize,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-    peak_bytes: usize,
-}
-
-impl CacheInner {
-    /// Close the list over the gap a slot with these neighbours leaves.
-    fn unlink(&mut self, newer: u32, older: u32) {
-        match newer {
-            NIL => self.newest = older,
-            n => self.slab[n as usize].older = older,
-        }
-        match older {
-            NIL => self.oldest = newer,
-            o => self.slab[o as usize].newer = newer,
-        }
-    }
-
-    /// Link a resident, currently unlinked slot in as most recently used.
-    fn link_newest(&mut self, slot: u32) {
-        let prev = std::mem::replace(&mut self.newest, slot);
-        match prev {
-            NIL => self.oldest = slot,
-            p => self.slab[p as usize].newer = slot,
-        }
-        let entry = &mut self.slab[slot as usize];
-        entry.newer = NIL;
-        entry.older = prev;
-    }
-
-    /// The resident block for `key`, marked most recently used.
-    fn touch(&mut self, key: BlockKey) -> Option<Arc<Vec<f32>>> {
-        let slot = *self.map.get(&key)?;
-        let entry = &self.slab[slot as usize];
-        let data = entry.data.clone().expect("a mapped slot holds a block");
-        let (newer, older) = (entry.newer, entry.older);
-        if newer != NIL {
-            self.unlink(newer, older);
-            self.link_newest(slot);
-        }
-        Some(data)
-    }
-
-    /// Admit a block (not resident) as most recently used.
-    fn admit(&mut self, key: BlockKey, data: Arc<Vec<f32>>, bytes: usize) {
-        let entry = CacheEntry { key, data: Some(data), bytes, newer: NIL, older: NIL };
-        let slot = match self.free {
-            NIL => {
-                assert!(self.slab.len() < NIL as usize, "block cache slab is full");
-                self.slab.push(entry);
-                (self.slab.len() - 1) as u32
-            }
-            slot => {
-                self.free = self.slab[slot as usize].older;
-                self.slab[slot as usize] = entry;
-                slot
-            }
-        };
-        self.map.insert(key, slot);
-        self.link_newest(slot);
-        self.bytes += bytes;
-    }
-
-    /// Drop the block in `slot` and put the slot on the free list.
-    fn evict(&mut self, slot: u32) {
-        let entry = &mut self.slab[slot as usize];
-        entry.data = None;
-        let (key, bytes, newer, older) = (entry.key, entry.bytes, entry.newer, entry.older);
-        entry.older = std::mem::replace(&mut self.free, slot);
-        self.map.remove(&key).expect("evicted slot is mapped");
-        self.unlink(newer, older);
-        self.bytes -= bytes;
-        self.evictions += 1;
-    }
-}
-
 /// A byte-budgeted LRU over `(segment, block)` payloads, shared by every
-/// segment of a paged index (and across shards — the budget is global).
-///
-/// Admission is unconditional: the requested block is inserted, then the
-/// least-recently-used *other* blocks are evicted until the budget holds
-/// again. One block larger than the whole budget therefore stays resident
-/// until the next admission — the alternative (refusing to cache it) would
-/// re-read it on every query.
+/// segment of a paged index (and across shards — the budget is global):
+/// one [`Lru`] behind one mutex. The eviction rule is the LRU's — one
+/// block larger than the whole budget stays resident until the next
+/// admission, since refusing to cache it would re-read it on every query.
 ///
 /// The lock covers bookkeeping only. A miss is *probe → unlock → load →
 /// lock → insert-if-absent*: two threads missing the same block may both
@@ -336,35 +209,20 @@ impl CacheInner {
 /// directory entry, so they are equal — and it is what lets concurrent
 /// readers overlap their disk reads, checksums and decodes.
 pub struct BlockCache {
-    budget_bytes: usize,
     next_segment: AtomicU32,
-    inner: Mutex<CacheInner>,
+    lru: Mutex<Lru<BlockKey, Arc<Vec<f32>>>>,
 }
+
+/// `(segment id, block index)`.
+type BlockKey = (u32, u32);
 
 impl BlockCache {
     /// A cache admitting up to `budget_bytes` of payload (0 = unbounded).
     pub fn new(budget_bytes: usize) -> Arc<BlockCache> {
         Arc::new(BlockCache {
-            budget_bytes,
             next_segment: AtomicU32::new(0),
-            inner: Mutex::new(CacheInner {
-                map: FxHashMap::default(),
-                slab: Vec::new(),
-                free: NIL,
-                newest: NIL,
-                oldest: NIL,
-                bytes: 0,
-                hits: 0,
-                misses: 0,
-                evictions: 0,
-                peak_bytes: 0,
-            }),
+            lru: Mutex::new(Lru::new(budget_bytes)),
         })
-    }
-
-    /// The configured byte budget (0 = unbounded).
-    pub fn budget_bytes(&self) -> usize {
-        self.budget_bytes
     }
 
     /// Hand out a process-unique id for a segment about to share this
@@ -373,68 +231,32 @@ impl BlockCache {
         self.next_segment.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Current counters.
+    /// Current counters: a miss is a block fetch that went to disk.
     pub fn stats(&self) -> CacheStats {
-        let inner = self.inner.lock();
-        CacheStats {
-            hits: inner.hits,
-            misses: inner.misses,
-            evictions: inner.evictions,
-            resident_blocks: inner.map.len(),
-            resident_bytes: inner.bytes,
-            peak_resident_bytes: inner.peak_bytes,
-        }
+        self.lru.lock().stats()
     }
 
     /// Fetch a block, loading and admitting it on miss. `load` runs with
     /// the cache unlocked; an `Err` from it admits nothing.
     pub fn get_or_load(
         &self,
-        key: (u32, u32),
+        key: BlockKey,
         load: impl FnOnce() -> Result<Vec<f32>, SegmentError>,
     ) -> Result<Arc<Vec<f32>>, SegmentError> {
-        {
-            let mut inner = self.inner.lock();
-            if let Some(data) = inner.touch(key) {
-                inner.hits += 1;
-                return Ok(data);
-            }
+        if let Some(data) = self.lru.lock().get(&key) {
+            return Ok(data);
         }
         let data = Arc::new(load()?);
         let bytes = data.len() * std::mem::size_of::<f32>();
-
-        let mut guard = self.inner.lock();
-        let inner = &mut *guard;
-        inner.misses += 1;
-        if let Some(resident) = inner.touch(key) {
-            // Another thread admitted this block while we were loading it.
-            return Ok(resident);
-        }
-        inner.admit(key, data.clone(), bytes);
-        if self.budget_bytes > 0 {
-            // The block just admitted is `newest`, so with two or more
-            // resident it is never the victim.
-            while inner.bytes > self.budget_bytes && inner.map.len() > 1 {
-                inner.evict(inner.oldest);
-            }
-        }
-        inner.peak_bytes = inner.peak_bytes.max(inner.bytes);
-        Ok(data)
+        Ok(self.lru.lock().insert(key, data, bytes))
     }
 
     /// Drop every resident block of one segment (detach, re-seal).
-    /// Returns how many blocks were dropped. Walks the whole map — every
-    /// resident block of every segment, ~1,900 at a 30,000-row corpus in
-    /// 8 KB pages — which is right for something that happens once per
-    /// retired segment, and would not be for anything per query.
+    /// Returns how many blocks were dropped. Walks every resident block of
+    /// every segment — ~1,900 at a 30,000-row corpus in 8 KB pages — which
+    /// is right once per retired segment.
     pub fn evict_segment(&self, segment: u32) -> usize {
-        let mut inner = self.inner.lock();
-        let doomed: Vec<u32> =
-            inner.map.iter().filter(|((s, _), _)| *s == segment).map(|(_, &slot)| slot).collect();
-        for &slot in &doomed {
-            inner.evict(slot);
-        }
-        doomed.len()
+        self.lru.lock().retain(|&(s, _)| s != segment)
     }
 }
 
@@ -1018,6 +840,7 @@ mod tests {
     use crate::simhash::SimHasher;
     use wg_util::kernel;
     use wg_util::rng::{Rng64, Xoshiro256pp};
+    use wg_util::FxHashMap;
 
     fn unit(dim: usize, rng: &mut Xoshiro256pp) -> Vec<f32> {
         let mut v: Vec<f32> = (0..dim).map(|_| rng.gen_gaussian() as f32).collect();
@@ -1352,81 +1175,6 @@ mod tests {
         }
     }
 
-    /// The recency order, oldest first, read off the slab's links.
-    fn recency(cache: &BlockCache) -> Vec<BlockKey> {
-        let inner = cache.inner.lock();
-        let mut order = Vec::new();
-        let mut slot = inner.oldest;
-        while slot != NIL {
-            let entry = &inner.slab[slot as usize];
-            assert_eq!(inner.map[&entry.key], slot);
-            order.push(entry.key);
-            slot = entry.newer;
-        }
-        assert_eq!(order.len(), inner.map.len());
-        order
-    }
-
-    #[test]
-    fn eviction_order_replays_a_strict_lru_model() {
-        // Blocks of 1..=4 floats over a 40-byte budget, accessed in a
-        // seeded script that mixes hits, misses and re-admissions.
-        let budget = 40usize;
-        let cache = BlockCache::new(budget);
-        let floats = |key: BlockKey| 1 + (key.1 as usize % 4);
-        let mut model: std::collections::VecDeque<BlockKey> = Default::default();
-        let (mut hits, mut misses, mut evictions) = (0u64, 0u64, 0u64);
-        let mut rng = Xoshiro256pp::new(13);
-        for _ in 0..4_000 {
-            let key = ((rng.gen_u64() % 2) as u32, (rng.gen_u64() % 9) as u32);
-            let data =
-                cache.get_or_load(key, || Ok(vec![key.1 as f32; floats(key)])).expect("load");
-            assert_eq!(*data, vec![key.1 as f32; floats(key)]);
-            if let Some(at) = model.iter().position(|&k| k == key) {
-                model.remove(at);
-                hits += 1;
-            } else {
-                misses += 1;
-            }
-            model.push_back(key);
-            let resident = |m: &std::collections::VecDeque<BlockKey>| -> usize {
-                m.iter().map(|&k| 4 * floats(k)).sum()
-            };
-            while resident(&model) > budget && model.len() > 1 {
-                model.pop_front();
-                evictions += 1;
-            }
-            assert_eq!(recency(&cache), Vec::from(model.clone()));
-            let stats = cache.stats();
-            assert_eq!((stats.hits, stats.misses, stats.evictions), (hits, misses, evictions));
-            assert_eq!(stats.resident_bytes, resident(&model));
-        }
-        assert!(evictions > 100 && hits > 100, "the script must exercise both paths");
-        // Slots are reused: the slab never outgrew the most blocks the
-        // budget ever held at once (ten 4-byte blocks) plus the one being
-        // admitted.
-        assert!(cache.inner.lock().slab.len() <= 11);
-    }
-
-    #[test]
-    fn evict_segment_returns_its_slots_to_the_free_list() {
-        let cache = BlockCache::new(0);
-        for key in [(0, 0), (1, 0), (0, 1), (1, 1), (0, 2)] {
-            cache.get_or_load(key, || Ok(vec![0.0; 4])).expect("load");
-        }
-        assert_eq!(cache.evict_segment(0), 3);
-        assert_eq!(recency(&cache), vec![(1, 0), (1, 1)]);
-        assert_eq!(cache.stats().evictions, 3);
-        // Three new blocks fit in the three freed slots.
-        for key in [(2, 0), (2, 1), (2, 2)] {
-            cache.get_or_load(key, || Ok(vec![0.0; 4])).expect("load");
-        }
-        assert_eq!(cache.inner.lock().slab.len(), 5);
-        assert_eq!(recency(&cache), vec![(1, 0), (1, 1), (2, 0), (2, 1), (2, 2)]);
-        cache.get_or_load((2, 3), || Ok(vec![0.0; 4])).expect("load");
-        assert_eq!(cache.inner.lock().slab.len(), 6);
-    }
-
     #[test]
     fn open_rejects_a_sketch_that_cannot_bound() {
         // The bound reads the sketch unchecked, so a short code array, or a
@@ -1473,7 +1221,7 @@ mod tests {
         assert_eq!(seg.row_count(), 37);
         assert_eq!(seg.dim(), dim);
         // Lazy: opening reads directory metadata only.
-        assert_eq!(cache.stats().resident_blocks, 0);
+        assert_eq!(cache.stats().len, 0);
 
         let by_id: FxHashMap<ItemId, &SegmentRow> = rows.iter().map(|r| (r.id, r)).collect();
         for b in 0..seg.block_count() {
@@ -1486,7 +1234,7 @@ mod tests {
                 assert_eq!(seg.signature_of(b, r), want.signature);
             }
         }
-        assert!(cache.stats().resident_blocks > 0);
+        assert!(cache.stats().len > 0);
         std::fs::remove_dir_all(path.parent().unwrap()).ok();
     }
 
@@ -1510,7 +1258,7 @@ mod tests {
                     "round {round}: resident {} exceeds budget",
                     stats.resident_bytes
                 );
-                assert!(stats.resident_blocks <= 2);
+                assert!(stats.len <= 2);
             }
         }
         let stats = cache.stats();
@@ -1540,10 +1288,10 @@ mod tests {
                 s.block(blk).expect("read");
             }
         }
-        assert_eq!(cache.stats().resident_blocks, 4);
+        assert_eq!(cache.stats().len, 4);
         assert_eq!(a.evict_from_cache(), 2);
         let stats = cache.stats();
-        assert_eq!(stats.resident_blocks, 2);
+        assert_eq!(stats.len, 2);
         // B's blocks still hit.
         b.block(0).expect("read");
         assert_eq!(cache.stats().hits, 1);
@@ -1559,10 +1307,10 @@ mod tests {
         let cache = BlockCache::new(1); // budget smaller than any block
         let seg = VectorSegment::open(&path, cache.clone()).expect("open");
         seg.block(0).expect("read");
-        assert_eq!(cache.stats().resident_blocks, 1, "sole block is pinned");
+        assert_eq!(cache.stats().len, 1, "sole block is pinned");
         seg.block(1).expect("read");
         let stats = cache.stats();
-        assert_eq!(stats.resident_blocks, 1, "admission displaced the previous block");
+        assert_eq!(stats.len, 1, "admission displaced the previous block");
         assert_eq!(stats.evictions, 1);
         std::fs::remove_dir_all(path.parent().unwrap()).ok();
     }
@@ -1634,7 +1382,7 @@ mod tests {
                         if call % 16 == 0 {
                             let stats = cache.stats();
                             assert!(stats.resident_bytes <= budget, "resident over budget");
-                            assert!(stats.resident_blocks <= 2);
+                            assert!(stats.len <= 2);
                         }
                     }
                 });
@@ -1668,7 +1416,7 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b), "the later finisher must adopt the resident copy");
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.evictions), (0, 2, 0));
-        assert_eq!((stats.resident_blocks, stats.resident_bytes), (1, 32));
+        assert_eq!((stats.len, stats.resident_bytes), (1, 32));
     }
 
     #[test]
@@ -1686,11 +1434,11 @@ mod tests {
 
         for _ in 0..2 {
             assert!(matches!(seg.block(0), Err(SegmentError::Corrupt(_))));
-            assert_eq!(cache.stats().resident_blocks, 0, "a damaged block must not be cached");
+            assert_eq!(cache.stats().len, 0, "a damaged block must not be cached");
         }
         let intact = seg.block(1).expect("intact block still reads");
         assert_eq!(intact.len(), 8 * dim);
-        assert_eq!(cache.stats().resident_blocks, 1);
+        assert_eq!(cache.stats().len, 1);
         // The scratch buffer the failed read used carries nothing over.
         assert_eq!(*seg.block(1).expect("hit"), *intact);
         std::fs::remove_dir_all(path.parent().unwrap()).ok();

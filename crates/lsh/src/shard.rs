@@ -254,51 +254,19 @@ impl ShardedLshIndex {
         self.shards.iter().map(|s| s.read().cold_segment_count()).sum()
     }
 
-    /// Top-k search across all shards: the query is signed once and each
-    /// shard, under its read lock, pushes its candidates' scores into the
-    /// one heap. Equivalent to [`SimHashLshIndex::search`] over the union
-    /// of the shards.
-    pub fn search(
-        &self,
-        query: &[f32],
-        k: usize,
-        exclude: impl Fn(ItemId) -> bool,
-    ) -> Vec<(ItemId, f32)> {
-        self.search_with_outcome(query, k, exclude).0
-    }
-
-    /// [`Self::search`] plus summed candidate-set diagnostics.
-    pub fn search_with_outcome(
-        &self,
-        query: &[f32],
-        k: usize,
-        exclude: impl Fn(ItemId) -> bool,
-    ) -> (Vec<(ItemId, f32)>, SearchOutcome) {
-        self.search_scoped_with_outcome(query, k, &DiscoverScope::All, exclude)
-    }
-
-    /// [`Self::search_with_outcome`] restricted to a backend scope: the
-    /// scope drops out-of-scope ids during each shard's candidate
-    /// generation (before exact scoring), so excluded backends cost
-    /// nothing past the bucket probes.
-    pub fn search_scoped_with_outcome(
-        &self,
-        query: &[f32],
-        k: usize,
-        scope: &DiscoverScope,
-        exclude: impl Fn(ItemId) -> bool,
-    ) -> (Vec<(ItemId, f32)>, SearchOutcome) {
-        self.search_scoped_deadline_with_outcome(query, k, scope, Deadline::none(), exclude)
-            .unwrap_or_else(|e| panic!("search without a deadline failed: {e}"))
-    }
-
-    /// [`Self::search_scoped_with_outcome`] under a cooperative
-    /// [`Deadline`], checked per shard before candidate generation, the
-    /// exact re-rank, and each cold block read (see
-    /// [`SimHashLshIndex::search_signed_scoped_deadline_with_outcome`]).
+    /// Top-k search across all shards, with summed candidate-set
+    /// diagnostics: the query is signed once and each shard, under its read
+    /// lock, pushes its candidates' scores into the one heap — equivalent
+    /// to [`SimHashLshIndex::search`] over the union of the shards.
+    ///
+    /// `scope` drops out-of-scope ids during each shard's candidate
+    /// generation (before exact scoring), so excluded backends cost nothing
+    /// past the bucket probes. `deadline` is checked per shard before
+    /// candidate generation, the exact re-rank, and each cold block read
+    /// (see [`SimHashLshIndex::search_signed_scoped_deadline_with_outcome`]).
     /// The error is the first shard's that failed: an expired budget, or a
     /// cold block that could not be read back intact.
-    pub fn search_scoped_deadline_with_outcome(
+    pub fn search(
         &self,
         query: &[f32],
         k: usize,
@@ -382,6 +350,16 @@ mod tests {
     use crate::{compose_item_id, item_backend, item_local, SegmentRow};
     use wg_util::rng::{Rng64, Xoshiro256pp};
 
+    /// An unscoped search without a deadline, with its outcome.
+    fn unscoped(
+        index: &ShardedLshIndex,
+        query: &[f32],
+        k: usize,
+        exclude: impl Fn(ItemId) -> bool,
+    ) -> (Vec<(ItemId, f32)>, SearchOutcome) {
+        index.search(query, k, &DiscoverScope::All, Deadline::none(), exclude).expect("search")
+    }
+
     fn random_unit(dim: usize, rng: &mut Xoshiro256pp) -> Vec<f32> {
         let mut v: Vec<f32> = (0..dim).map(|_| rng.gen_gaussian() as f32).collect();
         let n = v.iter().map(|x| x * x).sum::<f32>().sqrt();
@@ -411,7 +389,7 @@ mod tests {
         let mut rng = Xoshiro256pp::new(2);
         for _ in 0..20 {
             let q = random_unit(64, &mut rng);
-            let (a, oa) = sharded.search_with_outcome(&q, 10, |id| id % 7 == 0);
+            let (a, oa) = unscoped(&sharded, &q, 10, |id| id % 7 == 0);
             let (b, ob) = single.search_with_outcome(&q, 10, |id| id % 7 == 0);
             assert_eq!(a, b, "sharded results diverge from single-lock index");
             assert_eq!(oa, ob, "outcome diagnostics diverge");
@@ -425,7 +403,7 @@ mod tests {
         let mut rng = Xoshiro256pp::new(4);
         for _ in 0..10 {
             let q = random_unit(64, &mut rng);
-            assert_eq!(one.search(&q, 5, |_| false), five.search(&q, 5, |_| false));
+            assert_eq!(unscoped(&one, &q, 5, |_| false).0, unscoped(&five, &q, 5, |_| false).0);
         }
     }
 
@@ -516,8 +494,8 @@ mod tests {
                     .all(|s| std::ptr::eq(s.read().hasher(), &*loaded.hasher)));
                 for q in &queries {
                     assert_eq!(
-                        loaded.search_with_outcome(q, 25, |id| id % 5 == 0),
-                        reference.search_with_outcome(q, 25, |id| id % 5 == 0),
+                        unscoped(&loaded, q, 25, |id| id % 5 == 0),
+                        unscoped(&reference, q, 25, |id| id % 5 == 0),
                         "save@{save_shards} → load@{load_shards} changed a ranking"
                     );
                 }
@@ -551,7 +529,7 @@ mod tests {
         let mut rng = Xoshiro256pp::new(14);
         for _ in 0..10 {
             let q = random_unit(64, &mut rng);
-            assert_eq!(loaded.search(&q, 5, |_| false), index.search(&q, 5, |_| false));
+            assert_eq!(unscoped(&loaded, &q, 5, |_| false).0, unscoped(&index, &q, 5, |_| false).0);
         }
     }
 
@@ -585,7 +563,7 @@ mod tests {
         let mut rng = Xoshiro256pp::new(16);
         for _ in 0..10 {
             let q = random_unit(64, &mut rng);
-            assert_eq!(loaded.search(&q, 7, |_| false), mixed.search(&q, 7, |_| false));
+            assert_eq!(unscoped(&loaded, &q, 7, |_| false).0, unscoped(&mixed, &q, 7, |_| false).0);
         }
 
         // The same rows sealed *with* sketches: a file that attaches lazily
@@ -603,7 +581,7 @@ mod tests {
         assert_eq!(lazy.attach_segments_mapped(&[sketched], Some).unwrap(), 80);
         assert_eq!((lazy.len(), lazy.cold_len()), (80, 80));
         let q = &vectors[3];
-        assert_eq!(lazy.search(q, 7, |_| false), mixed.search(q, 7, |_| false));
+        assert_eq!(unscoped(&lazy, q, 7, |_| false).0, unscoped(&mixed, q, 7, |_| false).0);
 
         // A cold block that no longer reads back fails the seal, typed.
         let mut image = std::fs::read(&path).unwrap();
@@ -667,8 +645,7 @@ mod tests {
             .collect();
         let exclude = |id: ItemId| id % 5 == 0;
         let (reference, _, dir) = tiered(&vectors, 1, |_| false, "heap-ref");
-        let want: Vec<_> =
-            queries.iter().map(|q| reference.search_with_outcome(q, 8, exclude)).collect();
+        let want: Vec<_> = queries.iter().map(|q| unscoped(&reference, q, 8, exclude)).collect();
         assert!(want.iter().any(|(hits, _)| hits.len() == 8), "fixture must fill the heap");
         std::fs::remove_dir_all(&dir).ok();
 
@@ -682,7 +659,7 @@ mod tests {
                 let (index, _cache, dir) = tiered(&vectors, shards, cold, &tag);
                 let sig_of = |q: &[f32]| index.hasher.sign(q);
                 for (q, (hits, outcome)) in queries.iter().zip(&want) {
-                    let (got, o) = index.search_with_outcome(q, 8, exclude);
+                    let (got, o) = unscoped(&index, q, 8, exclude);
                     assert_eq!(&got, hits, "{layout} × {shards} shards");
                     assert_eq!(o.candidates, outcome.candidates, "{layout} × {shards} shards");
                     // Each shard alone, with a heap of its own: what the
@@ -727,14 +704,14 @@ mod tests {
         for (tag, kill, left) in kills {
             let (index, cache, dir) = tiered(&vectors, 4, |_| true, tag);
             assert_eq!(exported(&index).len(), 60);
-            assert_eq!((index.cold_segment_count(), cache.stats().resident_blocks), (4, 15));
+            assert_eq!((index.cold_segment_count(), cache.stats().len), (4, 15));
             // All but ids 0, 3, 6, 9 — one row a shard: each still needs
             // the segment.
             kill(&index, &ids[4..], &vectors[4..]);
             assert_eq!((index.cold_len(), index.cold_segment_count()), (4, 4), "{tag}");
             kill(&index, &ids[..4], &vectors[..4]);
             assert_eq!((index.len(), index.cold_len(), index.cold_segment_count()), (left, 0, 0));
-            assert_eq!(cache.stats().resident_blocks, 0, "{tag}: retirement drops cached blocks");
+            assert_eq!(cache.stats().len, 0, "{tag}: retirement drops cached blocks");
             std::fs::remove_dir_all(&dir).ok();
         }
     }
@@ -840,7 +817,7 @@ mod tests {
                         assert!(index.insert(id, &random_unit(32, &mut rng)));
                         // Interleave searches with the other writers.
                         let q = random_unit(32, &mut rng);
-                        let _ = index.search(&q, 3, |_| false);
+                        let _ = unscoped(index, &q, 3, |_| false).0;
                     }
                 });
             }
@@ -877,20 +854,21 @@ mod tests {
     fn scoped_search_restricts_to_admitted_backends() {
         let (index, vectors) = federated(20);
         let q = &vectors[0];
-        let all = index.search_scoped_with_outcome(q, 60, &DiscoverScope::All, |_| false).0;
+        let all = index.search(q, 60, &DiscoverScope::All, Deadline::none(), |_| false).unwrap().0;
         assert!(all.iter().any(|(id, _)| item_backend(*id) == 1));
         let only2 =
-            index.search_scoped_with_outcome(q, 60, &DiscoverScope::include([2]), |_| false);
+            index.search(q, 60, &DiscoverScope::include([2]), Deadline::none(), |_| false).unwrap();
         assert!(!only2.0.is_empty());
         assert!(only2.0.iter().all(|(id, _)| item_backend(*id) == 2));
         // Scope admits exactly the subset of the unscoped result set.
         let from_all: Vec<_> =
             all.iter().copied().filter(|(id, _)| item_backend(*id) == 2).collect();
         assert_eq!(only2.0, from_all);
-        let not2 = index.search_scoped_with_outcome(q, 60, &DiscoverScope::exclude([2]), |_| false);
+        let not2 =
+            index.search(q, 60, &DiscoverScope::exclude([2]), Deadline::none(), |_| false).unwrap();
         assert!(not2.0.iter().all(|(id, _)| item_backend(*id) != 2));
         // Pushdown: the scoped searches never scored out-of-scope items.
-        let unscoped_outcome = index.search_with_outcome(q, 60, |_| false).1;
+        let unscoped_outcome = unscoped(&index, q, 60, |_| false).1;
         assert!(only2.1.scored <= unscoped_outcome.scored);
         assert_eq!(only2.1.scored + not2.1.scored, unscoped_outcome.scored);
     }
@@ -902,8 +880,7 @@ mod tests {
         assert_eq!(index.remove_backend(2), 20);
         assert_eq!(index.len(), 40);
         assert_eq!(index.remove_backend(2), 0, "second removal finds nothing");
-        let (hits, _) =
-            index.search_scoped_with_outcome(&vec![1.0; 64], 60, &DiscoverScope::All, |_| false);
+        let (hits, _) = unscoped(&index, &[1.0; 64], 60, |_| false);
         assert!(hits.iter().all(|(id, _)| item_backend(*id) != 2));
     }
 
@@ -928,8 +905,11 @@ mod tests {
         assert_eq!(loaded.len(), 60);
         // Old namespace 1 is now 9, with locals preserved.
         let q = &vectors[0];
-        let want = index.search_scoped_with_outcome(q, 60, &DiscoverScope::include([1]), |_| false);
-        let got = loaded.search_scoped_with_outcome(q, 60, &DiscoverScope::include([9]), |_| false);
+        let want =
+            index.search(q, 60, &DiscoverScope::include([1]), Deadline::none(), |_| false).unwrap();
+        let got = loaded
+            .search(q, 60, &DiscoverScope::include([9]), Deadline::none(), |_| false)
+            .unwrap();
         assert_eq!(want.0.len(), got.0.len());
         for ((a, sa), (b, sb)) in want.0.iter().zip(&got.0) {
             assert_eq!(item_local(*a), item_local(*b));
@@ -946,9 +926,9 @@ mod tests {
         assert_eq!(index.probes(), 2);
         let mut rng = Xoshiro256pp::new(10);
         let q = random_unit(64, &mut rng);
-        let (_, with_probes) = index.search_with_outcome(&q, 5, |_| false);
+        let (_, with_probes) = unscoped(&index, &q, 5, |_| false);
         index.set_probes(0);
-        let (_, without) = index.search_with_outcome(&q, 5, |_| false);
+        let (_, without) = unscoped(&index, &q, 5, |_| false);
         assert!(with_probes.candidates >= without.candidates);
     }
 }

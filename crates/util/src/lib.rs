@@ -15,6 +15,9 @@
 //! * [`kernel`] — vectorization-friendly `dot`/`axpy`/`gemv` kernels over
 //!   contiguous buffers, scalar reference implementations, and
 //!   thread-local scratch pools (the embed → sign → re-rank hot path).
+//! * [`lru`] — the one LRU cache: a byte-budgeted slab LRU with O(1) hits
+//!   and evictions, behind both the embedding cache and the paged tier's
+//!   block cache.
 //! * [`names`] — the process-wide backend-name interner behind federated
 //!   namespaces (`"default"` pinned to id 0, 256-name cap matching the
 //!   LSH item-id bit budget).
@@ -39,6 +42,7 @@ pub mod codec;
 pub mod deadline;
 pub mod hash;
 pub mod kernel;
+pub mod lru;
 pub mod names;
 pub mod rng;
 pub mod segment;

@@ -646,7 +646,7 @@ fn bit_flipped_segments_fail_at_open_or_first_read_never_silently() {
                     ),
                     Err(e) => {
                         assert!(matches!(e, StoreError::Backend(_)), "{}: {e}", state.label);
-                        let resident = node.block_cache_stats().resident_blocks;
+                        let resident = node.block_cache_stats().len;
                         assert!(resident < 2, "{}: the damaged block was cached", state.label);
                     }
                 }

@@ -349,7 +349,7 @@ fn detaching_a_namespace_drops_its_paged_tier() {
     let lake_scope = QueryOptions::scoped(DiscoverScope::include([fed.lake.bits()]));
     let before = fed.wg.discover_with(&q, 5, &lake_scope).unwrap();
     assert!(!before.candidates.is_empty(), "lake must serve before the detach");
-    assert!(fed.wg.block_cache_stats().resident_blocks > 0, "re-rank hydrated blocks");
+    assert!(fed.wg.block_cache_stats().len > 0, "re-rank hydrated blocks");
 
     // Detach the lake: its paged rows drop immediately.
     let lake_name = fed.lake.name();
@@ -392,7 +392,7 @@ fn detaching_a_namespace_drops_its_paged_tier() {
     assert_eq!(fed.wg.cold_len(), 0, "no cold rows may outlive their backends");
     assert_eq!(fed.wg.cold_segment_count(), 0, "emptied segments must retire");
     assert_eq!(
-        fed.wg.block_cache_stats().resident_blocks,
+        fed.wg.block_cache_stats().len,
         0,
         "retired segments must evict their cache-resident blocks"
     );

@@ -528,7 +528,7 @@ fn one_sealed_file_ranks_alike_hydrated_and_lazily_attached() {
             lazy.load_paged(&dir).unwrap();
             assert_eq!((lazy.len(), lazy.cold_len()), (saver.len(), saver.len()), "{at}");
             let at_load = lazy.block_cache_stats();
-            assert_eq!((at_load.resident_blocks, at_load.misses), (0, 0), "{at}: not lazy");
+            assert_eq!((at_load.len, at_load.misses), (0, 0), "{at}: not lazy");
             assert!(rank(&hydrated) == *want, "{at}: the hydrated side ranks differently");
             assert!(rank(&lazy) == *want, "{at}: the lazy side ranks differently");
             assert!(lazy.block_cache_stats().evictions > 0, "{at}: the budget must bind");
