@@ -1,6 +1,6 @@
-//! Concurrency bench for the sharded hot path (ISSUE 2): discover
-//! throughput under writer churn, sharded vs. single-lock, plus cold vs.
-//! warm (cached) query latency and batched discovery.
+//! Concurrency bench for the hot path: discover throughput under writer
+//! churn with and without the embedding cache, plus cold vs. warm (cached)
+//! query latency and batched discovery.
 //!
 //! Unlike the paper-artifact benches this one is a custom harness: it
 //! measures sustained queries/second from N reader threads against one
@@ -11,12 +11,10 @@
 //!
 //! Scenarios:
 //!
-//! * `single_lock_baseline` — 1 shard, embedding cache disabled: the
-//!   pre-sharding hot path (every query re-scans + re-embeds, every
-//!   insert funnels through one lock).
-//! * `sharded` — the default configuration (8 shards + cache).
-//! * `sharding isolated` — both shard counts with the cache enabled, so
-//!   the delta is the lock layer alone.
+//! * `uncached_baseline` — embedding cache disabled: every query
+//!   re-scans + re-embeds.
+//! * `cached` — the default configuration: one index behind one lock,
+//!   plus the cache. Its 8-reader q/s is the lock layer's number.
 //!
 //! `WG_BENCH_QUICK=1` shrinks measurement windows for CI smoke runs.
 
@@ -30,9 +28,9 @@ use wg_store::{BackendHandle, ColumnRef, TableRef};
 const READER_THREADS: usize = 8;
 
 /// Build and fully index a system with the given knobs.
-fn build(backend: &BackendHandle, shards: usize, cache_capacity: usize) -> WarpGate {
+fn build(backend: &BackendHandle, cache_capacity: usize) -> WarpGate {
     let wg = WarpGate::with_backend(
-        WarpGateConfig { shards, cache_capacity, threads: 2, ..Default::default() },
+        WarpGateConfig { cache_capacity, threads: 2, ..Default::default() },
         backend.clone(),
     );
     wg.index_warehouse().expect("indexing");
@@ -137,43 +135,25 @@ fn main() {
         "corpus left no query-free tables to churn; adjust the query slice"
     );
 
-    // Headline: the new hot path (shards + cache) vs. the pre-PR hot path
-    // (one lock, no cache), same mixed workload.
-    let baseline = build(&connector, 1, 0);
+    // Headline: the cached hot path vs. the uncached one, same mixed
+    // workload.
+    let baseline = build(&connector, 0);
     let baseline_qps = reader_throughput(&baseline, &queries, &churn_tables, window);
     drop(baseline);
-    let sharded = build(&connector, 8, 4096);
+    let cached = build(&connector, 4096);
     // Warm the cache: steady-state serving is the workload under test.
     for q in &queries {
-        sharded.discover(q, 10).expect("warm-up");
+        cached.discover(q, 10).expect("warm-up");
     }
-    let sharded_qps = reader_throughput(&sharded, &queries, &churn_tables, window);
-    drop(sharded);
+    let cached_qps = reader_throughput(&cached, &queries, &churn_tables, window);
+    drop(cached);
     println!(
-        "bench: concurrent_discover/throughput_8t ... single_lock_baseline {baseline_qps:.0} q/s, sharded+cache {sharded_qps:.0} q/s ({:.1}x)",
-        sharded_qps / baseline_qps.max(1e-9),
-    );
-
-    // Isolated lock-layer comparison: cache on for both sides.
-    let single_cached = build(&connector, 1, 4096);
-    for q in &queries {
-        single_cached.discover(q, 10).expect("warm-up");
-    }
-    let single_cached_qps = reader_throughput(&single_cached, &queries, &churn_tables, window);
-    drop(single_cached);
-    let sharded2 = build(&connector, 8, 4096);
-    for q in &queries {
-        sharded2.discover(q, 10).expect("warm-up");
-    }
-    let sharded2_qps = reader_throughput(&sharded2, &queries, &churn_tables, window);
-    drop(sharded2);
-    println!(
-        "bench: concurrent_discover/sharding_isolated_8t ... 1 shard {single_cached_qps:.0} q/s, 8 shards {sharded2_qps:.0} q/s ({:.2}x)",
-        sharded2_qps / single_cached_qps.max(1e-9),
+        "bench: concurrent_discover/throughput_8t ... uncached_baseline {baseline_qps:.0} q/s, cached {cached_qps:.0} q/s ({:.1}x)",
+        cached_qps / baseline_qps.max(1e-9),
     );
 
     // Cold vs. warm latency (the cache in isolation, no writer).
-    let fresh = build(&connector, 8, 4096);
+    let fresh = build(&connector, 4096);
     let (cold_median, warm_median) = latency(&fresh, &queries);
     drop(fresh);
     println!(
@@ -196,7 +176,7 @@ fn main() {
     let mut batch_samples = Vec::with_capacity(batch_reps);
     for rep in 0..(2 * batch_reps) {
         let wg = WarpGate::with_backend(
-            WarpGateConfig { shards: 8, cache_capacity: 4096, threads: 0, ..Default::default() },
+            WarpGateConfig { cache_capacity: 4096, threads: 0, ..Default::default() },
             connector.clone(),
         );
         wg.index_warehouse().expect("indexing");
@@ -237,14 +217,9 @@ fn main() {
       "hardware_threads": {hw}
     }},
     "discover_throughput_8t": {{
-      "single_lock_baseline_qps": {baseline_qps:.1},
-      "sharded_qps": {sharded_qps:.1},
+      "uncached_baseline_qps": {baseline_qps:.1},
+      "cached_qps": {cached_qps:.1},
       "speedup": {headline:.2}
-    }},
-    "sharding_isolated_8t": {{
-      "single_lock_qps": {single_cached_qps:.1},
-      "sharded_qps": {sharded2_qps:.1},
-      "speedup": {iso:.2}
     }},
     "query_latency_secs": {{
       "cold_median": {cold_median:.6},
@@ -262,8 +237,7 @@ fn main() {
         nchurn = churn_tables.len(),
         window = window.as_secs_f64(),
         hw = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-        headline = sharded_qps / baseline_qps.max(1e-9),
-        iso = sharded2_qps / single_cached_qps.max(1e-9),
+        headline = cached_qps / baseline_qps.max(1e-9),
         lat = cold_median / warm_median.max(1e-12),
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_core.json");

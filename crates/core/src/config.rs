@@ -32,14 +32,6 @@ pub struct WarpGateConfig {
     pub context_weight: f32,
     /// Indexing worker threads; 0 means "all available cores".
     pub threads: usize,
-    /// LSH index shards: items partition by id across this many
-    /// independently locked sub-indexes, so concurrent inserts and queries
-    /// scale past one writer. 0 (the default) resolves to
-    /// `std::thread::available_parallelism()` at system construction — the
-    /// index serves the whole machine, so it follows the hardware thread
-    /// count rather than the `threads` indexing knob. 1 reproduces the
-    /// single-lock layout.
-    pub shards: usize,
     /// Embedding-cache capacity in entries (keyed by column × sample spec ×
     /// seed × context weight). 0 disables the cache; repeated `discover` /
     /// `joinability` calls then re-scan and re-embed every time.
@@ -86,7 +78,6 @@ impl Default for WarpGateConfig {
             exclude_same_table: true,
             context_weight: 0.0,
             threads: 0,
-            shards: 0,
             cache_capacity: 4096,
             block_rows: 16,
             block_cache_bytes: 4 << 20,
@@ -115,11 +106,6 @@ impl WarpGateConfig {
     pub fn with_context(self, beta: f32) -> Self {
         assert!((0.0..=1.0).contains(&beta), "context weight must be in [0,1]");
         Self { context_weight: beta, ..self }
-    }
-
-    /// Same configuration with a different index shard count.
-    pub fn with_shards(self, shards: usize) -> Self {
-        Self { shards, ..self }
     }
 
     /// Same configuration with a different embedding-cache capacity
@@ -159,19 +145,6 @@ impl WarpGateConfig {
             wg_util::hardware_threads()
         }
     }
-
-    /// Effective index shard count (never 0). The resolution rule for
-    /// `shards == 0` is pinned: it follows the machine's hardware thread
-    /// count (`std::thread::available_parallelism()`), independent of the
-    /// `threads` indexing knob — queries come from arbitrarily many
-    /// threads, not just the indexing pool.
-    pub fn effective_shards(&self) -> usize {
-        if self.shards > 0 {
-            self.shards
-        } else {
-            wg_util::hardware_threads()
-        }
-    }
 }
 
 #[cfg(test)]
@@ -196,20 +169,6 @@ mod tests {
     fn effective_threads_positive() {
         assert!(WarpGateConfig::default().effective_threads() >= 1);
         assert_eq!(WarpGateConfig { threads: 3, ..Default::default() }.effective_threads(), 3);
-    }
-
-    #[test]
-    fn effective_shards_resolution_rule_is_pinned() {
-        let hw = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        // The adaptive default: 0 resolves to the hardware thread count …
-        assert_eq!(WarpGateConfig::default().shards, 0, "adaptive sharding is the default");
-        assert_eq!(WarpGateConfig::default().effective_shards(), hw);
-        // … regardless of the indexing `threads` knob …
-        let auto = WarpGateConfig { threads: 5, shards: 0, ..Default::default() };
-        assert_eq!(auto.effective_shards(), hw, "0 shards follows hardware, not `threads`");
-        // … while explicit counts always win.
-        assert_eq!(WarpGateConfig::default().with_shards(3).effective_shards(), 3);
-        assert!(WarpGateConfig::default().effective_shards() >= 1);
     }
 
     #[test]

@@ -454,8 +454,8 @@ mod tests {
 
         // One thread flips table `b` between two contents and syncs; one
         // keeps discovering; this one saves as fast as it can. The seal
-        // reads each shard's arena in place, so it must hold the shards'
-        // read guards from the first row to the last: every save has to
+        // reads the index's arena in place, so it must hold the index's
+        // read guard from the first row to the last: every save has to
         // load (a directory that disagrees with the rows written would be a
         // corrupt file), to one of the two generations (`b` has one column,
         // so a sync replaces exactly one row), with every signature the one
@@ -509,15 +509,13 @@ mod tests {
                     assert_eq!(recovered.len(), 2);
                     let got = rank_of(&recovered);
                     assert!(got == first || got == second, "{pair} {round} holds a third state");
-                    let index = &recovered.index;
-                    let hasher =
-                        wg_lsh::SimHasher::new(index.dim(), index.params().bits(), index.seed());
+                    let hasher = &recovered.hasher;
                     let cache = wg_lsh::BlockCache::new(0);
                     let image = wg_lsh::VectorSegment::from_bytes(recovered.to_bytes(), cache);
                     let image = image.expect("a sealed image opens");
                     for b in 0..image.block_count() {
                         let data = image.block(b).unwrap();
-                        for (r, vector) in data.chunks_exact(index.dim()).enumerate() {
+                        for (r, vector) in data.chunks_exact(hasher.dim()).enumerate() {
                             assert_eq!(
                                 image.signature_of(b, r),
                                 hasher.sign(vector),

@@ -6,6 +6,7 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
+use wg_lsh::Signature;
 use wg_store::{BackendId, ColumnRef, CostSnapshot, StoreResult, TableMeta, TableRef};
 use wg_util::deadline::{Deadline, Phase};
 use wg_util::timing::Stopwatch;
@@ -15,8 +16,8 @@ use crate::system::{deadline_err, Attached, TableState, WarpGate};
 
 /// The most items one claim of [`in_order`] takes, and therefore the most
 /// one `commit` receives: indexing's commit holds the registry write lock
-/// (and then each touched shard's) across one chunk, so this bounds how
-/// long a concurrent query can wait behind a build.
+/// (and then the index's) across one chunk, so this bounds how long a
+/// concurrent query can wait behind a build.
 const MAX_CHUNK: usize = 64;
 
 /// Summary of one indexing run.
@@ -134,13 +135,13 @@ impl WarpGate {
     ///
     /// * tables whose token changed are re-scanned, re-embedded, and
     ///   re-indexed (their cached query embeddings are evicted; their
-    ///   existing ids keep their shard placement, so only the affected
-    ///   LSH-shard entries are rewritten); a column whose new content no
-    ///   longer embeds drops out, exactly as a fresh build would skip it;
+    ///   existing ids are kept, so only their own LSH entries are
+    ///   rewritten); a column whose new content no longer embeds drops
+    ///   out, exactly as a fresh build would skip it;
     /// * columns that vanished from a changed table, and whole vanished
     ///   tables, drop out of the registry, index, and cache;
-    /// * everything else — index entries, cache entries, shard contents,
-    ///   every other namespace — stays warm and untouched.
+    /// * everything else — index entries, cache entries, every other
+    ///   namespace — stays warm and untouched.
     ///
     /// Scan cost (and [`SyncReport::cost`]) is therefore proportional to
     /// the change set, not the warehouse; an all-backends report carries
@@ -296,32 +297,39 @@ impl WarpGate {
         in_order(
             &refs,
             self.config.effective_threads(),
-            |(r, meta)| -> StoreResult<wg_embed::Vector> {
+            |(r, meta)| -> StoreResult<(wg_embed::Vector, Option<Signature>)> {
                 deadline.check(Phase::Scan).map_err(deadline_err)?;
                 let column = backend.scan_column(r, self.config.sample)?;
-                Ok(self.embed_with_context(r, &column, &meta.columns, self.config.context_weight))
+                let vector =
+                    self.embed_with_context(r, &column, &meta.columns, self.config.context_weight);
+                // Signed here, on the worker, so the commit's write guard
+                // covers bucket pushes only. A zero vector is not indexed.
+                let sig = (!vector.is_zero()).then(|| self.hasher.sign(vector.as_slice()));
+                Ok((vector, sig))
             },
-            |refs, vectors| {
+            |refs, signed| {
                 // One registry write lock maps the chunk's refs to ids, in
-                // catalog order; then the shard router takes each touched
-                // shard's lock once. A ref the registry knows whose vector
-                // came back zero must not keep its old row.
+                // catalog order; then one index write guard takes the
+                // chunk. A ref the registry knows whose vector came back
+                // zero must not keep its old row.
                 let mut batch = Vec::with_capacity(refs.len());
                 let mut stale = Vec::new();
                 {
                     let mut registry = self.registry.write();
-                    for ((r, _), vector) in refs.iter().zip(vectors) {
-                        if vector.is_zero() {
-                            stale.extend(registry.remove(r));
-                        } else {
-                            batch.push((registry.insert(r.clone()), vector.0));
+                    for ((r, _), (vector, sig)) in refs.iter().zip(signed) {
+                        match sig {
+                            Some(sig) => batch.push((registry.insert(r.clone()), vector, sig)),
+                            None => stale.extend(registry.remove(r)),
                         }
                     }
                 }
-                let accepted = self.index.insert_batch(batch);
-                indexed += accepted;
-                skipped += refs.len() - accepted;
-                unembeddable += self.index.remove_batch(&stale);
+                indexed += batch.len();
+                skipped += refs.len() - batch.len();
+                let mut index = self.index.write();
+                for (id, vector, sig) in batch {
+                    index.insert_signed(id, vector.as_slice(), sig);
+                }
+                unembeddable += stale.into_iter().filter(|&id| index.remove(id)).count();
             },
         )?;
         let report = IndexReport {
@@ -343,7 +351,10 @@ impl WarpGate {
             let mut registry = self.registry.write();
             victims.iter().filter_map(|r| registry.remove(r)).collect()
         };
-        let removed = self.index.remove_batch(&ids);
+        let removed = {
+            let mut index = self.index.write();
+            ids.into_iter().filter(|&id| index.remove(id)).count()
+        };
         for r in victims {
             self.cache.invalidate_column(r);
         }
@@ -354,8 +365,8 @@ impl WarpGate {
     /// a drop). Returns how many columns were removed.
     ///
     /// Victims are collected under a shared read lock; the write locks
-    /// (registry, then the affected shards) are only held for the actual
-    /// mutation, so concurrent queries proceed through the scan.
+    /// (registry, then index) are only held for the actual mutation, so
+    /// concurrent queries proceed through the scan.
     pub fn remove_table(&self, table: &TableRef) -> usize {
         let victims = self.registry.read().table_refs(table);
         if let Some(state) = self.synced.write().backends.get_mut(&table.backend) {

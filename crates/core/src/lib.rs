@@ -37,10 +37,11 @@
 //! fan-out both pipelines use, `query.rs` the search pipeline behind one
 //! request preamble.
 //!
-//! Concurrency: embeddings live in a sharded LSH index
-//! ([`wg_lsh::ShardedLshIndex`]) so a build's batched inserts take each
-//! shard's lock briefly and queries only contend with writers on `1/N`
-//! of their probes.
+//! Concurrency: embeddings live in one LSH index
+//! ([`wg_lsh::SimHashLshIndex`]) behind one reader–writer lock. Every
+//! insert commits on one thread (`ingest::in_order`'s commit), a chunk
+//! under one write guard; rows and queries are signed before the lock is
+//! taken, so a guard covers bucket pushes or one search, nothing more.
 //!
 //! The crate also implements the product interaction the paper builds
 //! around discovery (§3.2): [`WarpGate::augment_via_lookup`] executes the

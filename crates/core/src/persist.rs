@@ -186,20 +186,20 @@ impl WarpGate {
         // restore), never newer (a change the restored node would never
         // see).
         let sync = self.sync_state_for_persist();
-        // Then the registry's read lock and every shard's read guard, held
+        // Then the registry's read lock and the index's read guard, held
         // together until the last row is read. Writers take the registry
-        // lock, release it, then a shard lock, so this order cannot
+        // lock, release it, then the index's, so this order cannot
         // deadlock (queries take the two the same way) — and a writer
         // parked between its two locks shows as an entry without a row or
         // a row without an entry: neither is sealed.
         let registry = self.registry.read();
-        let index = self.index.freeze();
+        let index = self.index.read();
         let mut entries: Vec<(u32, &ColumnRef)> =
             registry.entries().filter(|(id, _)| index.contains(*id)).collect();
         entries.sort_unstable_by_key(|(id, _)| *id);
 
-        let params = self.index.params();
-        let geometry = (params.bands, params.rows, self.index.seed());
+        let params = index.params();
+        let geometry = (params.bands, params.rows, index.seed());
         let manifest = Manifest::encode(geometry, &entries, &sync);
         let registered = |id| registry.reference(id).is_some();
         let image = index.seal(self.config.block_rows, sketches, &manifest, registered)?;
@@ -212,7 +212,7 @@ impl WarpGate {
     fn load_segment(&mut self, mut segment: VectorSegment, lazy: bool) -> StoreResult<()> {
         let mut manifest =
             Manifest::parse(&segment.take_manifest()).map_err(|e| corrupt("manifest", e))?;
-        let index = self.fresh_index();
+        let mut index = self.fresh_index();
         let params = index.params();
         let (bands, rows, seed) = manifest.geometry;
         let sealed = (segment.dim(), segment.sig_bits(), bands, rows, seed);
@@ -244,9 +244,7 @@ impl WarpGate {
         let remap = manifest.adopt().map_err(|e| corrupt("manifest", e))?;
         let map = |id| Some(compose_item_id(remap[item_backend(id) as usize]?, item_local(id)));
         let installed = if lazy {
-            index
-                .attach_segments_mapped(&[Arc::new(segment)], map)
-                .map_err(|e| corrupt("attach", e))
+            index.attach_segment_mapped(Arc::new(segment), map).map_err(|e| corrupt("attach", e))
         } else {
             index.hydrate(&segment, map).map_err(load_err)
         }?;
@@ -272,9 +270,7 @@ impl WarpGate {
     }
 
     /// Restore index + registry from bytes produced by [`Self::to_bytes`]
-    /// (or read from any snapshot file), hydrating every row. Items
-    /// redistribute into this system's shard layout on load: a snapshot
-    /// saved with 8 shards restores fine into 1 (or vice versa).
+    /// (or read from any snapshot file), hydrating every row.
     pub fn load_bytes(&mut self, bytes: &[u8]) -> StoreResult<()> {
         let segment = VectorSegment::from_bytes(bytes.to_vec(), self.block_cache().clone());
         self.load_segment(segment.map_err(load_err)?, false)
@@ -382,24 +378,6 @@ mod tests {
         assert_eq!(fresh.len(), wg.len());
         let after = fresh.discover(&q, 3).unwrap().candidates;
         assert_eq!(before, after);
-    }
-
-    #[test]
-    fn roundtrip_across_shard_counts() {
-        let c = connector();
-        let wg = WarpGate::with_backend(WarpGateConfig::default().with_shards(8), c.clone());
-        wg.index_warehouse().unwrap();
-        let q = ColumnRef::new("db", "a", "x");
-        let want = wg.discover(&q, 3).unwrap().candidates;
-        let bytes = wg.to_bytes();
-        for shards in [1usize, 3, 16] {
-            let mut fresh =
-                WarpGate::with_backend(WarpGateConfig::default().with_shards(shards), c.clone());
-            fresh.load_bytes(&bytes).unwrap();
-            assert_eq!(fresh.len(), wg.len());
-            let got = fresh.discover(&q, 3).unwrap().candidates;
-            assert_eq!(got, want, "results changed through a {shards}-shard reload");
-        }
     }
 
     #[test]
@@ -598,7 +576,7 @@ mod tests {
         // is sealed without sketches, two rows to a block).
         let config = WarpGateConfig { dim: 8, ..Default::default() }.with_block_rows(2);
         let mut wg = WarpGate::new(config);
-        let index = wg.fresh_index();
+        let mut index = wg.fresh_index();
         let mut entries = Vec::new();
         for i in 0..5u32 {
             let v: Vec<f32> = (0..8).map(|d| ((i * 8 + d) as f32 * 0.37).sin()).collect();
@@ -678,6 +656,7 @@ mod tests {
         fresh.load_paged(&dir).unwrap();
         assert_eq!(fresh.len(), wg.len());
         assert_eq!(fresh.cold_len(), wg.len(), "every restored row serves from disk");
+        assert_eq!(fresh.cold_segment_count(), 1, "one file is one live segment");
         let at_load = fresh.block_cache_stats();
         assert_eq!(at_load.len, 0, "restore must not hydrate payloads");
         assert_eq!(at_load.misses, 0, "restore must not read payload blocks at all");
@@ -707,7 +686,7 @@ mod tests {
     fn paged_load_rejects_corrupt_manifest_and_segments() {
         // Both columns sit in the file's one block, so a query for either
         // reads it.
-        let config = WarpGateConfig::default().with_shards(1);
+        let config = WarpGateConfig::default();
         let c = connector();
         let wg = WarpGate::with_backend(config, c.clone());
         wg.index_warehouse().unwrap();

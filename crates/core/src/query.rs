@@ -338,10 +338,11 @@ impl WarpGate {
             .0
     }
 
-    /// LSH lookup + exact re-rank of one query vector. The deadline is
-    /// threaded into the lookup itself: candidate generation, re-rank, and
-    /// every paged-tier block fetch each check the budget first, so an
-    /// expired deadline never triggers another cold read.
+    /// LSH lookup + exact re-rank of one query vector, signed before the
+    /// index's read lock is taken. The deadline is threaded into the lookup
+    /// itself: candidate generation, re-rank, and every paged-tier block
+    /// fetch each check the budget first, so an expired deadline never
+    /// triggers another cold read.
     fn search_vector(
         &self,
         vector: &wg_embed::Vector,
@@ -353,9 +354,12 @@ impl WarpGate {
         let registry = self.registry.read();
         let exclude = registry.excluder(query, self.config.exclude_same_table);
         let sw = Stopwatch::start();
+        let v = vector.as_slice();
+        let sig = self.hasher.sign(v);
         let (hits, outcome) = self
             .index
-            .search(vector.as_slice(), k, scope, deadline, exclude)
+            .read()
+            .search_signed_scoped_deadline_with_outcome(v, &sig, k, scope, deadline, exclude)
             .map_err(|e| match e {
                 SearchError::Expired(phase) => deadline_err(phase),
                 // A cold block that no longer reads back intact: the paged

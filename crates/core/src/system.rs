@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 use wg_embed::{ColumnEmbedder, EmbeddingModel, WebTableConfig, WebTableModel};
-use wg_lsh::{LshParams, ShardedLshIndex};
+use wg_lsh::{LshParams, SimHashLshIndex, SimHasher};
 use wg_store::{
     BackendHandle, BackendId, BackendRegistry, ColumnRef, StoreError, StoreResult, TableMeta,
 };
@@ -79,15 +79,18 @@ pub(crate) struct Attached {
 /// only what changed, per backend ([`WarpGate::sync_with`] reconciles
 /// one). Un-namespaced refs address the `"default"` namespace.
 ///
-/// Internally the hot path is built for concurrency: embeddings live in a
-/// [`ShardedLshIndex`] (items partitioned by id across independently locked
-/// shards), query embeddings are memoized in an LRU [`EmbeddingCache`],
-/// and the id → column-reference registry is the only
-/// globally locked structure (reads are shared; writes are batched).
+/// Internally: embeddings live in one [`SimHashLshIndex`] behind one
+/// reader–writer lock, signed outside it with the system's one
+/// [`SimHasher`]; query embeddings are memoized in an LRU
+/// [`EmbeddingCache`]; the id → column-reference registry has a lock of its
+/// own. Reads share both locks; writes are batched a chunk at a time.
 pub struct WarpGate {
     pub(crate) config: WarpGateConfig,
     pub(crate) embedder: ColumnEmbedder,
-    pub(crate) index: ShardedLshIndex,
+    /// The index's hyperplanes: ingest signs rows and queries sign
+    /// themselves with this before they take `index`'s lock.
+    pub(crate) hasher: Arc<SimHasher>,
+    pub(crate) index: RwLock<SimHashLshIndex>,
     pub(crate) registry: RwLock<Registry>,
     pub(crate) cache: EmbeddingCache,
     backends: BackendRegistry,
@@ -132,10 +135,12 @@ impl WarpGate {
     /// BERT comparison swaps in [`wg_embed::MiniBertModel`] here).
     pub fn with_model(config: WarpGateConfig, model: Arc<dyn EmbeddingModel>) -> Self {
         assert_eq!(model.dim(), config.dim, "model dimension must match config");
-        let index = build_index(&config);
+        let hasher =
+            Arc::new(SimHasher::new(config.dim, lsh_params(&config).bits(), config.seed ^ 0x1DB5));
         Self {
             embedder: ColumnEmbedder::new(model, config.aggregation),
-            index,
+            index: RwLock::new(empty_index(&config, hasher.clone())),
+            hasher,
             registry: RwLock::new(Registry::default()),
             cache: EmbeddingCache::new(config.cache_capacity, config.dim),
             backends: BackendRegistry::new(),
@@ -225,7 +230,7 @@ impl WarpGate {
             state.epoch += 1;
         }
         self.cache.invalidate_backend(id);
-        self.index.drop_cold_backend(id.bits());
+        self.index.write().drop_cold_backend(id.bits());
         Some(handle)
     }
 
@@ -269,12 +274,12 @@ impl WarpGate {
 
     /// Number of indexed columns (across all namespaces).
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.index.read().len()
     }
 
     /// True when nothing is indexed.
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.index.read().is_empty()
     }
 
     /// Embedding-cache hit/miss counters and occupancy.
@@ -296,13 +301,12 @@ impl WarpGate {
     /// Indexed columns currently served from the paged (disk-backed)
     /// tier.
     pub fn cold_len(&self) -> usize {
-        self.index.cold_len()
+        self.index.read().cold_len()
     }
 
-    /// Live attached paged segments (counted once per shard keeping live
-    /// rows from them).
+    /// Attached paged segments that still serve live rows.
     pub fn cold_segment_count(&self) -> usize {
-        self.index.cold_segment_count()
+        self.index.read().cold_segment_count()
     }
 
     /// The sorted attach set, or an error when nothing is attached.
@@ -334,10 +338,10 @@ impl WarpGate {
     }
 
     /// An empty index with this system's exact geometry (dim, banding,
-    /// seed, probes, shard count) — what a restore hydrates, or attaches
+    /// hyperplanes, probes) — what a restore hydrates, or attaches
     /// segments, into.
-    pub(crate) fn fresh_index(&self) -> ShardedLshIndex {
-        build_index(&self.config)
+    pub(crate) fn fresh_index(&self) -> SimHashLshIndex {
+        empty_index(&self.config, self.hasher.clone())
     }
 
     /// The durable slice of the sync bookkeeping: per backend *name*, the
@@ -368,13 +372,13 @@ impl WarpGate {
 
     pub(crate) fn restore_from_persist(
         &mut self,
-        index: ShardedLshIndex,
+        index: SimHashLshIndex,
         entries: Vec<(u32, ColumnRef)>,
         sync: Vec<PersistedBackendSync>,
     ) -> StoreResult<()> {
         let registry = Registry::from_entries(entries).map_err(StoreError::SnapshotCorrupt)?;
         *self.registry.write() = registry;
-        self.index = index;
+        *self.index.get_mut() = index;
         // The snapshot may come from a system over different warehouse
         // content; cached query embeddings are not trustworthy across it.
         self.cache.clear();
@@ -417,16 +421,17 @@ pub(crate) fn deadline_err(phase: Phase) -> StoreError {
     StoreError::DeadlineExceeded { phase }
 }
 
-/// Construct the sharded LSH index a config describes (used at system
-/// construction and by restores, which must reproduce the exact geometry
-/// the sealed signatures were generated under).
-fn build_index(config: &WarpGateConfig) -> ShardedLshIndex {
-    let index = ShardedLshIndex::new(
-        config.dim,
-        LshParams::for_threshold(config.lsh_threshold, config.lsh_bits),
-        config.seed ^ 0x1DB5,
-        config.effective_shards(),
-    );
+/// The banding a config describes.
+fn lsh_params(config: &WarpGateConfig) -> LshParams {
+    LshParams::for_threshold(config.lsh_threshold, config.lsh_bits)
+}
+
+/// An empty index of the geometry and probes a config describes, signing
+/// with `hasher` (used at system construction and by restores, which must
+/// reproduce the exact geometry the sealed signatures were generated
+/// under).
+fn empty_index(config: &WarpGateConfig, hasher: Arc<SimHasher>) -> SimHashLshIndex {
+    let mut index = SimHashLshIndex::with_hasher(hasher, lsh_params(config));
     index.set_probes(config.probes);
     index
 }

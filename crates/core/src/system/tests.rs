@@ -418,32 +418,6 @@ fn discover_batch_rejects_unknown_query_upfront() {
 }
 
 #[test]
-fn single_shard_results_match_default_sharding() {
-    let c = connector();
-    let sharded = WarpGate::with_backend(WarpGateConfig::default().with_shards(8), c.clone());
-    sharded.index_warehouse().unwrap();
-    let single = WarpGate::with_backend(WarpGateConfig::default().with_shards(1), c);
-    single.index_warehouse().unwrap();
-    for q in [
-        ColumnRef::new("salesforce", "account", "name"),
-        ColumnRef::new("stocks", "industries", "company_name"),
-    ] {
-        let a = sharded.discover(&q, 5).unwrap().candidates;
-        let b = single.discover(&q, 5).unwrap().candidates;
-        assert_eq!(a, b, "shard count must not change discovery results");
-    }
-}
-
-#[test]
-fn zero_shards_resolve_to_available_parallelism_at_construction() {
-    let wg = WarpGate::new(WarpGateConfig { shards: 0, threads: 3, ..Default::default() });
-    let expected = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    // `shards: 0` follows the machine's thread count, not the worker
-    // `threads` knob — the index outlives any one indexing run.
-    assert_eq!(wg.index.shard_count(), expected);
-}
-
-#[test]
 fn index_report_counts() {
     let c = connector();
     let wg = WarpGate::with_backend(WarpGateConfig::default(), c);
@@ -703,7 +677,7 @@ fn indexing_with_schema_context_asks_for_metadata_once_per_table() {
             0.2,
         );
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&wg.index.vector(id).unwrap()), bits(&want.0), "{r}");
+        assert_eq!(bits(wg.index.read().vector(id).unwrap()), bits(&want.0), "{r}");
     }
 }
 

@@ -21,14 +21,14 @@
 use std::cell::RefCell;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
-use wg_util::codec::{CodecError, CodecResult};
+use wg_util::codec::{self, CodecError, CodecResult};
 use wg_util::deadline::{Deadline, Phase};
 use wg_util::kernel;
 use wg_util::segment::SegmentError;
 use wg_util::{FxHashMap, TopK};
 
 use crate::arena::VectorArena;
-use crate::paged::{QueryCodes, SealRow, SegmentRow, VectorSegment};
+use crate::paged::{self, QueryCodes, SealRow, SegmentRow, VectorSegment};
 use crate::params::LshParams;
 use crate::scope::DiscoverScope;
 use crate::simhash::{band_key_of, Signature, SimHasher};
@@ -232,8 +232,9 @@ impl ColdStore {
 
 /// An LSH index over unit vectors keyed by [`ItemId`].
 pub struct SimHashLshIndex {
-    /// Shared by every shard of a [`crate::ShardedLshIndex`]: the planes
-    /// are a function of `(dim, bits, seed)` alone.
+    /// Shareable with a caller that signs outside this index's lock (see
+    /// [`Self::with_hasher`]): the planes are a function of
+    /// `(dim, bits, seed)` alone.
     hasher: Arc<SimHasher>,
     params: LshParams,
     /// Extra single-bit-flip probes per band (0 = plain LSH).
@@ -300,7 +301,7 @@ pub(crate) fn score_row(
 }
 
 /// A finished heap as the public `(id, cosine)` ranking, best first.
-pub(crate) fn ranking(topk: TopK<ItemId>) -> Vec<(ItemId, f32)> {
+fn ranking(topk: TopK<ItemId>) -> Vec<(ItemId, f32)> {
     topk.into_sorted().into_iter().map(|(s, id)| (id, s as f32)).collect()
 }
 
@@ -310,9 +311,10 @@ impl SimHashLshIndex {
         Self::with_hasher(Arc::new(SimHasher::new(dim, params.bits(), seed)), params)
     }
 
-    /// An index signing with `hasher` — one set of hyperplanes can serve
-    /// any number of indexes of the same geometry. The hasher's width must
-    /// be `params.bits()`.
+    /// An index signing with `hasher` — the caller keeps a clone of the
+    /// pointer to sign queries and rows before it takes the index's lock
+    /// ([`Self::insert_signed`], [`Self::search_signed_with_outcome`]). The
+    /// hasher's width must be `params.bits()`.
     pub fn with_hasher(hasher: Arc<SimHasher>, params: LshParams) -> Self {
         assert!(params.rows <= 64, "rows per band must fit a u64");
         assert_eq!(hasher.bits(), params.bits(), "hasher width must match the banding");
@@ -360,9 +362,7 @@ impl SimHashLshIndex {
         self.probes
     }
 
-    /// The signature generator. Shards of a [`crate::ShardedLshIndex`] are
-    /// built with identical geometry, which lets callers sign a query once
-    /// and probe every shard with the same signature.
+    /// The signature generator.
     pub fn hasher(&self) -> &SimHasher {
         &self.hasher
     }
@@ -406,9 +406,9 @@ impl SimHashLshIndex {
     }
 
     /// Insert with a precomputed signature (must come from a hasher with
-    /// this index's geometry and seed). Lets batched callers compute the
-    /// expensive projection outside the index's lock; the remaining work is
-    /// bucket pushes and map inserts. The vector must already be validated
+    /// this index's geometry and seed). Lets callers compute the expensive
+    /// projection outside the index's lock; the remaining work is bucket
+    /// pushes and map inserts. The vector must already be validated
     /// (non-zero, right dimension).
     pub fn insert_signed(&mut self, id: ItemId, vector: &[f32], sig: Signature) {
         debug_assert_eq!(vector.len(), self.dim());
@@ -420,7 +420,7 @@ impl SimHashLshIndex {
     /// a `fill` that writes the vector straight into its arena slot — how a
     /// hydrating load installs a row it decodes from a block: bucketed from
     /// the signature the build derived, nothing re-projected.
-    pub(crate) fn insert_row(&mut self, id: ItemId, words: &[u64], fill: impl FnOnce(&mut [f32])) {
+    fn insert_row(&mut self, id: ItemId, words: &[u64], fill: impl FnOnce(&mut [f32])) {
         debug_assert_eq!(words.len(), self.words_per_sig());
         self.remove(id);
         let filled = self.vectors.insert_with(id, |slot| {
@@ -482,18 +482,6 @@ impl SimHashLshIndex {
         true
     }
 
-    /// Remove every item whose id lives in one backend namespace, across
-    /// both tiers (segments left with zero live rows retire as their last
-    /// row goes). Returns how many items were removed.
-    pub fn remove_backend(&mut self, backend_bits: u16) -> usize {
-        let cold_ids = self.cold.iter().flat_map(|c| c.locator.keys().copied());
-        let doomed: Vec<ItemId> = (self.vectors.iter().map(|(id, _)| id))
-            .chain(cold_ids)
-            .filter(|&id| item_backend(id) == backend_bits)
-            .collect();
-        doomed.into_iter().filter(|&id| self.remove(id)).count()
-    }
-
     /// Drop one backend's **cold** items only: their band entries and
     /// locator rows go, and emptied segments retire with their
     /// cache-resident blocks. Hot (arena-resident) items of the backend are
@@ -509,7 +497,7 @@ impl SimHashLshIndex {
 
     /// That `segment` was sealed under this index's dimension and
     /// signature width — what attaching it and hydrating from it both need.
-    pub(crate) fn fits(&self, segment: &VectorSegment) -> CodecResult<()> {
+    fn fits(&self, segment: &VectorSegment) -> CodecResult<()> {
         if segment.dim() != self.dim() {
             return Err(CodecError::Invalid(format!(
                 "segment dim {} does not match index dim {}",
@@ -602,6 +590,62 @@ impl SimHashLshIndex {
         Ok(attached)
     }
 
+    /// Hydrate from a sealed segment: every block is read once with a
+    /// positioned read, CRC-checked, and each row `map` keeps (under the id
+    /// it returns, as in [`Self::attach_segment_mapped`]) is decoded
+    /// straight into its arena slot and bucketed from its stored signature
+    /// words. Nothing pages afterwards: the rows are hot, and the segment
+    /// can be dropped. Returns how many rows were installed; on an error the
+    /// index holds the blocks read so far, so hydrate an index nothing else
+    /// sees yet.
+    pub fn hydrate(
+        &mut self,
+        segment: &VectorSegment,
+        map: impl Fn(ItemId) -> Option<ItemId>,
+    ) -> Result<usize, SegmentError> {
+        self.fits(segment)?;
+        let row_bytes = self.dim() * 4;
+        let mut payload = Vec::new();
+        let mut installed = 0usize;
+        for block in 0..segment.block_count() {
+            segment.read_payload(block, &mut payload)?;
+            let rows = segment.rows(block);
+            for (row, (&stored, raw)) in
+                rows.ids.iter().zip(payload.chunks_exact(row_bytes)).enumerate()
+            {
+                let Some(id) = map(stored) else {
+                    continue;
+                };
+                self.insert_row(id, rows.sig_words(row), |slot| {
+                    codec::get_f32s(&mut &raw[..], slot).expect("a row's bytes fill its slot");
+                });
+                installed += 1;
+            }
+        }
+        Ok(installed)
+    }
+
+    /// Seal every row `admit` keeps into one segment image (layout at
+    /// `paged::seal_image`) whose header carries `manifest`. Rows are read
+    /// **in place** — hot ones from the arena and signature slab, cold ones
+    /// from their blocks, fetched through the cache — and laid out in
+    /// (signature, id) order, so the bytes depend neither on which tier a
+    /// row sits in nor on insertion history. A cold block that does not
+    /// read back intact is the error: nothing is sealed around a hole.
+    pub fn seal(
+        &self,
+        block_rows: usize,
+        sketches: bool,
+        manifest: &[u8],
+        admit: impl Fn(ItemId) -> bool,
+    ) -> Result<Vec<u8>, SegmentError> {
+        let cold = self.cold_blocks()?;
+        let mut rows = Vec::with_capacity(self.len());
+        self.rows_in_place(&cold, admit, &mut rows);
+        let (dim, bits) = (self.dim(), self.params.bits());
+        Ok(paged::seal_image(dim, bits, block_rows, sketches, manifest, &mut rows))
+    }
+
     /// The stored vector for an id, if **hot** (arena-resident). Cold
     /// items return `None` here; use [`Self::vector_owned`] to read
     /// through the paged tier.
@@ -639,7 +683,7 @@ impl SimHashLshIndex {
     /// each fetched once through the cache — the first half of reading the
     /// rows in place: [`Self::rows_in_place`] borrows the vectors out of
     /// what this returns.
-    pub(crate) fn cold_blocks(&self) -> Result<Vec<Arc<Vec<f32>>>, SegmentError> {
+    fn cold_blocks(&self) -> Result<Vec<Arc<Vec<f32>>>, SegmentError> {
         let fetch = |group: Vec<(ColdLoc, ItemId)>| {
             let first = group[0].0;
             self.cold_segment(first).block(first.block())
@@ -657,7 +701,7 @@ impl SimHashLshIndex {
     /// then cold rows from `cold_blocks` (what [`Self::cold_blocks`]
     /// returned under the same borrow of `self`) and their segments'
     /// directories.
-    pub(crate) fn rows_in_place<'a>(
+    fn rows_in_place<'a>(
         &'a self,
         cold_blocks: &'a [Arc<Vec<f32>>],
         admit: impl Fn(ItemId) -> bool,
@@ -796,7 +840,7 @@ impl SimHashLshIndex {
     }
 
     /// [`Self::search_with_outcome`] from a precomputed signature, so a
-    /// sharded fan-out pays the signing cost once instead of per shard.
+    /// caller can sign before it takes the index's lock.
     pub fn search_signed_with_outcome(
         &self,
         query: &[f32],
@@ -848,16 +892,17 @@ impl SimHashLshIndex {
         deadline: Deadline,
         exclude: impl Fn(ItemId) -> bool,
     ) -> Result<(Vec<(ItemId, f32)>, SearchOutcome), SearchError> {
-        let mut topk = TopK::new(k);
-        let outcome = self.search_into(query, sig, scope, deadline, exclude, &mut topk)?;
-        Ok((ranking(topk), outcome))
+        deadline.check(Phase::CandidateGen)?;
+        // Taken, not borrowed: if `exclude` unwinds mid-scan the marked
+        // bitset is dropped with the stack, never seen by the next search.
+        let mut scratch = SEARCH_SCRATCH.take();
+        let found = self.search_with(&mut scratch, query, sig, k, scope, deadline, exclude);
+        SEARCH_SCRATCH.set(scratch);
+        found
     }
 
-    /// The search itself, into a heap the caller owns — a fresh one above,
-    /// one shared by every shard in [`crate::ShardedLshIndex`]. [`TopK`]
-    /// keeps the same set whatever the push order and a full heap's
-    /// threshold only rises, so a heap that arrives holding other shards'
-    /// rows changes no ranking; it only lets the cold pass prune sooner.
+    /// The search itself, in `scratch`: one hot pass, then one cold pass,
+    /// over one heap.
     ///
     /// Gather: every entry of the signature's buckets sets one bit of the
     /// per-thread bitset (hot slots first, cold row numbers after them).
@@ -866,35 +911,17 @@ impl SimHashLshIndex {
     /// candidate row; `scope` and `exclude` see it once. Hot rows come out
     /// in slab order and are scored four per kernel pass; cold rows come
     /// out in `(segment, block, row)` order, ready to group by block.
-    pub(crate) fn search_into(
-        &self,
-        query: &[f32],
-        sig: &Signature,
-        scope: &DiscoverScope,
-        deadline: Deadline,
-        exclude: impl Fn(ItemId) -> bool,
-        topk: &mut TopK<ItemId>,
-    ) -> Result<SearchOutcome, SearchError> {
-        deadline.check(Phase::CandidateGen)?;
-        // Taken, not borrowed: if `exclude` unwinds mid-scan the marked
-        // bitset is dropped with the stack, never seen by the next search.
-        let mut scratch = SEARCH_SCRATCH.take();
-        let outcome = self.search_with(&mut scratch, query, sig, scope, deadline, exclude, topk);
-        SEARCH_SCRATCH.set(scratch);
-        outcome
-    }
-
     #[allow(clippy::too_many_arguments)]
     fn search_with(
         &self,
         scratch: &mut SearchScratch,
         query: &[f32],
         sig: &Signature,
+        k: usize,
         scope: &DiscoverScope,
         deadline: Deadline,
         exclude: impl Fn(ItemId) -> bool,
-        topk: &mut TopK<ItemId>,
-    ) -> Result<SearchOutcome, SearchError> {
+    ) -> Result<(Vec<(ItemId, f32)>, SearchOutcome), SearchError> {
         let hot_words = self.vectors.slot_count().div_ceil(64);
         let words = hot_words + self.cold.as_ref().map_or(0, |c| c.rows.len().div_ceil(64));
         if scratch.bits.len() < words {
@@ -930,6 +957,7 @@ impl SimHashLshIndex {
         };
         // Hot pass first: the arena streams in slot order, and a full heap
         // raises the threshold before any cold block is considered.
+        let mut topk = TopK::new(k);
         let mut batch = [(0u32, 0 as ItemId); 4];
         let (mut filled, mut scored) = (0usize, 0usize);
         drain_bits(hot_bits, |slot| {
@@ -964,8 +992,9 @@ impl SimHashLshIndex {
             });
         }
         let (blocks_read, blocks_pruned, cold_scored) =
-            self.score_cold_rows(query, qnorm, scratch, deadline, topk)?;
-        Ok(SearchOutcome { candidates, scored: scored + cold_scored, blocks_read, blocks_pruned })
+            self.score_cold_rows(query, qnorm, scratch, deadline, &mut topk)?;
+        let scored = scored + cold_scored;
+        Ok((ranking(topk), SearchOutcome { candidates, scored, blocks_read, blocks_pruned }))
     }
 
     /// Cold pass of the exact re-rank: bound every candidate row from its
@@ -1007,10 +1036,9 @@ impl SimHashLshIndex {
         // of each group.
         bounds.clear();
         groups.clear();
-        // A heap that arrives full (the hot pass, or an earlier shard)
-        // already rules out every group under its threshold: those are
-        // counted and never enter the heap — the threshold only rises, so
-        // no visit could have reached them.
+        // A heap the hot pass filled already rules out every group under
+        // its threshold: those are counted and never enter the heap — the
+        // threshold only rises, so no visit could have reached them.
         let entering = topk.threshold();
         let mut total = 0usize;
         let mut start = 0usize;
@@ -1277,15 +1305,62 @@ mod tests {
         assert!(after >= before);
     }
 
-    /// `index`'s rows sealed without sketches by a one-shard
-    /// [`crate::ShardedLshIndex`] holding the same rows.
+    /// `index` sealed the way a checkpoint seals it: no sketches, no
+    /// manifest.
     fn sealed(index: &SimHashLshIndex, block_rows: usize) -> Vec<u8> {
-        let sharded = crate::ShardedLshIndex::new(index.dim(), index.params(), index.seed(), 1);
-        for row in index.export_rows() {
-            assert!(sharded.insert(row.id, &row.vector));
+        index.seal(block_rows, false, &[], |_| true).expect("every cold block reads back")
+    }
+
+    /// A sealed image opened from memory, uncached.
+    fn open(bytes: &[u8]) -> Result<VectorSegment, SegmentError> {
+        VectorSegment::from_bytes(bytes.to_vec(), crate::paged::BlockCache::new(0))
+    }
+
+    /// An empty index of `like`'s geometry and probes, hydrated from the
+    /// image `bytes`.
+    fn hydrated(bytes: &[u8], like: &SimHashLshIndex) -> SimHashLshIndex {
+        let mut index = SimHashLshIndex::new(like.dim(), like.params(), like.seed());
+        index.set_probes(like.probes());
+        let segment = open(bytes).expect("a sealed image opens");
+        assert_eq!(index.hydrate(&segment, Some).expect("hydrate"), segment.row_count());
+        index
+    }
+
+    /// `n` random unit vectors in 64 dimensions under ids `0..n`.
+    fn populated(n: usize, seed: u64) -> (SimHashLshIndex, Vec<Vec<f32>>) {
+        let mut rng = Xoshiro256pp::new(seed);
+        let mut index = SimHashLshIndex::new(64, LshParams::for_threshold(0.7, 128), 17);
+        let vectors: Vec<Vec<f32>> = (0..n).map(|_| random_unit(64, &mut rng)).collect();
+        for (id, v) in vectors.iter().enumerate() {
+            assert!(index.insert(id as ItemId, v));
         }
-        let image = sharded.freeze().seal(block_rows, false, &[], |_| true);
-        image.expect("no cold rows to lose")
+        (index, vectors)
+    }
+
+    /// An index holding 60 near-duplicate vectors (perturbations of one
+    /// base, so they collide in the LSH buckets) spread across three
+    /// backend namespaces (20 each), plus the vectors for re-querying.
+    fn federated(seed: u64) -> (SimHashLshIndex, Vec<Vec<f32>>) {
+        let mut rng = Xoshiro256pp::new(seed);
+        let mut index = SimHashLshIndex::new(64, LshParams::for_threshold(0.7, 128), 17);
+        let base = random_unit(64, &mut rng);
+        let vectors: Vec<Vec<f32>> = (0..60).map(|_| perturb(&base, 0.08, &mut rng)).collect();
+        for (i, v) in vectors.iter().enumerate() {
+            let backend = (i % 3) as u16 + 1; // namespaces 1, 2, 3
+            assert!(index.insert(crate::compose_item_id(backend, (i / 3) as u32), v));
+        }
+        (index, vectors)
+    }
+
+    /// A search under `scope` without a deadline or exclusions.
+    fn scoped(
+        index: &SimHashLshIndex,
+        query: &[f32],
+        k: usize,
+        scope: &DiscoverScope,
+    ) -> (Vec<(ItemId, f32)>, SearchOutcome) {
+        let sig = index.hasher().sign(query);
+        index.search_signed_scoped_with_outcome(query, &sig, k, scope, |_| false)
     }
 
     #[test]
@@ -1299,31 +1374,138 @@ mod tests {
         let query = random_unit(32, &mut rng);
         let before = index.search(&query, 5, |_| false);
         let image = sealed(&index, 16);
-        let cache = crate::paged::BlockCache::new(0);
-        let segment = VectorSegment::from_bytes(image.clone(), cache).expect("open");
-        let loaded = crate::ShardedLshIndex::new(32, index.params(), 21, 1);
-        loaded.set_probes(1);
-        assert_eq!(loaded.hydrate(&segment, Some).expect("hydrate"), 100);
-        let all = DiscoverScope::All;
-        let (after, _) = loaded.search(&query, 5, &all, Deadline::none(), |_| false).unwrap();
-        assert_eq!(after, before);
+        let loaded = hydrated(&image, &index);
+        assert_eq!(loaded.len(), 100);
+        assert_eq!(loaded.search(&query, 5, |_| false), before);
         // The signatures a hydrate buckets from are the image's: row for
         // row what a fresh signing of the stored vector gives, and what the
         // hydrated index seals again.
+        let segment = open(&image).expect("open");
         for b in 0..segment.block_count() {
             let data = segment.block(b).expect("read");
             for (r, vector) in data.chunks_exact(32).enumerate() {
                 assert_eq!(segment.sig_words_of(b, r), &index.hasher().sign(vector).words[..]);
             }
         }
-        assert_eq!(loaded.freeze().seal(16, false, &[], |_| true).expect("seal"), image);
+        assert_eq!(sealed(&loaded, 16), image);
+    }
+
+    #[test]
+    fn encode_decode_roundtrip_keeps_near_duplicate_rankings() {
+        // Near-duplicates under ids 3 apart: exact-score ties would be luck,
+        // but the candidate sets are large, so tie *order* is exercised by
+        // the (score, id) heap on every query, and so is the exclusion.
+        let (_, vectors) = federated(7);
+        let mut index = SimHashLshIndex::new(64, LshParams::for_threshold(0.7, 128), 17);
+        index.set_probes(1);
+        for (id, v) in vectors.iter().enumerate() {
+            assert!(index.insert(id as ItemId * 3, v));
+        }
+        let image = sealed(&index, 8);
+        let loaded = hydrated(&image, &index);
+        assert_eq!((loaded.len(), loaded.cold_len()), (index.len(), 0));
+        let mut rng = Xoshiro256pp::new(8);
+        let randoms: Vec<Vec<f32>> = (0..10).map(|_| random_unit(64, &mut rng)).collect();
+        for q in vectors.iter().take(10).chain(&randoms) {
+            let exclude = |id: ItemId| id % 5 == 0;
+            let (want, got) = (index.search(q, 25, exclude), loaded.search(q, 25, exclude));
+            assert_eq!(got, want, "the round trip changed a ranking");
+        }
+        // Re-sealing what was loaded reproduces the bytes.
+        assert_eq!(sealed(&loaded, 8), image);
+    }
+
+    #[test]
+    fn roundtrip_survives_slot_churn_and_removal() {
+        // Removal frees arena slots, reinsertion reuses them out of id
+        // order: the image is still (signature, id)-sorted and complete.
+        let (mut index, vectors) = populated(60, 13);
+        assert!([7, 40, 41].into_iter().all(|id| index.remove(id)));
+        assert!(index.insert(7, &vectors[59]));
+        assert!(index.insert(90, &vectors[40]));
+        let bytes = sealed(&index, 8);
+        let loaded = hydrated(&bytes, &index);
+        assert_eq!(loaded.len(), 59);
+        assert_eq!(loaded.vector(7), Some(&vectors[59][..]));
+        assert_eq!(loaded.vector(40), None);
+        // A fresh index holding the same rows writes the same bytes.
+        let mut fresh = SimHashLshIndex::new(64, LshParams::for_threshold(0.7, 128), 17);
+        for id in (0..60).chain([90]) {
+            if let Some(v) = index.vector(id) {
+                fresh.insert(id, v);
+            }
+        }
+        assert_eq!(sealed(&fresh, 8), bytes);
+        let mut rng = Xoshiro256pp::new(14);
+        for _ in 0..10 {
+            let q = random_unit(64, &mut rng);
+            assert_eq!(loaded.search(&q, 5, |_| false), index.search(&q, 5, |_| false));
+        }
+    }
+
+    #[test]
+    fn hot_and_cold_rows_share_one_frame() {
+        let (all_hot, vectors) = populated(80, 15);
+        // Even ids sealed into a segment and attached cold; odd ids hot.
+        let mut cold_source = SimHashLshIndex::new(64, LshParams::for_threshold(0.7, 128), 17);
+        for (id, v) in vectors.iter().enumerate().filter(|(id, _)| id % 2 == 0) {
+            cold_source.insert(id as ItemId, v);
+        }
+        let dir = std::env::temp_dir().join(format!("wg-index-frame-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("seg.wgs");
+        let bits = cold_source.params().bits();
+        crate::paged::write_vector_segment(&path, 64, bits, 8, cold_source.export_rows()).unwrap();
+        let cache = crate::paged::BlockCache::new(0);
+        let segment = Arc::new(VectorSegment::open(&path, cache).unwrap());
+        let mut mixed = SimHashLshIndex::new(64, all_hot.params(), 17);
+        assert_eq!(mixed.attach_segment_mapped(segment, Some).unwrap(), 40);
+        for (id, v) in vectors.iter().enumerate().filter(|(id, _)| id % 2 == 1) {
+            mixed.insert(id as ItemId, v);
+        }
+        assert_eq!((mixed.len(), mixed.cold_len()), (80, 40));
+
+        let bytes = sealed(&mixed, 8);
+        assert_eq!(bytes, sealed(&all_hot, 8), "a row's tier must not show in the image");
+        let loaded = hydrated(&bytes, &mixed);
+        assert_eq!((loaded.len(), loaded.cold_len()), (80, 0), "a hydrated restore is all hot");
+        let mut rng = Xoshiro256pp::new(16);
+        for _ in 0..10 {
+            let q = random_unit(64, &mut rng);
+            assert_eq!(loaded.search(&q, 7, |_| false), mixed.search(&q, 7, |_| false));
+        }
+
+        // The same rows sealed *with* sketches: a file that attaches lazily
+        // and hydrates alike, where the plain one refuses to attach.
+        let sketched = mixed.seal(8, true, &[], |_| true).unwrap();
+        assert!(sketched.len() > bytes.len());
+        assert_eq!(sealed(&hydrated(&sketched, &mixed), 8), bytes);
+        let mut lazy = SimHashLshIndex::new(64, mixed.params(), 17);
+        let plain = Arc::new(open(&bytes).unwrap());
+        let err = lazy.attach_segment_mapped(plain, Some).expect_err("nothing to prune with");
+        assert!(err.to_string().contains("no row sketches"), "{err}");
+        assert!(lazy.is_empty() && lazy.cold_segment_count() == 0);
+        let sketched = Arc::new(open(&sketched).unwrap());
+        assert_eq!(lazy.attach_segment_mapped(sketched, Some).unwrap(), 80);
+        assert_eq!((lazy.len(), lazy.cold_len()), (80, 80));
+        let q = &vectors[3];
+        assert_eq!(lazy.search(q, 7, |_| false), mixed.search(q, 7, |_| false));
+
+        // A cold block that no longer reads back fails the seal, typed.
+        let mut image = std::fs::read(&path).unwrap();
+        image[wg_util::segment::PREAMBLE_LEN + 3] ^= 0x40;
+        std::fs::write(&path, &image).unwrap();
+        mixed.cold_blocks().expect("cached");
+        let fresh = Arc::new(VectorSegment::open(&path, crate::paged::BlockCache::new(0)).unwrap());
+        let mut damaged = SimHashLshIndex::new(64, mixed.params(), 17);
+        damaged.attach_segment_mapped(fresh, Some).unwrap();
+        let err = damaged.seal(8, false, &[], |_| true).expect_err("a lost block");
+        assert!(matches!(&err, SegmentError::Corrupt(m) if m.contains("block 0")), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn decode_rejects_garbage() {
-        let open = |bytes: &[u8]| {
-            VectorSegment::from_bytes(bytes.to_vec(), crate::paged::BlockCache::new(0))
-        };
         assert!(open(b"not an index").is_err());
         // An image cut short anywhere: typed, at open.
         let mut index = SimHashLshIndex::for_threshold(8, 0.5, 1);
@@ -1332,6 +1514,174 @@ mod tests {
         open(&image).expect("the whole image opens");
         for cut in 0..image.len() {
             assert!(open(&image[..cut]).is_err(), "cut at {cut} opened");
+        }
+    }
+
+    /// `image` with its directory edited by `edit` and the trailer's length
+    /// and CRC recomputed: a file whose checksums vouch for whatever the
+    /// edit left behind. `edit` sees the directory from its magic on.
+    fn with_directory(image: &[u8], edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+        let trailer_at = image.len() - wg_util::segment::TRAILER_LEN;
+        let dir_at = u64::from_le_bytes(image[trailer_at + 8..trailer_at + 16].try_into().unwrap());
+        let mut directory = image[dir_at as usize..trailer_at].to_vec();
+        edit(&mut directory);
+        let mut out = image[..dir_at as usize].to_vec();
+        out.extend_from_slice(&directory);
+        out.extend_from_slice(&image[trailer_at..trailer_at + 16]);
+        out.extend_from_slice(&(directory.len() as u32).to_le_bytes());
+        out.extend_from_slice(&wg_util::checksum::crc32(&directory).to_le_bytes());
+        out
+    }
+
+    #[test]
+    fn another_frame_version_is_refused() {
+        let good = sealed(&populated(3, 18).0, 8);
+        open(&good).expect("this build's version opens");
+        // The version sits in the preamble, the directory and the trailer;
+        // a file of another version carries it in all three.
+        for version in [1u32, 2, 4] {
+            let le = version.to_le_bytes();
+            let mut other = with_directory(&good, |dir| dir[4..8].copy_from_slice(&le));
+            other[4..8].copy_from_slice(&le);
+            let trailer_at = other.len() - wg_util::segment::TRAILER_LEN;
+            other[trailer_at + 4..trailer_at + 8].copy_from_slice(&le);
+            let err = open(&other).expect_err("only this build's version opens");
+            assert_eq!(
+                err.to_string(),
+                format!("corrupt segment: unsupported segment version {version}")
+            );
+        }
+    }
+
+    #[test]
+    fn counts_and_geometry_that_lie_are_refused_before_anything_is_reserved() {
+        let good = sealed(&populated(3, 18).0, 8);
+        assert_eq!(open(&good).expect("opens").row_count(), 3);
+        let corrupt = |bytes: &[u8], what: &str| match open(bytes) {
+            Err(SegmentError::Corrupt(msg)) => assert!(msg.contains(what), "{msg}"),
+            other => {
+                panic!("expected a typed refusal ({what}), got {:?}", other.map(|s| s.row_count()))
+            }
+        };
+        // The directory: magic + version, the length-prefixed header (16
+        // bytes: no manifest), the block count, then block 0's offset,
+        // payload length, CRC and length-prefixed metadata, which opens
+        // with the id count.
+        let (header_at, count_at) = (8 + 4, 8 + 4 + 16);
+        let (payload_len_at, ids_at) = (count_at + 4 + 8, count_at + 4 + 8 + 4 + 4 + 4);
+        let huge = (1u32 << 30).to_le_bytes();
+        let patch = |at: usize, le: [u8; 4]| {
+            with_directory(&good, |dir| {
+                assert_eq!(dir[count_at..count_at + 4], 1u32.to_le_bytes(), "layout drifted");
+                dir[at..at + 4].copy_from_slice(&le);
+            })
+        };
+        // The largest counts a length prefix admits: blocks, then ids.
+        corrupt(&patch(count_at, huge), "count 1073741824 needs at least 20 bytes each");
+        corrupt(&patch(ids_at, huge), "unexpected end of input");
+        // One block more than the directory holds; one row more than the
+        // metadata holds.
+        corrupt(&patch(count_at, 2u32.to_le_bytes()), "unexpected end of input");
+        corrupt(&patch(ids_at, 4u32.to_le_bytes()), "unexpected end of input");
+        // A payload length that is not the rows' (and would run into the
+        // directory), refused without a read.
+        corrupt(&patch(payload_len_at, huge), "escapes the data region");
+        corrupt(&patch(payload_len_at, (3 * 64 * 4 - 4u32).to_le_bytes()), "is inconsistent");
+        // Geometry no block of the file matches, however large.
+        corrupt(&patch(header_at, (1u32 << 31).to_le_bytes()), "is inconsistent");
+        corrupt(&patch(header_at + 4, u32::MAX.to_le_bytes()), "is inconsistent");
+        corrupt(&patch(header_at, 0u32.to_le_bytes()), "bad vector-segment geometry");
+        // Bytes after the trailer, or between the directory and it.
+        let mut trailing = good.clone();
+        trailing.push(0);
+        corrupt(&trailing, "bad trailer magic");
+        corrupt(&with_directory(&good, |dir| dir.push(0)), "trailing directory bytes");
+    }
+
+    #[test]
+    fn scoped_search_restricts_to_admitted_backends() {
+        let (index, vectors) = federated(20);
+        let q = &vectors[0];
+        let (all, unscoped) = scoped(&index, q, 60, &DiscoverScope::All);
+        assert!(all.iter().any(|(id, _)| item_backend(*id) == 1));
+        let only2 = scoped(&index, q, 60, &DiscoverScope::include([2]));
+        assert!(!only2.0.is_empty());
+        assert!(only2.0.iter().all(|(id, _)| item_backend(*id) == 2));
+        // Scope admits exactly the subset of the unscoped result set.
+        let from_all: Vec<_> =
+            all.iter().copied().filter(|(id, _)| item_backend(*id) == 2).collect();
+        assert_eq!(only2.0, from_all);
+        let not2 = scoped(&index, q, 60, &DiscoverScope::exclude([2]));
+        assert!(not2.0.iter().all(|(id, _)| item_backend(*id) != 2));
+        // Pushdown: the scoped searches never scored out-of-scope items.
+        assert!(only2.1.scored <= unscoped.scored);
+        assert_eq!(only2.1.scored + not2.1.scored, unscoped.scored);
+    }
+
+    #[test]
+    fn federated_encode_round_trips_with_remap() {
+        let (index, vectors) = federated(23);
+        let segment = open(&sealed(&index, 8)).unwrap();
+
+        // A loader that maps none of the namespaces installs nothing; the
+        // caller sees that in the count.
+        let mut empty = SimHashLshIndex::new(64, index.params(), 17);
+        assert_eq!(empty.hydrate(&segment, |_| None).unwrap(), 0);
+        assert!(empty.is_empty());
+
+        // The loading process assigned different bits to the same names.
+        let reassign = |id: ItemId| {
+            let bits = [None, Some(9), Some(4), Some(7)][item_backend(id) as usize]?;
+            Some(crate::compose_item_id(bits, crate::item_local(id)))
+        };
+        let mut loaded = SimHashLshIndex::new(64, index.params(), 17);
+        assert_eq!(loaded.hydrate(&segment, reassign).unwrap(), 60);
+        assert_eq!(loaded.len(), 60);
+        // Old namespace 1 is now 9, with locals preserved.
+        let q = &vectors[0];
+        let want = scoped(&index, q, 60, &DiscoverScope::include([1])).0;
+        let got = scoped(&loaded, q, 60, &DiscoverScope::include([9])).0;
+        assert_eq!(want.len(), got.len());
+        for ((a, sa), (b, sb)) in want.iter().zip(&got) {
+            assert_eq!(crate::item_local(*a), crate::item_local(*b));
+            assert_eq!(item_backend(*b), 9);
+            assert_eq!(sa, sb);
+        }
+    }
+
+    #[test]
+    fn concurrent_inserts_and_searches_lose_nothing() {
+        // The system's layout: one index behind one reader–writer lock,
+        // every row and query signed before the lock is taken.
+        let params = LshParams::for_threshold(0.6, 64);
+        let hasher = Arc::new(SimHasher::new(32, params.bits(), 11));
+        let index = parking_lot::RwLock::new(SimHashLshIndex::with_hasher(hasher.clone(), params));
+        let per_thread = 50usize;
+        std::thread::scope(|scope| {
+            for t in 0..4u32 {
+                let (index, hasher) = (&index, &hasher);
+                scope.spawn(move || {
+                    let mut rng = Xoshiro256pp::new(100 + t as u64);
+                    for i in 0..per_thread {
+                        let id = t * per_thread as u32 + i as u32;
+                        let v = random_unit(32, &mut rng);
+                        let sig = hasher.sign(&v);
+                        index.write().insert_signed(id, &v, sig);
+                        // Interleave searches with the other writers.
+                        let q = random_unit(32, &mut rng);
+                        let sig = hasher.sign(&q);
+                        let (hits, _) =
+                            index.read().search_signed_with_outcome(&q, &sig, 3, |_| false);
+                        assert!(hits.len() <= 3);
+                    }
+                });
+            }
+        });
+        assert_eq!(index.read().len(), 4 * per_thread);
+        // Nothing was lost or stale: every row is found under its own vector.
+        let index = index.into_inner();
+        for (id, v) in index.export_rows().into_iter().map(|r| (r.id, r.vector)) {
+            assert_eq!(index.search(&v, 1, |_| false)[0].0, id);
         }
     }
 
@@ -1508,11 +1858,10 @@ mod tests {
         }
         let exclude = |id: ItemId| id % 7 == 0;
         let (mut tied_passes, mut stopped_early, mut ruled_out_on_entry) = (0usize, 0usize, 0usize);
+        let mut near = Xoshiro256pp::new(52);
         for block_rows in [1usize, 3, 16] {
-            let (paged, _cache, dir) =
+            let (mut paged, _cache, dir) =
                 seal_and_attach(&hot, &format!("lazy-{block_rows}"), block_rows, 0);
-            let cold = paged.cold.as_ref().expect("attached");
-            let seg = cold.segments[0].as_ref().expect("live");
             for q in 0..60 {
                 let query = match q % 3 {
                     0 => pool[q % pool.len()].clone(),
@@ -1521,25 +1870,32 @@ mod tests {
                 };
                 let sig = paged.hasher().sign(&query);
                 let qnorm = kernel::norm_sq(&query).sqrt();
-                // Every other pass enters with the heap an earlier shard
-                // would have left: full, under ids of its own.
-                let entering = |topk: &mut TopK<ItemId>| {
-                    for other in 0..5 * (q % 2) as ItemId {
-                        topk.push(0.9 - other as f64 * 1e-3, 1_000 + other);
-                    }
-                };
-                let mut got = TopK::new(5);
-                entering(&mut got);
+                // Every other pass enters the cold pass with a full heap:
+                // five hot rows near the query, bucketed under its own
+                // signature, which the hot pass scores first.
+                let entering: Vec<(ItemId, Vec<f32>)> = (1_000..)
+                    .filter(|&id| !exclude(id))
+                    .take(5 * (q % 2))
+                    .map(|id| (id, perturb(&query, 0.1, &mut near)))
+                    .collect();
+                for (id, v) in &entering {
+                    paged.insert_signed(*id, v, sig.clone());
+                }
                 let (all, none) = (DiscoverScope::All, Deadline::none());
-                let outcome =
-                    paged.search_into(&query, &sig, &all, none, exclude, &mut got).expect("search");
+                let (got, outcome) = paged
+                    .search_signed_scoped_deadline_with_outcome(
+                        &query, &sig, 5, &all, none, exclude,
+                    )
+                    .expect("search");
 
                 // The same pass with every group sorted before the first
                 // visit: rows in location order, one bound each, groups in
                 // descending largest bound, equal bounds by position.
+                let cold = paged.cold.as_ref().expect("attached");
+                let seg = cold.segments[0].as_ref().expect("live");
                 let mut rows: Vec<(ColdLoc, ItemId)> = (paged.candidates_signed(&sig).into_iter())
                     .filter(|&id| !exclude(id))
-                    .map(|id| cold.rows[cold.locator[&id] as usize])
+                    .filter_map(|id| Some(cold.rows[*cold.locator.get(&id)? as usize]))
                     .collect();
                 rows.sort_unstable();
                 let mut codes = QueryCodes::default();
@@ -1556,8 +1912,11 @@ mod tests {
                 tied_passes += groups.windows(2).any(|w| w[0].0 == w[1].0) as usize;
 
                 let mut want = TopK::new(5);
-                entering(&mut want);
-                let (mut read, mut scored) = (0usize, 0usize);
+                for (id, v) in &entering {
+                    let score = cosine_of(kernel::dot(&query, v), qnorm, kernel::norm_sq(v).sqrt());
+                    want.push(score as f64, *id);
+                }
+                let (mut read, mut scored) = (0usize, entering.len());
                 for &(largest, _, group) in &groups {
                     if want.threshold().is_some_and(|threshold| largest < threshold) {
                         break;
@@ -1581,9 +1940,12 @@ mod tests {
                     (read, groups.len() - read, scored),
                     "{block_rows}-row blocks, query {q}"
                 );
-                assert_eq!(ranking(got), ranking(want), "{block_rows}-row blocks, query {q}");
+                assert_eq!(got, ranking(want), "{block_rows}-row blocks, query {q}");
                 stopped_early += (read < groups.len()) as usize;
                 ruled_out_on_entry += (q % 2 == 1 && read == 0 && !groups.is_empty()) as usize;
+                for (id, _) in &entering {
+                    assert!(paged.remove(*id));
+                }
             }
             std::fs::remove_dir_all(&dir).ok();
         }
@@ -1630,31 +1992,6 @@ mod tests {
     }
 
     #[test]
-    fn remove_backend_retires_dead_segments() {
-        let mut rng = Xoshiro256pp::new(35);
-        let mut source = SimHashLshIndex::for_threshold(32, 0.7, 45);
-        for i in 0..40u32 {
-            let backend = (i % 2) as u16 + 1;
-            let id = crate::compose_item_id(backend, i / 2);
-            source.insert(id, &random_unit(32, &mut rng));
-        }
-        let (mut paged, cache, dir) = seal_and_attach(&source, "detach", 8, 0);
-        // Warm the cache.
-        let q = random_unit(32, &mut rng);
-        let _ = paged.search(&q, 10, |_| false);
-        assert_eq!(paged.cold_segment_count(), 1);
-
-        assert_eq!(paged.remove_backend(1), 20);
-        assert_eq!(paged.cold_len(), 20);
-        assert_eq!(paged.cold_segment_count(), 1, "backend 2 still lives in the segment");
-        assert_eq!(paged.remove_backend(2), 20);
-        assert_eq!(paged.cold_len(), 0);
-        assert_eq!(paged.cold_segment_count(), 0, "dead segment must retire");
-        assert_eq!(cache.stats().len, 0, "retirement drops cached blocks");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn a_segment_retires_when_its_rows_die_one_at_a_time() {
         // The way a `sync` empties a segment: no backend-wide call, just
         // one row after another replaced hot, or removed.
@@ -1685,6 +2022,44 @@ mod tests {
             assert!(segment.upgrade().is_none(), "{tag}: the file must be closed");
             assert!(paged.cold.is_none(), "{tag}: an emptied tier is dropped");
             assert_buckets_name_live_rows(&paged);
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    #[test]
+    fn batches_that_empty_a_segment_row_by_row_retire_it() {
+        // How an indexing commit kills rows: a chunk of removals or hot
+        // replacements under one write guard.
+        let (_, vectors) = federated(26);
+        let mut source = SimHashLshIndex::new(64, LshParams::for_threshold(0.7, 128), 17);
+        let ids: Vec<ItemId> = (0..vectors.len()).map(|i| i as ItemId * 3).collect();
+        for (&id, v) in ids.iter().zip(&vectors) {
+            assert!(source.insert(id, v));
+        }
+        type Kill = fn(&mut SimHashLshIndex, &[ItemId], &[Vec<f32>]);
+        let kills: [(&str, Kill, usize); 2] = [
+            ("remove", |index, ids, _| assert!(ids.iter().all(|&id| index.remove(id))), 0),
+            (
+                "insert",
+                |index, ids, vectors| {
+                    for (&id, v) in ids.iter().zip(vectors) {
+                        index.insert_signed(id, v, index.hasher().sign(v));
+                    }
+                },
+                60,
+            ),
+        ];
+        for (tag, kill, left) in kills {
+            let (mut index, cache, dir) = seal_and_attach(&source, &format!("batch-{tag}"), 4, 0);
+            assert_eq!(index.export_rows().len(), 60);
+            assert_eq!((index.cold_segment_count(), cache.stats().len), (1, 15));
+            // All but ids 0, 3, 6, 9: the segment still holds live rows.
+            kill(&mut index, &ids[4..], &vectors[4..]);
+            assert_eq!((index.cold_len(), index.cold_segment_count()), (4, 1), "{tag}");
+            kill(&mut index, &ids[..4], &vectors[..4]);
+            assert_eq!((index.len(), index.cold_len(), index.cold_segment_count()), (left, 0, 0));
+            assert_eq!(cache.stats().len, 0, "{tag}: retirement drops cached blocks");
+            assert_buckets_name_live_rows(&index);
             std::fs::remove_dir_all(&dir).ok();
         }
     }
@@ -1791,11 +2166,15 @@ mod tests {
                     assert_eq!(index.drop_cold_backend(bits), cold.len());
                     model.retain(|x, _| !cold.contains(x));
                 }
+                // A whole namespace removed row by row, hot and cold.
                 _ => {
                     let bits = crate::item_backend(id);
-                    let before = model.len();
-                    model.retain(|&x, _| crate::item_backend(x) != bits);
-                    assert_eq!(index.remove_backend(bits), before - model.len());
+                    let doomed: Vec<ItemId> =
+                        model.keys().copied().filter(|&x| crate::item_backend(x) == bits).collect();
+                    for x in doomed {
+                        assert!(index.remove(x));
+                        model.remove(&x);
+                    }
                 }
             }
             retired += segments_before.saturating_sub(index.cold_segment_count());
@@ -1874,10 +2253,10 @@ mod tests {
             &mut scratch,
             queries[0],
             &sig,
+            7,
             &DiscoverScope::All,
             expired,
             |_| false,
-            &mut TopK::new(7),
         );
         assert!(matches!(died, Err(SearchError::Expired(Phase::Rerank))), "{died:?}");
         assert!(!scratch.bits.is_empty() && scratch.bits.iter().all(|&w| w == 0));

@@ -19,13 +19,11 @@
 //! * [`index`] — the banded [`SimHashLshIndex`]: buckets of row numbers
 //!   (arena slots and paged-tier rows alike), a per-thread bitset as the
 //!   candidate set — no sort and no id lookup between the buckets and the
-//!   scores — exact cosine re-ranking, optional multi-probe, and
-//!   incremental insert/remove;
-//! * [`shard`] — the concurrent [`ShardedLshIndex`]: items partitioned by
-//!   id across independently locked [`SimHashLshIndex`] shards, searched
-//!   with one signing and one top-k heap that travels through the shards,
-//!   sealed into one segment image under every shard's read guard
-//!   ([`ShardedLshIndex::freeze`]) and hydrated back from one;
+//!   scores — exact cosine re-ranking, optional multi-probe, incremental
+//!   insert/remove, and sealing into / hydrating from one segment image
+//!   ([`SimHashLshIndex::seal`], [`SimHashLshIndex::hydrate`]). It is
+//!   single-threaded: a concurrent caller holds it behind one lock and
+//!   signs outside it ([`SimHashLshIndex::with_hasher`]);
 //! * [`paged`] — the one writer and the one reader of a sealed segment,
 //!   and the beyond-RAM tier built on it: a directory that
 //!   keeps an int8 sketch of every row resident (bounded against the
@@ -51,7 +49,6 @@ pub mod minhash;
 pub mod paged;
 pub mod params;
 pub mod scope;
-pub mod shard;
 pub mod simhash;
 
 pub use arena::VectorArena;
@@ -61,7 +58,6 @@ pub use minhash::{MinHashLshIndex, MinHashSignature, MinHasher};
 pub use paged::{BlockCache, SegmentRow, VectorSegment};
 pub use params::LshParams;
 pub use scope::DiscoverScope;
-pub use shard::{FrozenIndex, ShardedLshIndex};
 pub use simhash::{Signature, SimHasher};
 pub use wg_util::lru::CacheStats;
 

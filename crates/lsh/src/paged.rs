@@ -197,7 +197,7 @@ fn sketch_row(x: &[f32], codes: &mut Vec<i8>) -> (f32, f32) {
 }
 
 /// A byte-budgeted LRU over `(segment, block)` payloads, shared by every
-/// segment of a paged index (and across shards — the budget is global):
+/// segment of a paged index (the budget is the system's, not a segment's):
 /// one [`Lru`] behind one mutex. The eviction rule is the LRU's — one
 /// block larger than the whole budget stays resident until the next
 /// admission, since refusing to cache it would re-read it on every query.
@@ -1349,9 +1349,9 @@ mod tests {
         let segment = VectorSegment::open(&path, BlockCache::new(0)).expect("open");
         assert!(segment.has_sketches());
         let params = crate::LshParams { bands: 4, rows: 16 };
-        let index = crate::ShardedLshIndex::new(dim, params, 1, 2);
+        let mut index = crate::SimHashLshIndex::new(dim, params, 1);
         assert_eq!(index.hydrate(&segment, Some).expect("hydrate"), 10);
-        assert_eq!(index.freeze().seal(4, true, &[], |_| true).expect("seal"), image);
+        assert_eq!(index.seal(4, true, &[], |_| true).expect("seal"), image);
         std::fs::remove_dir_all(path.parent().unwrap()).ok();
     }
 

@@ -59,7 +59,7 @@ pub use topk::TopK;
 /// `std::thread::available_parallelism()` is not free — on Linux it
 /// re-reads the cgroup CPU quota files on every call (≈ 10 µs in a
 /// container), which is real money on a per-query path. The value cannot
-/// change meaningfully for our purposes (thread-pool and shard sizing),
+/// change meaningfully for our purposes (worker-pool sizing),
 /// so hot paths should use this cached resolution.
 pub fn hardware_threads() -> usize {
     use std::sync::OnceLock;

@@ -1,6 +1,7 @@
-//! Concurrency stress tests for the sharded hot path: threads mixing
-//! `discover`, `discover_batch`, `index_table`, and `remove_table` against
-//! one shared system. The invariants under test:
+//! Concurrency stress tests for the hot path — one index behind one
+//! reader–writer lock: threads mixing `discover`, `discover_batch`,
+//! `index_table`, and `remove_table` against one shared system. The
+//! invariants under test:
 //!
 //! * **no lost inserts** — after the churn settles and every table is
 //!   (re-)indexed, the index holds exactly one entry per warehouse column;
@@ -169,7 +170,7 @@ fn removed_tables_never_resurface() {
 #[test]
 fn concurrent_batch_indexing_loses_nothing() {
     // Many small tables indexed from parallel callers (not just parallel
-    // workers inside one call): the batched registry + shard routing must
+    // workers inside one call): the batched registry + index commits must
     // neither drop nor double-count columns.
     let mut w = Warehouse::new("fanout");
     for t in 0..12 {

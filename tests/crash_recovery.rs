@@ -519,9 +519,7 @@ struct PagedGenerations {
 fn paged_generations(tag: &str) -> PagedGenerations {
     // One-row blocks: every row is its own block, so torn writes can tear
     // *between* blocks.
-    let config = WarpGateConfig { dim: 64, threads: 1, ..Default::default() }
-        .with_shards(1)
-        .with_block_rows(1);
+    let config = WarpGateConfig { dim: 64, threads: 1, ..Default::default() }.with_block_rows(1);
     let c = Arc::new(CdwConnector::new(small_warehouse(tag), CdwConfig::free()));
     let wg = WarpGate::with_backend(config, c.clone());
     wg.index_warehouse().unwrap();

@@ -15,7 +15,7 @@
 //! * the arena-streaming re-rank ranks like a plain reference scorer.
 //!
 //! (Snapshot round trips — including through arena slot churn — are pinned
-//! where the frame lives, in `wg_lsh::shard`'s tests.)
+//! where the frame lives, in `wg_lsh::index`'s tests.)
 
 use proptest::prelude::*;
 use warpgate::lsh::{SimHashLshIndex, SimHasher, VectorArena};

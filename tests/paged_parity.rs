@@ -9,7 +9,7 @@
 //! their job (at most a sixth of a pass's candidate blocks read at the
 //! default page size, none when the hot tier has already filled the heap)
 //! and a damaged cold block to a typed error; since ISSUE 23 it runs at
-//! every page size from one row to 64, one shard and two.
+//! every page size from one row to 64.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -46,16 +46,14 @@ fn tmp_dir(tag: &str) -> PathBuf {
 
 const DIM: usize = 64;
 
-/// The 400-column clustered corpus indexed all-in-RAM at `shards` shards
-/// (sealing `block_rows`-row pages under a two-page cache budget), the
-/// query stream both systems serve — every 11th column — and the rankings
-/// the RAM system gives it.
+/// The 400-column clustered corpus indexed all-in-RAM (sealing
+/// `block_rows`-row pages under a two-page cache budget), the query stream
+/// both systems serve — every 11th column — and the rankings the RAM
+/// system gives it.
 fn ram_reference(
     block_rows: usize,
-    shards: usize,
 ) -> (WarpGate, Arc<CdwConnector>, Vec<ColumnRef>, Vec<Vec<JoinCandidate>>) {
     let config = WarpGateConfig { dim: DIM, threads: 2, ..Default::default() }
-        .with_shards(shards)
         .with_block_rows(block_rows)
         .with_block_cache_bytes(2 * block_rows * DIM * 4);
     let connector = Arc::new(CdwConnector::new(clustered_warehouse(100, 4, 32), CdwConfig::free()));
@@ -80,14 +78,14 @@ fn ram_reference(
 /// every answer to the RAM ranking, the accounting to monotone, and the
 /// resident set to the budget. Returns each pass's `(blocks read, blocks
 /// pruned)`.
-fn serve_under_a_two_block_budget(block_rows: usize, shards: usize) -> Vec<(u64, u64)> {
+fn serve_under_a_two_block_budget(block_rows: usize) -> Vec<(u64, u64)> {
     let block_bytes = block_rows * DIM * 4;
     // The pathological budget: exactly two blocks resident at a time.
     let budget = 2 * block_bytes;
-    let (ram, connector, queries, want) = ram_reference(block_rows, shards);
-    let tag = format!("{block_rows}x{shards}");
+    let (ram, connector, queries, want) = ram_reference(block_rows);
+    let tag = format!("{block_rows}-row pages");
 
-    let dir = tmp_dir(&format!("parity_{block_rows}_{shards}"));
+    let dir = tmp_dir(&format!("parity_{block_rows}"));
     ram.save_paged(&dir).unwrap();
     let mut paged = WarpGate::with_backend(*ram.config(), connector);
     paged.load_paged(&dir).unwrap();
@@ -153,7 +151,7 @@ fn serve_under_a_two_block_budget(block_rows: usize, shards: usize) -> Vec<(u64,
 
 #[test]
 fn two_block_budget_serves_identical_rankings_with_bounded_residency() {
-    // The default page, at the default's two shards.
+    // The default page.
     let block_rows = WarpGateConfig::default().block_rows;
     let corpus_bytes = 400 * DIM * 4;
     assert!(
@@ -161,11 +159,11 @@ fn two_block_budget_serves_identical_rankings_with_bounded_residency() {
         "fixture must be ≥10× the budget: {corpus_bytes} bytes in {block_rows}-row blocks"
     );
     for (pass, (reads, pruned)) in
-        serve_under_a_two_block_budget(block_rows, 2).into_iter().enumerate()
+        serve_under_a_two_block_budget(block_rows).into_iter().enumerate()
     {
         // Every block holding a candidate row is either read or pruned;
-        // the row bounds must leave at most a sixth of them to read (114 of
-        // 877 here: a family's dozen near-duplicates sit in one or two
+        // the row bounds must leave at most a sixth of them to read (69 of
+        // 747 here: a family's dozen near-duplicates sit in one or two
         // 16-row pages, its other candidates are bounded away).
         assert!(
             6 * reads <= reads + pruned,
@@ -176,20 +174,18 @@ fn two_block_budget_serves_identical_rankings_with_bounded_residency() {
 }
 
 #[test]
-fn any_page_size_and_shard_count_serves_identical_rankings_within_budget() {
+fn any_page_size_serves_identical_rankings_within_budget() {
     // From one row a page to the parent's default, every block but the
-    // last full or not (3 does not divide 400), one shard and two.
+    // last full or not (3 does not divide 400).
     for block_rows in [1, 3, 16, 64] {
-        for shards in [1, 2] {
-            // The larger the page, the more of a pass's candidate pages
-            // hold a row worth reading: a tenth at one row, a fifth at 64.
-            for (reads, pruned) in serve_under_a_two_block_budget(block_rows, shards) {
-                assert!(
-                    4 * reads <= reads + pruned,
-                    "{block_rows}x{shards}: read {reads} of {} candidate blocks",
-                    reads + pruned
-                );
-            }
+        // The larger the page, the more of a pass's candidate pages hold a
+        // row worth reading: a tenth at one row, a fifth at 64.
+        for (reads, pruned) in serve_under_a_two_block_budget(block_rows) {
+            assert!(
+                4 * reads <= reads + pruned,
+                "{block_rows}-row pages: read {reads} of {} candidate blocks",
+                reads + pruned
+            );
         }
     }
 }
@@ -199,10 +195,10 @@ fn a_directory_sealed_in_64_row_pages_loads_under_the_default_and_ranks_identica
     // What a node running the previous default (64 rows) left on disk: the
     // page size is the file's, read from its header, whatever the loading
     // system would seal with itself.
-    let (ram, connector, queries, want) = ram_reference(64, 2);
+    let (ram, connector, queries, want) = ram_reference(64);
     let dir = tmp_dir("sealed_at_64");
     ram.save_paged(&dir).unwrap();
-    let config = WarpGateConfig { dim: DIM, threads: 2, ..Default::default() }.with_shards(2);
+    let config = WarpGateConfig { dim: DIM, threads: 2, ..Default::default() };
     assert_ne!(config.block_rows, 64, "the loader seals with another page size");
     let mut paged = WarpGate::with_backend(config, connector);
     paged.load_paged(&dir).unwrap();
@@ -222,7 +218,6 @@ fn unbounded_budget_matches_too_and_stops_evicting() {
     // the only variable in the test above.
     const DIM: usize = 64;
     let config = WarpGateConfig { dim: DIM, threads: 2, ..Default::default() }
-        .with_shards(2)
         .with_block_rows(8)
         .with_block_cache_bytes(0);
     let connector = Arc::new(CdwConnector::new(clustered_warehouse(12, 3, 6), CdwConfig::free()));
@@ -258,10 +253,7 @@ fn a_heap_the_hot_pass_filled_lets_the_cold_pass_read_nothing() {
     // cold candidate.
     const DIM: usize = 64;
     const K: usize = 5;
-    // One shard: each shard keeps a heap of its own, and the point is a
-    // heap the hot rows alone have filled.
     let config = WarpGateConfig { dim: DIM, threads: 2, ..Default::default() }
-        .with_shards(1)
         .with_block_rows(8)
         .with_block_cache_bytes(0);
     let connector = Arc::new(CdwConnector::new(clustered_warehouse(100, 4, 32), CdwConfig::free()));
@@ -310,7 +302,6 @@ fn a_heap_the_hot_pass_filled_lets_the_cold_pass_read_nothing() {
 fn a_damaged_cold_block_is_a_typed_error_not_a_panic() {
     const DIM: usize = 64;
     let config = WarpGateConfig { dim: DIM, threads: 2, ..Default::default() }
-        .with_shards(1)
         .with_block_rows(8)
         .with_block_cache_bytes(0);
     let connector = Arc::new(CdwConnector::new(clustered_warehouse(24, 4, 8), CdwConfig::free()));

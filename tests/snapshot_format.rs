@@ -9,13 +9,14 @@
 //! * a load interns no backend name before every checksum it relies on has
 //!   verified;
 //! * one file, two loaders: hydrated and lazily attached, the same bytes
-//!   rank alike at every shard-count pairing;
-//! * rankings (tie order included) survive save@{1,2,8} × load@{1,2,8}
-//!   shards, a loader whose interner holds the names in another order, and
-//!   a system whose rows are part hot, part paged.
+//!   rank alike;
+//! * rankings (tie order included) survive save → load, a loader whose
+//!   interner holds the names in another order, and a system whose rows
+//!   are part hot, part paged;
+//! * a build's bytes and rankings do not depend on its thread count.
 //!
 //! The container's own unit tests live in `wg_util::segment`, the row
-//! layout's in `wg_lsh::{paged, shard}`; the crash sweeps in
+//! layout's in `wg_lsh::{paged, index}`; the crash sweeps in
 //! `tests/crash_recovery.rs`; the pinned golden images in
 //! `warpgate_core::persist` and `wg_lsh::paged`.
 
@@ -471,30 +472,19 @@ fn a_file_that_disagrees_with_itself_or_the_config_is_refused_by_every_loader() 
 // ---------------------------------------------------------------------
 
 #[test]
-fn rankings_and_bytes_survive_every_shard_count_pairing() {
-    let c = connector("shards");
-    let config = |shards| WarpGateConfig { threads: 1, ..Default::default() }.with_shards(shards);
-    let reference = WarpGate::with_backend(config(1), c.clone());
-    reference.index_warehouse().unwrap();
-    let want = reference.discover(&query(), 4).unwrap().candidates;
+fn rankings_and_bytes_survive_save_and_load() {
+    let c = connector("save-load");
+    let config = WarpGateConfig { threads: 1, ..Default::default() };
+    let saver = WarpGate::with_backend(config, c.clone());
+    saver.index_warehouse().unwrap();
+    let want = saver.discover(&query(), 4).unwrap().candidates;
     assert_eq!(want[0].score, want[1].score, "fixture must put tie order on the line");
-    let want_bytes = reference.to_bytes();
-    for save_shards in [1usize, 2, 8] {
-        let saver = WarpGate::with_backend(config(save_shards), c.clone());
-        saver.index_warehouse().unwrap();
-        let bytes = saver.to_bytes();
-        assert_eq!(bytes, want_bytes, "bytes depend on the saver's {save_shards} shards");
-        for load_shards in [1usize, 2, 8] {
-            let mut loader = WarpGate::with_backend(config(load_shards), c.clone());
-            loader.load_bytes(&bytes).unwrap();
-            assert_eq!(
-                loader.discover(&query(), 4).unwrap().candidates,
-                want,
-                "save@{save_shards} → load@{load_shards} changed a ranking"
-            );
-            assert!(loader.sync().unwrap().is_noop(), "sync tokens carry over");
-        }
-    }
+    let bytes = saver.to_bytes();
+    let mut loader = WarpGate::with_backend(config, c);
+    loader.load_bytes(&bytes).unwrap();
+    assert_eq!(loader.discover(&query(), 4).unwrap().candidates, want, "a load changed a ranking");
+    assert!(loader.to_bytes() == bytes, "a load changed the bytes");
+    assert!(loader.sync().unwrap().is_noop(), "sync tokens carry over");
 }
 
 #[test]
@@ -502,39 +492,29 @@ fn one_sealed_file_ranks_alike_hydrated_and_lazily_attached() {
     let corpus = warpgate::corpora::build_testbed(&warpgate::corpora::TestbedSpec::xs(0.1));
     let c = Arc::new(CdwConnector::new(corpus.warehouse.clone(), CdwConfig::free()));
     // Two blocks of cache for the lazy side: eviction on every query.
-    let config = |shards| {
-        let config = WarpGateConfig { threads: 1, ..Default::default() }.with_shards(shards);
-        config.with_block_rows(16).with_block_cache_bytes(2 * 16 * config.dim * 4)
-    };
+    let config = WarpGateConfig { threads: 1, ..Default::default() }.with_block_rows(16);
+    let config = config.with_block_cache_bytes(2 * 16 * config.dim * 4);
     let dir = tmp_dir("two-loaders");
-    let mut want: Option<(Vec<u8>, Vec<Vec<JoinCandidate>>)> = None;
-    for save_shards in [1usize, 2, 8] {
-        let saver = WarpGate::with_backend(config(save_shards), c.clone());
-        saver.index_warehouse().unwrap();
-        assert_eq!(saver.save_paged(&dir).unwrap(), 1);
-        let file = dir.join(PAGED_FILE);
-        let bytes = std::fs::read(&file).unwrap();
-        let rank = |node: &WarpGate| -> Vec<Vec<JoinCandidate>> {
-            corpus.queries.iter().map(|q| node.discover(q, 10).unwrap().candidates).collect()
-        };
-        let (want_bytes, want) = want.get_or_insert_with(|| (bytes.clone(), rank(&saver)));
-        assert!(bytes == *want_bytes, "the file depends on the saver's {save_shards} shards");
-        for load_shards in [1usize, 2, 8] {
-            let at = format!("save@{save_shards} → load@{load_shards}");
-            let mut hydrated = WarpGate::with_backend(config(load_shards), c.clone());
-            hydrated.load_from_file(&file).unwrap();
-            assert_eq!((hydrated.len(), hydrated.cold_len()), (saver.len(), 0), "{at}");
-            let mut lazy = WarpGate::with_backend(config(load_shards), c.clone());
-            lazy.load_paged(&dir).unwrap();
-            assert_eq!((lazy.len(), lazy.cold_len()), (saver.len(), saver.len()), "{at}");
-            let at_load = lazy.block_cache_stats();
-            assert_eq!((at_load.len, at_load.misses), (0, 0), "{at}: not lazy");
-            assert!(rank(&hydrated) == *want, "{at}: the hydrated side ranks differently");
-            assert!(rank(&lazy) == *want, "{at}: the lazy side ranks differently");
-            assert!(lazy.block_cache_stats().evictions > 0, "{at}: the budget must bind");
-            assert!(hydrated.sync().unwrap().is_noop() && lazy.sync().unwrap().is_noop(), "{at}");
-        }
-    }
+    let saver = WarpGate::with_backend(config, c.clone());
+    saver.index_warehouse().unwrap();
+    assert_eq!(saver.save_paged(&dir).unwrap(), 1);
+    let file = dir.join(PAGED_FILE);
+    let rank = |node: &WarpGate| -> Vec<Vec<JoinCandidate>> {
+        corpus.queries.iter().map(|q| node.discover(q, 10).unwrap().candidates).collect()
+    };
+    let want = rank(&saver);
+    let mut hydrated = WarpGate::with_backend(config, c.clone());
+    hydrated.load_from_file(&file).unwrap();
+    assert_eq!((hydrated.len(), hydrated.cold_len()), (saver.len(), 0));
+    let mut lazy = WarpGate::with_backend(config, c);
+    lazy.load_paged(&dir).unwrap();
+    assert_eq!((lazy.len(), lazy.cold_len()), (saver.len(), saver.len()));
+    let at_load = lazy.block_cache_stats();
+    assert_eq!((at_load.len, at_load.misses), (0, 0), "not lazy");
+    assert!(rank(&hydrated) == want, "the hydrated side ranks differently");
+    assert!(rank(&lazy) == want, "the lazy side ranks differently");
+    assert!(lazy.block_cache_stats().evictions > 0, "the budget must bind");
+    assert!(hydrated.sync().unwrap().is_noop() && lazy.sync().unwrap().is_noop());
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -547,46 +527,44 @@ fn dir_files(dir: &Path) -> std::collections::BTreeMap<String, Vec<u8>> {
         .collect()
 }
 
-/// Ids — and so shard placement, row order, tie order and every persisted
-/// byte — are a function of the warehouse, not of how many threads built
-/// the index, how many shards hold it, or in what order anything finished
-/// (ISSUE 21; one file kind since ISSUE 22).
+/// Ids — and so row order, tie order and every persisted byte — are a
+/// function of the warehouse, not of how many threads built the index or
+/// in what order anything finished.
 #[test]
-fn builds_are_identical_at_every_thread_and_shard_count() {
+fn builds_are_identical_at_every_thread_count() {
     let corpus = warpgate::corpora::build_testbed(&warpgate::corpora::TestbedSpec::xs(0.1));
     let c = Arc::new(CdwConnector::new(corpus.warehouse.clone(), CdwConfig::free()));
-    let systems: Vec<(usize, usize, WarpGate)> = [1usize, 2, 8]
+    let systems: Vec<(usize, WarpGate)> = [1usize, 2, 8]
         .into_iter()
-        .flat_map(|threads| [1usize, 2, 8].map(|shards| (threads, shards)))
-        .map(|(threads, shards)| {
-            let config = WarpGateConfig { threads, ..Default::default() }.with_shards(shards);
-            (threads, shards, WarpGate::with_backend(config, c.clone()))
+        .map(|threads| {
+            let config = WarpGateConfig { threads, ..Default::default() };
+            (threads, WarpGate::with_backend(config, c.clone()))
         })
         .collect();
     let dir = tmp_dir("determinism");
     let check = |pass: &str| {
-        let (_, _, reference) = &systems[0];
+        let (_, reference) = &systems[0];
         let want_bytes = reference.to_bytes();
         let want: Vec<_> =
             corpus.queries.iter().map(|q| reference.discover(q, 10).unwrap().candidates).collect();
-        for (threads, shards, wg) in &systems {
-            let at = format!("{pass}, {threads} threads, {shards} shards");
+        for (threads, wg) in &systems {
+            let at = format!("{pass}, {threads} threads");
             assert_eq!(wg.len(), reference.len(), "{at}");
             assert!(wg.to_bytes() == want_bytes, "{at}: to_bytes() differs");
             for (q, want) in corpus.queries.iter().zip(&want) {
                 assert_eq!(&wg.discover(q, 10).unwrap().candidates, want, "{at}: {q}");
             }
-            let paged = dir.join(format!("{pass}-{threads}-{shards}"));
+            let paged = dir.join(format!("{pass}-{threads}"));
             assert_eq!(wg.save_paged(&paged).unwrap(), 1);
             let files = dir_files(&paged);
             assert_eq!(files.keys().collect::<Vec<_>>(), [PAGED_FILE], "{at}");
             assert!(
-                files == dir_files(&dir.join(format!("{pass}-1-1"))),
-                "{at}: save_paged directory differs from the one-thread, one-shard build's"
+                files == dir_files(&dir.join(format!("{pass}-1"))),
+                "{at}: save_paged directory differs from the one-thread build's"
             );
         }
     };
-    for (_, _, wg) in &systems {
+    for (_, wg) in &systems {
         wg.index_warehouse().unwrap();
     }
     assert_eq!(corpus.queries.len(), 35);
@@ -607,7 +585,7 @@ fn builds_are_identical_at_every_thread_and_shard_count() {
     c.warehouse_mut()
         .database_mut(&database)
         .add_table(Table::new(table.name(), vec![kept, fresh]).unwrap());
-    for (_, _, wg) in &systems {
+    for (_, wg) in &systems {
         assert_eq!(wg.sync().unwrap().tables_updated, 1);
     }
     check("synced");
