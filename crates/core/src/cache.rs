@@ -114,11 +114,6 @@ impl EmbeddingCache {
         inner.lru.retain(keep);
     }
 
-    /// Drop every entry for one column (all sample specs, seeds, weights).
-    pub fn invalidate_column(&self, column: &ColumnRef) {
-        self.invalidate(|k| k.column != *column);
-    }
-
     /// Drop every entry for any column of one (namespaced) table.
     pub fn invalidate_table(&self, table: &TableRef) {
         self.invalidate(|k| !table.contains(&k.column));
@@ -256,10 +251,8 @@ mod tests {
         fill(&cache, &key("db", "t1", "a"), vec_of(1.0));
         fill(&cache, &key("db", "t1", "b"), vec_of(2.0));
         fill(&cache, &key("db", "t2", "a"), vec_of(3.0));
-        cache.invalidate_column(&ColumnRef::new("db", "t1", "a"));
-        assert_eq!(cached(&cache, &key("db", "t1", "a")), None);
-        assert_eq!(cached(&cache, &key("db", "t1", "b")), Some(vec_of(2.0)));
         cache.invalidate_table(&TableRef::new("db", "t1"));
+        assert_eq!(cached(&cache, &key("db", "t1", "a")), None);
         assert_eq!(cached(&cache, &key("db", "t1", "b")), None);
         assert_eq!(cached(&cache, &key("db", "t2", "a")), Some(vec_of(3.0)));
         cache.clear();

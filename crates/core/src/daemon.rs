@@ -16,13 +16,9 @@
 //!   failures *of that backend* its circuit opens and its syncs are
 //!   skipped for [`SyncDaemonConfig::open_intervals`] ticks (no pointless
 //!   load on a down warehouse), then one half-open probe runs. A dead data
-//!   lake never stops the CDW's refresh loop. The aggregate
-//!   [`DaemonReport::circuit`] is the worst state across breakers;
-//!   [`SyncDaemon::backend_report`] exposes each one.
-//! * **Scheduling** — [`SyncSchedule::All`] reconciles every backend each
-//!   tick; [`SyncSchedule::RoundRobin`] visits one backend per tick in
-//!   rotation, spreading scan load across intervals for deployments with
-//!   many warehouses.
+//!   lake never stops the CDW's refresh loop. Every tick reconciles every
+//!   attached backend. The aggregate [`DaemonReport::circuit`] is the worst
+//!   state across breakers; [`DaemonReport::backends`] carries each one.
 //! * **Observability** — every counter, the circuit states, cumulative
 //!   scan costs and retry counts, the last error, and the last
 //!   [`SyncReport`] are visible through [`SyncDaemon::report`] at any
@@ -62,18 +58,6 @@ use crate::durability::Checkpointer;
 use crate::ingest::SyncReport;
 use crate::system::WarpGate;
 
-/// Which attached backends a daemon tick reconciles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SyncSchedule {
-    /// Every attached backend, every tick.
-    #[default]
-    All,
-    /// One backend per tick, rotating through the attach set in id order.
-    /// With N backends each gets probed every N intervals — same steady
-    /// state coverage, scan load spread out in time.
-    RoundRobin,
-}
-
 /// Periodic durable snapshots of the synced system (see
 /// [`crate::durability::Checkpointer`] for the on-disk rotation).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -96,8 +80,6 @@ pub struct SyncDaemonConfig {
     pub failure_threshold: u32,
     /// Ticks a backend's circuit stays open before a half-open probe.
     pub open_intervals: u32,
-    /// Which backends each tick reconciles.
-    pub schedule: SyncSchedule,
     /// Durable snapshot policy; `None` (the default) never checkpoints.
     pub checkpoint: Option<CheckpointPolicy>,
     /// Per-sync time budget; `None` (the default) lets a sync run as long
@@ -118,7 +100,6 @@ impl Default for SyncDaemonConfig {
             interval: Duration::from_secs(30),
             failure_threshold: 3,
             open_intervals: 4,
-            schedule: SyncSchedule::All,
             checkpoint: None,
             tick_deadline: None,
         }
@@ -129,11 +110,6 @@ impl SyncDaemonConfig {
     /// Same config with a different tick interval.
     pub fn with_interval(self, interval: Duration) -> Self {
         Self { interval, ..self }
-    }
-
-    /// Same config with a different schedule.
-    pub fn with_schedule(self, schedule: SyncSchedule) -> Self {
-        Self { schedule, ..self }
     }
 
     /// Same config, checkpointing to `path` after every `every_n_syncs`
@@ -174,8 +150,7 @@ impl CircuitState {
 }
 
 /// One backend's breaker: its circuit state plus the per-backend slice of
-/// the daemon's counters. Exposed through [`DaemonReport::backends`] and
-/// [`SyncDaemon::backend_report`].
+/// the daemon's counters. Exposed through [`DaemonReport::backends`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct BackendCircuit {
     /// The backend namespace this breaker guards.
@@ -291,8 +266,6 @@ impl Breaker {
 struct Inner {
     stop: bool,
     wake: bool,
-    /// Round-robin position across ticks (index into the attach set).
-    rr_cursor: usize,
     /// Successful syncs since the last checkpoint (only tracked when a
     /// [`CheckpointPolicy`] is configured).
     syncs_since_checkpoint: u64,
@@ -330,7 +303,6 @@ impl SyncDaemon {
             inner: Mutex::new(Inner {
                 stop: false,
                 wake: false,
-                rr_cursor: 0,
                 syncs_since_checkpoint: 0,
                 breakers: FxHashMap::default(),
                 report: DaemonReport::default(),
@@ -348,19 +320,6 @@ impl SyncDaemon {
     /// Snapshot of the daemon's counters and circuit states.
     pub fn report(&self) -> DaemonReport {
         self.shared.inner.lock().expect("daemon state lock").report.clone()
-    }
-
-    /// One named backend's breaker state and counters, if the daemon has
-    /// scheduled it at least once.
-    pub fn backend_report(&self, name: &str) -> Option<BackendCircuit> {
-        let id = wg_util::names::lookup(name).map(BackendId::from_bits)?;
-        self.shared
-            .inner
-            .lock()
-            .expect("daemon state lock")
-            .breakers
-            .get(&id)
-            .map(|b| b.stats.clone())
     }
 
     /// Trigger a tick now instead of waiting out the interval. (The tick
@@ -467,30 +426,18 @@ fn maybe_checkpoint(shared: &Shared, force: bool) {
     }
 }
 
-/// One scheduler tick: pick the scheduled backends, advance each one's
-/// circuit breaker, and run its sync unless the circuit is open. Each
-/// sync runs without holding the state lock, so `report()` and `wake()`
-/// stay responsive mid-sync.
+/// One scheduler tick: for every attached backend, advance its circuit
+/// breaker and run its sync unless the circuit is open. Each sync runs
+/// without holding the daemon's lock, so `report()` and `wake()` stay
+/// responsive mid-sync.
 fn tick(shared: &Shared) {
-    let targets: Vec<BackendId> = {
-        let mut inner = shared.inner.lock().expect("daemon state lock");
-        let attached = shared.wg.attached_backends();
-        if attached.is_empty() {
-            // Nothing attached: still attempt the default namespace so the
-            // failure (and its error message) surfaces in the report, as
-            // the single-backend daemon always did.
-            vec![BackendId::DEFAULT]
-        } else {
-            match shared.config.schedule {
-                SyncSchedule::All => attached,
-                SyncSchedule::RoundRobin => {
-                    let pick = attached[inner.rr_cursor % attached.len()];
-                    inner.rr_cursor = inner.rr_cursor.wrapping_add(1);
-                    vec![pick]
-                }
-            }
-        }
-    };
+    let mut targets = shared.wg.attached_backends();
+    if targets.is_empty() {
+        // Nothing attached: still attempt the default namespace so the
+        // failure (and its error message) surfaces in the report, as the
+        // single-backend daemon always did.
+        targets.push(BackendId::DEFAULT);
+    }
 
     for id in targets {
         let attempt = {
@@ -618,7 +565,6 @@ mod tests {
             interval: Duration::from_millis(2),
             failure_threshold: 2,
             open_intervals: 2,
-            schedule: SyncSchedule::All,
             checkpoint: None,
             tick_deadline: None,
         }
@@ -765,8 +711,9 @@ mod tests {
         let r = wait_for(&daemon, |r| {
             r.backends.iter().any(|b| b.circuit == CircuitState::Open) && r.syncs_ok >= 2
         });
-        let good = daemon.backend_report("daemon-test-good").unwrap();
-        let bad = daemon.backend_report("daemon-test-dead").unwrap();
+        let breaker = |name| r.backends.iter().find(|b| b.backend == BackendId::named(name));
+        let (good, bad) =
+            (breaker("daemon-test-good").unwrap(), breaker("daemon-test-dead").unwrap());
         assert_eq!(good.circuit, CircuitState::Closed);
         assert_eq!(good.syncs_failed, 0);
         assert!(good.syncs_ok >= 2);
@@ -776,22 +723,6 @@ mod tests {
         // Aggregate view reports the worst breaker.
         assert_eq!(r.circuit, CircuitState::Open);
         assert_eq!(wg.len(), 1, "the healthy warehouse's column is indexed");
-        daemon.shutdown();
-    }
-
-    #[test]
-    fn round_robin_visits_backends_alternately() {
-        let wg = Arc::new(WarpGate::new(WarpGateConfig { threads: 1, ..Default::default() }));
-        wg.attach_named("daemon-test-rr-a", connector());
-        wg.attach_named("daemon-test-rr-b", connector());
-        let daemon = SyncDaemon::spawn(wg, fast_config().with_schedule(SyncSchedule::RoundRobin));
-        let r = wait_for(&daemon, |r| {
-            r.backends.len() == 2 && r.backends.iter().all(|b| b.syncs_ok >= 2)
-        });
-        // One backend per tick: attempts can never outrun ticks.
-        assert!(r.syncs_attempted <= r.ticks, "{r:?}");
-        let per_backend: u64 = r.backends.iter().map(|b| b.syncs_ok + b.syncs_failed).sum();
-        assert_eq!(per_backend, r.syncs_attempted);
         daemon.shutdown();
     }
 }

@@ -15,9 +15,9 @@ use wg_util::FxHashMap;
 use crate::system::{deadline_err, Attached, TableState, WarpGate};
 
 /// The most items one claim of [`in_order`] takes, and therefore the most
-/// one `commit` receives: indexing's commit holds the registry write lock
-/// (and then the index's) across one chunk, so this bounds how long a
-/// concurrent query can wait behind a build.
+/// one `commit` receives: indexing's commit holds the state's write guard
+/// across one chunk, so this bounds how long a concurrent query can wait
+/// behind a build.
 const MAX_CHUNK: usize = 64;
 
 /// Summary of one indexing run.
@@ -29,7 +29,8 @@ pub struct IndexReport {
     pub columns_skipped: usize,
     /// Wall-clock seconds for the whole run.
     pub elapsed_secs: f64,
-    /// Warehouse scan costs incurred by the run.
+    /// Warehouse scan costs incurred by the run's own scans (what each one
+    /// metered, summed: a concurrent query's scans are not in it).
     pub cost: CostSnapshot,
 }
 
@@ -52,8 +53,8 @@ pub struct SyncReport {
     pub columns_removed: usize,
     /// Wall-clock seconds for the reconciliation.
     pub elapsed_secs: f64,
-    /// Warehouse scan costs incurred — proportional to what changed, not
-    /// to warehouse size.
+    /// Warehouse scan costs of the sync's own scans — proportional to what
+    /// changed, not to warehouse size.
     pub cost: CostSnapshot,
     /// Per-backend slices of a federated [`WarpGate::sync`] run, in
     /// [`BackendId`] order: each entry's counters and cost bill exactly
@@ -179,7 +180,6 @@ impl WarpGate {
         let run = self.resolve(id)?;
         let backend = run.backend.as_ref();
         let sw = Stopwatch::start();
-        let cost_before = backend.costs();
         // Diff on the cheap change-token surface; full metadata (column
         // lists) is fetched per table below, and only for the change set —
         // on a file-backed backend this is the difference between hashing
@@ -187,7 +187,7 @@ impl WarpGate {
         let versions = backend.snapshot_versions()?;
 
         let recorded: FxHashMap<(String, String), TableState> =
-            self.synced.read().backends.get(&id).map(|s| s.tables.clone()).unwrap_or_default();
+            self.state.read().namespaces.get(&id).map(|n| n.tables.clone()).unwrap_or_default();
         let mut report = SyncReport::default();
 
         // Vanished tables drop out entirely.
@@ -212,17 +212,13 @@ impl WarpGate {
             let meta = backend.table_meta(&v.database, &v.table)?;
             if known {
                 report.tables_updated += 1;
-                // Columns that vanished from the still-present table.
-                let live = self.registry.read().table_refs(&TableRef::scoped(
-                    id,
-                    &meta.database,
-                    &meta.table,
-                ));
-                let vanished: Vec<ColumnRef> = live
-                    .into_iter()
-                    .filter(|r| !meta.columns.iter().any(|c| c == &r.column))
-                    .collect();
-                report.columns_removed += self.remove_refs(&vanished);
+                // Columns that vanished from the still-present table. Their
+                // cached embeddings go with the table's in `index_tables`.
+                let mut state = self.state.write();
+                let table = TableRef::scoped(id, &meta.database, &meta.table);
+                let mut vanished = state.registry.table_refs(&table);
+                vanished.retain(|r| !meta.columns.contains(&r.column));
+                report.columns_removed += state.remove(&vanished);
             } else {
                 report.tables_added += 1;
             }
@@ -238,7 +234,7 @@ impl WarpGate {
         report.columns_skipped = indexed.columns_skipped;
         report.columns_removed += unembeddable;
         report.elapsed_secs = sw.elapsed_secs();
-        report.cost = backend.costs().since(&cost_before);
+        report.cost = indexed.cost;
         Ok(report)
     }
 
@@ -270,9 +266,11 @@ impl WarpGate {
     /// report, and how many previously indexed columns dropped out because
     /// their content no longer embeds. Every worker checks the deadline
     /// before each scan, so expiry — like any scan error — stops the run
-    /// between scans with no further column billed. Schema context reads
-    /// the column lists the caller already holds: no metadata call is made
-    /// here.
+    /// between scans with no further column billed. The report's cost is
+    /// the sum of what each of the run's own scans metered — metadata is
+    /// free — so a concurrent query's scans are never billed to it. Schema
+    /// context reads the column lists the caller already holds: no metadata
+    /// call is made here.
     fn index_tables(
         &self,
         run: &Attached,
@@ -281,7 +279,6 @@ impl WarpGate {
     ) -> StoreResult<(IndexReport, usize)> {
         let sw = Stopwatch::start();
         let backend = run.backend.as_ref();
-        let cost_before = backend.costs();
 
         // (Re-)indexing means these tables' warehouse data may have
         // changed; cached query embeddings for them are stale.
@@ -294,85 +291,63 @@ impl WarpGate {
             .collect();
 
         let (mut indexed, mut skipped, mut unembeddable) = (0usize, 0usize, 0usize);
+        let mut cost = CostSnapshot::default();
         in_order(
             &refs,
             self.config.effective_threads(),
-            |(r, meta)| -> StoreResult<(wg_embed::Vector, Option<Signature>)> {
+            |(r, meta)| -> StoreResult<(wg_embed::Vector, Option<Signature>, CostSnapshot)> {
                 deadline.check(Phase::Scan).map_err(deadline_err)?;
-                let column = backend.scan_column(r, self.config.sample)?;
+                let (column, billed) = backend.scan_column_metered(r, self.config.sample)?;
                 let vector =
                     self.embed_with_context(r, &column, &meta.columns, self.config.context_weight);
                 // Signed here, on the worker, so the commit's write guard
                 // covers bucket pushes only. A zero vector is not indexed.
                 let sig = (!vector.is_zero()).then(|| self.hasher.sign(vector.as_slice()));
-                Ok((vector, sig))
+                Ok((vector, sig, billed))
             },
-            |refs, signed| {
-                // One registry write lock maps the chunk's refs to ids, in
-                // catalog order; then one index write guard takes the
-                // chunk. A ref the registry knows whose vector came back
-                // zero must not keep its old row.
-                let mut batch = Vec::with_capacity(refs.len());
+            |refs, scanned| {
+                // One write guard maps the chunk's refs to ids, in catalog
+                // order, and inserts their rows. A ref the registry knows
+                // whose vector came back zero must not keep its old row.
+                let mut state = self.state.write();
                 let mut stale = Vec::new();
-                {
-                    let mut registry = self.registry.write();
-                    for ((r, _), (vector, sig)) in refs.iter().zip(signed) {
-                        match sig {
-                            Some(sig) => batch.push((registry.insert(r.clone()), vector, sig)),
-                            None => stale.extend(registry.remove(r)),
+                for ((r, _), (vector, sig, billed)) in refs.iter().zip(scanned) {
+                    cost = cost.plus(&billed);
+                    match sig {
+                        Some(sig) => {
+                            let id = state.registry.insert(r.clone());
+                            state.index.insert_signed(id, vector.as_slice(), sig);
                         }
+                        None => stale.push(r.clone()),
                     }
                 }
-                indexed += batch.len();
-                skipped += refs.len() - batch.len();
-                let mut index = self.index.write();
-                for (id, vector, sig) in batch {
-                    index.insert_signed(id, vector.as_slice(), sig);
-                }
-                unembeddable += stale.into_iter().filter(|&id| index.remove(id)).count();
+                indexed += refs.len() - stale.len();
+                skipped += stale.len();
+                unembeddable += state.remove(&stale);
             },
         )?;
         let report = IndexReport {
             columns_indexed: indexed,
             columns_skipped: skipped,
             elapsed_secs: sw.elapsed_secs(),
-            cost: backend.costs().since(&cost_before),
+            cost,
         };
         Ok((report, unembeddable))
     }
 
-    /// Drop specific columns from registry, index, and cache. Returns how
-    /// many were actually removed (a concurrent remove may win races).
-    fn remove_refs(&self, victims: &[ColumnRef]) -> usize {
-        if victims.is_empty() {
-            return 0;
-        }
-        let ids: Vec<u32> = {
-            let mut registry = self.registry.write();
-            victims.iter().filter_map(|r| registry.remove(r)).collect()
-        };
-        let removed = {
-            let mut index = self.index.write();
-            ids.into_iter().filter(|&id| index.remove(id)).count()
-        };
-        for r in victims {
-            self.cache.invalidate_column(r);
-        }
-        removed
-    }
-
     /// Remove one (namespaced) table's columns from the index (e.g. after
-    /// a drop). Returns how many columns were removed.
-    ///
-    /// Victims are collected under a shared read lock; the write locks
-    /// (registry, then index) are only held for the actual mutation, so
-    /// concurrent queries proceed through the scan.
+    /// a drop), and forget its recorded token. Returns how many columns
+    /// were removed. One write guard covers the victims, the token, the
+    /// registry and the index.
     pub fn remove_table(&self, table: &TableRef) -> usize {
-        let victims = self.registry.read().table_refs(table);
-        if let Some(state) = self.synced.write().backends.get_mut(&table.backend) {
-            state.tables.remove(&(table.database.clone(), table.table.clone()));
-        }
-        let removed = self.remove_refs(&victims);
+        let removed = {
+            let mut state = self.state.write();
+            if let Some(namespace) = state.namespaces.get_mut(&table.backend) {
+                namespace.tables.remove(&(table.database.clone(), table.table.clone()));
+            }
+            let victims = state.registry.table_refs(table);
+            state.remove(&victims)
+        };
         self.cache.invalidate_table(table);
         removed
     }

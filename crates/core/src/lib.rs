@@ -32,15 +32,19 @@
 //! `joinability`, a backend and a deadline for `sync_with`), and
 //! `&QueryOptions::default()` is the plain call; only `discover`, `sync`
 //! and `index_warehouse` keep a plain spelling beside it. The code is laid
-//! out the same way: `system.rs` holds the state and the attach-epoch
-//! discipline, `ingest.rs` the indexing pipeline and the one ordered
-//! fan-out both pipelines use, `query.rs` the search pipeline behind one
-//! request preamble.
+//! out the same way: `system.rs` holds the state and attach / detach,
+//! `ingest.rs` the indexing pipeline and the one ordered fan-out both
+//! pipelines use, `query.rs` the search pipeline behind one request
+//! preamble.
 //!
-//! Concurrency: embeddings live in one LSH index
-//! ([`wg_lsh::SimHashLshIndex`]) behind one reader–writer lock. Every
-//! insert commits on one thread (`ingest::in_order`'s commit), a chunk
-//! under one write guard; rows and queries are signed before the lock is
+//! Concurrency: one reader–writer lock covers the state both pipelines
+//! share — each namespace's backend handle, attach epoch and version
+//! tokens, the id → column-ref registry, and the one LSH index
+//! ([`wg_lsh::SimHashLshIndex`]). A query takes it twice (to resolve its
+//! namespace, then for one search); every insert commits on one thread
+//! (`ingest::in_order`'s commit), a chunk under one write guard; attach
+//! and detach change a handle and its epoch under one write guard. Rows and
+//! queries are signed, and columns scanned and embedded, before the lock is
 //! taken, so a guard covers bucket pushes or one search, nothing more.
 //!
 //! The crate also implements the product interaction the paper builds
@@ -98,7 +102,6 @@ pub use cache::{EmbeddingCache, EmbeddingKey};
 pub use config::WarpGateConfig;
 pub use daemon::{
     BackendCircuit, CheckpointPolicy, CircuitState, DaemonReport, SyncDaemon, SyncDaemonConfig,
-    SyncSchedule,
 };
 pub use durability::{
     atomic_write, stream_snapshot, Checkpointer, CrashState, RecoveryReport, RecoverySource,

@@ -20,7 +20,8 @@
 //! backends u32 │ per backend: name │ tables u32 │ database │ table │ token u64
 //! ```
 //!
-//! * One writer (`WarpGate::seal`) builds every image, at one instant.
+//! * One writer (`WarpGate::seal`) builds every image, at one instant: under
+//!   one read guard of the system's state.
 //!   [`WarpGate::save_paged`] alone seals the int8 row sketches a lazily
 //!   attached file prunes with into the directory; a hydrating load never
 //!   reads them, so the other writers leave them out.
@@ -181,28 +182,20 @@ impl WarpGate {
     /// settable from outside. The error is a row of the paged tier that
     /// could not be read back.
     pub(crate) fn seal(&self, sketches: bool) -> std::io::Result<(Vec<u8>, usize)> {
-        // Tokens first: a sync that commits while the rows are read leaves
-        // tokens *older* than the rows (one redundant re-scan after a
-        // restore), never newer (a change the restored node would never
-        // see).
-        let sync = self.sync_state_for_persist();
-        // Then the registry's read lock and the index's read guard, held
-        // together until the last row is read. Writers take the registry
-        // lock, release it, then the index's, so this order cannot
-        // deadlock (queries take the two the same way) — and a writer
-        // parked between its two locks shows as an entry without a row or
-        // a row without an entry: neither is sealed.
-        let registry = self.registry.read();
-        let index = self.index.read();
+        // Tokens, entries and rows are read under one read guard, held until
+        // the last row is read.
+        let state = self.state.read();
+        // A detached paged namespace leaves ids registered without rows, so
+        // a re-attach reuses them; those are not sealed.
         let mut entries: Vec<(u32, &ColumnRef)> =
-            registry.entries().filter(|(id, _)| index.contains(*id)).collect();
+            state.registry.entries().filter(|(id, _)| state.index.contains(*id)).collect();
         entries.sort_unstable_by_key(|(id, _)| *id);
 
-        let params = index.params();
-        let geometry = (params.bands, params.rows, index.seed());
-        let manifest = Manifest::encode(geometry, &entries, &sync);
-        let registered = |id| registry.reference(id).is_some();
-        let image = index.seal(self.config.block_rows, sketches, &manifest, registered)?;
+        let params = state.index.params();
+        let geometry = (params.bands, params.rows, state.index.seed());
+        let manifest = Manifest::encode(geometry, &entries, &state.persisted_tokens());
+        let registered = |id| state.registry.reference(id).is_some();
+        let image = state.index.seal(self.config.block_rows, sketches, &manifest, registered)?;
         Ok((image, entries.len()))
     }
 

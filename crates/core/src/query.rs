@@ -339,10 +339,11 @@ impl WarpGate {
     }
 
     /// LSH lookup + exact re-rank of one query vector, signed before the
-    /// index's read lock is taken. The deadline is threaded into the lookup
-    /// itself: candidate generation, re-rank, and every paged-tier block
-    /// fetch each check the budget first, so an expired deadline never
-    /// triggers another cold read.
+    /// state's read guard is taken; the exclusion predicate, the search and
+    /// the id → ref mapping then share that one guard. The deadline is
+    /// threaded into the lookup itself: candidate generation, re-rank, and
+    /// every paged-tier block fetch each check the budget first, so an
+    /// expired deadline never triggers another cold read.
     fn search_vector(
         &self,
         vector: &wg_embed::Vector,
@@ -351,14 +352,13 @@ impl WarpGate {
         scope: &DiscoverScope,
         deadline: Deadline,
     ) -> StoreResult<(Vec<JoinCandidate>, SearchOutcome, f64)> {
-        let registry = self.registry.read();
-        let exclude = registry.excluder(query, self.config.exclude_same_table);
         let sw = Stopwatch::start();
         let v = vector.as_slice();
         let sig = self.hasher.sign(v);
-        let (hits, outcome) = self
+        let state = self.state.read();
+        let exclude = state.registry.excluder(query, self.config.exclude_same_table);
+        let (hits, outcome) = state
             .index
-            .read()
             .search_signed_scoped_deadline_with_outcome(v, &sig, k, scope, deadline, exclude)
             .map_err(|e| match e {
                 SearchError::Expired(phase) => deadline_err(phase),
@@ -370,7 +370,7 @@ impl WarpGate {
         let candidates = hits
             .into_iter()
             .filter_map(|(id, score)| {
-                registry.reference(id).map(|r| JoinCandidate { reference: r.clone(), score })
+                state.registry.reference(id).map(|r| JoinCandidate { reference: r.clone(), score })
             })
             .collect();
         Ok((candidates, outcome, lookup_secs))
@@ -394,8 +394,7 @@ impl WarpGate {
         add_columns: &[&str],
         norm: KeyNorm,
     ) -> StoreResult<Table> {
-        let backend = self.backend_for(candidate.backend)?;
-        let lookup_table = backend.scan_table(
+        let lookup_table = self.resolve(candidate.backend)?.backend.scan_table(
             &candidate.database,
             &candidate.table,
             wg_store::SampleSpec::Full,

@@ -1,27 +1,25 @@
 //! The WarpGate system: the state every pipeline shares, and who may
 //! touch a warehouse.
 //!
-//! A system holds a registry of *named* warehouse backends
-//! ([`WarpGate::attach_named`]), each interned to a [`BackendId`] that
-//! namespaces everything downstream — column refs, index item ids (high
-//! bits, see `wg_lsh::compose_item_id`), embedding-cache keys, sync
-//! epochs, and recorded version tokens. [`WarpGate::with_backend`] attaches
-//! under `"default"`, the namespace un-scoped refs name.
+//! A system holds *named* warehouse backends ([`WarpGate::attach_named`]),
+//! each interned to a [`BackendId`] that namespaces everything downstream —
+//! column refs, index item ids (high bits, see `wg_lsh::compose_item_id`),
+//! embedding-cache keys, sync epochs, and recorded version tokens.
+//! [`WarpGate::with_backend`] attaches under `"default"`, the namespace
+//! un-scoped refs name.
 //!
 //! The two pipelines of the paper's Fig. 2 are `impl WarpGate` blocks of
 //! their own: indexing and sync in `ingest.rs`, search in `query.rs`. This
-//! file keeps what both stand on — construction, attach / detach and the
-//! attach-epoch discipline (`WarpGate::resolve`), accessors, and the
-//! plumbing `persist.rs` restores through.
+//! file keeps what both stand on — construction, the one lock over the
+//! shared [`State`], attach / detach and [`WarpGate::resolve`], accessors,
+//! and the plumbing `persist.rs` restores through.
 
 use std::sync::Arc;
 
 use parking_lot::RwLock;
 use wg_embed::{ColumnEmbedder, EmbeddingModel, WebTableConfig, WebTableModel};
 use wg_lsh::{LshParams, SimHashLshIndex, SimHasher};
-use wg_store::{
-    BackendHandle, BackendId, BackendRegistry, ColumnRef, StoreError, StoreResult, TableMeta,
-};
+use wg_store::{BackendHandle, BackendId, ColumnRef, StoreError, StoreResult, TableMeta};
 use wg_util::deadline::Phase;
 use wg_util::lru::CacheStats;
 use wg_util::FxHashMap;
@@ -42,26 +40,33 @@ pub(crate) struct TableState {
     pub(crate) version: u64,
 }
 
-/// Sync bookkeeping of one backend namespace. Epochs and version tokens
-/// are per backend: re-attaching the data lake never disturbs what the
-/// CDW's sync has reconciled.
+/// One backend namespace. Epochs and version tokens are per namespace:
+/// re-attaching the data lake never disturbs what the CDW's sync has
+/// reconciled. A namespace outlives its backend: detaching keeps the
+/// recorded table *keys*, so the first sync after a re-attach still drops
+/// vanished tables.
 #[derive(Default)]
-pub(crate) struct BackendSyncState {
-    /// Bumped on every attach (and detach) of this name; recorded tokens
-    /// from older epochs never compare equal, so the next sync re-scans
-    /// everything the namespace's backend serves.
-    epoch: u64,
+pub(crate) struct Namespace {
+    /// The attached backend; `None` once detached.
+    pub(crate) backend: Option<BackendHandle>,
+    /// Bumped on every attach and detach; recorded tokens from older epochs
+    /// never compare equal, so the next sync re-scans everything the
+    /// namespace's backend serves.
+    pub(crate) epoch: u64,
     pub(crate) tables: FxHashMap<(String, String), TableState>,
 }
 
-#[derive(Default)]
-pub(crate) struct SyncState {
-    pub(crate) backends: FxHashMap<BackendId, BackendSyncState>,
+/// Everything both pipelines share, behind the system's one lock: a reader
+/// sees the namespaces, the id ↔ column-ref registry and the index at one
+/// instant.
+pub(crate) struct State {
+    pub(crate) namespaces: FxHashMap<BackendId, Namespace>,
+    pub(crate) registry: Registry,
+    pub(crate) index: SimHashLshIndex,
 }
 
-/// One namespace as a run sees it: the attach epoch, captured **before**
-/// the handle it goes with. Only [`WarpGate::resolve`] builds one, so the
-/// order cannot be got wrong at a call site.
+/// One namespace as a run sees it: its attach epoch and the handle that
+/// epoch goes with, read under one guard by [`WarpGate::resolve`].
 pub(crate) struct Attached {
     pub(crate) id: BackendId,
     pub(crate) epoch: u64,
@@ -70,7 +75,7 @@ pub(crate) struct Attached {
 
 /// The semantic join discovery system.
 ///
-/// A `WarpGate` holds a registry of named [`wg_store::WarehouseBackend`]s
+/// A `WarpGate` holds named [`wg_store::WarehouseBackend`]s
 /// ([`WarpGate::attach_named`] / [`WarpGate::detach_named`]) — simulated
 /// CDWs, CSV directories, fault-injecting wrappers, remote warehouses over
 /// TCP — each under its own namespace. Indexing and discovery flow through
@@ -79,22 +84,24 @@ pub(crate) struct Attached {
 /// only what changed, per backend ([`WarpGate::sync_with`] reconciles
 /// one). Un-namespaced refs address the `"default"` namespace.
 ///
-/// Internally: embeddings live in one [`SimHashLshIndex`] behind one
-/// reader–writer lock, signed outside it with the system's one
-/// [`SimHasher`]; query embeddings are memoized in an LRU
-/// [`EmbeddingCache`]; the id → column-reference registry has a lock of its
-/// own. Reads share both locks; writes are batched a chunk at a time.
+/// Internally: the namespaces (handle, attach epoch, version tokens), the
+/// id → column-reference registry and the one [`SimHashLshIndex`] sit
+/// behind **one** reader–writer lock. Embeddings are signed outside it with
+/// the system's one [`SimHasher`]; query embeddings are memoized in an LRU
+/// [`EmbeddingCache`] with a lock of its own. Reads share the lock; writes
+/// take it a chunk at a time.
 pub struct WarpGate {
     pub(crate) config: WarpGateConfig,
     pub(crate) embedder: ColumnEmbedder,
     /// The index's hyperplanes: ingest signs rows and queries sign
-    /// themselves with this before they take `index`'s lock.
+    /// themselves with this before they take `state`'s lock.
     pub(crate) hasher: Arc<SimHasher>,
-    pub(crate) index: RwLock<SimHashLshIndex>,
-    pub(crate) registry: RwLock<Registry>,
+    /// Never held across a backend call, an embedding, or a call that
+    /// takes it again: the lock is not reentrant, and a second `read()` on
+    /// one thread deadlocks once a writer queues. It is taken first; no
+    /// lock taken under it ever takes it.
+    pub(crate) state: RwLock<State>,
     pub(crate) cache: EmbeddingCache,
-    backends: BackendRegistry,
-    pub(crate) synced: RwLock<SyncState>,
     /// Byte-budgeted LRU over paged-segment blocks; shared by every
     /// segment [`Self::load_paged`] attaches so the budget bounds the
     /// whole system's cold resident set, not one segment's.
@@ -139,12 +146,13 @@ impl WarpGate {
             Arc::new(SimHasher::new(config.dim, lsh_params(&config).bits(), config.seed ^ 0x1DB5));
         Self {
             embedder: ColumnEmbedder::new(model, config.aggregation),
-            index: RwLock::new(empty_index(&config, hasher.clone())),
+            state: RwLock::new(State {
+                namespaces: FxHashMap::default(),
+                registry: Registry::default(),
+                index: empty_index(&config, hasher.clone()),
+            }),
             hasher,
-            registry: RwLock::new(Registry::default()),
             cache: EmbeddingCache::new(config.cache_capacity, config.dim),
-            backends: BackendRegistry::new(),
-            synced: RwLock::new(SyncState::default()),
             block_cache: wg_lsh::BlockCache::new(config.block_cache_bytes),
             admission: (config.admission_cap > 0).then(|| {
                 AdmissionController::new(AdmissionConfig {
@@ -189,15 +197,18 @@ impl WarpGate {
     /// version is invalidated (epoch bump), so the next [`Self::sync`]
     /// reconciles the namespace against the new backend in full (vanished
     /// tables drop, everything present re-scans). Other namespaces are
-    /// untouched.
-    ///
-    /// Ordering matters for the epoch discipline: the handle is stored
-    /// *first* and the epoch bumped *second*, so an epoch captured before
-    /// resolving a handle can never be newer than the backend a run scans
-    /// (see `resolve`).
+    /// untouched. The handle and the epoch change under one write guard,
+    /// so no run ever sees one without the other (see `resolve`).
     pub fn attach_named(&self, name: &str, backend: BackendHandle) -> BackendId {
-        let (id, _previous) = self.backends.attach(name, backend);
-        self.synced.write().backends.entry(id).or_default().epoch += 1;
+        let id = BackendId::named(name);
+        // Dropped after the guard: a handle's last reference may close
+        // connections.
+        let _previous = {
+            let mut state = self.state.write();
+            let namespace = state.namespaces.entry(id).or_default();
+            namespace.epoch += 1;
+            namespace.backend.replace(backend)
+        };
         // Same column names may hold different content on the new backend;
         // cached embeddings are not trustworthy across the swap. Eager
         // eviction also frees their capacity (the epoch in the cache key
@@ -206,60 +217,60 @@ impl WarpGate {
         id
     }
 
-    /// Detach the backend under `name`, returning it. The namespace's
-    /// recorded version tokens are invalidated (epoch bump — they describe
-    /// a backend that is gone) and its cached embeddings evicted eagerly,
-    /// so a *different* warehouse re-attached under the same name can
-    /// never be served stale state; the recorded table *keys* survive so
-    /// the first sync after a re-attach still drops vanished tables.
-    /// Discovery and indexing against the namespace fail with
-    /// [`StoreError::Backend`] until a backend is attached again. Hot
+    /// Detach the backend under `name`, returning it (`None` when nothing
+    /// is attached under it; a name never attached is not interned). The
+    /// namespace's recorded version tokens are invalidated (epoch bump —
+    /// they describe a backend that is gone) and its cached embeddings
+    /// evicted eagerly, so a *different* warehouse re-attached under the
+    /// same name can never be served stale state; the recorded table
+    /// *keys* survive so the first sync after a re-attach still drops
+    /// vanished tables. Discovery and indexing against the namespace fail
+    /// with [`StoreError::Backend`] until a backend is attached again. Hot
     /// (RAM-resident) indexed items stay queryable via value search
     /// and scoped discovery from other namespaces; the namespace's
-    /// **paged** items are dropped — their segments were sealed from the
-    /// departing backend's content, and keeping disk-resident rows alive
-    /// past the detach is exactly the stale-reattach hazard the epoch
-    /// bump exists to prevent. Emptied segments retire and their
-    /// cache-resident blocks are evicted.
+    /// **paged** items are dropped, under the same write guard — their
+    /// segments were sealed from the departing backend's content, and
+    /// keeping disk-resident rows alive past the detach is exactly the
+    /// stale-reattach hazard the epoch bump exists to prevent. Emptied
+    /// segments retire and their cache-resident blocks are evicted. The
+    /// registry keeps their ids, so a re-attach reuses them.
     pub fn detach_named(&self, name: &str) -> Option<BackendHandle> {
-        let handle = self.backends.detach(name)?;
-        // `detach` returned Some, so the name was attached before and is
-        // already interned.
-        let id = BackendId::named(name);
-        if let Some(state) = self.synced.write().backends.get_mut(&id) {
-            state.epoch += 1;
-        }
+        let id = wg_util::names::lookup(name).map(BackendId::from_bits)?;
+        let handle = {
+            let mut state = self.state.write();
+            let namespace = state.namespaces.get_mut(&id)?;
+            let handle = namespace.backend.take()?;
+            namespace.epoch += 1;
+            state.index.drop_cold_backend(id.bits());
+            handle
+        };
         self.cache.invalidate_backend(id);
-        self.index.write().drop_cold_backend(id.bits());
         Some(handle)
     }
 
-    /// The backend attached under a namespace, or an error naming it.
-    pub(crate) fn backend_for(&self, id: BackendId) -> StoreResult<BackendHandle> {
-        self.backends.get(id).ok_or_else(|| {
-            if id.is_default() {
-                nothing_attached()
-            } else {
-                StoreError::Backend(format!("backend '{}' is not attached", id.name()))
-            }
-        })
-    }
-
-    /// One namespace for one run: its attach epoch (0 if never attached),
-    /// captured *before* its handle. [`Self::attach_named`] stores the new
-    /// backend first and bumps the epoch second, so an epoch captured
-    /// before the handle can never be newer than the backend the run
-    /// scans — a concurrent attach makes the epoch move, and then the
+    /// One namespace for one run: its attach epoch and its handle, read
+    /// under one guard, or an error naming the namespace when nothing is
+    /// attached under it. A concurrent attach moves the epoch, and then the
     /// run's token commit is discarded ([`Self::record_synced`]) and the
     /// embeddings it cached sit under the old epoch's keys, unreachable.
     pub(crate) fn resolve(&self, id: BackendId) -> StoreResult<Attached> {
-        let epoch = self.synced.read().backends.get(&id).map_or(0, |s| s.epoch);
-        Ok(Attached { id, epoch, backend: self.backend_for(id)? })
+        let state = self.state.read();
+        match state.namespaces.get(&id) {
+            Some(Namespace { backend: Some(backend), epoch, .. }) => {
+                Ok(Attached { id, epoch: *epoch, backend: backend.clone() })
+            }
+            _ if id.is_default() => Err(nothing_attached()),
+            _ => Err(StoreError::Backend(format!("backend '{}' is not attached", id.name()))),
+        }
     }
 
     /// Ids of every attached backend, sorted.
     pub fn attached_backends(&self) -> Vec<BackendId> {
-        self.backends.ids()
+        let state = self.state.read();
+        let attached = state.namespaces.iter().filter(|(_, n)| n.backend.is_some());
+        let mut ids: Vec<BackendId> = attached.map(|(id, _)| *id).collect();
+        ids.sort_unstable();
+        ids
     }
 
     /// The configuration in use.
@@ -274,12 +285,12 @@ impl WarpGate {
 
     /// Number of indexed columns (across all namespaces).
     pub fn len(&self) -> usize {
-        self.index.read().len()
+        self.state.read().index.len()
     }
 
     /// True when nothing is indexed.
     pub fn is_empty(&self) -> bool {
-        self.index.read().is_empty()
+        self.state.read().index.is_empty()
     }
 
     /// Embedding-cache hit/miss counters and occupancy.
@@ -301,17 +312,17 @@ impl WarpGate {
     /// Indexed columns currently served from the paged (disk-backed)
     /// tier.
     pub fn cold_len(&self) -> usize {
-        self.index.read().cold_len()
+        self.state.read().index.cold_len()
     }
 
     /// Attached paged segments that still serve live rows.
     pub fn cold_segment_count(&self) -> usize {
-        self.index.read().cold_segment_count()
+        self.state.read().index.cold_segment_count()
     }
 
     /// The sorted attach set, or an error when nothing is attached.
     pub(crate) fn require_attached(&self) -> StoreResult<Vec<BackendId>> {
-        let ids = self.backends.ids();
+        let ids = self.attached_backends();
         if ids.is_empty() {
             return Err(nothing_attached());
         }
@@ -324,13 +335,13 @@ impl WarpGate {
     /// recording them would poison the next sync's diff; discard instead
     /// (the next sync re-scans, which is the safe direction).
     pub(crate) fn record_synced(&self, run: &Attached, metas: &[TableMeta]) {
-        let mut state = self.synced.write();
-        let be = state.backends.entry(run.id).or_default();
-        if be.epoch != run.epoch {
+        let mut state = self.state.write();
+        let namespace = state.namespaces.entry(run.id).or_default();
+        if namespace.epoch != run.epoch {
             return;
         }
         for m in metas {
-            be.tables.insert(
+            namespace.tables.insert(
                 (m.database.clone(), m.table.clone()),
                 TableState { epoch: run.epoch, version: m.version },
             );
@@ -344,32 +355,6 @@ impl WarpGate {
         empty_index(&self.config, self.hasher.clone())
     }
 
-    /// The durable slice of the sync bookkeeping: per backend *name*, the
-    /// attach epoch and every table → version token recorded under that
-    /// (current) epoch. Stale tokens from older epochs describe backends
-    /// that are gone and are not worth carrying across a restart; backends
-    /// with no live tokens are omitted entirely. Deterministically ordered
-    /// so identical states serialize to identical bytes.
-    pub(crate) fn sync_state_for_persist(&self) -> Vec<PersistedBackendSync> {
-        let state = self.synced.read();
-        let mut out: Vec<PersistedBackendSync> = Vec::new();
-        for (id, be) in &state.backends {
-            let mut tables: Vec<(String, String, u64)> = be
-                .tables
-                .iter()
-                .filter(|(_, st)| st.epoch == be.epoch)
-                .map(|((db, t), st)| (db.clone(), t.clone(), st.version))
-                .collect();
-            if tables.is_empty() {
-                continue;
-            }
-            tables.sort();
-            out.push(PersistedBackendSync { name: id.name(), tables });
-        }
-        out.sort_by(|a, b| a.name.cmp(&b.name));
-        out
-    }
-
     pub(crate) fn restore_from_persist(
         &mut self,
         index: SimHashLshIndex,
@@ -377,18 +362,18 @@ impl WarpGate {
         sync: Vec<PersistedBackendSync>,
     ) -> StoreResult<()> {
         let registry = Registry::from_entries(entries).map_err(StoreError::SnapshotCorrupt)?;
-        *self.registry.write() = registry;
-        *self.index.get_mut() = index;
+        let state = self.state.get_mut();
+        state.registry = registry;
+        state.index = index;
         // The snapshot may come from a system over different warehouse
         // content; cached query embeddings are not trustworthy across it.
         self.cache.clear();
         // Neither are any tokens recorded *before* the restore: bump every
         // namespace's epoch and drop its tables, exactly as if each
         // backend had been re-attached.
-        let mut synced = self.synced.write();
-        for state in synced.backends.values_mut() {
-            state.epoch += 1;
-            state.tables.clear();
+        for namespace in state.namespaces.values_mut() {
+            namespace.epoch += 1;
+            namespace.tables.clear();
         }
         // Then adopt the snapshot's durable tokens under each namespace's
         // *live* epoch: the tokens assert
@@ -400,13 +385,48 @@ impl WarpGate {
         // invalidates its adopted tokens (the conservative direction).
         for persisted in sync {
             let id = BackendId::named(&persisted.name);
-            let be = synced.backends.entry(id).or_default();
-            let epoch = be.epoch;
+            let namespace = state.namespaces.entry(id).or_default();
+            let epoch = namespace.epoch;
             for (database, table, version) in persisted.tables {
-                be.tables.insert((database, table), TableState { epoch, version });
+                namespace.tables.insert((database, table), TableState { epoch, version });
             }
         }
         Ok(())
+    }
+}
+
+impl State {
+    /// Drop `refs` from registry and index; how many rows went.
+    pub(crate) fn remove(&mut self, refs: &[ColumnRef]) -> usize {
+        refs.iter()
+            .filter_map(|r| self.registry.remove(r))
+            .filter(|&id| self.index.remove(id))
+            .count()
+    }
+
+    /// The durable slice of the sync bookkeeping: per backend *name*, every
+    /// table → version token recorded under the namespace's current epoch.
+    /// Stale tokens from older epochs describe backends that are gone and
+    /// are not worth carrying across a restart; namespaces with no live
+    /// tokens are omitted entirely. Deterministically ordered so identical
+    /// states serialize to identical bytes.
+    pub(crate) fn persisted_tokens(&self) -> Vec<PersistedBackendSync> {
+        let mut out: Vec<PersistedBackendSync> = Vec::new();
+        for (id, namespace) in &self.namespaces {
+            let mut tables: Vec<(String, String, u64)> = namespace
+                .tables
+                .iter()
+                .filter(|(_, st)| st.epoch == namespace.epoch)
+                .map(|((db, t), st)| (db.clone(), t.clone(), st.version))
+                .collect();
+            if tables.is_empty() {
+                continue;
+            }
+            tables.sort();
+            out.push(PersistedBackendSync { name: id.name(), tables });
+        }
+        out.sort_by(|a, b| a.name.cmp(&b.name));
+        out
     }
 }
 

@@ -663,7 +663,8 @@ fn indexing_with_schema_context_asks_for_metadata_once_per_table() {
     // Every row is what embedding that column on its own gives: its
     // values blended with a context read from its own metadata call.
     let model = wg.embedder().model().as_ref();
-    for (id, r) in wg.registry.read().entries() {
+    let state = wg.state.read();
+    for (id, r) in state.registry.entries() {
         let column = backend.inner.scan_column(r, config.sample).unwrap();
         let meta = WarehouseBackend::table_meta(backend.inner.as_ref(), &r.database, &r.table);
         let context = wg_embed::ColumnContext {
@@ -677,7 +678,7 @@ fn indexing_with_schema_context_asks_for_metadata_once_per_table() {
             0.2,
         );
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(wg.index.read().vector(id).unwrap()), bits(&want.0), "{r}");
+        assert_eq!(bits(state.index.vector(id).unwrap()), bits(&want.0), "{r}");
     }
 }
 
@@ -900,7 +901,7 @@ fn racing_attach_discards_in_flight_sync_tokens() {
     wg.attach_named("system-test-race", lake_connector());
     wg.record_synced(&stale, &metas);
     assert!(
-        wg.synced.read().backends.get(&id).unwrap().tables.is_empty(),
+        wg.state.read().namespaces[&id].tables.is_empty(),
         "stale-epoch token commit must be discarded"
     );
 
@@ -909,12 +910,34 @@ fn racing_attach_discards_in_flight_sync_tokens() {
     assert_eq!(report.tables_added + report.tables_updated, 1, "{report:?}");
 }
 
-/// Parks the first metered scan — a query's scan; indexing uses plain
-/// ones — after it has read its rows, until the test releases it.
+/// Parks the first scan, under either scan method, after it has read its
+/// rows, until the test releases it.
 struct ParkingBackend {
     inner: Arc<CdwConnector>,
     /// `(scanned, release)`, taken by the scan that parks.
     park: parking_lot::Mutex<Option<(mpsc::Sender<()>, mpsc::Receiver<()>)>>,
+}
+
+impl ParkingBackend {
+    fn new(inner: Arc<CdwConnector>) -> Arc<Self> {
+        Arc::new(Self { inner, park: Default::default() })
+    }
+
+    /// Arm the park: returns `(scanned, release)`.
+    fn arm(&self) -> (mpsc::Receiver<()>, mpsc::Sender<()>) {
+        let (done, scanned) = mpsc::channel();
+        let (release, parked) = mpsc::channel();
+        *self.park.lock() = Some((done, parked));
+        (scanned, release)
+    }
+
+    fn park(&self) {
+        let park = self.park.lock().take();
+        if let Some((done, release)) = park {
+            done.send(()).unwrap();
+            release.recv().unwrap();
+        }
+    }
 }
 
 impl WarehouseBackend for ParkingBackend {
@@ -928,7 +951,9 @@ impl WarehouseBackend for ParkingBackend {
         WarehouseBackend::table_meta(self.inner.as_ref(), database, table)
     }
     fn scan_column(&self, r: &ColumnRef, sample: SampleSpec) -> StoreResult<wg_store::Column> {
-        self.inner.scan_column(r, sample)
+        let scanned = self.inner.scan_column(r, sample);
+        self.park();
+        scanned
     }
     fn scan_column_metered(
         &self,
@@ -936,11 +961,7 @@ impl WarehouseBackend for ParkingBackend {
         sample: SampleSpec,
     ) -> StoreResult<(wg_store::Column, CostSnapshot)> {
         let scanned = self.inner.scan_column_metered(r, sample);
-        let park = self.park.lock().take();
-        if let Some((done, release)) = park {
-            done.send(()).unwrap();
-            release.recv().unwrap();
-        }
+        self.park();
         scanned
     }
     fn scan_table(&self, database: &str, table: &str, sample: SampleSpec) -> StoreResult<Table> {
@@ -961,13 +982,11 @@ fn a_query_racing_a_sync_does_not_cache_the_content_the_sync_replaced() {
     // the put landed, every later warm discover would rank the old vector
     // against the new rows until the table changed again.
     let c = connector();
-    let backend = Arc::new(ParkingBackend { inner: c.clone(), park: Default::default() });
+    let backend = ParkingBackend::new(c.clone());
     let config = WarpGateConfig { threads: 2, ..Default::default() };
     let wg = WarpGate::with_backend(config, backend.clone());
     wg.index_warehouse().unwrap();
-    let (done, scanned) = mpsc::channel();
-    let (release, parked) = mpsc::channel();
-    *backend.park.lock() = Some((done, parked));
+    let (scanned, release) = backend.arm();
     let q = ColumnRef::new("salesforce", "lead", "company");
     std::thread::scope(|s| {
         let query = s.spawn(|| wg.discover(&q, 10).unwrap());
@@ -992,6 +1011,73 @@ fn a_query_racing_a_sync_does_not_cache_the_content_the_sync_replaced() {
     let want = bits(fresh.discover(&q, 10).unwrap());
     assert!(want.iter().any(|(r, _)| r.column == "sector"), "the new rows join: {want:?}");
     assert_eq!(bits(wg.discover(&q, 10).unwrap()), want);
+}
+
+#[test]
+fn a_sync_racing_a_cold_discover_bills_only_its_own_scans() {
+    // The sync's one scan parks after it has billed; a cold discover scans
+    // meanwhile. Bracketing the run with two meter readings would bill the
+    // discover's scan to the sync as well.
+    let c = connector();
+    let backend = ParkingBackend::new(c.clone());
+    let config = WarpGateConfig { threads: 1, cache_capacity: 0, ..Default::default() };
+    let wg = WarpGate::with_backend(config, backend.clone());
+    wg.index_warehouse().unwrap();
+    c.warehouse_mut().database_mut("salesforce").add_table(
+        Table::new("lead", vec![Column::text("company", (0..30).map(|i| format!("Co {i}")))])
+            .unwrap(),
+    );
+    c.reset_costs();
+    let (scanned, release) = backend.arm();
+    let q = ColumnRef::new("stocks", "industries", "company_name");
+    let sync = std::thread::scope(|s| {
+        let sync = s.spawn(|| wg.sync().unwrap());
+        scanned.recv().unwrap();
+        assert!(!wg.discover(&q, 3).unwrap().timing.cache_hit);
+        release.send(()).unwrap();
+        sync.join().unwrap()
+    });
+    let meter = c.costs();
+    let (_, discovered) = c.scan_column_metered(&q, config.sample).unwrap();
+    assert_eq!((sync.tables_updated, sync.columns_indexed), (1, 1), "{sync:?}");
+    assert_eq!(sync.cost.requests, 1, "one changed column, one billed scan: {sync:?}");
+    assert_eq!(meter.requests, 2);
+    assert_eq!(sync.cost.bytes_scanned + discovered.bytes_scanned, meter.bytes_scanned);
+}
+
+#[test]
+fn reattach_keeps_the_backend_id_and_replaces_the_handle() {
+    let wg = WarpGate::new(WarpGateConfig { threads: 1, ..Default::default() });
+    let first = wg.attach_named("system-test-reattach", connector());
+    let lake = lake_connector();
+    assert_eq!(wg.attach_named("system-test-reattach", lake.clone()), first);
+    assert_eq!(wg.attached_backends(), vec![first]);
+    wg.sync().unwrap();
+    assert_eq!(wg.len(), 1, "only the second handle's warehouse is indexed");
+    let handle = wg.detach_named("system-test-reattach").expect("attached");
+    assert_eq!(handle.name(), WarehouseBackend::name(lake.as_ref()));
+    let q = ColumnRef::scoped(first, "raw", "exports", "company");
+    let err = wg.discover(&q, 3).unwrap_err();
+    assert!(err.to_string().contains("system-test-reattach"), "error names the namespace: {err}");
+}
+
+#[test]
+fn detach_of_a_name_never_attached_is_none_and_interns_nothing() {
+    let (wg, _c) = system();
+    assert!(wg.detach_named("system-test-never-attached").is_none());
+    assert_eq!(wg_util::names::lookup("system-test-never-attached"), None);
+    assert_eq!(wg.attached_backends(), vec![BackendId::DEFAULT]);
+}
+
+#[test]
+fn attached_backends_are_sorted() {
+    let wg = WarpGate::new(WarpGateConfig::default());
+    let mut want: Vec<BackendId> =
+        (0..6).map(|i| wg.attach_named(&format!("system-test-sorted-{i}"), connector())).collect();
+    wg.detach_named("system-test-sorted-2");
+    wg.attach_named("system-test-sorted-2", connector());
+    want.sort_unstable();
+    assert_eq!(wg.attached_backends(), want);
 }
 
 #[test]

@@ -28,7 +28,10 @@
 //!   sampling push-down). A scan of an unknown column fails `NotFound`
 //!   *before* charging — callers rely on the scan being its own existence
 //!   check. `scan_column_metered` is the same scan, also reporting what
-//!   that one call was charged.
+//!   that one call was charged. `WarpGate` scans columns only through it,
+//!   queries and indexing alike, and bills a run the sum of its scans' charges:
+//!   with metadata free, that is the whole bill, and a concurrent run's
+//!   scans are never in it.
 //! * **Version tokens are opaque.** A table's `version` must change
 //!   whenever its content changes, and should not change otherwise.
 //!   Tokens are comparable only against tokens from the *same* backend

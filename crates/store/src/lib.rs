@@ -28,6 +28,10 @@
 //!   Every [`error::StoreError`] is classified retryable vs. fatal
 //!   ([`error::StoreError::is_retryable`]), which is the contract the
 //!   middleware composes on.
+//!
+//! Which backends are attached, and under which name, is the business of
+//! `warpgate_core::WarpGate`: names intern to a [`BackendId`] here
+//! ([`catalog`]), and the handles live with the rest of a system's state.
 
 #![forbid(unsafe_code)]
 
@@ -41,7 +45,6 @@ pub mod dtype;
 pub mod error;
 pub mod fault;
 pub mod join;
-pub mod registry;
 pub mod remote;
 pub mod retry;
 pub mod sample;
@@ -57,7 +60,6 @@ pub use dtype::DataType;
 pub use error::{StoreError, StoreResult};
 pub use fault::{FaultInjector, FaultPlan};
 pub use join::{containment, jaccard, JoinType, KeyNorm};
-pub use registry::BackendRegistry;
 pub use remote::{RemoteBackend, RemoteBackendServer, RemoteServerConfig, RemoteServerStats};
 pub use retry::{RetryBackend, RetryClock, RetryPolicy, SystemClock, VirtualClock};
 pub use sample::SampleSpec;

@@ -98,17 +98,16 @@ pub mod prelude {
     pub use warpgate_core::{
         AdmissionStats, BackendCircuit, CheckpointPolicy, Checkpointer, CircuitState, CrashState,
         DaemonReport, Discovery, JoinCandidate, QueryOptions, QueryTiming, QuotaPolicy,
-        RecoveryReport, RecoverySource, SyncDaemon, SyncDaemonConfig, SyncReport, SyncSchedule,
-        TenantId, TenantQuota, TornWriter, WarpGate, WarpGateConfig,
+        RecoveryReport, RecoverySource, SyncDaemon, SyncDaemonConfig, SyncReport, TenantId,
+        TenantQuota, TornWriter, WarpGate, WarpGateConfig,
     };
     pub use wg_embed::{Aggregation, ColumnEmbedder, EmbeddingModel, WebTableModel};
     pub use wg_lsh::DiscoverScope;
     pub use wg_store::{
-        BackendHandle, BackendId, BackendRegistry, CdwConfig, CdwConnector, Column, ColumnRef,
-        CsvBackend, Database, FaultInjector, FaultPlan, JoinType, KeyNorm, RemoteBackend,
-        RemoteBackendServer, RemoteServerConfig, RemoteServerStats, RetryBackend, RetryPolicy,
-        SampleSpec, StoreError, SystemClock, Table, TableMeta, TableRef, Warehouse,
-        WarehouseBackend,
+        BackendHandle, BackendId, CdwConfig, CdwConnector, Column, ColumnRef, CsvBackend, Database,
+        FaultInjector, FaultPlan, JoinType, KeyNorm, RemoteBackend, RemoteBackendServer,
+        RemoteServerConfig, RemoteServerStats, RetryBackend, RetryPolicy, SampleSpec, StoreError,
+        SystemClock, Table, TableMeta, TableRef, Warehouse, WarehouseBackend,
     };
     pub use wg_util::{Deadline, Phase};
 }

@@ -1,7 +1,8 @@
-//! Concurrency stress tests for the hot path — one index behind one
-//! reader–writer lock: threads mixing `discover`, `discover_batch`,
-//! `index_table`, and `remove_table` against one shared system. The
-//! invariants under test:
+//! Concurrency stress tests for the hot path — a system's namespaces,
+//! registry and index behind one reader–writer lock: threads mixing
+//! `discover`, `discover_batch`, `index_table`, `remove_table`,
+//! `attach_named`, `detach_named` and checkpoints against one shared
+//! system. The invariants under test:
 //!
 //! * **no lost inserts** — after the churn settles and every table is
 //!   (re-)indexed, the index holds exactly one entry per warehouse column;
@@ -9,7 +10,13 @@
 //!   stopped), it never comes back in results, and re-indexed content is
 //!   discovered under its new embedding (the cache must not serve stale
 //!   vectors);
+//! * **attach / detach are atomic with the epoch** — a checkpoint sealed
+//!   while backends come and go always loads, and a sync afterwards ranks
+//!   like a fresh build;
 //! * **no deadlocks/panics** — the mixed workload completes.
+
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 use warpgate::prelude::*;
 
@@ -251,4 +258,103 @@ fn concurrent_cold_discovers_each_report_only_their_own_scan() {
         "per-query virtual load {summed} must add up to the meter's {}",
         total.virtual_secs
     );
+}
+
+/// A data lake of three one-column tables of company-name variants.
+fn lake_warehouse() -> Warehouse {
+    let mut w = Warehouse::new("lake");
+    for t in 0..3 {
+        w.database_mut("raw").add_table(
+            Table::new(
+                format!("dump{t}"),
+                vec![Column::text(
+                    "company",
+                    (0..40).map(|i| format!("COMPANY {i} v{t}")).collect::<Vec<_>>(),
+                )],
+            )
+            .unwrap(),
+        );
+    }
+    w
+}
+
+#[test]
+fn attach_detach_racing_discover_and_checkpoint() {
+    const ROUNDS: usize = 12;
+    let config = WarpGateConfig { threads: 1, ..Default::default() };
+    let hot: BackendHandle = Arc::new(CdwConnector::with_defaults(churn_warehouse(2)));
+    let lake: BackendHandle = Arc::new(CdwConnector::with_defaults(lake_warehouse()));
+    let (hot_name, paged_name) = ("concurrency-hot", "concurrency-paged");
+
+    // The lake's rows are attached lazily from a sealed segment; the hot
+    // namespace's are indexed into RAM.
+    let dir = std::env::temp_dir().join(format!("wg_concurrency_attach_{}", std::process::id()));
+    let sealer = WarpGate::new(config);
+    sealer.attach_named(paged_name, lake.clone());
+    sealer.index_warehouse().unwrap();
+    sealer.save_paged(&dir).unwrap();
+    let mut wg = WarpGate::new(config);
+    wg.attach_named(paged_name, lake.clone());
+    wg.load_paged(&dir).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    wg.attach_named(hot_name, hot.clone());
+    wg.sync().unwrap();
+    assert!(wg.cold_len() > 0 && wg.cold_len() < wg.len(), "one paged, one hot namespace");
+    let wg = wg;
+
+    let queries = [
+        ColumnRef::scoped(BackendId::named(hot_name), "core", "accounts", "name"),
+        ColumnRef::scoped(BackendId::named(paged_name), "raw", "dump0", "company"),
+    ];
+    let done = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        for _ in 0..2 {
+            let (wg, queries, done) = (&wg, &queries, &done);
+            scope.spawn(move || {
+                let mut rounds = 0;
+                while rounds < 3 || !done.load(Ordering::SeqCst) {
+                    for q in queries {
+                        // A detached namespace refuses its own queries, typed.
+                        match wg.discover(q, 5) {
+                            Ok(_) | Err(StoreError::Backend(_)) => {}
+                            Err(e) => panic!("{q}: {e}"),
+                        }
+                    }
+                    wg.discover_values(&["COMPANY 1", "COMPANY 2"], 5, &DiscoverScope::All);
+                    let image = wg.to_bytes();
+                    let mut restored = WarpGate::new(config);
+                    restored.load_bytes(&image).expect("every checkpoint loads");
+                    rounds += 1;
+                }
+            });
+        }
+        let (wg, done) = (&wg, &done);
+        scope.spawn(move || {
+            for _ in 0..ROUNDS {
+                for name in [paged_name, hot_name] {
+                    let handle = wg.detach_named(name).expect("attached");
+                    std::thread::yield_now();
+                    wg.attach_named(name, handle);
+                }
+            }
+            done.store(true, Ordering::SeqCst);
+        });
+    });
+
+    // The detaches dropped the lake's paged rows; a sync re-scans both
+    // namespaces (their epochs moved) and must rank like a fresh build.
+    wg.sync().unwrap();
+    let fresh = WarpGate::new(config);
+    fresh.attach_named(paged_name, lake.clone());
+    fresh.attach_named(hot_name, hot.clone());
+    fresh.index_warehouse().unwrap();
+    assert_eq!((wg.len(), wg.cold_len()), (fresh.len(), 0));
+    for (name, backend) in [(paged_name, &lake), (hot_name, &hot)] {
+        for meta in backend.list_tables().unwrap() {
+            for q in meta.scoped_column_refs(BackendId::named(name)) {
+                let got = wg.discover(&q, 10).unwrap().candidates;
+                assert_eq!(got, fresh.discover(&q, 10).unwrap().candidates, "{q}");
+            }
+        }
+    }
 }

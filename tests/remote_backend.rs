@@ -216,10 +216,10 @@ fn round_trip_budget_per_facade_call() {
     });
     assert_eq!(pair, 2, "cold joinability: two scans");
 
-    // Nothing changed behind the server: version tokens, plus the meter
-    // readings that bracket the (empty) run for `SyncReport::cost`.
+    // Nothing changed behind the server: the version tokens and nothing
+    // else. `SyncReport::cost` sums the run's own metered scans.
     let noop = spent(&|| assert!(wg.sync().expect("no-op sync").is_noop()));
-    assert_eq!(noop, 5, "no-op sync: snapshot_versions + 4 costs");
+    assert_eq!(noop, 1, "no-op sync: snapshot_versions");
 
     // The documented resilient stack gets the same single frame.
     let stack: BackendHandle =

@@ -48,7 +48,6 @@ fn fast_daemon_config() -> SyncDaemonConfig {
         interval: Duration::from_millis(5),
         failure_threshold: 2,
         open_intervals: 2,
-        schedule: SyncSchedule::All,
         checkpoint: None,
         tick_deadline: None,
     }
