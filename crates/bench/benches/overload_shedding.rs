@@ -1,6 +1,6 @@
 //! Overload-shedding bench (ISSUE 10): the graceful-degradation curve.
 //!
-//! One admission slot (`admission_cap: 1`) serves a warehouse whose every
+//! One admission slot (`AdmissionConfig { cap: 1, .. }`) serves a warehouse whose every
 //! scan stalls 2ms of *real* wall-clock (`FaultPlan::hang`), so service
 //! time is stall-dominated and stable even on the 1-core CI box. Client
 //! threads offering 1x/2x/8x the cap loop over the corpus queries; shed
@@ -26,7 +26,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use warpgate_core::{JoinCandidate, QueryOptions, WarpGate, WarpGateConfig};
+use warpgate_core::{AdmissionConfig, JoinCandidate, QueryOptions, WarpGate, WarpGateConfig};
 use wg_bench::xs_fixture;
 use wg_store::{BackendHandle, ColumnRef, FaultInjector, FaultPlan, StoreError};
 
@@ -145,10 +145,12 @@ fn main() {
         WarpGateConfig {
             cache_capacity: 0,
             threads: 1,
-            admission_cap: CAP,
-            admission_queue: QUEUE,
-            admission_wait_ms: WAIT_MS,
-            admission_retry_after_ms: RETRY_MS,
+            admission: Some(AdmissionConfig {
+                cap: CAP,
+                queue: QUEUE,
+                max_wait: Duration::from_millis(WAIT_MS),
+                retry_after_ms: RETRY_MS,
+            }),
             ..Default::default()
         },
         connector.clone(),
@@ -260,9 +262,9 @@ fn main() {
     "generated_by": "cargo bench --bench overload_shedding",
     "quick_mode": {quick},
     "config": {{
-      "admission_cap": {CAP},
-      "admission_queue": {QUEUE},
-      "admission_wait_ms": {WAIT_MS},
+      "cap": {CAP},
+      "queue": {QUEUE},
+      "wait_ms": {WAIT_MS},
       "retry_after_ms": {RETRY_MS},
       "scan_stall_ms": {STALL_MS},
       "queries": {nq},

@@ -17,9 +17,9 @@
 //!   `CostMeter` reports). One tenant exhausting its budget gets the
 //!   typed, retryable `StoreError::QuotaExceeded`; every other tenant's
 //!   requests — and results — are untouched.
-//! * [`TenantId`] — process-wide interned tenant names (the same scheme
-//!   as `wg_util::names` for backends), so per-request tenant handling
-//!   costs an integer, not a string.
+//! * [`TenantId`] — process-wide interned tenant names (the same
+//!   `wg_util::names` table type as backends, capped separately), so
+//!   per-request tenant handling costs an integer, not a string.
 //!
 //! The admission state machine (see DESIGN.md §12):
 //!
@@ -44,10 +44,11 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex, OnceLock};
+use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use wg_store::{StoreError, StoreResult};
+use wg_util::names::NameTable;
 use wg_util::FxHashMap;
 
 // ---------------------------------------------------------------------------
@@ -58,14 +59,11 @@ use wg_util::FxHashMap;
 /// (e.g. request ids used as tenant names), not a workload.
 pub const MAX_TENANTS: usize = 4096;
 
-fn tenant_table() -> &'static Mutex<Vec<String>> {
-    static TABLE: OnceLock<Mutex<Vec<String>>> = OnceLock::new();
-    TABLE.get_or_init(|| Mutex::new(Vec::new()))
-}
+static TENANTS: NameTable = NameTable::new("tenant", MAX_TENANTS, &[]);
 
-/// Process-wide interned tenant name (the `wg_util::names` scheme applied
-/// to tenants). Equal names always intern to the same id; ids are stable
-/// for the process lifetime.
+/// Process-wide interned tenant name (a `wg_util::names::NameTable` of its
+/// own). Equal names always intern to the same id; ids are stable for the
+/// process lifetime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TenantId(u32);
 
@@ -74,25 +72,17 @@ impl TenantId {
     /// [`MAX_TENANTS`] distinct names — by then something is using
     /// non-tenant strings as tenants.
     pub fn intern(name: &str) -> Self {
-        let mut table = tenant_table().lock().expect("tenant table lock");
-        if let Some(i) = table.iter().position(|t| t == name) {
-            return Self(i as u32);
-        }
-        assert!(table.len() < MAX_TENANTS, "tenant registry full ({MAX_TENANTS} names)");
-        table.push(name.to_string());
-        Self((table.len() - 1) as u32)
+        Self(TENANTS.intern(name))
     }
 
     /// The id already interned for `name`, if any.
     pub fn lookup(name: &str) -> Option<Self> {
-        let table = tenant_table().lock().expect("tenant table lock");
-        table.iter().position(|t| t == name).map(|i| Self(i as u32))
+        TENANTS.lookup(name).map(Self)
     }
 
     /// The interned name.
     pub fn name(self) -> String {
-        let table = tenant_table().lock().expect("tenant table lock");
-        table.get(self.0 as usize).cloned().unwrap_or_else(|| format!("tenant#{}", self.0))
+        TENANTS.resolve(self.0)
     }
 
     /// Raw id bits (for logs and tests).

@@ -1,7 +1,11 @@
 //! System configuration.
 
+use std::time::Duration;
+
 use wg_embed::Aggregation;
 use wg_store::SampleSpec;
+
+use crate::admission::AdmissionConfig;
 
 /// Tunables of a [`crate::WarpGate`] instance.
 ///
@@ -49,19 +53,11 @@ pub struct WarpGateConfig {
     /// the budget evict LRU; 0 means unbounded (everything read stays
     /// resident — the all-in-RAM behavior).
     pub block_cache_bytes: usize,
-    /// Admission-control concurrency cap across the public entry points
-    /// (`discover*`, `joinability`, `sync*`). 0 (the default) disables
-    /// admission control entirely — no cap, no queue, no shedding.
-    pub admission_cap: usize,
-    /// Requests allowed to wait for an admission slot beyond the cap
-    /// (only meaningful with `admission_cap > 0`).
-    pub admission_queue: usize,
-    /// Longest a queued request waits for admission before shedding with
-    /// the retryable `Overloaded`, milliseconds.
-    pub admission_wait_ms: u64,
-    /// Backoff hint carried in shed requests' `Overloaded` errors,
-    /// milliseconds.
-    pub admission_retry_after_ms: u64,
+    /// Admission control across the public entry points (`discover*`,
+    /// `joinability`, `sync*`): concurrency cap, wait queue, bounded wait
+    /// and backoff hint. `None` (the default) disables it entirely — no
+    /// cap, no queue, no shedding.
+    pub admission: Option<AdmissionConfig>,
     /// Master seed (embedding space + LSH hyperplanes).
     pub seed: u64,
 }
@@ -81,10 +77,7 @@ impl Default for WarpGateConfig {
             cache_capacity: 4096,
             block_rows: 16,
             block_cache_bytes: 4 << 20,
-            admission_cap: 0,
-            admission_queue: 8,
-            admission_wait_ms: 100,
-            admission_retry_after_ms: 50,
+            admission: None,
             seed: 0x5747_4154,
         }
     }
@@ -130,11 +123,16 @@ impl WarpGateConfig {
     /// Same configuration with admission control enabled: at most `cap`
     /// concurrent entry-point calls, up to `queue` more waiting at most
     /// `wait_ms` milliseconds before shedding with the retryable
-    /// `Overloaded`. `cap` must be positive (disable by not calling
-    /// this — the default config has admission off).
+    /// `Overloaded` with [`AdmissionConfig`]'s default backoff hint. `cap`
+    /// must be positive (disable by not calling this — the default config
+    /// has admission off).
     pub fn with_admission(self, cap: usize, queue: usize, wait_ms: u64) -> Self {
         assert!(cap > 0, "admission cap must be positive");
-        Self { admission_cap: cap, admission_queue: queue, admission_wait_ms: wait_ms, ..self }
+        let max_wait = Duration::from_millis(wait_ms);
+        Self {
+            admission: Some(AdmissionConfig { cap, queue, max_wait, ..AdmissionConfig::default() }),
+            ..self
+        }
     }
 
     /// Effective worker-thread count.
@@ -195,9 +193,17 @@ mod tests {
     #[test]
     fn admission_off_by_default_and_builder_enables() {
         let c = WarpGateConfig::default();
-        assert_eq!(c.admission_cap, 0, "admission control must be opt-in");
-        let on = c.with_admission(2, 4, 75);
-        assert_eq!((on.admission_cap, on.admission_queue, on.admission_wait_ms), (2, 4, 75));
+        assert_eq!(c.admission, None, "admission control must be opt-in");
+        let on = c.with_admission(2, 4, 75).admission.expect("enabled");
+        assert_eq!(
+            on,
+            AdmissionConfig {
+                cap: 2,
+                queue: 4,
+                max_wait: Duration::from_millis(75),
+                retry_after_ms: 50
+            }
+        );
     }
 
     #[test]

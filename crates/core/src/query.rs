@@ -4,6 +4,7 @@
 //! ([`WarpGate::admitted`]) and fetches embeddings through one function
 //! ([`WarpGate::embedding`]).
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use wg_lsh::{DiscoverScope, SearchError, SearchOutcome};
@@ -82,6 +83,23 @@ impl QueryOptions {
     }
 }
 
+/// What one serving call's own metered scans charged — what its tenant is
+/// debited. Batch workers add to it concurrently.
+#[derive(Default)]
+struct Bill {
+    scans: AtomicU64,
+    bytes: AtomicU64,
+}
+
+/// Whether an embedding miss may reach the backend.
+enum Access<'a> {
+    /// Scan, and charge the scan to the call's bill.
+    Billed(&'a Bill),
+    /// Admission shed the call, which opted into degraded serving: answer
+    /// from a warm cache or fail with this `Overloaded` error.
+    Shed(StoreError),
+}
+
 /// The resolved namespace of `id` — present because the preamble resolved
 /// every namespace the request involves.
 fn namespace(resolved: &[Attached], id: BackendId) -> &Attached {
@@ -120,32 +138,33 @@ impl WarpGate {
                 if !opts.allow_degraded {
                     return Err(overloaded);
                 }
-                self.discover_one(&resolved[0], query, k, opts, true, Some(overloaded))
+                self.discover_one(&resolved[0], query, k, opts, true, Access::Shed(overloaded))
             },
-            |resolved| self.discover_one(&resolved[0], query, k, opts, false, None),
+            |resolved, bill| {
+                self.discover_one(&resolved[0], query, k, opts, false, Access::Billed(bill))
+            },
         )
     }
 
     /// The request preamble, written once for every serving verb: deadline
     /// gate → tenant quota gate → [`Self::resolve`] of each involved
-    /// namespace → admission → `serve`, metered before and debited after
-    /// when a tenant is billed.
+    /// namespace → admission → `serve`, then the tenant's debit.
     ///
     /// Admission comes before the first backend call: shedding exists to
     /// protect a saturated warehouse, and over WGRP even a free existence
     /// check is a round trip. A shed request goes to `shed` with the
     /// `Overloaded` error instead — to return it, or to answer without the
-    /// backend. Quota debits are **post-paid**: the tenant is billed the
-    /// scans/bytes every involved backend actually metered during the call
-    /// — even a call that failed mid-flight, since those scans happened
-    /// regardless — which may push its bucket negative (recovered by
-    /// refill).
+    /// backend. Quota debits are **post-paid**: the tenant is billed what
+    /// the call's own metered scans charged ([`Bill`]) — even a call that
+    /// failed mid-flight, since those scans happened regardless — which may
+    /// push its bucket negative (recovered by refill). Scans other callers
+    /// make on the same backend meanwhile are theirs, never this tenant's.
     fn admitted<R>(
         &self,
         opts: &QueryOptions,
         involved: impl IntoIterator<Item = BackendId>,
         shed: impl FnOnce(&[Attached], StoreError) -> StoreResult<R>,
-        serve: impl FnOnce(&[Attached]) -> StoreResult<R>,
+        serve: impl FnOnce(&[Attached], &Bill) -> StoreResult<R>,
     ) -> StoreResult<R> {
         opts.deadline.check(Phase::Validate).map_err(deadline_err)?;
         if let Some(tenant) = opts.tenant {
@@ -161,16 +180,10 @@ impl WarpGate {
             Ok(permit) => permit,
             Err(overloaded) => return shed(&resolved, overloaded),
         };
-        // The meters are read only for a request that bills someone: over
-        // WGRP each reading is a round trip.
-        let Some(tenant) = opts.tenant else {
-            return serve(&resolved);
-        };
-        let before: Vec<_> = resolved.iter().map(|n| n.backend.costs()).collect();
-        let result = serve(&resolved);
-        for (n, before) in resolved.iter().zip(&before) {
-            let delta = n.backend.costs().since(before);
-            self.quotas.debit(tenant, delta.requests, delta.bytes_scanned);
+        let bill = Bill::default();
+        let result = serve(&resolved, &bill);
+        if let Some(tenant) = opts.tenant {
+            self.quotas.debit(tenant, bill.scans.into_inner(), bill.bytes.into_inner());
         }
         result
     }
@@ -180,9 +193,8 @@ impl WarpGate {
     /// existence check is wanted (batches validate everything up front and
     /// must not re-pay a catalog lookup per query; a degraded answer may
     /// not touch the backend); otherwise a cache hit checks existence
-    /// itself, and a miss leaves it to the scan. `shed` is the `Overloaded`
-    /// error of a request that admission refused and that opted into
-    /// degraded serving: it is answered from a warm cache without a single
+    /// itself, and a miss leaves it to the scan. A request admission shed
+    /// ([`Access::Shed`]) is answered from a warm cache without a single
     /// backend call, flagged [`QueryTiming::degraded`], or not at all.
     fn discover_one(
         &self,
@@ -191,15 +203,16 @@ impl WarpGate {
         k: usize,
         opts: &QueryOptions,
         validated: bool,
-        shed: Option<StoreError>,
+        access: Access<'_>,
     ) -> StoreResult<Discovery> {
         let mut timing = QueryTiming {
             backend: Some(query.backend),
-            degraded: shed.is_some(),
+            degraded: matches!(access, Access::Shed(_)),
             ..QueryTiming::default()
         };
         let weight = self.config.context_weight;
-        let vector = self.embedding(run, query, weight, opts.deadline, Some(&mut timing), shed)?;
+        let vector =
+            self.embedding(run, query, weight, opts.deadline, Some(&mut timing), access)?;
         if timing.cache_hit && !validated {
             run.backend.validate_column(query)?;
         }
@@ -221,10 +234,11 @@ impl WarpGate {
     /// system runs without contextual blending — the paper's
     /// configuration). Expiry fails with [`StoreError::DeadlineExceeded`]
     /// naming the phase that would have run next; a cache hit costs nothing
-    /// and always succeeds. `shed` (see [`Self::discover_one`]) forbids the
-    /// backend: a miss returns that error instead of scanning. The put is
-    /// dropped if a sync or removal invalidated the cache meanwhile: the
-    /// scan may have read the content that invalidation was for.
+    /// and always succeeds. On a miss, [`Access::Billed`] scans and charges
+    /// the scan to the call's bill; [`Access::Shed`] forbids the backend and
+    /// returns its error instead. The put is dropped if a sync or removal
+    /// invalidated the cache meanwhile: the scan may have read the content
+    /// that invalidation was for.
     fn embedding(
         &self,
         run: &Attached,
@@ -232,7 +246,7 @@ impl WarpGate {
         context_weight: f32,
         deadline: Deadline,
         timing: Option<&mut QueryTiming>,
-        shed: Option<StoreError>,
+        access: Access<'_>,
     ) -> StoreResult<Arc<wg_embed::Vector>> {
         let mut unreported = QueryTiming::default();
         let timing = timing.unwrap_or(&mut unreported);
@@ -245,12 +259,15 @@ impl WarpGate {
             }
             Err(miss) => miss,
         };
-        if let Some(overloaded) = shed {
-            return Err(overloaded);
-        }
+        let bill = match access {
+            Access::Billed(bill) => bill,
+            Access::Shed(overloaded) => return Err(overloaded),
+        };
         deadline.check(Phase::Scan).map_err(deadline_err)?;
         let sw = Stopwatch::start();
         let (column, metered) = run.backend.scan_column_metered(r, self.config.sample)?;
+        bill.scans.fetch_add(metered.requests, Ordering::Relaxed);
+        bill.bytes.fetch_add(metered.bytes_scanned, Ordering::Relaxed);
         timing.load_secs = sw.elapsed_secs();
         timing.virtual_load_secs = metered.virtual_secs;
         timing.retries = metered.retries;
@@ -302,7 +319,7 @@ impl WarpGate {
             opts,
             queries.iter().map(|q| q.backend),
             |_, overloaded| Err(overloaded),
-            |resolved| {
+            |resolved, bill| {
                 for q in queries {
                     namespace(resolved, q.backend).backend.validate_column(q)?;
                 }
@@ -310,7 +327,10 @@ impl WarpGate {
                 in_order(
                     queries,
                     self.config.effective_threads(),
-                    |q| self.discover_one(namespace(resolved, q.backend), q, k, opts, true, None),
+                    |q| {
+                        let run = namespace(resolved, q.backend);
+                        self.discover_one(run, q, k, opts, true, Access::Billed(bill))
+                    },
                     |_, chunk| answers.extend(chunk),
                 )?;
                 Ok(answers)
@@ -429,10 +449,10 @@ impl WarpGate {
             opts,
             [a.backend, b.backend],
             |_, overloaded| Err(overloaded),
-            |resolved| {
+            |resolved, bill| {
                 let values = |r: &ColumnRef| {
                     let run = namespace(resolved, r.backend);
-                    self.embedding(run, r, 0.0, opts.deadline, None, None)
+                    self.embedding(run, r, 0.0, opts.deadline, None, Access::Billed(bill))
                 };
                 Ok(values(a)?.cosine(&*values(b)?))
             },

@@ -24,9 +24,7 @@ use wg_util::deadline::Phase;
 use wg_util::lru::CacheStats;
 use wg_util::FxHashMap;
 
-use crate::admission::{
-    AdmissionConfig, AdmissionController, AdmissionPermit, AdmissionStats, QuotaPolicy,
-};
+use crate::admission::{AdmissionController, AdmissionPermit, AdmissionStats, QuotaPolicy};
 use crate::cache::EmbeddingCache;
 use crate::config::WarpGateConfig;
 use crate::registry::Registry;
@@ -108,8 +106,8 @@ pub struct WarpGate {
     block_cache: Arc<wg_lsh::BlockCache>,
     /// Concurrency gate over the serving entry points (`discover*`,
     /// `joinability`, `sync*`), present only when
-    /// [`WarpGateConfig::admission_cap`] is positive. `None` = admission
-    /// off, zero overhead.
+    /// [`WarpGateConfig::admission`] is set. `None` = admission off, zero
+    /// overhead.
     admission: Option<AdmissionController>,
     /// Per-tenant token buckets over billed scans/bytes. Tenants without
     /// a configured [`crate::TenantQuota`] are unlimited, so the policy
@@ -154,14 +152,7 @@ impl WarpGate {
             hasher,
             cache: EmbeddingCache::new(config.cache_capacity, config.dim),
             block_cache: wg_lsh::BlockCache::new(config.block_cache_bytes),
-            admission: (config.admission_cap > 0).then(|| {
-                AdmissionController::new(AdmissionConfig {
-                    cap: config.admission_cap,
-                    queue: config.admission_queue,
-                    max_wait: std::time::Duration::from_millis(config.admission_wait_ms),
-                    retry_after_ms: config.admission_retry_after_ms,
-                })
-            }),
+            admission: config.admission.map(AdmissionController::new),
             quotas: QuotaPolicy::new(),
             config,
         }
@@ -175,7 +166,7 @@ impl WarpGate {
     }
 
     /// Admission-control counters and gauges, or `None` when admission is
-    /// off ([`WarpGateConfig::admission_cap`] == 0).
+    /// off ([`WarpGateConfig::admission`] is `None`).
     pub fn admission_stats(&self) -> Option<AdmissionStats> {
         self.admission.as_ref().map(|a| a.stats())
     }

@@ -23,39 +23,20 @@
 //! Operands and results reuse the codec's length-prefixed strings and the
 //! store's existing column wire form ([`Column::encode`]); see the opcode
 //! table in [`op`]. Decoding is bounds-checked end to end: a corrupt or
-//! truncated frame yields [`StoreError::Codec`], never a panic.
+//! truncated frame yields [`StoreError::Codec`], never a panic — a retired
+//! opcode included.
 //!
-//! ### Request context extension (still v1)
-//!
-//! A request may prefix its opcode with [`op::WITH_CONTEXT`], carrying a
-//! deadline budget and a tenant token:
-//!
-//! ```text
-//! u8 WITH_CONTEXT | u64 remaining_ms | str tenant | u8 inner_opcode | operands…
-//! ```
-//!
-//! `remaining_ms` is the client's deadline budget left at send time
-//! (`u64::MAX` = no deadline, `0` = already expired — the server sheds it
-//! before touching the backend); an empty tenant string means anonymous.
-//! Requests without the wrapper are byte-identical to the original v1
-//! frames, so old clients and new servers (and vice versa, as long as the
-//! context is unused) interoperate unchanged.
-//!
-//! ### Metered scan (still v1)
-//!
-//! [`op::SCAN_COLUMN_METERED`] is additive: opcodes 1–10 keep their frames
-//! byte for byte, so an older client works against this server. A client
-//! that sends it needs a server that knows it (an older one answers
-//! "unknown opcode" as a typed `Codec` error).
+//! Every request is one opcode and its operands, nothing else: deadlines,
+//! tenants and admission belong to the `WarpGate` node in front of the
+//! client, which checks them before it sends a frame.
 //!
 //! ## Overload protection
 //!
-//! The server bounds its own resources instead of trusting clients: a
-//! connection cap (excess connections get one typed, *retryable*
-//! [`StoreError::Overloaded`] frame and are closed — never a silent hang),
-//! an optional in-flight request cap enforced the same way, write timeouts
-//! so a hung reader cannot pin a handler thread, and expired-deadline
-//! shedding before any billed backend work. See [`RemoteServerConfig`].
+//! The server bounds its own handler threads instead of trusting clients:
+//! a connection cap (excess connections get one typed, *retryable*
+//! [`StoreError::Overloaded`] frame and are closed — never a silent hang)
+//! and write timeouts so a hung reader cannot pin a handler thread. See
+//! [`RemoteServerConfig`].
 //!
 //! ## Failure semantics
 //!
@@ -79,8 +60,7 @@ use wg_util::codec::{
     get_len, get_str, get_u32, get_u64, get_u8, put_f64, put_len, put_str, put_u32, put_u64,
     put_u8, CodecError, CodecResult,
 };
-use wg_util::deadline::{Deadline, Phase};
-use wg_util::FxHashMap;
+use wg_util::deadline::Phase;
 
 use crate::backend::{BackendHandle, TableMeta, TableVersion, WarehouseBackend};
 use crate::catalog::ColumnRef;
@@ -107,24 +87,20 @@ const CLIENT_IO_TIMEOUT: Duration = Duration::from_secs(30);
 /// blocked on I/O.
 const SERVER_POLL: Duration = Duration::from_millis(25);
 
-/// Request opcodes. One per [`WarehouseBackend`] method.
+/// Request opcodes. One per [`WarehouseBackend`] method; 4 and 10 are
+/// retired and answered "unknown opcode".
 mod op {
     pub const NAME: u8 = 1;
     pub const LIST_TABLES: u8 = 2;
     pub const TABLE_META: u8 = 3;
-    pub const SCAN_COLUMN: u8 = 4;
     pub const SCAN_TABLE: u8 = 5;
     pub const COSTS: u8 = 6;
     pub const RESET_COSTS: u8 = 7;
     pub const VALIDATE_COLUMN: u8 = 8;
     pub const SNAPSHOT_VERSIONS: u8 = 9;
-    /// Not a backend method: wraps an inner opcode with a deadline budget
-    /// and tenant token. See "Request context extension" in the module
-    /// docs.
-    pub const WITH_CONTEXT: u8 = 10;
-    /// [`SCAN_COLUMN`]'s operands; the ok-body is the cost snapshot the
-    /// server's backend metered for this scan, then the column — a cold
-    /// query's scan and its bill in one round trip
+    /// The one column scan: its ok-body is the cost snapshot the server's
+    /// backend metered for this scan, then the column — a cold query's
+    /// scan and its bill in one round trip
     /// (`WarehouseBackend::scan_column_metered`).
     pub const SCAN_COLUMN_METERED: u8 = 11;
 }
@@ -144,16 +120,6 @@ fn get_column_ref(buf: &mut &[u8]) -> CodecResult<ColumnRef> {
     // under, so the wire carries no backend name and refs land in the
     // default namespace on both sides.
     Ok(ColumnRef::new(get_str(buf)?, get_str(buf)?, get_str(buf)?))
-}
-
-/// Operands shared by [`op::SCAN_COLUMN`] and [`op::SCAN_COLUMN_METERED`].
-fn put_scan_column_operands(buf: &mut Vec<u8>, r: &ColumnRef, sample: SampleSpec) {
-    put_column_ref(buf, r);
-    sample.encode(buf);
-}
-
-fn get_scan_column_operands(buf: &mut &[u8]) -> CodecResult<(ColumnRef, SampleSpec)> {
-    Ok((get_column_ref(buf)?, SampleSpec::decode(buf)?))
 }
 
 fn put_table_meta(buf: &mut Vec<u8>, m: &TableMeta) {
@@ -415,21 +381,16 @@ fn read_frame(
 // ---------------------------------------------------------------------------
 // Server.
 
-/// Resource bounds of a [`RemoteBackendServer`]. The defaults protect the
-/// server out of the box: before this config existed the accept loop
-/// spawned one unbounded handler thread per connection, so any client
-/// storm (or leak) exhausted server threads.
+/// Resource bounds of a [`RemoteBackendServer`]: its handler threads, the
+/// one resource the node's own admission gate cannot protect. The
+/// defaults protect the server out of the box — an unbounded accept loop
+/// lets any client storm (or leak) exhaust server threads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RemoteServerConfig {
     /// Concurrent connections served (each holds one handler thread).
     /// Excess connections receive one [`StoreError::Overloaded`] frame and
-    /// are closed. `0` = unbounded (the pre-cap behavior; discouraged).
+    /// are closed. `0` = unbounded (discouraged).
     pub max_connections: usize,
-    /// Requests executing against the backend at once, across all
-    /// connections. Excess requests are answered with
-    /// [`StoreError::Overloaded`] without touching the backend. `0` =
-    /// unbounded.
-    pub max_in_flight: usize,
     /// Write timeout per response frame, so a hung or slow-reading client
     /// cannot pin a handler thread. Zero = no timeout.
     pub write_timeout: Duration,
@@ -440,16 +401,11 @@ pub struct RemoteServerConfig {
 
 impl Default for RemoteServerConfig {
     fn default() -> Self {
-        Self {
-            max_connections: 64,
-            max_in_flight: 0,
-            write_timeout: Duration::from_secs(5),
-            retry_after_ms: 50,
-        }
+        Self { max_connections: 64, write_timeout: Duration::from_secs(5), retry_after_ms: 50 }
     }
 }
 
-/// Monotonic shedding counters of a running server (see
+/// The connection gauge and shedding counter of a running server (see
 /// [`RemoteBackendServer::stats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RemoteServerStats {
@@ -457,59 +413,13 @@ pub struct RemoteServerStats {
     pub live_connections: usize,
     /// Connections refused at the cap with an `Overloaded` frame.
     pub shed_connections: u64,
-    /// Requests refused at the in-flight cap with an `Overloaded` frame.
-    pub shed_requests: u64,
-    /// Requests shed because their carried deadline was already expired.
-    pub deadline_shed: u64,
 }
 
 /// State shared between the accept loop and every handler thread.
 struct ServerShared {
     config: RemoteServerConfig,
     live_connections: AtomicUsize,
-    in_flight: AtomicUsize,
     shed_connections: AtomicU64,
-    shed_requests: AtomicU64,
-    deadline_shed: AtomicU64,
-    /// Requests per tenant token seen in [`op::WITH_CONTEXT`] frames.
-    tenant_requests: Mutex<FxHashMap<String, u64>>,
-}
-
-impl ServerShared {
-    fn new(config: RemoteServerConfig) -> Self {
-        Self {
-            config,
-            live_connections: AtomicUsize::new(0),
-            in_flight: AtomicUsize::new(0),
-            shed_connections: AtomicU64::new(0),
-            shed_requests: AtomicU64::new(0),
-            deadline_shed: AtomicU64::new(0),
-            tenant_requests: Mutex::new(FxHashMap::default()),
-        }
-    }
-}
-
-/// RAII slot in the in-flight request budget; acquiring fails with
-/// `Overloaded` at the cap.
-struct InFlightPermit<'a>(&'a AtomicUsize);
-
-impl<'a> InFlightPermit<'a> {
-    fn acquire(shared: &'a ServerShared) -> StoreResult<Self> {
-        let cap = shared.config.max_in_flight;
-        let occupied = shared.in_flight.fetch_add(1, Ordering::AcqRel);
-        if cap > 0 && occupied >= cap {
-            shared.in_flight.fetch_sub(1, Ordering::AcqRel);
-            shared.shed_requests.fetch_add(1, Ordering::Relaxed);
-            return Err(StoreError::Overloaded { retry_after_ms: shared.config.retry_after_ms });
-        }
-        Ok(Self(&shared.in_flight))
-    }
-}
-
-impl Drop for InFlightPermit<'_> {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::AcqRel);
-    }
 }
 
 /// Decrements the live-connection count when a handler exits, however it
@@ -525,8 +435,8 @@ impl Drop for ConnectionGuard<'_> {
 /// Serves a local [`WarehouseBackend`] to [`RemoteBackend`] clients over
 /// TCP. One thread accepts connections; each connection gets a handler
 /// thread answering requests until the client disconnects or the server
-/// shuts down. Connection count, in-flight requests and response writes
-/// are all bounded — see [`RemoteServerConfig`].
+/// shuts down. Connection count and response writes are bounded — see
+/// [`RemoteServerConfig`].
 pub struct RemoteBackendServer {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
@@ -563,7 +473,11 @@ impl RemoteBackendServer {
             .local_addr()
             .map_err(|e| StoreError::Backend(format!("remote server local_addr: {e}")))?;
         let stop = Arc::new(AtomicBool::new(false));
-        let shared = Arc::new(ServerShared::new(config));
+        let shared = Arc::new(ServerShared {
+            config,
+            live_connections: AtomicUsize::new(0),
+            shed_connections: AtomicU64::new(0),
+        });
         let accept_stop = stop.clone();
         let accept_shared = shared.clone();
         let accept_handle = std::thread::spawn(move || {
@@ -611,23 +525,12 @@ impl RemoteBackendServer {
         self.addr
     }
 
-    /// Live-connection gauge and monotonic shedding counters.
+    /// Live-connection gauge and monotonic shedding counter.
     pub fn stats(&self) -> RemoteServerStats {
         RemoteServerStats {
             live_connections: self.shared.live_connections.load(Ordering::Acquire),
             shed_connections: self.shared.shed_connections.load(Ordering::Relaxed),
-            shed_requests: self.shared.shed_requests.load(Ordering::Relaxed),
-            deadline_shed: self.shared.deadline_shed.load(Ordering::Relaxed),
         }
-    }
-
-    /// Requests served per tenant token (from [`op::WITH_CONTEXT`]
-    /// frames), in descending request order then tenant order.
-    pub fn tenant_requests(&self) -> Vec<(String, u64)> {
-        let map = self.shared.tenant_requests.lock();
-        let mut out: Vec<(String, u64)> = map.iter().map(|(k, v)| (k.clone(), *v)).collect();
-        out.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        out
     }
 
     /// Stop accepting, wake blocked handler threads, and join them all.
@@ -707,8 +610,7 @@ fn serve_connection(
             // connection is done.
             Ok(None) | Err(_) => return,
         };
-        let response =
-            bound_response(handle_request(&payload, backend.as_ref(), shared), MAX_FRAME);
+        let response = bound_response(handle_request(&payload, backend.as_ref()), MAX_FRAME);
         if write_frame(&mut stream, &response).is_err() {
             return;
         }
@@ -717,38 +619,14 @@ fn serve_connection(
 
 /// Decode one request payload, run it against `backend`, encode the
 /// response payload.
-fn handle_request(
-    payload: &[u8],
-    backend: &dyn WarehouseBackend,
-    shared: &ServerShared,
-) -> Vec<u8> {
-    try_handle_request(payload, backend, shared).unwrap_or_else(|e| error_response(&e))
+fn handle_request(payload: &[u8], backend: &dyn WarehouseBackend) -> Vec<u8> {
+    try_handle_request(payload, backend).unwrap_or_else(|e| error_response(&e))
 }
 
-fn try_handle_request(
-    payload: &[u8],
-    backend: &dyn WarehouseBackend,
-    shared: &ServerShared,
-) -> StoreResult<Vec<u8>> {
+fn try_handle_request(payload: &[u8], backend: &dyn WarehouseBackend) -> StoreResult<Vec<u8>> {
     let mut cursor = payload;
     check_payload_header(&mut cursor)?;
-    let mut opcode = get_u8(&mut cursor)?;
-    if opcode == op::WITH_CONTEXT {
-        let remaining_ms = get_u64(&mut cursor)?;
-        let tenant = get_str(&mut cursor)?;
-        if !tenant.is_empty() {
-            *shared.tenant_requests.lock().entry(tenant).or_insert(0) += 1;
-        }
-        if remaining_ms == 0 {
-            // The client's budget was spent before the frame even landed:
-            // shed before any billed backend work.
-            shared.deadline_shed.fetch_add(1, Ordering::Relaxed);
-            return Err(StoreError::DeadlineExceeded { phase: Phase::Validate });
-        }
-        opcode = get_u8(&mut cursor)?;
-    }
-    // One slot in the in-flight budget for the duration of the dispatch.
-    let _permit = InFlightPermit::acquire(shared)?;
+    let opcode = get_u8(&mut cursor)?;
     let mut buf = Vec::with_capacity(256);
     payload_header(&mut buf);
     put_u8(&mut buf, 0);
@@ -766,12 +644,9 @@ fn try_handle_request(
             let table = get_str(&mut cursor)?;
             put_table_meta(&mut buf, &backend.table_meta(&database, &table)?);
         }
-        op::SCAN_COLUMN => {
-            let (r, sample) = get_scan_column_operands(&mut cursor)?;
-            backend.scan_column(&r, sample)?.encode(&mut buf);
-        }
         op::SCAN_COLUMN_METERED => {
-            let (r, sample) = get_scan_column_operands(&mut cursor)?;
+            let r = get_column_ref(&mut cursor)?;
+            let sample = SampleSpec::decode(&mut cursor)?;
             let (column, metered) = backend.scan_column_metered(&r, sample)?;
             put_cost_snapshot(&mut buf, &metered);
             column.encode(&mut buf);
@@ -816,9 +691,6 @@ pub struct RemoteBackend {
     addr: String,
     /// Server-reported backend name, fetched at connect time.
     remote_name: String,
-    /// Optional per-request context (tenant token + deadline budget);
-    /// when either is set, requests are wrapped in [`op::WITH_CONTEXT`].
-    context: Mutex<RequestContext>,
     conn: Mutex<Option<TcpStream>>,
     /// Last successfully fetched cost snapshot. Served when a `COSTS` RPC
     /// fails: the server meter is monotonic between resets, so a stale
@@ -826,14 +698,6 @@ pub struct RemoteBackend {
     /// unobserved window — an all-zero answer would instead attribute the
     /// server's whole metering history to the next delta.
     last_costs: Mutex<CostSnapshot>,
-}
-
-/// The optional WGRP request context a [`RemoteBackend`] attaches to its
-/// frames.
-#[derive(Debug, Clone, Default)]
-struct RequestContext {
-    tenant: Option<String>,
-    deadline: Deadline,
 }
 
 impl std::fmt::Debug for RemoteBackend {
@@ -853,7 +717,6 @@ impl RemoteBackend {
         let backend = Self {
             addr: addr.into(),
             remote_name: String::new(),
-            context: Mutex::new(RequestContext::default()),
             conn: Mutex::new(None),
             last_costs: Mutex::new(CostSnapshot::default()),
         };
@@ -870,21 +733,6 @@ impl RemoteBackend {
     /// The server address this client talks to.
     pub fn addr(&self) -> &str {
         &self.addr
-    }
-
-    /// Tenant token carried in every subsequent request (`None` clears
-    /// it). The server accounts requests per token; quota policies key
-    /// off the same name.
-    pub fn set_tenant(&self, tenant: Option<String>) {
-        self.context.lock().tenant = tenant;
-    }
-
-    /// Deadline budget carried in every subsequent request as the
-    /// *remaining* milliseconds at send time ([`Deadline::none`] clears
-    /// it). An already-expired budget is shed by the server before any
-    /// billed work.
-    pub fn set_deadline(&self, deadline: Deadline) {
-        self.context.lock().deadline = deadline;
     }
 
     fn unavailable(&self, context: &str, e: impl std::fmt::Display) -> StoreError {
@@ -936,28 +784,9 @@ impl RemoteBackend {
     fn request(&self, opcode: u8, operands: impl FnOnce(&mut Vec<u8>)) -> StoreResult<Vec<u8>> {
         let mut buf = Vec::with_capacity(128);
         payload_header(&mut buf);
-        {
-            let ctx = self.context.lock();
-            if ctx.tenant.is_some() || ctx.deadline.is_some() {
-                put_u8(&mut buf, op::WITH_CONTEXT);
-                put_u64(&mut buf, wire_remaining_ms(ctx.deadline.remaining()));
-                put_str(&mut buf, ctx.tenant.as_deref().unwrap_or(""));
-            }
-        }
         put_u8(&mut buf, opcode);
         operands(&mut buf);
         self.roundtrip(&buf)
-    }
-}
-
-/// A deadline's remaining budget as the context frame carries it: whole
-/// milliseconds **rounded up**, so `0` — which the server sheds as already
-/// expired — goes on the wire only when nothing is left
-/// ([`Deadline::expired`]); `u64::MAX` = no deadline.
-fn wire_remaining_ms(remaining: Option<Duration>) -> u64 {
-    match remaining {
-        None => u64::MAX,
-        Some(left) => u64::try_from(left.as_nanos().div_ceil(1_000_000)).unwrap_or(u64::MAX),
     }
 }
 
@@ -986,8 +815,7 @@ impl WarehouseBackend for RemoteBackend {
     }
 
     fn scan_column(&self, r: &ColumnRef, sample: SampleSpec) -> StoreResult<Column> {
-        let body = self.request(op::SCAN_COLUMN, |buf| put_scan_column_operands(buf, r, sample))?;
-        get_column(&mut &body[..])
+        Ok(self.scan_column_metered(r, sample)?.0)
     }
 
     fn scan_column_metered(
@@ -995,8 +823,10 @@ impl WarehouseBackend for RemoteBackend {
         r: &ColumnRef,
         sample: SampleSpec,
     ) -> StoreResult<(Column, CostSnapshot)> {
-        let body =
-            self.request(op::SCAN_COLUMN_METERED, |buf| put_scan_column_operands(buf, r, sample))?;
+        let body = self.request(op::SCAN_COLUMN_METERED, |buf| {
+            put_column_ref(buf, r);
+            sample.encode(buf);
+        })?;
         get_metered_column(&mut &body[..])
     }
 
@@ -1201,29 +1031,14 @@ mod tests {
     }
 
     #[test]
-    fn wire_deadline_rounds_up_to_whole_milliseconds() {
-        // `0` means "already expired" to the server, so only an empty
-        // budget may be sent as 0.
-        for (left, on_wire) in [
-            (Some(Duration::ZERO), 0),
-            (Some(Duration::from_nanos(1)), 1),
-            (Some(Duration::from_millis(1)), 1),
-            (Some(Duration::from_millis(1) + Duration::from_nanos(1)), 2),
-            (None, u64::MAX),
-        ] {
-            assert_eq!(wire_remaining_ms(left), on_wire, "{left:?}");
-        }
-    }
-
-    #[test]
     fn over_limit_response_becomes_a_typed_fatal_error_frame() {
         let backend = local_backend();
-        let shared = ServerShared::new(RemoteServerConfig::default());
         let mut payload = Vec::new();
         payload_header(&mut payload);
-        put_u8(&mut payload, op::SCAN_COLUMN);
-        put_scan_column_operands(&mut payload, &ColumnRef::new("db", "t", "a"), SampleSpec::Full);
-        let response = handle_request(&payload, backend.as_ref(), &shared);
+        put_u8(&mut payload, op::SCAN_COLUMN_METERED);
+        put_column_ref(&mut payload, &ColumnRef::new("db", "t", "a"));
+        SampleSpec::Full.encode(&mut payload);
+        let response = handle_request(&payload, backend.as_ref());
 
         // At or under the limit the response goes out untouched.
         assert_eq!(bound_response(response.clone(), response.len()), response);
@@ -1331,33 +1146,49 @@ mod tests {
     #[test]
     fn corrupt_frames_error_cleanly() {
         let backend = local_backend();
-        let shared = ServerShared::new(RemoteServerConfig::default());
+        let billed = backend.costs();
+        let refusal = |payload: &[u8]| {
+            let resp = handle_request(payload, backend.as_ref());
+            let mut cursor = &resp[..];
+            check_payload_header(&mut cursor).unwrap();
+            assert_eq!(get_u8(&mut cursor).unwrap(), 1, "must be an error response");
+            get_store_error(&mut cursor).unwrap()
+        };
         // Bad magic.
         let mut payload = Vec::new();
         wg_util::codec::put_header(&mut payload, *b"NOPE", 1);
-        let resp = handle_request(&payload, backend.as_ref(), &shared);
-        let mut cursor = &resp[..];
-        check_payload_header(&mut cursor).unwrap();
-        assert_eq!(get_u8(&mut cursor).unwrap(), 1, "must be an error response");
-        assert!(matches!(get_store_error(&mut cursor).unwrap(), StoreError::Codec(_)));
+        assert!(matches!(refusal(&payload), StoreError::Codec(_)));
 
-        // Unknown opcode.
-        let mut payload = Vec::new();
-        payload_header(&mut payload);
-        put_u8(&mut payload, 200);
-        let resp = handle_request(&payload, backend.as_ref(), &shared);
-        let mut cursor = &resp[..];
-        check_payload_header(&mut cursor).unwrap();
-        assert_eq!(get_u8(&mut cursor).unwrap(), 1);
+        // Unknown opcodes, the two retired ones (the plain column scan and
+        // the deadline/tenant wrapper) included — each with the operands
+        // it used to carry.
+        let scan = |buf: &mut Vec<u8>| {
+            put_column_ref(buf, &ColumnRef::new("db", "t", "a"));
+            SampleSpec::Full.encode(buf);
+        };
+        for opcode in [200u8, 4, 10] {
+            let mut payload = Vec::new();
+            payload_header(&mut payload);
+            put_u8(&mut payload, opcode);
+            if opcode == 10 {
+                put_u64(&mut payload, u64::MAX);
+                put_str(&mut payload, "acme");
+                put_u8(&mut payload, op::SCAN_COLUMN_METERED);
+            }
+            scan(&mut payload);
+            let err = refusal(&payload);
+            assert!(
+                matches!(&err, StoreError::Codec(_)) && err.to_string().contains("unknown opcode"),
+                "opcode {opcode}: {err:?}"
+            );
+        }
+        assert_eq!(backend.costs(), billed, "a refused frame bills nothing");
 
         // Truncated operands.
         let mut payload = Vec::new();
         payload_header(&mut payload);
         put_u8(&mut payload, op::TABLE_META);
-        let resp = handle_request(&payload, backend.as_ref(), &shared);
-        let mut cursor = &resp[..];
-        check_payload_header(&mut cursor).unwrap();
-        assert_eq!(get_u8(&mut cursor).unwrap(), 1);
+        assert!(matches!(refusal(&payload), StoreError::Codec(_)));
     }
 
     #[test]
@@ -1424,58 +1255,6 @@ mod tests {
             }
         };
         assert!(c.validate_column(&ColumnRef::new("db", "t", "a")).is_ok());
-        server.shutdown();
-    }
-
-    #[test]
-    fn in_flight_cap_sheds_requests_without_touching_backend() {
-        let local = local_backend();
-        let shared =
-            ServerShared::new(RemoteServerConfig { max_in_flight: 1, ..Default::default() });
-        // Occupy the single slot directly, then dispatch a request: it
-        // must shed with Overloaded and bill nothing.
-        let _held = InFlightPermit::acquire(&shared).unwrap();
-        let billed_before = local.costs().requests;
-        let mut payload = Vec::new();
-        payload_header(&mut payload);
-        put_u8(&mut payload, op::SCAN_COLUMN);
-        put_column_ref(&mut payload, &ColumnRef::new("db", "t", "a"));
-        SampleSpec::Full.encode(&mut payload);
-        let resp = handle_request(&payload, local.as_ref(), &shared);
-        let mut cursor = &resp[..];
-        check_payload_header(&mut cursor).unwrap();
-        assert_eq!(get_u8(&mut cursor).unwrap(), 1);
-        let err = get_store_error(&mut cursor).unwrap();
-        assert!(matches!(err, StoreError::Overloaded { .. }), "{err:?}");
-        assert_eq!(local.costs().requests, billed_before, "shed request must bill nothing");
-        assert_eq!(shared.shed_requests.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
-    fn context_frame_accounts_tenant_and_sheds_expired_deadline() {
-        let (server, remote, local) = loopback();
-        remote.set_tenant(Some("acme".into()));
-
-        // A generous deadline passes through: the scan answers normally
-        // and the tenant is accounted.
-        remote.set_deadline(Deadline::within(Duration::from_secs(30)));
-        let col = remote.scan_column(&ColumnRef::new("db", "t", "a"), SampleSpec::Head(5)).unwrap();
-        assert_eq!(col.len(), 5);
-        assert_eq!(server.tenant_requests(), vec![("acme".to_string(), 1)]);
-
-        // An expired deadline is shed before any billed work.
-        let billed_before = local.costs().requests;
-        remote.set_deadline(Deadline::within(Duration::ZERO));
-        let err =
-            remote.scan_column(&ColumnRef::new("db", "t", "a"), SampleSpec::Head(5)).unwrap_err();
-        assert!(matches!(err, StoreError::DeadlineExceeded { phase: Phase::Validate }), "{err:?}");
-        assert_eq!(local.costs().requests, billed_before, "expired request must bill nothing");
-        assert!(server.stats().deadline_shed >= 1);
-
-        // Clearing the context restores plain v1 frames.
-        remote.set_tenant(None);
-        remote.set_deadline(Deadline::none());
-        assert!(remote.validate_column(&ColumnRef::new("db", "t", "a")).is_ok());
         server.shutdown();
     }
 

@@ -1,10 +1,11 @@
-//! Process-wide backend-name interning.
+//! Process-wide name interning: backend names here, tenant names in
+//! `warpgate_core::admission`, one [`NameTable`] each.
 //!
 //! Federated discovery addresses columns as `warehouse:db.table.col`. The
 //! warehouse component is carried everywhere — inside every `ColumnRef`,
 //! inside every LSH item id, inside every cache key — so it must be a
-//! small copyable integer, not a `String`. This module is the single
-//! name ↔ id table behind that integer.
+//! small copyable integer, not a `String`. The free functions of this
+//! module are the single backend name ↔ id table behind that integer.
 //!
 //! Properties:
 //!
@@ -22,7 +23,7 @@
 //!   per-process ceiling on *distinct names ever used*, not on
 //!   simultaneously attached backends.
 
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, MutexGuard};
 
 /// Hard ceiling on distinct interned names per process: the LSH item-id
 /// layout gives the backend 8 bits.
@@ -31,46 +32,84 @@ pub const MAX_NAMES: usize = 256;
 /// The name every un-namespaced reference belongs to, pinned to id 0.
 pub const DEFAULT_NAME: &str = "default";
 
-fn table() -> &'static Mutex<Vec<String>> {
-    static TABLE: OnceLock<Mutex<Vec<String>>> = OnceLock::new();
-    TABLE.get_or_init(|| Mutex::new(vec![DEFAULT_NAME.to_string()]))
+/// An append-only, capped name ↔ id table, meant to live in a `static`.
+/// The `pinned` names hold ids `0..pinned.len()` from the first access on.
+pub struct NameTable {
+    names: Mutex<Vec<String>>,
+    cap: usize,
+    pinned: &'static [&'static str],
+    /// What the names name, for panic messages and placeholders.
+    kind: &'static str,
 }
 
-/// Intern a name, returning its stable id. Idempotent; `"default"` always
-/// returns 0.
-///
-/// # Panics
-///
-/// Panics when a *new* name would exceed [`MAX_NAMES`] — that means the
-/// process churned through 256 distinct backend names, which is a
-/// misuse (e.g. generating a fresh name per sync tick), not a workload.
-pub fn intern(name: &str) -> u16 {
-    let mut t = table().lock().expect("name table lock");
-    if let Some(pos) = t.iter().position(|n| n == name) {
-        return pos as u16;
+impl NameTable {
+    /// An empty table of at most `cap` names of `kind`.
+    pub const fn new(kind: &'static str, cap: usize, pinned: &'static [&'static str]) -> Self {
+        Self { names: Mutex::new(Vec::new()), cap, pinned, kind }
     }
-    assert!(
-        t.len() < MAX_NAMES,
-        "backend name table full ({MAX_NAMES} distinct names): names are interned for the \
-         process lifetime, so generate stable backend names, not fresh ones"
-    );
-    t.push(name.to_string());
-    (t.len() - 1) as u16
+
+    fn names(&self) -> MutexGuard<'_, Vec<String>> {
+        let mut names = self.names.lock().expect("name table lock");
+        if names.is_empty() {
+            names.extend(self.pinned.iter().map(|n| n.to_string()));
+        }
+        names
+    }
+
+    /// Intern `name`, returning its stable id. Idempotent.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a *new* name would exceed the cap — names are interned
+    /// for the process lifetime, so that is a misuse (e.g. a fresh name
+    /// per request or per sync tick), not a workload.
+    pub fn intern(&self, name: &str) -> u32 {
+        let mut names = self.names();
+        if let Some(pos) = names.iter().position(|n| n == name) {
+            return pos as u32;
+        }
+        assert!(
+            names.len() < self.cap,
+            "{} name table full ({} distinct names): names are interned for the process \
+             lifetime, so use stable names, not fresh ones",
+            self.kind,
+            self.cap
+        );
+        names.push(name.to_string());
+        (names.len() - 1) as u32
+    }
+
+    /// The id for a name, if it was ever interned. Does not intern.
+    pub fn lookup(&self, name: &str) -> Option<u32> {
+        self.names().iter().position(|n| n == name).map(|p| p as u32)
+    }
+
+    /// The name behind an id. Ids only come from [`Self::intern`], so an
+    /// unknown id means corrupted data (e.g. a snapshot decoded without
+    /// remapping); it resolves to a diagnostic placeholder rather than
+    /// panicking in Display paths.
+    pub fn resolve(&self, id: u32) -> String {
+        self.names().get(id as usize).cloned().unwrap_or_else(|| format!("{}#{id}", self.kind))
+    }
 }
 
-/// The id for a name, if it was ever interned. Does not intern.
+static BACKENDS: NameTable = NameTable::new("backend", MAX_NAMES, &[DEFAULT_NAME]);
+
+/// Intern a backend name, returning its stable id. Idempotent;
+/// `"default"` always returns 0. Panics past [`MAX_NAMES`] distinct names
+/// (see [`NameTable::intern`]).
+pub fn intern(name: &str) -> u16 {
+    BACKENDS.intern(name) as u16
+}
+
+/// The id for a backend name, if it was ever interned. Does not intern.
 pub fn lookup(name: &str) -> Option<u16> {
-    let t = table().lock().expect("name table lock");
-    t.iter().position(|n| n == name).map(|p| p as u16)
+    BACKENDS.lookup(name).map(|id| id as u16)
 }
 
-/// The name behind an id. Ids only come from [`intern`], so an unknown id
-/// means corrupted data (e.g. a snapshot decoded without remapping); it
-/// resolves to a diagnostic placeholder rather than panicking in Display
-/// paths.
+/// The backend name behind an id (see [`NameTable::resolve`]).
 pub fn resolve(id: u16) -> String {
-    let t = table().lock().expect("name table lock");
-    t.get(id as usize).cloned().unwrap_or_else(|| format!("backend#{id}"))
+    BACKENDS.resolve(u32::from(id))
 }
 
 #[cfg(test)]
@@ -103,5 +142,15 @@ mod tests {
     #[test]
     fn unknown_id_resolves_to_placeholder() {
         assert_eq!(resolve(u16::MAX), format!("backend#{}", u16::MAX));
+    }
+
+    #[test]
+    fn table_holds_its_cap_and_pins_nothing_unasked() {
+        static SMALL: NameTable = NameTable::new("widget", 2, &[]);
+        assert_eq!(SMALL.lookup(DEFAULT_NAME), None);
+        assert_eq!((SMALL.intern("a"), SMALL.intern("b"), SMALL.intern("a")), (0, 1, 0));
+        let full = std::panic::catch_unwind(|| SMALL.intern("c")).unwrap_err();
+        let message = full.downcast_ref::<String>().expect("formatted panic");
+        assert!(message.starts_with("widget name table full (2 distinct names)"), "{message}");
     }
 }

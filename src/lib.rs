@@ -59,12 +59,16 @@
 //! &QueryOptions)`, `discover_batch`, `joinability` — and `discover(q, k)`
 //! is the default-options call.
 //!
-//! Under load the system degrades gracefully rather than hanging:
-//! admission control (`WarpGateConfig::with_admission`) sheds excess
+//! Under load the system degrades gracefully rather than hanging, and it
+//! does so in one place — the node's request preamble: admission control
+//! (`WarpGateConfig::with_admission`, one `AdmissionConfig`) sheds excess
 //! requests fast with the retryable `StoreError::Overloaded`, per-tenant
-//! token-bucket quotas (`QuotaPolicy`) isolate noisy neighbors, and
-//! cooperative deadlines (`QueryOptions` / `Deadline`) guarantee an
-//! expired request stops before its next billed scan or cold block read.
+//! token-bucket quotas (`QuotaPolicy`) isolate noisy neighbors and debit
+//! each tenant only its own metered scans, and cooperative deadlines
+//! (`QueryOptions` / `Deadline`) guarantee an expired request stops before
+//! its next billed scan or cold block read. A `RemoteBackendServer` only
+//! caps its connections (`RemoteServerConfig`), protecting its handler
+//! threads; its frames carry no deadline or tenant.
 //!
 //! ## Workspace map
 //!
@@ -96,10 +100,10 @@ pub use wg_util as util;
 /// The types most applications need, importable in one line.
 pub mod prelude {
     pub use warpgate_core::{
-        AdmissionStats, BackendCircuit, CheckpointPolicy, Checkpointer, CircuitState, CrashState,
-        DaemonReport, Discovery, JoinCandidate, QueryOptions, QueryTiming, QuotaPolicy,
-        RecoveryReport, RecoverySource, SyncDaemon, SyncDaemonConfig, SyncReport, TenantId,
-        TenantQuota, TornWriter, WarpGate, WarpGateConfig,
+        AdmissionConfig, AdmissionStats, BackendCircuit, CheckpointPolicy, Checkpointer,
+        CircuitState, CrashState, DaemonReport, Discovery, JoinCandidate, QueryOptions,
+        QueryTiming, QuotaPolicy, RecoveryReport, RecoverySource, SyncDaemon, SyncDaemonConfig,
+        SyncReport, TenantId, TenantQuota, TornWriter, WarpGate, WarpGateConfig,
     };
     pub use wg_embed::{Aggregation, ColumnEmbedder, EmbeddingModel, WebTableModel};
     pub use wg_lsh::DiscoverScope;

@@ -2,12 +2,14 @@
 //! WGRP server answers every request correctly or fails it *typed* — no
 //! hangs, no panics, no partially billed work; expired deadlines stop
 //! billing at the phase boundary; an over-quota tenant is rejected while
-//! every other tenant's results stay bit-identical to an unloaded run.
+//! every other tenant's results stay bit-identical to an unloaded run; a
+//! tenant is debited only its own scans.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 
 use warpgate::prelude::*;
+use wg_store::CostSnapshot;
 
 fn warehouse() -> Warehouse {
     let mut w = Warehouse::new("overload");
@@ -44,39 +46,35 @@ fn warehouse() -> Warehouse {
     w
 }
 
-/// Saturate a bounded WGRP server far past its in-flight cap: every
-/// request either completes correctly or fails with the typed retryable
+/// Saturate a bounded WGRP server far past its connection cap: every
+/// client either scans correctly or is refused with the typed retryable
 /// `Overloaded` — and the served backend bills exactly the admitted
 /// scans, never the shed ones.
 #[test]
-fn saturated_server_sheds_typed_and_never_bills_shed_requests() {
+fn saturated_server_sheds_connections_typed_and_never_bills_them() {
     let connector = Arc::new(CdwConnector::new(warehouse(), CdwConfig::free()));
     let inner: BackendHandle = connector.clone();
-    // Every scan stalls 250ms for real, so a burst of 12 requests against
-    // 2 slots cannot trickle through one by one.
+    // Every scan stalls 250ms for real, so an admitted client holds its
+    // connection while the rest of a 12-client burst arrives against 2
+    // slots.
     let slow: BackendHandle = Arc::new(FaultInjector::new(inner, FaultPlan::hang(0.25)));
     let server = RemoteBackendServer::serve_with(
         slow,
         "127.0.0.1:0",
-        RemoteServerConfig { max_connections: 16, max_in_flight: 2, ..Default::default() },
+        RemoteServerConfig { max_connections: 2, ..Default::default() },
     )
     .expect("loopback server");
     let addr = server.local_addr().to_string();
 
-    // Connect sequentially (the handshake must not race the storm), then
-    // release every scan at once.
-    let clients: Vec<Arc<RemoteBackend>> =
-        (0..12).map(|_| Arc::new(RemoteBackend::connect(addr.clone()).expect("connect"))).collect();
-    let barrier = Arc::new(Barrier::new(clients.len()));
+    // Release every client at once: each connects, then scans.
+    let barrier = Arc::new(Barrier::new(12));
     let q = ColumnRef::new("crm", "accounts", "name");
-    let handles: Vec<_> = clients
-        .into_iter()
-        .map(|client| {
-            let barrier = barrier.clone();
-            let q = q.clone();
+    let handles: Vec<_> = (0..12)
+        .map(|_| {
+            let (barrier, addr, q) = (barrier.clone(), addr.clone(), q.clone());
             std::thread::spawn(move || {
                 barrier.wait();
-                client.scan_column(&q, SampleSpec::Full)
+                RemoteBackend::connect(addr)?.scan_column(&q, SampleSpec::Full)
             })
         })
         .collect();
@@ -104,10 +102,10 @@ fn saturated_server_sheds_typed_and_never_bills_shed_requests() {
     assert_eq!(
         connector.costs().requests,
         ok,
-        "shed requests must never reach the backend (no partial bills)"
+        "shed clients must never reach the backend (no partial bills)"
     );
     let stats = server.stats();
-    assert_eq!(stats.shed_requests, shed, "every client-visible shed is counted");
+    assert_eq!(stats.shed_connections, shed, "every client-visible shed is counted");
     server.shutdown();
 }
 
@@ -132,41 +130,6 @@ fn expired_deadline_discover_bills_zero_further_scans() {
     let d = wg.discover_with(&q, 5, &live).expect("live budget serves");
     assert!(!d.candidates.is_empty());
     assert!(!d.timing.degraded);
-}
-
-/// The WGRP context frame carries deadline and tenant across the wire:
-/// an expired budget is shed server-side before any billed work, and the
-/// server accounts requests per tenant token.
-#[test]
-fn wire_context_sheds_expired_deadlines_and_accounts_tenants() {
-    let connector = Arc::new(CdwConnector::new(warehouse(), CdwConfig::free()));
-    let served: BackendHandle = connector.clone();
-    let server = RemoteBackendServer::serve(served, "127.0.0.1:0").expect("server");
-    let remote =
-        Arc::new(RemoteBackend::connect(server.local_addr().to_string()).expect("connect"));
-    remote.set_tenant(Some("acme".to_string()));
-
-    let q = ColumnRef::new("crm", "accounts", "name");
-    remote.scan_column(&q, SampleSpec::Full).expect("healthy scan under tenant");
-    let billed_before_expiry = connector.costs().requests;
-
-    remote.set_deadline(Deadline::within_ms(0));
-    let err = remote.scan_column(&q, SampleSpec::Full).unwrap_err();
-    assert!(matches!(err, StoreError::DeadlineExceeded { phase: Phase::Validate }), "{err:?}");
-    assert_eq!(
-        connector.costs().requests,
-        billed_before_expiry,
-        "the server must shed before touching the backend"
-    );
-    assert!(server.stats().deadline_shed >= 1);
-
-    // Clearing the budget resumes service; the tenant ledger saw both.
-    remote.set_deadline(Deadline::none());
-    remote.scan_column(&q, SampleSpec::Full).expect("cleared budget serves");
-    let tenants = server.tenant_requests();
-    assert_eq!(tenants.first().map(|(name, _)| name.as_str()), Some("acme"));
-    assert!(tenants[0].1 >= 3, "shed requests are accounted too: {tenants:?}");
-    server.shutdown();
 }
 
 /// Exhausting one tenant's quota rejects that tenant (typed, retryable)
@@ -237,8 +200,27 @@ struct GatedBackend {
 }
 
 impl GatedBackend {
+    fn new() -> Arc<Self> {
+        Arc::new(Self {
+            inner: Arc::new(CdwConnector::new(warehouse(), CdwConfig::free())),
+            calls: Default::default(),
+            armed: Default::default(),
+            entered: Barrier::new(2),
+            release: Barrier::new(2),
+        })
+    }
+
     fn count(&self) {
         self.calls.fetch_add(1, Ordering::SeqCst);
+    }
+
+    /// Count a scan, and park it while armed.
+    fn scan(&self) {
+        self.count();
+        if self.armed.load(Ordering::SeqCst) {
+            self.entered.wait();
+            self.release.wait();
+        }
     }
 }
 
@@ -256,18 +238,22 @@ impl WarehouseBackend for GatedBackend {
         WarehouseBackend::table_meta(self.inner.as_ref(), database, table)
     }
     fn scan_column(&self, r: &ColumnRef, sample: SampleSpec) -> Result<Column, StoreError> {
-        self.count();
-        if self.armed.load(Ordering::SeqCst) {
-            self.entered.wait();
-            self.release.wait();
-        }
+        self.scan();
         self.inner.scan_column(r, sample)
+    }
+    fn scan_column_metered(
+        &self,
+        r: &ColumnRef,
+        sample: SampleSpec,
+    ) -> Result<(Column, CostSnapshot), StoreError> {
+        self.scan();
+        self.inner.scan_column_metered(r, sample)
     }
     fn scan_table(&self, db: &str, table: &str, sample: SampleSpec) -> Result<Table, StoreError> {
         self.count();
         self.inner.scan_table(db, table, sample)
     }
-    fn costs(&self) -> wg_store::CostSnapshot {
+    fn costs(&self) -> CostSnapshot {
         self.count();
         self.inner.costs()
     }
@@ -287,13 +273,7 @@ impl WarehouseBackend for GatedBackend {
 /// batch; a `joinability` — makes zero backend calls.
 #[test]
 fn shed_requests_never_touch_the_backend() {
-    let gated = Arc::new(GatedBackend {
-        inner: Arc::new(CdwConnector::new(warehouse(), CdwConfig::free())),
-        calls: Default::default(),
-        armed: Default::default(),
-        entered: Barrier::new(2),
-        release: Barrier::new(2),
-    });
+    let gated = GatedBackend::new();
     let wg = WarpGate::with_backend(
         WarpGateConfig { threads: 1, ..Default::default() }.with_admission(1, 0, 0),
         gated.clone(),
@@ -345,4 +325,47 @@ fn shed_requests_never_touch_the_backend() {
     assert_eq!(degraded.candidates, warm.candidates);
     assert_eq!(calls_during_shedding, 0, "a shed request must not reach the backend");
     assert!(wg.admission_stats().expect("admission is on").shed_queue_full >= 7);
+}
+
+/// A tenant is debited its own scans only: a neighbour's cold discover
+/// that lands on the same backend while the tenant's scan is in flight
+/// bills the neighbour, never the tenant.
+#[test]
+fn tenant_is_debited_only_its_own_scans() {
+    let gated = GatedBackend::new();
+    let wg = WarpGate::with_backend(WarpGateConfig::default(), gated.clone());
+    wg.index_warehouse().expect("index");
+    let (a, b) = (TenantId::intern("overload-race-a"), TenantId::intern("overload-race-b"));
+    let budget = TenantQuota::scans(100.0, 0.0).with_bytes(1e12, 0.0);
+    wg.quotas().set_quota(a, budget);
+    wg.quotas().set_quota(b, budget);
+    let qa = ColumnRef::new("crm", "accounts", "name");
+    let qb = ColumnRef::new("finance", "industries", "company_name");
+    // What each tenant's one scan meters on its own.
+    let own_bytes = |q: &ColumnRef| {
+        let (_, metered) =
+            gated.inner.scan_column_metered(q, WarpGateConfig::default().sample).expect("scan");
+        assert_eq!(metered.requests, 1);
+        metered.bytes_scanned as f64
+    };
+    let (bytes_a, bytes_b) = (own_bytes(&qa), own_bytes(&qb));
+    assert!(bytes_a > 0.0 && bytes_b > 0.0);
+
+    let billed = |tenant| QueryOptions { tenant: Some(tenant), ..Default::default() };
+    gated.armed.store(true, Ordering::SeqCst);
+    // B's outcome is judged only after A is released, so a failed
+    // expectation cannot strand A's parked scan.
+    let (outcome_a, outcome_b) = std::thread::scope(|scope| {
+        let tenant_a = scope.spawn(|| wg.discover_with(&qa, 3, &billed(a)));
+        // A now sits inside its scan.
+        gated.entered.wait();
+        gated.armed.store(false, Ordering::SeqCst);
+        let outcome_b = wg.discover_with(&qb, 3, &billed(b));
+        gated.release.wait();
+        (tenant_a.join().expect("tenant A must not panic"), outcome_b)
+    });
+    assert!(!outcome_a.expect("A serves").timing.cache_hit);
+    assert!(!outcome_b.expect("B serves").timing.cache_hit);
+    assert_eq!(wg.quotas().balance(a), Some((99.0, 1e12 - bytes_a)), "A pays its own scan");
+    assert_eq!(wg.quotas().balance(b), Some((99.0, 1e12 - bytes_b)), "B pays its own scan");
 }

@@ -8,9 +8,11 @@
 //! protocol adds, and the **round-trip budget**: how many WGRP frames each
 //! facade call may cost.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use warpgate::prelude::*;
+use wg_store::{CostSnapshot, TableVersion};
 
 fn warehouse() -> Warehouse {
     let mut w = Warehouse::new("remote");
@@ -164,18 +166,56 @@ fn degraded_remote_link_latency_reaches_query_timing() {
     server.shutdown();
 }
 
-/// Request frames the server has seen from `tenant` (each gets exactly one
-/// response frame): the server's own ledger, so nothing is inferred from
-/// the client side.
-fn frames(server: &RemoteBackendServer, tenant: &str) -> u64 {
-    server.tenant_requests().into_iter().find(|(t, _)| t == tenant).map_or(0, |(_, n)| n)
+/// The backend a counted server serves: the server makes exactly one
+/// backend call per request frame, so counting calls here counts frames
+/// behind the server — nothing is inferred from the client side.
+struct FrameCounter {
+    inner: BackendHandle,
+    frames: AtomicU64,
 }
 
-/// A client whose frames the server accounts under `tenant`.
-fn tagged_client(server: &RemoteBackendServer, tenant: &str) -> BackendHandle {
-    let client = RemoteBackend::connect(server.local_addr().to_string()).expect("connect");
-    client.set_tenant(Some(tenant.to_string()));
-    Arc::new(client)
+impl FrameCounter {
+    fn frame(&self) -> &dyn WarehouseBackend {
+        self.frames.fetch_add(1, Ordering::SeqCst);
+        self.inner.as_ref()
+    }
+}
+
+impl WarehouseBackend for FrameCounter {
+    fn name(&self) -> String {
+        self.frame().name()
+    }
+    fn list_tables(&self) -> Result<Vec<TableMeta>, StoreError> {
+        self.frame().list_tables()
+    }
+    fn table_meta(&self, database: &str, table: &str) -> Result<TableMeta, StoreError> {
+        self.frame().table_meta(database, table)
+    }
+    fn scan_column(&self, r: &ColumnRef, sample: SampleSpec) -> Result<Column, StoreError> {
+        self.frame().scan_column(r, sample)
+    }
+    fn scan_column_metered(
+        &self,
+        r: &ColumnRef,
+        sample: SampleSpec,
+    ) -> Result<(Column, CostSnapshot), StoreError> {
+        self.frame().scan_column_metered(r, sample)
+    }
+    fn scan_table(&self, db: &str, table: &str, sample: SampleSpec) -> Result<Table, StoreError> {
+        self.frame().scan_table(db, table, sample)
+    }
+    fn costs(&self) -> CostSnapshot {
+        self.frame().costs()
+    }
+    fn reset_costs(&self) {
+        self.frame().reset_costs()
+    }
+    fn validate_column(&self, r: &ColumnRef) -> Result<(), StoreError> {
+        self.frame().validate_column(r)
+    }
+    fn snapshot_versions(&self) -> Result<Vec<TableVersion>, StoreError> {
+        self.frame().snapshot_versions()
+    }
 }
 
 /// The round-trip budget (DESIGN.md §7): what each facade call costs on
@@ -184,17 +224,20 @@ fn tagged_client(server: &RemoteBackendServer, tenant: &str) -> BackendHandle {
 #[test]
 fn round_trip_budget_per_facade_call() {
     let connector = Arc::new(CdwConnector::new(warehouse(), CdwConfig::free()));
-    let served: BackendHandle = connector.clone();
+    let counter = Arc::new(FrameCounter { inner: connector.clone(), frames: AtomicU64::new(0) });
+    let served: BackendHandle = counter.clone();
     let server = RemoteBackendServer::serve(served, "127.0.0.1:0").expect("loopback server");
-
-    let wg = WarpGate::with_backend(WarpGateConfig::default(), tagged_client(&server, "bare"));
-    wg.index_warehouse().expect("index over TCP");
+    let client = || -> BackendHandle {
+        Arc::new(RemoteBackend::connect(server.local_addr().to_string()).expect("connect"))
+    };
     let spent = |f: &dyn Fn()| {
-        let before = frames(&server, "bare");
+        let before = counter.frames.load(Ordering::SeqCst);
         f();
-        frames(&server, "bare") - before
+        counter.frames.load(Ordering::SeqCst) - before
     };
 
+    let wg = WarpGate::with_backend(WarpGateConfig::default(), client());
+    wg.index_warehouse().expect("index over TCP");
     let q = ColumnRef::new("crm", "accounts", "name");
     let cold = spent(&|| assert!(!wg.discover(&q, 3).expect("cold").timing.cache_hit));
     assert_eq!(cold, 1, "cold discover: the metered scan and nothing else");
@@ -221,13 +264,25 @@ fn round_trip_budget_per_facade_call() {
     let noop = spent(&|| assert!(wg.sync().expect("no-op sync").is_noop()));
     assert_eq!(noop, 1, "no-op sync: snapshot_versions");
 
+    // A tenant is debited the scan's own bill: no meter reads around it.
+    let metered = WarpGate::with_backend(WarpGateConfig::default(), client());
+    metered.index_warehouse().expect("index the tenant's node");
+    let tenant = TenantId::intern("remote-budget-tenant");
+    metered.quotas().set_quota(tenant, TenantQuota::scans(100.0, 0.0));
+    let opts = QueryOptions { tenant: Some(tenant), ..Default::default() };
+    let debited = spent(&|| {
+        assert!(!metered.discover_with(&q, 3, &opts).expect("billed cold").timing.cache_hit)
+    });
+    assert_eq!(debited, 1, "tenant-billed cold discover: the metered scan and nothing else");
+    assert_eq!(metered.quotas().balance(tenant).map(|(scans, _)| scans), Some(99.0));
+
     // The documented resilient stack gets the same single frame.
-    let stack: BackendHandle =
-        Arc::new(RetryBackend::with_defaults(tagged_client(&server, "retry")));
+    let stack: BackendHandle = Arc::new(RetryBackend::with_defaults(client()));
     let resilient = WarpGate::with_backend(WarpGateConfig::default(), stack);
     resilient.index_warehouse().expect("index through the retry stack");
-    let before = frames(&server, "retry");
-    assert!(!resilient.discover(&q, 3).expect("cold through retry").timing.cache_hit);
-    assert_eq!(frames(&server, "retry") - before, 1, "RetryBackend(RemoteBackend) cold discover");
+    let retried = spent(&|| {
+        assert!(!resilient.discover(&q, 3).expect("cold through retry").timing.cache_hit)
+    });
+    assert_eq!(retried, 1, "RetryBackend(RemoteBackend) cold discover");
     server.shutdown();
 }
