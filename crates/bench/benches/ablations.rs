@@ -148,13 +148,11 @@ fn ablation_lsh_vs_exact(c: &mut Criterion) {
     for n in [1_000usize, 10_000] {
         let mut rng = Xoshiro256pp::new(9);
         let mut lsh = wg_lsh::SimHashLshIndex::for_threshold(dim, 0.7, 5);
-        let mut exact = wg_lsh::ExactIndex::new(dim);
         for id in 0..n as u32 {
             let mut v: Vec<f32> = (0..dim).map(|_| rng.gen_gaussian() as f32).collect();
             let norm = v.iter().map(|x| x * x).sum::<f32>().sqrt();
             v.iter_mut().for_each(|x| *x /= norm);
             lsh.insert(id, &v);
-            exact.insert(id, &v);
         }
         let query: Vec<f32> = {
             let mut v: Vec<f32> = (0..dim).map(|_| rng.gen_gaussian() as f32).collect();
@@ -165,8 +163,8 @@ fn ablation_lsh_vs_exact(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("lsh", n), &lsh, |b, idx| {
             b.iter(|| black_box(idx.search(&query, 10, |_| false)))
         });
-        group.bench_with_input(BenchmarkId::new("exact", n), &exact, |b, idx| {
-            b.iter(|| black_box(idx.search(&query, 10, |_| false)))
+        group.bench_with_input(BenchmarkId::new("exact", n), &lsh, |b, idx| {
+            b.iter(|| black_box(idx.search_exact(&query, 10, |_| false)))
         });
     }
     group.finish();

@@ -65,7 +65,7 @@ pub struct CheckpointPolicy {
     /// Newest-generation snapshot path; the previous generation rotates
     /// to `<path>.prev`.
     pub path: PathBuf,
-    /// Checkpoint after this many successful syncs (minimum 1). Shutdown
+    /// Checkpoint after this many successful syncs (0 counts as 1). Shutdown
     /// always flushes a final checkpoint if any sync succeeded since the
     /// last one.
     pub every_n_syncs: u32,
@@ -113,9 +113,9 @@ impl SyncDaemonConfig {
     }
 
     /// Same config, checkpointing to `path` after every `every_n_syncs`
-    /// successful syncs (clamped to at least 1).
+    /// successful syncs (0 counts as 1).
     pub fn with_checkpoint(self, path: impl Into<PathBuf>, every_n_syncs: u32) -> Self {
-        let policy = CheckpointPolicy { path: path.into(), every_n_syncs: every_n_syncs.max(1) };
+        let policy = CheckpointPolicy { path: path.into(), every_n_syncs };
         Self { checkpoint: Some(policy), ..self }
     }
 
@@ -406,7 +406,7 @@ fn maybe_checkpoint(shared: &Shared, force: bool) {
         let due = if force {
             inner.syncs_since_checkpoint > 0
         } else {
-            inner.syncs_since_checkpoint >= u64::from(policy.every_n_syncs)
+            inner.syncs_since_checkpoint >= u64::from(policy.every_n_syncs.max(1))
         };
         if !due {
             return;
@@ -672,6 +672,32 @@ mod tests {
         assert!(r.last_error.as_deref().unwrap_or("").contains("deadline exceeded"));
         assert_eq!(wg.len(), 0, "nothing was indexed under the expired budget");
         daemon.shutdown();
+    }
+
+    #[test]
+    fn a_zero_checkpoint_policy_never_checkpoints_failed_syncs() {
+        let flaky: BackendHandle =
+            Arc::new(FaultInjector::new(connector(), FaultPlan::fail_every(1)));
+        let wg = Arc::new(WarpGate::with_backend(
+            WarpGateConfig { threads: 1, ..Default::default() },
+            flaky,
+        ));
+        let dir =
+            std::env::temp_dir().join(format!("wg_daemon_zero_policy_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("snapshot.bin");
+        let config = SyncDaemonConfig {
+            checkpoint: Some(CheckpointPolicy { path: path.clone(), every_n_syncs: 0 }),
+            ..fast_config()
+        };
+        let daemon = SyncDaemon::spawn(wg, config);
+        let r = wait_for(&daemon, |r| r.syncs_failed >= 3);
+        assert_eq!(r.syncs_ok, 0);
+        let r = daemon.shutdown();
+        assert_eq!(r.checkpoints_written, 0, "no sync succeeded, so nothing is due: {r:?}");
+        assert_eq!(r.checkpoint_failures, 0, "{r:?}");
+        assert!(!path.exists());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

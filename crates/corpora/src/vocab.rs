@@ -589,12 +589,6 @@ impl Variant {
             Variant::Prefixed(p) => format!("{p}{s}"),
         }
     }
-
-    /// Whether this variant changes the bytes of typical values (used by
-    /// generators to count how many *semantic* pairs they planted).
-    pub fn is_semantic(&self) -> bool {
-        !matches!(self, Variant::Identity)
-    }
 }
 
 /// Roman numerals for name generations (II, III, ...).

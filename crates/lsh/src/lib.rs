@@ -32,8 +32,6 @@
 //!   byte-budgeted [`BlockCache`] (a [`wg_util::lru::Lru`] behind a
 //!   mutex), and lazy block hydration feeding the
 //!   exact re-ranker without full residency;
-//! * [`exact`] — a brute-force index with the same search interface (the
-//!   ANN-quality baseline for ablations);
 //! * [`minhash`] — MinHash signatures and a banded MinHash LSH for *sets*,
 //!   used by the Aurum and D3L baselines.
 //!
@@ -43,7 +41,6 @@
 #![forbid(unsafe_code)]
 
 pub mod arena;
-pub mod exact;
 pub mod index;
 pub mod minhash;
 pub mod paged;
@@ -52,7 +49,6 @@ pub mod scope;
 pub mod simhash;
 
 pub use arena::VectorArena;
-pub use exact::ExactIndex;
 pub use index::{SearchError, SearchOutcome, SimHashLshIndex};
 pub use minhash::{MinHashLshIndex, MinHashSignature, MinHasher};
 pub use paged::{BlockCache, SegmentRow, VectorSegment};

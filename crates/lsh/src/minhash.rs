@@ -94,11 +94,6 @@ impl MinHashLshIndex {
         }
     }
 
-    /// Required signature width.
-    pub fn signature_width(&self) -> usize {
-        self.k
-    }
-
     /// Number of stored items.
     pub fn len(&self) -> usize {
         self.signatures.len()

@@ -163,7 +163,7 @@ impl ColumnRef {
 
     /// Wire-decode; inverse of [`Self::encode`]. The backend name is
     /// re-interned in the receiving process.
-    pub fn decode(buf: &mut impl codec::Buf) -> CodecResult<Self> {
+    pub fn decode(buf: &mut &[u8]) -> CodecResult<Self> {
         let backend = BackendId::named(&codec::get_str(buf)?);
         Ok(Self {
             backend,

@@ -42,11 +42,6 @@ impl DataType {
         }
     }
 
-    /// Whether values of this type carry text usable for token embeddings.
-    pub fn is_text(self) -> bool {
-        matches!(self, DataType::Text)
-    }
-
     /// Whether values of this type are numeric.
     pub fn is_numeric(self) -> bool {
         matches!(self, DataType::Int | DataType::Float)

@@ -219,7 +219,16 @@ fn put_store_error(buf: &mut Vec<u8>, e: &StoreError) {
     }
 }
 
+/// Deepest `RetriesExhausted` nesting an error frame may carry. The decoder
+/// recurses once a level, so a frame nested deeper is refused as corrupt
+/// instead of overflowing the stack.
+const MAX_ERROR_NESTING: usize = 32;
+
 fn get_store_error(buf: &mut &[u8]) -> CodecResult<StoreError> {
+    get_nested_store_error(buf, MAX_ERROR_NESTING)
+}
+
+fn get_nested_store_error(buf: &mut &[u8], levels_left: usize) -> CodecResult<StoreError> {
     Ok(match get_u8(buf)? {
         0 => StoreError::NotFound(get_str(buf)?),
         1 => {
@@ -235,7 +244,12 @@ fn get_store_error(buf: &mut &[u8]) -> CodecResult<StoreError> {
         6 => StoreError::Unavailable(get_str(buf)?),
         7 => {
             let attempts = get_u32(buf)?;
-            let last = get_store_error(buf)?;
+            let Some(levels_left) = levels_left.checked_sub(1) else {
+                return Err(CodecError::Invalid(format!(
+                    "error nested deeper than {MAX_ERROR_NESTING} levels"
+                )));
+            };
+            let last = get_nested_store_error(buf, levels_left)?;
             StoreError::RetriesExhausted { attempts, last: Box::new(last) }
         }
         8 => StoreError::SnapshotCorrupt(get_str(buf)?),
@@ -1141,6 +1155,25 @@ mod tests {
         put_store_error(&mut buf, &StoreError::Codec(CodecError::UnexpectedEof));
         let decoded = get_store_error(&mut &buf[..]).unwrap();
         assert!(matches!(decoded, StoreError::Codec(_)));
+    }
+
+    #[test]
+    fn deeply_nested_error_frames_are_refused_not_recursed() {
+        let nested = |levels: usize| {
+            let mut buf = Vec::new();
+            for _ in 0..levels {
+                put_u8(&mut buf, 7);
+                put_u32(&mut buf, 1);
+            }
+            put_store_error(&mut buf, &StoreError::Unavailable("down".into()));
+            buf
+        };
+        let at_cap = get_store_error(&mut &nested(MAX_ERROR_NESTING)[..]).unwrap();
+        assert!(matches!(at_cap, StoreError::RetriesExhausted { .. }));
+        for levels in [100_000, MAX_ERROR_NESTING + 1] {
+            let decoded = get_store_error(&mut &nested(levels)[..]);
+            assert!(matches!(decoded, Err(CodecError::Invalid(_))), "{levels} levels");
+        }
     }
 
     #[test]

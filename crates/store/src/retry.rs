@@ -86,17 +86,6 @@ impl RetryPolicy {
         Self { max_attempts: 1, ..Self::default() }
     }
 
-    /// Same policy with a different attempt budget.
-    pub fn with_max_attempts(self, max_attempts: u32) -> Self {
-        Self { max_attempts, ..self }
-    }
-
-    /// Same policy with a different jitter fraction.
-    pub fn with_jitter(self, jitter: f64) -> Self {
-        assert!((0.0..=1.0).contains(&jitter), "jitter must be in [0,1]");
-        Self { jitter, ..self }
-    }
-
     /// The nominal (pre-jitter) backoff before retry number `retry`
     /// (1-based): `base · multiplier^(retry-1)`, capped at
     /// [`Self::max_delay_secs`].

@@ -4,10 +4,9 @@
 //! artifacts (LSH indexes, column wire frames in the simulated CDW protocol)
 //! use this small hand-rolled codec: little-endian fixed-width integers,
 //! IEEE-754 floats, and `u32`-length-prefixed byte strings. Every `put_*`
-//! has a matching `get_*`; decoding is bounds-checked and never panics on
-//! truncated or corrupt input.
-
-pub use bytes::{Buf, BufMut};
+//! appends to a `Vec<u8>` and has a matching `get_*` that reads off the
+//! front of a `&[u8]`, advancing it; decoding is bounds-checked and never
+//! panics on truncated or corrupt input.
 
 /// Decoding failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -37,104 +36,106 @@ pub type CodecResult<T> = Result<T, CodecError>;
 /// corrupt input before any allocation is attempted.
 const MAX_LEN: u32 = 1 << 30;
 
+/// Split the first `n` bytes off `buf`, or fail without consuming any.
 #[inline]
-fn need(buf: &impl Buf, n: usize) -> CodecResult<()> {
-    if buf.remaining() < n {
-        Err(CodecError::UnexpectedEof)
-    } else {
-        Ok(())
+fn take<'a>(buf: &mut &'a [u8], n: usize) -> CodecResult<&'a [u8]> {
+    if buf.len() < n {
+        return Err(CodecError::UnexpectedEof);
     }
+    let (head, tail) = buf.split_at(n);
+    *buf = tail;
+    Ok(head)
+}
+
+/// [`take`] into a fixed-size array.
+#[inline]
+fn take_array<const N: usize>(buf: &mut &[u8]) -> CodecResult<[u8; N]> {
+    Ok(take(buf, N)?.try_into().expect("N bytes"))
 }
 
 /// Write a `u8`.
 #[inline]
-pub fn put_u8(buf: &mut impl BufMut, v: u8) {
-    buf.put_u8(v);
+pub fn put_u8(buf: &mut Vec<u8>, v: u8) {
+    buf.push(v);
 }
 
 /// Read a `u8`.
 #[inline]
-pub fn get_u8(buf: &mut impl Buf) -> CodecResult<u8> {
-    need(buf, 1)?;
-    Ok(buf.get_u8())
+pub fn get_u8(buf: &mut &[u8]) -> CodecResult<u8> {
+    Ok(take(buf, 1)?[0])
 }
 
 /// Write a `u32` (little-endian).
 #[inline]
-pub fn put_u32(buf: &mut impl BufMut, v: u32) {
-    buf.put_u32_le(v);
+pub fn put_u32(buf: &mut Vec<u8>, v: u32) {
+    buf.extend_from_slice(&v.to_le_bytes());
 }
 
 /// Read a `u32`.
 #[inline]
-pub fn get_u32(buf: &mut impl Buf) -> CodecResult<u32> {
-    need(buf, 4)?;
-    Ok(buf.get_u32_le())
+pub fn get_u32(buf: &mut &[u8]) -> CodecResult<u32> {
+    take_array(buf).map(u32::from_le_bytes)
 }
 
 /// Write a `u64` (little-endian).
 #[inline]
-pub fn put_u64(buf: &mut impl BufMut, v: u64) {
-    buf.put_u64_le(v);
+pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
+    buf.extend_from_slice(&v.to_le_bytes());
 }
 
 /// Read a `u64`.
 #[inline]
-pub fn get_u64(buf: &mut impl Buf) -> CodecResult<u64> {
-    need(buf, 8)?;
-    Ok(buf.get_u64_le())
+pub fn get_u64(buf: &mut &[u8]) -> CodecResult<u64> {
+    take_array(buf).map(u64::from_le_bytes)
 }
 
 /// Write an `i64` (little-endian, two's complement).
 #[inline]
-pub fn put_i64(buf: &mut impl BufMut, v: i64) {
-    buf.put_i64_le(v);
+pub fn put_i64(buf: &mut Vec<u8>, v: i64) {
+    buf.extend_from_slice(&v.to_le_bytes());
 }
 
 /// Read an `i64`.
 #[inline]
-pub fn get_i64(buf: &mut impl Buf) -> CodecResult<i64> {
-    need(buf, 8)?;
-    Ok(buf.get_i64_le())
+pub fn get_i64(buf: &mut &[u8]) -> CodecResult<i64> {
+    take_array(buf).map(i64::from_le_bytes)
 }
 
 /// Write an `f32` (IEEE-754 bits, little-endian).
 #[inline]
-pub fn put_f32(buf: &mut impl BufMut, v: f32) {
-    buf.put_f32_le(v);
+pub fn put_f32(buf: &mut Vec<u8>, v: f32) {
+    buf.extend_from_slice(&v.to_le_bytes());
 }
 
 /// Read an `f32`.
 #[inline]
-pub fn get_f32(buf: &mut impl Buf) -> CodecResult<f32> {
-    need(buf, 4)?;
-    Ok(buf.get_f32_le())
+pub fn get_f32(buf: &mut &[u8]) -> CodecResult<f32> {
+    take_array(buf).map(f32::from_le_bytes)
 }
 
 /// Write an `f64`.
 #[inline]
-pub fn put_f64(buf: &mut impl BufMut, v: f64) {
-    buf.put_f64_le(v);
+pub fn put_f64(buf: &mut Vec<u8>, v: f64) {
+    buf.extend_from_slice(&v.to_le_bytes());
 }
 
 /// Read an `f64`.
 #[inline]
-pub fn get_f64(buf: &mut impl Buf) -> CodecResult<f64> {
-    need(buf, 8)?;
-    Ok(buf.get_f64_le())
+pub fn get_f64(buf: &mut &[u8]) -> CodecResult<f64> {
+    take_array(buf).map(f64::from_le_bytes)
 }
 
 /// Write a length prefix. Panics if `len` exceeds [`MAX_LEN`] — encoders
 /// control their own lengths, so this indicates a bug, not bad input.
 #[inline]
-pub fn put_len(buf: &mut impl BufMut, len: usize) {
+pub fn put_len(buf: &mut Vec<u8>, len: usize) {
     assert!(len as u64 <= MAX_LEN as u64, "encoded length {len} exceeds limit");
-    buf.put_u32_le(len as u32);
+    put_u32(buf, len as u32);
 }
 
 /// Read a length prefix, rejecting implausible values.
 #[inline]
-pub fn get_len(buf: &mut impl Buf) -> CodecResult<usize> {
+pub fn get_len(buf: &mut &[u8]) -> CodecResult<usize> {
     let len = get_u32(buf)?;
     if len > MAX_LEN {
         return Err(CodecError::Invalid(format!("length {len} exceeds limit")));
@@ -147,21 +148,21 @@ pub fn get_len(buf: &mut impl Buf) -> CodecResult<usize> {
 /// reserve for a count only after this: the reservation is then bounded by
 /// the input's own size, whatever the prefix claims.
 #[inline]
-pub fn get_count(buf: &mut impl Buf, min_item_bytes: usize) -> CodecResult<usize> {
+pub fn get_count(buf: &mut &[u8], min_item_bytes: usize) -> CodecResult<usize> {
     let count = get_len(buf)?;
-    if count > buf.remaining() / min_item_bytes {
+    if count > buf.len() / min_item_bytes {
         return Err(CodecError::Invalid(format!(
             "count {count} needs at least {min_item_bytes} bytes each, {} remain",
-            buf.remaining()
+            buf.len()
         )));
     }
     Ok(count)
 }
 
 /// Write a byte string with a length prefix.
-pub fn put_bytes(buf: &mut impl BufMut, bytes: &[u8]) {
+pub fn put_bytes(buf: &mut Vec<u8>, bytes: &[u8]) {
     put_len(buf, bytes.len());
-    buf.put_slice(bytes);
+    buf.extend_from_slice(bytes);
 }
 
 /// Append whatever `body` writes as one length-prefixed byte string —
@@ -177,132 +178,124 @@ pub fn put_bytes_with(buf: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) {
 }
 
 /// Read a length-prefixed byte string.
-pub fn get_bytes(buf: &mut impl Buf) -> CodecResult<Vec<u8>> {
+pub fn get_bytes(buf: &mut &[u8]) -> CodecResult<Vec<u8>> {
     let len = get_len(buf)?;
-    need(buf, len)?;
-    let mut out = vec![0u8; len];
-    buf.copy_to_slice(&mut out);
-    Ok(out)
+    Ok(take(buf, len)?.to_vec())
 }
 
 /// Write a UTF-8 string with a length prefix.
-pub fn put_str(buf: &mut impl BufMut, s: &str) {
+pub fn put_str(buf: &mut Vec<u8>, s: &str) {
     put_bytes(buf, s.as_bytes());
 }
 
 /// Read a length-prefixed UTF-8 string.
-pub fn get_str(buf: &mut impl Buf) -> CodecResult<String> {
+pub fn get_str(buf: &mut &[u8]) -> CodecResult<String> {
     let bytes = get_bytes(buf)?;
     String::from_utf8(bytes).map_err(|_| CodecError::Invalid("non-UTF-8 string".into()))
 }
 
-/// Elements moved per [`put_le`] / [`get_le`] step: one `put_slice` or
-/// `copy_to_slice` per chunk instead of one per element, through a stack
-/// buffer (512 bytes at the widest element).
+/// Elements moved per [`put_le`] step: one `extend_from_slice` per chunk
+/// instead of one per element, through a stack buffer (512 bytes at the
+/// widest element).
 const CHUNK: usize = 64;
 
 /// Append `xs` as little-endian `W`-byte values, no length prefix.
-fn put_le<T: Copy, const W: usize>(buf: &mut impl BufMut, xs: &[T], to_le: fn(T) -> [u8; W]) {
+fn put_le<T: Copy, const W: usize>(buf: &mut Vec<u8>, xs: &[T], to_le: fn(T) -> [u8; W]) {
     let mut bytes = [0u8; CHUNK * 8];
     for chunk in xs.chunks(CHUNK) {
         for (dst, &x) in bytes.chunks_exact_mut(W).zip(chunk) {
             dst.copy_from_slice(&to_le(x));
         }
-        buf.put_slice(&bytes[..chunk.len() * W]);
+        buf.extend_from_slice(&bytes[..chunk.len() * W]);
     }
 }
 
 /// Fill `out` from little-endian `W`-byte values, no length prefix.
 fn get_le<T, const W: usize>(
-    buf: &mut impl Buf,
+    buf: &mut &[u8],
     out: &mut [T],
     from_le: fn([u8; W]) -> T,
 ) -> CodecResult<()> {
-    need(buf, out.len().checked_mul(W).ok_or(CodecError::UnexpectedEof)?)?;
-    let mut bytes = [0u8; CHUNK * 8];
-    for chunk in out.chunks_mut(CHUNK) {
-        let raw = &mut bytes[..chunk.len() * W];
-        buf.copy_to_slice(raw);
-        for (dst, src) in chunk.iter_mut().zip(raw.chunks_exact(W)) {
-            *dst = from_le(src.try_into().expect("W bytes"));
-        }
+    let raw = take(buf, out.len().checked_mul(W).ok_or(CodecError::UnexpectedEof)?)?;
+    for (dst, src) in out.iter_mut().zip(raw.chunks_exact(W)) {
+        *dst = from_le(src.try_into().expect("W bytes"));
     }
     Ok(())
 }
 
 /// Read a length prefix, then that many `W`-byte values.
-fn get_le_vec<T: Clone + Default, const W: usize>(
-    buf: &mut impl Buf,
+fn get_le_vec<T, const W: usize>(
+    buf: &mut &[u8],
     from_le: fn([u8; W]) -> T,
 ) -> CodecResult<Vec<T>> {
     let len = get_len(buf)?;
-    // Checked before the allocation: a lying prefix costs nothing.
-    need(buf, len.checked_mul(W).ok_or(CodecError::UnexpectedEof)?)?;
-    let mut out = vec![T::default(); len];
-    get_le(buf, &mut out, from_le)?;
-    Ok(out)
+    // Taken before the allocation: a lying prefix costs nothing.
+    let raw = take(buf, len.checked_mul(W).ok_or(CodecError::UnexpectedEof)?)?;
+    Ok(raw.chunks_exact(W).map(|src| from_le(src.try_into().expect("W bytes"))).collect())
 }
 
 /// Write `f32`s back to back, no length prefix (fixed-width rows whose
 /// length the frame header already states).
-pub fn put_f32s(buf: &mut impl BufMut, xs: &[f32]) {
+pub fn put_f32s(buf: &mut Vec<u8>, xs: &[f32]) {
     put_le(buf, xs, f32::to_le_bytes);
 }
 
 /// Fill `out` with `out.len()` unprefixed `f32`s — straight into the
 /// caller's storage, no intermediate `Vec`.
-pub fn get_f32s(buf: &mut impl Buf, out: &mut [f32]) -> CodecResult<()> {
+pub fn get_f32s(buf: &mut &[u8], out: &mut [f32]) -> CodecResult<()> {
     get_le(buf, out, f32::from_le_bytes)
 }
 
 /// Write a `Vec<f32>` with a length prefix.
-pub fn put_f32_slice(buf: &mut impl BufMut, xs: &[f32]) {
+pub fn put_f32_slice(buf: &mut Vec<u8>, xs: &[f32]) {
     put_len(buf, xs.len());
     put_f32s(buf, xs);
 }
 
 /// Read a length-prefixed `Vec<f32>`.
-pub fn get_f32_vec(buf: &mut impl Buf) -> CodecResult<Vec<f32>> {
+pub fn get_f32_vec(buf: &mut &[u8]) -> CodecResult<Vec<f32>> {
     get_le_vec(buf, f32::from_le_bytes)
 }
 
 /// Write a `&[u64]` with a length prefix.
-pub fn put_u64_slice(buf: &mut impl BufMut, xs: &[u64]) {
+pub fn put_u64_slice(buf: &mut Vec<u8>, xs: &[u64]) {
     put_len(buf, xs.len());
     put_le(buf, xs, u64::to_le_bytes);
 }
 
 /// Read a length-prefixed `Vec<u64>`.
-pub fn get_u64_vec(buf: &mut impl Buf) -> CodecResult<Vec<u64>> {
+pub fn get_u64_vec(buf: &mut &[u8]) -> CodecResult<Vec<u64>> {
     get_le_vec(buf, u64::from_le_bytes)
 }
 
 /// Write a `&[u32]` with a length prefix.
-pub fn put_u32_slice(buf: &mut impl BufMut, xs: &[u32]) {
+pub fn put_u32_slice(buf: &mut Vec<u8>, xs: &[u32]) {
     put_len(buf, xs.len());
     put_le(buf, xs, u32::to_le_bytes);
 }
 
 /// Read a length-prefixed `Vec<u32>`.
-pub fn get_u32_vec(buf: &mut impl Buf) -> CodecResult<Vec<u32>> {
+pub fn get_u32_vec(buf: &mut &[u8]) -> CodecResult<Vec<u32>> {
     get_le_vec(buf, u32::from_le_bytes)
 }
 
 /// Write a 4-byte magic plus a format version.
-pub fn put_header(buf: &mut impl BufMut, magic: [u8; 4], version: u32) {
-    buf.put_slice(&magic);
-    buf.put_u32_le(version);
+pub fn put_header(buf: &mut Vec<u8>, magic: [u8; 4], version: u32) {
+    buf.extend_from_slice(&magic);
+    put_u32(buf, version);
 }
 
 /// Read and validate a 4-byte magic plus version; returns the version.
-pub fn get_header(buf: &mut impl Buf, magic: [u8; 4]) -> CodecResult<u32> {
-    need(buf, 8)?;
-    let mut got = [0u8; 4];
-    buf.copy_to_slice(&mut got);
-    if got != magic {
-        return Err(CodecError::Invalid(format!("bad magic {:?}, expected {:?}", got, magic)));
+pub fn get_header(buf: &mut &[u8], magic: [u8; 4]) -> CodecResult<u32> {
+    let got: [u8; 8] = take_array(buf)?;
+    if got[..4] != magic {
+        return Err(CodecError::Invalid(format!(
+            "bad magic {:?}, expected {:?}",
+            &got[..4],
+            magic
+        )));
     }
-    Ok(buf.get_u32_le())
+    Ok(u32::from_le_bytes(got[4..].try_into().expect("4 bytes")))
 }
 
 #[cfg(test)]
@@ -396,8 +389,8 @@ mod tests {
     }
 
     /// Values of one element type at the lengths around the chunk size,
-    /// encoded by the chunked path and by one `put_*_le` per element;
-    /// decoded from a slice and one `get_*_le` at a time.
+    /// encoded by the chunked path and by one scalar `put_*` per element;
+    /// decoded from a slice and one scalar `get_*` at a time.
     macro_rules! chunked_path_equals_per_element_loop {
         ($make:expr, $put_one:ident, $get_one:ident, $put_slice:ident, $get_vec:ident) => {
             for len in [0usize, 1, 63, 64, 65, 4097] {
@@ -408,14 +401,14 @@ mod tests {
                 $put_slice(&mut chunked, &values);
                 let mut by_element = Vec::new();
                 put_len(&mut by_element, len);
-                values.iter().for_each(|&x| by_element.$put_one(x));
+                values.iter().for_each(|&x| $put_one(&mut by_element, x));
                 assert_eq!(chunked, by_element, "encoded bytes differ at length {len}");
 
                 let mut r = &chunked[..];
                 assert_eq!($get_vec(&mut r).unwrap(), values, "slice decode, length {len}");
                 assert!(r.is_empty());
                 let mut r = &chunked[4..];
-                let one_by_one: Vec<_> = (0..len).map(|_| r.$get_one()).collect();
+                let one_by_one: Vec<_> = (0..len).map(|_| $get_one(&mut r).unwrap()).collect();
                 assert_eq!(one_by_one, values, "per-element decode, length {len}");
 
                 // A prefix that promises one value more than the bytes hold.
@@ -431,24 +424,18 @@ mod tests {
         // One exponent bit cleared: every bit pattern but NaN/inf, which
         // would not compare equal to themselves.
         let finite = |x: u64| f32::from_bits(x as u32 & 0x7F7F_FFFF);
-        chunked_path_equals_per_element_loop!(
-            finite,
-            put_f32_le,
-            get_f32_le,
-            put_f32_slice,
-            get_f32_vec
-        );
+        chunked_path_equals_per_element_loop!(finite, put_f32, get_f32, put_f32_slice, get_f32_vec);
         chunked_path_equals_per_element_loop!(
             |x| x as u32,
-            put_u32_le,
-            get_u32_le,
+            put_u32,
+            get_u32,
             put_u32_slice,
             get_u32_vec
         );
         chunked_path_equals_per_element_loop!(
             |x: u64| x,
-            put_u64_le,
-            get_u64_le,
+            put_u64,
+            get_u64,
             put_u64_slice,
             get_u64_vec
         );

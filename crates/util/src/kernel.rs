@@ -12,10 +12,11 @@
 //! **Parity contract.** Reassociating float additions changes low-order
 //! bits, so the kernels do *not* promise bit-equality with the strict
 //! left-to-right loops in [`reference`]. What they promise — and what
-//! `tests/kernel_parity.rs` pins under proptest — is (a) results within a
-//! small relative tolerance of the reference, (b) determinism: the same
-//! inputs produce the same outputs on every call, so SimHash signatures
-//! computed at insert and at query time are self-consistent, and (c)
+//! `tests/kernel_parity.rs` pins over seeded `wg_util::rng` cases — is
+//! (a) results within a small relative tolerance of the reference, (b)
+//! determinism: the same inputs produce the same outputs on every call,
+//! so SimHash signatures computed at insert and at query time are
+//! self-consistent, and (c)
 //! exactness for element-wise kernels ([`axpy`], [`scale`]), which have no
 //! reassociation at all. [`dot4`] promises more: each of its four results
 //! is **bit-equal** to [`dot`] over that row, because the exact re-rank

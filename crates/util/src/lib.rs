@@ -1,8 +1,8 @@
 //! Shared low-level utilities for the WarpGate workspace.
 //!
-//! Everything in this crate is deterministic and dependency-free so that the
-//! embedding models, corpus generators and LSH indexes built on top of it are
-//! bit-reproducible across runs and platforms:
+//! Everything in this crate is deterministic and depends on nothing but
+//! `std`, so that the embedding models, corpus generators and LSH indexes
+//! built on top of it are bit-reproducible across runs and platforms:
 //!
 //! * [`hash`] — stable 64-bit hashing (FNV-1a plus a SplitMix64 finalizer)
 //!   and a fast `FxHash`-style hasher for in-memory maps.
@@ -10,6 +10,10 @@
 //!   [`Xoshiro256pp`](rng::Xoshiro256pp) generators with uniform, range and
 //!   Gaussian sampling.
 //! * [`topk`] — a bounded max-result heap for top-k selection.
+//! * [`codec`] — the little-endian, length-prefixed binary codec every
+//!   frame and file is written with: `put_*` appends to a `Vec<u8>`,
+//!   `get_*` reads off the front of a `&[u8]`, bounds-checked and typed on
+//!   truncated or corrupt input.
 //! * [`timing`] — tiny wall-clock timers and summary statistics used by the
 //!   evaluation harness.
 //! * [`kernel`] — vectorization-friendly `dot`/`axpy`/`gemv` kernels over

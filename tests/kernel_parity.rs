@@ -16,41 +16,77 @@
 //!
 //! (Snapshot round trips — including through arena slot churn — are pinned
 //! where the frame lives, in `wg_lsh::index`'s tests.)
+//!
+//! The property tests run a fixed number of cases. Case `i` of test `name`
+//! draws every input from
+//! `Xoshiro256pp::new(combine64(stable_hash_str(name), i))`. A failing
+//! case prints that seed; `Xoshiro256pp::new(seed)` alone reproduces its
+//! inputs, whatever ran before it.
 
-use proptest::prelude::*;
 use warpgate::lsh::{SimHashLshIndex, SimHasher, VectorArena};
+use warpgate::util::hash::{combine64, stable_hash_str};
 use warpgate::util::kernel::{self, reference};
 use warpgate::util::rng::{Rng64, Xoshiro256pp};
 use warpgate::util::TopK;
+
+use std::ops::Range;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+
+/// Run `cases` seeded cases of `property`, naming the seed of the first
+/// one that fails.
+fn check(name: &str, cases: u64, property: impl Fn(&mut Xoshiro256pp)) {
+    for case in 0..cases {
+        let seed = combine64(stable_hash_str(name), case);
+        if let Err(panic) =
+            catch_unwind(AssertUnwindSafe(|| property(&mut Xoshiro256pp::new(seed))))
+        {
+            eprintln!("{name}: case {case} of {cases} failed; replay with seed {seed:#018x}");
+            resume_unwind(panic);
+        }
+    }
+}
+
+/// A vec whose length is uniform in the half-open `len`, each element
+/// from `item`.
+fn vec_of<T>(
+    rng: &mut Xoshiro256pp,
+    len: Range<usize>,
+    mut item: impl FnMut(&mut Xoshiro256pp) -> T,
+) -> Vec<T> {
+    (0..len.start + rng.gen_index(len.end - len.start)).map(|_| item(rng)).collect()
+}
+
+/// Uniform in the half-open `range`.
+fn f32_in(rng: &mut Xoshiro256pp, range: Range<f32>) -> f32 {
+    range.start + rng.gen_f64() as f32 * (range.end - range.start)
+}
 
 // ---------------------------------------------------------------------------
 // Kernel vs. scalar reference
 // ---------------------------------------------------------------------------
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Kernel dot tracks the strict scalar dot over odd lengths, which
-    /// exercises both the 8-lane body and the remainder tail.
-    #[test]
-    fn dot_parity(values in prop::collection::vec((-8.0f32..8.0, -8.0f32..8.0), 0..70)) {
+/// Kernel dot tracks the strict scalar dot over odd lengths, which
+/// exercises both the 8-lane body and the remainder tail.
+#[test]
+fn dot_parity() {
+    check("dot_parity", 64, |rng| {
+        let values = vec_of(rng, 0..70, |rng| (f32_in(rng, -8.0..8.0), f32_in(rng, -8.0..8.0)));
         let a: Vec<f32> = values.iter().map(|(x, _)| *x).collect();
         let b: Vec<f32> = values.iter().map(|(_, y)| *y).collect();
         let got = kernel::dot(&a, &b);
         let want = reference::dot(&a, &b);
         let tol = 1e-3 * (1.0 + want.abs());
-        prop_assert!((got - want).abs() <= tol, "{got} vs {want} over {} lanes", a.len());
-    }
+        assert!((got - want).abs() <= tol, "{got} vs {want} over {} lanes", a.len());
+    });
+}
 
-    /// Blocked GEMV tracks the per-column strict reference for arbitrary
-    /// shapes, including row counts that leave 1–3 remainder rows.
-    #[test]
-    fn gemv_parity(
-        x in prop::collection::vec(-4.0f32..4.0, 1..14),
-        cols in 1usize..20,
-        seed in any::<u64>(),
-    ) {
-        let mut rng = Xoshiro256pp::new(seed);
+/// Blocked GEMV tracks the per-column strict reference for arbitrary
+/// shapes, including row counts that leave 1–3 remainder rows.
+#[test]
+fn gemv_parity() {
+    check("gemv_parity", 64, |rng| {
+        let x = vec_of(rng, 1..14, |rng| f32_in(rng, -4.0..4.0));
+        let cols = 1 + rng.gen_index(19);
         let m: Vec<f32> = (0..x.len() * cols).map(|_| rng.gen_gaussian() as f32).collect();
         let mut got = vec![0.0f32; cols];
         let mut want = vec![0.0f32; cols];
@@ -58,47 +94,49 @@ proptest! {
         reference::gemv(&x, &m, cols, &mut want);
         for (g, w) in got.iter().zip(&want) {
             let tol = 1e-3 * (1.0 + w.abs());
-            prop_assert!((g - w).abs() <= tol, "{g} vs {w} ({}x{cols})", x.len());
+            assert!((g - w).abs() <= tol, "{g} vs {w} ({}x{cols})", x.len());
         }
-    }
+    });
+}
 
-    /// axpy is element-wise: bit-exact against the scalar loop.
-    #[test]
-    fn axpy_exact(
-        pairs in prop::collection::vec((-8.0f32..8.0, -8.0f32..8.0), 0..70),
-        alpha in -4.0f32..4.0,
-    ) {
+/// axpy is element-wise: bit-exact against the scalar loop.
+#[test]
+fn axpy_exact() {
+    check("axpy_exact", 64, |rng| {
+        let pairs = vec_of(rng, 0..70, |rng| (f32_in(rng, -8.0..8.0), f32_in(rng, -8.0..8.0)));
+        let alpha = f32_in(rng, -4.0..4.0);
         let x: Vec<f32> = pairs.iter().map(|(v, _)| *v).collect();
         let mut y: Vec<f32> = pairs.iter().map(|(_, v)| *v).collect();
         let mut y_ref = y.clone();
         kernel::axpy(&mut y, alpha, &x);
         reference::axpy(&mut y_ref, alpha, &x);
-        prop_assert_eq!(y, y_ref);
-    }
+        assert_eq!(y, y_ref);
+    });
+}
 
-    /// Signing is deterministic and self-consistent with the scalar
-    /// reference away from the sign boundary: projections agree within
-    /// tolerance, and every bit whose reference projection clears the
-    /// tolerance matches exactly.
-    #[test]
-    fn sign_parity(seed in any::<u64>()) {
-        let mut rng = Xoshiro256pp::new(seed);
+/// Signing is deterministic and self-consistent with the scalar
+/// reference away from the sign boundary: projections agree within
+/// tolerance, and every bit whose reference projection clears the
+/// tolerance matches exactly.
+#[test]
+fn sign_parity() {
+    check("sign_parity", 64, |rng| {
         let dim = 48;
-        let hasher = SimHasher::new(dim, 128, seed ^ 0xC0FFEE);
+        let hasher = SimHasher::new(dim, 128, rng.gen_u64() ^ 0xC0FFEE);
         let v: Vec<f32> = (0..dim).map(|_| rng.gen_gaussian() as f32).collect();
-        prop_assert!(hasher.sign(&v) == hasher.sign(&v), "signing must be deterministic");
+        assert!(hasher.sign(&v) == hasher.sign(&v), "signing must be deterministic");
         let fast = hasher.project(&v);
         let slow = hasher.project_scalar(&v);
         let sig = hasher.sign(&v);
         let sig_ref = hasher.sign_scalar(&v);
         for (b, (f, s)) in fast.iter().zip(&slow).enumerate() {
             let tol = 1e-3 * (1.0 + s.abs());
-            prop_assert!((f - s).abs() <= tol, "bit {b}: {f} vs {s}");
+            assert!((f - s).abs() <= tol, "bit {b}: {f} vs {s}");
             if s.abs() > tol {
-                prop_assert!(sig.bit(b) == sig_ref.bit(b), "stable bit {b} flipped");
+                assert!(sig.bit(b) == sig_ref.bit(b), "stable bit {b} flipped");
             }
         }
-    }
+    });
 }
 
 /// The exact re-rank scores hot rows four per `dot4` pass, the remainder
@@ -158,13 +196,12 @@ fn arena_insert_remove_reuse_and_iteration_order() {
     assert!((arena.norm_at(before) - expected_norm).abs() < 1e-6);
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// Arena contents always match a straightforward model map, whatever
-    /// the interleaving of inserts, replacements and removals.
-    #[test]
-    fn arena_matches_model_map(ops in prop::collection::vec((0u32..12, any::<bool>()), 1..60)) {
+/// Arena contents always match a straightforward model map, whatever
+/// the interleaving of inserts, replacements and removals.
+#[test]
+fn arena_matches_model_map() {
+    check("arena_matches_model_map", 32, |rng| {
+        let ops = vec_of(rng, 1..60, |rng| (rng.gen_range(12) as u32, rng.gen_bool(0.5)));
         let mut arena = VectorArena::new(2);
         let mut model = std::collections::BTreeMap::new();
         for (step, (id, is_insert)) in ops.into_iter().enumerate() {
@@ -173,18 +210,18 @@ proptest! {
                 arena.insert(id, &v);
                 model.insert(id, v.to_vec());
             } else {
-                prop_assert_eq!(arena.remove(id), model.remove(&id).is_some());
+                assert_eq!(arena.remove(id), model.remove(&id).is_some());
             }
         }
-        prop_assert_eq!(arena.len(), model.len());
+        assert_eq!(arena.len(), model.len());
         for (id, v) in &model {
-            prop_assert_eq!(arena.get(*id), Some(&v[..]));
+            assert_eq!(arena.get(*id), Some(&v[..]));
         }
         let mut live: Vec<u32> = arena.iter().map(|(id, _)| id).collect();
         live.sort_unstable();
         let want: Vec<u32> = model.keys().copied().collect();
-        prop_assert_eq!(live, want);
-    }
+        assert_eq!(live, want);
+    });
 }
 
 fn random_unit(dim: usize, rng: &mut Xoshiro256pp) -> Vec<f32> {
