@@ -1,25 +1,15 @@
-//! Admission control, per-tenant quotas, and the overload-protection
-//! vocabulary of a serving [`crate::WarpGate`] node.
+//! Admission control: the overload protection of a serving
+//! [`crate::WarpGate`] node.
 //!
 //! The paper pitches WarpGate as a discovery service embedded in a cloud
-//! warehouse, which means thousands of tenants can hammer one node at
-//! once. This module makes the node resilient to *its own clients*, the
-//! way `wg_store::RetryBackend` and the sync daemon's circuit breakers
-//! made it resilient to backend failures:
-//!
-//! * [`AdmissionController`] — a hard concurrency cap plus a bounded FIFO
-//!   wait queue with a bounded wait time. Work beyond cap + queue (or
-//!   waiting longer than the bound) is shed with the *retryable*
-//!   `StoreError::Overloaded`, never queued invisibly: the caller learns
-//!   in bounded time whether it runs.
-//! * [`QuotaPolicy`] — per-tenant token buckets over the billed cost
-//!   surface (warehouse scans and scanned bytes, the same units the
-//!   `CostMeter` reports). One tenant exhausting its budget gets the
-//!   typed, retryable `StoreError::QuotaExceeded`; every other tenant's
-//!   requests — and results — are untouched.
-//! * [`TenantId`] — process-wide interned tenant names (the same
-//!   `wg_util::names` table type as backends, capped separately), so
-//!   per-request tenant handling costs an integer, not a string.
+//! warehouse, where many callers can hammer one node at once. This module
+//! makes the node resilient to *its own clients*, the way
+//! `wg_store::RetryBackend` and the sync daemon's circuit breakers made it
+//! resilient to backend failures. [`AdmissionController`] is a hard
+//! concurrency cap plus a bounded FIFO wait queue with a bounded wait
+//! time. Work beyond cap + queue (or waiting longer than the bound) is
+//! shed with the *retryable* `StoreError::Overloaded`, never queued
+//! invisibly: the caller learns in bounded time whether it runs.
 //!
 //! The admission state machine (see DESIGN.md §12):
 //!
@@ -35,12 +25,6 @@
 //!     ▼                ▼
 //!  SHED: Overloaded { retry_after_ms }   (retryable, bounded-time answer)
 //! ```
-//!
-//! Quotas are *post-paid*: admission requires a positive balance, the
-//! actual metered cost debits after the work (possibly driving the
-//! balance negative, which blocks the tenant until refill covers the
-//! debt). Pre-paying would require knowing a scan's byte cost before
-//! running it — the warehouse only reports cost afterwards.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -48,57 +32,6 @@ use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use wg_store::{StoreError, StoreResult};
-use wg_util::names::NameTable;
-use wg_util::FxHashMap;
-
-// ---------------------------------------------------------------------------
-// Tenant interning.
-
-/// Hard cap on distinct tenant names a process can intern. Generous for
-/// tests and single-node serving; a registry this size signals a leak
-/// (e.g. request ids used as tenant names), not a workload.
-pub const MAX_TENANTS: usize = 4096;
-
-static TENANTS: NameTable = NameTable::new("tenant", MAX_TENANTS, &[]);
-
-/// Process-wide interned tenant name (a `wg_util::names::NameTable` of its
-/// own). Equal names always intern to the same id; ids are stable for the
-/// process lifetime.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct TenantId(u32);
-
-impl TenantId {
-    /// Intern `name`, returning its stable id. Panics past
-    /// [`MAX_TENANTS`] distinct names — by then something is using
-    /// non-tenant strings as tenants.
-    pub fn intern(name: &str) -> Self {
-        Self(TENANTS.intern(name))
-    }
-
-    /// The id already interned for `name`, if any.
-    pub fn lookup(name: &str) -> Option<Self> {
-        TENANTS.lookup(name).map(Self)
-    }
-
-    /// The interned name.
-    pub fn name(self) -> String {
-        TENANTS.resolve(self.0)
-    }
-
-    /// Raw id bits (for logs and tests).
-    pub fn bits(self) -> u32 {
-        self.0
-    }
-}
-
-impl std::fmt::Display for TenantId {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.name())
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Admission controller.
 
 /// Tunables of an [`AdmissionController`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -148,8 +81,8 @@ struct AdmState {
 }
 
 /// Concurrency cap + bounded FIFO wait queue. See the module docs for the
-/// state machine. All waiting uses `std::sync::Condvar` (the workspace's
-/// `parking_lot` shim carries no condvar), matching the sync daemon.
+/// state machine. All waiting uses `std::sync::Condvar`, as the sync
+/// daemon's does.
 pub struct AdmissionController {
     config: AdmissionConfig,
     state: Mutex<AdmState>,
@@ -273,204 +206,11 @@ impl Drop for AdmissionPermit<'_> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Per-tenant quotas.
-
-/// One tenant's token-bucket budget over the billed cost surface. Units
-/// match the `CostMeter`: scan *requests* and *bytes scanned*.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TenantQuota {
-    /// Bucket capacity in billed scans (also the starting balance).
-    pub scan_capacity: f64,
-    /// Scans refilled per second, up to capacity.
-    pub scan_refill_per_sec: f64,
-    /// Bucket capacity in scanned bytes. `f64::INFINITY` = unmetered.
-    pub byte_capacity: f64,
-    /// Bytes refilled per second, up to capacity.
-    pub byte_refill_per_sec: f64,
-}
-
-impl TenantQuota {
-    /// A scans-only budget (bytes unmetered).
-    pub fn scans(capacity: f64, refill_per_sec: f64) -> Self {
-        Self {
-            scan_capacity: capacity,
-            scan_refill_per_sec: refill_per_sec,
-            byte_capacity: f64::INFINITY,
-            byte_refill_per_sec: 0.0,
-        }
-    }
-
-    /// Same quota with a byte budget on top.
-    pub fn with_bytes(self, capacity: f64, refill_per_sec: f64) -> Self {
-        Self { byte_capacity: capacity, byte_refill_per_sec: refill_per_sec, ..self }
-    }
-}
-
-#[derive(Debug, Clone, Copy)]
-struct Bucket {
-    scan_tokens: f64,
-    byte_tokens: f64,
-    /// Clock reading (seconds) at the last refill.
-    refilled_at: f64,
-}
-
-struct QuotaState {
-    quotas: FxHashMap<TenantId, TenantQuota>,
-    buckets: FxHashMap<TenantId, Bucket>,
-    /// `Some(now)` = a manually advanced test clock; `None` = monotonic
-    /// wall clock relative to `epoch`.
-    manual_secs: Option<f64>,
-    epoch: Instant,
-}
-
-/// Per-tenant token buckets over billed scans and bytes. Tenants without
-/// a configured quota are unlimited. Thread-safe; one shared instance
-/// serves every entry point of a node.
-pub struct QuotaPolicy {
-    state: Mutex<QuotaState>,
-}
-
-impl Default for QuotaPolicy {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl std::fmt::Debug for QuotaPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let st = self.state.lock().expect("quota state lock");
-        f.debug_struct("QuotaPolicy").field("tenants", &st.quotas.len()).finish_non_exhaustive()
-    }
-}
-
-impl QuotaPolicy {
-    /// An empty policy on the monotonic clock: every tenant unlimited
-    /// until [`Self::set_quota`] says otherwise.
-    pub fn new() -> Self {
-        Self {
-            state: Mutex::new(QuotaState {
-                quotas: FxHashMap::default(),
-                buckets: FxHashMap::default(),
-                manual_secs: None,
-                epoch: Instant::now(),
-            }),
-        }
-    }
-
-    /// Same policy on a manually advanced clock (see [`Self::advance`]) —
-    /// deterministic refill for tests.
-    pub fn with_manual_clock() -> Self {
-        let policy = Self::new();
-        policy.state.lock().expect("quota state lock").manual_secs = Some(0.0);
-        policy
-    }
-
-    /// Advance the manual clock by `secs`. Panics on a monotonic-clock
-    /// policy — mixing the two would silently break refill accounting.
-    pub fn advance(&self, secs: f64) {
-        let mut st = self.state.lock().expect("quota state lock");
-        let now = st.manual_secs.expect("advance() requires with_manual_clock()");
-        st.manual_secs = Some(now + secs);
-    }
-
-    /// Install (or replace) `tenant`'s budget. The bucket starts full.
-    pub fn set_quota(&self, tenant: TenantId, quota: TenantQuota) {
-        let mut st = self.state.lock().expect("quota state lock");
-        let now = now_secs(&st);
-        st.quotas.insert(tenant, quota);
-        st.buckets.insert(
-            tenant,
-            Bucket {
-                scan_tokens: quota.scan_capacity,
-                byte_tokens: quota.byte_capacity,
-                refilled_at: now,
-            },
-        );
-    }
-
-    /// Remove `tenant`'s budget: unlimited again.
-    pub fn clear_quota(&self, tenant: TenantId) {
-        let mut st = self.state.lock().expect("quota state lock");
-        st.quotas.remove(&tenant);
-        st.buckets.remove(&tenant);
-    }
-
-    /// Gate one request: refill `tenant`'s bucket for elapsed time, then
-    /// require at least one scan token and a positive byte balance.
-    /// Unconfigured tenants always pass. Fails with the retryable
-    /// `QuotaExceeded` — the bucket refills with time.
-    pub fn admit(&self, tenant: TenantId) -> StoreResult<()> {
-        let mut st = self.state.lock().expect("quota state lock");
-        let now = now_secs(&st);
-        let Some(quota) = st.quotas.get(&tenant).copied() else { return Ok(()) };
-        let bucket = st.buckets.get_mut(&tenant).expect("quota implies bucket");
-        refill(bucket, &quota, now);
-        if bucket.scan_tokens >= 1.0 && bucket.byte_tokens > 0.0 {
-            Ok(())
-        } else {
-            Err(StoreError::QuotaExceeded { tenant: tenant.name() })
-        }
-    }
-
-    /// Debit the *measured* cost of finished work (post-paid; may drive
-    /// the balance negative, blocking the tenant until refill covers the
-    /// debt). No-op for unconfigured tenants.
-    pub fn debit(&self, tenant: TenantId, scans: u64, bytes: u64) {
-        let mut st = self.state.lock().expect("quota state lock");
-        if !st.quotas.contains_key(&tenant) {
-            return;
-        }
-        let bucket = st.buckets.get_mut(&tenant).expect("quota implies bucket");
-        bucket.scan_tokens -= scans as f64;
-        bucket.byte_tokens -= bytes as f64;
-    }
-
-    /// Current `(scan_tokens, byte_tokens)` balance after refill; `None`
-    /// for unconfigured tenants.
-    pub fn balance(&self, tenant: TenantId) -> Option<(f64, f64)> {
-        let mut st = self.state.lock().expect("quota state lock");
-        let now = now_secs(&st);
-        let quota = st.quotas.get(&tenant).copied()?;
-        let bucket = st.buckets.get_mut(&tenant).expect("quota implies bucket");
-        refill(bucket, &quota, now);
-        Some((bucket.scan_tokens, bucket.byte_tokens))
-    }
-}
-
-fn now_secs(st: &QuotaState) -> f64 {
-    match st.manual_secs {
-        Some(s) => s,
-        None => st.epoch.elapsed().as_secs_f64(),
-    }
-}
-
-fn refill(bucket: &mut Bucket, quota: &TenantQuota, now: f64) {
-    let dt = (now - bucket.refilled_at).max(0.0);
-    bucket.refilled_at = now;
-    bucket.scan_tokens =
-        (bucket.scan_tokens + dt * quota.scan_refill_per_sec).min(quota.scan_capacity);
-    bucket.byte_tokens =
-        (bucket.byte_tokens + dt * quota.byte_refill_per_sec).min(quota.byte_capacity);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
     use std::sync::Arc;
-
-    #[test]
-    fn tenant_ids_are_stable_and_distinct() {
-        let a = TenantId::intern("tenant-stable-a");
-        let b = TenantId::intern("tenant-stable-b");
-        assert_ne!(a, b);
-        assert_eq!(TenantId::intern("tenant-stable-a"), a);
-        assert_eq!(TenantId::lookup("tenant-stable-b"), Some(b));
-        assert_eq!(TenantId::lookup("tenant-never-interned"), None);
-        assert_eq!(a.name(), "tenant-stable-a");
-        assert_eq!(a.to_string(), "tenant-stable-a");
-    }
 
     #[test]
     fn admits_up_to_cap_then_sheds_when_queue_full() {
@@ -574,82 +314,5 @@ mod tests {
             w.join().unwrap();
         }
         assert_eq!(*order.lock().unwrap(), vec![0, 1, 2], "admissions must be FIFO");
-    }
-
-    #[test]
-    fn unconfigured_tenant_is_unlimited() {
-        let q = QuotaPolicy::new();
-        let t = TenantId::intern("quota-unlimited");
-        for _ in 0..1000 {
-            q.admit(t).unwrap();
-        }
-        q.debit(t, 10, 1 << 30);
-        q.admit(t).unwrap();
-        assert_eq!(q.balance(t), None);
-    }
-
-    #[test]
-    fn exhausted_tenant_rejects_until_refill() {
-        let q = QuotaPolicy::with_manual_clock();
-        let t = TenantId::intern("quota-exhaust");
-        q.set_quota(t, TenantQuota::scans(2.0, 1.0));
-        q.admit(t).unwrap();
-        q.debit(t, 2, 0);
-        let err = q.admit(t).unwrap_err();
-        assert!(matches!(&err, StoreError::QuotaExceeded { tenant } if tenant == "quota-exhaust"));
-        assert!(err.is_retryable(), "quota rejections must be retryable");
-        // One second refills one scan token.
-        q.advance(1.0);
-        q.admit(t).unwrap();
-        // Refill never exceeds capacity.
-        q.advance(1e6);
-        assert_eq!(q.balance(t).unwrap().0, 2.0);
-    }
-
-    #[test]
-    fn post_paid_debt_blocks_until_covered() {
-        let q = QuotaPolicy::with_manual_clock();
-        let t = TenantId::intern("quota-debt");
-        q.set_quota(t, TenantQuota::scans(5.0, 1.0));
-        q.admit(t).unwrap();
-        // The admitted request turned out expensive: 9 scans against a
-        // balance of 5 leaves a debt of 4.
-        q.debit(t, 9, 0);
-        assert_eq!(q.balance(t).unwrap().0, -4.0);
-        assert!(q.admit(t).is_err());
-        q.advance(4.0);
-        assert!(q.admit(t).is_err(), "balance 0 still lacks a whole token");
-        q.advance(1.0);
-        q.admit(t).unwrap();
-    }
-
-    #[test]
-    fn byte_budget_gates_independently_of_scans() {
-        let q = QuotaPolicy::with_manual_clock();
-        let t = TenantId::intern("quota-bytes");
-        q.set_quota(t, TenantQuota::scans(100.0, 0.0).with_bytes(1000.0, 500.0));
-        q.admit(t).unwrap();
-        q.debit(t, 1, 1000);
-        let err = q.admit(t).unwrap_err();
-        assert!(matches!(err, StoreError::QuotaExceeded { .. }), "{err:?}");
-        assert!(q.balance(t).unwrap().0 > 90.0, "scan balance untouched by byte exhaustion");
-        q.advance(1.0);
-        q.admit(t).unwrap();
-    }
-
-    #[test]
-    fn tenants_are_isolated() {
-        let q = QuotaPolicy::with_manual_clock();
-        let broke = TenantId::intern("quota-iso-broke");
-        let healthy = TenantId::intern("quota-iso-healthy");
-        q.set_quota(broke, TenantQuota::scans(1.0, 0.0));
-        q.set_quota(healthy, TenantQuota::scans(100.0, 0.0));
-        q.debit(broke, 5, 0);
-        assert!(q.admit(broke).is_err());
-        for _ in 0..50 {
-            q.admit(healthy).unwrap();
-        }
-        q.clear_quota(broke);
-        q.admit(broke).unwrap();
     }
 }

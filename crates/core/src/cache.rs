@@ -20,10 +20,10 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use wg_embed::Vector;
 use wg_store::{BackendId, ColumnRef, SampleSpec, TableRef};
 use wg_util::lru::{CacheStats, Lru};
+use wg_util::sync::Mutex;
 
 /// Everything the scan→embed pipeline output depends on.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]

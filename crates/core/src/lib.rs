@@ -63,15 +63,14 @@
 //! scope with `wg_lsh::DiscoverScope`, and per-backend sync/cost slices
 //! surface through [`SyncReport::per_backend`].
 //!
-//! Overload resilience (§12 of DESIGN.md): the [`admission`] module adds
-//! a concurrency cap with a bounded FIFO wait queue
-//! ([`AdmissionController`]), per-tenant token-bucket quotas over billed
-//! scans/bytes ([`QuotaPolicy`]), and cooperative request deadlines
-//! (`wg_util::Deadline`) checked at every pipeline phase boundary — all
-//! wired through [`QueryOptions`] into `discover_with`/`discover_batch`/
-//! `joinability` (and a deadline into `sync_with`), with opt-in degraded
-//! (warm-cache-only) serving under admission pressure, always flagged in
-//! [`QueryTiming::degraded`].
+//! Overload resilience (§12 of DESIGN.md): every serving verb takes one
+//! request preamble — deadline gate → resolve each namespace → admission
+//! → serve. The [`admission`] module's [`AdmissionController`] is a
+//! concurrency cap with a bounded FIFO wait queue that sheds with the
+//! retryable `Overloaded`; cooperative request deadlines
+//! (`wg_util::Deadline`) are checked at every pipeline phase boundary.
+//! Both reach `discover_with` / `discover_batch` / `joinability` through
+//! [`QueryOptions`] (and a deadline reaches `sync_with`).
 //!
 //! Durability (§10 of DESIGN.md): snapshots are checksummed and written
 //! atomically, persisted sync tokens let a restarted node's first `sync()`
@@ -94,10 +93,7 @@ mod registry;
 pub mod system;
 pub mod timing;
 
-pub use admission::{
-    AdmissionConfig, AdmissionController, AdmissionPermit, AdmissionStats, QuotaPolicy, TenantId,
-    TenantQuota,
-};
+pub use admission::{AdmissionConfig, AdmissionController, AdmissionPermit, AdmissionStats};
 pub use cache::{EmbeddingCache, EmbeddingKey};
 pub use config::WarpGateConfig;
 pub use daemon::{

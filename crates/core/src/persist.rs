@@ -384,7 +384,7 @@ mod tests {
         fresh.load_bytes(&bytes).unwrap();
         assert_eq!(fresh.len(), 1);
         // The removed table must not reappear.
-        let hits = fresh.discover_values(&["VAL 1"], 5, &DiscoverScope::All);
+        let hits = fresh.discover_values(&["VAL 1"], 5, &DiscoverScope::All).unwrap();
         assert!(hits.iter().all(|h| h.reference.table != "b"));
     }
 

@@ -4,7 +4,6 @@
 //! ([`WarpGate::admitted`]) and fetches embeddings through one function
 //! ([`WarpGate::embedding`]).
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use wg_lsh::{DiscoverScope, SearchError, SearchOutcome};
@@ -12,7 +11,6 @@ use wg_store::{BackendId, ColumnRef, KeyNorm, StoreError, StoreResult, Table};
 use wg_util::deadline::{Deadline, Phase};
 use wg_util::timing::Stopwatch;
 
-use crate::admission::TenantId;
 use crate::cache::EmbeddingKey;
 use crate::ingest::in_order;
 use crate::system::{deadline_err, Attached, WarpGate};
@@ -46,8 +44,7 @@ pub struct Discovery {
 /// [`WarpGate::discover_batch`] and [`WarpGate::joinability`] —
 /// DESIGN.md §12.
 ///
-/// `QueryOptions::default()` is the plain call: unscoped, no deadline,
-/// anonymous tenant, no degraded serving.
+/// `QueryOptions::default()` is the plain call: unscoped, no deadline.
 #[derive(Debug, Clone, Default)]
 pub struct QueryOptions {
     /// Which backend namespaces the lookup may answer from: "find joins
@@ -62,18 +59,6 @@ pub struct QueryOptions {
     /// [`StoreError::DeadlineExceeded`] *before* the next billed scan or
     /// cold block read — never mid-phase.
     pub deadline: Deadline,
-    /// Tenant the request bills to, for [`crate::QuotaPolicy`]
-    /// enforcement. `None` is anonymous: never quota-checked, never
-    /// debited.
-    pub tenant: Option<TenantId>,
-    /// When admission control sheds a single [`WarpGate::discover_with`],
-    /// opt into a **degraded** warm-cache-only answer instead of the
-    /// `Overloaded` error: if the query embedding is cached, the index
-    /// lookup (which bills no scans) still runs and the result is flagged
-    /// [`QueryTiming::degraded`]. On a cache miss the `Overloaded` error
-    /// propagates — degradation is opt-in and never silent, but it is also
-    /// never a cold scan.
-    pub allow_degraded: bool,
 }
 
 impl QueryOptions {
@@ -81,23 +66,6 @@ impl QueryOptions {
     pub fn scoped(scope: DiscoverScope) -> Self {
         Self { scope, ..Self::default() }
     }
-}
-
-/// What one serving call's own metered scans charged — what its tenant is
-/// debited. Batch workers add to it concurrently.
-#[derive(Default)]
-struct Bill {
-    scans: AtomicU64,
-    bytes: AtomicU64,
-}
-
-/// Whether an embedding miss may reach the backend.
-enum Access<'a> {
-    /// Scan, and charge the scan to the call's bill.
-    Billed(&'a Bill),
-    /// Admission shed the call, which opted into degraded serving: answer
-    /// from a warm cache or fail with this `Overloaded` error.
-    Shed(StoreError),
 }
 
 /// The resolved namespace of `id` — present because the preamble resolved
@@ -114,9 +82,8 @@ impl WarpGate {
         self.discover_with(query, k, &QueryOptions::default())
     }
 
-    /// Discovery under per-request serving options (§12): scope,
-    /// cooperative deadline, tenant quota billing, and opt-in degraded
-    /// serving under admission pressure.
+    /// Discovery under per-request serving options (§12): scope and
+    /// cooperative deadline.
     ///
     /// After the request preamble (`admitted`): cache probe → hit:
     /// validate → lookup / miss: metered scan → embed → lookup, with the
@@ -131,71 +98,41 @@ impl WarpGate {
         k: usize,
         opts: &QueryOptions,
     ) -> StoreResult<Discovery> {
-        self.admitted(
-            opts,
-            [query.backend],
-            |resolved, overloaded| {
-                if !opts.allow_degraded {
-                    return Err(overloaded);
-                }
-                self.discover_one(&resolved[0], query, k, opts, true, Access::Shed(overloaded))
-            },
-            |resolved, bill| {
-                self.discover_one(&resolved[0], query, k, opts, false, Access::Billed(bill))
-            },
-        )
+        self.admitted(opts, [query.backend], |resolved| {
+            self.discover_one(&resolved[0], query, k, opts, false)
+        })
     }
 
     /// The request preamble, written once for every serving verb: deadline
-    /// gate → tenant quota gate → [`Self::resolve`] of each involved
-    /// namespace → admission → `serve`, then the tenant's debit.
+    /// gate → [`Self::resolve`] of each involved namespace → admission →
+    /// `serve`.
     ///
     /// Admission comes before the first backend call: shedding exists to
     /// protect a saturated warehouse, and over WGRP even a free existence
-    /// check is a round trip. A shed request goes to `shed` with the
-    /// `Overloaded` error instead — to return it, or to answer without the
-    /// backend. Quota debits are **post-paid**: the tenant is billed what
-    /// the call's own metered scans charged ([`Bill`]) — even a call that
-    /// failed mid-flight, since those scans happened regardless — which may
-    /// push its bucket negative (recovered by refill). Scans other callers
-    /// make on the same backend meanwhile are theirs, never this tenant's.
+    /// check is a round trip. A shed request fails with the retryable
+    /// [`StoreError::Overloaded`] without a single backend call.
     fn admitted<R>(
         &self,
         opts: &QueryOptions,
         involved: impl IntoIterator<Item = BackendId>,
-        shed: impl FnOnce(&[Attached], StoreError) -> StoreResult<R>,
-        serve: impl FnOnce(&[Attached], &Bill) -> StoreResult<R>,
+        serve: impl FnOnce(&[Attached]) -> StoreResult<R>,
     ) -> StoreResult<R> {
         opts.deadline.check(Phase::Validate).map_err(deadline_err)?;
-        if let Some(tenant) = opts.tenant {
-            self.quotas.admit(tenant)?;
-        }
         let mut resolved: Vec<Attached> = Vec::new();
         for id in involved {
             if !resolved.iter().any(|n| n.id == id) {
                 resolved.push(self.resolve(id)?);
             }
         }
-        let _permit = match self.acquire_admission() {
-            Ok(permit) => permit,
-            Err(overloaded) => return shed(&resolved, overloaded),
-        };
-        let bill = Bill::default();
-        let result = serve(&resolved, &bill);
-        if let Some(tenant) = opts.tenant {
-            self.quotas.debit(tenant, bill.scans.into_inner(), bill.bytes.into_inner());
-        }
-        result
+        let _permit = self.acquire_admission()?;
+        serve(&resolved)
     }
 
-    /// One query after the preamble — the shared body of single queries,
-    /// batch workers, and the degraded answer. `validated` says no
-    /// existence check is wanted (batches validate everything up front and
-    /// must not re-pay a catalog lookup per query; a degraded answer may
-    /// not touch the backend); otherwise a cache hit checks existence
-    /// itself, and a miss leaves it to the scan. A request admission shed
-    /// ([`Access::Shed`]) is answered from a warm cache without a single
-    /// backend call, flagged [`QueryTiming::degraded`], or not at all.
+    /// One query after the preamble — the shared body of single queries
+    /// and batch workers. `validated` says no existence check is wanted
+    /// (batches validate everything up front and must not re-pay a catalog
+    /// lookup per query); otherwise a cache hit checks existence itself,
+    /// and a miss leaves it to the scan.
     fn discover_one(
         &self,
         run: &Attached,
@@ -203,16 +140,10 @@ impl WarpGate {
         k: usize,
         opts: &QueryOptions,
         validated: bool,
-        access: Access<'_>,
     ) -> StoreResult<Discovery> {
-        let mut timing = QueryTiming {
-            backend: Some(query.backend),
-            degraded: matches!(access, Access::Shed(_)),
-            ..QueryTiming::default()
-        };
+        let mut timing = QueryTiming { backend: Some(query.backend), ..QueryTiming::default() };
         let weight = self.config.context_weight;
-        let vector =
-            self.embedding(run, query, weight, opts.deadline, Some(&mut timing), access)?;
+        let vector = self.embedding(run, query, weight, opts.deadline, Some(&mut timing))?;
         if timing.cache_hit && !validated {
             run.backend.validate_column(query)?;
         }
@@ -234,9 +165,7 @@ impl WarpGate {
     /// system runs without contextual blending — the paper's
     /// configuration). Expiry fails with [`StoreError::DeadlineExceeded`]
     /// naming the phase that would have run next; a cache hit costs nothing
-    /// and always succeeds. On a miss, [`Access::Billed`] scans and charges
-    /// the scan to the call's bill; [`Access::Shed`] forbids the backend and
-    /// returns its error instead. The put is dropped if a sync or removal
+    /// and always succeeds. The put is dropped if a sync or removal
     /// invalidated the cache meanwhile: the scan may have read the content
     /// that invalidation was for.
     fn embedding(
@@ -246,7 +175,6 @@ impl WarpGate {
         context_weight: f32,
         deadline: Deadline,
         timing: Option<&mut QueryTiming>,
-        access: Access<'_>,
     ) -> StoreResult<Arc<wg_embed::Vector>> {
         let mut unreported = QueryTiming::default();
         let timing = timing.unwrap_or(&mut unreported);
@@ -259,15 +187,9 @@ impl WarpGate {
             }
             Err(miss) => miss,
         };
-        let bill = match access {
-            Access::Billed(bill) => bill,
-            Access::Shed(overloaded) => return Err(overloaded),
-        };
         deadline.check(Phase::Scan).map_err(deadline_err)?;
         let sw = Stopwatch::start();
         let (column, metered) = run.backend.scan_column_metered(r, self.config.sample)?;
-        bill.scans.fetch_add(metered.requests, Ordering::Relaxed);
-        bill.bytes.fetch_add(metered.bytes_scanned, Ordering::Relaxed);
         timing.load_secs = sw.elapsed_secs();
         timing.virtual_load_secs = metered.virtual_secs;
         timing.retries = metered.retries;
@@ -296,14 +218,11 @@ impl WarpGate {
     /// may span namespaces; each scans only its own backend.
     ///
     /// The whole batch runs under **one** admission slot (a batch is one
-    /// caller; the cap bounds callers, not columns) and is shed whole —
-    /// there is no degraded fallback for batches
-    /// ([`QueryOptions::allow_degraded`] is ignored). Once admitted, every
-    /// query is validated up front — one bad ref fails the batch before
-    /// any column is scanned (and billed) — and workers skip the per-query
-    /// catalog lookup. The deadline is re-checked before every per-query
-    /// phase, and the named tenant is debited the batch's total metered
-    /// scans/bytes across every backend it touched. The configured
+    /// caller; the cap bounds callers, not columns) and is shed whole.
+    /// Once admitted, every query is validated up front — one bad ref
+    /// fails the batch before any column is scanned (and billed) — and
+    /// workers skip the per-query catalog lookup. The deadline is
+    /// re-checked before every per-query phase. The configured
     /// `threads` value is honored even past the hardware thread count:
     /// against a blocking backend (e.g. a remote warehouse over TCP)
     /// oversubscription is how in-flight scans overlap; the default
@@ -315,47 +234,38 @@ impl WarpGate {
         k: usize,
         opts: &QueryOptions,
     ) -> StoreResult<Vec<Discovery>> {
-        self.admitted(
-            opts,
-            queries.iter().map(|q| q.backend),
-            |_, overloaded| Err(overloaded),
-            |resolved, bill| {
-                for q in queries {
-                    namespace(resolved, q.backend).backend.validate_column(q)?;
-                }
-                let mut answers = Vec::with_capacity(queries.len());
-                in_order(
-                    queries,
-                    self.config.effective_threads(),
-                    |q| {
-                        let run = namespace(resolved, q.backend);
-                        self.discover_one(run, q, k, opts, true, Access::Billed(bill))
-                    },
-                    |_, chunk| answers.extend(chunk),
-                )?;
-                Ok(answers)
-            },
-        )
+        self.admitted(opts, queries.iter().map(|q| q.backend), |resolved| {
+            for q in queries {
+                namespace(resolved, q.backend).backend.validate_column(q)?;
+            }
+            let mut answers = Vec::with_capacity(queries.len());
+            in_order(
+                queries,
+                self.config.effective_threads(),
+                |q| self.discover_one(namespace(resolved, q.backend), q, k, opts, true),
+                |_, chunk| answers.extend(chunk),
+            )?;
+            Ok(answers)
+        })
     }
 
     /// Ad-hoc discovery from raw values (no warehouse column backing the
     /// query — e.g. a user-pasted list), answered from `scope`'s
     /// namespaces. Works without an attached backend: only the index is
-    /// consulted.
+    /// consulted. A paged-tier block that no longer reads back intact fails
+    /// with [`StoreError::Backend`], as it does for [`Self::discover`].
     pub fn discover_values<S: AsRef<str>>(
         &self,
         values: &[S],
         k: usize,
         scope: &DiscoverScope,
-    ) -> Vec<JoinCandidate> {
+    ) -> StoreResult<Vec<JoinCandidate>> {
         let vector = self.embedder.embed_values(values);
         if vector.is_zero() {
-            return Vec::new();
+            return Ok(Vec::new());
         }
         let nowhere = ColumnRef::new("", "", "");
-        self.search_vector(&vector, &nowhere, k, scope, Deadline::none())
-            .unwrap_or_else(|e| panic!("lookup without a deadline failed: {e}"))
-            .0
+        Ok(self.search_vector(&vector, &nowhere, k, scope, Deadline::none())?.0)
     }
 
     /// LSH lookup + exact re-rank of one query vector, signed before the
@@ -435,27 +345,20 @@ impl WarpGate {
     /// backend). Embeds values only (no schema-context blend); embeddings
     /// come from (and feed) the cache under the value-only key.
     ///
-    /// Takes the same preamble as discovery: deadline gate, tenant quota
-    /// gate + post-paid debit, and one admission slot for the pair.
-    /// [`QueryOptions::scope`] and [`QueryOptions::allow_degraded`] are
-    /// irrelevant here (no lookup, no degraded variant) and ignored.
+    /// Takes the same preamble as discovery: deadline gate and one
+    /// admission slot for the pair. [`QueryOptions::scope`] is irrelevant
+    /// here (no lookup) and ignored.
     pub fn joinability(
         &self,
         a: &ColumnRef,
         b: &ColumnRef,
         opts: &QueryOptions,
     ) -> StoreResult<f32> {
-        self.admitted(
-            opts,
-            [a.backend, b.backend],
-            |_, overloaded| Err(overloaded),
-            |resolved, bill| {
-                let values = |r: &ColumnRef| {
-                    let run = namespace(resolved, r.backend);
-                    self.embedding(run, r, 0.0, opts.deadline, None, Access::Billed(bill))
-                };
-                Ok(values(a)?.cosine(&*values(b)?))
-            },
-        )
+        self.admitted(opts, [a.backend, b.backend], |resolved| {
+            let values = |r: &ColumnRef| {
+                self.embedding(namespace(resolved, r.backend), r, 0.0, opts.deadline, None)
+            };
+            Ok(values(a)?.cosine(&*values(b)?))
+        })
     }
 }

@@ -11,20 +11,20 @@
 //! The two pipelines of the paper's Fig. 2 are `impl WarpGate` blocks of
 //! their own: indexing and sync in `ingest.rs`, search in `query.rs`. This
 //! file keeps what both stand on — construction, the one lock over the
-//! shared [`State`], attach / detach and [`WarpGate::resolve`], accessors,
+//! shared `State`, attach / detach and `WarpGate::resolve`, accessors,
 //! and the plumbing `persist.rs` restores through.
 
 use std::sync::Arc;
 
-use parking_lot::RwLock;
 use wg_embed::{ColumnEmbedder, EmbeddingModel, WebTableConfig, WebTableModel};
 use wg_lsh::{LshParams, SimHashLshIndex, SimHasher};
 use wg_store::{BackendHandle, BackendId, ColumnRef, StoreError, StoreResult, TableMeta};
 use wg_util::deadline::Phase;
 use wg_util::lru::CacheStats;
+use wg_util::sync::RwLock;
 use wg_util::FxHashMap;
 
-use crate::admission::{AdmissionController, AdmissionPermit, AdmissionStats, QuotaPolicy};
+use crate::admission::{AdmissionController, AdmissionPermit, AdmissionStats};
 use crate::cache::EmbeddingCache;
 use crate::config::WarpGateConfig;
 use crate::registry::Registry;
@@ -109,10 +109,6 @@ pub struct WarpGate {
     /// [`WarpGateConfig::admission`] is set. `None` = admission off, zero
     /// overhead.
     admission: Option<AdmissionController>,
-    /// Per-tenant token buckets over billed scans/bytes. Tenants without
-    /// a configured [`crate::TenantQuota`] are unlimited, so the policy
-    /// is inert until [`QuotaPolicy::set_quota`] is called.
-    pub(crate) quotas: QuotaPolicy,
 }
 
 impl WarpGate {
@@ -153,16 +149,8 @@ impl WarpGate {
             cache: EmbeddingCache::new(config.cache_capacity, config.dim),
             block_cache: wg_lsh::BlockCache::new(config.block_cache_bytes),
             admission: config.admission.map(AdmissionController::new),
-            quotas: QuotaPolicy::new(),
             config,
         }
-    }
-
-    /// The per-tenant quota policy. Configure tenants with
-    /// [`QuotaPolicy::set_quota`]; enforcement happens on every serving
-    /// call whose [`crate::QueryOptions`] name a tenant.
-    pub fn quotas(&self) -> &QuotaPolicy {
-        &self.quotas
     }
 
     /// Admission-control counters and gauges, or `None` when admission is

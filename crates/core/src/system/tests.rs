@@ -4,7 +4,6 @@
 use std::sync::mpsc;
 
 use super::*;
-use crate::admission::TenantId;
 use crate::QueryOptions;
 use wg_lsh::DiscoverScope;
 use wg_store::{
@@ -180,7 +179,9 @@ fn reindexing_a_table_replaces_vectors() {
 #[test]
 fn discover_values_ad_hoc() {
     let (wg, _) = system();
-    let hits = wg.discover_values(&["Company 1", "Company 2", "Company 3"], 3, &DiscoverScope::All);
+    let hits = wg
+        .discover_values(&["Company 1", "Company 2", "Company 3"], 3, &DiscoverScope::All)
+        .unwrap();
     assert!(!hits.is_empty());
     // Should surface one of the company-name columns.
     assert!(
@@ -231,7 +232,10 @@ fn detached_system_errors_cleanly() {
     assert!(matches!(wg.index_warehouse(), Err(StoreError::Backend(_))));
     assert!(matches!(wg.sync(), Err(StoreError::Backend(_))));
     // The in-memory index still answers ad-hoc value queries.
-    assert!(!wg.discover_values(&["Company 1", "Company 2"], 3, &DiscoverScope::All).is_empty());
+    assert!(!wg
+        .discover_values(&["Company 1", "Company 2"], 3, &DiscoverScope::All)
+        .unwrap()
+        .is_empty());
     // Re-attach restores full service.
     wg.attach_named(wg_util::names::DEFAULT_NAME, handle);
     assert!(wg.discover(&q, 3).is_ok());
@@ -497,7 +501,7 @@ fn sync_adds_and_removes_tables() {
     // The vanished table never resurfaces; the new one ranks.
     let d = wg.discover(&ColumnRef::new("salesforce", "account", "name"), 10).unwrap();
     assert!(d.candidates.iter().all(|j| j.reference.table != "lead"));
-    let hits = wg.discover_values(&["AAPL", "MSFT"], 3, &DiscoverScope::All);
+    let hits = wg.discover_values(&["AAPL", "MSFT"], 3, &DiscoverScope::All).unwrap();
     assert!(hits.iter().any(|h| h.reference.table == "tickers"));
 }
 
@@ -610,7 +614,7 @@ impl WarehouseBackend for TogglableBackend {
 /// Counts `table_meta` calls, by table, on their way to a connector.
 struct MetaCountingBackend {
     inner: Arc<CdwConnector>,
-    table_meta_calls: parking_lot::Mutex<Vec<(String, String)>>,
+    table_meta_calls: wg_util::sync::Mutex<Vec<(String, String)>>,
 }
 
 impl WarehouseBackend for MetaCountingBackend {
@@ -915,7 +919,7 @@ fn racing_attach_discards_in_flight_sync_tokens() {
 struct ParkingBackend {
     inner: Arc<CdwConnector>,
     /// `(scanned, release)`, taken by the scan that parks.
-    park: parking_lot::Mutex<Option<(mpsc::Sender<()>, mpsc::Receiver<()>)>>,
+    park: wg_util::sync::Mutex<Option<(mpsc::Sender<()>, mpsc::Receiver<()>)>>,
 }
 
 impl ParkingBackend {
@@ -1130,30 +1134,7 @@ fn expired_sync_deadline_bills_zero_scans_and_records_nothing() {
 }
 
 #[test]
-fn quota_exhausted_tenant_is_rejected_while_others_are_unaffected() {
-    let (wg, _c) = system();
-    let tenant = TenantId::intern("system-test-acme");
-    // Two scan tokens, zero refill: deterministic exhaustion after two
-    // cache-miss discoveries (one billed scan each).
-    wg.quotas().set_quota(tenant, crate::admission::TenantQuota::scans(2.0, 0.0));
-    let opts = QueryOptions { tenant: Some(tenant), ..Default::default() };
-    let q1 = ColumnRef::new("salesforce", "account", "name");
-    let q2 = ColumnRef::new("salesforce", "lead", "company");
-    let q3 = ColumnRef::new("stocks", "industries", "sector");
-    wg.discover_with(&q1, 3, &opts).unwrap();
-    wg.discover_with(&q2, 3, &opts).unwrap();
-    let err = wg.discover_with(&q3, 3, &opts).unwrap_err();
-    assert!(matches!(err, StoreError::QuotaExceeded { .. }), "{err}");
-    assert!(err.is_retryable(), "buckets refill; the caller should back off and retry");
-    // The same query is fine anonymously and for any other tenant.
-    wg.discover(&q3, 3).unwrap();
-    let other =
-        QueryOptions { tenant: Some(TenantId::intern("system-test-other")), ..Default::default() };
-    wg.discover_with(&q3, 3, &other).unwrap();
-}
-
-#[test]
-fn saturated_admission_serves_degraded_from_warm_cache_only_when_opted_in() {
+fn saturated_admission_sheds_then_readmits_after_release() {
     let c = connector();
     let wg = WarpGate::with_backend(
         WarpGateConfig { threads: 1, ..Default::default() }.with_admission(1, 0, 0),
@@ -1163,27 +1144,18 @@ fn saturated_admission_serves_degraded_from_warm_cache_only_when_opted_in() {
     let q = ColumnRef::new("salesforce", "account", "name");
     // Warm the cache through the normal path, then occupy the only
     // admission slot the way a long-running request would.
-    let warm = wg.discover(&q, 3).unwrap();
+    wg.discover(&q, 3).unwrap();
     let slot = wg.admission.as_ref().unwrap().acquire().unwrap();
-    // Without the opt-in: shed with the retryable Overloaded.
+    // Even a warm query sheds with the retryable Overloaded, and bills
+    // nothing.
+    let before = c.costs();
     let err = wg.discover(&q, 3).unwrap_err();
     assert!(matches!(err, StoreError::Overloaded { .. }), "{err}");
     assert!(err.is_retryable());
-    // Opted in with a warm cache: a flagged answer identical to the
-    // unloaded one, and not a single billed scan.
-    let before = c.costs();
-    let opts = QueryOptions { allow_degraded: true, ..Default::default() };
-    let d = wg.discover_with(&q, 3, &opts).unwrap();
-    assert!(d.timing.degraded && d.timing.cache_hit, "degradation is never silent");
-    assert_eq!(d.candidates, warm.candidates, "degraded answers are real cached answers");
-    assert_eq!(c.costs().since(&before).requests, 0, "degraded serving never scans");
-    // Opted in but cold: degradation never fabricates an answer.
-    let cold = ColumnRef::new("stocks", "prices", "close");
-    let err = wg.discover_with(&cold, 3, &opts).unwrap_err();
-    assert!(matches!(err, StoreError::Overloaded { .. }), "{err}");
+    assert_eq!(c.costs().since(&before).requests, 0, "a shed request never scans");
     drop(slot);
     wg.discover(&q, 3).expect("released slot readmits");
     let stats = wg.admission_stats().expect("admission is on");
-    assert!(stats.shed_queue_full >= 2, "{stats:?}");
+    assert_eq!(stats.shed_queue_full, 1, "{stats:?}");
     assert_eq!(stats.in_flight, 0);
 }

@@ -35,12 +35,6 @@ pub struct QueryTiming {
     /// cache: the scan and embed phases were skipped entirely, so
     /// `load_secs`, `embed_secs`, and `virtual_load_secs` are all zero.
     pub cache_hit: bool,
-    /// True when this answer was served **degraded**: admission pressure
-    /// shed the request and the caller's [`crate::QueryOptions`] opted
-    /// into a warm-cache-only answer instead of the `Overloaded` error.
-    /// Degradation is never silent — this flag is the contract. ORs
-    /// through [`Self::add`] like `cache_hit`.
-    pub degraded: bool,
     /// The backend namespace whose scan these costs bill to, when a single
     /// one is attributable: the query column's backend for `discover`, the
     /// synced backend for a per-backend [`crate::SyncReport`] slice.
@@ -84,7 +78,6 @@ impl QueryTiming {
         self.blocks_read += other.blocks_read;
         self.blocks_pruned += other.blocks_pruned;
         self.cache_hit |= other.cache_hit;
-        self.degraded |= other.degraded;
         // Attribution survives only while every constituent billed the
         // same namespace; mixing backends yields an unattributed total.
         if self.backend != other.backend {
@@ -109,7 +102,6 @@ impl QueryTiming {
             blocks_read: self.blocks_read,
             blocks_pruned: self.blocks_pruned,
             cache_hit: self.cache_hit,
-            degraded: self.degraded,
             backend: self.backend,
         }
     }
@@ -179,16 +171,6 @@ mod tests {
         acc.add(&QueryTiming::default());
         assert!(acc.cache_hit);
         assert!(acc.divide(2).cache_hit);
-    }
-
-    #[test]
-    fn degraded_flag_ors_through_add_and_survives_divide() {
-        let mut acc = QueryTiming::default();
-        assert!(!acc.degraded);
-        acc.add(&QueryTiming { degraded: true, ..QueryTiming::default() });
-        acc.add(&QueryTiming::default());
-        assert!(acc.degraded, "one degraded constituent flags the aggregate");
-        assert!(acc.divide(2).degraded);
     }
 
     #[test]

@@ -33,8 +33,8 @@
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use parking_lot::Mutex;
 use wg_util::kernel::scratch;
+use wg_util::sync::Mutex;
 
 /// Vectors per chunk: 32 KiB of floats at 128 dimensions. Also the most
 /// vectors that are ever read under the fill mutex, less one.

@@ -150,7 +150,7 @@ pub(crate) fn char_ngram_count(token: &str, min_n: usize, max_n: usize) -> usize
 }
 
 /// The character n-grams of a token as owned strings (see
-/// [`for_each_char_ngram`]).
+/// `for_each_char_ngram`).
 pub fn char_ngrams(token: &str, min_n: usize, max_n: usize) -> Vec<String> {
     let mut out = Vec::with_capacity(char_ngram_count(token, min_n, max_n));
     for_each_char_ngram(token, min_n, max_n, |g| out.push(g.to_string()));

@@ -18,7 +18,7 @@
 //! Everything is deterministic: no training, no files, identical vectors in
 //! every process. A bounded store of token vectors makes repeated tokens
 //! (the common case in categorical columns) nearly free — a hit takes no
-//! lock ([`crate::store`]) — and a second, smaller store of n-gram basis
+//! lock (`store.rs`) — and a second, smaller store of n-gram basis
 //! vectors makes *new* tokens cheap: a corpus has far fewer distinct
 //! n-grams than n-gram occurrences, and drawing a basis vector (`dim`
 //! Box–Muller Gaussians) is what computing a token costs.

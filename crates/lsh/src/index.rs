@@ -1655,7 +1655,8 @@ mod tests {
         // every row and query signed before the lock is taken.
         let params = LshParams::for_threshold(0.6, 64);
         let hasher = Arc::new(SimHasher::new(32, params.bits(), 11));
-        let index = parking_lot::RwLock::new(SimHashLshIndex::with_hasher(hasher.clone(), params));
+        let index =
+            wg_util::sync::RwLock::new(SimHashLshIndex::with_hasher(hasher.clone(), params));
         let per_thread = 50usize;
         std::thread::scope(|scope| {
             for t in 0..4u32 {

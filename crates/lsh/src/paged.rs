@@ -58,7 +58,6 @@
 //! readers; a block that fails verification is returned as
 //! [`SegmentError::Corrupt`] and never enters the cache.
 
-use parking_lot::Mutex;
 use std::cell::RefCell;
 use std::path::Path;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -67,6 +66,7 @@ use wg_util::atomic_file;
 use wg_util::codec::{self, CodecError, CodecResult};
 use wg_util::lru::{CacheStats, Lru};
 use wg_util::segment::{Segment, SegmentBuilder, SegmentError};
+use wg_util::sync::Mutex;
 
 use crate::simhash::Signature;
 use crate::ItemId;

@@ -6,7 +6,7 @@
 //! vocabulary those baselines need:
 //!
 //! * [`stats`] — row/null/distinct counts, numeric moments and quantiles;
-//! * [`format`] — format-pattern histograms (D3L evidence iv);
+//! * [`format`](mod@format) — format-pattern histograms (D3L evidence iv);
 //! * [`qgram`] — name q-gram sets (D3L evidence i, Aurum schema edges);
 //! * [`numeric_dist`] — numeric domain-distribution similarity (D3L
 //!   evidence v);

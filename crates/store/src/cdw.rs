@@ -23,7 +23,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
+use wg_util::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use crate::backend::{TableMeta, WarehouseBackend};
 use crate::catalog::{ColumnRef, Warehouse};

@@ -45,7 +45,8 @@ pub enum StoreError {
     /// of retrying (see `warpgate_core::durability`).
     SnapshotCorrupt(String),
     /// A transient backend failure: connection reset, timeout, suspended
-    /// warehouse, injected fault. **Retryable** — the only variant that is.
+    /// warehouse, injected fault. **Retryable**, as is `Overloaded`; every
+    /// other variant is fatal.
     Unavailable(String),
     /// Retry middleware exhausted its attempt or backoff budget; wraps the
     /// last transient error. Fatal (the budget is spent).
@@ -62,13 +63,6 @@ pub enum StoreError {
     Overloaded {
         /// Suggested client backoff before retrying, in milliseconds.
         retry_after_ms: u64,
-    },
-    /// A tenant exceeded its token-bucket budget of billed scans/bytes.
-    /// **Retryable** — the bucket refills with time; retrying after the
-    /// refill interval may succeed. Other tenants are unaffected.
-    QuotaExceeded {
-        /// The over-budget tenant's name.
-        tenant: String,
     },
     /// The request's cooperative deadline expired before the pipeline
     /// finished; `phase` is the boundary the budget died at, with no
@@ -88,12 +82,9 @@ impl StoreError {
         // Exhaustive on purpose: a new variant must be classified here
         // before the crate compiles again.
         match self {
-            // Busy and over-budget conditions clear with time; the hinted
-            // backoff (Overloaded) or bucket refill (QuotaExceeded) makes
-            // the same call succeed later.
-            StoreError::Unavailable(_)
-            | StoreError::Overloaded { .. }
-            | StoreError::QuotaExceeded { .. } => true,
+            // A busy node clears with time: after the hinted backoff the
+            // same call may succeed.
+            StoreError::Unavailable(_) | StoreError::Overloaded { .. } => true,
             // An expired deadline is the caller's spent budget: the retry
             // would run against the same dead clock. The caller must mint
             // a fresh deadline, which is a new request, not a retry.
@@ -131,9 +122,6 @@ impl std::fmt::Display for StoreError {
                     f,
                     "overloaded: admission shed this request, retry after ~{retry_after_ms} ms"
                 )
-            }
-            StoreError::QuotaExceeded { tenant } => {
-                write!(f, "quota exceeded for tenant {tenant:?}")
             }
             StoreError::DeadlineExceeded { phase } => {
                 write!(f, "deadline exceeded in {phase} phase")
@@ -173,7 +161,6 @@ mod tests {
             .contains("line 3"));
         assert!(StoreError::Unavailable("link down".into()).to_string().contains("unavailable"));
         assert!(StoreError::Overloaded { retry_after_ms: 25 }.to_string().contains("25 ms"));
-        assert!(StoreError::QuotaExceeded { tenant: "acme".into() }.to_string().contains("acme"));
         assert_eq!(
             StoreError::DeadlineExceeded { phase: Phase::BlockRead }.to_string(),
             "deadline exceeded in block-read phase"
@@ -200,7 +187,6 @@ mod tests {
         let transient = [
             StoreError::Unavailable("timeout".into()),
             StoreError::Overloaded { retry_after_ms: 50 },
-            StoreError::QuotaExceeded { tenant: "acme".into() },
         ];
         let fatal = [
             StoreError::NotFound("x".into()),
@@ -235,11 +221,10 @@ mod tests {
             | StoreError::Unavailable(_)
             | StoreError::RetriesExhausted { .. }
             | StoreError::Overloaded { .. }
-            | StoreError::QuotaExceeded { .. }
             | StoreError::DeadlineExceeded { .. } => 1usize,
         };
         let total: usize = transient.iter().chain(fatal.iter()).map(variant_count).sum();
-        assert_eq!(total, 12, "every StoreError variant has an exemplar in this table");
+        assert_eq!(total, 11, "every StoreError variant has an exemplar in this table");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! pulls columns out of Snowflake-like cloud data warehouses (CDWs); we
 //! reproduce that environment with:
 //!
-//! * a typed, dictionary-encoding **column store** ([`column`], [`table`],
+//! * a typed, dictionary-encoding **column store** ([`column`](mod@column), [`table`],
 //!   [`catalog`]) — the paper's §5.2.2 explicitly argues for in-memory
 //!   column stores for discovery workloads;
 //! * an RFC-4180 **CSV** reader/writer with type inference ([`csv`]);

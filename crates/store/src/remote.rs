@@ -22,13 +22,13 @@
 //!
 //! Operands and results reuse the codec's length-prefixed strings and the
 //! store's existing column wire form ([`Column::encode`]); see the opcode
-//! table in [`op`]. Decoding is bounds-checked end to end: a corrupt or
+//! table in `op`. Decoding is bounds-checked end to end: a corrupt or
 //! truncated frame yields [`StoreError::Codec`], never a panic — a retired
 //! opcode included.
 //!
-//! Every request is one opcode and its operands, nothing else: deadlines,
-//! tenants and admission belong to the `WarpGate` node in front of the
-//! client, which checks them before it sends a frame.
+//! Every request is one opcode and its operands, nothing else: deadlines
+//! and admission belong to the `WarpGate` node in front of the client,
+//! which checks them before it sends a frame.
 //!
 //! ## Overload protection
 //!
@@ -55,12 +55,12 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use parking_lot::Mutex;
 use wg_util::codec::{
     get_len, get_str, get_u32, get_u64, get_u8, put_f64, put_len, put_str, put_u32, put_u64,
     put_u8, CodecError, CodecResult,
 };
 use wg_util::deadline::Phase;
+use wg_util::sync::Mutex;
 
 use crate::backend::{BackendHandle, TableMeta, TableVersion, WarehouseBackend};
 use crate::catalog::ColumnRef;
@@ -163,7 +163,8 @@ fn get_cost_snapshot(buf: &mut &[u8]) -> CodecResult<CostSnapshot> {
 
 /// Encode a [`StoreError`] for the error branch of a response. Exhaustive
 /// on purpose: a new error variant fails compilation here until it gets a
-/// wire tag.
+/// wire tag. Tag 10 is retired (it carried a tenant's quota refusal) and
+/// decodes as an unknown tag; a new variant takes 12.
 fn put_store_error(buf: &mut Vec<u8>, e: &StoreError) {
     match e {
         StoreError::NotFound(m) => {
@@ -208,10 +209,6 @@ fn put_store_error(buf: &mut Vec<u8>, e: &StoreError) {
             put_u8(buf, 9);
             put_u64(buf, *retry_after_ms);
         }
-        StoreError::QuotaExceeded { tenant } => {
-            put_u8(buf, 10);
-            put_str(buf, tenant);
-        }
         StoreError::DeadlineExceeded { phase } => {
             put_u8(buf, 11);
             put_u8(buf, phase.to_wire());
@@ -254,7 +251,6 @@ fn get_nested_store_error(buf: &mut &[u8], levels_left: usize) -> CodecResult<St
         }
         8 => StoreError::SnapshotCorrupt(get_str(buf)?),
         9 => StoreError::Overloaded { retry_after_ms: get_u64(buf)? },
-        10 => StoreError::QuotaExceeded { tenant: get_str(buf)? },
         11 => {
             let tag = get_u8(buf)?;
             let phase = Phase::from_wire(tag)
@@ -1139,7 +1135,6 @@ mod tests {
                 last: Box::new(StoreError::Unavailable("still down".into())),
             },
             StoreError::Overloaded { retry_after_ms: 75 },
-            StoreError::QuotaExceeded { tenant: "acme".into() },
             StoreError::DeadlineExceeded { phase: Phase::BlockRead },
             StoreError::DeadlineExceeded { phase: Phase::Validate },
         ];
@@ -1216,6 +1211,14 @@ mod tests {
             );
         }
         assert_eq!(backend.costs(), billed, "a refused frame bills nothing");
+
+        // The retired error tag (a tenant's quota refusal), with the
+        // operand it used to carry: a typed refusal on the client side.
+        let mut error = Vec::new();
+        put_u8(&mut error, 10);
+        put_str(&mut error, "acme");
+        let err = get_store_error(&mut &error[..]).unwrap_err();
+        assert_eq!(err, CodecError::Invalid("unknown StoreError tag 10".into()));
 
         // Truncated operands.
         let mut payload = Vec::new();

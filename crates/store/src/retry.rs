@@ -32,8 +32,8 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use wg_util::rng::Xoshiro256pp;
+use wg_util::sync::Mutex;
 
 use crate::backend::{BackendHandle, TableMeta, TableVersion, WarehouseBackend};
 use crate::catalog::ColumnRef;

@@ -125,7 +125,7 @@ pub fn get_f64(buf: &mut &[u8]) -> CodecResult<f64> {
     take_array(buf).map(f64::from_le_bytes)
 }
 
-/// Write a length prefix. Panics if `len` exceeds [`MAX_LEN`] — encoders
+/// Write a length prefix. Panics if `len` exceeds `MAX_LEN` — encoders
 /// control their own lengths, so this indicates a bug, not bad input.
 #[inline]
 pub fn put_len(buf: &mut Vec<u8>, len: usize) {

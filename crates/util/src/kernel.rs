@@ -11,7 +11,7 @@
 //!
 //! **Parity contract.** Reassociating float additions changes low-order
 //! bits, so the kernels do *not* promise bit-equality with the strict
-//! left-to-right loops in [`reference`]. What they promise — and what
+//! left-to-right loops in [`reference`](mod@reference). What they promise — and what
 //! `tests/kernel_parity.rs` pins over seeded `wg_util::rng` cases — is
 //! (a) results within a small relative tolerance of the reference, (b)
 //! determinism: the same inputs produce the same outputs on every call,

@@ -6,8 +6,8 @@
 //!
 //! * [`hash`] — stable 64-bit hashing (FNV-1a plus a SplitMix64 finalizer)
 //!   and a fast `FxHash`-style hasher for in-memory maps.
-//! * [`rng`] — seedable [`SplitMix64`](rng::SplitMix64) and
-//!   [`Xoshiro256pp`](rng::Xoshiro256pp) generators with uniform, range and
+//! * [`rng`] — seedable [`SplitMix64`] and
+//!   [`Xoshiro256pp`] generators with uniform, range and
 //!   Gaussian sampling.
 //! * [`topk`] — a bounded max-result heap for top-k selection.
 //! * [`codec`] — the little-endian, length-prefixed binary codec every
@@ -37,6 +37,9 @@
 //!   directory CRC → directory so loaders reject torn or bit-rotted files
 //!   before any of their state installs, and read with positioned I/O so
 //!   cold blocks never need to be resident.
+//! * [`sync`] — `Mutex` / `RwLock` over `std::sync` whose `lock()` /
+//!   `read()` / `write()` hand back the guard itself: a panicking holder
+//!   never poisons them.
 
 #![forbid(unsafe_code)]
 
@@ -50,6 +53,7 @@ pub mod lru;
 pub mod names;
 pub mod rng;
 pub mod segment;
+pub mod sync;
 pub mod timing;
 pub mod topk;
 

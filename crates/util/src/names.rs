@@ -1,5 +1,4 @@
-//! Process-wide name interning: backend names here, tenant names in
-//! `warpgate_core::admission`, one [`NameTable`] each.
+//! Process-wide backend-name interning.
 //!
 //! Federated discovery addresses columns as `warehouse:db.table.col`. The
 //! warehouse component is carried everywhere — inside every `ColumnRef`,
@@ -32,72 +31,60 @@ pub const MAX_NAMES: usize = 256;
 /// The name every un-namespaced reference belongs to, pinned to id 0.
 pub const DEFAULT_NAME: &str = "default";
 
-/// An append-only, capped name ↔ id table, meant to live in a `static`.
-/// The `pinned` names hold ids `0..pinned.len()` from the first access on.
-pub struct NameTable {
+/// An append-only name ↔ id table of at most `cap` names, meant to live in
+/// a `static`. [`DEFAULT_NAME`] holds id 0 from the first access on.
+struct NameTable {
     names: Mutex<Vec<String>>,
     cap: usize,
-    pinned: &'static [&'static str],
-    /// What the names name, for panic messages and placeholders.
-    kind: &'static str,
 }
 
 impl NameTable {
-    /// An empty table of at most `cap` names of `kind`.
-    pub const fn new(kind: &'static str, cap: usize, pinned: &'static [&'static str]) -> Self {
-        Self { names: Mutex::new(Vec::new()), cap, pinned, kind }
+    const fn new(cap: usize) -> Self {
+        Self { names: Mutex::new(Vec::new()), cap }
     }
 
     fn names(&self) -> MutexGuard<'_, Vec<String>> {
         let mut names = self.names.lock().expect("name table lock");
         if names.is_empty() {
-            names.extend(self.pinned.iter().map(|n| n.to_string()));
+            names.push(DEFAULT_NAME.to_string());
         }
         names
     }
 
-    /// Intern `name`, returning its stable id. Idempotent.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a *new* name would exceed the cap — names are interned
-    /// for the process lifetime, so that is a misuse (e.g. a fresh name
-    /// per request or per sync tick), not a workload.
-    pub fn intern(&self, name: &str) -> u32 {
+    fn intern(&self, name: &str) -> u32 {
         let mut names = self.names();
         if let Some(pos) = names.iter().position(|n| n == name) {
             return pos as u32;
         }
         assert!(
             names.len() < self.cap,
-            "{} name table full ({} distinct names): names are interned for the process \
+            "backend name table full ({} distinct names): names are interned for the process \
              lifetime, so use stable names, not fresh ones",
-            self.kind,
             self.cap
         );
         names.push(name.to_string());
         (names.len() - 1) as u32
     }
 
-    /// The id for a name, if it was ever interned. Does not intern.
-    pub fn lookup(&self, name: &str) -> Option<u32> {
+    fn lookup(&self, name: &str) -> Option<u32> {
         self.names().iter().position(|n| n == name).map(|p| p as u32)
     }
 
-    /// The name behind an id. Ids only come from [`Self::intern`], so an
-    /// unknown id means corrupted data (e.g. a snapshot decoded without
-    /// remapping); it resolves to a diagnostic placeholder rather than
-    /// panicking in Display paths.
-    pub fn resolve(&self, id: u32) -> String {
-        self.names().get(id as usize).cloned().unwrap_or_else(|| format!("{}#{id}", self.kind))
+    fn resolve(&self, id: u32) -> String {
+        self.names().get(id as usize).cloned().unwrap_or_else(|| format!("backend#{id}"))
     }
 }
 
-static BACKENDS: NameTable = NameTable::new("backend", MAX_NAMES, &[DEFAULT_NAME]);
+static BACKENDS: NameTable = NameTable::new(MAX_NAMES);
 
 /// Intern a backend name, returning its stable id. Idempotent;
-/// `"default"` always returns 0. Panics past [`MAX_NAMES`] distinct names
-/// (see [`NameTable::intern`]).
+/// `"default"` always returns 0.
+///
+/// # Panics
+///
+/// Panics when a *new* name would exceed [`MAX_NAMES`] — names are
+/// interned for the process lifetime, so that is a misuse (e.g. a fresh
+/// name per request or per sync tick), not a workload.
 pub fn intern(name: &str) -> u16 {
     BACKENDS.intern(name) as u16
 }
@@ -107,7 +94,10 @@ pub fn lookup(name: &str) -> Option<u16> {
     BACKENDS.lookup(name).map(|id| id as u16)
 }
 
-/// The backend name behind an id (see [`NameTable::resolve`]).
+/// The backend name behind an id. Ids only come from [`intern`], so an
+/// unknown id means corrupted data (e.g. a snapshot decoded without
+/// remapping); it resolves to a diagnostic placeholder rather than
+/// panicking in Display paths.
 pub fn resolve(id: u16) -> String {
     BACKENDS.resolve(u32::from(id))
 }
@@ -145,12 +135,12 @@ mod tests {
     }
 
     #[test]
-    fn table_holds_its_cap_and_pins_nothing_unasked() {
-        static SMALL: NameTable = NameTable::new("widget", 2, &[]);
-        assert_eq!(SMALL.lookup(DEFAULT_NAME), None);
-        assert_eq!((SMALL.intern("a"), SMALL.intern("b"), SMALL.intern("a")), (0, 1, 0));
+    fn table_holds_its_cap() {
+        static SMALL: NameTable = NameTable::new(3);
+        assert_eq!((SMALL.intern("a"), SMALL.intern("b"), SMALL.intern("a")), (1, 2, 1));
+        assert_eq!(SMALL.lookup(DEFAULT_NAME), Some(0), "the default name counts toward the cap");
         let full = std::panic::catch_unwind(|| SMALL.intern("c")).unwrap_err();
         let message = full.downcast_ref::<String>().expect("formatted panic");
-        assert!(message.starts_with("widget name table full (2 distinct names)"), "{message}");
+        assert!(message.starts_with("backend name table full (3 distinct names)"), "{message}");
     }
 }

@@ -1,25 +1,23 @@
-//! Minimal, API-compatible stand-in for the [`parking_lot`] crate.
+//! Locks that never poison.
 //!
-//! Wraps `std::sync` primitives behind `parking_lot`'s poison-free API
-//! (`lock()` / `read()` / `write()` return guards directly, not `Result`s).
-//! Poisoning is neutralised by unwrapping into the inner guard: a panic
-//! while holding a lock will propagate the poison as a recovered guard,
-//! matching `parking_lot`'s "no poisoning" semantics closely enough for
-//! this workspace's single-process use.
-//!
-//! [`parking_lot`]: https://docs.rs/parking_lot
+//! [`Mutex`] and [`RwLock`] wrap their `std::sync` namesakes and hand out
+//! the same `std::sync` guards, but `lock()` / `read()` / `write()` return
+//! the guard itself instead of a `Result`. A thread that panics while
+//! holding a lock does not poison it: the next caller gets the guard, and
+//! the data as the panicking thread left it — `parking_lot`'s semantics,
+//! which is what the workspace's locks were written against.
 
 use std::sync::{self, PoisonError};
 
 pub use std::sync::{MutexGuard, RwLockReadGuard, RwLockWriteGuard};
 
-/// A reader–writer lock with `parking_lot`'s panic-free interface.
+/// A reader–writer lock whose guards survive a panicking holder.
 #[derive(Debug, Default)]
 pub struct RwLock<T: ?Sized>(sync::RwLock<T>);
 
 impl<T> RwLock<T> {
-    /// Create a new lock wrapping `value`.
-    pub fn new(value: T) -> Self {
+    /// A lock around `value`.
+    pub const fn new(value: T) -> Self {
         Self(sync::RwLock::new(value))
     }
 
@@ -30,29 +28,29 @@ impl<T> RwLock<T> {
 }
 
 impl<T: ?Sized> RwLock<T> {
-    /// Acquire a shared read guard, blocking until available.
+    /// A shared read guard, blocking until available.
     pub fn read(&self) -> RwLockReadGuard<'_, T> {
         self.0.read().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Acquire an exclusive write guard, blocking until available.
+    /// An exclusive write guard, blocking until available.
     pub fn write(&self) -> RwLockWriteGuard<'_, T> {
         self.0.write().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Mutable access without locking (requires exclusive borrow).
+    /// Mutable access without locking (the borrow is already exclusive).
     pub fn get_mut(&mut self) -> &mut T {
         self.0.get_mut().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
-/// A mutual-exclusion lock with `parking_lot`'s panic-free interface.
+/// A mutual-exclusion lock whose guard survives a panicking holder.
 #[derive(Debug, Default)]
 pub struct Mutex<T: ?Sized>(sync::Mutex<T>);
 
 impl<T> Mutex<T> {
-    /// Create a new mutex wrapping `value`.
-    pub fn new(value: T) -> Self {
+    /// A mutex around `value`.
+    pub const fn new(value: T) -> Self {
         Self(sync::Mutex::new(value))
     }
 
@@ -63,12 +61,12 @@ impl<T> Mutex<T> {
 }
 
 impl<T: ?Sized> Mutex<T> {
-    /// Acquire the lock, blocking until available.
+    /// The guard, blocking until available.
     pub fn lock(&self) -> MutexGuard<'_, T> {
         self.0.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Mutable access without locking (requires exclusive borrow).
+    /// Mutable access without locking (the borrow is already exclusive).
     pub fn get_mut(&mut self) -> &mut T {
         self.0.get_mut().unwrap_or_else(PoisonError::into_inner)
     }

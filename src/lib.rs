@@ -59,16 +59,15 @@
 //! &QueryOptions)`, `discover_batch`, `joinability` — and `discover(q, k)`
 //! is the default-options call.
 //!
-//! Under load the system degrades gracefully rather than hanging, and it
-//! does so in one place — the node's request preamble: admission control
-//! (`WarpGateConfig::with_admission`, one `AdmissionConfig`) sheds excess
-//! requests fast with the retryable `StoreError::Overloaded`, per-tenant
-//! token-bucket quotas (`QuotaPolicy`) isolate noisy neighbors and debit
-//! each tenant only its own metered scans, and cooperative deadlines
-//! (`QueryOptions` / `Deadline`) guarantee an expired request stops before
-//! its next billed scan or cold block read. A `RemoteBackendServer` only
-//! caps its connections (`RemoteServerConfig`), protecting its handler
-//! threads; its frames carry no deadline or tenant.
+//! Under load the system sheds rather than hangs, and it does so in one
+//! place — the node's request preamble, deadline → resolve → admission →
+//! serve: admission control (`WarpGateConfig::with_admission`, one
+//! `AdmissionConfig`) sheds excess requests fast with the retryable
+//! `StoreError::Overloaded` before any backend call, and cooperative
+//! deadlines (`QueryOptions` / `Deadline`) guarantee an expired request
+//! stops before its next billed scan or cold block read. A
+//! `RemoteBackendServer` only caps its connections (`RemoteServerConfig`),
+//! protecting its handler threads; its frames carry no deadline.
 //!
 //! ## Workspace map
 //!
@@ -102,8 +101,8 @@ pub mod prelude {
     pub use warpgate_core::{
         AdmissionConfig, AdmissionStats, BackendCircuit, CheckpointPolicy, Checkpointer,
         CircuitState, CrashState, DaemonReport, Discovery, JoinCandidate, QueryOptions,
-        QueryTiming, QuotaPolicy, RecoveryReport, RecoverySource, SyncDaemon, SyncDaemonConfig,
-        SyncReport, TenantId, TenantQuota, TornWriter, WarpGate, WarpGateConfig,
+        QueryTiming, RecoveryReport, RecoverySource, SyncDaemon, SyncDaemonConfig, SyncReport,
+        TornWriter, WarpGate, WarpGateConfig,
     };
     pub use wg_embed::{Aggregation, ColumnEmbedder, EmbeddingModel, WebTableModel};
     pub use wg_lsh::DiscoverScope;

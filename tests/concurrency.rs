@@ -320,7 +320,8 @@ fn attach_detach_racing_discover_and_checkpoint() {
                             Err(e) => panic!("{q}: {e}"),
                         }
                     }
-                    wg.discover_values(&["COMPANY 1", "COMPANY 2"], 5, &DiscoverScope::All);
+                    wg.discover_values(&["COMPANY 1", "COMPANY 2"], 5, &DiscoverScope::All)
+                        .expect("value lookup");
                     let image = wg.to_bytes();
                     let mut restored = WarpGate::new(config);
                     restored.load_bytes(&image).expect("every checkpoint loads");

@@ -298,8 +298,11 @@ fn a_heap_the_hot_pass_filled_lets_the_cold_pass_read_nothing() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-#[test]
-fn a_damaged_cold_block_is_a_typed_error_not_a_panic() {
+/// A 96-column corpus in 8 value families, indexed all-in-RAM, and the
+/// same corpus served from 8-row pages with no block cache, one byte of
+/// whose first block's payload was flipped after the restore validated the
+/// directory.
+fn damaged_paged(tag: &str) -> (WarpGate, WarpGate, PathBuf) {
     const DIM: usize = 64;
     let config = WarpGateConfig { dim: DIM, threads: 2, ..Default::default() }
         .with_block_rows(8)
@@ -307,13 +310,12 @@ fn a_damaged_cold_block_is_a_typed_error_not_a_panic() {
     let connector = Arc::new(CdwConnector::new(clustered_warehouse(24, 4, 8), CdwConfig::free()));
     let ram = WarpGate::with_backend(config, connector.clone());
     ram.index_warehouse().unwrap();
-    let dir = tmp_dir("damaged");
+    let dir = tmp_dir(tag);
     ram.save_paged(&dir).unwrap();
     let mut paged = WarpGate::with_backend(config, connector);
     paged.load_paged(&dir).unwrap();
 
-    // Flip one byte of the first block's payload in place, after the
-    // restore validated the directory: same inode the segment holds open.
+    // Flip the byte in place: same inode the segment holds open.
     let segment = std::fs::read_dir(&dir)
         .unwrap()
         .map(|e| e.unwrap().path())
@@ -322,7 +324,12 @@ fn a_damaged_cold_block_is_a_typed_error_not_a_panic() {
     let mut image = std::fs::read(&segment).unwrap();
     image[wg_util::segment::PREAMBLE_LEN + 8] ^= 0x04;
     std::fs::write(&segment, &image).unwrap();
+    (ram, paged, dir)
+}
 
+#[test]
+fn a_damaged_cold_block_is_a_typed_error_not_a_panic() {
+    let (ram, paged, dir) = damaged_paged("damaged");
     // Every column asks once. A query that needs the damaged block fails
     // with the typed backend error — again on retry, because the block was
     // never cached — and every other query answers exactly like RAM.
@@ -351,5 +358,31 @@ fn a_damaged_cold_block_is_a_typed_error_not_a_panic() {
     // admitted nothing.
     let stats = paged.block_cache_stats();
     assert_eq!(stats.len as u64 + 2 * failed, stats.misses);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A pasted value list takes the same lookup as a column-backed query, so
+/// the damaged block fails it the same typed way.
+#[test]
+fn a_damaged_cold_block_fails_a_value_lookup_typed() {
+    let (ram, paged, dir) = damaged_paged("damaged_values");
+    let (mut failed, mut answered) = (0, 0);
+    for family in 0..8 {
+        let values: Vec<String> = (0..40).map(|i| format!("fam{family} item {i}")).collect();
+        match paged.discover_values(&values, 5, &DiscoverScope::All) {
+            Ok(hits) => {
+                let want = ram.discover_values(&values, 5, &DiscoverScope::All).unwrap();
+                assert_eq!(hits, want, "family {family}");
+                answered += 1;
+            }
+            Err(StoreError::Backend(msg)) => {
+                assert!(msg.contains("checksum mismatch"), "{msg}");
+                failed += 1;
+            }
+            Err(other) => panic!("family {family}: unexpected error {other}"),
+        }
+    }
+    assert!(failed > 0, "some value list must have needed the damaged block");
+    assert!(answered > 0, "value lists that do not touch the damaged block still answer");
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -264,18 +264,6 @@ fn round_trip_budget_per_facade_call() {
     let noop = spent(&|| assert!(wg.sync().expect("no-op sync").is_noop()));
     assert_eq!(noop, 1, "no-op sync: snapshot_versions");
 
-    // A tenant is debited the scan's own bill: no meter reads around it.
-    let metered = WarpGate::with_backend(WarpGateConfig::default(), client());
-    metered.index_warehouse().expect("index the tenant's node");
-    let tenant = TenantId::intern("remote-budget-tenant");
-    metered.quotas().set_quota(tenant, TenantQuota::scans(100.0, 0.0));
-    let opts = QueryOptions { tenant: Some(tenant), ..Default::default() };
-    let debited = spent(&|| {
-        assert!(!metered.discover_with(&q, 3, &opts).expect("billed cold").timing.cache_hit)
-    });
-    assert_eq!(debited, 1, "tenant-billed cold discover: the metered scan and nothing else");
-    assert_eq!(metered.quotas().balance(tenant).map(|(scans, _)| scans), Some(99.0));
-
     // The documented resilient stack gets the same single frame.
     let stack: BackendHandle = Arc::new(RetryBackend::with_defaults(client()));
     let resilient = WarpGate::with_backend(WarpGateConfig::default(), stack);
