@@ -4,8 +4,7 @@
 //! The paper pitches WarpGate as a discovery service embedded in a cloud
 //! warehouse, where many callers can hammer one node at once. This module
 //! makes the node resilient to *its own clients*, the way
-//! `wg_store::RetryBackend` and the sync daemon's circuit breakers made it
-//! resilient to backend failures. [`AdmissionController`] is a hard
+//! `wg_store::RetryBackend` makes it resilient to backend failures. [`AdmissionController`] is a hard
 //! concurrency cap plus a bounded FIFO wait queue with a bounded wait
 //! time. Work beyond cap + queue (or waiting longer than the bound) is
 //! shed with the *retryable* `StoreError::Overloaded`, never queued

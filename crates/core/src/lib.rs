@@ -52,9 +52,9 @@
 //! cardinality-preserving lookup join that "Add column via lookup" performs
 //! once the user picks a recommendation.
 //!
-//! For long-running service deployments, [`SyncDaemon`] wraps
-//! [`WarpGate::sync`] in a scheduled background loop with per-backend
-//! circuit breaking and an observable [`DaemonReport`]; pair it with
+//! For long-running service deployments, [`SyncDaemon`] runs
+//! [`WarpGate::sync_with`] for every attached backend on a schedule, then
+//! checkpoints, with an observable [`DaemonReport`]; pair it with
 //! `wg_store::RetryBackend` for per-call resilience.
 //!
 //! Federation (§9 of DESIGN.md): [`WarpGate::attach_named`] registers any
@@ -96,9 +96,7 @@ pub mod timing;
 pub use admission::{AdmissionConfig, AdmissionController, AdmissionPermit, AdmissionStats};
 pub use cache::{EmbeddingCache, EmbeddingKey};
 pub use config::WarpGateConfig;
-pub use daemon::{
-    BackendCircuit, CheckpointPolicy, CircuitState, DaemonReport, SyncDaemon, SyncDaemonConfig,
-};
+pub use daemon::{CheckpointPolicy, DaemonReport, SyncDaemon, SyncDaemonConfig};
 pub use durability::{
     atomic_write, stream_snapshot, Checkpointer, CrashState, RecoveryReport, RecoverySource,
     TornWriter,

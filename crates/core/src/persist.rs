@@ -144,17 +144,40 @@ impl Manifest {
         Ok(Manifest { geometry, names, entries, sync })
     }
 
+    /// Every backend name the manifest carries: the id table's and the
+    /// sync tokens'.
+    fn backend_names(&self) -> impl Iterator<Item = &str> {
+        let tokens = self.sync.iter().map(|b| b.name.as_str());
+        self.names.iter().map(|(_, name)| name.as_str()).chain(tokens)
+    }
+
     /// Resolve the name table to this process's interner bits — interning
-    /// what it has not seen — and move every registry entry into them.
-    /// Returns saved bits → local bits, for the rows.
-    fn adopt(&mut self) -> CodecResult<[Option<u16>; names::MAX_NAMES]> {
+    /// what it has not seen, the sync tokens' names too — and move every
+    /// registry entry into them. Returns saved bits → local bits, for the
+    /// rows. A name that no longer fits the interner is
+    /// [`StoreError::Schema`]: the snapshot is sound, this process cannot
+    /// address it.
+    fn adopt(&mut self) -> StoreResult<[Option<u16>; names::MAX_NAMES]> {
+        let intern = |name: &str| {
+            names::try_intern(name).ok_or_else(|| {
+                StoreError::Schema(format!(
+                    "snapshot names backend '{name}', but the backend name table is full \
+                     ({} distinct names)",
+                    names::MAX_NAMES
+                ))
+            })
+        };
         let mut remap = [None; names::MAX_NAMES];
         for (saved, name) in &self.names {
-            remap[*saved as usize] = Some(BackendId::named(name).bits());
+            remap[*saved as usize] = Some(intern(name)?);
+        }
+        for backend in &self.sync {
+            intern(&backend.name)?;
         }
         for (id, r) in &mut self.entries {
             let bits = remap[item_backend(*id) as usize].ok_or_else(|| {
-                CodecError::Invalid(format!("entry {id} is in a namespace the table does not name"))
+                let e = format!("entry {id} is in a namespace the table does not name");
+                corrupt("manifest", CodecError::Invalid(e))
             })?;
             r.backend = BackendId::from_bits(bits);
             *id = compose_item_id(bits, item_local(*id));
@@ -231,10 +254,10 @@ impl WarpGate {
         // Interning is process-global and permanent. The directory has
         // verified; a hydrating load is about to trust the payloads too, so
         // before a name it has never seen goes in, they verify as well.
-        if !lazy && manifest.names.iter().any(|(_, name)| names::lookup(name).is_none()) {
+        if !lazy && manifest.backend_names().any(|name| names::lookup(name).is_none()) {
             segment.verify_payloads().map_err(load_err)?;
         }
-        let remap = manifest.adopt().map_err(|e| corrupt("manifest", e))?;
+        let remap = manifest.adopt()?;
         let map = |id| Some(compose_item_id(remap[item_backend(id) as usize]?, item_local(id)));
         let installed = if lazy {
             index.attach_segment_mapped(Arc::new(segment), map).map_err(|e| corrupt("attach", e))

@@ -363,6 +363,7 @@ impl WarpGate {
         // attached *after* this restore bumps its epoch again and
         // invalidates its adopted tokens (the conservative direction).
         for persisted in sync {
+            // Already interned by the load, which fails typed on a full table.
             let id = BackendId::named(&persisted.name);
             let namespace = state.namespaces.entry(id).or_default();
             let epoch = namespace.epoch;

@@ -313,7 +313,7 @@ impl SimHashLshIndex {
 
     /// An index signing with `hasher` — the caller keeps a clone of the
     /// pointer to sign queries and rows before it takes the index's lock
-    /// ([`Self::insert_signed`], [`Self::search_signed_with_outcome`]). The
+    /// ([`Self::insert_signed`], [`Self::search_signed_scoped_with_outcome`]). The
     /// hasher's width must be `params.bits()`.
     pub fn with_hasher(hasher: Arc<SimHasher>, params: LshParams) -> Self {
         assert!(params.rows <= 64, "rows per band must fit a u64");
@@ -756,44 +756,29 @@ impl SimHashLshIndex {
     /// Collect the candidate set for a query vector (union of band buckets,
     /// plus multi-probe flips when enabled). Returns ids sorted ascending.
     pub fn candidates(&self, query: &[f32]) -> Vec<ItemId> {
-        self.candidates_signed(&self.hasher.sign(query))
-    }
-
-    /// [`Self::candidates`] from a precomputed signature (must come from a
-    /// hasher with this index's geometry and seed).
-    pub fn candidates_signed(&self, sig: &Signature) -> Vec<ItemId> {
         let mut out = Vec::new();
-        self.candidates_signed_into(sig, &mut out);
+        self.candidates_signed_into(&self.hasher.sign(query), &mut out);
         out
     }
 
-    /// [`Self::candidates_signed`] into a caller-provided buffer (cleared
-    /// first). A diagnostic: the search path never materializes ids — it
-    /// marks the same bucket entries in a bitset — so this maps every raw
-    /// entry to its id, then sorts and dedups in place.
+    /// [`Self::candidates`] from a precomputed signature (must come from a
+    /// hasher with this index's geometry and seed), into a caller-provided
+    /// buffer (cleared first). A diagnostic: the search path never
+    /// materializes ids — it marks the same bucket entries in a bitset — so
+    /// this maps every raw entry to its id, then sorts and dedups in place.
     pub fn candidates_signed_into(&self, sig: &Signature, out: &mut Vec<ItemId>) {
-        self.candidates_signed_scoped_into(sig, &DiscoverScope::All, out);
-    }
-
-    /// [`Self::candidates_signed_into`] restricted to a backend scope:
-    /// exactly the ids a search under `scope` counts as its candidates.
-    pub fn candidates_signed_scoped_into(
-        &self,
-        sig: &Signature,
-        scope: &DiscoverScope,
-        out: &mut Vec<ItemId>,
-    ) {
         out.clear();
         self.for_each_bucket(sig, |entries| {
-            let ids = entries.iter().map(|&entry| match entry & COLD {
-                0 => self.vectors.id_at(entry).expect("a bucketed slot is live"),
-                _ => {
-                    self.cold.as_ref().expect("a cold entry implies a cold store").rows
-                        [(entry & !COLD) as usize]
-                        .1
+            out.extend(entries.iter().map(|&entry| {
+                match entry & COLD {
+                    0 => self.vectors.id_at(entry).expect("a bucketed slot is live"),
+                    _ => {
+                        self.cold.as_ref().expect("a cold entry implies a cold store").rows
+                            [(entry & !COLD) as usize]
+                            .1
+                    }
                 }
-            });
-            out.extend(ids.filter(|&id| scope.admits(id)));
+            }));
         });
         out.sort_unstable();
         out.dedup();
@@ -826,36 +811,16 @@ impl SimHashLshIndex {
         k: usize,
         exclude: impl Fn(ItemId) -> bool,
     ) -> Vec<(ItemId, f32)> {
-        self.search_with_outcome(query, k, exclude).0
+        let sig = self.hasher.sign(query);
+        self.search_signed_scoped_with_outcome(query, &sig, k, &DiscoverScope::All, exclude).0
     }
 
-    /// [`Self::search`] plus candidate-set diagnostics.
-    pub fn search_with_outcome(
-        &self,
-        query: &[f32],
-        k: usize,
-        exclude: impl Fn(ItemId) -> bool,
-    ) -> (Vec<(ItemId, f32)>, SearchOutcome) {
-        self.search_signed_with_outcome(query, &self.hasher.sign(query), k, exclude)
-    }
-
-    /// [`Self::search_with_outcome`] from a precomputed signature, so a
-    /// caller can sign before it takes the index's lock.
-    pub fn search_signed_with_outcome(
-        &self,
-        query: &[f32],
-        sig: &Signature,
-        k: usize,
-        exclude: impl Fn(ItemId) -> bool,
-    ) -> (Vec<(ItemId, f32)>, SearchOutcome) {
-        self.search_signed_scoped_with_outcome(query, sig, k, &DiscoverScope::All, exclude)
-    }
-
-    /// [`Self::search_signed_with_outcome`] restricted to a backend scope.
-    /// Both filters run once per distinct candidate row, before any
-    /// scoring: the scope first (out-of-scope rows are not candidates),
-    /// then `exclude` (arbitrary caller predicate, e.g. same-table
-    /// suppression).
+    /// [`Self::search`] from a precomputed signature, so a caller can sign
+    /// before it takes the index's lock, restricted to a backend scope and
+    /// with candidate-set diagnostics. Both filters run once per distinct
+    /// candidate row, before any scoring: the scope first (out-of-scope
+    /// rows are not candidates), then `exclude` (arbitrary caller
+    /// predicate, e.g. same-table suppression).
     pub fn search_signed_scoped_with_outcome(
         &self,
         query: &[f32],
@@ -1146,23 +1111,6 @@ impl SimHashLshIndex {
             self.vectors.norm_at(slot),
         )
     }
-
-    /// Bucket-occupancy statistics: `(num_buckets, max_bucket, mean_bucket)`
-    /// across all bands.
-    pub fn bucket_stats(&self) -> (usize, usize, f64) {
-        let mut buckets = 0usize;
-        let mut max = 0usize;
-        let mut total = 0usize;
-        for band in &self.bands {
-            for ids in band.values() {
-                buckets += 1;
-                max = max.max(ids.len());
-                total += ids.len();
-            }
-        }
-        let mean = if buckets == 0 { 0.0 } else { total as f64 / buckets as f64 };
-        (buckets, max, mean)
-    }
 }
 
 #[cfg(test)]
@@ -1210,7 +1158,7 @@ mod tests {
             index.insert(id, &random_unit(64, &mut rng));
         }
         let query = random_unit(64, &mut rng);
-        let (_, outcome) = index.search_with_outcome(&query, 10, |_| false);
+        let (_, outcome) = searched(&index, &query, 10, |_| false);
         // Random 64-d vectors have cosine ~N(0, 1/8); with a 0.7 threshold
         // nearly all 500 must be pruned before exact scoring.
         assert!(outcome.candidates < 100, "candidate pruning ineffective: {}", outcome.candidates);
@@ -1350,6 +1298,24 @@ mod tests {
             assert!(index.insert(crate::compose_item_id(backend, (i / 3) as u32), v));
         }
         (index, vectors)
+    }
+
+    /// A search over every backend without a deadline.
+    fn searched(
+        index: &SimHashLshIndex,
+        query: &[f32],
+        k: usize,
+        exclude: impl Fn(ItemId) -> bool,
+    ) -> (Vec<(ItemId, f32)>, SearchOutcome) {
+        let sig = index.hasher().sign(query);
+        index.search_signed_scoped_with_outcome(query, &sig, k, &DiscoverScope::All, exclude)
+    }
+
+    /// The sorted candidate ids of a signature.
+    fn candidate_ids(index: &SimHashLshIndex, sig: &Signature) -> Vec<ItemId> {
+        let mut ids = Vec::new();
+        index.candidates_signed_into(sig, &mut ids);
+        ids
     }
 
     /// A search under `scope` without a deadline or exclusions.
@@ -1671,8 +1637,13 @@ mod tests {
                         // Interleave searches with the other writers.
                         let q = random_unit(32, &mut rng);
                         let sig = hasher.sign(&q);
-                        let (hits, _) =
-                            index.read().search_signed_with_outcome(&q, &sig, 3, |_| false);
+                        let (hits, _) = index.read().search_signed_scoped_with_outcome(
+                            &q,
+                            &sig,
+                            3,
+                            &DiscoverScope::All,
+                            |_| false,
+                        );
                         assert!(hits.len() <= 3);
                     }
                 });
@@ -1746,8 +1717,8 @@ mod tests {
         let mut pruned = 0usize;
         for q in 0..50 {
             let query = random_unit(32, &mut rng);
-            let (a, oa) = hot.search_with_outcome(&query, 5, |id| id % 11 == 0);
-            let (b, ob) = paged.search_with_outcome(&query, 5, |id| id % 11 == 0);
+            let (a, oa) = searched(&hot, &query, 5, |id| id % 11 == 0);
+            let (b, ob) = searched(&paged, &query, 5, |id| id % 11 == 0);
             assert_eq!(a, b, "query {q}: paged ranking diverged");
             assert_eq!(oa.candidates, ob.candidates);
             // Pruned rows are unscored; the hot path scored everything.
@@ -1821,8 +1792,9 @@ mod tests {
 
         let mut query = vec![0.0f32; DIM];
         query[1..64].fill(1.0);
-        let from_disk = paged.search_signed_with_outcome(&query, &sig, 2, |_| false).0;
-        let from_ram = hot.search_signed_with_outcome(&query, &sig, 2, |_| false).0;
+        let all = DiscoverScope::All;
+        let from_disk = paged.search_signed_scoped_with_outcome(&query, &sig, 2, &all, |_| false).0;
+        let from_ram = hot.search_signed_scoped_with_outcome(&query, &sig, 2, &all, |_| false).0;
         std::fs::remove_dir_all(&dir).ok();
         (from_disk, from_ram)
     }
@@ -1894,7 +1866,7 @@ mod tests {
                 // descending largest bound, equal bounds by position.
                 let cold = paged.cold.as_ref().expect("attached");
                 let seg = cold.segments[0].as_ref().expect("live");
-                let mut rows: Vec<(ColdLoc, ItemId)> = (paged.candidates_signed(&sig).into_iter())
+                let mut rows: Vec<(ColdLoc, ItemId)> = (candidate_ids(&paged, &sig).into_iter())
                     .filter(|&id| !exclude(id))
                     .filter_map(|id| Some(cold.rows[*cold.locator.get(&id)? as usize]))
                     .collect();
@@ -2188,14 +2160,20 @@ mod tests {
             query[pick(DIM)] += 0.25;
             let sig = index.hasher().sign(&query);
             let qnorm = kernel::norm_sq(&query).sqrt();
-            let ids = index.candidates_signed(&sig);
+            let ids = candidate_ids(&index, &sig);
             let mut want = TopK::new(7);
             for &id in &ids {
                 let v = &pool[model[&id]];
                 let score = cosine_of(kernel::dot(&query, v), qnorm, kernel::norm_sq(v).sqrt());
                 want.push(score as f64, id);
             }
-            let (got, outcome) = index.search_signed_with_outcome(&query, &sig, 7, |_| false);
+            let (got, outcome) = index.search_signed_scoped_with_outcome(
+                &query,
+                &sig,
+                7,
+                &DiscoverScope::All,
+                |_| false,
+            );
             assert_eq!(got, ranking(want), "step {step}");
             assert_eq!(outcome.candidates, ids.len(), "step {step}");
         }
@@ -2222,7 +2200,7 @@ mod tests {
         let queries: Vec<&Vec<f32>> = vectors.iter().step_by(7).collect();
         // Rankings and candidate counts: what both tiers must agree on.
         let search_all = |index: &SimHashLshIndex| -> Vec<_> {
-            let search = |q| index.search_with_outcome(q, 7, |_| false);
+            let search = |q| searched(index, q, 7, |_| false);
             queries.iter().map(|q| search(q)).map(|(hits, o)| (hits, o.candidates)).collect()
         };
         let want = std::thread::scope(|s| s.spawn(|| search_all(&hot)).join().expect("fresh"));
@@ -2336,18 +2314,5 @@ mod tests {
         let hits = paged.search(&[1.0, 0.0], 3, |_| false);
         assert_eq!(hits, source.search(&[1.0, 0.0], 3, |_| false));
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn bucket_stats_counts() {
-        let mut rng = Xoshiro256pp::new(9);
-        let mut index = SimHashLshIndex::for_threshold(16, 0.5, 1);
-        for id in 0..50 {
-            index.insert(id, &random_unit(16, &mut rng));
-        }
-        let (buckets, max, mean) = index.bucket_stats();
-        assert!(buckets > 0);
-        assert!(max >= 1);
-        assert!(mean >= 1.0);
     }
 }

@@ -21,15 +21,6 @@ use crate::error::StoreResult;
 use crate::table::Table;
 use crate::value::ValueRef;
 
-/// Join flavors supported by [`hash_join`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JoinType {
-    /// Keep only matching rows (all matches).
-    Inner,
-    /// Keep every left row; unmatched right side becomes NULL (all matches).
-    LeftOuter,
-}
-
 /// Key normalization applied before comparing join keys.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KeyNorm {
@@ -78,53 +69,6 @@ impl KeyNorm {
     }
 }
 
-/// Hash join between two tables on one key column each.
-///
-/// Output columns: all left columns, then all right columns except the right
-/// key; name collisions on the right gain a `right_` prefix.
-pub fn hash_join(
-    left: &Table,
-    left_key: &str,
-    right: &Table,
-    right_key: &str,
-    join_type: JoinType,
-    norm: KeyNorm,
-) -> StoreResult<Table> {
-    let lk = left.column(left_key)?;
-    let rk = right.column(right_key)?;
-
-    // Build phase over the right side: key -> row indices.
-    let mut build: FxHashMap<u64, Vec<usize>> = FxHashMap::default();
-    let mut scratch = Vec::new();
-    for row in 0..rk.len() {
-        if let Some(h) = norm.key_of(rk.get(row), &mut scratch) {
-            build.entry(h).or_default().push(row);
-        }
-    }
-
-    // Probe phase.
-    let mut left_idx: Vec<usize> = Vec::new();
-    let mut right_idx: Vec<Option<usize>> = Vec::new();
-    for row in 0..lk.len() {
-        match norm.key_of(lk.get(row), &mut scratch).and_then(|h| build.get(&h)) {
-            Some(matches) => {
-                for &m in matches {
-                    left_idx.push(row);
-                    right_idx.push(Some(m));
-                }
-            }
-            None => {
-                if join_type == JoinType::LeftOuter {
-                    left_idx.push(row);
-                    right_idx.push(None);
-                }
-            }
-        }
-    }
-
-    assemble(left, right, right_key, &left_idx, &right_idx)
-}
-
 /// Cardinality-preserving lookup join (Sigma Workbooks' `Lookup`): a left
 /// outer join that keeps **exactly one row per base row**, taking the first
 /// match in right-table order. `add_columns` names the right-side columns to
@@ -169,29 +113,6 @@ pub fn lookup_join(
     for rc in chosen {
         let gathered = gather_optional(rc, &right_idx);
         let name = disambiguate(&out, rc.name());
-        out = out.with_column(gathered.renamed(name))?;
-    }
-    Ok(out)
-}
-
-fn assemble(
-    left: &Table,
-    right: &Table,
-    right_key: &str,
-    left_idx: &[usize],
-    right_idx: &[Option<usize>],
-) -> StoreResult<Table> {
-    let mut columns: Vec<Column> = Vec::with_capacity(left.num_columns() + right.num_columns());
-    for c in left.columns() {
-        columns.push(c.take(left_idx));
-    }
-    let mut out = Table::new(format!("{}_join_{}", left.name(), right.name()), columns)?;
-    for c in right.columns() {
-        if c.name() == right_key {
-            continue;
-        }
-        let gathered = gather_optional(c, right_idx);
-        let name = disambiguate(&out, c.name());
         out = out.with_column(gathered.renamed(name))?;
     }
     Ok(out)
@@ -260,33 +181,6 @@ pub fn jaccard(a: &Column, b: &Column, norm: KeyNorm) -> f64 {
     inter as f64 / (sa.len() + sb.len() - inter) as f64
 }
 
-/// Cardinality proportion: `min(|A|,|B|) / max(|A|,|B|)` over distinct
-/// counts — the second ingredient of NextiaJD's join-quality rule.
-pub fn cardinality_proportion(a: &Column, b: &Column, norm: KeyNorm) -> f64 {
-    let na = key_set(a, norm).len();
-    let nb = key_set(b, norm).len();
-    if na == 0 || nb == 0 {
-        return 0.0;
-    }
-    (na.min(nb) as f64) / (na.max(nb) as f64)
-}
-
-/// Guard against degenerate joins (used by examples): true when the lookup
-/// key is unique in the lookup table, i.e. the join is N:1 and cardinality
-/// preservation is exact rather than first-match-wins.
-pub fn key_is_unique(col: &Column, norm: KeyNorm) -> bool {
-    let mut set = FxHashSet::default();
-    let mut scratch = Vec::new();
-    for v in col.iter() {
-        if let Some(h) = norm.key_of(v, &mut scratch) {
-            if !set.insert(h) {
-                return false;
-            }
-        }
-    }
-    true
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -313,39 +207,6 @@ mod tests {
             ],
         )
         .unwrap()
-    }
-
-    #[test]
-    fn inner_join_exact() {
-        let l = Table::new("l", vec![Column::ints("k", vec![1, 2, 3])]).unwrap();
-        let r = Table::new(
-            "r",
-            vec![Column::ints("k", vec![2, 3, 4]), Column::text("v", ["b", "c", "d"])],
-        )
-        .unwrap();
-        let j = hash_join(&l, "k", &r, "k", JoinType::Inner, KeyNorm::Exact).unwrap();
-        assert_eq!(j.num_rows(), 2);
-        assert_eq!(j.column("v").unwrap().get(0), ValueRef::Text("b"));
-    }
-
-    #[test]
-    fn left_outer_keeps_unmatched() {
-        let l = Table::new("l", vec![Column::ints("k", vec![1, 2])]).unwrap();
-        let r =
-            Table::new("r", vec![Column::ints("k", vec![2]), Column::text("v", ["b"])]).unwrap();
-        let j = hash_join(&l, "k", &r, "k", JoinType::LeftOuter, KeyNorm::Exact).unwrap();
-        assert_eq!(j.num_rows(), 2);
-        assert_eq!(j.column("v").unwrap().get(0), ValueRef::Null);
-        assert_eq!(j.column("v").unwrap().get(1), ValueRef::Text("b"));
-    }
-
-    #[test]
-    fn inner_join_multiplies_matches() {
-        let l = Table::new("l", vec![Column::ints("k", vec![1])]).unwrap();
-        let r = Table::new("r", vec![Column::ints("k", vec![1, 1]), Column::text("v", ["a", "b"])])
-            .unwrap();
-        let j = hash_join(&l, "k", &r, "k", JoinType::Inner, KeyNorm::Exact).unwrap();
-        assert_eq!(j.num_rows(), 2);
     }
 
     #[test]
@@ -400,7 +261,6 @@ mod tests {
         assert_eq!(containment(&fk, &pk, KeyNorm::Exact), 1.0);
         let j = jaccard(&fk, &pk, KeyNorm::Exact);
         assert!(j < 0.11, "jaccard {j}");
-        assert!((cardinality_proportion(&fk, &pk, KeyNorm::Exact) - 0.1).abs() < 1e-9);
     }
 
     #[test]
@@ -411,23 +271,18 @@ mod tests {
             vec![Column::text_opt("k", [None::<&str>]), Column::ints("v", vec![9])],
         )
         .unwrap();
-        let j = hash_join(&l, "k", &r, "k", JoinType::Inner, KeyNorm::Exact).unwrap();
-        assert_eq!(j.num_rows(), 0);
-    }
-
-    #[test]
-    fn key_uniqueness() {
-        assert!(key_is_unique(&Column::ints("k", vec![1, 2, 3]), KeyNorm::Exact));
-        assert!(!key_is_unique(&Column::ints("k", vec![1, 1]), KeyNorm::Exact));
-        // Case folding can merge previously-distinct keys.
-        assert!(!key_is_unique(&Column::text("k", ["A", "a"]), KeyNorm::CaseFold));
+        let j = lookup_join(&l, "k", &r, "k", &["v"], KeyNorm::Exact).unwrap();
+        assert_eq!(j.num_rows(), 2, "a lookup keeps every base row");
+        assert_eq!(j.column("v").unwrap().get(0), ValueRef::Null, "NULL never matches NULL");
+        assert_eq!(j.column("v").unwrap().get(1), ValueRef::Null);
     }
 
     #[test]
     fn join_errors_on_missing_key() {
         let l = accounts();
         let r = industries();
-        assert!(hash_join(&l, "nope", &r, "company", JoinType::Inner, KeyNorm::Exact).is_err());
+        assert!(lookup_join(&l, "nope", &r, "company", &[], KeyNorm::Exact).is_err());
+        assert!(lookup_join(&l, "name", &r, "nope", &[], KeyNorm::Exact).is_err());
         assert!(matches!(
             lookup_join(&l, "name", &r, "company", &["nope"], KeyNorm::Exact),
             Err(StoreError::NotFound(_))

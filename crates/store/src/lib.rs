@@ -10,9 +10,9 @@
 //! * an RFC-4180 **CSV** reader/writer with type inference ([`csv`]);
 //! * **sampling** operators pushed into the scan ([`sample`]), the paper's
 //!   core cost-reduction lever (§3.1.3, §4.4);
-//! * a **join executor** ([`join`]) including the cardinality-preserving
-//!   lookup join that backs Sigma Workbooks' `Lookup` formula (§2.1), plus
-//!   the containment/Jaccard measures used for ground-truth labeling;
+//! * a **join executor** ([`join`]): the cardinality-preserving lookup
+//!   join that backs Sigma Workbooks' `Lookup` formula (§2.1), plus the
+//!   containment/Jaccard measures used for ground-truth labeling;
 //! * a simulated **CDW connector** ([`cdw`]) that serializes every scan
 //!   through a wire codec (real work proportional to bytes moved) and
 //!   meters requests, bytes scanned, virtual network latency and
@@ -59,7 +59,7 @@ pub use csv_backend::CsvBackend;
 pub use dtype::DataType;
 pub use error::{StoreError, StoreResult};
 pub use fault::{FaultInjector, FaultPlan};
-pub use join::{containment, jaccard, JoinType, KeyNorm};
+pub use join::{containment, jaccard, KeyNorm};
 pub use remote::{RemoteBackend, RemoteBackendServer, RemoteServerConfig, RemoteServerStats};
 pub use retry::{RetryBackend, RetryClock, RetryPolicy, SystemClock, VirtualClock};
 pub use sample::SampleSpec;

@@ -52,18 +52,25 @@ impl NameTable {
     }
 
     fn intern(&self, name: &str) -> u32 {
+        self.try_intern(name).unwrap_or_else(|| {
+            panic!(
+                "backend name table full ({} distinct names): names are interned for the process \
+                 lifetime, so use stable names, not fresh ones",
+                self.cap
+            )
+        })
+    }
+
+    fn try_intern(&self, name: &str) -> Option<u32> {
         let mut names = self.names();
         if let Some(pos) = names.iter().position(|n| n == name) {
-            return pos as u32;
+            return Some(pos as u32);
         }
-        assert!(
-            names.len() < self.cap,
-            "backend name table full ({} distinct names): names are interned for the process \
-             lifetime, so use stable names, not fresh ones",
-            self.cap
-        );
+        if names.len() == self.cap {
+            return None;
+        }
         names.push(name.to_string());
-        (names.len() - 1) as u32
+        Some((names.len() - 1) as u32)
     }
 
     fn lookup(&self, name: &str) -> Option<u32> {
@@ -87,6 +94,13 @@ static BACKENDS: NameTable = NameTable::new(MAX_NAMES);
 /// name per request or per sync tick), not a workload.
 pub fn intern(name: &str) -> u16 {
     BACKENDS.intern(name) as u16
+}
+
+/// [`intern`] that returns `None` instead of panicking when a *new* name
+/// would exceed [`MAX_NAMES`] — for names that arrive in data (a snapshot
+/// being loaded), where a full table is an error to report, not a misuse.
+pub fn try_intern(name: &str) -> Option<u16> {
+    BACKENDS.try_intern(name).map(|id| id as u16)
 }
 
 /// The id for a backend name, if it was ever interned. Does not intern.
@@ -139,6 +153,7 @@ mod tests {
         static SMALL: NameTable = NameTable::new(3);
         assert_eq!((SMALL.intern("a"), SMALL.intern("b"), SMALL.intern("a")), (1, 2, 1));
         assert_eq!(SMALL.lookup(DEFAULT_NAME), Some(0), "the default name counts toward the cap");
+        assert_eq!((SMALL.try_intern("b"), SMALL.try_intern("c")), (Some(2), None));
         let full = std::panic::catch_unwind(|| SMALL.intern("c")).unwrap_err();
         let message = full.downcast_ref::<String>().expect("formatted panic");
         assert!(message.starts_with("backend name table full (3 distinct names)"), "{message}");

@@ -105,8 +105,8 @@ fn main() {
 
     let r = daemon.shutdown();
     println!(
-        "daemon: {} ticks, {} syncs ok, {} failed, circuit {:?}, {} tables picked up, {} retries across syncs",
-        r.ticks, r.syncs_ok, r.syncs_failed, r.circuit, r.tables_added, r.cost.retries,
+        "daemon: {} ticks, {} syncs ok, {} failed, {} tables picked up, {} retries across syncs",
+        r.ticks, r.syncs_ok, r.syncs_failed, r.tables_added, r.cost.retries,
     );
     let after = wg.discover(&query, 5).expect("discovery after sync");
     println!("\ncandidates after the daemon synced:");

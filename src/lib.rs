@@ -53,8 +53,9 @@
 //! `WarpGate::sync()` keeps the index incremental as the attached
 //! warehouses change (`attach_named` adds more, each under its own
 //! namespace; `sync_with` reconciles one, or runs under a deadline), and
-//! `SyncDaemon` runs that reconciliation on a schedule with circuit
-//! breaking (see the `resilient_service` example for the full stack).
+//! `SyncDaemon` runs that reconciliation on a schedule, one backend after
+//! another, then checkpoints (see the `resilient_service` example for the
+//! full stack).
 //! Serving verbs take their options as an argument — `discover_with(q, k,
 //! &QueryOptions)`, `discover_batch`, `joinability` — and `discover(q, k)`
 //! is the default-options call.
@@ -99,18 +100,17 @@ pub use wg_util as util;
 /// The types most applications need, importable in one line.
 pub mod prelude {
     pub use warpgate_core::{
-        AdmissionConfig, AdmissionStats, BackendCircuit, CheckpointPolicy, Checkpointer,
-        CircuitState, CrashState, DaemonReport, Discovery, JoinCandidate, QueryOptions,
-        QueryTiming, RecoveryReport, RecoverySource, SyncDaemon, SyncDaemonConfig, SyncReport,
-        TornWriter, WarpGate, WarpGateConfig,
+        AdmissionConfig, AdmissionStats, CheckpointPolicy, Checkpointer, CrashState, DaemonReport,
+        Discovery, JoinCandidate, QueryOptions, QueryTiming, RecoveryReport, RecoverySource,
+        SyncDaemon, SyncDaemonConfig, SyncReport, TornWriter, WarpGate, WarpGateConfig,
     };
     pub use wg_embed::{Aggregation, ColumnEmbedder, EmbeddingModel, WebTableModel};
     pub use wg_lsh::DiscoverScope;
     pub use wg_store::{
         BackendHandle, BackendId, CdwConfig, CdwConnector, Column, ColumnRef, CsvBackend, Database,
-        FaultInjector, FaultPlan, JoinType, KeyNorm, RemoteBackend, RemoteBackendServer,
-        RemoteServerConfig, RemoteServerStats, RetryBackend, RetryPolicy, SampleSpec, StoreError,
-        SystemClock, Table, TableMeta, TableRef, Warehouse, WarehouseBackend,
+        FaultInjector, FaultPlan, KeyNorm, RemoteBackend, RemoteBackendServer, RemoteServerConfig,
+        RemoteServerStats, RetryBackend, RetryPolicy, SampleSpec, StoreError, SystemClock, Table,
+        TableMeta, TableRef, Warehouse, WarehouseBackend,
     };
     pub use wg_util::{Deadline, Phase};
 }
