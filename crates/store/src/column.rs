@@ -1,20 +1,28 @@
 //! Columnar storage.
 //!
 //! Text columns are dictionary-encoded: the distinct strings live once in a
-//! `dict` and rows are `u32` codes. This matters for this workload twice
+//! dictionary and rows are `u32` codes. This matters for this workload twice
 //! over — (1) discovery corpora are dominated by low-cardinality string
 //! columns, so memory drops sharply, and (2) sampling, profiling and
 //! embedding all operate on *distinct values with multiplicities*, and a
 //! duplicate-free dictionary makes the code a value's identity: the
 //! distinct sampler marks codes in a bitmap, `take` re-interns through an
-//! old-code → new-code table, and the embedder reads `dict`/`counts` in
-//! place — no string is hashed on any of those paths. Numeric columns have
-//! no dictionary; they pay one hash pass over typed keys (`i64`, float
-//! bits, `bool`), never over rendered strings.
+//! old-code → new-code table, and the embedder reads the dictionary and its
+//! counts in place — no string is hashed on any of those paths. Numeric
+//! columns have no dictionary; they pay one hash pass over typed keys
+//! (`i64`, float bits, `bool`), never over rendered strings.
 //!
-//! The invariant all of that rests on — no string occurs twice in `dict`,
-//! every code is in range — holds by construction for columns built here
-//! and is checked by [`Column::check`] on columns decoded off the wire.
+//! A dictionary is one `String` holding its entries back to back plus an
+//! end offset per entry, not a heap string per entry: every scan runs
+//! `take` → encode → decode → read → drop over a fresh dictionary, and each
+//! of those steps then costs a few buffer copies per column, whatever the
+//! column's cardinality. The wire form is unchanged — a count, then
+//! `len | bytes` per entry — so billing and fingerprints are too.
+//!
+//! The invariant all of that rests on — no string occurs twice in the
+//! dictionary, every code is in range — holds by construction for columns
+//! built here and is checked by [`Column::check`] on columns decoded off the
+//! wire.
 
 use std::collections::hash_map::Entry;
 use std::hash::Hash;
@@ -32,8 +40,10 @@ pub(crate) const NULL_CODE: u32 = u32::MAX;
 /// A dictionary-encoded string column.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TextColumn {
-    /// Distinct values in first-seen order.
-    dict: Vec<String>,
+    /// Distinct values in first-seen order, back to back.
+    bytes: String,
+    /// End offset in `bytes` of each dictionary entry.
+    ends: Vec<usize>,
     /// Occurrences of each dictionary entry.
     counts: Vec<u32>,
     /// Per-row dictionary codes; `NULL_CODE` marks NULL.
@@ -47,7 +57,8 @@ impl TextColumn {
         I: IntoIterator<Item = Option<S>>,
         S: AsRef<str>,
     {
-        let mut dict: Vec<String> = Vec::new();
+        let mut bytes = String::new();
+        let mut ends: Vec<usize> = Vec::new();
         let mut counts: Vec<u32> = Vec::new();
         let mut codes: Vec<u32> = Vec::new();
         let mut intern: FxHashMap<String, u32> = FxHashMap::default();
@@ -59,9 +70,10 @@ impl TextColumn {
                     let code = match intern.get(s) {
                         Some(&c) => c,
                         None => {
-                            let c = dict.len() as u32;
+                            let c = ends.len() as u32;
                             intern.insert(s.to_string(), c);
-                            dict.push(s.to_string());
+                            bytes.push_str(s);
+                            ends.push(bytes.len());
                             counts.push(0);
                             c
                         }
@@ -71,7 +83,7 @@ impl TextColumn {
                 }
             }
         }
-        Self { dict, counts, codes }
+        Self { bytes, ends, counts, codes }
     }
 
     /// Number of rows.
@@ -85,8 +97,13 @@ impl TextColumn {
     }
 
     /// The distinct values, in first-seen order.
-    pub fn dict(&self) -> &[String] {
-        &self.dict
+    pub fn dict(&self) -> impl ExactSizeIterator<Item = &str> + '_ {
+        let mut start = 0;
+        self.ends.iter().map(move |&end| {
+            let entry = &self.bytes[start..end];
+            start = end;
+            entry
+        })
     }
 
     /// Occurrence count for each dictionary entry (parallel to [`dict`]).
@@ -107,13 +124,19 @@ impl TextColumn {
         if code == NULL_CODE {
             None
         } else {
-            Some(&self.dict[code as usize])
+            Some(self.entry(code as usize))
         }
     }
 
     /// Number of distinct non-null values.
     pub fn distinct_count(&self) -> usize {
-        self.dict.len()
+        self.ends.len()
+    }
+
+    /// Dictionary entry `code`.
+    fn entry(&self, code: usize) -> &str {
+        let start = if code == 0 { 0 } else { self.ends[code - 1] };
+        &self.bytes[start..self.ends[code]]
     }
 
     fn null_count(&self) -> usize {
@@ -122,14 +145,21 @@ impl TextColumn {
 
     /// Re-intern after row selection so the dictionary only holds values
     /// that still occur (keeps sampled columns small). Codes are remapped
-    /// through a table, so each kept string is cloned once and none is
-    /// hashed; the result equals `from_rows` over the selected rows.
+    /// through a table, so each kept string is copied once into the new
+    /// buffer and none is hashed; the result equals `from_rows` over the
+    /// selected rows.
     fn take(&self, idx: &[usize]) -> Self {
+        let entries = self.ends.len();
         // `new code + 1` per old code, 0 = not kept yet: an all-zero table
         // comes from the allocator without being written.
-        let mut remap = vec![0u32; self.dict.len()];
-        let mut dict: Vec<String> = Vec::new();
-        let mut counts: Vec<u32> = Vec::new();
+        let mut remap = vec![0u32; entries];
+        // At most `kept` entries survive; reserve for them at the source's
+        // average entry length, never more than the source holds.
+        let kept = idx.len().min(entries);
+        let mean_len = self.bytes.len().div_ceil(entries.max(1));
+        let mut bytes = String::with_capacity((kept * mean_len).min(self.bytes.len()));
+        let mut ends: Vec<usize> = Vec::with_capacity(kept);
+        let mut counts: Vec<u32> = Vec::with_capacity(kept);
         let mut codes: Vec<u32> = Vec::with_capacity(idx.len());
         for &i in idx {
             let old = self.codes[i];
@@ -139,15 +169,41 @@ impl TextColumn {
             }
             let slot = &mut remap[old as usize];
             if *slot == 0 {
-                dict.push(self.dict[old as usize].clone());
+                bytes.push_str(self.entry(old as usize));
+                ends.push(bytes.len());
                 counts.push(0);
-                *slot = dict.len() as u32;
+                *slot = ends.len() as u32;
             }
             let code = *slot - 1;
             counts[code as usize] += 1;
             codes.push(code);
         }
-        Self { dict, counts, codes }
+        Self { bytes, ends, counts, codes }
+    }
+
+    /// Read the dictionary section of a text frame: an entry count, then
+    /// per entry `len | bytes`. The entries are copied into one buffer,
+    /// reserved once, and validated as UTF-8 in one pass; with every end
+    /// offset on a char boundary, that is each entry valid on its own.
+    fn decode_dict(buf: &mut &[u8]) -> CodecResult<(String, Vec<usize>)> {
+        let entries = codec::get_count(buf, 4)?;
+        let mut walk = *buf;
+        let mut total = 0;
+        for _ in 0..entries {
+            total += codec::get_bytes_ref(&mut walk)?.len();
+        }
+        let mut bytes = Vec::with_capacity(total);
+        let mut ends = Vec::with_capacity(entries);
+        for _ in 0..entries {
+            bytes.extend_from_slice(codec::get_bytes_ref(buf)?);
+            ends.push(bytes.len());
+        }
+        let non_utf8 = || CodecError::Invalid("non-UTF-8 string".into());
+        let bytes = String::from_utf8(bytes).map_err(|_| non_utf8())?;
+        if !ends.iter().all(|&end| bytes.is_char_boundary(end)) {
+            return Err(non_utf8());
+        }
+        Ok((bytes, ends))
     }
 }
 
@@ -475,16 +531,15 @@ impl Column {
         self.take(&idx)
     }
 
-    /// Approximate in-memory footprint in bytes; this is also what the
-    /// simulated CDW bills for when the column is scanned.
+    /// Approximate in-memory footprint in bytes: a capacity hint for
+    /// buffers a column is encoded into. Billing is the encoded length,
+    /// not this.
     pub fn approx_bytes(&self) -> usize {
         match &self.data {
             ColumnData::Bool { values, .. } => values.len(),
             ColumnData::Int { values, .. } => values.len() * 8,
             ColumnData::Float { values, .. } => values.len() * 8,
-            ColumnData::Text(t) => {
-                t.codes.len() * 4 + t.dict.iter().map(|s| s.len() + 8).sum::<usize>()
-            }
+            ColumnData::Text(t) => t.codes.len() * 4 + t.bytes.len() + t.ends.len() * 8,
         }
     }
 
@@ -516,8 +571,8 @@ impl Column {
                 encode_validity(buf, validity);
             }
             ColumnData::Text(t) => {
-                codec::put_len(buf, t.dict.len());
-                for s in &t.dict {
+                codec::put_len(buf, t.distinct_count());
+                for s in t.dict() {
                     codec::put_str(buf, s);
                 }
                 codec::put_u32_slice(buf, &t.counts);
@@ -534,7 +589,7 @@ impl Column {
             .ok_or_else(|| CodecError::Invalid(format!("bad dtype tag {tag}")))?;
         let data = match dt {
             DataType::Bool => {
-                let len = codec::get_len(buf)?;
+                let len = codec::get_count(buf, 1)?;
                 let mut values = Vec::with_capacity(len);
                 for _ in 0..len {
                     values.push(codec::get_u8(buf)? != 0);
@@ -542,7 +597,7 @@ impl Column {
                 ColumnData::Bool { values, validity: decode_validity(buf)? }
             }
             DataType::Int => {
-                let len = codec::get_len(buf)?;
+                let len = codec::get_count(buf, 8)?;
                 let mut values = Vec::with_capacity(len);
                 for _ in 0..len {
                     values.push(codec::get_i64(buf)?);
@@ -550,7 +605,7 @@ impl Column {
                 ColumnData::Int { values, validity: decode_validity(buf)? }
             }
             DataType::Float => {
-                let len = codec::get_len(buf)?;
+                let len = codec::get_count(buf, 8)?;
                 let mut values = Vec::with_capacity(len);
                 for _ in 0..len {
                     values.push(codec::get_f64(buf)?);
@@ -558,22 +613,18 @@ impl Column {
                 ColumnData::Float { values, validity: decode_validity(buf)? }
             }
             DataType::Text => {
-                let dict_len = codec::get_len(buf)?;
-                let mut dict = Vec::with_capacity(dict_len);
-                for _ in 0..dict_len {
-                    dict.push(codec::get_str(buf)?);
-                }
+                let (bytes, ends) = TextColumn::decode_dict(buf)?;
                 let counts = codec::get_u32_vec(buf)?;
                 let codes = codec::get_u32_vec(buf)?;
-                if counts.len() != dict.len() {
+                if counts.len() != ends.len() {
                     return Err(CodecError::Invalid("counts/dict length mismatch".into()));
                 }
                 for &c in &codes {
-                    if c != NULL_CODE && c as usize >= dict.len() {
+                    if c != NULL_CODE && c as usize >= ends.len() {
                         return Err(CodecError::Invalid(format!("code {c} out of range")));
                     }
                 }
-                ColumnData::Text(TextColumn { dict, counts, codes })
+                ColumnData::Text(TextColumn { bytes, ends, counts, codes })
             }
         };
         Ok(Column { name, data })
@@ -589,10 +640,10 @@ impl Column {
             |msg: String| Err(StoreError::Schema(format!("column {:?}: {msg}", self.name)));
         match &self.data {
             ColumnData::Text(t) => {
-                if t.counts.len() != t.dict.len() {
+                if t.counts.len() != t.distinct_count() {
                     return schema("dict/counts length mismatch".into());
                 }
-                let mut recount = vec![0u32; t.dict.len()];
+                let mut recount = vec![0u32; t.distinct_count()];
                 for &c in &t.codes {
                     if c == NULL_CODE {
                         continue;
@@ -606,8 +657,8 @@ impl Column {
                     return schema("dict counts disagree with codes".into());
                 }
                 let mut seen: FxHashSet<&str> = FxHashSet::default();
-                seen.reserve(t.dict.len());
-                if let Some(dup) = t.dict.iter().find(|s| !seen.insert(s.as_str())) {
+                seen.reserve(t.distinct_count());
+                if let Some(dup) = t.dict().find(|s| !seen.insert(s)) {
                     return schema(format!("dictionary entry {dup:?} occurs twice"));
                 }
             }
@@ -634,7 +685,7 @@ enum Distinct<'a> {
 impl Distinct<'_> {
     fn len(&self) -> usize {
         match self {
-            Distinct::Dictionary(t) => t.dict.len(),
+            Distinct::Dictionary(t) => t.distinct_count(),
             Distinct::Counted(counts) => counts.len(),
         }
     }
@@ -644,7 +695,7 @@ impl Distinct<'_> {
     fn for_each_rendered(&self, mut f: impl FnMut(&str, u32)) {
         match self {
             Distinct::Dictionary(t) => {
-                t.dict.iter().zip(&t.counts).for_each(|(value, &count)| f(value, count));
+                t.dict().zip(&t.counts).for_each(|(value, &count)| f(value, count));
             }
             Distinct::Counted(counts) => {
                 let mut rendered = String::new();
@@ -721,7 +772,7 @@ fn decode_validity(buf: &mut &[u8]) -> CodecResult<Option<Vec<bool>>> {
     match codec::get_u8(buf)? {
         0 => Ok(None),
         1 => {
-            let len = codec::get_len(buf)?;
+            let len = codec::get_count(buf, 1)?;
             let mut v = Vec::with_capacity(len);
             for _ in 0..len {
                 v.push(codec::get_u8(buf)? != 0);
@@ -870,7 +921,7 @@ mod tests {
     fn text_column_interns() {
         let c = Column::text("city", ["NYC", "SF", "NYC", "NYC"]);
         let ColumnData::Text(t) = c.data() else { panic!("expected text") };
-        assert_eq!(t.dict(), &["NYC".to_string(), "SF".to_string()]);
+        assert_eq!(t.dict().collect::<Vec<_>>(), ["NYC", "SF"]);
         assert_eq!(t.dict_counts(), &[3, 1]);
         assert_eq!(c.len(), 4);
         assert_eq!(c.distinct_count(), 2);
@@ -927,7 +978,7 @@ mod tests {
         let c = Column::text("x", ["a", "b", "c", "a"]);
         let s = c.take(&[0, 3]);
         let ColumnData::Text(t) = s.data() else { panic!() };
-        assert_eq!(t.dict(), &["a".to_string()]);
+        assert_eq!(t.dict().collect::<Vec<_>>(), ["a"]);
         assert_eq!(s.len(), 2);
     }
 
@@ -967,6 +1018,62 @@ mod tests {
         buf[n - 4..].copy_from_slice(&7u32.to_le_bytes());
         let mut r = &buf[..];
         assert!(Column::decode(&mut r).is_err());
+    }
+
+    #[test]
+    fn a_lying_count_is_refused_before_anything_is_reserved() {
+        // Each count claims 2^30 items, the most `get_len` lets through,
+        // and nothing follows it.
+        const LIE: usize = 1 << 30;
+        let head = |dtype: DataType| {
+            let mut frame = Vec::new();
+            codec::put_str(&mut frame, "c");
+            codec::put_u8(&mut frame, dtype.tag());
+            frame
+        };
+        let mut frames = Vec::new();
+        for dtype in [DataType::Text, DataType::Bool, DataType::Int, DataType::Float] {
+            let mut frame = head(dtype);
+            codec::put_len(&mut frame, LIE);
+            frames.push((format!("{dtype:?} count"), frame));
+        }
+        // An empty bool column whose validity vector lies.
+        let mut frame = head(DataType::Bool);
+        codec::put_len(&mut frame, 0);
+        codec::put_u8(&mut frame, 1);
+        codec::put_len(&mut frame, LIE);
+        frames.push(("validity count".to_string(), frame));
+        for (what, frame) in frames {
+            let err = Column::decode(&mut &frame[..]).unwrap_err();
+            assert!(matches!(err, CodecError::Invalid(_)), "{what}: {err}");
+        }
+    }
+
+    #[test]
+    fn entries_valid_only_back_to_back_are_refused() {
+        // [0xC3] and [0xA9] are each invalid UTF-8; together they are "é".
+        // The one-pass validation must see the boundary between them.
+        let frame = |entries: &[&[u8]]| {
+            let mut frame = Vec::new();
+            codec::put_str(&mut frame, "t");
+            codec::put_u8(&mut frame, DataType::Text.tag());
+            codec::put_len(&mut frame, entries.len());
+            for entry in entries {
+                codec::put_bytes(&mut frame, entry);
+            }
+            let codes: Vec<u32> = (0..entries.len() as u32).collect();
+            codec::put_u32_slice(&mut frame, &vec![1; entries.len()]);
+            codec::put_u32_slice(&mut frame, &codes);
+            frame
+        };
+        let split = frame(&[&[0xC3], &[0xA9]]);
+        assert_eq!(
+            Column::decode(&mut &split[..]),
+            Err(CodecError::Invalid("non-UTF-8 string".into()))
+        );
+        let whole = frame(&[&[0xC3, 0xA9]]);
+        let decoded = Column::decode(&mut &whole[..]).unwrap();
+        assert_eq!(decoded, Column::text("t", ["é"]));
     }
 
     #[test]

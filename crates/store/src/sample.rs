@@ -159,7 +159,7 @@ fn distinct_reservoir_indices(column: &Column, n: usize, seed: u64) -> Vec<usize
     let mut firsts = FirstOccurrences::new(n, column.len(), seed);
     match column.data() {
         ColumnData::Text(t) => {
-            let mut seen = vec![false; t.dict().len()];
+            let mut seen = vec![false; t.distinct_count()];
             let mut unseen = seen.len();
             for (row, &code) in t.codes().iter().enumerate() {
                 if unseen == 0 {

@@ -177,10 +177,15 @@ pub fn put_bytes_with(buf: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) {
     buf[at..at + 4].copy_from_slice(&(len as u32).to_le_bytes());
 }
 
+/// Read a length-prefixed byte string in place, borrowed from the input.
+pub fn get_bytes_ref<'a>(buf: &mut &'a [u8]) -> CodecResult<&'a [u8]> {
+    let len = get_len(buf)?;
+    take(buf, len)
+}
+
 /// Read a length-prefixed byte string.
 pub fn get_bytes(buf: &mut &[u8]) -> CodecResult<Vec<u8>> {
-    let len = get_len(buf)?;
-    Ok(take(buf, len)?.to_vec())
+    get_bytes_ref(buf).map(<[u8]>::to_vec)
 }
 
 /// Write a UTF-8 string with a length prefix.

@@ -98,6 +98,56 @@ fn column_codec_roundtrip() {
     });
 }
 
+/// Values text dictionaries are drawn from: the empty string, ASCII, and
+/// two-byte (`ß`, `É`, `Σ`, `٣`) and four-byte (`𝔸`) UTF-8.
+const TEXT_PIECES: &[&str] = &["a", "b", "ß", "É", "Σ", "٣", "𝔸"];
+
+fn wire(column: &Column) -> Vec<u8> {
+    let mut buf = Vec::new();
+    column.encode(&mut buf);
+    buf
+}
+
+/// A text column with NULLs, empty strings and multi-byte values: its
+/// dictionary's wire form round-trips byte for byte, `take` equals
+/// interning the kept rows afresh, and the distinct values come out in
+/// first-seen order with their counts.
+#[test]
+fn text_dictionary_codec_and_take() {
+    check("text_dictionary_codec_and_take", 64, |rng| {
+        let rows: Vec<Option<String>> = vec_of(rng, 0..60, |rng| {
+            let null = rng.gen_index(6) == 0;
+            let pieces = usize_in(rng, 0..3);
+            (!null).then(|| (0..pieces).map(|_| *rng.choose(TEXT_PIECES)).collect())
+        });
+        let column = Column::text_opt("t", rows.iter().map(Option::as_deref));
+
+        let bytes = wire(&column);
+        let decoded = Column::decode(&mut &bytes[..]).expect("decode");
+        decoded.check().expect("check");
+        assert_eq!(wire(&decoded), bytes);
+        assert_eq!(decoded, column);
+
+        let idx = match rows.len() {
+            0 => Vec::new(),
+            n => vec_of(rng, 0..80, |rng| rng.gen_index(n)),
+        };
+        let kept = Column::text_opt("t", idx.iter().map(|&i| rows[i].as_deref()));
+        assert_eq!(wire(&column.take(&idx)), wire(&kept));
+
+        let mut first_seen: Vec<(String, u32)> = Vec::new();
+        for value in rows.iter().flatten() {
+            match first_seen.iter_mut().find(|(seen, _)| seen == value) {
+                Some((_, count)) => *count += 1,
+                None => first_seen.push((value.clone(), 1)),
+            }
+        }
+        let mut yielded = Vec::new();
+        column.for_each_value_count(|value, count| yielded.push((value.to_string(), count)));
+        assert_eq!(yielded, first_seen);
+    });
+}
+
 /// CSV write → read reproduces every *text* cell exactly (typed columns
 /// may re-infer, so test pure text tables).
 #[test]
