@@ -136,6 +136,8 @@ impl WarpGate {
     /// BERT comparison swaps in [`wg_embed::MiniBertModel`] here).
     pub fn with_model(config: WarpGateConfig, model: Arc<dyn EmbeddingModel>) -> Self {
         assert_eq!(model.dim(), config.dim, "model dimension must match config");
+        // A struct literal skips `with_block_rows`; every seal needs it.
+        assert!(config.block_rows > 0, "block_rows must be positive");
         let hasher =
             Arc::new(SimHasher::new(config.dim, lsh_params(&config).bits(), config.seed ^ 0x1DB5));
         Self {

@@ -78,6 +78,13 @@ fn indexes_all_embeddable_columns() {
 }
 
 #[test]
+#[should_panic(expected = "block_rows must be positive")]
+fn a_config_literal_with_zero_block_rows_is_refused_at_construction() {
+    // Not at the first save, where a daemon's checkpoint would die of it.
+    WarpGate::new(WarpGateConfig { block_rows: 0, ..Default::default() });
+}
+
+#[test]
 fn discovers_format_variants_across_databases() {
     let (wg, _c) = system();
     let q = ColumnRef::new("salesforce", "account", "name");

@@ -6,17 +6,20 @@
 //! top-k. Insertion and removal are incremental, which is what lets
 //! WarpGate track CDWs with high update rates without rebuild storms.
 //!
-//! A bucket entry is a **row number**, not an id: the arena slot of a hot
-//! row, or `COLD | n` for the `n`-th row of the paged tier, numbered in
-//! `(segment, block, row)` order. The candidate set of a query is therefore
-//! a bitset over row numbers in a per-thread scratch: marking an entry
-//! dedups it, and one ascending scan hands out the hot rows in slab order
-//! and the cold rows in block order — no sort, and no id → row hash probe,
-//! anywhere between the buckets and the scores. Both tiers go through the
-//! same gather, the same scan and the same heap; what differs is only how a
-//! row's score is obtained (four slab rows per kernel pass; a cold row
-//! bounded from its resident sketch first, and read only if it can still
-//! reach the top-k).
+//! Every row sits in one table of **pages** numbered in one row space: a
+//! page holds a run of consecutive row numbers, and a bucket entry is a row
+//! number. A page is *resident* — vectors, norms and signature words in
+//! memory; inserts, replacements and hydrated blocks land there — or
+//! *attached*: one block of a lazily attached [`VectorSegment`], whose
+//! signatures, norms and sketches stay resident in the segment's directory
+//! while its vectors are read through the block cache. The candidate set of
+//! a query is a bitset over row numbers in a per-thread scratch: marking an
+//! entry dedups it, and one ascending scan hands every candidate out in row
+//! order — no sort, and no id → row probe, between the buckets and the
+//! scores. The one choice the search makes per row is its page's
+//! residency: a resident row is scored exactly, four per kernel pass; an
+//! attached row is bounded from its sketch first, and its block is read
+//! only if the row can still reach the top-k.
 
 use std::cell::RefCell;
 use std::collections::BinaryHeap;
@@ -27,7 +30,6 @@ use wg_util::kernel;
 use wg_util::segment::SegmentError;
 use wg_util::{FxHashMap, TopK};
 
-use crate::arena::VectorArena;
 use crate::paged::{self, QueryCodes, SealRow, SegmentRow, VectorSegment};
 use crate::params::LshParams;
 use crate::scope::DiscoverScope;
@@ -40,11 +42,11 @@ pub struct SearchOutcome {
     /// Distinct in-scope candidates that came out of the band buckets.
     pub candidates: usize,
     /// How many survived the exclusion filter and were scored exactly
-    /// (cold rows their bound pruned are never scored and do not count).
+    /// (attached rows their bound pruned are never scored and do not count).
     pub scored: usize,
-    /// Cold blocks whose payload was fetched for exact scoring.
+    /// Attached blocks whose payload was fetched for exact scoring.
     pub blocks_read: usize,
-    /// Cold blocks skipped because the row bounds proved none of their
+    /// Attached blocks skipped because the row bounds proved none of their
     /// candidate rows could reach the current top-k.
     pub blocks_pruned: usize,
 }
@@ -54,7 +56,7 @@ pub struct SearchOutcome {
 pub enum SearchError {
     /// The budget ran out at this phase boundary.
     Expired(Phase),
-    /// A cold block could not be read back intact (I/O failure, or a
+    /// An attached block could not be read back intact (I/O failure, or a
     /// payload that no longer matches its checksum).
     Storage(SegmentError),
 }
@@ -82,53 +84,99 @@ impl From<SegmentError> for SearchError {
     }
 }
 
-/// Where a cold row lives — segment slot, block, row-in-block — packed
-/// into one `u64` (`seg | block | row`, most significant first), so rows
-/// order by location with a single integer compare.
-/// [`SimHashLshIndex::attach_segment_mapped`] refuses a segment that does
-/// not fit the field widths.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct ColdLoc(u64);
+/// Rows a resident page holds at most. Only allocation hangs on it: a page
+/// grows in place until it is full, so the last page is the only one with
+/// slack and a full one never moves.
+const RESIDENT_ROWS: usize = 1024;
 
-impl ColdLoc {
-    const ROW_BITS: u32 = 16;
-    const BLOCK_BITS: u32 = 28;
-    const SEG_BITS: u32 = 64 - Self::BLOCK_BITS - Self::ROW_BITS;
+/// Where a page's vectors are.
+enum Payload {
+    /// In memory: `dim` floats, one L2 norm and the packed signature words
+    /// of each row, up to the last row taken so far (stale for a free row).
+    Resident { vectors: Vec<f32>, norms: Vec<f32>, sigs: Vec<u64> },
+    /// Block `block` of an attached segment, `live` of whose rows are still
+    /// stored; norms and signature words are read from the segment's
+    /// directory, vectors through its block cache. The removal that empties
+    /// it makes the page resident: its block leaves the cache, its hold on
+    /// the segment goes, and its rows join the free list.
+    Attached { segment: Arc<VectorSegment>, block: usize, live: usize },
+}
 
-    fn new(seg: usize, block: usize, row: usize) -> ColdLoc {
-        debug_assert!(seg >> Self::SEG_BITS == 0 && block >> Self::BLOCK_BITS == 0);
-        debug_assert!(row >> Self::ROW_BITS == 0);
-        let (seg, block, row) = (seg as u64, block as u64, row as u64);
-        ColdLoc(seg << (Self::BLOCK_BITS + Self::ROW_BITS) | block << Self::ROW_BITS | row)
-    }
-
-    fn seg(self) -> usize {
-        (self.0 >> (Self::BLOCK_BITS + Self::ROW_BITS)) as usize
-    }
-
-    fn block(self) -> usize {
-        (self.0 >> Self::ROW_BITS) as usize & ((1 << Self::BLOCK_BITS) - 1)
-    }
-
-    fn row(self) -> usize {
-        self.0 as usize & ((1 << Self::ROW_BITS) - 1)
-    }
-
-    /// True when both rows sit in the same block of the same segment.
-    fn same_block(self, other: ColdLoc) -> bool {
-        self.0 >> Self::ROW_BITS == other.0 >> Self::ROW_BITS
+impl Payload {
+    /// A resident payload no row has been taken from.
+    fn resident() -> Payload {
+        Payload::Resident { vectors: Vec::new(), norms: Vec::new(), sigs: Vec::new() }
     }
 }
 
-/// Tag bit of a band-bucket entry that names a cold row: the entry is
-/// `COLD | n` with `n` an index into [`ColdStore::rows`]. Without it the
-/// entry is an arena slot.
-const COLD: u32 = 1 << 31;
+/// A run of consecutive row numbers with one payload.
+struct Page {
+    /// Row number of the page's first row; row `n` of the page is at
+    /// `n - first`.
+    first: u32,
+    /// Rows the page holds.
+    len: u32,
+    payload: Payload,
+}
 
-/// One block's candidate rows in a cold pass — `rows[start..end]` of the
-/// scratch — under the largest of their bounds. Ordered so that the greatest
-/// group is the block to visit next: the largest bound (never NaN), and
-/// among equal bounds the first in `(segment, block)` order, which is the
+impl Page {
+    /// The page's row numbers.
+    fn span(&self) -> std::ops::Range<usize> {
+        self.first as usize..(self.first + self.len) as usize
+    }
+
+    /// The packed signature words (`words` of them) of the row at `at`.
+    fn sig_words(&self, at: usize, words: usize) -> &[u64] {
+        match &self.payload {
+            Payload::Resident { sigs, .. } => &sigs[at * words..(at + 1) * words],
+            Payload::Attached { segment, block, .. } => segment.sig_words_of(*block, at),
+        }
+    }
+
+    /// The segment block an attached page is.
+    fn block(&self) -> (&VectorSegment, usize) {
+        match &self.payload {
+            Payload::Attached { segment, block, .. } => (segment, *block),
+            _ => unreachable!("only an attached page is a block"),
+        }
+    }
+
+    /// An attached page's vectors, fetched once through the cache; `None`
+    /// for a page that holds its own.
+    fn fetch(&self) -> Result<Option<Arc<Vec<f32>>>, SegmentError> {
+        match &self.payload {
+            Payload::Attached { segment, block, .. } => segment.block(*block).map(Some),
+            _ => Ok(None),
+        }
+    }
+
+    /// The vector and stored norm of the row at `at`, borrowed from the
+    /// page or, attached, from `fetched` (what [`Self::fetch`] returned).
+    fn row<'a>(&'a self, at: usize, dim: usize, fetched: Option<&'a [f32]>) -> (&'a [f32], f32) {
+        let span = at * dim..(at + 1) * dim;
+        match (&self.payload, fetched) {
+            (Payload::Resident { vectors, norms, .. }, _) => (&vectors[span], norms[at]),
+            (Payload::Attached { segment, block, .. }, Some(data)) => {
+                (&data[span], segment.rows(*block).norm(at))
+            }
+            _ => unreachable!("a stored row is resident, or attached and fetched"),
+        }
+    }
+}
+
+/// One row of the table: the page it belongs to and, while it stores an
+/// item, the item's id (`None` for a free resident row or a dead attached
+/// one). The scan reads both with one load.
+#[derive(Debug, Clone, Copy)]
+struct Row {
+    page: u32,
+    id: Option<ItemId>,
+}
+
+/// One block's candidate rows in the attached pass — `rows[start..end]` of
+/// the scratch — under the largest of their bounds. Ordered so that the
+/// greatest group is the block to visit next: the largest bound (never
+/// NaN), and among equal bounds the first in row order, which is the
 /// smallest `start`. Starts are distinct, so the order is total and a heap
 /// pops the groups exactly as a descending sort would list them.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -153,14 +201,14 @@ impl PartialOrd for BlockGroup {
 }
 
 /// Per-thread buffers of one search, so a steady-state query allocates
-/// nothing: the candidate bitset — one bit per arena slot, then one per
-/// cold row; **all-zero between searches** — and the cold pass's candidate
-/// rows, quantized query, row bounds (aligned with the rows) and block
-/// groups.
+/// nothing: the candidate bitset — one bit per row number; **all-zero
+/// between searches** — and the attached pass's candidate rows (`(page,
+/// place in the page, id)`), quantized query, row bounds (aligned with the
+/// rows) and block groups.
 #[derive(Default)]
 struct SearchScratch {
     bits: Vec<u64>,
-    rows: Vec<(ColdLoc, ItemId)>,
+    rows: Vec<(u32, u32, ItemId)>,
     query: QueryCodes,
     bounds: Vec<f64>,
     groups: Vec<BlockGroup>,
@@ -183,53 +231,6 @@ fn drain_bits(words: &mut [u64], mut visit: impl FnMut(usize)) {
     }
 }
 
-/// The paged tier of one index: attached segments plus the cold row table.
-/// Signatures and band entries for cold rows are resident metadata; only
-/// vector payloads stay on disk.
-#[derive(Default)]
-struct ColdStore {
-    /// Attached segments; a slot whose last live row died retires to `None`
-    /// without renumbering the `ColdLoc.seg` indexes of the survivors.
-    segments: Vec<Option<Arc<VectorSegment>>>,
-    /// Live rows per segment slot (plus one while the slot is attaching).
-    live: Vec<usize>,
-    /// Every row ever attached, appended in `(seg, block, row)` order, so
-    /// ascending row number *is* ascending location. A row that was removed
-    /// or replaced stays as a dead entry no bucket and no locator row names.
-    rows: Vec<(ColdLoc, ItemId)>,
-    /// Id → row number of the live rows.
-    locator: FxHashMap<ItemId, u32>,
-}
-
-impl ColdStore {
-    /// The segment a location points into.
-    fn segment(&self, loc: ColdLoc) -> &VectorSegment {
-        self.segments[loc.seg()].as_ref().expect("a live row points at a live segment")
-    }
-
-    /// The live rows, in location order.
-    fn live_rows(&self) -> impl Iterator<Item = (ColdLoc, ItemId)> + '_ {
-        let live = |&(n, &(_, id)): &(usize, &(ColdLoc, ItemId))| {
-            self.locator.get(&id).is_some_and(|&at| at as usize == n)
-        };
-        self.rows.iter().enumerate().filter(live).map(|(_, &row)| row)
-    }
-
-    /// Count one live row of segment slot `seg` out. The row that takes the
-    /// count to zero retires the slot — cached blocks evicted, file closed
-    /// with the last `Arc`. True when that left the tier without a segment.
-    fn release(&mut self, seg: usize) -> bool {
-        self.live[seg] -= 1;
-        if self.live[seg] > 0 {
-            return false;
-        }
-        if let Some(segment) = self.segments[seg].take() {
-            segment.evict_from_cache();
-        }
-        self.segments.iter().all(Option::is_none)
-    }
-}
-
 /// An LSH index over unit vectors keyed by [`ItemId`].
 pub struct SimHashLshIndex {
     /// Shareable with a caller that signs outside this index's lock (see
@@ -239,18 +240,17 @@ pub struct SimHashLshIndex {
     params: LshParams,
     /// Extra single-bit-flip probes per band (0 = plain LSH).
     probes: usize,
-    /// Stored vectors in one contiguous slab; exact re-ranking streams
-    /// this in slot order.
-    vectors: VectorArena,
-    /// Packed signature words of the hot rows, `words_per_sig` per arena
-    /// slot (stale for free slots) — needed for removal and persistence.
-    /// A cold row's words are resident in its segment's directory.
-    hot_sigs: Vec<u64>,
-    /// One bucket map per band: band key -> row numbers (an arena slot, or
-    /// `COLD | n`). Every entry names a live row.
+    /// The pages, in row-number order.
+    pages: Vec<Page>,
+    /// Every row, by row number.
+    rows: Vec<Row>,
+    /// Id → row number of every stored item.
+    locator: FxHashMap<ItemId, u32>,
+    /// Free resident rows, reused LIFO before the table grows.
+    free: Vec<u32>,
+    /// One bucket map per band: band key -> row numbers. Every entry names
+    /// a stored row.
     bands: Vec<FxHashMap<u64, Vec<u32>>>,
-    /// Paged tier, present while a segment with live rows is attached.
-    cold: Option<ColdStore>,
 }
 
 /// Push row number `entry` into the band buckets of its signature `words`.
@@ -275,7 +275,8 @@ fn unbucket(bands: &mut [FxHashMap<u64, Vec<u32>>], rows: usize, entry: u32, wor
 }
 
 /// The exact cosine from a kernel dot and the two stored norms — the one
-/// place a score is finished, so hot and cold rows agree bit for bit.
+/// place a score is finished, so resident and attached rows agree bit for
+/// bit.
 #[inline]
 fn cosine_of(dot: f32, qnorm: f32, norm: f32) -> f32 {
     let denom = qnorm * norm;
@@ -286,8 +287,8 @@ fn cosine_of(dot: f32, qnorm: f32, norm: f32) -> f32 {
 }
 
 /// Exact cosine of the query against row `row` of a paged block: the same
-/// kernel dot (to which the hot pass's `dot4` is bit-equal), the same
-/// stored norm and the same [`cosine_of`] as a hot row.
+/// kernel dot (to which the resident rows' `dot4` is bit-equal), the same
+/// stored norm and the same [`cosine_of`] as a resident row.
 #[inline]
 pub(crate) fn score_row(
     query: &[f32],
@@ -303,6 +304,13 @@ pub(crate) fn score_row(
 /// A finished heap as the public `(id, cosine)` ranking, best first.
 fn ranking(topk: TopK<ItemId>) -> Vec<(ItemId, f32)> {
     topk.into_sorted().into_iter().map(|(s, id)| (id, s as f32)).collect()
+}
+
+/// A block that no longer reads back, on a path with no error to return it
+/// through (segments were validated at open — losing one mid-flight is an
+/// environment failure the index cannot recover from).
+fn lost_block(e: SegmentError) -> ! {
+    panic!("paged tier lost a sealed block: {e}")
 }
 
 impl SimHashLshIndex {
@@ -321,10 +329,11 @@ impl SimHashLshIndex {
         Self {
             params,
             probes: 0,
-            vectors: VectorArena::new(hasher.dim()),
-            hot_sigs: Vec::new(),
+            pages: Vec::new(),
+            rows: Vec::new(),
+            locator: FxHashMap::default(),
+            free: Vec::new(),
             bands: (0..params.bands).map(|_| FxHashMap::default()).collect(),
-            cold: None,
             hasher,
         }
     }
@@ -367,30 +376,54 @@ impl SimHashLshIndex {
         &self.hasher
     }
 
-    /// Number of stored items, hot and cold (an id lives in one tier).
+    /// Number of stored items, resident and attached.
     pub fn len(&self) -> usize {
-        self.vectors.len() + self.cold_len()
+        self.locator.len()
     }
 
-    /// True when no items are stored in either tier.
+    /// True when no items are stored.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.locator.is_empty()
     }
 
-    /// Number of items served from the paged tier.
+    /// The attached pages, as `(segment, live rows)`, in row order.
+    fn attached(&self) -> impl Iterator<Item = (&Arc<VectorSegment>, usize)> + '_ {
+        self.pages.iter().filter_map(|page| match &page.payload {
+            Payload::Attached { segment, live, .. } => Some((segment, *live)),
+            _ => None,
+        })
+    }
+
+    /// Number of items served from attached segments.
     pub fn cold_len(&self) -> usize {
-        self.cold.as_ref().map_or(0, |c| c.locator.len())
+        self.attached().map(|(_, live)| live).sum()
     }
 
-    /// True when `id` is stored, in either tier.
+    /// True when `id` is stored.
     pub fn contains(&self, id: ItemId) -> bool {
-        self.vectors.slot(id).is_some()
-            || self.cold.as_ref().is_some_and(|c| c.locator.contains_key(&id))
+        self.locator.contains_key(&id)
     }
 
-    /// Number of live (non-retired) attached segments.
+    /// Number of attached segments with a live row. A segment's pages are
+    /// consecutive, so counting runs counts segments.
     pub fn cold_segment_count(&self) -> usize {
-        self.cold.as_ref().map_or(0, |c| c.segments.iter().flatten().count())
+        let mut segments: Vec<*const VectorSegment> =
+            self.attached().map(|(segment, _)| Arc::as_ptr(segment)).collect();
+        segments.dedup();
+        segments.len()
+    }
+
+    /// The page holding row `n`, and the row's place in it.
+    #[inline]
+    fn locate(&self, n: usize) -> (&Page, usize) {
+        let page = &self.pages[self.rows[n].page as usize];
+        (page, n - page.first as usize)
+    }
+
+    /// The rows of `page` that store an item, as `(place in the page, id)`.
+    fn stored<'a>(&'a self, page: &Page) -> impl Iterator<Item = (usize, ItemId)> + 'a {
+        let rows = self.rows[page.span()].iter().enumerate();
+        rows.filter_map(|(at, row)| Some((at, row.id?)))
     }
 
     /// Insert (or replace) an item. Zero vectors are rejected — they carry
@@ -416,25 +449,52 @@ impl SimHashLshIndex {
         self.insert_row(id, &sig.words, |slot| slot.copy_from_slice(vector));
     }
 
-    /// Insert (or replace) a hot row from its packed signature `words` and
-    /// a `fill` that writes the vector straight into its arena slot — how a
+    /// Insert (or replace) a resident row from its packed signature `words`
+    /// and a `fill` that writes the vector straight into its page — how a
     /// hydrating load installs a row it decodes from a block: bucketed from
     /// the signature the build derived, nothing re-projected.
     fn insert_row(&mut self, id: ItemId, words: &[u64], fill: impl FnOnce(&mut [f32])) {
-        debug_assert_eq!(words.len(), self.words_per_sig());
+        let (dim, width) = (self.dim(), self.words_per_sig());
+        debug_assert_eq!(words.len(), width);
         self.remove(id);
-        let filled = self.vectors.insert_with(id, |slot| {
-            fill(slot);
-            Ok(())
-        });
-        let slot = filled.unwrap_or_else(|never: std::convert::Infallible| match never {});
-        assert!(slot < COLD, "arena slot {slot} collides with the cold tag bit");
-        let range = self.sig_range(slot);
-        if self.hot_sigs.len() < range.end {
-            self.hot_sigs.resize(range.end, 0);
+        let n = match self.free.pop() {
+            Some(n) => n,
+            None => self.grow(),
+        };
+        let page = &mut self.pages[self.rows[n as usize].page as usize];
+        let (at, rows) = ((n - page.first) as usize, page.len as usize);
+        let Payload::Resident { vectors, norms, sigs } = &mut page.payload else {
+            unreachable!("a free row is resident");
+        };
+        // Past the last row taken so far: one `grow` appended, or the first
+        // of an attached page that became resident.
+        if norms.len() < rows {
+            vectors.resize(rows * dim, 0.0);
+            norms.resize(rows, 0.0);
+            sigs.resize(rows * width, 0);
         }
-        self.hot_sigs[range].copy_from_slice(words);
-        bucket(&mut self.bands, self.params.rows, slot, words);
+        let vector = &mut vectors[at * dim..(at + 1) * dim];
+        fill(vector);
+        norms[at] = kernel::norm_sq(vector).sqrt();
+        sigs[at * width..(at + 1) * width].copy_from_slice(words);
+        self.rows[n as usize].id = Some(id);
+        self.locator.insert(id, n);
+        bucket(&mut self.bands, self.params.rows, n, words);
+    }
+
+    /// A new free row at the end of the table: in the last page while that
+    /// is resident and not full, else in a new resident page.
+    fn grow(&mut self) -> u32 {
+        let n = u32::try_from(self.rows.len()).expect("row numbers fit a u32");
+        let open = self.pages.last().is_some_and(|page| {
+            matches!(page.payload, Payload::Resident { .. }) && (page.len as usize) < RESIDENT_ROWS
+        });
+        if !open {
+            self.pages.push(Page { first: n, len: 0, payload: Payload::resident() });
+        }
+        self.pages.last_mut().expect("a page is open").len += 1;
+        self.rows.push(Row { page: self.pages.len() as u32 - 1, id: None });
+        n
     }
 
     /// `u64` words per packed signature.
@@ -442,56 +502,57 @@ impl SimHashLshIndex {
         self.params.bits().div_ceil(64)
     }
 
-    /// Where arena slot `slot`'s signature sits in the slab.
-    fn sig_range(&self, slot: u32) -> std::ops::Range<usize> {
-        let words = self.words_per_sig();
-        slot as usize * words..(slot as usize + 1) * words
-    }
-
-    /// The packed signature of the hot row in arena slot `slot`.
-    fn hot_sig(&self, slot: u32) -> &[u64] {
-        &self.hot_sigs[self.sig_range(slot)]
-    }
-
-    /// Remove an item (from either tier); true if it was present. A row
-    /// leaves its buckets **before** its row number can be reused: no
-    /// entry ever outlives the row it names. Removing a cold item leaves
-    /// its on-disk row as unreachable dead weight until the next seal; the
-    /// removal that empties a segment retires it (its cached blocks are
-    /// evicted with it), and the one that empties the tier drops the tier.
+    /// Remove an item; true if it was present. A row leaves its buckets
+    /// **before** its row number can be reused: no entry ever outlives the
+    /// row it names. A resident row's number goes on the free list; an
+    /// attached row's stays dead (its on-disk row is unreachable weight
+    /// until the next seal) until the removal that empties its page makes
+    /// the page resident — and with the last page of a segment the segment
+    /// closes.
     pub fn remove(&mut self, id: ItemId) -> bool {
-        let rows = self.params.rows;
-        if let Some(slot) = self.vectors.slot(id) {
-            let range = self.sig_range(slot);
-            unbucket(&mut self.bands, rows, slot, &self.hot_sigs[range]);
-            self.vectors.remove(id);
-            return true;
-        }
-        let Some(cold) = &mut self.cold else {
+        let Some(n) = self.locator.remove(&id) else {
             return false;
         };
-        let Some(n) = cold.locator.remove(&id) else {
-            return false;
-        };
-        let loc = cold.rows[n as usize].0;
-        let words = cold.segment(loc).sig_words_of(loc.block(), loc.row());
-        unbucket(&mut self.bands, rows, COLD | n, words);
-        if cold.release(loc.seg()) {
-            self.cold = None;
+        let width = self.words_per_sig();
+        let row = &mut self.rows[n as usize];
+        row.id = None;
+        let p = row.page as usize;
+        let page = &self.pages[p];
+        let at = (n - page.first) as usize;
+        unbucket(&mut self.bands, self.params.rows, n, page.sig_words(at, width));
+        match page.payload {
+            Payload::Resident { .. } => self.free.push(n),
+            _ => self.release(p),
         }
         true
     }
 
-    /// Drop one backend's **cold** items only: their band entries and
-    /// locator rows go, and emptied segments retire with their
-    /// cache-resident blocks. Hot (arena-resident) items of the backend are
-    /// untouched. Returns how many cold items were dropped.
-    pub fn drop_cold_backend(&mut self, backend_bits: u16) -> usize {
-        let Some(cold) = &self.cold else {
-            return 0;
+    /// Count one row of attached page `p` out; the one that empties it
+    /// turns the page resident, its rows free.
+    fn release(&mut self, p: usize) {
+        let page = &mut self.pages[p];
+        let Payload::Attached { segment, block, live } = &mut page.payload else {
+            unreachable!("only an attached page releases rows");
         };
-        let doomed: Vec<ItemId> =
-            cold.locator.keys().copied().filter(|&id| item_backend(id) == backend_bits).collect();
+        *live -= 1;
+        if *live > 0 {
+            return;
+        }
+        segment.evict_block(*block);
+        page.payload = Payload::resident();
+        self.free.extend((page.first..page.first + page.len).rev());
+    }
+
+    /// Drop one backend's **attached** items only: their band entries and
+    /// locator rows go, and emptied pages leave the cache and turn
+    /// resident. Resident items of the backend are untouched. Returns how
+    /// many attached items were dropped.
+    pub fn drop_cold_backend(&mut self, backend_bits: u16) -> usize {
+        let doomed: Vec<ItemId> = (self.pages.iter())
+            .filter(|page| matches!(page.payload, Payload::Attached { .. }))
+            .flat_map(|page| self.stored(page).map(|(_, id)| id))
+            .filter(|&id| item_backend(id) == backend_bits)
+            .collect();
         doomed.into_iter().filter(|&id| self.remove(id)).count()
     }
 
@@ -515,12 +576,12 @@ impl SimHashLshIndex {
         Ok(())
     }
 
-    /// Attach a sealed segment to the paged tier: every row `map` keeps is
-    /// indexed into the band buckets from its **resident** signature (no
-    /// payload read — hydration stays lazy) and becomes searchable, served
-    /// from disk through the block cache. Rows replace any same-id item
-    /// already stored (newest attach wins). Returns how many rows were
-    /// attached.
+    /// Attach a sealed segment: each block becomes an attached page, and
+    /// every row `map` keeps is indexed into the band buckets from its
+    /// **resident** signature (no payload read — hydration stays lazy) and
+    /// becomes searchable, served from disk through the block cache. Rows
+    /// replace any same-id item already stored (newest attach wins).
+    /// Returns how many rows were attached.
     ///
     /// `map` returns the id a row is installed under (or `None` to skip
     /// it). Rows are located by position, never by stored id, so a loader
@@ -537,55 +598,41 @@ impl SimHashLshIndex {
                 "segment carries no row sketches: it can be hydrated from, not attached".into(),
             ));
         }
-        let (seg_slot, cold_rows) =
-            self.cold.as_ref().map_or((0, 0), |c| (c.segments.len(), c.rows.len()));
-        let widest = (0..segment.block_count()).map(|b| segment.rows(b).ids.len()).max();
-        if seg_slot >> ColdLoc::SEG_BITS != 0
-            || segment.block_count() > 1 << ColdLoc::BLOCK_BITS
-            || widest.is_some_and(|rows| rows > 1 << ColdLoc::ROW_BITS)
-        {
+        if self.rows.len() + segment.row_count() > u32::MAX as usize {
             return Err(CodecError::Invalid(format!(
-                "segment does not fit the cold locator: slot {seg_slot}, {} blocks, widest block \
-                 {} rows (limits 2^{}, 2^{}, 2^{})",
-                segment.block_count(),
-                widest.unwrap_or(0),
-                ColdLoc::SEG_BITS,
-                ColdLoc::BLOCK_BITS,
-                ColdLoc::ROW_BITS
+                "segment of {} rows would number the index past 2^32 rows ({} already)",
+                segment.row_count(),
+                self.rows.len()
             )));
         }
-        if cold_rows + segment.row_count() > COLD as usize {
-            return Err(CodecError::Invalid(format!(
-                "segment of {} rows would number the cold tier past 2^31 rows ({cold_rows} \
-                 already attached)",
-                segment.row_count()
-            )));
-        }
-        let cold = self.cold.get_or_insert_with(ColdStore::default);
-        cold.segments.push(Some(segment.clone()));
-        // Counted once for the attach itself: replacing older rows below
-        // may retire their segments, never this one or the tier.
-        cold.live.push(1);
         let mut attached = 0usize;
         for block in 0..segment.block_count() {
             let rows = segment.rows(block);
-            for (row, &stored) in rows.ids.iter().enumerate() {
+            let (p, first, len) = (self.pages.len(), self.rows.len() as u32, rows.ids.len());
+            // One count held for the page itself while its rows go in: a
+            // row replacing an earlier one of the same page cannot release it.
+            self.pages.push(Page {
+                first,
+                len: len as u32,
+                payload: Payload::Attached { segment: segment.clone(), block, live: 1 },
+            });
+            self.rows.resize(first as usize + len, Row { page: p as u32, id: None });
+            for (at, &stored) in rows.ids.iter().enumerate() {
                 let Some(id) = map(stored) else {
                     continue;
                 };
                 self.remove(id);
-                let cold = self.cold.as_mut().expect("the attaching segment holds the tier");
-                let n = cold.rows.len() as u32;
-                cold.rows.push((ColdLoc::new(seg_slot, block, row), id));
-                cold.locator.insert(id, n);
-                cold.live[seg_slot] += 1;
-                bucket(&mut self.bands, self.params.rows, COLD | n, rows.sig_words(row));
+                if let Payload::Attached { live, .. } = &mut self.pages[p].payload {
+                    *live += 1;
+                }
+                let n = first + at as u32;
+                self.rows[n as usize].id = Some(id);
+                self.locator.insert(id, n);
+                bucket(&mut self.bands, self.params.rows, n, rows.sig_words(at));
                 attached += 1;
             }
-        }
-        // Nothing admitted retires the slot on the spot.
-        if self.cold.as_mut().expect("the attaching segment holds the tier").release(seg_slot) {
-            self.cold = None;
+            // A page nothing was admitted to is released on the spot.
+            self.release(p);
         }
         Ok(attached)
     }
@@ -593,11 +640,11 @@ impl SimHashLshIndex {
     /// Hydrate from a sealed segment: every block is read once with a
     /// positioned read, CRC-checked, and each row `map` keeps (under the id
     /// it returns, as in [`Self::attach_segment_mapped`]) is decoded
-    /// straight into its arena slot and bucketed from its stored signature
-    /// words. Nothing pages afterwards: the rows are hot, and the segment
-    /// can be dropped. Returns how many rows were installed; on an error the
-    /// index holds the blocks read so far, so hydrate an index nothing else
-    /// sees yet.
+    /// straight into a resident page and bucketed from its stored signature
+    /// words. Nothing pages afterwards: the rows are resident, and the
+    /// segment can be dropped. Returns how many rows were installed; on an
+    /// error the index holds the blocks read so far, so hydrate an index
+    /// nothing else sees yet.
     pub fn hydrate(
         &mut self,
         segment: &VectorSegment,
@@ -627,11 +674,11 @@ impl SimHashLshIndex {
 
     /// Seal every row `admit` keeps into one segment image (layout at
     /// `paged::seal_image`) whose header carries `manifest`. Rows are read
-    /// **in place** — hot ones from the arena and signature slab, cold ones
-    /// from their blocks, fetched through the cache — and laid out in
-    /// (signature, id) order, so the bytes depend neither on which tier a
-    /// row sits in nor on insertion history. A cold block that does not
-    /// read back intact is the error: nothing is sealed around a hole.
+    /// **in place** — resident ones from their pages, attached ones from
+    /// their blocks, fetched through the cache — and laid out in
+    /// (signature, id) order, so the bytes depend neither on where a row
+    /// sits nor on insertion history. An attached block that does not read
+    /// back intact is the error: nothing is sealed around a hole.
     pub fn seal(
         &self,
         block_rows: usize,
@@ -639,110 +686,66 @@ impl SimHashLshIndex {
         manifest: &[u8],
         admit: impl Fn(ItemId) -> bool,
     ) -> Result<Vec<u8>, SegmentError> {
-        let cold = self.cold_blocks()?;
+        let fetched = self.fetch_all()?;
         let mut rows = Vec::with_capacity(self.len());
-        self.rows_in_place(&cold, admit, &mut rows);
+        self.rows_in_place(&fetched, admit, &mut rows);
         let (dim, bits) = (self.dim(), self.params.bits());
         Ok(paged::seal_image(dim, bits, block_rows, sketches, manifest, &mut rows))
     }
 
-    /// The stored vector for an id, if **hot** (arena-resident). Cold
-    /// items return `None` here; use [`Self::vector_owned`] to read
-    /// through the paged tier.
+    /// The stored vector for an id, if **resident**. Attached items return
+    /// `None` here; use [`Self::vector_owned`] to read through the cache.
     pub fn vector(&self, id: ItemId) -> Option<&[f32]> {
-        self.vectors.get(id)
-    }
-
-    /// The stored vector for an id from either tier, cloned. Cold reads go
-    /// through the block cache; a segment-level I/O failure here panics
-    /// (segments were validated at open — losing one mid-flight is an
-    /// environment failure the index cannot recover from).
-    pub fn vector_owned(&self, id: ItemId) -> Option<Vec<f32>> {
-        if let Some(v) = self.vectors.get(id) {
-            return Some(v.to_vec());
+        let (page, at) = self.locate(*self.locator.get(&id)? as usize);
+        match page.payload {
+            Payload::Resident { .. } => Some(page.row(at, self.dim(), None).0),
+            _ => None,
         }
-        let cold = self.cold.as_ref()?;
-        let loc = cold.rows[*cold.locator.get(&id)? as usize].0;
-        let data = cold
-            .segment(loc)
-            .block(loc.block())
-            .unwrap_or_else(|e| panic!("paged tier lost a sealed block: {e}"));
-        let dim = self.dim();
-        let start = loc.row() * dim;
-        Some(data[start..start + dim].to_vec())
     }
 
-    /// The live cold rows grouped by block, in location order.
-    fn cold_groups(&self) -> Vec<Vec<(ColdLoc, ItemId)>> {
-        let rows: Vec<(ColdLoc, ItemId)> =
-            self.cold.iter().flat_map(|cold| cold.live_rows()).collect();
-        rows.chunk_by(|a, b| a.0.same_block(b.0)).map(<[_]>::to_vec).collect()
+    /// The stored vector for an id, resident or attached, cloned. Attached
+    /// reads go through the block cache; a segment-level I/O failure here
+    /// panics.
+    pub fn vector_owned(&self, id: ItemId) -> Option<Vec<f32>> {
+        let (page, at) = self.locate(*self.locator.get(&id)? as usize);
+        let fetched = page.fetch().unwrap_or_else(|e| lost_block(e));
+        Some(page.row(at, self.dim(), fetched.as_deref().map(Vec::as_slice)).0.to_vec())
     }
 
-    /// The blocks holding this index's live cold rows, in location order,
-    /// each fetched once through the cache — the first half of reading the
-    /// rows in place: [`Self::rows_in_place`] borrows the vectors out of
-    /// what this returns.
-    fn cold_blocks(&self) -> Result<Vec<Arc<Vec<f32>>>, SegmentError> {
-        let fetch = |group: Vec<(ColdLoc, ItemId)>| {
-            let first = group[0].0;
-            self.cold_segment(first).block(first.block())
-        };
-        self.cold_groups().into_iter().map(fetch).collect()
+    /// Every page's block fetched once through the cache (`None` for a
+    /// page that is not attached) — the first half of reading the rows in
+    /// place: [`Self::rows_in_place`] borrows the vectors out of it.
+    fn fetch_all(&self) -> Result<Vec<Option<Arc<Vec<f32>>>>, SegmentError> {
+        self.pages.iter().map(Page::fetch).collect()
     }
 
-    /// The attached segment a cold location points into.
-    fn cold_segment(&self, loc: ColdLoc) -> &VectorSegment {
-        self.cold.as_ref().expect("a cold location implies a cold store").segment(loc)
-    }
-
-    /// Append every stored row `admit` keeps to `out`, borrowed where it
-    /// lives: hot rows from the arena and the signature slab in slot order,
-    /// then cold rows from `cold_blocks` (what [`Self::cold_blocks`]
-    /// returned under the same borrow of `self`) and their segments'
-    /// directories.
+    /// Append every stored row `admit` keeps to `out`, in row order,
+    /// borrowed where it lives: from its page, or from `fetched` (what
+    /// [`Self::fetch_all`] returned under the same borrow of `self`) and
+    /// its segment's directory.
     fn rows_in_place<'a>(
         &'a self,
-        cold_blocks: &'a [Arc<Vec<f32>>],
+        fetched: &'a [Option<Arc<Vec<f32>>>],
         admit: impl Fn(ItemId) -> bool,
         out: &mut Vec<SealRow<'a>>,
     ) {
-        let dim = self.dim();
-        for slot in 0..self.vectors.slot_count() as u32 {
-            if let Some(id) = self.vectors.id_at(slot).filter(|&id| admit(id)) {
-                out.push(SealRow {
-                    id,
-                    words: self.hot_sig(slot),
-                    norm: self.vectors.norm_at(slot),
-                    vector: self.vectors.vector_at(slot),
-                });
-            }
-        }
-        let groups = self.cold_groups();
-        assert_eq!(groups.len(), cold_blocks.len(), "one fetched block per block of live rows");
-        for (group, data) in groups.iter().zip(cold_blocks) {
-            for &(loc, id) in group.iter().filter(|&&(_, id)| admit(id)) {
-                let rows = self.cold_segment(loc).rows(loc.block());
-                out.push(SealRow {
-                    id,
-                    words: rows.sig_words(loc.row()),
-                    norm: rows.norm(loc.row()),
-                    vector: &data[loc.row() * dim..(loc.row() + 1) * dim],
-                });
+        let (dim, width) = (self.dim(), self.words_per_sig());
+        for (page, data) in self.pages.iter().zip(fetched) {
+            for (at, id) in self.stored(page).filter(|&(_, id)| admit(id)) {
+                let (vector, norm) = page.row(at, dim, data.as_deref().map(Vec::as_slice));
+                out.push(SealRow { id, words: page.sig_words(at, width), norm, vector });
             }
         }
     }
 
-    /// Export every stored row (hot and cold) with its signature and norm,
-    /// ready for [`crate::paged::write_vector_segment`]. Cold rows read
-    /// through the cache; panics on segment I/O failure like
-    /// [`Self::vector_owned`].
+    /// Export every stored row with its signature and norm, ready for
+    /// [`crate::paged::write_vector_segment`]. Attached rows read through
+    /// the cache; panics on segment I/O failure like [`Self::vector_owned`].
     pub fn export_rows(&self) -> Vec<SegmentRow> {
         let bits = self.params.bits();
-        let blocks =
-            self.cold_blocks().unwrap_or_else(|e| panic!("paged tier lost a sealed block: {e}"));
+        let fetched = self.fetch_all().unwrap_or_else(|e| lost_block(e));
         let mut rows = Vec::with_capacity(self.len());
-        self.rows_in_place(&blocks, |_| true, &mut rows);
+        self.rows_in_place(&fetched, |_| true, &mut rows);
         rows.into_iter()
             .map(|r| SegmentRow {
                 id: r.id,
@@ -769,16 +772,11 @@ impl SimHashLshIndex {
     pub fn candidates_signed_into(&self, sig: &Signature, out: &mut Vec<ItemId>) {
         out.clear();
         self.for_each_bucket(sig, |entries| {
-            out.extend(entries.iter().map(|&entry| {
-                match entry & COLD {
-                    0 => self.vectors.id_at(entry).expect("a bucketed slot is live"),
-                    _ => {
-                        self.cold.as_ref().expect("a cold entry implies a cold store").rows
-                            [(entry & !COLD) as usize]
-                            .1
-                    }
-                }
-            }));
+            out.extend(
+                entries
+                    .iter()
+                    .map(|&n| self.rows[n as usize].id.expect("a bucketed row is stored")),
+            );
         });
         out.sort_unstable();
         out.dedup();
@@ -842,12 +840,12 @@ impl SimHashLshIndex {
 
     /// [`Self::search_signed_scoped_with_outcome`] under a cooperative
     /// [`Deadline`]: the budget is checked before candidate generation,
-    /// before the exact re-rank, and before *every cold block read* — an
-    /// expired request stops without fetching another block from the
-    /// paged tier. [`SearchError::Expired`] names the boundary the budget
-    /// died at; [`SearchError::Storage`] carries a cold block that could
-    /// not be read back intact (it was not cached, and nothing else was
-    /// disturbed: the next search reads what it needs afresh).
+    /// before the exact re-rank, and before *every attached block read* —
+    /// an expired request stops without fetching another block.
+    /// [`SearchError::Expired`] names the boundary the budget died at;
+    /// [`SearchError::Storage`] carries an attached block that could not be
+    /// read back intact (it was not cached, and nothing else was disturbed:
+    /// the next search reads what it needs afresh).
     pub fn search_signed_scoped_deadline_with_outcome(
         &self,
         query: &[f32],
@@ -866,16 +864,16 @@ impl SimHashLshIndex {
         found
     }
 
-    /// The search itself, in `scratch`: one hot pass, then one cold pass,
-    /// over one heap.
+    /// The search itself, in `scratch`: one gather, one scan, one heap.
     ///
     /// Gather: every entry of the signature's buckets sets one bit of the
-    /// per-thread bitset (hot slots first, cold row numbers after them).
-    /// Scan: ascending over the words, clearing each as it is read, so the
-    /// scratch is all-zero again on every way out. A set bit is a distinct
-    /// candidate row; `scope` and `exclude` see it once. Hot rows come out
-    /// in slab order and are scored four per kernel pass; cold rows come
-    /// out in `(segment, block, row)` order, ready to group by block.
+    /// per-thread bitset. Scan: ascending over the words, clearing each as
+    /// it is read, so the scratch is all-zero again on every way out. A set
+    /// bit is a distinct candidate row; `scope` and `exclude` see it once.
+    /// A resident row is scored on the spot, four per kernel pass, so the
+    /// heap is as full as the resident rows can make it before any attached
+    /// row is bounded; an attached row is set aside for
+    /// [`Self::score_attached_rows`], in row order — block by block.
     #[allow(clippy::too_many_arguments)]
     fn search_with(
         &self,
@@ -887,20 +885,14 @@ impl SimHashLshIndex {
         deadline: Deadline,
         exclude: impl Fn(ItemId) -> bool,
     ) -> Result<(Vec<(ItemId, f32)>, SearchOutcome), SearchError> {
-        let hot_words = self.vectors.slot_count().div_ceil(64);
-        let words = hot_words + self.cold.as_ref().map_or(0, |c| c.rows.len().div_ceil(64));
+        let words = self.rows.len().div_ceil(64);
         if scratch.bits.len() < words {
             scratch.bits.resize(words, 0);
         }
         let bits = &mut scratch.bits[..words];
-        let cold_base = hot_words * 64;
         self.for_each_bucket(sig, |entries| {
-            for &entry in entries {
-                let bit = match entry & COLD {
-                    0 => entry as usize,
-                    _ => cold_base + (entry & !COLD) as usize,
-                };
-                bits[bit >> 6] |= 1 << (bit & 63);
+            for &n in entries {
+                bits[n as usize >> 6] |= 1 << (n & 63);
             }
         });
         if let Err(phase) = deadline.check(Phase::Rerank) {
@@ -908,67 +900,68 @@ impl SimHashLshIndex {
             return Err(phase.into());
         }
 
-        let qnorm = kernel::norm_sq(query).sqrt();
-        let (hot_bits, cold_bits) = bits.split_at_mut(hot_words);
-        // One verdict per distinct candidate row: out of scope it is not a
-        // candidate at all; excluded, it is counted and never scored.
-        let mut candidates = 0usize;
-        let mut scorable = |id: ItemId| {
-            if !scope.admits(id) {
-                return false;
-            }
-            candidates += 1;
-            !exclude(id)
-        };
-        // Hot pass first: the arena streams in slot order, and a full heap
-        // raises the threshold before any cold block is considered.
+        let (dim, qnorm) = (self.dim(), kernel::norm_sq(query).sqrt());
         let mut topk = TopK::new(k);
-        let mut batch = [(0u32, 0 as ItemId); 4];
-        let (mut filled, mut scored) = (0usize, 0usize);
-        drain_bits(hot_bits, |slot| {
-            let slot = slot as u32;
-            let id = self.vectors.id_at(slot).expect("a bucketed slot is live");
-            if !scorable(id) {
+        let mut batch: [(&[f32], f32, ItemId); 4] = [(&[], 0.0, 0); 4];
+        let (mut candidates, mut filled, mut scored) = (0usize, 0usize, 0usize);
+        scratch.rows.clear();
+        // The scan hands rows out in ascending order, so a resident row's
+        // page is mostly the last one's: its rows and slices are kept here,
+        // and the row's vector is addressed from them without waiting on
+        // the loads that name its page.
+        let (mut span, mut slices): (_, (&[f32], &[f32])) = (0..0, (&[], &[]));
+        drain_bits(bits, |n| {
+            let Row { page: p, id } = self.rows[n];
+            let id = id.expect("a bucketed row is stored");
+            // One verdict per distinct candidate row: out of scope it is
+            // not a candidate at all; excluded, it is counted and never
+            // scored.
+            if !scope.admits(id) {
                 return;
             }
-            batch[filled] = (slot, id);
+            candidates += 1;
+            if exclude(id) {
+                return;
+            }
+            let page = &self.pages[p as usize];
+            let Payload::Resident { vectors, norms, .. } = &page.payload else {
+                scratch.rows.push((p, (n - page.first as usize) as u32, id));
+                return;
+            };
+            if n >= span.end {
+                (span, slices) = (page.span(), (vectors.as_slice(), norms.as_slice()));
+            }
+            let ((vectors, norms), at) = (slices, n - span.start);
+            batch[filled] = (&vectors[at * dim..(at + 1) * dim], norms[at], id);
             filled += 1;
             if filled == batch.len() {
-                let dots = kernel::dot4(query, batch.map(|(slot, _)| self.vectors.vector_at(slot)));
-                for (&(slot, id), dot) in batch.iter().zip(dots) {
-                    topk.push(cosine_of(dot, qnorm, self.vectors.norm_at(slot)) as f64, id);
+                let dots = kernel::dot4(query, batch.map(|(vector, ..)| vector));
+                for (&(_, norm, id), dot) in batch.iter().zip(dots) {
+                    topk.push(cosine_of(dot, qnorm, norm) as f64, id);
                 }
                 scored += filled;
                 filled = 0;
             }
         });
-        for &(slot, id) in &batch[..filled] {
-            topk.push(self.score_slot(query, qnorm, slot) as f64, id);
+        for &(vector, norm, id) in &batch[..filled] {
+            topk.push(cosine_of(kernel::dot(query, vector), qnorm, norm) as f64, id);
         }
         scored += filled;
 
-        scratch.rows.clear();
-        if let Some(cold) = &self.cold {
-            drain_bits(cold_bits, |n| {
-                let (loc, id) = cold.rows[n];
-                if scorable(id) {
-                    scratch.rows.push((loc, id));
-                }
-            });
-        }
-        let (blocks_read, blocks_pruned, cold_scored) =
-            self.score_cold_rows(query, qnorm, scratch, deadline, &mut topk)?;
-        let scored = scored + cold_scored;
+        let (blocks_read, blocks_pruned, attached_scored) =
+            self.score_attached_rows(query, qnorm, scratch, deadline, &mut topk)?;
+        let scored = scored + attached_scored;
         Ok((ranking(topk), SearchOutcome { candidates, scored, blocks_read, blocks_pruned }))
     }
 
-    /// Cold pass of the exact re-rank: bound every candidate row from its
-    /// resident record, group the rows by block, visit blocks in descending
-    /// largest-row-bound (the rows most likely to score high fill the heap
-    /// first, raising the threshold for the rest), stop at the first block
-    /// whose bound falls strictly below a *full* heap's threshold, and
-    /// inside a fetched block score only the rows whose own bound still
-    /// reaches it. Returns `(blocks read, blocks pruned, rows scored)`.
+    /// The attached rows' pass of the exact re-rank: bound every candidate
+    /// row from its sketch, group the rows by block, visit blocks in
+    /// descending largest-row-bound (the rows most likely to score high
+    /// fill the heap first, raising the threshold for the rest), stop at the
+    /// first block whose bound falls strictly below a *full* heap's
+    /// threshold, and inside a fetched block score only the rows whose own
+    /// bound still reaches it. Returns `(blocks read, blocks pruned, rows
+    /// scored)`.
     ///
     /// A pass visits a handful of its hundreds of groups, so the order is
     /// not computed: the groups a heap arriving full does not already rule
@@ -981,7 +974,7 @@ impl SimHashLshIndex {
     /// threshold only rises, so every skipped row scores strictly below
     /// the final k-th result — the returned top-k is bit-identical to
     /// scoring everything, by [`TopK`]'s push-order independence.
-    fn score_cold_rows(
+    fn score_attached_rows(
         &self,
         query: &[f32],
         qnorm: f32,
@@ -993,31 +986,28 @@ impl SimHashLshIndex {
         if rows.is_empty() {
             return Ok((0, 0, 0));
         }
-        let cold = self.cold.as_ref().expect("cold candidates imply a cold store");
         let dim = self.dim();
         codes.set(query, qnorm);
-        // Group boundaries over the rows — the scan handed them out in
-        // (seg, block, row) order — with every row's bound and the largest
+        // One group per page — the scan handed the rows out in row order,
+        // a page's rows together — with every row's bound and the largest
         // of each group.
         bounds.clear();
         groups.clear();
-        // A heap the hot pass filled already rules out every group under
-        // its threshold: those are counted and never enter the heap — the
-        // threshold only rises, so no visit could have reached them.
+        // A heap the resident rows filled already rules out every group
+        // under its threshold: those are counted and never enter the heap —
+        // the threshold only rises, so no visit could have reached them.
         let entering = topk.threshold();
-        let mut total = 0usize;
-        let mut start = 0usize;
-        while start < rows.len() {
-            let first = rows[start].0;
-            let meta = cold.segment(first).rows(first.block());
-            let mut end = start;
+        let (mut total, mut start) = (0usize, 0usize);
+        for group in rows.chunk_by(|a, b| a.0 == b.0) {
+            let (segment, block) = self.pages[group[0].0 as usize].block();
+            let meta = segment.rows(block);
             let mut bound = f64::NEG_INFINITY;
-            while end < rows.len() && rows[end].0.same_block(first) {
-                let ub = meta.cosine_upper_bound(rows[end].0.row(), codes);
+            for &(_, at, _) in group {
+                let ub = meta.cosine_upper_bound(at as usize, codes);
                 bounds.push(ub);
                 bound = bound.max(ub);
-                end += 1;
             }
+            let end = start + group.len();
             total += 1;
             if !entering.is_some_and(|threshold| bound < threshold) {
                 groups.push(BlockGroup { bound, start: start as u32, end: end as u32 });
@@ -1036,20 +1026,20 @@ impl SimHashLshIndex {
                 break;
             }
             // The budget check sits directly in front of the block fetch:
-            // a cold read is the most expensive step a query can take, so
+            // a block read is the most expensive step a query can take, so
             // an expired request never starts another one.
             deadline.check(Phase::BlockRead)?;
             let (start, end) = (group.start as usize, group.end as usize);
-            let first = rows[start].0;
-            let seg = cold.segment(first);
-            let meta = seg.rows(first.block());
-            let data = seg.block(first.block())?;
+            let (segment, block) = self.pages[rows[start].0 as usize].block();
+            let meta = segment.rows(block);
+            let data = segment.block(block)?;
             blocks_read += 1;
-            for (&(loc, id), &ub) in rows[start..end].iter().zip(&bounds[start..end]) {
+            for (&(_, at, id), &ub) in rows[start..end].iter().zip(&bounds[start..end]) {
                 if topk.threshold().is_some_and(|threshold| ub < threshold) {
                     continue;
                 }
-                topk.push(score_row(query, qnorm, meta.norm(loc.row()), &data, loc.row(), dim), id);
+                let at = at as usize;
+                topk.push(score_row(query, qnorm, meta.norm(at), &data, at, dim), id);
                 scored += 1;
             }
         }
@@ -1058,58 +1048,25 @@ impl SimHashLshIndex {
     }
 
     /// Exact search over *all* stored vectors (ignores the LSH buckets) —
-    /// the ANN-quality reference used in ablations. Streams the arena in
-    /// slot order.
+    /// the ANN-quality reference used in ablations. Walks the pages in row
+    /// order; the reference must not prune, so every attached page's block
+    /// is read through the cache, one page at a time.
     pub fn search_exact(
         &self,
         query: &[f32],
         k: usize,
         exclude: impl Fn(ItemId) -> bool,
     ) -> Vec<(ItemId, f32)> {
-        let qnorm = kernel::norm_sq(query).sqrt();
+        let (dim, qnorm) = (self.dim(), kernel::norm_sq(query).sqrt());
         let mut topk = TopK::new(k);
-        for slot in 0..self.vectors.slot_count() as u32 {
-            let Some(id) = self.vectors.id_at(slot) else {
-                continue;
-            };
-            if exclude(id) {
-                continue;
-            }
-            topk.push(self.score_slot(query, qnorm, slot) as f64, id);
-        }
-        if let Some(cold) = &self.cold {
-            // The reference baseline must not prune: score every live cold
-            // row through the cache, block by block.
-            let rows: Vec<(ColdLoc, ItemId)> =
-                cold.live_rows().filter(|&(_, id)| !exclude(id)).collect();
-            let dim = self.dim();
-            for group in rows.chunk_by(|a, b| a.0.same_block(b.0)) {
-                let first = group[0].0;
-                let seg = cold.segment(first);
-                let meta = seg.rows(first.block());
-                let data = seg
-                    .block(first.block())
-                    .unwrap_or_else(|e| panic!("paged tier lost a sealed block: {e}"));
-                for &(loc, id) in group {
-                    topk.push(
-                        score_row(query, qnorm, meta.norm(loc.row()), &data, loc.row(), dim),
-                        id,
-                    );
-                }
+        for page in &self.pages {
+            let fetched = page.fetch().unwrap_or_else(|e| lost_block(e));
+            for (at, id) in self.stored(page).filter(|&(_, id)| !exclude(id)) {
+                let (vector, norm) = page.row(at, dim, fetched.as_deref().map(Vec::as_slice));
+                topk.push(cosine_of(kernel::dot(query, vector), qnorm, norm) as f64, id);
             }
         }
         ranking(topk)
-    }
-
-    /// Exact cosine of the query against one arena slot: a single kernel
-    /// dot over contiguous memory, divided by the precomputed norms.
-    #[inline]
-    fn score_slot(&self, query: &[f32], qnorm: f32, slot: u32) -> f32 {
-        cosine_of(
-            kernel::dot(query, self.vectors.vector_at(slot)),
-            qnorm,
-            self.vectors.norm_at(slot),
-        )
     }
 }
 
@@ -1318,6 +1275,11 @@ mod tests {
         ids
     }
 
+    /// The segment the first attached page is a block of.
+    fn first_segment(index: &SimHashLshIndex) -> &Arc<VectorSegment> {
+        index.attached().next().expect("an attached page").0
+    }
+
     /// A search under `scope` without a deadline or exclusions.
     fn scoped(
         index: &SimHashLshIndex,
@@ -1461,7 +1423,7 @@ mod tests {
         let mut image = std::fs::read(&path).unwrap();
         image[wg_util::segment::PREAMBLE_LEN + 3] ^= 0x40;
         std::fs::write(&path, &image).unwrap();
-        mixed.cold_blocks().expect("cached");
+        mixed.fetch_all().expect("cached");
         let fresh = Arc::new(VectorSegment::open(&path, crate::paged::BlockCache::new(0)).unwrap());
         let mut damaged = SimHashLshIndex::new(64, mixed.params(), 17);
         damaged.attach_segment_mapped(fresh, Some).unwrap();
@@ -1721,7 +1683,7 @@ mod tests {
             let (b, ob) = searched(&paged, &query, 5, |id| id % 11 == 0);
             assert_eq!(a, b, "query {q}: paged ranking diverged");
             assert_eq!(oa.candidates, ob.candidates);
-            // Pruned rows are unscored; the hot path scored everything.
+            // Pruned rows are unscored; the resident index scored everything.
             assert!(ob.scored <= oa.scored);
             read += ob.blocks_read;
             pruned += ob.blocks_pruned;
@@ -1843,9 +1805,9 @@ mod tests {
                 };
                 let sig = paged.hasher().sign(&query);
                 let qnorm = kernel::norm_sq(&query).sqrt();
-                // Every other pass enters the cold pass with a full heap:
-                // five hot rows near the query, bucketed under its own
-                // signature, which the hot pass scores first.
+                // Every other pass enters the attached pass with a full
+                // heap: five resident rows near the query, bucketed under
+                // its own signature, which the scan scores first.
                 let entering: Vec<(ItemId, Vec<f32>)> = (1_000..)
                     .filter(|&id| !exclude(id))
                     .take(5 * (q % 2))
@@ -1864,19 +1826,24 @@ mod tests {
                 // The same pass with every group sorted before the first
                 // visit: rows in location order, one bound each, groups in
                 // descending largest bound, equal bounds by position.
-                let cold = paged.cold.as_ref().expect("attached");
-                let seg = cold.segments[0].as_ref().expect("live");
-                let mut rows: Vec<(ColdLoc, ItemId)> = (candidate_ids(&paged, &sig).into_iter())
+                let attached = |&(n, _): &(usize, ItemId)| {
+                    matches!(paged.locate(n).0.payload, Payload::Attached { .. })
+                };
+                let mut rows: Vec<(usize, ItemId)> = (candidate_ids(&paged, &sig).into_iter())
                     .filter(|&id| !exclude(id))
-                    .filter_map(|id| Some(cold.rows[*cold.locator.get(&id)? as usize]))
+                    .map(|id| (paged.locator[&id] as usize, id))
+                    .filter(attached)
                     .collect();
                 rows.sort_unstable();
                 let mut codes = QueryCodes::default();
                 codes.set(&query, qnorm);
-                let bound =
-                    |loc: ColdLoc| seg.rows(loc.block()).cosine_upper_bound(loc.row(), &codes);
+                let bound = |n: usize| {
+                    let (page, at) = paged.locate(n);
+                    let (segment, block) = page.block();
+                    segment.rows(block).cosine_upper_bound(at, &codes)
+                };
                 let mut groups = Vec::new();
-                for group in rows.chunk_by(|a, b| a.0.same_block(b.0)) {
+                for group in rows.chunk_by(|a, b| paged.rows[a.0].page == paged.rows[b.0].page) {
                     let largest =
                         group.iter().map(|r| bound(r.0)).fold(f64::NEG_INFINITY, f64::max);
                     groups.push((largest, groups.len(), group));
@@ -1894,17 +1861,15 @@ mod tests {
                     if want.threshold().is_some_and(|threshold| largest < threshold) {
                         break;
                     }
-                    let block = group[0].0.block();
-                    let (meta, data) = (seg.rows(block), seg.block(block).expect("read"));
+                    let (segment, block) = paged.locate(group[0].0).0.block();
+                    let (meta, data) = (segment.rows(block), segment.block(block).expect("read"));
                     read += 1;
-                    for &(loc, id) in group {
-                        if want.threshold().is_some_and(|threshold| bound(loc) < threshold) {
+                    for &(n, id) in group {
+                        if want.threshold().is_some_and(|threshold| bound(n) < threshold) {
                             continue;
                         }
-                        want.push(
-                            score_row(&query, qnorm, meta.norm(loc.row()), &data, loc.row(), 32),
-                            id,
-                        );
+                        let at = paged.locate(n).1;
+                        want.push(score_row(&query, qnorm, meta.norm(at), &data, at, 32), id);
                         scored += 1;
                     }
                 }
@@ -1984,8 +1949,7 @@ mod tests {
                 seal_and_attach(&source, &format!("one-by-one-{tag}"), 8, 0);
             assert_eq!(paged.export_rows().len(), 40);
             assert_eq!(cache.stats().len, 5, "every block is cached");
-            let segment =
-                Arc::downgrade(paged.cold.as_ref().unwrap().segments[0].as_ref().unwrap());
+            let segment = Arc::downgrade(first_segment(&paged));
             for (id, v) in vectors.iter().enumerate() {
                 assert_eq!(paged.cold_segment_count(), 1, "{tag}: {} rows still live", 40 - id);
                 kill(&mut paged, id as ItemId, v);
@@ -1993,7 +1957,7 @@ mod tests {
             assert_eq!((paged.len(), paged.cold_len(), paged.cold_segment_count()), (left, 0, 0));
             assert_eq!(cache.stats().len, 0, "{tag}: retirement drops cached blocks");
             assert!(segment.upgrade().is_none(), "{tag}: the file must be closed");
-            assert!(paged.cold.is_none(), "{tag}: an emptied tier is dropped");
+            assert!(paged.attached().next().is_none(), "{tag}: every page was released");
             assert_buckets_name_live_rows(&paged);
             std::fs::remove_dir_all(&dir).ok();
         }
@@ -2037,11 +2001,15 @@ mod tests {
         }
     }
 
-    /// The bucket invariant: every entry names a live row whose signature
-    /// lands in that bucket, no bucket is empty or names a row twice, and —
-    /// the entry count being `bands` per stored item — every live row sits
-    /// in exactly `bands` buckets.
+    /// The table invariants. Buckets: every entry names a stored row whose
+    /// signature lands in that bucket, no bucket is empty or names a row
+    /// twice, and — the entry count being `bands` per stored item — every
+    /// stored row sits in exactly `bands` buckets. Rows: the pages number
+    /// the rows in consecutive runs, the locator names exactly the stored
+    /// rows, an attached page counts its stored rows (at least one), and the
+    /// free list is exactly the resident rows storing nothing.
     fn assert_buckets_name_live_rows(index: &SimHashLshIndex) {
+        let width = index.words_per_sig();
         let mut entries_seen = 0usize;
         for (band, buckets) in index.bands.iter().enumerate() {
             for (&key, entries) in buckets {
@@ -2050,31 +2018,40 @@ mod tests {
                 distinct.sort_unstable();
                 distinct.dedup();
                 assert_eq!(distinct.len(), entries.len(), "band {band}: a row is bucketed twice");
-                for &entry in entries {
-                    let words = match entry & COLD {
-                        0 => {
-                            assert!(index.vectors.id_at(entry).is_some(), "slot {entry} is free");
-                            index.hot_sig(entry)
-                        }
-                        _ => {
-                            let cold = index.cold.as_ref().expect("a cold entry without a tier");
-                            let n = entry & !COLD;
-                            let (loc, id) = cold.rows[n as usize];
-                            assert_eq!(cold.locator.get(&id), Some(&n), "cold row {n} is dead");
-                            cold.segment(loc).sig_words_of(loc.block(), loc.row())
-                        }
-                    };
-                    assert_eq!(band_key_of(words, band, index.params.rows), key);
+                for &n in entries {
+                    let (page, at) = index.locate(n as usize);
+                    let id = index.rows[n as usize].id;
+                    let id = id.unwrap_or_else(|| panic!("row {n} stores nothing"));
+                    assert_eq!(index.locator.get(&id), Some(&n), "row {n} is not {id}'s");
+                    assert_eq!(
+                        band_key_of(page.sig_words(at, width), band, index.params.rows),
+                        key
+                    );
                 }
                 entries_seen += entries.len();
             }
         }
         assert_eq!(entries_seen, index.len() * index.params.bands);
-        if let Some(cold) = &index.cold {
-            let live: usize = cold.live.iter().sum();
-            assert_eq!((live, cold.live_rows().count()), (cold.locator.len(), cold.locator.len()));
-            assert!(cold.segments.iter().zip(&cold.live).all(|(s, &n)| s.is_some() == (n > 0)));
+        let (mut next, mut stored, mut free) = (0usize, 0usize, Vec::new());
+        for (p, page) in index.pages.iter().enumerate() {
+            assert_eq!(page.first as usize, next, "page {p} does not continue the numbering");
+            next = page.span().end;
+            assert!(index.rows[page.span()].iter().all(|row| row.page as usize == p));
+            let live = index.stored(page).count();
+            for (at, id) in index.stored(page) {
+                assert_eq!(index.locator[&id], page.first + at as u32, "{id} is located elsewhere");
+            }
+            stored += live;
+            match &page.payload {
+                Payload::Resident { .. } => free
+                    .extend(page.span().filter(|&n| index.rows[n].id.is_none()).map(|n| n as u32)),
+                Payload::Attached { live: counted, .. } => assert!(*counted == live && live > 0),
+            }
         }
+        assert_eq!((next, stored), (index.rows.len(), index.len()));
+        let mut listed = index.free.clone();
+        listed.sort_unstable();
+        assert_eq!(listed, free, "the free list is not the free resident rows");
     }
 
     #[test]
@@ -2092,24 +2069,23 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("wg-index-ops-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("create temp dir");
         let cache = crate::paged::BlockCache::new(4 * 4 * DIM * 4);
-        let (mut attaches, mut slots_reused, mut retired) = (0usize, 0usize, 0usize);
+        let (mut attaches, mut rows_reused, mut retired) = (0usize, 0usize, 0usize);
         let mut pick = |n: usize| (rng.gen_u64() % n as u64) as usize;
         for step in 0..STEPS {
             let id = crate::compose_item_id(pick(3) as u16, pick(48) as u32);
             let segments_before = index.cold_segment_count();
             match pick(100) {
-                // Insert or replace, hot. A freed slot is reused LIFO.
+                // Insert or replace, resident. A freed row is reused LIFO.
                 0..=44 => {
                     let v = pick(pool.len());
-                    let slots = index.vectors.slot_count();
-                    let had_free = index.vectors.len() < slots;
+                    let (rows, had_free) = (index.rows.len(), !index.free.is_empty());
                     assert!(index.insert(id, &pool[v]));
-                    slots_reused += (had_free && index.vectors.slot_count() == slots) as usize;
+                    rows_reused += (had_free && index.rows.len() == rows) as usize;
                     model.insert(id, v);
                 }
                 45..=79 => assert_eq!(index.remove(id), model.remove(&id).is_some()),
-                // Seal a handful of rows — some of them ids already stored
-                // in either tier — and attach them cold.
+                // Seal a handful of rows — some of them ids already stored,
+                // resident or attached — and attach them.
                 80..=93 => {
                     let rows: std::collections::BTreeMap<ItemId, usize> = (0..1 + pick(12))
                         .map(|_| {
@@ -2139,7 +2115,7 @@ mod tests {
                     assert_eq!(index.drop_cold_backend(bits), cold.len());
                     model.retain(|x, _| !cold.contains(x));
                 }
-                // A whole namespace removed row by row, hot and cold.
+                // A whole namespace removed row by row, resident and attached.
                 _ => {
                     let bits = crate::item_backend(id);
                     let doomed: Vec<ItemId> =
@@ -2176,8 +2152,27 @@ mod tests {
             );
             assert_eq!(got, ranking(want), "step {step}");
             assert_eq!(outcome.candidates, ids.len(), "step {step}");
+
+            // Every stored vector reads back, wherever its row sits, and the
+            // exhaustive search is the top-k over the model.
+            let mut exact = TopK::new(7);
+            for (&id, &v) in &model {
+                let v = &pool[v];
+                assert_eq!(index.vector_owned(id).as_deref(), Some(&v[..]), "step {step}");
+                let score = cosine_of(kernel::dot(&query, v), qnorm, kernel::norm_sq(v).sqrt());
+                exact.push(score as f64, id);
+            }
+            assert_eq!(index.search_exact(&query, 7, |_| false), ranking(exact), "step {step}");
+
+            // Sealed and hydrated into a fresh index, the same rows rank
+            // alike.
+            let fresh = hydrated(&sealed(&index, 4), &index);
+            assert_eq!(fresh.len(), model.len(), "step {step}");
+            let all = DiscoverScope::All;
+            let ranked = fresh.search_signed_scoped_with_outcome(&query, &sig, 7, &all, |_| false);
+            assert_eq!(ranked.0, got, "step {step}");
         }
-        assert!(attaches > 100 && slots_reused > 100 && retired > 20, "the script must mix tiers");
+        assert!(attaches > 100 && rows_reused > 100 && retired > 20, "the script must mix tiers");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -2247,7 +2242,7 @@ mod tests {
         let mut image = std::fs::read(dir.join("seg.wgs")).expect("read image");
         image[wg_util::segment::PREAMBLE_LEN + 5] ^= 0x10;
         std::fs::write(dir.join("seg.wgs"), &image).expect("rewrite in place");
-        mixed.cold.as_ref().unwrap().segments[0].as_ref().unwrap().evict_from_cache();
+        first_segment(&mixed).evict_from_cache();
         let damaged = queries.iter().filter(|q| {
             let sig = mixed.hasher().sign(q);
             let all = DiscoverScope::All;
@@ -2262,35 +2257,10 @@ mod tests {
     }
 
     #[test]
-    fn packed_locations_order_like_the_field_tuple() {
-        let max = |bits: u32| (1usize << bits) - 1;
-        let (segs, blocks, rows) = (
-            [0, 1, max(ColdLoc::SEG_BITS)],
-            [0, 1, max(ColdLoc::BLOCK_BITS)],
-            [0, 1, max(ColdLoc::ROW_BITS)],
-        );
-        let mut tuples = Vec::new();
-        for seg in segs {
-            for block in blocks {
-                for row in rows {
-                    let loc = ColdLoc::new(seg, block, row);
-                    assert_eq!((loc.seg(), loc.block(), loc.row()), (seg, block, row));
-                    tuples.push(((seg, block, row), loc));
-                }
-            }
-        }
-        for (ta, a) in &tuples {
-            for (tb, b) in &tuples {
-                assert_eq!(a.cmp(b), ta.cmp(tb), "{ta:?} vs {tb:?}");
-                assert_eq!(a.same_block(*b), (ta.0, ta.1) == (tb.0, tb.1));
-            }
-        }
-    }
-
-    #[test]
-    fn attach_rejects_a_block_too_wide_for_the_locator() {
+    fn attach_takes_a_block_of_any_width() {
+        // 2^16 + 1 rows in one block: one page, however wide its block.
         let dim = 2;
-        let rows_per_block = (1usize << ColdLoc::ROW_BITS) + 1;
+        let rows_per_block = (1usize << 16) + 1;
         let mut source = SimHashLshIndex::new(dim, LshParams { bands: 2, rows: 4 }, 5);
         for id in 0..rows_per_block as ItemId {
             let angle = id as f32 * 1e-4;
@@ -2298,21 +2268,18 @@ mod tests {
         }
         let dir = std::env::temp_dir().join(format!("wg-index-wide-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("create temp dir");
-        let seal = |block_rows: usize| {
-            let path = dir.join(format!("seg-{block_rows}.wgs"));
-            crate::paged::write_vector_segment(&path, dim, 8, block_rows, source.export_rows())
-                .expect("seal");
-            let cache = crate::paged::BlockCache::new(0);
-            Arc::new(crate::paged::VectorSegment::open(&path, cache).expect("open"))
-        };
+        let path = dir.join("seg.wgs");
+        crate::paged::write_vector_segment(&path, dim, 8, rows_per_block, source.export_rows())
+            .expect("seal");
+        let cache = crate::paged::BlockCache::new(0);
+        let segment = Arc::new(VectorSegment::open(&path, cache).expect("open"));
         let mut paged = SimHashLshIndex::new(dim, source.params(), source.seed());
-        let err = paged.attach_segment_mapped(seal(rows_per_block), Some).expect_err("too wide");
-        assert!(err.to_string().contains("does not fit the cold locator"), "{err}");
-        assert!(paged.is_empty() && paged.cold_segment_count() == 0);
-        // One row fewer per block is the widest block the locator holds.
-        assert_eq!(paged.attach_segment_mapped(seal(rows_per_block - 1), Some), Ok(rows_per_block));
-        let hits = paged.search(&[1.0, 0.0], 3, |_| false);
-        assert_eq!(hits, source.search(&[1.0, 0.0], 3, |_| false));
+        assert_eq!(paged.attach_segment_mapped(segment, Some), Ok(rows_per_block));
+        assert_eq!((paged.pages.len(), paged.cold_len()), (1, rows_per_block));
+        for query in [[1.0, 0.0], [0.0, 1.0]] {
+            let hits = paged.search(&query, 3, |_| false);
+            assert_eq!(hits, source.search(&query, 3, |_| false));
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -12,35 +12,34 @@
 //! * [`simhash`] — signature generation and Hamming/cosine estimation;
 //!   hyperplanes live in one contiguous transposed matrix signed in a
 //!   single blocked GEMV pass (`wg_util::kernel`);
-//! * [`arena`] — the contiguous [`VectorArena`] slab backing exact
-//!   re-ranking (slots as row numbers, free-list slot reuse, precomputed
-//!   norms);
 //! * [`params`] — derivation of `(bands, rows)` from a target threshold;
-//! * [`index`] — the banded [`SimHashLshIndex`]: buckets of row numbers
-//!   (arena slots and paged-tier rows alike), a per-thread bitset as the
-//!   candidate set — no sort and no id lookup between the buckets and the
-//!   scores — exact cosine re-ranking, optional multi-probe, incremental
-//!   insert/remove, and sealing into / hydrating from one segment image
-//!   ([`SimHashLshIndex::seal`], [`SimHashLshIndex::hydrate`]). It is
-//!   single-threaded: a concurrent caller holds it behind one lock and
-//!   signs outside it ([`SimHashLshIndex::with_hasher`]);
+//! * [`index`] — the banded [`SimHashLshIndex`]: one table of pages in one
+//!   row-number space — a page is *resident* (vectors, norms and signature
+//!   words in memory, freed rows reused) or *attached* (one block of a
+//!   lazily attached [`VectorSegment`]) — with buckets of row numbers, a
+//!   per-thread bitset as the candidate set (no sort and no id lookup
+//!   between the buckets and the scores), exact cosine re-ranking that
+//!   scores a resident row outright and bounds an attached one first,
+//!   optional multi-probe, incremental insert/remove, and sealing into /
+//!   hydrating from one segment image ([`SimHashLshIndex::seal`],
+//!   [`SimHashLshIndex::hydrate`]). It is single-threaded: a concurrent
+//!   caller holds it behind one lock and signs outside it
+//!   ([`SimHashLshIndex::with_hasher`]);
 //! * [`paged`] — the one writer and the one reader of a sealed segment,
-//!   and the beyond-RAM tier built on it: a directory that
-//!   keeps an int8 sketch of every row resident (bounded against the
-//!   query's own i16 quantization with one exact integer dot — the bound
-//!   that decides which blocks a query reads at all), a shared
-//!   byte-budgeted [`BlockCache`] (a [`wg_util::lru::Lru`] behind a
-//!   mutex), and lazy block hydration feeding the
-//!   exact re-ranker without full residency;
+//!   and what an attached page reads through: a directory that keeps an
+//!   int8 sketch of every row resident (bounded against the query's own
+//!   i16 quantization with one exact integer dot — the bound that decides
+//!   which blocks a query reads at all) and a shared byte-budgeted
+//!   [`BlockCache`] (a [`wg_util::lru::Lru`] behind a mutex);
 //! * [`minhash`] — MinHash signatures and a banded MinHash LSH for *sets*,
 //!   used by the Aurum and D3L baselines.
 //!
 //! The paper's §5.2.3 "block-and-verify" idea — bound cheaply, verify
-//! exactly — lives in the paged tier's row bound, not in a separate index.
+//! exactly — lives in the attached pages' row bound, not in a separate
+//! index.
 
 #![forbid(unsafe_code)]
 
-pub mod arena;
 pub mod index;
 pub mod minhash;
 pub mod paged;
@@ -48,7 +47,6 @@ pub mod params;
 pub mod scope;
 pub mod simhash;
 
-pub use arena::VectorArena;
 pub use index::{SearchError, SearchOutcome, SimHashLshIndex};
 pub use minhash::{MinHashLshIndex, MinHashSignature, MinHasher};
 pub use paged::{BlockCache, SegmentRow, VectorSegment};

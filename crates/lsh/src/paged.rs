@@ -268,8 +268,8 @@ pub struct SegmentRow {
     /// SimHash signature (geometry must match the index that will attach
     /// the segment).
     pub signature: Signature,
-    /// Precomputed L2 norm, exactly as the [`crate::VectorArena`] stores it
-    /// — cold scoring must reproduce the hot path bit for bit.
+    /// Precomputed L2 norm, exactly as a resident page stores it — an
+    /// attached row must score as the same row held in memory, bit for bit.
     pub norm: f32,
     /// The vector itself.
     pub vector: Vec<f32>,
@@ -281,9 +281,8 @@ impl SegmentRow {
     }
 }
 
-/// One row headed into [`seal_image`], borrowed from wherever it lives — an
-/// arena slot and its signature slab, or a cached cold block and its
-/// directory.
+/// One row headed into [`seal_image`], borrowed from wherever it lives — a
+/// resident page, or a cached block and its segment's directory.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct SealRow<'a> {
     pub(crate) id: ItemId,
@@ -825,6 +824,12 @@ impl VectorSegment {
     /// resident.
     pub fn evict_from_cache(&self) -> usize {
         self.cache.evict_segment(self.cache_id)
+    }
+
+    /// Drop one block from the cache, if it is resident (its page was
+    /// released).
+    pub(crate) fn evict_block(&self, block: usize) {
+        self.cache.lru.lock().remove(&(self.cache_id, block as u32));
     }
 
     /// The shared cache this segment pages through.

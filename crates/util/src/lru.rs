@@ -24,7 +24,8 @@ pub struct CacheStats {
     pub hits: u64,
     /// Lookups that found nothing.
     pub misses: u64,
-    /// Entries dropped to stay under budget or by [`Lru::retain`].
+    /// Entries dropped to stay under budget or by [`Lru::retain`] /
+    /// [`Lru::remove`].
     pub evictions: u64,
     /// Entries currently resident.
     pub len: usize,
@@ -144,6 +145,15 @@ impl<K: Hash + Eq + Clone, V: Clone> Lru<K, V> {
             }
         }
         before - self.map.len()
+    }
+
+    /// Evict `key`'s entry, if resident; true if it was.
+    pub fn remove(&mut self, key: &K) -> bool {
+        let Some(&at) = self.map.get(key) else {
+            return false;
+        };
+        self.evict(at);
+        true
     }
 
     /// Current counters.
@@ -281,14 +291,17 @@ mod tests {
         }
         assert_eq!(lru.retain(|&(s, _)| s != 0), 3);
         assert_eq!(recency(&lru), vec![(1, 0), (1, 1)]);
-        assert_eq!(lru.stats().evictions, 3);
-        // Three new entries fit in the three freed slots.
-        for key in [(2, 0), (2, 1), (2, 2)] {
+        // One key evicted on its own frees its slot the same way.
+        assert!(lru.remove(&(1, 1)) && !lru.remove(&(1, 1)));
+        assert_eq!(recency(&lru), vec![(1, 0)]);
+        assert_eq!(lru.stats().evictions, 4);
+        // Four new entries fit in the four freed slots.
+        for key in [(2, 0), (2, 1), (2, 2), (2, 3)] {
             fetch(&mut lru, key, 16);
         }
         assert_eq!(lru.slab.len(), 5);
-        assert_eq!(recency(&lru), vec![(1, 0), (1, 1), (2, 0), (2, 1), (2, 2)]);
-        fetch(&mut lru, (2, 3), 16);
+        assert_eq!(recency(&lru), vec![(1, 0), (2, 0), (2, 1), (2, 2), (2, 3)]);
+        fetch(&mut lru, (2, 4), 16);
         assert_eq!(lru.slab.len(), 6);
     }
 

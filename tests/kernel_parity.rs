@@ -11,11 +11,11 @@
 //! * SimHash signing is self-consistent (insert-side and query-side use
 //!   the same kernel) and agrees with the scalar reference away from the
 //!   sign boundary;
-//! * `VectorArena` slot management behaves (insert/remove/reuse/iteration);
-//! * the arena-streaming re-rank ranks like a plain reference scorer.
+//! * the index's re-rank ranks like a plain reference scorer.
 //!
-//! (Snapshot round trips — including through arena slot churn — are pinned
-//! where the frame lives, in `wg_lsh::index`'s tests.)
+//! (Row-table bookkeeping — insert, replace, remove and row reuse — and
+//! snapshot round trips through that churn are pinned where the table
+//! lives, in `wg_lsh::index`'s tests.)
 //!
 //! The property tests run a fixed number of cases. Case `i` of test `name`
 //! draws every input from
@@ -23,7 +23,7 @@
 //! case prints that seed; `Xoshiro256pp::new(seed)` alone reproduces its
 //! inputs, whatever ran before it.
 
-use warpgate::lsh::{SimHashLshIndex, SimHasher, VectorArena};
+use warpgate::lsh::{SimHashLshIndex, SimHasher};
 use warpgate::util::hash::{combine64, stable_hash_str};
 use warpgate::util::kernel::{self, reference};
 use warpgate::util::rng::{Rng64, Xoshiro256pp};
@@ -157,73 +157,6 @@ fn dot4_is_bit_equal_to_four_dots() {
     }
 }
 
-// ---------------------------------------------------------------------------
-// VectorArena
-// ---------------------------------------------------------------------------
-
-#[test]
-fn arena_insert_remove_reuse_and_iteration_order() {
-    let mut arena = VectorArena::new(4);
-    let mut rng = Xoshiro256pp::new(5);
-    let vecs: Vec<Vec<f32>> =
-        (0..6).map(|_| (0..4).map(|_| rng.gen_gaussian() as f32).collect()).collect();
-    for (id, v) in vecs.iter().enumerate() {
-        assert_eq!(arena.insert(id as u32, v), id as u32, "fresh ids fill slots in order");
-    }
-    assert_eq!(arena.len(), 6);
-
-    // Removal frees the slot without disturbing neighbours.
-    assert!(arena.remove(2));
-    assert!(arena.remove(4));
-    assert!(!arena.remove(2));
-    assert_eq!(arena.len(), 4);
-    assert_eq!(arena.get(3), Some(&vecs[3][..]));
-    let live: Vec<u32> = arena.iter().map(|(id, _)| id).collect();
-    assert_eq!(live, vec![0, 1, 3, 5], "iteration is slot-ordered, skipping free slots");
-
-    // Free slots recycle LIFO; the slab does not grow.
-    assert_eq!(arena.insert(7, &vecs[0]), 4);
-    assert_eq!(arena.insert(8, &vecs[1]), 2);
-    assert_eq!(arena.insert(9, &vecs[2]), 6, "exhausted free list appends");
-    assert_eq!(arena.slot_count(), 7);
-
-    // In-place replacement keeps the slot and refreshes norm + data.
-    let before = arena.slot(7).unwrap();
-    arena.insert(7, &vecs[5]);
-    assert_eq!(arena.slot(7), Some(before));
-    assert_eq!(arena.get(7), Some(&vecs[5][..]));
-    let expected_norm = vecs[5].iter().map(|x| x * x).sum::<f32>().sqrt();
-    assert!((arena.norm_at(before) - expected_norm).abs() < 1e-6);
-}
-
-/// Arena contents always match a straightforward model map, whatever
-/// the interleaving of inserts, replacements and removals.
-#[test]
-fn arena_matches_model_map() {
-    check("arena_matches_model_map", 32, |rng| {
-        let ops = vec_of(rng, 1..60, |rng| (rng.gen_range(12) as u32, rng.gen_bool(0.5)));
-        let mut arena = VectorArena::new(2);
-        let mut model = std::collections::BTreeMap::new();
-        for (step, (id, is_insert)) in ops.into_iter().enumerate() {
-            if is_insert {
-                let v = [step as f32, id as f32];
-                arena.insert(id, &v);
-                model.insert(id, v.to_vec());
-            } else {
-                assert_eq!(arena.remove(id), model.remove(&id).is_some());
-            }
-        }
-        assert_eq!(arena.len(), model.len());
-        for (id, v) in &model {
-            assert_eq!(arena.get(*id), Some(&v[..]));
-        }
-        let mut live: Vec<u32> = arena.iter().map(|(id, _)| id).collect();
-        live.sort_unstable();
-        let want: Vec<u32> = model.keys().copied().collect();
-        assert_eq!(live, want);
-    });
-}
-
 fn random_unit(dim: usize, rng: &mut Xoshiro256pp) -> Vec<f32> {
     let mut v: Vec<f32> = (0..dim).map(|_| rng.gen_gaussian() as f32).collect();
     let n = v.iter().map(|x| x * x).sum::<f32>().sqrt();
@@ -234,7 +167,7 @@ fn random_unit(dim: usize, rng: &mut Xoshiro256pp) -> Vec<f32> {
 }
 
 // ---------------------------------------------------------------------------
-// Re-rank equivalence: arena streaming vs. a straightforward scorer
+// Re-rank equivalence: the index's resident pages vs. a straightforward scorer
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -263,6 +196,6 @@ fn arena_rerank_matches_bruteforce_scoring() {
         }
         let want: Vec<u32> = topk.into_sorted().into_iter().map(|(_, id)| id).collect();
         let got: Vec<u32> = index.search(&q, 5, |_| false).into_iter().map(|(id, _)| id).collect();
-        assert_eq!(got, want, "arena streaming re-rank must rank like the reference");
+        assert_eq!(got, want, "the re-rank must rank like the reference");
     }
 }
