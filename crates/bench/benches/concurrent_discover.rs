@@ -4,8 +4,9 @@
 //!
 //! Unlike the paper-artifact benches this one is a custom harness: it
 //! measures sustained queries/second from N reader threads against one
-//! shared `WarpGate` while a writer thread continuously drops and
-//! re-indexes tables (the CDW-with-high-update-rates pattern), and writes
+//! shared `WarpGate` while one writer thread continuously drops tables
+//! from the warehouse and restores them, syncing after each change (the
+//! CDW-with-high-update-rates pattern), and writes
 //! a machine-readable snapshot to `BENCH_core.json` at the repo root so
 //! future PRs have a perf trajectory baseline.
 //!
@@ -23,7 +24,7 @@ use std::time::{Duration, Instant};
 
 use warpgate_core::{QueryOptions, WarpGate, WarpGateConfig};
 use wg_bench::{median, xs_fixture};
-use wg_store::{BackendHandle, ColumnRef, TableRef};
+use wg_store::{BackendHandle, CdwConnector, ColumnRef};
 
 const READER_THREADS: usize = 8;
 
@@ -39,9 +40,11 @@ fn build(backend: &BackendHandle, cache_capacity: usize) -> WarpGate {
 
 /// Sustained discover throughput: `READER_THREADS` threads loop over
 /// `queries` against one shared system while one writer thread churns
-/// `churn_tables` (remove + re-index). Returns queries/second.
+/// `churn_tables` (drop from `warehouse` + sync, restore + sync; a round
+/// always ends restored). Returns queries/second.
 fn reader_throughput(
     wg: &WarpGate,
+    warehouse: &CdwConnector,
     queries: &[ColumnRef],
     churn_tables: &[(String, String)],
     window: Duration,
@@ -71,8 +74,10 @@ fn reader_throughput(
                 let mut i = 0usize;
                 while !stop.load(Ordering::Relaxed) {
                     let (db, table) = &churn_tables[i % churn_tables.len()];
-                    wg.remove_table(&TableRef::new(db, table));
-                    wg.index_table(&TableRef::new(db, table)).expect("churn re-index");
+                    let dropped = warehouse.warehouse_mut().database_mut(db).remove_table(table);
+                    wg.sync().expect("churn drop");
+                    warehouse.warehouse_mut().database_mut(db).add_table(dropped.expect("churn"));
+                    wg.sync().expect("churn restore");
                     i += 1;
                 }
             });
@@ -106,7 +111,8 @@ fn latency(wg: &WarpGate, queries: &[ColumnRef]) -> (f64, f64) {
 fn main() {
     let quick = std::env::var("WG_BENCH_QUICK").is_ok();
     let window = if quick { Duration::from_millis(500) } else { Duration::from_secs(3) };
-    let (corpus, connector) = xs_fixture();
+    let (corpus, warehouse) = xs_fixture();
+    let connector: BackendHandle = warehouse.clone();
     let (tables, columns, _, _, _) = corpus.stats();
 
     // Reader queries: a fixed slice of the corpus query workload. Churn
@@ -138,14 +144,14 @@ fn main() {
     // Headline: the cached hot path vs. the uncached one, same mixed
     // workload.
     let baseline = build(&connector, 0);
-    let baseline_qps = reader_throughput(&baseline, &queries, &churn_tables, window);
+    let baseline_qps = reader_throughput(&baseline, &warehouse, &queries, &churn_tables, window);
     drop(baseline);
     let cached = build(&connector, 4096);
     // Warm the cache: steady-state serving is the workload under test.
     for q in &queries {
         cached.discover(q, 10).expect("warm-up");
     }
-    let cached_qps = reader_throughput(&cached, &queries, &churn_tables, window);
+    let cached_qps = reader_throughput(&cached, &warehouse, &queries, &churn_tables, window);
     drop(cached);
     println!(
         "bench: concurrent_discover/throughput_8t ... uncached_baseline {baseline_qps:.0} q/s, cached {cached_qps:.0} q/s ({:.1}x)",

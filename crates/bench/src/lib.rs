@@ -8,15 +8,15 @@
 use std::sync::Arc;
 
 use wg_corpora::{build_testbed, Corpus, TestbedSpec};
-use wg_store::{BackendHandle, CdwConfig, CdwConnector};
+use wg_store::{CdwConfig, CdwConnector};
 
 /// The XS testbed served through a free simulated-CDW backend — the
-/// standard bench fixture (fast to build, representative structure).
-pub fn xs_fixture() -> (Corpus, BackendHandle) {
+/// standard bench fixture (fast to build, representative structure). The
+/// connector is concrete so a bench can mutate its warehouse.
+pub fn xs_fixture() -> (Corpus, Arc<CdwConnector>) {
     let corpus = build_testbed(&TestbedSpec::xs(0.1));
-    let backend: BackendHandle =
-        Arc::new(CdwConnector::new(corpus.warehouse.clone(), CdwConfig::free()));
-    (corpus, backend)
+    let connector = Arc::new(CdwConnector::new(corpus.warehouse.clone(), CdwConfig::free()));
+    (corpus, connector)
 }
 
 /// Median of a sample set (sorts in place; the upper-middle element for

@@ -10,9 +10,9 @@
 //! plus the backend attach epoch (entries from a previously attached
 //! backend are unreachable, not just evicted).
 //!
-//! Invalidation: `index_table` / `index_warehouse` re-scan a table's data,
-//! and `remove_table` drops it, so both evict every entry for the affected
-//! columns (any sample spec or context weight). A query that missed before
+//! Invalidation: a sync that re-scans a table, or drops one that vanished
+//! from its backend, evicts every entry for that table's columns (any
+//! sample spec or context weight). A query that missed before
 //! an invalidation and puts after it may hold an embedding of the content
 //! the invalidation was for, so its put is dropped ([`Miss`]). Correctness
 //! never depends on the cache: eviction only forces the scan→embed path to

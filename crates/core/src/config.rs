@@ -27,9 +27,6 @@ pub struct WarpGateConfig {
     pub sample: SampleSpec,
     /// How value embeddings aggregate into a column embedding.
     pub aggregation: Aggregation,
-    /// Drop candidates from the query's own table (the product recommends
-    /// *other* tables to join with).
-    pub exclude_same_table: bool,
     /// Blend weight `β` for schema-context embeddings (§5.2.1 extension):
     /// column embeddings become `(1−β)·values + β·context(names)`. 0.0
     /// (the default) reproduces the paper's value-only embeddings.
@@ -71,7 +68,6 @@ impl Default for WarpGateConfig {
             probes: 1,
             sample: SampleSpec::DistinctReservoir { n: 1000, seed: 0x5A17 },
             aggregation: Aggregation::default(),
-            exclude_same_table: true,
             context_weight: 0.0,
             threads: 0,
             cache_capacity: 4096,
@@ -154,7 +150,6 @@ mod tests {
         let c = WarpGateConfig::default();
         assert_eq!(c.lsh_threshold, 0.7);
         assert!(matches!(c.sample, SampleSpec::DistinctReservoir { .. }));
-        assert!(c.exclude_same_table);
         assert_eq!(c.context_weight, 0.0, "paper setting is value-only");
     }
 

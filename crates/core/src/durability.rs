@@ -7,8 +7,8 @@
 //! interrupt the very write that was saving the state. The guarantees
 //! this module layers over [`crate::WarpGate::save_to_file`]:
 //!
-//! 1. **Atomicity** ([`atomic_write`], which is [`wg_util::atomic_file`] —
-//!    the one such write in the workspace): bytes stream into a sibling
+//! 1. **Atomicity** ([`wg_util::atomic_file`] — the one such write in
+//!    the workspace): bytes stream into a sibling
 //!    `*.tmp` file, are fsynced, and the temp is renamed over the
 //!    destination. POSIX `rename(2)` is atomic within a filesystem, so at
 //!    every instant the destination holds either the complete old bytes
@@ -34,8 +34,6 @@ use std::path::{Path, PathBuf};
 
 use wg_store::{StoreError, StoreResult};
 use wg_util::atomic_file::{self, sibling, temp_sibling};
-
-pub use wg_util::atomic_file::{stream as stream_snapshot, write as atomic_write};
 
 use crate::system::WarpGate;
 
@@ -277,61 +275,12 @@ impl TornWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Write;
     use std::sync::Arc;
-
-    /// Errors after `limit` bytes, like a disk running full mid-write.
-    struct FailingWriter {
-        written: usize,
-        limit: usize,
-    }
-
-    impl Write for FailingWriter {
-        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-            let room = self.limit.saturating_sub(self.written);
-            if room == 0 {
-                return Err(io::Error::other("disk full"));
-            }
-            let n = buf.len().min(room);
-            self.written += n;
-            Ok(n)
-        }
-        fn flush(&mut self) -> io::Result<()> {
-            Ok(())
-        }
-    }
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("wg_durability_{tag}_{}", std::process::id()));
         fs::create_dir_all(&dir).unwrap();
         dir
-    }
-
-    #[test]
-    fn stream_snapshot_propagates_mid_write_failures() {
-        let bytes = vec![0xAB; 200 * 1024];
-        let mut w = FailingWriter { written: 0, limit: 100 * 1024 };
-        let err = stream_snapshot(&bytes, &mut w).unwrap_err();
-        assert!(err.to_string().contains("disk full"), "{err}");
-        assert_eq!(w.written, 100 * 1024, "must have failed mid-stream, not up front");
-    }
-
-    #[test]
-    fn atomic_write_replaces_and_survives_failure() {
-        let dir = tmp_dir("atomic");
-        let path = dir.join("snapshot.bin");
-        atomic_write(&path, b"generation one").unwrap();
-        assert_eq!(fs::read(&path).unwrap(), b"generation one");
-        atomic_write(&path, b"generation two").unwrap();
-        assert_eq!(fs::read(&path).unwrap(), b"generation two");
-
-        // Block the temp path with a directory: the write fails before a
-        // single destination byte moves, and the old snapshot survives —
-        // the regression the bare `File::create(path)` writer had.
-        fs::create_dir_all(temp_sibling(&path)).unwrap();
-        assert!(atomic_write(&path, b"generation three").is_err());
-        assert_eq!(fs::read(&path).unwrap(), b"generation two", "failed write must not truncate");
-        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

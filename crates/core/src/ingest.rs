@@ -1,7 +1,9 @@
-//! The indexing pipeline (paper Fig. 2, left): scan → embed → insert, for a
-//! whole warehouse, one table, or — [`WarpGate::sync`] — exactly what
-//! changed since the last run; and the one ordered fan-out
-//! ([`in_order`]) that both pipelines spread their per-column work with.
+//! The indexing pipeline (paper Fig. 2, left): scan → embed → insert over
+//! what changed in the warehouse since the index last reflected it. One
+//! reconciliation ([`WarpGate::sync`]) is the only way the index changes:
+//! a first build is the sync that finds every table new. Also here: the
+//! one ordered fan-out ([`in_order`]) that both pipelines spread their
+//! per-column work with.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -83,45 +85,20 @@ impl SyncReport {
 }
 
 impl WarpGate {
-    /// Index every column of every attached warehouse: scan (sampled) →
-    /// embed → insert, one backend at a time. Scanning and embedding fan
-    /// out over worker threads (`ingest::in_order`); columns register **in
-    /// catalog order**, so item ids — and everything placed by id — are a
-    /// function of the warehouse, not of thread timing.
+    /// Index every column of every attached warehouse: [`Self::sync`],
+    /// summarised (so it also counts against admission). On a fresh system every table is new, so this is the
+    /// full build — scan (sampled) → embed → insert, fanned out over worker
+    /// threads; on an indexed one it scans only what changed. Columns
+    /// register **in catalog order**, so item ids — and everything placed
+    /// by id — are a function of the warehouse, not of thread timing.
     pub fn index_warehouse(&self) -> StoreResult<IndexReport> {
-        let ids = self.require_attached()?;
-        let sw = Stopwatch::start();
-        let mut report = IndexReport {
-            columns_indexed: 0,
-            columns_skipped: 0,
-            elapsed_secs: 0.0,
-            cost: CostSnapshot::default(),
-        };
-        for id in ids {
-            let run = self.resolve(id)?;
-            // Version tokens are fetched *before* scanning but recorded only
-            // after the run succeeds: if content changes mid-run the recorded
-            // token is the older one and the next sync re-scans
-            // (conservative), and a failed run records nothing at all.
-            let metas = run.backend.list_tables()?;
-            let (one, _) = self.index_tables(&run, &metas, Deadline::none())?;
-            self.record_synced(&run, &metas);
-            report.columns_indexed += one.columns_indexed;
-            report.columns_skipped += one.columns_skipped;
-            report.cost = report.cost.plus(&one.cost);
-        }
-        report.elapsed_secs = sw.elapsed_secs();
-        Ok(report)
-    }
-
-    /// Index (or refresh) a single table in its ref's namespace — the
-    /// incremental path for CDWs with high update rates.
-    pub fn index_table(&self, table: &TableRef) -> StoreResult<IndexReport> {
-        let run = self.resolve(table.backend)?;
-        let meta = run.backend.table_meta(&table.database, &table.table)?;
-        let (report, _) = self.index_tables(&run, std::slice::from_ref(&meta), Deadline::none())?;
-        self.record_synced(&run, std::slice::from_ref(&meta));
-        Ok(report)
+        let sync = self.sync()?;
+        Ok(IndexReport {
+            columns_indexed: sync.columns_indexed,
+            columns_skipped: sync.columns_skipped,
+            elapsed_secs: sync.elapsed_secs,
+            cost: sync.cost,
+        })
     }
 
     /// Reconcile the index with every attached backend, touching only what
@@ -134,6 +111,8 @@ impl WarpGate {
     /// attached one (`None`), under a cooperative deadline. Each namespace
     /// diffs independently against its own recorded version tokens:
     ///
+    /// * tables with no recorded token are scanned and indexed in full —
+    ///   on a fresh system that is every table;
     /// * tables whose token changed are re-scanned, re-embedded, and
     ///   re-indexed (their cached query embeddings are evicted; their
     ///   existing ids are kept, so only their own LSH entries are
@@ -225,16 +204,12 @@ impl WarpGate {
             changed.push(meta);
         }
 
-        let (indexed, unembeddable) = self.index_tables(&run, &changed, deadline)?;
+        self.index_tables(&run, &changed, deadline, &mut report)?;
         // Tokens (fetched before the scans) are committed only now that
         // the scans succeeded — a failed sync records nothing, so the next
         // one retries the same change set.
         self.record_synced(&run, &changed);
-        report.columns_indexed = indexed.columns_indexed;
-        report.columns_skipped = indexed.columns_skipped;
-        report.columns_removed += unembeddable;
         report.elapsed_secs = sw.elapsed_secs();
-        report.cost = indexed.cost;
         Ok(report)
     }
 
@@ -262,22 +237,23 @@ impl WarpGate {
         wg_embed::blend_context(&values, &ctx, beta)
     }
 
-    /// Scan → embed → insert every column of `tables`, in that order: the
-    /// report, and how many previously indexed columns dropped out because
-    /// their content no longer embeds. Every worker checks the deadline
-    /// before each scan, so expiry — like any scan error — stops the run
-    /// between scans with no further column billed. The report's cost is
-    /// the sum of what each of the run's own scans metered — metadata is
-    /// free — so a concurrent query's scans are never billed to it. Schema
-    /// context reads the column lists the caller already holds: no metadata
-    /// call is made here.
+    /// Scan → embed → insert every column of `tables`, in that order,
+    /// counting into `report` what was indexed, what was skipped, and —
+    /// as removed — previously indexed columns whose content no longer
+    /// embeds. Every worker checks the deadline before each scan, so
+    /// expiry — like any scan error — stops the run between scans with no
+    /// further column billed. The cost added is the sum of what each of
+    /// the run's own scans metered — metadata is free — so a concurrent
+    /// query's scans are never billed to it. Schema context reads the
+    /// column lists the caller already holds: no metadata call is made
+    /// here.
     fn index_tables(
         &self,
         run: &Attached,
         tables: &[TableMeta],
         deadline: Deadline,
-    ) -> StoreResult<(IndexReport, usize)> {
-        let sw = Stopwatch::start();
+        report: &mut SyncReport,
+    ) -> StoreResult<()> {
         let backend = run.backend.as_ref();
 
         // (Re-)indexing means these tables' warehouse data may have
@@ -290,8 +266,6 @@ impl WarpGate {
             .flat_map(|meta| meta.scoped_column_refs(run.id).into_iter().map(move |r| (r, meta)))
             .collect();
 
-        let (mut indexed, mut skipped, mut unembeddable) = (0usize, 0usize, 0usize);
-        let mut cost = CostSnapshot::default();
         in_order(
             &refs,
             self.config.effective_threads(),
@@ -312,7 +286,7 @@ impl WarpGate {
                 let mut state = self.state.write();
                 let mut stale = Vec::new();
                 for ((r, _), (vector, sig, billed)) in refs.iter().zip(scanned) {
-                    cost = cost.plus(&billed);
+                    report.cost = report.cost.plus(&billed);
                     match sig {
                         Some(sig) => {
                             let id = state.registry.insert(r.clone());
@@ -321,25 +295,18 @@ impl WarpGate {
                         None => stale.push(r.clone()),
                     }
                 }
-                indexed += refs.len() - stale.len();
-                skipped += stale.len();
-                unembeddable += state.remove(&stale);
+                report.columns_indexed += refs.len() - stale.len();
+                report.columns_skipped += stale.len();
+                report.columns_removed += state.remove(&stale);
             },
-        )?;
-        let report = IndexReport {
-            columns_indexed: indexed,
-            columns_skipped: skipped,
-            elapsed_secs: sw.elapsed_secs(),
-            cost,
-        };
-        Ok((report, unembeddable))
+        )
     }
 
-    /// Remove one (namespaced) table's columns from the index (e.g. after
-    /// a drop), and forget its recorded token. Returns how many columns
-    /// were removed. One write guard covers the victims, the token, the
-    /// registry and the index.
-    pub fn remove_table(&self, table: &TableRef) -> usize {
+    /// Remove one (namespaced) table that vanished from its backend: its
+    /// columns leave the index and its recorded token is forgotten.
+    /// Returns how many columns were removed. One write guard covers the
+    /// victims, the token, the registry and the index.
+    fn remove_table(&self, table: &TableRef) -> usize {
         let removed = {
             let mut state = self.state.write();
             if let Some(namespace) = state.namespaces.get_mut(&table.backend) {

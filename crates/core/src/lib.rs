@@ -13,11 +13,13 @@
 //!   [`wg_store::WarehouseBackend`] (with sampling pushed down, §3.1.3),
 //!   embed it ([`wg_embed`]), and insert the embedding into a SimHash LSH
 //!   index ([`wg_lsh`]) tuned to the paper's 0.7 cosine threshold.
-//!   Indexing is parallel, incremental and deterministic:
-//!   [`WarpGate::sync`] diffs the backend's per-table version tokens and
-//!   re-scans only what changed, and columns register in catalog order,
-//!   so item ids — and every persisted byte — are a function of the
-//!   warehouse, not of thread timing.
+//!   Indexing is one reconciliation — parallel, incremental and
+//!   deterministic: [`WarpGate::sync`] diffs the backend's per-table
+//!   version tokens and re-scans only what changed (a first build,
+//!   [`WarpGate::index_warehouse`], is the sync that finds every table
+//!   new), and columns register in catalog order, so item ids — and every
+//!   persisted byte — are a function of the warehouse, not of thread
+//!   timing.
 //! * **Search** — embed the query column the same way, look up the LSH
 //!   bucket sub-universe, re-rank by exact cosine, return scored
 //!   [`JoinCandidate`]s with a [`QueryTiming`] decomposition
@@ -97,10 +99,7 @@ pub use admission::{AdmissionConfig, AdmissionController, AdmissionPermit, Admis
 pub use cache::{EmbeddingCache, EmbeddingKey};
 pub use config::WarpGateConfig;
 pub use daemon::{CheckpointPolicy, DaemonReport, SyncDaemon, SyncDaemonConfig};
-pub use durability::{
-    atomic_write, stream_snapshot, Checkpointer, CrashState, RecoveryReport, RecoverySource,
-    TornWriter,
-};
+pub use durability::{Checkpointer, CrashState, RecoveryReport, RecoverySource, TornWriter};
 pub use ingest::{IndexReport, SyncReport};
 pub use query::{Discovery, JoinCandidate, QueryOptions};
 pub use system::WarpGate;

@@ -344,7 +344,7 @@ mod tests {
     use crate::QueryOptions;
     use std::sync::Arc;
     use wg_lsh::DiscoverScope;
-    use wg_store::{CdwConfig, CdwConnector, Column, Database, Table, TableRef, Warehouse};
+    use wg_store::{CdwConfig, CdwConnector, Column, Database, Table, Warehouse};
 
     fn connector() -> Arc<CdwConnector> {
         let mut w = Warehouse::new("w");
@@ -399,9 +399,10 @@ mod tests {
     #[test]
     fn roundtrip_after_removal_keeps_gaps() {
         let c = connector();
-        let wg = WarpGate::with_backend(WarpGateConfig::default(), c);
+        let wg = WarpGate::with_backend(WarpGateConfig::default(), c.clone());
         wg.index_warehouse().unwrap();
-        wg.remove_table(&TableRef::new("db", "b"));
+        c.warehouse_mut().database_mut("db").remove_table("b");
+        assert_eq!(wg.sync().unwrap().tables_removed, 1);
         let bytes = wg.to_bytes();
         let mut fresh = WarpGate::new(WarpGateConfig::default());
         fresh.load_bytes(&bytes).unwrap();

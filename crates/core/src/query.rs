@@ -286,7 +286,7 @@ impl WarpGate {
         let v = vector.as_slice();
         let sig = self.hasher.sign(v);
         let state = self.state.read();
-        let exclude = state.registry.excluder(query, self.config.exclude_same_table);
+        let exclude = state.registry.excluder(query);
         let (hits, outcome) = state
             .index
             .search_signed_scoped_deadline_with_outcome(v, &sig, k, scope, deadline, exclude)

@@ -106,25 +106,20 @@ impl Registry {
     }
 
     /// The re-rank exclusion predicate for one query, resolved to integers
-    /// once: tombstoned ids never match, and the query column itself — or,
-    /// with `exclude_same_table`, every column of its table — is filtered
-    /// out. A query ref the registry does not know excludes tombstones
-    /// only (and, with the flag, the live columns of its table if that is
-    /// interned).
-    pub(crate) fn excluder(
-        &self,
-        query: &ColumnRef,
-        exclude_same_table: bool,
-    ) -> impl Fn(u32) -> bool + '_ {
-        let qid = self.id_of.get(query).copied();
+    /// once: tombstoned ids never match, and every column of the query's
+    /// own table — the query column included — is filtered out (the
+    /// product recommends *other* tables to join with). A query ref the
+    /// registry does not know excludes tombstones and the live columns of
+    /// its table, if that is interned.
+    pub(crate) fn excluder(&self, query: &ColumnRef) -> impl Fn(u32) -> bool + '_ {
         // TOMBSTONE for a table with no live column: no live id carries it.
-        let qtable = match qid {
-            Some(id) => self.table_of(id),
+        let qtable = match self.id_of.get(query) {
+            Some(&id) => self.table_of(id),
             None => self.tables.get(&query.table_ref()).map_or(TOMBSTONE, |t| t.id),
         };
         move |id| {
             let table = self.table_of(id);
-            table == TOMBSTONE || if exclude_same_table { table == qtable } else { Some(id) == qid }
+            table == TOMBSTONE || table == qtable
         }
     }
 
@@ -172,10 +167,10 @@ mod tests {
     use wg_util::rng::{Rng64, Xoshiro256pp};
 
     /// The predicate as the facade wrote it before table ids existed.
-    fn by_strings(reg: &Registry, id: u32, q: &ColumnRef, same_table: bool) -> bool {
+    fn by_strings(reg: &Registry, id: u32, q: &ColumnRef) -> bool {
         match reg.reference(id) {
             None => true,
-            Some(r) => r == q || (same_table && r.same_table(q)),
+            Some(r) => r.same_table(q),
         }
     }
 
@@ -213,15 +208,9 @@ mod tests {
     fn assert_predicates_agree(reg: &Registry, queries: &[ColumnRef], what: &str) {
         let ids = probe_ids(reg);
         for q in queries {
-            for same_table in [false, true] {
-                let exclude = reg.excluder(q, same_table);
-                for &id in &ids {
-                    assert_eq!(
-                        exclude(id),
-                        by_strings(reg, id, q, same_table),
-                        "{what}: id {id:#x}, query {q}, same_table {same_table}"
-                    );
-                }
+            let exclude = reg.excluder(q);
+            for &id in &ids {
+                assert_eq!(exclude(id), by_strings(reg, id, q), "{what}: id {id:#x}, query {q}");
             }
         }
     }
@@ -335,7 +324,7 @@ mod tests {
         // Gaps are fine, and the namespace numbers on past the highest id.
         let mut reg = Registry::from_entries(vec![(5, b.clone()), (3, a.clone())]).unwrap();
         assert_eq!((reg.reference(3), reg.reference(5)), (Some(&a), Some(&b)));
-        assert!(reg.excluder(&a, true)(4), "an id the snapshot skipped is a tombstone");
+        assert!(reg.excluder(&a)(4), "an id the snapshot skipped is a tombstone");
         assert_eq!(reg.insert(ColumnRef::new("db", "t", "c")), 6);
     }
 }

@@ -7,8 +7,8 @@ use super::*;
 use crate::QueryOptions;
 use wg_lsh::DiscoverScope;
 use wg_store::{
-    CdwConfig, CdwConnector, Column, CostSnapshot, Database, KeyNorm, SampleSpec, Table, TableRef,
-    Warehouse, WarehouseBackend,
+    CdwConfig, CdwConnector, Column, CostSnapshot, Database, KeyNorm, SampleSpec, Table, Warehouse,
+    WarehouseBackend,
 };
 use wg_util::deadline::Deadline;
 
@@ -155,9 +155,10 @@ fn incremental_add_and_remove() {
     c.warehouse_mut().database_mut("stocks").add_table(
         Table::new("tickers", vec![Column::text("symbol", ["AAPL", "MSFT", "GOOG"])]).unwrap(),
     );
-    wg.index_table(&TableRef::new("stocks", "tickers")).unwrap();
+    assert_eq!(wg.sync().unwrap().columns_indexed, 1);
     assert_eq!(wg.len(), before + 1);
-    assert_eq!(wg.remove_table(&TableRef::new("stocks", "tickers")), 1);
+    c.warehouse_mut().database_mut("stocks").remove_table("tickers");
+    assert_eq!(wg.sync().unwrap().columns_removed, 1);
     assert_eq!(wg.len(), before);
     // Removed table never comes back in results.
     let d = wg.discover(&ColumnRef::new("salesforce", "account", "name"), 10).unwrap();
@@ -179,7 +180,7 @@ fn reindexing_a_table_replaces_vectors() {
         )
         .unwrap(),
     );
-    wg.index_table(&TableRef::new("salesforce", "lead")).unwrap();
+    assert_eq!(wg.sync().unwrap().tables_updated, 1);
     assert_eq!(wg.len(), before, "refresh must not grow the index");
 }
 
@@ -350,7 +351,7 @@ fn reindex_invalidates_cached_query_embedding() {
         )
         .unwrap(),
     );
-    wg.index_table(&TableRef::new("salesforce", "lead")).unwrap();
+    wg.sync().unwrap();
     let after = wg.discover(&q, 3).unwrap();
     assert!(!after.timing.cache_hit, "re-index must evict the cached embedding");
     assert_ne!(before.candidates, after.candidates, "new column content must change discovery");
@@ -358,15 +359,17 @@ fn reindex_invalidates_cached_query_embedding() {
 
 #[test]
 fn remove_table_evicts_cached_embeddings() {
-    let (wg, _c) = system();
+    let (wg, c) = system();
     let q = ColumnRef::new("stocks", "industries", "company_name");
     wg.discover(&q, 3).unwrap();
     assert!(wg.discover(&q, 3).unwrap().timing.cache_hit);
-    wg.remove_table(&TableRef::new("stocks", "industries"));
-    // The warehouse still holds the table, so the query itself works —
+    let table = c.warehouse_mut().database_mut("stocks").remove_table("industries").unwrap();
+    assert_eq!(wg.sync().unwrap().tables_removed, 1);
+    // Put the table back without a sync: the query itself works again —
     // but its embedding must be freshly computed.
+    c.warehouse_mut().database_mut("stocks").add_table(table);
     let d = wg.discover(&q, 3).unwrap();
-    assert!(!d.timing.cache_hit, "remove_table must evict cache entries");
+    assert!(!d.timing.cache_hit, "removing a table must evict its cache entries");
 }
 
 #[test]
@@ -535,16 +538,22 @@ fn sync_drops_vanished_columns_of_changed_tables() {
 }
 
 /// A column that stops being embeddable must not keep its old vector: after
-/// `refresh` (which returns how many columns it reported skipped), the
-/// system must be indistinguishable from one built from scratch over the
-/// same warehouse.
-fn unembeddable_column_drops_out(refresh: impl Fn(&WarpGate) -> usize) {
+/// the sync, the system must be indistinguishable from one built from
+/// scratch over the same warehouse.
+#[test]
+fn sync_drops_a_column_that_no_longer_embeds() {
     let (wg, c) = system();
     assert_eq!(wg.len(), 6);
     c.warehouse_mut()
         .database_mut("salesforce")
         .add_table(Table::new("lead", vec![Column::text("company", vec!["---"; 45])]).unwrap());
-    assert_eq!(refresh(&wg), 1, "the column counts as skipped, as a fresh build counts it");
+    let report = wg.sync().unwrap();
+    assert_eq!((report.tables_updated, report.columns_indexed), (1, 0), "{report:?}");
+    assert_eq!(report.columns_removed, 1, "{report:?}");
+    assert_eq!(
+        report.columns_skipped, 1,
+        "the column counts as skipped, as a fresh build counts it"
+    );
 
     let fresh = WarpGate::with_backend(*wg.config(), c.clone());
     let built = fresh.index_warehouse().unwrap();
@@ -557,27 +566,6 @@ fn unembeddable_column_drops_out(refresh: impl Fn(&WarpGate) -> usize) {
             "{q} ranks differently than on a from-scratch build"
         );
     }
-}
-
-#[test]
-fn sync_drops_a_column_that_no_longer_embeds() {
-    unembeddable_column_drops_out(|wg| {
-        let before = wg.len();
-        let report = wg.sync().unwrap();
-        assert_eq!((report.tables_updated, report.columns_indexed), (1, 0), "{report:?}");
-        assert_eq!(report.columns_removed, 1, "{report:?}");
-        assert_eq!(wg.len(), before - report.columns_removed);
-        report.columns_skipped
-    });
-}
-
-#[test]
-fn index_table_drops_a_column_that_no_longer_embeds() {
-    unembeddable_column_drops_out(|wg| {
-        let report = wg.index_table(&TableRef::new("salesforce", "lead")).unwrap();
-        assert_eq!(report.columns_indexed, 0);
-        report.columns_skipped
-    });
 }
 
 /// A minimal third-party backend: delegates to a CdwConnector but can
@@ -666,8 +654,7 @@ fn indexing_with_schema_context_asks_for_metadata_once_per_table() {
         assert_eq!(asked, calls.len(), "a table was asked for twice: {calls:?}");
         (wg, backend)
     };
-    // `sync` fetches each new table's metadata itself; a full build has
-    // it from the listing and asks for none.
+    // A build is a sync: it fetches each new table's metadata once.
     let (wg, backend) = build(&|wg| assert_eq!(wg.index_warehouse().unwrap().columns_indexed, 6));
     build(&|wg| assert_eq!(wg.sync().unwrap().columns_indexed, 6));
 

@@ -84,6 +84,60 @@ pub fn write_with(
 mod tests {
     use super::*;
 
+    /// Errors after `limit` bytes, like a disk running full mid-write.
+    struct FailingWriter {
+        written: usize,
+        limit: usize,
+    }
+
+    impl Write for FailingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            let room = self.limit.saturating_sub(self.written);
+            if room == 0 {
+                return Err(io::Error::other("disk full"));
+            }
+            let n = buf.len().min(room);
+            self.written += n;
+            Ok(n)
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn tmp_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("wg_atomic_{tag}_{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    #[test]
+    fn stream_snapshot_propagates_mid_write_failures() {
+        let bytes = vec![0xAB; 200 * 1024];
+        let mut w = FailingWriter { written: 0, limit: 100 * 1024 };
+        let err = stream(&bytes, &mut w).unwrap_err();
+        assert!(err.to_string().contains("disk full"), "{err}");
+        assert_eq!(w.written, 100 * 1024, "must have failed mid-stream, not up front");
+    }
+
+    #[test]
+    fn atomic_write_replaces_and_survives_failure() {
+        let dir = tmp_dir("atomic");
+        let path = dir.join("snapshot.bin");
+        write(&path, b"generation one").unwrap();
+        assert_eq!(fs::read(&path).unwrap(), b"generation one");
+        write(&path, b"generation two").unwrap();
+        assert_eq!(fs::read(&path).unwrap(), b"generation two");
+
+        // Block the temp path with a directory: the write fails before a
+        // single destination byte moves, and the old snapshot survives —
+        // the regression the bare `File::create(path)` writer had.
+        fs::create_dir_all(temp_sibling(&path)).unwrap();
+        assert!(write(&path, b"generation three").is_err());
+        assert_eq!(fs::read(&path).unwrap(), b"generation two", "failed write must not truncate");
+        fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn the_hook_runs_after_the_data_is_written_and_before_the_rename() {
         let dir = std::env::temp_dir().join(format!("wg-atomic-hook-{}", std::process::id()));

@@ -2,8 +2,8 @@
 //!
 //! The paper reports *seconds per query averaged over all queries* and
 //! decomposes end-to-end response time into loading, embedding-inference and
-//! index-lookup components. [`Stopwatch`] measures one span; [`DurationStats`]
-//! accumulates per-query samples and reports mean / min / max / percentiles.
+//! index-lookup components. [`Stopwatch`] measures one span ([`timed`]
+//! wraps a closure in one); [`fmt_secs`] renders seconds for a report.
 
 use std::time::{Duration, Instant};
 
@@ -37,75 +37,6 @@ pub fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
     (out, sw.elapsed())
 }
 
-/// Accumulator of duration samples (one per query, typically).
-#[derive(Debug, Clone, Default)]
-pub struct DurationStats {
-    samples: Vec<f64>, // seconds
-}
-
-impl DurationStats {
-    /// Empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record one sample.
-    pub fn record(&mut self, d: Duration) {
-        self.samples.push(d.as_secs_f64());
-    }
-
-    /// Record a sample expressed in seconds (used for *virtual* durations
-    /// produced by the simulated CDW latency model).
-    pub fn record_secs(&mut self, secs: f64) {
-        self.samples.push(secs);
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// Mean seconds (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.samples.is_empty() {
-            0.0
-        } else {
-            self.samples.iter().sum::<f64>() / self.samples.len() as f64
-        }
-    }
-
-    /// Total seconds across samples.
-    pub fn total(&self) -> f64 {
-        self.samples.iter().sum()
-    }
-
-    /// Minimum sample (0.0 when empty).
-    pub fn min(&self) -> f64 {
-        let m = self.samples.iter().copied().fold(f64::INFINITY, f64::min);
-        if m.is_finite() {
-            m
-        } else {
-            0.0
-        }
-    }
-
-    /// Maximum sample (0.0 when empty).
-    pub fn max(&self) -> f64 {
-        self.samples.iter().copied().fold(0.0, f64::max)
-    }
-
-    /// Percentile in `[0, 100]` via nearest-rank on a sorted copy.
-    pub fn percentile(&self, p: f64) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        let mut sorted = self.samples.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let rank = ((p / 100.0) * (sorted.len() as f64 - 1.0)).round() as usize;
-        sorted[rank.min(sorted.len() - 1)]
-    }
-}
-
 /// Render seconds with adaptive units for reports (e.g. `35 ms`, `3.12 s`).
 pub fn fmt_secs(secs: f64) -> String {
     if secs >= 1.0 {
@@ -122,40 +53,6 @@ pub fn fmt_secs(secs: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn stats_mean_min_max() {
-        let mut s = DurationStats::new();
-        for secs in [1.0, 2.0, 3.0] {
-            s.record_secs(secs);
-        }
-        assert_eq!(s.count(), 3);
-        assert!((s.mean() - 2.0).abs() < 1e-12);
-        assert_eq!(s.min(), 1.0);
-        assert_eq!(s.max(), 3.0);
-        assert!((s.total() - 6.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_stats_are_zero() {
-        let s = DurationStats::new();
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.min(), 0.0);
-        assert_eq!(s.max(), 0.0);
-        assert_eq!(s.percentile(50.0), 0.0);
-    }
-
-    #[test]
-    fn percentile_nearest_rank() {
-        let mut s = DurationStats::new();
-        for i in 1..=100 {
-            s.record_secs(i as f64);
-        }
-        assert_eq!(s.percentile(0.0), 1.0);
-        assert_eq!(s.percentile(100.0), 100.0);
-        let p50 = s.percentile(50.0);
-        assert!((49.0..=51.0).contains(&p50), "p50 {p50}");
-    }
 
     #[test]
     fn timed_measures_something() {

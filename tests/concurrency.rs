@@ -1,15 +1,17 @@
 //! Concurrency stress tests for the hot path — a system's namespaces,
-//! registry and index behind one reader–writer lock: threads mixing
-//! `discover`, `discover_batch`, `index_table`, `remove_table`,
-//! `attach_named`, `detach_named` and checkpoints against one shared
-//! system. The invariants under test:
+//! registry and index behind one reader–writer lock: reader threads mixing
+//! `discover`, `discover_batch`, `joinability` and checkpoints beside one
+//! writer thread that drops, restores and adds warehouse tables and
+//! `sync`s after each change (one writer, so no two syncs overlap), or
+//! that detaches and re-attaches backends. The invariants under test:
 //!
 //! * **no lost inserts** — after the churn settles and every table is
-//!   (re-)indexed, the index holds exactly one entry per warehouse column;
-//! * **no stale candidates** — once a table is removed (and the churn has
-//!   stopped), it never comes back in results, and re-indexed content is
-//!   discovered under its new embedding (the cache must not serve stale
-//!   vectors);
+//!   synced back in, the index holds exactly one entry per warehouse
+//!   column;
+//! * **no stale candidates** — once a dropped table is synced out (and the
+//!   churn has stopped), it never comes back in results, and re-indexed
+//!   content is discovered under its new embedding (the cache must not
+//!   serve stale vectors);
 //! * **attach / detach are atomic with the epoch** — a checkpoint sealed
 //!   while backends come and go always loads, and a sync afterwards ranks
 //!   like a fresh build;
@@ -108,23 +110,27 @@ fn mixed_discover_index_remove_stress() {
                 }
             });
         }
-        // Writers: each owns one churn table and repeatedly removes and
-        // re-indexes it (the CDW-with-high-update-rate pattern).
-        for t in 0..CHURN_TABLES {
-            let wg = &wg;
-            scope.spawn(move || {
-                let table = format!("t{t}");
-                for _ in 0..ROUNDS {
-                    assert_eq!(wg.remove_table(&TableRef::new("churn", &table)), 1);
-                    let report = wg.index_table(&TableRef::new("churn", &table)).unwrap();
-                    assert_eq!(report.columns_indexed, 1);
+        // One writer: round after round, each churn table is dropped from
+        // the warehouse and synced out, then restored and synced back in
+        // (the CDW-with-high-update-rate pattern).
+        let (wg, connector) = (&wg, &connector);
+        scope.spawn(move || {
+            for _ in 0..ROUNDS {
+                for t in 0..CHURN_TABLES {
+                    let table = format!("t{t}");
+                    let dropped =
+                        connector.warehouse_mut().database_mut("churn").remove_table(&table);
+                    assert_eq!(wg.sync().unwrap().columns_removed, 1);
+                    connector.warehouse_mut().database_mut("churn").add_table(dropped.unwrap());
+                    assert_eq!(wg.sync().unwrap().columns_indexed, 1);
                 }
-            });
-        }
+            }
+        });
     });
 
-    // No lost inserts: every churn round ended with an index_table, so the
-    // index must hold exactly one live entry per warehouse column.
+    // No lost inserts: every churn round ended with the table synced back
+    // in, so the index must hold exactly one live entry per warehouse
+    // column.
     assert_eq!(wg.len(), total_columns, "inserts lost or duplicated under churn");
 
     // Steady state answers are exact.
@@ -143,13 +149,6 @@ fn removed_tables_never_resurface() {
     let query = ColumnRef::new("core", "accounts", "name");
 
     std::thread::scope(|scope| {
-        // Concurrent removals of all churn tables while readers query.
-        for t in 0..4 {
-            let wg = &wg;
-            scope.spawn(move || {
-                assert_eq!(wg.remove_table(&TableRef::new("churn", format!("t{t}"))), 1);
-            });
-        }
         for _ in 0..2 {
             let wg = &wg;
             let query = &query;
@@ -159,6 +158,15 @@ fn removed_tables_never_resurface() {
                 }
             });
         }
+        // One writer drops the churn tables one by one, syncing after
+        // each, while the readers query.
+        let (wg, connector) = (&wg, &connector);
+        scope.spawn(move || {
+            for t in 0..4 {
+                connector.warehouse_mut().database_mut("churn").remove_table(&format!("t{t}"));
+                assert_eq!(wg.sync().unwrap().columns_removed, 1);
+            }
+        });
     });
 
     // After every removal has completed, no stale candidate may survive —
@@ -171,39 +179,52 @@ fn removed_tables_never_resurface() {
             d.candidates
         );
     }
-    assert_eq!(wg.len(), connector.warehouse().iter_columns().count() - 4);
+    assert_eq!(wg.len(), connector.warehouse().iter_columns().count());
 }
 
 #[test]
 fn concurrent_batch_indexing_loses_nothing() {
-    // Many small tables indexed from parallel callers (not just parallel
-    // workers inside one call): the batched registry + index commits must
+    // Many small tables synced in one by one while readers batch-query
+    // the ones already in: the chunked registry + index commits must
     // neither drop nor double-count columns.
+    let table = |t: usize| {
+        Table::new(
+            format!("t{t}"),
+            vec![
+                Column::text("a", (0..20).map(|i| format!("value {t} {i}")).collect::<Vec<_>>()),
+                Column::ints("b", (0..20).map(|i| i + t as i64).collect()),
+            ],
+        )
+        .unwrap()
+    };
     let mut w = Warehouse::new("fanout");
-    for t in 0..12 {
-        w.database_mut("db").add_table(
-            Table::new(
-                format!("t{t}"),
-                vec![
-                    Column::text(
-                        "a",
-                        (0..20).map(|i| format!("value {t} {i}")).collect::<Vec<_>>(),
-                    ),
-                    Column::ints("b", (0..20).map(|i| i + t as i64).collect()),
-                ],
-            )
-            .unwrap(),
-        );
-    }
+    w.database_mut("db").add_table(table(0));
     let connector = std::sync::Arc::new(CdwConnector::with_defaults(w));
-    let wg = WarpGate::with_backend(WarpGateConfig { threads: 2, ..Default::default() }, connector);
+    let wg = WarpGate::with_backend(
+        WarpGateConfig { threads: 2, ..Default::default() },
+        connector.clone(),
+    );
+    wg.index_warehouse().unwrap();
+    let done = AtomicBool::new(false);
     std::thread::scope(|scope| {
-        for t in 0..12 {
-            let wg = &wg;
+        for _ in 0..2 {
+            let (wg, done) = (&wg, &done);
             scope.spawn(move || {
-                wg.index_table(&TableRef::new("db", format!("t{t}"))).unwrap();
+                let queries = [ColumnRef::new("db", "t0", "a"), ColumnRef::new("db", "t0", "b")];
+                while !done.load(Ordering::SeqCst) {
+                    let batch = wg.discover_batch(&queries, 5, &QueryOptions::default()).unwrap();
+                    assert_eq!(batch.len(), 2);
+                }
             });
         }
+        let (wg, connector, done) = (&wg, &connector, &done);
+        scope.spawn(move || {
+            for t in 1..12 {
+                connector.warehouse_mut().database_mut("db").add_table(table(t));
+                assert_eq!(wg.sync().unwrap().columns_indexed, 2);
+            }
+            done.store(true, Ordering::SeqCst);
+        });
     });
     assert_eq!(wg.len(), 24, "12 tables × 2 columns must all be indexed exactly once");
 }

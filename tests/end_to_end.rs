@@ -129,7 +129,7 @@ fn incremental_updates_are_visible_to_discovery() {
         .warehouse_mut()
         .database_mut("nextiajd")
         .add_table(Table::new("fresh_table", vec![answer_col.renamed("fresh_copy")]).unwrap());
-    wg.index_table(&TableRef::new("nextiajd", "fresh_table")).unwrap();
+    assert_eq!(wg.sync().unwrap().tables_added, 1);
 
     let hits = wg.discover(&q, 10).unwrap();
     assert!(
@@ -140,8 +140,9 @@ fn incremental_updates_are_visible_to_discovery() {
         hits.candidates
     );
 
-    // Remove it again; it must disappear from results.
-    assert_eq!(wg.remove_table(&TableRef::new("nextiajd", "fresh_table")), 1);
+    // Drop it again; it must disappear from results.
+    connector.warehouse_mut().database_mut("nextiajd").remove_table("fresh_table");
+    assert_eq!(wg.sync().unwrap().columns_removed, 1);
     let hits = wg.discover(&q, 10).unwrap();
     assert!(hits.candidates.iter().all(|c| c.reference.table != "fresh_table"));
 }

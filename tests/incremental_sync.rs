@@ -11,19 +11,23 @@ use warpgate::prelude::*;
 const TABLES: usize = 32;
 const COLUMNS_PER_TABLE: usize = 3;
 
+/// Table `t{t}` as [`warehouse`] builds it, cut to its first `columns`.
+fn entity_table(t: usize, columns: usize) -> Table {
+    let cols: Vec<Column> = (0..columns)
+        .map(|c| {
+            Column::text(
+                format!("col{c}"),
+                (0..60).map(|r| format!("entity {t} {c} {r}")).collect::<Vec<_>>(),
+            )
+        })
+        .collect();
+    Table::new(format!("t{t}"), cols).unwrap()
+}
+
 fn warehouse() -> Warehouse {
     let mut w = Warehouse::new("sync-acceptance");
     for t in 0..TABLES {
-        let cols: Vec<Column> = (0..COLUMNS_PER_TABLE)
-            .map(|c| {
-                Column::text(
-                    format!("col{c}"),
-                    (0..60).map(|r| format!("entity {t} {c} {r}")).collect::<Vec<_>>(),
-                )
-            })
-            .collect();
-        w.database_mut(&format!("db{}", t % 4))
-            .add_table(Table::new(format!("t{t}"), cols).unwrap());
+        w.database_mut(&format!("db{}", t % 4)).add_table(entity_table(t, COLUMNS_PER_TABLE));
     }
     w
 }
@@ -140,6 +144,37 @@ fn repeated_syncs_converge_and_stay_cheap() {
         assert!(again.is_noop(), "second sync must be a no-op: {again:?}");
         assert_eq!(again.cost.requests, 0);
     }
+}
+
+/// Building again after a table lost a column is a reconciliation like
+/// any other: the dropped column leaves the index, so the system equals a
+/// fresh build over the new warehouse — and the sync after it agrees.
+#[test]
+fn rebuilding_after_a_column_is_dropped_matches_a_fresh_build() {
+    let connector = Arc::new(CdwConnector::new(warehouse(), CdwConfig::free()));
+    let config = WarpGateConfig { threads: 2, ..Default::default() };
+    let wg = WarpGate::with_backend(config, connector.clone());
+    wg.index_warehouse().unwrap();
+
+    connector.warehouse_mut().database_mut("db1").add_table(entity_table(5, COLUMNS_PER_TABLE - 1));
+    let rebuilt = wg.index_warehouse().unwrap();
+
+    let fresh = WarpGate::with_backend(config, connector.clone());
+    fresh.index_warehouse().unwrap();
+    let same_as_fresh = |when: &str| {
+        assert_eq!(wg.len(), fresh.len(), "{when}: the dropped column is still indexed");
+        for q in connector.list_tables().unwrap().iter().flat_map(TableMeta::column_refs) {
+            assert_eq!(
+                wg.discover(&q, 10).unwrap().candidates,
+                fresh.discover(&q, 10).unwrap().candidates,
+                "{when}: {q} ranks differently than on a fresh build"
+            );
+        }
+    };
+    same_as_fresh("after the rebuild");
+    assert_eq!(rebuilt.columns_indexed, COLUMNS_PER_TABLE - 1, "only the changed table re-scans");
+    assert!(wg.sync().unwrap().is_noop());
+    same_as_fresh("after the next sync");
 }
 
 #[test]

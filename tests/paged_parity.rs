@@ -265,7 +265,7 @@ fn a_heap_the_hot_pass_filled_lets_the_cold_pass_read_nothing() {
     let mut mixed = WarpGate::with_backend(config, connector.clone());
     mixed.load_paged(&dir).unwrap();
 
-    // Both systems index the new tables one by one, so they number them
+    // Both systems sync the new tables in one by one, so they number them
     // alike and even exact ties rank identically.
     let duplicate: Vec<String> = (0..40)
         .map(|i| if i % 2 == 0 { format!("fam3 item {i}") } else { format!("hot only {i}") })
@@ -273,8 +273,8 @@ fn a_heap_the_hot_pass_filled_lets_the_cold_pass_read_nothing() {
     for t in 0..=K {
         let table = Table::new(format!("hot{t}"), vec![Column::text("dup", duplicate.clone())]);
         connector.warehouse_mut().database_mut("db").add_table(table.unwrap());
-        ram.index_table(&TableRef::new("db", format!("hot{t}"))).unwrap();
-        mixed.index_table(&TableRef::new("db", format!("hot{t}"))).unwrap();
+        assert_eq!(ram.sync().unwrap().tables_added, 1);
+        assert_eq!(mixed.sync().unwrap().tables_added, 1);
     }
     assert_eq!(mixed.len(), ram.len());
     assert_eq!(mixed.cold_len(), sealed_len, "the sealed rows still serve from disk");

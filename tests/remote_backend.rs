@@ -237,7 +237,15 @@ fn round_trip_budget_per_facade_call() {
     };
 
     let wg = WarpGate::with_backend(WarpGateConfig::default(), client());
-    wg.index_warehouse().expect("index over TCP");
+    let metas = connector.list_tables().expect("tables");
+    let columns: usize = metas.iter().map(|m| m.columns.len()).sum();
+    let build =
+        spent(&|| assert_eq!(wg.index_warehouse().expect("index").columns_indexed, columns));
+    assert_eq!(
+        build as usize,
+        1 + metas.len() + columns,
+        "first build: the version tokens, each new table's metadata, one metered scan per column"
+    );
     let q = ColumnRef::new("crm", "accounts", "name");
     let cold = spent(&|| assert!(!wg.discover(&q, 3).expect("cold").timing.cache_hit));
     assert_eq!(cold, 1, "cold discover: the metered scan and nothing else");
