@@ -12,10 +12,103 @@
 //!   zero-padded identifiers match unpadded ones;
 //! * date-ish cells fall out naturally: `2020-01-15` and `01/15/2020`
 //!   produce the same token multiset.
+//!
+//! A "digit" is an ASCII digit; every other alphanumeric scalar (Arabic-
+//! Indic digits included) is a letter.
+//!
+//! The rules live in one visitor, [`for_each_token`], which hands each
+//! token to a callback as a `&str`. A token that is already normal is a
+//! slice of the cell itself — a digit run past its leading zeros, or an
+//! ASCII letter run with no capital — so the common token is never copied.
+//! Only a run that must be lowercased is written out, into one scratch
+//! string the caller keeps across cells: ASCII capitals fold in place, and a
+//! run with any non-ASCII letter goes through `str::to_lowercase`, which
+//! sees the whole run (a final sigma lowercases by its position in the word,
+//! `İ` to two scalars). The cell is read byte by byte; a `char` is decoded
+//! only at a non-ASCII byte.
+//!
+//! The embedding path sums token vectors straight from the visitor.
+//! [`tokenize_into`] is the visitor's consumer for callers that want the
+//! tokens kept: it copies them into a [`TokenBuf`].
 
 /// A single normalized token, owned. The embedding path itself never
-/// builds these: it reads tokens out of a [`TokenBuf`].
+/// builds these: it reads tokens from [`for_each_token`].
 pub type Token = String;
+
+/// Call `f` on each normalized token of `cell`, in order. A token is a
+/// slice of `cell` when the run needs no change, and otherwise the run
+/// lowercased into `scratch`, whose old contents are discarded (its
+/// capacity is what the caller keeps it for).
+pub fn for_each_token(cell: &str, scratch: &mut String, mut f: impl FnMut(&str)) {
+    let bytes = cell.as_bytes();
+    let scalar_at = |at: usize| cell[at..].chars().next().expect("a scalar starts here");
+    let mut at = 0;
+    while at < bytes.len() {
+        let b = bytes[at];
+        if b.is_ascii_digit() {
+            // A digit run. Its token starts past the leading zeros, or is
+            // the run's last byte when the run is all zeros.
+            while at < bytes.len() && bytes[at] == b'0' {
+                at += 1;
+            }
+            let from = at;
+            while at < bytes.len() && bytes[at].is_ascii_digit() {
+                at += 1;
+            }
+            f(&cell[if from == at { at - 1 } else { from }..at]);
+            continue;
+        }
+        if b.is_ascii() && !b.is_ascii_alphabetic() {
+            at += 1;
+            continue;
+        }
+        if !b.is_ascii() {
+            let ch = scalar_at(at);
+            if !ch.is_alphanumeric() {
+                at += ch.len_utf8();
+                continue;
+            }
+        }
+        // A letter run: ASCII letters and non-ASCII alphanumerics, up to the
+        // next digit or separator. Note whether it has a capital or any
+        // non-ASCII scalar; without either it is a token as it stands.
+        let start = at;
+        let (mut capital, mut unicode) = (false, false);
+        while at < bytes.len() {
+            let b = bytes[at];
+            if b.is_ascii_lowercase() {
+                at += 1;
+            } else if b.is_ascii_uppercase() {
+                capital = true;
+                at += 1;
+            } else if b.is_ascii() {
+                break;
+            } else {
+                let ch = scalar_at(at);
+                if !ch.is_alphanumeric() {
+                    break;
+                }
+                unicode = true;
+                at += ch.len_utf8();
+            }
+        }
+        let run = &cell[start..at];
+        if unicode {
+            // Full Unicode lowercasing sees the whole run: a final sigma
+            // lowercases by its position in the word, `İ` to two scalars.
+            scratch.clear();
+            scratch.push_str(&run.to_lowercase());
+            f(scratch);
+        } else if capital {
+            scratch.clear();
+            scratch.push_str(run);
+            scratch.make_ascii_lowercase();
+            f(scratch);
+        } else {
+            f(run);
+        }
+    }
+}
 
 /// The normalized tokens of one cell, stored back to back in one string
 /// with a list of end offsets. [`tokenize_into`] refills it without
@@ -26,6 +119,8 @@ pub struct TokenBuf {
     /// Byte offset in `text` where each token ends; a token starts where
     /// the one before it ends.
     ends: Vec<usize>,
+    /// The visitor's scratch, kept for its capacity.
+    scratch: String,
 }
 
 impl TokenBuf {
@@ -53,51 +148,17 @@ impl TokenBuf {
             token
         })
     }
-
-    /// Append one run of the cell as a token. A run is a maximal stretch of
-    /// alphanumeric characters that are all ASCII digits or all not.
-    fn push_run(&mut self, run: &str, is_digit: bool) {
-        if is_digit {
-            let trimmed = run.trim_start_matches('0');
-            self.text.push_str(if trimmed.is_empty() { "0" } else { trimmed });
-        } else if run.is_ascii() {
-            let from = self.text.len();
-            self.text.push_str(run);
-            self.text[from..].make_ascii_lowercase();
-        } else {
-            // Full Unicode lowercasing sees the whole run: a final sigma
-            // lowercases by its position in the word, `İ` to two scalars.
-            self.text.push_str(&run.to_lowercase());
-        }
-        self.ends.push(self.text.len());
-    }
 }
 
 /// Tokenize one cell into `out`, replacing what it held.
 pub fn tokenize_into(cell: &str, out: &mut TokenBuf) {
-    out.text.clear();
-    out.ends.clear();
-    // Every run is a contiguous slice of the cell: remember where the
-    // current one started and whether it is digits or letters.
-    let mut run: Option<(usize, bool)> = None;
-    for (at, ch) in cell.char_indices() {
-        if ch.is_alphanumeric() {
-            let is_digit = ch.is_ascii_digit();
-            match run {
-                Some((_, run_is_digit)) if run_is_digit == is_digit => {}
-                Some((start, run_is_digit)) => {
-                    out.push_run(&cell[start..at], run_is_digit);
-                    run = Some((at, is_digit));
-                }
-                None => run = Some((at, is_digit)),
-            }
-        } else if let Some((start, run_is_digit)) = run.take() {
-            out.push_run(&cell[start..at], run_is_digit);
-        }
-    }
-    if let Some((start, run_is_digit)) = run {
-        out.push_run(&cell[start..], run_is_digit);
-    }
+    let TokenBuf { text, ends, scratch } = out;
+    text.clear();
+    ends.clear();
+    for_each_token(cell, scratch, |token| {
+        text.push_str(token);
+        ends.push(text.len());
+    });
 }
 
 /// Tokenize one cell into owned tokens.
@@ -247,6 +308,61 @@ mod tests {
             assert_eq!(tokenize(&cell), want, "{cell:?}");
         }
         assert_eq!(tokenize("ΣΑΣ İx"), vec!["σας", "i\u{307}x"]);
+    }
+
+    /// The runs of a cell, one per token: maximal stretches of alphanumeric
+    /// scalars that are all ASCII digits or all not.
+    fn runs(cell: &str) -> Vec<&str> {
+        let mut runs = Vec::new();
+        let mut run: Option<(usize, bool)> = None;
+        for (at, ch) in cell.char_indices().chain([(cell.len(), ' ')]) {
+            let class = ch.is_alphanumeric().then(|| ch.is_ascii_digit());
+            match (run, class) {
+                (Some((_, ran)), Some(digit)) if ran == digit => {}
+                _ => {
+                    if let Some((start, _)) = run {
+                        runs.push(&cell[start..at]);
+                    }
+                    run = class.map(|digit| (at, digit));
+                }
+            }
+        }
+        runs
+    }
+
+    /// The visitor yields the reference tokens, and copies only what it must:
+    /// a digit run's token and an all-lowercase ASCII run's token lie in
+    /// the cell's own bytes, a capitalised or non-ASCII run's in the
+    /// scratch.
+    #[test]
+    fn visitor_hands_out_unchanged_runs_as_slices_of_the_cell() {
+        let mut cells = reference::cells(9, 3000);
+        cells.extend(
+            ["CUST0042", "0042-000 x", "acme corp", "Acme Corp.", "a1B2c3", "000", "ÉCOLE 007"]
+                .map(String::from),
+        );
+        // Reserved past any cell's lowercasing, so it never moves.
+        let mut scratch = String::with_capacity(1 << 10);
+        let scratch_bytes = scratch.as_ptr()..scratch.as_ptr().wrapping_add(scratch.capacity());
+        let within = |token: &str, bytes: &std::ops::Range<*const u8>| {
+            let token = token.as_bytes().as_ptr_range();
+            bytes.start <= token.start && token.end <= bytes.end
+        };
+        for cell in &cells {
+            let runs = runs(cell);
+            let mut got = Vec::new();
+            for_each_token(cell, &mut scratch, |token| {
+                let run = runs[got.len()];
+                let unchanged = run.bytes().all(|b| b.is_ascii_digit())
+                    || run.bytes().all(|b| b.is_ascii_lowercase());
+                let from =
+                    if unchanged { cell.as_bytes().as_ptr_range() } else { scratch_bytes.clone() };
+                assert!(within(token, &from), "{cell:?}: {token:?} of {run:?}");
+                got.push(token.to_string());
+            });
+            assert_eq!(got, reference::tokenize(cell), "{cell:?}");
+            assert_eq!(runs.len(), got.len(), "{cell:?}");
+        }
     }
 
     #[test]

@@ -30,7 +30,7 @@ use wg_util::SplitMix64;
 
 use crate::model::{EmbeddingModel, ValueSink};
 use crate::store::{Key, VectorStore};
-use crate::tokenizer::{char_ngram_count, for_each_char_ngram, tokenize_into, TokenBuf};
+use crate::tokenizer::{char_ngram_count, for_each_char_ngram, for_each_token, TokenBuf};
 use crate::vector::{is_zero, normalize, Vector};
 
 /// Configuration for [`WebTableModel`].
@@ -163,21 +163,30 @@ impl WebTableModel {
         self.with_token(token, |v| out.copy_from_slice(v));
     }
 
-    /// `out` = the sum of the tokens' vectors in token order, each added
-    /// straight from the store; `false`, and `out` as it was, when there is
-    /// no token. The first vector is written as `0.0 + x` — what adding it
-    /// to a zeroed `out` would leave, `-0.0` included — so no pass zeroes.
+    /// Add one token's vector to a value's running sum `out`, straight from
+    /// the store. The first token's vector is written as `0.0 + x` — what
+    /// adding it to a zeroed `out` would leave, `-0.0` included — so no
+    /// pass zeroes.
     #[inline]
-    fn sum_tokens(&self, tokens: &TokenBuf, out: &mut [f32]) -> bool {
-        let mut tokens = tokens.iter();
-        let Some(first) = tokens.next() else {
-            return false;
-        };
-        self.with_token(first, |v| out.iter_mut().zip(v).for_each(|(o, &x)| *o = 0.0 + x));
-        for t in tokens {
-            self.with_token(t, |v| kernel::axpy(out, 1.0, v));
+    fn add_token(&self, token: &str, first: bool, out: &mut [f32]) {
+        if first {
+            self.with_token(token, |v| out.iter_mut().zip(v).for_each(|(o, &x)| *o = 0.0 + x));
+        } else {
+            self.with_token(token, |v| kernel::axpy(out, 1.0, v));
         }
-        true
+    }
+
+    /// `out` = the sum of the cell's token vectors in token order, the
+    /// tokens taken from the visitor as they are found; `false`, and `out`
+    /// as it was, when there is no token.
+    #[inline]
+    fn sum_cell(&self, cell: &str, scratch: &mut String, out: &mut [f32]) -> bool {
+        let mut first = true;
+        for_each_token(cell, scratch, |token| {
+            self.add_token(token, first, out);
+            first = false;
+        });
+        !first
     }
 }
 
@@ -192,29 +201,32 @@ impl EmbeddingModel for WebTableModel {
 
     fn embed_tokens_into(&self, tokens: &TokenBuf, out: &mut [f32]) {
         debug_assert_eq!(out.len(), self.config.dim);
-        if !self.sum_tokens(tokens, out) {
+        if tokens.is_empty() {
             out.fill(0.0);
+        }
+        for (at, token) in tokens.iter().enumerate() {
+            self.add_token(token, at == 0, out);
         }
         normalize(out);
     }
 
     /// The provided loop with a value's passes fused: the sum of its token
-    /// vectors, one `norm_sq`, then `acc += w · (sum · 1/‖sum‖)` in one
-    /// pass where the provided loop scales, tests for zero and adds in
-    /// three. Every element sees the same operations on the same operands
-    /// in the same order, so the bits are the same.
+    /// vectors, added as the tokenizer finds each token (no token buffer),
+    /// one `norm_sq`, then `acc += w · (sum · 1/‖sum‖)` in one pass where
+    /// the provided loop scales, tests for zero and adds in three. Every
+    /// element sees the same operations on the same operands in the same
+    /// order, so the bits are the same.
     fn embed_values_into(
         &self,
         values: &mut dyn FnMut(&mut ValueSink<'_>),
         acc: &mut [f32],
     ) -> bool {
         debug_assert_eq!(acc.len(), self.config.dim);
-        let mut tokens = TokenBuf::new();
+        let mut lowered = String::new();
         let mut sum = scratch::take_f32(self.config.dim);
         let mut any = false;
         values(&mut |value, weight| {
-            tokenize_into(value, &mut tokens);
-            if !self.sum_tokens(&tokens, &mut sum) {
+            if !self.sum_cell(value, &mut lowered, &mut sum) {
                 return;
             }
             let norm = kernel::norm_sq(&sum).sqrt();
@@ -267,7 +279,7 @@ impl WebTableModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tokenizer::{reference, Token};
+    use crate::tokenizer::{reference, tokenize_into, Token};
 
     fn model() -> WebTableModel {
         WebTableModel::default_model()

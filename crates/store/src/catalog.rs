@@ -16,7 +16,7 @@
 use std::fmt;
 use std::str::FromStr;
 
-use crate::backend::TableMeta;
+use crate::backend::{TableMeta, TableVersion};
 use crate::column::Column;
 use crate::error::{StoreError, StoreResult};
 use crate::table::Table;
@@ -406,6 +406,22 @@ impl Warehouse {
                     database: db.name().to_string(),
                     table: t.name().to_string(),
                     columns: t.columns().iter().map(|c| c.name().to_string()).collect(),
+                    version,
+                })
+            })
+            .collect()
+    }
+
+    /// Every table's version token, in catalog order: [`Self::table_metas`]
+    /// without the column lists, so a sync's diff allocates two names a
+    /// table rather than one per column.
+    pub fn table_versions(&self) -> Vec<TableVersion> {
+        self.databases
+            .iter()
+            .flat_map(|db| {
+                db.tables_with_versions().map(move |(t, version)| TableVersion {
+                    database: db.name().to_string(),
+                    table: t.name().to_string(),
                     version,
                 })
             })

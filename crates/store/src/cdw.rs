@@ -25,7 +25,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use wg_util::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use crate::backend::{TableMeta, WarehouseBackend};
+use crate::backend::{TableMeta, TableVersion, WarehouseBackend};
 use crate::catalog::{ColumnRef, Warehouse};
 use crate::column::Column;
 use crate::error::StoreResult;
@@ -324,6 +324,11 @@ impl WarehouseBackend for CdwConnector {
         // Cheaper than the default table_meta path: one catalog lookup.
         self.warehouse.read().column(r).map(|_| ())
     }
+
+    fn snapshot_versions(&self) -> StoreResult<Vec<TableVersion>> {
+        // Cheaper than the default list_tables path: no column names.
+        Ok(self.warehouse.read().table_versions())
+    }
 }
 
 #[cfg(test)]
@@ -552,5 +557,39 @@ mod tests {
             .add_table(Table::new("t", vec![Column::ints("n", vec![9])]).unwrap());
         let fresh = b.snapshot_versions().unwrap();
         assert_ne!(fresh[0].version, versions[0].version);
+    }
+
+    #[test]
+    fn snapshot_versions_are_list_tables_projected() {
+        let c = connector();
+        let b: &dyn WarehouseBackend = &c;
+        let projected = || -> Vec<TableVersion> {
+            b.list_tables()
+                .unwrap()
+                .into_iter()
+                .map(|m| TableVersion { database: m.database, table: m.table, version: m.version })
+                .collect()
+        };
+        {
+            let mut w = c.warehouse_mut();
+            let db = w.database_mut("db");
+            for name in ["a", "b", "c"] {
+                db.add_table(Table::new(name, vec![Column::ints("x", vec![1])]).unwrap());
+            }
+            w.database_mut("other")
+                .add_table(Table::new("z", vec![Column::text("y", ["q"])]).unwrap());
+        }
+        assert_eq!(b.snapshot_versions().unwrap(), projected());
+        {
+            let mut w = c.warehouse_mut();
+            let db = w.database_mut("db");
+            db.add_table(Table::new("a", vec![Column::ints("x", vec![2, 3])]).unwrap());
+            db.remove_table("b").unwrap();
+        }
+        let versions = b.snapshot_versions().unwrap();
+        assert_eq!(versions, projected());
+        let names: Vec<_> =
+            versions.iter().map(|v| format!("{}.{}", v.database, v.table)).collect();
+        assert_eq!(names, ["db.t", "db.a", "db.c", "other.z"]);
     }
 }

@@ -138,7 +138,9 @@ impl<'a> ValueRef<'a> {
                 buf.push_str(".0");
             }
             ValueRef::Float(x) => {
-                write!(buf, "{x}").expect("writing to a String cannot fail");
+                if !push_short_decimal(buf, x) {
+                    write!(buf, "{x}").expect("writing to a String cannot fail");
+                }
             }
             ValueRef::Text(s) => buf.push_str(s),
         }
@@ -197,6 +199,47 @@ fn push_digits(buf: &mut String, mut n: u64) {
         }
     }
     buf.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+}
+
+/// Append a non-integral `x` the way `Display` prints it, if it has at
+/// most 15 decimals, and report whether it did.
+///
+/// For each `k` from 1, `m = round(|x|·10^k)`; the first `k` for which
+/// `m / 10^k` (one correctly rounded division of two exact doubles) gives
+/// back `|x|` is printed as `m` with the point `k` digits from the right.
+/// That decimal parses back to `x`. Below 2⁵⁰ the reals that round to `x`,
+/// scaled by `10^k`, span less than a quarter, so no other `k`-decimal
+/// string does and the product's rounding cannot miss `m`: the first `k`
+/// that passes is `Display`'s shortest. Larger `m`, NaN and the infinities
+/// are left to the formatter.
+fn push_short_decimal(buf: &mut String, x: f64) -> bool {
+    const LIMIT: f64 = (1u64 << 50) as f64;
+    let abs = x.abs();
+    if !abs.is_finite() {
+        return false;
+    }
+    let mut scale = 1u64;
+    for k in 1..=15 {
+        scale *= 10;
+        let m = (abs * scale as f64).round();
+        if m >= LIMIT {
+            return false;
+        }
+        if m / scale as f64 == abs {
+            let m = m as u64;
+            if x.is_sign_negative() {
+                buf.push('-');
+            }
+            push_digits(buf, m / scale);
+            buf.push('.');
+            let frac = m % scale;
+            let width = frac.checked_ilog10().map_or(1, |d| d as usize + 1);
+            buf.extend(std::iter::repeat_n('0', k - width));
+            push_digits(buf, frac);
+            return true;
+        }
+    }
+    false
 }
 
 impl fmt::Display for ValueRef<'_> {
@@ -268,6 +311,33 @@ mod tests {
             values.push(ValueRef::Int(shifted));
             values.push(ValueRef::Float(shifted as f64));
             values.push(ValueRef::Float(shifted as f64 / 8.0));
+            values.push(ValueRef::Float(f64::from_bits(bits)));
+        }
+        // Short decimals `m / 10^k` at every k the fast path tries (and one
+        // past it) and every magnitude of m, each with its neighbours one ulp
+        // away, which need more digits or the formatter.
+        let next_up = |x: f64| f64::from_bits(x.to_bits() + 1);
+        let next_down = |x: f64| f64::from_bits(x.to_bits() - 1);
+        for k in 0..=16 {
+            let scale = 10f64.powi(k);
+            for _ in 0..300 {
+                let m = (rng.next_u64() >> rng.gen_index(64)) as f64;
+                let x = m / scale;
+                for x in [x, next_up(x), next_down(x.max(f64::MIN_POSITIVE))] {
+                    values.extend([ValueRef::Float(x), ValueRef::Float(-x)]);
+                }
+            }
+        }
+        // Both sides of the fast path's 2⁵⁰ limit on m.
+        let edge = (1u64 << 50) as f64;
+        for k in 1..=15 {
+            let scale = 10f64.powi(k);
+            for m in [edge - 3.0, edge - 1.0, edge, edge + 1.0, edge + 3.0] {
+                values.extend([ValueRef::Float(m / scale), ValueRef::Float(-m / scale)]);
+            }
+        }
+        for bits in [1, 2, 3, 1 << 20, (1 << 52) - 1, 1 << 52] {
+            // Subnormals, and the smallest normal.
             values.push(ValueRef::Float(f64::from_bits(bits)));
         }
         let mut buf = String::from("kept:");
