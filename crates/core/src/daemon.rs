@@ -10,11 +10,11 @@
 //! stop → final checkpoint flush → exit
 //! ```
 //!
-//! * **Failures are counted, not acted on.** A failed sync records nothing
-//!   (the system's token-commit discipline guarantees that), so the daemon
-//!   counts it, keeps the error as [`DaemonReport::last_error`] prefixed
-//!   with the backend's name, and the next tick retries the same change
-//!   set. One failing backend never stops the others in the same tick.
+//! * **Failures are counted, not acted on.** A failed sync keeps the tables
+//!   it finished (each whole, with its token), so the daemon counts it,
+//!   keeps the error as [`DaemonReport::last_error`] prefixed with the
+//!   backend's name, and the next tick re-scans only the rest. One failing
+//!   backend never stops the others in the same tick.
 //!   Retrying *within* a sync is the backend middleware's job
 //!   (`wg_store::RetryBackend`); its retries and cost show in
 //!   [`DaemonReport::cost`].

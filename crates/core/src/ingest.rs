@@ -17,9 +17,9 @@ use wg_util::FxHashMap;
 use crate::system::{deadline_err, Attached, TableState, WarpGate};
 
 /// The most items one claim of [`in_order`] takes, and therefore the most
-/// one `commit` receives: indexing's commit holds the state's write guard
-/// across one chunk, so this bounds how long a concurrent query can wait
-/// behind a build.
+/// one `commit` receives: this bounds what a chunk that finished ahead of
+/// a straggler holds back. (A write guard covers one table, however its
+/// columns fall into chunks.)
 const MAX_CHUNK: usize = 64;
 
 /// Summary of one indexing run.
@@ -127,20 +127,23 @@ impl WarpGate {
     /// the change set, not the warehouse; an all-backends report carries
     /// each namespace's slice in [`SyncReport::per_backend`].
     ///
-    /// The run checks the deadline before every column scan, so an expired
-    /// one stops the reconciliation *between* scans — zero further columns
-    /// billed — and fails with `StoreError::DeadlineExceeded`. Nothing is
-    /// recorded for the interrupted backend (tokens commit only after its
-    /// scans succeed), so the next sync retries the same change set.
+    /// A table installs whole — rows, removals and token under one write
+    /// guard — once its last column is scanned. The run checks the deadline
+    /// before every column scan, so an expired one stops the reconciliation
+    /// *between* scans — zero further columns billed — and fails with
+    /// `StoreError::DeadlineExceeded`; the tables installed before any
+    /// failure stay, and the next sync re-scans only the rest.
     ///
+    /// Syncs run one at a time; queries and checkpoints never wait for one.
     /// Counts against admission like every serving entry point (a long
-    /// sync holds one slot for its whole run).
+    /// sync, or one waiting for another, holds one slot).
     pub fn sync_with(
         &self,
         backend: Option<BackendId>,
         deadline: Deadline,
     ) -> StoreResult<SyncReport> {
         let _permit = self.acquire_admission()?;
+        let _one_sync = self.sync_lock.lock();
         let Some(id) = backend else {
             let sw = Stopwatch::start();
             let mut total = SyncReport::default();
@@ -174,7 +177,8 @@ impl WarpGate {
             versions.iter().map(|v| (v.database.as_str(), v.table.as_str())).collect();
         for (database, table) in recorded.keys() {
             if !current.contains(&(database.as_str(), table.as_str())) {
-                report.columns_removed += self.remove_table(&TableRef::scoped(id, database, table));
+                let table = TableRef::scoped(id, database, table);
+                report.columns_removed += self.commit_table(&run, &table, Vec::new(), None);
                 report.tables_removed += 1;
             }
         }
@@ -183,32 +187,15 @@ impl WarpGate {
         let mut changed: Vec<TableMeta> = Vec::new();
         for v in &versions {
             let key = (v.database.clone(), v.table.clone());
-            let known = match recorded.get(&key) {
+            match recorded.get(&key) {
                 Some(st) if st.epoch == run.epoch && st.version == v.version => continue,
-                Some(_) => true,
-                None => false,
-            };
-            let meta = backend.table_meta(&v.database, &v.table)?;
-            if known {
-                report.tables_updated += 1;
-                // Columns that vanished from the still-present table. Their
-                // cached embeddings go with the table's in `index_tables`.
-                let mut state = self.state.write();
-                let table = TableRef::scoped(id, &meta.database, &meta.table);
-                let mut vanished = state.registry.table_refs(&table);
-                vanished.retain(|r| !meta.columns.contains(&r.column));
-                report.columns_removed += state.remove(&vanished);
-            } else {
-                report.tables_added += 1;
+                Some(_) => report.tables_updated += 1,
+                None => report.tables_added += 1,
             }
-            changed.push(meta);
+            changed.push(backend.table_meta(&v.database, &v.table)?);
         }
 
         self.index_tables(&run, &changed, deadline, &mut report)?;
-        // Tokens (fetched before the scans) are committed only now that
-        // the scans succeeded — a failed sync records nothing, so the next
-        // one retries the same change set.
-        self.record_synced(&run, &changed);
         report.elapsed_secs = sw.elapsed_secs();
         Ok(report)
     }
@@ -239,14 +226,14 @@ impl WarpGate {
 
     /// Scan → embed → insert every column of `tables`, in that order,
     /// counting into `report` what was indexed, what was skipped, and —
-    /// as removed — previously indexed columns whose content no longer
-    /// embeds. Every worker checks the deadline before each scan, so
-    /// expiry — like any scan error — stops the run between scans with no
-    /// further column billed. The cost added is the sum of what each of
-    /// the run's own scans metered — metadata is free — so a concurrent
-    /// query's scans are never billed to it. Schema context reads the
-    /// column lists the caller already holds: no metadata call is made
-    /// here.
+    /// as removed — indexed columns that vanished or no longer embed. A
+    /// table installs ([`Self::commit_table`]) once its last column is
+    /// scanned. Every worker checks the deadline before each scan, so expiry — like
+    /// any scan error — stops the run between scans with no further column
+    /// billed. The cost added is the sum of what each of the run's own
+    /// scans metered — metadata is free — so a concurrent query's scans
+    /// are never billed to it. Schema context reads the column lists the
+    /// caller already holds: no metadata call is made here.
     fn index_tables(
         &self,
         run: &Attached,
@@ -255,17 +242,20 @@ impl WarpGate {
         report: &mut SyncReport,
     ) -> StoreResult<()> {
         let backend = run.backend.as_ref();
-
-        // (Re-)indexing means these tables' warehouse data may have
-        // changed; cached query embeddings for them are stale.
-        for meta in tables {
-            self.cache.invalidate_table(&TableRef::scoped(run.id, &meta.database, &meta.table));
+        let table_of = |meta: &TableMeta| TableRef::scoped(run.id, &meta.database, &meta.table);
+        // A table with no columns has nothing to scan: it installs as it is.
+        for meta in tables.iter().filter(|meta| meta.columns.is_empty()) {
+            report.columns_removed +=
+                self.commit_table(run, &table_of(meta), Vec::new(), Some(meta.version));
         }
         let refs: Vec<(ColumnRef, &TableMeta)> = tables
             .iter()
             .flat_map(|meta| meta.scoped_column_refs(run.id).into_iter().map(move |r| (r, meta)))
             .collect();
 
+        // A table's columns are contiguous in `refs`: its rows wait here
+        // until its last column arrives.
+        let (mut rows, mut scanned) = (Vec::new(), 0);
         in_order(
             &refs,
             self.config.effective_threads(),
@@ -279,41 +269,64 @@ impl WarpGate {
                 let sig = (!vector.is_zero()).then(|| self.hasher.sign(vector.as_slice()));
                 Ok((vector, sig, billed))
             },
-            |refs, scanned| {
-                // One write guard maps the chunk's refs to ids, in catalog
-                // order, and inserts their rows. A ref the registry knows
-                // whose vector came back zero must not keep its old row.
-                let mut state = self.state.write();
-                let mut stale = Vec::new();
-                for ((r, _), (vector, sig, billed)) in refs.iter().zip(scanned) {
+            |chunk, results| {
+                for ((r, meta), (vector, sig, billed)) in chunk.iter().zip(results) {
                     report.cost = report.cost.plus(&billed);
-                    match sig {
-                        Some(sig) => {
-                            let id = state.registry.insert(r.clone());
-                            state.index.insert_signed(id, vector.as_slice(), sig);
-                        }
-                        None => stale.push(r.clone()),
+                    if let Some(sig) = sig {
+                        rows.push((r, vector, sig));
                     }
+                    scanned += 1;
+                    if scanned < meta.columns.len() {
+                        continue;
+                    }
+                    report.columns_indexed += rows.len();
+                    report.columns_skipped += scanned - rows.len();
+                    scanned = 0;
+                    let rows = std::mem::take(&mut rows);
+                    report.columns_removed +=
+                        self.commit_table(run, &table_of(meta), rows, Some(meta.version));
                 }
-                report.columns_indexed += refs.len() - stale.len();
-                report.columns_skipped += stale.len();
-                report.columns_removed += state.remove(&stale);
             },
         )
     }
 
-    /// Remove one (namespaced) table that vanished from its backend: its
-    /// columns leave the index and its recorded token is forgotten.
-    /// Returns how many columns were removed. One write guard covers the
-    /// victims, the token, the registry and the index.
-    fn remove_table(&self, table: &TableRef) -> usize {
+    /// Install one table as this run leaves it, under one write guard —
+    /// the one way a table's rows and token change: remove its indexed
+    /// columns not among `rows` (vanished, no longer embedding, or — `rows`
+    /// empty — all), insert `rows`, and record `version` (`None` forgets
+    /// it). Nothing installs once the namespace's epoch moved since the run
+    /// resolved it. Cached embeddings go after the guard. Returns how many
+    /// columns were removed.
+    fn commit_table(
+        &self,
+        run: &Attached,
+        table: &TableRef,
+        rows: Vec<(&ColumnRef, wg_embed::Vector, Signature)>,
+        version: Option<u64>,
+    ) -> usize {
         let removed = {
-            let mut state = self.state.write();
-            if let Some(namespace) = state.namespaces.get_mut(&table.backend) {
-                namespace.tables.remove(&(table.database.clone(), table.table.clone()));
+            let mut guard = self.state.write();
+            let state = &mut *guard;
+            let namespace = match state.namespaces.get_mut(&run.id) {
+                Some(namespace) if namespace.epoch == run.epoch => namespace,
+                _ => return 0,
+            };
+            let key = (table.database.clone(), table.table.clone());
+            match version {
+                Some(version) => {
+                    namespace.tables.insert(key, TableState { epoch: run.epoch, version })
+                }
+                None => namespace.tables.remove(&key),
+            };
+            let mut gone = state.registry.table_refs(table);
+            gone.retain(|old| rows.iter().all(|(r, ..)| r.column != old.column));
+            let gone = gone.iter().filter_map(|r| state.registry.remove(r));
+            let removed = gone.filter(|&id| state.index.remove(id)).count();
+            for (r, vector, sig) in rows {
+                let id = state.registry.insert(r.clone());
+                state.index.insert_signed(id, vector.as_slice(), sig);
             }
-            let victims = state.registry.table_refs(table);
-            state.remove(&victims)
+            removed
         };
         self.cache.invalidate_table(table);
         removed
@@ -334,11 +347,11 @@ impl WarpGate {
 /// item, so nobody starts (and bills) another one; a failed chunk never
 /// commits, and so neither does any chunk after it. The first error to
 /// arrive is the one returned.
-pub(crate) fn in_order<T, R, E>(
-    items: &[T],
+pub(crate) fn in_order<'a, T, R, E>(
+    items: &'a [T],
     threads: usize,
     work: impl Fn(&T) -> Result<R, E> + Sync,
-    mut commit: impl FnMut(&[T], Vec<R>),
+    mut commit: impl FnMut(&'a [T], Vec<R>),
 ) -> Result<(), E>
 where
     T: Sync,
@@ -347,7 +360,7 @@ where
 {
     let threads = threads.clamp(1, items.len().max(1));
     let chunk = items.len().div_ceil(threads * 4).clamp(1, MAX_CHUNK);
-    let chunks: Vec<&[T]> = items.chunks(chunk).collect();
+    let chunks: Vec<&'a [T]> = items.chunks(chunk).collect();
     // Relaxed on both: the counter hands out indices into `chunks`, which
     // is complete before any thread starts, and the flag publishes nothing
     // (the error itself travels through the channel).

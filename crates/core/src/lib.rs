@@ -43,8 +43,8 @@
 //! share — each namespace's backend handle, attach epoch and version
 //! tokens, the id → column-ref registry, and the one LSH index
 //! ([`wg_lsh::SimHashLshIndex`]). A query takes it twice (to resolve its
-//! namespace, then for one search); every insert commits on one thread
-//! (`ingest::in_order`'s commit), a chunk under one write guard; attach
+//! namespace, then for one search); a sync installs each table — removals,
+//! rows and token — under one write guard, one sync at a time; attach
 //! and detach change a handle and its epoch under one write guard. Rows and
 //! queries are signed, and columns scanned and embedded, before the lock is
 //! taken, so a guard covers bucket pushes or one search, nothing more.

@@ -97,7 +97,7 @@ impl Registry {
     }
 
     /// Live refs of one (namespaced) table, in no particular order —
-    /// read-path helper for removal and sync.
+    /// what a sync's table install diffs against.
     pub(crate) fn table_refs(&self, table: &TableRef) -> Vec<ColumnRef> {
         let Some(entry) = self.tables.get(table) else {
             return Vec::new();
@@ -297,8 +297,8 @@ mod tests {
                         .filter(|(_, r)| table.contains(r))
                         .map(|(_, r)| r.clone())
                         .collect();
-                    // Callers (`remove_table_scoped`, `sync_one`) treat the
-                    // result as a set.
+                    // The caller (`commit_table`) treats the result as a
+                    // set.
                     got.sort();
                     want.sort();
                     assert_eq!(got, want, "{table}");

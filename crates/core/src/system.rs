@@ -18,10 +18,10 @@ use std::sync::Arc;
 
 use wg_embed::{ColumnEmbedder, EmbeddingModel, WebTableConfig, WebTableModel};
 use wg_lsh::{LshParams, SimHashLshIndex, SimHasher};
-use wg_store::{BackendHandle, BackendId, ColumnRef, StoreError, StoreResult, TableMeta};
+use wg_store::{BackendHandle, BackendId, ColumnRef, StoreError, StoreResult};
 use wg_util::deadline::Phase;
 use wg_util::lru::CacheStats;
-use wg_util::sync::RwLock;
+use wg_util::sync::{Mutex, RwLock};
 use wg_util::FxHashMap;
 
 use crate::admission::{AdmissionController, AdmissionPermit, AdmissionStats};
@@ -86,8 +86,8 @@ pub(crate) struct Attached {
 /// id → column-reference registry and the one [`SimHashLshIndex`] sit
 /// behind **one** reader–writer lock. Embeddings are signed outside it with
 /// the system's one [`SimHasher`]; query embeddings are memoized in an LRU
-/// [`EmbeddingCache`] with a lock of its own. Reads share the lock; writes
-/// take it a chunk at a time.
+/// [`EmbeddingCache`] with a lock of its own. Reads share the lock; a sync
+/// writes one table at a time, and one sync runs at a time.
 pub struct WarpGate {
     pub(crate) config: WarpGateConfig,
     pub(crate) embedder: ColumnEmbedder,
@@ -99,6 +99,9 @@ pub struct WarpGate {
     /// one thread deadlocks once a writer queues. It is taken first; no
     /// lock taken under it ever takes it.
     pub(crate) state: RwLock<State>,
+    /// Held by a sync for its whole run, so syncs never overlap. Queries and
+    /// checkpoints never take it; it is taken before `state`.
+    pub(crate) sync_lock: Mutex<()>,
     pub(crate) cache: EmbeddingCache,
     /// Byte-budgeted LRU over paged-segment blocks; shared by every
     /// segment [`Self::load_paged`] attaches so the budget bounds the
@@ -148,6 +151,7 @@ impl WarpGate {
                 index: empty_index(&config, hasher.clone()),
             }),
             hasher,
+            sync_lock: Mutex::new(()),
             cache: EmbeddingCache::new(config.cache_capacity, config.dim),
             block_cache: wg_lsh::BlockCache::new(config.block_cache_bytes),
             admission: config.admission.map(AdmissionController::new),
@@ -232,7 +236,7 @@ impl WarpGate {
     /// One namespace for one run: its attach epoch and its handle, read
     /// under one guard, or an error naming the namespace when nothing is
     /// attached under it. A concurrent attach moves the epoch, and then the
-    /// run's token commit is discarded ([`Self::record_synced`]) and the
+    /// run installs nothing (`commit_table` compares epochs) and the
     /// embeddings it cached sit under the old epoch's keys, unreachable.
     pub(crate) fn resolve(&self, id: BackendId) -> StoreResult<Attached> {
         let state = self.state.read();
@@ -310,25 +314,6 @@ impl WarpGate {
         Ok(ids)
     }
 
-    /// Record that the index now reflects these tables at these versions —
-    /// unless the namespace's attach epoch moved since the run resolved
-    /// it, in which case the tokens belong to a detached backend and
-    /// recording them would poison the next sync's diff; discard instead
-    /// (the next sync re-scans, which is the safe direction).
-    pub(crate) fn record_synced(&self, run: &Attached, metas: &[TableMeta]) {
-        let mut state = self.state.write();
-        let namespace = state.namespaces.entry(run.id).or_default();
-        if namespace.epoch != run.epoch {
-            return;
-        }
-        for m in metas {
-            namespace.tables.insert(
-                (m.database.clone(), m.table.clone()),
-                TableState { epoch: run.epoch, version: m.version },
-            );
-        }
-    }
-
     /// An empty index with this system's exact geometry (dim, banding,
     /// hyperplanes, probes) — what a restore hydrates, or attaches
     /// segments, into.
@@ -378,14 +363,6 @@ impl WarpGate {
 }
 
 impl State {
-    /// Drop `refs` from registry and index; how many rows went.
-    pub(crate) fn remove(&mut self, refs: &[ColumnRef]) -> usize {
-        refs.iter()
-            .filter_map(|r| self.registry.remove(r))
-            .filter(|&id| self.index.remove(id))
-            .count()
-    }
-
     /// The durable slice of the sync bookkeeping: per backend *name*, every
     /// table → version token recorded under the namespace's current epoch.
     /// Stale tokens from older epochs describe backends that are gone and

@@ -7,8 +7,8 @@ use super::*;
 use crate::QueryOptions;
 use wg_lsh::DiscoverScope;
 use wg_store::{
-    CdwConfig, CdwConnector, Column, CostSnapshot, Database, KeyNorm, SampleSpec, Table, Warehouse,
-    WarehouseBackend,
+    CdwConfig, CdwConnector, Column, CostSnapshot, Database, KeyNorm, SampleSpec, Table, TableMeta,
+    Warehouse, WarehouseBackend,
 };
 use wg_util::deadline::Deadline;
 
@@ -885,27 +885,31 @@ fn detach_named_evicts_cache_and_tokens_for_reattach() {
 
 #[test]
 fn racing_attach_discards_in_flight_sync_tokens() {
-    // The epoch guard: a sync captures its epoch, scans the OLD
-    // backend, and tries to commit tokens after attach_named swapped
-    // in a NEW backend. The commit must be discarded — otherwise the
-    // next sync would treat the old backend's versions as current and
-    // skip re-scanning the new backend's content.
+    // The epoch guard: a sync resolves its epoch, scans the OLD backend,
+    // and reaches its install after attach_named swapped in a NEW one. The
+    // install must be discarded — otherwise the next sync would treat the
+    // old backend's version as current and never scan the new content.
+    let old = ParkingBackend::new(lake_connector());
     let wg = WarpGate::new(WarpGateConfig { threads: 1, ..Default::default() });
-    let id = wg.attach_named("system-test-race", lake_connector());
-    let stale = wg.resolve(id).unwrap();
-    let metas = stale.backend.list_tables().unwrap();
-
-    // The swap lands while the (simulated) sync run is in flight.
-    wg.attach_named("system-test-race", lake_connector());
-    wg.record_synced(&stale, &metas);
+    let id = wg.attach_named("system-test-race", old.clone());
+    let (scanned, release) = old.arm();
+    std::thread::scope(|s| {
+        let sync = s.spawn(|| wg.sync_with(Some(id), Deadline::none()).unwrap());
+        scanned.recv().unwrap();
+        wg.attach_named("system-test-race", lake_connector());
+        release.send(()).unwrap();
+        sync.join().unwrap();
+    });
+    assert_eq!(wg.len(), 0, "the old epoch's rows must not be installed");
     assert!(
         wg.state.read().namespaces[&id].tables.is_empty(),
-        "stale-epoch token commit must be discarded"
+        "the old epoch's token must not be installed"
     );
 
-    // And the very next sync re-scans everything the new backend serves.
+    // And the very next sync scans the table on the new backend.
     let report = wg.sync_with(Some(id), Deadline::none()).unwrap();
-    assert_eq!(report.tables_added + report.tables_updated, 1, "{report:?}");
+    assert_eq!((report.tables_added, report.columns_indexed), (1, 1), "{report:?}");
+    assert_eq!(wg.len(), 1);
 }
 
 /// Parks the first scan, under either scan method, after it has read its

@@ -1,13 +1,14 @@
 //! Concurrency stress tests for the hot path — a system's namespaces,
 //! registry and index behind one reader–writer lock: reader threads mixing
-//! `discover`, `discover_batch`, `joinability` and checkpoints beside one
-//! writer thread that drops, restores and adds warehouse tables and
-//! `sync`s after each change (one writer, so no two syncs overlap), or
-//! that detaches and re-attaches backends. The invariants under test:
+//! `discover`, `discover_batch`, `joinability` and checkpoints beside
+//! writer threads that each drop, restore or add warehouse tables of their
+//! own and `sync` after each change (so their syncs contend, and one may
+//! pick up another writer's change), or that detach and re-attach
+//! backends. The invariants under test:
 //!
 //! * **no lost inserts** — after the churn settles and every table is
 //!   synced back in, the index holds exactly one entry per warehouse
-//!   column;
+//!   column, and one more sync has nothing to do;
 //! * **no stale candidates** — once a dropped table is synced out (and the
 //!   churn has stopped), it never comes back in results, and re-indexed
 //!   content is discovered under its new embedding (the cache must not
@@ -61,6 +62,19 @@ fn churn_warehouse(churn_tables: usize) -> Warehouse {
     w
 }
 
+/// `sync()` until one succeeds: a table another writer drops between a
+/// sync's listing and its scan fails that sync with `NotFound`, and the
+/// next one finds it gone.
+fn sync_through_churn(wg: &WarpGate) -> SyncReport {
+    loop {
+        match wg.sync() {
+            Ok(report) => return report,
+            Err(StoreError::NotFound(_)) => continue,
+            Err(e) => panic!("sync failed: {e}"),
+        }
+    }
+}
+
 #[test]
 fn mixed_discover_index_remove_stress() {
     const CHURN_TABLES: usize = 3;
@@ -110,28 +124,30 @@ fn mixed_discover_index_remove_stress() {
                 }
             });
         }
-        // One writer: round after round, each churn table is dropped from
-        // the warehouse and synced out, then restored and synced back in
-        // (the CDW-with-high-update-rate pattern).
-        let (wg, connector) = (&wg, &connector);
-        scope.spawn(move || {
-            for _ in 0..ROUNDS {
-                for t in 0..CHURN_TABLES {
-                    let table = format!("t{t}");
+        // Writers: each owns one churn table and, round after round, drops
+        // it from the warehouse and syncs it out, then restores it and syncs
+        // it back in (the CDW-with-high-update-rate pattern).
+        for t in 0..CHURN_TABLES {
+            let (wg, connector) = (&wg, &connector);
+            scope.spawn(move || {
+                let table = format!("t{t}");
+                for _ in 0..ROUNDS {
                     let dropped =
                         connector.warehouse_mut().database_mut("churn").remove_table(&table);
-                    assert_eq!(wg.sync().unwrap().columns_removed, 1);
+                    sync_through_churn(wg);
                     connector.warehouse_mut().database_mut("churn").add_table(dropped.unwrap());
-                    assert_eq!(wg.sync().unwrap().columns_indexed, 1);
+                    sync_through_churn(wg);
                 }
-            }
-        });
+            });
+        }
     });
 
-    // No lost inserts: every churn round ended with the table synced back
-    // in, so the index must hold exactly one live entry per warehouse
-    // column.
+    // No lost inserts: every writer's last sync ran after it restored its
+    // table, so the index must hold exactly one live entry per warehouse
+    // column, and the tokens must say so.
     assert_eq!(wg.len(), total_columns, "inserts lost or duplicated under churn");
+    let after = wg.sync().unwrap();
+    assert!(after.is_noop(), "the churn left work behind: {after:?}");
 
     // Steady state answers are exact.
     let d = wg.discover(&query, 10).unwrap();
@@ -148,7 +164,7 @@ fn removed_tables_never_resurface() {
     wg.index_warehouse().unwrap();
     let query = ColumnRef::new("core", "accounts", "name");
 
-    std::thread::scope(|scope| {
+    let removed = std::thread::scope(|scope| {
         for _ in 0..2 {
             let wg = &wg;
             let query = &query;
@@ -158,16 +174,23 @@ fn removed_tables_never_resurface() {
                 }
             });
         }
-        // One writer drops the churn tables one by one, syncing after
-        // each, while the readers query.
-        let (wg, connector) = (&wg, &connector);
-        scope.spawn(move || {
-            for t in 0..4 {
-                connector.warehouse_mut().database_mut("churn").remove_table(&format!("t{t}"));
-                assert_eq!(wg.sync().unwrap().columns_removed, 1);
-            }
-        });
+        // Writers: each drops its own churn table and syncs, while the
+        // readers query.
+        (0..4)
+            .map(|t| {
+                let (wg, connector) = (&wg, &connector);
+                scope.spawn(move || {
+                    connector.warehouse_mut().database_mut("churn").remove_table(&format!("t{t}"));
+                    wg.sync().unwrap().columns_removed
+                })
+            })
+            .collect::<Vec<_>>()
+            .into_iter()
+            .map(|writer| writer.join().unwrap())
+            .sum::<usize>()
     });
+    // Whichever sync found a table gone removed it, and no other did.
+    assert_eq!(removed, 4, "each dropped column is removed exactly once");
 
     // After every removal has completed, no stale candidate may survive —
     // neither from the index nor via a stale cached query embedding.
@@ -184,9 +207,10 @@ fn removed_tables_never_resurface() {
 
 #[test]
 fn concurrent_batch_indexing_loses_nothing() {
-    // Many small tables synced in one by one while readers batch-query
-    // the ones already in: the chunked registry + index commits must
-    // neither drop nor double-count columns.
+    // Many small tables synced in from parallel writers while readers
+    // batch-query the ones already in: the per-table installs must neither
+    // drop nor double-count columns.
+    const WRITERS: usize = 3;
     let table = |t: usize| {
         Table::new(
             format!("t{t}"),
@@ -206,7 +230,7 @@ fn concurrent_batch_indexing_loses_nothing() {
     );
     wg.index_warehouse().unwrap();
     let done = AtomicBool::new(false);
-    std::thread::scope(|scope| {
+    let indexed = std::thread::scope(|scope| {
         for _ in 0..2 {
             let (wg, done) = (&wg, &done);
             scope.spawn(move || {
@@ -217,16 +241,28 @@ fn concurrent_batch_indexing_loses_nothing() {
                 }
             });
         }
-        let (wg, connector, done) = (&wg, &connector, &done);
-        scope.spawn(move || {
-            for t in 1..12 {
-                connector.warehouse_mut().database_mut("db").add_table(table(t));
-                assert_eq!(wg.sync().unwrap().columns_indexed, 2);
-            }
-            done.store(true, Ordering::SeqCst);
-        });
+        // Writer `w` adds tables `t` with `t % WRITERS == w`, syncing after
+        // each.
+        let writers: Vec<_> = (0..WRITERS)
+            .map(|w| {
+                let (wg, connector) = (&wg, &connector);
+                scope.spawn(move || {
+                    let mut indexed = 0;
+                    for t in (1..12).filter(|t| t % WRITERS == w) {
+                        connector.warehouse_mut().database_mut("db").add_table(table(t));
+                        indexed += wg.sync().unwrap().columns_indexed;
+                    }
+                    indexed
+                })
+            })
+            .collect();
+        let indexed = writers.into_iter().map(|w| w.join().unwrap()).sum::<usize>();
+        done.store(true, Ordering::SeqCst);
+        indexed
     });
+    assert_eq!(indexed, 22, "each added column is indexed by exactly one sync");
     assert_eq!(wg.len(), 24, "12 tables × 2 columns must all be indexed exactly once");
+    assert!(wg.sync().unwrap().is_noop());
 }
 
 /// Per-query timing reports what *that query's* scan was charged, not a

@@ -1,12 +1,18 @@
-//! Incremental-sync acceptance suite (ISSUE 3): after mutating 1 of 32
-//! tables, `WarpGate::sync()` must re-embed only that table's columns —
-//! proven through the CDW cost meter (bytes + requests) and the embed
-//! counter — and the synced index must rank identically to a from-scratch
-//! rebuild.
+//! Incremental-sync acceptance suite: after mutating 1 of 32 tables,
+//! `WarpGate::sync()` must re-embed only that table's columns — proven
+//! through the CDW cost meter (bytes + requests) and the embed counter —
+//! and the synced index must rank identically to a from-scratch rebuild.
+//! A table installs whole (rows, removals and token together), and syncs
+//! never overlap: overlapping callers, a checkpoint racing a sync and a
+//! sync that fails part-way all leave a system that syncs back to a fresh
+//! build's rankings.
 
-use std::sync::Arc;
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 use warpgate::prelude::*;
+use warpgate::store::{CostSnapshot, StoreResult, TableVersion};
 
 const TABLES: usize = 32;
 const COLUMNS_PER_TABLE: usize = 3;
@@ -25,14 +31,25 @@ fn entity_table(t: usize, columns: usize) -> Table {
 }
 
 fn warehouse() -> Warehouse {
+    warehouse_of(TABLES)
+}
+
+/// `tables` tables of [`COLUMNS_PER_TABLE`] text columns, spread over four
+/// databases (`t5` lives in `db1`).
+fn warehouse_of(tables: usize) -> Warehouse {
     let mut w = Warehouse::new("sync-acceptance");
-    for t in 0..TABLES {
+    for t in 0..tables {
         w.database_mut(&format!("db{}", t % 4)).add_table(entity_table(t, COLUMNS_PER_TABLE));
     }
     w
 }
 
 fn mutated_table(generation: usize) -> Table {
+    regenerated("t5", generation)
+}
+
+/// Table `name` with fresh content of one `generation`.
+fn regenerated(name: &str, generation: usize) -> Table {
     let cols: Vec<Column> = (0..COLUMNS_PER_TABLE)
         .map(|c| {
             Column::text(
@@ -41,7 +58,7 @@ fn mutated_table(generation: usize) -> Table {
             )
         })
         .collect();
-    Table::new("t5", cols).unwrap()
+    Table::new(name, cols).unwrap()
 }
 
 #[test]
@@ -212,4 +229,255 @@ fn sync_tracks_churn_on_a_csv_backend() {
     // table); t5's two surviving columns re-indexed in place.
     assert_eq!(wg.len(), TABLES * COLUMNS_PER_TABLE - COLUMNS_PER_TABLE - 1 + 1);
     std::fs::remove_dir_all(&root).ok();
+}
+
+/// Every column query of `connector`'s warehouse ranks on `wg` exactly as
+/// on a fresh build over the same warehouse.
+fn assert_ranks_like_a_fresh_build(wg: &WarpGate, connector: &Arc<CdwConnector>, when: &str) {
+    let fresh = WarpGate::with_backend(*wg.config(), connector.clone());
+    fresh.index_warehouse().unwrap();
+    assert_eq!(wg.len(), fresh.len(), "{when}");
+    for q in connector.list_tables().unwrap().iter().flat_map(TableMeta::column_refs) {
+        assert_eq!(
+            wg.discover(&q, 10).unwrap().candidates,
+            fresh.discover(&q, 10).unwrap().candidates,
+            "{when}: {q} ranks differently than on a fresh build"
+        );
+    }
+}
+
+/// Where a held scan waits: before it reads, or after it read (and before
+/// its result is handed back).
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Stage {
+    Before,
+    After,
+}
+
+/// One armed hold: the thread and scan it catches, and its two channels.
+struct Hold {
+    thread: &'static str,
+    column: ColumnRef,
+    stage: Stage,
+    reached: Sender<()>,
+    release: Receiver<()>,
+}
+
+/// Delegates to a connector, but holds a chosen scan on a chosen (named)
+/// thread until the test releases it. Each hold catches one scan.
+struct GatedBackend {
+    inner: Arc<CdwConnector>,
+    holds: Mutex<Vec<Hold>>,
+}
+
+impl GatedBackend {
+    fn new(inner: Arc<CdwConnector>) -> Arc<Self> {
+        Arc::new(Self { inner, holds: Mutex::default() })
+    }
+
+    /// Arm a hold of `column`'s scan on thread `thread`, at `stage`:
+    /// returns `(reached, release)`.
+    fn hold(
+        &self,
+        thread: &'static str,
+        column: ColumnRef,
+        stage: Stage,
+    ) -> (Receiver<()>, Sender<()>) {
+        let (reached, reached_rx) = mpsc::channel();
+        let (release_tx, release) = mpsc::channel();
+        self.holds.lock().unwrap().push(Hold { thread, column, stage, reached, release });
+        (reached_rx, release_tx)
+    }
+
+    fn wait(&self, r: &ColumnRef, stage: Stage) {
+        let hold = {
+            let mut holds = self.holds.lock().unwrap();
+            let thread = std::thread::current();
+            let at = holds.iter().position(|h| {
+                Some(h.thread) == thread.name() && &h.column == r && h.stage == stage
+            });
+            at.map(|at| holds.remove(at))
+        };
+        if let Some(hold) = hold {
+            hold.reached.send(()).unwrap();
+            hold.release.recv().unwrap();
+        }
+    }
+}
+
+impl WarehouseBackend for GatedBackend {
+    fn name(&self) -> String {
+        WarehouseBackend::name(self.inner.as_ref())
+    }
+    fn list_tables(&self) -> StoreResult<Vec<TableMeta>> {
+        self.inner.list_tables()
+    }
+    fn table_meta(&self, database: &str, table: &str) -> StoreResult<TableMeta> {
+        WarehouseBackend::table_meta(self.inner.as_ref(), database, table)
+    }
+    fn snapshot_versions(&self) -> StoreResult<Vec<TableVersion>> {
+        self.inner.snapshot_versions()
+    }
+    fn scan_column(&self, r: &ColumnRef, sample: SampleSpec) -> StoreResult<Column> {
+        self.wait(r, Stage::Before);
+        let scanned = self.inner.scan_column(r, sample);
+        self.wait(r, Stage::After);
+        scanned
+    }
+    fn scan_column_metered(
+        &self,
+        r: &ColumnRef,
+        sample: SampleSpec,
+    ) -> StoreResult<(Column, CostSnapshot)> {
+        self.wait(r, Stage::Before);
+        let scanned = self.inner.scan_column_metered(r, sample);
+        self.wait(r, Stage::After);
+        scanned
+    }
+    fn scan_table(&self, database: &str, table: &str, sample: SampleSpec) -> StoreResult<Table> {
+        self.inner.scan_table(database, table, sample)
+    }
+    fn costs(&self) -> CostSnapshot {
+        self.inner.costs()
+    }
+    fn reset_costs(&self) {
+        self.inner.reset_costs()
+    }
+}
+
+/// Two syncs that overlap: `t5` goes A → B and sync S1 reads B's token and
+/// scans `col0` (B); `t5` goes B → C and sync S2 starts. Were S2 let in, it
+/// would install `col0` = C and be held before `col1`, and S1 would then
+/// install `col0` = B over it and record B's token, S2 C's — the next sync
+/// a no-op over a stale `col0`, for good (12 of 24 column queries ranked
+/// differently). One sync at a time keeps S2 waiting until S1 is done, so
+/// S2 re-scans the whole of `t5` and the next sync ranks like a fresh
+/// build.
+#[test]
+fn overlapping_syncs_leave_no_stale_rows_under_a_current_token() {
+    let connector = Arc::new(CdwConnector::new(warehouse_of(8), CdwConfig::free()));
+    let gate = GatedBackend::new(connector.clone());
+    let wg =
+        WarpGate::with_backend(WarpGateConfig { threads: 1, ..Default::default() }, gate.clone());
+    wg.index_warehouse().unwrap();
+    let col = |c: usize| ColumnRef::new("db1", "t5", format!("col{c}"));
+    let (s1_held, s1_release) = gate.hold("s1", col(0), Stage::After);
+    let (s2_held, s2_release) = gate.hold("s2", col(1), Stage::Before);
+    let t5 = |generation| {
+        connector.warehouse_mut().database_mut("db1").add_table(mutated_table(generation))
+    };
+    std::thread::scope(|scope| {
+        let sync = |name: &str| {
+            let builder = std::thread::Builder::new().name(name.to_string());
+            builder.spawn_scoped(scope, || wg.sync().unwrap()).unwrap()
+        };
+        t5(1);
+        let s1 = sync("s1");
+        s1_held.recv().unwrap();
+        t5(2);
+        let s2 = sync("s2");
+        // Wait a while for S2 to reach its hold: only syncs that overlap do.
+        let overlapped = s2_held.recv_timeout(Duration::from_secs(1)).is_ok();
+        s1_release.send(()).unwrap();
+        s1.join().unwrap();
+        if !overlapped {
+            s2_held.recv().unwrap();
+        }
+        s2_release.send(()).unwrap();
+        s2.join().unwrap();
+    });
+    wg.sync().unwrap();
+    assert_ranks_like_a_fresh_build(&wg, &connector, "after the overlapping syncs");
+}
+
+/// A checkpoint sealed while a sync is part-way through its change set: a
+/// node recovered from it and synced must rank like a fresh build. Each
+/// round, `t5` goes A → B and `t6` changes, a sync starts and is held
+/// before one of its six scans (a different one each round), `t5` goes
+/// back to A, and the checkpoint is taken. A checkpoint that holds some of
+/// `t5`'s B rows under A's token would be a node whose sync never
+/// re-scans `t5`.
+#[test]
+fn a_checkpoint_racing_an_a_b_a_flip_recovers_to_a_fresh_build() {
+    const ROUNDS: usize = 60;
+    let connector = Arc::new(CdwConnector::new(warehouse_of(8), CdwConfig::free()));
+    let gate = GatedBackend::new(connector.clone());
+    let config = WarpGateConfig { threads: 1, ..Default::default() };
+    let wg = WarpGate::with_backend(config, gate.clone());
+    wg.index_warehouse().unwrap();
+    let dir = std::env::temp_dir().join(format!("wg_sync_checkpoint_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let checkpointer = Checkpointer::new(dir.join("snapshot"));
+    let a = entity_table(5, COLUMNS_PER_TABLE);
+    // The change set, in scan order: t5 (db1) comes before t6 (db2).
+    let scans: Vec<ColumnRef> = ["t5", "t6"]
+        .iter()
+        .zip(["db1", "db2"])
+        .flat_map(|(t, db)| {
+            (0..COLUMNS_PER_TABLE).map(move |c| ColumnRef::new(db, *t, format!("col{c}")))
+        })
+        .collect();
+    let mut stale = Vec::new();
+    for round in 0..ROUNDS {
+        let (held, release) = gate.hold("sync", scans[round % scans.len()].clone(), Stage::Before);
+        connector.warehouse_mut().database_mut("db1").add_table(mutated_table(round));
+        connector.warehouse_mut().database_mut("db2").add_table(regenerated("t6", round));
+        std::thread::scope(|scope| {
+            let builder = std::thread::Builder::new().name("sync".into());
+            let sync = builder.spawn_scoped(scope, || wg.sync().unwrap()).unwrap();
+            held.recv().unwrap();
+            connector.warehouse_mut().database_mut("db1").add_table(a.clone());
+            checkpointer.checkpoint(&wg).unwrap();
+            release.send(()).unwrap();
+            sync.join().unwrap();
+        });
+        let mut recovered = WarpGate::with_backend(config, connector.clone());
+        checkpointer.recover(&mut recovered).unwrap();
+        recovered.sync().unwrap();
+        let fresh = WarpGate::with_backend(config, connector.clone());
+        fresh.index_warehouse().unwrap();
+        let differs =
+            connector.list_tables().unwrap().iter().flat_map(TableMeta::column_refs).any(|q| {
+                recovered.discover(&q, 10).unwrap().candidates
+                    != fresh.discover(&q, 10).unwrap().candidates
+            });
+        if differs {
+            stale.push(round);
+        }
+        // The live node ends the round where the warehouse is.
+        wg.sync().unwrap();
+    }
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(
+        stale.is_empty(),
+        "{} of {ROUNDS} recovered nodes stayed stale: rounds {stale:?}",
+        stale.len()
+    );
+}
+
+/// A sync that fails part-way keeps the tables it finished — each with its
+/// rows and its token — so the next sync bills only the rest. At one
+/// thread the first build's 24 scans are claimed six at a time, two tables
+/// per claim, in catalog order (`t0 t4 | t1 t5 | t2 t6 | t3 t7`), and a
+/// claim installs nothing until all of it is scanned. The 14th scan
+/// (`t2.col1`) fails: `t0`, `t4`, `t1` and `t5` are installed, and the
+/// retry scans exactly the 12 columns of `t2`, `t6`, `t3` and `t7`.
+#[test]
+fn a_failed_sync_keeps_the_tables_it_finished_and_the_retry_bills_only_the_rest() {
+    let connector = Arc::new(CdwConnector::new(warehouse_of(8), CdwConfig::free()));
+    let flaky = Arc::new(FaultInjector::new(connector.clone(), FaultPlan::fail_every(14)));
+    let wg = WarpGate::with_backend(WarpGateConfig { threads: 1, ..Default::default() }, flaky);
+    let err = wg.sync().unwrap_err();
+    assert!(matches!(err, StoreError::Unavailable(_)), "{err}");
+    assert_eq!(wg.len(), 4 * COLUMNS_PER_TABLE, "t0, t4, t1 and t5 are installed");
+
+    connector.reset_costs();
+    let report = wg.sync().unwrap();
+    assert_eq!((report.tables_added, report.tables_updated), (4, 0), "{report:?}");
+    assert_eq!(report.columns_indexed, 4 * COLUMNS_PER_TABLE, "{report:?}");
+    assert_eq!(connector.costs().requests, 4 * COLUMNS_PER_TABLE as u64, "{report:?}");
+    // A query scans its own column, and the injector would fail the 28th
+    // scan: rank over the connector itself (an attach keeps the index).
+    wg.attach_named("default", connector.clone());
+    assert_ranks_like_a_fresh_build(&wg, &connector, "after the retry");
 }
