@@ -10,6 +10,12 @@
 //! plus the backend attach epoch (entries from a previously attached
 //! backend are unreachable, not just evicted).
 //!
+//! An entry is an [`Embedding`]: the vector and its SimHash signature,
+//! signed once when the vector is computed. The signature is a pure
+//! function of the vector and the system's hasher, which is fixed for the
+//! system's life, so a hit skips the projection too and goes straight to
+//! the index lookup.
+//!
 //! Invalidation: a sync that re-scans a table, or drops one that vanished
 //! from its backend, evicts every entry for that table's columns (any
 //! sample spec or context weight). A query that missed before
@@ -21,6 +27,7 @@
 use std::sync::Arc;
 
 use wg_embed::Vector;
+use wg_lsh::{Signature, SimHasher};
 use wg_store::{BackendId, ColumnRef, SampleSpec, TableRef};
 use wg_util::lru::{CacheStats, Lru};
 use wg_util::sync::Mutex;
@@ -58,38 +65,60 @@ impl EmbeddingKey {
     }
 }
 
+/// A column embedding with its signature under the system's hasher —
+/// what the cache keeps, and what a query searches with.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Embedding {
+    /// The embedding.
+    pub vector: Vector,
+    /// `hasher.sign(vector)`; `None` for a zero vector, which is never
+    /// searched or indexed.
+    pub signature: Option<Signature>,
+}
+
+impl Embedding {
+    /// Sign `vector` with `hasher`, unless it is zero.
+    pub fn new(vector: Vector, hasher: &SimHasher) -> Self {
+        let signature = (!vector.is_zero()).then(|| hasher.sign(vector.as_slice()));
+        Self { vector, signature }
+    }
+}
+
 /// What a lookup that missed hands back: the invalidation count at the
 /// probe, which [`EmbeddingCache::put`] compares under the lock.
 #[derive(Debug)]
 pub struct Miss(u64);
 
-/// An LRU from [`EmbeddingKey`] to column embeddings.
+/// An LRU from [`EmbeddingKey`] to signed column embeddings.
 pub struct EmbeddingCache {
     inner: Mutex<Inner>,
-    /// What one embedding weighs (`dim × 4`); 0 when the cache is off.
+    /// What one entry weighs (`dim × 4 + words × 8`); 0 when the cache is
+    /// off.
     entry_bytes: usize,
 }
 
 struct Inner {
-    lru: Lru<EmbeddingKey, Arc<Vector>>,
+    lru: Lru<EmbeddingKey, Arc<Embedding>>,
     /// Invalidation runs so far.
     invalidations: u64,
 }
 
 impl EmbeddingCache {
     /// Create a cache holding at most `capacity` embeddings of `dim`
-    /// floats: each weighs `dim × 4` bytes against a budget of `capacity`
-    /// of them. `capacity == 0` disables the cache: `get` always misses
-    /// (and counts it) and `put` is a no-op.
-    pub fn new(capacity: usize, dim: usize) -> Self {
-        let entry_bytes = if capacity == 0 { 0 } else { dim * 4 };
+    /// floats, each signed with `bits` planes: an entry weighs `dim × 4`
+    /// bytes of vector plus `⌈bits / 64⌉ × 8` of signature words (counted
+    /// for a zero vector too), against a budget of `capacity` of them.
+    /// `capacity == 0` disables the cache: `get` always misses (and counts
+    /// it) and `put` is a no-op.
+    pub fn new(capacity: usize, dim: usize, bits: usize) -> Self {
+        let entry_bytes = if capacity == 0 { 0 } else { dim * 4 + bits.div_ceil(64) * 8 };
         let lru = Lru::new(capacity.saturating_mul(entry_bytes));
         Self { inner: Mutex::new(Inner { lru, invalidations: 0 }), entry_bytes }
     }
 
     /// Look up a cached embedding, refreshing its recency. Counts a hit or
     /// a miss; a miss carries what [`Self::put`] needs.
-    pub fn get(&self, key: &EmbeddingKey) -> Result<Arc<Vector>, Miss> {
+    pub fn get(&self, key: &EmbeddingKey) -> Result<Arc<Embedding>, Miss> {
         let mut inner = self.inner.lock();
         inner.lru.get(key).ok_or(Miss(inner.invalidations))
     }
@@ -98,13 +127,13 @@ impl EmbeddingCache {
     /// used entries past capacity — unless an invalidation ran since that
     /// lookup: the vector may then be of content the invalidation was
     /// for, and caching it would serve it until the table changes again.
-    pub fn put(&self, miss: Miss, key: EmbeddingKey, vector: Arc<Vector>) {
+    pub fn put(&self, miss: Miss, key: EmbeddingKey, embedding: Arc<Embedding>) {
         if self.entry_bytes == 0 {
             return;
         }
         let mut inner = self.inner.lock();
         if inner.invalidations == miss.0 {
-            inner.lru.insert(key, vector, self.entry_bytes);
+            inner.lru.insert(key, embedding, self.entry_bytes);
         }
     }
 
@@ -145,40 +174,84 @@ mod tests {
     use super::*;
 
     const DIM: usize = 4;
+    const BITS: usize = 128;
+    /// What one entry weighs: the vector and its two signature words.
+    const ENTRY: usize = DIM * 4 + 2 * 8;
+
+    fn hasher() -> SimHasher {
+        SimHasher::new(DIM, BITS, 7)
+    }
 
     fn key(db: &str, table: &str, column: &str) -> EmbeddingKey {
         EmbeddingKey::new(&ColumnRef::new(db, table, column), SampleSpec::Full, 1, 0.0, 0)
     }
 
-    fn vec_of(x: f32) -> Arc<Vector> {
-        Arc::new(Vector(vec![x; DIM]))
+    fn vec_of(x: f32) -> Arc<Embedding> {
+        Arc::new(Embedding::new(Vector(vec![x; DIM]), &hasher()))
     }
 
     /// A lookup, and a put of `vector` if it missed.
-    fn fill(cache: &EmbeddingCache, k: &EmbeddingKey, vector: Arc<Vector>) {
+    fn fill(cache: &EmbeddingCache, k: &EmbeddingKey, vector: Arc<Embedding>) {
         if let Err(miss) = cache.get(k) {
             cache.put(miss, k.clone(), vector);
         }
     }
 
-    fn cached(cache: &EmbeddingCache, k: &EmbeddingKey) -> Option<Arc<Vector>> {
+    fn cached(cache: &EmbeddingCache, k: &EmbeddingKey) -> Option<Arc<Embedding>> {
         cache.get(k).ok()
     }
 
     #[test]
     fn get_put_roundtrip_and_counters() {
-        let cache = EmbeddingCache::new(64, DIM);
+        let cache = EmbeddingCache::new(64, DIM, BITS);
         let k = key("db", "t", "c");
         fill(&cache, &k, vec_of(1.0));
         assert_eq!(cached(&cache, &k), Some(vec_of(1.0)));
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.len), (1, 1, 1));
-        assert_eq!(stats.resident_bytes, DIM * 4);
+        assert_eq!(stats.resident_bytes, ENTRY);
+    }
+
+    #[test]
+    fn a_cached_entry_carries_the_signature_of_its_vector() {
+        let (cache, hasher) = (EmbeddingCache::new(64, DIM, BITS), hasher());
+        let vector = Vector(vec![0.5, -1.0, 2.0, 0.25]);
+        let k = key("db", "t", "c");
+        fill(&cache, &k, Arc::new(Embedding::new(vector.clone(), &hasher)));
+        let hit = cached(&cache, &k).expect("cached");
+        assert_eq!(hit.vector, vector);
+        assert_eq!(hit.signature, Some(hasher.sign(vector.as_slice())));
+        // A zero vector is never searched, so it carries no signature.
+        let zero = key("db", "t", "empty");
+        fill(&cache, &zero, vec_of(0.0));
+        assert_eq!(cached(&cache, &zero).expect("cached").signature, None);
+    }
+
+    #[test]
+    fn an_entry_weighs_its_vector_and_its_signature_words() {
+        // 130 bits take three words; a zero vector weighs as much as any.
+        for (bits, words) in [(64, 1), (128, 2), (130, 3)] {
+            let hasher = SimHasher::new(DIM, bits, 7);
+            let cache = EmbeddingCache::new(8, DIM, bits);
+            for i in 0..12 {
+                let vector = Vector(vec![i as f32; DIM]);
+                fill(
+                    &cache,
+                    &key("db", "t", &format!("c{i}")),
+                    Arc::new(Embedding::new(vector, &hasher)),
+                );
+            }
+            let stats = cache.stats();
+            // Capacity counts entries, whatever an entry weighs.
+            assert_eq!((stats.len, stats.evictions), (8, 4), "{bits} bits");
+            assert_eq!(stats.resident_bytes, 8 * (DIM * 4 + words * 8), "{bits} bits");
+            assert_eq!(stats.peak_resident_bytes, stats.resident_bytes, "{bits} bits");
+        }
     }
 
     #[test]
     fn distinct_specs_are_distinct_entries() {
-        let cache = EmbeddingCache::new(64, DIM);
+        let cache = EmbeddingCache::new(64, DIM, BITS);
         let r = ColumnRef::new("db", "t", "c");
         let full = EmbeddingKey::new(&r, SampleSpec::Full, 1, 0.0, 0);
         let head = EmbeddingKey::new(&r, SampleSpec::Head(10), 1, 0.0, 0);
@@ -199,7 +272,7 @@ mod tests {
 
     #[test]
     fn zero_capacity_disables() {
-        let cache = EmbeddingCache::new(0, DIM);
+        let cache = EmbeddingCache::new(0, DIM, BITS);
         let k = key("db", "t", "c");
         for _ in 0..3 {
             fill(&cache, &k, vec_of(1.0));
@@ -213,7 +286,7 @@ mod tests {
     fn lru_evicts_least_recently_used() {
         // Capacity 8 over the whole cache: the victim of every admission
         // past it is the least recently used entry, wherever its key hashes.
-        let cache = EmbeddingCache::new(8, DIM);
+        let cache = EmbeddingCache::new(8, DIM, BITS);
         let keys: Vec<EmbeddingKey> = (0..12).map(|i| key("db", "t", &format!("c{i}"))).collect();
         for (i, k) in keys.iter().take(8).enumerate() {
             fill(&cache, k, vec_of(i as f32));
@@ -230,12 +303,12 @@ mod tests {
         assert_eq!(resident, [0, 2, 4, 6, 8, 9, 10, 11]);
         let stats = cache.stats();
         assert_eq!((stats.len, stats.evictions), (8, 4));
-        assert_eq!(stats.peak_resident_bytes, 8 * DIM * 4, "capacity bounds occupancy");
+        assert_eq!(stats.peak_resident_bytes, 8 * ENTRY, "capacity bounds occupancy");
     }
 
     #[test]
     fn recency_refresh_protects_entries() {
-        let cache = EmbeddingCache::new(2, DIM);
+        let cache = EmbeddingCache::new(2, DIM, BITS);
         let a = key("db", "t", "a");
         fill(&cache, &a, vec_of(0.0));
         // Keep touching `a` while flooding; it must survive.
@@ -247,7 +320,7 @@ mod tests {
 
     #[test]
     fn invalidation_scopes() {
-        let cache = EmbeddingCache::new(64, DIM);
+        let cache = EmbeddingCache::new(64, DIM, BITS);
         fill(&cache, &key("db", "t1", "a"), vec_of(1.0));
         fill(&cache, &key("db", "t1", "b"), vec_of(2.0));
         fill(&cache, &key("db", "t2", "a"), vec_of(3.0));
@@ -261,7 +334,7 @@ mod tests {
 
     #[test]
     fn a_put_after_an_invalidation_since_its_miss_is_dropped() {
-        let cache = EmbeddingCache::new(64, DIM);
+        let cache = EmbeddingCache::new(64, DIM, BITS);
         let (a, b) = (key("db", "t1", "a"), key("db", "t2", "b"));
         let miss = cache.get(&a).expect_err("cold");
         // Any invalidation counts, even of another table: the cache cannot
@@ -276,7 +349,7 @@ mod tests {
 
     #[test]
     fn backend_invalidation_is_namespace_scoped() {
-        let cache = EmbeddingCache::new(64, DIM);
+        let cache = EmbeddingCache::new(64, DIM, BITS);
         let lake = BackendId::named("cache-test-lake");
         let scoped = |t: &str, c: &str| {
             EmbeddingKey::new(&ColumnRef::scoped(lake, "db", t, c), SampleSpec::Full, 1, 0.0, 0)
@@ -297,7 +370,7 @@ mod tests {
 
     #[test]
     fn concurrent_access_is_safe() {
-        let cache = EmbeddingCache::new(128, DIM);
+        let cache = EmbeddingCache::new(128, DIM, BITS);
         std::thread::scope(|scope| {
             for t in 0..4 {
                 let cache = &cache;

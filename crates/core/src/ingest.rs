@@ -14,6 +14,7 @@ use wg_util::deadline::{Deadline, Phase};
 use wg_util::timing::Stopwatch;
 use wg_util::FxHashMap;
 
+use crate::cache::Embedding;
 use crate::system::{deadline_err, Attached, TableState, WarpGate};
 
 /// The most items one claim of [`in_order`] takes, and therefore the most
@@ -111,9 +112,10 @@ impl WarpGate {
     /// attached one (`None`), under a cooperative deadline. Each namespace
     /// diffs independently against its own recorded version tokens:
     ///
-    /// * tables with no recorded token are scanned and indexed in full —
+    /// * tables not recorded at all are scanned and indexed in full —
     ///   on a fresh system that is every table;
-    /// * tables whose token changed are re-scanned, re-embedded, and
+    /// * tables whose token changed, or that are recorded untokened (their
+    ///   content moved during their last scans), are re-scanned, re-embedded, and
     ///   re-indexed (their cached query embeddings are evicted; their
     ///   existing ids are kept, so only their own LSH entries are
     ///   rewritten); a column whose new content no longer embeds drops
@@ -178,7 +180,7 @@ impl WarpGate {
         for (database, table) in recorded.keys() {
             if !current.contains(&(database.as_str(), table.as_str())) {
                 let table = TableRef::scoped(id, database, table);
-                report.columns_removed += self.commit_table(&run, &table, Vec::new(), None);
+                report.columns_removed += self.commit_table(&run, &table, Vec::new(), Record::Gone);
                 report.tables_removed += 1;
             }
         }
@@ -188,7 +190,7 @@ impl WarpGate {
         for v in &versions {
             let key = (v.database.clone(), v.table.clone());
             match recorded.get(&key) {
-                Some(st) if st.epoch == run.epoch && st.version == v.version => continue,
+                Some(st) if st.epoch == run.epoch && st.version == Some(v.version) => continue,
                 Some(_) => report.tables_updated += 1,
                 None => report.tables_added += 1,
             }
@@ -228,12 +230,15 @@ impl WarpGate {
     /// counting into `report` what was indexed, what was skipped, and —
     /// as removed — indexed columns that vanished or no longer embed. A
     /// table installs ([`Self::commit_table`]) once its last column is
-    /// scanned. Every worker checks the deadline before each scan, so expiry — like
-    /// any scan error — stops the run between scans with no further column
-    /// billed. The cost added is the sum of what each of the run's own
+    /// scanned, under its token re-read at that point (one free metadata
+    /// call): a table whose content changed during its scans installs
+    /// without one. Every worker checks the deadline before each scan, so
+    /// expiry — like any scan error — stops the run between scans with no
+    /// further column billed. The cost added is the sum of what each of the run's own
     /// scans metered — metadata is free — so a concurrent query's scans
     /// are never billed to it. Schema context reads the column lists the
-    /// caller already holds: no metadata call is made here.
+    /// caller already holds: the only metadata call made here is each
+    /// table's token re-read.
     fn index_tables(
         &self,
         run: &Attached,
@@ -246,7 +251,7 @@ impl WarpGate {
         // A table with no columns has nothing to scan: it installs as it is.
         for meta in tables.iter().filter(|meta| meta.columns.is_empty()) {
             report.columns_removed +=
-                self.commit_table(run, &table_of(meta), Vec::new(), Some(meta.version));
+                self.commit_table(run, &table_of(meta), Vec::new(), Record::Token(meta.version));
         }
         let refs: Vec<(ColumnRef, &TableMeta)> = tables
             .iter()
@@ -259,20 +264,19 @@ impl WarpGate {
         in_order(
             &refs,
             self.config.effective_threads(),
-            |(r, meta)| -> StoreResult<(wg_embed::Vector, Option<Signature>, CostSnapshot)> {
+            |(r, meta)| -> StoreResult<(Embedding, CostSnapshot)> {
                 deadline.check(Phase::Scan).map_err(deadline_err)?;
                 let (column, billed) = backend.scan_column_metered(r, self.config.sample)?;
                 let vector =
                     self.embed_with_context(r, &column, &meta.columns, self.config.context_weight);
                 // Signed here, on the worker, so the commit's write guard
                 // covers bucket pushes only. A zero vector is not indexed.
-                let sig = (!vector.is_zero()).then(|| self.hasher.sign(vector.as_slice()));
-                Ok((vector, sig, billed))
+                Ok((Embedding::new(vector, &self.hasher), billed))
             },
             |chunk, results| {
-                for ((r, meta), (vector, sig, billed)) in chunk.iter().zip(results) {
+                for ((r, meta), (embedding, billed)) in chunk.iter().zip(results) {
                     report.cost = report.cost.plus(&billed);
-                    if let Some(sig) = sig {
+                    if let Embedding { vector, signature: Some(sig) } = embedding {
                         rows.push((r, vector, sig));
                     }
                     scanned += 1;
@@ -283,8 +287,16 @@ impl WarpGate {
                     report.columns_skipped += scanned - rows.len();
                     scanned = 0;
                     let rows = std::mem::take(&mut rows);
-                    report.columns_removed +=
-                        self.commit_table(run, &table_of(meta), rows, Some(meta.version));
+                    // The rows are of the token read before the scans only
+                    // if the table still carries it after the last one;
+                    // otherwise they install untokened and the next sync
+                    // scans the table again. A failed read counts as moved.
+                    let now = backend.table_meta(&meta.database, &meta.table);
+                    let record = match now {
+                        Ok(now) if now.version == meta.version => Record::Token(meta.version),
+                        _ => Record::Untokened,
+                    };
+                    report.columns_removed += self.commit_table(run, &table_of(meta), rows, record);
                 }
             },
         )
@@ -293,8 +305,8 @@ impl WarpGate {
     /// Install one table as this run leaves it, under one write guard —
     /// the one way a table's rows and token change: remove its indexed
     /// columns not among `rows` (vanished, no longer embedding, or — `rows`
-    /// empty — all), insert `rows`, and record `version` (`None` forgets
-    /// it). Nothing installs once the namespace's epoch moved since the run
+    /// empty — all), insert `rows`, and record what `record` says of its
+    /// token. Nothing installs once the namespace's epoch moved since the run
     /// resolved it. Cached embeddings go after the guard. Returns how many
     /// columns were removed.
     fn commit_table(
@@ -302,7 +314,7 @@ impl WarpGate {
         run: &Attached,
         table: &TableRef,
         rows: Vec<(&ColumnRef, wg_embed::Vector, Signature)>,
-        version: Option<u64>,
+        record: Record,
     ) -> usize {
         let removed = {
             let mut guard = self.state.write();
@@ -312,11 +324,15 @@ impl WarpGate {
                 _ => return 0,
             };
             let key = (table.database.clone(), table.table.clone());
-            match version {
-                Some(version) => {
-                    namespace.tables.insert(key, TableState { epoch: run.epoch, version })
+            let epoch = run.epoch;
+            match record {
+                Record::Token(version) => {
+                    namespace.tables.insert(key, TableState { epoch, version: Some(version) })
                 }
-                None => namespace.tables.remove(&key),
+                Record::Untokened => {
+                    namespace.tables.insert(key, TableState { epoch, version: None })
+                }
+                Record::Gone => namespace.tables.remove(&key),
             };
             let mut gone = state.registry.table_refs(table);
             gone.retain(|old| rows.iter().all(|(r, ..)| r.column != old.column));
@@ -331,6 +347,17 @@ impl WarpGate {
         self.cache.invalidate_table(table);
         removed
     }
+}
+
+/// What a table install records of the table's version token.
+#[derive(Clone, Copy)]
+enum Record {
+    /// The rows are of this token: a sync skips the table while it holds.
+    Token(u64),
+    /// The rows may be of no one version: the next sync scans it again.
+    Untokened,
+    /// The table vanished: forget it.
+    Gone,
 }
 
 /// The system's one fan-out: run `work` over `items` on `threads` threads

@@ -25,7 +25,7 @@
 //!   [`JoinCandidate`]s with a [`QueryTiming`] decomposition
 //!   (load / embed / lookup — the decomposition behind the paper's
 //!   Table 2 analysis). Repeated queries hit a keyed embedding cache
-//!   ([`cache`]) and skip the scan+embed phases entirely;
+//!   and skip the scan+embed phases entirely;
 //!   [`WarpGate::discover_batch`] spreads many queries over worker
 //!   threads for join-graph construction.
 //!
@@ -84,7 +84,7 @@
 #![forbid(unsafe_code)]
 
 pub mod admission;
-pub mod cache;
+pub(crate) mod cache;
 pub mod config;
 pub mod daemon;
 pub mod durability;
@@ -96,7 +96,6 @@ pub mod system;
 pub mod timing;
 
 pub use admission::{AdmissionConfig, AdmissionController, AdmissionPermit, AdmissionStats};
-pub use cache::{EmbeddingCache, EmbeddingKey};
 pub use config::WarpGateConfig;
 pub use daemon::{CheckpointPolicy, DaemonReport, SyncDaemon, SyncDaemonConfig};
 pub use durability::{Checkpointer, CrashState, RecoveryReport, RecoverySource, TornWriter};

@@ -6,12 +6,12 @@
 
 use std::sync::Arc;
 
-use wg_lsh::{DiscoverScope, SearchError, SearchOutcome};
+use wg_lsh::{DiscoverScope, SearchError, SearchOutcome, Signature};
 use wg_store::{BackendId, ColumnRef, KeyNorm, StoreError, StoreResult, Table};
 use wg_util::deadline::{Deadline, Phase};
 use wg_util::timing::Stopwatch;
 
-use crate::cache::EmbeddingKey;
+use crate::cache::{Embedding, EmbeddingKey};
 use crate::ingest::in_order;
 use crate::system::{deadline_err, Attached, WarpGate};
 use crate::timing::QueryTiming;
@@ -86,12 +86,13 @@ impl WarpGate {
     /// cooperative deadline.
     ///
     /// After the request preamble (`admitted`): cache probe → hit:
-    /// validate → lookup / miss: metered scan → embed → lookup, with the
-    /// deadline re-checked at every phase boundary. The scan and embed
-    /// phases are skipped when the query embedding is cached from an
-    /// earlier call (see [`QueryTiming::cache_hit`]). The scan is its own
-    /// existence check (an unknown column fails `NotFound` before anything
-    /// is billed), so a cold query costs the backend one call.
+    /// validate → lookup / miss: metered scan → embed → sign → lookup, with
+    /// the deadline re-checked at every phase boundary. The scan, embed and
+    /// sign phases are skipped when the query embedding is cached from an
+    /// earlier call (see [`QueryTiming::cache_hit`]): the cache keeps each
+    /// embedding with its signature. The scan is its own existence check
+    /// (an unknown column fails `NotFound` before anything is billed), so a
+    /// cold query costs the backend one call.
     pub fn discover_with(
         &self,
         query: &ColumnRef,
@@ -143,27 +144,33 @@ impl WarpGate {
     ) -> StoreResult<Discovery> {
         let mut timing = QueryTiming { backend: Some(query.backend), ..QueryTiming::default() };
         let weight = self.config.context_weight;
-        let vector = self.embedding(run, query, weight, opts.deadline, Some(&mut timing))?;
+        let embedding = self.embedding(run, query, weight, opts.deadline, Some(&mut timing))?;
         if timing.cache_hit && !validated {
             run.backend.validate_column(query)?;
         }
         let (mut candidates, mut outcome) = (Vec::new(), SearchOutcome::default());
-        if !vector.is_zero() {
-            (candidates, outcome, timing.lookup_secs) =
-                self.search_vector(&vector, query, k, &opts.scope, opts.deadline)?;
+        if let Some(signature) = &embedding.signature {
+            (candidates, outcome, timing.lookup_secs) = self.search_vector(
+                &embedding.vector,
+                signature,
+                query,
+                k,
+                &opts.scope,
+                opts.deadline,
+            )?;
             timing.blocks_read = outcome.blocks_read as u64;
             timing.blocks_pruned = outcome.blocks_pruned as u64;
         }
         Ok(Discovery { query: query.clone(), candidates, timing, outcome })
     }
 
-    /// A column's embedding, through the cache: probe → [`Phase::Scan`]
-    /// check → metered scan → [`Phase::Embed`] check → embed → put, filling
-    /// `timing` when the caller reports one. `context_weight` is both part
-    /// of the cache key and the §5.2.1 blend applied on a miss; `0.0` is
-    /// the value-only embedding (which coincides with discovery's when the
-    /// system runs without contextual blending — the paper's
-    /// configuration). Expiry fails with [`StoreError::DeadlineExceeded`]
+    /// A column's signed embedding, through the cache: probe →
+    /// [`Phase::Scan`] check → metered scan → [`Phase::Embed`] check → embed
+    /// → sign → put, filling `timing` when the caller reports one (signing
+    /// counts as embedding). `context_weight` is both part of the cache key
+    /// and the §5.2.1 blend applied on a miss; `0.0` is the value-only
+    /// embedding (which coincides with discovery's when the system runs
+    /// without contextual blending — the paper's configuration). Expiry fails with [`StoreError::DeadlineExceeded`]
     /// naming the phase that would have run next; a cache hit costs nothing
     /// and always succeeds. The put is dropped if a sync or removal
     /// invalidated the cache meanwhile: the scan may have read the content
@@ -175,15 +182,15 @@ impl WarpGate {
         context_weight: f32,
         deadline: Deadline,
         timing: Option<&mut QueryTiming>,
-    ) -> StoreResult<Arc<wg_embed::Vector>> {
+    ) -> StoreResult<Arc<Embedding>> {
         let mut unreported = QueryTiming::default();
         let timing = timing.unwrap_or(&mut unreported);
         let key =
             EmbeddingKey::new(r, self.config.sample, self.config.seed, context_weight, run.epoch);
         let miss = match self.cache.get(&key) {
-            Ok(vector) => {
+            Ok(embedding) => {
                 timing.cache_hit = true;
-                return Ok(vector);
+                return Ok(embedding);
             }
             Err(miss) => miss,
         };
@@ -202,12 +209,13 @@ impl WarpGate {
         } else {
             Vec::new()
         };
-        let vector = Arc::new(self.embed_with_context(r, &column, &table_columns, context_weight));
+        let vector = self.embed_with_context(r, &column, &table_columns, context_weight);
+        let embedding = Arc::new(Embedding::new(vector, &self.hasher));
         timing.embed_secs = sw.elapsed_secs();
         // Zero vectors are cached too: the (empty) answer is just as
         // repeatable, and skipping the re-scan is the whole point.
-        self.cache.put(miss, key, vector.clone());
-        Ok(vector)
+        self.cache.put(miss, key, embedding.clone());
+        Ok(embedding)
     }
 
     /// Batched discovery: answer many queries in one call, fanning the
@@ -260,23 +268,26 @@ impl WarpGate {
         k: usize,
         scope: &DiscoverScope,
     ) -> StoreResult<Vec<JoinCandidate>> {
-        let vector = self.embedder.embed_values(values);
-        if vector.is_zero() {
+        let Embedding { vector, signature } =
+            Embedding::new(self.embedder.embed_values(values), &self.hasher);
+        let Some(signature) = signature else {
             return Ok(Vec::new());
-        }
+        };
         let nowhere = ColumnRef::new("", "", "");
-        Ok(self.search_vector(&vector, &nowhere, k, scope, Deadline::none())?.0)
+        Ok(self.search_vector(&vector, &signature, &nowhere, k, scope, Deadline::none())?.0)
     }
 
-    /// LSH lookup + exact re-rank of one query vector, signed before the
-    /// state's read guard is taken; the exclusion predicate, the search and
-    /// the id → ref mapping then share that one guard. The deadline is
-    /// threaded into the lookup itself: candidate generation, re-rank, and
-    /// every paged-tier block fetch each check the budget first, so an
-    /// expired deadline never triggers another cold read.
+    /// LSH lookup + exact re-rank of one query vector under its
+    /// `signature`, which the caller signed with the system's hasher; the
+    /// exclusion predicate, the search and the id → ref mapping share one
+    /// read guard. The deadline is threaded into the lookup itself:
+    /// candidate generation, re-rank, and every paged-tier block fetch each
+    /// check the budget first, so an expired deadline never triggers
+    /// another cold read.
     fn search_vector(
         &self,
         vector: &wg_embed::Vector,
+        signature: &Signature,
         query: &ColumnRef,
         k: usize,
         scope: &DiscoverScope,
@@ -284,12 +295,11 @@ impl WarpGate {
     ) -> StoreResult<(Vec<JoinCandidate>, SearchOutcome, f64)> {
         let sw = Stopwatch::start();
         let v = vector.as_slice();
-        let sig = self.hasher.sign(v);
         let state = self.state.read();
         let exclude = state.registry.excluder(query);
         let (hits, outcome) = state
             .index
-            .search_signed_scoped_deadline_with_outcome(v, &sig, k, scope, deadline, exclude)
+            .search_signed_scoped_deadline_with_outcome(v, signature, k, scope, deadline, exclude)
             .map_err(|e| match e {
                 SearchError::Expired(phase) => deadline_err(phase),
                 // A cold block that no longer reads back intact: the paged
@@ -343,7 +353,8 @@ impl WarpGate {
     /// system's embedding — the paper's `J(A,B)` made inspectable, and
     /// cross-warehouse capable (each ref scans its own namespace's
     /// backend). Embeds values only (no schema-context blend); embeddings
-    /// come from (and feed) the cache under the value-only key.
+    /// come from (and feed) the cache under the value-only key, signature
+    /// and all (a miss signs, so the entry serves a later discovery).
     ///
     /// Takes the same preamble as discovery: deadline gate and one
     /// admission slot for the pair. [`QueryOptions::scope`] is irrelevant
@@ -358,7 +369,7 @@ impl WarpGate {
             let values = |r: &ColumnRef| {
                 self.embedding(namespace(resolved, r.backend), r, 0.0, opts.deadline, None)
             };
-            Ok(values(a)?.cosine(&*values(b)?))
+            Ok(values(a)?.vector.cosine(&values(b)?.vector))
         })
     }
 }

@@ -96,6 +96,11 @@ impl Registry {
         self.ref_of.iter().map(|(id, r)| (*id, r))
     }
 
+    /// Every table with at least one live column, in no particular order.
+    pub(crate) fn tables(&self) -> impl Iterator<Item = &TableRef> {
+        self.tables.keys()
+    }
+
     /// Live refs of one (namespaced) table, in no particular order —
     /// what a sync's table install diffs against.
     pub(crate) fn table_refs(&self, table: &TableRef) -> Vec<ColumnRef> {

@@ -35,7 +35,10 @@ use crate::registry::Registry;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct TableState {
     pub(crate) epoch: u64,
-    pub(crate) version: u64,
+    /// `None`: the table's rows are installed under no token (its content
+    /// moved during their scans). It matches no token, so the next sync
+    /// scans the table again — or drops it, if it vanished.
+    pub(crate) version: Option<u64>,
 }
 
 /// One backend namespace. Epochs and version tokens are per namespace:
@@ -85,14 +88,16 @@ pub(crate) struct Attached {
 /// Internally: the namespaces (handle, attach epoch, version tokens), the
 /// id → column-reference registry and the one [`SimHashLshIndex`] sit
 /// behind **one** reader–writer lock. Embeddings are signed outside it with
-/// the system's one [`SimHasher`]; query embeddings are memoized in an LRU
-/// [`EmbeddingCache`] with a lock of its own. Reads share the lock; a sync
+/// the system's one [`SimHasher`]; query embeddings are memoized, signed,
+/// in an LRU `EmbeddingCache` with a lock of its own. Reads share the lock; a sync
 /// writes one table at a time, and one sync runs at a time.
 pub struct WarpGate {
     pub(crate) config: WarpGateConfig,
     pub(crate) embedder: ColumnEmbedder,
-    /// The index's hyperplanes: ingest signs rows and queries sign
-    /// themselves with this before they take `state`'s lock.
+    /// The index's hyperplanes, fixed for the system's life: ingest signs
+    /// rows and a query's embedding is signed with this once, when it is
+    /// computed, before `state`'s lock is taken (a cache hit reuses that
+    /// signature).
     pub(crate) hasher: Arc<SimHasher>,
     /// Never held across a backend call, an embedding, or a call that
     /// takes it again: the lock is not reentrant, and a second `read()` on
@@ -141,8 +146,8 @@ impl WarpGate {
         assert_eq!(model.dim(), config.dim, "model dimension must match config");
         // A struct literal skips `with_block_rows`; every seal needs it.
         assert!(config.block_rows > 0, "block_rows must be positive");
-        let hasher =
-            Arc::new(SimHasher::new(config.dim, lsh_params(&config).bits(), config.seed ^ 0x1DB5));
+        let bits = lsh_params(&config).bits();
+        let hasher = Arc::new(SimHasher::new(config.dim, bits, config.seed ^ 0x1DB5));
         Self {
             embedder: ColumnEmbedder::new(model, config.aggregation),
             state: RwLock::new(State {
@@ -152,7 +157,7 @@ impl WarpGate {
             }),
             hasher,
             sync_lock: Mutex::new(()),
-            cache: EmbeddingCache::new(config.cache_capacity, config.dim),
+            cache: EmbeddingCache::new(config.cache_capacity, config.dim, bits),
             block_cache: wg_lsh::BlockCache::new(config.block_cache_bytes),
             admission: config.admission.map(AdmissionController::new),
             config,
@@ -355,8 +360,19 @@ impl WarpGate {
             let namespace = state.namespaces.entry(id).or_default();
             let epoch = namespace.epoch;
             for (database, table, version) in persisted.tables {
-                namespace.tables.insert((database, table), TableState { epoch, version });
+                namespace
+                    .tables
+                    .insert((database, table), TableState { epoch, version: Some(version) });
             }
+        }
+        // A table with rows but no durable token was installed under none,
+        // or under an older epoch: recorded as untokened, the next sync
+        // still finds it, and re-scans it or drops it.
+        for table in state.registry.tables() {
+            let namespace = state.namespaces.entry(table.backend).or_default();
+            let epoch = namespace.epoch;
+            let key = (table.database.clone(), table.table.clone());
+            namespace.tables.entry(key).or_insert(TableState { epoch, version: None });
         }
         Ok(())
     }
@@ -366,8 +382,9 @@ impl State {
     /// The durable slice of the sync bookkeeping: per backend *name*, every
     /// table → version token recorded under the namespace's current epoch.
     /// Stale tokens from older epochs describe backends that are gone and
-    /// are not worth carrying across a restart; namespaces with no live
-    /// tokens are omitted entirely. Deterministically ordered so identical
+    /// are not worth carrying across a restart; an untokened table has
+    /// none to carry (a restore marks it again from the registry);
+    /// namespaces with no live tokens are omitted entirely. Deterministically ordered so identical
     /// states serialize to identical bytes.
     pub(crate) fn persisted_tokens(&self) -> Vec<PersistedBackendSync> {
         let mut out: Vec<PersistedBackendSync> = Vec::new();
@@ -376,7 +393,7 @@ impl State {
                 .tables
                 .iter()
                 .filter(|(_, st)| st.epoch == namespace.epoch)
-                .map(|((db, t), st)| (db.clone(), t.clone(), st.version))
+                .filter_map(|((db, t), st)| Some((db.clone(), t.clone(), st.version?)))
                 .collect();
             if tables.is_empty() {
                 continue;

@@ -12,9 +12,11 @@ use wg_store::BackendId;
 pub struct QueryTiming {
     /// Real seconds spent scanning the query column (wire round trip).
     pub load_secs: f64,
-    /// Real seconds spent on embedding inference.
+    /// Real seconds spent on embedding inference, and on signing the
+    /// embedding for the lookup (once, when it is computed).
     pub embed_secs: f64,
-    /// Real seconds spent in the LSH lookup + exact re-rank.
+    /// Real seconds spent in the LSH lookup + exact re-rank. Holds no
+    /// signing: the query's signature comes with its embedding.
     pub lookup_secs: f64,
     /// Virtual CDW network latency charged for the load (not slept; see
     /// `wg_store::cdw`). Includes any backoff delay charged by retry
@@ -30,8 +32,10 @@ pub struct QueryTiming {
     /// proved none of their candidate rows could reach the running top-k.
     pub blocks_pruned: u64,
     /// True when the query embedding came out of the system's embedding
-    /// cache: the scan and embed phases were skipped entirely, so
-    /// `load_secs`, `embed_secs`, and `virtual_load_secs` are all zero.
+    /// cache, signature and all: the scan, embed and sign phases were
+    /// skipped entirely, so `load_secs`, `embed_secs`, and
+    /// `virtual_load_secs` are all zero and `lookup_secs` is the whole of
+    /// the work.
     pub cache_hit: bool,
     /// The backend namespace whose scan these costs bill to: the query
     /// column's, on every [`crate::Discovery`]. `None` only on a

@@ -255,7 +255,7 @@ impl BlockCache {
     /// Returns how many blocks were dropped. Walks every resident block of
     /// every segment — ~1,900 at a 30,000-row corpus in 8 KB pages — which
     /// is right once per retired segment.
-    pub fn evict_segment(&self, segment: u32) -> usize {
+    fn evict_segment(&self, segment: u32) -> usize {
         self.lru.lock().retain(|&(s, _)| s != segment)
     }
 }

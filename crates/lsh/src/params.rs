@@ -25,13 +25,14 @@ impl LshParams {
     }
 
     /// Candidate probability at cosine similarity `s` (SimHash bit model).
-    pub fn candidate_probability(&self, s: f64) -> f64 {
+    #[cfg(test)]
+    fn candidate_probability(&self, s: f64) -> f64 {
         let p = bit_collision_probability(s);
         1.0 - (1.0 - p.powi(self.rows as i32)).powi(self.bands as i32)
     }
 
     /// The similarity at which the S-curve crosses `P = 0.5`.
-    pub fn midpoint_similarity(&self) -> f64 {
+    fn midpoint_similarity(&self) -> f64 {
         let p_star = (1.0 - 0.5f64.powf(1.0 / self.bands as f64)).powf(1.0 / self.rows as f64);
         similarity_of_bit_probability(p_star)
     }

@@ -308,7 +308,8 @@ impl Database {
 
     /// Content-version token for a table, if present. Identical content
     /// yields identical tokens; any data or schema change yields a new one.
-    pub fn table_version(&self, name: &str) -> Option<u64> {
+    #[cfg(test)]
+    fn table_version(&self, name: &str) -> Option<u64> {
         self.find(name).map(|(_, version)| version)
     }
 

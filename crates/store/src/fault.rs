@@ -140,7 +140,8 @@ impl FaultInjector {
     }
 
     /// How many real blocking hangs have been injected.
-    pub fn hangs_injected(&self) -> u64 {
+    #[cfg(test)]
+    fn hangs_injected(&self) -> u64 {
         self.hangs.load(Ordering::Relaxed)
     }
 

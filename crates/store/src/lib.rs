@@ -61,7 +61,7 @@ pub use error::{StoreError, StoreResult};
 pub use fault::{FaultInjector, FaultPlan};
 pub use join::{containment, jaccard, KeyNorm};
 pub use remote::{RemoteBackend, RemoteBackendServer, RemoteServerConfig, RemoteServerStats};
-pub use retry::{RetryBackend, RetryClock, RetryPolicy, SystemClock, VirtualClock};
+pub use retry::{RetryBackend, RetryPolicy};
 pub use sample::SampleSpec;
 pub use table::Table;
 pub use value::{Value, ValueRef};

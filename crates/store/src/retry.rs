@@ -8,12 +8,12 @@
 //!
 //! Design points:
 //!
-//! * **Deterministic.** Jitter comes from a seeded PRNG and time comes
-//!   from an injectable [`RetryClock`], so resilience tests assert exact
-//!   backoff schedules without a flaky suite. The default
-//!   [`VirtualClock`] never blocks: backoff time is *charged* (it lands in
-//!   [`CostSnapshot::virtual_secs`]) but not slept, mirroring how the
-//!   simulated CDW charges network latency.
+//! * **Deterministic.** Jitter comes from a seeded PRNG and backoff is
+//!   never slept: it is *charged* (it lands in
+//!   [`CostSnapshot::virtual_secs`]), mirroring how the simulated CDW
+//!   charges network latency, so resilience tests assert exact backoff
+//!   schedules without a flaky suite (they record them through a clock of
+//!   their own).
 //! * **Observable.** Every repeated attempt increments a retry counter
 //!   surfaced through [`CostSnapshot::retries`], so `QueryTiming`,
 //!   `IndexReport::cost` and `SyncReport::cost` all show how hard the
@@ -96,33 +96,21 @@ impl RetryPolicy {
 }
 
 /// Source of backoff waiting for [`RetryBackend`] — injectable so tests
-/// control time.
-pub trait RetryClock: Send + Sync {
+/// record the schedule.
+trait RetryClock: Send + Sync {
     /// Wait out one backoff delay of `secs` seconds.
     fn sleep(&self, secs: f64);
 }
 
 /// A clock that never blocks: backoff time is charged to the cost model
-/// (see [`CostSnapshot::virtual_secs`]) but not slept. The default — the
-/// workspace's benches and tests stay fast, exactly like the simulated
-/// CDW's virtual network latency.
+/// (see [`CostSnapshot::virtual_secs`]) but not slept — the workspace's
+/// benches and tests stay fast, exactly like the simulated CDW's virtual
+/// network latency.
 #[derive(Debug, Default, Clone, Copy)]
-pub struct VirtualClock;
+struct VirtualClock;
 
 impl RetryClock for VirtualClock {
     fn sleep(&self, _secs: f64) {}
-}
-
-/// A clock that really sleeps — what a deployed service loop would use.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct SystemClock;
-
-impl RetryClock for SystemClock {
-    fn sleep(&self, secs: f64) {
-        if secs > 0.0 {
-            std::thread::sleep(std::time::Duration::from_secs_f64(secs));
-        }
-    }
 }
 
 /// A [`WarehouseBackend`] decorator that retries transient failures of the
@@ -148,33 +136,22 @@ impl std::fmt::Debug for RetryBackend {
 }
 
 impl RetryBackend {
-    /// Wrap `inner` with the given policy and the non-blocking
-    /// [`VirtualClock`]: backoff is *charged* (visible in
-    /// [`CostSnapshot::virtual_secs`]) but not slept, so all attempts of
-    /// a call fire back-to-back in real time. That is the right model for
+    /// Wrap `inner` with the given policy. Backoff is *charged* (visible in
+    /// [`CostSnapshot::virtual_secs`]) but not slept, so all attempts of a
+    /// call fire back-to-back in real time. That is the right model for
     /// this workspace's simulated warehouses, whose faults clear between
-    /// calls, not with the passage of time. A deployment whose outages
-    /// take real seconds to clear should use
-    /// [`Self::with_clock`]`(…, Arc::new(SystemClock))` so the backoff
-    /// (and `budget_secs`) actually spans the outage.
+    /// calls, not with the passage of time.
     pub fn new(inner: BackendHandle, policy: RetryPolicy) -> Self {
         Self::with_clock(inner, policy, Arc::new(VirtualClock))
     }
 
-    /// Wrap `inner` with the default policy and the non-blocking
-    /// [`VirtualClock`] (see [`Self::new`] for when to prefer
-    /// [`SystemClock`]).
+    /// Wrap `inner` with the default policy (see [`Self::new`]).
     pub fn with_defaults(inner: BackendHandle) -> Self {
         Self::new(inner, RetryPolicy::default())
     }
 
-    /// Wrap with a caller-provided clock (tests inject recorders; service
-    /// loops inject [`SystemClock`] so backoff really waits out outages).
-    pub fn with_clock(
-        inner: BackendHandle,
-        policy: RetryPolicy,
-        clock: Arc<dyn RetryClock>,
-    ) -> Self {
+    /// Wrap with a caller-provided clock (tests inject recorders).
+    fn with_clock(inner: BackendHandle, policy: RetryPolicy, clock: Arc<dyn RetryClock>) -> Self {
         assert!(policy.max_attempts >= 1, "max_attempts must be at least 1");
         assert!((0.0..=1.0).contains(&policy.jitter), "jitter must be in [0,1]");
         Self {

@@ -109,8 +109,8 @@ pub mod prelude {
     pub use wg_store::{
         BackendHandle, BackendId, CdwConfig, CdwConnector, Column, ColumnRef, CsvBackend, Database,
         FaultInjector, FaultPlan, KeyNorm, RemoteBackend, RemoteBackendServer, RemoteServerConfig,
-        RemoteServerStats, RetryBackend, RetryPolicy, SampleSpec, StoreError, SystemClock, Table,
-        TableMeta, TableRef, Warehouse, WarehouseBackend,
+        RemoteServerStats, RetryBackend, RetryPolicy, SampleSpec, StoreError, Table, TableMeta,
+        TableRef, Warehouse, WarehouseBackend,
     };
     pub use wg_util::{Deadline, Phase};
 }

@@ -390,6 +390,87 @@ fn overlapping_syncs_leave_no_stale_rows_under_a_current_token() {
     assert_ranks_like_a_fresh_build(&wg, &connector, "after the overlapping syncs");
 }
 
+/// A table whose content moves while a sync scans it: `t5` goes to B, the
+/// sync reads B's token and scans `col0` (B), `t5` goes to A and the sync
+/// scans `col1` and `col2` (A), then `t5` goes back to B once the sync is
+/// done. Tokens are content fingerprints, so the warehouse carries B's
+/// token again: a sync that recorded it over the mixed rows would make
+/// every later sync a no-op over two stale columns. The token re-read after
+/// a table's last scan sees A instead, so the rows install untokened and
+/// the next sync scans `t5` again.
+#[test]
+fn a_table_that_changes_during_its_scans_is_scanned_again_by_the_next_sync() {
+    let connector = Arc::new(CdwConnector::new(warehouse_of(8), CdwConfig::free()));
+    let gate = GatedBackend::new(connector.clone());
+    let wg =
+        WarpGate::with_backend(WarpGateConfig { threads: 1, ..Default::default() }, gate.clone());
+    wg.index_warehouse().unwrap();
+    let t5 = |generation| {
+        connector.warehouse_mut().database_mut("db1").add_table(mutated_table(generation))
+    };
+    let (held, release) = gate.hold("sync", ColumnRef::new("db1", "t5", "col0"), Stage::After);
+    t5(1);
+    std::thread::scope(|scope| {
+        let builder = std::thread::Builder::new().name("sync".into());
+        let sync = builder.spawn_scoped(scope, || wg.sync().unwrap()).unwrap();
+        held.recv().unwrap();
+        t5(2);
+        release.send(()).unwrap();
+        let report = sync.join().unwrap();
+        assert_eq!(report.columns_indexed, COLUMNS_PER_TABLE, "{report:?}");
+    });
+    t5(1);
+    let next = wg.sync().unwrap();
+    assert!(!next.is_noop(), "t5's mixed rows were recorded under B's token: {next:?}");
+    assert_eq!(next.columns_indexed, COLUMNS_PER_TABLE, "{next:?}");
+    assert_eq!((next.tables_added, next.tables_updated), (0, 1), "t5 is indexed: {next:?}");
+    assert_ranks_like_a_fresh_build(&wg, &connector, "after the flip and the next sync");
+}
+
+/// A table installed untokened — its content moved during its scans — and
+/// then dropped: the next sync must still find it and drop its rows, on
+/// the live node and on one recovered from a checkpoint taken while the
+/// rows were untokened (the snapshot carries no token for them).
+#[test]
+fn an_untokened_table_that_is_dropped_leaves_the_index() {
+    let connector = Arc::new(CdwConnector::new(warehouse_of(8), CdwConfig::free()));
+    let gate = GatedBackend::new(connector.clone());
+    let config = WarpGateConfig { threads: 1, ..Default::default() };
+    let wg = WarpGate::with_backend(config, gate.clone());
+    wg.index_warehouse().unwrap();
+    let t5 = |generation| {
+        connector.warehouse_mut().database_mut("db1").add_table(mutated_table(generation))
+    };
+    let (held, release) = gate.hold("sync", ColumnRef::new("db1", "t5", "col0"), Stage::After);
+    t5(1);
+    std::thread::scope(|scope| {
+        let builder = std::thread::Builder::new().name("sync".into());
+        let sync = builder.spawn_scoped(scope, || wg.sync().unwrap()).unwrap();
+        held.recv().unwrap();
+        t5(2);
+        release.send(()).unwrap();
+        sync.join().unwrap();
+    });
+    let dir = std::env::temp_dir().join(format!("wg_sync_untokened_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let checkpointer = Checkpointer::new(dir.join("snapshot"));
+    checkpointer.checkpoint(&wg).unwrap();
+    connector.warehouse_mut().database_mut("db1").remove_table("t5").unwrap();
+
+    let mut recovered = WarpGate::with_backend(config, connector.clone());
+    checkpointer.recover(&mut recovered).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    for (node, when) in [(&wg, "live"), (&recovered, "recovered")] {
+        let report = node.sync().unwrap();
+        assert_eq!(report.tables_removed, 1, "{when}: {report:?}");
+        assert_eq!(report.columns_removed, COLUMNS_PER_TABLE, "{when}: {report:?}");
+        let values: Vec<String> = (0..60).map(|r| format!("fresh 2 1 {r}")).collect();
+        let found = node.discover_values(&values, 10, &DiscoverScope::All).unwrap();
+        assert!(found.iter().all(|c| c.reference.table != "t5"), "{when}: {found:?}");
+        assert_ranks_like_a_fresh_build(node, &connector, when);
+    }
+}
+
 /// A checkpoint sealed while a sync is part-way through its change set: a
 /// node recovered from it and synced must rank like a fresh build. Each
 /// round, `t5` goes A → B and `t6` changes, a sync starts and is held

@@ -243,8 +243,9 @@ fn round_trip_budget_per_facade_call() {
         spent(&|| assert_eq!(wg.index_warehouse().expect("index").columns_indexed, columns));
     assert_eq!(
         build as usize,
-        1 + metas.len() + columns,
-        "first build: the version tokens, each new table's metadata, one metered scan per column"
+        1 + 2 * metas.len() + columns,
+        "first build: the version tokens, each new table's metadata before its scans and its \
+         token after them, one metered scan per column"
     );
     let q = ColumnRef::new("crm", "accounts", "name");
     let cold = spent(&|| assert!(!wg.discover(&q, 3).expect("cold").timing.cache_hit));
