@@ -195,41 +195,6 @@ impl Aurum {
             .map(|e| (self.profiles[e.to as usize].reference.clone(), e.weight))
             .collect())
     }
-
-    /// Two-hop join-path discovery: columns reachable through one
-    /// intermediate column, with the bottleneck edge weight. An Aurum-style
-    /// graph traversal the embedding systems cannot express.
-    pub fn two_hop_paths(
-        &self,
-        query: &ColumnRef,
-        k: usize,
-    ) -> StoreResult<Vec<(ColumnRef, ColumnRef, f64)>> {
-        let &id = self
-            .id_of
-            .get(query)
-            .ok_or_else(|| StoreError::NotFound(format!("column '{query}' not indexed")))?;
-        let mut out: Vec<(ColumnRef, ColumnRef, f64)> = Vec::new();
-        for first in &self.adjacency[id as usize] {
-            for second in &self.adjacency[first.to as usize] {
-                if second.to == id {
-                    continue;
-                }
-                let dest = &self.profiles[second.to as usize].reference;
-                if dest.same_table(query) {
-                    continue;
-                }
-                out.push((
-                    self.profiles[first.to as usize].reference.clone(),
-                    dest.clone(),
-                    first.weight.min(second.weight),
-                ));
-            }
-        }
-        out.sort_by(|a, b| b.2.partial_cmp(&a.2).unwrap().then_with(|| a.1.cmp(&b.1)));
-        out.dedup_by(|a, b| a.1 == b.1);
-        out.truncate(k);
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
@@ -413,17 +378,5 @@ mod tests {
         let aurum = Aurum::build(&CdwConnector::new(w2, CdwConfig::free()), AurumConfig::default())
             .unwrap();
         assert!(aurum.neighbors(&ColumnRef::new("db", "t1", "customer_id"), 5).unwrap().is_empty());
-    }
-
-    #[test]
-    fn two_hop_paths_reach_transitive_columns() {
-        let aurum = Aurum::build(&connector(), AurumConfig::default()).unwrap();
-        let q = ColumnRef::new("db", "users", "email");
-        // users.email -> contacts.email; contacts has no further edges, so
-        // two-hop may be empty — but the call must not error and never
-        // return the query itself.
-        for (_, dest, _) in aurum.two_hop_paths(&q, 5).unwrap() {
-            assert_ne!(dest, q);
-        }
     }
 }

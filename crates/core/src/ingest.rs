@@ -46,7 +46,9 @@ pub struct SyncReport {
     pub tables_updated: usize,
     /// Tables that vanished from the backend (dropped from the index).
     pub tables_removed: usize,
-    /// Columns (re-)embedded and inserted by this sync.
+    /// Columns (re-)embedded and inserted by this sync. This and the next
+    /// two count installed tables only: a table whose content moved during
+    /// its scans installs nothing and adds to none of them.
     pub columns_indexed: usize,
     /// Columns scanned but skipped (no embeddable content).
     pub columns_skipped: usize,
@@ -114,12 +116,12 @@ impl WarpGate {
     ///
     /// * tables not recorded at all are scanned and indexed in full —
     ///   on a fresh system that is every table;
-    /// * tables whose token changed, or that are recorded untokened (their
-    ///   content moved during their last scans), are re-scanned, re-embedded, and
-    ///   re-indexed (their cached query embeddings are evicted; their
-    ///   existing ids are kept, so only their own LSH entries are
-    ///   rewritten); a column whose new content no longer embeds drops
-    ///   out, exactly as a fresh build would skip it;
+    /// * tables whose token changed, or whose rows a restore left without
+    ///   one, are re-scanned, re-embedded, and re-indexed (their cached
+    ///   query embeddings are evicted; their existing ids are kept, so
+    ///   only their own LSH entries are rewritten); a column whose new
+    ///   content no longer embeds drops out, exactly as a fresh build
+    ///   would skip it;
     /// * columns that vanished from a changed table, and whole vanished
     ///   tables, drop out of the registry, index, and cache;
     /// * everything else — index entries, cache entries, every other
@@ -130,7 +132,10 @@ impl WarpGate {
     /// each namespace's slice in [`SyncReport::per_backend`].
     ///
     /// A table installs whole — rows, removals and token under one write
-    /// guard — once its last column is scanned. The run checks the deadline
+    /// guard — once its last column is scanned, and only if every one of
+    /// its scans read the token the diff saw: a table whose content moved
+    /// during its scans installs nothing, keeps the rows and token it had,
+    /// and the next sync's diff picks it up. The run checks the deadline
     /// before every column scan, so an expired one stops the reconciliation
     /// *between* scans — zero further columns billed — and fails with
     /// `StoreError::DeadlineExceeded`; the tables installed before any
@@ -180,7 +185,7 @@ impl WarpGate {
         for (database, table) in recorded.keys() {
             if !current.contains(&(database.as_str(), table.as_str())) {
                 let table = TableRef::scoped(id, database, table);
-                report.columns_removed += self.commit_table(&run, &table, Vec::new(), Record::Gone);
+                report.columns_removed += self.commit_table(&run, &table, Vec::new(), None);
                 report.tables_removed += 1;
             }
         }
@@ -229,16 +234,15 @@ impl WarpGate {
     /// Scan → embed → insert every column of `tables`, in that order,
     /// counting into `report` what was indexed, what was skipped, and —
     /// as removed — indexed columns that vanished or no longer embed. A
-    /// table installs ([`Self::commit_table`]) once its last column is
-    /// scanned, under its token re-read at that point (one free metadata
-    /// call): a table whose content changed during its scans installs
-    /// without one. Every worker checks the deadline before each scan, so
-    /// expiry — like any scan error — stops the run between scans with no
-    /// further column billed. The cost added is the sum of what each of the run's own
+    /// table installs ([`Self::commit_table`]) under `meta.version` once
+    /// its last column is scanned, if every one of its scans read exactly
+    /// that version; otherwise nothing of it is committed or counted. Every
+    /// worker checks the deadline before each scan, so expiry — like any
+    /// scan error — stops the run between scans with no further column
+    /// billed. The cost added is the sum of what each of the run's own
     /// scans metered — metadata is free — so a concurrent query's scans
     /// are never billed to it. Schema context reads the column lists the
-    /// caller already holds: the only metadata call made here is each
-    /// table's token re-read.
+    /// caller already holds: no metadata call is made here.
     fn index_tables(
         &self,
         run: &Attached,
@@ -251,7 +255,7 @@ impl WarpGate {
         // A table with no columns has nothing to scan: it installs as it is.
         for meta in tables.iter().filter(|meta| meta.columns.is_empty()) {
             report.columns_removed +=
-                self.commit_table(run, &table_of(meta), Vec::new(), Record::Token(meta.version));
+                self.commit_table(run, &table_of(meta), Vec::new(), Some(meta.version));
         }
         let refs: Vec<(ColumnRef, &TableMeta)> = tables
             .iter()
@@ -259,23 +263,26 @@ impl WarpGate {
             .collect();
 
         // A table's columns are contiguous in `refs`: its rows wait here
-        // until its last column arrives.
-        let (mut rows, mut scanned) = (Vec::new(), 0);
+        // until its last column arrives, and `mixed` notes a scan that read
+        // another version than the diff saw.
+        let (mut rows, mut scanned, mut mixed) = (Vec::new(), 0, false);
         in_order(
             &refs,
             self.config.effective_threads(),
-            |(r, meta)| -> StoreResult<(Embedding, CostSnapshot)> {
+            |(r, meta)| -> StoreResult<(Embedding, CostSnapshot, u64)> {
                 deadline.check(Phase::Scan).map_err(deadline_err)?;
-                let (column, billed) = backend.scan_column_metered(r, self.config.sample)?;
+                let (column, billed, version) =
+                    backend.scan_column_metered(r, self.config.sample)?;
                 let vector =
                     self.embed_with_context(r, &column, &meta.columns, self.config.context_weight);
                 // Signed here, on the worker, so the commit's write guard
                 // covers bucket pushes only. A zero vector is not indexed.
-                Ok((Embedding::new(vector, &self.hasher), billed))
+                Ok((Embedding::new(vector, &self.hasher), billed, version))
             },
             |chunk, results| {
-                for ((r, meta), (embedding, billed)) in chunk.iter().zip(results) {
+                for ((r, meta), (embedding, billed, version)) in chunk.iter().zip(results) {
                     report.cost = report.cost.plus(&billed);
+                    mixed |= version != meta.version;
                     if let Embedding { vector, signature: Some(sig) } = embedding {
                         rows.push((r, vector, sig));
                     }
@@ -283,20 +290,16 @@ impl WarpGate {
                     if scanned < meta.columns.len() {
                         continue;
                     }
+                    let (rows, columns) = (std::mem::take(&mut rows), std::mem::take(&mut scanned));
+                    // The table moved during its scans: nothing of it
+                    // installs or counts, and the next sync's diff finds it.
+                    if std::mem::take(&mut mixed) {
+                        continue;
+                    }
                     report.columns_indexed += rows.len();
-                    report.columns_skipped += scanned - rows.len();
-                    scanned = 0;
-                    let rows = std::mem::take(&mut rows);
-                    // The rows are of the token read before the scans only
-                    // if the table still carries it after the last one;
-                    // otherwise they install untokened and the next sync
-                    // scans the table again. A failed read counts as moved.
-                    let now = backend.table_meta(&meta.database, &meta.table);
-                    let record = match now {
-                        Ok(now) if now.version == meta.version => Record::Token(meta.version),
-                        _ => Record::Untokened,
-                    };
-                    report.columns_removed += self.commit_table(run, &table_of(meta), rows, record);
+                    report.columns_skipped += columns - rows.len();
+                    report.columns_removed +=
+                        self.commit_table(run, &table_of(meta), rows, Some(meta.version));
                 }
             },
         )
@@ -305,16 +308,16 @@ impl WarpGate {
     /// Install one table as this run leaves it, under one write guard —
     /// the one way a table's rows and token change: remove its indexed
     /// columns not among `rows` (vanished, no longer embedding, or — `rows`
-    /// empty — all), insert `rows`, and record what `record` says of its
-    /// token. Nothing installs once the namespace's epoch moved since the run
-    /// resolved it. Cached embeddings go after the guard. Returns how many
-    /// columns were removed.
+    /// empty — all), insert `rows`, and record the table under `version`,
+    /// or forget it (`None`: it vanished). Nothing installs once the
+    /// namespace's epoch moved since the run resolved it. Cached embeddings
+    /// go after the guard. Returns how many columns were removed.
     fn commit_table(
         &self,
         run: &Attached,
         table: &TableRef,
         rows: Vec<(&ColumnRef, wg_embed::Vector, Signature)>,
-        record: Record,
+        version: Option<u64>,
     ) -> usize {
         let removed = {
             let mut guard = self.state.write();
@@ -324,15 +327,9 @@ impl WarpGate {
                 _ => return 0,
             };
             let key = (table.database.clone(), table.table.clone());
-            let epoch = run.epoch;
-            match record {
-                Record::Token(version) => {
-                    namespace.tables.insert(key, TableState { epoch, version: Some(version) })
-                }
-                Record::Untokened => {
-                    namespace.tables.insert(key, TableState { epoch, version: None })
-                }
-                Record::Gone => namespace.tables.remove(&key),
+            match version {
+                Some(_) => namespace.tables.insert(key, TableState { epoch: run.epoch, version }),
+                None => namespace.tables.remove(&key),
             };
             let mut gone = state.registry.table_refs(table);
             gone.retain(|old| rows.iter().all(|(r, ..)| r.column != old.column));
@@ -347,17 +344,6 @@ impl WarpGate {
         self.cache.invalidate_table(table);
         removed
     }
-}
-
-/// What a table install records of the table's version token.
-#[derive(Clone, Copy)]
-enum Record {
-    /// The rows are of this token: a sync skips the table while it holds.
-    Token(u64),
-    /// The rows may be of no one version: the next sync scans it again.
-    Untokened,
-    /// The table vanished: forget it.
-    Gone,
 }
 
 /// The system's one fan-out: run `work` over `items` on `threads` threads

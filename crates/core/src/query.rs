@@ -196,7 +196,7 @@ impl WarpGate {
         };
         deadline.check(Phase::Scan).map_err(deadline_err)?;
         let sw = Stopwatch::start();
-        let (column, metered) = run.backend.scan_column_metered(r, self.config.sample)?;
+        let (column, metered, _) = run.backend.scan_column_metered(r, self.config.sample)?;
         timing.load_secs = sw.elapsed_secs();
         timing.virtual_load_secs = metered.virtual_secs;
         timing.retries = metered.retries;

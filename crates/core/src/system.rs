@@ -35,9 +35,9 @@ use crate::registry::Registry;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct TableState {
     pub(crate) epoch: u64,
-    /// `None`: the table's rows are installed under no token (its content
-    /// moved during their scans). It matches no token, so the next sync
-    /// scans the table again — or drops it, if it vanished.
+    /// `None`: the rows came from a snapshot that had no token for them.
+    /// It matches no token, so the next sync scans the table again — or
+    /// drops it, if it vanished.
     pub(crate) version: Option<u64>,
 }
 
@@ -365,9 +365,9 @@ impl WarpGate {
                     .insert((database, table), TableState { epoch, version: Some(version) });
             }
         }
-        // A table with rows but no durable token was installed under none,
-        // or under an older epoch: recorded as untokened, the next sync
-        // still finds it, and re-scans it or drops it.
+        // A table with rows but no durable token was installed under an
+        // older epoch: recorded without one, the next sync still finds it,
+        // and re-scans it or drops it.
         for table in state.registry.tables() {
             let namespace = state.namespaces.entry(table.backend).or_default();
             let epoch = namespace.epoch;
@@ -382,10 +382,10 @@ impl State {
     /// The durable slice of the sync bookkeeping: per backend *name*, every
     /// table → version token recorded under the namespace's current epoch.
     /// Stale tokens from older epochs describe backends that are gone and
-    /// are not worth carrying across a restart; an untokened table has
-    /// none to carry (a restore marks it again from the registry);
-    /// namespaces with no live tokens are omitted entirely. Deterministically ordered so identical
-    /// states serialize to identical bytes.
+    /// are not worth carrying across a restart (a restore marks their
+    /// tables again from the registry); namespaces with no live tokens are
+    /// omitted entirely. Deterministically ordered so identical states
+    /// serialize to identical bytes.
     pub(crate) fn persisted_tokens(&self) -> Vec<PersistedBackendSync> {
         let mut out: Vec<PersistedBackendSync> = Vec::new();
         for (id, namespace) in &self.namespaces {

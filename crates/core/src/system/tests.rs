@@ -626,6 +626,13 @@ impl WarehouseBackend for MetaCountingBackend {
     fn scan_column(&self, r: &ColumnRef, sample: SampleSpec) -> StoreResult<wg_store::Column> {
         self.inner.scan_column(r, sample)
     }
+    fn scan_column_metered(
+        &self,
+        r: &ColumnRef,
+        sample: SampleSpec,
+    ) -> StoreResult<(wg_store::Column, CostSnapshot, u64)> {
+        self.inner.scan_column_metered(r, sample)
+    }
     fn scan_table(&self, database: &str, table: &str, sample: SampleSpec) -> StoreResult<Table> {
         self.inner.scan_table(database, table, sample)
     }
@@ -651,13 +658,12 @@ fn indexing_with_schema_context_asks_for_metadata_per_table_not_per_column() {
         calls.sort();
         let mut tables = calls.clone();
         tables.dedup();
-        let twice: Vec<_> = tables.iter().flat_map(|t| [t.clone(), t.clone()]).collect();
-        assert_eq!(calls, twice, "each table's metadata is asked for exactly twice");
+        assert_eq!(calls, tables, "each table's metadata is asked for exactly once");
         (wg, backend)
     };
-    // A build is a sync: it fetches each new table's metadata once for its
-    // column list, and once more after its last scan for its token — none
-    // per column, however many columns the context blends.
+    // A build is a sync: it fetches each new table's metadata once, for its
+    // column list and token — none per column, however many columns the
+    // context blends (each scan reports the version it read).
     let (wg, backend) = build(&|wg| assert_eq!(wg.index_warehouse().unwrap().columns_indexed, 6));
     build(&|wg| assert_eq!(wg.sync().unwrap().columns_indexed, 6));
 
@@ -964,7 +970,7 @@ impl WarehouseBackend for ParkingBackend {
         &self,
         r: &ColumnRef,
         sample: SampleSpec,
-    ) -> StoreResult<(wg_store::Column, CostSnapshot)> {
+    ) -> StoreResult<(wg_store::Column, CostSnapshot, u64)> {
         let scanned = self.inner.scan_column_metered(r, sample);
         self.park();
         scanned
@@ -1043,7 +1049,7 @@ fn a_sync_racing_a_cold_discover_bills_only_its_own_scans() {
         sync.join().unwrap()
     });
     let meter = c.costs();
-    let (_, discovered) = c.scan_column_metered(&q, config.sample).unwrap();
+    let (_, discovered, _) = c.scan_column_metered(&q, config.sample).unwrap();
     assert_eq!((sync.tables_updated, sync.columns_indexed), (1, 1), "{sync:?}");
     assert_eq!(sync.cost.requests, 1, "one changed column, one billed scan: {sync:?}");
     assert_eq!(meter.requests, 2);

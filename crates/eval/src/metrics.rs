@@ -19,39 +19,6 @@ pub fn precision_recall_at_k(results: &[ColumnRef], answers: &[ColumnRef], k: us
     (hits as f64 / k as f64, hits as f64 / answers.len() as f64)
 }
 
-/// Macro-averaged precision/recall at `k` over a query workload.
-/// `results_of(q)` supplies the ranked candidates per query.
-pub fn macro_average<'a>(
-    queries: impl Iterator<Item = (&'a ColumnRef, &'a [ColumnRef], Vec<ColumnRef>)>,
-    k: usize,
-) -> (f64, f64) {
-    let mut p_sum = 0.0;
-    let mut r_sum = 0.0;
-    let mut n = 0usize;
-    for (_q, answers, results) in queries {
-        let (p, r) = precision_recall_at_k(&results, answers, k);
-        p_sum += p;
-        r_sum += r;
-        n += 1;
-    }
-    if n == 0 {
-        (0.0, 0.0)
-    } else {
-        (p_sum / n as f64, r_sum / n as f64)
-    }
-}
-
-/// Reciprocal rank of the first correct answer (extension metric used by
-/// ablations; not in the paper's tables).
-pub fn reciprocal_rank(results: &[ColumnRef], answers: &[ColumnRef]) -> f64 {
-    for (i, r) in results.iter().enumerate() {
-        if answers.contains(r) {
-            return 1.0 / (i + 1) as f64;
-        }
-    }
-    0.0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -99,28 +66,5 @@ mod tests {
         assert_eq!(precision_recall_at_k(&[], &[c("a")], 3), (0.0, 0.0));
         assert_eq!(precision_recall_at_k(&[c("a")], &[], 3), (0.0, 0.0));
         assert_eq!(precision_recall_at_k(&[c("a")], &[c("a")], 0), (0.0, 0.0));
-    }
-
-    #[test]
-    fn macro_average_is_mean() {
-        let a1 = vec![c("a")];
-        let a2 = vec![c("b")];
-        let q1 = c("q1");
-        let q2 = c("q2");
-        let items: Vec<(&ColumnRef, &[ColumnRef], Vec<ColumnRef>)> = vec![
-            (&q1, a1.as_slice(), vec![c("a")]), // P@1 = 1
-            (&q2, a2.as_slice(), vec![c("z")]), // P@1 = 0
-        ];
-        let (p, r) = macro_average(items.into_iter(), 1);
-        assert!((p - 0.5).abs() < 1e-12);
-        assert!((r - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn rr_positions() {
-        let answers = vec![c("a")];
-        assert_eq!(reciprocal_rank(&[c("a")], &answers), 1.0);
-        assert_eq!(reciprocal_rank(&[c("x"), c("a")], &answers), 0.5);
-        assert_eq!(reciprocal_rank(&[c("x")], &answers), 0.0);
     }
 }

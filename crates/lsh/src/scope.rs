@@ -44,18 +44,9 @@ impl DiscoverScope {
         DiscoverScope::Exclude(normalize(backends))
     }
 
-    /// Whether this scope admits every backend.
-    pub fn is_all(&self) -> bool {
-        match self {
-            DiscoverScope::All => true,
-            DiscoverScope::Include(_) => false,
-            DiscoverScope::Exclude(list) => list.is_empty(),
-        }
-    }
-
     /// Whether a backend namespace (by its interned bits) is in scope.
     #[inline]
-    pub fn admits_backend(&self, bits: u16) -> bool {
+    fn admits_backend(&self, bits: u16) -> bool {
         match self {
             DiscoverScope::All => true,
             DiscoverScope::Include(list) => list.contains(&bits),
@@ -85,7 +76,6 @@ mod tests {
     #[test]
     fn all_admits_everything() {
         let scope = DiscoverScope::default();
-        assert!(scope.is_all());
         assert!(scope.admits_backend(0));
         assert!(scope.admits_backend(255));
         assert!(scope.admits(compose_item_id(3, 7)));
@@ -95,7 +85,6 @@ mod tests {
     fn include_admits_only_listed() {
         let scope = DiscoverScope::include([2, 1, 2]);
         assert_eq!(scope, DiscoverScope::Include(vec![1, 2]));
-        assert!(!scope.is_all());
         assert!(scope.admits_backend(1));
         assert!(scope.admits_backend(2));
         assert!(!scope.admits_backend(0));
@@ -106,11 +95,8 @@ mod tests {
     #[test]
     fn exclude_admits_the_complement() {
         let scope = DiscoverScope::exclude([1]);
-        assert!(!scope.is_all());
         assert!(scope.admits_backend(0));
         assert!(!scope.admits_backend(1));
         assert!(scope.admits_backend(2));
-        // An empty exclusion is All in practice.
-        assert!(DiscoverScope::exclude([]).is_all());
     }
 }

@@ -29,7 +29,7 @@ impl Signature {
     }
 
     /// Hamming distance to another signature of the same width.
-    pub fn hamming(&self, other: &Signature) -> u32 {
+    fn hamming(&self, other: &Signature) -> u32 {
         debug_assert_eq!(self.bits, other.bits);
         self.words.iter().zip(&other.words).map(|(a, b)| (a ^ b).count_ones()).sum()
     }

@@ -32,6 +32,8 @@
 //!   queries and indexing alike, and bills a run the sum of its scans' charges:
 //!   with metadata free, that is the whole bill, and a concurrent run's
 //!   scans are never in it.
+//! * **A scan says which version it read.** `scan_column_metered` returns
+//!   its table's version token, read at the same instant as the column.
 //! * **Version tokens are opaque.** A table's `version` must change
 //!   whenever its content changes, and should not change otherwise.
 //!   Tokens are comparable only against tokens from the *same* backend
@@ -120,26 +122,30 @@ pub trait WarehouseBackend: Send + Sync {
     /// sample). Billed.
     fn scan_table(&self, database: &str, table: &str, sample: SampleSpec) -> StoreResult<Table>;
 
-    /// [`Self::scan_column`] plus what *this call* metered: the column and
-    /// the cost it added (requests, bytes, virtual latency, dollars, and
-    /// any retries middleware spent on it). An unknown column fails
+    /// [`Self::scan_column`] plus what *this call* metered and read: the
+    /// column, the cost it added (requests, bytes, virtual latency,
+    /// dollars, and any retries middleware spent on it), and its table's
+    /// version token at the instant of the read. An unknown column fails
     /// `NotFound` with nothing billed, like `scan_column`.
     ///
     /// The default brackets the scan with two [`Self::costs`] readings, so
     /// it absorbs whatever concurrent scans moved the shared meter in
-    /// between, and over a network each reading is a round trip. Backends
-    /// that know the exact charge return it instead: the in-process
-    /// connectors hand back what they added to their meter,
-    /// [`crate::RemoteBackend`] carries it in the scan's own response
+    /// between, and over a network each reading is a round trip; it then
+    /// reads the version with one [`Self::table_meta`] after the scan, so
+    /// it cannot see a change that reverts inside the scan. Backends that
+    /// know the exact charge and version return them instead: the
+    /// in-process connectors from the meter they charged and the content
+    /// they read, [`crate::RemoteBackend`] from the scan's own response
     /// frame, and the decorators delegate and add only their own share.
     fn scan_column_metered(
         &self,
         r: &ColumnRef,
         sample: SampleSpec,
-    ) -> StoreResult<(Column, CostSnapshot)> {
+    ) -> StoreResult<(Column, CostSnapshot, u64)> {
         let before = self.costs();
         let column = self.scan_column(r, sample)?;
-        Ok((column, self.costs().since(&before)))
+        let cost = self.costs().since(&before);
+        Ok((column, cost, self.table_meta(&r.database, &r.table)?.version))
     }
 
     /// Accumulated scan costs since construction or the last reset.
@@ -210,6 +216,45 @@ mod tests {
             );
             assert_eq!(m.version, v.version);
         }
+    }
+
+    /// Only the methods a backend must write: every default stays in play.
+    struct Minimal(CdwConnector);
+
+    impl WarehouseBackend for Minimal {
+        fn name(&self) -> String {
+            "minimal".into()
+        }
+        fn list_tables(&self) -> StoreResult<Vec<TableMeta>> {
+            self.0.list_tables()
+        }
+        fn table_meta(&self, database: &str, table: &str) -> StoreResult<TableMeta> {
+            WarehouseBackend::table_meta(&self.0, database, table)
+        }
+        fn scan_column(&self, r: &ColumnRef, sample: SampleSpec) -> StoreResult<Column> {
+            self.0.scan_column(r, sample)
+        }
+        fn scan_table(&self, db: &str, table: &str, sample: SampleSpec) -> StoreResult<Table> {
+            self.0.scan_table(db, table, sample)
+        }
+        fn costs(&self) -> CostSnapshot {
+            self.0.costs()
+        }
+        fn reset_costs(&self) {
+            self.0.reset_costs()
+        }
+    }
+
+    #[test]
+    fn default_metered_scan_reports_the_meter_delta_and_the_version_after_it() {
+        let b = Minimal(backend());
+        let r = ColumnRef::new("db", "t", "a");
+        let (column, cost, version) = b.scan_column_metered(&r, SampleSpec::Full).unwrap();
+        assert_eq!(column, b.scan_column(&r, SampleSpec::Full).unwrap());
+        assert_eq!((cost.requests, cost.bytes_scanned), (1, b.costs().bytes_scanned / 2));
+        assert_eq!(version, b.table_meta("db", "t").unwrap().version);
+        let unknown = b.scan_column_metered(&ColumnRef::new("db", "t", "nope"), SampleSpec::Full);
+        assert!(matches!(unknown, Err(StoreError::NotFound(_))), "{unknown:?}");
     }
 
     #[test]

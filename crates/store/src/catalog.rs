@@ -310,12 +310,15 @@ impl Database {
     /// yields identical tokens; any data or schema change yields a new one.
     #[cfg(test)]
     fn table_version(&self, name: &str) -> Option<u64> {
-        self.find(name).map(|(_, version)| version)
+        self.find(name).ok().map(|(_, version)| version)
     }
 
     /// A table and its version token, by name.
-    fn find(&self, name: &str) -> Option<(&Table, u64)> {
-        self.position.get(name).map(|&pos| (&self.tables[pos], self.versions[pos]))
+    fn find(&self, name: &str) -> StoreResult<(&Table, u64)> {
+        self.position
+            .get(name)
+            .map(|&pos| (&self.tables[pos], self.versions[pos]))
+            .ok_or_else(|| StoreError::NotFound(format!("table '{}.{}'", self.name, name)))
     }
 
     /// Tables zipped with their version tokens, in catalog order.
@@ -330,9 +333,7 @@ impl Database {
 
     /// Table by name.
     pub fn table(&self, name: &str) -> StoreResult<&Table> {
-        self.find(name)
-            .map(|(t, _)| t)
-            .ok_or_else(|| StoreError::NotFound(format!("table '{}.{}'", self.name, name)))
+        self.find(name).map(|(t, _)| t)
     }
 }
 
@@ -393,7 +394,13 @@ impl Warehouse {
 
     /// Resolve a column reference.
     pub fn column(&self, r: &ColumnRef) -> StoreResult<&Column> {
-        self.table(&r.database, &r.table)?.column(&r.column)
+        self.versioned_column(r).map(|(column, _)| column)
+    }
+
+    /// Resolve a column reference, with its table's version token.
+    pub(crate) fn versioned_column(&self, r: &ColumnRef) -> StoreResult<(&Column, u64)> {
+        let (table, version) = self.database(&r.database)?.find(&r.table)?;
+        Ok((table.column(&r.column)?, version))
     }
 
     /// Catalog metadata (columns + content-version token) for every table,
@@ -431,10 +438,7 @@ impl Warehouse {
 
     /// Metadata for one table.
     pub fn table_meta(&self, database: &str, table: &str) -> StoreResult<TableMeta> {
-        let db = self.database(database)?;
-        let (t, version) = db
-            .find(table)
-            .ok_or_else(|| StoreError::NotFound(format!("table '{database}.{table}'")))?;
+        let (t, version) = self.database(database)?.find(table)?;
         Ok(TableMeta {
             database: database.to_string(),
             table: table.to_string(),

@@ -254,7 +254,7 @@ impl CdwConnector {
     /// through a serialize/deserialize round trip, exactly like data pulled
     /// from a real warehouse.
     pub fn scan_column(&self, r: &ColumnRef, sample: SampleSpec) -> StoreResult<Column> {
-        self.scan_column_metered(r, sample).map(|(column, _)| column)
+        self.scan_column_metered(r, sample).map(|(column, ..)| column)
     }
 
     /// Scan a whole table (one request; all columns share the row sample).
@@ -302,10 +302,12 @@ impl WarehouseBackend for CdwConnector {
         &self,
         r: &ColumnRef,
         sample: SampleSpec,
-    ) -> StoreResult<(Column, CostSnapshot)> {
+    ) -> StoreResult<(Column, CostSnapshot, u64)> {
+        // One read guard: the version is of exactly the content scanned.
         let warehouse = self.warehouse.read();
-        let col = warehouse.column(r)?;
-        wire_scan_column(col, sample, &self.config, &self.meter)
+        let (col, version) = warehouse.versioned_column(r)?;
+        let (column, cost) = wire_scan_column(col, sample, &self.config, &self.meter)?;
+        Ok((column, cost, version))
     }
 
     fn scan_table(&self, database: &str, table: &str, sample: SampleSpec) -> StoreResult<Table> {

@@ -52,7 +52,7 @@ pub struct TextColumn {
 
 impl TextColumn {
     /// Build from row values, interning distinct strings.
-    pub fn from_rows<I, S>(rows: I) -> Self
+    fn from_rows<I, S>(rows: I) -> Self
     where
         I: IntoIterator<Item = Option<S>>,
         S: AsRef<str>,
@@ -104,13 +104,6 @@ impl TextColumn {
             start = end;
             entry
         })
-    }
-
-    /// Occurrence count for each dictionary entry (parallel to [`dict`]).
-    ///
-    /// [`dict`]: TextColumn::dict
-    pub fn dict_counts(&self) -> &[u32] {
-        &self.counts
     }
 
     /// The per-row codes (`u32::MAX` = NULL).
@@ -922,7 +915,6 @@ mod tests {
         let c = Column::text("city", ["NYC", "SF", "NYC", "NYC"]);
         let ColumnData::Text(t) = c.data() else { panic!("expected text") };
         assert_eq!(t.dict().collect::<Vec<_>>(), ["NYC", "SF"]);
-        assert_eq!(t.dict_counts(), &[3, 1]);
         assert_eq!(c.len(), 4);
         assert_eq!(c.distinct_count(), 2);
         assert_eq!(c.get(1), ValueRef::Text("SF"));

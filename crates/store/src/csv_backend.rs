@@ -97,9 +97,11 @@ impl CsvBackend {
     }
 
     /// Parse one table from disk (unbilled; billing happens on the wire
-    /// round trip in the scan methods).
-    fn load_table(&self, database: &str, table: &str) -> StoreResult<Table> {
-        csv::read_table(table, &self.read_file(database, table)?)
+    /// round trip in the scan methods), with the version token of the
+    /// bytes it parsed.
+    fn load_table(&self, database: &str, table: &str) -> StoreResult<(Table, u64)> {
+        let content = self.read_file(database, table)?;
+        Ok((csv::read_table(table, &content)?, wg_util::stable_hash64(content.as_bytes())))
     }
 
     /// Sorted `(database, table)` listing of the directory layout.
@@ -134,13 +136,12 @@ impl CsvBackend {
     }
 
     fn meta_of(&self, database: &str, table: &str) -> StoreResult<TableMeta> {
-        let content = self.read_file(database, table)?;
-        let parsed = csv::read_table(table, &content)?;
+        let (parsed, version) = self.load_table(database, table)?;
         Ok(TableMeta {
             database: database.to_string(),
             table: table.to_string(),
             columns: parsed.columns().iter().map(|c| c.name().to_string()).collect(),
-            version: wg_util::stable_hash64(content.as_bytes()),
+            version,
         })
     }
 }
@@ -159,21 +160,22 @@ impl WarehouseBackend for CsvBackend {
     }
 
     fn scan_column(&self, r: &ColumnRef, sample: SampleSpec) -> StoreResult<Column> {
-        self.scan_column_metered(r, sample).map(|(column, _)| column)
+        self.scan_column_metered(r, sample).map(|(column, ..)| column)
     }
 
     fn scan_column_metered(
         &self,
         r: &ColumnRef,
         sample: SampleSpec,
-    ) -> StoreResult<(Column, CostSnapshot)> {
-        let table = self.load_table(&r.database, &r.table)?;
+    ) -> StoreResult<(Column, CostSnapshot, u64)> {
+        let (table, version) = self.load_table(&r.database, &r.table)?;
         let col = table.column(&r.column)?;
-        wire_scan_column(col, sample, &self.config, &self.meter)
+        let (column, cost) = wire_scan_column(col, sample, &self.config, &self.meter)?;
+        Ok((column, cost, version))
     }
 
     fn scan_table(&self, database: &str, table: &str, sample: SampleSpec) -> StoreResult<Table> {
-        let t = self.load_table(database, table)?;
+        let (t, _) = self.load_table(database, table)?;
         wire_scan_table(&t, sample, &self.config, &self.meter)
     }
 
@@ -324,6 +326,24 @@ mod tests {
             .map(|(x, _)| x.table.as_str())
             .collect();
         assert_eq!(changed, vec!["cities"]);
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn a_scan_reports_the_hash_of_the_file_it_read() {
+        let root = temp_root("scan_version");
+        CsvBackend::export_warehouse(&sample_warehouse(), &root).unwrap();
+        let b = CsvBackend::open(&root, CdwConfig::free()).unwrap();
+        let r = ColumnRef::new("ops", "cities", "city");
+        let old = b.table_meta("ops", "cities").unwrap().version;
+        assert_eq!(b.scan_column_metered(&r, SampleSpec::Full).unwrap().2, old);
+
+        let rewritten = "city\nAustin\nDallas\n";
+        std::fs::write(root.join("ops").join("cities.csv"), rewritten).unwrap();
+        let (column, _, version) = b.scan_column_metered(&r, SampleSpec::Full).unwrap();
+        assert_eq!(column.len(), 2);
+        assert_eq!(version, wg_util::stable_hash64(rewritten.as_bytes()));
+        assert_ne!(version, old);
         std::fs::remove_dir_all(&root).ok();
     }
 

@@ -224,10 +224,10 @@ impl WarehouseBackend for FaultInjector {
         &self,
         r: &ColumnRef,
         sample: SampleSpec,
-    ) -> StoreResult<(Column, CostSnapshot)> {
+    ) -> StoreResult<(Column, CostSnapshot, u64)> {
         let injected = self.gate(&r.database, &r.table, "scan_column")?;
-        let (column, inner) = self.inner.scan_column_metered(r, sample)?;
-        Ok((column, inner.plus(&latency(injected))))
+        let (column, inner, version) = self.inner.scan_column_metered(r, sample)?;
+        Ok((column, inner.plus(&latency(injected)), version))
     }
 
     fn scan_table(&self, database: &str, table: &str, sample: SampleSpec) -> StoreResult<Table> {

@@ -87,7 +87,7 @@ const CLIENT_IO_TIMEOUT: Duration = Duration::from_secs(30);
 /// blocked on I/O.
 const SERVER_POLL: Duration = Duration::from_millis(25);
 
-/// Request opcodes. One per [`WarehouseBackend`] method; 4 and 10 are
+/// Request opcodes. One per [`WarehouseBackend`] method; 4, 10 and 11 are
 /// retired and answered "unknown opcode".
 mod op {
     pub const NAME: u8 = 1;
@@ -99,10 +99,10 @@ mod op {
     pub const VALIDATE_COLUMN: u8 = 8;
     pub const SNAPSHOT_VERSIONS: u8 = 9;
     /// The one column scan: its ok-body is the cost snapshot the server's
-    /// backend metered for this scan, then the column — a cold query's
-    /// scan and its bill in one round trip
-    /// (`WarehouseBackend::scan_column_metered`).
-    pub const SCAN_COLUMN_METERED: u8 = 11;
+    /// backend metered for this scan, the version token of the table it
+    /// read, then the column — a cold query's scan, its bill and its
+    /// version in one round trip (`WarehouseBackend::scan_column_metered`).
+    pub const SCAN_COLUMN_METERED: u8 = 12;
 }
 
 // ---------------------------------------------------------------------------
@@ -278,11 +278,13 @@ fn get_column(buf: &mut &[u8]) -> StoreResult<Column> {
     Ok(column)
 }
 
-/// The ok-body of [`op::SCAN_COLUMN_METERED`]: what the scan metered, then
-/// the column, held to the same invariants as a plain scan's.
-fn get_metered_column(buf: &mut &[u8]) -> StoreResult<(Column, CostSnapshot)> {
+/// The ok-body of [`op::SCAN_COLUMN_METERED`]: what the scan metered, the
+/// version it read, then the column, held to the same invariants as a
+/// plain scan's.
+fn get_metered_column(buf: &mut &[u8]) -> StoreResult<(Column, CostSnapshot, u64)> {
     let metered = get_cost_snapshot(buf)?;
-    Ok((get_column(buf)?, metered))
+    let version = get_u64(buf)?;
+    Ok((get_column(buf)?, metered, version))
 }
 
 fn get_table(buf: &mut &[u8]) -> StoreResult<Table> {
@@ -657,8 +659,9 @@ fn try_handle_request(payload: &[u8], backend: &dyn WarehouseBackend) -> StoreRe
         op::SCAN_COLUMN_METERED => {
             let r = get_column_ref(&mut cursor)?;
             let sample = SampleSpec::decode(&mut cursor)?;
-            let (column, metered) = backend.scan_column_metered(&r, sample)?;
+            let (column, metered, version) = backend.scan_column_metered(&r, sample)?;
             put_cost_snapshot(&mut buf, &metered);
+            put_u64(&mut buf, version);
             column.encode(&mut buf);
         }
         op::SCAN_TABLE => {
@@ -832,7 +835,7 @@ impl WarehouseBackend for RemoteBackend {
         &self,
         r: &ColumnRef,
         sample: SampleSpec,
-    ) -> StoreResult<(Column, CostSnapshot)> {
+    ) -> StoreResult<(Column, CostSnapshot, u64)> {
         let body = self.request(op::SCAN_COLUMN_METERED, |buf| {
             put_column_ref(buf, r);
             sample.encode(buf);
@@ -1031,9 +1034,10 @@ mod tests {
             retries: 2,
         };
         put_cost_snapshot(&mut body, &metered);
+        put_u64(&mut body, 0xfeed);
         Column::text("a", ["x", "y", "x"]).encode(&mut body);
-        let (column, got) = get_metered_column(&mut &body[..]).unwrap();
-        assert_eq!((column.len(), got), (3, metered));
+        let (column, got, version) = get_metered_column(&mut &body[..]).unwrap();
+        assert_eq!((column.len(), got, version), (3, metered, 0xfeed));
         for cut in 0..body.len() {
             let r = get_metered_column(&mut &body[..cut]);
             assert!(matches!(r, Err(StoreError::Codec(_))), "cut at {cut}: {r:?}");
@@ -1187,14 +1191,14 @@ mod tests {
         wg_util::codec::put_header(&mut payload, *b"NOPE", 1);
         assert!(matches!(refusal(&payload), StoreError::Codec(_)));
 
-        // Unknown opcodes, the two retired ones (the plain column scan and
-        // the deadline/tenant wrapper) included — each with the operands
-        // it used to carry.
+        // Unknown opcodes, the three retired ones (the plain column scan,
+        // the deadline/tenant wrapper and the scan whose reply carried no
+        // version) included — each with the operands it used to carry.
         let scan = |buf: &mut Vec<u8>| {
             put_column_ref(buf, &ColumnRef::new("db", "t", "a"));
             SampleSpec::Full.encode(buf);
         };
-        for opcode in [200u8, 4, 10] {
+        for opcode in [200u8, 4, 10, 11] {
             let mut payload = Vec::new();
             payload_header(&mut payload);
             put_u8(&mut payload, opcode);

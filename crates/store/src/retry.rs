@@ -266,12 +266,12 @@ impl WarehouseBackend for RetryBackend {
         &self,
         r: &ColumnRef,
         sample: SampleSpec,
-    ) -> StoreResult<(Column, CostSnapshot)> {
-        // Only the attempt that succeeded reports a charge; the failed
-        // ones are the retries counted here.
-        let ((column, inner), own) =
+    ) -> StoreResult<(Column, CostSnapshot, u64)> {
+        // Only the attempt that succeeded reports a charge and a version;
+        // the failed ones are the retries counted here.
+        let ((column, inner, version), own) =
             self.call_metered(|| self.inner.scan_column_metered(r, sample))?;
-        Ok((column, inner.plus(&own)))
+        Ok((column, inner.plus(&own), version))
     }
 
     fn scan_table(&self, database: &str, table: &str, sample: SampleSpec) -> StoreResult<Table> {

@@ -350,12 +350,8 @@ impl Segment {
         Ok(Segment { path, source, header_meta, directory, blocks })
     }
 
-    /// The segment-wide metadata blob the writer stored.
-    pub fn header_meta(&self) -> &[u8] {
-        &self.header_meta
-    }
-
-    /// Move the header blob out of the segment, leaving it empty: a reader
+    /// Move the segment-wide metadata blob the writer stored out of the
+    /// segment, leaving it empty: a reader
     /// that parses it once has no reason to keep it resident.
     pub fn take_header_meta(&mut self) -> Vec<u8> {
         std::mem::take(&mut self.header_meta)
@@ -391,14 +387,7 @@ impl Segment {
     }
 
     /// Read one block's payload with a positioned read, verifying its
-    /// CRC-32 before returning.
-    pub fn read_block(&self, block: usize) -> Result<Vec<u8>, SegmentError> {
-        let mut payload = Vec::new();
-        self.read_block_into(block, &mut payload)?;
-        Ok(payload)
-    }
-
-    /// [`Segment::read_block`] into a caller-owned buffer, so a reader that
+    /// CRC-32 before returning, into a caller-owned buffer, so a reader that
     /// decodes block after block pays for one allocation, not one per read
     /// (whatever `payload` held is overwritten, not zeroed first). On
     /// success it holds exactly the verified payload; on any error it is
@@ -467,20 +456,25 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// One block's verified payload in a buffer of its own.
+    fn read_block(seg: &Segment, block: usize) -> Result<Vec<u8>, SegmentError> {
+        let mut payload = Vec::new();
+        seg.read_block_into(block, &mut payload).map(|()| payload)
+    }
+
     fn roundtrip(mut seg: Segment) {
-        assert_eq!(seg.header_meta(), b"header-meta");
         assert_eq!(seg.block_count(), 3);
         assert_eq!(seg.block_meta(0), b"meta-0");
         assert_eq!(seg.block_meta(1), b"meta-empty");
-        assert_eq!(seg.read_block(0).expect("block 0"), b"first block payload");
-        assert_eq!(seg.read_block(1).expect("block 1"), b"");
-        assert_eq!(seg.read_block(2).expect("block 2"), vec![0xAB; 1000]);
-        assert!(seg.read_block(3).is_err());
+        assert_eq!(read_block(&seg, 0).expect("block 0"), b"first block payload");
+        assert_eq!(read_block(&seg, 1).expect("block 1"), b"");
+        assert_eq!(read_block(&seg, 2).expect("block 2"), vec![0xAB; 1000]);
+        assert!(read_block(&seg, 3).is_err());
         seg.release_block_meta();
         assert_eq!((seg.block_meta(0), seg.block_meta(1)), (&b""[..], &b""[..]));
-        assert_eq!(seg.read_block(0).expect("block 0"), b"first block payload");
+        assert_eq!(read_block(&seg, 0).expect("block 0"), b"first block payload");
         assert_eq!(seg.take_header_meta(), b"header-meta");
-        assert!(seg.header_meta().is_empty());
+        assert!(seg.take_header_meta().is_empty());
     }
 
     #[test]
@@ -569,7 +563,7 @@ mod tests {
             broken[i] ^= 1 << (i % 8);
             for seg in open_both(&path, &broken) {
                 let Ok(seg) = seg else { continue };
-                let damaged = (0..seg.block_count()).any(|b| seg.read_block(b).is_err());
+                let damaged = (0..seg.block_count()).any(|b| read_block(&seg, b).is_err());
                 assert!(damaged, "flip at byte {i} went undetected");
             }
         }

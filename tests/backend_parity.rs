@@ -333,8 +333,9 @@ fn degraded_link_latency_shows_up_in_query_timing() {
 
 /// `scan_column_metered` on every backend: the column is `scan_column`'s,
 /// the reported cost is exactly what the call moved the backend's own
-/// meter by — middleware shares included — and an unknown column is
-/// `NotFound` with the meter where it was.
+/// meter by — middleware shares included — the reported version is the
+/// one `table_meta` reports for the unchanged table, and an unknown column
+/// is `NotFound` with the meter where it was.
 #[test]
 fn metered_scan_matches_the_plain_scan_and_the_meter_on_every_backend() {
     let w = parity_warehouse();
@@ -387,8 +388,10 @@ fn metered_scan_matches_the_plain_scan_and_the_meter_on_every_backend() {
     for (name, backend, retries, extra_secs) in cases {
         let plain = backend.scan_column(&r, spec).unwrap();
         let before = backend.costs();
-        let (column, metered) = backend.scan_column_metered(&r, spec).unwrap();
+        let (column, metered, version) = backend.scan_column_metered(&r, spec).unwrap();
         let moved = backend.costs().since(&before);
+        let token = backend.table_meta(&r.database, &r.table).unwrap().version;
+        assert_eq!(version, token, "{name}: the scan read another version than table_meta's");
 
         assert_eq!(column, plain, "{name}: metered column differs from scan_column's");
         assert_eq!(column, expected.0, "{name}: column differs from the bare connector's");

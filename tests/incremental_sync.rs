@@ -328,7 +328,7 @@ impl WarehouseBackend for GatedBackend {
         &self,
         r: &ColumnRef,
         sample: SampleSpec,
-    ) -> StoreResult<(Column, CostSnapshot)> {
+    ) -> StoreResult<(Column, CostSnapshot, u64)> {
         self.wait(r, Stage::Before);
         let scanned = self.inner.scan_column_metered(r, sample);
         self.wait(r, Stage::After);
@@ -395,9 +395,9 @@ fn overlapping_syncs_leave_no_stale_rows_under_a_current_token() {
 /// scans `col1` and `col2` (A), then `t5` goes back to B once the sync is
 /// done. Tokens are content fingerprints, so the warehouse carries B's
 /// token again: a sync that recorded it over the mixed rows would make
-/// every later sync a no-op over two stale columns. The token re-read after
-/// a table's last scan sees A instead, so the rows install untokened and
-/// the next sync scans `t5` again.
+/// every later sync a no-op over two stale columns. `col1`'s scan says it
+/// read A, so `t5` installs nothing — no column of it is counted — and the
+/// next sync scans `t5` again.
 #[test]
 fn a_table_that_changes_during_its_scans_is_scanned_again_by_the_next_sync() {
     let connector = Arc::new(CdwConnector::new(warehouse_of(8), CdwConfig::free()));
@@ -417,7 +417,8 @@ fn a_table_that_changes_during_its_scans_is_scanned_again_by_the_next_sync() {
         t5(2);
         release.send(()).unwrap();
         let report = sync.join().unwrap();
-        assert_eq!(report.columns_indexed, COLUMNS_PER_TABLE, "{report:?}");
+        let columns = (report.columns_indexed, report.columns_skipped, report.columns_removed);
+        assert_eq!(columns, (0, 0, 0), "t5 did not install: {report:?}");
     });
     t5(1);
     let next = wg.sync().unwrap();
@@ -427,31 +428,77 @@ fn a_table_that_changes_during_its_scans_is_scanned_again_by_the_next_sync() {
     assert_ranks_like_a_fresh_build(&wg, &connector, "after the flip and the next sync");
 }
 
-/// A table installed untokened — its content moved during its scans — and
-/// then dropped: the next sync must still find it and drop its rows, on
-/// the live node and on one recovered from a checkpoint taken while the
-/// rows were untokened (the snapshot carries no token for them).
+/// A flip that falls wholly inside one table's scan window: `t5` goes to
+/// B, the sync reads B's token and scans `col0` (B), `t5` goes to A and the
+/// sync scans `col1` (A), `t5` goes back to B and the sync scans `col2`
+/// (B). The warehouse carries B's token before the first scan and after the
+/// last, so only a scan that says which version it read sees `col1`'s A.
+/// Recording B's token over the mixed rows would make the next sync a
+/// no-op over a stale `col1`.
 #[test]
-fn an_untokened_table_that_is_dropped_leaves_the_index() {
+fn a_flip_inside_one_scan_window_is_scanned_again_by_the_next_sync() {
+    let connector = Arc::new(CdwConnector::new(warehouse_of(8), CdwConfig::free()));
+    let gate = GatedBackend::new(connector.clone());
+    let wg =
+        WarpGate::with_backend(WarpGateConfig { threads: 1, ..Default::default() }, gate.clone());
+    wg.index_warehouse().unwrap();
+    let t5 = |generation| {
+        connector.warehouse_mut().database_mut("db1").add_table(mutated_table(generation))
+    };
+    let col = |c: usize| ColumnRef::new("db1", "t5", format!("col{c}"));
+    let (col0_read, after_col0) = gate.hold("sync", col(0), Stage::After);
+    let (col1_read, after_col1) = gate.hold("sync", col(1), Stage::After);
+    t5(1);
+    std::thread::scope(|scope| {
+        let builder = std::thread::Builder::new().name("sync".into());
+        let sync = builder.spawn_scoped(scope, || wg.sync().unwrap()).unwrap();
+        col0_read.recv().unwrap();
+        t5(2);
+        after_col0.send(()).unwrap();
+        col1_read.recv().unwrap();
+        t5(1);
+        after_col1.send(()).unwrap();
+        sync.join().unwrap();
+    });
+    let next = wg.sync().unwrap();
+    assert!(!next.is_noop(), "t5's mixed rows were recorded under B's token: {next:?}");
+    assert_eq!(next.columns_indexed, COLUMNS_PER_TABLE, "{next:?}");
+    assert_ranks_like_a_fresh_build(&wg, &connector, "after the in-window flip and the next sync");
+}
+
+/// A table that a flip during its scans left uninstalled keeps the rows
+/// and token it had, and leaves the index when it is dropped. So does a
+/// table whose rows a snapshot carries with no token — a checkpoint taken
+/// after a re-attach and before any sync: a node recovered from it still
+/// finds the table and drops its rows.
+#[test]
+fn a_dropped_table_leaves_the_index_after_a_mid_scan_flip_or_a_tokenless_restore() {
     let connector = Arc::new(CdwConnector::new(warehouse_of(8), CdwConfig::free()));
     let gate = GatedBackend::new(connector.clone());
     let config = WarpGateConfig { threads: 1, ..Default::default() };
     let wg = WarpGate::with_backend(config, gate.clone());
     wg.index_warehouse().unwrap();
-    let t5 = |generation| {
-        connector.warehouse_mut().database_mut("db1").add_table(mutated_table(generation))
-    };
+    let t5 = |table| connector.warehouse_mut().database_mut("db1").add_table(table);
     let (held, release) = gate.hold("sync", ColumnRef::new("db1", "t5", "col0"), Stage::After);
-    t5(1);
+    t5(mutated_table(1));
     std::thread::scope(|scope| {
         let builder = std::thread::Builder::new().name("sync".into());
         let sync = builder.spawn_scoped(scope, || wg.sync().unwrap()).unwrap();
         held.recv().unwrap();
-        t5(2);
+        t5(mutated_table(2));
         release.send(()).unwrap();
-        sync.join().unwrap();
+        assert_eq!(sync.join().unwrap().columns_indexed, 0, "t5 did not install");
     });
-    let dir = std::env::temp_dir().join(format!("wg_sync_untokened_{}", std::process::id()));
+    // Back to the content the index holds: its token was kept, and so were
+    // its rows.
+    t5(entity_table(5, COLUMNS_PER_TABLE));
+    let back = wg.sync().unwrap();
+    assert!(back.is_noop(), "t5 lost its token: {back:?}");
+    assert_ranks_like_a_fresh_build(&wg, &connector, "after the flip");
+
+    // A re-attach invalidates every token, so this snapshot carries none.
+    wg.attach_named("default", gate.clone());
+    let dir = std::env::temp_dir().join(format!("wg_sync_tokenless_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let checkpointer = Checkpointer::new(dir.join("snapshot"));
     checkpointer.checkpoint(&wg).unwrap();
@@ -464,7 +511,7 @@ fn an_untokened_table_that_is_dropped_leaves_the_index() {
         let report = node.sync().unwrap();
         assert_eq!(report.tables_removed, 1, "{when}: {report:?}");
         assert_eq!(report.columns_removed, COLUMNS_PER_TABLE, "{when}: {report:?}");
-        let values: Vec<String> = (0..60).map(|r| format!("fresh 2 1 {r}")).collect();
+        let values: Vec<String> = (0..60).map(|r| format!("entity 5 1 {r}")).collect();
         let found = node.discover_values(&values, 10, &DiscoverScope::All).unwrap();
         assert!(found.iter().all(|c| c.reference.table != "t5"), "{when}: {found:?}");
         assert_ranks_like_a_fresh_build(node, &connector, when);

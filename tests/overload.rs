@@ -187,7 +187,7 @@ impl WarehouseBackend for GatedBackend {
         &self,
         r: &ColumnRef,
         sample: SampleSpec,
-    ) -> Result<(Column, CostSnapshot), StoreError> {
+    ) -> Result<(Column, CostSnapshot, u64), StoreError> {
         self.scan();
         self.inner.scan_column_metered(r, sample)
     }

@@ -198,7 +198,7 @@ impl WarehouseBackend for FrameCounter {
         &self,
         r: &ColumnRef,
         sample: SampleSpec,
-    ) -> Result<(Column, CostSnapshot), StoreError> {
+    ) -> Result<(Column, CostSnapshot, u64), StoreError> {
         self.frame().scan_column_metered(r, sample)
     }
     fn scan_table(&self, db: &str, table: &str, sample: SampleSpec) -> Result<Table, StoreError> {
@@ -243,9 +243,9 @@ fn round_trip_budget_per_facade_call() {
         spent(&|| assert_eq!(wg.index_warehouse().expect("index").columns_indexed, columns));
     assert_eq!(
         build as usize,
-        1 + 2 * metas.len() + columns,
-        "first build: the version tokens, each new table's metadata before its scans and its \
-         token after them, one metered scan per column"
+        1 + metas.len() + columns,
+        "first build: the version tokens, each new table's metadata, one metered scan per \
+         column (each carrying the version it read)"
     );
     let q = ColumnRef::new("crm", "accounts", "name");
     let cold = spent(&|| assert!(!wg.discover(&q, 3).expect("cold").timing.cache_hit));
