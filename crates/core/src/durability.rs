@@ -1,5 +1,5 @@
-//! Crash-safe snapshot plumbing: atomic writes, checkpoint rotation with
-//! fallback recovery, and a deterministic torn-write chaos harness.
+//! Crash-safe snapshot plumbing: atomic writes and checkpoint rotation
+//! with fallback recovery.
 //!
 //! A deployed discovery node persists its state so a restart does not
 //! re-scan — and re-bill — every attached warehouse. That only helps if
@@ -23,17 +23,17 @@
 //!    so a corrupt newest generation falls back to the one before it.
 //!    The rotation is rename-only; the decision table lives in
 //!    DESIGN.md §10.
-//! 4. **Proof** ([`TornWriter`]): the chaos harness enumerates every
-//!    crash offset of a checkpoint write (and every single-bit flip of
-//!    the result) as concrete on-disk states, so a property test can
-//!    assert that recovery always lands on a complete old or new state.
+//! 4. **Proof** (the torn-write harness of `tests/crash_recovery.rs`):
+//!    every crash offset of a checkpoint write (and every single-bit flip
+//!    of the result) is enumerated as a concrete on-disk state, and
+//!    recovery from each must land on a complete old or new state.
 
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
 use wg_store::{StoreError, StoreResult};
-use wg_util::atomic_file::{self, sibling, temp_sibling};
+use wg_util::atomic_file::{self, sibling};
 
 use crate::system::WarpGate;
 
@@ -76,8 +76,9 @@ pub struct RecoveryReport {
 ///
 /// `recover()` inverts it: load `<path>`; if that is missing or corrupt,
 /// load `<path>.prev`; report which one won. Combined with the loader's
-/// no-partial-mutation guarantee, every crash state enumerated by
-/// [`TornWriter`] recovers to a complete old or new snapshot.
+/// no-partial-mutation guarantee, every crash state the torn-write
+/// harness of `tests/crash_recovery.rs` enumerates recovers to a complete
+/// old or new snapshot.
 #[derive(Debug, Clone)]
 pub struct Checkpointer {
     path: PathBuf,
@@ -155,127 +156,11 @@ impl Checkpointer {
     }
 }
 
-/// One concrete on-disk state a crash (or bit rot) can leave behind.
-///
-/// `None` means the file does not exist in this state. Materializing a
-/// state writes/removes the three generation files under a checkpoint
-/// path so recovery can be exercised against it.
-#[derive(Debug, Clone)]
-pub struct CrashState {
-    /// Human-readable provenance, for assertion messages.
-    pub label: String,
-    /// Contents of `<path>` in this state.
-    pub primary: Option<Vec<u8>>,
-    /// Contents of `<path>.prev` in this state.
-    pub previous: Option<Vec<u8>>,
-    /// Contents of `<path>.tmp` in this state.
-    pub temp: Option<Vec<u8>>,
-}
-
-impl CrashState {
-    /// Write this state's files under `checkpoint_path` (removing files
-    /// the state says are absent).
-    pub fn materialize(&self, checkpoint_path: &Path) -> io::Result<()> {
-        let files = [
-            (checkpoint_path.to_path_buf(), &self.primary),
-            (sibling(checkpoint_path, PREV_SUFFIX), &self.previous),
-            (temp_sibling(checkpoint_path), &self.temp),
-        ];
-        for (path, contents) in files {
-            match contents {
-                Some(bytes) => fs::write(&path, bytes)?,
-                None => match fs::remove_file(&path) {
-                    Ok(()) => {}
-                    Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-                    Err(e) => return Err(e),
-                },
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Deterministic torn-write enumerator: every on-disk state a crash can
-/// leave while [`Checkpointer::checkpoint`] replaces `old` with `new`.
-///
-/// The rotation has exactly three classes of interruption point, all
-/// enumerated by [`TornWriter::crash_states`]:
-///
-/// * **during the temp write** — one state per byte prefix of `new`
-///   (including the empty prefix): the temp holds `new[..k]`, the
-///   published generations are untouched;
-/// * **between the two renames** — the newest name is momentarily absent,
-///   `.prev` holds `old`, the temp holds all of `new`;
-/// * **after completion** — `<path>` = `new`, `.prev` = `old`.
-///
-/// [`TornWriter::bit_flip_states`] separately yields the completed state
-/// with every single bit of the newest generation flipped — the media-rot
-/// cases where the checksums, not write atomicity, are the defense.
-#[derive(Debug, Clone)]
-pub struct TornWriter {
-    old: Option<Vec<u8>>,
-    new: Vec<u8>,
-}
-
-impl TornWriter {
-    /// A replayable checkpoint that overwrites `old` (the currently
-    /// published snapshot, if any) with `new`.
-    pub fn new(old: Option<Vec<u8>>, new: Vec<u8>) -> Self {
-        Self { old, new }
-    }
-
-    /// Every crash-interruption state of the rotation, in write order.
-    pub fn crash_states(&self) -> Vec<CrashState> {
-        let mut states = Vec::with_capacity(self.new.len() + 3);
-        for k in 0..=self.new.len() {
-            states.push(CrashState {
-                label: format!("crash after {k}/{} temp bytes", self.new.len()),
-                primary: self.old.clone(),
-                previous: None,
-                temp: Some(self.new[..k].to_vec()),
-            });
-        }
-        if self.old.is_some() {
-            states.push(CrashState {
-                label: "crash between demote and promote renames".into(),
-                primary: None,
-                previous: self.old.clone(),
-                temp: Some(self.new.clone()),
-            });
-        }
-        states.push(CrashState {
-            label: "completed rotation".into(),
-            primary: Some(self.new.clone()),
-            previous: self.old.clone(),
-            temp: None,
-        });
-        states
-    }
-
-    /// The completed rotation with bit `bit` of byte `offset` of the
-    /// newest generation flipped, for every byte offset — one flipped bit
-    /// per byte keeps the sweep linear while still touching every byte of
-    /// the image (preamble, blocks, directory, trailer).
-    pub fn bit_flip_states(&self) -> Vec<CrashState> {
-        (0..self.new.len())
-            .map(|offset| {
-                let mut flipped = self.new.clone();
-                flipped[offset] ^= 1 << (offset % 8);
-                CrashState {
-                    label: format!("bit {} of byte {offset} flipped", offset % 8),
-                    primary: Some(flipped),
-                    previous: self.old.clone(),
-                    temp: None,
-                }
-            })
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::Arc;
+    use wg_util::atomic_file::temp_sibling;
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("wg_durability_{tag}_{}", std::process::id()));
@@ -288,61 +173,6 @@ mod tests {
         let p = Path::new("/var/lib/wg/snapshot.bin");
         assert_eq!(temp_sibling(p), Path::new("/var/lib/wg/snapshot.bin.tmp"));
         assert_eq!(sibling(p, PREV_SUFFIX), Path::new("/var/lib/wg/snapshot.bin.prev"));
-    }
-
-    #[test]
-    fn crash_states_enumerate_every_offset() {
-        let torn = TornWriter::new(Some(b"old".to_vec()), b"newer".to_vec());
-        let states = torn.crash_states();
-        // 6 prefixes (0..=5) + between-renames + completed.
-        assert_eq!(states.len(), 8);
-        assert!(states[..6].iter().all(|s| s.primary.as_deref() == Some(b"old" as &[u8])));
-        let between = &states[6];
-        assert!(between.primary.is_none());
-        assert_eq!(between.previous.as_deref(), Some(b"old" as &[u8]));
-        assert_eq!(between.temp.as_deref(), Some(b"newer" as &[u8]));
-        let done = &states[7];
-        assert_eq!(done.primary.as_deref(), Some(b"newer" as &[u8]));
-        assert_eq!(done.previous.as_deref(), Some(b"old" as &[u8]));
-
-        // First-ever checkpoint: no old generation, no between-renames
-        // state (there is nothing to demote).
-        let first = TornWriter::new(None, b"new".to_vec());
-        assert_eq!(first.crash_states().len(), 5);
-    }
-
-    #[test]
-    fn bit_flip_states_touch_every_byte() {
-        let torn = TornWriter::new(None, vec![0u8; 16]);
-        let flips = torn.bit_flip_states();
-        assert_eq!(flips.len(), 16);
-        for (i, s) in flips.iter().enumerate() {
-            let p = s.primary.as_ref().unwrap();
-            assert_eq!(p[i], 1 << (i % 8), "exactly one bit of byte {i} flipped");
-            assert_eq!(p.iter().filter(|&&b| b != 0).count(), 1);
-        }
-    }
-
-    #[test]
-    fn materialize_round_trips_states() {
-        let dir = tmp_dir("materialize");
-        let path = dir.join("snapshot.bin");
-        let state = CrashState {
-            label: "test".into(),
-            primary: Some(b"p".to_vec()),
-            previous: None,
-            temp: Some(b"t".to_vec()),
-        };
-        state.materialize(&path).unwrap();
-        assert_eq!(fs::read(&path).unwrap(), b"p");
-        assert!(!sibling(&path, PREV_SUFFIX).exists());
-        assert_eq!(fs::read(temp_sibling(&path)).unwrap(), b"t");
-
-        // Re-materializing a different state removes what it declares absent.
-        let gone = CrashState { label: "gone".into(), primary: None, previous: None, temp: None };
-        gone.materialize(&path).unwrap();
-        assert!(!path.exists() && !temp_sibling(&path).exists());
-        fs::remove_dir_all(&dir).ok();
     }
 
     use crate::config::WarpGateConfig;

@@ -77,9 +77,9 @@
 //! Durability (§10 of DESIGN.md): snapshots are checksummed and written
 //! atomically, persisted sync tokens let a restarted node's first `sync()`
 //! bill only genuinely changed tables, [`Checkpointer`] rotates two
-//! generations with corrupt-newest fallback, and [`TornWriter`] replays a
-//! checkpoint crashing at every byte offset so the recovery guarantees are
-//! machine-checked rather than asserted.
+//! generations with corrupt-newest fallback, and the crash-recovery suite
+//! replays a checkpoint crashing at every byte offset so the recovery
+//! guarantees are machine-checked rather than asserted.
 
 #![forbid(unsafe_code)]
 
@@ -98,7 +98,7 @@ pub mod timing;
 pub use admission::{AdmissionConfig, AdmissionController, AdmissionPermit, AdmissionStats};
 pub use config::WarpGateConfig;
 pub use daemon::{CheckpointPolicy, DaemonReport, SyncDaemon, SyncDaemonConfig};
-pub use durability::{Checkpointer, CrashState, RecoveryReport, RecoverySource, TornWriter};
+pub use durability::{Checkpointer, RecoveryReport, RecoverySource};
 pub use ingest::{IndexReport, SyncReport};
 pub use query::{Discovery, JoinCandidate, QueryOptions};
 pub use system::WarpGate;

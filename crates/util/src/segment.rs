@@ -571,6 +571,30 @@ mod tests {
     }
 
     #[test]
+    fn every_bit_flip_of_a_page_sized_block_is_caught_at_open_or_read() {
+        // `build_sample`'s blocks are shorter than one checksum span, so
+        // this sweep is the one that runs a block's CRC through both lanes.
+        let dir = temp_dir("flip-page");
+        let path = dir.join("seg.wgs");
+        let payload: Vec<u8> = (0..8192u32).map(|i| (i * 31 + (i >> 7)) as u8).collect();
+        let mut b = SegmentBuilder::new(0);
+        b.push_block(&payload, b"page");
+        let bytes = b.finish(&[]);
+        for seg in open_both(&path, &bytes) {
+            assert_eq!(read_block(&seg.expect("open"), 0).expect("block 0"), payload);
+        }
+        for i in 0..bytes.len() {
+            let mut broken = bytes.clone();
+            broken[i] ^= 1 << (i % 8);
+            for seg in open_both(&path, &broken) {
+                let Ok(seg) = seg else { continue };
+                assert!(read_block(&seg, 0).is_err(), "flip at byte {i} went undetected");
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn a_count_the_directory_cannot_hold_is_refused_before_anything_is_reserved() {
         // A directory whose CRC vouches for a block count of 2^30: refused
         // by the count check, not by an allocation of that many entries.

@@ -100,9 +100,9 @@ pub use wg_util as util;
 /// The types most applications need, importable in one line.
 pub mod prelude {
     pub use warpgate_core::{
-        AdmissionConfig, AdmissionStats, CheckpointPolicy, Checkpointer, CrashState, DaemonReport,
-        Discovery, JoinCandidate, QueryOptions, QueryTiming, RecoveryReport, RecoverySource,
-        SyncDaemon, SyncDaemonConfig, SyncReport, TornWriter, WarpGate, WarpGateConfig,
+        AdmissionConfig, AdmissionStats, CheckpointPolicy, Checkpointer, DaemonReport, Discovery,
+        JoinCandidate, QueryOptions, QueryTiming, RecoveryReport, RecoverySource, SyncDaemon,
+        SyncDaemonConfig, SyncReport, WarpGate, WarpGateConfig,
     };
     pub use wg_embed::{Aggregation, ColumnEmbedder, EmbeddingModel, WebTableModel};
     pub use wg_lsh::DiscoverScope;

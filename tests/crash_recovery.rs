@@ -24,6 +24,10 @@ use std::time::{Duration, Instant};
 
 use warpgate::prelude::*;
 
+#[path = "crash_recovery/torn.rs"]
+mod torn;
+use torn::TornWriter;
+
 fn tmp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("wg_crash_{tag}_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -207,7 +211,7 @@ fn torn_checkpoint_recovers_old_or_new_at_every_crash_offset() {
     let states = torn.crash_states();
     assert!(states.len() > fx.new.len(), "every byte offset plus the rename states");
     for state in &states {
-        state.materialize(ckpt.path()).unwrap();
+        state.materialize(&ckpt).unwrap();
         let report = ckpt
             .recover(&mut fx.node)
             .unwrap_or_else(|e| panic!("{}: recovery must succeed, got {e}", state.label));
@@ -239,7 +243,7 @@ fn first_checkpoint_crashes_fail_cleanly_without_a_previous_generation() {
     // or panic would both be bugs.
     let torn = TornWriter::new(None, fx.new.clone());
     for state in torn.crash_states() {
-        state.materialize(ckpt.path()).unwrap();
+        state.materialize(&ckpt).unwrap();
         match ckpt.recover(&mut fx.node) {
             Ok(_) => {
                 assert_eq!(state.primary.as_deref(), Some(&fx.new[..]), "{}", state.label);
@@ -262,7 +266,7 @@ fn bit_flipped_newest_generation_falls_back_to_previous() {
     let torn = TornWriter::new(Some(fx.old.clone()), fx.new.clone());
 
     for state in torn.bit_flip_states() {
-        state.materialize(ckpt.path()).unwrap();
+        state.materialize(&ckpt).unwrap();
         let report = ckpt
             .recover(&mut fx.node)
             .unwrap_or_else(|e| panic!("{}: prev generation must recover, got {e}", state.label));
