@@ -41,10 +41,12 @@ pub struct WarpGateConfig {
     /// [`crate::WarpGate::save_paged`], `checkpoint`, `to_bytes` and
     /// `save_to_file` all write the one segment format with it. A block is
     /// the **page** of the beyond-RAM tier: the unit of disk read, CRC
-    /// check, decode and cache residency, and nothing else (row metadata
-    /// and pruning are per row, whatever the page size). The default, 16
-    /// rows, is an 8 KB page at `dim` 128; a reader takes the value from
-    /// the file it opens, never from here.
+    /// check, decode and cache residency, and nothing else (row metadata,
+    /// pruning and the search's bookkeeping are per row, whatever the page
+    /// size). The default, 2 rows, is a 1 KiB page at `dim` 128: the rows
+    /// a query scores are about all the cache then holds (DESIGN.md §11,
+    /// "Choosing the page"). A reader takes the value from the file it
+    /// opens, never from here, so files sealed at another size load alike.
     pub block_rows: usize,
     /// Byte budget of the block cache serving paged segments. Blocks past
     /// the budget evict LRU; 0 means unbounded (everything read stays
@@ -71,7 +73,7 @@ impl Default for WarpGateConfig {
             context_weight: 0.0,
             threads: 0,
             cache_capacity: 4096,
-            block_rows: 16,
+            block_rows: 2,
             block_cache_bytes: 4 << 20,
             admission: None,
             seed: 0x5747_4154,

@@ -294,9 +294,11 @@ mod tests {
                     let image = image.expect("a sealed image opens");
                     for b in 0..image.block_count() {
                         let data = image.block(b).unwrap();
-                        for (r, vector) in data.chunks_exact(hasher.dim()).enumerate() {
+                        for (row, vector) in
+                            image.block_span(b).zip(data.chunks_exact(hasher.dim()))
+                        {
                             assert_eq!(
-                                image.signature_of(b, r),
+                                image.signature_of(row),
                                 hasher.sign(vector),
                                 "{pair} {round}"
                             );

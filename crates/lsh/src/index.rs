@@ -9,10 +9,13 @@
 //! Every row sits in one table of **pages** numbered in one row space: a
 //! page holds a run of consecutive row numbers, and a bucket entry is a row
 //! number. A page is *resident* — vectors, norms and signature words in
-//! memory; inserts, replacements and hydrated blocks land there — or
-//! *attached*: one block of a lazily attached [`VectorSegment`], whose
-//! signatures, norms and sketches stay resident in the segment's directory
-//! while its vectors are read through the block cache. The candidate set of
+//! memory; inserts, replacements and hydrated rows land there — or
+//! *attached*: the rows of one lazily attached [`VectorSegment`], whose
+//! signatures, norms and sketches stay resident in the segment's slab while
+//! its vectors are read through the block cache, a block at a time. A row's
+//! place in an attached page is its row number in the segment, so the
+//! search reaches its sketch record and its block from that number alone,
+//! whatever the block size. The candidate set of
 //! a query is a bitset over row numbers in a per-thread scratch: marking an
 //! entry dedups it, and one ascending scan hands every candidate out in row
 //! order — no sort, and no id → row probe, between the buckets and the
@@ -84,9 +87,9 @@ impl From<SegmentError> for SearchError {
     }
 }
 
-/// Rows a resident page holds at most. Only allocation hangs on it: a page
-/// grows in place until it is full, so the last page is the only one with
-/// slack and a full one never moves.
+/// Rows a page [`SimHashLshIndex::grow`] opens holds at most. Only
+/// allocation hangs on it: a resident page's buffers grow in place up to
+/// the last row taken, so a full one never moves.
 const RESIDENT_ROWS: usize = 1024;
 
 /// Where a page's vectors are.
@@ -94,12 +97,13 @@ enum Payload {
     /// In memory: `dim` floats, one L2 norm and the packed signature words
     /// of each row, up to the last row taken so far (stale for a free row).
     Resident { vectors: Vec<f32>, norms: Vec<f32>, sigs: Vec<u64> },
-    /// Block `block` of an attached segment, `live` of whose rows are still
-    /// stored; norms and signature words are read from the segment's
-    /// directory, vectors through its block cache. The removal that empties
-    /// it makes the page resident: its block leaves the cache, its hold on
-    /// the segment goes, and its rows join the free list.
-    Attached { segment: Arc<VectorSegment>, block: usize, live: usize },
+    /// An attached segment, `live` of whose rows are still stored: row `at`
+    /// of the page is row `at` of the segment. Norms and signature words
+    /// are read from the segment's slab, vectors through its block cache.
+    /// A removed row stays dead until the removal that empties the page
+    /// makes it resident: the segment's blocks leave the cache, the hold on
+    /// it goes, and its rows join the free list.
+    Attached { segment: Arc<VectorSegment>, live: usize },
 }
 
 impl Payload {
@@ -129,40 +133,57 @@ impl Page {
     fn sig_words(&self, at: usize, words: usize) -> &[u64] {
         match &self.payload {
             Payload::Resident { sigs, .. } => &sigs[at * words..(at + 1) * words],
-            Payload::Attached { segment, block, .. } => segment.sig_words_of(*block, at),
+            Payload::Attached { segment, .. } => segment.sig_words(at),
         }
     }
 
-    /// The segment block an attached page is.
-    fn block(&self) -> (&VectorSegment, usize) {
+    /// The segment an attached page is.
+    #[inline]
+    fn segment(&self) -> &VectorSegment {
         match &self.payload {
-            Payload::Attached { segment, block, .. } => (segment, *block),
-            _ => unreachable!("only an attached page is a block"),
+            Payload::Attached { segment, .. } => segment,
+            _ => unreachable!("only an attached page is a segment"),
         }
     }
 
-    /// An attached page's vectors, fetched once through the cache; `None`
-    /// for a page that holds its own.
-    fn fetch(&self) -> Result<Option<Arc<Vec<f32>>>, SegmentError> {
+    /// The segment block holding the row at `at`; `None` for a page that
+    /// holds its own vectors.
+    fn block_of(&self, at: usize) -> Option<usize> {
         match &self.payload {
-            Payload::Attached { segment, block, .. } => segment.block(*block).map(Some),
+            Payload::Attached { segment, .. } => Some(segment.block_of(at)),
+            _ => None,
+        }
+    }
+
+    /// The block holding the row at `at`, fetched through the cache; `None`
+    /// for a page that holds its own vectors.
+    fn fetch(&self, at: usize) -> Result<Option<Arc<Vec<f32>>>, SegmentError> {
+        match &self.payload {
+            Payload::Attached { segment, .. } => segment.block(segment.block_of(at)).map(Some),
             _ => Ok(None),
         }
     }
 
     /// The vector and stored norm of the row at `at`, borrowed from the
-    /// page or, attached, from `fetched` (what [`Self::fetch`] returned).
+    /// page or, attached, from `fetched` (the block holding it, as
+    /// [`Self::fetch`] returned it).
     fn row<'a>(&'a self, at: usize, dim: usize, fetched: Option<&'a [f32]>) -> (&'a [f32], f32) {
-        let span = at * dim..(at + 1) * dim;
         match (&self.payload, fetched) {
-            (Payload::Resident { vectors, norms, .. }, _) => (&vectors[span], norms[at]),
-            (Payload::Attached { segment, block, .. }, Some(data)) => {
-                (&data[span], segment.rows(*block).norm(at))
+            (Payload::Resident { vectors, norms, .. }, _) => {
+                (&vectors[at * dim..(at + 1) * dim], norms[at])
+            }
+            (Payload::Attached { segment, .. }, Some(data)) => {
+                let i = at - segment.block_span(segment.block_of(at)).start;
+                (&data[i * dim..(i + 1) * dim], segment.norm(at))
             }
             _ => unreachable!("a stored row is resident, or attached and fetched"),
         }
     }
 }
+
+/// What [`SimHashLshIndex::fetch_all`] holds of each page: every block of an
+/// attached page that stores a row, by block number (`None` for the rest).
+type Fetched = Vec<Option<Arc<Vec<f32>>>>;
 
 /// One row of the table: the page it belongs to and, while it stores an
 /// item, the item's id (`None` for a free resident row or a dead attached
@@ -462,16 +483,17 @@ impl SimHashLshIndex {
             None => self.grow(),
         };
         let page = &mut self.pages[self.rows[n as usize].page as usize];
-        let (at, rows) = ((n - page.first) as usize, page.len as usize);
+        let at = (n - page.first) as usize;
         let Payload::Resident { vectors, norms, sigs } = &mut page.payload else {
             unreachable!("a free row is resident");
         };
-        // Past the last row taken so far: one `grow` appended, or the first
-        // of an attached page that became resident.
-        if norms.len() < rows {
-            vectors.resize(rows * dim, 0.0);
-            norms.resize(rows, 0.0);
-            sigs.resize(rows * width, 0);
+        // Past the last row taken so far: one `grow` appended, or a row of
+        // an attached page that became resident (its rows are handed out
+        // in order, so a retired segment's page grows as it refills).
+        if norms.len() <= at {
+            vectors.resize((at + 1) * dim, 0.0);
+            norms.resize(at + 1, 0.0);
+            sigs.resize((at + 1) * width, 0);
         }
         let vector = &mut vectors[at * dim..(at + 1) * dim];
         fill(vector);
@@ -528,17 +550,18 @@ impl SimHashLshIndex {
     }
 
     /// Count one row of attached page `p` out; the one that empties it
-    /// turns the page resident, its rows free.
+    /// retires the segment — its blocks leave the cache — and turns the
+    /// page resident, its rows free.
     fn release(&mut self, p: usize) {
         let page = &mut self.pages[p];
-        let Payload::Attached { segment, block, live } = &mut page.payload else {
+        let Payload::Attached { segment, live } = &mut page.payload else {
             unreachable!("only an attached page releases rows");
         };
         *live -= 1;
         if *live > 0 {
             return;
         }
-        segment.evict_block(*block);
+        segment.evict_from_cache();
         page.payload = Payload::resident();
         self.free.extend((page.first..page.first + page.len).rev());
     }
@@ -576,7 +599,7 @@ impl SimHashLshIndex {
         Ok(())
     }
 
-    /// Attach a sealed segment: each block becomes an attached page, and
+    /// Attach a sealed segment: its rows become one attached page, and
     /// every row `map` keeps is indexed into the band buckets from its
     /// **resident** signature (no payload read — hydration stays lazy) and
     /// becomes searchable, served from disk through the block cache. Rows
@@ -605,46 +628,47 @@ impl SimHashLshIndex {
                 self.rows.len()
             )));
         }
-        let mut attached = 0usize;
-        for block in 0..segment.block_count() {
-            let rows = segment.rows(block);
-            let (p, first, len) = (self.pages.len(), self.rows.len() as u32, rows.ids.len());
-            // One count held for the page itself while its rows go in: a
-            // row replacing an earlier one of the same page cannot release it.
-            self.pages.push(Page {
-                first,
-                len: len as u32,
-                payload: Payload::Attached { segment: segment.clone(), block, live: 1 },
-            });
-            self.rows.resize(first as usize + len, Row { page: p as u32, id: None });
-            for (at, &stored) in rows.ids.iter().enumerate() {
-                let Some(id) = map(stored) else {
-                    continue;
-                };
-                self.remove(id);
-                if let Payload::Attached { live, .. } = &mut self.pages[p].payload {
-                    *live += 1;
-                }
-                let n = first + at as u32;
-                self.rows[n as usize].id = Some(id);
-                self.locator.insert(id, n);
-                bucket(&mut self.bands, self.params.rows, n, rows.sig_words(at));
-                attached += 1;
-            }
-            // A page nothing was admitted to is released on the spot.
-            self.release(p);
+        let len = segment.row_count();
+        if len == 0 {
+            return Ok(0);
         }
+        let (p, first) = (self.pages.len(), self.rows.len() as u32);
+        // One count held for the page itself while its rows go in: a row
+        // replacing an earlier one of the same page cannot release it.
+        self.pages.push(Page {
+            first,
+            len: len as u32,
+            payload: Payload::Attached { segment: segment.clone(), live: 1 },
+        });
+        self.rows.resize(first as usize + len, Row { page: p as u32, id: None });
+        let mut attached = 0usize;
+        for (at, &stored) in segment.ids().iter().enumerate() {
+            let Some(id) = map(stored) else {
+                continue;
+            };
+            self.remove(id);
+            if let Payload::Attached { live, .. } = &mut self.pages[p].payload {
+                *live += 1;
+            }
+            let n = first + at as u32;
+            self.rows[n as usize].id = Some(id);
+            self.locator.insert(id, n);
+            bucket(&mut self.bands, self.params.rows, n, segment.sig_words(at));
+            attached += 1;
+        }
+        // A page nothing was admitted to is released on the spot.
+        self.release(p);
         Ok(attached)
     }
 
-    /// Hydrate from a sealed segment: every block is read once with a
-    /// positioned read, CRC-checked, and each row `map` keeps (under the id
-    /// it returns, as in [`Self::attach_segment_mapped`]) is decoded
-    /// straight into a resident page and bucketed from its stored signature
-    /// words. Nothing pages afterwards: the rows are resident, and the
-    /// segment can be dropped. Returns how many rows were installed; on an
-    /// error the index holds the blocks read so far, so hydrate an index
-    /// nothing else sees yet.
+    /// Hydrate from a sealed segment: every block is read once, in runs of
+    /// adjacent blocks with one positioned read each, CRC-checked, and each
+    /// row `map` keeps (under the id it returns, as in
+    /// [`Self::attach_segment_mapped`]) is decoded straight into a resident
+    /// page and bucketed from its stored signature words. Nothing pages
+    /// afterwards: the rows are resident, and the segment can be dropped.
+    /// Returns how many rows were installed; on an error the index holds the
+    /// runs read so far, so hydrate an index nothing else sees yet.
     pub fn hydrate(
         &mut self,
         segment: &VectorSegment,
@@ -652,23 +676,18 @@ impl SimHashLshIndex {
     ) -> Result<usize, SegmentError> {
         self.fits(segment)?;
         let row_bytes = self.dim() * 4;
-        let mut payload = Vec::new();
         let mut installed = 0usize;
-        for block in 0..segment.block_count() {
-            segment.read_payload(block, &mut payload)?;
-            let rows = segment.rows(block);
-            for (row, (&stored, raw)) in
-                rows.ids.iter().zip(payload.chunks_exact(row_bytes)).enumerate()
-            {
-                let Some(id) = map(stored) else {
+        segment.for_each_payload(|block, payload| {
+            for (row, raw) in segment.block_span(block).zip(payload.chunks_exact(row_bytes)) {
+                let Some(id) = map(segment.ids()[row]) else {
                     continue;
                 };
-                self.insert_row(id, rows.sig_words(row), |slot| {
+                self.insert_row(id, segment.sig_words(row), |slot| {
                     codec::get_f32s(&mut &raw[..], slot).expect("a row's bytes fill its slot");
                 });
                 installed += 1;
             }
-        }
+        })?;
         Ok(installed)
     }
 
@@ -708,15 +727,28 @@ impl SimHashLshIndex {
     /// panics.
     pub fn vector_owned(&self, id: ItemId) -> Option<Vec<f32>> {
         let (page, at) = self.locate(*self.locator.get(&id)? as usize);
-        let fetched = page.fetch().unwrap_or_else(|e| lost_block(e));
+        let fetched = page.fetch(at).unwrap_or_else(|e| lost_block(e));
         Some(page.row(at, self.dim(), fetched.as_deref().map(Vec::as_slice)).0.to_vec())
     }
 
-    /// Every page's block fetched once through the cache (`None` for a
-    /// page that is not attached) — the first half of reading the rows in
-    /// place: [`Self::rows_in_place`] borrows the vectors out of it.
-    fn fetch_all(&self) -> Result<Vec<Option<Arc<Vec<f32>>>>, SegmentError> {
-        self.pages.iter().map(Page::fetch).collect()
+    /// Every block that stores a row fetched once through the cache, page
+    /// by page — the first half of reading the rows in place:
+    /// [`Self::rows_in_place`] borrows the vectors out of it.
+    fn fetch_all(&self) -> Result<Vec<Fetched>, SegmentError> {
+        let fetch_page = |page: &Page| {
+            let Payload::Attached { segment, .. } = &page.payload else {
+                return Ok(Vec::new());
+            };
+            let mut blocks = vec![None; segment.block_count()];
+            for (at, _) in self.stored(page) {
+                let block = segment.block_of(at);
+                if blocks[block].is_none() {
+                    blocks[block] = Some(segment.block(block)?);
+                }
+            }
+            Ok(blocks)
+        };
+        self.pages.iter().map(fetch_page).collect()
     }
 
     /// Append every stored row `admit` keeps to `out`, in row order,
@@ -725,14 +757,15 @@ impl SimHashLshIndex {
     /// its segment's directory.
     fn rows_in_place<'a>(
         &'a self,
-        fetched: &'a [Option<Arc<Vec<f32>>>],
+        fetched: &'a [Fetched],
         admit: impl Fn(ItemId) -> bool,
         out: &mut Vec<SealRow<'a>>,
     ) {
         let (dim, width) = (self.dim(), self.words_per_sig());
-        for (page, data) in self.pages.iter().zip(fetched) {
+        for (page, blocks) in self.pages.iter().zip(fetched) {
             for (at, id) in self.stored(page).filter(|&(_, id)| admit(id)) {
-                let (vector, norm) = page.row(at, dim, data.as_deref().map(Vec::as_slice));
+                let data = page.block_of(at).and_then(|block| blocks[block].as_deref());
+                let (vector, norm) = page.row(at, dim, data.map(Vec::as_slice));
                 out.push(SealRow { id, words: page.sig_words(at, width), norm, vector });
             }
         }
@@ -970,7 +1003,7 @@ impl SimHashLshIndex {
     /// make, in the same order (see [`BlockGroup`]).
     ///
     /// Correctness of the skip: a row's bound dominates its exact f32 score
-    /// (see [`crate::paged::BlockRows::cosine_upper_bound`]) and the heap
+    /// (see [`VectorSegment::cosine_upper_bound`]) and the heap
     /// threshold only rises, so every skipped row scores strictly below
     /// the final k-th result — the returned top-k is bit-identical to
     /// scoring everything, by [`TopK`]'s push-order independence.
@@ -988,31 +1021,32 @@ impl SimHashLshIndex {
         }
         let dim = self.dim();
         codes.set(query, qnorm);
-        // One group per page — the scan handed the rows out in row order,
-        // a page's rows together — with every row's bound and the largest
-        // of each group.
+        // One group per block — the scan handed the rows out in row order,
+        // so a block's rows are together, and a row's place in its page is
+        // its row in the segment: its record and its block's last row are
+        // arithmetic on that number — with every row's bound and the
+        // largest of each group.
         bounds.clear();
         groups.clear();
         // A heap the resident rows filled already rules out every group
         // under its threshold: those are counted and never enter the heap —
         // the threshold only rises, so no visit could have reached them.
         let entering = topk.threshold();
-        let (mut total, mut start) = (0usize, 0usize);
-        for group in rows.chunk_by(|a, b| a.0 == b.0) {
-            let (segment, block) = self.pages[group[0].0 as usize].block();
-            let meta = segment.rows(block);
-            let mut bound = f64::NEG_INFINITY;
-            for &(_, at, _) in group {
-                let ub = meta.cosine_upper_bound(at as usize, codes);
+        let (mut total, mut end) = (0usize, 0usize);
+        while let Some(&(p, at, _)) = rows.get(end) {
+            let segment = self.pages[p as usize].segment();
+            let past = segment.block_span(segment.block_of(at as usize)).end as u32;
+            let (start, mut bound) = (end, f64::NEG_INFINITY);
+            while let Some(&(_, at, _)) = rows.get(end).filter(|row| row.0 == p && row.1 < past) {
+                let ub = segment.cosine_upper_bound(at as usize, codes);
                 bounds.push(ub);
                 bound = bound.max(ub);
+                end += 1;
             }
-            let end = start + group.len();
             total += 1;
             if !entering.is_some_and(|threshold| bound < threshold) {
                 groups.push(BlockGroup { bound, start: start as u32, end: end as u32 });
             }
-            start = end;
         }
         // The buffer goes back to the scratch below; a pass that dies on its
         // way there (deadline, storage) leaves it to the next to regrow.
@@ -1030,16 +1064,17 @@ impl SimHashLshIndex {
             // an expired request never starts another one.
             deadline.check(Phase::BlockRead)?;
             let (start, end) = (group.start as usize, group.end as usize);
-            let (segment, block) = self.pages[rows[start].0 as usize].block();
-            let meta = segment.rows(block);
-            let data = segment.block(block)?;
+            let (p, at, _) = rows[start];
+            let segment = self.pages[p as usize].segment();
+            let block = segment.block_of(at as usize);
+            let (first, data) = (segment.block_span(block).start, segment.block(block)?);
             blocks_read += 1;
             for (&(_, at, id), &ub) in rows[start..end].iter().zip(&bounds[start..end]) {
                 if topk.threshold().is_some_and(|threshold| ub < threshold) {
                     continue;
                 }
                 let at = at as usize;
-                topk.push(score_row(query, qnorm, meta.norm(at), &data, at, dim), id);
+                topk.push(score_row(query, qnorm, segment.norm(at), &data, at - first, dim), id);
                 scored += 1;
             }
         }
@@ -1048,9 +1083,9 @@ impl SimHashLshIndex {
     }
 
     /// Exact search over *all* stored vectors (ignores the LSH buckets) —
-    /// the ANN-quality reference used in ablations. Walks the pages in row
-    /// order; the reference must not prune, so every attached page's block
-    /// is read through the cache, one page at a time.
+    /// the ANN-quality reference used in ablations. Walks the rows in row
+    /// order; the reference must not prune, so every block holding a stored
+    /// attached row is read through the cache, one block at a time.
     pub fn search_exact(
         &self,
         query: &[f32],
@@ -1060,9 +1095,14 @@ impl SimHashLshIndex {
         let (dim, qnorm) = (self.dim(), kernel::norm_sq(query).sqrt());
         let mut topk = TopK::new(k);
         for page in &self.pages {
-            let fetched = page.fetch().unwrap_or_else(|e| lost_block(e));
+            let mut held: Option<(usize, Arc<Vec<f32>>)> = None;
             for (at, id) in self.stored(page).filter(|&(_, id)| !exclude(id)) {
-                let (vector, norm) = page.row(at, dim, fetched.as_deref().map(Vec::as_slice));
+                let block = page.block_of(at);
+                if block.is_some() && held.as_ref().map(|h| h.0) != block {
+                    let fetched = page.fetch(at).unwrap_or_else(|e| lost_block(e));
+                    held = block.zip(fetched);
+                }
+                let (vector, norm) = page.row(at, dim, held.as_ref().map(|h| h.1.as_slice()));
                 topk.push(cosine_of(kernel::dot(query, vector), qnorm, norm) as f64, id);
             }
         }
@@ -1311,8 +1351,8 @@ mod tests {
         let segment = open(&image).expect("open");
         for b in 0..segment.block_count() {
             let data = segment.block(b).expect("read");
-            for (r, vector) in data.chunks_exact(32).enumerate() {
-                assert_eq!(segment.sig_words_of(b, r), &index.hasher().sign(vector).words[..]);
+            for (row, vector) in segment.block_span(b).zip(data.chunks_exact(32)) {
+                assert_eq!(segment.sig_words(row), &index.hasher().sign(vector).words[..]);
             }
         }
         assert_eq!(sealed(&loaded, 16), image);
@@ -1794,7 +1834,9 @@ mod tests {
         let exclude = |id: ItemId| id % 7 == 0;
         let (mut tied_passes, mut stopped_early, mut ruled_out_on_entry) = (0usize, 0usize, 0usize);
         let mut near = Xoshiro256pp::new(52);
-        for block_rows in [1usize, 3, 16] {
+        // One row a page, the pages the system chooses between, one that
+        // divides nothing, and the previous default.
+        for block_rows in [1usize, 2, 3, 4, 16] {
             let (mut paged, _cache, dir) =
                 seal_and_attach(&hot, &format!("lazy-{block_rows}"), block_rows, 0);
             for q in 0..60 {
@@ -1839,11 +1881,13 @@ mod tests {
                 codes.set(&query, qnorm);
                 let bound = |n: usize| {
                     let (page, at) = paged.locate(n);
-                    let (segment, block) = page.block();
-                    segment.rows(block).cosine_upper_bound(at, &codes)
+                    page.segment().cosine_upper_bound(at, &codes)
                 };
+                // A group is the candidate rows of one block: the same page
+                // and the same `block_rows`-row run of its segment.
+                let block_of = |n: usize| (paged.rows[n].page, paged.locate(n).1 / block_rows);
                 let mut groups = Vec::new();
-                for group in rows.chunk_by(|a, b| paged.rows[a.0].page == paged.rows[b.0].page) {
+                for group in rows.chunk_by(|a, b| block_of(a.0) == block_of(b.0)) {
                     let largest =
                         group.iter().map(|r| bound(r.0)).fold(f64::NEG_INFINITY, f64::max);
                     groups.push((largest, groups.len(), group));
@@ -1861,15 +1905,17 @@ mod tests {
                     if want.threshold().is_some_and(|threshold| largest < threshold) {
                         break;
                     }
-                    let (segment, block) = paged.locate(group[0].0).0.block();
-                    let (meta, data) = (segment.rows(block), segment.block(block).expect("read"));
+                    let segment = paged.locate(group[0].0).0.segment();
+                    let block = block_of(group[0].0).1;
+                    let data = segment.block(block).expect("read");
                     read += 1;
                     for &(n, id) in group {
                         if want.threshold().is_some_and(|threshold| bound(n) < threshold) {
                             continue;
                         }
                         let at = paged.locate(n).1;
-                        want.push(score_row(&query, qnorm, meta.norm(at), &data, at, 32), id);
+                        let i = at - block * block_rows;
+                        want.push(score_row(&query, qnorm, segment.norm(at), &data, i, 32), id);
                         scored += 1;
                     }
                 }
@@ -1887,7 +1933,7 @@ mod tests {
             }
             std::fs::remove_dir_all(&dir).ok();
         }
-        assert!(tied_passes > 60, "equal bounds must be common: {tied_passes} of 180 passes");
+        assert!(tied_passes > 60, "equal bounds must be common: {tied_passes} of 300 passes");
         assert!(stopped_early > 60, "most passes must stop before the last group: {stopped_early}");
         assert!(
             ruled_out_on_entry > 10,

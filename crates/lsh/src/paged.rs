@@ -6,7 +6,7 @@
 //! needs *before* exact scoring — ids, signatures, per-row norms, and a
 //! per-row int8 **sketch** — lives in the segment directory and stays
 //! resident from `open`, as one row-major slab per segment
-//! ([`VectorSegment`], read through [`BlockRows`]); the vector payloads
+//! ([`VectorSegment`], addressed by row number); the vector payloads
 //! themselves page in on demand, a block at a time, through a shared
 //! byte-budgeted LRU [`BlockCache`].
 //!
@@ -17,7 +17,7 @@
 //! **manifest** the sealing caller owns. One writer (`seal_image`) lays
 //! out every file; one reader ([`VectorSegment::open`] /
 //! [`VectorSegment::from_bytes`]) validates it, after which an index either
-//! attaches it lazily or hydrates from it block by block.
+//! attaches it lazily or hydrates from it in runs of adjacent blocks.
 //!
 //! The sketch of a row `x` is `dim` int8 codes `c_x`, an f32 scale `s_x`
 //! and an f32 residual norm `e_x ≥ ‖x − s_x·c_x‖` (`dim + 8` bytes against
@@ -38,7 +38,7 @@
 //! i.e. rows that are *similar* — land in the same blocks, and the rows a
 //! query must verify exactly share blocks.
 //!
-//! Pruning contract: [`BlockRows::cosine_upper_bound`] returns a value `≥`
+//! Pruning contract: [`VectorSegment::cosine_upper_bound`] returns a value `≥`
 //! the exact f32 cosine the re-ranker would compute for that row (both
 //! residuals are measured in f64 against the codes as stored and rounded
 //! up; the integer dot is exact; the sum is padded with [`UB_SLACK`] to
@@ -49,7 +49,7 @@
 //! final k-th result, so paged rankings are bit-identical to the all-in-RAM
 //! path.
 //!
-//! Cold-read path: [`VectorSegment::block`] → [`BlockCache::get_or_load`]
+//! Cold-read path: [`VectorSegment::block`] → `BlockCache::get_or_load`
 //! probes the cache under its lock, **releases it**, reads the block with
 //! one positioned read into a per-thread byte buffer, verifies it
 //! ([`Segment::read_block_into`]: stored CRC word and recomputed CRC both
@@ -145,7 +145,7 @@ fn residual_bound(r_sq: f64) -> f64 {
     r_sq.sqrt() * (1.0 + 1e-6) + f32::MIN_POSITIVE as f64
 }
 
-/// A query quantized for [`BlockRows::cosine_upper_bound`], once per
+/// A query quantized for [`VectorSegment::cosine_upper_bound`], once per
 /// search: i16 codes `c_q`, a scale `s_q`, and what the codes leave out,
 /// `e_q ≥ ‖q − s_q·c_q‖`. At i16 the query's own residual is ~5e-5 of its
 /// norm — far inside [`UB_SLACK`], so quantizing the query costs the bound
@@ -227,7 +227,7 @@ impl BlockCache {
 
     /// Hand out a process-unique id for a segment about to share this
     /// cache; the id namespaces the segment's blocks in the key space.
-    pub fn register_segment(&self) -> u32 {
+    fn register_segment(&self) -> u32 {
         self.next_segment.fetch_add(1, Ordering::Relaxed)
     }
 
@@ -238,7 +238,7 @@ impl BlockCache {
 
     /// Fetch a block, loading and admitting it on miss. `load` runs with
     /// the cache unlocked; an `Err` from it admits nothing.
-    pub fn get_or_load(
+    fn get_or_load(
         &self,
         key: BlockKey,
         load: impl FnOnce() -> Result<Vec<f32>, SegmentError>,
@@ -251,10 +251,10 @@ impl BlockCache {
         Ok(self.lru.lock().insert(key, data, bytes))
     }
 
-    /// Drop every resident block of one segment (detach, re-seal).
+    /// Drop every resident block of one segment (detach, retirement).
     /// Returns how many blocks were dropped. Walks every resident block of
-    /// every segment — ~1,900 at a 30,000-row corpus in 8 KB pages — which
-    /// is right once per retired segment.
+    /// every segment — up to 15,000 at a 30,000-row corpus in 2-row pages —
+    /// which is right once per retired segment.
     fn evict_segment(&self, segment: u32) -> usize {
         self.lru.lock().retain(|&(s, _)| s != segment)
     }
@@ -303,81 +303,6 @@ fn record_len(dim: usize, sketches: bool) -> usize {
         dim + SKETCH_TAIL
     } else {
         NORM_TAIL
-    }
-}
-
-/// The resident metadata of one block's rows — what a search needs of each
-/// row before, and mostly instead of, reading it — borrowed from the
-/// segment's row slab ([`VectorSegment::rows`]).
-#[derive(Debug, Clone, Copy)]
-pub struct BlockRows<'a> {
-    /// Row ids, in row order.
-    pub ids: &'a [ItemId],
-    /// Packed signature words, `words_per_sig` per row.
-    sig_words: &'a [u64],
-    words_per_sig: usize,
-    /// One record per row (see [`VectorSegment`]).
-    records: &'a [u8],
-    record_len: usize,
-}
-
-impl<'a> BlockRows<'a> {
-    /// The packed signature words of one row.
-    pub fn sig_words(&self, row: usize) -> &'a [u64] {
-        &self.sig_words[row * self.words_per_sig..(row + 1) * self.words_per_sig]
-    }
-
-    fn record(&self, row: usize) -> &'a [u8] {
-        &self.records[row * self.record_len..(row + 1) * self.record_len]
-    }
-
-    /// The stored L2 norm of one row: the last field of its record.
-    pub fn norm(&self, row: usize) -> f32 {
-        let record = self.record(row);
-        le_f32(&record[record.len() - NORM_TAIL..])
-    }
-
-    /// One row's record, taken apart: `(codes, scale, residual, norm)`.
-    fn sketch(&self, row: usize) -> (&'a [u8], f32, f32, f32) {
-        let codes = self.record_len.checked_sub(SKETCH_TAIL);
-        let (codes, tail) = self.record(row).split_at(codes.expect("a record with a sketch"));
-        (codes, le_f32(&tail[..4]), le_f32(&tail[4..8]), le_f32(&tail[8..]))
-    }
-
-    /// An upper bound (in f64, [`UB_SLACK`]-padded) on the exact f32 cosine
-    /// the re-ranker would compute for row `row` against the query `q` that
-    /// `query` quantizes. With `q̂ = s_q·c_q` and `x̂ = s_x·c_x`:
-    ///
-    /// ```text
-    /// dot(q, x) = dot(q̂, x̂) + dot(q̂, x − x̂) + dot(q − q̂, x)
-    ///           ≤ s_q·s_x·Σ c_q·c_x + ‖q̂‖·e_x + e_q·‖x‖
-    /// ```
-    ///
-    /// divided by the same f32 `‖q‖·norm` the exact score divides by, and
-    /// capped at the trivial bound 1.0. A degenerate denominator scores 0.0
-    /// exactly and a non-finite query makes the sum NaN or infinite: both
-    /// get 1.0 — never prune what cannot be bounded.
-    ///
-    /// Everything it reads of the row is the row's one record. Panics on a
-    /// segment sealed without sketches (there is nothing to bound with;
-    /// such a segment cannot be attached).
-    pub fn cosine_upper_bound(&self, row: usize, query: &QueryCodes) -> f64 {
-        let (codes, scale, residual, norm) = self.sketch(row);
-        assert_eq!(
-            codes.len(),
-            query.codes.len(),
-            "a sketched record holds one code per dimension"
-        );
-        let denom = query.qnorm * norm;
-        if denom <= f32::MIN_POSITIVE {
-            return 1.0;
-        }
-        let dot = code_dot(&query.codes, codes) as f64;
-        let dot_ub = query.scale * scale as f64 * dot
-            + query.norm * residual as f64
-            + query.residual * norm as f64;
-        // `min` returns its other operand for a NaN.
-        (dot_ub / denom as f64 + UB_SLACK).min(1.0)
     }
 }
 
@@ -553,6 +478,10 @@ fn le_f32(bytes: &[u8]) -> f32 {
     f32::from_le_bytes(bytes.try_into().expect("4 bytes"))
 }
 
+/// Bytes a hydrating or verifying pass reads with one positioned read: a
+/// run of adjacent blocks up to this size (or one block, if it is larger).
+const RUN_BYTES: usize = 256 << 10;
+
 /// An opened vector segment: row metadata resident, payload blocks fetched
 /// lazily through the shared [`BlockCache`].
 ///
@@ -565,10 +494,13 @@ fn le_f32(bytes: &[u8]) -> f32 {
 /// codes i8 × dim │ scale f32 │ residual f32 │ norm f32
 /// ```
 ///
-/// (the norm alone in a segment sealed without sketches), with the ids and the signature words in flat arrays beside it and a
-/// block → first-row prefix array. A row bound reads one record; opening a
-/// segment allocates per segment, not per block; and what a cold pass costs
-/// does not depend on how many blocks its candidates span.
+/// (the norm alone in a segment sealed without sketches), with the ids and
+/// the signature words in flat arrays beside it. Every method takes a
+/// **row** number of the segment, and every block but the last holds
+/// exactly `block_rows` rows (the one writer seals so, and `open` holds a
+/// file to it), so a row's block is its quotient ([`Self::block_of`]). A row bound reads one record; opening a segment
+/// allocates per segment, not per block; and what a cold pass costs does
+/// not depend on how many blocks its candidates span.
 pub struct VectorSegment {
     cache_id: u32,
     segment: Segment,
@@ -576,9 +508,9 @@ pub struct VectorSegment {
     sig_bits: usize,
     sketches: bool,
     manifest: Vec<u8>,
-    /// Segment-wide number of each block's first row, and after the last
-    /// block the row count: block `b` holds rows `first_row[b]..first_row[b + 1]`.
-    first_row: Vec<u32>,
+    block_rows: usize,
+    words_per_sig: usize,
+    record_len: usize,
     ids: Vec<ItemId>,
     sig_words: Vec<u64>,
     records: Vec<u8>,
@@ -625,18 +557,19 @@ impl VectorSegment {
         let words_per_sig = sig_bits.div_ceil(64);
         let record_len = record_len(dim, sketches);
 
-        // The prefix array first: it sizes the slab, which is then
-        // allocated once. A row count is bounded by the bytes of the blob
-        // that states it, and every record byte comes out of a blob.
+        // The row count first: it sizes the slab, which is then allocated
+        // once. A row count is bounded by the bytes of the blob that states
+        // it, and every record byte comes out of a blob. Every block is
+        // full but the last, which is not empty.
         let blocks = segment.block_count();
-        let mut first_row = Vec::with_capacity(blocks + 1);
         let (mut total, mut blob_bytes) = (0usize, 0usize);
         for b in 0..blocks {
-            first_row.push(total as u32);
             let blob = segment.block_meta(b);
             let (rows, _) = take_array(&mut &blob[..], 4)?;
-            if rows == 0 || rows > block_rows {
-                return Err(SegmentError::Corrupt(format!("block {b} has {rows} rows")));
+            if rows == 0 || rows > block_rows || (rows < block_rows && b + 1 < blocks) {
+                return Err(SegmentError::Corrupt(format!(
+                    "block {b} of {blocks} has {rows} rows in {block_rows}-row blocks"
+                )));
             }
             total += rows;
             blob_bytes += blob.len();
@@ -647,7 +580,6 @@ impl VectorSegment {
                 "{total} rows of {record_len} metadata bytes do not fit the directory"
             )));
         }
-        first_row.push(total as u32);
         let mut ids = Vec::with_capacity(total);
         let mut sig_words = Vec::with_capacity(total * words_per_sig);
         let mut records = vec![0u8; total * record_len];
@@ -711,7 +643,9 @@ impl VectorSegment {
             sig_bits,
             sketches,
             manifest,
-            first_row,
+            block_rows,
+            words_per_sig,
+            record_len,
             ids,
             sig_words,
             records,
@@ -744,61 +678,116 @@ impl VectorSegment {
 
     /// Number of blocks.
     pub fn block_count(&self) -> usize {
-        self.first_row.len() - 1
+        self.segment.block_count()
     }
 
-    /// Total rows across blocks: the last entry of the prefix array.
+    /// Total rows across blocks.
     pub fn row_count(&self) -> usize {
         self.ids.len()
     }
 
-    /// The resident metadata of one block's rows.
-    pub fn rows(&self, block: usize) -> BlockRows<'_> {
-        let (start, end) = (self.first_row[block] as usize, self.first_row[block + 1] as usize);
-        let words_per_sig = self.sig_bits.div_ceil(64);
-        let record_len = record_len(self.dim, self.sketches);
-        BlockRows {
-            ids: &self.ids[start..end],
-            sig_words: &self.sig_words[start * words_per_sig..end * words_per_sig],
-            words_per_sig,
-            records: &self.records[start * record_len..end * record_len],
-            record_len,
-        }
+    /// The block holding row `row`.
+    #[inline]
+    pub fn block_of(&self, row: usize) -> usize {
+        row / self.block_rows
+    }
+
+    /// The rows block `block` holds.
+    pub fn block_span(&self, block: usize) -> std::ops::Range<usize> {
+        let start = block * self.block_rows;
+        start..(start + self.block_rows).min(self.row_count())
+    }
+
+    /// Every row's id, in row order.
+    pub fn ids(&self) -> &[ItemId] {
+        &self.ids
     }
 
     /// The resident packed signature words of one row.
-    pub fn sig_words_of(&self, block: usize, row: usize) -> &[u64] {
-        self.rows(block).sig_words(row)
+    #[inline]
+    pub fn sig_words(&self, row: usize) -> &[u64] {
+        &self.sig_words[row * self.words_per_sig..(row + 1) * self.words_per_sig]
     }
 
     /// Reconstruct the signature of one row from the resident words.
-    pub fn signature_of(&self, block: usize, row: usize) -> Signature {
-        Signature { words: self.sig_words_of(block, row).to_vec(), bits: self.sig_bits }
+    pub fn signature_of(&self, row: usize) -> Signature {
+        Signature { words: self.sig_words(row).to_vec(), bits: self.sig_bits }
     }
 
-    /// Read one block's payload bytes with a positioned read, verified
-    /// against the directory (CRC and expected length), past the cache.
-    pub(crate) fn read_payload(
-        &self,
-        block: usize,
-        bytes: &mut Vec<u8>,
-    ) -> Result<(), SegmentError> {
-        self.segment.read_block_into(block, bytes)?;
-        let expected = self.rows(block).ids.len() * self.dim * 4;
-        if bytes.len() != expected {
-            return Err(SegmentError::Corrupt(format!(
-                "block {block} payload is {} bytes, expected {expected}",
-                bytes.len(),
-            )));
+    #[inline]
+    fn record(&self, row: usize) -> &[u8] {
+        &self.records[row * self.record_len..(row + 1) * self.record_len]
+    }
+
+    /// The stored L2 norm of one row: the last field of its record.
+    #[inline]
+    pub fn norm(&self, row: usize) -> f32 {
+        let record = self.record(row);
+        le_f32(&record[record.len() - NORM_TAIL..])
+    }
+
+    /// One row's record, taken apart: `(codes, scale, residual, norm)`.
+    #[inline]
+    fn sketch(&self, row: usize) -> (&[u8], f32, f32, f32) {
+        let codes = self.record_len.checked_sub(SKETCH_TAIL);
+        let (codes, tail) = self.record(row).split_at(codes.expect("a record with a sketch"));
+        (codes, le_f32(&tail[..4]), le_f32(&tail[4..8]), le_f32(&tail[8..]))
+    }
+
+    /// An upper bound (in f64, [`UB_SLACK`]-padded) on the exact f32 cosine
+    /// the re-ranker would compute for row `row` against the query `q` that
+    /// `query` quantizes. With `q̂ = s_q·c_q` and `x̂ = s_x·c_x`:
+    ///
+    /// ```text
+    /// dot(q, x) = dot(q̂, x̂) + dot(q̂, x − x̂) + dot(q − q̂, x)
+    ///           ≤ s_q·s_x·Σ c_q·c_x + ‖q̂‖·e_x + e_q·‖x‖
+    /// ```
+    ///
+    /// divided by the same f32 `‖q‖·norm` the exact score divides by, and
+    /// capped at the trivial bound 1.0. A degenerate denominator scores 0.0
+    /// exactly and a non-finite query makes the sum NaN or infinite: both
+    /// get 1.0 — never prune what cannot be bounded.
+    ///
+    /// Everything it reads of the row is the row's one record. Panics on a
+    /// segment sealed without sketches (there is nothing to bound with;
+    /// such a segment cannot be attached).
+    #[inline]
+    pub fn cosine_upper_bound(&self, row: usize, query: &QueryCodes) -> f64 {
+        let (codes, scale, residual, norm) = self.sketch(row);
+        assert_eq!(
+            codes.len(),
+            query.codes.len(),
+            "a sketched record holds one code per dimension"
+        );
+        let denom = query.qnorm * norm;
+        if denom <= f32::MIN_POSITIVE {
+            return 1.0;
         }
-        Ok(())
+        let dot = code_dot(&query.codes, codes) as f64;
+        let dot_ub = query.scale * scale as f64 * dot
+            + query.norm * residual as f64
+            + query.residual * norm as f64;
+        // `min` returns its other operand for a NaN.
+        (dot_ub / denom as f64 + UB_SLACK).min(1.0)
+    }
+
+    /// Hand `visit` every block's verified payload bytes, in block order,
+    /// past the cache: adjacent blocks are read in runs of up to
+    /// [`RUN_BYTES`] with one positioned read each, and every block of a run
+    /// is CRC-checked before any of it is handed out. The first block that
+    /// fails stops the pass with [`SegmentError::Corrupt`].
+    pub(crate) fn for_each_payload(
+        &self,
+        visit: impl FnMut(usize, &[u8]),
+    ) -> Result<(), SegmentError> {
+        let mut run = Vec::new();
+        self.segment.read_runs(0..self.block_count(), RUN_BYTES, &mut run, visit)
     }
 
     /// Read and verify every block's payload once, keeping nothing: after
     /// this, every byte of the file has been compared with its checksum.
     pub fn verify_payloads(&self) -> Result<(), SegmentError> {
-        let mut bytes = Vec::new();
-        (0..self.block_count()).try_for_each(|block| self.read_payload(block, &mut bytes))
+        self.for_each_payload(|_, _| ())
     }
 
     /// Fetch one block's vectors through the cache (row-major,
@@ -811,7 +800,7 @@ impl VectorSegment {
         }
         self.cache.get_or_load((self.cache_id, block as u32), || {
             BLOCK_BYTES.with_borrow_mut(|bytes| {
-                self.read_payload(block, bytes)?;
+                self.segment.read_block_into(block, bytes)?;
                 Ok(bytes
                     .chunks_exact(4)
                     .map(|c| f32::from_le_bytes(c.try_into().expect("4 bytes")))
@@ -824,12 +813,6 @@ impl VectorSegment {
     /// resident.
     pub fn evict_from_cache(&self) -> usize {
         self.cache.evict_segment(self.cache_id)
-    }
-
-    /// Drop one block from the cache, if it is resident (its page was
-    /// released).
-    pub(crate) fn evict_block(&self, block: usize) {
-        self.cache.lru.lock().remove(&(self.cache_id, block as u32));
     }
 
     /// The shared cache this segment pages through.
@@ -974,7 +957,7 @@ mod tests {
         // `x − s·c` leaves the bound nothing but its slack (and the query's
         // own, far smaller, residual).
         for b in 0..seg.block_count() {
-            let (codes, scale, ..) = seg.rows(b).sketch(0);
+            let (codes, scale, ..) = seg.sketch(seg.block_span(b).start);
             let data = seg.block(b).expect("read");
             let residual = data[..dim].iter().zip(codes);
             queries.push(residual.map(|(x, &c)| x - scale * c as i8 as f32).collect());
@@ -991,10 +974,10 @@ mod tests {
         for (i, q) in queries.iter().enumerate() {
             let (codes, qnorm) = codes_of(q);
             for b in 0..seg.block_count() {
-                let (meta, data) = (seg.rows(b), seg.block(b).expect("read"));
-                for r in 0..meta.ids.len() {
-                    let ub = meta.cosine_upper_bound(r, &codes);
-                    let score = score_row(q, qnorm, meta.norm(r), &data, r, dim);
+                let (span, data) = (seg.block_span(b), seg.block(b).expect("read"));
+                for (r, row) in span.enumerate() {
+                    let ub = seg.cosine_upper_bound(row, &codes);
+                    let score = score_row(q, qnorm, seg.norm(row), &data, r, dim);
                     assert!(score <= ub, "query {i} block {b} row {r}: {score} exceeds {ub}");
                     if i < aligned {
                         tightest = tightest.min(ub - score);
@@ -1008,8 +991,7 @@ mod tests {
             let mut q = unit(dim, &mut rng);
             q[7] = bad;
             let (codes, _) = codes_of(&q);
-            let meta = seg.rows(0);
-            assert!((0..meta.ids.len()).all(|r| meta.cosine_upper_bound(r, &codes) == 1.0));
+            assert!(seg.block_span(0).all(|row| seg.cosine_upper_bound(row, &codes) == 1.0));
         }
         std::fs::remove_dir_all(path.parent().unwrap()).ok();
     }
@@ -1040,7 +1022,7 @@ mod tests {
                     // Blocks of three: the slab, not the block, is what a
                     // row number indexes.
                     let seg = segment_of(&rows, 3);
-                    let sketch_of = |r: usize| seg.rows(r / 3).sketch(r % 3);
+                    let sketch_of = |r: usize| seg.sketch(r);
                     let extreme = sketch_of(rows.len() - 1).0;
                     assert!(extreme.iter().all(|&c| c == 127));
                     let mut queries = vec![vec![1.0f32; dim], vec![-1.0; dim]];
@@ -1067,7 +1049,7 @@ mod tests {
                                 .map(|(&q, &c)| q as i64 * c as i8 as i64)
                                 .sum();
                             assert_eq!(code_dot(&codes.codes, row_codes) as i64, strict);
-                            let ub = seg.rows(r / 3).cosine_upper_bound(r % 3, &codes);
+                            let ub = seg.cosine_upper_bound(r, &codes);
                             let score = score_row(q, qnorm, norm, v, 0, dim);
                             // An f32 dot that overflowed scores NaN, which
                             // no heap accepts: nothing to dominate.
@@ -1127,9 +1109,9 @@ mod tests {
                 for q in &queries {
                     let (codes, _) = codes_of(q);
                     for (n, v) in rows.iter().enumerate() {
-                        let meta = seg.rows(n / block_rows);
-                        let got = meta.cosine_upper_bound(n % block_rows, &codes);
-                        let want = formula(&codes, v, meta.norm(n % block_rows));
+                        assert_eq!(seg.block_of(n), n / block_rows);
+                        let got = seg.cosine_upper_bound(n, &codes);
+                        let want = formula(&codes, v, seg.norm(n));
                         assert_eq!(
                             got.to_bits(),
                             want.to_bits(),
@@ -1230,13 +1212,12 @@ mod tests {
 
         let by_id: FxHashMap<ItemId, &SegmentRow> = rows.iter().map(|r| (r.id, r)).collect();
         for b in 0..seg.block_count() {
-            let meta = seg.rows(b);
             let data = seg.block(b).expect("read block");
-            for (r, &id) in meta.ids.iter().enumerate() {
-                let want = by_id[&id];
+            for (r, row) in seg.block_span(b).enumerate() {
+                let want = by_id[&seg.ids()[row]];
                 assert_eq!(&data[r * dim..(r + 1) * dim], want.vector.as_slice());
-                assert_eq!(meta.norm(r), want.norm);
-                assert_eq!(seg.signature_of(b, r), want.signature);
+                assert_eq!(seg.norm(row), want.norm);
+                assert_eq!(seg.signature_of(row), want.signature);
             }
         }
         assert!(cache.stats().len > 0);

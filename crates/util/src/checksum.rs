@@ -21,12 +21,16 @@
 //! is the first register fed 512 zero bytes, xored with the second; four
 //! more compile-time tables do that feeding in four lookups. What is left
 //! after the last whole span takes plain slice-by-16 steps, then a
-//! bytewise tail. An 8 KiB block verifies at ~2.5 GB/s on a 2.1 GHz
+//! bytewise tail. An 8 KiB buffer verifies at ~2.5 GB/s on a 2.1 GHz
 //! Xeon, against ~1.6 GB/s for one lane and ~0.3 GB/s bytewise. Safe code
 //! only, no CPU-feature dispatch: every host runs the same instructions.
 //! This CRC sits under every cold block read of the paged tier, every
 //! checkpoint and every recover, so its speed is query latency, not
-//! housekeeping.
+//! housekeeping. A block is checked on its own, so its length is what
+//! decides the path: a page of the default 2 rows at `dim` 128 is 1 KiB,
+//! exactly one span, and a page under 1 KiB (one row at `dim` 128, or any
+//! page of a small `dim`) never takes the two-lane path and runs at the
+//! one-lane rate.
 //!
 //! **Digest stability.** The digest is part of the on-disk format of every
 //! `WGSG` segment. Any replacement kernel must be bit-identical for every
@@ -42,7 +46,7 @@ const SLICES: usize = 16;
 /// Bytes per lane: [`Crc32::update`] folds each `2 * LANE`-byte span as two
 /// halves at once, so a span is `LANE / SLICES` steps of two independent
 /// lookup chains. Lanes of 256 or 1,024 bytes, and four lanes, verify an
-/// 8 KiB block no faster (EXPERIMENTS.md "Two checksum lanes").
+/// 8 KiB buffer no faster (EXPERIMENTS.md "Two checksum lanes").
 const LANE: usize = 512;
 
 /// The register fed one zero bit, with no pre- or post-inversion.

@@ -401,20 +401,96 @@ impl Segment {
     }
 
     fn read_verified(&self, block: usize, payload: &mut Vec<u8>) -> Result<(), SegmentError> {
-        let info = self
-            .blocks
-            .get(block)
-            .ok_or_else(|| SegmentError::Corrupt(format!("block {block} out of range")))?;
+        let info = self.info(block)?;
         let payload_len = info.payload_len as usize;
         payload.resize(payload_len + 4, 0);
         self.source.read_exact_at(payload, info.offset)?;
-        let stored = u32::from_le_bytes(payload[payload_len..].try_into().expect("4 bytes"));
+        self.check(block, payload)?;
         payload.truncate(payload_len);
+        Ok(())
+    }
+
+    fn info(&self, block: usize) -> Result<&BlockInfo, SegmentError> {
+        self.blocks
+            .get(block)
+            .ok_or_else(|| SegmentError::Corrupt(format!("block {block} out of range")))
+    }
+
+    /// Hold `framed` — block `block`'s payload and the CRC word stored after
+    /// it — to the directory: the stored word and the CRC recomputed over
+    /// the payload must both equal the directory's value.
+    fn check(&self, block: usize, framed: &[u8]) -> Result<(), SegmentError> {
+        let info = &self.blocks[block];
+        let (payload, stored) = framed.split_at(info.payload_len as usize);
+        let stored = u32::from_le_bytes(stored.try_into().expect("4 bytes"));
         if stored != info.crc || crc32(payload) != info.crc {
             return Err(SegmentError::Corrupt(format!(
                 "block {block} checksum mismatch at offset {}",
                 info.offset
             )));
+        }
+        Ok(())
+    }
+
+    /// Hand `visit` the verified payload of every block in `blocks`, in
+    /// order, reading **runs**: blocks that follow one another on disk are
+    /// read together, with one positioned read into `run`, while the run
+    /// stays within `max_run` bytes (one block larger than that is a run of
+    /// its own). Every block of a run is checked as
+    /// [`Self::read_block_into`] checks one before any of the run is handed
+    /// out, so `visit` never sees a byte of a run holding a damaged block;
+    /// the first one is the error, and `run` is left empty. `run` is the
+    /// caller's, so a pass allocates it once.
+    pub fn read_runs(
+        &self,
+        blocks: std::ops::Range<usize>,
+        max_run: usize,
+        run: &mut Vec<u8>,
+        mut visit: impl FnMut(usize, &[u8]),
+    ) -> Result<(), SegmentError> {
+        let mut first = blocks.start;
+        while first < blocks.end {
+            let start = self.info(first)?.offset;
+            let (mut end, mut len) = (first + 1, self.blocks[first].payload_len as u64 + 4);
+            while end < blocks.end {
+                let next = self.info(end)?;
+                let grown = len + next.payload_len as u64 + 4;
+                if next.offset != start + len || grown > max_run as u64 {
+                    break;
+                }
+                (end, len) = (end + 1, grown);
+            }
+            let read = self.read_run(first..end, start, len as usize, run);
+            if read.is_err() {
+                run.clear();
+                return read;
+            }
+            let mut at = 0;
+            for block in first..end {
+                let payload_len = self.blocks[block].payload_len as usize;
+                visit(block, &run[at..at + payload_len]);
+                at += payload_len + 4;
+            }
+            first = end;
+        }
+        Ok(())
+    }
+
+    /// Read the `len` bytes at `offset` that hold `blocks`, and check each.
+    fn read_run(
+        &self,
+        blocks: std::ops::Range<usize>,
+        offset: u64,
+        len: usize,
+        run: &mut Vec<u8>,
+    ) -> Result<(), SegmentError> {
+        run.resize(len, 0);
+        self.source.read_exact_at(run, offset)?;
+        let mut at = 0;
+        for block in blocks {
+            let framed = self.blocks[block].payload_len as usize + 4;
+            self.check(block, &run[at..at + framed])?;
+            at += framed;
         }
         Ok(())
     }
@@ -505,6 +581,81 @@ mod tests {
         assert!(buf.is_empty(), "damaged bytes must not be handed out");
         seg.read_block_into(2, &mut buf).expect("intact block still reads");
         assert_eq!(buf, vec![0xAB; 1000]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Blocks as a pass hands them out: `(block, payload)`, in order.
+    type Handed = Vec<(usize, Vec<u8>)>;
+
+    /// `blocks` read in runs of at most `max_run` bytes, as handed out, and
+    /// the run buffer's capacity.
+    fn read_in_runs(
+        seg: &Segment,
+        blocks: std::ops::Range<usize>,
+        max_run: usize,
+    ) -> Result<(Handed, usize), SegmentError> {
+        let (mut out, mut run) = (Vec::new(), Vec::new());
+        seg.read_runs(blocks, max_run, &mut run, |block, payload| {
+            out.push((block, payload.to_vec()));
+        })?;
+        Ok((out, run.capacity()))
+    }
+
+    #[test]
+    fn runs_hand_out_what_single_reads_do_and_stop_at_the_first_damaged_block() {
+        let dir = temp_dir("runs");
+        let path = dir.join("seg.wgs");
+        // Twelve 100-byte blocks and one 1000-byte one, framed with their
+        // CRC words: 104 and 1004 bytes on disk.
+        let mut b = SegmentBuilder::new(0);
+        for i in 0..13u8 {
+            let len = if i == 6 { 1000 } else { 100 };
+            b.push_block(&vec![i; len], &[i]);
+        }
+        let bytes = b.finish(&[]);
+        for seg in open_both(&path, &bytes) {
+            let seg = seg.expect("open");
+            let want: Handed =
+                (0..13).map(|b| (b, read_block(&seg, b).expect("single read"))).collect();
+            // A run of one block, runs of a few, one larger block than the
+            // bound alone, every block in one run; and a range from the
+            // middle.
+            for max_run in [0, 104, 312, 400, 2_000, 1 << 20] {
+                let (got, capacity) = read_in_runs(&seg, 0..13, max_run).expect("runs");
+                assert_eq!(got, want, "max_run {max_run}");
+                // Bounded by the largest run; growth at most doubles it.
+                let largest = max_run.clamp(1004, 13 * 104 + 900);
+                assert!(capacity <= 2 * largest, "max_run {max_run}: {capacity}");
+            }
+            assert_eq!(read_in_runs(&seg, 4..9, 312).expect("runs").0, want[4..9]);
+            assert!(matches!(read_in_runs(&seg, 12..14, 312), Err(SegmentError::Corrupt(_))));
+        }
+        // A flip in any block of a run fails the pass at that block, typed,
+        // before anything of its run is handed out, and leaves no bytes in
+        // the buffer.
+        for damaged in [0usize, 2, 6, 12] {
+            let at =
+                PREAMBLE_LEN + (0..damaged).map(|b| if b == 6 { 1004 } else { 104 }).sum::<usize>();
+            for byte in [at, at + 50, at + 99] {
+                let mut broken = bytes.clone();
+                broken[byte] ^= 0x08;
+                for seg in open_both(&path, &broken) {
+                    let seg = seg.expect("payload damage opens");
+                    let (mut seen, mut run) = (Vec::new(), Vec::new());
+                    let err = seg.read_runs(0..13, 3 * 104, &mut run, |b, _| seen.push(b));
+                    match err {
+                        Err(SegmentError::Corrupt(msg)) => {
+                            assert!(msg.starts_with(&format!("block {damaged} ")), "{msg}")
+                        }
+                        other => panic!("block {damaged}: expected a typed refusal, {other:?}"),
+                    }
+                    assert!(run.is_empty(), "damaged bytes must not stay in the buffer");
+                    // Runs of 312 bytes: 0–2, 3–5, 6 alone, 7–9, 10–12.
+                    let run_start = [0, 0, 0, 3, 3, 3, 6, 7, 7, 7, 10, 10, 10][damaged];
+                    assert_eq!(seen, (0..run_start).collect::<Vec<_>>(), "block {damaged}");
+                }
+            }
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

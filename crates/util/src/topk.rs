@@ -55,10 +55,12 @@ impl<T: Ord> TopK<T> {
 
     /// Offer an item; keeps it only if it ranks among the best `k` so far.
     /// NaN scores are rejected outright.
-    // A re-rank calls this once per candidate. Without the hint a caller
-    // compiled in another codegen unit may call it out of line, which cost
-    // the warm lookup ~8% (EXPERIMENTS.md "One tokenizer").
-    #[inline]
+    // A re-rank calls this once per candidate. Called out of line it cost
+    // the warm lookup ~8% (EXPERIMENTS.md "One tokenizer"), and `#[inline]`
+    // alone is a hint the search loop outgrew once: a smaller attached
+    // pass left the resident scan calling it again (EXPERIMENTS.md "Small
+    // pages").
+    #[inline(always)]
     pub fn push(&mut self, score: f64, item: T) {
         if self.k == 0 || score.is_nan() {
             return;

@@ -352,6 +352,75 @@ fn loader_survives_truncation_at_every_length() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A checkpoint of eight one-column tables sealed a row a block: eight
+/// adjacent blocks, which a hydrating load reads with one positioned read
+/// and checks block by block before it decodes any of them.
+fn one_run_of_blocks(tag: &str) -> (WarpGateConfig, Vec<u8>) {
+    let config = WarpGateConfig { dim: 64, threads: 1, ..Default::default() }.with_block_rows(1);
+    let mut w = Warehouse::new(tag);
+    for t in 0..8 {
+        let values: Vec<String> = (0..24).map(|i| format!("t{t} val {i}")).collect();
+        w.database_mut("db")
+            .add_table(Table::new(format!("t{t}"), vec![Column::text("x", values)]).unwrap());
+    }
+    let wg = WarpGate::with_backend(config, Arc::new(CdwConnector::new(w, CdwConfig::free())));
+    wg.index_warehouse().unwrap();
+    let bytes = wg.to_bytes();
+    let segment = warpgate::util::segment::Segment::from_bytes(bytes.clone()).unwrap();
+    assert_eq!(segment.block_count(), 8, "a block per row");
+    let payload = (0..8).map(|b| segment.block_payload_len(b) + 4).sum::<usize>();
+    assert!(payload < 64 << 10, "the blocks are one run: {payload} bytes");
+    (config, bytes)
+}
+
+#[test]
+fn a_flip_or_a_cut_inside_a_run_of_blocks_fails_the_load_typed_and_touches_nothing() {
+    let (config, bytes) = one_run_of_blocks("run");
+    let dir = tmp_dir("run");
+    let path = dir.join("snapshot.bin");
+    // The system the failed loads must leave as it was: the two-table
+    // fixture, which ranks one column against the other.
+    let c = Arc::new(CdwConnector::new(small_warehouse("run-probe"), CdwConfig::free()));
+    let mut probe = WarpGate::with_backend(config, c);
+    probe.index_warehouse().unwrap();
+    let query = ColumnRef::new("db", "a", "x");
+    let before = probe.discover(&query, 3).unwrap().candidates;
+    assert!(!before.is_empty());
+    let untouched = |probe: &WarpGate, what: &str| {
+        assert_eq!(probe.len(), 2, "{what} partially mutated the system");
+    };
+    // Every bit position of every byte over the file, a byte at a time:
+    // payload flips land in every block of the run — first, middle, last
+    // — and in each block's CRC word.
+    for offset in 0..bytes.len() {
+        let mut broken = bytes.clone();
+        broken[offset] ^= 1 << (offset % 8);
+        std::fs::write(&path, &broken).unwrap();
+        match probe.load_from_file(&path) {
+            Err(StoreError::SnapshotCorrupt(msg)) => assert!(!msg.is_empty()),
+            Ok(()) => panic!("flip at byte {offset} loaded"),
+            Err(e) => panic!("flip at byte {offset}: unexpected error class {e}"),
+        }
+        untouched(&probe, &format!("flip at byte {offset}"));
+    }
+    // Cut anywhere, inside a block of the run included.
+    for len in 0..bytes.len() {
+        std::fs::write(&path, &bytes[..len]).unwrap();
+        match probe.load_from_file(&path) {
+            Err(StoreError::SnapshotCorrupt(msg)) => assert!(!msg.is_empty()),
+            Ok(()) => panic!("truncation to {len} loaded"),
+            Err(e) => panic!("truncation to {len}: unexpected error class {e}"),
+        }
+        untouched(&probe, &format!("truncation to {len}"));
+    }
+    assert_eq!(probe.discover(&query, 3).unwrap().candidates, before);
+    // The intact file loads: eight rows from the one run.
+    std::fs::write(&path, &bytes).unwrap();
+    probe.load_from_file(&path).unwrap();
+    assert_eq!(probe.len(), 8);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 // ---------------------------------------------------------------------
 // save_to_file atomicity regression.
 // ---------------------------------------------------------------------

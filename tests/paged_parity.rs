@@ -162,9 +162,10 @@ fn two_block_budget_serves_identical_rankings_with_bounded_residency() {
         serve_under_a_two_block_budget(block_rows).into_iter().enumerate()
     {
         // Every block holding a candidate row is either read or pruned;
-        // the row bounds must leave at most a sixth of them to read (69 of
-        // 747 here: a family's dozen near-duplicates sit in one or two
-        // 16-row pages, its other candidates are bounded away).
+        // the row bounds must leave at most a sixth of them to read (256
+        // of 3,770 here in 2-row pages, 69 of 747 in the previous 16-row
+        // default: a family's dozen near-duplicates sit in a few pages,
+        // its other candidates are bounded away).
         assert!(
             6 * reads <= reads + pruned,
             "pass {pass}: read {reads} of {} candidate blocks",
@@ -175,9 +176,13 @@ fn two_block_budget_serves_identical_rankings_with_bounded_residency() {
 
 #[test]
 fn any_page_size_serves_identical_rankings_within_budget() {
-    // From one row a page to the parent's default, every block but the
-    // last full or not (3 does not divide 400).
-    for block_rows in [1, 3, 16, 64] {
+    // From one row a page to 64: the default, the pages it was chosen
+    // from, the previous two defaults, and a last block that is not full
+    // (3 does not divide 400).
+    let mut sizes = vec![1, 2, 3, 4, 16, 64, WarpGateConfig::default().block_rows];
+    sizes.sort_unstable();
+    sizes.dedup();
+    for block_rows in sizes {
         // The larger the page, the more of a pass's candidate pages hold a
         // row worth reading: a tenth at one row, a fifth at 64.
         for (reads, pruned) in serve_under_a_two_block_budget(block_rows) {
@@ -190,25 +195,35 @@ fn any_page_size_serves_identical_rankings_within_budget() {
     }
 }
 
-#[test]
-fn a_directory_sealed_in_64_row_pages_loads_under_the_default_and_ranks_identically() {
-    // What a node running the previous default (64 rows) left on disk: the
-    // page size is the file's, read from its header, whatever the loading
-    // system would seal with itself.
-    let (ram, connector, queries, want) = ram_reference(64);
-    let dir = tmp_dir("sealed_at_64");
+/// What a node running an earlier default left on disk, sealed in
+/// `block_rows`-row pages, loads under today's default and ranks like RAM:
+/// the page size is the file's, read from its header, whatever the loading
+/// system would seal with itself.
+fn a_directory_sealed_in_other_pages_loads_under_the_default(block_rows: usize) {
+    let (ram, connector, queries, want) = ram_reference(block_rows);
+    let dir = tmp_dir(&format!("sealed_at_{block_rows}"));
     ram.save_paged(&dir).unwrap();
     let config = WarpGateConfig { dim: DIM, threads: 2, ..Default::default() };
-    assert_ne!(config.block_rows, 64, "the loader seals with another page size");
+    assert_ne!(config.block_rows, block_rows, "the loader seals with another page size");
     let mut paged = WarpGate::with_backend(config, connector);
     paged.load_paged(&dir).unwrap();
     assert_eq!(paged.cold_len(), ram.len());
     for (q, expect) in queries.iter().zip(&want) {
         assert_eq!(&paged.discover(q, 5).unwrap().candidates, expect, "{q}");
     }
-    // 400 rows in 64-row pages.
-    assert!(paged.block_cache_stats().len <= 400usize.div_ceil(64));
+    // 400 rows in the file's pages, not the loader's.
+    assert!(paged.block_cache_stats().len <= 400usize.div_ceil(block_rows));
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_directory_sealed_in_64_row_pages_loads_under_the_default_and_ranks_identically() {
+    a_directory_sealed_in_other_pages_loads_under_the_default(64);
+}
+
+#[test]
+fn a_directory_sealed_in_16_row_pages_loads_under_the_default_and_ranks_identically() {
+    a_directory_sealed_in_other_pages_loads_under_the_default(16);
 }
 
 #[test]

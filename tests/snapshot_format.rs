@@ -257,22 +257,24 @@ fn counts_that_lie_are_refused_before_anything_is_reserved() {
     // after banding and seed; past its one `default` row the registry's;
     // the sync state's in front of its one backend, `default` again, and
     // that backend's token count after its name. Then the block
-    // count, and in the one block's entry its payload length and — first
-    // thing in its metadata — its row count.
+    // count, and in the first block's entry its payload length and —
+    // first thing in its metadata — its row count: the four rows in pages
+    // of the default size.
     let names_at = MANIFEST_AT + 4 + 4 + 8;
     let entries_at = names_at + 4 + 4 + 4 + "default".len();
     let sync_at = last_at(directory, b"\x07\0\0\0default") - 4;
     let tokens_at = sync_at + 4 + 4 + "default".len();
     let header_len = u32::from_le_bytes(directory[8..12].try_into().unwrap()) as usize;
     let blocks_at = HEADER_LEN_AT + 4 + header_len;
+    let page = WarpGateConfig::default().block_rows;
     let cases = [
         (names_at, 1, "needs at least 8 bytes each"),
         (entries_at, 4, "needs at least 16 bytes each"),
         (sync_at, 1, "needs at least 8 bytes each"),
         (tokens_at, 4, "needs at least 16 bytes each"),
-        (blocks_at, 1, "needs at least 20 bytes each"),
-        (blocks_at + 4 + 8, 4 * 128 * 4, "escapes the data region"),
-        (blocks_at + 4 + 8 + 4 + 4 + 4, 4, "unexpected end of input"),
+        (blocks_at, 4usize.div_ceil(page), "needs at least 20 bytes each"),
+        (blocks_at + 4 + 8, page.min(4) * 128 * 4, "escapes the data region"),
+        (blocks_at + 4 + 8 + 4 + 4 + 4, page.min(4), "unexpected end of input"),
     ];
     // 2^30 is the most a length prefix may claim: × 16 bytes an entry, or
     // × 512 a row, a reservation of tens to hundreds of GB if believed.
