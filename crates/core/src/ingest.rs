@@ -1,9 +1,8 @@
 //! The indexing pipeline (paper Fig. 2, left): scan → embed → insert over
 //! what changed in the warehouse since the index last reflected it. One
 //! reconciliation ([`WarpGate::sync`]) is the only way the index changes:
-//! a first build is the sync that finds every table new. Also here: the
-//! one ordered fan-out ([`in_order`]) that both pipelines spread their
-//! per-column work with.
+//! a first build is the sync that finds every table new. Its per-column
+//! work spreads over one ordered fan-out ([`in_order`]).
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -346,7 +345,7 @@ impl WarpGate {
     }
 }
 
-/// The system's one fan-out: run `work` over `items` on `threads` threads
+/// Indexing's fan-out: run `work` over `items` on `threads` threads
 /// — the caller is one of them, so one thread or one item spawns nothing —
 /// and hand the results to `commit` **on the calling thread, in item
 /// order**, one chunk at a time, each as soon as every earlier chunk is
@@ -360,7 +359,7 @@ impl WarpGate {
 /// item, so nobody starts (and bills) another one; a failed chunk never
 /// commits, and so neither does any chunk after it. The first error to
 /// arrive is the one returned.
-pub(crate) fn in_order<'a, T, R, E>(
+fn in_order<'a, T, R, E>(
     items: &'a [T],
     threads: usize,
     work: impl Fn(&T) -> Result<R, E> + Sync,

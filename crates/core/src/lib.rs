@@ -25,19 +25,16 @@
 //!   [`JoinCandidate`]s with a [`QueryTiming`] decomposition
 //!   (load / embed / lookup — the decomposition behind the paper's
 //!   Table 2 analysis). Repeated queries hit a keyed embedding cache
-//!   and skip the scan+embed phases entirely;
-//!   [`WarpGate::discover_batch`] spreads many queries over worker
-//!   threads for join-graph construction.
+//!   and skip the scan+embed phases entirely.
 //!
 //! One way in per verb: a serving verb takes its options as an argument
-//! ([`QueryOptions`] for `discover_with` / `discover_batch` /
-//! `joinability`, a backend and a deadline for `sync_with`), and
-//! `&QueryOptions::default()` is the plain call; only `discover`, `sync`
-//! and `index_warehouse` keep a plain spelling beside it. The code is laid
-//! out the same way: `system.rs` holds the state and attach / detach,
-//! `ingest.rs` the indexing pipeline and the one ordered fan-out both
-//! pipelines use, `query.rs` the search pipeline behind one request
-//! preamble.
+//! ([`QueryOptions`] for `discover_with` / `joinability`, a backend and a
+//! deadline for `sync_with`), and `&QueryOptions::default()` is the plain
+//! call; only `discover`, `sync` and `index_warehouse` keep a plain
+//! spelling beside it. The code is laid out the same way: `system.rs`
+//! holds the state and attach / detach, `ingest.rs` the indexing pipeline
+//! and its ordered fan-out, `query.rs` the search pipeline behind one
+//! request preamble.
 //!
 //! Concurrency: one reader–writer lock covers the state both pipelines
 //! share — each namespace's backend handle, attach epoch and version
@@ -71,8 +68,8 @@
 //! concurrency cap with a bounded FIFO wait queue that sheds with the
 //! retryable `Overloaded`; cooperative request deadlines
 //! (`wg_util::Deadline`) are checked at every pipeline phase boundary.
-//! Both reach `discover_with` / `discover_batch` / `joinability` through
-//! [`QueryOptions`] (and a deadline reaches `sync_with`).
+//! Both reach `discover_with` / `joinability` through [`QueryOptions`]
+//! (and a deadline reaches `sync_with`).
 //!
 //! Durability (§10 of DESIGN.md): snapshots are checksummed and written
 //! atomically, persisted sync tokens let a restarted node's first `sync()`

@@ -12,7 +12,6 @@ use wg_util::deadline::{Deadline, Phase};
 use wg_util::timing::Stopwatch;
 
 use crate::cache::{Embedding, EmbeddingKey};
-use crate::ingest::in_order;
 use crate::system::{deadline_err, Attached, WarpGate};
 use crate::timing::QueryTiming;
 
@@ -40,9 +39,8 @@ pub struct Discovery {
     pub outcome: SearchOutcome,
 }
 
-/// Per-request serving options of [`WarpGate::discover_with`],
-/// [`WarpGate::discover_batch`] and [`WarpGate::joinability`] —
-/// DESIGN.md §12.
+/// Per-request serving options of [`WarpGate::discover_with`] and
+/// [`WarpGate::joinability`] — DESIGN.md §12.
 ///
 /// `QueryOptions::default()` is the plain call: unscoped, no deadline.
 #[derive(Debug, Clone, Default)]
@@ -100,7 +98,27 @@ impl WarpGate {
         opts: &QueryOptions,
     ) -> StoreResult<Discovery> {
         self.admitted(opts, [query.backend], |resolved| {
-            self.discover_one(&resolved[0], query, k, opts, false)
+            let run = &resolved[0];
+            let mut timing = QueryTiming { backend: Some(query.backend), ..QueryTiming::default() };
+            let weight = self.config.context_weight;
+            let embedding = self.embedding(run, query, weight, opts.deadline, Some(&mut timing))?;
+            if timing.cache_hit {
+                run.backend.validate_column(query)?;
+            }
+            let (mut candidates, mut outcome) = (Vec::new(), SearchOutcome::default());
+            if let Some(signature) = &embedding.signature {
+                (candidates, outcome, timing.lookup_secs) = self.search_vector(
+                    &embedding.vector,
+                    signature,
+                    query,
+                    k,
+                    &opts.scope,
+                    opts.deadline,
+                )?;
+                timing.blocks_read = outcome.blocks_read as u64;
+                timing.blocks_pruned = outcome.blocks_pruned as u64;
+            }
+            Ok(Discovery { query: query.clone(), candidates, timing, outcome })
         })
     }
 
@@ -127,41 +145,6 @@ impl WarpGate {
         }
         let _permit = self.acquire_admission()?;
         serve(&resolved)
-    }
-
-    /// One query after the preamble — the shared body of single queries
-    /// and batch workers. `validated` says no existence check is wanted
-    /// (batches validate everything up front and must not re-pay a catalog
-    /// lookup per query); otherwise a cache hit checks existence itself,
-    /// and a miss leaves it to the scan.
-    fn discover_one(
-        &self,
-        run: &Attached,
-        query: &ColumnRef,
-        k: usize,
-        opts: &QueryOptions,
-        validated: bool,
-    ) -> StoreResult<Discovery> {
-        let mut timing = QueryTiming { backend: Some(query.backend), ..QueryTiming::default() };
-        let weight = self.config.context_weight;
-        let embedding = self.embedding(run, query, weight, opts.deadline, Some(&mut timing))?;
-        if timing.cache_hit && !validated {
-            run.backend.validate_column(query)?;
-        }
-        let (mut candidates, mut outcome) = (Vec::new(), SearchOutcome::default());
-        if let Some(signature) = &embedding.signature {
-            (candidates, outcome, timing.lookup_secs) = self.search_vector(
-                &embedding.vector,
-                signature,
-                query,
-                k,
-                &opts.scope,
-                opts.deadline,
-            )?;
-            timing.blocks_read = outcome.blocks_read as u64;
-            timing.blocks_pruned = outcome.blocks_pruned as u64;
-        }
-        Ok(Discovery { query: query.clone(), candidates, timing, outcome })
     }
 
     /// A column's signed embedding, through the cache: probe →
@@ -203,9 +186,11 @@ impl WarpGate {
 
         deadline.check(Phase::Embed).map_err(deadline_err)?;
         let sw = Stopwatch::start();
-        // Schema context costs the query one (free) metadata call.
+        // Schema context costs the query one (free) metadata call. A failed
+        // one fails the query and caches nothing: without the sibling
+        // columns the vector would differ from the one indexing built.
         let table_columns = if context_weight > 0.0 {
-            run.backend.table_meta(&r.database, &r.table).map(|m| m.columns).unwrap_or_default()
+            run.backend.table_meta(&r.database, &r.table)?.columns
         } else {
             Vec::new()
         };
@@ -216,45 +201,6 @@ impl WarpGate {
         // repeatable, and skipping the re-scan is the whole point.
         self.cache.put(miss, key, embedding.clone());
         Ok(embedding)
-    }
-
-    /// Batched discovery: answer many queries in one call, fanning the
-    /// scan → embed → lookup pipeline out over worker threads (the same
-    /// `in_order` fan-out indexing uses). This is the warehouse-wide
-    /// join-graph workload: results come back in input order, and repeated
-    /// or previously seen query columns hit the embedding cache. Queries
-    /// may span namespaces; each scans only its own backend.
-    ///
-    /// The whole batch runs under **one** admission slot (a batch is one
-    /// caller; the cap bounds callers, not columns) and is shed whole.
-    /// Once admitted, every query is validated up front — one bad ref
-    /// fails the batch before any column is scanned (and billed) — and
-    /// workers skip the per-query catalog lookup. The deadline is
-    /// re-checked before every per-query phase. The configured
-    /// `threads` value is honored even past the hardware thread count:
-    /// against a blocking backend (e.g. a remote warehouse over TCP)
-    /// oversubscription is how in-flight scans overlap; the default
-    /// (`threads == 0`) resolves to one worker per hardware thread, which
-    /// is right for the in-process compute-bound backends.
-    pub fn discover_batch(
-        &self,
-        queries: &[ColumnRef],
-        k: usize,
-        opts: &QueryOptions,
-    ) -> StoreResult<Vec<Discovery>> {
-        self.admitted(opts, queries.iter().map(|q| q.backend), |resolved| {
-            for q in queries {
-                namespace(resolved, q.backend).backend.validate_column(q)?;
-            }
-            let mut answers = Vec::with_capacity(queries.len());
-            in_order(
-                queries,
-                self.config.effective_threads(),
-                |q| self.discover_one(namespace(resolved, q.backend), q, k, opts, true),
-                |_, chunk| answers.extend(chunk),
-            )?;
-            Ok(answers)
-        })
     }
 
     /// Ad-hoc discovery from raw values (no warehouse column backing the

@@ -373,65 +373,6 @@ fn remove_table_evicts_cached_embeddings() {
 }
 
 #[test]
-fn discover_batch_matches_sequential_discover() {
-    let (wg, _c) = system();
-    let queries = vec![
-        ColumnRef::new("salesforce", "account", "name"),
-        ColumnRef::new("salesforce", "lead", "company"),
-        ColumnRef::new("stocks", "industries", "company_name"),
-        ColumnRef::new("salesforce", "account", "name"), // repeat → cache
-    ];
-    let sequential: Vec<_> =
-        queries.iter().map(|q| wg.discover(q, 4).unwrap().candidates).collect();
-    let batch = wg.discover_batch(&queries, 4, &QueryOptions::default()).unwrap();
-    assert_eq!(batch.len(), queries.len());
-    for (i, d) in batch.iter().enumerate() {
-        assert_eq!(d.query, queries[i], "results must come back in input order");
-        assert_eq!(d.candidates, sequential[i], "batch diverges on query {i}");
-        assert!(d.timing.cache_hit, "batch after sequential must be fully cached");
-    }
-}
-
-#[test]
-fn discover_batch_cold_and_single_threaded() {
-    let c = connector();
-    let wg = WarpGate::with_backend(
-        WarpGateConfig { threads: 1, cache_capacity: 0, ..Default::default() },
-        c,
-    );
-    wg.index_warehouse().unwrap();
-    let queries = vec![
-        ColumnRef::new("salesforce", "account", "name"),
-        ColumnRef::new("stocks", "industries", "company_name"),
-    ];
-    let batch = wg.discover_batch(&queries, 3, &QueryOptions::default()).unwrap();
-    assert_eq!(batch.len(), 2);
-    assert!(batch.iter().all(|d| !d.candidates.is_empty()));
-}
-
-#[test]
-fn discover_batch_rejects_unknown_query_upfront() {
-    let (wg, c) = system();
-    let cost_before = c.costs();
-    // The invalid ref sits in the MIDDLE of otherwise valid queries:
-    // validation must reject the whole batch before any scan is billed.
-    let queries = vec![
-        ColumnRef::new("salesforce", "account", "name"),
-        ColumnRef::new("nope", "t", "c"),
-        ColumnRef::new("stocks", "industries", "company_name"),
-    ];
-    assert!(matches!(
-        wg.discover_batch(&queries, 3, &QueryOptions::default()),
-        Err(StoreError::NotFound(_))
-    ));
-    assert_eq!(
-        c.costs().since(&cost_before).requests,
-        0,
-        "validation must reject the batch before any scan is billed"
-    );
-}
-
-#[test]
 fn index_report_counts() {
     let c = connector();
     let wg = WarpGate::with_backend(WarpGateConfig::default(), c);
@@ -610,6 +551,8 @@ impl WarehouseBackend for TogglableBackend {
 struct MetaCountingBackend {
     inner: Arc<CdwConnector>,
     table_meta_calls: wg_util::sync::Mutex<Vec<(String, String)>>,
+    /// Fail the next `table_meta` with a transient error.
+    fail_next_meta: std::sync::atomic::AtomicBool,
 }
 
 impl WarehouseBackend for MetaCountingBackend {
@@ -621,6 +564,9 @@ impl WarehouseBackend for MetaCountingBackend {
     }
     fn table_meta(&self, database: &str, table: &str) -> StoreResult<TableMeta> {
         self.table_meta_calls.lock().push((database.to_string(), table.to_string()));
+        if self.fail_next_meta.swap(false, std::sync::atomic::Ordering::Relaxed) {
+            return Err(StoreError::Unavailable(format!("{database}.{table}")));
+        }
         WarehouseBackend::table_meta(self.inner.as_ref(), database, table)
     }
     fn scan_column(&self, r: &ColumnRef, sample: SampleSpec) -> StoreResult<wg_store::Column> {
@@ -651,6 +597,7 @@ fn indexing_with_schema_context_asks_for_metadata_per_table_not_per_column() {
         let backend = Arc::new(MetaCountingBackend {
             inner: connector(),
             table_meta_calls: Default::default(),
+            fail_next_meta: Default::default(),
         });
         let wg = WarpGate::with_backend(config, backend.clone());
         run(&wg);
@@ -687,6 +634,35 @@ fn indexing_with_schema_context_asks_for_metadata_per_table_not_per_column() {
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(state.index.vector(id).unwrap()), bits(&want.0), "{r}");
     }
+}
+
+#[test]
+fn a_failed_metadata_read_fails_a_context_query_and_caches_nothing() {
+    let config = WarpGateConfig { threads: 1, ..Default::default() }.with_context(0.3);
+    let backend = Arc::new(MetaCountingBackend {
+        inner: connector(),
+        table_meta_calls: Default::default(),
+        fail_next_meta: Default::default(),
+    });
+    let wg = WarpGate::with_backend(config, backend.clone());
+    wg.index_warehouse().unwrap();
+    let control = WarpGate::with_backend(config, connector());
+    control.index_warehouse().unwrap();
+    let q = ColumnRef::new("salesforce", "account", "name");
+    let ranking = |wg: &WarpGate| {
+        let d = wg.discover(&q, 5).unwrap();
+        let ranking = d.candidates.iter().map(|c| (c.reference.clone(), c.score.to_bits()));
+        (ranking.collect::<Vec<_>>(), d.timing.cache_hit)
+    };
+
+    // Without its sibling columns the query's context vector would differ
+    // from the one indexing built: the query fails, and nothing is cached.
+    backend.fail_next_meta.store(true, std::sync::atomic::Ordering::Relaxed);
+    assert!(matches!(wg.discover(&q, 5), Err(StoreError::Unavailable(_))));
+    let (want, _) = ranking(&control);
+    assert!(!want.is_empty());
+    assert_eq!(ranking(&wg), (want.clone(), false), "the retry embeds afresh");
+    assert_eq!(ranking(&wg), (want, true), "and caches what indexing built");
 }
 
 #[test]
@@ -1118,10 +1094,9 @@ fn expired_deadline_sheds_before_any_billed_scan() {
     assert!(matches!(err, StoreError::DeadlineExceeded { phase: Phase::Validate }), "{err}");
     assert!(!err.is_retryable(), "retrying against the same dead clock is pointless");
     assert_eq!(c.costs().since(&before).requests, 0, "no scan billed past expiry");
-    // Joinability and batch take the same gate.
+    // Joinability takes the same gate.
     let b = ColumnRef::new("stocks", "industries", "company_name");
     assert!(wg.joinability(&q, &b, &opts).is_err());
-    assert!(wg.discover_batch(&[q], 3, &opts).is_err());
     assert_eq!(c.costs().since(&before).requests, 0);
 }
 

@@ -75,7 +75,7 @@ impl GroundTruth {
     }
 
     /// Number of queries.
-    pub fn num_queries(&self) -> usize {
+    fn num_queries(&self) -> usize {
         self.answers.values().filter(|a| !a.is_empty()).count()
     }
 

@@ -101,7 +101,7 @@ impl TestbedSpec {
     }
 
     /// Effective average rows after scaling (floor 60).
-    pub fn scaled_avg_rows(&self) -> usize {
+    fn scaled_avg_rows(&self) -> usize {
         ((self.avg_rows as f64 * self.row_scale) as usize).max(60)
     }
 }

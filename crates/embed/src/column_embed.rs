@@ -4,7 +4,7 @@
 //! **distinct values with multiplicities** — the dictionary the column
 //! store maintains anyway — under one of three weighting schemes. The
 //! scheme is an explicit design knob because the paper leaves aggregation
-//! unspecified; `bench ablation_aggregation` compares them.
+//! unspecified; `reproduce ablations` compares them.
 
 use std::collections::hash_map::Entry;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -15,8 +15,7 @@
 //! β = 0 reproduces the paper's value-only embedding; small β (0.1–0.3)
 //! separates columns with near-identical value sets but different roles
 //! (e.g. `ship_city` vs `billing_city` tables) while keeping value overlap
-//! dominant. The `ablation_aggregation` bench and the core config's
-//! `context_weight` expose this knob.
+//! dominant. The core config's `context_weight` exposes this knob.
 
 use crate::model::EmbeddingModel;
 use crate::vector::Vector;
@@ -30,13 +29,6 @@ pub struct ColumnContext {
     pub table_name: String,
     /// Names of the sibling columns in the same table.
     pub siblings: Vec<String>,
-}
-
-impl ColumnContext {
-    /// Context for a bare column name (no table information).
-    pub fn name_only(column_name: impl Into<String>) -> Self {
-        Self { column_name: column_name.into(), ..Default::default() }
-    }
 }
 
 /// Compute the context vector for a column. Weights: the column's own name
@@ -144,7 +136,10 @@ mod tests {
         let m = model();
         let embedder = ColumnEmbedder::new(m.clone(), Aggregation::default());
         let e = embedder.embed_column(&Column::text("c", ["x", "y"]));
-        let ctx = context_vector(m.as_ref(), &ColumnContext::name_only("c"));
+        let ctx = context_vector(
+            m.as_ref(),
+            &ColumnContext { column_name: "c".into(), ..Default::default() },
+        );
         assert_eq!(blend_context(&e, &ctx, 0.0), e);
     }
 
@@ -160,7 +155,10 @@ mod tests {
     #[test]
     fn zero_values_fall_back_to_context() {
         let m = model();
-        let ctx = context_vector(m.as_ref(), &ColumnContext::name_only("price"));
+        let ctx = context_vector(
+            m.as_ref(),
+            &ColumnContext { column_name: "price".into(), ..Default::default() },
+        );
         let z = Vector::zeros(ctx.dim());
         assert_eq!(blend_context(&z, &ctx, 0.5), ctx);
     }

@@ -217,6 +217,7 @@ impl VectorStore {
     }
 
     /// Vectors held.
+    #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
         let fill = self.fill.lock();
         fill.published + fill.words.len()

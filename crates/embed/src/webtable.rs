@@ -107,7 +107,8 @@ impl WebTableModel {
     }
 
     /// Number of cached token vectors.
-    pub fn cache_len(&self) -> usize {
+    #[cfg(test)]
+    fn cache_len(&self) -> usize {
         self.tokens.len()
     }
 

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! cargo run -p wg_eval --release --bin reproduce -- all
-//! cargo run -p wg_eval --release --bin reproduce -- table1 fig4a fig4b fig4c table2 samples bert sigma scale
+//! cargo run -p wg_eval --release --bin reproduce -- table1 fig4a fig4b fig4c table2 samples bert sigma scale ablations
 //! ```
 //!
 //! Row scales default to the values in `wg_eval::scale_for`; set
@@ -10,12 +10,22 @@
 //! anything else is refused).
 
 use wg_corpora::{build_sigma, build_spider, build_testbed, Corpus, TestbedSpec};
-use wg_eval::experiments::{bert, figure4, samples, scale, sigma_adhoc, table1, table2};
+use wg_eval::experiments::{ablations, bert, figure4, samples, scale, sigma_adhoc, table1, table2};
 use wg_eval::experiments::{connect, connect_free};
 use wg_eval::{report, row_scale_mult, scale_for};
 
-const EXPERIMENTS: [&str; 9] =
-    ["table1", "fig4a", "fig4b", "fig4c", "table2", "samples", "bert", "sigma", "scale"];
+const EXPERIMENTS: [&str; 10] = [
+    "table1",
+    "fig4a",
+    "fig4b",
+    "fig4c",
+    "table2",
+    "samples",
+    "bert",
+    "sigma",
+    "scale",
+    "ablations",
+];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -47,6 +57,7 @@ fn main() {
             "bert" => run_bert(),
             "sigma" => run_sigma(),
             "scale" => run_scale(),
+            "ablations" => run_ablations(),
             other => unreachable!("'{other}' passed the name check"),
         }
     }
@@ -142,4 +153,12 @@ fn run_sigma() {
 fn run_scale() {
     let r = scale::run(4_000, 7);
     println!("{}", scale::render(&r));
+}
+
+fn run_ablations() {
+    let corpus = build_testbed(&TestbedSpec::xs(scale_for("testbedXS")));
+    eprintln!("[ablations] four sweeps on {} ...", corpus.name);
+    let connector = connect_free(corpus.warehouse.clone());
+    let rows = ablations::run(&corpus, &connector);
+    println!("{}", ablations::render(&corpus.name, &rows));
 }

@@ -3,6 +3,7 @@
 
 use std::sync::Arc;
 
+use warpgate_core::WarpGateConfig;
 use wg_corpora::Corpus;
 use wg_embed::{MiniBertConfig, MiniBertModel};
 use wg_store::{BackendHandle, SampleSpec};
@@ -43,11 +44,12 @@ pub fn run(corpus: &Corpus, backend: &BackendHandle) -> Vec<BertRow> {
     let mut out = Vec::new();
     for model_name in ["web-table", "mini-bert"] {
         for (label, spec) in specs() {
+            let config = WarpGateConfig::default().with_sample(spec);
             let system = match model_name {
-                "web-table" => build_warpgate(backend, spec, None),
+                "web-table" => build_warpgate(backend, config, None),
                 _ => build_warpgate(
                     backend,
-                    spec,
+                    config,
                     Some(Arc::new(MiniBertModel::new(MiniBertConfig::default()))),
                 ),
             }

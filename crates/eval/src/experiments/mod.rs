@@ -1,6 +1,7 @@
 //! One module per table/figure of the paper (see DESIGN.md §4 for the
 //! experiment index).
 
+pub mod ablations;
 pub mod bert;
 pub mod figure4;
 pub mod samples;

@@ -7,6 +7,7 @@
 //! lookup time and mean end-to-end response time — the paper's claims are
 //! that effectiveness barely moves while both times collapse.
 
+use warpgate_core::WarpGateConfig;
 use wg_corpora::Corpus;
 use wg_store::{BackendHandle, SampleSpec};
 
@@ -29,7 +30,7 @@ pub struct SampleRow {
 }
 
 /// Sample sizes the paper sweeps.
-pub fn sample_specs() -> Vec<(String, SampleSpec)> {
+fn sample_specs() -> Vec<(String, SampleSpec)> {
     vec![
         ("10".into(), SampleSpec::Reservoir { n: 10, seed: 0x5A17 }),
         ("100".into(), SampleSpec::Reservoir { n: 100, seed: 0x5A17 }),
@@ -43,7 +44,8 @@ pub fn run(corpus: &Corpus, backend: &BackendHandle) -> Vec<SampleRow> {
     let kmax = *KS.iter().max().expect("ks");
     let mut out = Vec::new();
     for (label, spec) in sample_specs() {
-        let system = build_warpgate(backend, spec, None).expect("warpgate build");
+        let system = build_warpgate(backend, WarpGateConfig::default().with_sample(spec), None)
+            .expect("warpgate build");
         let mut lookup = 0.0;
         let mut response = 0.0;
         let mut rankings = Vec::with_capacity(corpus.queries.len());

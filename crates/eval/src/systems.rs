@@ -150,14 +150,14 @@ pub fn build_systems(
     ])
 }
 
-/// Build just WarpGate with a given sample spec and embedding model choice.
+/// Build just WarpGate under `config` with a given embedding model choice.
 /// Cache disabled for the same cold-query reason as [`build_systems`].
 pub fn build_warpgate(
     backend: &BackendHandle,
-    sample: SampleSpec,
+    config: WarpGateConfig,
     model: Option<Arc<dyn wg_embed::EmbeddingModel>>,
 ) -> StoreResult<WarpGateSystem> {
-    let config = WarpGateConfig { sample, cache_capacity: 0, ..WarpGateConfig::default() };
+    let config = config.with_cache_capacity(0);
     let wg = match model {
         Some(m) => WarpGate::with_model(config, m),
         None => WarpGate::new(config),

@@ -77,12 +77,13 @@ impl Default for LshParams {
 }
 
 /// `P[one SimHash bit agrees]` at cosine similarity `s`.
-pub fn bit_collision_probability(s: f64) -> f64 {
+#[cfg(test)]
+fn bit_collision_probability(s: f64) -> f64 {
     1.0 - s.clamp(-1.0, 1.0).acos() / std::f64::consts::PI
 }
 
 /// Inverse of [`bit_collision_probability`].
-pub fn similarity_of_bit_probability(p: f64) -> f64 {
+fn similarity_of_bit_probability(p: f64) -> f64 {
     (std::f64::consts::PI * (1.0 - p.clamp(0.0, 1.0))).cos()
 }
 

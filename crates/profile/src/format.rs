@@ -19,7 +19,7 @@ pub struct FormatProfile {
 }
 
 /// The collapsed character-class pattern of one value.
-pub fn pattern_of(value: &str) -> String {
+fn pattern_of(value: &str) -> String {
     let mut out = String::new();
     let mut last: Option<char> = None;
     for ch in value.chars() {

@@ -16,7 +16,7 @@ use crate::value::Value;
 ///
 /// Returns an error for unterminated quotes or ragged rows (a row whose
 /// field count differs from the header's).
-pub fn parse_records(input: &str) -> StoreResult<Vec<Vec<String>>> {
+fn parse_records(input: &str) -> StoreResult<Vec<Vec<String>>> {
     let mut records: Vec<Vec<String>> = Vec::new();
     let mut record: Vec<String> = Vec::new();
     let mut field = String::new();

@@ -38,7 +38,7 @@ pub enum KeyNorm {
 impl KeyNorm {
     /// The normalized key bytes for a value, or `None` for NULL (NULL never
     /// matches NULL, as in SQL).
-    pub fn key_of(&self, v: ValueRef<'_>, scratch: &mut Vec<u8>) -> Option<u64> {
+    fn key_of(&self, v: ValueRef<'_>, scratch: &mut Vec<u8>) -> Option<u64> {
         if v.is_null() {
             return None;
         }

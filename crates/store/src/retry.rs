@@ -104,7 +104,7 @@ trait RetryClock: Send + Sync {
 
 /// A clock that never blocks: backoff time is charged to the cost model
 /// (see [`CostSnapshot::virtual_secs`]) but not slept — the workspace's
-/// benches and tests stay fast, exactly like the simulated CDW's virtual
+/// benchmark and tests stay fast, exactly like the simulated CDW's virtual
 /// network latency.
 #[derive(Debug, Default, Clone, Copy)]
 struct VirtualClock;

@@ -52,7 +52,7 @@ impl SampleSpec {
     /// For [`SampleSpec::DistinctReservoir`] the indices point at the first
     /// occurrence of each chosen distinct value, so `column.take(&idx)`
     /// yields one row per sampled value.
-    pub fn select_rows(&self, column: &Column, len: usize) -> Vec<usize> {
+    fn select_rows(&self, column: &Column, len: usize) -> Vec<usize> {
         match *self {
             SampleSpec::Full => (0..len).collect(),
             SampleSpec::Head(n) => (0..len.min(n)).collect(),

@@ -34,7 +34,7 @@
 //!
 //! **Digest stability.** The digest is part of the on-disk format of every
 //! `WGSG` segment. Any replacement kernel must be bit-identical for every
-//! input and every [`Crc32::update`] split; the tests pin that against the
+//! input and every `Crc32::update` split; the tests pin that against the
 //! bytewise reference loop and against digests written down as literals.
 
 /// Reflected IEEE CRC-32 polynomial (zlib, PNG, `cksum -o 3`).
@@ -167,26 +167,19 @@ fn fold16(crc: u32, c: &[u8]) -> u32 {
 /// Streaming CRC-32 state: feed bytes with [`Crc32::update`], read the
 /// digest with [`Crc32::finalize`]. One-shot hashing goes through
 /// [`crc32`].
-#[derive(Debug, Clone)]
-pub struct Crc32 {
+struct Crc32 {
     state: u32,
-}
-
-impl Default for Crc32 {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl Crc32 {
     /// Fresh state (the standard all-ones preset).
-    pub fn new() -> Self {
+    fn new() -> Self {
         Self { state: !0 }
     }
 
     /// Absorb a chunk. Chunking never changes the digest:
     /// `update(a); update(b)` equals `update(ab)`.
-    pub fn update(&mut self, bytes: &[u8]) {
+    fn update(&mut self, bytes: &[u8]) {
         let mut crc = self.state;
         let mut spans = bytes.chunks_exact(2 * LANE);
         for span in &mut spans {
@@ -214,7 +207,7 @@ impl Crc32 {
 
     /// The digest of everything absorbed so far (final xor applied; the
     /// state itself is untouched, so more updates may follow).
-    pub fn finalize(&self) -> u32 {
+    fn finalize(&self) -> u32 {
         !self.state
     }
 }

@@ -108,8 +108,8 @@ pub fn put_f32(buf: &mut Vec<u8>, v: f32) {
 }
 
 /// Read an `f32`.
-#[inline]
-pub fn get_f32(buf: &mut &[u8]) -> CodecResult<f32> {
+#[cfg(test)]
+fn get_f32(buf: &mut &[u8]) -> CodecResult<f32> {
     take_array(buf).map(f32::from_le_bytes)
 }
 

@@ -57,8 +57,8 @@
 //! another, then checkpoints (see the `resilient_service` example for the
 //! full stack).
 //! Serving verbs take their options as an argument — `discover_with(q, k,
-//! &QueryOptions)`, `discover_batch`, `joinability` — and `discover(q, k)`
-//! is the default-options call.
+//! &QueryOptions)` and `joinability` — and `discover(q, k)` is the
+//! default-options call.
 //!
 //! Under load the system sheds rather than hangs, and it does so in one
 //! place — the node's request preamble, deadline → resolve → admission →

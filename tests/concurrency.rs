@@ -1,6 +1,6 @@
 //! Concurrency stress tests for the hot path — a system's namespaces,
 //! registry and index behind one reader–writer lock: reader threads mixing
-//! `discover`, `discover_batch`, `joinability` and checkpoints beside
+//! `discover`, `joinability` and checkpoints beside
 //! writer threads that each drop, restore or add warehouse tables of their
 //! own and `sync` after each change (so their syncs contend, and one may
 //! pick up another writer's change), or that detach and re-attach
@@ -92,7 +92,7 @@ fn mixed_discover_index_remove_stress() {
 
     let query = ColumnRef::new("core", "accounts", "name");
     std::thread::scope(|scope| {
-        // Readers: discover + joinability + batch against the stable core.
+        // Readers: discover + joinability against the stable core.
         for r in 0..READER_THREADS {
             let wg = &wg;
             let query = &query;
@@ -112,14 +112,9 @@ fn mixed_discover_index_remove_stress() {
                         assert!(j > 0.8, "joinability collapsed to {j}");
                     }
                     if i % 5 == 0 {
-                        let batch = wg
-                            .discover_batch(
-                                &[query.clone(), other.clone()],
-                                3,
-                                &QueryOptions::default(),
-                            )
-                            .unwrap();
-                        assert_eq!(batch.len(), 2);
+                        for q in [query, &other] {
+                            wg.discover(q, 3).unwrap();
+                        }
                     }
                 }
             });
@@ -208,7 +203,7 @@ fn removed_tables_never_resurface() {
 #[test]
 fn concurrent_batch_indexing_loses_nothing() {
     // Many small tables synced in from parallel writers while readers
-    // batch-query the ones already in: the per-table installs must neither
+    // query the ones already in: the per-table installs must neither
     // drop nor double-count columns.
     const WRITERS: usize = 3;
     let table = |t: usize| {
@@ -236,8 +231,9 @@ fn concurrent_batch_indexing_loses_nothing() {
             scope.spawn(move || {
                 let queries = [ColumnRef::new("db", "t0", "a"), ColumnRef::new("db", "t0", "b")];
                 while !done.load(Ordering::SeqCst) {
-                    let batch = wg.discover_batch(&queries, 5, &QueryOptions::default()).unwrap();
-                    assert_eq!(batch.len(), 2);
+                    for q in &queries {
+                        wg.discover(q, 5).unwrap();
+                    }
                 }
             });
         }

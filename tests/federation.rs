@@ -259,19 +259,17 @@ fn sync_attributes_costs_per_backend_and_sync_backend_stays_scoped() {
     // Mutate ONE table in ONE warehouse (the CDW), then sync only it:
     // exactly one column re-scans, and the other warehouses' meters do
     // not move at all.
-    fed.cdw_conn.warehouse_mut().database_mut("crm").add_table(
-        Table::new(
-            "leads",
-            vec![Column::text(
-                "company",
-                (0..30).map(|i| format!("Fresh Lead {i}")).collect::<Vec<_>>(),
-            )],
-        )
-        .unwrap(),
-    );
-    fed.cdw_conn.reset_costs();
-    fed.lake_backend.reset_costs();
-    fed.served_conn.reset_costs();
+    let leads = |label: &str| {
+        let values = (0..30).map(|i| format!("{label} {i}")).collect::<Vec<_>>();
+        Table::new("leads", vec![Column::text("company", values)]).unwrap()
+    };
+    let reset_costs = || {
+        fed.cdw_conn.reset_costs();
+        fed.lake_backend.reset_costs();
+        fed.served_conn.reset_costs();
+    };
+    fed.cdw_conn.warehouse_mut().database_mut("crm").add_table(leads("Fresh Lead"));
+    reset_costs();
     let incremental = fed.wg.sync_with(Some(fed.cdw), Deadline::none()).unwrap();
     assert_eq!(incremental.tables_updated, 1);
     assert_eq!(incremental.columns_indexed, 1, "only the mutated table's column re-embeds");
@@ -282,6 +280,42 @@ fn sync_attributes_costs_per_backend_and_sync_backend_stays_scoped() {
     // A follow-up federated sync is a no-op everywhere.
     let settled = fed.wg.sync().unwrap();
     assert!(settled.is_noop(), "everything reconciled: {settled:?}");
+
+    // Mutate the same table again and sync the whole federation: only the
+    // CDW bills, its slice carries the whole bill, and the index then ranks
+    // like a fresh federated build over the same content.
+    fed.cdw_conn.warehouse_mut().database_mut("crm").add_table(leads("Second Lead"));
+    reset_costs();
+    let federated = fed.wg.sync().unwrap();
+    assert_eq!((federated.tables_updated, federated.columns_indexed), (1, 1));
+    assert_eq!(fed.cdw_conn.costs().requests, 1, "one column scan on the mutated CDW");
+    assert_eq!(fed.lake_backend.costs().requests, 0, "unchanged lake bills nothing");
+    assert_eq!(fed.served_conn.costs().requests, 0, "unchanged remote bills nothing");
+    for (id, slice) in &federated.per_backend {
+        if *id == fed.cdw {
+            assert_eq!(slice.cost.requests, 1, "the CDW's slice carries its scan");
+            assert_eq!(slice.cost, federated.cost, "and the whole bill");
+        } else {
+            assert!(slice.is_noop(), "{id:?}: {slice:?}");
+        }
+    }
+    let fresh = Federation::stand_up("sync-fresh");
+    fresh.cdw_conn.warehouse_mut().database_mut("crm").add_table(leads("Second Lead"));
+    fresh.wg.index_warehouse().unwrap();
+    for (ours, theirs, db, table, column) in [
+        (fed.cdw, fresh.cdw, "crm", "leads", "company"),
+        (fed.cdw, fresh.cdw, "crm", "accounts", "name"),
+        (fed.lake, fresh.lake, "exports", "dump", "company_name"),
+        (fed.remote, fresh.remote, "ops", "vendors", "vendor"),
+    ] {
+        let synced = fed.wg.discover(&ColumnRef::scoped(ours, db, table, column), 5).unwrap();
+        let want = fresh.wg.discover(&ColumnRef::scoped(theirs, db, table, column), 5).unwrap();
+        assert_eq!(
+            flat(&synced.candidates),
+            flat(&want.candidates),
+            "a federated sync diverged from a fresh build on {db}.{table}.{column}"
+        );
+    }
 }
 
 #[test]

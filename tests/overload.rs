@@ -211,8 +211,7 @@ impl WarehouseBackend for GatedBackend {
 
 /// Shedding protects the warehouse: with the only admission slot held
 /// inside a scan, a shed request — a `discover` of a warm, a cold or a
-/// nonexistent column; a batch; a `joinability` — makes zero backend
-/// calls.
+/// nonexistent column; a `joinability` — makes zero backend calls.
 #[test]
 fn shed_requests_never_touch_the_backend() {
     let gated = GatedBackend::new();
@@ -238,13 +237,10 @@ fn shed_requests_never_touch_the_backend() {
         let refused: Vec<(String, Result<(), StoreError>)> = [&warm_q, &cold_q, &unknown]
             .map(|q| (q.to_string(), wg.discover_with(q, 3, &plain).map(drop)))
             .into_iter()
-            .chain([
-                (
-                    "batch".to_string(),
-                    wg.discover_batch(&[warm_q.clone(), cold_q.clone()], 3, &plain).map(drop),
-                ),
-                ("joinability".to_string(), wg.joinability(&warm_q, &cold_q, &plain).map(drop)),
-            ])
+            .chain([(
+                "joinability".to_string(),
+                wg.joinability(&warm_q, &cold_q, &plain).map(drop),
+            )])
             .collect();
         let calls_during_shedding = gated.calls.load(Ordering::SeqCst) - calls;
 
@@ -258,5 +254,65 @@ fn shed_requests_never_touch_the_backend() {
         assert!(matches!(outcome, Err(StoreError::Overloaded { .. })), "{what}: {outcome:?}");
     }
     assert_eq!(calls_during_shedding, 0, "a shed request must not reach the backend");
-    assert!(wg.admission_stats().expect("admission is on").shed_queue_full >= 5);
+    assert!(wg.admission_stats().expect("admission is on").shed_queue_full >= 4);
+}
+
+/// Eight callers at once against one admission slot and no queue, over a
+/// warehouse whose every scan stalls: each call either answers exactly as
+/// the unloaded system did — same candidates, scores bit for bit — or is
+/// shed with the typed `Overloaded`, and admission accounts for every call.
+#[test]
+fn concurrent_discovers_over_one_slot_answer_exactly_or_shed_typed() {
+    const CALLERS: usize = 8;
+    let connector: BackendHandle = Arc::new(CdwConnector::new(warehouse(), CdwConfig::free()));
+    let slow: BackendHandle = Arc::new(FaultInjector::new(connector, FaultPlan::hang(0.002)));
+    // The cache is off, so every admitted call scans (and stalls).
+    let wg = WarpGate::with_backend(
+        WarpGateConfig { threads: 1, cache_capacity: 0, ..Default::default() }
+            .with_admission(1, 0, 0),
+        slow,
+    );
+    wg.index_warehouse().expect("index");
+    let queries = [
+        ColumnRef::new("crm", "accounts", "name"),
+        ColumnRef::new("crm", "leads", "company"),
+        ColumnRef::new("finance", "industries", "company_name"),
+    ];
+    let ranking = |d: &Discovery| -> Vec<(ColumnRef, u32)> {
+        d.candidates.iter().map(|c| (c.reference.clone(), c.score.to_bits())).collect()
+    };
+    let control: Vec<_> = queries.iter().map(|q| ranking(&wg.discover(q, 3).unwrap())).collect();
+    assert!(control.iter().all(|r| !r.is_empty()));
+    let before = wg.admission_stats().expect("admission is on");
+
+    let start = Barrier::new(CALLERS);
+    let outcomes: Vec<_> = std::thread::scope(|scope| {
+        let callers: Vec<_> = (0..CALLERS)
+            .map(|i| {
+                let (wg, start, q) = (&wg, &start, &queries[i % queries.len()]);
+                scope.spawn(move || {
+                    start.wait();
+                    (i, wg.discover(q, 3))
+                })
+            })
+            .collect();
+        callers.into_iter().map(|c| c.join().expect("caller must not panic")).collect()
+    });
+
+    let mut shed = 0;
+    for (i, outcome) in outcomes {
+        match outcome {
+            Ok(d) => assert_eq!(ranking(&d), control[i % queries.len()], "caller {i}"),
+            Err(StoreError::Overloaded { .. }) => shed += 1,
+            Err(e) => panic!("caller {i}: only a typed shed may fail a call: {e:?}"),
+        }
+    }
+    let after = wg.admission_stats().expect("admission is on");
+    let admitted =
+        (after.admitted + after.queued_admitted) - (before.admitted + before.queued_admitted);
+    let refused = (after.shed_queue_full + after.shed_timeout)
+        - (before.shed_queue_full + before.shed_timeout);
+    assert_eq!(refused, shed, "every shed the callers saw is counted");
+    assert_eq!(admitted + refused, CALLERS as u64, "admission accounts for every call");
+    assert!(admitted >= 1, "a free slot admits, so some answer was compared");
 }

@@ -2,8 +2,7 @@
 //! vector and signature computed once, by an earlier query — ranks exactly
 //! as one that scans, embeds and signs afresh, scores included, bit for
 //! bit. Held over testbedXS on a default system and on one with the cache
-//! off, one query at a time and through `discover_batch`, before and after
-//! a sync that changes two tables.
+//! off, before and after a sync that changes two tables.
 
 use std::sync::Arc;
 
@@ -35,10 +34,6 @@ fn one_by_one(wg: &WarpGate, refs: &[ColumnRef]) -> (Vec<Ranking>, Vec<bool>) {
             (ranking(&d), d.timing.cache_hit)
         })
         .unzip()
-}
-
-fn batched(wg: &WarpGate, refs: &[ColumnRef]) -> Vec<Ranking> {
-    wg.discover_batch(refs, K, &QueryOptions::default()).unwrap().iter().map(ranking).collect()
 }
 
 /// Replace `table` with its first two thirds of rows: new content, new
@@ -82,8 +77,6 @@ fn cache_hits_rank_like_the_cold_path_before_and_after_a_sync() {
             assert_eq!(hits[i], uncached[i], "{round}: {q} ranks differently from the cache");
             assert_eq!(filled[i], uncached[i], "{round}: {q} ranks differently filling the cache");
         }
-        assert_eq!(batched(&warm, &refs), uncached, "{round}: a batch of cache hits");
-        assert_eq!(batched(&cold, &refs), uncached, "{round}: a batch with the cache off");
 
         if changed.is_none() {
             let metas = connector.list_tables().unwrap();
