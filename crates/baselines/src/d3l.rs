@@ -18,46 +18,28 @@
 
 use std::sync::Arc;
 
-use wg_embed::{Aggregation, ColumnEmbedder, WebTableConfig, WebTableModel};
+use wg_embed::{Aggregation, ColumnEmbedder, WebTableModel};
 use wg_lsh::{LshParams, MinHashLshIndex, MinHasher, SimHashLshIndex};
 use wg_profile::ColumnProfile;
 use wg_store::{Column, ColumnRef, SampleSpec, StoreError, StoreResult, WarehouseBackend};
 use wg_util::timing::Stopwatch;
 use wg_util::{FxHashMap, FxHashSet, TopK};
 
-/// Configuration for [`D3l`].
-#[derive(Debug, Clone, Copy)]
-pub struct D3lConfig {
-    /// MinHash width shared by the name/content/format indexes.
-    pub minhash_k: usize,
-    /// MinHash LSH bands (rows = minhash_k / bands).
-    pub bands: usize,
-    /// Embedding dimension for evidence iii.
-    pub embedding_dim: usize,
-    /// SimHash threshold for the embedding index.
-    pub embedding_threshold: f64,
-    /// Numeric-sketch similarity floor for evidence v candidates.
-    pub numeric_floor: f64,
-    /// Sampling pushed into scans (D3L's published design profiles full
-    /// data; default Full).
-    pub sample: SampleSpec,
-    /// Seed for hashing/embedding.
-    pub seed: u64,
-}
-
-impl Default for D3lConfig {
-    fn default() -> Self {
-        Self {
-            minhash_k: 128,
-            bands: 32,
-            embedding_dim: 128,
-            embedding_threshold: 0.6,
-            numeric_floor: 0.5,
-            sample: SampleSpec::Full,
-            seed: 0xD31,
-        }
-    }
-}
+/// MinHash width shared by the name/content/format indexes.
+const MINHASH_K: usize = 128;
+/// MinHash LSH bands (rows = `MINHASH_K / BANDS`).
+const BANDS: usize = 32;
+const _: () = assert!(MINHASH_K % BANDS == 0, "BANDS must divide MINHASH_K");
+/// Embedding dimension for evidence iii.
+const EMBEDDING_DIM: usize = 128;
+/// SimHash threshold for the embedding index.
+const EMBEDDING_THRESHOLD: f64 = 0.6;
+/// Numeric-sketch similarity floor for evidence v candidates.
+const NUMERIC_FLOOR: f64 = 0.5;
+/// Sampling pushed into scans: D3L's published design profiles full data.
+const SAMPLE: SampleSpec = SampleSpec::Full;
+/// Seed for hashing and embedding.
+const SEED: u64 = 0xD31;
 
 /// Timing decomposition of one D3L query.
 #[derive(Debug, Clone, Copy, Default)]
@@ -85,7 +67,6 @@ pub struct D3lHit {
 
 /// The D3L system.
 pub struct D3l {
-    config: D3lConfig,
     hasher: MinHasher,
     embedder: ColumnEmbedder,
     profiles: Vec<ColumnProfile>,
@@ -101,17 +82,12 @@ pub struct D3l {
 
 impl D3l {
     /// Index every column of the backend's warehouse.
-    pub fn build(backend: &dyn WarehouseBackend, config: D3lConfig) -> StoreResult<D3l> {
-        assert!(config.minhash_k % config.bands == 0, "bands must divide minhash_k");
-        let rows = config.minhash_k / config.bands;
-        let hasher = MinHasher::new(config.minhash_k, config.seed);
+    pub fn build(backend: &dyn WarehouseBackend) -> StoreResult<D3l> {
+        let rows = MINHASH_K / BANDS;
+        let hasher = MinHasher::new(MINHASH_K, SEED);
         // "Off-the-shelf NLP embeddings" flavor: uniform mean over distinct
         // values, own seed — deliberately not WarpGate's tuned setup.
-        let model = WebTableModel::new(WebTableConfig {
-            dim: config.embedding_dim,
-            seed: config.seed ^ 0xE3B0,
-            ..WebTableConfig::default()
-        });
+        let model = WebTableModel::new(EMBEDDING_DIM, SEED ^ 0xE3B0);
         let embedder = ColumnEmbedder::new(Arc::new(model), Aggregation::MeanDistinct);
 
         let mut d3l = D3l {
@@ -120,22 +96,21 @@ impl D3l {
             profiles: Vec::new(),
             embeddings: Vec::new(),
             id_of: FxHashMap::default(),
-            name_index: MinHashLshIndex::new(config.bands, rows),
-            content_index: MinHashLshIndex::new(config.bands, rows),
-            format_index: MinHashLshIndex::new(config.bands, rows),
+            name_index: MinHashLshIndex::new(BANDS, rows),
+            content_index: MinHashLshIndex::new(BANDS, rows),
+            format_index: MinHashLshIndex::new(BANDS, rows),
             embedding_index: SimHashLshIndex::new(
-                config.embedding_dim,
-                LshParams::for_threshold(config.embedding_threshold, 128),
-                config.seed ^ 0x51AE,
+                EMBEDDING_DIM,
+                LshParams::for_threshold(EMBEDDING_THRESHOLD, 128),
+                SEED ^ 0x51AE,
             ),
             numeric_ids: Vec::new(),
-            config,
         };
 
         let refs: Vec<ColumnRef> =
             backend.list_tables()?.iter().flat_map(|m| m.column_refs()).collect();
         for r in refs {
-            let column = backend.scan_column(&r, config.sample)?;
+            let column = backend.scan_column(&r, SAMPLE)?;
             d3l.insert_column(r, &column);
         }
         Ok(d3l)
@@ -158,11 +133,6 @@ impl D3l {
         self.profiles.push(profile);
     }
 
-    /// The configuration used at build time.
-    pub fn config(&self) -> &D3lConfig {
-        &self.config
-    }
-
     /// Number of indexed columns.
     pub fn num_columns(&self) -> usize {
         self.profiles.len()
@@ -182,7 +152,7 @@ impl D3l {
 
         let costs_before = backend.costs();
         let sw = Stopwatch::start();
-        let column = backend.scan_column(query, self.config.sample)?;
+        let column = backend.scan_column(query, SAMPLE)?;
         timing.load_secs = sw.elapsed_secs();
         timing.virtual_load_secs = backend.costs().since(&costs_before).virtual_secs;
 
@@ -218,7 +188,7 @@ impl D3l {
         if !q_profile.numeric.is_empty() {
             for &id in &self.numeric_ids {
                 if q_profile.numeric.similarity(&self.profiles[id as usize].numeric)
-                    >= self.config.numeric_floor
+                    >= NUMERIC_FLOOR
                 {
                     candidates.insert(id);
                 }
@@ -339,7 +309,7 @@ mod tests {
     #[test]
     fn finds_semantic_variant_via_ensemble() {
         let c = connector();
-        let d3l = D3l::build(&c, D3lConfig::default()).unwrap();
+        let d3l = D3l::build(&c).unwrap();
         let (hits, _) = d3l.query(&c, &ColumnRef::new("db", "accounts", "company"), 3).unwrap();
         assert!(!hits.is_empty());
         assert_eq!(
@@ -354,7 +324,7 @@ mod tests {
     #[test]
     fn numeric_evidence_links_numeric_columns() {
         let c = connector();
-        let d3l = D3l::build(&c, D3lConfig::default()).unwrap();
+        let d3l = D3l::build(&c).unwrap();
         let (hits, _) = d3l.query(&c, &ColumnRef::new("db", "metrics", "revenue"), 3).unwrap();
         // income is in the same table (excluded); there is no other numeric
         // column, so numeric evidence alone must not invent cross-table
@@ -367,7 +337,7 @@ mod tests {
     #[test]
     fn excludes_same_table() {
         let c = connector();
-        let d3l = D3l::build(&c, D3lConfig::default()).unwrap();
+        let d3l = D3l::build(&c).unwrap();
         let q = ColumnRef::new("db", "metrics", "revenue");
         let (hits, _) = d3l.query(&c, &q, 10).unwrap();
         for h in hits {
@@ -378,7 +348,7 @@ mod tests {
     #[test]
     fn timing_fields_populated() {
         let c = connector();
-        let d3l = D3l::build(&c, D3lConfig::default()).unwrap();
+        let d3l = D3l::build(&c).unwrap();
         let (_, t) = d3l.query(&c, &ColumnRef::new("db", "accounts", "company"), 3).unwrap();
         assert!(t.load_secs > 0.0);
         assert!(t.profile_secs > 0.0);
@@ -388,14 +358,14 @@ mod tests {
     #[test]
     fn unknown_query_errors() {
         let c = connector();
-        let d3l = D3l::build(&c, D3lConfig::default()).unwrap();
+        let d3l = D3l::build(&c).unwrap();
         assert!(d3l.query(&c, &ColumnRef::new("db", "nope", "x"), 3).is_err());
     }
 
     #[test]
     fn scores_sorted_descending() {
         let c = connector();
-        let d3l = D3l::build(&c, D3lConfig::default()).unwrap();
+        let d3l = D3l::build(&c).unwrap();
         let (hits, _) = d3l.query(&c, &ColumnRef::new("db", "accounts", "company"), 10).unwrap();
         for w in hits.windows(2) {
             assert!(w[0].score >= w[1].score);

@@ -17,9 +17,13 @@
 //!   domain distributions — each with its own LSH index, aggregated into a
 //!   ranked top-k. More effective than Aurum, and the slowest of the three
 //!   systems because every query computes all five profiles.
+//!
+//! Both run at the one setting the paper compares against, so neither has
+//! a configuration: [`Aurum::build`] and [`D3l::build`] take only the
+//! backend, and each module's parameters are private constants.
 
 pub mod aurum;
 pub mod d3l;
 
-pub use aurum::{Aurum, AurumConfig};
-pub use d3l::{D3l, D3lConfig};
+pub use aurum::Aurum;
+pub use d3l::D3l;

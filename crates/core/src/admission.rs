@@ -30,7 +30,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use wg_store::{StoreError, StoreResult};
+use wg_store::{StoreError, StoreResult, OVERLOADED_RETRY_AFTER_MS};
 
 /// Tunables of an [`AdmissionController`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,14 +44,11 @@ pub struct AdmissionConfig {
     /// the point: a caller always gets an answer in `max_wait` + one
     /// service time.
     pub max_wait: Duration,
-    /// Backoff hint carried in the `Overloaded` errors this controller
-    /// sheds with.
-    pub retry_after_ms: u64,
 }
 
 impl Default for AdmissionConfig {
     fn default() -> Self {
-        Self { cap: 4, queue: 8, max_wait: Duration::from_millis(100), retry_after_ms: 50 }
+        Self { cap: 4, queue: 8, max_wait: Duration::from_millis(100) }
     }
 }
 
@@ -115,13 +112,8 @@ impl AdmissionController {
         }
     }
 
-    /// The config in effect.
-    pub fn config(&self) -> AdmissionConfig {
-        self.config
-    }
-
     fn overloaded(&self) -> StoreError {
-        StoreError::Overloaded { retry_after_ms: self.config.retry_after_ms }
+        StoreError::Overloaded { retry_after_ms: OVERLOADED_RETRY_AFTER_MS }
     }
 
     /// Acquire one execution slot, waiting in FIFO order up to
@@ -217,12 +209,11 @@ mod tests {
             cap: 2,
             queue: 0,
             max_wait: Duration::from_millis(10),
-            retry_after_ms: 7,
         });
         let p1 = ctrl.acquire().unwrap();
         let p2 = ctrl.acquire().unwrap();
         let err = ctrl.acquire().unwrap_err();
-        assert!(matches!(err, StoreError::Overloaded { retry_after_ms: 7 }), "{err:?}");
+        assert_eq!(err, StoreError::Overloaded { retry_after_ms: OVERLOADED_RETRY_AFTER_MS });
         assert!(err.is_retryable());
         let stats = ctrl.stats();
         assert_eq!((stats.admitted, stats.shed_queue_full, stats.in_flight), (2, 1, 2));
@@ -238,7 +229,6 @@ mod tests {
             cap: 1,
             queue: 4,
             max_wait: Duration::from_secs(10),
-            retry_after_ms: 5,
         }));
         let held = ctrl.acquire().unwrap();
         let waiter = {
@@ -262,7 +252,6 @@ mod tests {
             cap: 1,
             queue: 4,
             max_wait: Duration::from_millis(30),
-            retry_after_ms: 9,
         });
         let _held = ctrl.acquire().unwrap();
         let start = Instant::now();
@@ -282,7 +271,6 @@ mod tests {
             cap: 1,
             queue: 8,
             max_wait: Duration::from_secs(10),
-            retry_after_ms: 5,
         }));
         let held = ctrl.acquire().unwrap();
         let order = Arc::new(Mutex::new(Vec::new()));

@@ -2,10 +2,11 @@
 //!
 //! The paper's Table 2 decomposition shows a discovery query's cost is
 //! dominated by the CDW scan and embedding inference, not the index lookup.
-//! Both phases are pure functions of `(column, sample spec, model seed,
-//! context weight)` for a given attached backend, so repeating a query —
-//! a dashboard refresh, a warehouse-wide join-graph build revisiting hub
-//! columns — can skip them entirely. [`EmbeddingCache`] is the workspace's
+//! A system's sample spec and model seed are fixed for its life, so both
+//! phases are pure functions of `(column, context weight)` for a given
+//! attached backend, and repeating a query — a dashboard refresh, a
+//! warehouse-wide join-graph build revisiting hub columns — can skip them
+//! entirely. [`EmbeddingCache`] is the workspace's
 //! one LRU ([`wg_util::lru::Lru`]) behind one mutex, over exactly that key
 //! plus the backend attach epoch (entries from a previously attached
 //! backend are unreachable, not just evicted).
@@ -18,9 +19,9 @@
 //!
 //! Invalidation: a sync that re-scans a table, or drops one that vanished
 //! from its backend, evicts every entry for that table's columns (any
-//! sample spec or context weight). A query that missed before
-//! an invalidation and puts after it may hold an embedding of the content
-//! the invalidation was for, so its put is dropped ([`Miss`]). Correctness
+//! context weight). A query that missed before an invalidation and puts
+//! after it may hold an embedding of the content the invalidation was for,
+//! so its put is dropped ([`Miss`]). Correctness
 //! never depends on the cache: eviction only forces the scan→embed path to
 //! run again.
 
@@ -28,7 +29,7 @@ use std::sync::Arc;
 
 use wg_embed::Vector;
 use wg_lsh::{Signature, SimHasher};
-use wg_store::{BackendId, ColumnRef, SampleSpec, TableRef};
+use wg_store::{BackendId, ColumnRef, TableRef};
 use wg_util::lru::{CacheStats, Lru};
 use wg_util::sync::Mutex;
 
@@ -37,11 +38,6 @@ use wg_util::sync::Mutex;
 pub struct EmbeddingKey {
     /// The scanned column.
     pub column: ColumnRef,
-    /// Sampling pushed into the scan.
-    pub sample: SampleSpec,
-    /// Embedding-model seed (embeddings from different seeds live in
-    /// different spaces).
-    pub seed: u64,
     /// `f32::to_bits` of the §5.2.1 context blend weight — 0 values and
     /// value-only embeddings (`joinability`) share the `0.0` key.
     pub context_bits: u32,
@@ -54,14 +50,8 @@ pub struct EmbeddingKey {
 
 impl EmbeddingKey {
     /// Build a key from the pipeline inputs.
-    pub fn new(
-        column: &ColumnRef,
-        sample: SampleSpec,
-        seed: u64,
-        context_weight: f32,
-        epoch: u64,
-    ) -> Self {
-        Self { column: column.clone(), sample, seed, context_bits: context_weight.to_bits(), epoch }
+    pub fn new(column: &ColumnRef, context_weight: f32, epoch: u64) -> Self {
+        Self { column: column.clone(), context_bits: context_weight.to_bits(), epoch }
     }
 }
 
@@ -183,7 +173,7 @@ mod tests {
     }
 
     fn key(db: &str, table: &str, column: &str) -> EmbeddingKey {
-        EmbeddingKey::new(&ColumnRef::new(db, table, column), SampleSpec::Full, 1, 0.0, 0)
+        EmbeddingKey::new(&ColumnRef::new(db, table, column), 0.0, 0)
     }
 
     fn vec_of(x: f32) -> Arc<Embedding> {
@@ -250,19 +240,16 @@ mod tests {
     }
 
     #[test]
-    fn distinct_specs_are_distinct_entries() {
+    fn context_weights_and_epochs_are_distinct_entries() {
         let cache = EmbeddingCache::new(64, DIM, BITS);
         let r = ColumnRef::new("db", "t", "c");
-        let full = EmbeddingKey::new(&r, SampleSpec::Full, 1, 0.0, 0);
-        let head = EmbeddingKey::new(&r, SampleSpec::Head(10), 1, 0.0, 0);
-        let ctx = EmbeddingKey::new(&r, SampleSpec::Full, 1, 0.25, 0);
-        let stale = EmbeddingKey::new(&r, SampleSpec::Full, 1, 0.0, 7);
+        let full = EmbeddingKey::new(&r, 0.0, 0);
+        let ctx = EmbeddingKey::new(&r, 0.25, 0);
+        let stale = EmbeddingKey::new(&r, 0.0, 7);
         fill(&cache, &full, vec_of(1.0));
-        fill(&cache, &head, vec_of(2.0));
         fill(&cache, &ctx, vec_of(3.0));
         fill(&cache, &stale, vec_of(4.0));
         assert_eq!(cached(&cache, &full), Some(vec_of(1.0)));
-        assert_eq!(cached(&cache, &head), Some(vec_of(2.0)));
         assert_eq!(cached(&cache, &ctx), Some(vec_of(3.0)));
         // Epochs partition the key space: an entry inserted under another
         // attach epoch never answers this epoch's lookups.
@@ -351,9 +338,8 @@ mod tests {
     fn backend_invalidation_is_namespace_scoped() {
         let cache = EmbeddingCache::new(64, DIM, BITS);
         let lake = BackendId::named("cache-test-lake");
-        let scoped = |t: &str, c: &str| {
-            EmbeddingKey::new(&ColumnRef::scoped(lake, "db", t, c), SampleSpec::Full, 1, 0.0, 0)
-        };
+        let scoped =
+            |t: &str, c: &str| EmbeddingKey::new(&ColumnRef::scoped(lake, "db", t, c), 0.0, 0);
         fill(&cache, &key("db", "t1", "a"), vec_of(1.0));
         fill(&cache, &scoped("t1", "a"), vec_of(2.0));
         fill(&cache, &scoped("t2", "b"), vec_of(3.0));

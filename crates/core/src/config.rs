@@ -10,9 +10,11 @@ use crate::admission::AdmissionConfig;
 /// Tunables of a [`crate::WarpGate`] instance.
 ///
 /// Defaults follow the paper's experimental setup: 0.7 SimHash LSH
-/// threshold (§4.3), distinct-value sampling (§3.1.3/§4.4 argue sampling is
-/// both necessary and safe), SIF aggregation over the hashed web-table
-/// embedding space.
+/// threshold (§4.3) and distinct-value sampling (§3.1.3/§4.4 argue sampling
+/// is both necessary and safe) over the hashed web-table embedding space.
+/// The default aggregation is SIF, but under the default sample every kept
+/// value occurs once, so it embeds as the mean over distinct values would
+/// (see [`Self::aggregation`]).
 #[derive(Debug, Clone, Copy)]
 pub struct WarpGateConfig {
     /// Embedding dimension.
@@ -25,7 +27,11 @@ pub struct WarpGateConfig {
     pub probes: usize,
     /// Sampling pushed into every scan (indexing and query time).
     pub sample: SampleSpec,
-    /// How value embeddings aggregate into a column embedding.
+    /// How value embeddings aggregate into a column embedding. The three
+    /// schemes weigh a value by its count, so they differ only under a
+    /// sample that keeps duplicates (`Full`, `Head`, `Reservoir`). Under
+    /// the default `DistinctReservoir` every kept value occurs once, and
+    /// they agree up to rounding.
     pub aggregation: Aggregation,
     /// Blend weight `β` for schema-context embeddings (§5.2.1 extension):
     /// column embeddings become `(1−β)·values + β·context(names)`. 0.0
@@ -33,8 +39,8 @@ pub struct WarpGateConfig {
     pub context_weight: f32,
     /// Indexing worker threads; 0 means "all available cores".
     pub threads: usize,
-    /// Embedding-cache capacity in entries (keyed by column × sample spec ×
-    /// seed × context weight). 0 disables the cache; repeated `discover` /
+    /// Embedding-cache capacity in entries (keyed by column × context
+    /// weight × attach epoch). 0 disables the cache; repeated `discover` /
     /// `joinability` calls then re-scan and re-embed every time.
     pub cache_capacity: usize,
     /// Rows per block of every snapshot this system seals —
@@ -53,8 +59,8 @@ pub struct WarpGateConfig {
     /// resident — the all-in-RAM behavior).
     pub block_cache_bytes: usize,
     /// Admission control across the public entry points (`discover*`,
-    /// `joinability`, `sync*`): concurrency cap, wait queue, bounded wait
-    /// and backoff hint. `None` (the default) disables it entirely — no
+    /// `joinability`, `sync*`): concurrency cap, wait queue and bounded
+    /// wait. `None` (the default) disables it entirely — no
     /// cap, no queue, no shedding.
     pub admission: Option<AdmissionConfig>,
     /// Master seed (embedding space + LSH hyperplanes).
@@ -127,10 +133,7 @@ impl WarpGateConfig {
     pub fn with_admission(self, cap: usize, queue: usize, wait_ms: u64) -> Self {
         assert!(cap > 0, "admission cap must be positive");
         let max_wait = Duration::from_millis(wait_ms);
-        Self {
-            admission: Some(AdmissionConfig { cap, queue, max_wait, ..AdmissionConfig::default() }),
-            ..self
-        }
+        Self { admission: Some(AdmissionConfig { cap, queue, max_wait }), ..self }
     }
 
     /// Effective worker-thread count.
@@ -192,15 +195,7 @@ mod tests {
         let c = WarpGateConfig::default();
         assert_eq!(c.admission, None, "admission control must be opt-in");
         let on = c.with_admission(2, 4, 75).admission.expect("enabled");
-        assert_eq!(
-            on,
-            AdmissionConfig {
-                cap: 2,
-                queue: 4,
-                max_wait: Duration::from_millis(75),
-                retry_after_ms: 50
-            }
-        );
+        assert_eq!(on, AdmissionConfig { cap: 2, queue: 4, max_wait: Duration::from_millis(75) });
     }
 
     #[test]

@@ -168,8 +168,7 @@ impl WarpGate {
     ) -> StoreResult<Arc<Embedding>> {
         let mut unreported = QueryTiming::default();
         let timing = timing.unwrap_or(&mut unreported);
-        let key =
-            EmbeddingKey::new(r, self.config.sample, self.config.seed, context_weight, run.epoch);
+        let key = EmbeddingKey::new(r, context_weight, run.epoch);
         let miss = match self.cache.get(&key) {
             Ok(embedding) => {
                 timing.cache_hit = true;

@@ -16,7 +16,7 @@
 
 use std::sync::Arc;
 
-use wg_embed::{ColumnEmbedder, EmbeddingModel, WebTableConfig, WebTableModel};
+use wg_embed::{ColumnEmbedder, EmbeddingModel, WebTableModel};
 use wg_lsh::{LshParams, SimHashLshIndex, SimHasher};
 use wg_store::{BackendHandle, BackendId, ColumnRef, StoreError, StoreResult};
 use wg_util::deadline::Phase;
@@ -124,11 +124,7 @@ impl WarpGate {
     /// No backend is attached yet; call [`Self::attach_named`] (or use
     /// [`Self::with_backend`]) before indexing or querying.
     pub fn new(config: WarpGateConfig) -> Self {
-        let model = WebTableModel::new(WebTableConfig {
-            dim: config.dim,
-            seed: config.seed,
-            ..WebTableConfig::default()
-        });
+        let model = WebTableModel::new(config.dim, config.seed);
         Self::with_model(config, Arc::new(model))
     }
 

@@ -5,6 +5,12 @@
 //! store maintains anyway — under one of three weighting schemes. The
 //! scheme is an explicit design knob because the paper leaves aggregation
 //! unspecified; `reproduce ablations` compares them.
+//!
+//! The schemes differ only in how they weigh a value's multiplicity. On a
+//! column whose values are all distinct — every column the default
+//! `DistinctReservoir` sample yields — they give one embedding up to
+//! rounding; they separate only under samples that keep duplicates
+//! (`Full`, `Head`, `Reservoir`).
 
 use std::collections::hash_map::Entry;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -161,7 +167,7 @@ mod tests {
     use crate::minibert::MiniBertModel;
     use crate::store::{Key, CHUNK_ROWS};
     use crate::tokenizer::{reference, Token};
-    use crate::webtable::{WebTableConfig, WebTableModel};
+    use crate::webtable::{WebTableModel, NGRAM_BASIS_CAPACITY, TOKEN_CAPACITY};
     use wg_store::{Column, Value};
 
     fn embedder(agg: Aggregation) -> ColumnEmbedder {
@@ -257,7 +263,7 @@ mod tests {
         };
         // A store that keeps nothing, almost nothing, exactly one chunk,
         // and everything.
-        for cache_capacity in [0, 2, CHUNK_ROWS, WebTableConfig::default().cache_capacity] {
+        for cache_capacity in [0, 2, CHUNK_ROWS, TOKEN_CAPACITY] {
             for aggregation in [
                 Aggregation::MeanDistinct,
                 Aggregation::FrequencyWeighted,
@@ -267,8 +273,9 @@ mod tests {
                     let want = embed_column_reference(aggregation, &web_tokens, oracle.dim(), &c);
                     // A model of its own, so "chained" meets an empty table;
                     // twice, so the second pass reads what the first stored.
-                    let config = WebTableConfig { cache_capacity, ..Default::default() };
-                    let e = ColumnEmbedder::new(Arc::new(WebTableModel::new(config)), aggregation);
+                    let model =
+                        WebTableModel::with_capacities(cache_capacity, NGRAM_BASIS_CAPACITY);
+                    let e = ColumnEmbedder::new(Arc::new(model), aggregation);
                     for pass in ["cold", "warm"] {
                         assert_eq!(
                             bits(&e.embed_column(&c)),
@@ -388,6 +395,39 @@ mod tests {
         let sim_sif = sif.embed_column(&skewed).cosine(&sif.embed_column(&alpha_only));
         let sim_freq = freq.embed_column(&skewed).cosine(&freq.embed_column(&alpha_only));
         assert!(sim_sif < sim_freq, "SIF must damp the dominant value");
+    }
+
+    #[test]
+    fn aggregations_differ_only_on_columns_with_repeats() {
+        let schemes = [
+            Aggregation::MeanDistinct,
+            Aggregation::FrequencyWeighted,
+            Aggregation::Sif { a: 0.05 },
+        ];
+        let names: Vec<String> = (0..50).map(|i| format!("entity {i}")).collect();
+        let distinct = Column::text("c", &names);
+        // Value i occurs i % 5 + 1 times.
+        let repeats = Column::text(
+            "c",
+            names.iter().enumerate().flat_map(|(i, v)| vec![v; i % 5 + 1]).collect::<Vec<_>>(),
+        );
+        for (column, agree) in [(&distinct, true), (&repeats, false)] {
+            let embeddings: Vec<Vector> =
+                schemes.iter().map(|&a| embedder(a).embed_column(column)).collect();
+            for i in 0..schemes.len() {
+                for j in i + 1..schemes.len() {
+                    let cos = embeddings[i].cosine(&embeddings[j]);
+                    assert_eq!(
+                        cos >= 1.0 - 1e-6,
+                        agree,
+                        "{} vs {}, repeats {}: cosine {cos}",
+                        schemes[i].label(),
+                        schemes[j].label(),
+                        !agree
+                    );
+                }
+            }
+        }
     }
 
     #[test]

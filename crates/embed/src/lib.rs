@@ -38,8 +38,8 @@ pub mod webtable;
 
 pub use column_embed::{Aggregation, ColumnEmbedder};
 pub use context::{blend_context, context_vector, ColumnContext};
-pub use minibert::{MiniBertConfig, MiniBertModel};
+pub use minibert::MiniBertModel;
 pub use model::{EmbeddingModel, ValueSink};
 pub use tokenizer::{char_ngrams, tokenize, tokenize_into, TokenBuf};
 pub use vector::Vector;
-pub use webtable::{WebTableConfig, WebTableModel};
+pub use webtable::WebTableModel;

@@ -24,40 +24,24 @@ use crate::tokenizer::TokenBuf;
 use crate::vector::normalize;
 #[cfg(test)]
 use crate::vector::Vector;
-use crate::webtable::{WebTableConfig, WebTableModel};
+use crate::webtable::WebTableModel;
 
-/// Configuration for [`MiniBertModel`].
-#[derive(Debug, Clone, Copy)]
-pub struct MiniBertConfig {
-    /// Model (and output) dimension; must match the token-embedding dim.
-    pub dim: usize,
-    /// Number of encoder layers.
-    pub layers: usize,
-    /// Attention heads (`dim % heads == 0`).
-    pub heads: usize,
-    /// Feed-forward expansion factor.
-    pub ffn_mult: usize,
-    /// Weight seed.
-    pub seed: u64,
-    /// Maximum sequence length (longer inputs are truncated).
-    pub max_seq: usize,
-    /// Perturbation scale for the near-identity projections.
-    pub epsilon: f32,
-}
-
-impl Default for MiniBertConfig {
-    fn default() -> Self {
-        Self {
-            dim: 128,
-            layers: 2,
-            heads: 4,
-            ffn_mult: 2,
-            seed: 0x4245_5254,
-            max_seq: 64,
-            epsilon: 0.05,
-        }
-    }
-}
+/// Model (and output) dimension; equals the token-embedding dim.
+const DIM: usize = 128;
+/// Number of encoder layers.
+const LAYERS: usize = 2;
+/// Attention heads.
+const HEADS: usize = 4;
+/// Feed-forward expansion factor.
+const FFN_MULT: usize = 2;
+/// Weight seed.
+const SEED: u64 = 0x4245_5254;
+/// Maximum sequence length (longer inputs are truncated).
+const MAX_SEQ: usize = 64;
+/// Perturbation scale for the near-identity projections.
+const EPSILON: f32 = 0.05;
+const _: () = assert!(DIM % HEADS == 0, "DIM must divide into HEADS");
+const _: () = assert!(LAYERS >= 1 && MAX_SEQ >= 1);
 
 /// Row-major dense matrix.
 struct Matrix {
@@ -103,30 +87,27 @@ struct EncoderLayer {
 
 /// The transformer encoder model.
 pub struct MiniBertModel {
-    config: MiniBertConfig,
     token_embedder: WebTableModel,
     layers: Vec<EncoderLayer>,
-    /// Sinusoidal positional encodings, pre-scaled, flat `max_seq × dim`.
+    /// Sinusoidal positional encodings, pre-scaled, flat `MAX_SEQ × DIM`.
     positions: Vec<f32>,
 }
 
 impl MiniBertModel {
-    /// Build the model; weights derive from `config.seed`.
-    pub fn new(config: MiniBertConfig) -> Self {
-        assert!(config.dim % config.heads == 0, "dim must divide into heads");
-        assert!(config.layers >= 1 && config.max_seq >= 1);
-        let d = config.dim;
+    /// Build the model; its weights derive from a fixed seed.
+    pub fn default_model() -> Self {
+        let d = DIM;
         let scale = 1.0 / (d as f32).sqrt();
-        let layers = (0..config.layers)
+        let layers = (0..LAYERS)
             .map(|l| {
-                let s = |tag: u64| combine64(config.seed, combine64(l as u64, tag));
+                let s = |tag: u64| combine64(SEED, combine64(l as u64, tag));
                 EncoderLayer {
                     wq: Matrix::random(d, d, scale, s(1)),
                     wk: Matrix::random(d, d, scale, s(2)),
-                    wv: Matrix::near_identity(d, config.epsilon, s(3)),
-                    wo: Matrix::near_identity(d, config.epsilon, s(4)),
-                    w1: Matrix::random(d, d * config.ffn_mult, scale, s(5)),
-                    w2: Matrix::random(d * config.ffn_mult, d, config.epsilon * scale, s(6)),
+                    wv: Matrix::near_identity(d, EPSILON, s(3)),
+                    wo: Matrix::near_identity(d, EPSILON, s(4)),
+                    w1: Matrix::random(d, d * FFN_MULT, scale, s(5)),
+                    w2: Matrix::random(d * FFN_MULT, d, EPSILON * scale, s(6)),
                 }
             })
             .collect();
@@ -135,7 +116,7 @@ impl MiniBertModel {
         // dominates position. Stored flat so the forward pass can add them
         // with one contiguous axpy per token.
         let pos_scale = 0.05f32;
-        let positions = (0..config.max_seq)
+        let positions = (0..MAX_SEQ)
             .flat_map(|p| {
                 (0..d).map(move |i| {
                     let rate = 10_000f32.powf(-((i / 2 * 2) as f32) / d as f32);
@@ -145,19 +126,8 @@ impl MiniBertModel {
             })
             .collect();
 
-        let token_embedder =
-            WebTableModel::new(WebTableConfig { dim: config.dim, ..WebTableConfig::default() });
-        Self { config, token_embedder, layers, positions }
-    }
-
-    /// Default configuration model.
-    pub fn default_model() -> Self {
-        Self::new(MiniBertConfig::default())
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &MiniBertConfig {
-        &self.config
+        let token_embedder = WebTableModel::default_model();
+        Self { token_embedder, layers, positions }
     }
 
     fn layer_norm(x: &mut [f32]) {
@@ -183,9 +153,8 @@ impl MiniBertModel {
     /// all matrix work goes through the blocked GEMV kernel, so a warm
     /// forward pass performs no heap allocation.
     fn forward_flat(&self, seq: &mut [f32], n: usize) {
-        let d = self.config.dim;
-        let heads = self.config.heads;
-        let dh = d / heads;
+        let d = DIM;
+        let dh = d / HEADS;
         debug_assert_eq!(seq.len(), n * d);
 
         // Add positional encodings.
@@ -198,7 +167,7 @@ impl MiniBertModel {
         let mut v = scratch::take_f32(n * d);
         let mut attn_out = scratch::take_f32(n * d);
         let mut proj = scratch::take_f32(d);
-        let mut ffn_hidden = scratch::take_f32(d * self.config.ffn_mult);
+        let mut ffn_hidden = scratch::take_f32(d * FFN_MULT);
         let mut scores = scratch::take_f32(n);
 
         for layer in &self.layers {
@@ -213,7 +182,7 @@ impl MiniBertModel {
             let scale = 1.0 / (dh as f32).sqrt();
             for i in 0..n {
                 attn_out[i * d..(i + 1) * d].fill(0.0);
-                for h in 0..heads {
+                for h in 0..HEADS {
                     let hs = h * dh;
                     // Scores against every position.
                     let qi = &q[i * d + hs..i * d + hs + dh];
@@ -267,7 +236,7 @@ impl MiniBertModel {
 
 impl EmbeddingModel for MiniBertModel {
     fn dim(&self) -> usize {
-        self.config.dim
+        DIM
     }
 
     fn name(&self) -> &str {
@@ -275,13 +244,13 @@ impl EmbeddingModel for MiniBertModel {
     }
 
     fn embed_tokens_into(&self, tokens: &TokenBuf, out: &mut [f32]) {
-        let d = self.config.dim;
+        let d = DIM;
         debug_assert_eq!(out.len(), d);
         out.fill(0.0);
         if tokens.is_empty() {
             return;
         }
-        let n = tokens.len().min(self.config.max_seq);
+        let n = tokens.len().min(MAX_SEQ);
         let mut seq = scratch::take_f32(n * d);
         for (t, row) in tokens.iter().zip(seq.chunks_exact_mut(d)) {
             self.token_embedder.token_vector_into(t, row);
@@ -302,10 +271,10 @@ impl MiniBertModel {
     /// Test oracle: the owned-token entry point this model used to have.
     pub(crate) fn embed_tokens_reference(&self, tokens: &[String]) -> Vector {
         if tokens.is_empty() {
-            return Vector::zeros(self.config.dim);
+            return Vector::zeros(DIM);
         }
-        let d = self.config.dim;
-        let n = tokens.len().min(self.config.max_seq);
+        let d = DIM;
+        let n = tokens.len().min(MAX_SEQ);
         let mut seq = vec![0.0; n * d];
         for (i, t) in tokens.iter().take(n).enumerate() {
             seq[i * d..(i + 1) * d].copy_from_slice(&self.token_embedder.token_vector(t).0);
@@ -352,7 +321,7 @@ mod tests {
         // Pairwise similarity ordering should roughly agree with the base
         // hashed model — the "on par effectiveness" property.
         let bert = model();
-        let base = WebTableModel::new(WebTableConfig { dim: 128, ..Default::default() });
+        let base = WebTableModel::default_model();
         let texts = ["Apple Inc", "Apple Computer", "Microsoft Corp", "2020-01-15", "banana split"];
         let mut agreements = 0;
         let mut total = 0;
@@ -386,7 +355,7 @@ mod tests {
     #[test]
     fn materially_slower_than_base_model() {
         let bert = model();
-        let base = WebTableModel::new(WebTableConfig { dim: 128, ..Default::default() });
+        let base = WebTableModel::default_model();
         // Warm both (fills base token cache).
         let texts: Vec<String> = (0..50).map(|i| format!("value number {i}")).collect();
         for t in &texts {
@@ -413,19 +382,13 @@ mod tests {
 
     #[test]
     fn truncates_long_sequences() {
-        let m = MiniBertModel::new(MiniBertConfig { max_seq: 4, ..Default::default() });
+        let m = model();
         let cell = (0..100).map(|i| format!("t{i}")).collect::<Vec<_>>().join(" ");
         let tokens = crate::tokenizer::tokenize(&cell);
-        assert_eq!(tokens.len(), 200);
+        assert!(tokens.len() > MAX_SEQ);
         let v = m.embed_text(&cell);
         assert!(v.is_normalized());
         assert_eq!(v, m.embed_tokens_reference(&tokens));
-    }
-
-    #[test]
-    #[should_panic(expected = "dim must divide")]
-    fn rejects_bad_head_split() {
-        let _ = MiniBertModel::new(MiniBertConfig { dim: 130, heads: 4, ..Default::default() });
     }
 
     #[test]

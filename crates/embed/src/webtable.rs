@@ -33,77 +33,66 @@ use crate::store::{Key, VectorStore};
 use crate::tokenizer::{char_ngram_count, for_each_char_ngram, for_each_token, TokenBuf};
 use crate::vector::{is_zero, normalize, Vector};
 
-/// Configuration for [`WebTableModel`].
-#[derive(Debug, Clone, Copy)]
-pub struct WebTableConfig {
-    /// Embedding dimension (the published Web Table Embeddings are 150-d;
-    /// we default to 128 for alignment-friendly arithmetic).
-    pub dim: usize,
-    /// Model seed: two models with different seeds inhabit unrelated spaces.
-    pub seed: u64,
-    /// Smallest character n-gram.
-    pub min_ngram: usize,
-    /// Largest character n-gram.
-    pub max_ngram: usize,
-    /// Relative weight of the summed n-gram term against the whole-token
-    /// term. 0 disables subword information entirely.
-    pub subword_weight: f32,
-    /// Cache capacity in tokens; beyond this, vectors are recomputed on the
-    /// fly rather than evicting (simple and allocation-free).
-    pub cache_capacity: usize,
-}
-
-impl Default for WebTableConfig {
-    fn default() -> Self {
-        Self {
-            dim: 128,
-            seed: 0x5747_4154_4531_3238, // "WGATE128"
-            min_ngram: 3,
-            max_ngram: 4,
-            subword_weight: 0.6,
-            cache_capacity: 1 << 20,
-        }
-    }
-}
+/// Embedding dimension of [`WebTableModel::default_model`] (the
+/// published Web Table Embeddings are 150-d; 128 is alignment-friendly).
+const DIM: usize = 128;
+/// Seed of [`WebTableModel::default_model`]: "WGATE128".
+const SEED: u64 = 0x5747_4154_4531_3238;
+/// Smallest character n-gram.
+const MIN_NGRAM: usize = 3;
+/// Largest character n-gram.
+const MAX_NGRAM: usize = 4;
+const _: () = assert!(MIN_NGRAM >= 2 && MAX_NGRAM >= MIN_NGRAM);
+/// Weight of the summed n-gram term against the whole-token term.
+const SUBWORD_WEIGHT: f32 = 0.6;
+/// Token vectors kept per model; beyond this, vectors are recomputed on
+/// the fly rather than evicting (simple and allocation-free).
+pub(crate) const TOKEN_CAPACITY: usize = 1 << 20;
 
 /// N-gram basis vectors kept per model: 2¹⁴ × `dim` floats (8 MiB at the
 /// default dimension). On the testbed-S and fleet token streams this serves
 /// 0.84 / 0.80 of n-gram lookups; four times the entries serve 0.96 / 0.82
 /// (DESIGN.md §8 has the sizing table).
-const NGRAM_BASIS_CAPACITY: usize = 1 << 14;
+pub(crate) const NGRAM_BASIS_CAPACITY: usize = 1 << 14;
 
 /// The deterministic hashed-subword embedding model.
 pub struct WebTableModel {
-    config: WebTableConfig,
+    dim: usize,
+    /// Two models with different seeds inhabit unrelated spaces.
+    seed: u64,
     tokens: VectorStore,
     /// Basis vectors of n-grams, keyed by the tagged n-gram hash.
     ngram_bases: VectorStore,
 }
 
 impl WebTableModel {
-    /// Build a model with the given configuration.
-    pub fn new(config: WebTableConfig) -> Self {
-        Self::with_ngram_capacity(config, NGRAM_BASIS_CAPACITY)
-    }
-
-    fn with_ngram_capacity(config: WebTableConfig, ngram_capacity: usize) -> Self {
-        assert!(config.dim > 0, "dimension must be positive");
-        assert!(config.min_ngram >= 2 && config.max_ngram >= config.min_ngram);
+    /// Build a `dim`-dimensional model whose vectors derive from `seed`.
+    pub fn new(dim: usize, seed: u64) -> Self {
+        assert!(dim > 0, "dimension must be positive");
         Self {
-            config,
-            tokens: VectorStore::new(config.dim, config.cache_capacity),
-            ngram_bases: VectorStore::new(config.dim, ngram_capacity),
+            dim,
+            seed,
+            tokens: VectorStore::new(dim, TOKEN_CAPACITY),
+            ngram_bases: VectorStore::new(dim, NGRAM_BASIS_CAPACITY),
         }
     }
 
-    /// Model with default configuration.
+    /// The 128-d model with the default seed.
     pub fn default_model() -> Self {
-        Self::new(WebTableConfig::default())
+        Self::new(DIM, SEED)
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &WebTableConfig {
-        &self.config
+    /// The default model with stores of the given capacities, so tests can
+    /// run it with a token store that keeps nothing or an n-gram store
+    /// that is full almost from the start.
+    #[cfg(test)]
+    pub(crate) fn with_capacities(token_capacity: usize, ngram_capacity: usize) -> Self {
+        Self {
+            dim: DIM,
+            seed: SEED,
+            tokens: VectorStore::new(DIM, token_capacity),
+            ngram_bases: VectorStore::new(DIM, ngram_capacity),
+        }
     }
 
     /// Number of cached token vectors.
@@ -114,7 +103,7 @@ impl WebTableModel {
 
     /// Gaussian basis vector for a hash, seeded with the model seed.
     fn basis_into(&self, hash: u64, out: &mut [f32]) {
-        let mut rng = SplitMix64::new(combine64(self.config.seed, hash));
+        let mut rng = SplitMix64::new(combine64(self.seed, hash));
         out.fill_with(|| rng.gen_gaussian() as f32);
     }
 
@@ -124,11 +113,10 @@ impl WebTableModel {
     /// order.
     fn compute_token(&self, token: &str, out: &mut [f32]) {
         self.basis_into(wg_util::stable_hash_str(token), out);
-        let (min_n, max_n) = (self.config.min_ngram, self.config.max_ngram);
-        let grams = char_ngram_count(token, min_n, max_n);
-        if self.config.subword_weight > 0.0 && grams > 0 {
-            let w = self.config.subword_weight / grams as f32;
-            for_each_char_ngram(token, min_n, max_n, |g| {
+        let grams = char_ngram_count(token, MIN_NGRAM, MAX_NGRAM);
+        if grams > 0 {
+            let w = SUBWORD_WEIGHT / grams as f32;
+            for_each_char_ngram(token, MIN_NGRAM, MAX_NGRAM, |g| {
                 // Tag n-gram hashes so a 3-gram never collides with a
                 // whole token of the same spelling.
                 let h = combine64(0x6772_616d, wg_util::stable_hash_str(g));
@@ -151,7 +139,7 @@ impl WebTableModel {
 
     /// Vector for one token, via the store.
     pub fn token_vector(&self, token: &str) -> Vector {
-        let mut v = Vector::zeros(self.config.dim);
+        let mut v = Vector::zeros(self.dim);
         self.token_vector_into(token, &mut v.0);
         v
     }
@@ -160,7 +148,7 @@ impl WebTableModel {
     /// `dim`). On a hit this is a table probe plus one `memcpy` — no lock,
     /// no heap allocation.
     pub fn token_vector_into(&self, token: &str, out: &mut [f32]) {
-        debug_assert_eq!(out.len(), self.config.dim);
+        debug_assert_eq!(out.len(), self.dim);
         self.with_token(token, |v| out.copy_from_slice(v));
     }
 
@@ -193,7 +181,7 @@ impl WebTableModel {
 
 impl EmbeddingModel for WebTableModel {
     fn dim(&self) -> usize {
-        self.config.dim
+        self.dim
     }
 
     fn name(&self) -> &str {
@@ -201,7 +189,7 @@ impl EmbeddingModel for WebTableModel {
     }
 
     fn embed_tokens_into(&self, tokens: &TokenBuf, out: &mut [f32]) {
-        debug_assert_eq!(out.len(), self.config.dim);
+        debug_assert_eq!(out.len(), self.dim);
         if tokens.is_empty() {
             out.fill(0.0);
         }
@@ -222,9 +210,9 @@ impl EmbeddingModel for WebTableModel {
         values: &mut dyn FnMut(&mut ValueSink<'_>),
         acc: &mut [f32],
     ) -> bool {
-        debug_assert_eq!(acc.len(), self.config.dim);
+        debug_assert_eq!(acc.len(), self.dim);
         let mut lowered = String::new();
-        let mut sum = scratch::take_f32(self.config.dim);
+        let mut sum = scratch::take_f32(self.dim);
         let mut any = false;
         values(&mut |value, weight| {
             if !self.sum_cell(value, &mut lowered, &mut sum) {
@@ -253,23 +241,17 @@ impl WebTableModel {
     /// n-gram cache — every gram materialised, every basis drawn afresh.
     pub(crate) fn compute_token_reference(&self, token: &str) -> Vector {
         let basis = |hash: u64| {
-            let mut v = Vector::zeros(self.config.dim);
+            let mut v = Vector::zeros(self.dim);
             self.basis_into(hash, &mut v.0);
             v
         };
         let mut v = basis(wg_util::stable_hash_str(token));
-        if self.config.subword_weight > 0.0 {
-            let grams = crate::tokenizer::reference::char_ngrams(
-                token,
-                self.config.min_ngram,
-                self.config.max_ngram,
-            );
-            if !grams.is_empty() {
-                let w = self.config.subword_weight / grams.len() as f32;
-                for g in &grams {
-                    let h = combine64(0x6772_616d, wg_util::stable_hash_str(g));
-                    v.add_scaled(&basis(h), w);
-                }
+        let grams = crate::tokenizer::reference::char_ngrams(token, MIN_NGRAM, MAX_NGRAM);
+        if !grams.is_empty() {
+            let w = SUBWORD_WEIGHT / grams.len() as f32;
+            for g in &grams {
+                let h = combine64(0x6772_616d, wg_util::stable_hash_str(g));
+                v.add_scaled(&basis(h), w);
             }
         }
         v.normalize();
@@ -313,9 +295,8 @@ mod tests {
             tokens.iter().map(|t| bits(&oracle.compute_token_reference(t).0)).collect();
         // Token cache off, so every pass recomputes: n-gram cache empty,
         // then warm, then (capacity 2) full almost from the start.
-        let uncached = WebTableConfig { cache_capacity: 0, ..Default::default() };
-        let roomy = WebTableModel::new(uncached);
-        let cramped = WebTableModel::with_ngram_capacity(uncached, 2);
+        let roomy = WebTableModel::with_capacities(0, NGRAM_BASIS_CAPACITY);
+        let cramped = WebTableModel::with_capacities(0, 2);
         for pass in 0..2 {
             for (t, want) in tokens.iter().zip(&want) {
                 assert_eq!(&bits(&roomy.token_vector(t).0), want, "{t:?} pass {pass}");
@@ -334,7 +315,7 @@ mod tests {
         let want: Vec<Vec<u32>> =
             tokens.iter().map(|t| bits(&oracle.compute_token_reference(t).0)).collect();
         for ngram_capacity in [NGRAM_BASIS_CAPACITY, 64] {
-            let m = WebTableModel::with_ngram_capacity(WebTableConfig::default(), ngram_capacity);
+            let m = WebTableModel::with_capacities(TOKEN_CAPACITY, ngram_capacity);
             let start = std::sync::Barrier::new(4);
             std::thread::scope(|s| {
                 for worker in 0..4 {
@@ -426,7 +407,7 @@ mod tests {
 
     #[test]
     fn cache_fills_and_respects_capacity() {
-        let m = WebTableModel::new(WebTableConfig { cache_capacity: 2, ..Default::default() });
+        let m = WebTableModel::with_capacities(2, NGRAM_BASIS_CAPACITY);
         let _ = m.token_vector("a");
         let _ = m.token_vector("b");
         let _ = m.token_vector("c");
@@ -437,18 +418,11 @@ mod tests {
 
     #[test]
     fn different_seeds_different_spaces() {
-        let a = WebTableModel::new(WebTableConfig { seed: 1, ..Default::default() });
-        let b = WebTableModel::new(WebTableConfig { seed: 2, ..Default::default() });
+        let a = WebTableModel::new(DIM, 1);
+        let b = WebTableModel::new(DIM, 2);
         let va = a.embed_text("hello");
         let vb = b.embed_text("hello");
         assert!(va.cosine(&vb).abs() < 0.4);
-    }
-
-    #[test]
-    fn subword_weight_zero_removes_ngram_similarity() {
-        let m = WebTableModel::new(WebTableConfig { subword_weight: 0.0, ..Default::default() });
-        let sim = m.token_vector("street").cosine(&m.token_vector("streets"));
-        assert!(sim.abs() < 0.35, "without subwords, near-misses look unrelated: {sim}");
     }
 
     #[test]

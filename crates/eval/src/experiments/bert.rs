@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use warpgate_core::WarpGateConfig;
 use wg_corpora::Corpus;
-use wg_embed::{MiniBertConfig, MiniBertModel};
+use wg_embed::MiniBertModel;
 use wg_store::{BackendHandle, SampleSpec};
 
 use crate::experiments::KS;
@@ -47,11 +47,9 @@ pub fn run(corpus: &Corpus, backend: &BackendHandle) -> Vec<BertRow> {
             let config = WarpGateConfig::default().with_sample(spec);
             let system = match model_name {
                 "web-table" => build_warpgate(backend, config, None),
-                _ => build_warpgate(
-                    backend,
-                    config,
-                    Some(Arc::new(MiniBertModel::new(MiniBertConfig::default()))),
-                ),
+                _ => {
+                    build_warpgate(backend, config, Some(Arc::new(MiniBertModel::default_model())))
+                }
             }
             .expect("build");
             let mut embed = 0.0;

@@ -169,5 +169,26 @@ mod tests {
         // And should find something.
         let wg10 = points.iter().find(|p| p.system == "WarpGate" && p.k == 10).unwrap();
         assert!(wg10.recall > 0.3, "WarpGate recall@10 {:.3}", wg10.recall);
+        // Every system's exact (P, R) at each k: the baselines' and the
+        // embedding models' constants reproduce these figures, so a drifted
+        // constant fails here by system and k.
+        let pinned: [(&str, usize, f64, f64); 12] = [
+            ("Aurum", 2, 0.4142857142857143, 0.41142857142857137),
+            ("Aurum", 3, 0.30476190476190484, 0.42857142857142855),
+            ("Aurum", 5, 0.20000000000000004, 0.4457142857142857),
+            ("Aurum", 10, 0.10000000000000002, 0.4457142857142857),
+            ("D3L", 2, 0.6142857142857143, 0.6157142857142858),
+            ("D3L", 3, 0.5333333333333332, 0.7933333333333333),
+            ("D3L", 5, 0.3942857142857142, 0.8976190476190478),
+            ("D3L", 10, 0.2028571428571428, 0.9142857142857143),
+            ("WarpGate", 2, 0.6714285714285714, 0.6666666666666666),
+            ("WarpGate", 3, 0.5619047619047619, 0.7895238095238095),
+            ("WarpGate", 5, 0.4114285714285713, 0.8680952380952381),
+            ("WarpGate", 10, 0.20571428571428566, 0.8680952380952381),
+        ];
+        for (system, k, precision, recall) in pinned {
+            let p = points.iter().find(|p| p.system == system && p.k == k).unwrap();
+            assert_eq!((p.precision, p.recall), (precision, recall), "{system} P/R@{k}");
+        }
     }
 }

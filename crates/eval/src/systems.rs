@@ -8,7 +8,7 @@
 use std::sync::Arc;
 
 use warpgate_core::{WarpGate, WarpGateConfig};
-use wg_baselines::{Aurum, AurumConfig, D3l, D3lConfig};
+use wg_baselines::{Aurum, D3l};
 use wg_store::{BackendHandle, ColumnRef, SampleSpec, StoreResult, WarehouseBackend};
 use wg_util::timing::Stopwatch;
 
@@ -136,8 +136,8 @@ pub fn build_systems(
     backend: &BackendHandle,
     query_sample: SampleSpec,
 ) -> StoreResult<Vec<Box<dyn System>>> {
-    let aurum = Aurum::build(backend.as_ref(), AurumConfig::default())?;
-    let d3l = D3l::build(backend.as_ref(), D3lConfig::default())?;
+    let aurum = Aurum::build(backend.as_ref())?;
+    let d3l = D3l::build(backend.as_ref())?;
     let warpgate = WarpGate::with_backend(
         WarpGateConfig { sample: query_sample, cache_capacity: 0, ..WarpGateConfig::default() },
         backend.clone(),

@@ -16,6 +16,12 @@
 use wg_util::codec::CodecError;
 use wg_util::deadline::Phase;
 
+/// The backoff hint, in milliseconds, every [`StoreError::Overloaded`]
+/// this workspace raises carries: admission's shed and a WGRP server's
+/// refusal at its connection cap. `RetryBackend` backs off on its own
+/// schedule and does not read it.
+pub const OVERLOADED_RETRY_AFTER_MS: u64 = 50;
+
 /// Errors from catalog lookups, CSV parsing, joins and CDW scans.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]

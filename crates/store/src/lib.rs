@@ -57,10 +57,10 @@ pub use cdw::{CdwConfig, CdwConnector, CostMeter, CostSnapshot};
 pub use column::{Column, ColumnData, TextColumn};
 pub use csv_backend::CsvBackend;
 pub use dtype::DataType;
-pub use error::{StoreError, StoreResult};
+pub use error::{StoreError, StoreResult, OVERLOADED_RETRY_AFTER_MS};
 pub use fault::{FaultInjector, FaultPlan};
 pub use join::{containment, jaccard, KeyNorm};
-pub use remote::{RemoteBackend, RemoteBackendServer, RemoteServerConfig, RemoteServerStats};
+pub use remote::{RemoteBackend, RemoteBackendServer, RemoteServerStats};
 pub use retry::{RetryBackend, RetryPolicy};
 pub use sample::SampleSpec;
 pub use table::Table;

@@ -35,8 +35,8 @@
 //! The server bounds its own handler threads instead of trusting clients:
 //! a connection cap (excess connections get one typed, *retryable*
 //! [`StoreError::Overloaded`] frame and are closed — never a silent hang)
-//! and write timeouts so a hung reader cannot pin a handler thread. See
-//! [`RemoteServerConfig`].
+//! and a 5 s write timeout so a hung reader cannot pin a handler thread.
+//! See [`RemoteBackendServer::serve_with`].
 //!
 //! ## Failure semantics
 //!
@@ -66,7 +66,7 @@ use crate::backend::{BackendHandle, TableMeta, TableVersion, WarehouseBackend};
 use crate::catalog::ColumnRef;
 use crate::cdw::CostSnapshot;
 use crate::column::Column;
-use crate::error::{StoreError, StoreResult};
+use crate::error::{StoreError, StoreResult, OVERLOADED_RETRY_AFTER_MS};
 use crate::sample::SampleSpec;
 use crate::table::Table;
 
@@ -393,29 +393,14 @@ fn read_frame(
 // ---------------------------------------------------------------------------
 // Server.
 
-/// Resource bounds of a [`RemoteBackendServer`]: its handler threads, the
-/// one resource the node's own admission gate cannot protect. The
-/// defaults protect the server out of the box — an unbounded accept loop
-/// lets any client storm (or leak) exhaust server threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RemoteServerConfig {
-    /// Concurrent connections served (each holds one handler thread).
-    /// Excess connections receive one [`StoreError::Overloaded`] frame and
-    /// are closed. `0` = unbounded (discouraged).
-    pub max_connections: usize,
-    /// Write timeout per response frame, so a hung or slow-reading client
-    /// cannot pin a handler thread. Zero = no timeout.
-    pub write_timeout: Duration,
-    /// Backoff hint carried inside the `Overloaded` errors this server
-    /// sheds with.
-    pub retry_after_ms: u64,
-}
+/// Connections [`RemoteBackendServer::serve`] admits at once. The cap
+/// protects the server out of the box: an unbounded accept loop lets any
+/// client storm (or leak) exhaust server threads.
+const MAX_CONNECTIONS: usize = 64;
 
-impl Default for RemoteServerConfig {
-    fn default() -> Self {
-        Self { max_connections: 64, write_timeout: Duration::from_secs(5), retry_after_ms: 50 }
-    }
-}
+/// Write timeout per response frame, so a hung or slow-reading client
+/// cannot pin a handler thread.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// The connection gauge and shedding counter of a running server (see
 /// [`RemoteBackendServer::stats`]).
@@ -429,7 +414,6 @@ pub struct RemoteServerStats {
 
 /// State shared between the accept loop and every handler thread.
 struct ServerShared {
-    config: RemoteServerConfig,
     live_connections: AtomicUsize,
     shed_connections: AtomicU64,
 }
@@ -448,7 +432,7 @@ impl Drop for ConnectionGuard<'_> {
 /// TCP. One thread accepts connections; each connection gets a handler
 /// thread answering requests until the client disconnects or the server
 /// shuts down. Connection count and response writes are bounded — see
-/// [`RemoteServerConfig`].
+/// [`Self::serve_with`].
 pub struct RemoteBackendServer {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
@@ -464,17 +448,21 @@ impl std::fmt::Debug for RemoteBackendServer {
 
 impl RemoteBackendServer {
     /// Bind `addr` (use port 0 for an ephemeral port) and start serving
-    /// `backend` with the default [`RemoteServerConfig`] bounds. Returns
-    /// once the listener is live — a client may connect immediately.
+    /// `backend` with a cap of 64 connections. Returns once the listener
+    /// is live — a client may connect immediately.
     pub fn serve(backend: BackendHandle, addr: impl ToSocketAddrs) -> StoreResult<Self> {
-        Self::serve_with(backend, addr, RemoteServerConfig::default())
+        Self::serve_with(backend, addr, MAX_CONNECTIONS)
     }
 
-    /// [`Self::serve`] with explicit resource bounds.
+    /// [`Self::serve`] with a cap of `max_connections` concurrent
+    /// connections, each holding one handler thread — the one resource the
+    /// node's own admission gate cannot protect. Excess connections receive
+    /// one [`StoreError::Overloaded`] frame and are closed. `0` = unbounded
+    /// (discouraged).
     pub fn serve_with(
         backend: BackendHandle,
         addr: impl ToSocketAddrs,
-        config: RemoteServerConfig,
+        max_connections: usize,
     ) -> StoreResult<Self> {
         let listener = TcpListener::bind(addr)
             .map_err(|e| StoreError::Backend(format!("remote server bind: {e}")))?;
@@ -486,7 +474,6 @@ impl RemoteBackendServer {
             .map_err(|e| StoreError::Backend(format!("remote server local_addr: {e}")))?;
         let stop = Arc::new(AtomicBool::new(false));
         let shared = Arc::new(ServerShared {
-            config,
             live_connections: AtomicUsize::new(0),
             shed_connections: AtomicU64::new(0),
         });
@@ -497,15 +484,16 @@ impl RemoteBackendServer {
             while !accept_stop.load(Ordering::Relaxed) {
                 match listener.accept() {
                     Ok((mut stream, _peer)) => {
-                        let cap = accept_shared.config.max_connections;
-                        if cap > 0 && accept_shared.live_connections.load(Ordering::Acquire) >= cap
+                        if max_connections > 0
+                            && accept_shared.live_connections.load(Ordering::Acquire)
+                                >= max_connections
                         {
                             // The cap protects handler threads, the one
                             // truly finite resource here. The refused
                             // client gets a typed, retryable answer —
                             // never a hang or a silent close.
                             accept_shared.shed_connections.fetch_add(1, Ordering::Relaxed);
-                            refuse_connection(&mut stream, &accept_shared.config);
+                            refuse_connection(&mut stream);
                             continue;
                         }
                         accept_shared.live_connections.fetch_add(1, Ordering::AcqRel);
@@ -514,7 +502,7 @@ impl RemoteBackendServer {
                         let shared = accept_shared.clone();
                         handlers.push(std::thread::spawn(move || {
                             let _guard = ConnectionGuard(&shared.live_connections);
-                            serve_connection(stream, backend, &stop, &shared);
+                            serve_connection(stream, backend, &stop);
                         }));
                     }
                     Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
@@ -567,12 +555,11 @@ impl Drop for RemoteBackendServer {
 /// Refuse an over-cap connection: answer whatever the client is about to
 /// send (usually the connect handshake) with one `Overloaded` frame, then
 /// drop the stream. Best-effort — the client may already be gone.
-fn refuse_connection(stream: &mut TcpStream, config: &RemoteServerConfig) {
+fn refuse_connection(stream: &mut TcpStream) {
     let _ = stream.set_nodelay(true);
-    if !config.write_timeout.is_zero() {
-        let _ = stream.set_write_timeout(Some(config.write_timeout));
-    }
-    let refusal = error_response(&StoreError::Overloaded { retry_after_ms: config.retry_after_ms });
+    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
+    let refusal =
+        error_response(&StoreError::Overloaded { retry_after_ms: OVERLOADED_RETRY_AFTER_MS });
     let _ = write_frame(stream, &refusal);
 }
 
@@ -602,19 +589,12 @@ fn bound_response(response: Vec<u8>, limit: usize) -> Vec<u8> {
 }
 
 /// One connection's request loop.
-fn serve_connection(
-    mut stream: TcpStream,
-    backend: BackendHandle,
-    stop: &AtomicBool,
-    shared: &ServerShared,
-) {
+fn serve_connection(mut stream: TcpStream, backend: BackendHandle, stop: &AtomicBool) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(SERVER_POLL));
-    if !shared.config.write_timeout.is_zero() {
-        // A hung client that stops reading must not pin this handler
-        // forever: the blocked response write errors out instead.
-        let _ = stream.set_write_timeout(Some(shared.config.write_timeout));
-    }
+    // A hung client that stops reading must not pin this handler forever:
+    // the blocked response write errors out instead.
+    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
     loop {
         let payload = match read_frame(&mut stream, Some(stop)) {
             Ok(Some(p)) => p,
@@ -754,7 +734,9 @@ impl RemoteBackend {
 
     /// Send one request payload, return the response *result* bytes (header
     /// and status stripped, server-side errors re-raised). Drops the pooled
-    /// connection on any transport failure so the next call reconnects.
+    /// connection on any transport failure, and on an `Overloaded` answer
+    /// (a server at its cap sends it on a new connection, then closes it),
+    /// so the next call reconnects.
     fn roundtrip(&self, request: &[u8]) -> StoreResult<Vec<u8>> {
         let mut guard = self.conn.lock();
         if guard.is_none() {
@@ -787,7 +769,13 @@ impl RemoteBackend {
         check_payload_header(&mut cursor)?;
         match get_u8(&mut cursor)? {
             0 => Ok(cursor.to_vec()),
-            1 => Err(get_store_error(&mut cursor)?),
+            1 => {
+                let e = get_store_error(&mut cursor)?;
+                if matches!(e, StoreError::Overloaded { .. }) {
+                    *self.conn.lock() = None;
+                }
+                Err(e)
+            }
             other => Err(StoreError::Codec(CodecError::Invalid(format!(
                 "unknown response status {other}"
             )))),
@@ -1112,6 +1100,37 @@ mod tests {
     }
 
     #[test]
+    fn a_refused_reconnect_leaves_no_dead_connection_pooled() {
+        let local = local_backend();
+        let server = RemoteBackendServer::serve_with(local.clone(), "127.0.0.1:0", 1).unwrap();
+        let addr = server.local_addr();
+        let b = RemoteBackend::connect(addr.to_string()).unwrap();
+
+        // Restart on the same port, and let A take the one slot.
+        server.shutdown();
+        let server = RemoteBackendServer::serve_with(local, addr, 1).unwrap();
+        let a = RemoteBackend::connect(addr.to_string()).unwrap();
+
+        // B's pooled connection died with the old server; its reconnect
+        // meets the cap.
+        let q = ColumnRef::new("db", "t", "a");
+        let err = b.validate_column(&q).unwrap_err();
+        assert!(matches!(err, StoreError::Unavailable(_)), "{err:?}");
+        let err = b.validate_column(&q).unwrap_err();
+        assert!(matches!(err, StoreError::Overloaded { .. }), "{err:?}");
+
+        // Once A's slot is free, B's next call reaches the server.
+        drop(a);
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while server.stats().live_connections > 0 {
+            assert!(std::time::Instant::now() < deadline, "slot never freed");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        b.validate_column(&q).unwrap();
+        server.shutdown();
+    }
+
+    #[test]
     fn costs_survive_a_dead_server_as_the_last_known_snapshot() {
         let (server, remote, _local) = loopback();
         remote.scan_column(&ColumnRef::new("db", "t", "a"), SampleSpec::Full).unwrap();
@@ -1258,8 +1277,7 @@ mod tests {
     #[test]
     fn over_cap_connection_gets_typed_retryable_refusal() {
         let local = local_backend();
-        let config = RemoteServerConfig { max_connections: 2, ..Default::default() };
-        let server = RemoteBackendServer::serve_with(local, "127.0.0.1:0", config).unwrap();
+        let server = RemoteBackendServer::serve_with(local, "127.0.0.1:0", 2).unwrap();
         let addr = server.local_addr().to_string();
 
         // Fill the cap with two held-open clients.
@@ -1305,8 +1323,7 @@ mod tests {
         // most 4 handler threads, every refused client getting a typed
         // retryable error promptly (no hang).
         let local = local_backend();
-        let config = RemoteServerConfig { max_connections: 4, ..Default::default() };
-        let server = RemoteBackendServer::serve_with(local, "127.0.0.1:0", config).unwrap();
+        let server = RemoteBackendServer::serve_with(local, "127.0.0.1:0", 4).unwrap();
         let addr = server.local_addr().to_string();
 
         let mut held = Vec::new();

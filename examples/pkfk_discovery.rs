@@ -7,7 +7,7 @@
 //! cargo run --release --example pkfk_discovery
 //! ```
 
-use warpgate::baselines::{Aurum, AurumConfig};
+use warpgate::baselines::Aurum;
 use warpgate::corpora::build_spider;
 use warpgate::eval::metrics::precision_recall_at_k;
 use warpgate::prelude::*;
@@ -26,14 +26,8 @@ fn main() {
     // Build both systems over the same warehouse.
     let warpgate = WarpGate::with_backend(WarpGateConfig::default(), connector.clone());
     warpgate.index_warehouse().expect("warpgate indexing");
-    let aurum = Aurum::build(connector.as_ref(), AurumConfig::default()).expect("aurum build");
-    println!(
-        "Aurum EKG: {} columns, {} edges (content {} / schema {})",
-        aurum.num_columns(),
-        aurum.num_edges(),
-        aurum.edge_counts().0,
-        aurum.edge_counts().1
-    );
+    let aurum = Aurum::build(connector.as_ref()).expect("aurum build");
+    println!("Aurum EKG: {} columns, {} edges", aurum.num_columns(), aurum.num_edges());
 
     // Evaluate both on the FK→PK workload.
     for k in [2usize, 10] {

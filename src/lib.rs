@@ -67,8 +67,9 @@
 //! `StoreError::Overloaded` before any backend call, and cooperative
 //! deadlines (`QueryOptions` / `Deadline`) guarantee an expired request
 //! stops before its next billed scan or cold block read. A
-//! `RemoteBackendServer` only caps its connections (`RemoteServerConfig`),
-//! protecting its handler threads; its frames carry no deadline.
+//! `RemoteBackendServer` only caps its connections
+//! (`RemoteBackendServer::serve_with`), protecting its handler threads;
+//! its frames carry no deadline.
 //!
 //! ## Workspace map
 //!
@@ -108,9 +109,9 @@ pub mod prelude {
     pub use wg_lsh::DiscoverScope;
     pub use wg_store::{
         BackendHandle, BackendId, CdwConfig, CdwConnector, Column, ColumnRef, CsvBackend, Database,
-        FaultInjector, FaultPlan, KeyNorm, RemoteBackend, RemoteBackendServer, RemoteServerConfig,
-        RemoteServerStats, RetryBackend, RetryPolicy, SampleSpec, StoreError, Table, TableMeta,
-        TableRef, Warehouse, WarehouseBackend,
+        FaultInjector, FaultPlan, KeyNorm, RemoteBackend, RemoteBackendServer, RemoteServerStats,
+        RetryBackend, RetryPolicy, SampleSpec, StoreError, Table, TableMeta, TableRef, Warehouse,
+        WarehouseBackend,
     };
     pub use wg_util::{Deadline, Phase};
 }

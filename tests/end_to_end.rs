@@ -2,7 +2,7 @@
 //! corpus, quality floors versus the baselines, persistence through the
 //! whole system, and incremental index maintenance.
 
-use warpgate::baselines::{Aurum, AurumConfig, D3l, D3lConfig};
+use warpgate::baselines::{Aurum, D3l};
 use warpgate::corpora::{build_testbed, TestbedSpec};
 use warpgate::eval::metrics::precision_recall_at_k;
 use warpgate::prelude::*;
@@ -39,7 +39,7 @@ fn warpgate_beats_syntactic_baseline_on_semantic_corpus() {
 
     let wg = WarpGate::with_backend(WarpGateConfig::default(), connector.clone());
     wg.index_warehouse().unwrap();
-    let aurum = Aurum::build(connector.as_ref(), AurumConfig::default()).unwrap();
+    let aurum = Aurum::build(connector.as_ref()).unwrap();
 
     let (wg_p, wg_r) = mean_pr(
         &corpus,
@@ -62,7 +62,7 @@ fn warpgate_at_least_matches_d3l() {
     let connector = free_connector(corpus.warehouse.clone());
     let wg = WarpGate::with_backend(WarpGateConfig::default(), connector.clone());
     wg.index_warehouse().unwrap();
-    let d3l = D3l::build(connector.as_ref(), D3lConfig::default()).unwrap();
+    let d3l = D3l::build(connector.as_ref()).unwrap();
 
     let (wg_p, wg_r) = mean_pr(
         &corpus,

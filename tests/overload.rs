@@ -57,12 +57,7 @@ fn saturated_server_sheds_connections_typed_and_never_bills_them() {
     // connection while the rest of a 12-client burst arrives against 2
     // slots.
     let slow: BackendHandle = Arc::new(FaultInjector::new(inner, FaultPlan::hang(0.25)));
-    let server = RemoteBackendServer::serve_with(
-        slow,
-        "127.0.0.1:0",
-        RemoteServerConfig { max_connections: 2, ..Default::default() },
-    )
-    .expect("loopback server");
+    let server = RemoteBackendServer::serve_with(slow, "127.0.0.1:0", 2).expect("loopback server");
     let addr = server.local_addr().to_string();
 
     // Release every client at once: each connects, then scans.
