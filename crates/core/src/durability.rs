@@ -106,8 +106,9 @@ impl Checkpointer {
     pub fn checkpoint(&self, wg: &WarpGate) -> io::Result<()> {
         // Rotate only once the new generation is safely on disk: demoting
         // the old snapshot before that could leave zero loadable
-        // generations after a crash.
-        atomic_file::write_with(&self.path, &wg.seal(false)?.0, || {
+        // generations after a crash. The image carries every row's sketched
+        // record, so a recovery copies them rather than quantizing each row.
+        atomic_file::write_with(&self.path, &wg.seal(true)?.0, || {
             if self.path.exists() {
                 fs::rename(&self.path, self.previous_path())?;
             }
@@ -225,6 +226,22 @@ mod tests {
 
     fn rank_of(node: &WarpGate) -> Vec<crate::JoinCandidate> {
         node.discover(&ColumnRef::new("db", "a", "x"), 3).unwrap().candidates
+    }
+
+    #[test]
+    fn a_checkpoint_carries_the_row_sketches_and_recovery_copies_them() {
+        let (config, c, wg) = two_tables();
+        let dir = tmp_dir("sketched");
+        let ckpt = Checkpointer::new(dir.join("node.ckpt"));
+        ckpt.checkpoint(&wg).unwrap();
+        let segment = wg_lsh::VectorSegment::open(ckpt.path(), wg_lsh::BlockCache::new(0));
+        assert!(segment.unwrap().has_sketches(), "a recovery must not quantize its rows");
+        let mut recovered = WarpGate::with_backend(config, c);
+        ckpt.recover(&mut recovered).unwrap();
+        assert_eq!(rank_of(&recovered), rank_of(&wg));
+        // Sealed again, the recovered node's records are the checkpoint's.
+        assert!(recovered.seal(true).unwrap().0 == fs::read(ckpt.path()).unwrap());
+        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

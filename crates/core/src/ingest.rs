@@ -7,7 +7,7 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
-use wg_lsh::Signature;
+use wg_lsh::{RowSketch, Signature};
 use wg_store::{BackendId, ColumnRef, CostSnapshot, StoreResult, TableMeta, TableRef};
 use wg_util::deadline::{Deadline, Phase};
 use wg_util::timing::Stopwatch;
@@ -21,6 +21,10 @@ use crate::system::{deadline_err, Attached, TableState, WarpGate};
 /// a straggler holds back. (A write guard covers one table, however its
 /// columns fall into chunks.)
 const MAX_CHUNK: usize = 64;
+
+/// A column ready to install: its row's record, signature and vector, all
+/// computed on a fan-out worker.
+type Installable = (RowSketch, Signature, wg_embed::Vector);
 
 /// Summary of one indexing run.
 #[derive(Debug, Clone, Copy)]
@@ -268,22 +272,25 @@ impl WarpGate {
         in_order(
             &refs,
             self.config.effective_threads(),
-            |(r, meta)| -> StoreResult<(Embedding, CostSnapshot, u64)> {
+            |(r, meta)| -> StoreResult<(Option<Installable>, CostSnapshot, u64)> {
                 deadline.check(Phase::Scan).map_err(deadline_err)?;
                 let (column, billed, version) =
                     backend.scan_column_metered(r, self.config.sample)?;
                 let vector =
                     self.embed_with_context(r, &column, &meta.columns, self.config.context_weight);
-                // Signed here, on the worker, so the commit's write guard
-                // covers bucket pushes only. A zero vector is not indexed.
-                Ok((Embedding::new(vector, &self.hasher), billed, version))
+                // Signed and sketched here, on the worker, so the commit's
+                // write guard covers copies and bucket pushes only. A zero
+                // vector is not indexed.
+                let Embedding { vector, signature } = Embedding::new(vector, &self.hasher);
+                let row = signature.map(|sig| (RowSketch::of(vector.as_slice()), sig, vector));
+                Ok((row, billed, version))
             },
             |chunk, results| {
-                for ((r, meta), (embedding, billed, version)) in chunk.iter().zip(results) {
+                for ((r, meta), (row, billed, version)) in chunk.iter().zip(results) {
                     report.cost = report.cost.plus(&billed);
                     mixed |= version != meta.version;
-                    if let Embedding { vector, signature: Some(sig) } = embedding {
-                        rows.push((r, vector, sig));
+                    if let Some(row) = row {
+                        rows.push((r, row));
                     }
                     scanned += 1;
                     if scanned < meta.columns.len() {
@@ -315,7 +322,7 @@ impl WarpGate {
         &self,
         run: &Attached,
         table: &TableRef,
-        rows: Vec<(&ColumnRef, wg_embed::Vector, Signature)>,
+        rows: Vec<(&ColumnRef, Installable)>,
         version: Option<u64>,
     ) -> usize {
         let removed = {
@@ -334,9 +341,9 @@ impl WarpGate {
             gone.retain(|old| rows.iter().all(|(r, ..)| r.column != old.column));
             let gone = gone.iter().filter_map(|r| state.registry.remove(r));
             let removed = gone.filter(|&id| state.index.remove(id)).count();
-            for (r, vector, sig) in rows {
+            for (r, (sketch, sig, vector)) in rows {
                 let id = state.registry.insert(r.clone());
-                state.index.insert_signed(id, vector.as_slice(), sig);
+                state.index.insert_signed(id, vector.as_slice(), sig, &sketch);
             }
             removed
         };

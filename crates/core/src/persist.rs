@@ -21,10 +21,16 @@
 //! ```
 //!
 //! * One writer (`WarpGate::seal`) builds every image, at one instant: under
-//!   one read guard of the system's state.
-//!   [`WarpGate::save_paged`] alone seals the int8 row sketches a lazily
-//!   attached file prunes with into the directory; a hydrating load never
-//!   reads them, so the other writers leave them out.
+//!   one read guard of the system's state, copying each row's sketched
+//!   record (int8 codes, scale, residual, norm) as the index holds it —
+//!   never re-quantizing a row. A paged snapshot
+//!   ([`WarpGate::save_paged`]) and a checkpoint ([`crate::Checkpointer`])
+//!   carry the records in the directory: a lazy attach prunes with them,
+//!   and a hydrating load copies them into its resident pages.
+//!   [`WarpGate::to_bytes`] and [`WarpGate::save_to_file`] write the
+//!   smaller image without them; hydrating one of those, or a checkpoint
+//!   written before checkpoints carried them, derives each row's record
+//!   from its decoded vector (about a microsecond a row).
 //! * One reader validates trailer → directory CRC → directory → manifest,
 //!   then **hydrates** ([`WarpGate::load_bytes`], [`WarpGate::load_from_file`])
 //!   or **attaches lazily** ([`WarpGate::load_paged`]). A paged snapshot is

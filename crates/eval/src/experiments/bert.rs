@@ -146,7 +146,7 @@ mod tests {
     use wg_corpora::TestbedSpec;
 
     #[test]
-    #[ignore = "minutes-long in debug; run with --ignored or --release"]
+    #[ignore = "minutes-long unoptimized: cargo test --release -p wg_eval --lib bert -- --ignored"]
     fn bert_on_par_but_slower_on_xs() {
         let corpus = wg_corpora::build_testbed(&TestbedSpec::xs(0.1));
         let connector = connect_free(corpus.warehouse.clone());

@@ -8,21 +8,23 @@
 //!
 //! Every row sits in one table of **pages** numbered in one row space: a
 //! page holds a run of consecutive row numbers, and a bucket entry is a row
-//! number. A page is *resident* — vectors, norms and signature words in
-//! memory; inserts, replacements and hydrated rows land there — or
+//! number. A page is *resident* — vectors, sketch records and signature
+//! words in memory; inserts, replacements and hydrated rows land there — or
 //! *attached*: the rows of one lazily attached [`VectorSegment`], whose
-//! signatures, norms and sketches stay resident in the segment's slab while
-//! its vectors are read through the block cache, a block at a time. A row's
+//! signatures and sketch records stay resident in the segment's slab while
+//! its vectors are read through the block cache, a block at a time. Either
+//! way a row has one record of one layout (`codes i8 × dim │ scale │
+//! residual │ norm`, `crate::paged`), so one bound serves both. A row's
 //! place in an attached page is its row number in the segment, so the
-//! search reaches its sketch record and its block from that number alone,
-//! whatever the block size. The candidate set of
-//! a query is a bitset over row numbers in a per-thread scratch: marking an
-//! entry dedups it, and one ascending scan hands every candidate out in row
-//! order — no sort, and no id → row probe, between the buckets and the
-//! scores. The one choice the search makes per row is its page's
-//! residency: a resident row is scored exactly, four per kernel pass; an
-//! attached row is bounded from its sketch first, and its block is read
-//! only if the row can still reach the top-k.
+//! search reaches its record and its block from that number alone,
+//! whatever the block size. The candidate set of a query is a bitset over
+//! row numbers in a per-thread scratch: marking an entry dedups it, and one
+//! ascending scan hands every candidate out in row order — no sort, and no
+//! id → row probe, between the buckets and the scores. A small candidate
+//! set (at most [`BOUND_FIRST_PER_RESULT`]` · k` rows) scores its resident
+//! rows outright, four per kernel pass, and bounds its attached rows first;
+//! a large one bounds every row first and scores only those whose bound can
+//! still reach the top-k.
 
 use std::cell::RefCell;
 use std::collections::BinaryHeap;
@@ -33,7 +35,7 @@ use wg_util::kernel;
 use wg_util::segment::SegmentError;
 use wg_util::{FxHashMap, TopK};
 
-use crate::paged::{self, QueryCodes, SealRow, SegmentRow, VectorSegment};
+use crate::paged::{self, record_norm, QueryCodes, RowSketch, SealRow, SegmentRow, VectorSegment};
 use crate::params::LshParams;
 use crate::scope::DiscoverScope;
 use crate::simhash::{band_key_of, Signature, SimHasher};
@@ -44,13 +46,18 @@ use crate::{item_backend, ItemId};
 pub struct SearchOutcome {
     /// Distinct in-scope candidates that came out of the band buckets.
     pub candidates: usize,
-    /// How many survived the exclusion filter and were scored exactly
-    /// (attached rows their bound pruned are never scored and do not count).
+    /// How many were scored exactly. Of a candidate set of at most
+    /// [`BOUND_FIRST_PER_RESULT`]` · k` rows, every resident row the
+    /// exclusion filter kept, and the attached rows whose bound reached the
+    /// top-k; of a larger set, only the rows whose bound reached it, and
+    /// the `k` rows of largest bound that seeded it. A row a bound ruled
+    /// out is never scored and does not count.
     pub scored: usize,
-    /// Attached blocks whose payload was fetched for exact scoring.
+    /// Attached blocks whose payload was fetched for exact scoring, each
+    /// once.
     pub blocks_read: usize,
-    /// Attached blocks skipped because the row bounds proved none of their
-    /// candidate rows could reach the current top-k.
+    /// Attached blocks holding a candidate that were never fetched: the row
+    /// bounds proved none of their candidate rows could reach the top-k.
     pub blocks_pruned: usize,
 }
 
@@ -87,6 +94,17 @@ impl From<SegmentError> for SearchError {
     }
 }
 
+/// Candidates per requested result above which a search bounds every
+/// candidate row — resident ones too — before it scores any: a gathered
+/// set of more than `48 · k` rows is bounded, seeded with the `k` largest
+/// bounds scored exactly, and re-ranked over the rows whose bound still
+/// reaches the threshold; a smaller one scores its resident rows outright.
+/// Bounding first pays where the candidates' vectors are out of cache,
+/// which is where large sets come from — large corpora; the count stands in
+/// for that (the measured crossover is in DESIGN.md §8 "Per-candidate
+/// cost").
+pub const BOUND_FIRST_PER_RESULT: usize = 48;
+
 /// Rows a page [`SimHashLshIndex::grow`] opens holds at most. Only
 /// allocation hangs on it: a resident page's buffers grow in place up to
 /// the last row taken, so a full one never moves.
@@ -94,11 +112,15 @@ const RESIDENT_ROWS: usize = 1024;
 
 /// Where a page's vectors are.
 enum Payload {
-    /// In memory: `dim` floats, one L2 norm and the packed signature words
-    /// of each row, up to the last row taken so far (stale for a free row).
-    Resident { vectors: Vec<f32>, norms: Vec<f32>, sigs: Vec<u64> },
+    /// In memory: `dim` floats, one sketched record (`dim + 12` bytes, the
+    /// layout of a segment's slab record, the L2 norm last) and the packed
+    /// signature words of each row, up to the last row taken so far (stale
+    /// for a free row). `norms` repeats each record's norm densely for the
+    /// unbounded scan of a small candidate set, which would otherwise read
+    /// one more cache line a row for it.
+    Resident { vectors: Vec<f32>, norms: Vec<f32>, records: Vec<u8>, sigs: Vec<u64> },
     /// An attached segment, `live` of whose rows are still stored: row `at`
-    /// of the page is row `at` of the segment. Norms and signature words
+    /// of the page is row `at` of the segment. Records and signature words
     /// are read from the segment's slab, vectors through its block cache.
     /// A removed row stays dead until the removal that empties the page
     /// makes it resident: the segment's blocks leave the cache, the hold on
@@ -109,7 +131,8 @@ enum Payload {
 impl Payload {
     /// A resident payload no row has been taken from.
     fn resident() -> Payload {
-        Payload::Resident { vectors: Vec::new(), norms: Vec::new(), sigs: Vec::new() }
+        let (vectors, norms, records, sigs) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+        Payload::Resident { vectors, norms, records, sigs }
     }
 }
 
@@ -144,6 +167,22 @@ impl Page {
             Payload::Attached { segment, .. } => segment,
             _ => unreachable!("only an attached page is a segment"),
         }
+    }
+
+    /// Every row's sketched record (`paged::record_len(dim, true)` bytes
+    /// each), in row order.
+    #[inline]
+    fn records(&self) -> &[u8] {
+        match &self.payload {
+            Payload::Resident { records, .. } => records,
+            Payload::Attached { segment, .. } => segment.records(),
+        }
+    }
+
+    /// The sketched record (`len` bytes) of the row at `at`.
+    #[inline]
+    fn record(&self, at: usize, len: usize) -> &[u8] {
+        &self.records()[at * len..(at + 1) * len]
     }
 
     /// The segment block holding the row at `at`; `None` for a page that
@@ -194,7 +233,7 @@ struct Row {
     id: Option<ItemId>,
 }
 
-/// One block's candidate rows in the attached pass — `rows[start..end]` of
+/// One block's candidate rows in the bounded pass — `rows[start..end]` of
 /// the scratch — under the largest of their bounds. Ordered so that the
 /// greatest group is the block to visit next: the largest bound (never
 /// NaN), and among equal bounds the first in row order, which is the
@@ -223,15 +262,16 @@ impl PartialOrd for BlockGroup {
 
 /// Per-thread buffers of one search, so a steady-state query allocates
 /// nothing: the candidate bitset — one bit per row number; **all-zero
-/// between searches** — and the attached pass's candidate rows (`(page,
+/// between searches** — and the bounded pass's candidate rows (`(page,
 /// place in the page, id)`), quantized query, row bounds (aligned with the
-/// rows) and block groups.
+/// rows), seed rows (bound and index into the rows) and block groups.
 #[derive(Default)]
 struct SearchScratch {
     bits: Vec<u64>,
     rows: Vec<(u32, u32, ItemId)>,
     query: QueryCodes,
     bounds: Vec<f64>,
+    seeds: Vec<(f64, u32)>,
     groups: Vec<BlockGroup>,
 }
 
@@ -320,6 +360,99 @@ pub(crate) fn score_row(
     dim: usize,
 ) -> f64 {
     cosine_of(kernel::dot(query, &data[row * dim..(row + 1) * dim]), qnorm, norm) as f64
+}
+
+/// Fill `seeds` with the `seed` (≥ 1, at most `bounds.len()`) largest of
+/// `bounds`, as `(bound, index)`, in index order — row order, so the seeds
+/// of one block are one visit. One pass: `seeds` holds the best so far,
+/// `low` the place of the least of them and `floor` its bound, so a bound
+/// that displaces none costs one compare. (`select_nth_unstable` over the
+/// indices cost ~9 ns a candidate, this pass ~1.)
+fn largest_bounds(bounds: &[f64], seed: usize, seeds: &mut Vec<(f64, u32)>) {
+    seeds.clear();
+    seeds.extend((0..seed).map(|i| (bounds[i], i as u32)));
+    let least = |seeds: &[(f64, u32)]| {
+        let low = (0..seeds.len()).min_by(|&a, &b| seeds[a].0.total_cmp(&seeds[b].0));
+        let low = low.expect("a seed");
+        (low, seeds[low].0)
+    };
+    let (mut low, mut floor) = least(seeds);
+    for (i, &ub) in bounds.iter().enumerate().skip(seed) {
+        if ub > floor {
+            seeds[low] = (ub, i as u32);
+            (low, floor) = least(seeds);
+        }
+    }
+    seeds.sort_unstable_by_key(|&(_, i)| i);
+}
+
+/// Up to four resident rows `(vector, norm, id)` waiting for one
+/// [`kernel::dot4`] pass, and how many rows it has scored into `topk`. A
+/// row's score does not depend on its batch (`dot4` is bit-equal to `dot`),
+/// and four rows keep four cache-miss streams in flight.
+struct Batch<'a> {
+    query: &'a [f32],
+    qnorm: f32,
+    rows: [(&'a [f32], f32, ItemId); 4],
+    filled: usize,
+    scored: usize,
+}
+
+impl<'a> Batch<'a> {
+    fn new(query: &'a [f32], qnorm: f32) -> Self {
+        Batch { query, qnorm, rows: [(&[], 0.0, 0); 4], filled: 0, scored: 0 }
+    }
+
+    /// Add a row; a full batch is scored. True when it was.
+    #[inline]
+    fn push(&mut self, row: (&'a [f32], f32, ItemId), topk: &mut TopK<ItemId>) -> bool {
+        self.rows[self.filled] = row;
+        self.filled += 1;
+        if self.filled < self.rows.len() {
+            return false;
+        }
+        let dots = kernel::dot4(self.query, self.rows.map(|(vector, ..)| vector));
+        for (&(_, norm, id), dot) in self.rows.iter().zip(dots) {
+            topk.push(cosine_of(dot, self.qnorm, norm) as f64, id);
+        }
+        (self.scored, self.filled) = (self.scored + self.filled, 0);
+        true
+    }
+
+    /// Score the rows left, one `dot` each; returns the rows scored in all.
+    fn finish(self, topk: &mut TopK<ItemId>) -> usize {
+        for &(vector, norm, id) in &self.rows[..self.filled] {
+            topk.push(cosine_of(kernel::dot(self.query, vector), self.qnorm, norm) as f64, id);
+        }
+        self.scored + self.filled
+    }
+}
+
+/// Score the rows of `run` — candidate rows of one resident page, whose
+/// `(vectors, norms)` these are, `bounds` theirs — whose bound is not below
+/// the threshold (nor NaN: scored already), four per kernel pass. The
+/// threshold is read again after every pass. Returns how many were scored.
+fn score_survivors(
+    query: &[f32],
+    qnorm: f32,
+    dim: usize,
+    (vectors, norms): (&[f32], &[f32]),
+    run: &[(u32, u32, ItemId)],
+    bounds: &[f64],
+    topk: &mut TopK<ItemId>,
+) -> usize {
+    let mut floor = topk.threshold().unwrap_or(f64::NEG_INFINITY);
+    let mut batch = Batch::new(query, qnorm);
+    for (&(_, at, id), &ub) in run.iter().zip(bounds) {
+        if ub.is_nan() || ub < floor {
+            continue;
+        }
+        let at = at as usize;
+        if batch.push((&vectors[at * dim..(at + 1) * dim], norms[at], id), topk) {
+            floor = topk.threshold().unwrap_or(f64::NEG_INFINITY);
+        }
+    }
+    batch.finish(topk)
 }
 
 /// A finished heap as the public `(id, cosine)` ranking, best first.
@@ -455,27 +588,40 @@ impl SimHashLshIndex {
             return false;
         }
         let sig = self.hasher.sign(vector);
-        self.insert_signed(id, vector, sig);
+        self.insert_signed(id, vector, sig, &RowSketch::of(vector));
         true
     }
 
     /// Insert with a precomputed signature (must come from a hasher with
-    /// this index's geometry and seed). Lets callers compute the expensive
-    /// projection outside the index's lock; the remaining work is bucket
-    /// pushes and map inserts. The vector must already be validated
-    /// (non-zero, right dimension).
-    pub fn insert_signed(&mut self, id: ItemId, vector: &[f32], sig: Signature) {
+    /// this index's geometry and seed) and record (`RowSketch::of(vector)`).
+    /// Lets callers do the projection and the quantization outside the
+    /// index's lock; the remaining work is copies, bucket pushes and map
+    /// inserts. The vector must already be validated (non-zero, right
+    /// dimension).
+    pub fn insert_signed(
+        &mut self,
+        id: ItemId,
+        vector: &[f32],
+        sig: Signature,
+        sketch: &RowSketch,
+    ) {
         debug_assert_eq!(vector.len(), self.dim());
         debug_assert_eq!(sig.bits, self.params.bits());
-        self.insert_row(id, &sig.words, |slot| slot.copy_from_slice(vector));
+        debug_assert_eq!(sketch, &RowSketch::of(vector));
+        self.insert_row(id, &sig.words, |slot, record| {
+            slot.copy_from_slice(vector);
+            record.copy_from_slice(sketch.record());
+        });
     }
 
     /// Insert (or replace) a resident row from its packed signature `words`
-    /// and a `fill` that writes the vector straight into its page — how a
-    /// hydrating load installs a row it decodes from a block: bucketed from
-    /// the signature the build derived, nothing re-projected.
-    fn insert_row(&mut self, id: ItemId, words: &[u64], fill: impl FnOnce(&mut [f32])) {
+    /// and a `fill` that writes the vector and then its sketched record
+    /// straight into its page — how a hydrating load installs a row it
+    /// decodes from a block: bucketed from the signature the build
+    /// derived, nothing re-projected.
+    fn insert_row(&mut self, id: ItemId, words: &[u64], fill: impl FnOnce(&mut [f32], &mut [u8])) {
         let (dim, width) = (self.dim(), self.words_per_sig());
+        let len = paged::record_len(dim, true);
         debug_assert_eq!(words.len(), width);
         self.remove(id);
         let n = match self.free.pop() {
@@ -484,20 +630,21 @@ impl SimHashLshIndex {
         };
         let page = &mut self.pages[self.rows[n as usize].page as usize];
         let at = (n - page.first) as usize;
-        let Payload::Resident { vectors, norms, sigs } = &mut page.payload else {
+        let Payload::Resident { vectors, norms, records, sigs } = &mut page.payload else {
             unreachable!("a free row is resident");
         };
         // Past the last row taken so far: one `grow` appended, or a row of
         // an attached page that became resident (its rows are handed out
         // in order, so a retired segment's page grows as it refills).
-        if norms.len() <= at {
+        if sigs.len() <= at * width {
             vectors.resize((at + 1) * dim, 0.0);
             norms.resize(at + 1, 0.0);
+            records.resize((at + 1) * len, 0);
             sigs.resize((at + 1) * width, 0);
         }
-        let vector = &mut vectors[at * dim..(at + 1) * dim];
-        fill(vector);
-        norms[at] = kernel::norm_sq(vector).sqrt();
+        let record = &mut records[at * len..(at + 1) * len];
+        fill(&mut vectors[at * dim..(at + 1) * dim], record);
+        norms[at] = record_norm(record);
         sigs[at * width..(at + 1) * width].copy_from_slice(words);
         self.rows[n as usize].id = Some(id);
         self.locator.insert(id, n);
@@ -665,10 +812,13 @@ impl SimHashLshIndex {
     /// adjacent blocks with one positioned read each, CRC-checked, and each
     /// row `map` keeps (under the id it returns, as in
     /// [`Self::attach_segment_mapped`]) is decoded straight into a resident
-    /// page and bucketed from its stored signature words. Nothing pages
-    /// afterwards: the rows are resident, and the segment can be dropped.
-    /// Returns how many rows were installed; on an error the index holds the
-    /// runs read so far, so hydrate an index nothing else sees yet.
+    /// page and bucketed from its stored signature words. Its record is
+    /// copied from the segment's slab — or, from a file sealed without
+    /// sketches, derived from the decoded vector under its stored norm.
+    /// Nothing pages afterwards: the rows are resident, and the segment can
+    /// be dropped. Returns how many rows were installed; on an error the
+    /// index holds the runs read so far, so hydrate an index nothing else
+    /// sees yet.
     pub fn hydrate(
         &mut self,
         segment: &VectorSegment,
@@ -682,8 +832,12 @@ impl SimHashLshIndex {
                 let Some(id) = map(segment.ids()[row]) else {
                     continue;
                 };
-                self.insert_row(id, segment.sig_words(row), |slot| {
+                self.insert_row(id, segment.sig_words(row), |slot, record| {
                     codec::get_f32s(&mut &raw[..], slot).expect("a row's bytes fill its slot");
+                    match segment.has_sketches() {
+                        true => record.copy_from_slice(segment.record(row)),
+                        false => paged::sketch_row(slot, segment.norm(row), record),
+                    }
                 });
                 installed += 1;
             }
@@ -694,8 +848,8 @@ impl SimHashLshIndex {
     /// Seal every row `admit` keeps into one segment image (layout at
     /// `paged::seal_image`) whose header carries `manifest`. Rows are read
     /// **in place** — resident ones from their pages, attached ones from
-    /// their blocks, fetched through the cache — and laid out in
-    /// (signature, id) order, so the bytes depend neither on where a row
+    /// their blocks, fetched through the cache — with their records
+    /// copied, never re-quantized, and laid out in (signature, id) order, so the bytes depend neither on where a row
     /// sits nor on insertion history. An attached block that does not read
     /// back intact is the error: nothing is sealed around a hole.
     pub fn seal(
@@ -762,11 +916,13 @@ impl SimHashLshIndex {
         out: &mut Vec<SealRow<'a>>,
     ) {
         let (dim, width) = (self.dim(), self.words_per_sig());
+        let len = paged::record_len(dim, true);
         for (page, blocks) in self.pages.iter().zip(fetched) {
             for (at, id) in self.stored(page).filter(|&(_, id)| admit(id)) {
                 let data = page.block_of(at).and_then(|block| blocks[block].as_deref());
-                let (vector, norm) = page.row(at, dim, data.map(Vec::as_slice));
-                out.push(SealRow { id, words: page.sig_words(at, width), norm, vector });
+                let (vector, _) = page.row(at, dim, data.map(Vec::as_slice));
+                let (words, record) = (page.sig_words(at, width), page.record(at, len));
+                out.push(SealRow { id, words, record, vector });
             }
         }
     }
@@ -783,7 +939,7 @@ impl SimHashLshIndex {
             .map(|r| SegmentRow {
                 id: r.id,
                 signature: Signature { words: r.words.to_vec(), bits },
-                norm: r.norm,
+                norm: record_norm(r.record),
                 vector: r.vector.to_vec(),
             })
             .collect()
@@ -897,16 +1053,20 @@ impl SimHashLshIndex {
         found
     }
 
-    /// The search itself, in `scratch`: one gather, one scan, one heap.
+    /// The search itself, in `scratch`: one gather, one scan, one bounded
+    /// pass.
     ///
     /// Gather: every entry of the signature's buckets sets one bit of the
-    /// per-thread bitset. Scan: ascending over the words, clearing each as
-    /// it is read, so the scratch is all-zero again on every way out. A set
-    /// bit is a distinct candidate row; `scope` and `exclude` see it once.
-    /// A resident row is scored on the spot, four per kernel pass, so the
-    /// heap is as full as the resident rows can make it before any attached
-    /// row is bounded; an attached row is set aside for
-    /// [`Self::score_attached_rows`], in row order — block by block.
+    /// per-thread bitset. Scan: ascending
+    /// over the words, clearing each as it is read, so the scratch is
+    /// all-zero again on every way out. A set bit is a distinct candidate
+    /// row; `scope` and `exclude` see it once. Of a gathered set of at most
+    /// [`BOUND_FIRST_PER_RESULT`]` · k` rows, a resident row is scored on
+    /// the spot, four per kernel pass, so the heap is as full as the
+    /// resident rows can make it before any attached row is bounded, and an
+    /// attached row is set aside; of a larger set every row is set aside.
+    /// [`Self::bound_and_score`] takes the rows set aside, in row order —
+    /// an attached page's block by block.
     #[allow(clippy::too_many_arguments)]
     fn search_with(
         &self,
@@ -923,8 +1083,10 @@ impl SimHashLshIndex {
             scratch.bits.resize(words, 0);
         }
         let bits = &mut scratch.bits[..words];
-        self.for_each_bucket(sig, |entries| {
-            for &n in entries {
+        let mut entries = 0usize;
+        self.for_each_bucket(sig, |bucket| {
+            entries += bucket.len();
+            for &n in bucket {
                 bits[n as usize >> 6] |= 1 << (n & 63);
             }
         });
@@ -932,11 +1094,18 @@ impl SimHashLshIndex {
             bits.fill(0);
             return Err(phase.into());
         }
+        // The rule counts distinct rows. The entries bound them from above
+        // and cost nothing to count, so only a gather of more entries than
+        // the rule admits counts its rows, with one pass over the bitset
+        // (counting them while marking slowed the small sets' gather).
+        let limit = BOUND_FIRST_PER_RESULT * k;
+        let bound_all =
+            entries > limit && bits.iter().map(|w| w.count_ones() as usize).sum::<usize>() > limit;
 
         let (dim, qnorm) = (self.dim(), kernel::norm_sq(query).sqrt());
         let mut topk = TopK::new(k);
-        let mut batch: [(&[f32], f32, ItemId); 4] = [(&[], 0.0, 0); 4];
-        let (mut candidates, mut filled, mut scored) = (0usize, 0usize, 0usize);
+        let mut batch = Batch::new(query, qnorm);
+        let mut candidates = 0usize;
         scratch.rows.clear();
         // The scan hands rows out in ascending order, so a resident row's
         // page is mostly the last one's: its rows and slices are kept here,
@@ -957,129 +1126,217 @@ impl SimHashLshIndex {
                 return;
             }
             let page = &self.pages[p as usize];
-            let Payload::Resident { vectors, norms, .. } = &page.payload else {
-                scratch.rows.push((p, (n - page.first as usize) as u32, id));
-                return;
+            let (vectors, norms) = match &page.payload {
+                Payload::Resident { vectors, norms, .. } if !bound_all => (vectors, norms),
+                _ => {
+                    scratch.rows.push((p, (n - page.first as usize) as u32, id));
+                    return;
+                }
             };
             if n >= span.end {
                 (span, slices) = (page.span(), (vectors.as_slice(), norms.as_slice()));
             }
             let ((vectors, norms), at) = (slices, n - span.start);
-            batch[filled] = (&vectors[at * dim..(at + 1) * dim], norms[at], id);
-            filled += 1;
-            if filled == batch.len() {
-                let dots = kernel::dot4(query, batch.map(|(vector, ..)| vector));
-                for (&(_, norm, id), dot) in batch.iter().zip(dots) {
-                    topk.push(cosine_of(dot, qnorm, norm) as f64, id);
-                }
-                scored += filled;
-                filled = 0;
-            }
+            batch.push((&vectors[at * dim..(at + 1) * dim], norms[at], id), &mut topk);
         });
-        for &(vector, norm, id) in &batch[..filled] {
-            topk.push(cosine_of(kernel::dot(query, vector), qnorm, norm) as f64, id);
-        }
-        scored += filled;
+        let scored = batch.finish(&mut topk);
 
-        let (blocks_read, blocks_pruned, attached_scored) =
-            self.score_attached_rows(query, qnorm, scratch, deadline, &mut topk)?;
-        let scored = scored + attached_scored;
+        let seed = if bound_all { k } else { 0 };
+        let (blocks_read, blocks_pruned, bounded) =
+            self.bound_and_score(query, qnorm, seed, scratch, deadline, &mut topk)?;
+        let scored = scored + bounded;
         Ok((ranking(topk), SearchOutcome { candidates, scored, blocks_read, blocks_pruned }))
     }
 
-    /// The attached rows' pass of the exact re-rank: bound every candidate
-    /// row from its sketch, group the rows by block, visit blocks in
-    /// descending largest-row-bound (the rows most likely to score high
-    /// fill the heap first, raising the threshold for the rest), stop at the
-    /// first block whose bound falls strictly below a *full* heap's
-    /// threshold, and inside a fetched block score only the rows whose own
-    /// bound still reaches it. Returns `(blocks read, blocks pruned, rows
-    /// scored)`.
+    /// The bounded pass of the exact re-rank, over the candidate rows the
+    /// scan set aside (in row order, so one page's rows are one run and its
+    /// slab is looked up once a run): quantize the query, touch every row's
+    /// record in one loop — its loads are independent, so their cache
+    /// misses overlap, where inside the bound loop each would wait on the
+    /// arithmetic before it — and bound every row from its record in a
+    /// second. With `seed > 0`, score the `seed` rows of largest bound
+    /// first — an attached one together with its block's other candidates,
+    /// as a visit of that block — so the heap is full before anything else
+    /// is looked at. Then one walk in row order scores each resident row
+    /// whose bound still reaches the threshold, four per kernel pass, and
+    /// groups the attached rows by block, each group under its *largest*
+    /// row bound; the groups the threshold does not already rule out are
+    /// heapified (linear) and visited in descending bound (the rows most
+    /// likely to score high fill the heap first, raising the threshold for
+    /// the rest), stopping at the first group whose bound falls strictly
+    /// below a *full* heap's threshold, and inside a fetched block only the
+    /// rows whose own bound still reaches it are scored. Returns `(blocks
+    /// read, blocks pruned, rows scored)`.
     ///
-    /// A pass visits a handful of its hundreds of groups, so the order is
-    /// not computed: the groups a heap arriving full does not already rule
-    /// out are heapified (linear) and the next-best block is popped while
-    /// the threshold admits it — the visits a full descending sort would
-    /// make, in the same order (see [`BlockGroup`]).
+    /// A pass visits a handful of its hundreds of groups, so their order is
+    /// not computed: popping the heap while the threshold admits makes the
+    /// visits a full descending sort would make, in the same order (see
+    /// [`BlockGroup`]).
     ///
     /// Correctness of the skip: a row's bound dominates its exact f32 score
-    /// (see [`VectorSegment::cosine_upper_bound`]) and the heap
-    /// threshold only rises, so every skipped row scores strictly below
-    /// the final k-th result — the returned top-k is bit-identical to
-    /// scoring everything, by [`TopK`]'s push-order independence.
-    fn score_attached_rows(
+    /// (see [`paged::row_bound`]), whichever page holds it, and the heap
+    /// threshold only rises, so every skipped row scores strictly below the
+    /// final k-th result — the returned top-k is bit-identical to scoring
+    /// everything, by [`TopK`]'s push-order independence.
+    fn bound_and_score(
         &self,
         query: &[f32],
         qnorm: f32,
+        seed: usize,
         scratch: &mut SearchScratch,
         deadline: Deadline,
         topk: &mut TopK<ItemId>,
     ) -> Result<(usize, usize, usize), SearchError> {
-        let SearchScratch { rows, query: codes, bounds, groups, .. } = scratch;
+        let SearchScratch { rows, query: codes, bounds, seeds, groups, .. } = scratch;
         if rows.is_empty() {
             return Ok((0, 0, 0));
         }
-        let dim = self.dim();
+        let (dim, len) = (self.dim(), paged::record_len(self.dim(), true));
         codes.set(query, qnorm);
-        // One group per block — the scan handed the rows out in row order,
-        // so a block's rows are together, and a row's place in its page is
-        // its row in the segment: its record and its block's last row are
-        // arithmetic on that number — with every row's bound and the
-        // largest of each group.
-        bounds.clear();
-        groups.clear();
-        // A heap the resident rows filled already rules out every group
-        // under its threshold: those are counted and never enter the heap —
-        // the threshold only rises, so no visit could have reached them.
-        let entering = topk.threshold();
-        let (mut total, mut end) = (0usize, 0usize);
-        while let Some(&(p, at, _)) = rows.get(end) {
-            let segment = self.pages[p as usize].segment();
-            let past = segment.block_span(segment.block_of(at as usize)).end as u32;
-            let (start, mut bound) = (end, f64::NEG_INFINITY);
-            while let Some(&(_, at, _)) = rows.get(end).filter(|row| row.0 == p && row.1 < past) {
-                let ub = segment.cosine_upper_bound(at as usize, codes);
-                bounds.push(ub);
-                bound = bound.max(ub);
-                end += 1;
+        let runs = || rows.chunk_by(|a, b| a.0 == b.0);
+        let slab = |run: &[(u32, u32, ItemId)]| self.pages[run[0].0 as usize].records();
+        let mut touched = 0u8;
+        for run in runs() {
+            let slab = slab(run);
+            for &(_, at, _) in run {
+                let record = &slab[at as usize * len..(at as usize + 1) * len];
+                // A byte of every cache line the record spans.
+                touched ^= record.iter().step_by(64).fold(record[len - 1], |t, &b| t ^ b);
             }
-            total += 1;
-            if !entering.is_some_and(|threshold| bound < threshold) {
-                groups.push(BlockGroup { bound, start: start as u32, end: end as u32 });
+        }
+        std::hint::black_box(touched);
+        bounds.clear();
+        for run in runs() {
+            let slab = slab(run);
+            bounds.extend(run.iter().map(|&(_, at, _)| {
+                paged::row_bound(&slab[at as usize * len..(at as usize + 1) * len], codes)
+            }));
+        }
+
+        // A row scored here gets a NaN bound, which no pass below scores
+        // again: every real bound is a number (see `paged::row_bound`).
+        let (mut blocks_read, mut scored) = (0usize, 0usize);
+        let seed = seed.min(rows.len());
+        if seed > 0 {
+            largest_bounds(bounds, seed, seeds);
+            let mut batch = Batch::new(query, qnorm);
+            for &(_, i) in seeds.iter() {
+                let i = i as usize;
+                let (p, at, id) = rows[i];
+                let page = &self.pages[p as usize];
+                if bounds[i].is_nan() {
+                    continue;
+                }
+                let Payload::Attached { segment, .. } = &page.payload else {
+                    let (vector, norm) = page.row(at as usize, dim, None);
+                    batch.push((vector, norm, id), topk);
+                    bounds[i] = f64::NAN;
+                    continue;
+                };
+                let span = segment.block_span(segment.block_of(at as usize));
+                let in_block =
+                    |row: &&(u32, u32, ItemId)| row.0 == p && span.contains(&(row.1 as usize));
+                let start = i - rows[..i].iter().rev().take_while(in_block).count();
+                let end = i + rows[i..].iter().take_while(in_block).count();
+                let (block_rows, block_bounds) = (&rows[start..end], &bounds[start..end]);
+                scored +=
+                    self.visit_block(query, qnorm, block_rows, block_bounds, deadline, topk)?;
+                blocks_read += 1;
+                bounds[start..end].fill(f64::NAN);
+            }
+            scored += batch.finish(topk);
+        }
+
+        groups.clear();
+        let mut total = 0usize;
+        let mut run_start = 0usize;
+        for run in rows.chunk_by(|a, b| a.0 == b.0) {
+            let (page, first) = (&self.pages[run[0].0 as usize], run_start);
+            run_start += run.len();
+            let run_bounds = &bounds[first..run_start];
+            let segment = match &page.payload {
+                Payload::Resident { vectors, norms, .. } => {
+                    scored +=
+                        score_survivors(query, qnorm, dim, (vectors, norms), run, run_bounds, topk);
+                    continue;
+                }
+                Payload::Attached { segment, .. } => segment,
+            };
+            // One group per block — a block's rows are together, and a
+            // row's place in its page is its row in the segment: its block's
+            // last row is arithmetic on that number.
+            let mut end = 0usize;
+            while let Some(&(_, at, _)) = run.get(end) {
+                let past = segment.block_span(segment.block_of(at as usize)).end as u32;
+                let (start, mut bound) = (end, f64::NEG_INFINITY);
+                while let Some(row) = run.get(end).filter(|row| row.1 < past) {
+                    debug_assert!(row.1 >= at);
+                    bound = bound.max(run_bounds[end]);
+                    end += 1;
+                }
+                // A seed's visit read this block already.
+                if run_bounds[start].is_nan() {
+                    continue;
+                }
+                total += 1;
+                // The threshold only rises, so a group under it now could
+                // never be visited: it is counted and never enters the heap.
+                if !topk.threshold().is_some_and(|threshold| bound < threshold) {
+                    let (start, end) = ((first + start) as u32, (first + end) as u32);
+                    groups.push(BlockGroup { bound, start, end });
+                }
             }
         }
         // The buffer goes back to the scratch below; a pass that dies on its
         // way there (deadline, storage) leaves it to the next to regrow.
         let mut heap = BinaryHeap::from(std::mem::take(groups));
 
-        let (mut blocks_read, mut scored) = (0usize, 0usize);
+        let mut visited = 0usize;
         while let Some(group) = heap.pop() {
             // Bounds come out descending and the threshold only rises: once
             // one block is out, so is every block still in the heap.
             if topk.threshold().is_some_and(|threshold| group.bound < threshold) {
                 break;
             }
-            // The budget check sits directly in front of the block fetch:
-            // a block read is the most expensive step a query can take, so
-            // an expired request never starts another one.
-            deadline.check(Phase::BlockRead)?;
-            let (start, end) = (group.start as usize, group.end as usize);
-            let (p, at, _) = rows[start];
-            let segment = self.pages[p as usize].segment();
-            let block = segment.block_of(at as usize);
-            let (first, data) = (segment.block_span(block).start, segment.block(block)?);
-            blocks_read += 1;
-            for (&(_, at, id), &ub) in rows[start..end].iter().zip(&bounds[start..end]) {
-                if topk.threshold().is_some_and(|threshold| ub < threshold) {
-                    continue;
-                }
-                let at = at as usize;
-                topk.push(score_row(query, qnorm, segment.norm(at), &data, at - first, dim), id);
-                scored += 1;
-            }
+            let range = group.start as usize..group.end as usize;
+            let (block_rows, block_bounds) = (&rows[range.clone()], &bounds[range]);
+            scored += self.visit_block(query, qnorm, block_rows, block_bounds, deadline, topk)?;
+            visited += 1;
         }
         *groups = heap.into_vec();
-        Ok((blocks_read, total - blocks_read, scored))
+        Ok((blocks_read + visited, total - visited, scored))
+    }
+
+    /// Fetch the attached block holding `rows` — one block's candidate rows,
+    /// `bounds` theirs — and score each whose bound is not below the
+    /// threshold (nor NaN: scored already). The budget check sits directly
+    /// in front of the fetch: a block read is the most expensive step a
+    /// query can take, so an expired request never starts another one.
+    /// Returns how many rows were scored.
+    fn visit_block(
+        &self,
+        query: &[f32],
+        qnorm: f32,
+        rows: &[(u32, u32, ItemId)],
+        bounds: &[f64],
+        deadline: Deadline,
+        topk: &mut TopK<ItemId>,
+    ) -> Result<usize, SearchError> {
+        deadline.check(Phase::BlockRead)?;
+        let (p, at, _) = rows[0];
+        let segment = self.pages[p as usize].segment();
+        let block = segment.block_of(at as usize);
+        let (first, data) = (segment.block_span(block).start, segment.block(block)?);
+        let mut scored = 0usize;
+        for (&(_, at, id), &ub) in rows.iter().zip(bounds) {
+            if ub.is_nan() || topk.threshold().is_some_and(|threshold| ub < threshold) {
+                continue;
+            }
+            let at = at as usize;
+            topk.push(score_row(query, qnorm, segment.norm(at), &data, at - first, self.dim()), id);
+            scored += 1;
+        }
+        Ok(scored)
     }
 
     /// Exact search over *all* stored vectors (ignores the LSH buckets) —
@@ -1635,7 +1892,7 @@ mod tests {
                         let id = t * per_thread as u32 + i as u32;
                         let v = random_unit(32, &mut rng);
                         let sig = hasher.sign(&v);
-                        index.write().insert_signed(id, &v, sig);
+                        index.write().insert_signed(id, &v, sig, &RowSketch::of(&v));
                         // Interleave searches with the other writers.
                         let q = random_unit(32, &mut rng);
                         let sig = hasher.sign(&q);
@@ -1775,7 +2032,7 @@ mod tests {
         let mut hot = SimHashLshIndex::new(DIM, params, 1);
         let mut rows = Vec::new();
         for (id, v) in vectors.iter().enumerate() {
-            hot.insert_signed(id as ItemId, v, sig.clone());
+            hot.insert_signed(id as ItemId, v, sig.clone(), &RowSketch::of(v));
             rows.push(SegmentRow {
                 id: id as ItemId,
                 signature: sig.clone(),
@@ -1847,7 +2104,7 @@ mod tests {
                 };
                 let sig = paged.hasher().sign(&query);
                 let qnorm = kernel::norm_sq(&query).sqrt();
-                // Every other pass enters the attached pass with a full
+                // Every other pass enters the bounded pass with a full
                 // heap: five resident rows near the query, bucketed under
                 // its own signature, which the scan scores first.
                 let entering: Vec<(ItemId, Vec<f32>)> = (1_000..)
@@ -1856,7 +2113,7 @@ mod tests {
                     .map(|id| (id, perturb(&query, 0.1, &mut near)))
                     .collect();
                 for (id, v) in &entering {
-                    paged.insert_signed(*id, v, sig.clone());
+                    paged.insert_signed(*id, v, sig.clone(), &RowSketch::of(v));
                 }
                 let (all, none) = (DiscoverScope::All, Deadline::none());
                 let (got, outcome) = paged
@@ -1939,6 +2196,138 @@ mod tests {
             ruled_out_on_entry > 10,
             "a full heap must rule some passes out: {ruled_out_on_entry}"
         );
+    }
+
+    #[test]
+    fn a_large_candidate_set_is_bounded_first_and_ranks_as_exact_scoring() {
+        // Sixteen distinct vectors in two families, each under twelve ids:
+        // the copies of a vector bound and score exactly alike, so ties are
+        // everywhere, and a query's candidate set is ~96 rows — above the
+        // rule at k = 1, below it at k = 2 and 3. And an axis under sixty
+        // ids, which scores exactly 1.0 against itself: its copies' bounds
+        // (capped at 1.0) *equal* the threshold, and only scoring them finds
+        // the smallest id. Resident rows go in in a shuffled order, so row
+        // order is not id order.
+        let mut rng = Xoshiro256pp::new(61);
+        let pool = clustered(32, 2, 8, &mut rng);
+        let mut axis = vec![0.0f32; 32];
+        axis[0] = 1.0;
+        let vector_of = |id: ItemId| if id < 192 { &pool[id as usize % pool.len()] } else { &axis };
+        let mut ids: Vec<ItemId> = (0..252).collect();
+        for i in (1..ids.len()).rev() {
+            ids.swap(i, (rng.gen_u64() % (i as u64 + 1)) as usize);
+        }
+        let mut resident = SimHashLshIndex::for_threshold(32, 0.7, 53);
+        let mut even = SimHashLshIndex::for_threshold(32, 0.7, 53);
+        for &id in &ids {
+            resident.insert(id, vector_of(id));
+            if id % 2 == 0 {
+                even.insert(id, vector_of(id));
+            }
+        }
+        let (attached, _cache, attached_dir) = seal_and_attach(&resident, "bounded-all", 2, 0);
+        let (mut mixed, _cache, mixed_dir) = seal_and_attach(&even, "bounded-mixed", 3, 0);
+        for &id in ids.iter().filter(|&id| id % 2 == 1) {
+            mixed.insert(id, vector_of(id));
+        }
+        assert_eq!((attached.cold_len(), mixed.cold_len(), mixed.len()), (252, 126, 252));
+
+        let exclude = |id: ItemId| id % 7 == 0;
+        let mut bounded = [0usize; 3];
+        for q in 0..40 {
+            let query = match q % 3 {
+                0 => perturb(&pool[q % pool.len()], 0.05, &mut rng),
+                1 => pool[q % pool.len()].clone(),
+                _ => axis.clone(),
+            };
+            let qnorm = kernel::norm_sq(&query).sqrt();
+            for k in [1usize, 2, 3] {
+                for (tier, index) in [(0, &resident), (1, &attached), (2, &mixed)] {
+                    let ids = candidate_ids(index, &index.hasher().sign(&query));
+                    let mut want = TopK::new(k);
+                    for &id in ids.iter().filter(|&&id| !exclude(id)) {
+                        let v = vector_of(id);
+                        let norm = kernel::norm_sq(v).sqrt();
+                        want.push(cosine_of(kernel::dot(&query, v), qnorm, norm) as f64, id);
+                    }
+                    let (got, outcome) = searched(index, &query, k, exclude);
+                    assert_eq!(got, ranking(want), "tier {tier}, query {q}, k {k}");
+                    assert_eq!(outcome.candidates, ids.len(), "tier {tier}, query {q}, k {k}");
+                    // No row is scored twice (a seed included).
+                    let kept = ids.iter().filter(|&&id| !exclude(id)).count();
+                    assert!(outcome.scored <= kept, "tier {tier}, query {q}, k {k}: {outcome:?}");
+                    if ids.len() <= BOUND_FIRST_PER_RESULT * k {
+                        continue;
+                    }
+                    bounded[tier] += 1;
+                    assert!(outcome.scored < outcome.candidates, "tier {tier}: {outcome:?}");
+                    // Every attached block holding a candidate is read or
+                    // pruned, once.
+                    let mut blocks: Vec<(u32, usize)> = (ids.iter())
+                        .filter(|&&id| !exclude(id))
+                        .map(|id| index.locator[id] as usize)
+                        .filter_map(|n| {
+                            Some((
+                                index.rows[n].page,
+                                index.locate(n).0.block_of(index.locate(n).1)?,
+                            ))
+                        })
+                        .collect();
+                    blocks.sort_unstable();
+                    blocks.dedup();
+                    let seen = outcome.blocks_read + outcome.blocks_pruned;
+                    assert_eq!(seen, blocks.len(), "tier {tier}, query {q}, k {k}");
+                }
+            }
+        }
+        assert!(
+            bounded.iter().all(|&n| n > 20),
+            "every tier must reach the bounded pass: {bounded:?}"
+        );
+        std::fs::remove_dir_all(&attached_dir).ok();
+        std::fs::remove_dir_all(&mixed_dir).ok();
+    }
+
+    #[test]
+    fn hydrated_records_are_copied_and_survive_a_seal_byte_for_byte() {
+        // Every stored row's record, by id, wherever the row sits.
+        let records = |index: &SimHashLshIndex| -> Vec<(ItemId, Vec<u8>)> {
+            let len = paged::record_len(index.dim(), true);
+            let mut out: Vec<(ItemId, Vec<u8>)> = (index.pages.iter())
+                .flat_map(|page| {
+                    index.stored(page).map(|(at, id)| (id, page.record(at, len).to_vec()))
+                })
+                .collect();
+            out.sort_unstable();
+            out
+        };
+        let (index, vectors) = populated(90, 71);
+        let want = records(&index);
+        assert_eq!(want.len(), 90);
+        // Through a file with sketches, twice: the records are copied, and
+        // the image is a fixed point.
+        let sketched = index.seal(8, true, &[], |_| true).expect("seal");
+        let first = hydrated(&sketched, &index);
+        assert_eq!(records(&first), want);
+        let again = first.seal(8, true, &[], |_| true).expect("seal");
+        assert_eq!(again, sketched);
+        assert_eq!(records(&hydrated(&again, &index)), want);
+        // A file without sketches, as checkpoints were written before they
+        // carried them, still hydrates: each record is derived from the
+        // decoded row, and comes out the same.
+        let plain = hydrated(&sealed(&index, 8), &index);
+        assert_eq!(records(&plain), want);
+        let attached = seal_and_attach(&index, "records", 4, 0);
+        assert_eq!(records(&attached.0), want, "an attached row's record is the same record");
+        for (q, query) in vectors.iter().step_by(9).enumerate() {
+            for k in [1, 3] {
+                let ranked = searched(&index, query, k, |_| false).0;
+                for other in [&first, &plain, &attached.0] {
+                    assert_eq!(searched(other, query, k, |_| false).0, ranked, "query {q}, k {k}");
+                }
+            }
+        }
+        std::fs::remove_dir_all(&attached.2).ok();
     }
 
     #[test]
@@ -2026,7 +2415,7 @@ mod tests {
                 "insert",
                 |index, ids, vectors| {
                     for (&id, v) in ids.iter().zip(vectors) {
-                        index.insert_signed(id, v, index.hasher().sign(v));
+                        index.insert_signed(id, v, index.hasher().sign(v), &RowSketch::of(v));
                     }
                 },
                 60,
@@ -2053,7 +2442,10 @@ mod tests {
     /// stored row sits in exactly `bands` buckets. Rows: the pages number
     /// the rows in consecutive runs, the locator names exactly the stored
     /// rows, an attached page counts its stored rows (at least one), and the
-    /// free list is exactly the resident rows storing nothing.
+    /// free list is exactly the resident rows storing nothing. Records: a
+    /// stored resident row's record is, byte for byte, a fresh sketch of
+    /// its vector — codes, and the bits of its scale, residual and norm —
+    /// and its dense norm is the record's.
     fn assert_buckets_name_live_rows(index: &SimHashLshIndex) {
         let width = index.words_per_sig();
         let mut entries_seen = 0usize;
@@ -2089,8 +2481,18 @@ mod tests {
             }
             stored += live;
             match &page.payload {
-                Payload::Resident { .. } => free
-                    .extend(page.span().filter(|&n| index.rows[n].id.is_none()).map(|n| n as u32)),
+                Payload::Resident { norms, .. } => {
+                    free.extend(
+                        page.span().filter(|&n| index.rows[n].id.is_none()).map(|n| n as u32),
+                    );
+                    let len = paged::record_len(index.dim(), true);
+                    for (at, id) in index.stored(page) {
+                        let (vector, _) = page.row(at, index.dim(), None);
+                        let record = page.record(at, len);
+                        assert_eq!(record, RowSketch::of(vector).record(), "{id}'s record");
+                        assert_eq!(norms[at].to_bits(), record_norm(record).to_bits(), "{id}");
+                    }
+                }
                 Payload::Attached { live: counted, .. } => assert!(*counted == live && live > 0),
             }
         }
@@ -2116,6 +2518,7 @@ mod tests {
         std::fs::create_dir_all(&dir).expect("create temp dir");
         let cache = crate::paged::BlockCache::new(4 * 4 * DIM * 4);
         let (mut attaches, mut rows_reused, mut retired) = (0usize, 0usize, 0usize);
+        let mut bounded = 0usize;
         let mut pick = |n: usize| (rng.gen_u64() % n as u64) as usize;
         for step in 0..STEPS {
             let id = crate::compose_item_id(pick(3) as u16, pick(48) as u32);
@@ -2198,6 +2601,19 @@ mod tests {
             );
             assert_eq!(got, ranking(want), "step {step}");
             assert_eq!(outcome.candidates, ids.len(), "step {step}");
+            // At k = 1 a large set bounds every row first, resident ones
+            // too: the same top-1, ties included.
+            let mut want = TopK::new(1);
+            for &id in &ids {
+                let v = &pool[model[&id]];
+                let score = cosine_of(kernel::dot(&query, v), qnorm, kernel::norm_sq(v).sqrt());
+                want.push(score as f64, id);
+            }
+            let all = DiscoverScope::All;
+            let (top, outcome) =
+                index.search_signed_scoped_with_outcome(&query, &sig, 1, &all, |_| false);
+            assert_eq!(top, ranking(want), "step {step}, k = 1");
+            bounded += (outcome.candidates > BOUND_FIRST_PER_RESULT) as usize;
 
             // Every stored vector reads back, wherever its row sits, and the
             // exhaustive search is the top-k over the model.
@@ -2219,6 +2635,7 @@ mod tests {
             assert_eq!(ranked.0, got, "step {step}");
         }
         assert!(attaches > 100 && rows_reused > 100 && retired > 20, "the script must mix tiers");
+        assert!(bounded > 10, "the script must reach the bounded pass: {bounded}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -2251,14 +2668,14 @@ mod tests {
         // buffer already large enough.
         let capacities = || {
             SEARCH_SCRATCH.with_borrow(|s| {
-                let SearchScratch { bits, rows, query, bounds, groups } = s;
+                let SearchScratch { bits, rows, query, bounds, seeds, groups } = s;
                 let caps = [bits.capacity(), rows.capacity(), bounds.capacity(), groups.capacity()];
-                (caps, query.codes.capacity())
+                (caps, query.codes.capacity(), seeds.capacity())
             })
         };
         assert_eq!(search_all(&mixed), want);
         let warmed = capacities();
-        assert!(warmed.0.iter().all(|&c| c > 0) && warmed.1 > 0, "{warmed:?}");
+        assert!(warmed.0.iter().all(|&c| c > 0) && warmed.1 > 0 && warmed.2 == 0, "{warmed:?}");
         for _ in 0..3 {
             assert_eq!(search_all(&mixed), want);
         }

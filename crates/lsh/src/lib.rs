@@ -14,29 +14,29 @@
 //!   single blocked GEMV pass (`wg_util::kernel`);
 //! * [`params`] — derivation of `(bands, rows)` from a target threshold;
 //! * [`index`] — the banded [`SimHashLshIndex`]: one table of pages in one
-//!   row-number space — a page is *resident* (vectors, norms and signature
-//!   words in memory, freed rows reused) or *attached* (one block of a
-//!   lazily attached [`VectorSegment`]) — with buckets of row numbers, a
-//!   per-thread bitset as the candidate set (no sort and no id lookup
+//!   row-number space — a page is *resident* (vectors, sketch records and
+//!   signature words in memory, freed rows reused) or *attached* (the rows
+//!   of a lazily attached [`VectorSegment`]) — with buckets of row numbers,
+//!   a per-thread bitset as the candidate set (no sort and no id lookup
 //!   between the buckets and the scores), exact cosine re-ranking that
-//!   scores a resident row outright and bounds an attached one first,
-//!   optional multi-probe, incremental insert/remove, and sealing into /
-//!   hydrating from one segment image ([`SimHashLshIndex::seal`],
-//!   [`SimHashLshIndex::hydrate`]). It is single-threaded: a concurrent
-//!   caller holds it behind one lock and signs outside it
-//!   ([`SimHashLshIndex::with_hasher`]);
+//!   bounds every row of a large candidate set first, and an attached row
+//!   of any set, optional multi-probe, incremental insert/remove, and
+//!   sealing into / hydrating from one segment image
+//!   ([`SimHashLshIndex::seal`], [`SimHashLshIndex::hydrate`]). It is
+//!   single-threaded: a concurrent caller holds it behind one lock and
+//!   signs and sketches outside it ([`SimHashLshIndex::with_hasher`],
+//!   [`RowSketch`]);
 //! * [`paged`] — the one writer and the one reader of a sealed segment,
-//!   and what an attached page reads through: a directory that keeps an
-//!   int8 sketch of every row resident (bounded against the query's own
-//!   i16 quantization with one exact integer dot — the bound that decides
-//!   which blocks a query reads at all) and a shared byte-budgeted
+//!   the row record both page kinds share (an int8 sketch and the norm,
+//!   bounded against the query's own i16 quantization with one exact
+//!   integer dot — the bound that decides which rows a query scores and
+//!   which blocks it reads at all), and a shared byte-budgeted
 //!   [`BlockCache`] (a [`wg_util::lru::Lru`] behind a mutex);
 //! * [`minhash`] — MinHash signatures and a banded MinHash LSH for *sets*,
 //!   used by the Aurum and D3L baselines.
 //!
 //! The paper's §5.2.3 "block-and-verify" idea — bound cheaply, verify
-//! exactly — lives in the attached pages' row bound, not in a separate
-//! index.
+//! exactly — lives in the row bound, not in a separate index.
 
 #![forbid(unsafe_code)]
 
@@ -49,7 +49,7 @@ pub mod simhash;
 
 pub use index::{SearchError, SearchOutcome, SimHashLshIndex};
 pub use minhash::{MinHashLshIndex, MinHashSignature, MinHasher};
-pub use paged::{BlockCache, SegmentRow, VectorSegment};
+pub use paged::{BlockCache, RowSketch, SegmentRow, VectorSegment};
 pub use params::LshParams;
 pub use scope::DiscoverScope;
 pub use simhash::{Signature, SimHasher};

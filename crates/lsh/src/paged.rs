@@ -1,5 +1,5 @@
-//! The paged (beyond-RAM) vector tier: segment files, resident row
-//! sketches, and the bounded block cache.
+//! The paged (beyond-RAM) vector tier: segment files, the row record and
+//! its bound (which resident pages share), and the bounded block cache.
 //!
 //! A sealed **vector segment** holds `block_rows × dim` f32 blocks inside a
 //! checksummed [`wg_util::segment::Segment`] container. Everything a search
@@ -13,7 +13,8 @@
 //! The segment is also the one thing the system persists (DESIGN.md §9).
 //! Its header is the geometry, a flag saying whether the directory carries
 //! sketches — an option of the file: a paged snapshot prunes with them, a
-//! checkpoint never reads them and leaves them out — and an opaque
+//! checkpoint carries them so a recovery copies them, and a `to_bytes`
+//! image leaves them out, to be derived at load — and an opaque
 //! **manifest** the sealing caller owns. One writer (`seal_image`) lays
 //! out every file; one reader ([`VectorSegment::open`] /
 //! [`VectorSegment::from_bytes`]) validates it, after which an index either
@@ -21,17 +22,20 @@
 //!
 //! The sketch of a row `x` is `dim` int8 codes `c_x`, an f32 scale `s_x`
 //! and an f32 residual norm `e_x ≥ ‖x − s_x·c_x‖` (`dim + 8` bytes against
-//! the row's `4·dim`). It is the tier's one pruning mechanism. A search
-//! quantizes its query the same way, once ([`QueryCodes`]: i16 codes `c_q`,
-//! scale `s_q`, residual `e_q`), and bounds every candidate row with one
-//! exact integer dot:
+//! the row's `4·dim`). With the row's norm it makes the row's **record**
+//! (`codes i8 × dim │ scale │ residual │ norm`), one layout for a segment's
+//! slab and a resident page alike ([`RowSketch`]), and it is the index's
+//! one pruning mechanism. A search quantizes its query the same way, once
+//! ([`QueryCodes`]: i16 codes `c_q`, scale `s_q`, residual `e_q`), and
+//! bounds a candidate row from its record with one exact integer dot:
 //!
 //! ```text
 //! dot(q, x) ≤ s_q·s_x·Σ c_q·c_x + ‖s_q·c_q‖·e_x + e_q·‖x‖
 //! ```
 //!
 //! which at int8 resolution lands within ~0.007 of the exact cosine, so a
-//! query reads only the few blocks whose rows can still reach its top-k.
+//! query scores only the few rows, and reads only the few blocks, that can
+//! still reach its top-k.
 //!
 //! Rows are sealed in **signature order** (lexicographic over the packed
 //! SimHash words, ties by id), so rows that collide in the LSH buckets —
@@ -46,8 +50,8 @@
 //! path may therefore skip a row — and a block none of whose candidate rows
 //! survive — only when the top-k heap is full **and** the bound is strictly
 //! below the current threshold: every skipped row provably scores below the
-//! final k-th result, so paged rankings are bit-identical to the all-in-RAM
-//! path.
+//! final k-th result, so rankings are bit-identical to scoring every
+//! candidate, paged or in RAM.
 //!
 //! Cold-read path: [`VectorSegment::block`] → `BlockCache::get_or_load`
 //! probes the cache under its lock, **releases it**, reads the block with
@@ -64,6 +68,7 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use wg_util::atomic_file;
 use wg_util::codec::{self, CodecError, CodecResult};
+use wg_util::kernel;
 use wg_util::lru::{CacheStats, Lru};
 use wg_util::segment::{Segment, SegmentBuilder, SegmentError};
 use wg_util::sync::Mutex;
@@ -107,32 +112,32 @@ fn code_dot(query: &[i16], codes: &[u8]) -> i32 {
 }
 
 /// Quantize `x` onto the grid `scale · {−limit, …, limit}` with
-/// `scale = max|x| / limit`: the codes are appended to `codes`, and the
-/// returned `(scale, r_sq)` has `r_sq = ‖x − scale·codes‖²`.
+/// `scale = max|x| / limit`: `put(d, c)` stores component `d`'s code `c`
+/// (in `[−limit, limit]`), and the returned `(scale, r_sq)` has
+/// `r_sq = ‖x − scale·codes‖²`.
 ///
 /// `r_sq` is measured in f64 against the codes and the f32 scale *as
 /// stored*, so it covers whatever the quantization did — a denormal scale
 /// or a non-finite component only loosens the bound built on it (up to
 /// NaN or infinity: never pruned), it cannot make it unsound.
-fn quantize<C: Copy + Into<f64>>(
-    x: &[f32],
-    limit: f32,
-    cast: fn(f32) -> C,
-    codes: &mut Vec<C>,
-) -> (f32, f64) {
+#[inline]
+fn quantize(x: &[f32], limit: i32, mut put: impl FnMut(usize, i32)) -> (f32, f64) {
     let max = x.iter().fold(0.0f32, |m, v| m.max(v.abs()));
-    let scale = max / limit;
+    let scale = max / limit as f32;
     // An infinite component (or a `limit` of zero): all-zero codes,
     // everything in the residual.
     let scale = if scale.is_finite() { scale } else { 0.0 };
     let inv = if scale > 0.0 { 1.0 / scale } else { 0.0 };
     let mut r_sq = 0.0f64;
-    for &v in x {
-        // An `as` cast to an integer saturates and sends NaN (0 · ∞ under a
-        // denormal scale) to 0.
-        let code = cast((v * inv).round().clamp(-limit, limit));
-        codes.push(code);
-        let d = v as f64 - scale as f64 * code.into();
+    for (d, &v) in x.iter().enumerate() {
+        // `f32::round` (half away from zero), inline: the f64 sum is
+        // exact for every f32, and `as` truncates toward zero, saturates,
+        // and sends NaN (0 · ∞ under a denormal scale) to 0. Without
+        // SSE4.1 `round` is a library call a component.
+        let y = (v * inv) as f64;
+        let code = ((y + 0.5f64.copysign(y)) as i32).clamp(-limit, limit);
+        put(d, code);
+        let d = v as f64 - scale as f64 * code as f64;
         r_sq += d * d;
     }
     (scale, r_sq)
@@ -176,9 +181,11 @@ impl QueryCodes {
 
     /// Quantize `query` (whose f32 norm is `qnorm`), reusing the buffer.
     pub fn set(&mut self, query: &[f32], qnorm: f32) {
-        let limit = Self::code_limit(query.len()) as f32;
         self.codes.clear();
-        let (scale, r_sq) = quantize(query, limit, |v| v as i16, &mut self.codes);
+        let codes = &mut self.codes;
+        let (scale, r_sq) = quantize(query, Self::code_limit(query.len()), |_, c| {
+            codes.push(c as i16);
+        });
         let c_sq: i64 = self.codes.iter().map(|&c| c as i64 * c as i64).sum();
         self.scale = scale as f64;
         self.norm = scale as f64 * (c_sq as f64).sqrt() * (1.0 + 1e-6);
@@ -187,13 +194,105 @@ impl QueryCodes {
     }
 }
 
-/// Quantize one row into its sketch: `dim` int8 codes appended to `codes`,
-/// and the returned `(scale, residual)` with `residual ≥ ‖x − scale·codes‖`.
-fn sketch_row(x: &[f32], codes: &mut Vec<i8>) -> (f32, f32) {
-    let (scale, r_sq) = quantize(x, 127.0, |v| v as i8, codes);
+/// Bytes of a sketched record behind its codes, and of a record without
+/// sketches: `scale │ residual │ norm` as little-endian f32s, or the norm
+/// alone.
+const SKETCH_TAIL: usize = 12;
+const NORM_TAIL: usize = 4;
+
+/// Bytes of one row record of a `dim`-dimensional row: `dim` codes and
+/// [`SKETCH_TAIL`] sketched, the norm alone without.
+pub(crate) fn record_len(dim: usize, sketches: bool) -> usize {
+    if sketches {
+        dim + SKETCH_TAIL
+    } else {
+        NORM_TAIL
+    }
+}
+
+/// Quantize row `x`, whose stored L2 norm is `norm`, into its sketched
+/// record (`dim +` [`SKETCH_TAIL`] bytes, layout at [`VectorSegment`]):
+/// `dim` int8 codes, the scale, a residual `≥ ‖x − scale·codes‖`, and the
+/// norm.
+pub(crate) fn sketch_row(x: &[f32], norm: f32, record: &mut [u8]) {
+    let (codes, tail) = record.split_at_mut(x.len());
+    let (scale, r_sq) = quantize(x, 127, |d, c| codes[d] = c as i8 as u8);
     // Up before the f32 round; `min` also turns a NaN sum into the
     // never-prune value.
-    (scale, residual_bound(r_sq).min(f32::MAX as f64) as f32)
+    let residual = residual_bound(r_sq).min(f32::MAX as f64) as f32;
+    tail[..4].copy_from_slice(&scale.to_le_bytes());
+    tail[4..8].copy_from_slice(&residual.to_le_bytes());
+    tail[8..].copy_from_slice(&norm.to_le_bytes());
+}
+
+/// One row's record as a resident page keeps it, computed before the
+/// index's lock is taken: the int8 sketch a search bounds the row with and
+/// the L2 norm it scores it with, laid out as a sketched segment's slab
+/// record (`codes i8 × dim │ scale │ residual │ norm`), so one bound serves
+/// a resident and an attached row alike. A pure function of the vector.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RowSketch(Vec<u8>);
+
+impl RowSketch {
+    /// Sketch `vector` under the norm an index stores for it
+    /// (`kernel::norm_sq(vector).sqrt()`).
+    pub fn of(vector: &[f32]) -> RowSketch {
+        let mut record = vec![0u8; record_len(vector.len(), true)];
+        sketch_row(vector, kernel::norm_sq(vector).sqrt(), &mut record);
+        RowSketch(record)
+    }
+
+    /// The record's bytes.
+    pub(crate) fn record(&self) -> &[u8] {
+        &self.0
+    }
+}
+
+/// The stored L2 norm of a record: its last field, sketched or not.
+#[inline]
+pub(crate) fn record_norm(record: &[u8]) -> f32 {
+    le_f32(&record[record.len() - NORM_TAIL..])
+}
+
+/// A sketched record taken apart: `(codes, scale, residual, norm)`.
+#[inline]
+fn split_record(record: &[u8]) -> (&[u8], f32, f32, f32) {
+    let codes = record.len().checked_sub(SKETCH_TAIL);
+    let (codes, tail) = record.split_at(codes.expect("a record with a sketch"));
+    (codes, le_f32(&tail[..4]), le_f32(&tail[4..8]), le_f32(&tail[8..]))
+}
+
+/// An upper bound (in f64, [`UB_SLACK`]-padded) on the exact f32 cosine
+/// the re-ranker would compute for the row whose sketched `record` this is,
+/// against the query `q` that `query` quantizes. With `q̂ = s_q·c_q` and
+/// `x̂ = s_x·c_x`:
+///
+/// ```text
+/// dot(q, x) = dot(q̂, x̂) + dot(q̂, x − x̂) + dot(q − q̂, x)
+///           ≤ s_q·s_x·Σ c_q·c_x + ‖q̂‖·e_x + e_q·‖x‖
+/// ```
+///
+/// divided by the same f32 `‖q‖·norm` the exact score divides by, and
+/// capped at the trivial bound 1.0. A degenerate denominator scores 0.0
+/// exactly and a non-finite query makes the sum NaN or infinite: both
+/// get 1.0 — never prune what cannot be bounded.
+///
+/// Everything it reads of the row is the record. Panics on a record
+/// without a sketch (there is nothing to bound with).
+#[inline]
+pub(crate) fn row_bound(record: &[u8], query: &QueryCodes) -> f64 {
+    let (codes, scale, residual, norm) = split_record(record);
+    assert_eq!(codes.len(), query.codes.len(), "a sketched record holds one code per dimension");
+    let denom = query.qnorm * norm;
+    if denom <= f32::MIN_POSITIVE {
+        return 1.0;
+    }
+    let dot = code_dot(&query.codes, codes) as f64;
+    let dot_ub = query.scale * scale as f64 * dot
+        + query.norm * residual as f64
+        + query.residual * norm as f64;
+    // `min` returns its other operand for a NaN.
+    (dot_ub / denom as f64 + UB_SLACK).min(1.0)
 }
 
 /// A byte-budgeted LRU over `(segment, block)` payloads, shared by every
@@ -275,35 +374,15 @@ pub struct SegmentRow {
     pub vector: Vec<f32>,
 }
 
-impl SegmentRow {
-    fn borrowed(&self) -> SealRow<'_> {
-        SealRow { id: self.id, words: &self.signature.words, norm: self.norm, vector: &self.vector }
-    }
-}
-
 /// One row headed into [`seal_image`], borrowed from wherever it lives — a
-/// resident page, or a cached block and its segment's directory.
+/// resident page, or a cached block and its segment's slab — with its
+/// sketched record.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct SealRow<'a> {
     pub(crate) id: ItemId,
     pub(crate) words: &'a [u64],
-    pub(crate) norm: f32,
+    pub(crate) record: &'a [u8],
     pub(crate) vector: &'a [f32],
-}
-
-/// Bytes of a slab record behind its codes, and of a record without
-/// sketches: `scale │ residual │ norm` as little-endian f32s, or the norm
-/// alone.
-const SKETCH_TAIL: usize = 12;
-const NORM_TAIL: usize = 4;
-
-/// Bytes of one slab record of a `dim`-dimensional segment.
-fn record_len(dim: usize, sketches: bool) -> usize {
-    if sketches {
-        dim + SKETCH_TAIL
-    } else {
-        NORM_TAIL
-    }
 }
 
 /// Seal rows into a segment file at `path` (written atomically), with row
@@ -340,12 +419,24 @@ fn write_rows(
     rows: Vec<SegmentRow>,
     residual_factor: f32,
 ) -> std::io::Result<usize> {
-    for row in &rows {
+    let len = record_len(dim, true);
+    let mut records = vec![0u8; rows.len() * len];
+    for (row, record) in rows.iter().zip(records.chunks_exact_mut(len)) {
         assert_eq!(row.vector.len(), dim, "row dimension mismatch");
         assert_eq!(row.signature.bits, sig_bits, "row signature width mismatch");
+        sketch_row(&row.vector, row.norm, record);
+        let residual = le_f32(&record[dim + 4..dim + 8]) * residual_factor;
+        record[dim + 4..dim + 8].copy_from_slice(&residual.to_le_bytes());
     }
-    let mut borrowed: Vec<SealRow<'_>> = rows.iter().map(SegmentRow::borrowed).collect();
-    let image = seal(dim, sig_bits, block_rows, true, &[], &mut borrowed, residual_factor);
+    let mut borrowed: Vec<SealRow<'_>> = (rows.iter().zip(records.chunks_exact(len)))
+        .map(|(r, record)| SealRow {
+            id: r.id,
+            words: &r.signature.words,
+            record,
+            vector: &r.vector,
+        })
+        .collect();
+    let image = seal_image(dim, sig_bits, block_rows, true, &[], &mut borrowed);
     atomic_file::write(path, &image)?;
     Ok(rows.len().div_ceil(block_rows))
 }
@@ -393,8 +484,10 @@ fn image_len(
 /// Rows are sorted by (signature words, id) before blocking, so LSH-similar
 /// rows share blocks — a query's surviving candidates then sit in few
 /// blocks — and identical row sets seal to identical bytes wherever the
-/// rows came from. `manifest` is the caller's: this layer stores it and
-/// hands it back.
+/// rows came from. Every row brings its sketched record, whose fields are
+/// little-endian already: the directory's arrays are their bytes, and a
+/// file without sketches takes the norm alone. `manifest` is the caller's:
+/// this layer stores it and hands it back.
 pub(crate) fn seal_image(
     dim: usize,
     sig_bits: usize,
@@ -402,18 +495,6 @@ pub(crate) fn seal_image(
     sketches: bool,
     manifest: &[u8],
     rows: &mut [SealRow<'_>],
-) -> Vec<u8> {
-    seal(dim, sig_bits, block_rows, sketches, manifest, rows, 1.0)
-}
-
-fn seal(
-    dim: usize,
-    sig_bits: usize,
-    block_rows: usize,
-    sketches: bool,
-    manifest: &[u8],
-    rows: &mut [SealRow<'_>],
-    residual_factor: f32,
 ) -> Vec<u8> {
     assert!(dim > 0 && sig_bits > 0 && block_rows > 0, "segment geometry must be positive");
     rows.sort_unstable_by(|a, b| a.words.cmp(b.words).then(a.id.cmp(&b.id)));
@@ -426,31 +507,28 @@ fn seal(
     let size = image_len(dim, sig_bits, block_rows, sketches, manifest.len(), rows.len());
     let mut builder = SegmentBuilder::new(size);
 
-    // One block's directory entry and its rows' sketches, reused block
-    // after block: sealing allocates per image, not per block.
+    // One block's directory entry, reused block after block: sealing
+    // allocates per image, not per block.
     let mut meta = Vec::new();
-    let (mut codes, mut scales, mut residuals) = (Vec::new(), Vec::new(), Vec::new());
+    // One field of every record of a block, as one length-prefixed array
+    // of `count` items.
+    let array =
+        |meta: &mut Vec<u8>, chunk: &[SealRow<'_>], count, field: std::ops::Range<usize>| {
+            codec::put_len(meta, count);
+            chunk.iter().for_each(|r| meta.extend_from_slice(&r.record[field.clone()]));
+        };
     for chunk in rows.chunks(block_rows) {
+        debug_assert!(chunk.iter().all(|r| r.record.len() == record_len(dim, true)));
         meta.clear();
         codec::put_len(&mut meta, chunk.len());
         chunk.iter().for_each(|r| codec::put_u32(&mut meta, r.id));
-        codec::put_len(&mut meta, chunk.len());
-        chunk.iter().for_each(|r| codec::put_f32(&mut meta, r.norm));
+        array(&mut meta, chunk, chunk.len(), dim + 8..dim + SKETCH_TAIL);
         codec::put_len(&mut meta, chunk.len() * sig_bits.div_ceil(64));
         chunk.iter().flat_map(|r| r.words).for_each(|&w| codec::put_u64(&mut meta, w));
         if sketches {
-            codes.clear();
-            scales.clear();
-            residuals.clear();
-            for r in chunk {
-                let (scale, residual) = sketch_row(r.vector, &mut codes);
-                scales.push(scale);
-                residuals.push(residual * residual_factor);
-            }
-            codec::put_len(&mut meta, codes.len());
-            meta.extend(codes.iter().map(|&c| c as u8));
-            codec::put_f32_slice(&mut meta, &scales);
-            codec::put_f32_slice(&mut meta, &residuals);
+            array(&mut meta, chunk, chunk.len() * dim, 0..dim);
+            array(&mut meta, chunk, chunk.len(), dim..dim + 4);
+            array(&mut meta, chunk, chunk.len(), dim + 4..dim + 8);
         }
         builder.push_block_with(chunk.len() * dim * 4, &meta, |payload| {
             for (dst, row) in payload.chunks_exact_mut(dim * 4).zip(chunk) {
@@ -714,61 +792,34 @@ impl VectorSegment {
         Signature { words: self.sig_words(row).to_vec(), bits: self.sig_bits }
     }
 
+    /// One row's record: sketched (`codes │ scale │ residual │ norm`), or
+    /// the norm alone in a segment sealed without sketches.
     #[inline]
-    fn record(&self, row: usize) -> &[u8] {
+    pub(crate) fn record(&self, row: usize) -> &[u8] {
         &self.records[row * self.record_len..(row + 1) * self.record_len]
+    }
+
+    /// Every row's record, in row order: the slab.
+    #[inline]
+    pub(crate) fn records(&self) -> &[u8] {
+        &self.records
     }
 
     /// The stored L2 norm of one row: the last field of its record.
     #[inline]
     pub fn norm(&self, row: usize) -> f32 {
-        let record = self.record(row);
-        le_f32(&record[record.len() - NORM_TAIL..])
-    }
-
-    /// One row's record, taken apart: `(codes, scale, residual, norm)`.
-    #[inline]
-    fn sketch(&self, row: usize) -> (&[u8], f32, f32, f32) {
-        let codes = self.record_len.checked_sub(SKETCH_TAIL);
-        let (codes, tail) = self.record(row).split_at(codes.expect("a record with a sketch"));
-        (codes, le_f32(&tail[..4]), le_f32(&tail[4..8]), le_f32(&tail[8..]))
+        record_norm(self.record(row))
     }
 
     /// An upper bound (in f64, [`UB_SLACK`]-padded) on the exact f32 cosine
-    /// the re-ranker would compute for row `row` against the query `q` that
-    /// `query` quantizes. With `q̂ = s_q·c_q` and `x̂ = s_x·c_x`:
-    ///
-    /// ```text
-    /// dot(q, x) = dot(q̂, x̂) + dot(q̂, x − x̂) + dot(q − q̂, x)
-    ///           ≤ s_q·s_x·Σ c_q·c_x + ‖q̂‖·e_x + e_q·‖x‖
-    /// ```
-    ///
-    /// divided by the same f32 `‖q‖·norm` the exact score divides by, and
-    /// capped at the trivial bound 1.0. A degenerate denominator scores 0.0
-    /// exactly and a non-finite query makes the sum NaN or infinite: both
-    /// get 1.0 — never prune what cannot be bounded.
-    ///
-    /// Everything it reads of the row is the row's one record. Panics on a
-    /// segment sealed without sketches (there is nothing to bound with;
+    /// the re-ranker would compute for row `row` against the query `query`
+    /// quantizes: the bound of the module doc, read from the row's record
+    /// alone, by the one function that bounds a resident row too. Panics on
+    /// a segment sealed without sketches (there is nothing to bound with;
     /// such a segment cannot be attached).
     #[inline]
     pub fn cosine_upper_bound(&self, row: usize, query: &QueryCodes) -> f64 {
-        let (codes, scale, residual, norm) = self.sketch(row);
-        assert_eq!(
-            codes.len(),
-            query.codes.len(),
-            "a sketched record holds one code per dimension"
-        );
-        let denom = query.qnorm * norm;
-        if denom <= f32::MIN_POSITIVE {
-            return 1.0;
-        }
-        let dot = code_dot(&query.codes, codes) as f64;
-        let dot_ub = query.scale * scale as f64 * dot
-            + query.norm * residual as f64
-            + query.residual * norm as f64;
-        // `min` returns its other operand for a NaN.
-        (dot_ub / denom as f64 + UB_SLACK).min(1.0)
+        row_bound(self.record(row), query)
     }
 
     /// Hand `visit` every block's verified payload bytes, in block order,
@@ -861,9 +912,30 @@ mod tests {
         dir.join("vectors.seg")
     }
 
-    /// `rows` borrowed the way a seal reads them.
-    fn borrowed(rows: &[SegmentRow]) -> Vec<SealRow<'_>> {
-        rows.iter().map(SegmentRow::borrowed).collect()
+    /// The sketched record a writer derives for `row`.
+    fn record_of(row: &SegmentRow) -> Vec<u8> {
+        let mut record = vec![0u8; record_len(row.vector.len(), true)];
+        sketch_row(&row.vector, row.norm, &mut record);
+        record
+    }
+
+    /// `rows` sealed the way a writer seals them, each with its record.
+    fn image_of(
+        (dim, sig_bits, block_rows): (usize, usize, usize),
+        sketches: bool,
+        manifest: &[u8],
+        rows: &[SegmentRow],
+    ) -> Vec<u8> {
+        let records: Vec<Vec<u8>> = rows.iter().map(record_of).collect();
+        let mut borrowed: Vec<SealRow<'_>> = (rows.iter().zip(&records))
+            .map(|(r, record)| SealRow {
+                id: r.id,
+                words: &r.signature.words,
+                record,
+                vector: &r.vector,
+            })
+            .collect();
+        seal_image(dim, sig_bits, block_rows, sketches, manifest, &mut borrowed)
     }
 
     /// `vectors` sealed with sketches under one signature — so row `i` of
@@ -880,7 +952,7 @@ mod tests {
                 vector: v.clone(),
             })
             .collect();
-        let image = seal_image(vectors[0].len(), 64, block_rows, true, &[], &mut borrowed(&rows));
+        let image = image_of((vectors[0].len(), 64, block_rows), true, &[], &rows);
         VectorSegment::from_bytes(image, BlockCache::new(0)).expect("open")
     }
 
@@ -907,7 +979,9 @@ mod tests {
                 residuals: Vec::new(),
             };
             for r in rows {
-                let (scale, residual) = sketch_row(&r.vector, &mut meta.codes);
+                let record = record_of(r);
+                let (codes, scale, residual, _) = split_record(&record);
+                meta.codes.extend(codes.iter().map(|&c| c as i8));
                 meta.scales.push(scale);
                 meta.residuals.push(residual);
             }
@@ -957,7 +1031,7 @@ mod tests {
         // `x − s·c` leaves the bound nothing but its slack (and the query's
         // own, far smaller, residual).
         for b in 0..seg.block_count() {
-            let (codes, scale, ..) = seg.sketch(seg.block_span(b).start);
+            let (codes, scale, ..) = split_record(seg.record(seg.block_span(b).start));
             let data = seg.block(b).expect("read");
             let residual = data[..dim].iter().zip(codes);
             queries.push(residual.map(|(x, &c)| x - scale * c as i8 as f32).collect());
@@ -997,6 +1071,37 @@ mod tests {
     }
 
     #[test]
+    fn quantize_rounds_exactly_as_f32_round_does() {
+        // The codes of every sealed image — the golden one's included —
+        // are `f32::round` of `x / scale`, clamped: the inline rounding must
+        // reproduce it at halves, next to them, at zero and for NaN.
+        let mut rng = Xoshiro256pp::new(18);
+        for limit in [127, QueryCodes::code_limit(128)] {
+            let top = limit as f32;
+            let mut xs: Vec<f32> = vec![0.0, -0.0, 0.49999997, 0.5, 1.5, 2.5, top - 0.5, f32::NAN];
+            for k in 0..limit.min(4096) {
+                let half = k as f32 + 0.5;
+                xs.extend([
+                    half,
+                    f32::from_bits(half.to_bits() + 1),
+                    f32::from_bits(half.to_bits() - 1),
+                ]);
+            }
+            xs.extend((0..20_000).map(|_| (rng.gen_u64() % 2_000_001) as f32 / 1e6 * top));
+            xs.extend((0..20_000).map(|_| f32::from_bits(rng.gen_u64() as u32 & 0x3FFF_FFFF)));
+            xs.retain(|x| x.is_nan() || x.abs() <= top);
+            let signed: Vec<f32> = xs.iter().flat_map(|&x| [x, -x]).chain([top]).collect();
+            let mut codes = Vec::new();
+            // `top` is the largest magnitude: the scale is exactly 1.
+            let (scale, _) = quantize(&signed, limit, |_, c| codes.push(c));
+            assert_eq!(scale, 1.0);
+            for (&x, &code) in signed.iter().zip(&codes) {
+                assert_eq!(code, x.round().clamp(-top, top) as i32, "{x:e} at limit {limit}");
+            }
+        }
+    }
+
+    #[test]
     fn laned_bound_matches_the_strict_loop_and_stays_sound() {
         let mut rng = Xoshiro256pp::new(12);
         for dim in [1usize, 8, 32, 100, 128, 130, 517, 4096] {
@@ -1022,7 +1127,7 @@ mod tests {
                     // Blocks of three: the slab, not the block, is what a
                     // row number indexes.
                     let seg = segment_of(&rows, 3);
-                    let sketch_of = |r: usize| seg.sketch(r);
+                    let sketch_of = |r: usize| split_record(seg.record(r));
                     let extreme = sketch_of(rows.len() - 1).0;
                     assert!(extreme.iter().all(|&c| c == 127));
                     let mut queries = vec![vec![1.0f32; dim], vec![-1.0; dim]];
@@ -1070,13 +1175,20 @@ mod tests {
         // derives it — codes, scale and residual each in an array of its
         // own — against the one the search computes from the row's record.
         let formula = |q: &QueryCodes, v: &[f32], norm: f32| -> f64 {
-            let mut codes = Vec::new();
-            let (scale, residual) = sketch_row(v, &mut codes);
+            let row = SegmentRow {
+                id: 0,
+                signature: Signature { words: vec![0], bits: 64 },
+                norm,
+                vector: v.to_vec(),
+            };
+            let record = record_of(&row);
+            let (codes, scale, residual, _) = split_record(&record);
             let denom = q.qnorm * norm;
             if denom <= f32::MIN_POSITIVE {
                 return 1.0;
             }
-            let dot: i64 = q.codes.iter().zip(&codes).map(|(&a, &b)| a as i64 * b as i64).sum();
+            let dot: i64 =
+                q.codes.iter().zip(codes).map(|(&a, &b)| a as i64 * b as i8 as i64).sum();
             let dot_ub = q.scale * scale as f64 * dot as f64
                 + q.norm * residual as f64
                 + q.residual * norm as f64;
@@ -1143,9 +1255,8 @@ mod tests {
             for block_rows in [1usize, 16, 64] {
                 for sketches in [false, true] {
                     for (n, manifest) in [(0usize, &b""[..]), (1, b"abc"), (150, &[7u8; 1000])] {
-                        let mut rows = borrowed(&rows[..n]);
                         let image =
-                            seal_image(dim, sig_bits, block_rows, sketches, manifest, &mut rows);
+                            image_of((dim, sig_bits, block_rows), sketches, manifest, &rows[..n]);
                         let reserved =
                             image_len(dim, sig_bits, block_rows, sketches, manifest.len(), n);
                         assert_eq!(

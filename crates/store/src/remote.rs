@@ -457,13 +457,19 @@ impl RemoteBackendServer {
     /// [`Self::serve`] with a cap of `max_connections` concurrent
     /// connections, each holding one handler thread — the one resource the
     /// node's own admission gate cannot protect. Excess connections receive
-    /// one [`StoreError::Overloaded`] frame and are closed. `0` = unbounded
-    /// (discouraged).
+    /// one [`StoreError::Overloaded`] frame and are closed. A cap of `0`
+    /// would serve nobody: it is refused as [`StoreError::Backend`] before
+    /// anything binds.
     pub fn serve_with(
         backend: BackendHandle,
         addr: impl ToSocketAddrs,
         max_connections: usize,
     ) -> StoreResult<Self> {
+        if max_connections == 0 {
+            return Err(StoreError::Backend(
+                "remote server: a connection cap of 0 admits no connection".into(),
+            ));
+        }
         let listener = TcpListener::bind(addr)
             .map_err(|e| StoreError::Backend(format!("remote server bind: {e}")))?;
         listener
@@ -484,9 +490,7 @@ impl RemoteBackendServer {
             while !accept_stop.load(Ordering::Relaxed) {
                 match listener.accept() {
                     Ok((mut stream, _peer)) => {
-                        if max_connections > 0
-                            && accept_shared.live_connections.load(Ordering::Acquire)
-                                >= max_connections
+                        if accept_shared.live_connections.load(Ordering::Acquire) >= max_connections
                         {
                             // The cap protects handler threads, the one
                             // truly finite resource here. The refused
@@ -1096,6 +1100,26 @@ mod tests {
         // the next call transparently reconnects.
         let server = RemoteBackendServer::serve(local, addr).unwrap();
         assert_eq!(remote.list_tables().unwrap().len(), 2);
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_cap_of_zero_is_refused_before_binding_and_a_cap_of_one_sheds_the_second() {
+        // The address is taken: a server that bound first would report
+        // that, not the cap.
+        let taken = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = taken.local_addr().unwrap();
+        let err = RemoteBackendServer::serve_with(local_backend(), addr, 0).unwrap_err();
+        assert!(matches!(&err, StoreError::Backend(m) if m.contains("cap of 0")), "{err:?}");
+        drop(taken);
+
+        let server = RemoteBackendServer::serve_with(local_backend(), "127.0.0.1:0", 1).unwrap();
+        let first = RemoteBackend::connect(server.local_addr().to_string()).unwrap();
+        let err = RemoteBackend::connect(server.local_addr().to_string()).unwrap_err();
+        assert!(matches!(err, StoreError::Overloaded { .. }), "{err:?}");
+        assert_eq!(first.list_tables().unwrap().len(), 2, "the admitted client is served");
+        let stats = server.stats();
+        assert_eq!((stats.live_connections, stats.shed_connections), (1, 1));
         server.shutdown();
     }
 
