@@ -15,13 +15,18 @@
 //! (typos, plural/singular, shared brand stems), which is the property the
 //! paper's "semantic" join-ability relies on across formatting variants.
 //!
-//! Everything is deterministic: no training, no files, identical vectors in
-//! every process. A bounded store of token vectors makes repeated tokens
-//! (the common case in categorical columns) nearly free — a hit takes no
-//! lock (`store.rs`) — and a second, smaller store of n-gram basis
-//! vectors makes *new* tokens cheap: a corpus has far fewer distinct
-//! n-grams than n-gram occurrences, and drawing a basis vector (`dim`
-//! Box–Muller Gaussians) is what computing a token costs.
+//! Everything is deterministic: no training, no files, and the same vectors
+//! in every process linked against the same libm. A basis is drawn through
+//! `f64::ln` and `f64::cos`, which call the platform's libm, so the bits
+//! (and `tests/ingest_parity.rs`'s golden CRCs) are fixed for one libm: a
+//! checkpoint moved to a platform with a different libm holds vectors that
+//! a fresh embed there may not reproduce bit for bit. A bounded store of
+//! token vectors makes repeated tokens (the common case in categorical
+//! columns) nearly free — a hit takes no lock (`store.rs`) — and a second,
+//! smaller store of n-gram basis vectors makes *new* tokens cheap: a corpus
+//! has far fewer distinct n-grams than n-gram occurrences, and drawing a
+//! basis vector (`dim` Box–Muller Gaussians) is what computing a token
+//! costs.
 
 use wg_util::hash::combine64;
 use wg_util::kernel::{self, scratch};
@@ -49,11 +54,12 @@ const SUBWORD_WEIGHT: f32 = 0.6;
 /// the fly rather than evicting (simple and allocation-free).
 pub(crate) const TOKEN_CAPACITY: usize = 1 << 20;
 
-/// N-gram basis vectors kept per model: 2¹⁴ × `dim` floats (8 MiB at the
-/// default dimension). On the testbed-S and fleet token streams this serves
-/// 0.84 / 0.80 of n-gram lookups; four times the entries serve 0.96 / 0.82
-/// (DESIGN.md §8 has the sizing table).
-pub(crate) const NGRAM_BASIS_CAPACITY: usize = 1 << 14;
+/// N-gram basis vectors kept per model: at most 2¹⁶ × `dim` floats (32 MiB
+/// at the default dimension). Testbed-S has 34,199 distinct n-grams and the
+/// fleet 24,177, so a build draws each basis once and the store serves
+/// 0.955 / 0.817 of n-gram lookups, every one but a first (DESIGN.md §8 has
+/// the sizing table).
+pub(crate) const NGRAM_BASIS_CAPACITY: usize = 1 << 16;
 
 /// The deterministic hashed-subword embedding model.
 pub struct WebTableModel {
@@ -63,6 +69,9 @@ pub struct WebTableModel {
     tokens: VectorStore,
     /// Basis vectors of n-grams, keyed by the tagged n-gram hash.
     ngram_bases: VectorStore,
+    /// Basis vectors drawn so far, token and n-gram.
+    #[cfg(test)]
+    draws: std::sync::atomic::AtomicUsize,
 }
 
 impl WebTableModel {
@@ -74,6 +83,8 @@ impl WebTableModel {
             seed,
             tokens: VectorStore::new(dim, TOKEN_CAPACITY),
             ngram_bases: VectorStore::new(dim, NGRAM_BASIS_CAPACITY),
+            #[cfg(test)]
+            draws: Default::default(),
         }
     }
 
@@ -92,6 +103,7 @@ impl WebTableModel {
             seed: SEED,
             tokens: VectorStore::new(DIM, token_capacity),
             ngram_bases: VectorStore::new(DIM, ngram_capacity),
+            draws: Default::default(),
         }
     }
 
@@ -103,6 +115,8 @@ impl WebTableModel {
 
     /// Gaussian basis vector for a hash, seeded with the model seed.
     fn basis_into(&self, hash: u64, out: &mut [f32]) {
+        #[cfg(test)]
+        self.draws.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let mut rng = SplitMix64::new(combine64(self.seed, hash));
         out.fill_with(|| rng.gen_gaussian() as f32);
     }
@@ -263,6 +277,9 @@ impl WebTableModel {
 mod tests {
     use super::*;
     use crate::tokenizer::{reference, tokenize_into, Token};
+    use std::collections::HashSet;
+    use std::sync::atomic::Ordering;
+    use wg_util::rng::Xoshiro256pp;
 
     fn model() -> WebTableModel {
         WebTableModel::default_model()
@@ -345,6 +362,45 @@ mod tests {
             // cover the first seven eighths of the list between them).
             assert_eq!(m.cache_len(), tokens.len() / 2 + 3 * tokens.len() / 8);
         }
+    }
+
+    /// `len` tokens drawn from a seeded pool of `words` random lowercase
+    /// words of 4–9 letters, so tokens repeat and n-grams repeat more.
+    fn token_stream(seed: u64, words: usize, len: usize) -> Vec<String> {
+        let mut rng = Xoshiro256pp::new(seed);
+        let pool: Vec<String> = (0..words)
+            .map(|_| {
+                let letters = 4 + rng.gen_index(6);
+                (0..letters).map(|_| char::from(b'a' + rng.gen_index(26) as u8)).collect()
+            })
+            .collect();
+        (0..len).map(|_| pool[rng.gen_index(words)].clone()).collect()
+    }
+
+    #[test]
+    fn a_build_draws_each_basis_once() {
+        let stream = token_stream(23, 3_000, 9_000);
+        let tokens: HashSet<&str> = stream.iter().map(String::as_str).collect();
+        let grams: HashSet<String> =
+            tokens.iter().flat_map(|t| reference::char_ngrams(t, MIN_NGRAM, MAX_NGRAM)).collect();
+        // More distinct n-grams than a 2¹⁴-vector store holds.
+        assert!(grams.len() > 24_000, "{} distinct n-grams", grams.len());
+        let m = model();
+        for t in &stream {
+            m.token_vector(t);
+        }
+        let once = tokens.len() + grams.len();
+        assert_eq!(m.draws.load(Ordering::Relaxed), once);
+        // Every token vector as the oracle draws it, read from the store.
+        let oracle = model();
+        for t in tokens {
+            assert_eq!(
+                bits(&m.token_vector(t).0),
+                bits(&oracle.compute_token_reference(t).0),
+                "{t}"
+            );
+        }
+        assert_eq!(m.draws.load(Ordering::Relaxed), once);
     }
 
     #[test]

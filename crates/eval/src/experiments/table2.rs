@@ -133,19 +133,3 @@ pub fn check_ordering(rows: &[Table2Row]) -> Option<String> {
     }
     None
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::experiments::connect;
-    use wg_corpora::TestbedSpec;
-
-    #[test]
-    fn ordering_matches_paper_on_xs() {
-        let corpus = wg_corpora::build_testbed(&TestbedSpec::xs(0.1));
-        let connector = connect(corpus.warehouse.clone());
-        let rows = run(&corpus, &connector);
-        assert_eq!(rows.len(), 3);
-        assert_eq!(check_ordering(&rows), None, "rows: {rows:?}");
-    }
-}
